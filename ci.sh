@@ -18,37 +18,45 @@ stage_build_test() {
     # (the bare root build only covers the facade crate).
     cargo build --release --workspace
     cargo test -q --workspace
-    # Wheel-vs-heap differential: the timing wheel must pop the exact
-    # `(time, seq)` stream the retired binary-heap oracle pops, over
-    # randomized schedule/cancel/pop interleavings. Runs inside the
-    # workspace suite too, but an explicit invocation keeps the contract
-    # visible in the CI log (and keeps running it even if the workspace
-    # test set is ever filtered).
+    # Queue-vs-model differential: the event queue (indexed heap + FIFO
+    # lanes) must pop the exact `(time, seq)` stream an ordered-map model
+    # pops, over randomized schedule/lane/cancel/pop interleavings. Runs
+    # inside the workspace suite too, but an explicit invocation keeps the
+    # contract visible in the CI log (and keeps running it even if the
+    # workspace test set is ever filtered).
     cargo test -q --test queue_differential
+    # The study smokes below write their reports into the working
+    # directory: run them from a scratch directory so the 2-flow smoke
+    # output never overwrites the full reports committed at the repo root.
+    local repro="$PWD/target/release/repro" smoke=target/ci-smoke
+    rm -rf "$smoke"
+    mkdir -p "$smoke"
     # Pinned-seed chaos smoke: the fault-injection harness and differential
     # oracle must hold on every push (nightly CI runs the big randomized
     # sweep; see .github/workflows/ci.yml).
-    ./target/release/repro chaos --seed 42 --cases 200
+    (cd "$smoke" && "$repro" chaos --seed 42 --cases 200)
     # The report the smoke just wrote must match the pinned seed-42 report
-    # byte-for-byte once the wall_s timing field is stripped: scheduler and
-    # engine reworks must not move a single simulated byte.
-    diff <(sed 's/,"wall_s":[^}]*//' CHAOS_report.json) \
-         <(sed 's/,"wall_s":[^}]*//' tests/fixtures/CHAOS_seed42_200.json) \
+    # byte-for-byte once the host's own fields (wall_s timing, worker
+    # count = cores) are stripped: scheduler and engine reworks must not
+    # move a single simulated byte.
+    local host_fields='s/,"wall_s":[^}]*//; s/"workers":[0-9]*,//'
+    diff <(sed "$host_fields" "$smoke/CHAOS_report.json") \
+         <(sed "$host_fields" tests/fixtures/CHAOS_seed42_200.json) \
         || { echo "chaos smoke: CHAOS_report.json diverged from the pinned seed-42 report" >&2; exit 1; }
     # Congestion-control study smoke: every zoo member must campaign cleanly
     # and produce a non-empty model-deviation row in CC_STUDY.json.
-    ./target/release/repro cc-study --smoke
+    (cd "$smoke" && "$repro" cc-study --smoke)
     for cc in Reno Veno Cubic Bbr Compound; do
-        grep -q "\"label\":\"$cc\"" CC_STUDY.json \
+        grep -q "\"label\":\"$cc\"" "$smoke/CC_STUDY.json" \
             || { echo "cc-study: no deviation row for $cc" >&2; exit 1; }
     done
     # Loss-recovery study smoke: every countermeasure must produce a
     # campaign row, a chaos-storm row, and a measured-vs-modeled fit per
     # provider (the command exits non-zero when any slice is empty or the
     # storm never drove the baseline into timeouts).
-    ./target/release/repro recovery-study --smoke
+    (cd "$smoke" && "$repro" recovery-study --smoke)
     for r in None RedundantRto Frto AckRobust; do
-        grep -q "\"label\":\"$r\"" RECOVERY_report.json \
+        grep -q "\"label\":\"$r\"" "$smoke/RECOVERY_report.json" \
             || { echo "recovery-study: no row for $r" >&2; exit 1; }
     done
     # Spec-driven campaign smoke: the committed smoke spec, run as one

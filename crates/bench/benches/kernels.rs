@@ -89,16 +89,14 @@ fn bench_event_queue(c: &mut Criterion) {
     });
 }
 
-/// Head-to-head churn: the production timing wheel vs the retired
-/// binary-heap oracle (`heap-reference` feature), driven through the same
-/// deterministic schedule/cancel/pop mix at steady pending depths of
-/// 1k/10k/100k. Each op is the engine's dominant timer pattern: schedule
-/// an RTO ~40ms out, cancel it immediately, then pop the next event and
-/// schedule its successor a mixed horizon away (sub-slot, near, RTO-scale,
-/// far) so every wheel level — not just level 0 — sees traffic.
+/// Queue churn through a deterministic schedule/cancel/pop mix at steady
+/// pending depths of 30 (what a flow really keeps pending), 1k and 100k
+/// (how the heap degrades far outside it). Each op is the engine's
+/// dominant timer pattern: schedule an RTO ~40ms out, cancel it
+/// immediately, then pop the next event and schedule its successor a
+/// mixed horizon away (same-instant-ish, near, RTO-scale, far).
 fn bench_queue_churn(c: &mut Criterion) {
     use hsm_simnet::event::{Event, EventKind, EventQueue};
-    use hsm_simnet::event_heap::HeapEventQueue;
 
     /// Ops per criterion iteration; depth stays constant across them, so
     /// the queue carries steady state between iterations.
@@ -118,53 +116,41 @@ fn bench_queue_churn(c: &mut Criterion) {
         }
     }
 
-    macro_rules! churn_bench {
-        ($group:expr, $name:expr, $qty:ty, $depth:expr) => {
-            $group.bench_function($name, |b| {
-                let dst = AgentId::from_raw(0);
-                let mut q = <$qty>::default();
-                let mut rng = 0x9E37_79B9_7F4A_7C15u64;
-                let mut now = 0u64;
-                for tag in 0..$depth {
+    let mut g = tune(c);
+    for depth in [30u64, 1_000, 100_000] {
+        g.bench_function(&format!("queue_churn/{depth}"), |b| {
+            let dst = AgentId::from_raw(0);
+            let mut q = EventQueue::new();
+            let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+            let mut now = 0u64;
+            for tag in 0..depth {
+                q.schedule(Event {
+                    at: SimTime::from_micros(now + dt(&mut rng)),
+                    dst,
+                    kind: EventKind::Timer { tag },
+                });
+            }
+            b.iter(|| {
+                let mut fired = 0u64;
+                for tag in 0..CHURN_OPS {
+                    let rto = q.schedule(Event {
+                        at: SimTime::from_micros(now + 40_000),
+                        dst,
+                        kind: EventKind::Timer { tag },
+                    });
+                    q.cancel(rto);
+                    let (_, ev) = q.pop().expect("steady-state churn never empties");
+                    now = ev.at.as_micros();
                     q.schedule(Event {
                         at: SimTime::from_micros(now + dt(&mut rng)),
                         dst,
                         kind: EventKind::Timer { tag },
                     });
+                    fired += 1;
                 }
-                b.iter(|| {
-                    let mut fired = 0u64;
-                    for tag in 0..CHURN_OPS {
-                        let rto = q.schedule(Event {
-                            at: SimTime::from_micros(now + 40_000),
-                            dst,
-                            kind: EventKind::Timer { tag },
-                        });
-                        q.cancel(rto);
-                        let (_, ev) = q.pop().expect("steady-state churn never empties");
-                        now = ev.at.as_micros();
-                        q.schedule(Event {
-                            at: SimTime::from_micros(now + dt(&mut rng)),
-                            dst,
-                            kind: EventKind::Timer { tag },
-                        });
-                        fired += 1;
-                    }
-                    black_box(fired)
-                });
+                black_box(fired)
             });
-        };
-    }
-
-    let mut g = tune(c);
-    for depth in [1_000u64, 10_000, 100_000] {
-        churn_bench!(g, &format!("queue_churn_wheel/{depth}"), EventQueue, depth);
-        churn_bench!(
-            g,
-            &format!("queue_churn_heap/{depth}"),
-            HeapEventQueue,
-            depth
-        );
+        });
     }
 }
 

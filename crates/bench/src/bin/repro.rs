@@ -61,10 +61,13 @@ struct CampaignBench {
     host_cores: usize,
     max_workers: usize,
     cold_eps_w1: f64,
-    cold_eps_w2: f64,
-    cold_eps_w4: f64,
+    /// `None` (`null`) on hosts with fewer than 4 cores, like
+    /// `cold_eps_w4` and `speedup_w4`: more threads than cores measures
+    /// the scheduler, not the engine.
+    cold_eps_w2: Option<f64>,
+    cold_eps_w4: Option<f64>,
     cold_eps_max: f64,
-    speedup_w4: f64,
+    speedup_w4: Option<f64>,
     speedup_max: f64,
     /// Wall-clock of a fully disk-served warm replay (fresh memory tier,
     /// every flow decoded from the binary disk format), seconds.
@@ -92,16 +95,22 @@ struct SpecBench {
 
 /// Runs the Stress dataset (≥ 2,000 two-second flows — campaign overhead
 /// dominates, which is the point) through the campaign engine at each
-/// worker count in {1, 2, 4, max}: per count, one cold pass against a
-/// fresh cache, then a warm pass that must be served entirely from
-/// memoized flows. Writes the full matrix plus gate-friendly flat fields.
+/// worker count in {1, 2, 4, max} (just {1, max} on hosts with fewer than
+/// 4 cores): per count, one cold pass against a fresh cache, then a warm
+/// pass that must be served entirely from memoized flows. Writes the full
+/// matrix plus gate-friendly flat fields.
 fn write_campaign_bench() -> Result<(), String> {
     let host_cores = std::thread::available_parallelism()
         .map(|c| c.get())
         .unwrap_or(1);
     let scale = Scale::Stress;
     let dataset = scale.dataset_config();
-    let mut counts = vec![1usize, 2, 4, host_cores];
+    let scaling = host_cores >= 4;
+    let mut counts = if scaling {
+        vec![1usize, 2, 4, host_cores]
+    } else {
+        vec![1, host_cores]
+    };
     counts.sort_unstable();
     counts.dedup();
 
@@ -176,10 +185,10 @@ fn write_campaign_bench() -> Result<(), String> {
         host_cores,
         max_workers: host_cores,
         cold_eps_w1: eps(1),
-        cold_eps_w2: eps(2),
-        cold_eps_w4: eps(4),
+        cold_eps_w2: scaling.then(|| eps(2)),
+        cold_eps_w4: scaling.then(|| eps(4)),
         cold_eps_max: eps(host_cores),
-        speedup_w4: speedup(eps(4), eps(1)),
+        speedup_w4: scaling.then(|| speedup(eps(4), eps(1))),
         speedup_max: speedup(eps(host_cores), eps(1)),
         warm_disk_wall_s: warm_disk.wall_clock_s,
         warm_disk_flows_per_s: if warm_disk.wall_clock_s > 0.0 {

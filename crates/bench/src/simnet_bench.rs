@@ -31,7 +31,7 @@ pub struct SimnetBench {
     /// Events cancelled before firing across all flows.
     pub queue_cancels: u64,
     /// Fraction of scheduled events cancelled before firing — the RTO
-    /// churn the timing wheel's lazy cancellation is designed around.
+    /// churn the event queue's remove-on-cancel is designed around.
     pub queue_cancel_ratio: f64,
     /// Peak live event-queue depth over any single flow.
     pub queue_max_depth: usize,

@@ -24,15 +24,13 @@
 //!   [`ObserverSet`]: with no observer the
 //!   engine skips event materialization altogether, and the single-
 //!   recorder case is a direct (non-virtual) call;
-//! * the [`EventQueue`] is a hierarchical timing wheel over a payload
-//!   slab — `O(1)` schedule and cancel, no hash map anywhere on the
-//!   schedule/pop path (see the `event` module docs);
-//! * dispatch is batched per instant: all events sharing one `SimTime`
-//!   are drained from the wheel in a single walk into a reusable scratch
-//!   buffer, so the queue's slot/bitmap bookkeeping and the clock update
-//!   are paid once per instant instead of once per event. An agent
-//!   cancelling a same-instant sibling mid-batch tombstones the drained
-//!   entry, preserving exact single-pop cancellation semantics.
+//! * the [`EventQueue`] is an indexed 4-ary heap over a payload slab,
+//!   sized to the ~30 events a flow keeps pending: a cancel removes its
+//!   entry on the spot, and each link's `Deliver` events wait in a FIFO
+//!   lane that costs the heap one entry (see the `event` module docs);
+//! * dispatch is one deadline-bounded pop per event — the engine's only
+//!   queue read — so an event stays in the queue, cancellable, until the
+//!   moment it fires.
 //!
 //! # Failure model
 //!
@@ -126,25 +124,7 @@ impl<'a> Ctx<'a> {
     /// Cancels a pending timer. Returns `false` if it already fired or was
     /// already cancelled.
     pub fn cancel_timer(&mut self, id: EventId) -> bool {
-        if self.core.queue.cancel(id) {
-            return true;
-        }
-        // The timer may share this instant with the event being dispatched:
-        // already drained into the scratch batch but not yet fired.
-        // Tombstoning the batch entry preserves the pre-batching semantics,
-        // where the entry would still have been in the queue.
-        let from = self.core.batch_pos + 1;
-        if let Some(i) = self.core.batch[from.min(self.core.batch.len())..]
-            .iter()
-            .position(|(bid, _)| *bid == id)
-        {
-            let i = from + i;
-            if !self.core.batch_dead[i] {
-                self.core.batch_dead[i] = true;
-                return true;
-            }
-        }
-        false
+        self.core.queue.cancel(id)
     }
 
     /// This agent's private random stream.
@@ -182,15 +162,6 @@ struct Core {
     arena: PacketArena,
     stop_requested: bool,
     events_processed: u64,
-    /// Reusable scratch buffer for same-instant batch dispatch: all events
-    /// sharing the next firing time are drained here in one queue walk.
-    batch: Vec<(EventId, Event)>,
-    /// Tombstones for `batch` entries cancelled by an earlier event of the
-    /// same batch (parallel to `batch`, reset per batch).
-    batch_dead: Vec<bool>,
-    /// Index of the batch entry currently dispatching; `cancel_timer` only
-    /// tombstones entries strictly after it.
-    batch_pos: usize,
     /// Queue buffers of links retired by [`Engine::reset`], handed back to
     /// links registered after the reset so a recycled engine wires itself
     /// without reallocating.
@@ -283,19 +254,24 @@ impl Core {
             let rng = &mut self.link_rngs[idx];
             self.links[idx].sample_latency(self.now, rng)
         };
-        // FIFO: jitter must not let packets overtake each other.
+        // FIFO: jitter must not let packets overtake each other — which
+        // also makes this link's deliveries a non-decreasing sequence, so
+        // they queue in the link's lane instead of the heap.
         let at = (self.now + latency).max(self.links[idx].last_delivery);
         self.links[idx].last_delivery = at;
         self.links[idx].deliver_pending += 1;
         let dst = self.links[idx].to;
-        self.queue.schedule(Event {
-            at,
-            dst,
-            kind: EventKind::Deliver {
-                packet: done.id,
-                link: link_id,
+        self.queue.schedule_in_lane(
+            idx,
+            Event {
+                at,
+                dst,
+                kind: EventKind::Deliver {
+                    packet: done.id,
+                    link: link_id,
+                },
             },
-        });
+        );
         Ok(())
     }
 }
@@ -323,9 +299,6 @@ impl Engine {
                 arena: PacketArena::new(),
                 stop_requested: false,
                 events_processed: 0,
-                batch: Vec::new(),
-                batch_dead: Vec::new(),
-                batch_pos: 0,
                 spare_queues: Vec::new(),
             },
             agents: Vec::new(),
@@ -335,8 +308,8 @@ impl Engine {
 
     /// Returns the engine to its just-constructed state under a new master
     /// seed while keeping every recyclable allocation: the event queue's
-    /// slab/heap capacity, the packet arena's columns, link queue buffers,
-    /// and the agent/link/RNG vectors' capacity.
+    /// slab, heap and lane capacity, the packet arena's columns, link queue
+    /// buffers, and the agent/link/RNG vectors' capacity.
     ///
     /// All agents, links and observers are dropped (re-register them), and
     /// every random stream re-derives from `master_seed` — a reset engine
@@ -355,9 +328,6 @@ impl Engine {
         self.core.arena.clear();
         self.core.stop_requested = false;
         self.core.events_processed = 0;
-        self.core.batch.clear();
-        self.core.batch_dead.clear();
-        self.core.batch_pos = 0;
         self.agents.clear();
         self.started = false;
     }
@@ -478,77 +448,40 @@ impl Engine {
                 });
             }
         }
-        'batches: while !self.core.stop_requested {
-            // Same-instant batch dispatch: one wheel walk drains every
-            // event sharing the next firing time (discarding stale
-            // cancelled entries on the way), so queue bookkeeping and the
-            // clock update are paid once per instant, not once per event.
-            // This is also the engine's only queue read — the old
-            // peek_time-then-pop double traversal is gone; use
-            // `EventQueue::next_fire_time` if a read-only probe is ever
-            // needed here again.
-            self.core.batch.clear();
-            self.core.batch_pos = 0;
-            let n = self
-                .core
-                .queue
-                .pop_batch_before(deadline, &mut self.core.batch);
-            if n == 0 {
+        while !self.core.stop_requested {
+            let Some((_, event)) = self.core.queue.pop_before(deadline) else {
                 break;
-            }
-            self.core.batch_dead.clear();
-            self.core.batch_dead.resize(n, false);
-            let at = self.core.batch[0].1.at;
-            debug_assert!(at >= self.core.now, "event in the past");
-            self.core.now = at;
-            for i in 0..n {
-                if self.core.stop_requested {
-                    // Stop is terminal for this engine; undispatched
-                    // drained events are dropped, exactly as they would
-                    // have been left unpopped before batching.
-                    break 'batches;
-                }
-                if self.core.batch_dead[i] {
-                    // Cancelled mid-batch by an earlier sibling: not
-                    // processed, not counted.
-                    continue;
-                }
-                self.core.batch_pos = i;
-                let (_id, event) = self.core.batch[i];
-                self.core.events_processed += 1;
-                processed += 1;
-                match event.kind {
-                    EventKind::LinkReady(link) => self.core.link_ready(link)?,
-                    EventKind::Deliver { packet, link } => {
-                        let l = &mut self.core.links[link.as_usize()];
-                        l.deliver_pending = l
-                            .deliver_pending
-                            .checked_sub(1)
-                            .ok_or(SimError::DeliverUnderflow { link })?;
-                        l.delivered += 1;
-                        let packet = self.core.arena.get(packet);
-                        if !self.core.observers.is_none() {
-                            self.core.observers.emit(
-                                PacketEventKind::Delivered,
-                                self.core.now,
-                                link,
-                                &self.core.links[link.as_usize()].label,
-                                &packet,
-                            );
-                        }
-                        self.with_agent(event.dst, |agent, ctx| agent.on_packet(ctx, packet));
+            };
+            debug_assert!(event.at >= self.core.now, "event in the past");
+            self.core.now = event.at;
+            self.core.events_processed += 1;
+            processed += 1;
+            match event.kind {
+                EventKind::LinkReady(link) => self.core.link_ready(link)?,
+                EventKind::Deliver { packet, link } => {
+                    let l = &mut self.core.links[link.as_usize()];
+                    l.deliver_pending = l
+                        .deliver_pending
+                        .checked_sub(1)
+                        .ok_or(SimError::DeliverUnderflow { link })?;
+                    l.delivered += 1;
+                    let packet = self.core.arena.get(packet);
+                    if !self.core.observers.is_none() {
+                        self.core.observers.emit(
+                            PacketEventKind::Delivered,
+                            self.core.now,
+                            link,
+                            &self.core.links[link.as_usize()].label,
+                            &packet,
+                        );
                     }
-                    EventKind::Timer { tag } => {
-                        self.with_agent(event.dst, |agent, ctx| agent.on_timer(ctx, tag));
-                    }
+                    self.with_agent(event.dst, |agent, ctx| agent.on_packet(ctx, packet));
+                }
+                EventKind::Timer { tag } => {
+                    self.with_agent(event.dst, |agent, ctx| agent.on_timer(ctx, tag));
                 }
             }
         }
-        // Leftover batch state must not leak into the next run's
-        // cancel_timer scans.
-        self.core.batch.clear();
-        self.core.batch_dead.clear();
-        self.core.batch_pos = 0;
         // Cross-layer invariant: no link may have lost or duplicated a
         // packet. Cheap (one pass over the links), so we verify after every
         // run in debug/test builds.
@@ -780,10 +713,14 @@ mod tests {
         let fresh_events = rec.take_events();
         let fresh_count = fresh.events_processed();
 
-        // Dirty an engine with a different seed, then reset it to 42.
+        // Dirty an engine with a different seed, stop it mid-flight with
+        // packets still queued in the link's delivery lane, then reset it
+        // to 42.
         let mut recycled = Engine::new(7);
         let _ = wire(&mut recycled);
         recycled.run_until(SimTime::from_millis(100));
+        let in_lane = recycled.link(LinkId::from_raw(0)).deliver_pending;
+        assert!(in_lane > 1, "only {in_lane} deliveries in flight at reset");
         recycled.reset(42);
         assert_eq!(recycled.events_processed(), 0);
         assert_eq!(recycled.now(), SimTime::ZERO);
@@ -852,12 +789,11 @@ mod tests {
     }
 
     #[test]
-    fn same_instant_cancel_mid_batch_suppresses_sibling() {
+    fn same_instant_cancel_suppresses_sibling() {
         // Two timers at the same instant; the first one's callback cancels
-        // the second. Under batch dispatch the sibling is already drained
-        // into the scratch batch, so the cancel must tombstone it: it
-        // neither fires nor counts as processed, and cancel reports true —
-        // identical to the pre-batching single-pop semantics.
+        // the second. Events leave the queue one at a time, so the sibling
+        // is still queued: the cancel reports true, and the timer neither
+        // fires nor counts as processed.
         struct SiblingCancel {
             second: Option<EventId>,
             fired: Vec<u64>,
@@ -887,10 +823,32 @@ mod tests {
         }));
         let processed = eng.run_until_idle();
         let agent = eng.agent_mut::<SiblingCancel>(id).unwrap();
-        assert_eq!(agent.fired, vec![1, 3], "tombstoned timer must not fire");
-        assert_eq!(agent.cancel_ok, Some(true), "mid-batch cancel succeeds");
-        assert_eq!(processed, 2, "tombstoned event is not counted");
+        assert_eq!(agent.fired, vec![1, 3], "cancelled timer must not fire");
+        assert_eq!(agent.cancel_ok, Some(true), "same-instant cancel succeeds");
+        assert_eq!(processed, 2, "cancelled event is not counted");
         assert_eq!(eng.events_processed(), 2);
+    }
+
+    #[test]
+    fn stop_leaves_same_instant_siblings_undispatched() {
+        struct StopsOnFirst;
+        impl Agent for StopsOnFirst {
+            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+                for tag in 1..=3 {
+                    ctx.schedule_in(SimDuration::from_millis(1), tag);
+                }
+            }
+            fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _p: Packet) {}
+            fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
+                assert_eq!(tag, 1, "a sibling fired after stop");
+                ctx.stop();
+            }
+        }
+        let mut eng = Engine::new(0);
+        eng.add_agent(Box::new(StopsOnFirst));
+        assert_eq!(eng.run_until_idle(), 1);
+        assert_eq!(eng.events_processed(), 1);
+        assert!(eng.stopped());
     }
 
     #[test]

@@ -1,86 +1,39 @@
 //! Future event list.
 //!
-//! A classic discrete-event simulation core, reworked twice for
-//! throughput: PR 3 replaced the naive queue with a slab-indexed binary
-//! min-heap; this revision replaces the heap with a **hierarchical timing
-//! wheel** (Varghese/Lauck style) so the dominant operations drop from
-//! `O(log n)` to `O(1)`:
+//! A flow keeps about thirty events pending (measured mean depth 27, peak
+//! 67 over the 255-flow Table I campaign), so the queue is sized to that:
 //!
-//! * [`EventQueue::schedule`] hashes the firing time into one of eleven
-//!   64-slot wheels (power-of-two slot granularity derived from the raw
-//!   [`SimTime`] microsecond count: level *k* slots are `2^(6k)` µs wide;
-//!   the level is the first radix-64 digit in which the firing time
-//!   differs from the wheel cursor) and appends a 24-byte entry to that
-//!   slot — no sift, no comparison.
-//! * [`EventQueue::cancel`] is generation-check based, exactly as before,
-//!   plus an in-place reclaim fast path: when the cancelled entry is the
-//!   most recent push into its wheel slot (the dominant
-//!   schedule-then-cancel RTO-timer pattern), the entry is physically
-//!   removed right away, so churning timers leave no garbage behind.
-//!   Otherwise the stale entry stays and is discarded lazily — a
-//!   cancellation never cascades or re-sorts anything.
-//! * [`EventQueue::pop`] walks per-level occupancy bitmaps (one `u64` per
-//!   64-slot wheel) to the earliest occupied slot; level-0 slots are one
-//!   microsecond wide, so a slot holds exactly one firing instant and
-//!   pops in FIFO order by construction. Far-future levels cascade
-//!   toward level 0 as simulated time approaches, an amortized `O(1)`
-//!   per event per level it descends.
-//!
-//! Event payloads still live in a slab of reusable slots addressed by a
-//! `(slot, generation)` pair packed into the [`EventId`]; wheel entries
-//! are compact 24-byte `(time, sequence, slot, generation)` records, so
-//! scheduling and popping never touch a hash map.
+//! * an **indexed 4-ary min-heap** of `(time, sequence, slot)` entries
+//!   over a payload slab. Each slab slot records its entry's heap
+//!   position, so [`EventQueue::cancel`] removes the entry outright with
+//!   one short sift and the heap never holds a dead entry — one schedule
+//!   in four is a far-future retransmission timer the next ACK cancels;
+//! * **FIFO lanes** ([`EventQueue::schedule_in_lane`]) for sources that
+//!   schedule in non-decreasing time — each link's `Deliver` events. Only
+//!   a lane's head sits in the heap; popping it puts the lane's next entry
+//!   at the root (one sift-down). The heap then orders one entry per
+//!   source, not one per packet in flight.
 //!
 //! # Ordering contract
 //!
 //! Events fire strictly ordered by `(firing time, insertion sequence)`:
-//! earlier times first, and among events scheduled for the **same
-//! instant**, strictly in the order `schedule` was called (FIFO). The
-//! insertion sequence is a queue-global monotonic counter, so this
-//! ordering is total, deterministic, and independent of cancellation
-//! history — the property every bit-identical-replay test in the
-//! workspace leans on.
+//! earlier times first, and events scheduled for the **same instant** in
+//! the order they were scheduled (FIFO). The sequence is one queue-global
+//! counter shared by both schedule paths, so the order is total,
+//! deterministic, and independent of cancellation history and of which
+//! events went through a lane — the property every bit-identical-replay
+//! test in the workspace leans on.
 //!
-//! ## Proof sketch (see DESIGN.md §15 for the long form)
-//!
-//! The wheel maintains two invariants. First, **placement is by first
-//! differing radix-64 digit**: an entry's level is the most significant
-//! digit in which its firing time differs from the wheel cursor, so every
-//! entry shares all higher digits with the cursor, slot indices map to
-//! exactly one absolute window, and within a level ascending index *is*
-//! ascending time (no rotation ambiguity). This holds because the cursor
-//! never passes a live wheel entry's firing time: it advances only to
-//! the firing time of a popped event or to a cascade-window start, and
-//! both are bounded by the earliest wheel entry. The one schedule the
-//! wheel cannot hash — an event below the cursor, legal because
-//! schedules are only bounded below by the last *fired* time while a
-//! missed pop deadline may have committed the cursor further — bypasses
-//! the wheel into a tiny ordered backlog lane that always fires before
-//! anything in the wheel (its entries are strictly below the cursor,
-//! wheel entries never are). Second, **every slot
-//! list is sorted by insertion sequence.** Direct schedules append the
-//! globally largest sequence, so appends preserve it. A cascade drains
-//! one higher-level slot (itself seq-sorted) and deposits each live entry
-//! into a strictly lower level; deposits that would land behind a larger
-//! sequence are placed by binary search instead
-//! ([`VecDeque::partition_point`]), so target lists stay seq-sorted.
-//! Because a level-0 slot is one microsecond wide, all its entries share
-//! one firing time, and popping the slot front-to-back is exactly
-//! `(time, seq)` order. Across slots, the occupancy-bitmap scan visits
-//! slots in ascending firing-time order, and a higher-level slot is
-//! always cascaded *before* any level-0 event at or beyond its window
-//! start is popped (ties prefer the cascade), so no same-instant event
-//! can be stranded in a coarser wheel while its siblings fire. The
-//! retired binary-heap implementation is kept, feature-gated, as
-//! `event_heap::HeapEventQueue`, and a standing differential
-//! proptest (`tests/queue_differential.rs`) pops randomized
-//! schedule/cancel interleavings through both queues and asserts
-//! identical `(time, seq)` streams — the contract is proven, not assumed.
+//! Lanes keep the contract without trusting the caller: a lane is sorted
+//! by `(time, sequence)` because sequences only grow and an event *below*
+//! the lane's tail time is not appended but takes the plain heap path. A
+//! sorted lane's head is its minimum, so the global minimum is always in
+//! the heap. `tests/queue_differential.rs` checks randomized interleavings
+//! against an ordered-map model (DESIGN.md §15).
 
 use crate::agent::AgentId;
 use crate::time::SimTime;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// Unique handle of a scheduled event, usable for cancellation.
 ///
@@ -95,15 +48,15 @@ impl EventId {
         self.0
     }
 
-    pub(crate) fn new(slot: u32, gen: u32) -> EventId {
+    fn new(slot: u32, gen: u32) -> EventId {
         EventId((u64::from(slot) << 32) | u64::from(gen))
     }
 
-    pub(crate) fn slot(self) -> usize {
+    fn slot(self) -> usize {
         (self.0 >> 32) as usize
     }
 
-    pub(crate) fn gen(self) -> u32 {
+    fn gen(self) -> u32 {
         self.0 as u32
     }
 }
@@ -133,7 +86,7 @@ pub enum EventKind {
 /// A scheduled event: at `at`, deliver `kind` to `dst`.
 ///
 /// `Copy` by design: every payload is a compact handle (timer tag, link
-/// id, packet arena id), so the slab stores and returns events without
+/// id, packet arena id), so the queue stores and returns events without
 /// moving heap data.
 #[derive(Debug, Clone, Copy)]
 pub struct Event {
@@ -148,9 +101,8 @@ pub struct Event {
 /// Cheap per-queue telemetry: schedule/cancel volume and live depth,
 /// maintained with two adds and a compare per schedule.
 ///
-/// Campaign runners aggregate these across flows into `BENCH_simnet.json`
-/// so wheel-granularity choices are justified by measured timer churn and
-/// regressions in it stay visible.
+/// Campaign runners aggregate these into `BENCH_simnet.json`, so the
+/// choice of queue structure rests on measured depth and timer churn.
 #[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct QueueStats {
     /// Events scheduled.
@@ -167,26 +119,16 @@ pub struct QueueStats {
 impl QueueStats {
     /// Mean live depth over all schedules (0 when nothing was scheduled).
     pub fn mean_depth(&self) -> f64 {
-        if self.schedules == 0 {
-            0.0
-        } else {
-            self.depth_sum as f64 / self.schedules as f64
-        }
+        self.depth_sum as f64 / self.schedules.max(1) as f64
     }
 
-    /// Fraction of scheduled events that were cancelled before firing —
-    /// the retransmission-timer churn ratio the wheel's lazy cancellation
-    /// is designed around.
+    /// Fraction of schedules cancelled before firing — the RTO churn that
+    /// makes removal on cancel (no tombstones) worth an indexed heap.
     pub fn cancel_ratio(&self) -> f64 {
-        if self.schedules == 0 {
-            0.0
-        } else {
-            self.cancels as f64 / self.schedules as f64
-        }
+        self.cancels as f64 / self.schedules.max(1) as f64
     }
 
-    /// Folds another queue's counters into this one (campaign
-    /// aggregation across flows).
+    /// Folds another queue's counters into this one (campaign totals).
     pub fn merge(&mut self, other: &QueueStats) {
         self.schedules += other.schedules;
         self.cancels += other.cancels;
@@ -195,156 +137,54 @@ impl QueueStats {
     }
 }
 
-/// log2 of the slots per wheel level.
-const LEVEL_BITS: u32 = 6;
-/// Slots per wheel level.
-const SLOTS: usize = 1 << LEVEL_BITS;
-/// Wheel levels. Eleven six-bit levels cover 66 bits — the entire
-/// `SimTime` microsecond range, so there is no separate overflow list:
-/// the top level *is* the far-future overflow, cascading (and, for
-/// deposits that interleave with direct schedules, re-ordering by
-/// `(at, seq)`) toward level 0 as time approaches.
-const LEVELS: usize = 11;
-/// Slot-index mask within a level.
-const SLOT_MASK: u64 = (SLOTS as u64) - 1;
+/// Heap arity: four children per node halves the height of a binary heap
+/// and keeps a node's children in one or two cache lines.
+const ARITY: usize = 4;
 
-/// Compact wheel entry: the ordering key plus the slab address.
+/// Marks a heap entry's `slot` as a lane index rather than a slab index.
+const LANE_BIT: u32 = 1 << 31;
+
+/// Heap entry: the ordering key plus where the payload lives — a slab
+/// slot, or (with [`LANE_BIT`] set) the front of a lane.
 #[derive(Debug, Clone, Copy)]
-struct WheelEntry {
+struct Entry {
     at: SimTime,
     seq: u64,
     slot: u32,
-    gen: u32,
 }
 
-/// One wheel level: 64 slot lists plus an occupancy bitmap (bit *i* set
-/// iff `slots[i]` is non-empty), so finding the next occupied slot is a
-/// rotate plus a trailing-zeros count.
-#[derive(Debug)]
-struct Level {
-    occ: u64,
-    slots: Box<[VecDeque<WheelEntry>]>,
-}
-
-impl Level {
-    fn new() -> Level {
-        Level {
-            occ: 0,
-            slots: (0..SLOTS).map(|_| VecDeque::new()).collect(),
-        }
-    }
-
-    /// Clears every occupied slot, keeping each deque's capacity.
-    fn clear(&mut self) {
-        let mut occ = self.occ;
-        while occ != 0 {
-            let idx = occ.trailing_zeros() as usize;
-            self.slots[idx].clear();
-            occ &= occ - 1;
-        }
-        self.occ = 0;
+impl Entry {
+    fn key(&self) -> (SimTime, u64) {
+        (self.at, self.seq)
     }
 }
 
-/// One slab slot: the event payload, the generation that validates wheel
-/// entries pointing at it, and the wheel coordinates the entry was
-/// *scheduled* into, so `cancel` can try the in-place reclaim. Cascades
-/// deliberately do not refresh the coordinates — the reclaim compares the
-/// slot's newest entry by `(slot, gen)` before touching it, so stale
-/// coordinates just skip the fast path (and the schedule-then-cancel RTO
-/// pattern the fast path exists for cancels long before any cascade).
-#[derive(Debug)]
+/// One slab slot: the event payload, the generation that validates ids
+/// pointing at it, and the heap position of its entry while it is live.
+#[derive(Debug, Default)]
 struct Slot {
     gen: u32,
-    lvl: u8,
-    idx: u8,
+    pos: u32,
     event: Option<Event>,
 }
 
-/// `Slot::lvl` sentinel for events parked in the backlog lane rather
-/// than the wheel (no in-place reclaim; the lane scrubs lazily).
-const BACKLOG_LVL: u8 = u8::MAX;
-
-/// Wheel level for an event at absolute time `at`, relative to the wheel
-/// cursor `cur`: the position of the most significant radix-64 digit in
-/// which the two times differ (level 0 when they are equal).
-///
-/// Placing by first-differing-digit (rather than by raw distance) keeps a
-/// crucial invariant: every entry shares all digits *above* its level
-/// with the cursor, so each occupied slot denotes exactly one absolute
-/// time window — there is no "this rotation or the next?" ambiguity, and
-/// the per-level slot scan is a plain `trailing_zeros`. The invariant is
-/// stable under cursor advancement because the cursor never passes a live
-/// event's firing time, and any value between two numbers sharing a
-/// binary prefix shares that prefix too.
-#[inline]
-fn level_for(at: u64, cur: u64) -> usize {
-    let x = at ^ cur;
-    if x == 0 {
-        0
-    } else {
-        ((63 - x.leading_zeros()) / LEVEL_BITS) as usize
-    }
-}
-
 /// The future event list.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct EventQueue {
-    levels: Vec<Level>,
-    /// Summary occupancy bitmap: bit *k* set iff level *k* has any
-    /// occupied slot, so the per-pop candidate scan touches only
-    /// non-empty levels (usually one or two) instead of all eleven.
-    lvl_occ: u16,
-    /// Wheel cursor in microseconds. Never exceeds the firing time of
-    /// any wheel entry (live entries, that is; stale ones may lag
-    /// behind), and never runs backwards. It advances when an event
-    /// fires and when a deadline-bounded pop commits a cascade-window
-    /// start — so it may legally end up *above* a later schedule's
-    /// firing time; such events go to `backlog`, never into the wheel.
-    cur: u64,
-    /// Below-cursor side lane, ordered by `(time, seq)`. Strictly every
-    /// entry here fires before anything in the wheel (backlog times are
-    /// below the cursor, live wheel times never are), so pops take the
-    /// backlog front first and never need to merge within an instant
-    /// across lanes. Almost always empty: it only gains entries when a
-    /// missed pop deadline committed the cursor past a later schedule.
-    backlog: BinaryHeap<Reverse<(u64, u64, u32, u32)>>,
+    /// 4-ary min-heap on `(at, seq)`. Holds exactly one entry per live
+    /// slab event and one per non-empty lane (that lane's front).
+    heap: Vec<Entry>,
     slab: Vec<Slot>,
     free: Vec<u32>,
+    /// Per-lane `(seq, event)` queues, each sorted by `(at, seq)`.
+    lanes: Vec<VecDeque<(u64, Event)>>,
     live: usize,
     next_seq: u64,
-    /// Memoized exact next firing time (`None` = unknown, recompute).
-    /// Kept exact: schedules fold in with `min`, a cancel or pop at the
-    /// hinted instant invalidates. Lets deadline-bounded pops and peeks
-    /// skip the slot scan on the hot path.
-    next_hint: Option<SimTime>,
     stats: QueueStats,
-    /// Firing time of the most recently popped event. Simulated time must
-    /// never run backwards: every pop checks the invariant in debug/test
-    /// builds. A violation means someone scheduled an event in the past
-    /// (relative to events already fired) — a logic bug that would silently
-    /// corrupt every downstream timing statistic if allowed through.
+    /// Firing time of the last popped event. Debug/test builds refuse a
+    /// schedule below it: time running backwards corrupts every statistic.
     #[cfg(any(debug_assertions, test))]
     last_popped: SimTime,
-}
-
-impl Default for EventQueue {
-    fn default() -> Self {
-        EventQueue {
-            levels: (0..LEVELS).map(|_| Level::new()).collect(),
-            lvl_occ: 0,
-            backlog: BinaryHeap::new(),
-            cur: 0,
-            slab: Vec::new(),
-            free: Vec::new(),
-            live: 0,
-            next_seq: 0,
-            next_hint: None,
-            stats: QueueStats::default(),
-            #[cfg(any(debug_assertions, test))]
-            last_popped: SimTime::ZERO,
-        }
-    }
 }
 
 impl EventQueue {
@@ -363,93 +203,56 @@ impl EventQueue {
         self.live == 0
     }
 
-    /// Schedule/cancel/depth counters since construction or [`reset`].
-    ///
-    /// [`reset`]: EventQueue::reset
+    /// Schedule/cancel/depth counters since construction or `reset`.
     pub fn stats(&self) -> QueueStats {
         self.stats
     }
 
-    /// Schedules `event` and returns its cancellation handle.
+    /// Schedules `event` and returns its cancellation handle. Debug/test
+    /// builds panic if it fires earlier than an event already popped.
     pub fn schedule(&mut self, event: Event) -> EventId {
-        #[cfg(any(debug_assertions, test))]
-        assert!(
-            event.at >= self.last_popped,
-            "event-queue time monotonicity violated: scheduling an event at \
-             {:?} after already firing one at {:?}",
-            event.at,
-            self.last_popped,
-        );
-        if let Some(m) = self.next_hint {
-            self.next_hint = Some(m.min(event.at));
-        }
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.slab[slot as usize].event = Some(event);
-                slot
-            }
-            None => {
-                let slot = self.slab.len() as u32;
-                self.slab.push(Slot {
-                    gen: 0,
-                    lvl: 0,
-                    idx: 0,
-                    event: Some(event),
-                });
-                slot
-            }
-        };
-        let gen = self.slab[slot as usize].gen;
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.live += 1;
-        self.stats.schedules += 1;
-        self.stats.depth_sum += self.live as u64;
-        if self.live > self.stats.max_depth {
-            self.stats.max_depth = self.live;
-        }
-        let entry = WheelEntry {
-            at: event.at,
-            seq,
-            slot,
-            gen,
-        };
-        let at_us = event.at.as_micros();
-        if at_us < self.cur {
-            // A missed pop deadline may have committed the cursor past
-            // this (perfectly legal) firing time — the wheel cannot hash
-            // below its cursor, so park the entry in the ordered side
-            // lane instead.
-            self.slab[slot as usize].lvl = BACKLOG_LVL;
-            self.backlog.push(Reverse((at_us, seq, slot, gen)));
-        } else {
-            let (lvl, idx) = self.place(entry);
-            let lane = &mut self.slab[slot as usize];
-            lane.lvl = lvl as u8;
-            lane.idx = idx as u8;
-        }
-        EventId::new(slot, gen)
+        let seq = self.admit(event.at);
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slab.push(Slot::default());
+            (self.slab.len() - 1) as u32
+        });
+        self.slab[slot as usize].event = Some(event);
+        self.push(event.at, seq, slot);
+        EventId::new(slot, self.slab[slot as usize].gen)
     }
 
-    /// Clears the queue for reuse, keeping every allocation (wheel slot
-    /// deques, slab and free list capacity) so a recycled engine schedules
-    /// its first events without touching the allocator.
-    ///
-    /// After `reset` the queue is indistinguishable from a freshly
-    /// constructed one: the insertion sequence restarts at zero, all slots
-    /// are forgotten, and previously issued [`EventId`]s are dead.
-    pub fn reset(&mut self) {
-        for level in &mut self.levels {
-            level.clear();
+    /// Schedules `event` behind the earlier events of `lane`, for sources
+    /// whose firing times never decrease (the engine uses one lane per
+    /// link's `Deliver` events). It fires exactly where `schedule` would
+    /// have put it — an event earlier than the lane's tail simply takes
+    /// that path — but a lane costs the heap one entry however long it
+    /// is. Lane events cannot be cancelled, so no handle is returned.
+    pub fn schedule_in_lane(&mut self, lane: usize, event: Event) {
+        if lane >= self.lanes.len() {
+            self.lanes.resize_with(lane + 1, VecDeque::new);
         }
-        self.lvl_occ = 0;
-        self.backlog.clear();
-        self.cur = 0;
+        let tail = self.lanes[lane].back().map(|(_, tail)| tail.at);
+        if tail.is_some_and(|tail| event.at < tail) {
+            self.schedule(event);
+            return;
+        }
+        let seq = self.admit(event.at);
+        self.lanes[lane].push_back((seq, event));
+        if tail.is_none() {
+            self.push(event.at, seq, LANE_BIT | lane as u32);
+        }
+    }
+
+    /// Clears the queue for reuse, keeping every allocation. Otherwise
+    /// indistinguishable from a fresh queue: the insertion sequence
+    /// restarts at zero and previously issued [`EventId`]s are dead.
+    pub fn reset(&mut self) {
+        self.heap.clear();
         self.slab.clear();
         self.free.clear();
+        self.lanes.iter_mut().for_each(VecDeque::clear);
         self.live = 0;
         self.next_seq = 0;
-        self.next_hint = None;
         self.stats = QueueStats::default();
         #[cfg(any(debug_assertions, test))]
         {
@@ -457,486 +260,148 @@ impl EventQueue {
         }
     }
 
-    /// Cancels a previously scheduled event.
-    ///
-    /// Returns `true` if the event was still pending, `false` if it already
-    /// fired or was already cancelled. When the entry is the most recent
-    /// push into its wheel slot — the dominant schedule-then-cancel RTO
-    /// pattern — it is reclaimed in place; otherwise the stale entry is
-    /// left behind and skipped lazily. A cancellation never cascades.
+    /// Cancels a scheduled event, removing its heap entry. Returns `false`
+    /// if it already fired or was already cancelled.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        let Some(lane) = self.slab.get_mut(id.slot()) else {
-            return false;
-        };
-        if lane.gen != id.gen() || lane.event.is_none() {
+        if !self.is_pending(id) {
             return false;
         }
-        let at = lane.event.expect("checked above").at;
-        lane.event = None;
-        lane.gen = lane.gen.wrapping_add(1);
-        let (lvl, idx) = (lane.lvl as usize, lane.idx as usize);
-        self.free.push(id.slot() as u32);
-        self.live -= 1;
+        let pos = self.slab[id.slot()].pos as usize;
+        self.retire(id.slot() as u32);
         self.stats.cancels += 1;
-        // The hint stays exact unless the cancelled event sat at the
-        // hinted instant (another event there may or may not remain).
-        if self.next_hint == Some(at) {
-            self.next_hint = None;
-        }
-        // In-place reclaim fast path: drop the wheel entry now if it is
-        // still the newest push into the slot it was scheduled into
-        // (backlog entries and cascade-moved entries scrub lazily).
-        if lvl < LEVELS {
-            let level = &mut self.levels[lvl];
-            let q = &mut level.slots[idx];
-            if let Some(back) = q.back() {
-                if back.slot as usize == id.slot() && back.gen == id.gen() {
-                    q.pop_back();
-                    if q.is_empty() {
-                        level.occ &= !(1 << idx);
-                        if level.occ == 0 {
-                            self.lvl_occ &= !(1 << lvl);
-                        }
-                    }
-                }
-            }
-        }
+        self.remove_at(pos);
         true
     }
 
-    /// True if `id` has been scheduled and has neither fired nor been
-    /// cancelled.
+    /// True if `id` was scheduled and has neither fired nor been cancelled.
     pub fn is_pending(&self, id: EventId) -> bool {
         self.slab
             .get(id.slot())
             .is_some_and(|s| s.gen == id.gen() && s.event.is_some())
     }
 
-    /// Firing time of the next live event, if any.
-    ///
-    /// Takes `&mut self` to memoize the answer: the scan result is cached
-    /// and reused by repeated peeks until a schedule, cancel or pop makes
-    /// it stale. Peeking never cascades or advances the wheel cursor —
-    /// all wheel maintenance is deferred to the popping paths. For a
-    /// read-only bound from shared contexts, use
-    /// [`next_fire_time`](EventQueue::next_fire_time).
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        if self.live == 0 {
-            return None;
-        }
-        if self.next_hint.is_none() {
-            self.next_hint = self.next_fire_time();
-        }
-        self.next_hint
-    }
-
-    /// Non-mutating sibling of [`peek_time`](EventQueue::peek_time):
-    /// scans live entries without touching queue state, so it works
-    /// through `&self` at the cost of walking the first live-occupied
-    /// slot of each level (still no allocation, no mutation).
-    pub fn next_fire_time(&self) -> Option<SimTime> {
-        let mut best: Option<SimTime> = None;
-        // Backlog entries all fire before anything in the wheel, so any
-        // live one short-circuits the level scan below via the `min`.
-        for &Reverse((at, _, slot, gen)) in &self.backlog {
-            let lane = &self.slab[slot as usize];
-            if lane.gen == gen && lane.event.is_some() {
-                let t = SimTime::from_micros(at);
-                best = Some(best.map_or(t, |b: SimTime| b.min(t)));
-            }
-        }
-        for level in &self.levels {
-            // Walk this level's occupied slots in ascending index order —
-            // every entry shares all higher digits with the cursor, so
-            // index order *is* time order. The first slot holding any
-            // live entry bounds the level's minimum (slot windows are
-            // disjoint and ascending).
-            let mut rest = level.occ;
-            'level: while rest != 0 {
-                let idx = rest.trailing_zeros() as usize;
-                rest &= rest - 1;
-                let mut slot_min: Option<SimTime> = None;
-                for e in &level.slots[idx] {
-                    let lane = &self.slab[e.slot as usize];
-                    if lane.gen == e.gen && lane.event.is_some() {
-                        slot_min = Some(slot_min.map_or(e.at, |m: SimTime| m.min(e.at)));
-                    }
-                }
-                if let Some(t) = slot_min {
-                    best = Some(best.map_or(t, |b: SimTime| b.min(t)));
-                    break 'level;
-                }
-            }
-        }
-        best
-    }
-
-    /// Pops the next live event.
-    ///
-    /// # Panics
-    ///
-    /// In debug/test builds, panics if the popped event fires earlier than
-    /// a previously popped one (time monotonicity violation — an event was
-    /// scheduled in the simulated past).
+    /// Pops the next event.
     pub fn pop(&mut self) -> Option<(EventId, Event)> {
         self.pop_before(SimTime::MAX)
     }
 
-    /// Pops the next live event if it fires at or before `deadline`;
-    /// returns `None` (leaving the event queued) otherwise. This is the
-    /// single-pass fast path: one bitmap walk discards stale entries,
-    /// cascades what must cascade, checks the deadline and extracts the
-    /// payload, instead of a `peek_time` pass followed by a `pop` pass.
-    ///
-    /// # Panics
-    ///
-    /// Same monotonicity check as [`EventQueue::pop`] (debug/test builds).
+    /// Pops the next event if it fires at or before `deadline`, else leaves
+    /// it queued. The returned id is dead; a lane event's was never alive.
     pub fn pop_before(&mut self, deadline: SimTime) -> Option<(EventId, Event)> {
-        if self.live == 0 {
+        let root = *self.heap.first()?;
+        if root.at > deadline {
             return None;
         }
-        let bound = deadline.as_micros();
-        // Backlog first: its entries are strictly below the cursor and
-        // live wheel entries never are, so a live backlog front is the
-        // global minimum unconditionally.
-        if let Some((at, _)) = self.backlog_front() {
-            if at > bound {
-                return None;
-            }
-            let Reverse((at, seq, slot, gen)) = self.backlog.pop().expect("front peeked above");
-            return Some(self.fire(WheelEntry {
-                at: SimTime::from_micros(at),
-                seq,
-                slot,
-                gen,
-            }));
-        }
-        let idx = self.advance(bound)?;
-        let q = &mut self.levels[0].slots[idx];
-        let entry = q.pop_front().expect("advance leaves a live front");
-        debug_assert!(entry.at <= deadline, "advance is deadline-bounded");
-        if q.is_empty() {
-            self.levels[0].occ &= !(1 << idx);
-            if self.levels[0].occ == 0 {
-                self.lvl_occ &= !1;
-            }
-        }
-        Some(self.fire(entry))
-    }
-
-    /// Drains **all** live events sharing the next firing instant (if it
-    /// is at or before `deadline`) into `out`, in FIFO order, and returns
-    /// how many were appended. The engine's batch-dispatch loop uses this
-    /// to pay the bitmap walk once per instant instead of once per event.
-    ///
-    /// `out` is appended to, not cleared — callers reuse one scratch
-    /// buffer across batches.
-    ///
-    /// # Panics
-    ///
-    /// Same monotonicity check as [`EventQueue::pop`] (debug/test builds).
-    pub fn pop_batch_before(
-        &mut self,
-        deadline: SimTime,
-        out: &mut Vec<(EventId, Event)>,
-    ) -> usize {
-        if self.live == 0 {
-            return 0;
-        }
-        let bound = deadline.as_micros();
-        // Backlog first (see `pop_before`): a live backlog front is the
-        // global minimum, and no wheel entry can share its instant (the
-        // wheel holds nothing below the cursor), so the whole batch
-        // drains from the lane in `(at, seq)` heap order.
-        if let Some((t, _)) = self.backlog_front() {
-            if t > bound {
-                return 0;
-            }
-            let mut n = 0;
-            while let Some((at, _)) = self.backlog_front() {
-                if at != t {
-                    break;
-                }
-                let Reverse((at, seq, slot, gen)) = self.backlog.pop().expect("front peeked");
-                out.push(self.fire(WheelEntry {
-                    at: SimTime::from_micros(at),
-                    seq,
-                    slot,
-                    gen,
-                }));
-                n += 1;
-            }
-            return n;
-        }
-        let Some(idx) = self.advance(bound) else {
-            return 0;
-        };
-        let t = self.levels[0].slots[idx].front().expect("live front").at;
-        debug_assert!(t <= deadline, "advance is deadline-bounded");
-        let mut n = 0;
-        loop {
-            let q = &mut self.levels[0].slots[idx];
-            let Some(&front) = q.front() else {
-                self.levels[0].occ &= !(1 << idx);
-                if self.levels[0].occ == 0 {
-                    self.lvl_occ &= !1;
-                }
-                break;
-            };
-            let lane = &self.slab[front.slot as usize];
-            if lane.gen != front.gen || lane.event.is_none() {
-                // Stale (cancelled) entry interleaved with the batch.
-                q.pop_front();
-                continue;
-            }
-            if front.at != t {
-                break;
-            }
-            q.pop_front();
-            if q.is_empty() {
-                self.levels[0].occ &= !(1 << idx);
-                if self.levels[0].occ == 0 {
-                    self.lvl_occ &= !1;
-                }
-            }
-            out.push(self.fire(front));
-            n += 1;
-        }
-        n
-    }
-
-    /// Earliest live backlog entry as `(µs, seq)`, discarding stale
-    /// (cancelled) entries from the top of the lane on the way. One
-    /// branch when the lane is empty — the overwhelmingly common case.
-    #[inline]
-    fn backlog_front(&mut self) -> Option<(u64, u64)> {
-        while let Some(&Reverse((at, seq, slot, gen))) = self.backlog.peek() {
-            let lane = &self.slab[slot as usize];
-            if lane.gen == gen && lane.event.is_some() {
-                return Some((at, seq));
-            }
-            self.backlog.pop();
-        }
-        None
-    }
-
-    /// Extracts a popped entry's payload from the slab, retiring the slot
-    /// and advancing the wheel cursor to the firing time.
-    #[inline]
-    fn fire(&mut self, entry: WheelEntry) -> (EventId, Event) {
-        self.cur = self.cur.max(entry.at.as_micros());
-        self.next_hint = None;
-        let lane = &mut self.slab[entry.slot as usize];
-        let event = lane.event.take().expect("advance verified live");
-        lane.gen = lane.gen.wrapping_add(1);
-        self.free.push(entry.slot);
-        self.live -= 1;
         #[cfg(any(debug_assertions, test))]
         {
-            assert!(
-                entry.at >= self.last_popped,
-                "event-queue time monotonicity violated: popping event at {:?} \
-                 after already firing one at {:?}",
-                entry.at,
-                self.last_popped,
-            );
-            self.last_popped = entry.at;
+            assert!(root.at >= self.last_popped, "heap popped out of order");
+            self.last_popped = root.at;
         }
-        (EventId::new(entry.slot, entry.gen), event)
+        if root.slot & LANE_BIT == 0 {
+            self.remove_at(0);
+            return Some(self.retire(root.slot));
+        }
+        let lane = &mut self.lanes[(root.slot ^ LANE_BIT) as usize];
+        let (_, event) = lane.pop_front().expect("a lane's heap entry is its front");
+        match lane.front() {
+            Some(&(seq, Event { at, .. })) => self.sift_down(0, Entry { at, seq, ..root }),
+            None => self.remove_at(0),
+        }
+        self.live -= 1;
+        Some((EventId::new(root.slot, 0), event))
     }
 
-    /// Performs deferred wheel maintenance until the earliest pending
-    /// live wheel event sits at the front of a level-0 slot **and fires
-    /// at or before `bound`** (µs), returning that slot's index. Returns
-    /// `None` — a deadline miss — as soon as every candidate slot lies
-    /// beyond the bound, leaving everything queued. Stale entries
-    /// encountered on the way are discarded; coarse levels whose window
-    /// has arrived are cascaded. Never removes a live event.
-    ///
-    /// Cascading commits the cursor to the cascaded window's start, which
-    /// is `≤ bound` and `≤` every wheel entry's firing time — safe even
-    /// on a miss, because any later schedule below the committed cursor
-    /// goes to the backlog lane rather than the wheel.
-    fn advance(&mut self, bound: u64) -> Option<usize> {
-        loop {
-            // Every entry shares all digits above its level with the
-            // cursor (see `level_for`), so within a level, slot index
-            // order is absolute time order and the lowest occupied index
-            // is the earliest slot — one `trailing_zeros`, no rotation.
-            // The summary bitmap keeps this scan to non-empty levels.
-            //
-            // Level-0 candidate: slots are 1 µs wide, the slot *is* the
-            // instant. Coarse candidate: earliest occupied window start.
-            let mut l0: Option<(u64, usize)> = None;
-            let mut hi: Option<(usize, usize, u64)> = None;
-            // Runner-up coarse window start — a lower bound on every
-            // live entry outside the best candidate's level-and-slot,
-            // used below to jump the cursor past intermediate levels.
-            let mut hi2: u64 = u64::MAX;
-            let mut lvls = self.lvl_occ;
-            while lvls != 0 {
-                let lvl = lvls.trailing_zeros() as usize;
-                lvls &= lvls - 1;
-                let occ = self.levels[lvl].occ;
-                debug_assert!(occ != 0, "summary bit set on empty level");
-                let idx = occ.trailing_zeros() as usize;
-                if lvl == 0 {
-                    l0 = Some(((self.cur & !SLOT_MASK) + idx as u64, idx));
-                } else {
-                    let shift = LEVEL_BITS * lvl as u32;
-                    // The level's rotation mask; the top level's rotation
-                    // (2^66) exceeds u64, where the base is simply 0.
-                    let rot = shift + LEVEL_BITS;
-                    let base = if rot >= u64::BITS {
-                        0
-                    } else {
-                        self.cur & !((1u64 << rot) - 1)
-                    };
-                    let start = base + ((idx as u64) << shift);
-                    match hi {
-                        None => hi = Some((lvl, idx, start)),
-                        Some((_, _, s)) if start < s => {
-                            hi2 = s;
-                            hi = Some((lvl, idx, start));
-                        }
-                        Some(_) => hi2 = hi2.min(start),
-                    }
-                }
-            }
-            match (l0, hi) {
-                (None, None) => return None,
-                // Strictly earlier level-0 instant: scrub stale fronts
-                // and hand the slot to the caller. Ties go to the
-                // cascade arm below, so same-instant events still parked
-                // in a coarser wheel join the slot (in sequence order)
-                // before anything at that instant fires.
-                (Some((t0, idx)), hi) if hi.is_none_or(|(_, _, s)| t0 < s) => {
-                    if t0 > bound {
-                        // Everything live is at or beyond t0 — miss.
-                        return None;
-                    }
-                    loop {
-                        let q = &mut self.levels[0].slots[idx];
-                        let Some(front) = q.front() else {
-                            self.levels[0].occ &= !(1 << idx);
-                            if self.levels[0].occ == 0 {
-                                self.lvl_occ &= !1;
-                            }
-                            break;
-                        };
-                        let lane = &self.slab[front.slot as usize];
-                        if lane.gen == front.gen && lane.event.is_some() {
-                            return Some(idx);
-                        }
-                        q.pop_front();
-                    }
-                }
-                (_, Some((lvl, idx, start))) => {
-                    if start > bound {
-                        // The earliest candidate window opens past the
-                        // deadline — miss, commit nothing further.
-                        return None;
-                    }
-                    // Jump the cursor as far as provably safe — to the
-                    // earliest live firing time anywhere in the wheel —
-                    // before redistributing, so the slot's minimum drops
-                    // straight to level 0 instead of descending one
-                    // level per pop. Outside this slot, every live entry
-                    // is bounded below by the runner-up candidate, the
-                    // level-0 instant, or this level's next occupied
-                    // window; inside, by the slot's own live minimum.
-                    let mut outside = hi2;
-                    if let Some((t0, _)) = l0 {
-                        outside = outside.min(t0);
-                    }
-                    let shift = LEVEL_BITS * lvl as u32;
-                    let rest = self.levels[lvl].occ & !(1 << idx);
-                    if rest != 0 {
-                        let rot = shift + LEVEL_BITS;
-                        let base = if rot >= u64::BITS {
-                            0
-                        } else {
-                            self.cur & !((1u64 << rot) - 1)
-                        };
-                        outside = outside.min(base + ((rest.trailing_zeros() as u64) << shift));
-                    }
-                    // `u64::MAX` is the "effectively disabled" timer
-                    // sentinel, so an empty minimum and an entry at MAX
-                    // coincide here — both are safe: some live entry
-                    // always bounds the jump (the caller checked live).
-                    let mut inside = u64::MAX;
-                    for e in &self.levels[lvl].slots[idx] {
-                        let lane = &self.slab[e.slot as usize];
-                        if lane.gen == e.gen && lane.event.is_some() {
-                            inside = inside.min(e.at.as_micros());
-                        }
-                    }
-                    self.cur = self.cur.max(start).max(inside.min(outside));
-                    self.cascade(lvl, idx);
-                }
-                (Some(_), None) => unreachable!("guard above accepts hi == None"),
-            }
+    /// Both schedule paths: monotonicity check, telemetry, next sequence.
+    fn admit(&mut self, _at: SimTime) -> u64 {
+        #[cfg(any(debug_assertions, test))]
+        assert!(
+            _at >= self.last_popped,
+            "event-queue time monotonicity violated: scheduling an event at \
+             {_at:?} after already firing one at {:?}",
+            self.last_popped,
+        );
+        self.live += 1;
+        self.stats.schedules += 1;
+        self.stats.depth_sum += self.live as u64;
+        self.stats.max_depth = self.stats.max_depth.max(self.live);
+        self.next_seq += 1;
+        self.next_seq - 1
+    }
+
+    /// Frees a live slab slot (fired or cancelled), killing its id.
+    fn retire(&mut self, slot: u32) -> (EventId, Event) {
+        let s = &mut self.slab[slot as usize];
+        let fired = (
+            EventId::new(slot, s.gen),
+            s.event.take().expect("retiring a live slot"),
+        );
+        s.gen = s.gen.wrapping_add(1);
+        self.free.push(slot);
+        self.live -= 1;
+        fired
+    }
+
+    /// Writes `entry` at `pos` and records the position in its slab slot
+    /// (lane heads only ever leave from the root, so they need no index).
+    fn place(&mut self, pos: usize, entry: Entry) {
+        self.heap[pos] = entry;
+        if entry.slot & LANE_BIT == 0 {
+            self.slab[entry.slot as usize].pos = pos as u32;
         }
     }
 
-    /// Drains one coarse-level slot and redistributes its live entries
-    /// into finer levels (stale entries are dropped here, which is where
-    /// lazily-cancelled far-future timers finally get collected).
-    fn cascade(&mut self, lvl: usize, idx: usize) {
-        debug_assert!(lvl > 0);
-        let level = &mut self.levels[lvl];
-        level.occ &= !(1 << idx);
-        if level.occ == 0 {
-            self.lvl_occ &= !(1 << lvl);
-        }
-        // Draining front-to-back keeps seq order among the re-placed
-        // entries; every live entry lands at a strictly lower level (the
-        // cursor now shares this window's digits at and above `lvl`), so
-        // the drain never feeds itself.
-        while let Some(e) = self.levels[lvl].slots[idx].pop_front() {
-            let stale = {
-                let lane = &self.slab[e.slot as usize];
-                lane.gen != e.gen || lane.event.is_none()
-            };
-            if !stale {
-                // The slab's reclaim coordinates are deliberately left
-                // behind: refreshing them would touch a scattered cache
-                // line per entry per level descended, and `cancel`
-                // validates the coordinates before reclaiming anyway.
-                self.place(e);
-            }
-        }
+    fn push(&mut self, at: SimTime, seq: u64, slot: u32) {
+        let entry = Entry { at, seq, slot };
+        self.heap.push(entry);
+        self.sift_up(self.heap.len() - 1, entry);
     }
 
-    /// Places a wheel entry into the level/slot its firing time hashes
-    /// to, keeping the slot list seq-sorted, and returns the coordinates
-    /// (for `cancel`'s in-place reclaim — recorded by `schedule` only).
-    #[inline]
-    fn place(&mut self, e: WheelEntry) -> (usize, usize) {
-        let at = e.at.as_micros();
-        let lvl = level_for(at, self.cur);
-        let idx = ((at >> (LEVEL_BITS * lvl as u32)) & SLOT_MASK) as usize;
-        let level = &mut self.levels[lvl];
-        let q = &mut level.slots[idx];
-        // Direct schedules always carry the largest sequence and append;
-        // only cascaded entries can interleave with newer direct ones,
-        // and those are placed by binary search to keep the list
-        // seq-sorted (the ordering proof leans on this invariant).
-        if q.back().is_some_and(|b| b.seq > e.seq) {
-            let pos = q.partition_point(|x| x.seq < e.seq);
-            q.insert(pos, e);
+    /// Removes the entry at `pos` by moving the last entry into the hole.
+    fn remove_at(&mut self, pos: usize) {
+        let last = self.heap.pop().expect("removing from an empty heap");
+        if pos == self.heap.len() {
+            return;
+        }
+        if pos > 0 && last.key() < self.heap[(pos - 1) / ARITY].key() {
+            self.sift_up(pos, last);
         } else {
-            q.push_back(e);
+            self.sift_down(pos, last);
         }
-        level.occ |= 1 << idx;
-        self.lvl_occ |= 1 << lvl;
-        (lvl, idx)
+    }
+
+    /// Settles `entry` at or above the hole at `pos`.
+    fn sift_up(&mut self, mut pos: usize, entry: Entry) {
+        while pos > 0 {
+            let parent = (pos - 1) / ARITY;
+            if entry.key() >= self.heap[parent].key() {
+                break;
+            }
+            self.place(pos, self.heap[parent]);
+            pos = parent;
+        }
+        self.place(pos, entry);
+    }
+
+    /// Settles `entry` at or below the hole at `pos`.
+    fn sift_down(&mut self, mut pos: usize, entry: Entry) {
+        loop {
+            let children = ARITY * pos + 1..(ARITY * pos + 1 + ARITY).min(self.heap.len());
+            match children.min_by_key(|&c| self.heap[c].key()) {
+                Some(best) if self.heap[best].key() < entry.key() => {
+                    self.place(pos, self.heap[best]);
+                    pos = best;
+                }
+                _ => break,
+            }
+        }
+        self.place(pos, entry);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SimRng;
 
     fn ev(at_us: u64, tag: u64) -> Event {
         Event {
@@ -947,320 +412,189 @@ mod tests {
     }
 
     fn tag_of(e: &Event) -> u64 {
-        match e.kind {
-            EventKind::Timer { tag } => tag,
-            _ => panic!("not a timer"),
+        let EventKind::Timer { tag } = e.kind else {
+            panic!("not a timer");
+        };
+        tag
+    }
+
+    fn drain(q: &mut EventQueue) -> Vec<u64> {
+        std::iter::from_fn(|| q.pop())
+            .map(|(_, e)| tag_of(&e))
+            .collect()
+    }
+
+    /// The structural invariants the module docs promise.
+    fn assert_invariants(q: &EventQueue) {
+        for (pos, e) in q.heap.iter().enumerate() {
+            assert!(pos == 0 || q.heap[(pos - 1) / ARITY].key() < e.key());
+            if e.slot & LANE_BIT != 0 {
+                let (seq, front) = q.lanes[(e.slot ^ LANE_BIT) as usize][0];
+                assert_eq!((e.at, e.seq), (front.at, seq), "lane head != front");
+            } else {
+                let slot = &q.slab[e.slot as usize];
+                assert_eq!(slot.pos as usize, pos, "stale slab position");
+                assert_eq!(slot.event.expect("dead entry in the heap").at, e.at);
+            }
+        }
+        let live_slots = q.slab.iter().filter(|s| s.event.is_some()).count();
+        let busy_lanes = q.lanes.iter().filter(|l| !l.is_empty()).count();
+        let in_lanes: usize = q.lanes.iter().map(VecDeque::len).sum();
+        assert_eq!(q.heap.len(), live_slots + busy_lanes);
+        assert_eq!(q.len(), live_slots + in_lanes);
+        for lane in &q.lanes {
+            let keys: Vec<_> = lane.iter().map(|(seq, e)| (e.at, *seq)).collect();
+            assert!(keys.windows(2).all(|w| w[0] < w[1]), "lane out of order");
         }
     }
 
     #[test]
-    fn pops_in_time_order() {
+    fn pops_in_time_order_fifo_within_an_instant() {
+        // One instant, plain and lane schedules interleaved, some
+        // cancelled, freed slots reused: pops follow schedule order.
         let mut q = EventQueue::new();
-        q.schedule(ev(30, 3));
-        q.schedule(ev(10, 1));
-        q.schedule(ev(20, 2));
-        let order: Vec<u64> = std::iter::from_fn(|| q.pop())
-            .map(|(_, e)| tag_of(&e))
-            .collect();
-        assert_eq!(order, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn simultaneous_events_fifo() {
-        let mut q = EventQueue::new();
+        q.schedule(ev(u64::MAX, 999)); // the "disabled timer" sentinel
+        let mut ids = Vec::new();
         for tag in 0..100 {
-            q.schedule(ev(500, tag));
+            match tag % 3 {
+                0 => q.schedule_in_lane(tag as usize % 2, ev(500, tag)),
+                _ => ids.push((tag, q.schedule(ev(500, tag)))),
+            }
         }
-        let order: Vec<u64> = std::iter::from_fn(|| q.pop())
-            .map(|(_, e)| tag_of(&e))
-            .collect();
-        assert_eq!(order, (0..100).collect::<Vec<_>>());
+        for &(_, id) in ids.iter().filter(|(tag, _)| tag % 5 == 0) {
+            assert!(q.cancel(id));
+        }
+        q.schedule(ev(20, 997));
+        for tag in 100..130 {
+            q.schedule(ev(500, tag)); // reuses freed slots
+        }
+        assert_invariants(&q);
+        let mut expected = vec![997];
+        expected.extend((0..100u64).filter(|t| t % 3 == 0 || t % 5 != 0));
+        expected.extend((100..130).chain([999]));
+        assert_eq!(drain(&mut q), expected);
     }
 
     #[test]
-    fn cancellation_skips_event() {
+    fn cancel_at_the_root_a_leaf_the_last_entry_and_a_dead_id() {
         let mut q = EventQueue::new();
-        let a = q.schedule(ev(10, 1));
-        q.schedule(ev(20, 2));
-        assert!(q.is_pending(a));
-        assert!(q.cancel(a));
-        assert!(!q.is_pending(a));
-        assert!(!q.cancel(a), "double-cancel reports false");
-        let (_, e) = q.pop().unwrap();
-        assert_eq!(tag_of(&e), 2);
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn peek_time_skips_cancelled_head() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(ev(10, 1));
-        q.schedule(ev(20, 2));
-        q.cancel(a);
-        assert_eq!(q.peek_time(), Some(SimTime::from_micros(20)));
-    }
-
-    #[test]
-    fn next_fire_time_matches_peek_without_mutating() {
-        let mut q = EventQueue::new();
-        assert_eq!(q.next_fire_time(), None);
-        let a = q.schedule(ev(90_000, 1)); // level ≥ 1
-        q.schedule(ev(200_000, 2));
-        q.schedule(ev(150, 3));
-        assert_eq!(q.next_fire_time(), Some(SimTime::from_micros(150)));
-        q.pop().unwrap();
-        q.cancel(a);
-        assert_eq!(q.next_fire_time(), Some(SimTime::from_micros(200_000)));
-        assert_eq!(q.peek_time(), Some(SimTime::from_micros(200_000)));
-    }
-
-    #[test]
-    fn slot_reuse_does_not_resurrect_cancelled_events() {
-        // Cancel an event, then schedule new ones until the freed slot is
-        // reused: the stale wheel entry must not fire the new occupant, and
-        // the old id must stay dead.
-        let mut q = EventQueue::new();
-        let dead = q.schedule(ev(10, 1));
-        assert!(q.cancel(dead));
-        let alive = q.schedule(ev(20, 2)); // reuses the freed slot
-        assert!(!q.is_pending(dead));
-        assert!(q.is_pending(alive));
-        assert!(!q.cancel(dead), "stale id must not cancel the reused slot");
-        let (popped, e) = q.pop().unwrap();
-        assert_eq!(tag_of(&e), 2);
-        assert_eq!(popped, alive);
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn fired_ids_are_not_pending_and_not_cancellable() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(ev(10, 1));
-        q.pop().unwrap();
-        assert!(!q.is_pending(a));
-        assert!(!q.cancel(a), "fired event must not cancel");
+        let ids: Vec<EventId> = (0..20).map(|i| q.schedule(ev(10 + i, i))).collect();
+        let at = |q: &EventQueue, pos: usize| ids[q.heap[pos].slot as usize];
+        let (root, tail) = (at(&q, 0), at(&q, 19));
+        assert!(q.is_pending(tail) && q.cancel(tail), "last: no sift needed");
+        assert!(!q.is_pending(tail) && !q.cancel(tail), "double cancel");
+        assert_invariants(&q);
+        assert!(q.cancel(root), "root: the last entry sifts down");
+        assert_invariants(&q);
+        let leaf = at(&q, q.heap.len() - 2);
+        assert!(q.cancel(leaf), "leaf: the last entry may have to sift up");
+        assert_invariants(&q);
+        assert_eq!((q.len(), q.heap.len()), (17, 17), "no tombstones");
+        let stats = q.stats();
+        assert_eq!((stats.schedules, stats.cancels), (20, 3));
+        assert_eq!((stats.mean_depth(), stats.cancel_ratio()), (10.5, 0.15));
+        let mut twice = stats;
+        twice.merge(&stats);
+        assert_eq!((twice.depth_sum, twice.max_depth), (420, 20));
+        let (fired, _) = q.pop().unwrap();
+        assert!(!q.is_pending(fired) && !q.cancel(fired), "fired");
+        let reused = q.schedule(ev(50, 50)); // takes the fired event's slot
+        assert!(!q.cancel(fired) && q.is_pending(reused), "stale id");
     }
 
     #[test]
     #[should_panic(expected = "time monotonicity")]
     fn scheduling_into_the_fired_past_trips_the_invariant() {
-        // Violation injection: fire an event at t=10, then schedule one at
-        // t=5. The queue itself cannot reorder history, so the monotonicity
-        // check must refuse to pop it.
         let mut q = EventQueue::new();
         q.schedule(ev(10, 1));
         q.pop().unwrap();
-        q.schedule(ev(5, 2));
-        q.pop();
+        q.schedule(ev(10, 2)); // the same instant is legal
+        q.schedule(ev(5, 3));
     }
 
     #[test]
-    fn monotonicity_allows_equal_times() {
-        // Back-to-back events at the same instant are legal (FIFO order).
+    fn lane_keeps_one_heap_entry_and_falls_back_when_time_decreases() {
         let mut q = EventQueue::new();
-        q.schedule(ev(10, 1));
-        q.pop().unwrap();
-        q.schedule(ev(10, 2));
-        assert!(q.pop().is_some());
+        for tag in 0..10 {
+            q.schedule_in_lane(3, ev(100 + 10 * tag, tag));
+        }
+        assert_eq!((q.len(), q.heap.len()), (10, 1));
+        q.schedule_in_lane(3, ev(125, 10)); // below the tail: plain insert
+        assert_eq!((q.len(), q.heap.len(), q.lanes[3].len()), (11, 2, 10));
+        q.schedule(ev(110, 11)); // same instant as a queued lane entry
+        assert_invariants(&q);
+        assert!(q.pop_before(SimTime::from_micros(99)).is_none());
+        let (id, first) = q.pop_before(SimTime::from_micros(100)).unwrap();
+        assert_eq!(tag_of(&first), 0);
+        assert!(!q.is_pending(id) && !q.cancel(id), "lane ids are inert");
+        assert_eq!(drain(&mut q), vec![1, 11, 2, 10, 3, 4, 5, 6, 7, 8, 9]);
+        q.schedule_in_lane(3, ev(500, 12)); // an emptied lane starts over
+        assert_eq!((q.heap.len(), drain(&mut q)), (1, vec![12]));
     }
 
     #[test]
-    fn len_tracks_live_events() {
+    fn invariants_hold_through_seeded_churn() {
+        // Pop order under churn is tests/queue_differential.rs's job.
+        let mut rng = SimRng::seed_from_u64(12);
         let mut q = EventQueue::new();
-        assert!(q.is_empty());
-        let a = q.schedule(ev(10, 1));
-        q.schedule(ev(20, 2));
-        assert_eq!(q.len(), 2);
-        q.cancel(a);
-        assert_eq!(q.len(), 1);
-        q.pop();
-        assert!(q.is_empty());
+        let mut live: Vec<EventId> = Vec::new();
+        let mut now = 0u64;
+        for tag in 0..10_000 {
+            let mut at = now + rng.range_u64(0, 50_000);
+            match rng.range_u64(0, 10) {
+                0..=2 => live.push(q.schedule(ev(at, tag))),
+                lane @ 3..=4 => {
+                    // Rarely below the lane's tail: the fallback path.
+                    let tail = q.lanes.get(lane as usize).and_then(|l| l.back());
+                    if let Some((_, tail)) = tail.filter(|_| !rng.chance(0.2)) {
+                        at = at.max(tail.at.as_micros());
+                    }
+                    q.schedule_in_lane(lane as usize, ev(at, tag));
+                }
+                5..=6 if !live.is_empty() => {
+                    let id = live.swap_remove(rng.range_u64(0, live.len() as u64) as usize);
+                    assert!(q.cancel(id));
+                }
+                _ => {
+                    if let Some((id, e)) = q.pop() {
+                        now = e.at.as_micros();
+                        live.retain(|l| *l != id);
+                    }
+                }
+            }
+            assert_invariants(&q);
+        }
+        assert!(q.stats().cancels > 1_000 && q.len() > 8, "no churn");
     }
 
     #[test]
     fn reset_queue_behaves_like_fresh() {
-        // Fill, pop, cancel, then reset: the recycled queue must replay a
-        // fresh queue's behaviour exactly (ids, FIFO order, monotonicity).
+        // A recycled queue must replay a fresh one exactly (ids, order).
         let drive = |q: &mut EventQueue| -> Vec<(u64, u64)> {
             q.schedule(ev(10, 1));
             let b = q.schedule(ev(10, 2));
+            q.schedule_in_lane(1, ev(10, 3));
             q.schedule(ev(5, 0));
             assert!(q.cancel(b));
             std::iter::from_fn(|| q.pop())
                 .map(|(id, e)| (id.as_u64(), tag_of(&e)))
                 .collect()
         };
-
-        let mut fresh = EventQueue::new();
-        let fresh_run = drive(&mut fresh);
-
+        let fresh_run = drive(&mut EventQueue::new());
+        // Dirty one: fired, cancelled, live leftovers in heap and lane.
         let mut recycled = EventQueue::new();
-        // Dirty it thoroughly: fired events, cancelled events, live leftovers.
         let dead = recycled.schedule(ev(7, 9));
         recycled.schedule(ev(1, 8));
         recycled.pop().unwrap();
         recycled.cancel(dead);
-        recycled.schedule(ev(99, 7)); // still live at reset time
+        recycled.schedule(ev(99, 7));
+        recycled.schedule_in_lane(1, ev(50, 6));
+        recycled.schedule_in_lane(1, ev(60, 5));
         recycled.reset();
         assert!(recycled.is_empty());
         assert!(!recycled.is_pending(dead), "pre-reset ids must be dead");
         assert_eq!(recycled.stats(), QueueStats::default());
+        assert_invariants(&recycled);
         assert_eq!(drive(&mut recycled), fresh_run);
-    }
-
-    #[test]
-    fn interleaved_same_time_schedules_and_cancels_keep_fifo() {
-        // FIFO among same-instant events must survive arbitrary cancel
-        // patterns and slot reuse.
-        let mut q = EventQueue::new();
-        let ids: Vec<EventId> = (0..50).map(|tag| q.schedule(ev(100, tag))).collect();
-        for (i, id) in ids.iter().enumerate() {
-            if i % 3 == 0 {
-                assert!(q.cancel(*id));
-            }
-        }
-        for tag in 50..80 {
-            q.schedule(ev(100, tag)); // reuses freed slots
-        }
-        let order: Vec<u64> = std::iter::from_fn(|| q.pop())
-            .map(|(_, e)| tag_of(&e))
-            .collect();
-        let expected: Vec<u64> = (0..50u64).filter(|t| t % 3 != 0).chain(50..80).collect();
-        assert_eq!(order, expected);
-    }
-
-    #[test]
-    fn same_instant_fifo_across_wheel_levels() {
-        // The regression the cascade tie-break exists for: an event parked
-        // in a coarse level (scheduled when its instant was ≥ 64 µs away)
-        // must still fire before a same-instant event scheduled later
-        // straight into level 0.
-        let mut q = EventQueue::new();
-        q.schedule(ev(0, 0));
-        q.schedule(ev(64, 1)); // 64 µs ahead → level 1
-        q.pop().unwrap(); // advances the cursor to t=0… then schedule again
-        q.schedule(ev(1, 2));
-        q.pop().unwrap(); // cursor at t=1; t=64 is now 63 µs away
-        q.schedule(ev(64, 3)); // → level 0 directly
-        q.schedule(ev(64, 4));
-        let order: Vec<u64> = std::iter::from_fn(|| q.pop())
-            .map(|(_, e)| tag_of(&e))
-            .collect();
-        assert_eq!(order, vec![1, 3, 4], "cascaded event must keep seq order");
-    }
-
-    #[test]
-    fn far_future_events_cascade_in_order() {
-        // Events seconds-to-hours apart descend through multiple levels;
-        // order and payloads must survive every cascade.
-        let mut q = EventQueue::new();
-        let times: &[u64] = &[
-            3_600_000_000, // 1 h → level 5
-            1_000_000,     // 1 s → level 3
-            64,            // level 1
-            5,             // level 0
-            1_000_001,
-            1_000_000, // same instant as the earlier 1 s event
-        ];
-        for (tag, &t) in times.iter().enumerate() {
-            q.schedule(ev(t, tag as u64));
-        }
-        let order: Vec<(u64, u64)> = std::iter::from_fn(|| q.pop())
-            .map(|(_, e)| (e.at.as_micros(), tag_of(&e)))
-            .collect();
-        assert_eq!(
-            order,
-            vec![
-                (5, 3),
-                (64, 2),
-                (1_000_000, 1),
-                (1_000_000, 5),
-                (1_000_001, 4),
-                (3_600_000_000, 0),
-            ]
-        );
-    }
-
-    #[test]
-    fn sentinel_max_time_events_survive() {
-        // SimTime::MAX is the "effectively disabled" timer sentinel; it
-        // must park in the top level, cancel cleanly, and even pop.
-        let mut q = EventQueue::new();
-        let far = q.schedule(ev(u64::MAX, 1));
-        q.schedule(ev(10, 2));
-        assert_eq!(q.peek_time(), Some(SimTime::from_micros(10)));
-        q.pop().unwrap();
-        assert!(q.cancel(far));
-        assert!(q.pop().is_none());
-        let again = q.schedule(ev(u64::MAX, 3));
-        assert!(q.is_pending(again));
-        let (_, e) = q.pop().unwrap();
-        assert_eq!(tag_of(&e), 3);
-    }
-
-    #[test]
-    fn pop_batch_drains_exactly_one_instant() {
-        let mut q = EventQueue::new();
-        for tag in 0..5 {
-            q.schedule(ev(100, tag));
-        }
-        let dead = q.schedule(ev(100, 99));
-        q.schedule(ev(200, 7));
-        q.schedule(ev(100, 5));
-        q.cancel(dead);
-        let mut batch = Vec::new();
-        let n = q.pop_batch_before(SimTime::MAX, &mut batch);
-        assert_eq!(n, 6);
-        let tags: Vec<u64> = batch.iter().map(|(_, e)| tag_of(e)).collect();
-        assert_eq!(tags, vec![0, 1, 2, 3, 4, 5]);
-        assert_eq!(q.len(), 1);
-        batch.clear();
-        assert_eq!(
-            q.pop_batch_before(SimTime::from_micros(150), &mut batch),
-            0,
-            "next instant is past the deadline"
-        );
-        assert_eq!(q.pop_batch_before(SimTime::MAX, &mut batch), 1);
-        assert_eq!(tag_of(&batch[0].1), 7);
-        assert_eq!(q.pop_batch_before(SimTime::MAX, &mut batch), 0);
-    }
-
-    #[test]
-    fn cancel_reclaims_newest_entry_in_place() {
-        // The RTO pattern: schedule then immediately cancel, thousands of
-        // times. The in-place reclaim must keep the wheel slot empty
-        // instead of accumulating stale entries.
-        let mut q = EventQueue::new();
-        for i in 0..10_000u64 {
-            let id = q.schedule(ev(1_000_000 + i % 3, i));
-            assert!(q.cancel(id));
-        }
-        assert!(q.is_empty());
-        let occupied: u64 = (0..LEVELS).map(|l| q.levels[l].occ).sum();
-        assert_eq!(occupied, 0, "reclaimed slots must clear occupancy");
-        assert_eq!(q.stats().cancels, 10_000);
-        assert_eq!(q.stats().cancel_ratio(), 1.0);
-    }
-
-    #[test]
-    fn stats_track_depth_and_churn() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(ev(10, 1));
-        q.schedule(ev(20, 2));
-        q.schedule(ev(30, 3));
-        q.cancel(a);
-        q.pop().unwrap();
-        let s = q.stats();
-        assert_eq!(s.schedules, 3);
-        assert_eq!(s.cancels, 1);
-        assert_eq!(s.max_depth, 3);
-        assert_eq!(s.depth_sum, 1 + 2 + 3);
-        assert!((s.mean_depth() - 2.0).abs() < 1e-12);
-        assert!((s.cancel_ratio() - 1.0 / 3.0).abs() < 1e-12);
-        let mut agg = QueueStats::default();
-        agg.merge(&s);
-        agg.merge(&s);
-        assert_eq!(agg.schedules, 6);
-        assert_eq!(agg.max_depth, 3);
     }
 }

@@ -50,8 +50,6 @@ pub mod chaos;
 pub mod engine;
 pub mod error;
 pub mod event;
-#[cfg(any(test, feature = "heap-reference"))]
-pub mod event_heap;
 pub mod link;
 pub mod loss;
 pub mod loss_ext;

@@ -1,50 +1,78 @@
-//! Differential proptest: the timing-wheel `EventQueue` against the
-//! retired binary-heap `HeapEventQueue` (compiled back in via the
-//! `heap-reference` feature).
+//! Differential proptest: `EventQueue` against an ordered-map model.
 //!
-//! The wheel's `(firing time, insertion sequence)` total FIFO order is a
-//! contract every bit-identical-replay suite in the workspace leans on,
-//! and its proof (DESIGN.md §15) rests on invariants that are easy to
-//! break silently — cascade tie-breaks, seq-sorted slot lists, lazy
-//! cancellation. The heap's ordering, by contrast, is one comparator.
-//! So: feed randomized schedule/cancel/pop interleavings to both queues
-//! and assert they agree on **everything observable** — pop order, event
-//! payloads, issued and popped `EventId`s, cancel return values, peeked
-//! times and live counts. Any divergence is a wheel bug by definition.
+//! The queue's `(firing time, insertion sequence)` total FIFO order is a
+//! contract every bit-identical-replay suite in the workspace leans on.
+//! The queue keeps it with an indexed heap (positions patched on every
+//! sift, entries removed on cancel) and per-source FIFO lanes that hold
+//! all but their head outside the heap; the model keeps it with a
+//! `BTreeMap` keyed by `(time, seq)`, whose ordering is one derived `Ord`.
+//! So: feed randomized schedule / lane-schedule / cancel / bounded-pop
+//! interleavings to both and assert they agree on **everything
+//! observable** — the popped `(time, seq, tag)` stream, cancel return
+//! values and live counts. Any divergence is a queue bug by
+//! definition.
 
 use hsm_simnet::agent::AgentId;
 use hsm_simnet::event::{Event, EventId, EventKind, EventQueue};
-use hsm_simnet::event_heap::HeapEventQueue;
 use hsm_simnet::time::SimTime;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
+
+/// The ordering contract, stated as directly as it can be.
+#[derive(Default)]
+struct Model {
+    pending: BTreeMap<(SimTime, u64), u64>,
+    next_seq: u64,
+}
+
+impl Model {
+    fn schedule(&mut self, at: SimTime, tag: u64) -> (SimTime, u64) {
+        let key = (at, self.next_seq);
+        self.next_seq += 1;
+        self.pending.insert(key, tag);
+        key
+    }
+
+    fn cancel(&mut self, key: (SimTime, u64)) -> bool {
+        self.pending.remove(&key).is_some()
+    }
+
+    fn pop_before(&mut self, deadline: SimTime) -> Option<(SimTime, u64, u64)> {
+        let (at, seq) = *self.pending.keys().next()?;
+        (at <= deadline).then(|| (at, seq, self.pending.remove(&(at, seq)).expect("peeked")))
+    }
+}
+
+const LANES: usize = 3;
 
 /// One scripted queue operation. Times are deltas so the generator can
 /// never violate the monotonicity invariant (schedules land at or after
-/// the last fired instant in both queues alike).
+/// the last fired instant).
 #[derive(Debug, Clone, Copy)]
 enum Op {
-    /// Schedule at `last_fired + dt` (dt spans all wheel levels).
+    /// Schedule at `last_fired + dt`.
     Schedule { dt: u64 },
-    /// Cancel the k-th currently-live id (no-op when none are live) —
-    /// and, every other time, re-cancel an already-dead id to check the
+    /// Schedule in `lane` at `dt` past the lane's latest time — or, when
+    /// `rewind` is set, at `last_fired + dt`, which is usually *below*
+    /// the lane's tail and must take the fallback path.
+    Lane { lane: usize, dt: u64, rewind: bool },
+    /// Cancel the k-th newest live id (no-op when none are live) — or,
+    /// when `dead` is set, re-cancel an already-dead id to check the
     /// `false` path agrees too.
     Cancel { k: usize, dead: bool },
-    /// Pop one event from both queues and compare everything.
+    /// Pop one event from both and compare everything.
     Pop,
     /// Pop with a deadline `last_fired + dt` (exercises the "leave it
-    /// queued" path at wheel-slot boundaries).
+    /// queued" path).
     PopBefore { dt: u64 },
-    /// Compare `peek_time` (both queues do deferred maintenance here).
-    Peek,
 }
 
-/// Time deltas spanning all wheel levels: level 0 (< 64 µs), the mid
-/// wheels, and far-future instants that must cascade several levels down.
+/// Time deltas from same-instant to far future (the RTO-sized and
+/// "effectively never" timers that sit deep in the heap).
 fn arb_dt() -> impl Strategy<Value = u64> {
     prop_oneof![
-        0u64..64,
+        0u64..4,
         0u64..4096,
-        0u64..262_144,
         0u64..1_000_000_000,
         1_000_000_000_000u64..2_000_000_000_000,
     ]
@@ -54,154 +82,167 @@ fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
         arb_dt().prop_map(|dt| Op::Schedule { dt }),
         arb_dt().prop_map(|dt| Op::Schedule { dt }),
-        arb_dt().prop_map(|dt| Op::Schedule { dt }),
+        (0..LANES, 0u64..2000, 0u64..4).prop_map(|(lane, dt, r)| Op::Lane {
+            lane,
+            dt,
+            rewind: r == 0
+        }),
+        (0..LANES, 0u64..2000, 0u64..4).prop_map(|(lane, dt, r)| Op::Lane {
+            lane,
+            dt,
+            rewind: r == 0
+        }),
         (0usize..64, 0u64..2).prop_map(|(k, d)| Op::Cancel { k, dead: d == 1 }),
         Just(Op::Pop),
         Just(Op::Pop),
         arb_dt().prop_map(|dt| Op::PopBefore { dt }),
-        Just(Op::Peek),
     ]
 }
 
-fn ev(at_us: u64, tag: u64) -> Event {
+fn ev(at: SimTime, tag: u64) -> Event {
     Event {
-        at: SimTime::from_micros(at_us),
+        at,
         dst: AgentId::from_raw(0),
         kind: EventKind::Timer { tag },
     }
 }
 
-fn tag_of(e: &Event) -> u64 {
-    match e.kind {
-        EventKind::Timer { tag } => tag,
-        _ => unreachable!("script schedules only timers"),
+/// A cancellable event as `(queue id, model key)`.
+type Handle = (EventId, (SimTime, u64));
+
+/// The queue and the model side by side, plus what the script needs to
+/// stay legal (live handles, lane tails, the last fired instant).
+#[derive(Default)]
+struct Pair {
+    queue: EventQueue,
+    model: Model,
+    live: Vec<Handle>,
+    dead: Vec<Handle>,
+    lane_tail: [u64; LANES],
+    last_fired: u64,
+    next_tag: u64,
+}
+
+impl Pair {
+    /// Pops both sides under `deadline` and compares; false when empty
+    /// or past the deadline (on both sides alike).
+    fn pop_before(&mut self, deadline: SimTime) -> bool {
+        let got = self.queue.pop_before(deadline);
+        let want = self.model.pop_before(deadline);
+        let got_key = got.map(|(_, e)| match e.kind {
+            EventKind::Timer { tag } => (e.at, tag),
+            _ => unreachable!("script schedules only timers"),
+        });
+        assert_eq!(got_key, want.map(|(at, _, tag)| (at, tag)), "pop diverged");
+        let Some((at, seq, tag)) = want else {
+            return false;
+        };
+        // Tags are issued in schedule order, so they double as the
+        // sequence the queue does not expose.
+        assert_eq!(tag, seq);
+        assert!(at.as_micros() >= self.last_fired, "time ran backwards");
+        self.last_fired = at.as_micros();
+        if let Some(i) = self.live.iter().position(|(_, key)| *key == (at, seq)) {
+            let id = got.expect("compared above").0;
+            assert_eq!(self.live[i].0, id, "popped id is not the issued one");
+            self.dead.push(self.live.remove(i));
+        }
+        true
+    }
+
+    fn apply(&mut self, op: Op) {
+        match op {
+            Op::Schedule { dt } => {
+                let at = SimTime::from_micros(self.last_fired.saturating_add(dt));
+                let id = self.queue.schedule(ev(at, self.next_tag));
+                self.live.push((id, self.model.schedule(at, self.next_tag)));
+                self.next_tag += 1;
+            }
+            Op::Lane { lane, dt, rewind } => {
+                let tail = &mut self.lane_tail[lane];
+                let base = if rewind {
+                    self.last_fired
+                } else {
+                    self.last_fired.max(*tail)
+                };
+                *tail = (*tail).max(base + dt);
+                let at = SimTime::from_micros(base + dt);
+                self.queue.schedule_in_lane(lane, ev(at, self.next_tag));
+                self.model.schedule(at, self.next_tag);
+                self.next_tag += 1;
+            }
+            Op::Cancel { k, dead: true } if !self.dead.is_empty() => {
+                let (id, key) = self.dead[k % self.dead.len()];
+                assert!(!self.queue.cancel(id), "queue revived a dead id");
+                assert!(!self.model.cancel(key));
+            }
+            Op::Cancel { k, .. } if !self.live.is_empty() => {
+                let newest = self.live.len() - 1;
+                let (id, key) = self.live.remove(newest - k % self.live.len());
+                assert!(self.queue.cancel(id), "queue lost a live id");
+                assert!(self.model.cancel(key));
+                self.dead.push((id, key));
+            }
+            Op::Cancel { .. } => {}
+            Op::Pop => {
+                self.pop_before(SimTime::MAX);
+            }
+            Op::PopBefore { dt } => {
+                self.pop_before(SimTime::from_micros(self.last_fired.saturating_add(dt)));
+            }
+        }
+        assert_eq!(self.queue.len(), self.model.pending.len(), "len diverged");
+        assert!(self.live.iter().all(|(id, _)| self.queue.is_pending(*id)));
     }
 }
 
-/// Drives both queues through one op script, asserting observable
-/// equivalence after every step. Returns the popped `(time, seq-tag)`
-/// stream for final whole-run comparison.
+/// Drives the queue and the model through one op script, asserting
+/// observable equivalence after every step and through the final drain.
 fn run_script(ops: &[Op]) {
-    let mut wheel = EventQueue::new();
-    let mut heap = HeapEventQueue::new();
-    // Live ids as issued (identical between queues, also asserted).
-    let mut live: Vec<EventId> = Vec::new();
-    let mut dead: Vec<EventId> = Vec::new();
-    let mut last_fired: u64 = 0;
-    let mut next_tag: u64 = 0;
-    let mut popped: Vec<(u64, u64)> = Vec::new();
-
-    let check_pop = |live: &mut Vec<EventId>,
-                     dead: &mut Vec<EventId>,
-                     last_fired: &mut u64,
-                     popped: &mut Vec<(u64, u64)>,
-                     w: Option<(EventId, Event)>,
-                     h: Option<(EventId, Event)>| {
-        match (w, h) {
-            (None, None) => {}
-            (Some((wid, we)), Some((hid, he))) => {
-                assert_eq!(wid, hid, "popped EventIds diverged");
-                assert_eq!(we.at, he.at, "popped times diverged");
-                assert_eq!(tag_of(&we), tag_of(&he), "popped payloads diverged");
-                *last_fired = we.at.as_micros();
-                popped.push((we.at.as_micros(), tag_of(&we)));
-                live.retain(|id| *id != wid);
-                dead.push(wid);
-            }
-            (w, h) => panic!("one queue popped, the other did not: {w:?} vs {h:?}"),
-        }
-    };
-
-    for op in ops {
-        match *op {
-            Op::Schedule { dt } => {
-                let at = last_fired.saturating_add(dt);
-                let e = ev(at, next_tag);
-                next_tag += 1;
-                let wid = wheel.schedule(e);
-                let hid = heap.schedule(e);
-                assert_eq!(wid, hid, "issued EventIds diverged");
-                live.push(wid);
-            }
-            Op::Cancel { k, dead: use_dead } => {
-                if use_dead && !dead.is_empty() {
-                    let id = dead[k % dead.len()];
-                    assert!(!wheel.cancel(id), "wheel revived a dead id");
-                    assert!(!heap.cancel(id), "heap revived a dead id");
-                } else if !live.is_empty() {
-                    let id = live.remove(k % live.len());
-                    assert!(wheel.cancel(id), "wheel lost a live id");
-                    assert!(heap.cancel(id), "heap lost a live id");
-                    dead.push(id);
-                }
-            }
-            Op::Pop => {
-                let w = wheel.pop();
-                let h = heap.pop();
-                check_pop(&mut live, &mut dead, &mut last_fired, &mut popped, w, h);
-            }
-            Op::PopBefore { dt } => {
-                let deadline = SimTime::from_micros(last_fired.saturating_add(dt));
-                let w = wheel.pop_before(deadline);
-                let h = heap.pop_before(deadline);
-                check_pop(&mut live, &mut dead, &mut last_fired, &mut popped, w, h);
-            }
-            Op::Peek => {
-                assert_eq!(wheel.peek_time(), heap.peek_time(), "peek diverged");
-                assert_eq!(
-                    wheel.next_fire_time(),
-                    heap.peek_time(),
-                    "non-mutating peek diverged"
-                );
-            }
-        }
-        assert_eq!(wheel.len(), heap.len(), "live counts diverged");
-        for id in &live {
-            assert!(wheel.is_pending(*id) && heap.is_pending(*id));
-        }
-    }
-    // Drain to empty: the tail order must agree too.
-    loop {
-        let w = wheel.pop();
-        let h = heap.pop();
-        let done = w.is_none();
-        check_pop(&mut live, &mut dead, &mut last_fired, &mut popped, w, h);
-        if done {
-            break;
-        }
-    }
-    assert!(wheel.is_empty() && heap.is_empty());
-    // The popped stream must be sorted by (time, schedule order): tags
-    // are issued in schedule order, so within one instant they ascend.
-    for pair in popped.windows(2) {
-        assert!(
-            pair[0].0 < pair[1].0 || (pair[0].0 == pair[1].0 && pair[0].1 < pair[1].1),
-            "pop stream violates (time, seq) order: {pair:?}"
-        );
-    }
+    let mut pair = Pair::default();
+    ops.iter().for_each(|op| pair.apply(*op));
+    while pair.pop_before(SimTime::MAX) {}
+    assert!(pair.queue.is_empty() && pair.live.is_empty());
 }
 
 proptest! {
     #[test]
-    fn wheel_and_heap_pop_identically(ops in proptest::collection::vec(arb_op(), 1..300)) {
+    fn queue_and_model_pop_identically(ops in proptest::collection::vec(arb_op(), 1..300)) {
         run_script(&ops);
     }
 }
 
-/// The regression the cascade tie-break exists for, as a fixed script:
-/// same-instant events split between a coarse wheel level (scheduled far
-/// ahead) and level 0 (scheduled close) must interleave by seq.
+/// Same-instant events that reach the queue by different routes — early
+/// and late plain schedules, a lane append, a lane fallback — must still
+/// fire in schedule order.
 #[test]
 fn cross_level_same_instant_script() {
     let ops = [
         Op::Schedule { dt: 0 },   // t=0, tag 0
-        Op::Schedule { dt: 100 }, // t=100 → level 1, tag 1
-        Op::Pop,                  // fires tag 0, cursor at 0
-        Op::Schedule { dt: 60 },  // t=60, tag 2
-        Op::Pop,                  // fires tag 2, cursor at 60
-        Op::Schedule { dt: 40 },  // t=100 → now level 0, tag 3
-        Op::Schedule { dt: 40 },  // t=100, tag 4
-        Op::Peek,
+        Op::Schedule { dt: 100 }, // t=100, tag 1
+        Op::Lane {
+            lane: 0,
+            dt: 100,
+            rewind: false,
+        }, // t=100, tag 2: lane head
+        Op::Lane {
+            lane: 0,
+            dt: 50,
+            rewind: false,
+        }, // t=150, tag 3: queued behind it
+        Op::Pop,                  // fires tag 0
+        Op::Schedule { dt: 60 },  // t=60, tag 4
+        Op::Pop,                  // fires tag 4
+        Op::Schedule { dt: 40 },  // t=100, tag 5
+        Op::Lane {
+            lane: 0,
+            dt: 40,
+            rewind: true,
+        }, // t=100, tag 6: below the lane's tail → plain insert
+        Op::Schedule { dt: 40 },  // t=100, tag 7
+        Op::Pop,
+        Op::Pop,
+        Op::Pop,
         Op::Pop,
         Op::Pop,
         Op::Pop,
@@ -209,8 +250,9 @@ fn cross_level_same_instant_script() {
     run_script(&ops);
 }
 
-/// Schedule-then-cancel churn (the RTO pattern) mixed with pops, across
-/// level boundaries.
+/// Schedule-then-cancel churn (the RTO pattern) mixed with deliveries
+/// and pops: every cancel removes a far-future entry from under the
+/// near ones.
 #[test]
 fn rto_churn_script() {
     let mut ops = Vec::new();
@@ -218,6 +260,11 @@ fn rto_churn_script() {
         ops.push(Op::Schedule { dt: 200_000 + i });
         ops.push(Op::Cancel { k: 0, dead: false });
         ops.push(Op::Schedule { dt: 63 });
+        ops.push(Op::Lane {
+            lane: i as usize % LANES,
+            dt: 30,
+            rewind: false,
+        });
         if i % 3 == 0 {
             ops.push(Op::Pop);
         }

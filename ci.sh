@@ -70,6 +70,21 @@ stage_build_test() {
         --out target/spec-smoke/p2 --shards 2
     cmp target/spec-smoke/p1/merged.json target/spec-smoke/p2/merged.json \
         || { echo "spec smoke: 2-shard merge not byte-identical to 1-process" >&2; exit 1; }
+    # Warm cross-process pass: two fresh OS processes over the cache/ the
+    # 1-process run published must find every entry it wrote (a key
+    # computed in one process names the file another one wrote), simulate
+    # nothing, and merge to the cold runs' exact bytes (p2's merged.json
+    # was just shown identical to the cold p1 one this pass overwrites).
+    ./target/release/repro run --spec examples/specs/smoke.toml \
+        --out target/spec-smoke/p1 --shards 2
+    cmp target/spec-smoke/p1/merged.json target/spec-smoke/p2/merged.json \
+        || { echo "spec smoke: warm 2-shard merge not byte-identical to the cold run" >&2; exit 1; }
+    for k in 0 1; do
+        for counter in cache_misses corrupt_entries; do
+            grep -Eq "\"$counter\":0[,}]" "target/spec-smoke/p1/shard-$k-of-2.json" \
+                || { echo "spec smoke: warm shard $k/2 reports $counter != 0" >&2; exit 1; }
+        done
+    done
     cargo clippy --workspace --all-targets -- -D warnings
     cargo doc --no-deps --workspace
 }

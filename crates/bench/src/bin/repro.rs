@@ -403,38 +403,6 @@ fn spawn_shards(
     }
 }
 
-/// `repro cache migrate --cache-dir DIR`: rewrite every legacy JSON
-/// disk-cache entry as a binary entry, in place and atomically. Safe to
-/// run while campaigns share the directory; corrupt entries are counted
-/// and left for the cache to re-simulate past.
-fn cache_cmd(args: Vec<String>) -> ExitCode {
-    let usage = "usage: repro cache migrate --cache-dir DIR";
-    match args.first().map(String::as_str) {
-        Some("migrate") => {}
-        _ => return fail(usage),
-    }
-    let opts = match cli::parse("cache migrate", args[1..].to_vec(), &["--cache-dir"]) {
-        Ok(o) => o,
-        Err(e) => return fail(e),
-    };
-    let Some(dir) = &opts.cache_dir else {
-        return fail(usage);
-    };
-    match hsm_runtime::cache::migrate_disk_tier(dir) {
-        Ok(stats) => {
-            println!(
-                "cache migrate: {} -> {} migrated, {} already binary, {} corrupt (skipped)",
-                dir.display(),
-                stats.migrated,
-                stats.already_binary,
-                stats.corrupt
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => fail(format!("cache migrate: {e}")),
-    }
-}
-
 /// `repro bench [--smoke | --full] [--spec FILE]`: regenerate the
 /// `BENCH_*.json` telemetry files (plus `BENCH_spec.json` with a spec).
 fn bench_cmd(args: Vec<String>) -> ExitCode {
@@ -680,7 +648,6 @@ fn usage() {
     println!("       repro run --spec FILE [--shards N | --shard K/N] [--workers W]");
     println!("                 [--out DIR] [--cache-dir DIR]");
     println!("       repro bench [--smoke | --full] [--spec FILE] [--workers W]");
-    println!("       repro cache migrate --cache-dir DIR");
     println!("       repro chaos [--seed N] [--cases M] [--workers W] [--spec FILE]");
     println!("       repro cc-study [--smoke | --full] [--workers W] [--spec FILE]");
     println!("       repro recovery-study [--smoke | --full] [--workers W]\n");
@@ -764,7 +731,6 @@ fn main() -> ExitCode {
     let rest = |a: &[String]| a[1..].to_vec();
     match args.first().map(String::as_str) {
         Some("run") => run_cmd(rest(&args)),
-        Some("cache") => cache_cmd(rest(&args)),
         Some("bench") => bench_cmd(rest(&args)),
         Some("chaos") => chaos_cmd(rest(&args)),
         Some("cc-study") => cc_study_cmd(rest(&args)),

@@ -15,30 +15,25 @@
 //!   every shard at the same tier — while readers stay lock-free.
 //!   Opening a disk tier sweeps staging files orphaned by killed writers.
 //!
-//! New disk entries use the CRC-protected binary format of
-//! [`crate::codec`], which decodes in one allocation-light forward pass;
-//! legacy JSON entries written by earlier releases are still read
-//! transparently (and counted, see [`CacheStats::legacy_json_hits`]), so
-//! pre-existing tiers keep hitting — [`migrate_disk_tier`] (surfaced as
-//! `repro cache migrate`) rewrites such a tier in place. A corrupted
-//! entry of either format fails its integrity check, is counted, and is
-//! transparently re-simulated — the cache can never silently alter
-//! campaign results. Both encodings round-trip floats exactly (raw bits
-//! in binary, shortest round-trip formatting in JSON), so a cache hit is
-//! *bit-identical* to a fresh simulation.
+//! Disk entries use the one CRC-protected binary format of
+//! [`crate::codec`], which decodes in one allocation-light forward pass
+//! and stores floats as raw bits, so a cache hit is *bit-identical* to a
+//! fresh simulation. An entry that fails any check — magic, format
+//! version, length, CRC, engine version, key echo — is counted and
+//! transparently re-simulated: the cache can never silently alter
+//! campaign results, and a tier written under another [`ENGINE_VERSION`]
+//! (or by anything that is not this codec) simply misses.
 //!
-//! Cache keys are computed by streaming the configuration's canonical
-//! JSON bytes straight into the FNV-1a state — no intermediate string is
-//! allocated — and the resulting digests are pinned to the historical
-//! allocate-then-hash values, so disk tiers written by earlier releases
-//! keep hitting.
+//! A cache key is the FNV-1a digest of the configuration's canonical
+//! identity encoding ([`ScenarioConfig::hash_into`]) followed by the
+//! engine version — the same stream `hsm_scenario::spec::expansion_digest`
+//! hashes per config — computed without allocating.
 
 use crate::codec;
 use crate::error::CacheError;
-use hsm_scenario::provider::Provider;
-use hsm_scenario::runner::{Motion, ScenarioConfig};
-use hsm_tcp::cc::Algorithm;
-use hsm_tcp::recovery::Recovery;
+pub use hsm_scenario::fnv::fnv1a;
+use hsm_scenario::fnv::Fnv1a;
+use hsm_scenario::runner::ScenarioConfig;
 use hsm_trace::summary::FlowSummary;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
@@ -47,93 +42,10 @@ use std::sync::Mutex;
 
 /// Version tag mixed into every cache key.
 ///
-/// Bump whenever simulation or analysis semantics change: old cached
+/// Bump whenever simulation or analysis semantics — or the canonical
+/// config encoding of [`ScenarioConfig::hash_into`] — change: old cached
 /// flows then miss instead of resurfacing stale results.
-pub const ENGINE_VERSION: &str = "hsm-runtime/1";
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// 64-bit FNV-1a hash — stable across runs, platforms and Rust versions
-/// (unlike `DefaultHasher`, which is randomly keyed per process).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
-/// Incremental FNV-1a state: feed byte slices, take the digest at the
-/// end. Hashing a stream in pieces yields exactly the digest of the
-/// concatenated bytes, which is what lets [`CacheKey::of`] skip the
-/// intermediate JSON string.
-struct FnvStream {
-    hash: u64,
-}
-
-impl FnvStream {
-    fn new() -> FnvStream {
-        FnvStream { hash: FNV_OFFSET }
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) -> &mut Self {
-        for &b in bytes {
-            self.hash ^= u64::from(b);
-            self.hash = self.hash.wrapping_mul(FNV_PRIME);
-        }
-        self
-    }
-
-    /// Streams the shortest decimal rendering of `v`, as `serde_json`
-    /// prints unsigned integers, without allocating.
-    fn uint(&mut self, v: u64) -> &mut Self {
-        let mut buf = [0u8; 20];
-        let mut i = buf.len();
-        let mut v = v;
-        loop {
-            i -= 1;
-            buf[i] = b'0' + (v % 10) as u8;
-            v /= 10;
-            if v == 0 {
-                break;
-            }
-        }
-        let digits = i;
-        self.bytes(&buf[digits..])
-    }
-
-    /// Streams `v` exactly as `serde_json` prints floats: `null` for
-    /// non-finite values, one forced decimal for whole numbers below
-    /// `1e16` (`"3.0"`), shortest round-trip otherwise (`"0.125"`). The
-    /// congestion-control parameters in [`ScenarioConfig`] are floats, so
-    /// key/legacy agreement needs byte-exact float rendering too.
-    fn float(&mut self, v: f64) -> &mut Self {
-        if !v.is_finite() {
-            self.bytes(b"null")
-        } else if v.fract() == 0.0 && v.abs() < 1e16 {
-            let mut buf = [0u8; 32];
-            let text = fmt_to(&mut buf, format_args!("{v:.1}"));
-            self.bytes(text)
-        } else {
-            let mut buf = [0u8; 32];
-            let text = fmt_to(&mut buf, format_args!("{v}"));
-            self.bytes(text)
-        }
-    }
-}
-
-/// Formats into a stack buffer, avoiding the `String` allocation the
-/// streaming hasher exists to skip. Shortest round-trip `f64` output fits
-/// in 24 bytes; the buffer leaves headroom.
-fn fmt_to<'a>(buf: &'a mut [u8; 32], args: std::fmt::Arguments<'_>) -> &'a [u8] {
-    use std::io::Write;
-    let mut cursor = std::io::Cursor::new(&mut buf[..]);
-    cursor.write_fmt(args).expect("float formatting fits");
-    let len = cursor.position() as usize;
-    &buf[..len]
-}
+pub const ENGINE_VERSION: &str = "hsm-runtime/2";
 
 /// Content hash identifying one (configuration, engine-version) flow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -141,92 +53,18 @@ pub struct CacheKey(pub u64);
 
 impl CacheKey {
     /// Computes the key for a scenario configuration under the current
-    /// [`ENGINE_VERSION`].
-    ///
-    /// Streams the exact byte sequence `serde_json::to_string(config)`
-    /// would produce (declaration-order fields, compact separators, unit
-    /// enum variants as strings, durations as microsecond integers)
-    /// followed by the engine version — so the digest equals the
-    /// historical allocate-then-hash value and on-disk tiers written by
-    /// earlier releases stay valid. A unit test pins this equivalence
-    /// against the real serializer.
+    /// [`ENGINE_VERSION`]: FNV-1a over [`ScenarioConfig::hash_into`]'s
+    /// stream followed by the version bytes. No heap allocation.
     pub fn of(config: &ScenarioConfig) -> CacheKey {
-        let provider: &[u8] = match config.provider {
-            Provider::ChinaMobile => b"ChinaMobile",
-            Provider::ChinaUnicom => b"ChinaUnicom",
-            Provider::ChinaTelecom => b"ChinaTelecom",
-        };
-        let motion: &[u8] = match config.motion {
-            Motion::HighSpeed => b"HighSpeed",
-            Motion::Stationary => b"Stationary",
-        };
-        let mut h = FnvStream::new();
-        h.bytes(b"{\"provider\":\"")
-            .bytes(provider)
-            .bytes(b"\",\"motion\":\"")
-            .bytes(motion)
-            .bytes(b"\",\"seed\":")
-            .uint(config.seed)
-            .bytes(b",\"duration\":")
-            .uint(config.duration.as_micros())
-            .bytes(b",\"w_m\":")
-            .uint(u64::from(config.w_m))
-            .bytes(b",\"b\":")
-            .uint(u64::from(config.b))
-            .bytes(b",\"flow\":")
-            .uint(u64::from(config.flow));
-        // The config serializer omits the congestion-control field when it
-        // is the default (Reno), which keeps every pre-zoo digest — and
-        // therefore every pre-zoo disk tier — exactly as it was.
-        match config.cc {
-            Algorithm::Reno => {}
-            Algorithm::Bbr => {
-                h.bytes(b",\"cc\":\"Bbr\"");
-            }
-            Algorithm::Veno { beta } => {
-                h.bytes(b",\"cc\":{\"Veno\":{\"beta\":")
-                    .float(beta)
-                    .bytes(b"}}");
-            }
-            Algorithm::Cubic { c, beta } => {
-                h.bytes(b",\"cc\":{\"Cubic\":{\"c\":")
-                    .float(c)
-                    .bytes(b",\"beta\":")
-                    .float(beta)
-                    .bytes(b"}}");
-            }
-            Algorithm::Compound {
-                alpha,
-                beta,
-                k,
-                gamma,
-            } => {
-                h.bytes(b",\"cc\":{\"Compound\":{\"alpha\":")
-                    .float(alpha)
-                    .bytes(b",\"beta\":")
-                    .float(beta)
-                    .bytes(b",\"k\":")
-                    .float(k)
-                    .bytes(b",\"gamma\":")
-                    .float(gamma)
-                    .bytes(b"}}");
-            }
-        }
-        // Same omit-when-default trick for the loss-recovery strategy:
-        // `recovery: None` configurations keep their pre-recovery digests,
-        // so existing disk tiers stay warm.
-        if config.recovery != Recovery::None {
-            h.bytes(b",\"recovery\":\"")
-                .bytes(config.recovery.label().as_bytes())
-                .bytes(b"\"");
-        }
-        h.bytes(b"}").bytes(ENGINE_VERSION.as_bytes());
-        CacheKey(h.hash)
+        let mut h = Fnv1a::default();
+        config.hash_into(&mut h);
+        h.write(ENGINE_VERSION.as_bytes());
+        CacheKey(h.finish())
     }
 
     /// The disk-tier file name for this key.
     fn file_name(self) -> String {
-        format!("flow-{:016x}.json", self.0)
+        format!("flow-{:016x}.hsmf", self.0)
     }
 }
 
@@ -237,7 +75,7 @@ pub struct CacheConfig {
     /// memory tier entirely). The bound is enforced per shard, so the
     /// resident total can exceed it by at most `shards - 1` entries.
     pub memory_entries: usize,
-    /// Directory of the on-disk JSON tier (`None` disables it).
+    /// Directory of the on-disk tier (`None` disables it).
     pub disk_dir: Option<PathBuf>,
     /// Number of independently locked memory-tier shards. Rounded up to
     /// a power of two; `0` picks a default sized for worker-count
@@ -285,15 +123,11 @@ pub struct CacheStats {
     pub disk_hits: u64,
     /// Lookups that found nothing valid.
     pub misses: u64,
-    /// Disk entries rejected by the integrity check (CRC for binary
-    /// entries, payload hash for legacy JSON).
+    /// Disk entries rejected by the integrity check (see
+    /// [`crate::codec::decode_entry`]) or echoing another key.
     pub corrupt_entries: u64,
     /// Entries evicted from the memory tier by the LRU policy.
     pub evictions: u64,
-    /// Disk hits served from legacy JSON entries (written before the
-    /// binary format). A persistently non-zero count on a long-lived
-    /// tier suggests running `repro cache migrate`.
-    pub legacy_json_hits: u64,
 }
 
 impl CacheStats {
@@ -308,22 +142,7 @@ impl CacheStats {
         self.misses += other.misses;
         self.corrupt_entries += other.corrupt_entries;
         self.evictions += other.evictions;
-        self.legacy_json_hits += other.legacy_json_hits;
     }
-}
-
-/// One record of the legacy JSON disk tier (still read, no longer
-/// written outside tests — see [`crate::codec`] for the current format).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct DiskEntry {
-    /// The cache key, echoed for self-description.
-    key: u64,
-    /// Engine version that produced the payload.
-    engine_version: String,
-    /// FNV-1a hash of the canonical JSON encoding of `summary`.
-    payload_hash: u64,
-    /// The memoized flow summary.
-    summary: FlowSummary,
 }
 
 /// A resident entry: the payload plus the stamp of its most recent
@@ -454,8 +273,9 @@ impl FlowCache {
     /// Looks a flow up, consulting the memory tier then the disk tier.
     ///
     /// Disk hits are promoted into the memory tier. Corrupt disk entries
-    /// (bad JSON, wrong key/version, payload-hash mismatch) count as
-    /// misses and bump `corrupt_entries`.
+    /// (anything [`codec::decode_entry`] rejects — bad magic, length, CRC,
+    /// format or engine version — or a wrong key echo) count as misses
+    /// and bump `corrupt_entries`.
     pub fn lookup(&self, key: CacheKey) -> Option<FlowSummary> {
         let mut guard = self.shard_for(key).lock().expect("cache lock");
         let shard = &mut *guard;
@@ -469,11 +289,8 @@ impl FlowCache {
             return Some(summary);
         }
         match self.disk_lookup(key) {
-            DiskLookup::Hit { summary, legacy } => {
+            DiskLookup::Hit(summary) => {
                 shard.stats.disk_hits += 1;
-                if legacy {
-                    shard.stats.legacy_json_hits += 1;
-                }
                 Self::insert_memory(shard, self.per_shard, key, summary.clone());
                 Some(summary)
             }
@@ -501,7 +318,7 @@ impl FlowCache {
             Self::insert_memory(&mut guard, self.per_shard, key, summary.clone());
         }
         if let Some(dir) = &self.config.disk_dir {
-            self.disk_insert(dir, key, summary)?;
+            write_disk_entry(dir, key, summary)?;
         }
         Ok(())
     }
@@ -540,30 +357,17 @@ impl FlowCache {
         }
     }
 
-    fn disk_path(&self, key: CacheKey) -> Option<PathBuf> {
-        self.config
-            .disk_dir
-            .as_ref()
-            .map(|d| d.join(key.file_name()))
-    }
-
     fn disk_lookup(&self, key: CacheKey) -> DiskLookup {
-        let Some(path) = self.disk_path(key) else {
+        let Some(dir) = &self.config.disk_dir else {
             return DiskLookup::Absent;
         };
-        let Ok(bytes) = std::fs::read(&path) else {
+        let Ok(bytes) = std::fs::read(dir.join(key.file_name())) else {
             return DiskLookup::Absent;
         };
-        verify_entry_bytes(&bytes, key)
-    }
-
-    fn disk_insert(
-        &self,
-        dir: &Path,
-        key: CacheKey,
-        summary: &FlowSummary,
-    ) -> Result<(), CacheError> {
-        write_disk_entry(dir, key, summary)
+        match codec::decode_entry(&bytes) {
+            Some((echoed, summary)) if echoed == key.0 => DiskLookup::Hit(summary),
+            _ => DiskLookup::Corrupt,
+        }
     }
 
     /// Total live + stale pairs across every shard's recency queue —
@@ -578,33 +382,9 @@ impl FlowCache {
 }
 
 enum DiskLookup {
-    Hit { summary: FlowSummary, legacy: bool },
+    Hit(FlowSummary),
     Corrupt,
     Absent,
-}
-
-/// Routes entry bytes to the right decoder by sniffing the binary magic
-/// (JSON entries start with `{`) and integrity-checks the result.
-fn verify_entry_bytes(bytes: &[u8], key: CacheKey) -> DiskLookup {
-    if codec::is_binary_entry(bytes) {
-        return match codec::decode_entry(bytes) {
-            Some((echoed, summary)) if echoed == key.0 => DiskLookup::Hit {
-                summary,
-                legacy: false,
-            },
-            _ => DiskLookup::Corrupt,
-        };
-    }
-    let Ok(text) = std::str::from_utf8(bytes) else {
-        return DiskLookup::Corrupt;
-    };
-    match verify_disk_entry(text, key) {
-        Some(summary) => DiskLookup::Hit {
-            summary,
-            legacy: true,
-        },
-        None => DiskLookup::Corrupt,
-    }
 }
 
 /// Best-effort removal of orphaned `.*.tmp` staging files in `dir`. Only
@@ -658,95 +438,6 @@ fn write_disk_entry(dir: &Path, key: CacheKey, summary: &FlowSummary) -> Result<
     publish_atomic(dir, &path, &bytes)
 }
 
-/// Writes one disk-tier entry in the *legacy JSON* format — exactly the
-/// bytes pre-binary releases produced. Kept (test-only) so the
-/// legacy-read path and [`migrate_disk_tier`] are exercised against the
-/// real historical encoding.
-#[cfg(any(test, feature = "chaos"))]
-pub fn write_legacy_json_entry(
-    dir: &Path,
-    key: CacheKey,
-    summary: &FlowSummary,
-) -> Result<(), CacheError> {
-    std::fs::create_dir_all(dir).map_err(|e| CacheError::Io {
-        path: dir.to_path_buf(),
-        message: e.to_string(),
-    })?;
-    let payload = serde_json::to_string(summary).map_err(|e| CacheError::Encode(e.to_string()))?;
-    let entry = DiskEntry {
-        key: key.0,
-        engine_version: ENGINE_VERSION.to_owned(),
-        payload_hash: fnv1a(payload.as_bytes()),
-        summary: summary.clone(),
-    };
-    let text = serde_json::to_string(&entry).map_err(|e| CacheError::Encode(e.to_string()))?;
-    let path = dir.join(key.file_name());
-    publish_atomic(dir, &path, text.as_bytes())
-}
-
-/// Outcome counters of one [`migrate_disk_tier`] pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct MigrateStats {
-    /// Legacy JSON entries rewritten as binary.
-    pub migrated: u64,
-    /// Entries already in the binary format, left untouched.
-    pub already_binary: u64,
-    /// Entries of either format that failed their integrity check; left
-    /// in place (the cache treats them as misses and re-simulates).
-    pub corrupt: u64,
-}
-
-/// Rewrites every legacy JSON entry in a disk tier as a binary entry, in
-/// place and atomically (each rewrite goes through the same temp+rename
-/// publish as a normal insert, so readers and concurrent campaign
-/// writers are never disturbed). Binary entries are left untouched;
-/// corrupt entries of either format are counted and skipped.
-///
-/// This is the engine behind `repro cache migrate --cache-dir DIR`.
-///
-/// # Errors
-///
-/// Returns [`CacheError::Io`] when the directory cannot be read or a
-/// rewritten entry cannot be published.
-pub fn migrate_disk_tier(dir: &Path) -> Result<MigrateStats, CacheError> {
-    let entries = std::fs::read_dir(dir).map_err(|e| CacheError::Io {
-        path: dir.to_path_buf(),
-        message: e.to_string(),
-    })?;
-    let mut stats = MigrateStats::default();
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        let Some(key) = parse_entry_file_name(&name) else {
-            continue;
-        };
-        let Ok(bytes) = std::fs::read(entry.path()) else {
-            continue;
-        };
-        if codec::is_binary_entry(&bytes) {
-            match codec::decode_entry(&bytes) {
-                Some((echoed, _)) if echoed == key.0 => stats.already_binary += 1,
-                _ => stats.corrupt += 1,
-            }
-            continue;
-        }
-        match verify_entry_bytes(&bytes, key) {
-            DiskLookup::Hit { summary, .. } => {
-                write_disk_entry(dir, key, &summary)?;
-                stats.migrated += 1;
-            }
-            _ => stats.corrupt += 1,
-        }
-    }
-    Ok(stats)
-}
-
-/// Parses `flow-{key:016x}.json` back into its [`CacheKey`].
-fn parse_entry_file_name(name: &str) -> Option<CacheKey> {
-    let hex = name.strip_prefix("flow-")?.strip_suffix(".json")?;
-    u64::from_str_radix(hex, 16).ok().map(CacheKey)
-}
-
 /// Stages `bytes` in a unique temp file under `dir` and renames it onto
 /// `path`. See [`write_disk_entry`] for the publication contract.
 pub(crate) fn publish_atomic(dir: &Path, path: &Path, bytes: &[u8]) -> Result<(), CacheError> {
@@ -782,10 +473,8 @@ pub(crate) fn publish_atomic(dir: &Path, path: &Path, bytes: &[u8]) -> Result<()
 }
 
 /// Bit-flips one byte of the stored disk-tier entry for `key` — the
-/// `hsm-chaos` disk-corruption fault. For a binary entry the flip lands
-/// mid-buffer (inside the CRC-protected body); for a legacy JSON entry
-/// it either breaks the JSON, changes the key/version echo, or changes
-/// hashed payload bytes. The integrity check must reject every case.
+/// `hsm-chaos` disk-corruption fault. The flip lands mid-buffer, inside
+/// the CRC-protected body, so the integrity check must reject it.
 /// Returns `false` when no entry exists for the key.
 ///
 /// Test/`chaos`-feature builds only.
@@ -812,7 +501,7 @@ pub fn chaos_corrupt_disk_entry(dir: &Path, key: CacheKey) -> Result<bool, Cache
 }
 
 /// Forges a *self-consistent* disk-tier entry: attacker-chosen summary,
-/// matching payload hash, current engine version — the `hsm-chaos`
+/// matching CRC, current engine version — the `hsm-chaos`
 /// stronger corruption fault. The integrity check cannot reject this by
 /// construction; only the differential oracle's warm-vs-fresh comparison
 /// can catch it, which is exactly what the harness proves.
@@ -831,23 +520,15 @@ pub fn chaos_forge_disk_entry(
     write_disk_entry(dir, key, summary)
 }
 
-/// Parses and integrity-checks one disk-tier entry; `None` = corrupt.
-fn verify_disk_entry(text: &str, key: CacheKey) -> Option<FlowSummary> {
-    let entry: DiskEntry = serde_json::from_str(text).ok()?;
-    if entry.key != key.0 || entry.engine_version != ENGINE_VERSION {
-        return None;
-    }
-    let payload = serde_json::to_string(&entry.summary).ok()?;
-    if fnv1a(payload.as_bytes()) != entry.payload_hash {
-        return None;
-    }
-    Some(entry.summary)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hsm_scenario::provider::Provider;
+    use hsm_scenario::runner::Motion;
+    use hsm_scenario::spec::expansion_digest;
     use hsm_simnet::time::SimDuration;
+    use hsm_tcp::cc::Algorithm;
+    use hsm_tcp::recovery::Recovery;
 
     fn summary(flow: u32) -> FlowSummary {
         FlowSummary {
@@ -876,20 +557,18 @@ mod tests {
         }
     }
 
-    /// The pre-sharding key derivation: JSON-encode, concatenate the
-    /// engine version, hash the buffer. [`CacheKey::of`] must keep
-    /// producing these exact digests or every on-disk tier goes cold.
-    fn legacy_key(config: &ScenarioConfig) -> u64 {
-        let encoded = serde_json::to_string(config).expect("config serializes");
-        let mut bytes = encoded.into_bytes();
-        bytes.extend_from_slice(ENGINE_VERSION.as_bytes());
-        fnv1a(&bytes)
+    /// A disk-only cache over `dir` (no memory tier).
+    fn disk_only(dir: &Path) -> FlowCache {
+        FlowCache::new(CacheConfig {
+            memory_entries: 0,
+            disk_dir: Some(dir.to_path_buf()),
+            shards: 0,
+        })
     }
 
     /// The congestion-control variants the key grid sweeps: the zoo's
-    /// defaults plus float parameters that exercise every formatting
-    /// branch — whole numbers (`3.0`, `30.0`), shortest-round-trip
-    /// fractions (`0.1`, `0.125`), and non-round values (`2.5`).
+    /// defaults, non-default parameters for each parameterised
+    /// controller, and one seed-dependent parameter.
     fn cc_grid(seed: u64) -> [Algorithm; 9] {
         [
             Algorithm::Reno,
@@ -911,9 +590,62 @@ mod tests {
         ]
     }
 
+    /// One row of the identity table: the default config with one edit.
+    fn variant(
+        name: &'static str,
+        edit: impl FnOnce(&mut ScenarioConfig),
+    ) -> (&'static str, ScenarioConfig) {
+        let mut config = ScenarioConfig::default();
+        edit(&mut config);
+        (name, config)
+    }
+
+    /// Flow identity, pinned three ways. (1) Starting from the default
+    /// config, changing any single field — or a single parameter of a
+    /// parameterised controller — moves both the cache key and the spec
+    /// digest, and no two rows collide. (2) Across a 108 × 9 × 4 grid
+    /// with extreme seeds and durations every key is distinct. (3) The
+    /// default config's key is frozen, so an accidental change to the
+    /// canonical encoding (field order, tags, widths) or the version
+    /// fails here instead of silently orphaning disk tiers.
     #[test]
-    fn streamed_keys_match_the_legacy_json_hash() {
-        let mut checked = 0u32;
+    fn flow_identity_covers_every_field_and_is_frozen() {
+        // Each differs from its controller's defaults in one parameter.
+        let [.., veno_beta, cubic_c, compound_alpha, _] = cc_grid(0);
+        let table = [
+            variant("default", |_| {}),
+            variant("ChinaUnicom", |c| c.provider = Provider::ChinaUnicom),
+            variant("ChinaTelecom", |c| c.provider = Provider::ChinaTelecom),
+            variant("Stationary", |c| c.motion = Motion::Stationary),
+            variant("seed", |c| c.seed = 2),
+            variant("duration", |c| c.duration = SimDuration::from_secs(121)),
+            variant("w_m", |c| c.w_m = 47),
+            variant("b", |c| c.b = 3),
+            variant("flow", |c| c.flow = 1),
+            variant("Veno", |c| c.cc = Algorithm::veno()),
+            variant("Cubic", |c| c.cc = Algorithm::cubic()),
+            variant("Bbr", |c| c.cc = Algorithm::Bbr),
+            variant("Compound", |c| c.cc = Algorithm::compound()),
+            variant("Veno.beta", |c| c.cc = veno_beta),
+            variant("Cubic.c", |c| c.cc = cubic_c),
+            variant("Compound.alpha", |c| c.cc = compound_alpha),
+            variant("RedundantRto", |c| c.recovery = Recovery::RedundantRto),
+            variant("Frto", |c| c.recovery = Recovery::Frto),
+            variant("AckRobust", |c| c.recovery = Recovery::AckRobust),
+        ];
+        for (i, (name_a, a)) in table.iter().enumerate() {
+            for (name_b, b) in &table[i + 1..] {
+                assert_ne!(a, b, "rows {name_a} and {name_b} are the same config");
+                assert_ne!(CacheKey::of(a), CacheKey::of(b), "{name_a} / {name_b}");
+                assert_ne!(
+                    expansion_digest(std::slice::from_ref(a)),
+                    expansion_digest(std::slice::from_ref(b)),
+                    "{name_a} / {name_b}"
+                );
+            }
+        }
+
+        let mut keys = std::collections::HashSet::new();
         for provider in Provider::ALL {
             for motion in [Motion::HighSpeed, Motion::Stationary] {
                 for seed in [0u64, 1, 9, 255, 1_000_000, u64::MAX] {
@@ -935,80 +667,20 @@ mod tests {
                                     cc,
                                     recovery,
                                 };
-                                assert_eq!(
-                                    CacheKey::of(&config).0,
-                                    legacy_key(&config),
-                                    "key drifted for {config:?}"
+                                assert!(
+                                    keys.insert(CacheKey::of(&config)),
+                                    "key collision at {config:?}"
                                 );
-                                checked += 1;
                             }
                         }
                     }
                 }
             }
         }
-        assert_eq!(checked, 108 * 9 * 4);
-    }
+        assert_eq!(keys.len(), 108 * 9 * 4);
 
-    const DEFAULT_CONFIG_DIGEST: u64 = 0xc642_7c51_06b5_4039;
-    const DEFAULT_BBR_CONFIG_DIGEST: u64 = 0x6440_7916_ac71_b8bd;
-
-    /// The default configuration's digest, frozen at its pre-recovery
-    /// value: `recovery: None` must hash to exactly what the field-less
-    /// config hashed to, or every existing disk tier goes cold.
-    #[test]
-    fn default_recovery_keeps_the_pre_recovery_digest() {
-        let config = ScenarioConfig::default();
-        assert_eq!(config.recovery, Recovery::None);
-        assert_eq!(CacheKey::of(&config).0, DEFAULT_CONFIG_DIGEST);
-        let zoo = ScenarioConfig {
-            cc: Algorithm::Bbr,
-            ..ScenarioConfig::default()
-        };
-        assert_eq!(CacheKey::of(&zoo).0, DEFAULT_BBR_CONFIG_DIGEST);
-    }
-
-    #[test]
-    fn non_default_recovery_changes_the_key() {
-        let none = ScenarioConfig::default();
-        for recovery in [Recovery::RedundantRto, Recovery::Frto, Recovery::AckRobust] {
-            let cured = ScenarioConfig {
-                recovery,
-                ..ScenarioConfig::default()
-            };
-            assert_ne!(
-                CacheKey::of(&none),
-                CacheKey::of(&cured),
-                "{recovery:?} must not collide with the no-recovery entry"
-            );
-        }
-    }
-
-    #[test]
-    fn non_default_cc_changes_the_key() {
-        let reno = ScenarioConfig::default();
-        for cc in [Algorithm::Bbr, Algorithm::veno(), Algorithm::cubic()] {
-            let zoo = ScenarioConfig {
-                cc,
-                ..ScenarioConfig::default()
-            };
-            assert_ne!(
-                CacheKey::of(&reno),
-                CacheKey::of(&zoo),
-                "{cc:?} must not collide with Reno's cache entry"
-            );
-        }
-    }
-
-    #[test]
-    fn keys_are_stable_and_content_addressed() {
-        let a = ScenarioConfig::default();
-        let b = ScenarioConfig {
-            seed: 2,
-            ..Default::default()
-        };
-        assert_eq!(CacheKey::of(&a), CacheKey::of(&a));
-        assert_ne!(CacheKey::of(&a), CacheKey::of(&b));
+        let key = CacheKey::of(&ScenarioConfig::default()).0;
+        assert_eq!(key, 0x4a53_8f66_c3f6_4352, "got {key:#018x}");
     }
 
     #[test]
@@ -1121,11 +793,7 @@ mod tests {
     fn disk_tier_round_trips_and_detects_corruption() {
         let dir = std::env::temp_dir().join(format!("hsm_cache_test_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let cache = FlowCache::new(CacheConfig {
-            memory_entries: 0,
-            disk_dir: Some(dir.clone()),
-            shards: 0,
-        });
+        let cache = disk_only(&dir);
         let key = CacheKey(0xabcd);
         let s = summary(9);
         cache.insert(key, &s).unwrap();
@@ -1147,111 +815,13 @@ mod tests {
     }
 
     #[test]
-    fn legacy_json_entries_hit_and_are_counted() {
-        let dir = std::env::temp_dir().join(format!("hsm_cache_legacy_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let key = CacheKey(0x1234);
-        let s = summary(4);
-        write_legacy_json_entry(&dir, key, &s).unwrap();
-        let cache = FlowCache::new(CacheConfig {
-            memory_entries: 0,
-            disk_dir: Some(dir.clone()),
-            shards: 0,
-        });
-        assert_eq!(cache.lookup(key).as_ref(), Some(&s));
-        let stats = cache.stats();
-        assert_eq!(stats.disk_hits, 1);
-        assert_eq!(stats.legacy_json_hits, 1);
-        assert_eq!(stats.corrupt_entries, 0);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn migrate_rewrites_legacy_entries_in_place() {
-        let dir = std::env::temp_dir().join(format!("hsm_cache_migrate_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        // Tier contents: two legacy entries, one binary entry, one
-        // corrupt legacy entry, one unrelated file.
-        write_legacy_json_entry(&dir, CacheKey(1), &summary(1)).unwrap();
-        write_legacy_json_entry(&dir, CacheKey(2), &summary(2)).unwrap();
-        let binary_cache = FlowCache::new(CacheConfig {
-            memory_entries: 0,
-            disk_dir: Some(dir.clone()),
-            shards: 0,
-        });
-        binary_cache.insert(CacheKey(3), &summary(3)).unwrap();
-        write_legacy_json_entry(&dir, CacheKey(4), &summary(4)).unwrap();
-        let corrupt_path = dir.join(CacheKey(4).file_name());
-        std::fs::write(&corrupt_path, b"{not json").unwrap();
-        std::fs::write(dir.join("README"), b"not an entry").unwrap();
-
-        let stats = migrate_disk_tier(&dir).unwrap();
-        assert_eq!(
-            stats,
-            MigrateStats {
-                migrated: 2,
-                already_binary: 1,
-                corrupt: 1,
-            }
-        );
-
-        // Every migrated entry is now binary and still hits.
-        let cache = FlowCache::new(CacheConfig {
-            memory_entries: 0,
-            disk_dir: Some(dir.clone()),
-            shards: 0,
-        });
-        for k in [1u64, 2, 3] {
-            let bytes = std::fs::read(dir.join(CacheKey(k).file_name())).unwrap();
-            assert!(codec::is_binary_entry(&bytes), "entry {k} still legacy");
-            assert_eq!(cache.lookup(CacheKey(k)).unwrap(), summary(k as u32));
-        }
-        assert_eq!(cache.stats().legacy_json_hits, 0);
-        // A second pass finds nothing left to do.
-        let again = migrate_disk_tier(&dir).unwrap();
-        assert_eq!(again.migrated, 0);
-        assert_eq!(again.already_binary, 3);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn mixed_format_tier_serves_both_formats_identically() {
-        let dir = std::env::temp_dir().join(format!("hsm_cache_mixed_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        // Same summaries split across formats: lookups must be
-        // indistinguishable apart from the legacy counter.
-        for k in 0..8u64 {
-            if k % 2 == 0 {
-                write_legacy_json_entry(&dir, CacheKey(k), &summary(k as u32)).unwrap();
-            }
-        }
-        let cache = FlowCache::new(CacheConfig {
-            memory_entries: 0,
-            disk_dir: Some(dir.clone()),
-            shards: 0,
-        });
-        for k in 0..8u64 {
-            if k % 2 == 1 {
-                cache.insert(CacheKey(k), &summary(k as u32)).unwrap();
-            }
-        }
-        for k in 0..8u64 {
-            assert_eq!(cache.lookup(CacheKey(k)).unwrap(), summary(k as u32));
-        }
-        let stats = cache.stats();
-        assert_eq!(stats.disk_hits, 8);
-        assert_eq!(stats.legacy_json_hits, 4);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn opening_a_disk_tier_sweeps_stale_temp_files() {
         let dir = std::env::temp_dir().join(format!("hsm_cache_sweep_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         // Plant a staging file as a killed writer would leave it, aged
         // past the sweep threshold.
-        let stale = dir.join(".flow-0000000000000001.json.12345.0.tmp");
+        let stale = dir.join(".flow-0000000000000001.hsmf.12345.0.tmp");
         std::fs::write(&stale, b"torn half-write").unwrap();
         let aged = std::time::SystemTime::now() - (STALE_TEMP_AGE + STALE_TEMP_AGE);
         std::fs::File::options()
@@ -1261,16 +831,12 @@ mod tests {
             .set_modified(aged)
             .unwrap();
         // A fresh staging file (a live concurrent writer) must survive.
-        let fresh = dir.join(".flow-0000000000000002.json.12345.1.tmp");
+        let fresh = dir.join(".flow-0000000000000002.hsmf.12345.1.tmp");
         std::fs::write(&fresh, b"in flight").unwrap();
         // A real entry must never be swept.
-        write_legacy_json_entry(&dir, CacheKey(7), &summary(7)).unwrap();
+        write_disk_entry(&dir, CacheKey(7), &summary(7)).unwrap();
 
-        let cache = FlowCache::new(CacheConfig {
-            memory_entries: 0,
-            disk_dir: Some(dir.clone()),
-            shards: 0,
-        });
+        let cache = disk_only(&dir);
         assert!(!stale.exists(), "stale staging file must be swept");
         assert!(fresh.exists(), "fresh staging file must survive");
         assert!(cache.lookup(CacheKey(7)).is_some());
@@ -1291,11 +857,7 @@ mod tests {
             for _ in 0..WRITERS {
                 let dir = dir.clone();
                 scope.spawn(move || {
-                    let cache = FlowCache::new(CacheConfig {
-                        memory_entries: 0,
-                        disk_dir: Some(dir),
-                        shards: 0,
-                    });
+                    let cache = disk_only(&dir);
                     for _ in 0..4 {
                         for k in 0..KEYS {
                             // Same key → same payload, as in real campaigns.
@@ -1305,11 +867,7 @@ mod tests {
                 });
             }
         });
-        let reader = FlowCache::new(CacheConfig {
-            memory_entries: 0,
-            disk_dir: Some(dir.clone()),
-            shards: 0,
-        });
+        let reader = disk_only(&dir);
         for k in 0..KEYS {
             let got = reader
                 .lookup(CacheKey(k))

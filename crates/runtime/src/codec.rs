@@ -1,12 +1,8 @@
-//! Versioned, length-prefixed binary encoding of disk-tier cache entries.
+//! Versioned, length-prefixed binary encoding of disk-tier cache entries
+//! — the disk tier's only format.
 //!
-//! The disk tier originally stored one JSON document per flow. Encoding
-//! and — far more often, on warm reruns — decoding those documents
-//! dominated warm-replay wall-clock: every hit parsed the full JSON
-//! entry, then *re-serialized* the summary to check the payload hash.
-//! This module replaces the payload with a fixed-layout binary format
-//! that decodes with a single forward pass over the buffer and verifies
-//! integrity with a CRC-32 over the raw bytes (no re-encoding):
+//! An entry decodes with a single forward pass over the buffer and
+//! verifies integrity with a CRC-32 over the raw bytes (no re-encoding):
 //!
 //! ```text
 //! offset  size  field
@@ -24,20 +20,17 @@
 //!
 //! Integers are little-endian and fixed-width; variable-length sequences
 //! (the two labels and the engine version) carry a LEB128 length prefix.
-//! Floats round-trip bit-exactly — the binary tier preserves the same
-//! "cache hit ≡ fresh simulation" guarantee the shortest-round-trip JSON
-//! encoding provided, without any float formatting at all.
+//! Floats round-trip bit-exactly, with no float formatting at all — which
+//! is what makes a cache hit ≡ a fresh simulation.
 //!
 //! Decoding is zero-copy in the `s2n-codec` style: a [`Reader`] cursor
 //! hands out sub-slices of the input buffer, and the only allocations on
 //! a hit are the two owned `String` labels of the returned summary. Any
 //! structural defect — short buffer, bad magic, unknown version, length
 //! mismatch, CRC mismatch, invalid UTF-8, trailing bytes — decodes to
-//! `None`, which the cache reports as a corrupt entry.
-//!
-//! Legacy JSON entries remain readable ([`is_binary_entry`] sniffs the
-//! magic), so tiers written before this format keep hitting; `repro
-//! cache migrate` rewrites such tiers in place.
+//! `None`, which the cache reports as a corrupt entry. So does an entry
+//! stamped with another engine version: a tier written before an
+//! [`ENGINE_VERSION`] bump is never read as current.
 
 use crate::cache::ENGINE_VERSION;
 use hsm_trace::summary::FlowSummary;
@@ -81,12 +74,6 @@ pub fn crc32(bytes: &[u8]) -> u32 {
         crc = (crc >> 8) ^ CRC_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
-}
-
-/// True when `bytes` starts with the binary-entry magic (a JSON entry
-/// starts with `{`, so one 4-byte comparison routes the two formats).
-pub fn is_binary_entry(bytes: &[u8]) -> bool {
-    bytes.len() >= MAGIC.len() && bytes[..MAGIC.len()] == MAGIC
 }
 
 /// Appends `v` as an unsigned LEB128 varint.
@@ -324,7 +311,6 @@ mod tests {
     fn round_trips_bit_exactly() {
         let s = summary(7);
         let bytes = encode_entry(0xDEAD_BEEF, &s);
-        assert!(is_binary_entry(&bytes));
         let (key, back) = decode_entry(&bytes).expect("decodes");
         assert_eq!(key, 0xDEAD_BEEF);
         assert_eq!(back, s);
@@ -407,13 +393,6 @@ mod tests {
         let mut bytes = encode_entry(42, &summary(1));
         bytes[4] = FORMAT_VERSION + 1;
         assert_eq!(decode_entry(&bytes), None);
-    }
-
-    #[test]
-    fn json_entries_are_not_binary() {
-        assert!(!is_binary_entry(b"{\"key\":1}"));
-        assert!(!is_binary_entry(b""));
-        assert!(!is_binary_entry(b"HSM"));
     }
 
     #[test]

@@ -551,8 +551,8 @@ impl Campaign {
 /// outcomes (the experiment harness needs raw traces).
 ///
 /// The campaign-index tags of [`plan_dataset`] are re-attached to the
-/// engine's index-ordered output, so this is a drop-in replacement for
-/// `hsm_scenario::dataset::generate_dataset` with telemetry on top.
+/// engine's index-ordered output, so flow `i` of the result is plan entry
+/// `i` whatever the worker count.
 ///
 /// # Errors
 ///

@@ -7,7 +7,7 @@ use std::path::PathBuf;
 /// Failures of the flow cache's disk tier.
 ///
 /// Corrupt entries are *not* errors: the engine detects them via the
-/// payload hash, counts them in the [`CampaignReport`](crate::engine::CampaignReport)
+/// entry's integrity check, counts them in the [`CampaignReport`](crate::engine::CampaignReport)
 /// and re-simulates — only real I/O and encoding failures surface here.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CacheError {

@@ -12,9 +12,10 @@
 //!   immediately (near-constant memory), and writes results into
 //!   per-flow slots so output is bit-identical for any worker count;
 //! * [`cache`] — [`FlowCache`]: content-addressed memoization of completed
-//!   flows (key = config + engine version, streamed into the hash with no
-//!   per-lookup allocation) with a sharded in-memory LRU tier and an
-//!   integrity-checked on-disk JSON tier, so repeated experiments stop
+//!   flows (key = the config's canonical identity encoding + engine
+//!   version, streamed into the hash with no per-lookup allocation) with
+//!   a sharded in-memory LRU tier and an integrity-checked on-disk tier in
+//!   the binary format of [`codec`], so repeated experiments stop
 //!   re-simulating identical flows and workers stop serializing on one
 //!   lock;
 //! * [`shard`] — multi-process campaign sharding: round-robin partition
@@ -53,9 +54,7 @@ pub mod error;
 pub mod parallel;
 pub mod shard;
 
-pub use cache::{
-    migrate_disk_tier, CacheConfig, CacheKey, CacheStats, FlowCache, MigrateStats, ENGINE_VERSION,
-};
+pub use cache::{CacheConfig, CacheKey, CacheStats, FlowCache, ENGINE_VERSION};
 #[cfg(any(test, feature = "chaos"))]
 pub use engine::ChaosInjection;
 pub use engine::{
@@ -70,10 +69,7 @@ pub use shard::{
 
 /// Convenient glob-import surface: `use hsm_runtime::prelude::*;`.
 pub mod prelude {
-    pub use crate::cache::{
-        migrate_disk_tier, CacheConfig, CacheKey, CacheStats, FlowCache, MigrateStats,
-        ENGINE_VERSION,
-    };
+    pub use crate::cache::{CacheConfig, CacheKey, CacheStats, FlowCache, ENGINE_VERSION};
     pub use crate::engine::{
         run_dataset, run_stationary_baseline, Campaign, CampaignBuilder, CampaignOutput,
         CampaignReport, FlowRun,

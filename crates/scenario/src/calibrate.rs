@@ -179,11 +179,21 @@ pub fn calibration_report(
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
-    use crate::dataset::{generate_dataset, generate_stationary_baseline, DatasetConfig};
+    use crate::dataset::{plan_dataset, plan_stationary_baseline, DatasetConfig};
+    use crate::runner::{run_scenario, ScenarioConfig};
     use hsm_simnet::time::SimDuration;
+
+    fn run(plans: impl IntoIterator<Item = (usize, ScenarioConfig)>) -> Vec<DatasetFlow> {
+        plans
+            .into_iter()
+            .map(|(campaign, config)| DatasetFlow {
+                campaign,
+                outcome: run_scenario(&config),
+            })
+            .collect()
+    }
 
     #[test]
     fn paper_constants_are_the_papers() {
@@ -222,8 +232,7 @@ mod tests {
             flow_duration: SimDuration::from_secs(45),
             ..Default::default()
         };
-        let flows = generate_dataset(&cfg);
-        let agg = aggregate(&flows);
+        let agg = aggregate(&run(plan_dataset(&cfg)));
         assert!(agg.flows >= 8);
         assert!(agg.total_timeouts > 0, "high-speed flows must hit timeouts");
         // Loss rates within a factor 4 of the paper's order of magnitude.
@@ -258,8 +267,9 @@ mod tests {
             flow_duration: SimDuration::from_secs(45),
             ..Default::default()
         };
-        let hs = aggregate(&generate_dataset(&cfg));
-        let st = aggregate(&generate_stationary_baseline(&cfg, 6));
+        let hs = aggregate(&run(plan_dataset(&cfg)));
+        let baseline = plan_stationary_baseline(&cfg, 6);
+        let st = aggregate(&run(baseline.into_iter().map(|c| (usize::MAX, c))));
         // The defining contrast of the paper: recovery at speed is much
         // slower, ACK loss much higher.
         assert!(

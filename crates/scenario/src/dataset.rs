@@ -5,13 +5,14 @@
 //! campaigns (date, phone model, provider, flow count), with each flow
 //! simulated end-to-end through the calibrated channel profiles.
 //!
-//! Generation parallelizes across CPU cores with scoped threads; each flow
-//! derives from its own master seed so the dataset is fully reproducible
-//! and any single flow can be regenerated in isolation — the output is
-//! identical for every worker count (see `generate_dataset_with_workers`).
+//! This module only *plans* the dataset ([`plan_dataset`],
+//! [`plan_stationary_baseline`]); `hsm_runtime::run_dataset` executes a
+//! plan across cores with memoization. Each flow derives from its own
+//! master seed, so the dataset is fully reproducible and any single flow
+//! can be regenerated in isolation with [`crate::runner::run_scenario`].
 
 use crate::provider::Provider;
-use crate::runner::{run_scenario, Motion, ScenarioConfig, ScenarioOutcome};
+use crate::runner::{Motion, ScenarioConfig, ScenarioOutcome};
 use hsm_simnet::time::SimDuration;
 use hsm_tcp::cc::Algorithm;
 use hsm_tcp::recovery::Recovery;
@@ -149,38 +150,6 @@ pub fn plan_dataset(cfg: &DatasetConfig) -> Vec<(usize, ScenarioConfig)> {
     plans
 }
 
-/// Generates the dataset, simulating flows in parallel across cores.
-#[deprecated(
-    since = "0.1.0",
-    note = "drive `plan_dataset` (or a declarative `spec::CampaignSpec`) through \
-            `hsm_runtime::run_dataset`, which adds memoization and telemetry"
-)]
-pub fn generate_dataset(cfg: &DatasetConfig) -> Vec<DatasetFlow> {
-    #[allow(deprecated)]
-    generate_dataset_with_workers(cfg, default_workers())
-}
-
-/// [`generate_dataset`] with an explicit worker count (≥ 1).
-///
-/// Each flow is a pure function of its own seed and results are
-/// re-assembled in plan order, so the worker count affects only wall-clock
-/// time, never the flows — the determinism harness in `tests/` pins this.
-#[deprecated(
-    since = "0.1.0",
-    note = "drive `plan_dataset` (or a declarative `spec::CampaignSpec`) through \
-            `hsm_runtime::run_dataset_with_workers`"
-)]
-pub fn generate_dataset_with_workers(cfg: &DatasetConfig, workers: usize) -> Vec<DatasetFlow> {
-    let plans = plan_dataset(cfg);
-    run_plans(plans, workers)
-}
-
-fn default_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-}
-
 /// Plans `n` stationary baseline flows (for the Fig. 3/6 comparisons),
 /// spread across providers, without running them.
 pub fn plan_stationary_baseline(cfg: &DatasetConfig, n: u32) -> Vec<ScenarioConfig> {
@@ -202,57 +171,10 @@ pub fn plan_stationary_baseline(cfg: &DatasetConfig, n: u32) -> Vec<ScenarioConf
         .collect()
 }
 
-/// Generates `n` stationary baseline flows by running
-/// [`plan_stationary_baseline`] directly on this process's cores.
-///
-/// Campaign-scale callers should prefer feeding the plan to the
-/// `hsm-runtime` engine, which adds memoization and telemetry on top of
-/// the same per-flow execution.
-#[deprecated(
-    since = "0.1.0",
-    note = "feed `plan_stationary_baseline` to `hsm_runtime::run_stationary_baseline`"
-)]
-pub fn generate_stationary_baseline(cfg: &DatasetConfig, n: u32) -> Vec<DatasetFlow> {
-    let plans = plan_stationary_baseline(cfg, n)
-        .into_iter()
-        .map(|c| (usize::MAX, c))
-        .collect();
-    run_plans(plans, default_workers())
-}
-
-fn run_plans(plans: Vec<(usize, ScenarioConfig)>, workers: usize) -> Vec<DatasetFlow> {
-    let total = plans.len();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let (tx, rx) = std::sync::mpsc::channel();
-    std::thread::scope(|scope| {
-        let plans = &plans;
-        let next = &next;
-        for _ in 0..workers.clamp(1, total.max(1)) {
-            let tx = tx.clone();
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= total {
-                    break;
-                }
-                let (campaign, config) = &plans[i];
-                let flow = DatasetFlow {
-                    campaign: *campaign,
-                    outcome: run_scenario(config),
-                };
-                tx.send((i, flow)).expect("result channel closed early");
-            });
-        }
-        drop(tx);
-    });
-    let mut results: Vec<(usize, DatasetFlow)> = rx.into_iter().collect();
-    results.sort_by_key(|(i, _)| *i);
-    results.into_iter().map(|(_, f)| f).collect()
-}
-
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::runner::run_scenario;
 
     #[test]
     fn table1_shape_matches_paper() {
@@ -289,22 +211,21 @@ mod tests {
     }
 
     #[test]
-    fn generates_small_dataset_in_parallel() {
+    fn planned_flows_run_and_keep_their_campaign() {
         let cfg = DatasetConfig {
             scale: 0.02, // 1 flow per campaign
             flow_duration: SimDuration::from_secs(8),
             ..Default::default()
         };
-        let flows = generate_dataset(&cfg);
-        assert_eq!(flows.len(), 4);
-        for f in &flows {
-            assert!(f.campaign < 4);
-            assert!(f.outcome.summary().throughput_sps > 0.0);
-            assert_eq!(f.outcome.summary().scenario, "high-speed");
+        let plans = plan_dataset(&cfg);
+        assert_eq!(plans.len(), 4);
+        for (i, (campaign, config)) in plans.iter().enumerate() {
+            assert_eq!(*campaign, i);
+            assert_eq!(config.provider, TABLE1[i].provider);
+            let out = run_scenario(config);
+            assert!(out.summary().throughput_sps > 0.0);
+            assert_eq!(out.summary().scenario, "high-speed");
         }
-        // Providers match their campaigns.
-        assert_eq!(flows[0].outcome.config.provider, Provider::ChinaMobile);
-        assert_eq!(flows[3].outcome.config.provider, Provider::ChinaTelecom);
     }
 
     #[test]
@@ -313,10 +234,10 @@ mod tests {
             flow_duration: SimDuration::from_secs(8),
             ..Default::default()
         };
-        let flows = generate_stationary_baseline(&cfg, 3);
-        assert_eq!(flows.len(), 3);
-        for f in &flows {
-            assert_eq!(f.outcome.summary().scenario, "stationary");
+        let plans = plan_stationary_baseline(&cfg, 3);
+        assert_eq!(plans.len(), 3);
+        for config in &plans {
+            assert_eq!(run_scenario(config).summary().scenario, "stationary");
         }
     }
 
@@ -327,10 +248,12 @@ mod tests {
             flow_duration: SimDuration::from_secs(5),
             ..Default::default()
         };
-        let a = generate_dataset(&cfg);
-        let b = generate_dataset(&cfg);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.outcome.summary(), y.outcome.summary());
-        }
+        let run = || -> Vec<_> {
+            plan_dataset(&cfg)
+                .iter()
+                .map(|(_, c)| run_scenario(c).summary().clone())
+                .collect()
+        };
+        assert_eq!(run(), run());
     }
 }

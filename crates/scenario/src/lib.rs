@@ -8,8 +8,12 @@
 //!   poor corridor coverage);
 //! * [`runner`] — one-call scenario execution: provider + motion + seed →
 //!   simulated flow → trace, analysis, model-ready summary;
-//! * [`dataset`] — the synthetic Table-I dataset (255 flows across four
-//!   campaigns), generated in parallel and fully seed-reproducible;
+//! * [`dataset`] — the plan of the synthetic Table-I dataset (255 flows
+//!   across four campaigns), fully seed-reproducible; `hsm-runtime`
+//!   executes it;
+//! * [`fnv`] — the one FNV-1a-64 state that flow identity
+//!   ([`runner::ScenarioConfig::hash_into`]), cache keys and spec digests
+//!   stream through;
 //! * [`calibrate`] — the paper's §III headline statistics as calibration
 //!   targets, with paper-vs-measured reporting;
 //! * [`spec`] — declarative TOML campaign specs ([`spec::CampaignSpec`])
@@ -34,6 +38,7 @@
 pub mod btr;
 pub mod calibrate;
 pub mod dataset;
+pub mod fnv;
 pub mod provider;
 pub mod runner;
 pub mod spec;
@@ -44,9 +49,7 @@ pub mod prelude {
     pub use crate::calibrate::{
         aggregate, calibration_report, CalibrationRow, DatasetAggregates, PaperTargets, PAPER,
     };
-    #[allow(deprecated)]
     pub use crate::dataset::{
-        generate_dataset, generate_dataset_with_workers, generate_stationary_baseline,
         plan_dataset, plan_stationary_baseline, table1_total_flows, DatasetConfig, DatasetFlow,
         MeasurementCampaign, TABLE1,
     };

@@ -1,6 +1,7 @@
 //! One-call scenario runner: provider + motion + seed → simulated flow →
 //! trace, analysis and model-ready summary.
 
+use crate::fnv::Fnv1a;
 use crate::provider::Provider;
 use hsm_simnet::chaos::StormPlan;
 use hsm_simnet::error::SimError;
@@ -90,7 +91,7 @@ impl From<SimError> for ScenarioError {
 /// The blessed way to construct one is [`ScenarioConfig::builder`], which
 /// validates the parameters; the fields remain `pub` for one release to
 /// keep struct-literal call sites compiling.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScenarioConfig {
     /// Which ISP carries the flow.
     pub provider: Provider,
@@ -125,65 +126,6 @@ impl Default for ScenarioConfig {
             cc: Algorithm::Reno,
             recovery: Recovery::None,
         }
-    }
-}
-
-// Hand-written serde: the `cc` and `recovery` fields are omitted when they
-// are the defaults (Reno / None) and defaulted when absent, so every
-// pre-zoo and pre-recovery serialized config — and, critically, every
-// content-addressed campaign cache key derived from those bytes — is
-// unchanged by the fields' existence. (The vendored serde derive has no
-// `skip_serializing_if`, hence the manual impls.)
-impl Serialize for ScenarioConfig {
-    fn to_value(&self) -> serde::Value {
-        let mut pairs = vec![
-            ("provider".to_owned(), self.provider.to_value()),
-            ("motion".to_owned(), self.motion.to_value()),
-            ("seed".to_owned(), self.seed.to_value()),
-            ("duration".to_owned(), self.duration.to_value()),
-            ("w_m".to_owned(), self.w_m.to_value()),
-            ("b".to_owned(), self.b.to_value()),
-            ("flow".to_owned(), self.flow.to_value()),
-        ];
-        if self.cc != Algorithm::default() {
-            pairs.push(("cc".to_owned(), self.cc.to_value()));
-        }
-        if self.recovery != Recovery::default() {
-            pairs.push(("recovery".to_owned(), self.recovery.to_value()));
-        }
-        serde::Value::Obj(pairs)
-    }
-}
-
-impl Deserialize for ScenarioConfig {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let obj = v
-            .as_obj()
-            .ok_or_else(|| serde::DeError::expected("ScenarioConfig object", v))?;
-        fn field<'a>(
-            obj: &'a [(String, serde::Value)],
-            name: &str,
-        ) -> Result<&'a serde::Value, serde::DeError> {
-            serde::get_field(obj, name)
-                .ok_or_else(|| serde::DeError::custom(format!("missing field `{name}`")))
-        }
-        Ok(ScenarioConfig {
-            provider: Provider::from_value(field(obj, "provider")?)?,
-            motion: Motion::from_value(field(obj, "motion")?)?,
-            seed: u64::from_value(field(obj, "seed")?)?,
-            duration: SimDuration::from_value(field(obj, "duration")?)?,
-            w_m: u32::from_value(field(obj, "w_m")?)?,
-            b: u32::from_value(field(obj, "b")?)?,
-            flow: u32::from_value(field(obj, "flow")?)?,
-            cc: match serde::get_field(obj, "cc") {
-                Some(v) => Algorithm::from_value(v)?,
-                None => Algorithm::default(),
-            },
-            recovery: match serde::get_field(obj, "recovery") {
-                Some(v) => Recovery::from_value(v)?,
-                None => Recovery::default(),
-            },
-        })
     }
 }
 
@@ -296,6 +238,79 @@ impl ScenarioConfig {
             return Err(ScenarioError::ZeroDuration);
         }
         Ok(())
+    }
+
+    /// Streams this flow's identity into `h`: the canonical encoding that
+    /// the campaign cache key and the spec expansion digest both hash.
+    ///
+    /// Every field is always present, in declaration order: one tag byte
+    /// per enum variant, fixed-width little-endian integers, `f64` as its
+    /// IEEE-754 bits (controller parameters follow their controller's
+    /// tag, in declaration order). The tag fixes the length of what
+    /// follows it, so the encoding is prefix-free and a sequence of
+    /// configs needs no separator. Nothing is allocated.
+    ///
+    /// The struct is destructured and every enum matched exhaustively, so
+    /// a new field or variant fails to compile until it is keyed. Tags
+    /// are part of the identity: never renumber one, and bump
+    /// `hsm_runtime::cache::ENGINE_VERSION` with any change here.
+    pub fn hash_into(&self, h: &mut Fnv1a) {
+        let ScenarioConfig {
+            provider,
+            motion,
+            seed,
+            duration,
+            w_m,
+            b,
+            flow,
+            cc,
+            recovery,
+        } = *self;
+        h.u8(match provider {
+            Provider::ChinaMobile => 0,
+            Provider::ChinaUnicom => 1,
+            Provider::ChinaTelecom => 2,
+        });
+        h.u8(match motion {
+            Motion::HighSpeed => 0,
+            Motion::Stationary => 1,
+        });
+        h.u64(seed);
+        h.u64(duration.as_micros());
+        h.u32(w_m);
+        h.u32(b);
+        h.u32(flow);
+        match cc {
+            Algorithm::Reno => h.u8(0),
+            Algorithm::Veno { beta } => {
+                h.u8(1);
+                h.f64(beta);
+            }
+            Algorithm::Cubic { c, beta } => {
+                h.u8(2);
+                h.f64(c);
+                h.f64(beta);
+            }
+            Algorithm::Bbr => h.u8(3),
+            Algorithm::Compound {
+                alpha,
+                beta,
+                k,
+                gamma,
+            } => {
+                h.u8(4);
+                h.f64(alpha);
+                h.f64(beta);
+                h.f64(k);
+                h.f64(gamma);
+            }
+        }
+        h.u8(match recovery {
+            Recovery::None => 0,
+            Recovery::RedundantRto => 1,
+            Recovery::Frto => 2,
+            Recovery::AckRobust => 3,
+        });
     }
 
     /// The path spec this scenario runs over.
@@ -692,84 +707,46 @@ mod tests {
 
     #[test]
     fn config_serializes_round_trip() {
-        let cfg = ScenarioConfig {
-            seed: 77,
-            w_m: 31,
-            ..Default::default()
-        };
-        let json = serde_json::to_string(&cfg).expect("serialize");
-        let back: ScenarioConfig = serde_json::from_str(&json).expect("deserialize");
-        assert_eq!(back, cfg);
-    }
-
-    #[test]
-    fn cc_field_serializes_only_when_non_default() {
-        // The default (Reno) must reproduce the exact pre-zoo bytes, or
-        // every content-addressed cache key in existing disk tiers would
-        // silently change.
-        let default_json = serde_json::to_string(&ScenarioConfig::default()).expect("serialize");
-        assert!(
-            !default_json.contains("\"cc\""),
-            "default cc leaked into the wire format: {default_json}"
-        );
-        let back: ScenarioConfig = serde_json::from_str(&default_json).expect("deserialize");
-        assert_eq!(back.cc, Algorithm::Reno, "absent cc defaults to Reno");
-
         for cc in Algorithm::zoo() {
-            let cfg = ScenarioConfig {
-                cc,
-                seed: 11,
-                ..Default::default()
-            };
-            let json = serde_json::to_string(&cfg).expect("serialize");
-            if cc != Algorithm::Reno {
-                assert!(json.contains("\"cc\""), "non-default cc must serialize");
+            for recovery in Recovery::ALL {
+                let cfg = ScenarioConfig {
+                    seed: 77,
+                    w_m: 31,
+                    cc,
+                    recovery,
+                    ..Default::default()
+                };
+                let json = serde_json::to_string(&cfg).expect("serialize");
+                let back: ScenarioConfig = serde_json::from_str(&json).expect("deserialize");
+                assert_eq!(back, cfg);
             }
-            let back: ScenarioConfig = serde_json::from_str(&json).expect("deserialize");
-            assert_eq!(back, cfg, "round trip for {}", cc.label());
         }
     }
 
     #[test]
-    fn recovery_field_serializes_only_when_non_default() {
-        // `recovery = None` must reproduce the exact pre-recovery bytes,
-        // or every content-addressed cache key in existing disk tiers
-        // would silently change.
-        let default_json = serde_json::to_string(&ScenarioConfig::default()).expect("serialize");
-        assert!(
-            !default_json.contains("\"recovery\""),
-            "default recovery leaked into the wire format: {default_json}"
-        );
-        let back: ScenarioConfig = serde_json::from_str(&default_json).expect("deserialize");
-        assert_eq!(back.recovery, Recovery::None, "absent recovery defaults");
-
-        for recovery in Recovery::ALL {
-            let cfg = ScenarioConfig {
-                recovery,
-                seed: 11,
-                ..Default::default()
-            };
-            let json = serde_json::to_string(&cfg).expect("serialize");
-            if recovery != Recovery::None {
-                assert!(
-                    json.contains("\"recovery\""),
-                    "non-default recovery must serialize"
-                );
-            }
-            let back: ScenarioConfig = serde_json::from_str(&json).expect("deserialize");
-            assert_eq!(back, cfg, "round trip for {}", recovery.label());
-        }
-
-        // Both non-default axes render together, in declaration order.
+    fn hash_into_streams_the_documented_bytes() {
         let cfg = ScenarioConfig {
-            cc: Algorithm::Bbr,
-            recovery: Recovery::Frto,
-            ..Default::default()
+            provider: Provider::ChinaTelecom,
+            motion: Motion::Stationary,
+            seed: 0x0102_0304_0506_0708,
+            duration: SimDuration::from_micros(9),
+            w_m: 48,
+            b: 2,
+            flow: 7,
+            cc: Algorithm::Cubic { c: 0.4, beta: -0.0 },
+            recovery: Recovery::AckRobust,
         };
-        let json = serde_json::to_string(&cfg).expect("serialize");
-        assert!(json.contains("\"cc\":\"Bbr\"") && json.contains("\"recovery\":\"Frto\""));
-        let back: ScenarioConfig = serde_json::from_str(&json).expect("deserialize");
-        assert_eq!(back, cfg);
+        let mut expected = vec![2u8, 1];
+        expected.extend_from_slice(&[8, 7, 6, 5, 4, 3, 2, 1]);
+        expected.extend_from_slice(&9u64.to_le_bytes());
+        expected.extend_from_slice(&[48, 0, 0, 0, 2, 0, 0, 0, 7, 0, 0, 0]);
+        expected.push(2);
+        expected.extend_from_slice(&0.4f64.to_bits().to_le_bytes());
+        expected.extend_from_slice(&[0, 0, 0, 0, 0, 0, 0, 0x80]);
+        expected.push(3);
+        let mut h = Fnv1a::default();
+        cfg.hash_into(&mut h);
+        assert_eq!(h.finish(), crate::fnv::fnv1a(&expected));
     }
 
     #[test]

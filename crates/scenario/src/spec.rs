@@ -27,6 +27,7 @@
 //! ```
 
 use crate::dataset::{plan_dataset, DatasetConfig};
+use crate::fnv::Fnv1a;
 use crate::provider::Provider;
 use crate::runner::{Motion, ScenarioConfig};
 use hsm_simnet::time::SimDuration;
@@ -461,20 +462,16 @@ impl CampaignSpec {
     }
 }
 
-/// FNV-1a digest of an expansion: each config's canonical serde-JSON
-/// bytes followed by a newline, streamed through one hash. Two specs
-/// with the same digest expand to the same configs — and therefore the
-/// same campaign cache keys.
+/// FNV-1a digest of an expansion: every config's canonical identity
+/// encoding ([`ScenarioConfig::hash_into`]), in expansion order, streamed
+/// through one hash. Two specs with the same digest expand to the same
+/// configs — and therefore the same campaign cache keys.
 pub fn expansion_digest(configs: &[ScenarioConfig]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = Fnv1a::default();
     for config in configs {
-        let json = serde_json::to_string(config).expect("configs always serialize");
-        for byte in json.bytes().chain(std::iter::once(b'\n')) {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        config.hash_into(&mut h);
     }
-    h
+    h.finish()
 }
 
 // ---------------------------------------------------------------------------

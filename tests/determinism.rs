@@ -2,9 +2,7 @@
 //! bit, across the whole stack, including parallel dataset generation;
 //! trace serialization round-trips.
 
-// The deprecated generate_dataset* helpers stay covered until removal.
-#![allow(deprecated)]
-
+use hsm::runtime::{run_dataset, Campaign};
 use hsm::scenario::prelude::*;
 use hsm::simnet::time::SimDuration;
 use hsm::trace::prelude::*;
@@ -41,8 +39,8 @@ fn dataset_generation_is_deterministic_despite_parallelism() {
         flow_duration: SimDuration::from_secs(10),
         ..Default::default()
     };
-    let a = generate_dataset(&cfg);
-    let b = generate_dataset(&cfg);
+    let (a, _) = run_dataset(&cfg).expect("dataset runs");
+    let (b, _) = run_dataset(&cfg).expect("dataset runs");
     assert_eq!(a.len(), b.len());
     for (x, y) in a.iter().zip(&b) {
         assert_eq!(x.campaign, y.campaign);
@@ -52,7 +50,7 @@ fn dataset_generation_is_deterministic_despite_parallelism() {
 
 #[test]
 fn flow_summaries_bit_identical_across_worker_counts() {
-    // The determinism contract of the parallel dataset generator: the
+    // The determinism contract of the campaign engine: the
     // worker count is a throughput knob, never a results knob. Fixed seed
     // + fixed config must produce bit-identical `FlowSummary` values for
     // 1, 2 and 8 workers — verified both structurally (PartialEq) and on
@@ -64,12 +62,15 @@ fn flow_summaries_bit_identical_across_worker_counts() {
         ..Default::default()
     };
     let summarize = |workers: usize| -> Vec<String> {
-        generate_dataset_with_workers(&cfg, workers)
-            .iter()
-            .map(|f| {
-                let analysis = analyze_flow(&f.outcome.outcome.trace, &TimeoutConfig::default());
-                serde_json::to_string(&analysis.summary).expect("summary serializes")
-            })
+        Campaign::builder()
+            .configs(plan_dataset(&cfg).into_iter().map(|(_, c)| c))
+            .workers(workers)
+            .build()
+            .expect("valid campaign")
+            .run()
+            .expect("campaign runs")
+            .summaries()
+            .map(|s| serde_json::to_string(s).expect("summary serializes"))
             .collect()
     };
     let one = summarize(1);

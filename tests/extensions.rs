@@ -2,10 +2,8 @@
 //! ACKs, spurious-RTO undo, shared-radio MPTCP, trace persistence,
 //! timeline analysis and global model fitting.
 
-// The deprecated generate_dataset* helpers stay covered until removal.
-#![allow(deprecated)]
-
 use hsm::model::prelude::*;
+use hsm::runtime::run_dataset;
 use hsm::scenario::prelude::*;
 use hsm::simnet::time::SimDuration;
 use hsm::tcp::prelude::*;
@@ -149,7 +147,7 @@ fn dataset_persistence_round_trips_through_disk() {
         flow_duration: SimDuration::from_secs(10),
         ..Default::default()
     };
-    let flows = generate_dataset(&cfg);
+    let (flows, _) = run_dataset(&cfg).expect("dataset runs");
     let path = std::env::temp_dir().join("hsm_ext_roundtrip.jsonl");
     let traces: Vec<&FlowTrace> = flows.iter().map(|f| &f.outcome.outcome.trace).collect();
     save_traces(&path, traces.iter().copied()).expect("save");
@@ -192,7 +190,8 @@ fn global_fit_runs_on_simulated_data() {
         flow_duration: SimDuration::from_secs(40),
         ..Default::default()
     };
-    let summaries: Vec<FlowSummary> = generate_dataset(&cfg)
+    let (flows, _) = run_dataset(&cfg).expect("dataset runs");
+    let summaries: Vec<FlowSummary> = flows
         .into_iter()
         .map(|f| f.outcome.analysis.summary)
         .collect();

@@ -2,9 +2,6 @@
 //! models produce sane predictions and the enhanced model's extra
 //! penalties point the right way.
 
-// The deprecated generate_dataset* helpers stay covered until removal.
-#![allow(deprecated)]
-
 use hsm::model::prelude::*;
 use hsm::scenario::prelude::*;
 use hsm::simnet::time::SimDuration;
@@ -15,7 +12,8 @@ fn small_dataset() -> Vec<hsm::trace::summary::FlowSummary> {
         flow_duration: SimDuration::from_secs(60),
         ..Default::default()
     };
-    generate_dataset(&cfg)
+    let (flows, _) = hsm::runtime::run_dataset(&cfg).expect("dataset runs");
+    flows
         .into_iter()
         .map(|f| f.outcome.analysis.summary)
         .collect()

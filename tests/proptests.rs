@@ -177,13 +177,11 @@ proptest! {
     }
 }
 
-/// Configuration-layer properties: the builder accepts exactly the valid
-/// field combinations, and the runtime's allocation-free streaming cache
-/// key is indistinguishable from hashing the real serde encoding.
+/// Configuration-layer property: the builder accepts exactly the valid
+/// field combinations.
 mod scenario_config_properties {
     use super::*;
     use hsm::prelude::Provider;
-    use hsm::runtime::cache::{fnv1a, CacheKey, ENGINE_VERSION};
     use hsm::scenario::runner::{Motion, ScenarioConfig, ScenarioError};
     use hsm::simnet::time::SimDuration;
 
@@ -242,52 +240,16 @@ mod scenario_config_properties {
                 prop_assert_eq!(cfg.flow, flow);
             }
         }
-
-        /// Every accepted config keys identically through the streaming
-        /// FNV-1a path and the allocate-then-hash serde path, and the
-        /// serde encoding itself round-trips losslessly — so disk tiers
-        /// written via either route stay mutually valid.
-        #[test]
-        fn streaming_cache_key_matches_the_serde_path(
-            provider in arb_provider(),
-            motion in arb_motion(),
-            seed in 0u64..u64::MAX,
-            duration_us in 1u64..10_000_000_000,
-            w_m in 1u32..128,
-            b in 1u32..6,
-            flow in 0u32..2000,
-        ) {
-            let cfg = ScenarioConfig::builder()
-                .provider(provider)
-                .motion(motion)
-                .seed(seed)
-                .duration(SimDuration::from_micros(duration_us))
-                .w_m(w_m)
-                .b(b)
-                .flow(flow)
-                .build()
-                .expect("valid by construction");
-
-            let json = serde_json::to_string(&cfg).expect("config serializes");
-            let mut hashed = json.clone().into_bytes();
-            hashed.extend_from_slice(ENGINE_VERSION.as_bytes());
-            prop_assert_eq!(CacheKey::of(&cfg), CacheKey(fnv1a(&hashed)));
-
-            let back: ScenarioConfig =
-                serde_json::from_str(&json).expect("config deserializes");
-            prop_assert_eq!(&back, &cfg);
-            prop_assert_eq!(CacheKey::of(&back), CacheKey::of(&cfg));
-        }
     }
 }
 
 /// Disk-codec properties: flow summaries — arbitrary field values and
 /// real chaos-fuzzer outputs alike — survive the binary round trip
-/// bit-for-bit and agree with the legacy JSON encoding, while any
-/// corruption of the encoded bytes is rejected rather than decoded.
+/// bit-for-bit, while any corruption of the encoded bytes is rejected
+/// rather than decoded.
 mod codec_properties {
     use super::*;
-    use hsm::runtime::codec::{decode_entry, encode_entry, is_binary_entry};
+    use hsm::runtime::codec::{decode_entry, encode_entry};
     use hsm::trace::summary::FlowSummary;
 
     /// Asserts two summaries are the same down to the bit pattern of
@@ -411,24 +373,17 @@ mod codec_properties {
     }
 
     proptest! {
-        /// Binary round trip is lossless to the bit, and the decoded
-        /// summary's JSON encoding — what a legacy tier would have stored
-        /// — matches the original's byte-for-byte, so the two on-disk
-        /// formats describe exactly the same value space.
+        /// The binary round trip is lossless to the bit, key echo
+        /// included.
         #[test]
-        fn binary_and_json_encodings_round_trip_identically(
+        fn binary_encoding_round_trips_bit_exactly(
             summary in arb_summary(),
             key in 0u64..u64::MAX,
         ) {
             let bytes = encode_entry(key, &summary);
-            prop_assert!(is_binary_entry(&bytes));
             let (back_key, back) = decode_entry(&bytes).expect("fresh entry decodes");
             prop_assert_eq!(back_key, key);
             assert_bit_identical(&summary, &back);
-            prop_assert_eq!(
-                serde_json::to_string(&back).expect("summary serializes"),
-                serde_json::to_string(&summary).expect("summary serializes")
-            );
         }
 
         /// Any single bit flip or truncation of an encoded entry is
@@ -472,11 +427,6 @@ mod codec_properties {
             let (back_key, back) = decode_entry(&bytes).expect("entry decodes");
             assert_eq!(back_key, key.0, "case {case}");
             assert_bit_identical(summary, &back);
-            assert_eq!(
-                serde_json::to_string(&back).unwrap(),
-                serde_json::to_string(summary).unwrap(),
-                "case {case}"
-            );
         }
     }
 }

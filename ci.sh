@@ -3,7 +3,8 @@
 # workflow runs (and times) separately:
 #
 #   ./ci.sh build-test   formatting, release build, full test suite,
-#                        chaos/cc-study/spec smokes, strict lints, docs
+#                        chaos/cc-study/spec smokes, strict lints, docs,
+#                        benchmark/ build + tests + pinned-digest run
 #   ./ci.sh bench        the simnet + campaign bench gates
 #   ./ci.sh              both stages in order (the full tier-1 gate)
 #
@@ -87,6 +88,22 @@ stage_build_test() {
     done
     cargo clippy --workspace --all-targets -- -D warnings
     cargo doc --no-deps --workspace
+    # benchmark/ is a workspace of its own that pins the crates' public
+    # signatures; nothing above compiles it. Build it, run its unit tests,
+    # and make one short driver-form run. That run is also the speed-only-
+    # change gate: seed 1 of `table1-cold` must simulate exactly the pinned
+    # events into exactly the pinned summary bytes (a PR that means to
+    # change the simulation updates the two values, as with the chaos
+    # fixture above).
+    cargo build --release --offline --manifest-path benchmark/Cargo.toml
+    cargo test --release --offline --manifest-path benchmark/Cargo.toml
+    local bench_log="$smoke/benchmark-table1-cold.log"
+    benchmark/run.sh --workload table1-cold --seed 1 --seconds 1 --trace 0 | tee "$bench_log"
+    tail -n 1 "$bench_log" | grep -q '"correct":true' \
+        || { echo "benchmark smoke: result line lacks \"correct\":true" >&2; exit 1; }
+    grep -Eq 'sim_digest += +461fc511504f307e$' "$bench_log" \
+        && grep -Eq 'events += +19262156$' "$bench_log" \
+        || { echo "benchmark smoke: table1-cold seed 1 no longer simulates sim_digest 461fc511504f307e / events 19262156" >&2; exit 1; }
 }
 
 stage_bench() {

@@ -419,8 +419,8 @@ pub fn try_run_scenario(config: &ScenarioConfig) -> Result<ScenarioOutcome, Scen
 
 /// Reusable working memory for scenario runs.
 ///
-/// Holds the simulation engine, the event recorder and the capture slab so
-/// a worker running many flows back to back ([`try_run_scenario_with`])
+/// Holds the simulation engine (event queue, link buffers, packet arena)
+/// so a worker running many flows back to back ([`try_run_scenario_with`])
 /// pays the big allocations once instead of per flow. A `Scratch` carries
 /// no run state between flows: runs through a reused scratch are
 /// bit-identical to fresh ones.
@@ -435,8 +435,8 @@ impl Scratch {
         Scratch::default()
     }
 
-    /// Deliberately dirties the scratch's engine, recorder and capture
-    /// slab (the `hsm-chaos` scratch-poisoning fault). A poisoned scratch
+    /// Deliberately dirties the scratch's engine with a half-run junk
+    /// simulation (the `hsm-chaos` scratch-poisoning fault). A poisoned scratch
     /// handed to [`try_run_scenario_with`] must still produce results
     /// bit-identical to a fresh run — the per-run reset clears everything.
     pub fn poison(&mut self) {

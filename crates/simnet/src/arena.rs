@@ -1,43 +1,87 @@
-//! Arena-backed struct-of-arrays packet storage.
+//! Arena-backed packet storage: one row per packet, written once.
 //!
-//! The engine stamps every sent packet into a [`PacketArena`]: one dense
-//! column per field, indexed by [`PacketId`]. Ids are minted sequentially,
+//! The engine stamps every sent packet into a [`PacketArena`]: one 48-byte
+//! row per packet, indexed by [`PacketId`]. Ids are minted sequentially,
 //! so a packet's id **is** its arena index — nothing is ever freed within
-//! a run, and [`PacketArena::clear`] recycles the columns (capacity kept)
+//! a run, and [`PacketArena::clear`] recycles the rows (capacity kept)
 //! when the engine resets.
 //!
 //! Everything downstream of the stamp then moves a 16-byte handle instead
 //! of the full packet: link queues and in-flight slots hold
 //! [`QueuedPacket`](crate::link::QueuedPacket)s, and `Deliver` events carry
-//! a bare [`PacketId`]. The event loop walks dense arrays; the full
-//! [`Packet`] is materialized from the columns only at the edges (observer
-//! callbacks and [`Agent::on_packet`](crate::agent::Agent::on_packet)),
-//! and analyzers that want bulk access can read the columns directly.
+//! a bare [`PacketId`]. The full [`Packet`] is materialized from its row
+//! only at the edges (observer callbacks and
+//! [`Agent::on_packet`](crate::agent::Agent::on_packet)).
+//!
+//! A row is also the packet's whole capture record: the send-side facts
+//! are stored by [`PacketArena::push`] and the delivery time by
+//! [`PacketArena::deliver`], in the row the engine reads anyway to hand the
+//! packet to its agent. The trace layer folds a flow's trace from
+//! [`PacketArena::iter`] in one pass, with no observer registered.
 
 use crate::packet::{FlowId, Packet, PacketId, PacketKind, SeqNo};
 use crate::time::SimTime;
 
-/// Column tag: a first-transmission data segment.
+/// Row tag: a first-transmission data segment.
 const KIND_DATA: u8 = 0;
-/// Column tag: a retransmitted data segment.
+/// Row tag: a retransmitted data segment.
 const KIND_DATA_RETX: u8 = 1;
-/// Column tag: a cumulative ACK.
+/// Row tag: a cumulative ACK.
 const KIND_ACK: u8 = 2;
 
-/// Struct-of-arrays store of every packet stamped by an engine run.
+/// `arrived_at` of a packet that was dropped or is still in flight.
+const NOT_ARRIVED: SimTime = SimTime::MAX;
+
+/// Everything the engine knows about one packet, widest fields first so
+/// the row packs into 48 bytes (six rows per four cache lines).
+#[derive(Debug, Clone, Copy)]
+struct Row {
+    /// `seq` for data segments, `cum` for ACKs.
+    word: u64,
+    sent_at: SimTime,
+    /// [`NOT_ARRIVED`] until the packet is handed to its destination.
+    arrived_at: SimTime,
+    tag: u64,
+    flow: u32,
+    size: u32,
+    /// `acked_count` for ACKs, 0 for data segments.
+    count: u32,
+    kind: u8,
+}
+
+impl Row {
+    fn packet(&self, id: PacketId) -> Packet {
+        let kind = match self.kind {
+            KIND_ACK => PacketKind::Ack {
+                cum: SeqNo(self.word),
+                acked_count: self.count,
+            },
+            retx => PacketKind::Data {
+                seq: SeqNo(self.word),
+                retransmit: retx == KIND_DATA_RETX,
+            },
+        };
+        Packet {
+            id,
+            flow: FlowId(self.flow),
+            kind,
+            size_bytes: self.size,
+            sent_at: self.sent_at,
+            tag: self.tag,
+        }
+    }
+
+    fn arrived_at(&self) -> Option<SimTime> {
+        (self.arrived_at != NOT_ARRIVED).then_some(self.arrived_at)
+    }
+}
+
+/// Store of every packet stamped by an engine run.
 ///
 /// Indexed by [`PacketId`]; see the module docs for the layout rationale.
 #[derive(Debug, Default)]
 pub struct PacketArena {
-    flow: Vec<u32>,
-    kind: Vec<u8>,
-    /// `seq` for data segments, `cum` for ACKs.
-    word: Vec<u64>,
-    /// `acked_count` for ACKs, 0 for data segments.
-    count: Vec<u32>,
-    size: Vec<u32>,
-    sent_at: Vec<SimTime>,
-    tag: Vec<u64>,
+    rows: Vec<Row>,
 }
 
 impl PacketArena {
@@ -48,32 +92,27 @@ impl PacketArena {
 
     /// Number of packets stamped so far (equals the next packet id).
     pub fn len(&self) -> usize {
-        self.flow.len()
+        self.rows.len()
     }
 
     /// True before the first packet is stamped.
     pub fn is_empty(&self) -> bool {
-        self.flow.is_empty()
+        self.rows.is_empty()
     }
 
-    /// Forgets every packet while keeping the column allocations, so a
-    /// recycled engine stamps its first packet without touching the
-    /// allocator.
+    /// Forgets every packet — delivery stamps included — while keeping the
+    /// allocation, so a recycled engine stamps its first packet without
+    /// touching the allocator.
     pub fn clear(&mut self) {
-        self.flow.clear();
-        self.kind.clear();
-        self.word.clear();
-        self.count.clear();
-        self.size.clear();
-        self.sent_at.clear();
-        self.tag.clear();
+        self.rows.clear();
     }
 
-    /// Stores `packet`'s fields in the next arena row and returns the id
-    /// (== row index) it must travel under. The caller stamps `id` and
-    /// `sent_at` on the packet before pushing; `packet.id` is not read.
+    /// Stores `packet`'s fields in the next arena row, not yet delivered,
+    /// and returns the id (== row index) it must travel under. The caller
+    /// stamps `sent_at` on the packet before pushing; `packet.id` is not
+    /// read.
     pub fn push(&mut self, packet: &Packet) -> PacketId {
-        let id = PacketId(self.flow.len() as u64);
+        let id = PacketId(self.rows.len() as u64);
         let (kind, word, count) = match packet.kind {
             PacketKind::Data { seq, retransmit } => (
                 if retransmit {
@@ -86,13 +125,16 @@ impl PacketArena {
             ),
             PacketKind::Ack { cum, acked_count } => (KIND_ACK, cum.0, acked_count),
         };
-        self.flow.push(packet.flow.0);
-        self.kind.push(kind);
-        self.word.push(word);
-        self.count.push(count);
-        self.size.push(packet.size_bytes);
-        self.sent_at.push(packet.sent_at);
-        self.tag.push(packet.tag);
+        self.rows.push(Row {
+            word,
+            sent_at: packet.sent_at,
+            arrived_at: NOT_ARRIVED,
+            tag: packet.tag,
+            flow: packet.flow.0,
+            size: packet.size_bytes,
+            count,
+            kind,
+        });
         id
     }
 
@@ -102,60 +144,30 @@ impl PacketArena {
     ///
     /// Panics if `id` was not minted by this arena since the last clear.
     pub fn get(&self, id: PacketId) -> Packet {
-        let i = id.0 as usize;
-        let kind = match self.kind[i] {
-            KIND_ACK => PacketKind::Ack {
-                cum: SeqNo(self.word[i]),
-                acked_count: self.count[i],
-            },
-            retx => PacketKind::Data {
-                seq: SeqNo(self.word[i]),
-                retransmit: retx == KIND_DATA_RETX,
-            },
-        };
-        Packet {
-            id,
-            flow: FlowId(self.flow[i]),
-            kind,
-            size_bytes: self.size[i],
-            sent_at: self.sent_at[i],
-            tag: self.tag[i],
-        }
+        self.rows[id.0 as usize].packet(id)
     }
 
-    /// On-wire size of packet `id`, bytes.
-    pub fn size_bytes(&self, id: PacketId) -> u32 {
-        self.size[id.0 as usize]
+    /// Records that packet `id` reached its destination at `at` and
+    /// materializes it for the hand-over — one row access for both.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` was not minted by this arena since the last clear.
+    pub fn deliver(&mut self, id: PacketId, at: SimTime) -> Packet {
+        debug_assert!(at != NOT_ARRIVED, "delivery at the not-arrived sentinel");
+        let row = &mut self.rows[id.0 as usize];
+        row.arrived_at = at;
+        row.packet(id)
     }
 
-    /// Owning flow of packet `id`.
-    pub fn flow(&self, id: PacketId) -> FlowId {
-        FlowId(self.flow[id.0 as usize])
-    }
-
-    /// Send time of packet `id`.
-    pub fn sent_at(&self, id: PacketId) -> SimTime {
-        self.sent_at[id.0 as usize]
-    }
-
-    /// True if packet `id` is a data segment (original or retransmission).
-    pub fn is_data(&self, id: PacketId) -> bool {
-        self.kind[id.0 as usize] != KIND_ACK
-    }
-
-    /// Dense per-packet flow column (index == packet id) for bulk readers.
-    pub fn flows(&self) -> &[u32] {
-        &self.flow
-    }
-
-    /// Dense per-packet size column (index == packet id) for bulk readers.
-    pub fn sizes(&self) -> &[u32] {
-        &self.size
-    }
-
-    /// Dense per-packet send-time column (index == packet id).
-    pub fn sent_ats(&self) -> &[SimTime] {
-        &self.sent_at
+    /// Every packet in id (== send) order with its delivery time — `None`
+    /// while it is queued or in flight, and forever if it was dropped —
+    /// for bulk readers such as the trace capture.
+    pub fn iter(&self) -> impl Iterator<Item = (Packet, Option<SimTime>)> + '_ {
+        self.rows
+            .iter()
+            .enumerate()
+            .map(|(id, row)| (row.packet(PacketId(id as u64)), row.arrived_at()))
     }
 }
 
@@ -178,6 +190,7 @@ mod tests {
         }
         assert_eq!(arena.len(), 10);
         assert!(!arena.is_empty());
+        assert_eq!(std::mem::size_of::<Row>(), 48);
     }
 
     #[test]
@@ -189,35 +202,37 @@ mod tests {
         arena.push(&a);
         assert_eq!(arena.get(PacketId(0)), d);
         assert_eq!(arena.get(PacketId(1)), a);
-        assert_eq!(arena.size_bytes(PacketId(0)), Packet::DATA_BYTES);
-        assert_eq!(arena.size_bytes(PacketId(1)), Packet::ACK_BYTES);
-        assert_eq!(arena.flow(PacketId(1)), FlowId(2));
-        assert_eq!(arena.sent_at(PacketId(0)), SimTime::from_millis(5));
-        assert!(arena.is_data(PacketId(0)));
-        assert!(!arena.is_data(PacketId(1)));
     }
 
     #[test]
-    fn clear_recycles_rows_and_restarts_ids() {
+    fn deliver_stamps_the_row_it_materializes() {
+        let mut arena = PacketArena::new();
+        let d = stamped(Packet::data(FlowId(1), SeqNo(0), false), 0, 5);
+        let a = stamped(Packet::ack(FlowId(1), SeqNo(1), 1), 1, 6);
+        arena.push(&d);
+        arena.push(&a);
+        assert!(arena.iter().all(|(_, arrived_at)| arrived_at.is_none()));
+        let at = SimTime::from_millis(30);
+        assert_eq!(arena.deliver(PacketId(0), at), d);
+        assert_eq!(
+            arena.get(PacketId(0)),
+            d,
+            "the stamp leaves the packet alone"
+        );
+        let rows: Vec<_> = arena.iter().collect();
+        assert_eq!(rows, vec![(d, Some(at)), (a, None)]);
+    }
+
+    #[test]
+    fn clear_recycles_rows_restarts_ids_and_forgets_deliveries() {
         let mut arena = PacketArena::new();
         arena.push(&stamped(Packet::data(FlowId(0), SeqNo(0), false), 0, 0));
+        arena.deliver(PacketId(0), SimTime::from_millis(1));
         arena.clear();
         assert!(arena.is_empty());
         let p = stamped(Packet::ack(FlowId(5), SeqNo(3), 1), 0, 1);
         assert_eq!(arena.push(&p), PacketId(0));
         assert_eq!(arena.get(PacketId(0)), p);
-    }
-
-    #[test]
-    fn bulk_columns_expose_the_same_rows() {
-        let mut arena = PacketArena::new();
-        arena.push(&stamped(Packet::data(FlowId(4), SeqNo(0), false), 0, 2));
-        arena.push(&stamped(Packet::ack(FlowId(6), SeqNo(1), 1), 1, 3));
-        assert_eq!(arena.flows(), &[4, 6]);
-        assert_eq!(arena.sizes(), &[Packet::DATA_BYTES, Packet::ACK_BYTES]);
-        assert_eq!(
-            arena.sent_ats(),
-            &[SimTime::from_millis(2), SimTime::from_millis(3)]
-        );
+        assert_eq!(arena.iter().next(), Some((p, None)), "stale delivery stamp");
     }
 }

@@ -12,12 +12,13 @@
 //! The per-event loop is engineered to avoid allocation entirely and to
 //! walk dense memory:
 //!
-//! * packet fields live in a struct-of-arrays
-//!   [`PacketArena`](crate::arena::PacketArena) — ids are arena indices,
-//!   links queue 16-byte [`QueuedPacket`](crate::link::QueuedPacket)
-//!   handles, `Deliver` events carry a bare id, and the full
-//!   [`Packet`] is materialized from the columns only at the edges
-//!   (observer callbacks and [`Agent::on_packet`]);
+//! * a packet is one 48-byte row of the [`PacketArena`], written when it
+//!   is sent — ids are arena indices, links queue 16-byte [`QueuedPacket`]
+//!   handles, `Deliver` events carry a bare id, and the full [`Packet`] is
+//!   materialized from its row only at the edges (observer callbacks and
+//!   [`Agent::on_packet`]). The `Deliver` arm stamps the arrival time into
+//!   the row it is reading, so the arena is the run's capture and a trace
+//!   needs no observer;
 //! * link labels are interned as `Arc<str>` at registration, so observer
 //!   callbacks and recorded events share one allocation per link;
 //! * observers live in an enum-dispatched
@@ -26,8 +27,9 @@
 //!   recorder case is a direct (non-virtual) call;
 //! * the [`EventQueue`] is an indexed 4-ary heap over a payload slab,
 //!   sized to the ~30 events a flow keeps pending: a cancel removes its
-//!   entry on the spot, and each link's `Deliver` events wait in a FIFO
-//!   lane that costs the heap one entry (see the `event` module docs);
+//!   entry on the spot, a re-armed timer ([`Ctx::reschedule_in`]) keeps
+//!   its slot and heap entry, and each link's `Deliver` events wait in a
+//!   FIFO lane that costs the heap one entry (see the `event` module docs);
 //! * dispatch is one deadline-bounded pop per event — the engine's only
 //!   queue read — so an event stays in the queue, cancellable, until the
 //!   moment it fires.
@@ -66,7 +68,7 @@ use crate::error::SimError;
 use crate::event::{Event, EventId, EventKind, EventQueue, QueueStats};
 use crate::link::{Accept, Link, LinkId, LinkSpec, QueuedPacket};
 use crate::observer::{
-    AnyObserver, DeliveryLog, DropCause, Observer, ObserverSet, PacketEventKind, VecRecorder,
+    AnyObserver, DropCause, Observer, ObserverSet, PacketEventKind, VecRecorder,
 };
 use crate::packet::{Packet, PacketId};
 use crate::rng::{RngFactory, SimRng};
@@ -121,6 +123,23 @@ impl<'a> Ctx<'a> {
         })
     }
 
+    /// Moves the pending timer `id` to `after` from now under a new `tag`
+    /// — exactly [`Ctx::cancel_timer`] followed by [`Ctx::schedule_in`]
+    /// (same firing order, same returned id, same queue statistics), but
+    /// the timer keeps its queue slot and heap entry. A timer that already
+    /// fired or was cancelled is simply scheduled afresh.
+    pub fn reschedule_in(&mut self, id: EventId, after: SimDuration, tag: u64) -> EventId {
+        let at = self.core.now + after;
+        self.core.queue.reschedule(
+            id,
+            Event {
+                at,
+                dst: self.id,
+                kind: EventKind::Timer { tag },
+            },
+        )
+    }
+
     /// Cancels a pending timer. Returns `false` if it already fired or was
     /// already cancelled.
     pub fn cancel_timer(&mut self, id: EventId) -> bool {
@@ -157,8 +176,8 @@ struct Core {
     agent_rngs: Vec<SimRng>,
     link_rngs: Vec<SimRng>,
     rng_factory: RngFactory,
-    /// Struct-of-arrays store of every stamped packet; ids are row
-    /// indices, so `arena.len()` is also the next packet id.
+    /// One row per stamped packet; ids are row indices, so `arena.len()`
+    /// is also the next packet id.
     arena: PacketArena,
     stop_requested: bool,
     events_processed: u64,
@@ -308,7 +327,7 @@ impl Engine {
 
     /// Returns the engine to its just-constructed state under a new master
     /// seed while keeping every recyclable allocation: the event queue's
-    /// slab, heap and lane capacity, the packet arena's columns, link queue
+    /// slab, heap and lane capacity, the packet arena's rows, link queue
     /// buffers, and the agent/link/RNG vectors' capacity.
     ///
     /// All agents, links and observers are dropped (re-register them), and
@@ -372,14 +391,6 @@ impl Engine {
         self.core.observers.push(AnyObserver::Recorder(rec));
     }
 
-    /// Registers a [`DeliveryLog`] — the cheapest useful observer. Only
-    /// `Delivered` events are stored (two words each); everything else a
-    /// capture needs already lives in the packet arena, so the trace
-    /// layer can rebuild full per-flow traces from `arena + log`.
-    pub fn add_delivery_log(&mut self, log: DeliveryLog) {
-        self.core.observers.push(AnyObserver::Deliveries(log));
-    }
-
     /// Injects a packet onto a link from outside any agent (used by tests
     /// and wiring code before the simulation starts).
     pub fn inject(&mut self, link: LinkId, packet: Packet) -> PacketId {
@@ -403,9 +414,9 @@ impl Engine {
         self.core.queue.stats()
     }
 
-    /// Read-only view of the packet arena: every packet stamped this run,
-    /// stored as dense columns indexed by [`PacketId`]. Bulk analyzers can
-    /// walk the columns directly instead of re-materializing packets.
+    /// Read-only view of the packet arena: every packet stamped this run
+    /// with its delivery time, one row per [`PacketId`] — the capture the
+    /// trace layer folds without any observer.
     pub fn arena(&self) -> &PacketArena {
         &self.core.arena
     }
@@ -465,7 +476,7 @@ impl Engine {
                         .checked_sub(1)
                         .ok_or(SimError::DeliverUnderflow { link })?;
                     l.delivered += 1;
-                    let packet = self.core.arena.get(packet);
+                    let packet = self.core.arena.deliver(packet, self.core.now);
                     if !self.core.observers.is_none() {
                         self.core.observers.emit(
                             PacketEventKind::Delivered,
@@ -786,6 +797,38 @@ mod tests {
         let id = eng.add_agent(Box::new(Cancels { fired: false }));
         eng.run_until_idle();
         assert!(eng.agent_mut::<Cancels>(id).unwrap().fired);
+    }
+
+    #[test]
+    fn rescheduled_timer_fires_once_at_its_new_time_under_its_new_tag() {
+        struct Rearms {
+            fired: Vec<(SimTime, u64)>,
+        }
+        impl Agent for Rearms {
+            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+                let a = ctx.schedule_in(SimDuration::from_millis(5), 1);
+                ctx.schedule_in(SimDuration::from_millis(7), 2);
+                let b = ctx.reschedule_in(a, SimDuration::from_millis(9), 3);
+                assert!(!ctx.cancel_timer(a), "the old handle is dead");
+                // Re-arming a dead handle is a plain schedule.
+                let c = ctx.reschedule_in(a, SimDuration::from_millis(1), 4);
+                assert_ne!(b, c);
+            }
+            fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _p: Packet) {}
+            fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
+                self.fired.push((ctx.now(), tag));
+            }
+        }
+        let mut eng = Engine::new(0);
+        let id = eng.add_agent(Box::new(Rearms { fired: Vec::new() }));
+        eng.run_until_idle();
+        let ms = SimTime::from_millis;
+        assert_eq!(
+            eng.agent_mut::<Rearms>(id).unwrap().fired,
+            vec![(ms(1), 4), (ms(7), 2), (ms(9), 3)]
+        );
+        let stats = eng.queue_stats();
+        assert_eq!((stats.schedules, stats.cancels), (4, 1));
     }
 
     #[test]

@@ -273,6 +273,37 @@ impl EventQueue {
         true
     }
 
+    /// Replaces the pending event `id` by `event`, returning the new
+    /// handle. Indistinguishable from [`EventQueue::cancel`] followed by
+    /// [`EventQueue::schedule`] — `event` takes the next global sequence
+    /// number, the counters move as for one cancel and one schedule, and
+    /// the handle is the one `schedule` would have issued, because a
+    /// cancel frees the slot `schedule` takes next — but the slab slot and
+    /// the heap entry stay where they are and the entry sifts once, from
+    /// its current position. A dead `id` makes this a plain `schedule`.
+    pub fn reschedule(&mut self, id: EventId, event: Event) -> EventId {
+        if !self.is_pending(id) {
+            return self.schedule(event);
+        }
+        // The cancel's half of the live count and the schedule's cancel
+        // out; `admit` does the schedule's bookkeeping on the live count
+        // the pair would have left.
+        self.live -= 1;
+        self.stats.cancels += 1;
+        let seq = self.admit(event.at);
+        let slot = &mut self.slab[id.slot()];
+        slot.gen = slot.gen.wrapping_add(1);
+        slot.event = Some(event);
+        let (gen, pos) = (slot.gen, slot.pos as usize);
+        let entry = Entry {
+            at: event.at,
+            seq,
+            slot: id.slot() as u32,
+        };
+        self.settle(pos, entry);
+        EventId::new(id.slot() as u32, gen)
+    }
+
     /// True if `id` was scheduled and has neither fired nor been cancelled.
     pub fn is_pending(&self, id: EventId) -> bool {
         self.slab
@@ -362,10 +393,16 @@ impl EventQueue {
         if pos == self.heap.len() {
             return;
         }
-        if pos > 0 && last.key() < self.heap[(pos - 1) / ARITY].key() {
-            self.sift_up(pos, last);
+        self.settle(pos, last);
+    }
+
+    /// Settles `entry` from the hole at `pos`, in whichever direction its
+    /// key has to travel.
+    fn settle(&mut self, pos: usize, entry: Entry) {
+        if pos > 0 && entry.key() < self.heap[(pos - 1) / ARITY].key() {
+            self.sift_up(pos, entry);
         } else {
-            self.sift_down(pos, last);
+            self.sift_down(pos, entry);
         }
     }
 
@@ -534,15 +571,20 @@ mod tests {
 
     #[test]
     fn invariants_hold_through_seeded_churn() {
-        // Pop order under churn is tests/queue_differential.rs's job.
+        // Pop order under churn is tests/queue_differential.rs's job. The
+        // twin does cancel + schedule wherever `q` reschedules, and must
+        // be told apart by nothing: ids, pops, counters.
         let mut rng = SimRng::seed_from_u64(12);
-        let mut q = EventQueue::new();
+        let (mut q, mut twin) = (EventQueue::new(), EventQueue::new());
         let mut live: Vec<EventId> = Vec::new();
         let mut now = 0u64;
         for tag in 0..10_000 {
             let mut at = now + rng.range_u64(0, 50_000);
-            match rng.range_u64(0, 10) {
-                0..=2 => live.push(q.schedule(ev(at, tag))),
+            match rng.range_u64(0, 12) {
+                0..=2 => {
+                    live.push(q.schedule(ev(at, tag)));
+                    assert_eq!(twin.schedule(ev(at, tag)), *live.last().unwrap());
+                }
                 lane @ 3..=4 => {
                     // Rarely below the lane's tail: the fallback path.
                     let tail = q.lanes.get(lane as usize).and_then(|l| l.back());
@@ -550,21 +592,45 @@ mod tests {
                         at = at.max(tail.at.as_micros());
                     }
                     q.schedule_in_lane(lane as usize, ev(at, tag));
+                    twin.schedule_in_lane(lane as usize, ev(at, tag));
                 }
                 5..=6 if !live.is_empty() => {
                     let id = live.swap_remove(rng.range_u64(0, live.len() as u64) as usize);
-                    assert!(q.cancel(id));
+                    assert!(q.cancel(id) && twin.cancel(id));
+                }
+                7..=8 if !live.is_empty() => {
+                    let i = rng.range_u64(0, live.len() as u64) as usize;
+                    let moved = q.reschedule(live[i], ev(at, tag));
+                    assert!(twin.cancel(live[i]) && !q.is_pending(live[i]));
+                    assert_eq!(
+                        twin.schedule(ev(at, tag)),
+                        moved,
+                        "not the id schedule issues"
+                    );
+                    live[i] = moved;
                 }
                 _ => {
-                    if let Some((id, e)) = q.pop() {
+                    let popped = q.pop();
+                    let twin_popped = twin.pop().map(|(id, e)| (id, e.at, tag_of(&e)));
+                    assert_eq!(popped.map(|(id, e)| (id, e.at, tag_of(&e))), twin_popped);
+                    if let Some((id, e)) = popped {
                         now = e.at.as_micros();
                         live.retain(|l| *l != id);
                     }
                 }
             }
             assert_invariants(&q);
+            assert_eq!(q.stats(), twin.stats());
         }
-        assert!(q.stats().cancels > 1_000 && q.len() > 8, "no churn");
+        assert!(q.stats().cancels > 2_000 && q.len() > 8, "no churn");
+        // A fired or cancelled id reschedules as a plain schedule: one
+        // more event, nothing counted as cancelled.
+        let (fired, _) = q.pop().unwrap();
+        let (len, cancels) = (q.len(), q.stats().cancels);
+        let fresh = q.reschedule(fired, ev(now + 50_000, 0));
+        assert!(q.is_pending(fresh) && !q.is_pending(fired));
+        assert_eq!((q.len(), q.stats().cancels), (len + 1, cancels));
+        assert_invariants(&q);
     }
 
     #[test]

@@ -73,8 +73,7 @@ pub mod prelude {
     pub use crate::loss_ext::{PeriodicOutage, Scripted, TraceDriven};
     pub use crate::mobility::Trajectory;
     pub use crate::observer::{
-        AnyObserver, DeliveryLog, DropCause, Observer, ObserverSet, PacketEvent, PacketEventKind,
-        VecRecorder,
+        AnyObserver, DropCause, Observer, ObserverSet, PacketEvent, PacketEventKind, VecRecorder,
     };
     pub use crate::packet::{FlowId, Packet, PacketId, PacketKind, SeqNo};
     pub use crate::rng::{RngFactory, SimRng};

@@ -315,7 +315,7 @@ impl Link {
         if self.jitter_sd.is_zero() {
             base
         } else {
-            let jitter_s = rng.normal_clamped(0.0, self.jitter_sd.as_secs_f64(), 0.0);
+            let jitter_s = rng.rectified_normal(self.jitter_sd.as_secs_f64());
             base + SimDuration::from_secs_f64(jitter_s)
         }
     }

@@ -22,7 +22,7 @@
 //! [`ObserverSet::Mixed`], which falls back to dynamic dispatch.
 
 use crate::link::LinkId;
-use crate::packet::{Packet, PacketId};
+use crate::packet::Packet;
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
@@ -213,65 +213,11 @@ impl Observer for VecRecorder {
     }
 }
 
-/// The struct-of-arrays companion to [`VecRecorder`]: records only
-/// *delivery* events, as compact `(packet id, time)` pairs.
-///
-/// Every other packet fact (flow, kind, size, send time) already lives in
-/// the engine's [`PacketArena`](crate::arena::PacketArena) columns, so a
-/// delivered-or-not slab plus the arena reconstructs the full capture —
-/// the trace crate's arena fold does exactly that. Compared to recording
-/// [`PacketEvent`]s this skips the per-event packet clone and label
-/// refcount entirely, and `Sent`/`Dropped` events cost nothing at all.
-///
-/// Cloning shares the underlying storage, like [`VecRecorder`].
-#[derive(Debug, Clone, Default)]
-pub struct DeliveryLog {
-    deliveries: Rc<RefCell<Vec<(PacketId, SimTime)>>>,
-}
-
-impl DeliveryLog {
-    /// Creates an empty log.
-    pub fn new() -> DeliveryLog {
-        DeliveryLog::default()
-    }
-
-    /// Number of deliveries recorded.
-    pub fn len(&self) -> usize {
-        self.deliveries.borrow().len()
-    }
-
-    /// True when nothing was delivered yet.
-    pub fn is_empty(&self) -> bool {
-        self.deliveries.borrow().is_empty()
-    }
-
-    /// Forgets all recorded deliveries but keeps the buffer's capacity,
-    /// so a log reused across simulation runs stops allocating once it
-    /// has seen its largest run.
-    pub fn clear(&self) {
-        self.deliveries.borrow_mut().clear();
-    }
-
-    /// Runs `f` over a borrow of the recorded `(id, delivered-at)` pairs
-    /// without copying or draining them.
-    pub fn with_deliveries<R>(&self, f: impl FnOnce(&[(PacketId, SimTime)]) -> R) -> R {
-        f(&self.deliveries.borrow())
-    }
-
-    /// Records one delivery.
-    #[inline]
-    pub fn record(&self, id: PacketId, time: SimTime) {
-        self.deliveries.borrow_mut().push((id, time));
-    }
-}
-
 /// One registered observer: either the recorder fast path or a boxed
 /// trait object.
 pub enum AnyObserver {
     /// A [`VecRecorder`] dispatched without virtual calls.
     Recorder(VecRecorder),
-    /// A [`DeliveryLog`] — ignores everything but deliveries.
-    Deliveries(DeliveryLog),
     /// Anything else, behind dynamic dispatch.
     Dyn(Box<dyn Observer>),
 }
@@ -288,11 +234,6 @@ impl AnyObserver {
     ) {
         match self {
             AnyObserver::Recorder(rec) => rec.record(kind, time, link, label, packet),
-            AnyObserver::Deliveries(log) => {
-                if kind == PacketEventKind::Delivered {
-                    log.record(packet.id, time);
-                }
-            }
             AnyObserver::Dyn(obs) => match kind {
                 PacketEventKind::Sent => obs.on_sent(time, link, label, packet),
                 PacketEventKind::Dropped(cause) => obs.on_dropped(time, link, label, packet, cause),
@@ -311,9 +252,6 @@ pub enum ObserverSet {
     None,
     /// Exactly one [`VecRecorder`]: direct calls, no virtual dispatch.
     Recorder(VecRecorder),
-    /// Exactly one [`DeliveryLog`]: only `Delivered` events are stored,
-    /// as two words each; `Sent`/`Dropped` cost a discriminant check.
-    Deliveries(DeliveryLog),
     /// General case: any number of observers, dispatched in
     /// registration order.
     Mixed(Vec<AnyObserver>),
@@ -333,15 +271,11 @@ impl ObserverSet {
             ObserverSet::None => {
                 *self = match obs {
                     AnyObserver::Recorder(rec) => ObserverSet::Recorder(rec),
-                    AnyObserver::Deliveries(log) => ObserverSet::Deliveries(log),
                     other => ObserverSet::Mixed(vec![other]),
                 }
             }
             ObserverSet::Recorder(rec) => {
                 *self = ObserverSet::Mixed(vec![AnyObserver::Recorder(rec), obs]);
-            }
-            ObserverSet::Deliveries(log) => {
-                *self = ObserverSet::Mixed(vec![AnyObserver::Deliveries(log), obs]);
             }
             ObserverSet::Mixed(mut list) => {
                 list.push(obs);
@@ -363,11 +297,6 @@ impl ObserverSet {
         match self {
             ObserverSet::None => {}
             ObserverSet::Recorder(rec) => rec.record(kind, time, link, label, packet),
-            ObserverSet::Deliveries(log) => {
-                if kind == PacketEventKind::Delivered {
-                    log.record(packet.id, time);
-                }
-            }
             ObserverSet::Mixed(list) => {
                 for obs in list {
                     obs.emit(kind, time, link, label, packet);
@@ -448,62 +377,6 @@ mod tests {
             Arc::ptr_eq(&evs[0].link_label, &label),
             "label must be shared, not copied"
         );
-    }
-
-    #[test]
-    fn delivery_log_stores_only_deliveries() {
-        let mut set = ObserverSet::default();
-        let log = DeliveryLog::new();
-        set.push(AnyObserver::Deliveries(log.clone()));
-        assert!(matches!(set, ObserverSet::Deliveries(_)));
-
-        let label: Arc<str> = "wire".into();
-        let mut p = Packet::data(FlowId(3), SeqNo(0), false);
-        p.id = PacketId(42);
-        set.emit(
-            PacketEventKind::Sent,
-            SimTime::ZERO,
-            LinkId::from_raw(0),
-            &label,
-            &p,
-        );
-        assert!(log.is_empty(), "Sent events must not be stored");
-        set.emit(
-            PacketEventKind::Dropped(DropCause::Channel),
-            SimTime::from_millis(1),
-            LinkId::from_raw(0),
-            &label,
-            &p,
-        );
-        assert!(log.is_empty(), "Dropped events must not be stored");
-        set.emit(
-            PacketEventKind::Delivered,
-            SimTime::from_millis(2),
-            LinkId::from_raw(0),
-            &label,
-            &p,
-        );
-        assert_eq!(log.len(), 1);
-        log.with_deliveries(|d| {
-            assert_eq!(d, &[(PacketId(42), SimTime::from_millis(2))]);
-        });
-        log.clear();
-        assert!(log.is_empty());
-
-        // Pushing a second observer upgrades the set to Mixed; the log
-        // keeps receiving deliveries through the list path.
-        let rec = VecRecorder::new();
-        set.push(AnyObserver::Recorder(rec.clone()));
-        assert!(matches!(set, ObserverSet::Mixed(_)));
-        set.emit(
-            PacketEventKind::Delivered,
-            SimTime::from_millis(3),
-            LinkId::from_raw(0),
-            &label,
-            &p,
-        );
-        assert_eq!(log.len(), 1);
-        assert_eq!(rec.len(), 1);
     }
 
     #[test]

@@ -120,7 +120,7 @@ impl SimRng {
     pub fn standard_normal(&mut self) -> f64 {
         let u1 = self.unit_open_low();
         let u2 = self.unit();
-        (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
+        box_muller(u1, u2)
     }
 
     /// Normal draw with the given mean and standard deviation, truncated
@@ -129,10 +129,40 @@ impl SimRng {
         (mean + sd * self.standard_normal()).max(floor)
     }
 
+    /// `normal_clamped(0.0, sd, 0.0)` — the per-packet link jitter — bit
+    /// for bit and draw for draw, but half the time without its `ln`,
+    /// `sqrt` and `cos` (see [`rectified`]).
+    pub fn rectified_normal(&mut self, sd: f64) -> f64 {
+        let u1 = self.unit_open_low();
+        let u2 = self.unit();
+        rectified(sd, u1, u2)
+    }
+
     /// Derives an independent child stream.
     pub fn fork(&mut self) -> SimRng {
         SimRng::seed_from_u64(self.next_u64())
     }
+}
+
+/// Box–Muller: a standard-normal deviate from `u1` in `(0, 1]` and `u2`
+/// in `[0, 1)`.
+fn box_muller(u1: f64, u2: f64) -> f64 {
+    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
+}
+
+/// `(0.0 + sd * box_muller(u1, u2)).max(0.0)`, knowing its clamp: for
+/// `0.25 < u2 <= 0.75` the cosine is not positive, so the value is
+/// clamped to zero whatever `u1` is and nothing needs computing. The
+/// interval is exact at both ends: `TAU * 0.25` is the double just *below*
+/// π/2 (positive cosine, so 0.25 itself takes the full formula) and the
+/// next `u2` already lands above π/2; `TAU * 0.75` is the double nearest
+/// 3π/2, whose cosine is −1.8e−16.
+fn rectified(sd: f64, u1: f64, u2: f64) -> f64 {
+    if 0.25 < u2 && u2 <= 0.75 {
+        return 0.0;
+    }
+    // `0.0 +` turns a −0.0 product into the +0.0 `normal_clamped` gives.
+    (0.0 + sd * box_muller(u1, u2)).max(0.0)
 }
 
 /// Derives labelled, mutually independent [`SimRng`] streams from one
@@ -231,6 +261,51 @@ mod tests {
         for _ in 0..1000 {
             assert!(r.normal_clamped(0.0, 10.0, -1.0) >= -1.0);
         }
+    }
+
+    #[test]
+    fn rectified_normal_is_normal_clamped_at_zero_bit_for_bit() {
+        // Same values, same RNG state after every draw, at the jitter
+        // magnitudes the path specs use.
+        for (seed, sd) in [(1u64, 0.0005), (2, 0.002), (3, 0.010)] {
+            let mut fast = SimRng::seed_from_u64(seed);
+            let mut reference = fast.clone();
+            let mut zeros = 0u32;
+            for i in 0..1_000_000 {
+                let (got, want) = (
+                    fast.rectified_normal(sd),
+                    reference.normal_clamped(0.0, sd, 0.0),
+                );
+                assert_eq!(got.to_bits(), want.to_bits(), "draw {i} at sd {sd}");
+                assert_eq!(fast.state, reference.state, "stream diverged at draw {i}");
+                zeros += u32::from(got == 0.0);
+            }
+            assert!((495_000..505_000).contains(&zeros), "{zeros} clamped draws");
+        }
+    }
+
+    #[test]
+    fn rectified_normal_shortcut_interval_is_exact_at_its_edges() {
+        // The shortcut claims cos(TAU * u2) <= 0 on (0.25, 0.75]: check
+        // both ends and their neighbours on the 2^-53 grid `unit` draws
+        // from, against the cosine this platform actually computes.
+        let ulp = 1.0 / (1u64 << 53) as f64;
+        let cos = |u2: f64| (std::f64::consts::TAU * u2).cos();
+        assert!(cos(0.25) > 0.0, "0.25 must take the full formula");
+        assert!(cos(0.25 + ulp) < 0.0);
+        assert!(cos(0.75 - ulp) < 0.0);
+        assert!(cos(0.75) < 0.0, "0.75 is still clamped");
+        for u2 in [0.25 - ulp, 0.25, 0.25 + ulp, 0.75 - ulp, 0.75, 0.75 + ulp] {
+            for u1 in [ulp, 0.3, 1.0] {
+                let want = (0.0 + 0.002 * box_muller(u1, u2)).max(0.0);
+                let got = rectified(0.002, u1, u2);
+                assert_eq!(got.to_bits(), want.to_bits(), "u1 {u1} u2 {u2}");
+            }
+        }
+        assert!(
+            rectified(0.002, 0.3, 0.25) > 0.0,
+            "0.25 is outside the shortcut"
+        );
     }
 
     #[test]

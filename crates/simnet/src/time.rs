@@ -35,6 +35,17 @@ pub struct SimTime(u64);
 )]
 pub struct SimDuration(u64);
 
+/// `x.round() as u64` for finite non-negative `x` without the libm call
+/// `f64::round` compiles to on the default x86-64 target (every jittered
+/// link crossing converts a latency): truncate, then compare the
+/// fraction. Exact — below 2^53 both `t as f64` and the subtraction are;
+/// from there on `x` is an integer and the fraction is zero; past
+/// `u64::MAX` the cast saturates, like the reference's.
+fn round_to_u64(x: f64) -> u64 {
+    let t = x as u64;
+    t.saturating_add(u64::from(x - t as f64 >= 0.5))
+}
+
 impl SimTime {
     /// The instant at which every simulation starts.
     pub const ZERO: SimTime = SimTime(0);
@@ -64,7 +75,7 @@ impl SimTime {
     /// Panics if `s` is negative or not finite.
     pub fn from_secs_f64(s: f64) -> Self {
         assert!(s.is_finite() && s >= 0.0, "invalid time in seconds: {s}");
-        SimTime((s * 1e6).round() as u64)
+        SimTime(round_to_u64(s * 1e6))
     }
 
     /// Raw microsecond count since simulation start.
@@ -125,7 +136,7 @@ impl SimDuration {
             s.is_finite() && s >= 0.0,
             "invalid duration in seconds: {s}"
         );
-        SimDuration((s * 1e6).round() as u64)
+        SimDuration(round_to_u64(s * 1e6))
     }
 
     /// Raw microsecond count.
@@ -320,6 +331,61 @@ mod tests {
         let d = SimDuration::from_micros(3);
         assert_eq!(d.mul_f64(1.5).as_micros(), 5); // 4.5 rounds to 5 (round half up)
         assert_eq!(d.mul_f64(0.0), SimDuration::ZERO);
+    }
+
+    #[test]
+    fn round_to_u64_is_round_half_away_at_every_awkward_value() {
+        let two = |e: i32| 2f64.powi(e);
+        let mut xs = vec![
+            0.0,
+            0.49999999999999994, // largest double below 0.5: x + 0.5 rounds up
+            0.5,
+            1.4999999999999998,
+            two(52) - 0.5,
+            two(52),
+            two(52) + 1.0,
+            two(53),
+            two(53) + 2.0,
+            two(63),
+            two(64) - 2048.0, // largest double below 2^64
+            two(64),          // saturates
+            1e30,
+            f64::MAX,
+        ];
+        xs.extend((0..2_000u32).map(|k| f64::from(k) + 0.5));
+        for x in xs {
+            assert_eq!(round_to_u64(x), x.round() as u64, "x = {x:e}");
+        }
+        // Through the public constructors, at the scale they are fed.
+        for s in [
+            4_503_599_627.370_496_f64,
+            9_007_199_254.740_992,
+            2.5e-7,
+            1e20,
+        ] {
+            let want = (s * 1e6).round() as u64;
+            assert_eq!(SimTime::from_secs_f64(s).as_micros(), want, "s = {s:e}");
+            assert_eq!(SimDuration::from_secs_f64(s).as_micros(), want);
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn from_secs_f64_rounds_like_libm(
+            s in proptest::prop_oneof![0.0f64..1e-3, 0.0f64..1.0, 0.0f64..4_000.0, 0.0f64..1e13],
+            k in 0u64..10_000_000_000,
+        ) {
+            proptest::prop_assert_eq!(
+                SimDuration::from_secs_f64(s).as_micros(),
+                (s * 1e6).round() as u64
+            );
+            // Half-microsecond ties as they come out of a division.
+            let tie = (k as f64 + 0.5) / 1e6;
+            proptest::prop_assert_eq!(
+                SimTime::from_secs_f64(tie).as_micros(),
+                (tie * 1e6).round() as u64
+            );
+        }
     }
 
     #[test]

@@ -17,11 +17,10 @@ use hsm_simnet::event::QueueStats;
 use hsm_simnet::link::{LinkId, LinkSpec};
 use hsm_simnet::loss::{Bernoulli, ChannelLoss, GilbertElliott};
 use hsm_simnet::mobility::Trajectory;
-use hsm_simnet::observer::DeliveryLog;
 use hsm_simnet::packet::FlowId;
 use hsm_simnet::prelude::Engine;
 use hsm_simnet::time::{SimDuration, SimTime};
-use hsm_trace::capture::{trace_from_arena_with, CaptureScratch};
+use hsm_trace::capture::trace_from_arena;
 use hsm_trace::record::{FlowMeta, FlowTrace};
 use serde::{Deserialize, Serialize};
 
@@ -195,22 +194,18 @@ pub struct ConnectionOutcome {
 /// Reusable per-worker state for running many flows through one engine.
 ///
 /// Every buffer that a connection run grows — the simulator's event-queue
-/// slab, link queue buffers, the delivery log, the capture slab — lives
+/// slab, link queue buffers, the packet arena — lives in the engine held
 /// here and is recycled between runs, so a worker that holds one
 /// `ConnectionScratch` across a campaign stops allocating once it has seen
 /// its largest flow. Results are bit-identical to fresh-engine runs
 /// (`Engine::reset` re-derives every random stream from the new seed).
 ///
-/// The capture uses the struct-of-arrays path: the engine's packet arena
-/// already stores every sent packet column-wise, so the only observer is a
-/// compact [`DeliveryLog`] ((id, time) per arrival) and the trace is folded
-/// straight from `arena + log` by
-/// [`trace_from_arena_with`](hsm_trace::capture::trace_from_arena_with).
+/// The run registers no observer: the engine's packet arena records every
+/// sent packet and its delivery time as it goes, and the trace is folded
+/// straight from it by [`trace_from_arena`].
 #[derive(Debug)]
 pub struct ConnectionScratch {
     engine: Engine,
-    deliveries: DeliveryLog,
-    capture: CaptureScratch,
 }
 
 impl Default for ConnectionScratch {
@@ -218,8 +213,6 @@ impl Default for ConnectionScratch {
         ConnectionScratch {
             // The seed is irrelevant: every run resets with its own seed.
             engine: Engine::new(0),
-            deliveries: DeliveryLog::new(),
-            capture: CaptureScratch::new(),
         }
     }
 }
@@ -231,10 +224,10 @@ impl ConnectionScratch {
     }
 
     /// Deliberately dirties every component of the scratch — stale agents
-    /// and links registered on the engine, a *partially executed* junk
-    /// simulation (advanced clock, pending events, packets in flight,
-    /// consumed random streams), junk deliveries in the shared log, and a
-    /// used capture slab.
+    /// and links registered on the engine and a *partially executed* junk
+    /// simulation: advanced clock, pending events, consumed random
+    /// streams, and an arena of junk packets of which some are delivered
+    /// (their rows carry arrival stamps) and the rest queued or in flight.
     ///
     /// This is the `hsm-chaos` scratch-poisoning fault: a subsequent
     /// [`try_run_connection_with`] through the poisoned scratch must
@@ -248,29 +241,13 @@ impl ConnectionScratch {
         eng.reset(0xBAD_5EED);
         let sink = eng.add_agent(Box::new(NullAgent::new()));
         let junk = eng.add_link(LinkSpec::new(sink, "chaos-poison"));
-        // Capture the junk traffic into the shared log so it holds stale
-        // deliveries too.
-        eng.add_delivery_log(self.deliveries.clone());
         for seq in 0..17u64 {
             eng.inject(junk, Packet::data(FlowId(u32::MAX), SeqNo(seq), false));
         }
-        // Run only partway: packets stay queued/in flight and the clock
-        // stops mid-simulation — the most adversarial state to hand the
-        // next reset.
-        let _ = eng.try_run_until(SimTime::ZERO + SimDuration::from_micros(10));
-        // Dirty the capture slab by folding the junk run through it.
-        let meta = FlowMeta {
-            provider: "chaos".to_owned(),
-            scenario: "poison".to_owned(),
-            w_m: 1,
-            b: 1,
-            mss_bytes: 1,
-        };
-        let capture = &mut self.capture;
-        let arena = eng.arena();
-        let _ = self.deliveries.with_deliveries(|deliveries| {
-            trace_from_arena_with(capture, arena, deliveries, u32::MAX, meta)
-        });
+        // Run only partway — the first junk packets have arrived, the rest
+        // are queued or propagating, the clock stops mid-simulation: the
+        // most adversarial state to hand the next reset.
+        let _ = eng.try_run_until(SimTime::from_millis(16));
     }
 }
 
@@ -354,7 +331,6 @@ fn run_connection_world(
     cfg: &ConnectionConfig,
 ) -> Result<ConnectionOutcome, SimError> {
     scratch.engine.reset(seed);
-    scratch.deliveries.clear();
     let eng = &mut scratch.engine;
     let placeholder = LinkId::from_raw(u32::MAX);
     let tx = eng.add_agent(Box::new(RenoSender::new(
@@ -402,7 +378,6 @@ fn run_connection_world(
         eng.add_agent(Box::new(StormInjector::new(up, plan.clone())));
     }
 
-    eng.add_delivery_log(scratch.deliveries.clone());
     eng.try_run_until(cfg.deadline)?;
 
     let meta = FlowMeta {
@@ -412,21 +387,11 @@ fn run_connection_world(
         b: cfg.receiver.b,
         mss_bytes: cfg.mss_bytes,
     };
-    // Fold the capture straight from the engine's packet arena plus the
-    // compact delivery log (no per-event packet clones anywhere).
-    let capture = &mut scratch.capture;
-    let arena = eng.arena();
-    let trace = scratch
-        .deliveries
-        .with_deliveries(|deliveries| {
-            trace_from_arena_with(capture, arena, deliveries, cfg.flow, meta.clone())
-        })
-        .unwrap_or_else(|| FlowTrace::new(cfg.flow, meta));
-    let sender = eng
-        .agent_mut::<RenoSender>(tx)
-        .expect("sender")
-        .metrics
-        .clone();
+    // The arena is the capture: no observer ran, nothing was recorded
+    // twice.
+    let trace = trace_from_arena(eng.arena(), cfg.flow, meta);
+    // The next `Engine::reset` drops the agent: take its logs, don't copy.
+    let sender = std::mem::take(&mut eng.agent_mut::<RenoSender>(tx).expect("sender").metrics);
     let receiver = eng.agent_mut::<Receiver>(rx).expect("receiver").metrics;
     let channel =
         channel_agent.map(|id| eng.agent_mut::<ChannelProcess>(id).expect("channel").stats);
@@ -547,6 +512,48 @@ mod tests {
             assert_eq!(reused.receiver, fresh.receiver);
             assert_eq!(reused.finished_at, fresh.finished_at);
             assert_eq!(reused.events_processed, fresh.events_processed);
+        }
+    }
+
+    #[test]
+    fn reset_and_poisoned_scratch_leak_no_arrival_stamp() {
+        // On a downlink that loses everything no packet ever arrives, so
+        // any `arrived_at` in the trace is a stamp a previous tenant of
+        // the arena row left behind.
+        let dead_path = PathSpec {
+            down_loss: LossSpec::Bernoulli(1.0),
+            ..Default::default()
+        };
+        let cfg = ConnectionConfig {
+            deadline: SimTime::from_secs(60),
+            ..Default::default()
+        };
+        let fresh = run_connection(5, &dead_path, None, &cfg);
+        assert!(fresh.trace.records.len() > 3, "the sender never retried");
+
+        let mut scratch = ConnectionScratch::new();
+        for poisoned in [true, false] {
+            if poisoned {
+                scratch.poison();
+            } else {
+                try_run_connection_with(&mut scratch, 5, &PathSpec::default(), None, &cfg)
+                    .expect("clean run");
+            }
+            // The dirt is real: stamped rows under the ids the dead run
+            // reuses (and, after the poison, unstamped ones in flight).
+            let stamped: Vec<bool> = scratch
+                .engine
+                .arena()
+                .iter()
+                .map(|(_, at)| at.is_some())
+                .collect();
+            assert!(stamped[0] && stamped[1], "no delivered packet left behind");
+            assert!(!poisoned || !stamped[stamped.len() - 1]);
+
+            let out = try_run_connection_with(&mut scratch, 5, &dead_path, None, &cfg)
+                .expect("dead-path run");
+            assert!(out.trace.records.iter().all(|r| r.arrived_at.is_none()));
+            assert_eq!(out.trace, fresh.trace);
         }
     }
 

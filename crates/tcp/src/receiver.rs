@@ -94,9 +94,11 @@ pub struct Receiver {
     pub backup_uplink: Option<LinkId>,
     cfg: ReceiverConfig,
     next_expected: SeqNo,
+    /// Segments above `next_expected` waiting for the hole to fill. For
+    /// `s >= next_expected` this is also the "payload seen before" set: an
+    /// accepted segment that is not the next one is buffered here and
+    /// leaves only when `next_expected` passes it.
     ooo: BTreeSet<u64>,
-    received_ever_max: u64,
-    received_set: BTreeSet<u64>,
     pending_acks: u32,
     delack_timer: Option<EventId>,
     current_b: u32,
@@ -125,8 +127,6 @@ impl Receiver {
             cfg,
             next_expected: SeqNo::ZERO,
             ooo: BTreeSet::new(),
-            received_ever_max: 0,
-            received_set: BTreeSet::new(),
             pending_acks: 0,
             delack_timer: None,
             current_b,
@@ -184,26 +184,6 @@ impl Receiver {
             ctx.cancel_timer(t);
         }
     }
-
-    /// True if the payload `seq` was already delivered before.
-    fn seen_before(&self, seq: u64) -> bool {
-        self.received_set.contains(&seq)
-    }
-
-    fn mark_seen(&mut self, seq: u64) {
-        self.received_set.insert(seq);
-        self.received_ever_max = self.received_ever_max.max(seq);
-        // Compact: everything below next_expected is implicitly seen; keep
-        // the set small by dropping covered entries.
-        let cutoff = self.next_expected.as_u64();
-        while let Some(&lo) = self.received_set.first() {
-            if lo + 64 < cutoff {
-                self.received_set.remove(&lo);
-            } else {
-                break;
-            }
-        }
-    }
 }
 
 impl Agent for Receiver {
@@ -215,7 +195,7 @@ impl Agent for Receiver {
         let s = seq.as_u64();
         let expected = self.next_expected.as_u64();
 
-        if self.seen_before(s) || s < expected {
+        if s < expected || self.ooo.contains(&s) {
             // Duplicate payload: the original had arrived, so any timeout
             // that caused this retransmission was spurious.
             self.metrics.duplicate_payloads += 1;
@@ -223,7 +203,6 @@ impl Agent for Receiver {
             self.send_ack_inner(ctx, 0, retransmit);
             return;
         }
-        self.mark_seen(s);
 
         if s == expected {
             // In-order: advance, draining any buffered continuation.
@@ -471,5 +450,146 @@ mod tests {
         let mut h = h;
         let rx = h.eng.agent_mut::<Receiver>(h.rx).unwrap();
         assert_eq!(rx.current_b(), 2);
+    }
+
+    /// Reference receiver with the two sets its predecessor kept: `seen`
+    /// (every accepted payload, compacted 64 below the cumulative point)
+    /// answers "duplicate?", `ooo` only buffers. The one-set receiver must
+    /// be indistinguishable from it.
+    #[derive(Default)]
+    struct TwoSetModel {
+        next: u64,
+        ooo: BTreeSet<u64>,
+        seen: BTreeSet<u64>,
+        pending: u32,
+        timer_armed: bool,
+        b: u32,
+        streak: u32,
+        metrics: ReceiverMetrics,
+        acks: Vec<(u64, u32)>,
+    }
+
+    impl TwoSetModel {
+        fn ack(&mut self, count: u32, mirrored: bool) {
+            for _ in 0..1 + u32::from(mirrored) {
+                self.acks.push((self.next, count));
+                self.metrics.acks_sent += 1;
+            }
+            self.pending = 0;
+            self.timer_armed = false;
+        }
+
+        fn disorder_ack(&mut self, cfg: &ReceiverConfig, mirrored: bool) {
+            if let Some(a) = cfg.adaptive {
+                (self.b, self.streak) = (a.b_min, 0);
+            }
+            self.ack(0, mirrored);
+        }
+
+        fn arrive(&mut self, cfg: &ReceiverConfig, s: u64, mirrored: bool) {
+            self.metrics.segments_received += 1;
+            if self.seen.contains(&s) || s < self.next {
+                self.metrics.duplicate_payloads += 1;
+                return self.disorder_ack(cfg, mirrored);
+            }
+            self.seen.insert(s);
+            while self.seen.first().is_some_and(|lo| lo + 64 < self.next) {
+                self.seen.pop_first();
+            }
+            if s != self.next {
+                self.ooo.insert(s);
+                return self.disorder_ack(cfg, mirrored);
+            }
+            self.next += 1;
+            while self.ooo.remove(&self.next) {
+                self.next += 1;
+            }
+            let advanced = (self.next - s) as u32;
+            self.metrics.next_expected = self.next;
+            self.pending += advanced;
+            if let Some(a) = cfg.adaptive {
+                self.streak += advanced;
+                while self.streak >= a.grow_after && self.b < a.b_max {
+                    self.streak -= a.grow_after;
+                    self.b += 1;
+                }
+            }
+            if !self.ooo.is_empty() || self.pending >= self.b {
+                self.ack(self.pending, mirrored);
+            } else {
+                self.timer_armed = true;
+            }
+        }
+
+        fn delack_deadline_passes(&mut self) {
+            if std::mem::take(&mut self.timer_armed) {
+                self.ack(self.pending, false);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Random arrival scripts — in-order runs, gaps, duplicates below
+        /// and above `next_expected`, far-ahead sequence numbers, with and
+        /// without the retransmit flag and a mirroring backup uplink —
+        /// produce the reference model's exact ACK stream and metrics.
+        #[test]
+        fn one_set_receiver_matches_the_two_set_model(
+            b in proptest::prop_oneof![proptest::Just(1u32), proptest::Just(2), proptest::Just(4)],
+            grow_after in 0u32..7,
+            backup in 0u32..2,
+            script in proptest::collection::vec((0u32..9, 0u64..4096, 0u32..2, 0u32..5), 1..250),
+        ) {
+            // grow_after 0..2 stands for "fixed b"; the rest is TCP-DCA.
+            let adaptive = (grow_after >= 2).then_some(AdaptiveDelAck {
+                b_min: 1,
+                b_max: 4,
+                grow_after,
+            });
+            let cfg = ReceiverConfig { b, adaptive, ..Default::default() };
+            let mut h = harness(cfg);
+            if backup == 1 {
+                let sink = AgentId::from_raw(0);
+                let link = h.eng.add_link(LinkSpec::new(sink, "backup-uplink"));
+                h.eng.agent_mut::<Receiver>(h.rx).unwrap().backup_uplink = Some(link);
+            }
+            let mut model = TwoSetModel {
+                b: adaptive.map_or(b, |a| a.b_min),
+                ..Default::default()
+            };
+            for (shape, x, retransmit, pause) in script {
+                let next = model.next;
+                let seq = match shape {
+                    0..=3 => next,
+                    4 => next + 1 + x % 6,
+                    5 => next.saturating_sub(1 + x % 80),
+                    6 => {
+                        let buffered = model.ooo.iter().nth(x as usize % model.ooo.len().max(1));
+                        buffered.copied().unwrap_or(next + 2)
+                    }
+                    7 => next + 1_000 + x,
+                    _ => (1 << 40) + x % 4,
+                };
+                // Arrivals are 1 ms apart — a delayed ACK waits at most
+                // three of them, far inside its 100 ms — or 150 ms apart,
+                // which always outlasts it: the deadline never ties with
+                // an arrival.
+                let gap_ms = if pause == 0 { 150 } else { 1 };
+                if pause == 0 {
+                    model.delack_deadline_passes();
+                }
+                let until = h.eng.now() + SimDuration::from_millis(gap_ms);
+                h.eng.run_until(until);
+                let retransmit = retransmit == 1;
+                h.eng.inject(h.downlink, Packet::data(FlowId(0), SeqNo(seq), retransmit));
+                model.arrive(&cfg, seq, retransmit && backup == 1);
+            }
+            h.eng.run_until_idle();
+            model.delack_deadline_passes();
+            proptest::prop_assert_eq!(acks_sent(&h.rec), model.acks);
+            let rx = h.eng.agent_mut::<Receiver>(h.rx).unwrap();
+            proptest::prop_assert_eq!(rx.metrics, model.metrics);
+            proptest::prop_assert_eq!(rx.current_b(), model.b);
+        }
     }
 }

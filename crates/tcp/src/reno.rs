@@ -187,12 +187,14 @@ impl RenoSender {
     }
 
     fn arm_rto(&mut self, ctx: &mut Ctx<'_>) {
-        if let Some(t) = self.rto_timer.take() {
-            ctx.cancel_timer(t);
-        }
         self.rto_gen += 1;
         let delay = self.backoff.apply(self.rtt.rto());
-        self.rto_timer = Some(ctx.schedule_in(delay, TAG_RTO_BASE + self.rto_gen));
+        let tag = TAG_RTO_BASE + self.rto_gen;
+        // Every new ACK re-arms: move the pending timer, don't replace it.
+        self.rto_timer = Some(match self.rto_timer {
+            Some(pending) => ctx.reschedule_in(pending, delay, tag),
+            None => ctx.schedule_in(delay, tag),
+        });
     }
 
     fn disarm_rto(&mut self, ctx: &mut Ctx<'_>) {

@@ -1,16 +1,39 @@
-//! Building [`FlowTrace`]s from simulator packet events.
+//! Building [`FlowTrace`]s from a simulator run.
 //!
-//! The simulator's [`Observer`](hsm_simnet::observer::Observer) hooks are
-//! the equivalent of endpoint packet captures; this module folds the raw
-//! event stream into per-flow [`FlowTrace`]s by matching each packet's
-//! `Sent` event with its terminal `Delivered`/`Dropped` event.
+//! Two folds produce the same traces. [`trace_from_arena`] reads the
+//! engine's [`PacketArena`] — every packet's send-side facts and delivery
+//! time, one row each — in a single pass; it needs no observer and is what
+//! connection runs use. The event folds ([`traces_from_events`] and
+//! friends) match each packet's `Sent` event with its terminal
+//! `Delivered`/`Dropped` event from an
+//! [`Observer`](hsm_simnet::observer::Observer) stream — the equivalent of
+//! endpoint packet captures, needed for multi-hop wirings, and the
+//! reference the arena fold is tested against.
 
 use crate::record::{FlowMeta, FlowTrace, PacketRecord};
 use hsm_simnet::arena::PacketArena;
 use hsm_simnet::observer::{PacketEvent, PacketEventKind};
-use hsm_simnet::packet::{PacketId, PacketKind};
+use hsm_simnet::packet::{Packet, PacketKind};
 use hsm_simnet::time::SimTime;
 use std::collections::HashMap;
+
+/// The capture record of `packet`, sent at `sent_at`.
+fn record_of(packet: &Packet, sent_at: SimTime, arrived_at: Option<SimTime>) -> PacketRecord {
+    let (seq, is_ack, retransmit, acked_count) = match packet.kind {
+        PacketKind::Data { seq, retransmit } => (seq.as_u64(), false, retransmit, 0),
+        PacketKind::Ack { cum, acked_count } => (cum.as_u64(), true, false, acked_count),
+    };
+    PacketRecord {
+        id: packet.id.0,
+        seq,
+        is_ack,
+        retransmit,
+        acked_count,
+        size_bytes: packet.size_bytes,
+        sent_at,
+        arrived_at,
+    }
+}
 
 /// Folds a raw event stream into one trace per flow.
 ///
@@ -25,17 +48,15 @@ pub fn traces_from_events(
     traces_from_events_filtered(events, meta_for, None)
 }
 
-/// Reusable working memory for the capture fold.
+/// Reusable working memory for the event fold.
 ///
 /// The fold's dominant allocation is the pending-record slab (one `u64`
-/// per engine packet id). Holding a `CaptureScratch` across flows — as the
-/// campaign workers do — lets every capture after the first run
-/// allocation-free once the slab has grown to the largest flow seen.
+/// per engine packet id). Holding a `CaptureScratch` across flows lets
+/// every capture after the first run allocation-free once the slab has
+/// grown to the largest flow seen.
 #[derive(Debug, Default)]
 pub struct CaptureScratch {
     open: Vec<u64>,
-    /// Delivery-time slab for the arena fold (index == packet id).
-    arrived: Vec<Option<SimTime>>,
 }
 
 impl CaptureScratch {
@@ -102,22 +123,7 @@ pub fn traces_from_events_filtered_with(
                     }
                 };
                 let trace = &mut flows[slot];
-                let (seq, is_ack, retransmit, acked_count) = match ev.packet.kind {
-                    PacketKind::Data { seq, retransmit } => (seq.as_u64(), false, retransmit, 0),
-                    PacketKind::Ack { cum, acked_count } => {
-                        (cum.as_u64(), true, false, acked_count)
-                    }
-                };
-                trace.records.push(PacketRecord {
-                    id: ev.packet.id.0,
-                    seq,
-                    is_ack,
-                    retransmit,
-                    acked_count,
-                    size_bytes: ev.packet.size_bytes,
-                    sent_at: ev.time,
-                    arrived_at: None,
-                });
+                trace.records.push(record_of(&ev.packet, ev.time, None));
                 if open.len() <= pkt_id {
                     open.resize(pkt_id + 1, OPEN_NONE);
                 }
@@ -148,82 +154,32 @@ pub fn traces_from_events_filtered_with(
     flows
 }
 
-/// Builds a single-flow trace straight from the engine's packet arena
-/// plus a compact delivery log — the struct-of-arrays capture path.
+/// Builds a single-flow trace straight from the engine's packet arena.
 ///
-/// The arena's columns already hold every `Sent`-side fact (flow, kind,
-/// size, send time), and ids are minted in send order, so walking rows
-/// `0..len` filtered by the flow column reproduces the event fold's record
-/// order exactly. The delivery log supplies the only new information: a
-/// `(packet id, delivered-at)` pair per arrival, recorded by a
-/// [`DeliveryLog`](hsm_simnet::observer::DeliveryLog) observer. A row with
-/// no delivery entry was dropped or still in flight — both fold to
-/// `arrived_at: None`, exactly as [`traces_from_events`] treats them.
+/// A row holds every fact a [`PacketRecord`] needs — the engine wrote the
+/// send side when the packet was stamped and the delivery time when it was
+/// handed over — and ids are minted in send order, so one pass over the
+/// rows of `flow` reproduces the event fold's records in its order. A row
+/// without a delivery time was dropped (by the channel or a full queue) or
+/// still in flight when the run stopped — all fold to `arrived_at: None`,
+/// exactly as [`traces_from_events`] treats them.
 ///
 /// Produces bit-identical traces to running [`single_flow_trace`] over a
 /// full [`VecRecorder`](hsm_simnet::observer::VecRecorder) stream of the
-/// same run, at a fraction of the recording cost.
+/// same run, with nothing recorded during it.
 ///
-/// Returns `None` if the arena holds no packets for `flow`.
-pub fn trace_from_arena(
-    arena: &PacketArena,
-    deliveries: &[(PacketId, SimTime)],
-    flow: u32,
-    meta: FlowMeta,
-) -> Option<FlowTrace> {
-    trace_from_arena_with(&mut CaptureScratch::new(), arena, deliveries, flow, meta)
-}
-
-/// [`trace_from_arena`] through a caller-held [`CaptureScratch`], reusing
-/// its delivery-time slab across flows.
-pub fn trace_from_arena_with(
-    scratch: &mut CaptureScratch,
-    arena: &PacketArena,
-    deliveries: &[(PacketId, SimTime)],
-    flow: u32,
-    meta: FlowMeta,
-) -> Option<FlowTrace> {
-    // Scatter deliveries into a dense id-indexed slab (clear + resize so
-    // stale entries from a previous, larger capture cannot leak through).
-    scratch.arrived.clear();
-    scratch.arrived.resize(arena.len(), None);
-    for &(id, at) in deliveries {
-        // Ignore ids the arena does not know — a shared log can carry
-        // stale deliveries from a previous, larger run (the event fold is
-        // equally tolerant of a Delivered with no matching Sent).
-        if let Some(slot) = scratch.arrived.get_mut(id.0 as usize) {
-            *slot = Some(at);
-        }
-    }
-
-    let flows = arena.flows();
-    let sizes = arena.sizes();
-    let sent_ats = arena.sent_ats();
+/// A flow the arena holds no packets for folds to an empty trace (where
+/// [`single_flow_trace`] has no trace to return).
+pub fn trace_from_arena(arena: &PacketArena, flow: u32, meta: FlowMeta) -> FlowTrace {
     let mut trace = FlowTrace::new(flow, meta);
-    for id in 0..arena.len() {
-        if flows[id] != flow {
-            continue;
-        }
-        let (seq, is_ack, retransmit, acked_count) = match arena.get(PacketId(id as u64)).kind {
-            PacketKind::Data { seq, retransmit } => (seq.as_u64(), false, retransmit, 0),
-            PacketKind::Ack { cum, acked_count } => (cum.as_u64(), true, false, acked_count),
-        };
-        trace.records.push(PacketRecord {
-            id: id as u64,
-            seq,
-            is_ack,
-            retransmit,
-            acked_count,
-            size_bytes: sizes[id],
-            sent_at: sent_ats[id],
-            arrived_at: scratch.arrived[id],
-        });
-    }
-    if trace.records.is_empty() {
-        return None;
+    // A connection run's arena holds one flow: this is its exact size.
+    trace.records.reserve(arena.len());
+    for (packet, arrived_at) in arena.iter().filter(|(p, _)| p.flow.0 == flow) {
+        let sent_at = packet.sent_at;
+        trace.records.push(record_of(&packet, sent_at, arrived_at));
     }
     trace.sort_by_send_time();
-    Some(trace)
+    trace
 }
 
 /// Convenience wrapper for the single-flow case.
@@ -248,9 +204,9 @@ pub fn single_flow_trace_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hsm_simnet::loss::{Bernoulli, ChannelLoss};
     use hsm_simnet::observer::DropCause;
-    use hsm_simnet::packet::{FlowId, Packet, PacketId, SeqNo};
-    use hsm_simnet::time::SimTime;
+    use hsm_simnet::prelude::*;
 
     fn ev(kind: PacketEventKind, time_ms: u64, id: u64, flow: u32, pkt: Packet) -> PacketEvent {
         let mut p = pkt;
@@ -348,124 +304,99 @@ mod tests {
         assert_eq!(reused[0].records.len(), 5);
     }
 
-    /// Builds the same tiny mixed-fate history twice: as an arena +
-    /// delivery log, and as the equivalent full `PacketEvent` stream.
-    fn mixed_fate_run() -> (PacketArena, Vec<(PacketId, SimTime)>, Vec<PacketEvent>) {
-        let mut arena = PacketArena::new();
-        let mut deliveries = Vec::new();
-        let mut events = Vec::new();
-        // (flow, packet, sent_ms, delivered: Some(ms) / dropped: None-with-event / in-flight)
-        enum Fate {
-            Delivered(u64),
-            Dropped(u64),
-            InFlight,
-        }
-        let history = vec![
-            (
-                5,
-                Packet::data(FlowId(5), SeqNo(0), false),
-                0,
-                Fate::Delivered(30),
-            ),
-            (
-                9,
-                Packet::data(FlowId(9), SeqNo(0), false),
-                1,
-                Fate::Delivered(28),
-            ),
-            (
-                5,
-                Packet::data(FlowId(5), SeqNo(1), false),
-                2,
-                Fate::Dropped(3),
-            ),
-            (
-                5,
-                Packet::ack(FlowId(5), SeqNo(1), 1),
-                31,
-                Fate::Delivered(45),
-            ),
-            (
-                5,
-                Packet::data(FlowId(5), SeqNo(1), true),
-                50,
-                Fate::InFlight,
-            ),
-        ];
-        for (i, (flow, pkt, sent_ms, fate)) in history.into_iter().enumerate() {
-            let id = i as u64;
-            let mut p = pkt;
-            p.id = PacketId(id);
-            p.sent_at = SimTime::from_millis(sent_ms);
-            assert_eq!(arena.push(&p), PacketId(id));
-            events.push(ev(PacketEventKind::Sent, sent_ms, id, flow, p.clone()));
-            match fate {
-                Fate::Delivered(at_ms) => {
-                    deliveries.push((PacketId(id), SimTime::from_millis(at_ms)));
-                    events.push(ev(PacketEventKind::Delivered, at_ms, id, flow, p));
+    /// A two-flow run whose packets meet every fate — delivered, destroyed
+    /// by the channel, refused by a full queue, still queued or in flight
+    /// when the run stops — captured twice by the same engine: in its
+    /// arena (arrivals stamped by the `Deliver` arm) and as the full
+    /// `VecRecorder` event stream.
+    fn mixed_fate_run() -> (Engine, Vec<PacketEvent>) {
+        let mut eng = Engine::new(1);
+        let sink = eng.add_agent(Box::new(NullAgent::new()));
+        let link = eng.add_link(
+            LinkSpec::new(sink, "dl")
+                .bandwidth_bps(1_200_000) // 10 ms per data packet
+                .prop_delay(SimDuration::from_millis(20))
+                .jitter_sd(SimDuration::from_millis(2))
+                .queue_capacity(4)
+                .loss(ChannelLoss::new(Box::new(Bernoulli::new(0.3)))),
+        );
+        let rec = VecRecorder::new();
+        eng.add_recorder(rec.clone());
+        for round in 0..4u64 {
+            eng.run_until(SimTime::from_millis(45 * round));
+            for i in 0..7 {
+                let seq = SeqNo(round * 7 + i);
+                eng.inject(link, Packet::data(FlowId(5), seq, i == 6));
+                if i % 2 == 0 {
+                    eng.inject(link, Packet::ack(FlowId(9), seq, 2).with_tag(i));
                 }
-                Fate::Dropped(at_ms) => {
-                    events.push(ev(
-                        PacketEventKind::Dropped(DropCause::Channel),
-                        at_ms,
-                        id,
-                        flow,
-                        p,
-                    ));
-                }
-                Fate::InFlight => {}
             }
         }
-        // `ev` re-stamps sent_at from the event time; keep the Delivered /
-        // Dropped copies consistent with the Sent copy, as the engine does.
-        let sent_at: Vec<SimTime> = (0..arena.len())
-            .map(|i| arena.sent_at(PacketId(i as u64)))
-            .collect();
-        for e in &mut events {
-            e.packet.sent_at = sent_at[e.packet.id.0 as usize];
-        }
-        (arena, deliveries, events)
+        // Stop with the last burst half drained: packets in the queue, on
+        // the wire and propagating.
+        eng.run_until(SimTime::from_millis(45 * 3 + 27));
+        (eng, rec.take_events())
     }
 
     #[test]
     fn arena_fold_matches_event_fold_bit_for_bit() {
-        let (arena, deliveries, events) = mixed_fate_run();
+        let (eng, events) = mixed_fate_run();
         for flow in [5u32, 9] {
             let meta = FlowMeta {
                 provider: format!("p{flow}"),
                 ..Default::default()
             };
-            let from_arena = trace_from_arena(&arena, &deliveries, flow, meta.clone());
+            let from_arena = trace_from_arena(eng.arena(), flow, meta.clone());
             let from_events = single_flow_trace(&events, flow, meta);
-            assert_eq!(from_arena, from_events, "flow {flow}");
-            assert!(from_arena.is_some());
+            assert_eq!(Some(from_arena), from_events, "flow {flow}");
         }
-        assert!(
-            trace_from_arena(&arena, &deliveries, 77, FlowMeta::default()).is_none(),
-            "unknown flow folds to None, like the event path"
-        );
+        let unknown = trace_from_arena(eng.arena(), 77, FlowMeta::default());
+        assert!(unknown.records.is_empty());
+        assert!(single_flow_trace(&events, 77, FlowMeta::default()).is_none());
     }
 
     #[test]
-    fn arena_fold_reused_scratch_matches_fresh() {
-        let (arena, deliveries, _) = mixed_fate_run();
-        // Prime the slab with a larger arena, then refold the small one.
-        let mut big = PacketArena::new();
-        for i in 0..64u64 {
-            let mut p = Packet::data(FlowId(5), SeqNo(i), false);
-            p.id = PacketId(i);
-            p.sent_at = SimTime::from_millis(i);
-            big.push(&p);
-        }
-        let big_deliveries: Vec<_> = (0..64u64)
-            .map(|i| (PacketId(i), SimTime::from_millis(i + 20)))
+    fn undelivered_packets_of_every_kind_fold_to_lost() {
+        let (eng, events) = mixed_fate_run();
+        let ids = |kind: PacketEventKind| -> Vec<u64> {
+            let of_kind = events.iter().filter(|e| e.kind == kind);
+            of_kind.map(|e| e.packet.id.0).collect()
+        };
+        let delivered = ids(PacketEventKind::Delivered);
+        let channel = ids(PacketEventKind::Dropped(DropCause::Channel));
+        let overflow = ids(PacketEventKind::Dropped(DropCause::QueueOverflow));
+        let in_flight: Vec<u64> = (0..eng.arena().len() as u64)
+            .filter(|id| {
+                ![&delivered, &channel, &overflow]
+                    .iter()
+                    .any(|v| v.contains(id))
+            })
             .collect();
-        let mut scratch = CaptureScratch::new();
-        let _ = trace_from_arena_with(&mut scratch, &big, &big_deliveries, 5, FlowMeta::default());
-        let reused =
-            trace_from_arena_with(&mut scratch, &arena, &deliveries, 5, FlowMeta::default());
-        let fresh = trace_from_arena(&arena, &deliveries, 5, FlowMeta::default());
-        assert_eq!(reused, fresh);
+        let link = eng.link(LinkId::from_raw(0));
+        assert!(
+            link.deliver_pending > 0 && link.queue_len() > 0,
+            "nothing left mid-path"
+        );
+        for (fate, ids) in [
+            ("channel", &channel),
+            ("overflow", &overflow),
+            ("in flight", &in_flight),
+        ] {
+            assert!(ids.len() >= 2, "the run produced no {fate} packets");
+        }
+        let records: Vec<PacketRecord> = [5u32, 9]
+            .iter()
+            .flat_map(|&f| trace_from_arena(eng.arena(), f, FlowMeta::default()).records)
+            .collect();
+        assert_eq!(records.len(), eng.arena().len());
+        for r in &records {
+            assert_eq!(
+                r.arrived_at.is_some(),
+                delivered.contains(&r.id),
+                "packet {}",
+                r.id
+            );
+        }
     }
 
     #[test]

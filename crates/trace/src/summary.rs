@@ -1,5 +1,9 @@
 //! Per-flow measurement summary — every quantity the throughput models
-//! need, extracted from a [`FlowTrace`] in one pass.
+//! need, extracted from a [`FlowTrace`] by one call. [`analyze_flow`] runs
+//! the `analysis` modules one after another, and each makes its own full
+//! scan (or several) of the records: loss rates, timeout sequences, RTT,
+//! ACK rounds, throughput, fast retransmissions — nine-plus passes per
+//! flow, not one.
 
 use crate::analysis::latency::estimate_rtt;
 use crate::analysis::loss::{loss_rates, LossRates};

@@ -6,11 +6,12 @@
 //! sift, entries removed on cancel) and per-source FIFO lanes that hold
 //! all but their head outside the heap; the model keeps it with a
 //! `BTreeMap` keyed by `(time, seq)`, whose ordering is one derived `Ord`.
-//! So: feed randomized schedule / lane-schedule / cancel / bounded-pop
-//! interleavings to both and assert they agree on **everything
-//! observable** — the popped `(time, seq, tag)` stream, cancel return
-//! values and live counts. Any divergence is a queue bug by
-//! definition.
+//! So: feed randomized schedule / lane-schedule / cancel / reschedule /
+//! bounded-pop interleavings to both and assert they agree on
+//! **everything observable** — the popped `(time, seq, tag)` stream,
+//! cancel return values and live counts. `reschedule` moves an entry in
+//! place; the model spells out what it must equal: remove, then insert.
+//! Any divergence is a queue bug by definition.
 
 use hsm_simnet::agent::AgentId;
 use hsm_simnet::event::{Event, EventId, EventKind, EventQueue};
@@ -60,6 +61,10 @@ enum Op {
     /// when `dead` is set, re-cancel an already-dead id to check the
     /// `false` path agrees too.
     Cancel { k: usize, dead: bool },
+    /// Re-arm the k-th newest live id at `last_fired + dt` (the RTO
+    /// pattern) — or, when `dead` is set, a fired or cancelled id, which
+    /// must come out as a plain schedule.
+    Reschedule { k: usize, dt: u64, dead: bool },
     /// Pop one event from both and compare everything.
     Pop,
     /// Pop with a deadline `last_fired + dt` (exercises the "leave it
@@ -93,6 +98,11 @@ fn arb_op() -> impl Strategy<Value = Op> {
             rewind: r == 0
         }),
         (0usize..64, 0u64..2).prop_map(|(k, d)| Op::Cancel { k, dead: d == 1 }),
+        (0usize..64, arb_dt(), 0u64..4).prop_map(|(k, dt, d)| Op::Reschedule {
+            k,
+            dt,
+            dead: d == 0
+        }),
         Just(Op::Pop),
         Just(Op::Pop),
         arb_dt().prop_map(|dt| Op::PopBefore { dt }),
@@ -184,6 +194,26 @@ impl Pair {
                 self.dead.push((id, key));
             }
             Op::Cancel { .. } => {}
+            Op::Reschedule { k, dt, dead } => {
+                let old = if dead && !self.dead.is_empty() {
+                    Some(self.dead[k % self.dead.len()])
+                } else if !self.live.is_empty() {
+                    let newest = self.live.len() - 1;
+                    let old = self.live.remove(newest - k % self.live.len());
+                    self.dead.push(old);
+                    Some(old)
+                } else {
+                    None
+                };
+                if let Some((old_id, old_key)) = old {
+                    let at = SimTime::from_micros(self.last_fired.saturating_add(dt));
+                    let id = self.queue.reschedule(old_id, ev(at, self.next_tag));
+                    assert!(!self.queue.is_pending(old_id), "the old id survived");
+                    self.model.cancel(old_key);
+                    self.live.push((id, self.model.schedule(at, self.next_tag)));
+                    self.next_tag += 1;
+                }
+            }
             Op::Pop => {
                 self.pop_before(SimTime::MAX);
             }
@@ -260,6 +290,19 @@ fn rto_churn_script() {
         ops.push(Op::Schedule { dt: 200_000 + i });
         ops.push(Op::Cancel { k: 0, dead: false });
         ops.push(Op::Schedule { dt: 63 });
+        // The same churn done in place: the far timer moves nearer and
+        // back out, from wherever the pops left it in the heap.
+        ops.push(Op::Schedule { dt: 300_000 });
+        ops.push(Op::Reschedule {
+            k: 0,
+            dt: i,
+            dead: false,
+        });
+        ops.push(Op::Reschedule {
+            k: 0,
+            dt: 250_000 - i,
+            dead: i % 7 == 0,
+        });
         ops.push(Op::Lane {
             lane: i as usize % LANES,
             dt: 30,

@@ -90,20 +90,31 @@ stage_build_test() {
     cargo doc --no-deps --workspace
     # benchmark/ is a workspace of its own that pins the crates' public
     # signatures; nothing above compiles it. Build it, run its unit tests,
-    # and make one short driver-form run. That run is also the speed-only-
-    # change gate: seed 1 of `table1-cold` must simulate exactly the pinned
-    # events into exactly the pinned summary bytes (a PR that means to
-    # change the simulation updates the two values, as with the chaos
-    # fixture above).
+    # and make two short driver-form runs. Those runs are also the speed-
+    # only-change gate: seed 1 of a workload must simulate exactly the
+    # pinned events into exactly the pinned summary bytes (a PR that means
+    # to change the simulation updates the values, as with the chaos
+    # fixture above). `table1-cold` is Reno at 300 km/h only; `zoo-grid-cold`
+    # adds stationary flows (no timeouts, so no recovery phase to exclude)
+    # and every controller and recovery strategy — analysis paths the first
+    # never takes.
     cargo build --release --offline --manifest-path benchmark/Cargo.toml
     cargo test --release --offline --manifest-path benchmark/Cargo.toml
-    local bench_log="$smoke/benchmark-table1-cold.log"
-    benchmark/run.sh --workload table1-cold --seed 1 --seconds 1 --trace 0 | tee "$bench_log"
-    tail -n 1 "$bench_log" | grep -q '"correct":true' \
-        || { echo "benchmark smoke: result line lacks \"correct\":true" >&2; exit 1; }
-    grep -Eq 'sim_digest += +461fc511504f307e$' "$bench_log" \
-        && grep -Eq 'events += +19262156$' "$bench_log" \
-        || { echo "benchmark smoke: table1-cold seed 1 no longer simulates sim_digest 461fc511504f307e / events 19262156" >&2; exit 1; }
+    benchmark_pin table1-cold 461fc511504f307e 19262156
+    benchmark_pin zoo-grid-cold 5291cb75ee6417f4 17509760
+}
+
+# One 1-s untraced run of benchmark workload $1 at seed 1: it must report
+# itself correct and print sim_digest $2 and events $3.
+benchmark_pin() {
+    local workload="$1" digest="$2" events="$3"
+    local log="target/ci-smoke/benchmark-$workload.log"
+    benchmark/run.sh --workload "$workload" --seed 1 --seconds 1 --trace 0 | tee "$log"
+    tail -n 1 "$log" | grep -q '"correct":true' \
+        || { echo "benchmark smoke: $workload result line lacks \"correct\":true" >&2; exit 1; }
+    grep -Eq "sim_digest += +$digest\$" "$log" \
+        && grep -Eq "events += +$events\$" "$log" \
+        || { echo "benchmark smoke: $workload seed 1 no longer simulates sim_digest $digest / events $events" >&2; exit 1; }
 }
 
 stage_bench() {

@@ -207,14 +207,28 @@ fn bench_tcp_flow(c: &mut Criterion) {
 }
 
 fn bench_analysis(c: &mut Criterion) {
-    let out = run_scenario(&ScenarioConfig {
-        duration: SimDuration::from_secs(30),
-        seed: 11,
-        ..Default::default()
-    });
-    let trace = out.outcome.trace;
+    let trace_of = |secs| {
+        let out = run_scenario(&ScenarioConfig {
+            duration: SimDuration::from_secs(secs),
+            seed: 11,
+            ..Default::default()
+        });
+        out.outcome.trace
+    };
     let mut c = tune(c);
+    let trace = trace_of(30);
     c.bench_function("trace/analyze_flow_30s_trace", |b| {
+        b.iter(|| black_box(analyze_flow(&trace, &TimeoutConfig::default())));
+    });
+    // A Table I flow: 63,829 records, 3.6 MB, past L2 — the size the cold
+    // benchmark workloads analyse, so ns/iter over the record count lines
+    // up with their `trace.analyze.ns_per_record`.
+    let trace = trace_of(120);
+    println!(
+        "trace/analyze_flow_120s_high_speed: {} records",
+        trace.records.len()
+    );
+    c.bench_function("trace/analyze_flow_120s_high_speed", |b| {
         b.iter(|| black_box(analyze_flow(&trace, &TimeoutConfig::default())));
     });
 }

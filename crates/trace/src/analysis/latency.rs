@@ -1,6 +1,6 @@
 //! One-way latency series and RTT estimation (the basis of Fig. 1).
 
-use crate::record::FlowTrace;
+use crate::record::{FlowTrace, PacketRecord};
 use hsm_simnet::time::SimDuration;
 
 /// A point of the Fig. 1 scatter: `(send_time_s, one_way_delay_s)`, where a
@@ -47,13 +47,52 @@ fn median(mut xs: Vec<SimDuration>) -> Option<SimDuration> {
     Some(*m)
 }
 
+/// The RTT fold, one record at a time: every delivered packet's one-way
+/// latency, kept per direction for the two medians.
+pub(crate) struct RttSweep {
+    data: Vec<SimDuration>,
+    acks: Vec<SimDuration>,
+}
+
+impl RttSweep {
+    /// A fold sized for a trace of `records` records: a delayed-ACK
+    /// receiver answers two segments with one ACK, so up to two thirds of
+    /// them are data; an ACK per segment makes half of them ACKs.
+    pub(crate) fn new(records: usize) -> RttSweep {
+        RttSweep {
+            data: Vec::with_capacity(records - records / 3),
+            acks: Vec::with_capacity(records / 2),
+        }
+    }
+
+    /// Folds in one transmission; lost packets have no latency.
+    #[inline]
+    pub(crate) fn record(&mut self, rec: &PacketRecord) {
+        if let Some(latency) = rec.latency() {
+            if rec.is_ack {
+                self.acks.push(latency);
+            } else {
+                self.data.push(latency);
+            }
+        }
+    }
+
+    /// (Median data one-way delay) + (median ACK one-way delay), or
+    /// `None` if either direction delivered nothing.
+    pub(crate) fn finish(self) -> Option<SimDuration> {
+        Some(median(self.data)? + median(self.acks)?)
+    }
+}
+
 /// Estimates the flow's base RTT as (median data one-way delay) + (median
 /// ACK one-way delay). Returns `None` if either direction has no delivered
 /// packets.
 pub fn estimate_rtt(trace: &FlowTrace) -> Option<SimDuration> {
-    let data: Vec<SimDuration> = trace.data().filter_map(|r| r.latency()).collect();
-    let acks: Vec<SimDuration> = trace.acks().filter_map(|r| r.latency()).collect();
-    Some(median(data)? + median(acks)?)
+    let mut sweep = RttSweep::new(trace.records.len());
+    for rec in &trace.records {
+        sweep.record(rec);
+    }
+    sweep.finish()
 }
 
 /// One window of the delay timeline.

@@ -1,6 +1,6 @@
 //! Lifetime loss rates (the paper's `p_d` and `p_a`).
 
-use crate::record::FlowTrace;
+use crate::record::{FlowTrace, PacketRecord};
 use serde::{Deserialize, Serialize};
 
 /// Data- and ACK-loss rates over a flow's lifetime.
@@ -26,6 +26,19 @@ impl LossRates {
     pub fn ack_loss_rate(&self) -> f64 {
         ratio(self.ack_lost, self.ack_sent)
     }
+
+    /// Counts one transmission.
+    #[inline]
+    pub(crate) fn record(&mut self, rec: &PacketRecord) {
+        let lost = u64::from(rec.lost());
+        if rec.is_ack {
+            self.ack_sent += 1;
+            self.ack_lost += lost;
+        } else {
+            self.data_sent += 1;
+            self.data_lost += lost;
+        }
+    }
 }
 
 fn ratio(num: u64, den: u64) -> f64 {
@@ -40,17 +53,7 @@ fn ratio(num: u64, den: u64) -> f64 {
 pub fn loss_rates(trace: &FlowTrace) -> LossRates {
     let mut r = LossRates::default();
     for rec in &trace.records {
-        if rec.is_ack {
-            r.ack_sent += 1;
-            if rec.lost() {
-                r.ack_lost += 1;
-            }
-        } else {
-            r.data_sent += 1;
-            if rec.lost() {
-                r.data_lost += 1;
-            }
-        }
+        r.record(rec);
     }
     r
 }

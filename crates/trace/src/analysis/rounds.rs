@@ -31,6 +31,54 @@ impl AckRound {
     }
 }
 
+/// One round as the segmentation carries it: bounds and counts, no
+/// record indices.
+#[derive(Debug, Clone, Copy)]
+struct RoundSpan {
+    start: SimTime,
+    end: SimTime,
+    acks: usize,
+    lost: usize,
+}
+
+/// The segmentation rule, one ACK at a time: an ACK sent within `gap` of
+/// the previous one extends the open round, a later one closes it.
+struct RoundFormer {
+    gap: SimDuration,
+    open: Option<RoundSpan>,
+}
+
+impl RoundFormer {
+    fn new(gap: SimDuration) -> RoundFormer {
+        RoundFormer { gap, open: None }
+    }
+
+    /// Adds the next ACK (in send order); returns the round it closed, if
+    /// it opened a new one.
+    #[inline]
+    fn ack(&mut self, sent_at: SimTime, lost: bool) -> Option<RoundSpan> {
+        if let Some(r) = &mut self.open {
+            if sent_at.saturating_since(r.end) <= self.gap {
+                r.end = sent_at;
+                r.acks += 1;
+                r.lost += usize::from(lost);
+                return None;
+            }
+        }
+        self.open.replace(RoundSpan {
+            start: sent_at,
+            end: sent_at,
+            acks: 1,
+            lost: usize::from(lost),
+        })
+    }
+
+    /// Closes the round still open after the last ACK.
+    fn finish(&mut self) -> Option<RoundSpan> {
+        self.open.take()
+    }
+}
+
 /// Segments the ACK stream into rounds.
 ///
 /// ACKs whose send times are separated by more than `gap` start a new
@@ -39,36 +87,27 @@ impl AckRound {
 /// full RTT later. Use [`super::latency::estimate_rtt`] to pick `gap`.
 pub fn ack_rounds(trace: &FlowTrace, gap: SimDuration) -> Vec<AckRound> {
     let mut rounds: Vec<AckRound> = Vec::new();
-    let mut current: Option<AckRound> = None;
+    let mut former = RoundFormer::new(gap);
+    let mut acks: Vec<usize> = Vec::new();
+    let mut close = |span: RoundSpan, acks: &mut Vec<usize>| {
+        rounds.push(AckRound {
+            start: span.start,
+            end: span.end,
+            acks: std::mem::take(acks),
+            lost: span.lost,
+        });
+    };
     for (idx, rec) in trace.records.iter().enumerate() {
         if !rec.is_ack {
             continue;
         }
-        let extend = match &current {
-            Some(r) => rec.sent_at.saturating_since(r.end) <= gap,
-            None => false,
-        };
-        if extend {
-            let r = current.as_mut().expect("extend implies current");
-            r.end = rec.sent_at;
-            r.acks.push(idx);
-            if rec.lost() {
-                r.lost += 1;
-            }
-        } else {
-            if let Some(done) = current.take() {
-                rounds.push(done);
-            }
-            current = Some(AckRound {
-                start: rec.sent_at,
-                end: rec.sent_at,
-                acks: vec![idx],
-                lost: usize::from(rec.lost()),
-            });
+        if let Some(done) = former.ack(rec.sent_at, rec.lost()) {
+            close(done, &mut acks);
         }
+        acks.push(idx);
     }
-    if let Some(done) = current {
-        rounds.push(done);
+    if let Some(done) = former.finish() {
+        close(done, &mut acks);
     }
     rounds
 }
@@ -103,6 +142,78 @@ impl AckBurstStats {
     }
 }
 
+/// The burst-statistics fold, one ACK at a time: segments the stream into
+/// rounds and tallies those whose start `excluded` does not reject.
+/// Rounds close in start order, so `excluded` sees increasing times.
+pub(crate) struct BurstSweep<F> {
+    former: RoundFormer,
+    excluded: F,
+    stats: AckBurstStats,
+    kept_acks: usize,
+}
+
+impl<F: FnMut(SimTime) -> bool> BurstSweep<F> {
+    pub(crate) fn new(gap: SimDuration, excluded: F) -> BurstSweep<F> {
+        BurstSweep {
+            former: RoundFormer::new(gap),
+            excluded,
+            stats: AckBurstStats::default(),
+            kept_acks: 0,
+        }
+    }
+
+    /// Adds the next ACK (in send order).
+    #[inline]
+    pub(crate) fn ack(&mut self, sent_at: SimTime, lost: bool) {
+        if let Some(done) = self.former.ack(sent_at, lost) {
+            self.tally(done);
+        }
+    }
+
+    fn tally(&mut self, round: RoundSpan) {
+        if (self.excluded)(round.start) {
+            return;
+        }
+        self.stats.rounds += 1;
+        self.kept_acks += round.acks;
+        if round.acks >= 2 {
+            self.stats.measurable_rounds += 1;
+            self.stats.burst_lost_rounds += usize::from(round.lost == round.acks);
+        }
+    }
+
+    pub(crate) fn finish(mut self) -> AckBurstStats {
+        if let Some(last) = self.former.finish() {
+            self.tally(last);
+        }
+        if self.stats.rounds > 0 {
+            self.stats.mean_acks_per_round = self.kept_acks as f64 / self.stats.rounds as f64;
+        }
+        self.stats
+    }
+}
+
+/// Membership in a list of sorted, disjoint half-open windows
+/// `from ≤ t < to`, for queries that arrive in increasing `t`: each window
+/// is passed once over the whole run of queries.
+pub(crate) struct WindowWalk<I: Iterator> {
+    windows: std::iter::Peekable<I>,
+}
+
+impl<I: Iterator<Item = (SimTime, SimTime)>> WindowWalk<I> {
+    pub(crate) fn new(windows: I) -> WindowWalk<I> {
+        WindowWalk {
+            windows: windows.peekable(),
+        }
+    }
+
+    /// True when some window holds `t` (no smaller than any earlier `t`).
+    pub(crate) fn contains(&mut self, t: SimTime) -> bool {
+        while self.windows.next_if(|&(_, to)| to <= t).is_some() {}
+        self.windows.peek().is_some_and(|&(from, _)| from <= t)
+    }
+}
+
 /// Computes ACK-burst statistics with the given round gap.
 pub fn ack_burst_stats(trace: &FlowTrace, gap: SimDuration) -> AckBurstStats {
     ack_burst_stats_excluding(trace, gap, &[])
@@ -121,27 +232,16 @@ pub fn ack_burst_stats_excluding(
     gap: SimDuration,
     excluded: &[(SimTime, SimTime)],
 ) -> AckBurstStats {
-    let rounds = ack_rounds(trace, gap);
-    let kept: Vec<&AckRound> = rounds
-        .iter()
-        .filter(|r| {
-            !excluded
-                .iter()
-                .any(|&(from, to)| r.start >= from && r.start < to)
-        })
-        .collect();
-    let total_acks: usize = kept.iter().map(|r| r.acks.len()).sum();
-    let measurable: Vec<&&AckRound> = kept.iter().filter(|r| r.acks.len() >= 2).collect();
-    AckBurstStats {
-        rounds: kept.len(),
-        measurable_rounds: measurable.len(),
-        burst_lost_rounds: measurable.iter().filter(|r| r.burst_lost()).count(),
-        mean_acks_per_round: if kept.is_empty() {
-            0.0
-        } else {
-            total_acks as f64 / kept.len() as f64
-        },
+    // Any windows, in any order: test each round against all of them.
+    let mut sweep = BurstSweep::new(gap, |start| {
+        excluded
+            .iter()
+            .any(|&(from, to)| start >= from && start < to)
+    });
+    for rec in trace.acks() {
+        sweep.ack(rec.sent_at, rec.lost());
     }
+    sweep.finish()
 }
 
 #[cfg(test)]
@@ -241,6 +341,19 @@ mod tests {
         assert_eq!(all.rounds, 3);
         assert_eq!(all.measurable_rounds, 1);
         assert_eq!(all.burst_lost_rounds, 1);
+    }
+
+    #[test]
+    fn window_walk_agrees_with_testing_every_window() {
+        // Touching, empty and far-apart windows; queries on every edge.
+        let ms = SimTime::from_millis;
+        let windows =
+            [(10, 20), (20, 20), (20, 35), (50, 51), (90, 90)].map(|(from, to)| (ms(from), ms(to)));
+        let mut walk = WindowWalk::new(windows.into_iter());
+        for t in (0..100).flat_map(|t| [ms(t), ms(t)]) {
+            let by_any = windows.iter().any(|&(from, to)| t >= from && t < to);
+            assert_eq!(walk.contains(t), by_any, "t = {t:?}");
+        }
     }
 
     #[test]

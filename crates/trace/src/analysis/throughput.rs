@@ -5,7 +5,8 @@
 //! time"), so the primary measure here is delivered segments per second;
 //! byte-based figures are derived from the MSS.
 
-use crate::record::FlowTrace;
+use crate::record::{FlowTrace, PacketRecord};
+use hsm_simnet::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
@@ -49,36 +50,87 @@ fn safe_rate(num: f64, dur: f64) -> f64 {
     }
 }
 
-/// Measures throughput for a flow.
-pub fn throughput(trace: &FlowTrace) -> Throughput {
-    // Sequence numbers count segments from zero, so the dedup set is a
-    // bitset for any seq that stays within a few multiples of the trace
-    // length; a hash set only catches pathological outliers.
-    let dense_limit = (trace.records.len() as u64) * 4 + 1024;
-    let mut bits = vec![0u64; (dense_limit as usize).div_ceil(64)];
-    let mut dense_unique = 0u64;
-    let mut delivered = 0u64;
-    let mut sparse: HashSet<u64> = HashSet::new();
-    for rec in trace.data() {
-        if rec.arrived_at.is_some() {
-            delivered += 1;
-            if rec.seq < dense_limit {
-                let (word, bit) = ((rec.seq / 64) as usize, rec.seq % 64);
-                if bits[word] & (1 << bit) == 0 {
-                    bits[word] |= 1 << bit;
-                    dense_unique += 1;
-                }
-            } else {
-                sparse.insert(rec.seq);
-            }
+/// The throughput fold, one record at a time: delivered segments, a
+/// delivered-once bit per sequence number, and the flow's time span
+/// (first send to last event — [`FlowTrace::duration`] without its two
+/// scans).
+pub(crate) struct ThroughputSweep {
+    /// Sequence numbers count segments from zero, so the dedup set is a
+    /// bitset for any seq that stays within a few multiples of the trace
+    /// length; a hash set only catches pathological outliers.
+    dense_limit: u64,
+    bits: Vec<u64>,
+    dense_unique: u64,
+    sparse: HashSet<u64>,
+    delivered: u64,
+    span: Option<(SimTime, SimTime)>,
+}
+
+impl ThroughputSweep {
+    /// A fold sized for a trace of `records` records.
+    pub(crate) fn new(records: usize) -> ThroughputSweep {
+        let dense_limit = (records as u64) * 4 + 1024;
+        ThroughputSweep {
+            dense_limit,
+            bits: vec![0u64; (dense_limit as usize).div_ceil(64)],
+            dense_unique: 0,
+            sparse: HashSet::new(),
+            delivered: 0,
+            span: None,
         }
     }
-    Throughput {
-        segments_delivered: delivered,
-        unique_segments_delivered: dense_unique + sparse.len() as u64,
-        duration_s: trace.duration().as_secs_f64(),
-        mss_bytes: trace.meta.mss_bytes,
+
+    /// Folds in one transmission (data or ACK — both bound the span).
+    #[inline]
+    pub(crate) fn record(&mut self, rec: &PacketRecord) {
+        let last_event = rec.arrived_at.unwrap_or(rec.sent_at);
+        self.span = Some(match self.span {
+            Some((start, end)) => (start.min(rec.sent_at), end.max(last_event)),
+            None => (rec.sent_at, last_event),
+        });
+        if rec.is_ack || rec.arrived_at.is_none() {
+            return;
+        }
+        self.delivered += 1;
+        if rec.seq < self.dense_limit {
+            let (word, bit) = ((rec.seq / 64) as usize, rec.seq % 64);
+            if self.bits[word] & (1 << bit) == 0 {
+                self.bits[word] |= 1 << bit;
+                self.dense_unique += 1;
+            }
+        } else {
+            self.sparse.insert(rec.seq);
+        }
     }
+
+    /// Last event (send or arrival) folded in so far — the trace's
+    /// [`FlowTrace::end`] once every record has been.
+    pub(crate) fn end(&self) -> Option<SimTime> {
+        self.span.map(|(_, end)| end)
+    }
+
+    /// The measures of a flow whose segments carry `mss_bytes` of payload.
+    pub(crate) fn finish(self, mss_bytes: u32) -> Throughput {
+        let duration = match self.span {
+            Some((start, end)) => end.saturating_since(start),
+            None => SimDuration::ZERO,
+        };
+        Throughput {
+            segments_delivered: self.delivered,
+            unique_segments_delivered: self.dense_unique + self.sparse.len() as u64,
+            duration_s: duration.as_secs_f64(),
+            mss_bytes,
+        }
+    }
+}
+
+/// Measures throughput for a flow.
+pub fn throughput(trace: &FlowTrace) -> Throughput {
+    let mut sweep = ThroughputSweep::new(trace.records.len());
+    for rec in &trace.records {
+        sweep.record(rec);
+    }
+    sweep.finish(trace.meta.mss_bytes)
 }
 
 #[cfg(test)]

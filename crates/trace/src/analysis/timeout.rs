@@ -19,7 +19,7 @@
 //! * **`q̂`** — the loss rate of retransmissions inside timeout sequences,
 //!   the paper's `q` (measured at 27.26 % vs a lifetime 0.75 %).
 
-use crate::record::FlowTrace;
+use crate::record::{FlowTrace, PacketRecord};
 use hsm_simnet::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -218,93 +218,124 @@ impl TimeoutAnalysis {
     }
 }
 
-/// Runs the timeout analysis over a flow trace.
-pub fn analyze_timeouts(trace: &FlowTrace, cfg: &TimeoutConfig) -> TimeoutAnalysis {
-    // Latest transmission index per seq, updated as we sweep. Sequence
-    // numbers count from zero, so this is a dense slab (sentinel
-    // `u32::MAX` = never sent) with a hash-map spillway for any
-    // pathological out-of-range seq.
-    const NO_TX: u32 = u32::MAX;
-    let dense_limit = (trace.records.len() as u64) * 4 + 1024;
-    let mut last_tx_dense: Vec<u32> = vec![NO_TX; dense_limit as usize];
-    let mut last_tx_sparse: HashMap<u64, usize> = HashMap::new();
+/// What the sweep remembers of a sequence number's latest transmission.
+const NEVER_SENT: u8 = 0;
+const LAST_COPY_LOST: u8 = 1;
+const LAST_COPY_ARRIVED: u8 = 2;
 
-    let mut analysis = TimeoutAnalysis::default();
-    let mut current: Option<TimeoutSequence> = None;
-    let mut prev_send: Option<SimTime> = None;
-    let mut last_data_send: Option<SimTime> = None;
+/// The timeout fold, one data record at a time (in send order).
+pub(crate) struct TimeoutSweep {
+    silence_threshold: SimDuration,
+    /// Fate of the latest transmission per seq, updated as we sweep.
+    /// Sequence numbers count from zero, so this is a dense byte slab with
+    /// a hash-map spillway for any pathological out-of-range seq.
+    last_copy_dense: Vec<u8>,
+    last_copy_sparse: HashMap<u64, u8>,
+    sequences: Vec<TimeoutSequence>,
+    current: Option<TimeoutSequence>,
+    prev_send: Option<SimTime>,
+    last_data_send: Option<SimTime>,
+    fast_retransmissions: u32,
+}
 
-    // Sweep data records in send order (the trace is kept send-sorted).
-    for (idx, rec) in trace.records.iter().enumerate() {
-        if rec.is_ack {
-            continue;
+impl TimeoutSweep {
+    /// A fold sized for a trace of `records` records.
+    pub(crate) fn new(records: usize, cfg: &TimeoutConfig) -> TimeoutSweep {
+        TimeoutSweep {
+            silence_threshold: cfg.silence_threshold,
+            last_copy_dense: vec![NEVER_SENT; records * 4 + 1024],
+            last_copy_sparse: HashMap::new(),
+            sequences: Vec::new(),
+            current: None,
+            prev_send: None,
+            last_data_send: None,
+            fast_retransmissions: 0,
         }
-        let silent = prev_send
-            .map(|p| rec.sent_at.saturating_since(p) >= cfg.silence_threshold)
-            .unwrap_or(false);
-        // An RTO retransmission is a retransmission that follows a long
-        // send-silence (the timer had to expire).
-        let is_rto_retx = rec.retransmit && silent;
+    }
 
-        if is_rto_retx {
-            let prev_tx = if rec.seq < dense_limit {
-                match last_tx_dense[rec.seq as usize] {
-                    NO_TX => None,
-                    i => Some(i as usize),
-                }
-            } else {
-                last_tx_sparse.get(&rec.seq).copied()
-            };
-            let spurious = prev_tx
-                .map(|prev_idx| trace.records[prev_idx].arrived_at.is_some())
-                .unwrap_or(false);
-            let seq = current.get_or_insert_with(|| TimeoutSequence {
-                events: Vec::new(),
-                retrans_lost: 0,
-                ca_end: last_data_send.unwrap_or(rec.sent_at),
-                silence_start: prev_send.unwrap_or(rec.sent_at),
-                first_retx_at: rec.sent_at,
-                recovery_end: rec.sent_at,
-            });
-            seq.events.push(TimeoutEvent {
-                retx_idx: idx,
-                spurious,
-            });
-            if rec.lost() {
-                seq.retrans_lost += 1;
-            }
-        } else if !rec.retransmit {
+    /// Folds in the data record at `trace.records[idx]`.
+    #[inline]
+    pub(crate) fn data(&mut self, idx: usize, rec: &PacketRecord) {
+        let dense = usize::try_from(rec.seq)
+            .ok()
+            .and_then(|seq| self.last_copy_dense.get_mut(seq));
+        let last_copy = match dense {
+            Some(dense) => dense,
+            None => self.last_copy_sparse.entry(rec.seq).or_insert(NEVER_SENT),
+        };
+        if !rec.retransmit {
             // The recovery phase runs until the first *new-data*
             // transmission (paper §III): only that closes the sequence.
             // Non-silent retransmissions (go-back-N resends, fast
             // retransmits) are recovery traffic — if a ladder chains into
             // another through them with no new data in between, it is one
-            // recovery phase, not two overlapping ones. Fast
-            // retransmissions outside a sequence are ignored — they belong
-            // to a CA phase, not a timeout.
-            if let Some(mut seq) = current.take() {
+            // recovery phase, not two overlapping ones.
+            if let Some(mut seq) = self.current.take() {
                 seq.recovery_end = rec.sent_at;
-                analysis.sequences.push(seq);
+                self.sequences.push(seq);
             }
-        }
-
-        if rec.seq < dense_limit {
-            last_tx_dense[rec.seq as usize] = idx as u32;
+            self.last_data_send = Some(rec.sent_at);
+        } else if self
+            .prev_send
+            .is_some_and(|p| rec.sent_at.saturating_since(p) >= self.silence_threshold)
+        {
+            // An RTO retransmission is a retransmission that follows a
+            // long send-silence (the timer had to expire). It is spurious
+            // when the copy it repeats had arrived.
+            let seq = self.current.get_or_insert_with(|| TimeoutSequence {
+                events: Vec::new(),
+                retrans_lost: 0,
+                ca_end: self.last_data_send.unwrap_or(rec.sent_at),
+                silence_start: self.prev_send.unwrap_or(rec.sent_at),
+                first_retx_at: rec.sent_at,
+                recovery_end: rec.sent_at,
+            });
+            seq.events.push(TimeoutEvent {
+                retx_idx: idx,
+                spurious: *last_copy == LAST_COPY_ARRIVED,
+            });
+            seq.retrans_lost += u32::from(rec.lost());
         } else {
-            last_tx_sparse.insert(rec.seq, idx);
+            // Every other retransmission is a fast one: a loss indication
+            // of its own outside a sequence, recovery traffic inside one.
+            self.fast_retransmissions += 1;
         }
-        prev_send = Some(rec.sent_at);
-        if !rec.retransmit {
-            last_data_send = Some(rec.sent_at);
-        }
+        *last_copy = if rec.lost() {
+            LAST_COPY_LOST
+        } else {
+            LAST_COPY_ARRIVED
+        };
+        self.prev_send = Some(rec.sent_at);
     }
 
-    // Flow ended during a recovery phase.
-    if let Some(mut seq) = current.take() {
-        seq.recovery_end = trace.end().unwrap_or(seq.ca_end);
-        analysis.sequences.push(seq);
+    /// The analysis, and the number of retransmissions that were not
+    /// timeouts. `trace_end` is asked for the trace's last event only when
+    /// the flow ended during a recovery phase.
+    pub(crate) fn finish(
+        mut self,
+        trace_end: impl FnOnce() -> Option<SimTime>,
+    ) -> (TimeoutAnalysis, u32) {
+        if let Some(mut seq) = self.current.take() {
+            seq.recovery_end = trace_end().unwrap_or(seq.ca_end);
+            self.sequences.push(seq);
+        }
+        let analysis = TimeoutAnalysis {
+            sequences: self.sequences,
+        };
+        (analysis, self.fast_retransmissions)
     }
-    analysis
+}
+
+/// Runs the timeout analysis over a flow trace.
+pub fn analyze_timeouts(trace: &FlowTrace, cfg: &TimeoutConfig) -> TimeoutAnalysis {
+    let mut sweep = TimeoutSweep::new(trace.records.len(), cfg);
+    // Sweep data records in send order (the trace is kept send-sorted).
+    for (idx, rec) in trace.records.iter().enumerate() {
+        if !rec.is_ack {
+            sweep.data(idx, rec);
+        }
+    }
+    sweep.finish(|| trace.end()).0
 }
 
 #[cfg(test)]

@@ -158,8 +158,12 @@ pub fn traces_from_events_filtered_with(
 ///
 /// A row holds every fact a [`PacketRecord`] needs — the engine wrote the
 /// send side when the packet was stamped and the delivery time when it was
-/// handed over — and ids are minted in send order, so one pass over the
-/// rows of `flow` reproduces the event fold's records in its order. A row
+/// handed over. Rows are in send order by construction: the engine mints
+/// ids as packets are sent, under a clock that never runs backwards, so
+/// the rows of `flow` are already sorted by `(sent_at, id)` — the order
+/// the event fold sorts its records into — and one pass over them is the
+/// whole fold; nothing is sorted here (the invariant is asserted in debug
+/// builds). A row
 /// without a delivery time was dropped (by the channel or a full queue) or
 /// still in flight when the run stopped — all fold to `arrived_at: None`,
 /// exactly as [`traces_from_events`] treats them.
@@ -178,7 +182,10 @@ pub fn trace_from_arena(arena: &PacketArena, flow: u32, meta: FlowMeta) -> FlowT
         let sent_at = packet.sent_at;
         trace.records.push(record_of(&packet, sent_at, arrived_at));
     }
-    trace.sort_by_send_time();
+    debug_assert!(
+        trace.records.is_sorted_by_key(|r| (r.sent_at, r.id)),
+        "arena rows of flow {flow} are not in send order",
+    );
     trace
 }
 

@@ -1,17 +1,20 @@
 //! Per-flow measurement summary — every quantity the throughput models
-//! need, extracted from a [`FlowTrace`] by one call. [`analyze_flow`] runs
-//! the `analysis` modules one after another, and each makes its own full
-//! scan (or several) of the records: loss rates, timeout sequences, RTT,
-//! ACK rounds, throughput, fast retransmissions — nine-plus passes per
-//! flow, not one.
+//! need, extracted from a [`FlowTrace`] by one call. [`analyze_flow`] reads
+//! each record once: one sweep over the records advances every `analysis`
+//! module's per-record step together (loss counts, the timeout state
+//! machine, latencies for the RTT medians, deliveries and the flow's time
+//! span) and keeps `sent_at` and `lost` of each ACK; one pass over that list
+//! then forms the ACK rounds, whose gap is half the RTT the sweep has just
+//! measured. The stand-alone functions of the `analysis` modules fold a
+//! trace through the same steps, one analysis at a time.
 
-use crate::analysis::latency::estimate_rtt;
-use crate::analysis::loss::{loss_rates, LossRates};
-use crate::analysis::rounds::{ack_burst_stats_excluding, AckBurstStats};
-use crate::analysis::throughput::{throughput, Throughput};
-use crate::analysis::timeout::{analyze_timeouts, TimeoutAnalysis, TimeoutConfig};
+use crate::analysis::latency::RttSweep;
+use crate::analysis::loss::LossRates;
+use crate::analysis::rounds::{AckBurstStats, BurstSweep, WindowWalk};
+use crate::analysis::throughput::{Throughput, ThroughputSweep};
+use crate::analysis::timeout::{TimeoutAnalysis, TimeoutConfig, TimeoutSweep};
 use crate::record::FlowTrace;
-use hsm_simnet::time::SimDuration;
+use hsm_simnet::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// Everything the models need to know about one measured flow.
@@ -128,38 +131,52 @@ pub struct FlowAnalysis {
     pub throughput: Throughput,
 }
 
-/// Counts fast retransmissions: retransmitted data packets that are *not*
-/// part of any timeout sequence.
-fn fast_retransmissions(trace: &FlowTrace, timeouts: &TimeoutAnalysis) -> u32 {
-    let in_timeout: std::collections::HashSet<usize> = timeouts
-        .sequences
-        .iter()
-        .flat_map(|s| s.events.iter().map(|e| e.retx_idx))
-        .collect();
-    trace
-        .records
-        .iter()
-        .enumerate()
-        .filter(|(i, r)| !r.is_ack && r.retransmit && !in_timeout.contains(i))
-        .count() as u32
-}
-
 /// Runs the full measurement pipeline over one trace.
 pub fn analyze_flow(trace: &FlowTrace, cfg: &TimeoutConfig) -> FlowAnalysis {
-    let losses = loss_rates(trace);
-    let timeouts = analyze_timeouts(trace, cfg);
-    let rtt = estimate_rtt(trace).unwrap_or(SimDuration::from_millis(60));
+    let records = trace.records.len();
+    let mut losses = LossRates::default();
+    let mut timeouts = TimeoutSweep::new(records, cfg);
+    let mut rtt = RttSweep::new(records);
+    let mut tp = ThroughputSweep::new(records);
+    // Rounds wait for the RTT (their gap), which waits for the last
+    // record: keep the two facts a round needs of each ACK, a column each
+    // (9 bytes an ACK; a receiver sends at most one ACK per segment).
+    let mut ack_sent_at: Vec<SimTime> = Vec::with_capacity(records / 2);
+    let mut ack_lost: Vec<bool> = Vec::with_capacity(records / 2);
+    for (idx, rec) in trace.records.iter().enumerate() {
+        losses.record(rec);
+        rtt.record(rec);
+        tp.record(rec);
+        if rec.is_ack {
+            ack_sent_at.push(rec.sent_at);
+            ack_lost.push(rec.lost());
+        } else {
+            timeouts.data(idx, rec);
+        }
+    }
+    // A retransmission is an RTO's or a fast one: the second count is the
+    // loss indications that were not timeouts.
+    let (timeouts, fast_rtx) = timeouts.finish(|| tp.end());
+    let tp = tp.finish(trace.meta.mss_bytes);
+    let rtt = rtt.finish().unwrap_or(SimDuration::from_millis(60));
+
     // Round gap: half an RTT separates one round's ACK burst from the next.
     let gap = SimDuration::from_secs_f64(rtt.as_secs_f64() * 0.5);
-    // P_a is a congestion-avoidance quantity: exclude recovery phases.
-    let recovery_windows: Vec<_> = timeouts
-        .sequences
-        .iter()
-        .map(|s| (s.ca_end, s.recovery_end))
-        .collect();
-    let ack_bursts = ack_burst_stats_excluding(trace, gap, &recovery_windows);
-    let tp = throughput(trace);
-    let fast_rtx = fast_retransmissions(trace, &timeouts);
+    // P_a is a congestion-avoidance quantity: exclude rounds that start in
+    // a recovery phase. The phases are sorted and disjoint — a sequence's
+    // `ca_end` is a new-data send no earlier than the one that closed the
+    // sequence before it at `recovery_end`.
+    let mut recovery = WindowWalk::new(
+        timeouts
+            .sequences
+            .iter()
+            .map(|s| (s.ca_end, s.recovery_end)),
+    );
+    let mut bursts = BurstSweep::new(gap, |round_start| recovery.contains(round_start));
+    for (&sent_at, &lost) in ack_sent_at.iter().zip(&ack_lost) {
+        bursts.ack(sent_at, lost);
+    }
+    let ack_bursts = bursts.finish();
 
     let summary = FlowSummary {
         flow: trace.flow,
@@ -214,8 +231,13 @@ pub fn analyze_flow(trace: &FlowTrace, cfg: &TimeoutConfig) -> FlowAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::latency::estimate_rtt;
+    use crate::analysis::loss::loss_rates;
+    use crate::analysis::rounds::{ack_burst_stats_excluding, ack_rounds};
+    use crate::analysis::throughput::throughput;
+    use crate::analysis::timeout::analyze_timeouts;
     use crate::record::{FlowMeta, PacketRecord};
-    use hsm_simnet::time::SimTime;
+    use std::collections::HashSet;
 
     fn data(seq: u64, sent_ms: u64, arrived: bool, retransmit: bool) -> PacketRecord {
         PacketRecord {
@@ -320,5 +342,316 @@ mod tests {
         let a = analyze_flow(&t, &TimeoutConfig::default());
         assert_eq!(a.summary.spurious_fraction(), 0.0);
         assert_eq!(a.summary.q_indication_fraction(), 0.0);
+    }
+
+    // ---- The sweep against the multi-pass composition it replaced ----
+
+    /// Fast retransmissions as a set difference: retransmitted data
+    /// records that no timeout event names.
+    fn fast_retransmissions(trace: &FlowTrace, timeouts: &TimeoutAnalysis) -> u32 {
+        let in_timeout: HashSet<usize> = timeouts
+            .sequences
+            .iter()
+            .flat_map(|s| s.events.iter().map(|e| e.retx_idx))
+            .collect();
+        trace
+            .records
+            .iter()
+            .enumerate()
+            .filter(|(i, r)| !r.is_ack && r.retransmit && !in_timeout.contains(i))
+            .count() as u32
+    }
+
+    /// Burst statistics with every round materialised and tested against
+    /// every window.
+    fn burst_stats_by_any(
+        trace: &FlowTrace,
+        gap: SimDuration,
+        recovery_windows: &[(SimTime, SimTime)],
+    ) -> AckBurstStats {
+        let rounds = ack_rounds(trace, gap);
+        let kept: Vec<_> = rounds
+            .iter()
+            .filter(|r| {
+                !recovery_windows
+                    .iter()
+                    .any(|&(from, to)| r.start >= from && r.start < to)
+            })
+            .collect();
+        let measurable: Vec<_> = kept.iter().filter(|r| r.acks.len() >= 2).collect();
+        AckBurstStats {
+            rounds: kept.len(),
+            measurable_rounds: measurable.len(),
+            burst_lost_rounds: measurable.iter().filter(|r| r.burst_lost()).count(),
+            mean_acks_per_round: if kept.is_empty() {
+                0.0
+            } else {
+                kept.iter().map(|r| r.acks.len()).sum::<usize>() as f64 / kept.len() as f64
+            },
+        }
+    }
+
+    /// The spurious verdict from its definition: the latest earlier
+    /// transmission of the retransmitted seq arrived.
+    fn previous_copy_arrived(trace: &FlowTrace, retx_idx: usize) -> bool {
+        let seq = trace.records[retx_idx].seq;
+        let mut earlier = trace.records[..retx_idx].iter().rev();
+        earlier
+            .find(|r| !r.is_ack && r.seq == seq)
+            .is_some_and(|r| r.arrived_at.is_some())
+    }
+
+    /// `analyze_flow` as it was before the sweep: the stand-alone analyses
+    /// one after another, each scanning the records for itself.
+    fn analyze_flow_by_parts(trace: &FlowTrace, cfg: &TimeoutConfig) -> FlowAnalysis {
+        let losses = loss_rates(trace);
+        let timeouts = analyze_timeouts(trace, cfg);
+        let rtt = estimate_rtt(trace).unwrap_or(SimDuration::from_millis(60));
+        let gap = SimDuration::from_secs_f64(rtt.as_secs_f64() * 0.5);
+        let recovery_windows: Vec<_> = timeouts
+            .sequences
+            .iter()
+            .map(|s| (s.ca_end, s.recovery_end))
+            .collect();
+        let ack_bursts = burst_stats_by_any(trace, gap, &recovery_windows);
+        assert_eq!(
+            ack_burst_stats_excluding(trace, gap, &recovery_windows),
+            ack_bursts
+        );
+        let tp = throughput(trace);
+        let fast_rtx = fast_retransmissions(trace, &timeouts);
+        let summary = FlowSummary {
+            flow: trace.flow,
+            provider: trace.meta.provider.clone(),
+            scenario: trace.meta.scenario.clone(),
+            rtt_s: rtt.as_secs_f64(),
+            p_d: losses.data_loss_rate(),
+            data_sent: losses.data_sent,
+            p_a: losses.ack_loss_rate(),
+            p_a_burst: ack_bursts.burst_loss_rate(),
+            acks_per_round: ack_bursts.mean_acks_per_round,
+            q_hat: timeouts.q_hat(),
+            timeouts: timeouts.total_timeouts(),
+            spurious_timeouts: timeouts.spurious_timeouts(),
+            timeout_sequences: timeouts.sequences.len() as u32,
+            mean_recovery_s: timeouts.mean_recovery().map_or(0.0, |d| d.as_secs_f64()),
+            t_rto_s: timeouts.median_first_rto().map_or(0.0, |d| d.as_secs_f64()),
+            loss_indications: timeouts.sequences.len() as u32 + fast_rtx,
+            fast_retransmissions: fast_rtx,
+            w_m: trace.meta.w_m,
+            b: trace.meta.b,
+            throughput_sps: tp.segments_per_sec(),
+            goodput_sps: tp.goodput_segments_per_sec(),
+            duration_s: tp.duration_s,
+        };
+        FlowAnalysis {
+            summary,
+            losses,
+            timeouts,
+            ack_bursts,
+            throughput: tp,
+        }
+    }
+
+    /// Runs both and compares the whole `FlowAnalysis`, part by part.
+    fn assert_sweep_matches_parts(trace: &FlowTrace) -> FlowAnalysis {
+        let cfg = TimeoutConfig::default();
+        let sweep = analyze_flow(trace, &cfg);
+        let parts = analyze_flow_by_parts(trace, &cfg);
+        assert_eq!(sweep.summary, parts.summary);
+        assert_eq!(sweep.losses, parts.losses);
+        assert_eq!(sweep.timeouts, parts.timeouts);
+        assert_eq!(sweep.ack_bursts, parts.ack_bursts);
+        assert_eq!(sweep.throughput, parts.throughput);
+        for event in sweep.timeouts.sequences.iter().flat_map(|s| &s.events) {
+            assert_eq!(
+                event.spurious,
+                previous_copy_arrived(trace, event.retx_idx),
+                "timeout at record {}",
+                event.retx_idx
+            );
+        }
+        sweep
+    }
+
+    fn trace_of(records: Vec<PacketRecord>) -> FlowTrace {
+        let mut t = FlowTrace::new(7, FlowMeta::default());
+        t.records = records;
+        t.sort_by_send_time();
+        t
+    }
+
+    const FALLBACK_RTT_S: f64 = 0.060;
+
+    #[test]
+    fn one_direction_traces_fall_back_to_the_default_rtt() {
+        let empty = assert_sweep_matches_parts(&trace_of(vec![]));
+        assert_eq!(empty.summary.rtt_s, FALLBACK_RTT_S);
+        assert_eq!(empty.summary.duration_s, 0.0);
+
+        let acks = (0..6).map(|i| ack(i, i * 20, i % 2 == 0)).collect();
+        let ack_only = assert_sweep_matches_parts(&trace_of(acks));
+        assert_eq!(ack_only.summary.rtt_s, FALLBACK_RTT_S);
+        assert_eq!(ack_only.ack_bursts.rounds, 1);
+
+        let data_only = assert_sweep_matches_parts(&trace_of(vec![
+            data(0, 0, true, false),
+            data(1, 10, false, false),
+            data(1, 300, true, true),
+        ]));
+        assert_eq!(data_only.summary.rtt_s, FALLBACK_RTT_S);
+        assert_eq!(data_only.summary.timeouts, 1);
+
+        let deaf = assert_sweep_matches_parts(&trace_of(vec![
+            data(0, 0, true, false),
+            ack(1, 31, false),
+            data(1, 60, true, false),
+            ack(2, 91, false),
+        ]));
+        assert_eq!(deaf.summary.rtt_s, FALLBACK_RTT_S);
+        assert_eq!(deaf.summary.p_a, 1.0);
+    }
+
+    #[test]
+    fn spurious_verdict_reaches_seqs_past_the_dense_slab() {
+        // 4 records: the slab ends at 4 * 4 + 1024.
+        let far = 1 << 40;
+        let a = assert_sweep_matches_parts(&trace_of(vec![
+            data(0, 0, true, false),
+            data(far, 10, true, false),
+            data(far, 300, false, true), // the copy it repeats arrived
+            data(far, 900, true, true),  // the copy it repeats was lost
+        ]));
+        let verdicts: Vec<bool> = a.timeouts.sequences[0]
+            .events
+            .iter()
+            .map(|e| e.spurious)
+            .collect();
+        assert_eq!(verdicts, [true, false]);
+        assert_eq!(a.throughput.unique_segments_delivered, 2);
+    }
+
+    #[test]
+    fn flow_dying_in_recovery_ends_its_phase_at_the_last_event() {
+        let a = assert_sweep_matches_parts(&trace_of(vec![
+            data(0, 0, true, false),
+            ack(1, 31, true),
+            data(1, 60, false, false),
+            data(1, 400, false, true),
+            data(1, 1000, true, true), // arrives at 1030, the trace's end
+        ]));
+        let seq = &a.timeouts.sequences[0];
+        assert_eq!(seq.timeouts(), 2);
+        assert_eq!(seq.recovery_end, SimTime::from_millis(1030));
+    }
+
+    #[test]
+    fn ladders_chained_through_fast_retransmits_are_one_phase() {
+        let a = assert_sweep_matches_parts(&trace_of(vec![
+            data(0, 0, true, false),
+            data(1, 10, false, false),
+            data(2, 20, false, false),
+            data(1, 400, false, true),  // RTO
+            data(2, 450, false, true),  // go-back-N resend: not silent
+            data(1, 1000, true, true),  // RTO again, no new data in between
+            data(2, 1040, true, true),  // resend
+            data(3, 1100, true, false), // new data closes the phase
+        ]));
+        assert_eq!(a.summary.timeout_sequences, 1);
+        assert_eq!(a.summary.timeouts, 2);
+        assert_eq!(a.summary.fast_retransmissions, 2);
+        assert_eq!(
+            a.timeouts.sequences[0].recovery_end,
+            SimTime::from_millis(1100)
+        );
+    }
+
+    #[test]
+    fn recovery_window_is_closed_at_ca_end_and_open_at_recovery_end() {
+        // RTT 30 + 28 ms, so ACKs more than 29 ms apart start a new round.
+        let a = assert_sweep_matches_parts(&trace_of(vec![
+            data(0, 0, true, false),
+            data(1, 10, true, false),
+            ack(1, 40, true),
+            ack(2, 45, true), // round {40, 45}: congestion avoidance
+            data(2, 100, false, false),
+            ack(2, 100, false), // starts exactly at ca_end: recovery
+            data(2, 400, true, true),
+            ack(3, 431, true), // inside the phase
+            data(3, 500, true, false),
+            ack(3, 500, false), // starts exactly at recovery_end: kept
+            ack(3, 505, false),
+            data(4, 510, true, false),
+        ]));
+        let seq = &a.timeouts.sequences[0];
+        assert_eq!(
+            (seq.ca_end, seq.recovery_end),
+            (SimTime::from_millis(100), SimTime::from_millis(500))
+        );
+        assert_eq!(a.ack_bursts.rounds, 2);
+        assert_eq!(a.ack_bursts.measurable_rounds, 2);
+        assert_eq!(a.ack_bursts.burst_lost_rounds, 1);
+    }
+
+    /// Send gaps that sit on both sides of the round gap and of the 150 ms
+    /// silence threshold; zero keeps ACKs on the instant of a data send.
+    const GAPS_MS: [u64; 8] = [0, 0, 1, 7, 40, 149, 150, 600];
+
+    /// A send-sorted trace from a script of `(kind, gap, pick, fate,
+    /// delay_ms)` steps. `shape` 1 drops every data step, 2 every ACK
+    /// step, 3 loses every ACK; other values leave the script alone.
+    fn scripted_trace(shape: u8, script: &[(u8, usize, u64, u8, u64)]) -> FlowTrace {
+        let mut t = FlowTrace::new(7, FlowMeta::default());
+        let (mut now_ms, mut next_seq) = (0u64, 0u64);
+        for (id, &(kind, gap, pick, fate, delay_ms)) in script.iter().enumerate() {
+            let is_ack = kind < 4;
+            if (shape == 1 && !is_ack) || (shape == 2 && is_ack) {
+                continue;
+            }
+            now_ms += GAPS_MS[gap];
+            let (seq, retransmit) = match kind {
+                0..=3 => (next_seq, false),
+                // A retransmission, half the time of the newest segment
+                // (ladders), else of any earlier one.
+                7 | 8 if next_seq > 0 && pick < 32 => (next_seq - 1, true),
+                7 | 8 if next_seq > 0 => (pick % next_seq, true),
+                // Past the dense per-seq tables, first copies and repeats.
+                9 => ((1 << 40) + pick % 3, pick >= 24),
+                _ => {
+                    next_seq += 1;
+                    (next_seq - 1, false)
+                }
+            };
+            let arrived = fate != 0 && !(shape == 3 && is_ack);
+            let sent_at = SimTime::from_millis(now_ms);
+            t.records.push(PacketRecord {
+                id: id as u64,
+                seq,
+                is_ack,
+                retransmit,
+                acked_count: u32::from(is_ack),
+                size_bytes: if is_ack { 40 } else { 1500 },
+                sent_at,
+                arrived_at: arrived.then_some(sent_at + SimDuration::from_millis(delay_ms)),
+            });
+        }
+        t
+    }
+
+    proptest::proptest! {
+        /// Over random scripts — ACK-only, data-only and deaf flows among
+        /// them, ladders that chain or run into the trace's end, far-off
+        /// seqs, rounds on window edges — the one sweep returns what the
+        /// stand-alone analyses and the naive oracles compose to.
+        #[test]
+        fn sweep_matches_the_analyses_run_one_by_one(
+            shape in 0u8..8,
+            script in proptest::collection::vec(
+                (0u8..10, 0usize..8, 0u64..64, 0u8..4, 1u64..200),
+                0..96,
+            ),
+        ) {
+            assert_sweep_matches_parts(&scripted_trace(shape, &script));
+        }
     }
 }

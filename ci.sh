@@ -19,12 +19,12 @@ stage_build_test() {
     # (the bare root build only covers the facade crate).
     cargo build --release --workspace
     cargo test -q --workspace
-    # Queue-vs-model differential: the event queue (indexed heap + FIFO
-    # lanes) must pop the exact `(time, seq)` stream an ordered-map model
-    # pops, over randomized schedule/lane/cancel/pop interleavings. Runs
-    # inside the workspace suite too, but an explicit invocation keeps the
-    # contract visible in the CI log (and keeps running it even if the
-    # workspace test set is ever filtered).
+    # Queue-vs-model differential: the event queue (indexed timer heap +
+    # scanned FIFO lanes) must pop the exact `(time, seq)` stream an
+    # ordered-map model pops, over randomized schedule/lane/cancel/pop
+    # interleavings. Runs inside the workspace suite too, but an explicit
+    # invocation keeps the contract visible in the CI log (and keeps running
+    # it even if the workspace test set is ever filtered).
     cargo test -q --test queue_differential
     # The study smokes below write their reports into the working
     # directory: run them from a scratch directory so the 2-flow smoke
@@ -90,31 +90,33 @@ stage_build_test() {
     cargo doc --no-deps --workspace
     # benchmark/ is a workspace of its own that pins the crates' public
     # signatures; nothing above compiles it. Build it, run its unit tests,
-    # and make two short driver-form runs. Those runs are also the speed-
-    # only-change gate: seed 1 of a workload must simulate exactly the
+    # and make three short driver-form runs. Those runs are also the speed-
+    # only-change gate: a pinned seed of a workload must simulate exactly the
     # pinned events into exactly the pinned summary bytes (a PR that means
     # to change the simulation updates the values, as with the chaos
-    # fixture above). `table1-cold` is Reno at 300 km/h only; `zoo-grid-cold`
-    # adds stationary flows (no timeouts, so no recovery phase to exclude)
-    # and every controller and recovery strategy — analysis paths the first
-    # never takes.
+    # fixture above). `table1-cold` is Reno at 300 km/h only — pinned at two
+    # seeds, so a change that happens to be neutral on one random stream
+    # still shows; `zoo-grid-cold` adds stationary flows (no timeouts, so no
+    # recovery phase to exclude) and every controller and recovery strategy
+    # — analysis paths the first never takes.
     cargo build --release --offline --manifest-path benchmark/Cargo.toml
     cargo test --release --offline --manifest-path benchmark/Cargo.toml
-    benchmark_pin table1-cold 461fc511504f307e 19262156
-    benchmark_pin zoo-grid-cold 5291cb75ee6417f4 17509760
+    benchmark_pin table1-cold 1 461fc511504f307e 19262156
+    benchmark_pin table1-cold 77 404247be8dce77f3 18461285
+    benchmark_pin zoo-grid-cold 1 5291cb75ee6417f4 17509760
 }
 
-# One 1-s untraced run of benchmark workload $1 at seed 1: it must report
-# itself correct and print sim_digest $2 and events $3.
+# One 1-s untraced run of benchmark workload $1 at seed $2: it must report
+# itself correct and print sim_digest $3 and events $4.
 benchmark_pin() {
-    local workload="$1" digest="$2" events="$3"
-    local log="target/ci-smoke/benchmark-$workload.log"
-    benchmark/run.sh --workload "$workload" --seed 1 --seconds 1 --trace 0 | tee "$log"
+    local workload="$1" seed="$2" digest="$3" events="$4"
+    local log="target/ci-smoke/benchmark-$workload-seed$seed.log"
+    benchmark/run.sh --workload "$workload" --seed "$seed" --seconds 1 --trace 0 | tee "$log"
     tail -n 1 "$log" | grep -q '"correct":true' \
-        || { echo "benchmark smoke: $workload result line lacks \"correct\":true" >&2; exit 1; }
+        || { echo "benchmark smoke: $workload seed $seed result line lacks \"correct\":true" >&2; exit 1; }
     grep -Eq "sim_digest += +$digest\$" "$log" \
         && grep -Eq "events += +$events\$" "$log" \
-        || { echo "benchmark smoke: $workload seed 1 no longer simulates sim_digest $digest / events $events" >&2; exit 1; }
+        || { echo "benchmark smoke: $workload seed $seed no longer simulates sim_digest $digest / events $events" >&2; exit 1; }
 }
 
 stage_bench() {

@@ -89,6 +89,11 @@ fn bench_event_queue(c: &mut Criterion) {
     });
 }
 
+/// Ops per criterion iteration of the queue churn benches; depth stays
+/// constant across them, so the queue carries steady state between
+/// iterations.
+const CHURN_OPS: u64 = 4096;
+
 /// Queue churn through a deterministic schedule/cancel/pop mix at steady
 /// pending depths of 30 (what a flow really keeps pending), 1k and 100k
 /// (how the heap degrades far outside it). Each op is the engine's
@@ -97,10 +102,6 @@ fn bench_event_queue(c: &mut Criterion) {
 /// mixed horizon away (same-instant-ish, near, RTO-scale, far).
 fn bench_queue_churn(c: &mut Criterion) {
     use hsm_simnet::event::{Event, EventKind, EventQueue};
-
-    /// Ops per criterion iteration; depth stays constant across them, so
-    /// the queue carries steady state between iterations.
-    const CHURN_OPS: u64 = 4096;
 
     /// xorshift64 timer-horizon mix.
     fn dt(state: &mut u64) -> u64 {
@@ -146,6 +147,61 @@ fn bench_queue_churn(c: &mut Criterion) {
                         dst,
                         kind: EventKind::Timer { tag },
                     });
+                    fired += 1;
+                }
+                black_box(fired)
+            });
+        });
+    }
+}
+
+/// The cost the scanned-lanes queue accepts (DESIGN.md §15): a pop reads
+/// every lane's head key, so it is O(lanes). Pop + lane-schedule churn —
+/// a link's delivery pattern — over 2, 4 and 8 lanes (one link, a
+/// campaign flow, a duplex MPTCP world; the largest world the workspace
+/// builds has 12) and 64 (where a heap of lanes would start to pay), each
+/// lane three entries deep, with six timers in the heap throughout.
+fn bench_queue_lanes(c: &mut Criterion) {
+    use hsm_simnet::event::{Event, EventKind, EventQueue};
+
+    const TIMER: u64 = u64::MAX;
+
+    let mut g = tune(c);
+    for lanes in [2usize, 4, 8, 64] {
+        g.bench_function(&format!("queue_lanes/{lanes}"), |b| {
+            let dst = AgentId::from_raw(0);
+            let event = |at: u64, tag: u64| Event {
+                at: SimTime::from_micros(at),
+                dst,
+                kind: EventKind::Timer { tag },
+            };
+            let mut q = EventQueue::new();
+            // Lane tails, staggered so successive pops walk the lanes.
+            let mut tails: Vec<u64> = (0..lanes as u64).map(|lane| 7 * lane).collect();
+            for _ in 0..3 {
+                for (lane, tail) in tails.iter_mut().enumerate() {
+                    *tail += 1_000;
+                    q.schedule_in_lane(lane, event(*tail, lane as u64));
+                }
+            }
+            for i in 0..6 {
+                q.schedule(event(40_000 + i, TIMER));
+            }
+            b.iter(|| {
+                let mut fired = 0u64;
+                for _ in 0..CHURN_OPS {
+                    let (_, ev) = q.pop().expect("steady-state churn never empties");
+                    match ev.kind {
+                        EventKind::Timer { tag: TIMER } => {
+                            q.schedule(event(ev.at.as_micros() + 40_000, TIMER));
+                        }
+                        EventKind::Timer { tag: lane } => {
+                            let tail = &mut tails[lane as usize];
+                            *tail = (*tail + 1_000).max(ev.at.as_micros());
+                            q.schedule_in_lane(lane as usize, event(*tail, lane));
+                        }
+                        _ => unreachable!("only timers are scheduled"),
+                    }
                     fired += 1;
                 }
                 black_box(fired)
@@ -266,6 +322,7 @@ criterion_group!(
     bench_engine,
     bench_event_queue,
     bench_queue_churn,
+    bench_queue_lanes,
     bench_link_offer,
     bench_tcp_flow,
     bench_analysis,

@@ -25,11 +25,12 @@
 //!   [`ObserverSet`]: with no observer the
 //!   engine skips event materialization altogether, and the single-
 //!   recorder case is a direct (non-virtual) call;
-//! * the [`EventQueue`] is an indexed 4-ary heap over a payload slab,
-//!   sized to the ~30 events a flow keeps pending: a cancel removes its
-//!   entry on the spot, a re-armed timer ([`Ctx::reschedule_in`]) keeps
-//!   its slot and heap entry, and each link's `Deliver` events wait in a
-//!   FIFO lane that costs the heap one entry (see the `event` module docs);
+//! * the [`EventQueue`]'s indexed 4-ary heap holds only the agents'
+//!   timers: a cancel removes its entry on the spot and a re-armed timer
+//!   ([`Ctx::reschedule_in`]) keeps its slot and heap entry. Link events
+//!   never enter it — link *i*'s `Deliver` events wait in FIFO lane `2i`,
+//!   its one pending `LinkReady` in lane `2i + 1`, and a pop compares the
+//!   heap root with the few lane heads (see the `event` module docs);
 //! * dispatch is one deadline-bounded pop per event — the engine's only
 //!   queue read — so an event stays in the queue, cancellable, until the
 //!   moment it fires.
@@ -206,17 +207,8 @@ impl Core {
             size_bytes: packet.size_bytes,
         };
         debug_assert_eq!(handle.id, packet.id, "arena row diverged from id");
-        let link = &mut self.links[idx];
-        match link.offer(handle) {
-            Accept::StartTx => {
-                let at = self.now + link.tx_time(handle.size_bytes);
-                let dst = link.to;
-                self.queue.schedule(Event {
-                    at,
-                    dst,
-                    kind: EventKind::LinkReady(link_id),
-                });
-            }
+        match self.links[idx].offer(handle) {
+            Accept::StartTx => self.start_tx(link_id, handle),
             Accept::Queued => {}
             Accept::DroppedOverflow(dropped) => {
                 if !self.observers.is_none() {
@@ -234,21 +226,28 @@ impl Core {
         handle.id
     }
 
+    /// Schedules the `LinkReady` that ends the transmission of `packet`,
+    /// which `link_id` has just taken in flight. A link transmits one
+    /// packet at a time, so its tx-complete lane never holds two events.
+    fn start_tx(&mut self, link_id: LinkId, packet: QueuedPacket) {
+        let link = &mut self.links[link_id.as_usize()];
+        let event = Event {
+            at: self.now + link.tx_time(packet.size_bytes),
+            dst: link.to,
+            kind: EventKind::LinkReady(link_id),
+        };
+        self.queue
+            .schedule_in_lane(2 * link_id.as_usize() + 1, event);
+    }
+
     fn link_ready(&mut self, link_id: LinkId) -> Result<(), SimError> {
         let idx = link_id.as_usize();
-        let link = &mut self.links[idx];
-        let Some((done, next)) = link.try_complete_tx() else {
+        let Some((done, next)) = self.links[idx].try_complete_tx() else {
             return Err(SimError::LinkIdle { link: link_id });
         };
         // Chain the next transmission, if any.
         if let Some(next) = next {
-            let at = self.now + link.tx_time(next.size_bytes);
-            let dst = link.to;
-            self.queue.schedule(Event {
-                at,
-                dst,
-                kind: EventKind::LinkReady(link_id),
-            });
+            self.start_tx(link_id, next);
         }
         // Decide the fate of the completed packet.
         let lost = {
@@ -275,13 +274,13 @@ impl Core {
         };
         // FIFO: jitter must not let packets overtake each other — which
         // also makes this link's deliveries a non-decreasing sequence, so
-        // they queue in the link's lane instead of the heap.
+        // they queue in the link's delivery lane instead of the heap.
         let at = (self.now + latency).max(self.links[idx].last_delivery);
         self.links[idx].last_delivery = at;
         self.links[idx].deliver_pending += 1;
         let dst = self.links[idx].to;
         self.queue.schedule_in_lane(
-            idx,
+            2 * idx,
             Event {
                 at,
                 dst,
@@ -570,7 +569,6 @@ impl std::fmt::Debug for Engine {
 mod tests {
     use super::*;
     use crate::loss::{Bernoulli, ChannelLoss};
-    use crate::observer::VecRecorder;
     use crate::packet::{FlowId, SeqNo};
 
     /// Sends `count` packets spaced by a timer, records delivery times.
@@ -724,19 +722,31 @@ mod tests {
         let fresh_events = rec.take_events();
         let fresh_count = fresh.events_processed();
 
-        // Dirty an engine with a different seed, stop it mid-flight with
-        // packets still queued in the link's delivery lane, then reset it
-        // to 42.
+        // Dirty an engine with a different seed and a many-link world
+        // (eight lanes), stop it mid-flight with packets still queued in
+        // the delivery lanes and a transmission (a `LinkReady` in its
+        // tx-complete lane) under way, then reset it to 42.
         let mut recycled = Engine::new(7);
-        let _ = wire(&mut recycled);
+        let (junk_sink, _) = wire(&mut recycled);
+        for _ in 0..3 {
+            let spare = recycled.add_link(LinkSpec::new(junk_sink, "spare"));
+            recycled.inject(spare, Packet::data(FlowId(9), SeqNo(0), false));
+        }
         recycled.run_until(SimTime::from_millis(100));
-        let in_lane = recycled.link(LinkId::from_raw(0)).deliver_pending;
+        let first = recycled.link(LinkId::from_raw(0));
+        let in_lane = first.deliver_pending;
         assert!(in_lane > 1, "only {in_lane} deliveries in flight at reset");
+        assert!(first.is_busy(), "no tx-complete pending at reset");
+        assert_eq!(recycled.core.queue.lanes_scanned(), 8);
         recycled.reset(42);
         assert_eq!(recycled.events_processed(), 0);
         assert_eq!(recycled.now(), SimTime::ZERO);
+        assert_eq!(recycled.core.queue.lanes_scanned(), 0);
         let (sink2, rec2) = wire(&mut recycled);
         recycled.run_until_idle();
+        // The single-link run pops past its own two lanes, not the eight
+        // the previous tenant left.
+        assert_eq!(recycled.core.queue.lanes_scanned(), 2);
         assert_eq!(
             recycled.agent_mut::<Sink>(sink2).unwrap().deliveries,
             fresh_deliveries
@@ -870,6 +880,115 @@ mod tests {
         assert_eq!(agent.cancel_ok, Some(true), "same-instant cancel succeeds");
         assert_eq!(processed, 2, "cancelled event is not counted");
         assert_eq!(eng.events_processed(), 2);
+    }
+
+    #[test]
+    fn same_instant_tx_complete_delivery_and_timer_fire_in_schedule_order() {
+        // One instant (2 ms) holds an event from each of the queue's three
+        // sources — a delivery lane, a tx-complete lane and the timer heap
+        // — made visible in the recorded stream: the delivery as
+        // `Delivered`, the tx-complete as the `Dropped` of a link that
+        // loses everything, the timer as the `Sent` of the packet its
+        // callback sends.
+        enum Act {
+            Send(LinkId),
+            Timer { after_us: u64, tag: u64 },
+        }
+        struct Scripted {
+            on_start: Vec<Act>,
+            on_tag_zero: Vec<Act>,
+            mark: LinkId,
+        }
+        impl Scripted {
+            fn run(acts: &[Act], ctx: &mut Ctx<'_>) {
+                for act in acts {
+                    match *act {
+                        Act::Send(link) => {
+                            ctx.send(link, Packet::data(FlowId(0), SeqNo(0), false));
+                        }
+                        Act::Timer { after_us, tag } => {
+                            ctx.schedule_in(SimDuration::from_micros(after_us), tag);
+                        }
+                    }
+                }
+            }
+        }
+        impl Agent for Scripted {
+            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+                Scripted::run(&self.on_start, ctx);
+            }
+            fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _p: Packet) {}
+            fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
+                match tag {
+                    0 => Scripted::run(&self.on_tag_zero, ctx),
+                    _ => Scripted::run(&[Act::Send(self.mark)], ctx),
+                }
+            }
+        }
+        // `wire`: 1 ms to clock a packet out, 1 ms to propagate. `lossy`
+        // takes `lossy_tx_us` to clock one out, then destroys it.
+        let run = |lossy_tx_us: u64, script: fn(LinkId, LinkId) -> [Vec<Act>; 2]| {
+            let mut eng = Engine::new(1);
+            let sink = eng.add_agent(Box::new(Sink {
+                deliveries: Vec::new(),
+            }));
+            let link = |label: &str, tx_us: u64| {
+                LinkSpec::new(sink, label).bandwidth_bps(1500 * 8 * 1_000_000 / tx_us)
+            };
+            let wire = eng.add_link(link("wire", 1000).prop_delay(SimDuration::from_millis(1)));
+            let lossy = eng.add_link(
+                link("lossy", lossy_tx_us).loss(ChannelLoss::new(Box::new(Bernoulli::new(1.0)))),
+            );
+            let mark = eng.add_link(link("mark", 1000));
+            let [on_start, on_tag_zero] = script(wire, lossy);
+            eng.add_agent(Box::new(Scripted {
+                on_start,
+                on_tag_zero,
+                mark,
+            }));
+            let rec = VecRecorder::new();
+            eng.add_recorder(rec.clone());
+            eng.run_until(SimTime::from_millis(2));
+            rec.take_events()
+                .into_iter()
+                .filter(|e| e.time == SimTime::from_millis(2))
+                .map(|e| format!("{:?} on {}", e.kind, e.link_label))
+                .collect::<Vec<_>>()
+        };
+        let (delivered, dropped, sent) = (
+            "Delivered on wire",
+            "Dropped(Channel) on lossy",
+            "Sent on mark",
+        );
+        // Scheduled at 0 ms: tx-complete (2 ms of clocking), then the
+        // timer; the delivery is scheduled when `wire` finishes at 1 ms.
+        let order = run(2000, |wire, lossy| {
+            let timer = Act::Timer {
+                after_us: 2000,
+                tag: 1,
+            };
+            [vec![Act::Send(wire), Act::Send(lossy), timer], vec![]]
+        });
+        assert_eq!(order, [dropped, sent, delivered]);
+        // The delivery scheduled at 1 ms, then at 1.5 ms the timer and a
+        // 0.5-ms transmission on `lossy`, in that order.
+        let order = run(500, |wire, lossy| {
+            let (phase_two, timer) = (
+                Act::Timer {
+                    after_us: 1500,
+                    tag: 0,
+                },
+                Act::Timer {
+                    after_us: 500,
+                    tag: 1,
+                },
+            );
+            [
+                vec![Act::Send(wire), phase_two],
+                vec![timer, Act::Send(lossy)],
+            ]
+        });
+        assert_eq!(order, [delivered, sent, dropped]);
     }
 
     #[test]

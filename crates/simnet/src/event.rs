@@ -1,18 +1,20 @@
 //! Future event list.
 //!
 //! A flow keeps about thirty events pending (measured mean depth 27, peak
-//! 67 over the 255-flow Table I campaign), so the queue is sized to that:
+//! 67 over the 255-flow Table I campaign), nine in ten of them link events
+//! that are never cancelled, so the queue is two structures:
 //!
-//! * an **indexed 4-ary min-heap** of `(time, sequence, slot)` entries
-//!   over a payload slab. Each slab slot records its entry's heap
-//!   position, so [`EventQueue::cancel`] removes the entry outright with
-//!   one short sift and the heap never holds a dead entry — one schedule
-//!   in four is a far-future retransmission timer the next ACK cancels;
+//! * an **indexed 4-ary min-heap** of `(key, slot)` entries over a payload
+//!   slab, for the cancellable timers. Each slab slot records its entry's
+//!   heap position, so [`EventQueue::cancel`] removes the entry outright
+//!   with one short sift and the heap never holds a dead entry — one
+//!   schedule in four is a retransmission timer the next ACK cancels;
 //! * **FIFO lanes** ([`EventQueue::schedule_in_lane`]) for sources that
-//!   schedule in non-decreasing time — each link's `Deliver` events. Only
-//!   a lane's head sits in the heap; popping it puts the lane's next entry
-//!   at the root (one sift-down). The heap then orders one entry per
-//!   source, not one per packet in flight.
+//!   schedule in non-decreasing time — each link's `Deliver` events and
+//!   its pending `LinkReady`. A lane is a ring buffer plus a head key in a
+//!   small array, outside the heap: a pop takes the smaller of the heap
+//!   root and the least head key, found by a scan — O(lanes), sized
+//!   against a flow's 4 lanes and the largest world's 12 (DESIGN.md §15).
 //!
 //! # Ordering contract
 //!
@@ -27,9 +29,9 @@
 //! Lanes keep the contract without trusting the caller: a lane is sorted
 //! by `(time, sequence)` because sequences only grow and an event *below*
 //! the lane's tail time is not appended but takes the plain heap path. A
-//! sorted lane's head is its minimum, so the global minimum is always in
-//! the heap. `tests/queue_differential.rs` checks randomized interleavings
-//! against an ordered-map model (DESIGN.md §15).
+//! sorted lane's head is its minimum, so the global minimum is the heap
+//! root or one of the head keys. `tests/queue_differential.rs` checks
+//! randomized interleavings against an ordered-map model.
 
 use crate::agent::AgentId;
 use crate::time::SimTime;
@@ -101,8 +103,8 @@ pub struct Event {
 /// Cheap per-queue telemetry: schedule/cancel volume and live depth,
 /// maintained with two adds and a compare per schedule.
 ///
-/// Campaign runners aggregate these into `BENCH_simnet.json`, so the
-/// choice of queue structure rests on measured depth and timer churn.
+/// Campaign runners sum these over flows (the `simnet.event.*` ledger rows),
+/// so the choice of queue structure rests on measured depth and timer churn.
 #[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct QueueStats {
     /// Events scheduled.
@@ -141,22 +143,18 @@ impl QueueStats {
 /// and keeps a node's children in one or two cache lines.
 const ARITY: usize = 4;
 
-/// Marks a heap entry's `slot` as a lane index rather than a slab index.
-const LANE_BIT: u32 = 1 << 31;
+/// The ordering key: `(firing time, insertion sequence)`.
+type Key = (SimTime, u64);
+/// Head key of an empty lane: sorts after every real key.
+const EMPTY: Key = (SimTime::MAX, u64::MAX);
+/// The id popped with a lane event: no slab slot, so never pending.
+const LANE_EVENT: EventId = EventId(u64::MAX);
 
-/// Heap entry: the ordering key plus where the payload lives — a slab
-/// slot, or (with [`LANE_BIT`] set) the front of a lane.
+/// Heap entry: the ordering key plus the slab slot holding the payload.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
-    at: SimTime,
-    seq: u64,
+    key: Key,
     slot: u32,
-}
-
-impl Entry {
-    fn key(&self) -> (SimTime, u64) {
-        (self.at, self.seq)
-    }
 }
 
 /// One slab slot: the event payload, the generation that validates ids
@@ -171,13 +169,15 @@ struct Slot {
 /// The future event list.
 #[derive(Debug, Default)]
 pub struct EventQueue {
-    /// 4-ary min-heap on `(at, seq)`. Holds exactly one entry per live
-    /// slab event and one per non-empty lane (that lane's front).
+    /// 4-ary min-heap on `(at, seq)`: one entry per live slab event.
     heap: Vec<Entry>,
     slab: Vec<Slot>,
     free: Vec<u32>,
     /// Per-lane `(seq, event)` queues, each sorted by `(at, seq)`.
     lanes: Vec<VecDeque<(u64, Event)>>,
+    /// `heads[i]` is the key of lane *i*'s front, or [`EMPTY`]: one slot
+    /// per lane used since construction or `reset` (`lanes` only grows).
+    heads: Vec<Key>,
     live: usize,
     next_seq: u64,
     stats: QueueStats,
@@ -211,46 +211,51 @@ impl EventQueue {
     /// Schedules `event` and returns its cancellation handle. Debug/test
     /// builds panic if it fires earlier than an event already popped.
     pub fn schedule(&mut self, event: Event) -> EventId {
-        let seq = self.admit(event.at);
+        let key = (event.at, self.admit(event.at));
         let slot = self.free.pop().unwrap_or_else(|| {
             self.slab.push(Slot::default());
             (self.slab.len() - 1) as u32
         });
         self.slab[slot as usize].event = Some(event);
-        self.push(event.at, seq, slot);
+        self.heap.push(Entry { key, slot });
+        self.sift_up(self.heap.len() - 1, Entry { key, slot });
         EventId::new(slot, self.slab[slot as usize].gen)
     }
 
     /// Schedules `event` behind the earlier events of `lane`, for sources
-    /// whose firing times never decrease (the engine uses one lane per
-    /// link's `Deliver` events). It fires exactly where `schedule` would
-    /// have put it — an event earlier than the lane's tail simply takes
-    /// that path — but a lane costs the heap one entry however long it
-    /// is. Lane events cannot be cancelled, so no handle is returned.
+    /// whose firing times never decrease (the engine gives each link a lane
+    /// for its `Deliver` events and one for its `LinkReady`). It fires
+    /// exactly where `schedule` would have put it — an event earlier than
+    /// the lane's tail simply takes that path — but is a ring-buffer append.
+    /// Every pop reads a head key per lane in use, so lanes are for a few busy
+    /// sources. Lane events cannot be cancelled, so no handle is returned.
     pub fn schedule_in_lane(&mut self, lane: usize, event: Event) {
-        if lane >= self.lanes.len() {
-            self.lanes.resize_with(lane + 1, VecDeque::new);
+        if lane >= self.heads.len() {
+            self.heads.resize(lane + 1, EMPTY);
+            if lane >= self.lanes.len() {
+                self.lanes.resize_with(lane + 1, VecDeque::new);
+            }
         }
-        let tail = self.lanes[lane].back().map(|(_, tail)| tail.at);
-        if tail.is_some_and(|tail| event.at < tail) {
+        let tail = self.lanes[lane].back();
+        if tail.is_some_and(|(_, tail)| event.at < tail.at) {
             self.schedule(event);
             return;
         }
         let seq = self.admit(event.at);
         self.lanes[lane].push_back((seq, event));
-        if tail.is_none() {
-            self.push(event.at, seq, LANE_BIT | lane as u32);
-        }
+        // Appended to a sorted lane: the least key unless the lane was empty.
+        self.heads[lane] = self.heads[lane].min((event.at, seq));
     }
 
     /// Clears the queue for reuse, keeping every allocation. Otherwise
-    /// indistinguishable from a fresh queue: the insertion sequence
-    /// restarts at zero and previously issued [`EventId`]s are dead.
+    /// indistinguishable from a fresh queue: the insertion sequence restarts
+    /// at zero, previously issued [`EventId`]s are dead, no lane is in use.
     pub fn reset(&mut self) {
         self.heap.clear();
         self.slab.clear();
         self.free.clear();
         self.lanes.iter_mut().for_each(VecDeque::clear);
+        self.heads.clear();
         self.live = 0;
         self.next_seq = 0;
         self.stats = QueueStats::default();
@@ -290,18 +295,14 @@ impl EventQueue {
         // the pair would have left.
         self.live -= 1;
         self.stats.cancels += 1;
-        let seq = self.admit(event.at);
+        let key = (event.at, self.admit(event.at));
         let slot = &mut self.slab[id.slot()];
         slot.gen = slot.gen.wrapping_add(1);
         slot.event = Some(event);
         let (gen, pos) = (slot.gen, slot.pos as usize);
-        let entry = Entry {
-            at: event.at,
-            seq,
-            slot: id.slot() as u32,
-        };
-        self.settle(pos, entry);
-        EventId::new(id.slot() as u32, gen)
+        let slot = id.slot() as u32;
+        self.settle(pos, Entry { key, slot });
+        EventId::new(slot, gen)
     }
 
     /// True if `id` was scheduled and has neither fired nor been cancelled.
@@ -318,28 +319,31 @@ impl EventQueue {
 
     /// Pops the next event if it fires at or before `deadline`, else leaves
     /// it queued. The returned id is dead; a lane event's was never alive.
+    /// Inlined into the engine's loop: out of line the 40-byte result is
+    /// stored and reloaded at another width, a stall per event (DESIGN §15).
+    #[inline]
     pub fn pop_before(&mut self, deadline: SimTime) -> Option<(EventId, Event)> {
-        let root = *self.heap.first()?;
-        if root.at > deadline {
+        let heads = self.heads.iter().copied().enumerate();
+        let (lane, head) = heads.min_by_key(|&(_, key)| key).unwrap_or((0, EMPTY));
+        let root = self.heap.first().copied().filter(|root| root.key < head);
+        let at = root.map_or(head.0, |root| root.key.0);
+        if at > deadline || self.live == 0 {
             return None;
         }
         #[cfg(any(debug_assertions, test))]
         {
-            assert!(root.at >= self.last_popped, "heap popped out of order");
-            self.last_popped = root.at;
+            assert!(at >= self.last_popped, "queue popped out of order");
+            self.last_popped = at;
         }
-        if root.slot & LANE_BIT == 0 {
+        if let Some(root) = root {
             self.remove_at(0);
             return Some(self.retire(root.slot));
         }
-        let lane = &mut self.lanes[(root.slot ^ LANE_BIT) as usize];
-        let (_, event) = lane.pop_front().expect("a lane's heap entry is its front");
-        match lane.front() {
-            Some(&(seq, Event { at, .. })) => self.sift_down(0, Entry { at, seq, ..root }),
-            None => self.remove_at(0),
-        }
+        let queued = &mut self.lanes[lane];
+        let (_, event) = queued.pop_front().expect("a head key is its lane's front");
+        self.heads[lane] = queued.front().map_or(EMPTY, |&(seq, next)| (next.at, seq));
         self.live -= 1;
-        Some((EventId::new(root.slot, 0), event))
+        Some((LANE_EVENT, event))
     }
 
     /// Both schedule paths: monotonicity check, telemetry, next sequence.
@@ -372,19 +376,10 @@ impl EventQueue {
         fired
     }
 
-    /// Writes `entry` at `pos` and records the position in its slab slot
-    /// (lane heads only ever leave from the root, so they need no index).
+    /// Writes `entry` at `pos` and records the position in its slab slot.
     fn place(&mut self, pos: usize, entry: Entry) {
         self.heap[pos] = entry;
-        if entry.slot & LANE_BIT == 0 {
-            self.slab[entry.slot as usize].pos = pos as u32;
-        }
-    }
-
-    fn push(&mut self, at: SimTime, seq: u64, slot: u32) {
-        let entry = Entry { at, seq, slot };
-        self.heap.push(entry);
-        self.sift_up(self.heap.len() - 1, entry);
+        self.slab[entry.slot as usize].pos = pos as u32;
     }
 
     /// Removes the entry at `pos` by moving the last entry into the hole.
@@ -399,7 +394,7 @@ impl EventQueue {
     /// Settles `entry` from the hole at `pos`, in whichever direction its
     /// key has to travel.
     fn settle(&mut self, pos: usize, entry: Entry) {
-        if pos > 0 && entry.key() < self.heap[(pos - 1) / ARITY].key() {
+        if pos > 0 && entry.key < self.heap[(pos - 1) / ARITY].key {
             self.sift_up(pos, entry);
         } else {
             self.sift_down(pos, entry);
@@ -410,7 +405,7 @@ impl EventQueue {
     fn sift_up(&mut self, mut pos: usize, entry: Entry) {
         while pos > 0 {
             let parent = (pos - 1) / ARITY;
-            if entry.key() >= self.heap[parent].key() {
+            if entry.key >= self.heap[parent].key {
                 break;
             }
             self.place(pos, self.heap[parent]);
@@ -423,8 +418,8 @@ impl EventQueue {
     fn sift_down(&mut self, mut pos: usize, entry: Entry) {
         loop {
             let children = ARITY * pos + 1..(ARITY * pos + 1 + ARITY).min(self.heap.len());
-            match children.min_by_key(|&c| self.heap[c].key()) {
-                Some(best) if self.heap[best].key() < entry.key() => {
+            match children.min_by_key(|&c| self.heap[c].key) {
+                Some(best) if self.heap[best].key < entry.key => {
                     self.place(pos, self.heap[best]);
                     pos = best;
                 }
@@ -439,6 +434,13 @@ impl EventQueue {
 mod tests {
     use super::*;
     use crate::rng::SimRng;
+
+    impl EventQueue {
+        /// Lanes in use since construction or `reset`: what a pop scans.
+        pub(crate) fn lanes_scanned(&self) -> usize {
+            self.heads.len()
+        }
+    }
 
     fn ev(at_us: u64, tag: u64) -> Event {
         Event {
@@ -463,25 +465,25 @@ mod tests {
 
     /// The structural invariants the module docs promise.
     fn assert_invariants(q: &EventQueue) {
+        // The heap holds slab events only, each where its slot says.
         for (pos, e) in q.heap.iter().enumerate() {
-            assert!(pos == 0 || q.heap[(pos - 1) / ARITY].key() < e.key());
-            if e.slot & LANE_BIT != 0 {
-                let (seq, front) = q.lanes[(e.slot ^ LANE_BIT) as usize][0];
-                assert_eq!((e.at, e.seq), (front.at, seq), "lane head != front");
-            } else {
-                let slot = &q.slab[e.slot as usize];
-                assert_eq!(slot.pos as usize, pos, "stale slab position");
-                assert_eq!(slot.event.expect("dead entry in the heap").at, e.at);
-            }
+            assert!(pos == 0 || q.heap[(pos - 1) / ARITY].key < e.key);
+            let slot = &q.slab[e.slot as usize];
+            assert_eq!(slot.pos as usize, pos, "stale slab position");
+            assert_eq!(slot.event.expect("dead entry in the heap").at, e.key.0);
         }
         let live_slots = q.slab.iter().filter(|s| s.event.is_some()).count();
-        let busy_lanes = q.lanes.iter().filter(|l| !l.is_empty()).count();
         let in_lanes: usize = q.lanes.iter().map(VecDeque::len).sum();
-        assert_eq!(q.heap.len(), live_slots + busy_lanes);
+        assert_eq!(q.heap.len(), live_slots);
         assert_eq!(q.len(), live_slots + in_lanes);
-        for lane in &q.lanes {
-            let keys: Vec<_> = lane.iter().map(|(seq, e)| (e.at, *seq)).collect();
+        // Every lane is sorted and its head key is its front's; a lane
+        // without a head slot (not used since the reset) is empty.
+        assert!(q.heads.len() <= q.lanes.len());
+        for (i, lane) in q.lanes.iter().enumerate() {
+            let keys: Vec<Key> = lane.iter().map(|(seq, e)| (e.at, *seq)).collect();
             assert!(keys.windows(2).all(|w| w[0] < w[1]), "lane out of order");
+            let head = q.heads.get(i).copied().unwrap_or(EMPTY);
+            assert_eq!(head, keys.first().copied().unwrap_or(EMPTY), "lane {i}");
         }
     }
 
@@ -550,23 +552,40 @@ mod tests {
     }
 
     #[test]
-    fn lane_keeps_one_heap_entry_and_falls_back_when_time_decreases() {
+    fn lane_costs_the_heap_nothing_and_falls_back_when_time_decreases() {
         let mut q = EventQueue::new();
         for tag in 0..10 {
             q.schedule_in_lane(3, ev(100 + 10 * tag, tag));
         }
-        assert_eq!((q.len(), q.heap.len()), (10, 1));
+        assert_eq!((q.len(), q.heap.len(), q.slab.len()), (10, 0, 0));
+        assert_eq!(q.lanes_scanned(), 4, "lanes 0..=3 have a head slot");
+        assert_eq!(q.heads[3], (SimTime::from_micros(100), 0));
         q.schedule_in_lane(3, ev(125, 10)); // below the tail: plain insert
-        assert_eq!((q.len(), q.heap.len(), q.lanes[3].len()), (11, 2, 10));
+        assert_eq!((q.len(), q.heap.len(), q.lanes[3].len()), (11, 1, 10));
         q.schedule(ev(110, 11)); // same instant as a queued lane entry
         assert_invariants(&q);
         assert!(q.pop_before(SimTime::from_micros(99)).is_none());
         let (id, first) = q.pop_before(SimTime::from_micros(100)).unwrap();
         assert_eq!(tag_of(&first), 0);
         assert!(!q.is_pending(id) && !q.cancel(id), "lane ids are inert");
-        assert_eq!(drain(&mut q), vec![1, 11, 2, 10, 3, 4, 5, 6, 7, 8, 9]);
-        q.schedule_in_lane(3, ev(500, 12)); // an emptied lane starts over
-        assert_eq!((q.heap.len(), drain(&mut q)), (1, vec![12]));
+        assert_eq!(q.heads[3], (SimTime::from_micros(110), 1), "next front");
+        // A second lane, a single-slot one refilled as it drains (the
+        // `LinkReady` pattern), interleaves by the same keys.
+        q.schedule_in_lane(1, ev(110, 12));
+        let mut fired = Vec::new();
+        while let Some((_, e)) = q.pop() {
+            fired.push(tag_of(&e));
+            if tag_of(&e) == 12 {
+                q.schedule_in_lane(1, ev(135, 13));
+            }
+            assert_invariants(&q);
+        }
+        assert_eq!(fired, vec![1, 11, 12, 2, 10, 3, 13, 4, 5, 6, 7, 8, 9]);
+        assert_eq!(q.heads, vec![EMPTY; 4], "drained lanes read empty");
+        assert!(q.pop().is_none() && q.pop_before(SimTime::MAX).is_none());
+        q.schedule_in_lane(3, ev(500, 14)); // an emptied lane starts over
+        q.schedule(ev(u64::MAX, 15)); // `SimTime::MAX` still sorts before EMPTY
+        assert_eq!((q.heap.len(), drain(&mut q)), (1, vec![14, 15]));
     }
 
     #[test]
@@ -656,11 +675,17 @@ mod tests {
         recycled.schedule(ev(99, 7));
         recycled.schedule_in_lane(1, ev(50, 6));
         recycled.schedule_in_lane(1, ev(60, 5));
+        recycled.schedule_in_lane(7, ev(70, 4));
         recycled.reset();
-        assert!(recycled.is_empty());
+        assert!(recycled.is_empty() && recycled.pop().is_none());
+        // The head keys are forgotten, the lane buffers are not.
+        assert_eq!((recycled.lanes_scanned(), recycled.lanes.len()), (0, 8));
+        assert!(recycled.lanes[1].capacity() >= 2);
         assert!(!recycled.is_pending(dead), "pre-reset ids must be dead");
         assert_eq!(recycled.stats(), QueueStats::default());
         assert_invariants(&recycled);
         assert_eq!(drive(&mut recycled), fresh_run);
+        assert_eq!(recycled.lanes_scanned(), 2, "only the lanes `drive` used");
+        assert_invariants(&recycled);
     }
 }

@@ -137,12 +137,19 @@ pub enum Accept {
 pub struct Link {
     /// Destination agent.
     pub to: AgentId,
-    /// Transmission rate, bits per second.
-    pub bandwidth_bps: u64,
+    /// Transmission rate, bits per second. Fixed at construction: `last_tx`
+    /// is computed from it.
+    bandwidth_bps: u64,
     /// Base propagation delay.
     pub prop_delay: SimDuration,
-    /// Jitter standard deviation.
-    pub jitter_sd: SimDuration,
+    /// Jitter standard deviation, fixed at construction, and the same in
+    /// seconds — what every jitter draw scales by.
+    jitter_sd: SimDuration,
+    jitter_sd_s: f64,
+    /// The last size [`Link::tx_time`] was asked for and its answer: a
+    /// link carries one flow's data segments or its ACKs, so consecutive
+    /// sizes are nearly always equal.
+    last_tx: (u32, SimDuration),
     /// Extra delay currently imposed (e.g. during a handoff), added to
     /// `prop_delay`.
     pub extra_delay: SimDuration,
@@ -187,6 +194,8 @@ impl Link {
             bandwidth_bps: spec.bandwidth_bps,
             prop_delay: spec.prop_delay,
             jitter_sd: spec.jitter_sd,
+            jitter_sd_s: spec.jitter_sd.as_secs_f64(),
+            last_tx: (0, clock_out(spec.bandwidth_bps, 0)),
             extra_delay: SimDuration::ZERO,
             loss: spec.loss,
             label: spec.label.into(),
@@ -202,12 +211,22 @@ impl Link {
         }
     }
 
+    /// Transmission rate, bits per second.
+    pub fn bandwidth_bps(&self) -> u64 {
+        self.bandwidth_bps
+    }
+
+    /// Jitter standard deviation.
+    pub fn jitter_sd(&self) -> SimDuration {
+        self.jitter_sd
+    }
+
     /// Time to clock `bytes` onto the wire at this link's rate.
-    pub fn tx_time(&self, bytes: u32) -> SimDuration {
-        let bits = u64::from(bytes) * 8;
-        // Round up to the next microsecond so tiny packets still take time.
-        let us = (bits * 1_000_000).div_ceil(self.bandwidth_bps).max(1);
-        SimDuration::from_micros(us)
+    pub fn tx_time(&mut self, bytes: u32) -> SimDuration {
+        if self.last_tx.0 != bytes {
+            self.last_tx = (bytes, clock_out(self.bandwidth_bps, bytes));
+        }
+        self.last_tx.1
     }
 
     /// Total latency (propagation + current extra delay) excluding jitter.
@@ -315,10 +334,18 @@ impl Link {
         if self.jitter_sd.is_zero() {
             base
         } else {
-            let jitter_s = rng.rectified_normal(self.jitter_sd.as_secs_f64());
+            let jitter_s = rng.rectified_normal(self.jitter_sd_s);
             base + SimDuration::from_secs_f64(jitter_s)
         }
     }
+}
+
+/// Time to clock `bytes` onto a `bandwidth_bps` wire, rounded up to the
+/// next microsecond so tiny packets still take time.
+fn clock_out(bandwidth_bps: u64, bytes: u32) -> SimDuration {
+    let bits = u64::from(bytes) * 8;
+    let us = (bits * 1_000_000).div_ceil(bandwidth_bps).max(1);
+    SimDuration::from_micros(us)
 }
 
 #[cfg(test)]
@@ -326,13 +353,15 @@ mod tests {
     use super::*;
     use crate::rng::SimRng;
 
+    fn spec(cap: usize) -> LinkSpec {
+        LinkSpec::new(AgentId::from_raw(1), "test")
+            .bandwidth_bps(8_000_000) // 1 byte per microsecond
+            .prop_delay(SimDuration::from_millis(10))
+            .queue_capacity(cap)
+    }
+
     fn link(cap: usize) -> Link {
-        Link::from_spec(
-            LinkSpec::new(AgentId::from_raw(1), "test")
-                .bandwidth_bps(8_000_000) // 1 byte per microsecond
-                .prop_delay(SimDuration::from_millis(10))
-                .queue_capacity(cap),
-        )
+        Link::from_spec(spec(cap))
     }
 
     fn pkt(id: u64) -> QueuedPacket {
@@ -344,11 +373,18 @@ mod tests {
 
     #[test]
     fn tx_time_scales_with_size() {
-        let l = link(10);
+        let mut l = link(10);
+        assert_eq!(l.bandwidth_bps(), 8_000_000);
+        // Repeated and alternating sizes: the remembered answer is only
+        // ever returned for the size it was computed for.
+        for bytes in [1500, 1500, 40, 1500, 40, 40, 0, 1, 0] {
+            assert_eq!(l.tx_time(bytes), clock_out(8_000_000, bytes), "{bytes} B");
+        }
         assert_eq!(l.tx_time(1500).as_micros(), 1500);
         assert_eq!(l.tx_time(40).as_micros(), 40);
-        // Rounds up, minimum 1us.
-        let fast = Link::from_spec(
+        // Rounds up, minimum 1us — also for the size a new link remembers.
+        assert_eq!(link(10).tx_time(0).as_micros(), 1);
+        let mut fast = Link::from_spec(
             LinkSpec::new(AgentId::from_raw(0), "fast").bandwidth_bps(u64::MAX / 16),
         );
         assert_eq!(fast.tx_time(1).as_micros(), 1);
@@ -417,8 +453,8 @@ mod tests {
 
     #[test]
     fn jitter_is_nonnegative_and_varies() {
-        let mut l = link(1);
-        l.jitter_sd = SimDuration::from_millis(2);
+        let l = Link::from_spec(spec(1).jitter_sd(SimDuration::from_millis(2)));
+        assert_eq!(l.jitter_sd(), SimDuration::from_millis(2));
         let mut rng = SimRng::seed_from_u64(2);
         let base = l.current_delay();
         let samples: Vec<SimDuration> = (0..64)

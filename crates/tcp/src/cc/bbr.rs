@@ -17,7 +17,7 @@
 //! state, which is exactly the behavior the HSR measurement studies
 //! report for BBR under random loss.
 
-use crate::cwnd::Phase;
+use crate::cwnd::{send_window, Phase};
 
 use super::CongestionControl;
 
@@ -228,7 +228,7 @@ impl CongestionControl for Bbr {
     }
 
     fn window(&self) -> u64 {
-        self.cwnd.min(self.w_m).floor().max(1.0) as u64
+        send_window(self.cwnd, self.w_m)
     }
 
     fn cwnd(&self) -> f64 {

@@ -14,7 +14,7 @@
 //! Per-RTT update rules are amortized per ACK (divide by the current
 //! window), keeping the controller a pure function of its event stream.
 
-use crate::cwnd::Phase;
+use crate::cwnd::{send_window, Phase};
 
 use super::CongestionControl;
 
@@ -165,7 +165,7 @@ impl CongestionControl for Compound {
     }
 
     fn window(&self) -> u64 {
-        self.win().min(self.w_m).floor().max(1.0) as u64
+        send_window(self.win(), self.w_m)
     }
 
     fn cwnd(&self) -> f64 {

@@ -14,7 +14,7 @@
 //! keeps the controller a pure function of its event stream (bit-for-bit
 //! deterministic across workers and replays).
 
-use crate::cwnd::Phase;
+use crate::cwnd::{send_window, Phase};
 
 use super::CongestionControl;
 
@@ -181,7 +181,7 @@ impl CongestionControl for Cubic {
     }
 
     fn window(&self) -> u64 {
-        self.cwnd.min(self.w_m).floor().max(1.0) as u64
+        send_window(self.cwnd, self.w_m)
     }
 
     fn cwnd(&self) -> f64 {

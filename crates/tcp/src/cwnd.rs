@@ -116,7 +116,7 @@ impl Cwnd {
     /// The effective send window in whole segments:
     /// `max(1, floor(min(cwnd, W_m)))`.
     pub fn window(&self) -> u64 {
-        self.cwnd.min(self.w_m).floor().max(1.0) as u64
+        send_window(self.cwnd, self.w_m)
     }
 
     /// True when the advertised window is the binding constraint.
@@ -250,9 +250,79 @@ impl Cwnd {
     }
 }
 
+/// Every controller's effective send window in whole segments:
+/// `max(1, floor(min(cwnd, w_m)))`, for any `f64` whatever. The saturating
+/// `as` cast truncates — which is `floor` from 1 upwards — and sends NaN
+/// and everything below 1 to 0, which the `max` lifts to 1 as it lifted
+/// their floors; no libm call per ACK.
+pub(crate) fn send_window(cwnd: f64, w_m: f64) -> u64 {
+    (cwnd.min(w_m) as u64).max(1)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The expression `send_window` replaced, kept as its oracle.
+    fn floored_window(cwnd: f64, w_m: f64) -> u64 {
+        cwnd.min(w_m).floor().max(1.0) as u64
+    }
+
+    #[test]
+    fn send_window_equals_the_floored_expression_at_every_edge() {
+        let two53 = (1u64 << 53) as f64;
+        let edges = [
+            f64::NAN,
+            -f64::NAN,
+            0.0,
+            -0.0,
+            -1.0,
+            -1e300,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            0.999_999_999_999_999_9,
+            1.0,
+            1.000_000_000_000_000_2,
+            1.5,
+            2.0,
+            63.999_999_999_999_99,
+            64.0,
+            two53 - 1.0,
+            two53,
+            two53 + 2.0,
+            u64::MAX as f64,
+            (u64::MAX as f64) * 2.0,
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        for cwnd in edges {
+            for w_m in edges {
+                let want = floored_window(cwnd, w_m);
+                assert_eq!(send_window(cwnd, w_m), want, "cwnd {cwnd:e} w_m {w_m:e}");
+            }
+        }
+        assert_eq!(send_window(f64::NAN, f64::NAN), 1);
+        assert_eq!(send_window(0.999_999_999_999_999_9, 64.0), 1);
+        assert_eq!(send_window(two53 - 1.0, f64::INFINITY), (1 << 53) - 1);
+        assert_eq!(send_window(f64::INFINITY, u64::MAX as f64), u64::MAX);
+    }
+
+    proptest::proptest! {
+        /// Arbitrary bit patterns (NaN payloads, subnormals, both signs)
+        /// and window-sized values against the oracle.
+        #[test]
+        fn send_window_equals_the_floored_expression(
+            bits in 0u64..u64::MAX,
+            w_m_bits in 0u64..u64::MAX,
+            cwnd in 0.0f64..70_000.0,
+            w_m in 0.0f64..70_000.0,
+        ) {
+            let (wild, wild_w_m) = (f64::from_bits(bits), f64::from_bits(w_m_bits));
+            for (c, w) in [(wild, wild_w_m), (wild, w_m), (cwnd, wild_w_m), (cwnd, w_m)] {
+                proptest::prop_assert_eq!(send_window(c, w), floored_window(c, w));
+            }
+        }
+    }
 
     #[test]
     fn slow_start_doubles_per_round() {

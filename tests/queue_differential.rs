@@ -3,11 +3,12 @@
 //! The queue's `(firing time, insertion sequence)` total FIFO order is a
 //! contract every bit-identical-replay suite in the workspace leans on.
 //! The queue keeps it with an indexed heap (positions patched on every
-//! sift, entries removed on cancel) and per-source FIFO lanes that hold
-//! all but their head outside the heap; the model keeps it with a
-//! `BTreeMap` keyed by `(time, seq)`, whose ordering is one derived `Ord`.
-//! So: feed randomized schedule / lane-schedule / cancel / reschedule /
-//! bounded-pop interleavings to both and assert they agree on
+//! sift, entries removed on cancel) and per-source FIFO lanes that never
+//! enter the heap — a pop takes the least of the heap root and the lane
+//! heads; the model keeps it with a `BTreeMap` keyed by `(time, seq)`,
+//! whose ordering is one derived `Ord`. So: feed randomized schedule /
+//! lane-schedule / single-slot-lane / cancel / reschedule / bounded-pop
+//! interleavings to both and assert they agree on
 //! **everything observable** — the popped `(time, seq, tag)` stream,
 //! cancel return values and live counts. `reschedule` moves an entry in
 //! place; the model spells out what it must equal: remove, then insert.
@@ -44,7 +45,9 @@ impl Model {
     }
 }
 
-const LANES: usize = 3;
+/// As many lanes as a duplex MPTCP world has (two paths × two directions
+/// × a delivery and a tx-complete lane); a campaign flow has four.
+const LANES: usize = 8;
 
 /// One scripted queue operation. Times are deltas so the generator can
 /// never violate the monotonicity invariant (schedules land at or after
@@ -57,6 +60,10 @@ enum Op {
     /// `rewind` is set, at `last_fired + dt`, which is usually *below*
     /// the lane's tail and must take the fallback path.
     Lane { lane: usize, dt: u64, rewind: bool },
+    /// Schedule in `lane` at `last_fired + dt`, but only while nothing
+    /// scheduled through that lane is pending — the engine's `LinkReady`
+    /// pattern, a lane that never holds two events.
+    Slot { lane: usize, dt: u64 },
     /// Cancel the k-th newest live id (no-op when none are live) — or,
     /// when `dead` is set, re-cancel an already-dead id to check the
     /// `false` path agrees too.
@@ -97,6 +104,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
             dt,
             rewind: r == 0
         }),
+        (0..LANES, arb_dt()).prop_map(|(lane, dt)| Op::Slot { lane, dt }),
         (0usize..64, 0u64..2).prop_map(|(k, d)| Op::Cancel { k, dead: d == 1 }),
         (0usize..64, arb_dt(), 0u64..4).prop_map(|(k, dt, d)| Op::Reschedule {
             k,
@@ -129,6 +137,10 @@ struct Pair {
     live: Vec<Handle>,
     dead: Vec<Handle>,
     lane_tail: [u64; LANES],
+    /// Pending events scheduled through each lane, and the lane each tag
+    /// went through (tags are issued in order, so they index this).
+    lane_pending: [usize; LANES],
+    lane_of: Vec<Option<usize>>,
     last_fired: u64,
     next_tag: u64,
 }
@@ -152,6 +164,9 @@ impl Pair {
         assert_eq!(tag, seq);
         assert!(at.as_micros() >= self.last_fired, "time ran backwards");
         self.last_fired = at.as_micros();
+        if let Some(lane) = self.lane_of[tag as usize] {
+            self.lane_pending[lane] -= 1;
+        }
         if let Some(i) = self.live.iter().position(|(_, key)| *key == (at, seq)) {
             let id = got.expect("compared above").0;
             assert_eq!(self.live[i].0, id, "popped id is not the issued one");
@@ -160,7 +175,18 @@ impl Pair {
         true
     }
 
+    fn schedule_in_lane(&mut self, lane: usize, at_us: u64) {
+        let at = SimTime::from_micros(at_us);
+        self.lane_tail[lane] = self.lane_tail[lane].max(at_us);
+        self.lane_pending[lane] += 1;
+        self.lane_of[self.next_tag as usize] = Some(lane);
+        self.queue.schedule_in_lane(lane, ev(at, self.next_tag));
+        self.model.schedule(at, self.next_tag);
+    }
+
     fn apply(&mut self, op: Op) {
+        // Every scheduling op below issues exactly the tag `next_tag`.
+        self.lane_of.resize(self.next_tag as usize + 1, None);
         match op {
             Op::Schedule { dt } => {
                 let at = SimTime::from_micros(self.last_fired.saturating_add(dt));
@@ -169,18 +195,19 @@ impl Pair {
                 self.next_tag += 1;
             }
             Op::Lane { lane, dt, rewind } => {
-                let tail = &mut self.lane_tail[lane];
                 let base = if rewind {
                     self.last_fired
                 } else {
-                    self.last_fired.max(*tail)
+                    self.last_fired.max(self.lane_tail[lane])
                 };
-                *tail = (*tail).max(base + dt);
-                let at = SimTime::from_micros(base + dt);
-                self.queue.schedule_in_lane(lane, ev(at, self.next_tag));
-                self.model.schedule(at, self.next_tag);
+                self.schedule_in_lane(lane, base + dt);
                 self.next_tag += 1;
             }
+            Op::Slot { lane, dt } if self.lane_pending[lane] == 0 => {
+                self.schedule_in_lane(lane, self.last_fired.saturating_add(dt));
+                self.next_tag += 1;
+            }
+            Op::Slot { .. } => {}
             Op::Cancel { k, dead: true } if !self.dead.is_empty() => {
                 let (id, key) = self.dead[k % self.dead.len()];
                 assert!(!self.queue.cancel(id), "queue revived a dead id");
@@ -280,6 +307,41 @@ fn cross_level_same_instant_script() {
     run_script(&ops);
 }
 
+/// One instant reached through everything the queue has: the heap, a
+/// delivery-style lane, a single-slot lane, a second lane's head, and a
+/// rewound lane entry that lands in the heap *behind* lane entries of the
+/// same instant. Nothing but the sequence separates them.
+#[test]
+fn same_instant_heap_two_lanes_and_rewound_entry_script() {
+    let lane = |lane, dt, rewind| Op::Lane { lane, dt, rewind };
+    let ops = [
+        Op::Schedule { dt: 300 },      // tag 0, heap
+        lane(0, 300, false),           // tag 1, lane 0's head
+        Op::Slot { lane: 7, dt: 300 }, // tag 2, lane 7's only entry
+        Op::Schedule { dt: 300 },      // tag 3, heap
+        lane(0, 0, false),             // tag 4, behind tag 1
+        lane(2, 400, false),           // tag 5, t=400: lane 2's tail
+        lane(2, 300, true),            // tag 6, t=300 < 400: plain insert
+        Op::Slot { lane: 7, dt: 300 }, // lane 7 is taken: nothing
+        lane(0, 0, false),             // tag 7, t=300
+        Op::PopBefore { dt: 299 },     // leaves everything queued
+        Op::Pop,                       // tag 0
+        Op::Pop,                       // tag 1
+        Op::Pop,                       // tag 2: lane 7 drains
+        Op::Slot { lane: 7, dt: 0 },   // tag 8, t=300 again
+        Op::Pop,                       // tag 3
+        Op::Pop,                       // tag 4
+        Op::Pop,                       // tag 6
+        Op::Pop,                       // tag 7
+        Op::Pop,                       // tag 8
+        Op::Pop,                       // tag 5 at t=400
+    ];
+    let mut pair = Pair::default();
+    ops.iter().for_each(|op| pair.apply(*op));
+    assert_eq!((pair.next_tag, pair.last_fired), (9, 400));
+    assert!(pair.queue.is_empty() && pair.model.pending.is_empty());
+}
+
 /// Schedule-then-cancel churn (the RTO pattern) mixed with deliveries
 /// and pops: every cancel removes a far-future entry from under the
 /// near ones.
@@ -307,6 +369,10 @@ fn rto_churn_script() {
             lane: i as usize % LANES,
             dt: 30,
             rewind: false,
+        });
+        ops.push(Op::Slot {
+            lane: (i as usize + 1) % LANES,
+            dt: 45,
         });
         if i % 3 == 0 {
             ops.push(Op::Pop);

@@ -8,246 +8,25 @@
 //! repro all --full                  # full 255-flow scale (minutes)
 //! repro fig3 --csv out/             # export each table as CSV too
 //! repro run --spec FILE --shards 4  # sharded declarative campaign
-//! repro bench [--spec FILE]         # regenerate BENCH_*.json telemetry
 //! repro cc-study [--spec FILE]      # congestion-control model study
 //! repro chaos [--spec FILE]         # fault-injection harness
 //! ```
 //!
 //! Every subcommand shares one parsed-options type (`hsm_bench::cli`);
 //! `--spec FILE` loads a declarative `CampaignSpec` everywhere it makes
-//! sense: `run` executes it (optionally across OS processes), `bench`
-//! times it, `cc-study` sweeps the zoo over it, `chaos` round-trip
-//! checks it before the harness runs.
+//! sense: `run` executes it (optionally across OS processes), `cc-study`
+//! sweeps the zoo over it, `chaos` round-trip checks it before the
+//! harness runs. Performance is measured by `benchmark/`, not here.
 
 use hsm_bench::cli::{self, Opts};
-use hsm_bench::{Ctx, Scale, EXPERIMENTS};
+use hsm_bench::{Ctx, EXPERIMENTS};
 use hsm_runtime::cache::{CacheConfig, FlowCache};
-use hsm_runtime::engine::{Campaign, CampaignReport};
 use hsm_runtime::shard::{
     merge_shards, read_shard_report, run_shard, shard_file_name, write_shard_report, ShardReport,
 };
 use hsm_scenario::spec::{expansion_digest, load_spec, CampaignSpec};
-use serde::Serialize;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-
-/// One worker count's cold/warm pair in the campaign bench matrix.
-#[derive(Debug, Serialize)]
-struct MatrixEntry {
-    /// Worker threads used for this row.
-    workers: usize,
-    /// Cold-run simulator events per second of campaign wall-clock.
-    cold_events_per_sec: f64,
-    /// Mean fraction of the cold wall-clock each worker spent busy.
-    cold_utilization: f64,
-    /// Warm (fully memoized) rerun wall-clock, seconds.
-    warm_wall_clock_s: f64,
-    /// Full cold-run telemetry (per-worker flows and busy seconds).
-    cold: CampaignReport,
-    /// Full warm-run telemetry.
-    warm: CampaignReport,
-}
-
-/// Multi-worker engine telemetry written as `BENCH_campaign.json` so the
-/// performance trajectory of the campaign engine accumulates over time.
-///
-/// The flat fields up front exist for `tools/bench_gate.sh`, which parses
-/// single-line JSON with grep — they must stay top-level, uniquely named,
-/// and declared before `matrix`.
-#[derive(Debug, Serialize)]
-struct CampaignBench {
-    scale: String,
-    flows: usize,
-    host_cores: usize,
-    max_workers: usize,
-    cold_eps_w1: f64,
-    /// `None` (`null`) on hosts with fewer than 4 cores, like
-    /// `cold_eps_w4` and `speedup_w4`: more threads than cores measures
-    /// the scheduler, not the engine.
-    cold_eps_w2: Option<f64>,
-    cold_eps_w4: Option<f64>,
-    cold_eps_max: f64,
-    speedup_w4: Option<f64>,
-    speedup_max: f64,
-    /// Wall-clock of a fully disk-served warm replay (fresh memory tier,
-    /// every flow decoded from the binary disk format), seconds.
-    warm_disk_wall_s: f64,
-    /// Flows per second of the same warm-disk replay.
-    warm_disk_flows_per_s: f64,
-    /// Full telemetry of the warm-disk replay.
-    warm_disk: CampaignReport,
-    matrix: Vec<MatrixEntry>,
-}
-
-/// Cold/warm telemetry of one spec-driven campaign, written as
-/// `BENCH_spec.json` by `repro bench --spec FILE`. Deliberately a
-/// separate file from the gate-parsed `BENCH_campaign.json`.
-#[derive(Debug, Serialize)]
-struct SpecBench {
-    spec_name: String,
-    spec_digest: u64,
-    flows: usize,
-    cold_events_per_sec: f64,
-    warm_wall_clock_s: f64,
-    cold: CampaignReport,
-    warm: CampaignReport,
-}
-
-/// Runs the Stress dataset (≥ 2,000 two-second flows — campaign overhead
-/// dominates, which is the point) through the campaign engine at each
-/// worker count in {1, 2, 4, max} (just {1, max} on hosts with fewer than
-/// 4 cores): per count, one cold pass against a fresh cache, then a warm
-/// pass that must be served entirely from memoized flows. Writes the full
-/// matrix plus gate-friendly flat fields.
-fn write_campaign_bench() -> Result<(), String> {
-    let host_cores = std::thread::available_parallelism()
-        .map(|c| c.get())
-        .unwrap_or(1);
-    let scale = Scale::Stress;
-    let dataset = scale.dataset_config();
-    let scaling = host_cores >= 4;
-    let mut counts = if scaling {
-        vec![1usize, 2, 4, host_cores]
-    } else {
-        vec![1, host_cores]
-    };
-    counts.sort_unstable();
-    counts.dedup();
-
-    let mut matrix = Vec::new();
-    for &workers in &counts {
-        let campaign = Campaign::builder()
-            .dataset(&dataset)
-            .workers(workers)
-            .cache(CacheConfig::memory_only())
-            .build()
-            .map_err(|e| e.to_string())?;
-        let cache = FlowCache::new(CacheConfig::memory_only());
-        let cold = campaign
-            .run_with_cache(&cache)
-            .map_err(|e| e.to_string())?
-            .report;
-        let warm = campaign
-            .run_with_cache(&cache)
-            .map_err(|e| e.to_string())?
-            .report;
-        matrix.push(MatrixEntry {
-            workers,
-            cold_events_per_sec: cold.events_per_sec(),
-            cold_utilization: cold.worker_utilization(),
-            warm_wall_clock_s: warm.wall_clock_s,
-            cold,
-            warm,
-        });
-    }
-
-    // Warm-disk replay: populate a disk-only tier once, then time a
-    // replay that decodes every flow from the binary on-disk format with
-    // a cold memory tier — the number the CI gate holds to its baseline.
-    let disk_dir = std::env::temp_dir().join(format!("hsm_bench_disk_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&disk_dir);
-    let disk_cfg = CacheConfig {
-        memory_entries: 0,
-        disk_dir: Some(disk_dir.clone()),
-        shards: 0,
-    };
-    let campaign = Campaign::builder()
-        .dataset(&dataset)
-        .workers(host_cores)
-        .cache(CacheConfig::memory_only())
-        .build()
-        .map_err(|e| e.to_string())?;
-    campaign
-        .run_with_cache(&FlowCache::new(disk_cfg.clone()))
-        .map_err(|e| e.to_string())?;
-    let warm_disk = campaign
-        .run_with_cache(&FlowCache::new(disk_cfg))
-        .map_err(|e| e.to_string())?
-        .report;
-    let _ = std::fs::remove_dir_all(&disk_dir);
-    if warm_disk.disk_hits != warm_disk.flows as u64 {
-        return Err(format!(
-            "warm-disk replay was not fully disk-served: {} hits of {} flows",
-            warm_disk.disk_hits, warm_disk.flows
-        ));
-    }
-
-    let eps = |w: usize| {
-        matrix
-            .iter()
-            .find(|m| m.workers == w)
-            .map_or(0.0, |m| m.cold_events_per_sec)
-    };
-    let speedup = |n: f64, d: f64| if d > 0.0 { n / d } else { 0.0 };
-    let bench = CampaignBench {
-        scale: format!("{scale:?}"),
-        flows: matrix.first().map_or(0, |m| m.cold.flows),
-        host_cores,
-        max_workers: host_cores,
-        cold_eps_w1: eps(1),
-        cold_eps_w2: scaling.then(|| eps(2)),
-        cold_eps_w4: scaling.then(|| eps(4)),
-        cold_eps_max: eps(host_cores),
-        speedup_w4: scaling.then(|| speedup(eps(4), eps(1))),
-        speedup_max: speedup(eps(host_cores), eps(1)),
-        warm_disk_wall_s: warm_disk.wall_clock_s,
-        warm_disk_flows_per_s: if warm_disk.wall_clock_s > 0.0 {
-            warm_disk.flows as f64 / warm_disk.wall_clock_s
-        } else {
-            0.0
-        },
-        warm_disk,
-        matrix,
-    };
-    let json = serde_json::to_string(&bench).map_err(|e| e.to_string())?;
-    std::fs::write("BENCH_campaign.json", json).map_err(|e| e.to_string())?;
-    Ok(())
-}
-
-/// Runs one cold campaign at `scale` and writes the simulator-throughput
-/// sample as `BENCH_simnet.json` (the CI bench gate's input).
-fn write_simnet_bench(scale: Scale) -> Result<(), String> {
-    let bench = hsm_bench::simnet_bench::measure(scale)?;
-    let json = serde_json::to_string(&bench).map_err(|e| e.to_string())?;
-    std::fs::write("BENCH_simnet.json", json).map_err(|e| e.to_string())?;
-    Ok(())
-}
-
-/// Times one spec-driven campaign cold and warm and writes the pair as
-/// `BENCH_spec.json`.
-fn write_spec_bench(path: &Path, workers: Option<usize>) -> Result<(), String> {
-    let spec = load_spec(path).map_err(|e| e.to_string())?;
-    let configs = spec.expand().map_err(|e| e.to_string())?;
-    let digest = expansion_digest(&configs);
-    let mut builder = Campaign::builder()
-        .configs(configs)
-        .cache(CacheConfig::memory_only());
-    if let Some(w) = workers {
-        builder = builder.workers(w);
-    }
-    let campaign = builder.build().map_err(|e| e.to_string())?;
-    let cache = FlowCache::new(CacheConfig::memory_only());
-    let cold = campaign
-        .run_with_cache(&cache)
-        .map_err(|e| e.to_string())?
-        .report;
-    let warm = campaign
-        .run_with_cache(&cache)
-        .map_err(|e| e.to_string())?
-        .report;
-    let bench = SpecBench {
-        spec_name: spec.name.clone(),
-        spec_digest: digest,
-        flows: cold.flows,
-        cold_events_per_sec: cold.events_per_sec(),
-        warm_wall_clock_s: warm.wall_clock_s,
-        cold,
-        warm,
-    };
-    let json = serde_json::to_string(&bench).map_err(|e| e.to_string())?;
-    std::fs::write("BENCH_spec.json", json).map_err(|e| e.to_string())?;
-    Ok(())
-}
 
 /// Loads a spec and verifies it is self-consistent: the TOML writer
 /// round-trips it exactly and two expansions agree. Returns the spec and
@@ -401,30 +180,6 @@ fn spawn_shards(
     } else {
         Err(failed.join("; "))
     }
-}
-
-/// `repro bench [--smoke | --full] [--spec FILE]`: regenerate the
-/// `BENCH_*.json` telemetry files (plus `BENCH_spec.json` with a spec).
-fn bench_cmd(args: Vec<String>) -> ExitCode {
-    let opts = match cli::parse("bench", args, &["--smoke", "--full", "--workers", "--spec"]) {
-        Ok(o) => o,
-        Err(e) => return fail(e),
-    };
-    if let Some(spec) = &opts.spec {
-        match write_spec_bench(spec, opts.workers) {
-            Ok(()) => println!("wrote BENCH_spec.json"),
-            Err(e) => return fail(format!("failed to write BENCH_spec.json: {e}")),
-        }
-    }
-    match write_campaign_bench() {
-        Ok(()) => println!("wrote BENCH_campaign.json"),
-        Err(e) => return fail(format!("failed to write BENCH_campaign.json: {e}")),
-    }
-    match write_simnet_bench(opts.scale) {
-        Ok(()) => println!("wrote BENCH_simnet.json"),
-        Err(e) => return fail(format!("failed to write BENCH_simnet.json: {e}")),
-    }
-    ExitCode::SUCCESS
 }
 
 /// `repro chaos [--seed N] [--cases M] [--workers W] [--spec FILE]`: the
@@ -644,10 +399,9 @@ fn fail(msg: impl std::fmt::Display) -> ExitCode {
 }
 
 fn usage() {
-    println!("usage: repro [all | bench | <id>...] [--smoke | --full] [--csv DIR]");
+    println!("usage: repro [all | <id>...] [--smoke | --full] [--csv DIR]");
     println!("       repro run --spec FILE [--shards N | --shard K/N] [--workers W]");
     println!("                 [--out DIR] [--cache-dir DIR]");
-    println!("       repro bench [--smoke | --full] [--spec FILE] [--workers W]");
     println!("       repro chaos [--seed N] [--cases M] [--workers W] [--spec FILE]");
     println!("       repro cc-study [--smoke | --full] [--workers W] [--spec FILE]");
     println!("       repro recovery-study [--smoke | --full] [--workers W]\n");
@@ -659,9 +413,6 @@ fn usage() {
     println!("spawns N OS processes sharing one disk cache, `--shard K/N`");
     println!("runs a single slice (e.g. on a remote host), and the merged");
     println!("merged.json is bit-identical for every shard count.");
-    println!("`repro bench` runs no experiments: it only regenerates the");
-    println!("BENCH_campaign.json / BENCH_simnet.json telemetry files");
-    println!("(plus BENCH_spec.json when given --spec).");
     println!("`repro chaos` runs the seeded fault-injection harness and");
     println!("writes CHAOS_report.json (plus chaos-failure.json and a");
     println!("non-zero exit on any oracle violation).");
@@ -671,9 +422,6 @@ fn usage() {
     println!("`repro recovery-study` measures the loss-recovery zoo per");
     println!("provider under a delayed-ACK chaos storm, fits the model's");
     println!("predicted gains, and writes RECOVERY_report.json.");
-    println!("BENCH_campaign.json always records the Stress-scale worker");
-    println!("matrix (cold/warm x workers in {{1, 2, 4, max}}), regardless");
-    println!("of the --smoke/--full flags.");
 }
 
 /// The default (experiment-runner) command: `repro [<id>...] [flags]`.
@@ -715,14 +463,6 @@ fn experiments_cmd(args: Vec<String>) -> ExitCode {
             }
         }
     }
-    match write_campaign_bench() {
-        Ok(()) => println!("wrote BENCH_campaign.json"),
-        Err(err) => return fail(format!("failed to write BENCH_campaign.json: {err}")),
-    }
-    match write_simnet_bench(opts.scale) {
-        Ok(()) => println!("wrote BENCH_simnet.json"),
-        Err(err) => return fail(format!("failed to write BENCH_simnet.json: {err}")),
-    }
     ExitCode::SUCCESS
 }
 
@@ -731,7 +471,6 @@ fn main() -> ExitCode {
     let rest = |a: &[String]| a[1..].to_vec();
     match args.first().map(String::as_str) {
         Some("run") => run_cmd(rest(&args)),
-        Some("bench") => bench_cmd(rest(&args)),
         Some("chaos") => chaos_cmd(rest(&args)),
         Some("cc-study") => cc_study_cmd(rest(&args)),
         Some("recovery-study") => recovery_study_cmd(rest(&args)),

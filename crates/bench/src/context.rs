@@ -3,10 +3,10 @@
 //! it once per process).
 //!
 //! Dataset generation runs through the `hsm-runtime` campaign engine
-//! (sharded workers + telemetry); the resulting [`CampaignReport`]s are
-//! kept so `repro` can fold them into `BENCH_campaign.json`.
+//! (sharded workers); its telemetry is `benchmark/`'s business, not the
+//! experiments'.
 
-use hsm_runtime::engine::{run_dataset, run_stationary_baseline, CampaignReport};
+use hsm_runtime::engine::{run_dataset, run_stationary_baseline};
 use hsm_scenario::dataset::{DatasetConfig, DatasetFlow};
 use hsm_simnet::time::SimDuration;
 use std::cell::OnceCell;
@@ -21,9 +21,6 @@ pub enum Scale {
     Standard,
     /// The full 255-flow Table-I dataset at 120 s per flow.
     Full,
-    /// ~2,000 very short flows — a campaign-overhead stress load for the
-    /// scheduler/cache benchmarks, not for statistics.
-    Stress,
 }
 
 impl Scale {
@@ -45,15 +42,6 @@ impl Scale {
                 flow_duration: SimDuration::from_secs(120),
                 ..Default::default()
             },
-            // 8 × the Table-I flow counts (2,040 flows) but only 2 s
-            // each: per-flow work shrinks until scheduling, cache and
-            // result-collection overhead dominate — which is exactly
-            // what this scale exists to measure.
-            Scale::Stress => DatasetConfig {
-                scale: 8.0,
-                flow_duration: SimDuration::from_secs(2),
-                ..Default::default()
-            },
         }
     }
 
@@ -63,7 +51,6 @@ impl Scale {
             Scale::Smoke => 3,
             Scale::Standard => 12,
             Scale::Full => 40,
-            Scale::Stress => 40,
         }
     }
 
@@ -72,7 +59,7 @@ impl Scale {
         match self {
             Scale::Smoke => 2,
             Scale::Standard => 8,
-            Scale::Full | Scale::Stress => 20,
+            Scale::Full => 20,
         }
     }
 
@@ -81,7 +68,6 @@ impl Scale {
         match self {
             Scale::Smoke => SimDuration::from_secs(25),
             Scale::Standard | Scale::Full => SimDuration::from_secs(120),
-            Scale::Stress => SimDuration::from_secs(2),
         }
     }
 }
@@ -91,8 +77,8 @@ impl Scale {
 pub struct Ctx {
     /// The scale everything runs at.
     pub scale: Scale,
-    high_speed: OnceCell<(Vec<DatasetFlow>, CampaignReport)>,
-    stationary: OnceCell<(Vec<DatasetFlow>, CampaignReport)>,
+    high_speed: OnceCell<Vec<DatasetFlow>>,
+    stationary: OnceCell<Vec<DatasetFlow>>,
 }
 
 impl Ctx {
@@ -104,37 +90,22 @@ impl Ctx {
         }
     }
 
-    fn high_speed_cell(&self) -> &(Vec<DatasetFlow>, CampaignReport) {
-        self.high_speed.get_or_init(|| {
-            run_dataset(&self.scale.dataset_config()).expect("dataset campaign runs")
-        })
-    }
-
-    fn stationary_cell(&self) -> &(Vec<DatasetFlow>, CampaignReport) {
-        self.stationary.get_or_init(|| {
-            run_stationary_baseline(&self.scale.dataset_config(), self.scale.stationary_flows())
-                .expect("stationary campaign runs")
-        })
-    }
-
     /// The high-speed dataset (generated on first use, cached after).
     pub fn high_speed(&self) -> &[DatasetFlow] {
-        &self.high_speed_cell().0
+        self.high_speed.get_or_init(|| {
+            run_dataset(&self.scale.dataset_config())
+                .expect("dataset campaign runs")
+                .0
+        })
     }
 
     /// The stationary baseline (generated on first use, cached after).
     pub fn stationary(&self) -> &[DatasetFlow] {
-        &self.stationary_cell().0
-    }
-
-    /// Campaign telemetry of the high-speed dataset generation.
-    pub fn high_speed_report(&self) -> &CampaignReport {
-        &self.high_speed_cell().1
-    }
-
-    /// Campaign telemetry of the stationary baseline generation.
-    pub fn stationary_report(&self) -> &CampaignReport {
-        &self.stationary_cell().1
+        self.stationary.get_or_init(|| {
+            run_stationary_baseline(&self.scale.dataset_config(), self.scale.stationary_flows())
+                .expect("stationary campaign runs")
+                .0
+        })
     }
 }
 
@@ -152,15 +123,7 @@ mod tests {
     }
 
     #[test]
-    fn stress_scale_plans_a_campaign_overhead_load() {
-        let cfg = Scale::Stress.dataset_config();
-        let flows = hsm_scenario::dataset::plan_dataset(&cfg).len();
-        assert!(flows >= 2000, "stress scale must plan ≥2000 flows: {flows}");
-        assert_eq!(cfg.flow_duration, SimDuration::from_secs(2));
-    }
-
-    #[test]
-    fn ctx_caches_dataset_and_reports_telemetry() {
+    fn ctx_caches_datasets() {
         let ctx = Ctx::new(Scale::Smoke);
         let a = ctx.high_speed().len();
         let b = ctx.high_speed().len();
@@ -168,12 +131,5 @@ mod tests {
         assert!(a >= 4);
         let st = ctx.stationary();
         assert_eq!(st.len(), 3);
-        let report = ctx.high_speed_report();
-        assert_eq!(report.flows, a);
-        assert_eq!(
-            report.cache_hits, 0,
-            "keep-outcomes campaigns never hit the cache"
-        );
-        assert!(report.events_processed > 0);
     }
 }

@@ -13,8 +13,8 @@ use crate::context::Ctx;
 use crate::report::ExperimentResult;
 use hsm_scenario::provider::Provider;
 use hsm_scenario::runner::{run_scenario, ScenarioConfig};
+use hsm_tcp::cc::Algorithm;
 use hsm_tcp::connection::run_connection;
-use hsm_tcp::cwnd::Algorithm;
 use hsm_tcp::mptcp::{run_mptcp_duplex, run_mptcp_shared_radio};
 use hsm_tcp::receiver::AdaptiveDelAck;
 use hsm_trace::analysis::timeout::TimeoutConfig;

@@ -31,7 +31,6 @@ pub mod experiments;
 pub mod recovery_study;
 pub mod registry;
 pub mod report;
-pub mod simnet_bench;
 
 /// Parallel repetition helpers, promoted to `hsm-runtime`; re-exported
 /// here so `hsm_bench::parallel::par_map` call sites keep working.
@@ -41,4 +40,3 @@ pub use cli::Opts;
 pub use context::{Ctx, Scale};
 pub use registry::{find, run_all, Experiment, EXPERIMENTS};
 pub use report::ExperimentResult;
-pub use simnet_bench::SimnetBench;

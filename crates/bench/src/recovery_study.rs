@@ -139,7 +139,7 @@ fn knobs(scale: Scale) -> (u64, SimDuration, u64, SimDuration) {
     match scale {
         Scale::Smoke => (2, SimDuration::from_secs(20), 2, SimDuration::from_secs(12)),
         Scale::Standard => (4, SimDuration::from_secs(60), 4, SimDuration::from_secs(30)),
-        Scale::Full | Scale::Stress => (
+        Scale::Full => (
             8,
             SimDuration::from_secs(120),
             6,

@@ -16,7 +16,9 @@ use hsm_simnet::engine::{Ctx, Engine};
 use hsm_simnet::link::{LinkId, LinkSpec};
 use hsm_simnet::packet::{FlowId, Packet, SeqNo};
 use hsm_simnet::time::{SimDuration, SimTime};
-use hsm_tcp::connection::{try_run_connection, ConnectionConfig, LossSpec, PathSpec};
+use hsm_tcp::connection::{
+    try_run_connection_with, ConnectionConfig, ConnectionScratch, LossSpec, PathSpec,
+};
 use hsm_tcp::receiver::{Receiver, ReceiverConfig};
 use hsm_tcp::recovery::Recovery;
 use hsm_tcp::reno::{RenoSender, SenderConfig};
@@ -280,12 +282,13 @@ fn drill_ack_burst_loss() -> Result<String, String> {
         deadline: SimTime::ZERO + SimDuration::from_secs(20),
         ..Default::default()
     };
-    let run = |up_loss: LossSpec| {
+    let mut scratch = ConnectionScratch::new();
+    let mut run = |up_loss: LossSpec| {
         let path = PathSpec {
             up_loss,
             ..Default::default()
         };
-        let out = try_run_connection(5, &path, None, &connection)
+        let out = try_run_connection_with(&mut scratch, 5, &path, None, &connection)
             .map_err(|e| format!("connection run failed: {e}"))?;
         let analysis = analyze_flow(&out.trace, &TimeoutConfig::default());
         Ok::<_, String>(analysis.summary)

@@ -510,7 +510,7 @@ pub fn chaos_corrupt_disk_entry(dir: &Path, key: CacheKey) -> Result<bool, Cache
 ///
 /// # Errors
 ///
-/// Returns [`CacheError`] when the entry cannot be encoded or written.
+/// Returns [`CacheError::Io`] when the entry cannot be written.
 #[cfg(any(test, feature = "chaos"))]
 pub fn chaos_forge_disk_entry(
     dir: &Path,

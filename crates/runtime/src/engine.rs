@@ -71,8 +71,8 @@ pub struct FlowRun {
     pub outcome: Option<Box<ScenarioOutcome>>,
 }
 
-/// Structured per-campaign telemetry, serialized by `repro` as
-/// `BENCH_campaign.json`.
+/// Structured per-campaign telemetry — what `benchmark/` and the shard
+/// reports read.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CampaignReport {
     /// Engine version that executed the campaign.
@@ -103,8 +103,8 @@ pub struct CampaignReport {
     ///
     /// Not serialized: the campaign report's JSON shape (and the
     /// byte-identity guarantees of chaos reports and shard merges built
-    /// on it) predates this field; the bench harness surfaces the
-    /// aggregate through `BENCH_simnet.json` instead.
+    /// on it) predates this field; `benchmark/` surfaces the aggregate
+    /// as its `simnet.event.*` metrics instead.
     #[serde(skip)]
     pub queue: QueueStats,
 }

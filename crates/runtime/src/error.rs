@@ -8,7 +8,7 @@ use std::path::PathBuf;
 ///
 /// Corrupt entries are *not* errors: the engine detects them via the
 /// entry's integrity check, counts them in the [`CampaignReport`](crate::engine::CampaignReport)
-/// and re-simulates — only real I/O and encoding failures surface here.
+/// and re-simulates — only real I/O failures surface here.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CacheError {
     /// Reading or writing a disk-tier entry failed.
@@ -18,8 +18,6 @@ pub enum CacheError {
         /// The underlying I/O error, stringified.
         message: String,
     },
-    /// A summary could not be encoded for the disk tier.
-    Encode(String),
 }
 
 impl fmt::Display for CacheError {
@@ -28,7 +26,6 @@ impl fmt::Display for CacheError {
             CacheError::Io { path, message } => {
                 write!(f, "cache I/O failure at {}: {message}", path.display())
             }
-            CacheError::Encode(msg) => write!(f, "cache encoding failure: {msg}"),
         }
     }
 }

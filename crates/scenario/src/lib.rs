@@ -55,9 +55,9 @@ pub mod prelude {
     };
     pub use crate::provider::Provider;
     pub use crate::runner::{
-        run_scenario, try_run_scenario, try_run_scenario_with, try_run_storm_scenario,
-        try_run_storm_scenario_with, Motion, ScenarioConfig, ScenarioConfigBuilder, ScenarioError,
-        ScenarioOutcome, Scratch, SCENARIO_HIGH_SPEED, SCENARIO_STATIONARY,
+        run_scenario, try_run_scenario, try_run_scenario_with, try_run_storm_scenario_with, Motion,
+        ScenarioConfig, ScenarioConfigBuilder, ScenarioError, ScenarioOutcome, Scratch,
+        SCENARIO_HIGH_SPEED, SCENARIO_STATIONARY,
     };
     pub use crate::spec::{
         expansion_digest, load_spec, CampaignSpec, GridKind, ScenarioBase, ScenarioGrid, SpecError,

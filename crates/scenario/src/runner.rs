@@ -9,8 +9,8 @@ use hsm_simnet::mobility::Trajectory;
 use hsm_simnet::time::{SimDuration, SimTime};
 use hsm_tcp::cc::Algorithm;
 use hsm_tcp::connection::{
-    run_connection, try_run_connection_with, try_run_connection_with_storm, ConnectionConfig,
-    ConnectionOutcome, ConnectionScratch, MobilityScenario, PathSpec,
+    try_run_connection_with, ConnectionConfig, ConnectionOutcome, ConnectionScratch,
+    MobilityScenario, PathSpec,
 };
 use hsm_tcp::receiver::ReceiverConfig;
 use hsm_tcp::recovery::Recovery;
@@ -365,6 +365,7 @@ impl ScenarioConfig {
             scenario: self.motion.label().to_owned(),
             mss_bytes: 1460,
             deadline: SimTime::ZERO + self.duration + SimDuration::from_secs(30),
+            storm: StormPlan::default(),
         }
     }
 }
@@ -387,26 +388,24 @@ impl ScenarioOutcome {
     }
 }
 
-/// Runs one scenario end to end.
+/// Runs one scenario end to end: [`try_run_scenario`] for tests and
+/// examples that have no use for the error.
 ///
-/// Infallible twin of [`try_run_scenario`]: an invalid configuration
-/// (zero window, zero delayed-ACK factor, zero duration) produces a
-/// degenerate but well-defined flow rather than an error.
+/// # Panics
+///
+/// Panics with the [`ScenarioError`]'s message when the configuration is
+/// invalid (zero window, zero delayed-ACK factor, zero duration) or the
+/// engine reports corruption.
 pub fn run_scenario(config: &ScenarioConfig) -> ScenarioOutcome {
-    let path = config.path();
-    let mobility = config.mobility();
-    let conn = config.connection();
-    let outcome = run_connection(config.seed, &path, mobility.as_ref(), &conn);
-    let analysis = analyze_flow(&outcome.trace, &TimeoutConfig::default());
-    ScenarioOutcome {
-        config: config.clone(),
-        outcome,
-        analysis,
+    match try_run_scenario(config) {
+        Ok(outcome) => outcome,
+        Err(e) => panic!("{e}"),
     }
 }
 
-/// Fallible twin of [`run_scenario`]: validates the configuration first
-/// and surfaces engine corruption as an error instead of a panic.
+/// Runs one scenario end to end on a fresh [`Scratch`]: validates the
+/// configuration first and surfaces engine corruption as an error instead
+/// of a panic.
 ///
 /// # Errors
 ///
@@ -444,7 +443,8 @@ impl Scratch {
     }
 }
 
-/// [`try_run_scenario`] through a caller-held [`Scratch`].
+/// [`try_run_scenario`] through a caller-held [`Scratch`]:
+/// [`try_run_storm_scenario_with`] under the empty plan.
 ///
 /// # Errors
 ///
@@ -453,32 +453,17 @@ pub fn try_run_scenario_with(
     scratch: &mut Scratch,
     config: &ScenarioConfig,
 ) -> Result<ScenarioOutcome, ScenarioError> {
-    config.validate()?;
-    let path = config.path();
-    let mobility = config.mobility();
-    let conn = config.connection();
-    let outcome = try_run_connection_with(
-        &mut scratch.conn,
-        config.seed,
-        &path,
-        mobility.as_ref(),
-        &conn,
-    )?;
-    let analysis = analyze_flow(&outcome.trace, &TimeoutConfig::default());
-    Ok(ScenarioOutcome {
-        config: config.clone(),
-        outcome,
-        analysis,
-    })
+    try_run_storm_scenario_with(scratch, config, &StormPlan::default())
 }
 
-/// [`try_run_scenario_with`] plus a chaos-storm schedule replayed on the
-/// uplink — the §V recovery-study rig: the scenario's provider path and
-/// motion stay as configured while the storm superimposes deterministic
-/// ACK-delay or ACK-burst episodes, and the full trace/analysis pipeline
-/// still runs, so storm flows yield the same model-ready [`FlowSummary`]
-/// campaign flows do. An empty plan is the identity: the built world is
-/// bit-identical to [`try_run_scenario_with`]'s.
+/// The one scenario body: validate, derive path / mobility / connection
+/// from `config`, simulate, analyze. `plan` is a chaos-storm schedule
+/// replayed on the uplink — the §V recovery-study rig: the scenario's
+/// provider path and motion stay as configured while the storm
+/// superimposes deterministic ACK-delay or ACK-burst episodes, and the
+/// full trace/analysis pipeline still runs, so storm flows yield the same
+/// model-ready [`FlowSummary`] campaign flows do. The empty plan adds
+/// nothing to the world.
 ///
 /// # Errors
 ///
@@ -489,15 +474,15 @@ pub fn try_run_storm_scenario_with(
     plan: &StormPlan,
 ) -> Result<ScenarioOutcome, ScenarioError> {
     config.validate()?;
-    let path = config.path();
-    let mobility = config.mobility();
-    let conn = config.connection();
-    let outcome = try_run_connection_with_storm(
+    let conn = ConnectionConfig {
+        storm: plan.clone(),
+        ..config.connection()
+    };
+    let outcome = try_run_connection_with(
         &mut scratch.conn,
         config.seed,
-        &path,
-        mobility.as_ref(),
-        plan,
+        &config.path(),
+        config.mobility().as_ref(),
         &conn,
     )?;
     let analysis = analyze_flow(&outcome.trace, &TimeoutConfig::default());
@@ -506,19 +491,6 @@ pub fn try_run_storm_scenario_with(
         outcome,
         analysis,
     })
-}
-
-/// Convenience wrapper over [`try_run_storm_scenario_with`] with a fresh
-/// scratch.
-///
-/// # Errors
-///
-/// Same contract as [`try_run_scenario`].
-pub fn try_run_storm_scenario(
-    config: &ScenarioConfig,
-    plan: &StormPlan,
-) -> Result<ScenarioOutcome, ScenarioError> {
-    try_run_storm_scenario_with(&mut Scratch::new(), config, plan)
 }
 
 #[cfg(test)]
@@ -621,6 +593,33 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "advertised window")]
+    fn run_scenario_names_a_zero_window() {
+        run_scenario(&ScenarioConfig {
+            w_m: 0,
+            ..Default::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "delayed-ACK")]
+    fn run_scenario_names_a_zero_delayed_ack_factor() {
+        run_scenario(&ScenarioConfig {
+            b: 0,
+            ..Default::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "duration")]
+    fn run_scenario_names_a_zero_duration() {
+        run_scenario(&ScenarioConfig {
+            duration: SimDuration::ZERO,
+            ..Default::default()
+        });
+    }
+
+    #[test]
     fn reused_scratch_matches_fresh_scenario_runs() {
         let mut scratch = Scratch::new();
         // Mix motions and providers so the scratch crosses engine shapes
@@ -685,7 +684,8 @@ mod tests {
                 })
                 .collect(),
         };
-        let stormy = try_run_storm_scenario(&config, &plan).expect("storm run");
+        let mut scratch = Scratch::new();
+        let stormy = try_run_storm_scenario_with(&mut scratch, &config, &plan).expect("storm run");
         let calm = try_run_scenario(&config).expect("calm run");
         assert!(
             stormy.summary().timeouts > calm.summary().timeouts,
@@ -697,7 +697,6 @@ mod tests {
         assert!(stormy.summary().throughput_sps < calm.summary().throughput_sps);
 
         // Empty plan = identity; reused scratch = fresh run.
-        let mut scratch = Scratch::new();
         let empty = try_run_storm_scenario_with(&mut scratch, &config, &StormPlan::default())
             .expect("empty-plan run");
         assert_eq!(empty.summary(), calm.summary());

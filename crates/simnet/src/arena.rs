@@ -10,14 +10,14 @@
 //! of the full packet: link queues and in-flight slots hold
 //! [`QueuedPacket`](crate::link::QueuedPacket)s, and `Deliver` events carry
 //! a bare [`PacketId`]. The full [`Packet`] is materialized from its row
-//! only at the edges (observer callbacks and
+//! only at the edges (the packet recorder and
 //! [`Agent::on_packet`](crate::agent::Agent::on_packet)).
 //!
 //! A row is also the packet's whole capture record: the send-side facts
 //! are stored by [`PacketArena::push`] and the delivery time by
 //! [`PacketArena::deliver`], in the row the engine reads anyway to hand the
 //! packet to its agent. The trace layer folds a flow's trace from
-//! [`PacketArena::iter`] in one pass, with no observer registered.
+//! [`PacketArena::iter`] in one pass, with no recorder registered.
 
 use crate::packet::{FlowId, Packet, PacketId, PacketKind, SeqNo};
 use crate::time::SimTime;

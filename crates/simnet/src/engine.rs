@@ -1,7 +1,7 @@
 //! The discrete-event engine.
 //!
 //! [`Engine`] owns the clock, the future event list, all [`Link`]s, all
-//! [`Agent`]s and all observers. Agents interact with the world through
+//! [`Agent`]s and the optional packet recorder. Agents interact with the world through
 //! the [`Ctx`] passed to their callbacks: sending packets onto links,
 //! scheduling/cancelling timers, drawing random numbers and adjusting link
 //! impairments (the channel process uses the latter to impose handoff
@@ -15,16 +15,15 @@
 //! * a packet is one 48-byte row of the [`PacketArena`], written when it
 //!   is sent — ids are arena indices, links queue 16-byte [`QueuedPacket`]
 //!   handles, `Deliver` events carry a bare id, and the full [`Packet`] is
-//!   materialized from its row only at the edges (observer callbacks and
+//!   materialized from its row only at the edges (the recorder and
 //!   [`Agent::on_packet`]). The `Deliver` arm stamps the arrival time into
-//!   the row it is reading, so the arena is the run's capture and a trace
-//!   needs no observer;
-//! * link labels are interned as `Arc<str>` at registration, so observer
-//!   callbacks and recorded events share one allocation per link;
-//! * observers live in an enum-dispatched
-//!   [`ObserverSet`]: with no observer the
-//!   engine skips event materialization altogether, and the single-
-//!   recorder case is a direct (non-virtual) call;
+//!   the row it is reading, so the arena is the run's capture and a
+//!   single-path trace needs no recorder;
+//! * link labels are interned as `Arc<str>` at registration, so recorded
+//!   events share one allocation per link;
+//! * the recorder is one `Option<VecRecorder>` slot: empty, the engine
+//!   skips event materialization altogether; filled, recording is a
+//!   direct (non-virtual) call;
 //! * the [`EventQueue`]'s indexed 4-ary heap holds only the agents'
 //!   timers: a cancel removes its entry on the spot and a re-armed timer
 //!   ([`Ctx::reschedule_in`]) keeps its slot and heap entry. Link events
@@ -68,9 +67,7 @@ use crate::arena::PacketArena;
 use crate::error::SimError;
 use crate::event::{Event, EventId, EventKind, EventQueue, QueueStats};
 use crate::link::{Accept, Link, LinkId, LinkSpec, QueuedPacket};
-use crate::observer::{
-    AnyObserver, DropCause, Observer, ObserverSet, PacketEventKind, VecRecorder,
-};
+use crate::observer::{DropCause, PacketEventKind, VecRecorder};
 use crate::packet::{Packet, PacketId};
 use crate::rng::{RngFactory, SimRng};
 use crate::time::{SimDuration, SimTime};
@@ -173,7 +170,7 @@ struct Core {
     now: SimTime,
     queue: EventQueue,
     links: Vec<Link>,
-    observers: ObserverSet,
+    recorder: Option<VecRecorder>,
     agent_rngs: Vec<SimRng>,
     link_rngs: Vec<SimRng>,
     rng_factory: RngFactory,
@@ -193,14 +190,9 @@ impl Core {
         packet.id = PacketId(self.arena.len() as u64);
         packet.sent_at = self.now;
         let idx = link_id.as_usize();
-        if !self.observers.is_none() {
-            self.observers.emit(
-                PacketEventKind::Sent,
-                self.now,
-                link_id,
-                &self.links[idx].label,
-                &packet,
-            );
+        if let Some(rec) = &self.recorder {
+            let label = &self.links[idx].label;
+            rec.record(PacketEventKind::Sent, self.now, link_id, label, &packet);
         }
         let handle = QueuedPacket {
             id: self.arena.push(&packet),
@@ -211,14 +203,13 @@ impl Core {
             Accept::StartTx => self.start_tx(link_id, handle),
             Accept::Queued => {}
             Accept::DroppedOverflow(dropped) => {
-                if !self.observers.is_none() {
-                    let dropped = self.arena.get(dropped.id);
-                    self.observers.emit(
+                if let Some(rec) = &self.recorder {
+                    rec.record(
                         PacketEventKind::Dropped(DropCause::QueueOverflow),
                         self.now,
                         link_id,
                         &self.links[idx].label,
-                        &dropped,
+                        &self.arena.get(dropped.id),
                     );
                 }
             }
@@ -256,14 +247,13 @@ impl Core {
         };
         if lost {
             self.links[idx].channel_drops += 1;
-            if !self.observers.is_none() {
-                let dropped = self.arena.get(done.id);
-                self.observers.emit(
+            if let Some(rec) = &self.recorder {
+                rec.record(
                     PacketEventKind::Dropped(DropCause::Channel),
                     self.now,
                     link_id,
                     &self.links[idx].label,
-                    &dropped,
+                    &self.arena.get(done.id),
                 );
             }
             return Ok(());
@@ -310,7 +300,7 @@ impl Engine {
                 now: SimTime::ZERO,
                 queue: EventQueue::new(),
                 links: Vec::new(),
-                observers: ObserverSet::default(),
+                recorder: None,
                 agent_rngs: Vec::new(),
                 link_rngs: Vec::new(),
                 rng_factory: RngFactory::new(master_seed),
@@ -329,7 +319,7 @@ impl Engine {
     /// slab, heap and lane capacity, the packet arena's rows, link queue
     /// buffers, and the agent/link/RNG vectors' capacity.
     ///
-    /// All agents, links and observers are dropped (re-register them), and
+    /// All agents, links and the recorder are dropped (re-register them), and
     /// every random stream re-derives from `master_seed` — a reset engine
     /// replays a fresh `Engine::new(master_seed)` bit for bit. Campaign
     /// workers lean on this to reuse one engine across thousands of flows.
@@ -339,7 +329,7 @@ impl Engine {
         self.core
             .spare_queues
             .extend(self.core.links.drain(..).map(Link::into_queue_buffer));
-        self.core.observers = ObserverSet::default();
+        self.core.recorder = None;
         self.core.agent_rngs.clear();
         self.core.link_rngs.clear();
         self.core.rng_factory = RngFactory::new(master_seed);
@@ -376,18 +366,11 @@ impl Engine {
         id
     }
 
-    /// Registers a boxed packet-event observer (dynamic dispatch).
-    ///
-    /// For a [`VecRecorder`], prefer [`Engine::add_recorder`] — it takes
-    /// the allocation-free fast path.
-    pub fn add_observer(&mut self, obs: Box<dyn Observer>) {
-        self.core.observers.push(AnyObserver::Dyn(obs));
-    }
-
-    /// Registers a [`VecRecorder`] on the non-virtual fast path. The
-    /// recorder's clone-shared storage keeps the caller's handle live.
+    /// Registers the world's packet recorder; its clone-shared storage
+    /// keeps the caller's handle live. The engine has one recorder slot: a
+    /// second registration replaces the first.
     pub fn add_recorder(&mut self, rec: VecRecorder) {
-        self.core.observers.push(AnyObserver::Recorder(rec));
+        self.core.recorder = Some(rec);
     }
 
     /// Injects a packet onto a link from outside any agent (used by tests
@@ -415,7 +398,7 @@ impl Engine {
 
     /// Read-only view of the packet arena: every packet stamped this run
     /// with its delivery time, one row per [`PacketId`] — the capture the
-    /// trace layer folds without any observer.
+    /// trace layer folds without any recorder.
     pub fn arena(&self) -> &PacketArena {
         &self.core.arena
     }
@@ -476,12 +459,13 @@ impl Engine {
                         .ok_or(SimError::DeliverUnderflow { link })?;
                     l.delivered += 1;
                     let packet = self.core.arena.deliver(packet, self.core.now);
-                    if !self.core.observers.is_none() {
-                        self.core.observers.emit(
+                    if let Some(rec) = &self.core.recorder {
+                        let label = &self.core.links[link.as_usize()].label;
+                        rec.record(
                             PacketEventKind::Delivered,
                             self.core.now,
                             link,
-                            &self.core.links[link.as_usize()].label,
+                            label,
                             &packet,
                         );
                     }
@@ -656,38 +640,6 @@ mod tests {
         };
         assert_eq!(trace(99), trace(99));
         assert_ne!(trace(99), trace(100));
-    }
-
-    #[test]
-    fn boxed_observer_and_recorder_fast_path_agree() {
-        // The same run, observed through the dyn path and the fast path,
-        // must record the same events in the same order.
-        let run = |fast: bool| {
-            let mut eng = Engine::new(5);
-            let sink = eng.add_agent(Box::new(Sink {
-                deliveries: Vec::new(),
-            }));
-            let link = eng.add_link(
-                LinkSpec::new(sink, "wire")
-                    .bandwidth_bps(12_000_000)
-                    .prop_delay(SimDuration::from_millis(10))
-                    .loss(ChannelLoss::new(Box::new(Bernoulli::new(0.2)))),
-            );
-            eng.add_agent(Box::new(Pinger {
-                link,
-                count: 200,
-                sent: 0,
-            }));
-            let rec = VecRecorder::new();
-            if fast {
-                eng.add_recorder(rec.clone());
-            } else {
-                eng.add_observer(Box::new(rec.clone()));
-            }
-            eng.run_until_idle();
-            rec.take_events()
-        };
-        assert_eq!(run(true), run(false));
     }
 
     #[test]
@@ -1091,7 +1043,7 @@ mod tests {
     }
 
     #[test]
-    fn delivery_reports_real_link_to_observers() {
+    fn delivery_reports_real_link_to_the_recorder() {
         let (mut eng, _sink, rec) = build(2, 0.0, 3);
         eng.run_until_idle();
         let delivered: Vec<_> = rec

@@ -72,7 +72,7 @@ pub enum EventKind {
         /// full [`Packet`](crate::packet::Packet) from its
         /// [`PacketArena`](crate::arena::PacketArena) at delivery time.
         packet: crate::packet::PacketId,
-        /// The link it traversed — used for observer reporting and for the
+        /// The link it traversed — used for the recorded event and for the
         /// per-link packet-conservation invariant.
         link: crate::link::LinkId,
     },

@@ -14,7 +14,7 @@
 //! * a 300 km/h train [`mobility::Trajectory`] and a handoff-driven
 //!   [`cellular::ChannelProcess`] that impose the outages and loss spikes
 //!   the paper observes,
-//! * [`observer`] hooks that watch every packet like endpoint `tcpdump`s.
+//! * an [`observer`] recorder that watches every hop like a `tcpdump`.
 //!
 //! TCP itself lives in the `hsm-tcp` crate; analyses in `hsm-trace`.
 //!
@@ -72,9 +72,7 @@ pub mod prelude {
     pub use crate::loss::{Bernoulli, ChannelLoss, GilbertElliott, LossModel, Outage};
     pub use crate::loss_ext::{PeriodicOutage, Scripted, TraceDriven};
     pub use crate::mobility::Trajectory;
-    pub use crate::observer::{
-        AnyObserver, DropCause, Observer, ObserverSet, PacketEvent, PacketEventKind, VecRecorder,
-    };
+    pub use crate::observer::{DropCause, PacketEvent, PacketEventKind, VecRecorder};
     pub use crate::packet::{FlowId, Packet, PacketId, PacketKind, SeqNo};
     pub use crate::rng::{RngFactory, SimRng};
     pub use crate::time::{SimDuration, SimTime};

@@ -23,7 +23,7 @@ pub struct LinkId(u32);
 impl LinkId {
     /// Builds an id from a raw index. Minted by the engine; exposed for
     /// tests and wiring code.
-    pub fn from_raw(raw: u32) -> LinkId {
+    pub const fn from_raw(raw: u32) -> LinkId {
         LinkId(raw)
     }
 
@@ -121,7 +121,7 @@ pub struct QueuedPacket {
 /// Accepted packets are stored inside the link (in-flight slot or queue)
 /// as compact [`QueuedPacket`] handles; a rejected one is handed back
 /// inside [`Accept::DroppedOverflow`] so the caller can still report it
-/// to observers.
+/// to the recorder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Accept {
     /// Link was idle; transmission starts now.
@@ -156,7 +156,7 @@ pub struct Link {
     /// Channel loss behaviour.
     pub loss: ChannelLoss,
     /// Trace label, interned once at registration: every per-event use
-    /// (observer callbacks, recorded [`PacketEvent`](crate::observer::PacketEvent)s)
+    /// (a recorded [`PacketEvent`](crate::observer::PacketEvent))
     /// shares this allocation instead of cloning a `String`.
     pub label: Arc<str>,
     queue_capacity: usize,

@@ -1,11 +1,13 @@
 //! Pluggable congestion control.
 //!
 //! The sender drives its window through the [`CongestionControl`] trait,
-//! so the loss-based Reno family (with the Veno variant, [`crate::cwnd`]),
-//! [`Cubic`] (RFC 8312), the model-based [`Bbr`] sender and the hybrid
-//! loss/delay [`Compound`] controller are interchangeable: every
-//! [`crate::reno::RenoSender`] feature — NewReno partial ACKs, F-RTO undo,
-//! redundant backup-path retransmission — composes with every controller.
+//! so the loss-based Reno family (with the Veno variant — [`Cwnd`], whose
+//! trait impl in [`crate::cwnd`] is its whole method surface), [`Cubic`]
+//! (RFC 8312), the model-based [`Bbr`] sender and the hybrid loss/delay
+//! [`Compound`] controller are interchangeable: every
+//! [`crate::reno::RenoSender`] feature — NewReno partial ACKs, spurious-RTO
+//! undo, redundant backup-path retransmission — composes with every
+//! controller.
 //!
 //! The trait deliberately mirrors the event vocabulary of the Reno state
 //! machine (new ACK, third duplicate ACK, duplicate ACK during recovery,
@@ -206,76 +208,6 @@ impl Algorithm {
                 gamma,
             } => Box::new(Compound::new(w_m, alpha, beta, k, gamma)),
         }
-    }
-}
-
-/// The loss-based Reno family speaks the trait natively: [`Cwnd`] *is*
-/// the reference implementation the other controllers are held to, so the
-/// sender's behavior under Reno/NewReno/Veno is bit-identical to the
-/// pre-trait enum dispatch.
-impl CongestionControl for Cwnd {
-    fn observe_rtt(&mut self, rtt_s: f64) {
-        Cwnd::observe_rtt(self, rtt_s);
-    }
-
-    fn on_new_ack(&mut self, acked: u64) {
-        Cwnd::on_new_ack(self, acked);
-    }
-
-    fn enter_fast_recovery(&mut self, flight: u64) {
-        Cwnd::enter_fast_recovery(self, flight);
-    }
-
-    fn on_dup_ack_in_recovery(&mut self) {
-        Cwnd::on_dup_ack_in_recovery(self);
-    }
-
-    fn exit_fast_recovery(&mut self) {
-        Cwnd::exit_fast_recovery(self);
-    }
-
-    fn on_partial_ack(&mut self, acked: u64) {
-        Cwnd::on_partial_ack(self, acked);
-    }
-
-    fn on_timeout(&mut self, flight: u64) {
-        Cwnd::on_timeout(self, flight);
-    }
-
-    fn window(&self) -> u64 {
-        Cwnd::window(self)
-    }
-
-    fn cwnd(&self) -> f64 {
-        Cwnd::cwnd(self)
-    }
-
-    fn ssthresh(&self) -> f64 {
-        Cwnd::ssthresh(self)
-    }
-
-    fn phase(&self) -> Phase {
-        Cwnd::phase(self)
-    }
-
-    fn window_limited(&self) -> bool {
-        Cwnd::window_limited(self)
-    }
-
-    fn name(&self) -> &'static str {
-        match self.algorithm() {
-            Algorithm::Veno { .. } => "Veno",
-            _ => "Reno",
-        }
-    }
-
-    fn clone_box(&self) -> Box<dyn CongestionControl> {
-        Box::new(*self)
-    }
-
-    #[cfg(any(debug_assertions, test))]
-    fn assert_invariants(&self) {
-        Cwnd::assert_invariants(self);
     }
 }
 

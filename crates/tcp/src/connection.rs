@@ -6,10 +6,20 @@
 //! This module is the equivalent of the paper's measurement rig: a phone
 //! on the train talking to a dedicated server, with wireshark running on
 //! both ends.
+//!
+//! It is also the one place a TCP world is assembled and harvested.
+//! [`try_run_connection_with`] is the single-flow rig (and
+//! [`run_connection`] its panicking shorthand); the MPTCP rigs of
+//! [`crate::mptcp`] are the same `pub(crate)` pieces — `add_sender`,
+//! `add_receiver`, `add_path`, `add_impairments`, `ConnectionConfig::meta`,
+//! `harvest` — called in a different order. Registration order is
+//! behaviour: every agent and link draws its random stream from its
+//! registration index.
 
 use crate::metrics::{ReceiverMetrics, SenderMetrics};
 use crate::receiver::{Receiver, ReceiverConfig};
 use crate::reno::{RenoSender, SenderConfig};
+use hsm_simnet::agent::AgentId;
 use hsm_simnet::cellular::{CellLayout, ChannelProcess, ChannelStats, HandoffParams};
 use hsm_simnet::chaos::{StormInjector, StormPlan};
 use hsm_simnet::error::SimError;
@@ -154,6 +164,24 @@ pub struct ConnectionConfig {
     pub mss_bytes: u32,
     /// Hard wall-clock (simulated) limit for the run.
     pub deadline: SimTime,
+    /// A deterministic chaos-storm schedule replayed against the uplink —
+    /// the §V ACK-delay / ACK-burst impairment under study, with the full
+    /// trace/analysis pipeline attached. Empty (the default) adds no
+    /// injector agent: the world is bit-identical to a storm-free one.
+    pub storm: StormPlan,
+}
+
+impl ConnectionConfig {
+    /// The trace meta this configuration's flows are recorded under.
+    pub(crate) fn meta(&self) -> FlowMeta {
+        FlowMeta {
+            provider: self.provider.clone(),
+            scenario: self.scenario.clone(),
+            w_m: self.sender.w_m,
+            b: self.receiver.b,
+            mss_bytes: self.mss_bytes,
+        }
+    }
 }
 
 impl Default for ConnectionConfig {
@@ -166,6 +194,7 @@ impl Default for ConnectionConfig {
             scenario: String::from("unlabelled"),
             mss_bytes: 1460,
             deadline: SimTime::from_secs(3_600),
+            storm: StormPlan::default(),
         }
     }
 }
@@ -200,7 +229,7 @@ pub struct ConnectionOutcome {
 /// its largest flow. Results are bit-identical to fresh-engine runs
 /// (`Engine::reset` re-derives every random stream from the new seed).
 ///
-/// The run registers no observer: the engine's packet arena records every
+/// The run registers no recorder: the engine's packet arena records every
 /// sent packet and its delivery time as it goes, and the trace is folded
 /// straight from it by [`trace_from_arena`].
 #[derive(Debug)]
@@ -251,118 +280,69 @@ impl ConnectionScratch {
     }
 }
 
-/// Builds, runs and harvests a single TCP flow.
-///
-/// The run ends when the sender finishes (`stop_after`/`max_segments`),
-/// the event queue drains, or `cfg.deadline` passes — whichever comes
-/// first.
-pub fn run_connection(
-    seed: u64,
-    path: &PathSpec,
-    mobility: Option<&MobilityScenario>,
-    cfg: &ConnectionConfig,
-) -> ConnectionOutcome {
-    match try_run_connection(seed, path, mobility, cfg) {
-        Ok(outcome) => outcome,
-        Err(e) => panic!("simulation engine invariant violated: {e}"),
-    }
+/// The link id endpoints carry until their links exist.
+const UNWIRED: LinkId = LinkId::from_raw(u32::MAX);
+
+/// Registers flow `flow`'s sender, its [`RenoSender::data_link`] yet to be
+/// wired.
+pub(crate) fn add_sender(eng: &mut Engine, flow: u32, cfg: &ConnectionConfig) -> AgentId {
+    eng.add_agent(Box::new(RenoSender::new(FlowId(flow), UNWIRED, cfg.sender)))
 }
 
-/// Fallible twin of [`run_connection`]: engine bookkeeping corruption
-/// surfaces as a [`SimError`] instead of panicking, so campaign runners
-/// can fail one flow and keep the process alive.
-///
-/// # Errors
-///
-/// Returns the [`SimError`] reported by [`Engine::try_run_until`].
-pub fn try_run_connection(
-    seed: u64,
-    path: &PathSpec,
-    mobility: Option<&MobilityScenario>,
-    cfg: &ConnectionConfig,
-) -> Result<ConnectionOutcome, SimError> {
-    try_run_connection_with(&mut ConnectionScratch::new(), seed, path, mobility, cfg)
+/// Registers flow `flow`'s receiver, its [`Receiver::uplink`] yet to be
+/// wired.
+pub(crate) fn add_receiver(eng: &mut Engine, flow: u32, cfg: &ConnectionConfig) -> AgentId {
+    eng.add_agent(Box::new(Receiver::new(FlowId(flow), UNWIRED, cfg.receiver)))
 }
 
-/// [`try_run_connection`] through a caller-held [`ConnectionScratch`] —
-/// the allocation-recycling path campaign workers use to run thousands of
-/// flows per engine.
-///
-/// # Errors
-///
-/// Returns the [`SimError`] reported by [`Engine::try_run_until`].
-pub fn try_run_connection_with(
-    scratch: &mut ConnectionScratch,
-    seed: u64,
+/// Registers `path`'s two links — `downlink{suffix}` into `down_to`, then
+/// `uplink{suffix}` into `up_to` — and returns `(down, up)`.
+pub(crate) fn add_path(
+    eng: &mut Engine,
     path: &PathSpec,
-    mobility: Option<&MobilityScenario>,
-    cfg: &ConnectionConfig,
-) -> Result<ConnectionOutcome, SimError> {
-    run_connection_world(scratch, seed, path, mobility, None, cfg)
+    down_to: AgentId,
+    up_to: AgentId,
+    suffix: &str,
+) -> (LinkId, LinkId) {
+    let mut link = |to, direction: &str, bandwidth_bps, delay, loss: &LossSpec| {
+        eng.add_link(
+            LinkSpec::new(to, format!("{direction}{suffix}"))
+                .bandwidth_bps(bandwidth_bps)
+                .prop_delay(delay)
+                .jitter_sd(path.jitter_sd)
+                .queue_capacity(path.queue_capacity)
+                .loss(loss.build()),
+        )
+    };
+    let down = link(
+        down_to,
+        "downlink",
+        path.down_bandwidth_bps,
+        path.down_delay,
+        &path.down_loss,
+    );
+    let up = link(
+        up_to,
+        "uplink",
+        path.up_bandwidth_bps,
+        path.up_delay,
+        &path.up_loss,
+    );
+    (down, up)
 }
 
-/// [`try_run_connection_with`] plus a deterministic chaos-storm schedule
-/// replayed against the uplink — the rig for studying ACK-delay and
-/// ACK-burst impairments (paper §V) with the full trace/analysis
-/// pipeline attached. With an empty plan the built world is identical to
-/// the storm-free one (no injector agent is added).
-///
-/// # Errors
-///
-/// Returns the [`SimError`] reported by [`Engine::try_run_until`].
-pub fn try_run_connection_with_storm(
-    scratch: &mut ConnectionScratch,
-    seed: u64,
-    path: &PathSpec,
+/// Attaches what impairs the path `(down, up)` beyond its own loss models:
+/// the mobility channel process, when the phone is on the train (its agent
+/// id is returned for [`channel_stats`]), and then the storm injector on
+/// the uplink, when `storm` has episodes.
+pub(crate) fn add_impairments(
+    eng: &mut Engine,
     mobility: Option<&MobilityScenario>,
     storm: &StormPlan,
-    cfg: &ConnectionConfig,
-) -> Result<ConnectionOutcome, SimError> {
-    let storm = (!storm.episodes.is_empty()).then_some(storm);
-    run_connection_world(scratch, seed, path, mobility, storm, cfg)
-}
-
-fn run_connection_world(
-    scratch: &mut ConnectionScratch,
-    seed: u64,
-    path: &PathSpec,
-    mobility: Option<&MobilityScenario>,
-    storm: Option<&StormPlan>,
-    cfg: &ConnectionConfig,
-) -> Result<ConnectionOutcome, SimError> {
-    scratch.engine.reset(seed);
-    let eng = &mut scratch.engine;
-    let placeholder = LinkId::from_raw(u32::MAX);
-    let tx = eng.add_agent(Box::new(RenoSender::new(
-        FlowId(cfg.flow),
-        placeholder,
-        cfg.sender,
-    )));
-    let rx = eng.add_agent(Box::new(Receiver::new(
-        FlowId(cfg.flow),
-        placeholder,
-        cfg.receiver,
-    )));
-    let down = eng.add_link(
-        LinkSpec::new(rx, "downlink")
-            .bandwidth_bps(path.down_bandwidth_bps)
-            .prop_delay(path.down_delay)
-            .jitter_sd(path.jitter_sd)
-            .queue_capacity(path.queue_capacity)
-            .loss(path.down_loss.build()),
-    );
-    let up = eng.add_link(
-        LinkSpec::new(tx, "uplink")
-            .bandwidth_bps(path.up_bandwidth_bps)
-            .prop_delay(path.up_delay)
-            .jitter_sd(path.jitter_sd)
-            .queue_capacity(path.queue_capacity)
-            .loss(path.up_loss.build()),
-    );
-    eng.agent_mut::<RenoSender>(tx).expect("sender").data_link = down;
-    eng.agent_mut::<Receiver>(rx).expect("receiver").uplink = up;
-
-    let channel_agent = mobility.map(|m| {
+    down: LinkId,
+    up: LinkId,
+) -> Option<AgentId> {
+    let channel = mobility.map(|m| {
         eng.add_agent(Box::new(ChannelProcess::new(
             down,
             up,
@@ -371,39 +351,101 @@ fn run_connection_world(
             m.handoff,
         )))
     });
-    // The storm rides the uplink: delayed/lost ACK bursts are the §V
-    // impairment under study. Absent a plan, no agent is added and the
-    // world is bit-identical to the pre-storm one.
-    if let Some(plan) = storm {
-        eng.add_agent(Box::new(StormInjector::new(up, plan.clone())));
+    if !storm.episodes.is_empty() {
+        eng.add_agent(Box::new(StormInjector::new(up, storm.clone())));
     }
+    channel
+}
 
-    eng.try_run_until(cfg.deadline)?;
+/// The sender registered as `tx`.
+pub(crate) fn sender_mut(eng: &mut Engine, tx: AgentId) -> &mut RenoSender {
+    eng.agent_mut(tx).expect("sender")
+}
 
-    let meta = FlowMeta {
-        provider: cfg.provider.clone(),
-        scenario: cfg.scenario.clone(),
-        w_m: cfg.sender.w_m,
-        b: cfg.receiver.b,
-        mss_bytes: cfg.mss_bytes,
-    };
-    // The arena is the capture: no observer ran, nothing was recorded
-    // twice.
-    let trace = trace_from_arena(eng.arena(), cfg.flow, meta);
-    // The next `Engine::reset` drops the agent: take its logs, don't copy.
-    let sender = std::mem::take(&mut eng.agent_mut::<RenoSender>(tx).expect("sender").metrics);
-    let receiver = eng.agent_mut::<Receiver>(rx).expect("receiver").metrics;
-    let channel =
-        channel_agent.map(|id| eng.agent_mut::<ChannelProcess>(id).expect("channel").stats);
-    Ok(ConnectionOutcome {
-        trace,
-        sender,
-        receiver,
-        channel,
+/// The receiver registered as `rx`.
+pub(crate) fn receiver_mut(eng: &mut Engine, rx: AgentId) -> &mut Receiver {
+    eng.agent_mut(rx).expect("receiver")
+}
+
+/// Takes the sender's ground-truth logs (the world is finished: the next
+/// `Engine::reset` would drop them with the agent).
+pub(crate) fn sender_metrics(eng: &mut Engine, tx: AgentId) -> SenderMetrics {
+    std::mem::take(&mut sender_mut(eng, tx).metrics)
+}
+
+/// The handoff statistics of the channel process registered as `id`.
+pub(crate) fn channel_stats(eng: &mut Engine, id: AgentId) -> ChannelStats {
+    eng.agent_mut::<ChannelProcess>(id).expect("channel").stats
+}
+
+/// Harvests a finished single-flow world. The arena is the capture: every
+/// packet of the flow crossed exactly one link, so nothing was recorded
+/// twice and no recorder ran.
+pub(crate) fn harvest(
+    eng: &mut Engine,
+    cfg: &ConnectionConfig,
+    (tx, rx): (AgentId, AgentId),
+    channel: Option<AgentId>,
+) -> ConnectionOutcome {
+    ConnectionOutcome {
+        trace: trace_from_arena(eng.arena(), cfg.flow, cfg.meta()),
+        sender: sender_metrics(eng, tx),
+        receiver: receiver_mut(eng, rx).metrics,
+        channel: channel.map(|id| channel_stats(eng, id)),
         finished_at: eng.now(),
         events_processed: eng.events_processed(),
         queue: eng.queue_stats(),
-    })
+    }
+}
+
+/// Builds, runs and harvests a single TCP flow: [`try_run_connection_with`]
+/// on a fresh scratch, for tests and examples.
+///
+/// # Panics
+///
+/// Panics if the engine reports a [`SimError`].
+pub fn run_connection(
+    seed: u64,
+    path: &PathSpec,
+    mobility: Option<&MobilityScenario>,
+    cfg: &ConnectionConfig,
+) -> ConnectionOutcome {
+    match try_run_connection_with(&mut ConnectionScratch::new(), seed, path, mobility, cfg) {
+        Ok(outcome) => outcome,
+        Err(e) => panic!("simulation engine invariant violated: {e}"),
+    }
+}
+
+/// Builds, runs and harvests a single TCP flow through a caller-held
+/// [`ConnectionScratch`] — the allocation-recycling path campaign workers
+/// use to run thousands of flows per engine.
+///
+/// The run ends when the sender finishes (`stop_after`/`max_segments`),
+/// the event queue drains, or `cfg.deadline` passes — whichever comes
+/// first.
+///
+/// # Errors
+///
+/// Engine bookkeeping corruption surfaces as the [`SimError`] reported by
+/// [`Engine::try_run_until`] instead of panicking, so campaign runners can
+/// fail one flow and keep the process alive.
+pub fn try_run_connection_with(
+    scratch: &mut ConnectionScratch,
+    seed: u64,
+    path: &PathSpec,
+    mobility: Option<&MobilityScenario>,
+    cfg: &ConnectionConfig,
+) -> Result<ConnectionOutcome, SimError> {
+    scratch.engine.reset(seed);
+    let eng = &mut scratch.engine;
+    let tx = add_sender(eng, cfg.flow, cfg);
+    let rx = add_receiver(eng, cfg.flow, cfg);
+    let (down, up) = add_path(eng, path, rx, tx, "");
+    sender_mut(eng, tx).data_link = down;
+    receiver_mut(eng, rx).uplink = up;
+    let channel = add_impairments(eng, mobility, &cfg.storm, down, up);
+    eng.try_run_until(cfg.deadline)?;
+    Ok(harvest(eng, cfg, (tx, rx), channel))
 }
 
 #[cfg(test)]
@@ -587,35 +629,28 @@ mod tests {
                 kind: StormKind::Flap(SimDuration::from_millis(900)),
             }],
         };
+        let stormy_cfg = ConnectionConfig {
+            storm: plan,
+            ..cfg.clone()
+        };
         let mut scratch = ConnectionScratch::new();
-        let stormy = try_run_connection_with_storm(&mut scratch, 9, &path, None, &plan, &cfg)
-            .expect("storm run succeeds");
-        let replay = try_run_connection_with_storm(&mut scratch, 9, &path, None, &plan, &cfg)
-            .expect("storm replay succeeds");
+        let mut run = |cfg| try_run_connection_with(&mut scratch, 9, &path, None, cfg);
+        let stormy = run(&stormy_cfg).expect("storm run succeeds");
+        let replay = run(&stormy_cfg).expect("storm replay succeeds");
         assert_eq!(stormy.trace, replay.trace, "storm runs must replay");
 
         // The delay flap must actually bite: timeouts appear that the
-        // storm-free run does not have.
-        let calm = try_run_connection_with(&mut scratch, 9, &path, None, &cfg).expect("calm run");
+        // storm-free run does not have. The default plan is the empty one,
+        // which adds no injector agent — the world every pinned digest of
+        // a storm-free flow was computed in.
+        assert!(cfg.storm.episodes.is_empty());
+        let calm = run(&cfg).expect("calm run");
         assert!(
             stormy.sender.timeouts.len() > calm.sender.timeouts.len(),
             "storm {} vs calm {} timeouts",
             stormy.sender.timeouts.len(),
             calm.sender.timeouts.len()
         );
-
-        // An empty plan adds no injector agent: bit-identical world.
-        let empty = try_run_connection_with_storm(
-            &mut scratch,
-            9,
-            &path,
-            None,
-            &StormPlan::default(),
-            &cfg,
-        )
-        .expect("empty-plan run succeeds");
-        assert_eq!(empty.trace, calm.trace);
-        assert_eq!(empty.events_processed, calm.events_processed);
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! advertised window `W_m` — the same window limitation the model's
 //! Section IV-D branch covers.
 
+use crate::cc::{Algorithm, CongestionControl};
 use serde::{Deserialize, Serialize};
 
 /// Which congestion phase the sender is in.
@@ -18,12 +19,9 @@ pub enum Phase {
     FastRecovery,
 }
 
-/// The algorithm-selection enum now lives in [`crate::cc`] alongside the
-/// [`crate::cc::CongestionControl`] trait; re-exported here because this
-/// is where it historically lived and `Cwnd` still carries one.
-pub use crate::cc::Algorithm;
-
-/// The congestion controller.
+/// The Reno-family congestion controller: Reno, or Veno when built with
+/// [`Algorithm::Veno`]. It speaks [`CongestionControl`] natively and is
+/// the reference implementation the other controllers are held to.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Cwnd {
     cwnd: f64,
@@ -64,15 +62,6 @@ impl Cwnd {
         }
     }
 
-    /// Feeds an RTT observation (Veno's backlog estimator needs the
-    /// minimum and the most recent RTT; a no-op for Reno).
-    pub fn observe_rtt(&mut self, rtt_s: f64) {
-        if rtt_s > 0.0 && rtt_s.is_finite() {
-            self.base_rtt_s = self.base_rtt_s.min(rtt_s);
-            self.last_rtt_s = rtt_s;
-        }
-    }
-
     /// Veno's router-backlog estimate `N`, when enough RTT information is
     /// available.
     pub fn backlog_estimate(&self) -> Option<f64> {
@@ -92,42 +81,26 @@ impl Cwnd {
         }
     }
 
-    /// The current phase.
-    pub fn phase(&self) -> Phase {
-        self.phase
+    /// Corrupts the window so tests can prove the invariant check fires.
+    /// Test-only by design.
+    #[cfg(any(debug_assertions, test))]
+    #[doc(hidden)]
+    pub fn inject_invariant_violation(&mut self) {
+        self.cwnd = 0.0;
+    }
+}
+
+impl CongestionControl for Cwnd {
+    /// Veno's backlog estimator needs the minimum and the most recent
+    /// RTT; Reno never reads them.
+    fn observe_rtt(&mut self, rtt_s: f64) {
+        if rtt_s > 0.0 && rtt_s.is_finite() {
+            self.base_rtt_s = self.base_rtt_s.min(rtt_s);
+            self.last_rtt_s = rtt_s;
+        }
     }
 
-    /// The raw congestion window, fractional segments (not capped by
-    /// `W_m`).
-    pub fn cwnd(&self) -> f64 {
-        self.cwnd
-    }
-
-    /// Current slow-start threshold.
-    pub fn ssthresh(&self) -> f64 {
-        self.ssthresh
-    }
-
-    /// Which algorithm this controller runs (Reno or Veno).
-    pub fn algorithm(&self) -> Algorithm {
-        self.algo
-    }
-
-    /// The effective send window in whole segments:
-    /// `max(1, floor(min(cwnd, W_m)))`.
-    pub fn window(&self) -> u64 {
-        send_window(self.cwnd, self.w_m)
-    }
-
-    /// True when the advertised window is the binding constraint.
-    pub fn window_limited(&self) -> bool {
-        self.cwnd >= self.w_m
-    }
-
-    /// Processes an ACK advancing the cumulative point by `acked`
-    /// segments (fast-recovery exits are handled by the dedicated
-    /// methods).
-    pub fn on_new_ack(&mut self, acked: u64) {
+    fn on_new_ack(&mut self, acked: u64) {
         match self.phase {
             Phase::SlowStart => {
                 // One MSS per ACKed segment (byte-counting slow start).
@@ -153,12 +126,9 @@ impl Cwnd {
         self.cwnd = self.cwnd.min(self.w_m.max(1.0) * 2.0); // keep bounded
     }
 
-    /// Enters fast recovery after the third duplicate ACK. `flight` is
-    /// the amount of outstanding data in segments.
-    ///
     /// Reno halves the window; Veno, when its backlog estimate indicates a
     /// *random* (wireless) loss, only takes a 1/5 cut.
-    pub fn enter_fast_recovery(&mut self, flight: u64) {
+    fn enter_fast_recovery(&mut self, flight: u64) {
         let factor = if self.random_loss_suspected() {
             0.8
         } else {
@@ -169,47 +139,66 @@ impl Cwnd {
         self.phase = Phase::FastRecovery;
     }
 
-    /// One more duplicate ACK while in fast recovery: inflate.
-    pub fn on_dup_ack_in_recovery(&mut self) {
+    fn on_dup_ack_in_recovery(&mut self) {
         if self.phase == Phase::FastRecovery {
             self.cwnd += 1.0;
         }
     }
 
-    /// Exits fast recovery on an ACK for new data: deflate to `ssthresh`.
-    pub fn exit_fast_recovery(&mut self) {
+    fn exit_fast_recovery(&mut self) {
         if self.phase == Phase::FastRecovery {
             self.cwnd = self.ssthresh;
             self.phase = Phase::CongestionAvoidance;
         }
     }
 
-    /// NewReno partial ACK: deflate by the amount acked but stay in fast
-    /// recovery.
-    pub fn on_partial_ack(&mut self, acked: u64) {
+    fn on_partial_ack(&mut self, acked: u64) {
         if self.phase == Phase::FastRecovery {
             self.cwnd = (self.cwnd - acked as f64 + 1.0).max(1.0);
         }
     }
 
-    /// Retransmission timeout: collapse to one segment and restart slow
-    /// start. `flight` is outstanding data in segments.
-    pub fn on_timeout(&mut self, flight: u64) {
+    /// Collapses to one segment and restarts slow start.
+    fn on_timeout(&mut self, flight: u64) {
         self.ssthresh = (flight as f64 / 2.0).max(2.0);
         self.cwnd = 1.0;
         self.phase = Phase::SlowStart;
     }
 
-    /// Checks the controller's structural invariants: the window never
-    /// collapses below one segment, never escapes its `2·W_m` ceiling, and
-    /// both `cwnd` and `ssthresh` stay finite and positive. The sender
-    /// re-checks after every state transition in debug/test builds.
-    ///
-    /// # Panics
-    ///
-    /// Panics when an invariant is violated.
+    fn window(&self) -> u64 {
+        send_window(self.cwnd, self.w_m)
+    }
+
+    fn cwnd(&self) -> f64 {
+        self.cwnd
+    }
+
+    fn ssthresh(&self) -> f64 {
+        self.ssthresh
+    }
+
+    fn phase(&self) -> Phase {
+        self.phase
+    }
+
+    fn window_limited(&self) -> bool {
+        self.cwnd >= self.w_m
+    }
+
+    fn name(&self) -> &'static str {
+        self.algo.label()
+    }
+
+    fn clone_box(&self) -> Box<dyn CongestionControl> {
+        Box::new(*self)
+    }
+
+    /// The window never collapses below one segment, never escapes its
+    /// `2·W_m` ceiling, and both `cwnd` and `ssthresh` stay finite and
+    /// positive. The sender re-checks after every state transition in
+    /// debug/test builds.
     #[cfg(any(debug_assertions, test))]
-    pub fn assert_invariants(&self) {
+    fn assert_invariants(&self) {
         assert!(
             self.cwnd.is_finite() && self.cwnd >= 1.0,
             "cwnd invariant violated: cwnd = {} (must be finite and >= 1)",
@@ -239,14 +228,6 @@ impl Cwnd {
             w,
             self.w_m,
         );
-    }
-
-    /// Corrupts the window so tests can prove the invariant check fires.
-    /// Test-only by design.
-    #[cfg(any(debug_assertions, test))]
-    #[doc(hidden)]
-    pub fn inject_invariant_violation(&mut self) {
-        self.cwnd = 0.0;
     }
 }
 

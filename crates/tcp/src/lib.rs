@@ -6,19 +6,25 @@
 //! * [`rtt`] — Jacobson/Karn RTT estimation and the exponential-backoff
 //!   retransmission timer capped at 64·T;
 //! * [`cwnd`] — the Reno congestion state machine (slow start, congestion
-//!   avoidance, fast recovery) with the `W_m` advertised-window cap;
-//! * [`reno`] — the sender agent (fast retransmit on triple dup-ACKs,
+//!   avoidance, fast recovery) with the `W_m` advertised-window cap, and
+//!   its Veno variant;
+//! * [`cc`] — the [`cc::CongestionControl`] trait the sender drives, the
+//!   [`cc::Algorithm`] configuration label and the rest of the zoo;
+//! * [`reno`] — the one sender agent (fast retransmit on triple dup-ACKs,
 //!   lone-segment retransmission during timeout recovery, optional NewReno
 //!   partial-ACK handling, optional redundant backup-path retransmission);
+//!   NewReno and Veno are [`reno::SenderConfig`] settings
+//!   (`newreno: true`, `algorithm: Algorithm::veno()`), not types;
 //! * [`recovery`] — the §V loss-recovery countermeasure zoo (redundant
 //!   retransmit-on-RTO, RFC 5682 F-RTO spurious-timeout undo, and an
 //!   ACK-loss-robust backoff), pluggable like the [`cc`] zoo;
 //! * [`receiver`] — cumulative + delayed ACKs (`b`), reordering buffer,
 //!   duplicate-payload accounting (spurious-timeout ground truth);
 //! * [`connection`] — one-call wiring of a full measurement rig
-//!   (sender ↔ cellular path ↔ receiver, optional 300 km/h mobility);
-//! * [`mptcp`] — duplex-mode aggregation and backup-mode redundant
-//!   retransmission (paper §V-B);
+//!   (sender ↔ cellular path ↔ receiver, optional 300 km/h mobility,
+//!   optional chaos storm), and the shared pieces every rig is built from;
+//! * [`mptcp`] — the same pieces wired as duplex-mode aggregation,
+//!   backup-mode redundant retransmission and a shared radio (paper §V-B);
 //! * [`metrics`] — endpoint-internal ground truth (cwnd logs, timeout
 //!   times) used to validate the trace analyses.
 //!
@@ -42,30 +48,26 @@ pub mod cwnd;
 pub mod demux;
 pub mod metrics;
 pub mod mptcp;
-pub mod newreno;
 pub mod receiver;
 pub mod recovery;
 pub mod reno;
 pub mod rtt;
-pub mod veno;
 
 /// Convenient glob-import surface: `use hsm_tcp::prelude::*;`.
 pub mod prelude {
-    pub use crate::cc::{Bbr, Compound, CongestionControl, Cubic};
+    pub use crate::cc::{Algorithm, Bbr, Compound, CongestionControl, Cubic};
     pub use crate::connection::{
-        run_connection, try_run_connection, try_run_connection_with, ConnectionConfig,
-        ConnectionOutcome, ConnectionScratch, LossSpec, MobilityScenario, PathSpec,
+        run_connection, try_run_connection_with, ConnectionConfig, ConnectionOutcome,
+        ConnectionScratch, LossSpec, MobilityScenario, PathSpec,
     };
-    pub use crate::cwnd::{Algorithm, Cwnd, Phase};
+    pub use crate::cwnd::{Cwnd, Phase};
     pub use crate::demux::Demux;
     pub use crate::metrics::{CwndSample, ReceiverMetrics, SenderMetrics};
     pub use crate::mptcp::{
         run_mptcp_duplex, run_mptcp_shared_radio, run_with_backup_path, MptcpOutcome,
     };
-    pub use crate::newreno::new_reno_sender;
     pub use crate::receiver::{AdaptiveDelAck, Receiver, ReceiverConfig};
     pub use crate::recovery::{AckDisposition, LossRecovery, Recovery, TimeoutPlan};
     pub use crate::reno::{RenoSender, SenderConfig};
     pub use crate::rtt::{Backoff, RttEstimator};
-    pub use crate::veno::{veno_config, veno_sender};
 }

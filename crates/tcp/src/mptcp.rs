@@ -1,6 +1,7 @@
 //! Multi-path TCP (paper §V-B).
 //!
-//! Two facilities, mirroring exactly how the paper evaluates MPTCP:
+//! Three rigs, mirroring how the paper evaluates MPTCP — each the
+//! single-flow rig's pieces ([`crate::connection`]) wired differently:
 //!
 //! * **Duplex mode** ([`run_mptcp_duplex`]) — the paper approximates MPTCP
 //!   throughput by running *two independent TCP flows over disjoint paths
@@ -9,25 +10,31 @@
 //!   same: two sender/receiver pairs in one engine, independent channel
 //!   processes, aggregate throughput reported.
 //!
-//! * **Backup mode** — redundant timeout retransmission over a second
-//!   path, which reduces the retransmission loss rate from `q` to about
-//!   `q·q₂`; this is the `backup_link` option of
-//!   [`RenoSender`] type, exercised by
-//!   [`run_with_backup_path`].
+//! * **Backup mode** ([`run_with_backup_path`]) — redundant timeout
+//!   retransmission over a second path, which reduces the retransmission
+//!   loss rate from `q` to about `q·q₂`: the `backup_link` of
+//!   [`RenoSender`](crate::reno::RenoSender). A *path* mechanism (Fig. 12),
+//!   distinct from `Recovery::RedundantRto`, which sends the second copy
+//!   down the same path.
+//!
+//! * **Shared radio** ([`run_mptcp_shared_radio`]) — both subflows through
+//!   one handset's radio, the one multi-hop world here and so the one
+//!   captured with a [`VecRecorder`] instead of the packet arena.
 
-use crate::connection::{ConnectionConfig, MobilityScenario, PathSpec};
+use crate::connection::{
+    add_impairments, add_path, add_receiver, add_sender, channel_stats, harvest, receiver_mut,
+    sender_metrics, sender_mut, ConnectionConfig, ConnectionOutcome, MobilityScenario, PathSpec,
+};
 use crate::demux::Demux;
 use crate::metrics::{ReceiverMetrics, SenderMetrics};
-use crate::receiver::Receiver;
-use crate::reno::RenoSender;
-use hsm_simnet::cellular::{ChannelProcess, ChannelStats};
-use hsm_simnet::link::{LinkId, LinkSpec};
+use hsm_simnet::agent::AgentId;
+use hsm_simnet::cellular::ChannelStats;
+use hsm_simnet::link::LinkSpec;
 use hsm_simnet::observer::VecRecorder;
-use hsm_simnet::packet::FlowId;
 use hsm_simnet::prelude::Engine;
 use hsm_simnet::time::SimDuration;
-use hsm_trace::capture::{traces_from_events, traces_from_events_filtered};
-use hsm_trace::record::{FlowMeta, FlowTrace};
+use hsm_trace::capture::{trace_from_arena, traces_from_events_filtered};
+use hsm_trace::record::FlowTrace;
 
 /// Outcome of a duplex-mode MPTCP run: one trace per subflow.
 #[derive(Debug, Clone)]
@@ -40,6 +47,8 @@ pub struct MptcpOutcome {
     pub receivers: Vec<ReceiverMetrics>,
     /// Per-path channel statistics when mobility was attached.
     pub channels: Vec<ChannelStats>,
+    /// Discrete events the simulator processed for the whole world.
+    pub events_processed: u64,
 }
 
 impl MptcpOutcome {
@@ -61,32 +70,28 @@ impl MptcpOutcome {
             .sum();
         delivered as f64 / duration
     }
-}
 
-fn build_path(
-    eng: &mut Engine,
-    path: &PathSpec,
-    rx: hsm_simnet::agent::AgentId,
-    tx: hsm_simnet::agent::AgentId,
-    tag: &str,
-) -> (LinkId, LinkId) {
-    let down = eng.add_link(
-        LinkSpec::new(rx, format!("downlink.{tag}"))
-            .bandwidth_bps(path.down_bandwidth_bps)
-            .prop_delay(path.down_delay)
-            .jitter_sd(path.jitter_sd)
-            .queue_capacity(path.queue_capacity)
-            .loss(path.down_loss.build()),
-    );
-    let up = eng.add_link(
-        LinkSpec::new(tx, format!("uplink.{tag}"))
-            .bandwidth_bps(path.up_bandwidth_bps)
-            .prop_delay(path.up_delay)
-            .jitter_sd(path.jitter_sd)
-            .queue_capacity(path.queue_capacity)
-            .loss(path.up_loss.build()),
-    );
-    (down, up)
+    /// Harvests a finished two-subflow world.
+    fn harvest(
+        eng: &mut Engine,
+        subflows: Vec<FlowTrace>,
+        endpoints: &[(AgentId, AgentId)],
+        channels: &[AgentId],
+    ) -> MptcpOutcome {
+        MptcpOutcome {
+            subflows,
+            senders: endpoints
+                .iter()
+                .map(|&(tx, _)| sender_metrics(eng, tx))
+                .collect(),
+            receivers: endpoints
+                .iter()
+                .map(|&(_, rx)| receiver_mut(eng, rx).metrics)
+                .collect(),
+            channels: channels.iter().map(|&c| channel_stats(eng, c)).collect(),
+            events_processed: eng.events_processed(),
+        }
+    }
 }
 
 /// Runs two independent subflows over two disjoint paths and reports the
@@ -102,69 +107,31 @@ pub fn run_mptcp_duplex(
     cfg: &ConnectionConfig,
 ) -> MptcpOutcome {
     let mut eng = Engine::new(seed);
-    let placeholder = LinkId::from_raw(u32::MAX);
-    let mut txs = Vec::new();
-    let mut rxs = Vec::new();
-    let mut chans = Vec::new();
-    for (i, path) in paths.iter().enumerate() {
-        let flow = FlowId(cfg.flow + i as u32);
-        let tx = eng.add_agent(Box::new(RenoSender::new(flow, placeholder, cfg.sender)));
-        let rx = eng.add_agent(Box::new(Receiver::new(flow, placeholder, cfg.receiver)));
-        let (down, up) = build_path(&mut eng, path, rx, tx, &format!("sub{i}"));
-        {
-            let sender = eng.agent_mut::<RenoSender>(tx).expect("sender");
-            sender.data_link = down;
-            // One sender stopping must not truncate its sibling subflow.
-            sender.halt_engine_on_stop = false;
-        }
-        eng.agent_mut::<Receiver>(rx).expect("receiver").uplink = up;
-        if let Some(m) = mobility {
-            chans.push(eng.add_agent(Box::new(ChannelProcess::new(
-                down,
-                up,
-                m.trajectory,
-                m.layout.clone(),
-                m.handoff,
-            ))));
-        }
-        txs.push(tx);
-        rxs.push(rx);
+    let mut endpoints = Vec::new();
+    let mut channels = Vec::new();
+    for (i, path) in paths.into_iter().enumerate() {
+        let flow = cfg.flow + i as u32;
+        let (tx, rx) = (
+            add_sender(&mut eng, flow, cfg),
+            add_receiver(&mut eng, flow, cfg),
+        );
+        let (down, up) = add_path(&mut eng, path, rx, tx, &format!(".sub{i}"));
+        let sender = sender_mut(&mut eng, tx);
+        sender.data_link = down;
+        // One sender stopping must not truncate its sibling subflow.
+        sender.halt_engine_on_stop = false;
+        receiver_mut(&mut eng, rx).uplink = up;
+        channels.extend(add_impairments(&mut eng, mobility, &cfg.storm, down, up));
+        endpoints.push((tx, rx));
     }
-    let recorder = VecRecorder::new();
-    eng.add_recorder(recorder.clone());
     eng.run_until(cfg.deadline);
 
-    let base_meta = FlowMeta {
-        provider: cfg.provider.clone(),
-        scenario: cfg.scenario.clone(),
-        w_m: cfg.sender.w_m,
-        b: cfg.receiver.b,
-        mss_bytes: cfg.mss_bytes,
-    };
-    let subflows = traces_from_events(&recorder.take_events(), |_| base_meta.clone());
-    let senders = txs
-        .iter()
-        .map(|&t| {
-            eng.agent_mut::<RenoSender>(t)
-                .expect("sender")
-                .metrics
-                .clone()
-        })
+    // Disjoint single-hop paths: each subflow's rows of the arena are its
+    // capture, as in the single-flow rig.
+    let subflows = (0..endpoints.len() as u32)
+        .map(|i| trace_from_arena(eng.arena(), cfg.flow + i, cfg.meta()))
         .collect();
-    let receivers = rxs
-        .iter()
-        .map(|&r| eng.agent_mut::<Receiver>(r).expect("receiver").metrics)
-        .collect();
-    let channels = chans
-        .iter()
-        .map(|&c| eng.agent_mut::<ChannelProcess>(c).expect("channel").stats)
-        .collect();
-    MptcpOutcome {
-        subflows,
-        senders,
-        receivers,
-        channels,
-    }
+    MptcpOutcome::harvest(&mut eng, subflows, &endpoints, &channels)
 }
 
 /// Runs a single flow whose timeout retransmissions are duplicated over a
@@ -178,64 +145,26 @@ pub fn run_with_backup_path(
     backup: &PathSpec,
     mobility: Option<&MobilityScenario>,
     cfg: &ConnectionConfig,
-) -> crate::connection::ConnectionOutcome {
+) -> ConnectionOutcome {
     let mut eng = Engine::new(seed);
-    let placeholder = LinkId::from_raw(u32::MAX);
-    let flow = FlowId(cfg.flow);
-    let tx = eng.add_agent(Box::new(RenoSender::new(flow, placeholder, cfg.sender)));
-    let rx = eng.add_agent(Box::new(Receiver::new(flow, placeholder, cfg.receiver)));
-    let (down, up) = build_path(&mut eng, primary, rx, tx, "primary");
-    let (backup_down, backup_up) = build_path(&mut eng, backup, rx, tx, "backup");
-    {
-        let sender = eng.agent_mut::<RenoSender>(tx).expect("sender");
-        sender.data_link = down;
-        sender.backup_link = Some(backup_down);
-    }
-    {
-        let receiver = eng.agent_mut::<Receiver>(rx).expect("receiver");
-        receiver.uplink = up;
-        // Recovery-phase ACKs are mirrored over the backup carrier: the
-        // redundant exchange must survive whenever *either* path works.
-        receiver.backup_uplink = Some(backup_up);
-    }
-    // Mobility impairs only the primary path; the backup is assumed to be
-    // a different carrier, modelled by its own PathSpec losses.
-    let chan = mobility.map(|m| {
-        eng.add_agent(Box::new(ChannelProcess::new(
-            down,
-            up,
-            m.trajectory,
-            m.layout.clone(),
-            m.handoff,
-        )))
-    });
-    let recorder = VecRecorder::new();
-    eng.add_recorder(recorder.clone());
+    let tx = add_sender(&mut eng, cfg.flow, cfg);
+    let rx = add_receiver(&mut eng, cfg.flow, cfg);
+    let (down, up) = add_path(&mut eng, primary, rx, tx, ".primary");
+    let (backup_down, backup_up) = add_path(&mut eng, backup, rx, tx, ".backup");
+    let sender = sender_mut(&mut eng, tx);
+    sender.data_link = down;
+    sender.backup_link = Some(backup_down);
+    let receiver = receiver_mut(&mut eng, rx);
+    receiver.uplink = up;
+    // Recovery-phase ACKs are mirrored over the backup carrier: the
+    // redundant exchange must survive whenever *either* path works.
+    receiver.backup_uplink = Some(backup_up);
+    // Mobility (and any storm) impairs only the primary path; the backup is
+    // assumed to be a different carrier, modelled by its own PathSpec
+    // losses.
+    let channel = add_impairments(&mut eng, mobility, &cfg.storm, down, up);
     eng.run_until(cfg.deadline);
-
-    let meta = FlowMeta {
-        provider: cfg.provider.clone(),
-        scenario: cfg.scenario.clone(),
-        w_m: cfg.sender.w_m,
-        b: cfg.receiver.b,
-        mss_bytes: cfg.mss_bytes,
-    };
-    let trace =
-        hsm_trace::capture::single_flow_trace(&recorder.take_events(), cfg.flow, meta.clone())
-            .unwrap_or_else(|| FlowTrace::new(cfg.flow, meta));
-    crate::connection::ConnectionOutcome {
-        trace,
-        sender: eng
-            .agent_mut::<RenoSender>(tx)
-            .expect("sender")
-            .metrics
-            .clone(),
-        receiver: eng.agent_mut::<Receiver>(rx).expect("receiver").metrics,
-        channel: chan.map(|c| eng.agent_mut::<ChannelProcess>(c).expect("channel").stats),
-        finished_at: eng.now(),
-        events_processed: eng.events_processed(),
-        queue: eng.queue_stats(),
-    }
+    harvest(&mut eng, cfg, (tx, rx), channel)
 }
 
 /// Runs two subflows through **one shared radio** (the single-handset
@@ -254,118 +183,41 @@ pub fn run_mptcp_shared_radio(
     cfg: &ConnectionConfig,
 ) -> MptcpOutcome {
     let mut eng = Engine::new(seed);
-    let placeholder = LinkId::from_raw(u32::MAX);
     let flows = [cfg.flow, cfg.flow + 1];
-    let txs: Vec<_> = flows
-        .iter()
-        .map(|&f| {
-            eng.add_agent(Box::new(RenoSender::new(
-                FlowId(f),
-                placeholder,
-                cfg.sender,
-            )))
-        })
-        .collect();
-    let rxs: Vec<_> = flows
-        .iter()
-        .map(|&f| {
-            eng.add_agent(Box::new(Receiver::new(
-                FlowId(f),
-                placeholder,
-                cfg.receiver,
-            )))
-        })
-        .collect();
+    let txs = flows.map(|f| add_sender(&mut eng, f, cfg));
+    let rxs = flows.map(|f| add_receiver(&mut eng, f, cfg));
     let demux_down = eng.add_agent(Box::new(Demux::new()));
     let demux_up = eng.add_agent(Box::new(Demux::new()));
-    let (down, up) = {
-        let down = eng.add_link(
-            LinkSpec::new(demux_down, "downlink")
-                .bandwidth_bps(path.down_bandwidth_bps)
-                .prop_delay(path.down_delay)
-                .jitter_sd(path.jitter_sd)
-                .queue_capacity(path.queue_capacity)
-                .loss(path.down_loss.build()),
-        );
-        let up = eng.add_link(
-            LinkSpec::new(demux_up, "uplink")
-                .bandwidth_bps(path.up_bandwidth_bps)
-                .prop_delay(path.up_delay)
-                .jitter_sd(path.jitter_sd)
-                .queue_capacity(path.queue_capacity)
-                .loss(path.up_loss.build()),
-        );
-        (down, up)
-    };
-    let internal = |eng: &mut Engine, to, tag: String| {
-        eng.add_link(
-            LinkSpec::new(to, tag)
+    let (down, up) = add_path(&mut eng, path, demux_down, demux_up, "");
+    let mut fan_out = |demux, to, flow, label: String| {
+        let link = eng.add_link(
+            LinkSpec::new(to, label)
                 .bandwidth_bps(u64::MAX / 1024)
                 .prop_delay(SimDuration::from_micros(1))
                 .queue_capacity(4_096),
-        )
+        );
+        let demux: &mut Demux = eng.agent_mut(demux).expect("demux");
+        demux.add_route(flow, link);
     };
-    for (i, (&tx, &rx)) in txs.iter().zip(&rxs).enumerate() {
-        let to_rx = internal(&mut eng, rx, format!("internal.rx{i}"));
-        let to_tx = internal(&mut eng, tx, format!("internal.tx{i}"));
-        eng.agent_mut::<Demux>(demux_down)
-            .expect("demux")
-            .add_route(flows[i], to_rx);
-        eng.agent_mut::<Demux>(demux_up)
-            .expect("demux")
-            .add_route(flows[i], to_tx);
-        {
-            let sender = eng.agent_mut::<RenoSender>(tx).expect("sender");
-            sender.data_link = down;
-            sender.halt_engine_on_stop = false;
-        }
-        eng.agent_mut::<Receiver>(rx).expect("receiver").uplink = up;
+    for (i, &flow) in flows.iter().enumerate() {
+        fan_out(demux_down, rxs[i], flow, format!("internal.rx{i}"));
+        fan_out(demux_up, txs[i], flow, format!("internal.tx{i}"));
     }
-    let chan = mobility.map(|m| {
-        eng.add_agent(Box::new(ChannelProcess::new(
-            down,
-            up,
-            m.trajectory,
-            m.layout.clone(),
-            m.handoff,
-        )))
-    });
+    for (&tx, &rx) in txs.iter().zip(&rxs) {
+        let sender = sender_mut(&mut eng, tx);
+        sender.data_link = down;
+        sender.halt_engine_on_stop = false;
+        receiver_mut(&mut eng, rx).uplink = up;
+    }
+    let channel = add_impairments(&mut eng, mobility, &cfg.storm, down, up);
     let recorder = VecRecorder::new();
     eng.add_recorder(recorder.clone());
-    let deadline = cfg.deadline;
-    eng.run_until(deadline);
+    eng.run_until(cfg.deadline);
 
-    let base_meta = FlowMeta {
-        provider: cfg.provider.clone(),
-        scenario: cfg.scenario.clone(),
-        w_m: cfg.sender.w_m,
-        b: cfg.receiver.b,
-        mss_bytes: cfg.mss_bytes,
-    };
-    let subflows = traces_from_events_filtered(
-        &recorder.take_events(),
-        |_| base_meta.clone(),
-        Some("internal"),
-    );
-    MptcpOutcome {
-        subflows,
-        senders: txs
-            .iter()
-            .map(|&t| {
-                eng.agent_mut::<RenoSender>(t)
-                    .expect("sender")
-                    .metrics
-                    .clone()
-            })
-            .collect(),
-        receivers: rxs
-            .iter()
-            .map(|&r| eng.agent_mut::<Receiver>(r).expect("receiver").metrics)
-            .collect(),
-        channels: chan
-            .map(|c| vec![eng.agent_mut::<ChannelProcess>(c).expect("channel").stats])
-            .unwrap_or_default(),
-    }
+    let subflows =
+        traces_from_events_filtered(&recorder.take_events(), |_| cfg.meta(), Some("internal"));
+    let endpoints: Vec<_> = txs.into_iter().zip(rxs).collect();
+    MptcpOutcome::harvest(&mut eng, subflows, &endpoints, channel.as_slice())
 }
 
 #[cfg(test)]

@@ -16,8 +16,8 @@
 //!   backup path, reducing the effective retransmission loss rate from `q`
 //!   to roughly `q·q_backup` (paper §V-B).
 
-use crate::cc::CongestionControl;
-use crate::cwnd::{Algorithm, Phase};
+use crate::cc::{Algorithm, CongestionControl};
+use crate::cwnd::Phase;
 use crate::metrics::SenderMetrics;
 use crate::recovery::{AckDisposition, LossRecovery, Recovery};
 use crate::rtt::{Backoff, RttEstimator};
@@ -43,12 +43,18 @@ pub struct SenderConfig {
     pub newreno: bool,
     /// Congestion-control algorithm (any member of the [`crate::cc`] zoo).
     pub algorithm: Algorithm,
-    /// F-RTO-style spurious-RTO response: when the first ACK after a
-    /// timeout covers more than the single retransmitted segment, the
-    /// original in-flight data must have arrived — the timeout was
-    /// spurious. Undo the congestion-window collapse and skip the
-    /// go-back-N resends. A future-work mitigation for the paper's
-    /// spurious-timeout problem (exercised by the `ext_undo` experiment).
+    /// Cumulative-jump spurious-RTO detection: when the first new ACK
+    /// after a timeout covers more than the single retransmitted segment,
+    /// the original flight is taken to have arrived — undo the window
+    /// collapse and skip the go-back-N resends. This catches ACK-burst
+    /// *loss* (the first ACK through covers the whole recovery point),
+    /// which [`Recovery::Frto`]'s basic algorithm cannot classify and
+    /// treats conventionally; `tests/extensions.rs` pins that difference.
+    /// It also fires on a genuine single-segment loss whose successors
+    /// were buffered at the receiver, so it is an extension (the
+    /// `ext_undo` experiment), not a default. Stands down on a timeout
+    /// for which [`Recovery::Frto`] arms its own probe, so that no timeout
+    /// is undone twice.
     pub spurious_rto_undo: bool,
     /// Loss-recovery countermeasure (any member of the [`crate::recovery`]
     /// zoo). [`Recovery::None`] reproduces the plain RFC 6298 recovery the
@@ -80,7 +86,7 @@ impl Default for SenderConfig {
 const TAG_STOP: u64 = 1;
 const TAG_RTO_BASE: u64 = 1_000;
 
-/// Saved state for the F-RTO-style spurious-RTO undo.
+/// Saved state for [`SenderConfig::spurious_rto_undo`].
 #[derive(Debug)]
 struct RtoUndo {
     cwnd: Box<dyn CongestionControl>,
@@ -1219,5 +1225,87 @@ mod tests {
             )
         };
         assert_eq!(run(42), run(42));
+    }
+
+    /// A 600-segment NewReno flow, every segment ACKed; returns
+    /// `(delivered, timeouts, fast retransmits)`.
+    fn run_newreno(seed: u64, multi_loss: bool) -> (u64, usize, usize) {
+        let mut w = world(
+            seed,
+            SenderConfig {
+                max_segments: Some(600),
+                newreno: true,
+                ..Default::default()
+            },
+            ReceiverConfig {
+                b: 1,
+                delack_timeout: SimDuration::from_millis(100),
+                adaptive: None,
+            },
+            0.0,
+            0.0,
+        );
+        if multi_loss {
+            // A short surgical outage: several segments of one window die
+            // -> partial-ACK territory.
+            w.eng.link_mut(w.down).loss.set_outage(Some(Outage::new(
+                SimTime::from_millis(400),
+                SimTime::from_millis(406),
+                1.0,
+            )));
+        }
+        w.eng.run_until_idle();
+        let tx = w.eng.agent_mut::<RenoSender>(w.tx).unwrap();
+        let (timeouts, fast) = (tx.metrics.timeouts.len(), tx.metrics.fast_retransmits.len());
+        let rx = w.eng.agent_mut::<Receiver>(w.rx).unwrap();
+        (rx.next_expected().as_u64(), timeouts, fast)
+    }
+
+    #[test]
+    fn newreno_completes_cleanly_without_loss() {
+        assert_eq!(run_newreno(1, false), (600, 0, 0));
+    }
+
+    #[test]
+    fn newreno_repairs_multi_loss_window() {
+        let (delivered, _timeouts, fast) = run_newreno(2, true);
+        assert_eq!(delivered, 600, "all segments eventually delivered");
+        assert!(fast >= 1, "expected a fast-retransmit recovery");
+    }
+
+    #[test]
+    fn veno_beats_reno_under_pure_random_loss() {
+        use crate::connection::{run_connection, ConnectionConfig, LossSpec, PathSpec};
+
+        // Pure random loss, no queueing congestion: Veno's sweet spot.
+        let path = PathSpec {
+            down_loss: LossSpec::Bernoulli(0.005),
+            ..Default::default()
+        };
+        let throughput = |algorithm, seed| {
+            let cfg = ConnectionConfig {
+                sender: SenderConfig {
+                    algorithm,
+                    stop_after: Some(SimDuration::from_secs(40)),
+                    ..Default::default()
+                },
+                deadline: SimTime::from_secs(50),
+                ..Default::default()
+            };
+            let out = run_connection(seed, &path, None, &cfg);
+            hsm_trace::summary::analyze_flow(&out.trace, &Default::default())
+                .summary
+                .throughput_sps
+        };
+        let sum = |algorithm| {
+            (60..63)
+                .map(|seed| throughput(algorithm, seed))
+                .sum::<f64>()
+        };
+        let (veno, reno) = (sum(Algorithm::veno()), sum(Algorithm::Reno));
+        assert!(
+            veno > reno * 1.05,
+            "Veno {veno} should clearly beat Reno {reno} under random loss"
+        );
     }
 }

@@ -2,13 +2,13 @@
 //!
 //! Two folds produce the same traces. [`trace_from_arena`] reads the
 //! engine's [`PacketArena`] — every packet's send-side facts and delivery
-//! time, one row each — in a single pass; it needs no observer and is what
-//! connection runs use. The event folds ([`traces_from_events`] and
+//! time, one row each — in a single pass; it needs no recorder and is what
+//! single-hop runs use. The event folds ([`traces_from_events`] and
 //! friends) match each packet's `Sent` event with its terminal
-//! `Delivered`/`Dropped` event from an
-//! [`Observer`](hsm_simnet::observer::Observer) stream — the equivalent of
-//! endpoint packet captures, needed for multi-hop wirings, and the
-//! reference the arena fold is tested against.
+//! `Delivered`/`Dropped` event from a
+//! [`VecRecorder`](hsm_simnet::observer::VecRecorder) stream — the
+//! equivalent of endpoint packet captures, needed for multi-hop wirings,
+//! and the reference the arena fold is tested against.
 
 use crate::record::{FlowMeta, FlowTrace, PacketRecord};
 use hsm_simnet::arena::PacketArena;

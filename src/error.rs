@@ -90,7 +90,10 @@ mod tests {
             Ok(())
         }
         fn cache() -> Result<(), Error> {
-            Err(CacheError::Encode("boom".into()))?;
+            Err(CacheError::Io {
+                path: "entry".into(),
+                message: "boom".into(),
+            })?;
             Ok(())
         }
         assert!(matches!(scenario(), Err(Error::Scenario(_))));

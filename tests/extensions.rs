@@ -80,6 +80,7 @@ fn spurious_rto_undo_is_a_net_positive_under_ack_outages() {
     let mut with = 0.0;
     let mut without = 0.0;
     let mut total_undone = 0;
+    let mut frto_undone = 0;
     for seed in 0..3 {
         let cfg = ConnectionConfig {
             sender: SenderConfig {
@@ -100,10 +101,24 @@ fn spurious_rto_undo_is_a_net_positive_under_ack_outages() {
             .summary
             .throughput_sps;
         total_undone += undo.sender.spurious_rto_undone;
+        // The fence around the flag: `Recovery::Frto` is not a second way
+        // of doing this. The first ACK after a blackout covers the whole
+        // recovery point, and RFC 5682's basic algorithm cannot classify
+        // a timeout from that ACK alone — it falls back to conventional
+        // recovery. ACK-burst *loss* is the flag's regime.
+        let mut frto_cfg = cfg.clone();
+        frto_cfg.sender.recovery = Recovery::Frto;
+        frto_undone += run_connection(930 + seed, &path, None, &frto_cfg)
+            .sender
+            .spurious_rto_undone;
     }
     assert!(
         total_undone > 0,
         "periodic ACK blackouts must trigger undos"
+    );
+    assert_eq!(
+        frto_undone, 0,
+        "F-RTO cannot decide when the first ACK covers the recovery point"
     );
     assert!(
         with > without * 0.95,

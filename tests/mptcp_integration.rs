@@ -117,3 +117,60 @@ fn backup_path_reduces_recovery_loss_rate_on_average() {
         "mean recovery with backup {backup_q} must not exceed plain {plain_q}"
     );
 }
+
+/// FNV-1a of the serialized traces, events processed, and per-sender
+/// `(retransmissions, timeouts.len())`.
+type RigPin = (u64, u64, Vec<(u64, usize)>);
+
+fn pin<'a>(
+    traces: &[FlowTrace],
+    events: u64,
+    senders: impl IntoIterator<Item = &'a SenderMetrics>,
+) -> RigPin {
+    let json = serde_json::to_string(&traces).expect("traces serialize");
+    (
+        hsm::scenario::fnv::fnv1a(json.as_bytes()),
+        events,
+        senders
+            .into_iter()
+            .map(|s| (s.retransmissions, s.timeouts.len()))
+            .collect(),
+    )
+}
+
+#[test]
+fn rigs_are_bit_pinned() {
+    // One seed per multi-path rig, with mobility. Agent and link
+    // registration order decide every RNG stream (`agent.{idx}`,
+    // `link.{idx}`), so a rewiring that moves anything shows here. The
+    // constants were computed on the commit before the rigs were folded
+    // onto `connection.rs`' shared wiring.
+    let sc = ScenarioConfig {
+        duration: SimDuration::from_secs(20),
+        ..scenario(Provider::ChinaTelecom, 31)
+    };
+    let (path, mobility, conn) = (sc.path(), sc.mobility(), sc.connection());
+    let clean = PathSpec::default();
+
+    let duplex = run_mptcp_duplex(sc.seed, [&path, &clean], mobility.as_ref(), &conn);
+    assert_eq!(
+        pin(&duplex.subflows, duplex.events_processed, &duplex.senders),
+        (0x6782_b325_4dc0_7cd2, 0x48aa, vec![(17, 7), (20, 6)])
+    );
+
+    let backup = run_with_backup_path(sc.seed, &path, &clean, mobility.as_ref(), &conn);
+    assert_eq!(
+        pin(
+            std::slice::from_ref(&backup.trace),
+            backup.events_processed,
+            [&backup.sender]
+        ),
+        (0x53e4_4113_c69b_1ac0, 0x2039, vec![(66, 18)])
+    );
+
+    let shared = run_mptcp_shared_radio(sc.seed, &path, mobility.as_ref(), &conn);
+    assert_eq!(
+        pin(&shared.subflows, shared.events_processed, &shared.senders),
+        (0xb4c2_43c4_195d_6599, 0x8f52, vec![(35, 6), (17, 6)])
+    );
+}

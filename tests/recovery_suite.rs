@@ -11,7 +11,7 @@
 // relative drift is detectable; the extra digits are the point.
 #![allow(clippy::excessive_precision)]
 
-use hsm::scenario::runner::{try_run_storm_scenario, Motion, ScenarioConfig};
+use hsm::scenario::runner::{try_run_storm_scenario_with, Motion, ScenarioConfig, Scratch};
 use hsm::simnet::chaos::{StormEpisode, StormKind, StormPlan};
 use hsm::simnet::time::{SimDuration, SimTime};
 use hsm::tcp::cc::Algorithm;
@@ -114,7 +114,8 @@ fn storm_config(recovery: Recovery) -> ScenarioConfig {
 fn every_countermeasure_leaves_its_signature_under_the_storm() {
     let plan = flap_storm(SimDuration::from_secs(12));
     let run = |recovery| {
-        try_run_storm_scenario(&storm_config(recovery), &plan).expect("storm scenario runs")
+        try_run_storm_scenario_with(&mut Scratch::new(), &storm_config(recovery), &plan)
+            .expect("storm scenario runs")
     };
 
     let none = run(Recovery::None);

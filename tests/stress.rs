@@ -4,8 +4,8 @@
 //! cache and slot collection — not per-flow simulation — dominate.
 //!
 //! The flow count here is smoke-sized (CI runs this on every push); the
-//! full ≥2,000-flow Stress matrix lives in `repro bench` /
-//! `BENCH_campaign.json`.
+//! full 2,040-flow load is `benchmark/`'s `stress-warm-mem` /
+//! `stress-warm-disk` workloads.
 
 use hsm::prelude::*;
 use hsm::scenario::dataset::{plan_dataset, DatasetConfig};

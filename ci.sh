@@ -58,6 +58,14 @@ stage_build_test() {
         grep -q "\"label\":\"$r\"" "$smoke/RECOVERY_report.json" \
             || { echo "recovery-study: no row for $r" >&2; exit 1; }
     done
+    # The committed full-scale report (`repro recovery-study --full` at the
+    # repo root) must carry the engine version the tree is at: a bump of
+    # ENGINE_VERSION without regenerating it leaves stale numbers behind
+    # the README's headline.
+    local engine_version
+    engine_version=$(sed -n 's/^pub const ENGINE_VERSION: &str = "\(.*\)";$/\1/p' crates/runtime/src/cache.rs)
+    grep -q "^{\"engine_version\":\"$engine_version\",\"scale\":\"Full\"," RECOVERY_report.json \
+        || { echo "RECOVERY_report.json is stale: not a Full-scale $engine_version report" >&2; exit 1; }
     # Spec-driven campaign smoke: the committed smoke spec, run as one
     # process and as two OS-process shards, must merge to byte-identical
     # reports (the shard/merge path is a results-identity, not a results

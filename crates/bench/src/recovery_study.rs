@@ -24,7 +24,7 @@ use hsm_core::recovery::{predict, STRATEGY_LABELS};
 use hsm_runtime::cache::{CacheConfig, FlowCache};
 use hsm_runtime::engine::Campaign;
 use hsm_scenario::provider::Provider;
-use hsm_scenario::runner::{try_run_storm_scenario_with, Motion, ScenarioConfig, Scratch};
+use hsm_scenario::runner::{try_analyze_scenario_with, Motion, ScenarioConfig, Scratch};
 use hsm_simnet::chaos::{StormEpisode, StormKind, StormPlan};
 use hsm_simnet::time::{SimDuration, SimTime};
 use hsm_tcp::recovery::Recovery;
@@ -247,12 +247,12 @@ pub fn run_recovery_study(
                     recovery,
                     ..ScenarioConfig::default()
                 };
-                let out = try_run_storm_scenario_with(&mut scratch, &config, &plan)
+                let out = try_analyze_scenario_with(&mut scratch, &config, &plan)
                     .map_err(|e| e.to_string())?;
-                timeouts += out.outcome.sender.timeouts.len() as u64;
-                undone += out.outcome.sender.spurious_rto_undone;
-                probes += out.outcome.sender.frto_probes;
-                skipped += out.outcome.sender.backoff_skipped;
+                timeouts += out.sender.timeouts.len() as u64;
+                undone += out.sender.spurious_rto_undone;
+                probes += out.sender.frto_probes;
+                skipped += out.sender.backoff_skipped;
                 summaries.push(out.analysis.summary);
             }
             storm_rows.push(StormSlice {

@@ -277,18 +277,28 @@ impl FlowCache {
     /// format or engine version — or a wrong key echo) count as misses
     /// and bump `corrupt_entries`.
     pub fn lookup(&self, key: CacheKey) -> Option<FlowSummary> {
-        let mut guard = self.shard_for(key).lock().expect("cache lock");
-        let shard = &mut *guard;
-        if let Some(slot) = shard.map.get_mut(&key.0) {
-            shard.clock += 1;
-            slot.stamp = shard.clock;
-            shard.order.push_back((key.0, slot.stamp));
-            shard.stats.memory_hits += 1;
-            let summary = slot.summary.clone();
-            shard.compact();
-            return Some(summary);
+        let lock = self.shard_for(key);
+        {
+            let mut guard = lock.lock().expect("cache lock");
+            let shard = &mut *guard;
+            if let Some(slot) = shard.map.get_mut(&key.0) {
+                shard.clock += 1;
+                slot.stamp = shard.clock;
+                shard.order.push_back((key.0, slot.stamp));
+                shard.stats.memory_hits += 1;
+                let summary = slot.summary.clone();
+                shard.compact();
+                return Some(summary);
+            }
         }
-        match self.disk_lookup(key) {
+        // The file is read, checked and decoded with the shard unlocked:
+        // workers whose keys share a shard must not queue behind each
+        // other's disk reads. Two of them may promote the same key; the
+        // second promotion is a refresh.
+        let found = self.disk_lookup(key);
+        let mut guard = lock.lock().expect("cache lock");
+        let shard = &mut *guard;
+        match found {
             DiskLookup::Hit(summary) => {
                 shard.stats.disk_hits += 1;
                 Self::insert_memory(shard, self.per_shard, key, summary.clone());
@@ -881,6 +891,40 @@ mod tests {
             .filter(|n| n.ends_with(".tmp"))
             .collect();
         assert!(leftovers.is_empty(), "staging files leaked: {leftovers:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Readers racing on the *same* keys of a populated disk tier under a
+    /// cold memory tier — reads happen outside the shard lock, so two may
+    /// promote one key: every lookup must still hit, be counted once, and
+    /// leave one memory entry per key.
+    #[test]
+    fn concurrent_disk_readers_promote_consistently() {
+        let dir = std::env::temp_dir().join(format!("hsm_cache_readers_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        const READERS: usize = 4;
+        const KEYS: u64 = 64;
+        let writer = disk_only(&dir);
+        for k in 0..KEYS {
+            writer.insert(CacheKey(k), &summary(k as u32)).unwrap();
+        }
+        let cache = FlowCache::new(CacheConfig::with_disk(&dir));
+        let start = std::sync::Barrier::new(READERS);
+        std::thread::scope(|scope| {
+            for _ in 0..READERS {
+                scope.spawn(|| {
+                    start.wait();
+                    for k in 0..KEYS {
+                        assert_eq!(cache.lookup(CacheKey(k)), Some(summary(k as u32)));
+                    }
+                });
+            }
+        });
+        let stats = cache.stats();
+        assert_eq!(stats.memory_hits + stats.disk_hits, READERS as u64 * KEYS);
+        assert!(stats.disk_hits >= KEYS, "{stats:?}");
+        assert_eq!((stats.corrupt_entries, stats.misses), (0, 0));
+        assert_eq!(cache.len(), KEYS as usize);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

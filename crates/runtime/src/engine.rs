@@ -13,16 +13,17 @@
 //! regardless of spawn order, without giving up work-stealing for the
 //! (expensive, uneven) simulated remainder.
 //!
-//! Workers stream each flow through `run_scenario`/`analyze_flow`, and
-//! drop the raw `FlowTrace` immediately — only the compact
-//! [`FlowSummary`] survives — so campaigns of tens of thousands of flows
-//! run in near-constant memory. Opting into
-//! [`CampaignBuilder::keep_outcomes`] retains the full
+//! Workers stream each flow through `try_analyze_scenario_with`: the
+//! measurement pipeline reads the flow's packets from the engine's arena,
+//! no `FlowTrace` is ever built, and only the compact [`FlowSummary`]
+//! survives — so campaigns of tens of thousands of flows run in
+//! near-constant memory. Opting into
+//! [`CampaignBuilder::keep_outcomes`] builds and retains the full
 //! [`ScenarioOutcome`] for figure generators that need the packet
 //! records.
 //!
-//! Each worker owns a [`Scratch`] (simulation engine, recorder, capture
-//! slab) reused across every flow it handles, and writes each result
+//! Each worker owns a [`Scratch`] (the simulation engine and its packet
+//! arena) reused across every flow it handles, and writes each result
 //! into the flow's own pre-allocated slot — flow `i` goes to slot `i`,
 //! no channel, no post-hoc sort. Completed flows are memoized in a
 //! sharded [`FlowCache`]; the slot vector *is* index order, so the
@@ -34,7 +35,10 @@
 use crate::cache::{CacheConfig, CacheKey, FlowCache, ENGINE_VERSION};
 use crate::error::EngineError;
 use hsm_scenario::dataset::{plan_dataset, plan_stationary_baseline, DatasetConfig, DatasetFlow};
-use hsm_scenario::runner::{try_run_scenario_with, ScenarioConfig, ScenarioOutcome, Scratch};
+use hsm_scenario::runner::{
+    try_analyze_scenario_with, try_run_scenario_with, ScenarioConfig, ScenarioOutcome, Scratch,
+};
+use hsm_simnet::chaos::StormPlan;
 use hsm_simnet::event::QueueStats;
 use hsm_trace::summary::FlowSummary;
 use serde::{Deserialize, Serialize};
@@ -254,7 +258,9 @@ impl CampaignBuilder {
         self
     }
 
-    /// Retains the full [`ScenarioOutcome`] (trace included) per flow.
+    /// Builds and retains the full [`ScenarioOutcome`] (trace included)
+    /// per flow. Without it no trace is ever built: a flow is analysed
+    /// straight from the engine's packet arena.
     ///
     /// This trades the engine's near-constant memory for raw packet
     /// records, and bypasses the cache — outcomes are never memoized,
@@ -523,12 +529,24 @@ impl Campaign {
             }
         }
         let t0 = Instant::now();
-        let outcome = try_run_scenario_with(scratch, config)
-            .map_err(|source| EngineError::FlowFailed { index: i, source })?;
+        let failed = |source| EngineError::FlowFailed { index: i, source };
+        // The flow is analysed where the engine recorded it; its trace is
+        // built only for the caller who asked to keep it — this is what
+        // bounds campaign memory.
+        let (summary, events, queue, outcome) = if self.keep_outcomes {
+            let kept = try_run_scenario_with(scratch, config).map_err(failed)?;
+            (
+                kept.analysis.summary.clone(),
+                kept.outcome.events_processed,
+                kept.outcome.queue,
+                Some(Box::new(kept)),
+            )
+        } else {
+            let run = try_analyze_scenario_with(scratch, config, &StormPlan::default())
+                .map_err(failed)?;
+            (run.analysis.summary, run.events_processed, run.queue, None)
+        };
         let sim_wall_s = t0.elapsed().as_secs_f64();
-        let summary = outcome.analysis.summary.clone();
-        let events = outcome.outcome.events_processed;
-        let queue = outcome.outcome.queue;
         if !self.keep_outcomes {
             cache.insert(key, &summary)?;
         }
@@ -540,9 +558,7 @@ impl Campaign {
             events,
             queue,
             worker,
-            // The trace is dropped right here unless the caller asked to
-            // keep it — this is what bounds campaign memory.
-            outcome: self.keep_outcomes.then(|| Box::new(outcome)),
+            outcome,
         })
     }
 }
@@ -797,6 +813,24 @@ mod tests {
         assert!(cache.is_empty(), "keep_outcomes never memoizes");
         let again = campaign.run_with_cache(&cache).unwrap();
         assert_eq!(again.report.cache_hits, 0);
+
+        // A summary run builds no trace and a keeping run folds one from
+        // the same capture: same summaries to the byte, same events.
+        for workers in [1, 2] {
+            let run = |keep| {
+                let builder = Campaign::builder().configs((0..4).map(short));
+                let campaign = builder.keep_outcomes(keep).workers(workers).build();
+                campaign.unwrap().run().unwrap()
+            };
+            let (kept, plain) = (run(true), run(false));
+            assert!(kept.runs.iter().all(|r| r.outcome.is_some()));
+            assert!(plain.runs.iter().all(|r| r.outcome.is_none()));
+            for (k, p) in kept.runs.iter().zip(&plain.runs) {
+                let bytes = |r: &FlowRun| crate::codec::encode_entry(0, &r.summary);
+                assert_eq!(bytes(k), bytes(p), "{workers} workers");
+                assert_eq!(k.events, p.events, "{workers} workers");
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //!   Table I (China Mobile LTE, China Unicom 3G, China Telecom 3G with
 //!   poor corridor coverage);
 //! * [`runner`] — one-call scenario execution: provider + motion + seed →
-//!   simulated flow → trace, analysis, model-ready summary;
+//!   simulated flow → analysis and model-ready summary, read straight from
+//!   the engine's packet arena, with the trace when the caller wants it;
 //! * [`dataset`] — the plan of the synthetic Table-I dataset (255 flows
 //!   across four campaigns), fully seed-reproducible; `hsm-runtime`
 //!   executes it;
@@ -55,9 +56,9 @@ pub mod prelude {
     };
     pub use crate::provider::Provider;
     pub use crate::runner::{
-        run_scenario, try_run_scenario, try_run_scenario_with, try_run_storm_scenario_with, Motion,
-        ScenarioConfig, ScenarioConfigBuilder, ScenarioError, ScenarioOutcome, Scratch,
-        SCENARIO_HIGH_SPEED, SCENARIO_STATIONARY,
+        run_scenario, try_analyze_scenario_with, try_run_scenario, try_run_scenario_with,
+        try_run_storm_scenario_with, Motion, ScenarioConfig, ScenarioConfigBuilder, ScenarioError,
+        ScenarioOutcome, Scratch, SCENARIO_HIGH_SPEED, SCENARIO_STATIONARY,
     };
     pub use crate::spec::{
         expansion_digest, load_spec, CampaignSpec, GridKind, ScenarioBase, ScenarioGrid, SpecError,

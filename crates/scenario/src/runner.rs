@@ -1,5 +1,10 @@
 //! One-call scenario runner: provider + motion + seed → simulated flow →
-//! trace, analysis and model-ready summary.
+//! analysis and model-ready summary, with the trace when the caller wants
+//! it. [`try_analyze_scenario_with`] is the one body — validate, derive,
+//! simulate, analyse the capture where the engine left it — and what
+//! campaigns run; the trace-returning functions are that body plus one
+//! fold of the same capture into a
+//! [`FlowTrace`](hsm_trace::record::FlowTrace).
 
 use crate::fnv::Fnv1a;
 use crate::provider::Provider;
@@ -9,14 +14,14 @@ use hsm_simnet::mobility::Trajectory;
 use hsm_simnet::time::{SimDuration, SimTime};
 use hsm_tcp::cc::Algorithm;
 use hsm_tcp::connection::{
-    try_run_connection_with, ConnectionConfig, ConnectionOutcome, ConnectionScratch,
-    MobilityScenario, PathSpec,
+    try_analyze_connection_with, AnalyzedConnection, ConnectionConfig, ConnectionOutcome,
+    ConnectionScratch, MobilityScenario, PathSpec,
 };
 use hsm_tcp::receiver::ReceiverConfig;
 use hsm_tcp::recovery::Recovery;
 use hsm_tcp::reno::SenderConfig;
 use hsm_trace::analysis::timeout::TimeoutConfig;
-use hsm_trace::summary::{analyze_flow, FlowAnalysis, FlowSummary};
+use hsm_trace::summary::{FlowAnalysis, FlowSummary};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -457,13 +462,40 @@ pub fn try_run_scenario_with(
 }
 
 /// The one scenario body: validate, derive path / mobility / connection
-/// from `config`, simulate, analyze. `plan` is a chaos-storm schedule
-/// replayed on the uplink — the §V recovery-study rig: the scenario's
-/// provider path and motion stay as configured while the storm
-/// superimposes deterministic ACK-delay or ACK-burst episodes, and the
-/// full trace/analysis pipeline still runs, so storm flows yield the same
+/// from `config`, simulate, analyze — the analysis reading the flow's
+/// packets from the engine's arena, so no trace is built. `plan` is a
+/// chaos-storm schedule replayed on the uplink — the §V recovery-study rig:
+/// the scenario's provider path and motion stay as configured while the
+/// storm superimposes deterministic ACK-delay or ACK-burst episodes, and
+/// the full analysis pipeline still runs, so storm flows yield the same
 /// model-ready [`FlowSummary`] campaign flows do. The empty plan adds
 /// nothing to the world.
+///
+/// # Errors
+///
+/// Same contract as [`try_run_scenario`].
+pub fn try_analyze_scenario_with(
+    scratch: &mut Scratch,
+    config: &ScenarioConfig,
+    plan: &StormPlan,
+) -> Result<AnalyzedConnection, ScenarioError> {
+    config.validate()?;
+    let conn = ConnectionConfig {
+        storm: plan.clone(),
+        ..config.connection()
+    };
+    Ok(try_analyze_connection_with(
+        &mut scratch.conn,
+        config.seed,
+        &config.path(),
+        config.mobility().as_ref(),
+        &conn,
+        &TimeoutConfig::default(),
+    )?)
+}
+
+/// [`try_analyze_scenario_with`], plus the flow's trace: one fold of the
+/// capture the analysis has just read, still intact in the scratch.
 ///
 /// # Errors
 ///
@@ -473,23 +505,19 @@ pub fn try_run_storm_scenario_with(
     config: &ScenarioConfig,
     plan: &StormPlan,
 ) -> Result<ScenarioOutcome, ScenarioError> {
-    config.validate()?;
-    let conn = ConnectionConfig {
-        storm: plan.clone(),
-        ..config.connection()
-    };
-    let outcome = try_run_connection_with(
-        &mut scratch.conn,
-        config.seed,
-        &config.path(),
-        config.mobility().as_ref(),
-        &conn,
-    )?;
-    let analysis = analyze_flow(&outcome.trace, &TimeoutConfig::default());
+    let run = try_analyze_scenario_with(scratch, config, plan)?;
     Ok(ScenarioOutcome {
         config: config.clone(),
-        outcome,
-        analysis,
+        outcome: ConnectionOutcome {
+            trace: scratch.conn.trace(&config.connection()),
+            sender: run.sender,
+            receiver: run.receiver,
+            channel: run.channel,
+            finished_at: run.finished_at,
+            events_processed: run.events_processed,
+            queue: run.queue,
+        },
+        analysis: run.analysis,
     })
 }
 

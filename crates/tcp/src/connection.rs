@@ -1,15 +1,18 @@
 //! Connection wiring: build an engine, a sender/receiver pair, the
 //! two-directional cellular path, an optional mobility channel process —
-//! run it — and hand back the dual-endpoint [`FlowTrace`] plus internal
-//! metrics.
+//! run it — and hand back the dual-endpoint capture, as a [`FlowTrace`] or
+//! already analysed, plus internal metrics.
 //!
 //! This module is the equivalent of the paper's measurement rig: a phone
 //! on the train talking to a dedicated server, with wireshark running on
 //! both ends.
 //!
-//! It is also the one place a TCP world is assembled and harvested.
-//! [`try_run_connection_with`] is the single-flow rig (and
-//! [`run_connection`] its panicking shorthand); the MPTCP rigs of
+//! It is also the one place a TCP world is assembled and harvested. One
+//! private `simulate` resets, wires and runs the single-flow world;
+//! [`try_run_connection_with`] folds its capture into a trace (and
+//! [`run_connection`] is its panicking shorthand), while
+//! [`try_analyze_connection_with`] — what campaigns run — analyses the
+//! capture where the engine left it and builds no trace. The MPTCP rigs of
 //! [`crate::mptcp`] are the same `pub(crate)` pieces — `add_sender`,
 //! `add_receiver`, `add_path`, `add_impairments`, `ConnectionConfig::meta`,
 //! `harvest` — called in a different order. Registration order is
@@ -30,8 +33,10 @@ use hsm_simnet::mobility::Trajectory;
 use hsm_simnet::packet::FlowId;
 use hsm_simnet::prelude::Engine;
 use hsm_simnet::time::{SimDuration, SimTime};
-use hsm_trace::capture::trace_from_arena;
+use hsm_trace::analysis::timeout::TimeoutConfig;
+use hsm_trace::capture::{arena_records, trace_from_arena};
 use hsm_trace::record::{FlowMeta, FlowTrace};
+use hsm_trace::summary::{analyze_records, FlowAnalysis};
 use serde::{Deserialize, Serialize};
 
 /// Declarative loss-model description (buildable, serializable).
@@ -220,6 +225,27 @@ pub struct ConnectionOutcome {
     pub queue: QueueStats,
 }
 
+/// Results of a connection run whose capture was analysed where the engine
+/// left it: [`ConnectionOutcome`] with the [`FlowAnalysis`] of the flow in
+/// place of its trace.
+#[derive(Debug, Clone)]
+pub struct AnalyzedConnection {
+    /// Full measurement analysis of the flow's capture.
+    pub analysis: FlowAnalysis,
+    /// Sender-internal ground truth.
+    pub sender: SenderMetrics,
+    /// Receiver-internal ground truth.
+    pub receiver: ReceiverMetrics,
+    /// Handoff statistics when a mobility scenario was attached.
+    pub channel: Option<ChannelStats>,
+    /// Simulated time at the end of the run.
+    pub finished_at: SimTime,
+    /// Discrete events the simulator processed for this run.
+    pub events_processed: u64,
+    /// Event-queue telemetry for this run.
+    pub queue: QueueStats,
+}
+
 /// Reusable per-worker state for running many flows through one engine.
 ///
 /// Every buffer that a connection run grows — the simulator's event-queue
@@ -230,8 +256,10 @@ pub struct ConnectionOutcome {
 /// (`Engine::reset` re-derives every random stream from the new seed).
 ///
 /// The run registers no recorder: the engine's packet arena records every
-/// sent packet and its delivery time as it goes, and the trace is folded
-/// straight from it by [`trace_from_arena`].
+/// sent packet and its delivery time as it goes, and stays as the run left
+/// it until the next run resets it — the analysis reads it in place
+/// ([`arena_records`]) and [`ConnectionScratch::trace`] folds it into a
+/// trace.
 #[derive(Debug)]
 pub struct ConnectionScratch {
     engine: Engine,
@@ -252,6 +280,12 @@ impl ConnectionScratch {
         ConnectionScratch::default()
     }
 
+    /// The capture of `cfg.flow` in the last run through this scratch, as a
+    /// trace: what [`try_run_connection_with`] would have returned for it.
+    pub fn trace(&self, cfg: &ConnectionConfig) -> FlowTrace {
+        trace_from_arena(self.engine.arena(), cfg.flow, cfg.meta())
+    }
+
     /// Deliberately dirties every component of the scratch — stale agents
     /// and links registered on the engine and a *partially executed* junk
     /// simulation: advanced clock, pending events, consumed random
@@ -259,7 +293,7 @@ impl ConnectionScratch {
     /// (their rows carry arrival stamps) and the rest queued or in flight.
     ///
     /// This is the `hsm-chaos` scratch-poisoning fault: a subsequent
-    /// [`try_run_connection_with`] through the poisoned scratch must
+    /// run through the poisoned scratch must
     /// produce a bit-identical result to a fresh run, because the
     /// per-run reset is specified to clear *all* of this state.
     pub fn poison(&mut self) {
@@ -378,23 +412,50 @@ pub(crate) fn channel_stats(eng: &mut Engine, id: AgentId) -> ChannelStats {
     eng.agent_mut::<ChannelProcess>(id).expect("channel").stats
 }
 
-/// Harvests a finished single-flow world. The arena is the capture: every
-/// packet of the flow crossed exactly one link, so nothing was recorded
-/// twice and no recorder ran.
-pub(crate) fn harvest(
+/// Everything a finished single-flow world reports besides its capture.
+struct Endpoints {
+    sender: SenderMetrics,
+    receiver: ReceiverMetrics,
+    channel: Option<ChannelStats>,
+    finished_at: SimTime,
+    events_processed: u64,
+    queue: QueueStats,
+}
+
+fn endpoints(
     eng: &mut Engine,
-    cfg: &ConnectionConfig,
     (tx, rx): (AgentId, AgentId),
     channel: Option<AgentId>,
-) -> ConnectionOutcome {
-    ConnectionOutcome {
-        trace: trace_from_arena(eng.arena(), cfg.flow, cfg.meta()),
+) -> Endpoints {
+    Endpoints {
         sender: sender_metrics(eng, tx),
         receiver: receiver_mut(eng, rx).metrics,
         channel: channel.map(|id| channel_stats(eng, id)),
         finished_at: eng.now(),
         events_processed: eng.events_processed(),
         queue: eng.queue_stats(),
+    }
+}
+
+/// Harvests a finished single-flow world. The arena is the capture: every
+/// packet of the flow crossed exactly one link, so nothing was recorded
+/// twice and no recorder ran.
+pub(crate) fn harvest(
+    eng: &mut Engine,
+    cfg: &ConnectionConfig,
+    ends: (AgentId, AgentId),
+    channel: Option<AgentId>,
+) -> ConnectionOutcome {
+    let trace = trace_from_arena(eng.arena(), cfg.flow, cfg.meta());
+    let e = endpoints(eng, ends, channel);
+    ConnectionOutcome {
+        trace,
+        sender: e.sender,
+        receiver: e.receiver,
+        channel: e.channel,
+        finished_at: e.finished_at,
+        events_processed: e.events_processed,
+        queue: e.queue,
     }
 }
 
@@ -416,9 +477,30 @@ pub fn run_connection(
     }
 }
 
+/// Resets the scratch's engine to `seed`, wires the single-flow world and
+/// runs it to its end. Returns the endpoints' agent ids and the channel
+/// process's, for the harvest.
+fn simulate(
+    scratch: &mut ConnectionScratch,
+    seed: u64,
+    path: &PathSpec,
+    mobility: Option<&MobilityScenario>,
+    cfg: &ConnectionConfig,
+) -> Result<((AgentId, AgentId), Option<AgentId>), SimError> {
+    scratch.engine.reset(seed);
+    let eng = &mut scratch.engine;
+    let tx = add_sender(eng, cfg.flow, cfg);
+    let rx = add_receiver(eng, cfg.flow, cfg);
+    let (down, up) = add_path(eng, path, rx, tx, "");
+    sender_mut(eng, tx).data_link = down;
+    receiver_mut(eng, rx).uplink = up;
+    let channel = add_impairments(eng, mobility, &cfg.storm, down, up);
+    eng.try_run_until(cfg.deadline)?;
+    Ok(((tx, rx), channel))
+}
+
 /// Builds, runs and harvests a single TCP flow through a caller-held
-/// [`ConnectionScratch`] — the allocation-recycling path campaign workers
-/// use to run thousands of flows per engine.
+/// [`ConnectionScratch`], returning its capture as a [`FlowTrace`].
 ///
 /// The run ends when the sender finishes (`stop_after`/`max_segments`),
 /// the event queue drains, or `cfg.deadline` passes — whichever comes
@@ -436,16 +518,43 @@ pub fn try_run_connection_with(
     mobility: Option<&MobilityScenario>,
     cfg: &ConnectionConfig,
 ) -> Result<ConnectionOutcome, SimError> {
-    scratch.engine.reset(seed);
+    let (ends, channel) = simulate(scratch, seed, path, mobility, cfg)?;
+    Ok(harvest(&mut scratch.engine, cfg, ends, channel))
+}
+
+/// The same run as [`try_run_connection_with`], analysed instead of
+/// copied: the measurement pipeline reads the flow's packets straight from
+/// the engine's arena and no [`FlowTrace`] is built — the
+/// allocation-recycling path campaign workers use to run thousands of
+/// flows per engine. The analysis equals
+/// `analyze_flow(&outcome.trace, timeouts)` of the trace-returning run.
+///
+/// # Errors
+///
+/// Same contract as [`try_run_connection_with`].
+pub fn try_analyze_connection_with(
+    scratch: &mut ConnectionScratch,
+    seed: u64,
+    path: &PathSpec,
+    mobility: Option<&MobilityScenario>,
+    cfg: &ConnectionConfig,
+    timeouts: &TimeoutConfig,
+) -> Result<AnalyzedConnection, SimError> {
+    let (ends, channel) = simulate(scratch, seed, path, mobility, cfg)?;
     let eng = &mut scratch.engine;
-    let tx = add_sender(eng, cfg.flow, cfg);
-    let rx = add_receiver(eng, cfg.flow, cfg);
-    let (down, up) = add_path(eng, path, rx, tx, "");
-    sender_mut(eng, tx).data_link = down;
-    receiver_mut(eng, rx).uplink = up;
-    let channel = add_impairments(eng, mobility, &cfg.storm, down, up);
-    eng.try_run_until(cfg.deadline)?;
-    Ok(harvest(eng, cfg, (tx, rx), channel))
+    let arena = eng.arena();
+    let records = arena_records(arena, cfg.flow);
+    let analysis = analyze_records(cfg.flow, &cfg.meta(), arena.len(), records, timeouts);
+    let e = endpoints(eng, ends, channel);
+    Ok(AnalyzedConnection {
+        analysis,
+        sender: e.sender,
+        receiver: e.receiver,
+        channel: e.channel,
+        finished_at: e.finished_at,
+        events_processed: e.events_processed,
+        queue: e.queue,
+    })
 }
 
 #[cfg(test)]

@@ -22,7 +22,8 @@
 //!   duplicate-payload accounting (spurious-timeout ground truth);
 //! * [`connection`] — one-call wiring of a full measurement rig
 //!   (sender ↔ cellular path ↔ receiver, optional 300 km/h mobility,
-//!   optional chaos storm), and the shared pieces every rig is built from;
+//!   optional chaos storm), its capture handed back as a trace or analysed
+//!   in place, and the shared pieces every rig is built from;
 //! * [`mptcp`] — the same pieces wired as duplex-mode aggregation,
 //!   backup-mode redundant retransmission and a shared radio (paper §V-B);
 //! * [`metrics`] — endpoint-internal ground truth (cwnd logs, timeout
@@ -57,8 +58,9 @@ pub mod rtt;
 pub mod prelude {
     pub use crate::cc::{Algorithm, Bbr, Compound, CongestionControl, Cubic};
     pub use crate::connection::{
-        run_connection, try_run_connection_with, ConnectionConfig, ConnectionOutcome,
-        ConnectionScratch, LossSpec, MobilityScenario, PathSpec,
+        run_connection, try_analyze_connection_with, try_run_connection_with, AnalyzedConnection,
+        ConnectionConfig, ConnectionOutcome, ConnectionScratch, LossSpec, MobilityScenario,
+        PathSpec,
     };
     pub use crate::cwnd::{Cwnd, Phase};
     pub use crate::demux::Demux;

@@ -1,10 +1,14 @@
-//! Building [`FlowTrace`]s from a simulator run.
+//! Reading a simulator run as packet records.
 //!
-//! Two folds produce the same traces. [`trace_from_arena`] reads the
-//! engine's [`PacketArena`] — every packet's send-side facts and delivery
-//! time, one row each — in a single pass; it needs no recorder and is what
-//! single-hop runs use. The event folds ([`traces_from_events`] and
-//! friends) match each packet's `Sent` event with its terminal
+//! [`arena_records`] is the capture: it reads the engine's [`PacketArena`]
+//! — every packet's send-side facts and delivery time, one row each — as
+//! the [`PacketRecord`]s of one flow, in send order, without storing them.
+//! A campaign flow is analysed straight from it
+//! ([`analyze_records`](crate::summary::analyze_records)) and never holds a
+//! copy of its capture; [`trace_from_arena`] collects it into a
+//! [`FlowTrace`] for the callers that return one. It needs no recorder and
+//! is what single-hop runs use. The event folds ([`traces_from_events`]
+//! and friends) match each packet's `Sent` event with its terminal
 //! `Delivered`/`Dropped` event from a
 //! [`VecRecorder`](hsm_simnet::observer::VecRecorder) stream — the
 //! equivalent of endpoint packet captures, needed for multi-hop wirings,
@@ -154,7 +158,7 @@ pub fn traces_from_events_filtered_with(
     flows
 }
 
-/// Builds a single-flow trace straight from the engine's packet arena.
+/// The records of `flow`, read straight from the engine's packet arena.
 ///
 /// A row holds every fact a [`PacketRecord`] needs — the engine wrote the
 /// send side when the packet was stamped and the delivery time when it was
@@ -162,26 +166,37 @@ pub fn traces_from_events_filtered_with(
 /// ids as packets are sent, under a clock that never runs backwards, so
 /// the rows of `flow` are already sorted by `(sent_at, id)` — the order
 /// the event fold sorts its records into — and one pass over them is the
-/// whole fold; nothing is sorted here (the invariant is asserted in debug
-/// builds). A row
-/// without a delivery time was dropped (by the channel or a full queue) or
-/// still in flight when the run stopped — all fold to `arrived_at: None`,
-/// exactly as [`traces_from_events`] treats them.
+/// whole fold; nothing is sorted or stored here. A row without a delivery
+/// time was dropped (by the channel or a full queue) or still in flight
+/// when the run stopped — all read as `arrived_at: None`, exactly as
+/// [`traces_from_events`] treats them.
+///
+/// The arena of a finished run stays readable until the engine's next
+/// reset, so the iterator can be taken more than once.
+pub fn arena_records(arena: &PacketArena, flow: u32) -> impl Iterator<Item = PacketRecord> + '_ {
+    arena
+        .iter()
+        .filter(move |(packet, _)| packet.flow.0 == flow)
+        .map(|(packet, arrived_at)| record_of(&packet, packet.sent_at, arrived_at))
+}
+
+/// Builds a single-flow trace from the engine's packet arena: the
+/// [`arena_records`] of `flow`, collected.
 ///
 /// Produces bit-identical traces to running [`single_flow_trace`] over a
 /// full [`VecRecorder`](hsm_simnet::observer::VecRecorder) stream of the
-/// same run, with nothing recorded during it.
+/// same run, with nothing recorded during it (the send order is asserted
+/// in debug builds).
 ///
 /// A flow the arena holds no packets for folds to an empty trace (where
 /// [`single_flow_trace`] has no trace to return).
 pub fn trace_from_arena(arena: &PacketArena, flow: u32, meta: FlowMeta) -> FlowTrace {
     let mut trace = FlowTrace::new(flow, meta);
-    // A connection run's arena holds one flow: this is its exact size.
-    trace.records.reserve(arena.len());
-    for (packet, arrived_at) in arena.iter().filter(|(p, _)| p.flow.0 == flow) {
-        let sent_at = packet.sent_at;
-        trace.records.push(record_of(&packet, sent_at, arrived_at));
-    }
+    // The flow's own count, not the arena's: the duplex and backup-path
+    // rigs keep two flows in one arena.
+    let records = arena_records(arena, flow).count();
+    trace.records.reserve_exact(records);
+    trace.records.extend(arena_records(arena, flow));
     debug_assert!(
         trace.records.is_sorted_by_key(|r| (r.sent_at, r.id)),
         "arena rows of flow {flow} are not in send order",
@@ -360,6 +375,87 @@ mod tests {
         let unknown = trace_from_arena(eng.arena(), 77, FlowMeta::default());
         assert!(unknown.records.is_empty());
         assert!(single_flow_trace(&events, 77, FlowMeta::default()).is_none());
+    }
+
+    #[test]
+    fn interleaved_flows_read_from_one_arena_as_their_own_captures() {
+        use crate::analysis::timeout::TimeoutConfig;
+        use crate::summary::{analyze_flow, analyze_records};
+
+        // Two whole flows — data, retransmissions and ACKs each — taking
+        // turns on one link that never idles (the clock moves with its
+        // events): each burst opens with a retransmission, one round's
+        // silence after the flow's last send.
+        let mut eng = Engine::new(3);
+        let sink = eng.add_agent(Box::new(NullAgent::new()));
+        let link = eng.add_link(
+            LinkSpec::new(sink, "dl")
+                .bandwidth_bps(1_200_000) // 10 ms per data packet
+                .prop_delay(SimDuration::from_millis(20))
+                .queue_capacity(8)
+                .loss(ChannelLoss::new(Box::new(Bernoulli::new(0.2)))),
+        );
+        let rec = VecRecorder::new();
+        eng.add_recorder(rec.clone());
+        for round in 0..4u64 {
+            eng.run_until(SimTime::from_millis(45 * round));
+            for flow in [FlowId(1), FlowId(2)] {
+                if round > 0 {
+                    eng.inject(link, Packet::data(flow, SeqNo(round * 2 - 1), true));
+                }
+                for i in 0..2 {
+                    eng.inject(link, Packet::data(flow, SeqNo(round * 2 + i), false));
+                }
+                eng.inject(link, Packet::ack(flow, SeqNo(round * 2), 2));
+            }
+        }
+        // Stop with the last burst half drained.
+        eng.run_until(SimTime::from_millis(45 * 3 + 27));
+        let events = rec.take_events();
+        let terminal = events.iter().filter(|e| e.kind != PacketEventKind::Sent);
+        assert!(
+            terminal.clone().count() < eng.arena().len(),
+            "nothing in flight"
+        );
+        assert!(
+            terminal
+                .clone()
+                .any(|e| e.kind != PacketEventKind::Delivered),
+            "nothing dropped"
+        );
+
+        let cfg = TimeoutConfig {
+            silence_threshold: SimDuration::from_millis(30),
+        };
+        for flow in [1u32, 2] {
+            let meta = FlowMeta::default();
+            let records: Vec<PacketRecord> = arena_records(eng.arena(), flow).collect();
+            let trace = trace_from_arena(eng.arena(), flow, meta.clone());
+            assert_eq!(records, trace.records, "flow {flow}");
+            assert_eq!(
+                Some(&trace),
+                single_flow_trace(&events, flow, meta).as_ref()
+            );
+            // Half the arena is the other flow's: none of it is reserved.
+            assert_eq!(trace.records.len() * 2, eng.arena().len());
+            assert_eq!(trace.records.capacity(), trace.records.len());
+
+            // A record's index is its place in its flow, not its arena row.
+            let stored = analyze_flow(&trace, &cfg);
+            let rows = arena_records(eng.arena(), flow);
+            let read = analyze_records(flow, &trace.meta, eng.arena().len(), rows, &cfg);
+            assert_eq!(read.summary, stored.summary, "flow {flow}");
+            assert_eq!(read.losses, stored.losses, "flow {flow}");
+            assert_eq!(read.timeouts, stored.timeouts, "flow {flow}");
+            assert_eq!(read.ack_bursts, stored.ack_bursts, "flow {flow}");
+            assert_eq!(read.throughput, stored.throughput, "flow {flow}");
+            let timeouts = read.timeouts.sequences.iter().flat_map(|s| &s.events);
+            let retransmissions: Vec<usize> = timeouts.map(|e| e.retx_idx).collect();
+            assert_eq!(retransmissions.len(), 3, "flow {flow}");
+            for idx in retransmissions {
+                assert!(trace.records[idx].retransmit, "flow {flow} record {idx}");
+            }
+        }
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! This crate plays the role of the paper's measurement toolchain
 //! (wireshark captures + offline analysis): it defines the dual-endpoint
-//! [`record::FlowTrace`] format, builds traces from simulator events
-//! ([`capture`]), and implements every §III analysis:
+//! [`record::FlowTrace`] format, reads a simulator run as packet records —
+//! in place from the engine's packet arena, or folded into a trace
+//! ([`capture`]) — and implements every §III analysis:
 //!
 //! * lifetime data/ACK loss rates ([`analysis::loss`]),
 //! * one-way delay scatter and RTT estimation ([`analysis::latency`],
@@ -15,7 +16,8 @@
 //!   Figs. 2–3),
 //! * throughput/goodput ([`analysis::throughput`]),
 //! * a one-stop per-flow summary feeding the models
-//!   ([`summary::analyze_flow`]),
+//!   ([`summary::analyze_records`] over any record source,
+//!   [`summary::analyze_flow`] over a stored trace),
 //! * CDFs / correlation statistics ([`stats`]) and CSV export
 //!   ([`export`]).
 //!
@@ -53,8 +55,8 @@ pub mod prelude {
         analyze_timeouts, TimeoutAnalysis, TimeoutConfig, TimeoutEvent, TimeoutSequence,
     };
     pub use crate::capture::{
-        single_flow_trace, single_flow_trace_with, traces_from_events, traces_from_events_filtered,
-        traces_from_events_filtered_with, CaptureScratch,
+        arena_records, single_flow_trace, single_flow_trace_with, traces_from_events,
+        traces_from_events_filtered, traces_from_events_filtered_with, CaptureScratch,
     };
     pub use crate::export::{fnum, fpct, Table};
     pub use crate::record::{FlowMeta, FlowTrace, PacketRecord};
@@ -62,5 +64,5 @@ pub mod prelude {
         linear_fit, mean, mean_ci95, pearson, spearman, std_dev, Cdf, Histogram, LinearFit, MeanCi,
     };
     pub use crate::store::{load_traces, save_traces, ReadDatasetError};
-    pub use crate::summary::{analyze_flow, FlowAnalysis, FlowSummary};
+    pub use crate::summary::{analyze_flow, analyze_records, FlowAnalysis, FlowSummary};
 }

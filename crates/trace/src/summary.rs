@@ -1,19 +1,23 @@
 //! Per-flow measurement summary — every quantity the throughput models
-//! need, extracted from a [`FlowTrace`] by one call. [`analyze_flow`] reads
-//! each record once: one sweep over the records advances every `analysis`
-//! module's per-record step together (loss counts, the timeout state
-//! machine, latencies for the RTT medians, deliveries and the flow's time
-//! span) and keeps `sent_at` and `lost` of each ACK; one pass over that list
-//! then forms the ACK rounds, whose gap is half the RTT the sweep has just
-//! measured. The stand-alone functions of the `analysis` modules fold a
-//! trace through the same steps, one analysis at a time.
+//! need, extracted from a flow's packet records by one call.
+//! [`analyze_records`] reads each record once, from any source that yields
+//! them in send order: one sweep advances every `analysis` module's
+//! per-record step together (loss counts, the timeout state machine,
+//! latencies for the RTT medians, deliveries and the flow's time span) and
+//! keeps `sent_at` and `lost` of each ACK; one pass over that list then
+//! forms the ACK rounds, whose gap is half the RTT the sweep has just
+//! measured. A campaign flow feeds it the engine's packet arena
+//! ([`arena_records`](crate::capture::arena_records)) and never stores its
+//! capture; [`analyze_flow`] feeds it a stored [`FlowTrace`]. The
+//! stand-alone functions of the `analysis` modules fold a trace through
+//! the same steps, one analysis at a time.
 
 use crate::analysis::latency::RttSweep;
 use crate::analysis::loss::LossRates;
 use crate::analysis::rounds::{AckBurstStats, BurstSweep, WindowWalk};
 use crate::analysis::throughput::{Throughput, ThroughputSweep};
 use crate::analysis::timeout::{TimeoutAnalysis, TimeoutConfig, TimeoutSweep};
-use crate::record::FlowTrace;
+use crate::record::{FlowMeta, FlowTrace, PacketRecord};
 use hsm_simnet::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -131,33 +135,52 @@ pub struct FlowAnalysis {
     pub throughput: Throughput,
 }
 
-/// Runs the full measurement pipeline over one trace.
+/// Runs the full measurement pipeline over one trace: [`analyze_records`]
+/// over its stored records.
 pub fn analyze_flow(trace: &FlowTrace, cfg: &TimeoutConfig) -> FlowAnalysis {
-    let records = trace.records.len();
+    let records = trace.records.iter().copied();
+    analyze_records(trace.flow, &trace.meta, trace.records.len(), records, cfg)
+}
+
+/// Runs the full measurement pipeline over the records of flow `flow`,
+/// read once, in send order, from wherever they are kept.
+///
+/// `len_hint` sizes the sweep's working columns — the number of records
+/// when the source knows it, an upper bound otherwise (it moves no
+/// result). A record's index — what
+/// [`TimeoutEvent::retx_idx`](crate::analysis::timeout::TimeoutEvent::retx_idx)
+/// names — is its position in `records`.
+pub fn analyze_records(
+    flow: u32,
+    meta: &FlowMeta,
+    len_hint: usize,
+    records: impl Iterator<Item = PacketRecord>,
+    cfg: &TimeoutConfig,
+) -> FlowAnalysis {
     let mut losses = LossRates::default();
-    let mut timeouts = TimeoutSweep::new(records, cfg);
-    let mut rtt = RttSweep::new(records);
-    let mut tp = ThroughputSweep::new(records);
+    let mut timeouts = TimeoutSweep::new(len_hint, cfg);
+    let mut rtt = RttSweep::new(len_hint);
+    let mut tp = ThroughputSweep::new(len_hint);
     // Rounds wait for the RTT (their gap), which waits for the last
     // record: keep the two facts a round needs of each ACK, a column each
     // (9 bytes an ACK; a receiver sends at most one ACK per segment).
-    let mut ack_sent_at: Vec<SimTime> = Vec::with_capacity(records / 2);
-    let mut ack_lost: Vec<bool> = Vec::with_capacity(records / 2);
-    for (idx, rec) in trace.records.iter().enumerate() {
-        losses.record(rec);
-        rtt.record(rec);
-        tp.record(rec);
+    let mut ack_sent_at: Vec<SimTime> = Vec::with_capacity(len_hint / 2);
+    let mut ack_lost: Vec<bool> = Vec::with_capacity(len_hint / 2);
+    for (idx, rec) in records.enumerate() {
+        losses.record(&rec);
+        rtt.record(&rec);
+        tp.record(&rec);
         if rec.is_ack {
             ack_sent_at.push(rec.sent_at);
             ack_lost.push(rec.lost());
         } else {
-            timeouts.data(idx, rec);
+            timeouts.data(idx, &rec);
         }
     }
     // A retransmission is an RTO's or a fast one: the second count is the
     // loss indications that were not timeouts.
     let (timeouts, fast_rtx) = timeouts.finish(|| tp.end());
-    let tp = tp.finish(trace.meta.mss_bytes);
+    let tp = tp.finish(meta.mss_bytes);
     let rtt = rtt.finish().unwrap_or(SimDuration::from_millis(60));
 
     // Round gap: half an RTT separates one round's ACK burst from the next.
@@ -179,9 +202,9 @@ pub fn analyze_flow(trace: &FlowTrace, cfg: &TimeoutConfig) -> FlowAnalysis {
     let ack_bursts = bursts.finish();
 
     let summary = FlowSummary {
-        flow: trace.flow,
-        provider: trace.meta.provider.clone(),
-        scenario: trace.meta.scenario.clone(),
+        flow,
+        provider: meta.provider.clone(),
+        scenario: meta.scenario.clone(),
         rtt_s: rtt.as_secs_f64(),
         p_d: losses.data_loss_rate(),
         data_sent: losses.data_sent,
@@ -205,8 +228,8 @@ pub fn analyze_flow(trace: &FlowTrace, cfg: &TimeoutConfig) -> FlowAnalysis {
             .unwrap_or(0.0),
         loss_indications: timeouts.sequences.len() as u32 + fast_rtx,
         fast_retransmissions: fast_rtx,
-        w_m: trace.meta.w_m,
-        b: trace.meta.b,
+        w_m: meta.w_m,
+        b: meta.b,
         throughput_sps: tp.segments_per_sec(),
         goodput_sps: tp.goodput_segments_per_sec(),
         duration_s: tp.duration_s,

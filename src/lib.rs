@@ -90,8 +90,8 @@ pub mod prelude {
     };
     pub use hsm_scenario::provider::Provider;
     pub use hsm_scenario::runner::{
-        run_scenario, try_run_scenario, try_run_scenario_with, Motion, ScenarioConfig,
-        ScenarioConfigBuilder, ScenarioError, ScenarioOutcome, Scratch,
+        run_scenario, try_analyze_scenario_with, try_run_scenario, try_run_scenario_with, Motion,
+        ScenarioConfig, ScenarioConfigBuilder, ScenarioError, ScenarioOutcome, Scratch,
     };
     pub use hsm_scenario::spec::{
         expansion_digest, load_spec, CampaignSpec, GridKind, ScenarioBase, ScenarioGrid, SpecError,

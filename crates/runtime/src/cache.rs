@@ -13,16 +13,26 @@
 //!   directory can be shared by any number of concurrent writer threads
 //!   *and OS processes* — sharded `repro run --shards N` campaigns point
 //!   every shard at the same tier — while readers stay lock-free.
-//!   Opening a disk tier sweeps staging files orphaned by killed writers.
+//!
+//! Who sweeps, and when: staging files orphaned by killed writers are a
+//! writer's by-product and no lookup ever reads them, so it is the
+//! *writer* that collects them — once per cache, before its first publish,
+//! in the same one-time step that creates the tier directory. Opening a
+//! tier and looking entries up touches nothing but the entries asked for:
+//! a process that only reads a tier never scans or sweeps it.
 //!
 //! Disk entries use the one CRC-protected binary format of
 //! [`crate::codec`], which decodes in one allocation-light forward pass
 //! and stores floats as raw bits, so a cache hit is *bit-identical* to a
-//! fresh simulation. An entry that fails any check — magic, format
-//! version, length, CRC, engine version, key echo — is counted and
-//! transparently re-simulated: the cache can never silently alter
-//! campaign results, and a tier written under another [`ENGINE_VERSION`]
-//! (or by anything that is not this codec) simply misses.
+//! fresh simulation. A lookup opens the entry once and reads it *to end of
+//! file* into a stack buffer (spilling to the heap only when an entry
+//! outgrows it) — never just the length its header announces, so bytes
+//! trailing a CRC-valid entry are seen and rejected. An entry that fails
+//! any check — magic, format version, length, CRC, engine version, key
+//! echo, trailing bytes — is counted and transparently re-simulated: the
+//! cache can never silently alter campaign results, and a tier written
+//! under another [`ENGINE_VERSION`] (or by anything that is not this
+//! codec) simply misses.
 //!
 //! A cache key is the FNV-1a digest of the configuration's canonical
 //! identity encoding ([`ScenarioConfig::hash_into`]) followed by the
@@ -37,8 +47,10 @@ use hsm_scenario::runner::ScenarioConfig;
 use hsm_trace::summary::FlowSummary;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
+use std::io::Read;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Mutex, Once};
 
 /// Version tag mixed into every cache key.
 ///
@@ -61,11 +73,20 @@ impl CacheKey {
         h.write(ENGINE_VERSION.as_bytes());
         CacheKey(h.finish())
     }
+}
 
-    /// The disk-tier file name for this key.
-    fn file_name(self) -> String {
-        format!("flow-{:016x}.hsmf", self.0)
+/// The disk-tier path of `key`'s entry, `dir/flow-{key:016x}.hsmf` — the
+/// one place that names an entry. One allocation, sized up front.
+fn entry_path(dir: &Path, key: CacheKey) -> PathBuf {
+    let mut name = *b"flow-0000000000000000.hsmf";
+    for (i, digit) in name[5..21].iter_mut().enumerate() {
+        *digit = b"0123456789abcdef"[(key.0 >> (60 - 4 * i)) as usize & 0xF];
     }
+    let name = std::str::from_utf8(&name).expect("ASCII file name");
+    let mut path = PathBuf::with_capacity(dir.as_os_str().len() + 1 + name.len());
+    path.push(dir);
+    path.push(name);
+    path
 }
 
 /// Cache sizing and placement.
@@ -152,9 +173,29 @@ struct Slot {
     stamp: u64,
 }
 
+/// Hashes a shard-map key with one multiply. A [`CacheKey`] is already an
+/// FNV-1a digest, so SipHashing it again buys nothing; the odd multiplier
+/// only spreads it over the high bits the table's control bytes read.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("shard maps are keyed by u64 alone");
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 #[derive(Default)]
 struct Shard {
-    map: HashMap<u64, Slot>,
+    map: HashMap<u64, Slot, BuildHasherDefault<KeyHasher>>,
     /// Recency queue, least-recent first, of `(key, stamp)` pairs. A
     /// touch pushes a fresh pair instead of repositioning the old one —
     /// O(1) instead of an O(len) scan — leaving a stale pair behind that
@@ -187,6 +228,9 @@ pub struct FlowCache {
     mask: usize,
     /// Per-shard entry bound derived from `config.memory_entries`.
     per_shard: usize,
+    /// The writer's one-time disk-tier set-up — create the directory,
+    /// sweep stale staging files — run before this cache's first publish.
+    publish_setup: Once,
     config: CacheConfig,
 }
 
@@ -200,7 +244,7 @@ impl std::fmt::Debug for FlowCache {
 }
 
 /// Staging files older than this are considered orphaned by a killed
-/// writer and swept when the disk tier is opened. Generously above any
+/// writer and swept before a cache's first publish. Generously above any
 /// plausible write-and-rename window, so a concurrent live writer's
 /// staging file is never touched.
 const STALE_TEMP_AGE: std::time::Duration = std::time::Duration::from_secs(60);
@@ -208,14 +252,10 @@ const STALE_TEMP_AGE: std::time::Duration = std::time::Duration::from_secs(60);
 impl FlowCache {
     /// Creates an empty cache with the given configuration.
     ///
-    /// Opening a disk tier sweeps stale `.*.tmp` staging files left
-    /// behind by writers that were killed between staging and renaming
-    /// (only files older than [`STALE_TEMP_AGE`], so live concurrent
-    /// writers are unaffected).
+    /// Opening a disk tier touches nothing on disk: the directory is
+    /// created, and stale staging files swept, by the first
+    /// [`insert`](FlowCache::insert).
     pub fn new(config: CacheConfig) -> FlowCache {
-        if let Some(dir) = &config.disk_dir {
-            sweep_stale_temp_files(dir);
-        }
         let shard_count = config.shard_count();
         let per_shard = if config.memory_entries == 0 {
             0
@@ -226,6 +266,7 @@ impl FlowCache {
             shards: (0..shard_count).map(|_| Mutex::default()).collect(),
             mask: shard_count - 1,
             per_shard,
+            publish_setup: Once::new(),
             config,
         }
     }
@@ -301,7 +342,7 @@ impl FlowCache {
         match found {
             DiskLookup::Hit(summary) => {
                 shard.stats.disk_hits += 1;
-                Self::insert_memory(shard, self.per_shard, key, summary.clone());
+                Self::insert_memory(shard, self.per_shard, key, &summary);
                 Some(summary)
             }
             DiskLookup::Corrupt => {
@@ -318,6 +359,11 @@ impl FlowCache {
 
     /// Memoizes a completed flow in both tiers.
     ///
+    /// The first insert into a disk tier creates its directory and sweeps
+    /// stale `.*.tmp` staging files left behind by writers that were
+    /// killed between staging and renaming (only files older than
+    /// [`STALE_TEMP_AGE`], so live concurrent writers are unaffected).
+    ///
     /// # Errors
     ///
     /// Returns [`CacheError`] when the disk tier cannot be written; the
@@ -325,15 +371,22 @@ impl FlowCache {
     pub fn insert(&self, key: CacheKey, summary: &FlowSummary) -> Result<(), CacheError> {
         {
             let mut guard = self.shard_for(key).lock().expect("cache lock");
-            Self::insert_memory(&mut guard, self.per_shard, key, summary.clone());
+            Self::insert_memory(&mut guard, self.per_shard, key, summary);
         }
         if let Some(dir) = &self.config.disk_dir {
+            self.publish_setup.call_once(|| {
+                // A directory that cannot be created fails the write
+                // below, which reports it.
+                let _ = std::fs::create_dir_all(dir);
+                sweep_stale_temp_files(dir);
+            });
             write_disk_entry(dir, key, summary)?;
         }
         Ok(())
     }
 
-    fn insert_memory(shard: &mut Shard, per_shard: usize, key: CacheKey, summary: FlowSummary) {
+    /// Clones `summary` into the memory tier — only when there is one.
+    fn insert_memory(shard: &mut Shard, per_shard: usize, key: CacheKey, summary: &FlowSummary) {
         if per_shard == 0 {
             return;
         }
@@ -342,12 +395,12 @@ impl FlowCache {
             Entry::Occupied(mut occupied) => {
                 // Refresh the payload without touching recency — a
                 // re-insert never reorders the LRU queue.
-                occupied.get_mut().summary = summary;
+                occupied.get_mut().summary.clone_from(summary);
             }
             Entry::Vacant(vacant) => {
                 shard.clock += 1;
                 vacant.insert(Slot {
-                    summary,
+                    summary: summary.clone(),
                     stamp: shard.clock,
                 });
                 shard.order.push_back((key.0, shard.clock));
@@ -371,10 +424,31 @@ impl FlowCache {
         let Some(dir) = &self.config.disk_dir else {
             return DiskLookup::Absent;
         };
-        let Ok(bytes) = std::fs::read(dir.join(key.file_name())) else {
+        let Ok(mut file) = std::fs::File::open(entry_path(dir, key)) else {
             return DiskLookup::Absent;
         };
-        match codec::decode_entry(&bytes) {
+        // Read to end of file, not to the length the header announces:
+        // trailing bytes must reach `decode_entry`, which rejects them.
+        let mut stack = [0u8; ENTRY_BUF_LEN];
+        let mut spill = Vec::new();
+        let mut filled = 0;
+        let bytes: &[u8] = loop {
+            if filled == stack.len() {
+                // Full before end of file: the entry outgrew the buffer.
+                spill.extend_from_slice(&stack);
+                if file.read_to_end(&mut spill).is_err() {
+                    return DiskLookup::Absent;
+                }
+                break &spill;
+            }
+            match file.read(&mut stack[filled..]) {
+                Ok(0) => break &stack[..filled],
+                Ok(n) => filled += n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(_) => return DiskLookup::Absent,
+            }
+        };
+        match codec::decode_entry(bytes) {
             Some((echoed, summary)) if echoed == key.0 => DiskLookup::Hit(summary),
             _ => DiskLookup::Corrupt,
         }
@@ -390,6 +464,10 @@ impl FlowCache {
             .sum()
     }
 }
+
+/// Stack buffer a disk hit reads its entry into: five times the ≈ 190-byte
+/// entry of a campaign flow, so only an entry with kilobyte labels spills.
+const ENTRY_BUF_LEN: usize = 1024;
 
 enum DiskLookup {
     Hit(FlowSummary),
@@ -438,14 +516,23 @@ static TEMP_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::ne
 /// write. Writers never lock: because an entry's content is a pure
 /// function of its key, losing a rename race to another writer leaves
 /// the identical payload on disk and counts as success.
+///
+/// The directory is expected to exist (a cache creates it once, before
+/// its first publish); a publish that finds it gone recreates it and
+/// retries once.
 fn write_disk_entry(dir: &Path, key: CacheKey, summary: &FlowSummary) -> Result<(), CacheError> {
-    std::fs::create_dir_all(dir).map_err(|e| CacheError::Io {
-        path: dir.to_path_buf(),
-        message: e.to_string(),
-    })?;
     let bytes = codec::encode_entry(key.0, summary);
-    let path = dir.join(key.file_name());
-    publish_atomic(dir, &path, &bytes)
+    let path = entry_path(dir, key);
+    match publish_atomic(dir, &path, &bytes) {
+        Err(_) if !dir.is_dir() => {
+            std::fs::create_dir_all(dir).map_err(|e| CacheError::Io {
+                path: dir.to_path_buf(),
+                message: e.to_string(),
+            })?;
+            publish_atomic(dir, &path, &bytes)
+        }
+        result => result,
+    }
 }
 
 /// Stages `bytes` in a unique temp file under `dir` and renames it onto
@@ -494,7 +581,7 @@ pub(crate) fn publish_atomic(dir: &Path, path: &Path, bytes: &[u8]) -> Result<()
 /// Returns [`CacheError::Io`] when the entry cannot be rewritten.
 #[cfg(any(test, feature = "chaos"))]
 pub fn chaos_corrupt_disk_entry(dir: &Path, key: CacheKey) -> Result<bool, CacheError> {
-    let path = dir.join(key.file_name());
+    let path = entry_path(dir, key);
     let Ok(mut bytes) = std::fs::read(&path) else {
         return Ok(false);
     };
@@ -565,6 +652,13 @@ mod tests {
             goodput_sps: 300.25,
             duration_s: 120.0,
         }
+    }
+
+    /// A fresh, empty scratch directory for one test.
+    fn scratch_dir(test: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("hsm_cache_{test}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
     }
 
     /// A disk-only cache over `dir` (no memory tier).
@@ -801,8 +895,7 @@ mod tests {
 
     #[test]
     fn disk_tier_round_trips_and_detects_corruption() {
-        let dir = std::env::temp_dir().join(format!("hsm_cache_test_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch_dir("test");
         let cache = disk_only(&dir);
         let key = CacheKey(0xabcd);
         let s = summary(9);
@@ -811,7 +904,7 @@ mod tests {
 
         // Corrupt payload bytes while keeping the structure (magic,
         // version, lengths) valid: only the CRC can catch this.
-        let path = dir.join(key.file_name());
+        let path = entry_path(&dir, key);
         let mut bytes = std::fs::read(&path).unwrap();
         let pos = bytes
             .windows(b"China Mobile".len())
@@ -825,9 +918,21 @@ mod tests {
     }
 
     #[test]
-    fn opening_a_disk_tier_sweeps_stale_temp_files() {
-        let dir = std::env::temp_dir().join(format!("hsm_cache_sweep_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+    fn entry_path_is_the_published_file_name() {
+        let dir = Path::new("/tier");
+        for key in [0, 7, 0xabcd, 0x4a53_8f66_c3f6_4352, u64::MAX] {
+            assert_eq!(
+                entry_path(dir, CacheKey(key)),
+                dir.join(format!("flow-{key:016x}.hsmf"))
+            );
+        }
+    }
+
+    /// Staging files are a writer's by-product: opening a tier and reading
+    /// from it leaves them alone, the first publish collects the stale ones.
+    #[test]
+    fn the_first_publish_sweeps_stale_temp_files() {
+        let dir = scratch_dir("sweep");
         std::fs::create_dir_all(&dir).unwrap();
         // Plant a staging file as a killed writer would leave it, aged
         // past the sweep threshold.
@@ -846,10 +951,107 @@ mod tests {
         // A real entry must never be swept.
         write_disk_entry(&dir, CacheKey(7), &summary(7)).unwrap();
 
-        let cache = disk_only(&dir);
-        assert!(!stale.exists(), "stale staging file must be swept");
+        // A lookup-only session: hits and misses, no sweep.
+        let reader = disk_only(&dir);
+        assert!(reader.lookup(CacheKey(7)).is_some());
+        assert!(reader.lookup(CacheKey(8)).is_none());
+        drop(reader);
+        assert!(stale.exists(), "a read-only session must not sweep");
+
+        let writer = disk_only(&dir);
+        assert!(stale.exists(), "opening a tier must not sweep");
+        writer.insert(CacheKey(8), &summary(8)).unwrap();
+        assert!(!stale.exists(), "the first publish must sweep");
         assert!(fresh.exists(), "fresh staging file must survive");
-        assert!(cache.lookup(CacheKey(7)).is_some());
+        assert_eq!(writer.lookup(CacheKey(7)), Some(summary(7)));
+        assert_eq!(writer.lookup(CacheKey(8)), Some(summary(8)));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The read reaches end of file: what follows a CRC-valid entry is
+    /// seen, the entry counts as corrupt once, and re-publishing heals it.
+    #[test]
+    fn trailing_byte_and_empty_file_are_corrupt() {
+        let dir = scratch_dir("edges");
+        let cache = disk_only(&dir);
+        let (padded, empty) = (CacheKey(1), CacheKey(2));
+        cache.insert(padded, &summary(1)).unwrap();
+        let mut bytes = std::fs::read(entry_path(&dir, padded)).unwrap();
+        bytes.push(0);
+        std::fs::write(entry_path(&dir, padded), bytes).unwrap();
+        std::fs::write(entry_path(&dir, empty), b"").unwrap();
+
+        assert!(cache.lookup(padded).is_none());
+        let stats = cache.stats();
+        assert_eq!((stats.corrupt_entries, stats.misses), (1, 1));
+        assert!(cache.lookup(empty).is_none());
+        let stats = cache.stats();
+        assert_eq!((stats.corrupt_entries, stats.misses), (2, 2));
+
+        // The campaign re-simulates a corrupt flow and inserts it again.
+        cache.insert(padded, &summary(1)).unwrap();
+        assert_eq!(cache.lookup(padded), Some(summary(1)));
+        let stats = cache.stats();
+        assert_eq!((stats.disk_hits, stats.corrupt_entries), (1, 2));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Entries one byte short of the stack buffer, exactly filling it, one
+    /// byte over and twice its size all round-trip — the last three
+    /// through the heap spill.
+    #[test]
+    fn entries_larger_than_the_stack_buffer_round_trip() {
+        let dir = scratch_dir("spill");
+        let cache = disk_only(&dir);
+        let small = codec::encode_entry(0, &summary(0)).len();
+        for (key, entry_len) in [
+            ENTRY_BUF_LEN - 1,
+            ENTRY_BUF_LEN,
+            ENTRY_BUF_LEN + 1,
+            2 * ENTRY_BUF_LEN + small,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            // A label this long takes a two-byte length prefix.
+            let label = entry_len - (small - "China Mobile".len()) - 1;
+            let big = FlowSummary {
+                provider: "x".repeat(label),
+                ..summary(key as u32)
+            };
+            let key = CacheKey(key as u64);
+            cache.insert(key, &big).unwrap();
+            let on_disk = std::fs::metadata(entry_path(&dir, key)).unwrap().len();
+            assert_eq!(on_disk, entry_len as u64);
+            assert_eq!(cache.lookup(key), Some(big));
+        }
+        assert_eq!(cache.stats().disk_hits, 4);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_directory_in_an_entrys_place_is_a_miss() {
+        let dir = scratch_dir("dir_entry");
+        let key = CacheKey(3);
+        std::fs::create_dir_all(entry_path(&dir, key)).unwrap();
+        let cache = disk_only(&dir);
+        assert!(cache.lookup(key).is_none());
+        let stats = cache.stats();
+        assert_eq!((stats.misses, stats.corrupt_entries), (1, 0));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The directory is created once per cache, not once per entry — so a
+    /// publish that finds it gone must bring it back itself.
+    #[test]
+    fn a_tier_deleted_between_publishes_is_recreated() {
+        let dir = scratch_dir("recreate");
+        let cache = disk_only(&dir);
+        cache.insert(CacheKey(1), &summary(1)).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        cache.insert(CacheKey(2), &summary(2)).unwrap();
+        assert!(cache.lookup(CacheKey(1)).is_none());
+        assert_eq!(cache.lookup(CacheKey(2)), Some(summary(2)));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -859,8 +1061,7 @@ mod tests {
     /// of the multi-process guarantee sharded campaigns rely on.
     #[test]
     fn concurrent_disk_writers_never_tear_entries() {
-        let dir = std::env::temp_dir().join(format!("hsm_cache_race_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch_dir("race");
         const WRITERS: usize = 8;
         const KEYS: u64 = 24;
         std::thread::scope(|scope| {
@@ -900,8 +1101,7 @@ mod tests {
     /// leave one memory entry per key.
     #[test]
     fn concurrent_disk_readers_promote_consistently() {
-        let dir = std::env::temp_dir().join(format!("hsm_cache_readers_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch_dir("readers");
         const READERS: usize = 4;
         const KEYS: u64 = 64;
         let writer = disk_only(&dir);

@@ -2,7 +2,8 @@
 //! — the disk tier's only format.
 //!
 //! An entry decodes with a single forward pass over the buffer and
-//! verifies integrity with a CRC-32 over the raw bytes (no re-encoding):
+//! verifies integrity with a CRC-32 over the raw bytes (no re-encoding;
+//! slice-by-8, so eight bytes a step on both the encode and decode side):
 //!
 //! ```text
 //! offset  size  field
@@ -31,6 +32,11 @@
 //! `None`, which the cache reports as a corrupt entry. So does an entry
 //! stamped with another engine version: a tier written before an
 //! [`ENGINE_VERSION`] bump is never read as current.
+//!
+//! [`decode_entry`] judges the buffer it is given, whole: the body length
+//! in the header must equal what follows it exactly. A reader therefore
+//! hands it the file read *to end of file* — reading only the announced
+//! length would hide trailing bytes from the one check that rejects them.
 
 use crate::cache::ENGINE_VERSION;
 use hsm_trace::summary::FlowSummary;
@@ -44,10 +50,13 @@ pub const FORMAT_VERSION: u8 = 1;
 /// Fixed bytes before the body: magic + version + body length.
 const HEADER_LEN: usize = 9;
 
-/// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) lookup table,
-/// built at compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) slice-by-8
+/// lookup tables, built at compile time. `CRC_TABLES[0]` is the classic
+/// one-byte table; `CRC_TABLES[k][b]` is the CRC state after byte `b`
+/// followed by `k` zero bytes, which is what lets eight bytes be folded
+/// in with eight independent lookups instead of a chain of eight.
+static CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -60,18 +69,43 @@ const CRC_TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
-/// Table-driven CRC-32 over `bytes` (IEEE polynomial, `0xFFFFFFFF`
-/// initial value and final XOR — the `cksum`/zlib convention).
+/// Slice-by-8 CRC-32 over `bytes` (IEEE polynomial, `0xFFFFFFFF` initial
+/// value and final XOR — the `cksum`/zlib convention): eight bytes a
+/// step, the up-to-seven-byte tail one byte a step.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = u32::MAX;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
 }
@@ -300,11 +334,51 @@ mod tests {
         }
     }
 
+    /// The textbook one-table, one-byte-a-step CRC-32: the oracle the
+    /// slice-by-8 [`crc32`] must agree with on every input.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = u32::MAX;
+        for &b in bytes {
+            crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+        }
+        !crc
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
         // IEEE CRC-32 check value of the standard test string.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// Every length 0..=80 at every start offset 0..8: each count of
+    /// whole 8-byte steps up to ten, each tail length, each alignment.
+    #[test]
+    fn crc32_equals_the_bytewise_oracle_at_every_length_and_offset() {
+        let mut rng = hsm_simnet::rng::SimRng::seed_from_u64(32);
+        let buf: Vec<u8> = (0..88).map(|_| rng.range_u64(0, 256) as u8).collect();
+        for offset in 0..8 {
+            for len in 0..=80 {
+                let slice = &buf[offset..offset + len];
+                assert_eq!(
+                    crc32(slice),
+                    crc32_bytewise(slice),
+                    "offset {offset} len {len}"
+                );
+            }
+        }
+    }
+
+    /// The exact bytes the parent commit (bytewise CRC) encoded for this
+    /// entry, by length, FNV-1a digest and stored CRC: the disk format did
+    /// not move, so tiers published before the slice-by-8 CRC keep hitting.
+    #[test]
+    fn encoded_entry_bytes_are_pinned() {
+        let bytes = encode_entry(7, &summary(7));
+        assert_eq!(bytes.len(), 187);
+        assert_eq!(bytes[183..], 0x7E6B_87C2u32.to_le_bytes());
+        let digest = crate::cache::fnv1a(&bytes);
+        assert_eq!(digest, 0x7110_d3f6_7e74_8564, "got {digest:#018x}");
     }
 
     #[test]

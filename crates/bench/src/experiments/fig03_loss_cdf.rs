@@ -11,10 +11,10 @@ pub fn run(ctx: &Ctx) -> ExperimentResult {
     let flows = ctx.high_speed();
     let recovery: Vec<f64> = flows
         .iter()
-        .filter(|f| f.outcome.summary().timeout_sequences > 0)
-        .map(|f| f.outcome.summary().q_hat)
+        .filter(|f| f.summary.timeout_sequences > 0)
+        .map(|f| f.summary.q_hat)
         .collect();
-    let lifetime: Vec<f64> = flows.iter().map(|f| f.outcome.summary().p_d).collect();
+    let lifetime: Vec<f64> = flows.iter().map(|f| f.summary.p_d).collect();
     let cdf_rec = Cdf::from_samples(recovery.iter().copied());
     let cdf_life = Cdf::from_samples(lifetime.iter().copied());
 
@@ -52,13 +52,12 @@ mod tests {
         let mean_rec: f64 = {
             let v: Vec<f64> = flows
                 .iter()
-                .filter(|f| f.outcome.summary().timeout_sequences > 0)
-                .map(|f| f.outcome.summary().q_hat)
+                .filter(|f| f.summary.timeout_sequences > 0)
+                .map(|f| f.summary.q_hat)
                 .collect();
             v.iter().sum::<f64>() / v.len().max(1) as f64
         };
-        let mean_life: f64 =
-            flows.iter().map(|f| f.outcome.summary().p_d).sum::<f64>() / flows.len() as f64;
+        let mean_life: f64 = flows.iter().map(|f| f.summary.p_d).sum::<f64>() / flows.len() as f64;
         assert!(
             mean_rec > 5.0 * mean_life,
             "recovery {mean_rec} vs lifetime {mean_life}"

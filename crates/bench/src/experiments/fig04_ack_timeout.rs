@@ -18,7 +18,7 @@ pub fn run(ctx: &Ctx) -> ExperimentResult {
         &["flow", "provider", "ack_loss_rate", "timeout_probability"],
     );
     for f in flows {
-        let s = f.outcome.summary();
+        let s = &f.summary;
         if s.data_sent == 0 {
             continue;
         }

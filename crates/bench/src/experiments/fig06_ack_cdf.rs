@@ -7,16 +7,8 @@ use hsm_trace::stats::Cdf;
 
 /// Regenerates Fig. 6 from the two datasets.
 pub fn run(ctx: &Ctx) -> ExperimentResult {
-    let hs: Vec<f64> = ctx
-        .high_speed()
-        .iter()
-        .map(|f| f.outcome.summary().p_a)
-        .collect();
-    let st: Vec<f64> = ctx
-        .stationary()
-        .iter()
-        .map(|f| f.outcome.summary().p_a)
-        .collect();
+    let hs: Vec<f64> = ctx.high_speed().iter().map(|f| f.summary.p_a).collect();
+    let st: Vec<f64> = ctx.stationary().iter().map(|f| f.summary.p_a).collect();
     let cdf_hs = Cdf::from_samples(hs.iter().copied());
     let cdf_st = Cdf::from_samples(st.iter().copied());
 
@@ -50,7 +42,7 @@ mod tests {
         let ctx = Ctx::new(Scale::Smoke);
         let _ = run(&ctx);
         let mean = |flows: &[hsm_scenario::dataset::DatasetFlow]| {
-            flows.iter().map(|f| f.outcome.summary().p_a).sum::<f64>() / flows.len() as f64
+            flows.iter().map(|f| f.summary.p_a).sum::<f64>() / flows.len() as f64
         };
         let hs = mean(ctx.high_speed());
         let st = mean(ctx.stationary());

@@ -32,11 +32,7 @@ fn provider_means(evals: &[FlowEval]) -> Table {
 /// Regenerates Fig. 10 with the paper's parameterization, and an ablation
 /// over estimator choices (`p_d` and `q` sources).
 pub fn run(ctx: &Ctx) -> ExperimentResult {
-    let summaries: Vec<FlowSummary> = ctx
-        .high_speed()
-        .iter()
-        .map(|f| f.outcome.summary().clone())
-        .collect();
+    let summaries: Vec<FlowSummary> = ctx.high_speed().iter().map(|f| f.summary.clone()).collect();
     let (evals, report) = evaluate_dataset(&summaries, &EstimateConfig::default());
 
     let mut per_flow = Table::new(

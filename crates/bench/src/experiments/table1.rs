@@ -35,7 +35,7 @@ pub fn run(ctx: &Ctx) -> ExperimentResult {
         } else {
             in_campaign
                 .iter()
-                .map(|f| f.outcome.summary().throughput_sps)
+                .map(|f| f.summary.throughput_sps)
                 .sum::<f64>()
                 / in_campaign.len() as f64
         };

@@ -17,9 +17,6 @@
 //! repro all --full       # everything at the full 255-flow scale
 //! repro fig3 --csv out/  # also export the figure data as CSV
 //! ```
-//!
-//! Criterion benches (`cargo bench`) time each experiment at smoke scale
-//! plus the hot kernels (engine, models, analyses).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

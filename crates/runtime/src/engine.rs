@@ -17,10 +17,12 @@
 //! measurement pipeline reads the flow's packets from the engine's arena,
 //! no `FlowTrace` is ever built, and only the compact [`FlowSummary`]
 //! survives — so campaigns of tens of thousands of flows run in
-//! near-constant memory. Opting into
-//! [`CampaignBuilder::keep_outcomes`] builds and retains the full
-//! [`ScenarioOutcome`] for figure generators that need the packet
-//! records.
+//! near-constant memory. That is the only flow body: every campaign,
+//! [`run_dataset`]'s included, is lookup → analyse → insert (`repro table1
+//! --full`, 255 flows × 120 s, peaks at ≈ 17 MiB in ≈ 1.0 s; retaining
+//! the 255 traces took 628 MiB and ≈ 2.1 s). A caller that wants a flow's
+//! packet records re-simulates that one flow with
+//! `hsm_scenario::runner::try_run_scenario_with`.
 //!
 //! Each worker owns a [`Scratch`] (the simulation engine and its packet
 //! arena) reused across every flow it handles, and writes each result
@@ -35,9 +37,7 @@
 use crate::cache::{CacheConfig, CacheKey, FlowCache, ENGINE_VERSION};
 use crate::error::EngineError;
 use hsm_scenario::dataset::{plan_dataset, plan_stationary_baseline, DatasetConfig, DatasetFlow};
-use hsm_scenario::runner::{
-    try_analyze_scenario_with, try_run_scenario_with, ScenarioConfig, ScenarioOutcome, Scratch,
-};
+use hsm_scenario::runner::{try_analyze_scenario_with, ScenarioConfig, ScenarioOutcome, Scratch};
 use hsm_simnet::chaos::StormPlan;
 use hsm_simnet::event::QueueStats;
 use hsm_trace::summary::FlowSummary;
@@ -71,7 +71,9 @@ pub struct FlowRun {
     pub queue: QueueStats,
     /// Index of the worker that handled the flow.
     pub worker: usize,
-    /// The full outcome, retained only under `keep_outcomes`.
+    /// Always `None`: campaigns retain no trace. The field outlives its
+    /// use only because `benchmark/src/layers.rs` builds a `FlowRun`
+    /// literal naming it (ROADMAP item 5 drops both sides).
     pub outcome: Option<Box<ScenarioOutcome>>,
 }
 
@@ -220,7 +222,6 @@ pub struct CampaignBuilder {
     configs: Vec<ScenarioConfig>,
     workers: Option<usize>,
     cache: Option<CacheConfig>,
-    keep_outcomes: bool,
     #[cfg(any(test, feature = "chaos"))]
     chaos: ChaosInjection,
 }
@@ -238,13 +239,6 @@ impl CampaignBuilder {
         self
     }
 
-    /// Appends the full Table-I dataset plan for `cfg`.
-    pub fn dataset(mut self, cfg: &DatasetConfig) -> Self {
-        self.configs
-            .extend(plan_dataset(cfg).into_iter().map(|(_, c)| c));
-        self
-    }
-
     /// Sets the worker count (defaults to the machine's parallelism).
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers);
@@ -255,18 +249,6 @@ impl CampaignBuilder {
     /// [`CacheConfig::memory_only`]).
     pub fn cache(mut self, cache: CacheConfig) -> Self {
         self.cache = Some(cache);
-        self
-    }
-
-    /// Builds and retains the full [`ScenarioOutcome`] (trace included)
-    /// per flow. Without it no trace is ever built: a flow is analysed
-    /// straight from the engine's packet arena.
-    ///
-    /// This trades the engine's near-constant memory for raw packet
-    /// records, and bypasses the cache — outcomes are never memoized,
-    /// only summaries are.
-    pub fn keep_outcomes(mut self, keep: bool) -> Self {
-        self.keep_outcomes = keep;
         self
     }
 
@@ -303,7 +285,6 @@ impl CampaignBuilder {
             configs: self.configs,
             workers,
             cache: self.cache.unwrap_or_else(CacheConfig::memory_only),
-            keep_outcomes: self.keep_outcomes,
             #[cfg(any(test, feature = "chaos"))]
             chaos: self.chaos,
         })
@@ -316,7 +297,6 @@ pub struct Campaign {
     configs: Vec<ScenarioConfig>,
     workers: usize,
     cache: CacheConfig,
-    keep_outcomes: bool,
     #[cfg(any(test, feature = "chaos"))]
     chaos: ChaosInjection,
 }
@@ -514,87 +494,70 @@ impl Campaign {
             });
         }
         let key = CacheKey::of(config);
-        if !self.keep_outcomes {
-            if let Some(summary) = cache.lookup(key) {
-                return Ok(FlowRun {
-                    config: config.clone(),
-                    summary,
-                    cache_hit: true,
-                    sim_wall_s: 0.0,
-                    events: 0,
-                    queue: QueueStats::default(),
-                    worker,
-                    outcome: None,
-                });
-            }
+        if let Some(summary) = cache.lookup(key) {
+            return Ok(FlowRun {
+                config: config.clone(),
+                summary,
+                cache_hit: true,
+                sim_wall_s: 0.0,
+                events: 0,
+                queue: QueueStats::default(),
+                worker,
+                outcome: None,
+            });
         }
         let t0 = Instant::now();
-        let failed = |source| EngineError::FlowFailed { index: i, source };
-        // The flow is analysed where the engine recorded it; its trace is
-        // built only for the caller who asked to keep it — this is what
-        // bounds campaign memory.
-        let (summary, events, queue, outcome) = if self.keep_outcomes {
-            let kept = try_run_scenario_with(scratch, config).map_err(failed)?;
-            (
-                kept.analysis.summary.clone(),
-                kept.outcome.events_processed,
-                kept.outcome.queue,
-                Some(Box::new(kept)),
-            )
-        } else {
-            let run = try_analyze_scenario_with(scratch, config, &StormPlan::default())
-                .map_err(failed)?;
-            (run.analysis.summary, run.events_processed, run.queue, None)
-        };
+        // The flow is analysed where the engine recorded it and no trace
+        // is built — this is what bounds campaign memory.
+        let run = try_analyze_scenario_with(scratch, config, &StormPlan::default())
+            .map_err(|source| EngineError::FlowFailed { index: i, source })?;
         let sim_wall_s = t0.elapsed().as_secs_f64();
-        if !self.keep_outcomes {
-            cache.insert(key, &summary)?;
-        }
+        let summary = run.analysis.summary;
+        cache.insert(key, &summary)?;
         Ok(FlowRun {
             config: config.clone(),
             summary,
             cache_hit: false,
             sim_wall_s,
-            events,
-            queue,
+            events: run.events_processed,
+            queue: run.queue,
             worker,
-            outcome,
+            outcome: None,
         })
     }
 }
 
-/// Generates the Table-I dataset through the engine, retaining full
-/// outcomes (the experiment harness needs raw traces).
-///
-/// The campaign-index tags of [`plan_dataset`] are re-attached to the
-/// engine's index-ordered output, so flow `i` of the result is plan entry
+/// Runs a tagged plan as one ordinary campaign and re-attaches each tag to
+/// the engine's index-ordered output: flow `i` of the result is plan entry
 /// `i` whatever the worker count.
-///
-/// # Errors
-///
-/// Propagates [`EngineError`] from the engine.
-pub fn run_dataset(cfg: &DatasetConfig) -> Result<(Vec<DatasetFlow>, CampaignReport), EngineError> {
-    let plans = plan_dataset(cfg);
-    let campaigns: Vec<usize> = plans.iter().map(|(c, _)| *c).collect();
-    let campaign = Campaign::builder()
-        .configs(plans.into_iter().map(|(_, c)| c))
-        .keep_outcomes(true)
-        .build()?;
-    let output = campaign.run()?;
-    let report = output.report.clone();
+fn run_plan(
+    plan: Vec<(usize, ScenarioConfig)>,
+) -> Result<(Vec<DatasetFlow>, CampaignReport), EngineError> {
+    let (campaigns, configs): (Vec<usize>, Vec<ScenarioConfig>) = plan.into_iter().unzip();
+    let output = Campaign::builder().configs(configs).build()?.run()?;
     let flows = campaigns
         .into_iter()
         .zip(output.runs)
         .map(|(campaign, run)| DatasetFlow {
             campaign,
-            outcome: *run.outcome.expect("keep_outcomes retains every outcome"),
+            summary: run.summary,
         })
         .collect();
-    Ok((flows, report))
+    Ok((flows, output.report))
 }
 
-/// Generates the stationary baseline through the engine, retaining full
-/// outcomes.
+/// Generates the Table-I dataset through the engine: the summaries of
+/// [`plan_dataset`]'s flows, each tagged with its campaign.
+///
+/// # Errors
+///
+/// Propagates [`EngineError`] from the engine.
+pub fn run_dataset(cfg: &DatasetConfig) -> Result<(Vec<DatasetFlow>, CampaignReport), EngineError> {
+    run_plan(plan_dataset(cfg))
+}
+
+/// Generates the stationary baseline through the engine (campaign tag
+/// `usize::MAX`: these flows belong to no Table-I row).
 ///
 /// # Errors
 ///
@@ -603,21 +566,8 @@ pub fn run_stationary_baseline(
     cfg: &DatasetConfig,
     n: u32,
 ) -> Result<(Vec<DatasetFlow>, CampaignReport), EngineError> {
-    let campaign = Campaign::builder()
-        .configs(plan_stationary_baseline(cfg, n))
-        .keep_outcomes(true)
-        .build()?;
-    let output = campaign.run()?;
-    let report = output.report.clone();
-    let flows = output
-        .runs
-        .into_iter()
-        .map(|run| DatasetFlow {
-            campaign: usize::MAX,
-            outcome: *run.outcome.expect("keep_outcomes retains every outcome"),
-        })
-        .collect();
-    Ok((flows, report))
+    let untagged = plan_stationary_baseline(cfg, n).into_iter();
+    run_plan(untagged.map(|config| (usize::MAX, config)).collect())
 }
 
 #[cfg(test)]
@@ -798,38 +748,31 @@ mod tests {
         }
     }
 
+    /// Flow `i` of a dataset is plan entry `i`: its campaign tag, and the
+    /// summary bytes a lone analysis of that entry yields on a fresh
+    /// scratch — all of them simulated, none retained as a trace.
     #[test]
-    fn keep_outcomes_retains_traces_and_bypasses_cache() {
-        let campaign = Campaign::builder()
-            .config(short(3))
-            .keep_outcomes(true)
-            .workers(1)
-            .build()
-            .unwrap();
-        let cache = FlowCache::new(CacheConfig::memory_only());
-        let out = campaign.run_with_cache(&cache).unwrap();
-        let outcome = out.runs[0].outcome.as_ref().expect("outcome kept");
-        assert!(!outcome.outcome.trace.records.is_empty());
-        assert!(cache.is_empty(), "keep_outcomes never memoizes");
-        let again = campaign.run_with_cache(&cache).unwrap();
-        assert_eq!(again.report.cache_hits, 0);
-
-        // A summary run builds no trace and a keeping run folds one from
-        // the same capture: same summaries to the byte, same events.
-        for workers in [1, 2] {
-            let run = |keep| {
-                let builder = Campaign::builder().configs((0..4).map(short));
-                let campaign = builder.keep_outcomes(keep).workers(workers).build();
-                campaign.unwrap().run().unwrap()
-            };
-            let (kept, plain) = (run(true), run(false));
-            assert!(kept.runs.iter().all(|r| r.outcome.is_some()));
-            assert!(plain.runs.iter().all(|r| r.outcome.is_none()));
-            for (k, p) in kept.runs.iter().zip(&plain.runs) {
-                let bytes = |r: &FlowRun| crate::codec::encode_entry(0, &r.summary);
-                assert_eq!(bytes(k), bytes(p), "{workers} workers");
-                assert_eq!(k.events, p.events, "{workers} workers");
-            }
+    fn dataset_flows_are_the_plan_entries_in_order() {
+        let cfg = DatasetConfig {
+            scale: 0.02,
+            flow_duration: SimDuration::from_secs(5),
+            ..Default::default()
+        };
+        let plan = plan_dataset(&cfg);
+        let (flows, report) = run_dataset(&cfg).unwrap();
+        assert_eq!(flows.len(), plan.len());
+        assert_eq!(report.cache_misses, plan.len());
+        for (flow, (campaign, config)) in flows.iter().zip(&plan) {
+            assert_eq!(flow.campaign, *campaign);
+            let alone =
+                try_analyze_scenario_with(&mut Scratch::new(), config, &StormPlan::default())
+                    .unwrap();
+            assert_eq!(
+                crate::codec::encode_entry(0, &flow.summary),
+                crate::codec::encode_entry(0, &alone.analysis.summary),
+                "flow {}",
+                config.flow
+            );
         }
     }
 

@@ -8,8 +8,8 @@
 //!
 //! * [`engine`] — [`Campaign`]: shards scenarios across a self-scheduling
 //!   worker pool (each worker reusing one simulation scratch across its
-//!   flows), streams each flow through analysis and drops raw traces
-//!   immediately (near-constant memory), and writes results into
+//!   flows), analyses each flow where the engine recorded it — no trace
+//!   is built or kept (near-constant memory) — and writes results into
 //!   per-flow slots so output is bit-identical for any worker count;
 //! * [`cache`] — [`FlowCache`]: content-addressed memoization of completed
 //!   flows (key = the config's canonical identity encoding + engine
@@ -22,8 +22,8 @@
 //!   of an expanded spec, per-shard [`shard::ShardReport`]s, and a merge
 //!   that folds them into one [`shard::CampaignResult`] bit-identical to
 //!   the single-process run;
-//! * [`parallel`] — index-ordered parallel map/mean with a fixed-shape
-//!   pairwise reduction (promoted from `hsm-bench`);
+//! * [`parallel`] — index-ordered parallel map (promoted from
+//!   `hsm-bench`);
 //! * [`error`] — the engine/cache failure surface.
 //!
 //! ```
@@ -75,9 +75,7 @@ pub mod prelude {
         CampaignReport, FlowRun,
     };
     pub use crate::error::{CacheError, EngineError};
-    pub use crate::parallel::{
-        pairwise_sum, par_map, par_map_workers, par_mean, par_mean_workers, try_par_map_workers,
-    };
+    pub use crate::parallel::{par_map, par_map_workers, try_par_map_workers};
     pub use crate::shard::{
         merge_shards, read_shard_report, run_shard, shard_file_name, shard_indices, shard_len,
         write_shard_report, CampaignResult, ShardReport,

@@ -3,9 +3,8 @@
 //! Repetition-based experiments (Fig. 12, the extension ablations) average
 //! over many independent simulated rides; this fans the rides out over CPU
 //! cores, preserving determinism (each ride is a pure function of its
-//! index, results are re-assembled in index order, and means are reduced
-//! with a fixed-shape pairwise sum — so the numbers are bit-identical for
-//! any worker count).
+//! index and results are re-assembled in index order — so the numbers are
+//! bit-identical for any worker count).
 
 use crate::error::EngineError;
 
@@ -96,44 +95,6 @@ pub fn try_par_map_workers<T: Send>(
     Ok(results)
 }
 
-/// Sums in index order with a balanced pairwise tree.
-///
-/// The reduction shape depends only on `xs.len()`, never on how the values
-/// were produced, so the rounding — and therefore the result — is
-/// bit-reproducible across worker counts (and far more accurate than a
-/// left-to-right fold on long inputs).
-pub fn pairwise_sum(xs: &[f64]) -> f64 {
-    match xs.len() {
-        0 => 0.0,
-        1 => xs[0],
-        2 => xs[0] + xs[1],
-        n => {
-            let mid = n / 2;
-            pairwise_sum(&xs[..mid]) + pairwise_sum(&xs[mid..])
-        }
-    }
-}
-
-/// Parallel mean of `f` over `0..n`; 0.0 when `n == 0`.
-pub fn par_mean(n: u64, f: impl Fn(u64) -> f64 + Sync) -> f64 {
-    par_mean_workers(
-        n,
-        std::thread::available_parallelism()
-            .map(|w| w.get())
-            .unwrap_or(4),
-        f,
-    )
-}
-
-/// [`par_mean`] with an explicit worker count; bit-identical for every
-/// worker count thanks to the index-ordered pairwise reduction.
-pub fn par_mean_workers(n: u64, workers: usize, f: impl Fn(u64) -> f64 + Sync) -> f64 {
-    if n == 0 {
-        return 0.0;
-    }
-    pairwise_sum(&par_map_workers(n, workers, f)) / n as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,53 +159,5 @@ mod tests {
             let first_err = out.iter().find_map(|r| r.as_ref().err());
             assert_eq!(first_err, Some(&3), "round {round}");
         }
-    }
-
-    #[test]
-    fn mean_of_constants() {
-        assert!((par_mean(64, |_| 2.5) - 2.5).abs() < 1e-12);
-        assert_eq!(par_mean(0, |_| 1.0), 0.0);
-    }
-
-    #[test]
-    fn pairwise_sum_matches_exact_small_cases() {
-        assert_eq!(pairwise_sum(&[]), 0.0);
-        assert_eq!(pairwise_sum(&[1.5]), 1.5);
-        assert_eq!(pairwise_sum(&[1.0, 2.0, 3.0, 4.0, 5.0]), 15.0);
-    }
-
-    #[test]
-    fn mean_bit_identical_across_worker_counts() {
-        // Values whose naive accumulation order visibly changes the
-        // rounding: alternating magnitudes spanning ~16 decimal digits.
-        let f = |i: u64| {
-            if i.is_multiple_of(2) {
-                1e16
-            } else {
-                (i as f64).mul_add(1e-3, 3.7)
-            }
-        };
-        let reference = par_mean_workers(501, 1, f);
-        for workers in [2, 3, 8, 64] {
-            let m = par_mean_workers(501, workers, f);
-            assert_eq!(m.to_bits(), reference.to_bits(), "workers = {workers}");
-        }
-    }
-
-    #[test]
-    fn pairwise_is_more_accurate_than_naive_fold_here() {
-        // 1e16 + many small terms: the naive fold loses them one by one;
-        // the pairwise tree sums the small terms together first.
-        let mut xs = vec![1e16];
-        xs.extend(std::iter::repeat_n(1.0, 4096));
-        let naive: f64 = xs.iter().sum();
-        let exact = 1e16 + 4096.0;
-        let pair = pairwise_sum(&xs);
-        assert!((pair - exact).abs() <= (naive - exact).abs());
-        assert!(
-            (pair - exact).abs() < 1.0,
-            "pairwise error {}",
-            pair - exact
-        );
     }
 }

@@ -101,7 +101,7 @@ pub struct DatasetAggregates {
 
 /// Computes dataset aggregates.
 pub fn aggregate(flows: &[DatasetFlow]) -> DatasetAggregates {
-    let summaries: Vec<_> = flows.iter().map(|f| f.outcome.summary()).collect();
+    let summaries: Vec<_> = flows.iter().map(|f| &f.summary).collect();
     let p_d: Vec<f64> = summaries.iter().map(|s| s.p_d).collect();
     let p_a: Vec<f64> = summaries.iter().map(|s| s.p_a).collect();
     let with_to: Vec<_> = summaries
@@ -190,7 +190,7 @@ mod tests {
             .into_iter()
             .map(|(campaign, config)| DatasetFlow {
                 campaign,
-                outcome: run_scenario(&config),
+                summary: run_scenario(&config).analysis.summary,
             })
             .collect()
     }

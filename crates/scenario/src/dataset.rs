@@ -12,10 +12,11 @@
 //! can be regenerated in isolation with [`crate::runner::run_scenario`].
 
 use crate::provider::Provider;
-use crate::runner::{Motion, ScenarioConfig, ScenarioOutcome};
+use crate::runner::{Motion, ScenarioConfig};
 use hsm_simnet::time::SimDuration;
 use hsm_tcp::cc::Algorithm;
 use hsm_tcp::recovery::Recovery;
+use hsm_trace::summary::FlowSummary;
 use serde::{Deserialize, Serialize};
 
 /// One row of Table I — a real-world measurement campaign of the paper.
@@ -119,8 +120,9 @@ impl Default for DatasetConfig {
 pub struct DatasetFlow {
     /// Index of the campaign in [`TABLE1`].
     pub campaign: usize,
-    /// The full scenario outcome (trace, analysis, metrics).
-    pub outcome: ScenarioOutcome,
+    /// The flow's model-ready summary — everything the §III statistics
+    /// and the §IV models read of a flow.
+    pub summary: FlowSummary,
 }
 
 /// Plans the scenario configurations of a dataset without running them.

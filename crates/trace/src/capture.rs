@@ -52,24 +52,6 @@ pub fn traces_from_events(
     traces_from_events_filtered(events, meta_for, None)
 }
 
-/// Reusable working memory for the event fold.
-///
-/// The fold's dominant allocation is the pending-record slab (one `u64`
-/// per engine packet id). Holding a `CaptureScratch` across flows lets
-/// every capture after the first run allocation-free once the slab has
-/// grown to the largest flow seen.
-#[derive(Debug, Default)]
-pub struct CaptureScratch {
-    open: Vec<u64>,
-}
-
-impl CaptureScratch {
-    /// Creates an empty scratch.
-    pub fn new() -> CaptureScratch {
-        CaptureScratch::default()
-    }
-}
-
 /// Like [`traces_from_events`], but ignores transmissions on links whose
 /// label starts with `ignore_prefix`.
 ///
@@ -77,17 +59,6 @@ impl CaptureScratch {
 /// zero-delay links labelled `internal.*`; their per-hop copies must not
 /// appear as extra packet records.
 pub fn traces_from_events_filtered(
-    events: &[PacketEvent],
-    meta_for: impl FnMut(u32) -> FlowMeta,
-    ignore_prefix: Option<&str>,
-) -> Vec<FlowTrace> {
-    traces_from_events_filtered_with(&mut CaptureScratch::new(), events, meta_for, ignore_prefix)
-}
-
-/// Like [`traces_from_events_filtered`], but folding through a caller-held
-/// [`CaptureScratch`] so the pending-record slab is reused across flows.
-pub fn traces_from_events_filtered_with(
-    scratch: &mut CaptureScratch,
     events: &[PacketEvent],
     mut meta_for: impl FnMut(u32) -> FlowMeta,
     ignore_prefix: Option<&str>,
@@ -102,10 +73,7 @@ pub fn traces_from_events_filtered_with(
     let mut flow_slots: HashMap<u32, usize> = HashMap::new();
     // One-entry cache: event streams are usually a single flow.
     let mut last_slot: Option<(u32, usize)> = None;
-    // clear + resize (not resize alone): every entry must restart at
-    // OPEN_NONE, while the buffer keeps its capacity across flows.
-    scratch.open.clear();
-    let open: &mut Vec<u64> = &mut scratch.open;
+    let mut open: Vec<u64> = Vec::new();
 
     for ev in events {
         let flow_id = ev.packet.flow.0;
@@ -208,17 +176,7 @@ pub fn trace_from_arena(arena: &PacketArena, flow: u32, meta: FlowMeta) -> FlowT
 ///
 /// Returns `None` if the event stream contains no packets for `flow`.
 pub fn single_flow_trace(events: &[PacketEvent], flow: u32, meta: FlowMeta) -> Option<FlowTrace> {
-    single_flow_trace_with(&mut CaptureScratch::new(), events, flow, meta)
-}
-
-/// [`single_flow_trace`] through a caller-held [`CaptureScratch`].
-pub fn single_flow_trace_with(
-    scratch: &mut CaptureScratch,
-    events: &[PacketEvent],
-    flow: u32,
-    meta: FlowMeta,
-) -> Option<FlowTrace> {
-    traces_from_events_filtered_with(scratch, events, |_| meta.clone(), None)
+    traces_from_events_filtered(events, |_| meta.clone(), None)
         .into_iter()
         .find(|t| t.flow == flow)
 }
@@ -297,33 +255,6 @@ mod tests {
         // Without the filter the internal copy shows up.
         let unfiltered = traces_from_events(&events, |_| FlowMeta::default());
         assert_eq!(unfiltered[0].records.len(), 2);
-    }
-
-    #[test]
-    fn reused_scratch_matches_fresh_capture() {
-        // A dirty slab (entries left OPEN_NONE-free by a previous, larger
-        // capture) must not leak records into the next fold.
-        let mk = |id_base: u64, n: u64| -> Vec<PacketEvent> {
-            (0..n)
-                .flat_map(|i| {
-                    let p = Packet::data(FlowId(0), SeqNo(i), false);
-                    vec![
-                        ev(PacketEventKind::Sent, i, id_base + i, 0, p.clone()),
-                        ev(PacketEventKind::Delivered, i + 30, id_base + i, 0, p),
-                    ]
-                })
-                .collect()
-        };
-        let big = mk(0, 40);
-        let small = mk(0, 5);
-        let mut scratch = CaptureScratch::new();
-        // Prime the slab with the big capture, then refold the small one.
-        let _ = traces_from_events_filtered_with(&mut scratch, &big, |_| FlowMeta::default(), None);
-        let reused =
-            traces_from_events_filtered_with(&mut scratch, &small, |_| FlowMeta::default(), None);
-        let fresh = traces_from_events(&small, |_| FlowMeta::default());
-        assert_eq!(reused, fresh);
-        assert_eq!(reused[0].records.len(), 5);
     }
 
     /// A two-flow run whose packets meet every fate — delivered, destroyed

@@ -55,8 +55,7 @@ pub mod prelude {
         analyze_timeouts, TimeoutAnalysis, TimeoutConfig, TimeoutEvent, TimeoutSequence,
     };
     pub use crate::capture::{
-        arena_records, single_flow_trace, single_flow_trace_with, traces_from_events,
-        traces_from_events_filtered, traces_from_events_filtered_with, CaptureScratch,
+        arena_records, single_flow_trace, traces_from_events, traces_from_events_filtered,
     };
     pub use crate::export::{fnum, fpct, Table};
     pub use crate::record::{FlowMeta, FlowTrace, PacketRecord};

@@ -25,7 +25,7 @@ fn main() -> Result<(), hsm::Error> {
             row.ratio()
         );
     }
-    let summaries: Vec<_> = flows.iter().map(|f| f.outcome.summary().clone()).collect();
+    let summaries: Vec<_> = flows.iter().map(|f| f.summary.clone()).collect();
     let (evals, r) = evaluate_dataset(&summaries, &EstimateConfig::default());
     println!(
         "ALL: D_enh={:.3} D_pad={:.3} imp={:+.1}pp",

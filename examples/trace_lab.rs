@@ -7,14 +7,15 @@
 //! ```
 
 use hsm::model::prelude::*;
-use hsm::prelude::{load_spec, Campaign};
+use hsm::prelude::{load_spec, try_run_scenario_with, Scratch};
 use hsm::simnet::time::SimDuration;
 use hsm::trace::prelude::*;
 use std::path::Path;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Load the declarative spec (a 3 %-scale Table I dataset of 45 s
-    //    flows), expand it, and run the campaign with outcomes retained.
+    //    flows), expand it, and simulate each flow on one reused scratch,
+    //    keeping its trace (a campaign keeps only summaries).
     let spec_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/specs/trace_lab.toml");
     let spec = load_spec(&spec_path).map_err(hsm::Error::from)?;
     let configs = spec.expand().map_err(hsm::Error::from)?;
@@ -23,33 +24,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         configs.len(),
         spec.name
     );
-    let campaign = Campaign::builder()
-        .configs(configs)
-        .keep_outcomes(true)
-        .build()
-        .map_err(hsm::Error::from)?;
-    let output = campaign.run().map_err(hsm::Error::from)?;
-    let report = output.report;
-    println!(
-        "engine: {} workers, {:.0} sim events/s",
-        report.workers,
-        report.events_per_sec()
-    );
+    let mut scratch = Scratch::new();
+    let mut traces: Vec<FlowTrace> = Vec::with_capacity(configs.len());
+    for config in &configs {
+        let run = try_run_scenario_with(&mut scratch, config).map_err(hsm::Error::from)?;
+        traces.push(run.outcome.trace);
+    }
 
     // 2. Persist to JSON-lines and reload — the archive round trip.
     let path = std::env::temp_dir().join("hsm_trace_lab.jsonl");
-    let traces: Vec<&FlowTrace> = output
-        .runs
-        .iter()
-        .map(|r| {
-            let outcome = r
-                .outcome
-                .as_deref()
-                .expect("keep_outcomes retains outcomes");
-            &outcome.outcome.trace
-        })
-        .collect();
-    save_traces(&path, traces.iter().copied())?;
+    save_traces(&path, &traces)?;
     let size_mb = std::fs::metadata(&path)?.len() as f64 / 1e6;
     let reloaded = load_traces(&path)?;
     println!(

@@ -44,7 +44,7 @@ fn dataset_generation_is_deterministic_despite_parallelism() {
     assert_eq!(a.len(), b.len());
     for (x, y) in a.iter().zip(&b) {
         assert_eq!(x.campaign, y.campaign);
-        assert_eq!(x.outcome.outcome.trace, y.outcome.outcome.trace);
+        assert_eq!(x.summary, y.summary);
     }
 }
 

@@ -162,14 +162,18 @@ fn dataset_persistence_round_trips_through_disk() {
         flow_duration: SimDuration::from_secs(10),
         ..Default::default()
     };
-    let (flows, _) = run_dataset(&cfg).expect("dataset runs");
+    // A dataset is its summaries; the traces to persist come from running
+    // its plan one flow at a time.
+    let traces: Vec<FlowTrace> = plan_dataset(&cfg)
+        .iter()
+        .map(|(_, config)| run_scenario(config).outcome.trace)
+        .collect();
     let path = std::env::temp_dir().join("hsm_ext_roundtrip.jsonl");
-    let traces: Vec<&FlowTrace> = flows.iter().map(|f| &f.outcome.outcome.trace).collect();
-    save_traces(&path, traces.iter().copied()).expect("save");
+    save_traces(&path, &traces).expect("save");
     let reloaded = load_traces(&path).expect("load");
-    assert_eq!(reloaded.len(), flows.len());
+    assert_eq!(reloaded.len(), traces.len());
     for (orig, back) in traces.iter().zip(&reloaded) {
-        assert_eq!(*orig, back);
+        assert_eq!(orig, back);
         // Reloaded traces analyze identically.
         let a = analyze_flow(orig, &TimeoutConfig::default()).summary;
         let b = analyze_flow(back, &TimeoutConfig::default()).summary;
@@ -206,10 +210,7 @@ fn global_fit_runs_on_simulated_data() {
         ..Default::default()
     };
     let (flows, _) = run_dataset(&cfg).expect("dataset runs");
-    let summaries: Vec<FlowSummary> = flows
-        .into_iter()
-        .map(|f| f.outcome.analysis.summary)
-        .collect();
+    let summaries: Vec<FlowSummary> = flows.into_iter().map(|f| f.summary).collect();
     let fit = fit_global(&summaries, &FitConfig::default()).expect("fit succeeds");
     assert!(fit.flows >= 4);
     assert!((0.05..=0.6).contains(&fit.q));

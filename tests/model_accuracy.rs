@@ -13,10 +13,7 @@ fn small_dataset() -> Vec<hsm::trace::summary::FlowSummary> {
         ..Default::default()
     };
     let (flows, _) = hsm::runtime::run_dataset(&cfg).expect("dataset runs");
-    flows
-        .into_iter()
-        .map(|f| f.outcome.analysis.summary)
-        .collect()
+    flows.into_iter().map(|f| f.summary).collect()
 }
 
 #[test]

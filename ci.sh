@@ -109,7 +109,7 @@ stage_build_test() {
     cargo doc --no-deps --workspace
     # benchmark/ is a workspace of its own that pins the crates' public
     # signatures; nothing above compiles it. Build it, run its unit tests,
-    # and make four short driver-form runs. Those runs are also the speed-
+    # and make five short driver-form runs. Those runs are also the speed-
     # only-change gate: a pinned seed of a workload must simulate exactly the
     # pinned events into exactly the pinned summary bytes (a PR that means
     # to change the simulation updates the values, as with the chaos
@@ -120,13 +120,17 @@ stage_build_test() {
     # — analysis paths the first never takes. `stress-warm-disk` is the one
     # pinned run that goes publish → reopen → decode: every flow of its
     # timed passes is a disk hit, so its digest holds only if each entry
-    # decodes to the bytes a fresh simulation encodes.
+    # decodes to the bytes a fresh simulation encodes. `stress-warm-mem`
+    # replays the same inputs (hence the same digest and events) from the
+    # memory tier: the run whose every timed flow is the worker pool's
+    # collect-and-merge and nothing else.
     cargo build --release --offline --manifest-path benchmark/Cargo.toml
     cargo test --release --offline --manifest-path benchmark/Cargo.toml
     benchmark_pin table1-cold 1 461fc511504f307e 19262156
     benchmark_pin table1-cold 77 404247be8dce77f3 18461285
     benchmark_pin zoo-grid-cold 1 5291cb75ee6417f4 17509760
     benchmark_pin stress-warm-disk 1 fe55ff7c588a6c89 4733828
+    benchmark_pin stress-warm-mem 1 fe55ff7c588a6c89 4733828
 }
 
 # One 1-s untraced run of benchmark workload $1 at seed $2: it must report

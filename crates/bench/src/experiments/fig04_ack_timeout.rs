@@ -28,7 +28,7 @@ pub fn run(ctx: &Ctx) -> ExperimentResult {
         ys.push(y);
         t.push_row(vec![
             s.flow.to_string(),
-            s.provider.clone(),
+            s.provider.to_string(),
             fnum(x),
             fnum(y),
         ]);

@@ -276,7 +276,7 @@ fn check_summary_invariants(
             (config.flow, config.w_m, config.b)
         ));
     }
-    if s.scenario != config.motion.label() {
+    if &*s.scenario != config.motion.label() {
         fail(format!(
             "summary scenario '{}' does not match motion '{}'",
             s.scenario,

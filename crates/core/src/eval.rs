@@ -73,7 +73,7 @@ pub fn evaluate_flow(summary: &FlowSummary, cfg: &EstimateConfig) -> Option<Flow
     let padhye_sps = padhye::full(&params).ok()?;
     Some(FlowEval {
         flow: summary.flow,
-        provider: summary.provider.clone(),
+        provider: summary.provider.to_string(),
         measured_sps: summary.throughput_sps,
         enhanced_sps,
         padhye_sps,
@@ -113,7 +113,7 @@ pub fn evaluate_dataset(
         }
         evals.push(FlowEval {
             flow: s.flow,
-            provider: s.provider.clone(),
+            provider: s.provider.to_string(),
             measured_sps: s.throughput_sps,
             enhanced_sps: enhanced[i],
             padhye_sps: padhye_sps[i],

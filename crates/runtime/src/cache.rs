@@ -1016,7 +1016,7 @@ mod tests {
             // A label this long takes a two-byte length prefix.
             let label = entry_len - (small - "China Mobile".len()) - 1;
             let big = FlowSummary {
-                provider: "x".repeat(label),
+                provider: "x".repeat(label).into(),
                 ..summary(key as u32)
             };
             let key = CacheKey(key as u64);

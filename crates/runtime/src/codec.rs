@@ -279,8 +279,8 @@ pub fn decode_entry(bytes: &[u8]) -> Option<(u64, FlowSummary)> {
 fn take_summary(r: &mut Reader<'_>) -> Option<FlowSummary> {
     Some(FlowSummary {
         flow: r.u32()?,
-        provider: r.str_slice()?.to_owned(),
-        scenario: r.str_slice()?.to_owned(),
+        provider: r.str_slice()?.into(),
+        scenario: r.str_slice()?.into(),
         rtt_s: r.f64()?,
         p_d: r.f64()?,
         data_sent: r.u64()?,
@@ -394,7 +394,7 @@ mod tests {
     fn round_trips_extreme_values() {
         let s = FlowSummary {
             flow: u32::MAX,
-            provider: String::new(),
+            provider: "".into(),
             scenario: "αβγ — utf-8 labels".into(),
             rtt_s: f64::MIN_POSITIVE,
             p_d: -0.0,

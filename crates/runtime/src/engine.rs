@@ -1,17 +1,13 @@
 //! The sharded, memoizing campaign engine.
 //!
 //! A [`Campaign`] is an ordered set of [`ScenarioConfig`]s executed across
-//! a self-scheduling worker pool: each worker first executes a small
-//! round-robin *reserved prefix* of flow indices it alone owns, then
-//! pulls remaining indices from a shared atomic counter (idle workers
-//! automatically take over remaining work). The reserved prefix exists
-//! for warm replays: cache hits return in microseconds, so with a bare
-//! shared counter the first worker to spin up drained the entire
-//! campaign before the rest of the pool finished spawning — every warm
-//! `worker_flows` histogram read `[n, 0, 0, ...]`. Reserving the first
-//! few rounds per worker guarantees each worker a slice of the campaign
-//! regardless of spawn order, without giving up work-stealing for the
-//! (expensive, uneven) simulated remainder.
+//! the crate's one self-scheduling worker pool (`parallel::run_pool`):
+//! each worker first executes a small round-robin *reserved prefix* of
+//! flow indices it alone owns — so a warm replay, whose cache hits are
+//! cheaper than a thread spawn, still spreads over every worker instead
+//! of reading `worker_flows = [n, 0, 0, ...]` — then pulls remaining
+//! indices from a shared atomic counter (idle workers automatically take
+//! over the expensive, uneven simulated remainder).
 //!
 //! Workers stream each flow through `try_analyze_scenario_with`: the
 //! measurement pipeline reads the flow's packets from the engine's arena,
@@ -25,33 +21,27 @@
 //! `hsm_scenario::runner::try_run_scenario_with`.
 //!
 //! Each worker owns a [`Scratch`] (the simulation engine and its packet
-//! arena) reused across every flow it handles, and writes each result
-//! into the flow's own pre-allocated slot — flow `i` goes to slot `i`,
-//! no channel, no post-hoc sort. Completed flows are memoized in a
-//! sharded [`FlowCache`]; the slot vector *is* index order, so the
-//! summary stream is **bit-identical** for any worker count and any
-//! cache state (cold, warm memory, warm disk). Wall-clock and
-//! utilization telemetry lives only in the [`CampaignReport`], never in
-//! the result stream.
+//! arena) reused across every flow it handles, and pushes each result
+//! onto a vector of its own, ascending by flow index because its claims
+//! are: one worker's vector is the campaign's output as it stands,
+//! several are merged by index. Nothing is shared per flow but the claim
+//! counter — no slot, no channel, no clock read (a warm flow costs its
+//! cache lookup and one 304-byte move). Completed flows are memoized in a
+//! sharded [`FlowCache`]; the output is in index order, so the summary
+//! stream is **bit-identical** for any worker count and any cache state
+//! (cold, warm memory, warm disk). Wall-clock and utilization telemetry
+//! lives only in the [`CampaignReport`], never in the result stream.
 
 use crate::cache::{CacheConfig, CacheKey, FlowCache, ENGINE_VERSION};
 use crate::error::EngineError;
+use crate::parallel::run_pool;
 use hsm_scenario::dataset::{plan_dataset, plan_stationary_baseline, DatasetConfig, DatasetFlow};
 use hsm_scenario::runner::{try_analyze_scenario_with, ScenarioConfig, ScenarioOutcome, Scratch};
 use hsm_simnet::chaos::StormPlan;
 use hsm_simnet::event::QueueStats;
 use hsm_trace::summary::FlowSummary;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
-
-/// Rounds of the per-worker reserved prefix (see the module docs): each
-/// worker owns this many flow indices before the pool falls back to the
-/// shared counter. Large enough to pin a visible slice of warm replays
-/// on every worker, small enough that an unlucky reserved assignment of
-/// expensive flows cannot meaningfully unbalance a cold campaign.
-const RESERVED_ROUNDS: usize = 8;
 
 /// One executed (or cache-served) flow of a campaign.
 #[derive(Debug, Clone)]
@@ -103,7 +93,10 @@ pub struct CampaignReport {
     pub sim_wall_s: f64,
     /// Flows handled per worker.
     pub worker_flows: Vec<usize>,
-    /// Busy seconds per worker.
+    /// Seconds each worker spent in its claim loop, first claim to last
+    /// (it never waits inside it). Read once per worker, not summed per
+    /// flow: what is missing from the wall-clock is spawn skew and the
+    /// idle tail after a worker's last flow.
     pub worker_busy_s: Vec<f64>,
     /// Event-queue telemetry aggregated over all simulated flows.
     ///
@@ -136,8 +129,10 @@ impl PartialEq for CampaignReport {
 }
 
 impl CampaignReport {
-    /// Mean fraction of the campaign wall-clock each worker spent busy
-    /// (1.0 = perfectly utilized pool).
+    /// Mean fraction of the campaign wall-clock each worker spent in its
+    /// claim loop (1.0 = every worker started with the campaign and ended
+    /// with it; the shortfall is spawn, skew between workers, and the
+    /// merge and report after the pool drains).
     pub fn worker_utilization(&self) -> f64 {
         if self.wall_clock_s <= 0.0 || self.worker_busy_s.is_empty() {
             return 0.0;
@@ -336,136 +331,38 @@ impl Campaign {
     pub fn run_with_cache(&self, cache: &FlowCache) -> Result<CampaignOutput, EngineError> {
         let started = Instant::now();
         let stats_before = cache.stats();
-        let n = self.configs.len();
-        let workers = self.workers.clamp(1, n.max(1));
-        // Round-robin reserved prefix: worker `w` alone owns indices
-        // `{w, w + workers, ...}` for the first `reserved_rounds` rounds,
-        // so every worker is guaranteed a slice of the campaign even when
-        // cache hits make flows cheaper than thread spawns (see the
-        // module docs). The remainder stays self-scheduling.
-        let reserved_rounds = (n / workers).min(RESERVED_ROUNDS);
-        let next = AtomicUsize::new(reserved_rounds * workers);
-        let worker_stats: Mutex<Vec<(usize, f64)>> = Mutex::new(vec![(0, 0.0); workers]);
-        // One write-once slot per flow: worker claiming index `i` is the
-        // only writer of slot `i`, so the vector is already in campaign
-        // order when the pool drains — no channel, no sort.
-        let slots: Vec<OnceLock<Result<FlowRun, EngineError>>> =
-            (0..n).map(|_| OnceLock::new()).collect();
-        let abort = AtomicBool::new(false);
-        // Lowest failed index seen so far (`usize::MAX` = none). Workers
-        // keep executing indices at or below the floor and skip the rest,
-        // which guarantees every index up to the final floor has a
-        // filled slot — that is what makes "lowest failure wins" exact
-        // under the reserved prefix, where aborting outright could leave
-        // a lower failing index unexecuted on another worker.
-        let fail_floor = AtomicUsize::new(usize::MAX);
-
-        std::thread::scope(|scope| {
-            let configs = &self.configs;
-            let next = &next;
-            let worker_stats = &worker_stats;
-            let slots = &slots;
-            let abort = &abort;
-            let fail_floor = &fail_floor;
-            for worker in 0..workers {
-                scope.spawn(move || {
-                    let mut scratch = Scratch::new();
-                    let mut flows = 0usize;
-                    let mut busy = 0.0f64;
-                    let mut round = 0usize;
-                    loop {
-                        if abort.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let i = if round < reserved_rounds {
-                            let i = worker + round * workers;
-                            round += 1;
-                            i
-                        } else {
-                            next.fetch_add(1, Ordering::Relaxed)
-                        };
-                        if i >= n {
-                            break;
-                        }
-                        if i > fail_floor.load(Ordering::Relaxed) {
-                            // A lower index already failed; this flow's
-                            // result could never surface. Leave its slot
-                            // empty instead of simulating it.
-                            continue;
-                        }
-                        let t0 = Instant::now();
-                        // A worker that panics mid-flow counts as dead:
-                        // catch the unwind so the pool degrades to a
-                        // structured WorkerLost error (its slot stays
-                        // unfilled) instead of tearing down the scope.
-                        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            #[cfg(any(test, feature = "chaos"))]
-                            self.chaos.before_flow(i, &mut scratch);
-                            self.execute_one(i, worker, configs, cache, &mut scratch)
-                        }));
-                        busy += t0.elapsed().as_secs_f64();
-                        let Ok(run) = run else {
-                            abort.store(true, Ordering::Relaxed);
-                            break;
-                        };
-                        flows += 1;
-                        if run.is_err() {
-                            fail_floor.fetch_min(i, Ordering::Relaxed);
-                        }
-                        let claimed = slots[i].set(run).is_ok();
-                        debug_assert!(claimed, "flow index {i} claimed twice");
-                    }
-                    let mut stats = worker_stats.lock().expect("worker stats lock");
-                    stats[worker] = (flows, busy);
-                });
-            }
-        });
-
-        let mut runs: Vec<FlowRun> = Vec::with_capacity(n);
-        let mut lost = false;
-        let mut failure: Option<EngineError> = None;
-        for slot in slots {
-            match slot.into_inner() {
-                Some(Ok(run)) => runs.push(run),
-                Some(Err(e)) => {
-                    // Lowest-index failure wins: every index below the
-                    // final fail floor was executed, so the first error
-                    // met in slot order is the lowest on every
-                    // interleaving.
-                    failure = Some(e);
-                    break;
-                }
-                None => lost = true,
-            }
-        }
-        if let Some(e) = failure {
-            return Err(e);
-        }
-        if lost || runs.len() != n {
-            return Err(EngineError::WorkerLost);
-        }
+        let job = |scratch: &mut Scratch, worker, i| {
+            #[cfg(any(test, feature = "chaos"))]
+            self.chaos.before_flow(i, scratch);
+            self.execute_one(i, worker, cache, scratch)
+        };
+        let pooled = run_pool(self.configs.len(), self.workers, Scratch::new, job)?;
+        let runs = pooled.results;
 
         let stats_after = cache.stats();
-        let worker_stats = worker_stats.into_inner().expect("worker stats lock");
-        let cache_hits = runs.iter().filter(|r| r.cache_hit).count();
-        let report = CampaignReport {
+        let mut report = CampaignReport {
             engine_version: ENGINE_VERSION.to_owned(),
-            flows: n,
-            workers,
-            cache_hits,
-            cache_misses: n - cache_hits,
+            flows: runs.len(),
+            workers: pooled.worker_jobs.len(),
+            cache_hits: 0,
+            cache_misses: 0,
             disk_hits: stats_after.disk_hits - stats_before.disk_hits,
             corrupt_entries: stats_after.corrupt_entries - stats_before.corrupt_entries,
-            events_processed: runs.iter().map(|r| r.events).sum(),
-            queue: runs.iter().fold(QueueStats::default(), |mut acc, r| {
-                acc.merge(&r.queue);
-                acc
-            }),
-            wall_clock_s: started.elapsed().as_secs_f64(),
-            sim_wall_s: runs.iter().map(|r| r.sim_wall_s).sum(),
-            worker_flows: worker_stats.iter().map(|(f, _)| *f).collect(),
-            worker_busy_s: worker_stats.iter().map(|(_, b)| *b).collect(),
+            events_processed: 0,
+            queue: QueueStats::default(),
+            wall_clock_s: 0.0,
+            sim_wall_s: 0.0,
+            worker_flows: pooled.worker_jobs,
+            worker_busy_s: pooled.worker_busy_s,
         };
+        for run in &runs {
+            report.cache_hits += usize::from(run.cache_hit);
+            report.events_processed += run.events;
+            report.queue.merge(&run.queue);
+            report.sim_wall_s += run.sim_wall_s;
+        }
+        report.cache_misses = runs.len() - report.cache_hits;
+        report.wall_clock_s = started.elapsed().as_secs_f64();
         Ok(CampaignOutput { runs, report })
     }
 
@@ -475,11 +372,10 @@ impl Campaign {
         &self,
         i: usize,
         worker: usize,
-        configs: &[ScenarioConfig],
         cache: &FlowCache,
         scratch: &mut Scratch,
     ) -> Result<FlowRun, EngineError> {
-        let config = &configs[i];
+        let config = &self.configs[i];
         #[cfg(any(test, feature = "chaos"))]
         if self.chaos.fails(i) {
             // A simulated mid-flow engine failure, shaped exactly like a
@@ -573,6 +469,7 @@ pub fn run_stationary_baseline(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::RESERVED_ROUNDS;
     use hsm_scenario::runner::{Motion, ScenarioError};
     use hsm_simnet::time::SimDuration;
 
@@ -632,6 +529,51 @@ mod tests {
             .unwrap();
         let out = clean.run().expect("no fault plan, no loss");
         assert_eq!(out.runs.len(), 6);
+    }
+
+    /// The whole pool dying at its first flow: nobody is left to notice,
+    /// so the gap itself must read as `WorkerLost`; the same configs then
+    /// run clean.
+    #[test]
+    fn a_lone_worker_dying_at_flow_zero_is_worker_lost() {
+        let lone = |chaos| {
+            Campaign::builder()
+                .configs((0..3).map(short))
+                .workers(1)
+                .chaos(chaos)
+                .build()
+                .unwrap()
+                .run()
+        };
+        let dying = lone(ChaosInjection {
+            kill_worker_at: Some(0),
+            ..Default::default()
+        });
+        assert_eq!(dying.unwrap_err(), EngineError::WorkerLost);
+        let clean = lone(ChaosInjection::default()).expect("no fault plan, no loss");
+        let flows: Vec<u32> = clean.runs.iter().map(|r| r.config.flow).collect();
+        assert_eq!(flows, [0, 1, 2], "the full stream, in order");
+    }
+
+    /// One worker, so the order is fixed: flow 2 fails, and flow 5 —
+    /// above the fail floor — is skipped, never claimed, so its kill
+    /// never fires and the recorded failure is what surfaces.
+    #[test]
+    fn flows_above_the_fail_floor_are_never_executed() {
+        let campaign = Campaign::builder()
+            .configs((0..8).map(short))
+            .workers(1)
+            .chaos(ChaosInjection {
+                fail_flows: vec![2],
+                kill_worker_at: Some(5),
+                ..Default::default()
+            })
+            .build()
+            .unwrap();
+        match campaign.run().unwrap_err() {
+            EngineError::FlowFailed { index, .. } => assert_eq!(index, 2),
+            other => panic!("expected FlowFailed at flow 2, got {other:?}"),
+        }
     }
 
     /// Two flows failing concurrently on different workers: the reported

@@ -9,8 +9,9 @@
 //! * [`engine`] — [`Campaign`]: shards scenarios across a self-scheduling
 //!   worker pool (each worker reusing one simulation scratch across its
 //!   flows), analyses each flow where the engine recorded it — no trace
-//!   is built or kept (near-constant memory) — and writes results into
-//!   per-flow slots so output is bit-identical for any worker count;
+//!   is built or kept (near-constant memory) — and collects each worker's
+//!   results on a vector of its own, merged by flow index, so output is
+//!   bit-identical for any worker count;
 //! * [`cache`] — [`FlowCache`]: content-addressed memoization of completed
 //!   flows (key = the config's canonical identity encoding + engine
 //!   version, streamed into the hash with no per-lookup allocation) with
@@ -22,8 +23,8 @@
 //!   of an expanded spec, per-shard [`shard::ShardReport`]s, and a merge
 //!   that folds them into one [`shard::CampaignResult`] bit-identical to
 //!   the single-process run;
-//! * [`parallel`] — index-ordered parallel map (promoted from
-//!   `hsm-bench`);
+//! * [`parallel`] — the one worker pool both the engine and the
+//!   index-ordered parallel map run on;
 //! * [`error`] — the engine/cache failure surface.
 //!
 //! ```

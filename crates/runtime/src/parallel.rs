@@ -7,6 +7,9 @@
 //! bit-identical for any worker count).
 
 use crate::error::EngineError;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::time::Instant;
 
 /// Maps `f` over `0..n` in parallel, returning results in index order.
 pub fn par_map<T: Send>(n: u64, f: impl Fn(u64) -> T + Sync) -> Vec<T> {
@@ -28,71 +31,171 @@ pub fn par_map_workers<T: Send>(n: u64, workers: usize, f: impl Fn(u64) -> T + S
     try_par_map_workers(n, workers, f).unwrap_or_else(|e| panic!("parallel map failed: {e}"))
 }
 
-/// Fallible [`par_map_workers`]: lost workers surface as an error at the
-/// call site instead of a panic inside the worker thread.
-///
-/// Each result is written straight into its index's pre-allocated slot —
-/// the worker claiming index `i` is the only writer of slot `i` — so the
-/// output is assembled in order without a channel or a final sort.
-/// (A per-slot mutex rather than a write-once cell keeps the bound at
-/// `T: Send`; the lock is uncontended by construction.)
-///
-/// A worker that panics inside `f` counts as lost: the panic is caught
-/// in the worker, the remaining workers abort instead of draining the
-/// index space, and the call returns [`EngineError::WorkerLost`] — it
-/// never re-raises the panic in the calling thread.
+/// Fallible [`par_map_workers`]: a worker that panics inside `f` counts as
+/// lost — the panic is caught in the worker, the remaining workers abort
+/// instead of draining the index space, and the panic is never re-raised
+/// in the calling thread.
 ///
 /// # Errors
 ///
-/// Returns [`EngineError::WorkerLost`] when a slot ends up unfilled — a
-/// worker panicked or disappeared without producing its claimed result.
+/// Returns [`EngineError::WorkerLost`] when an index ends up without a
+/// result — a worker panicked or disappeared without producing it.
 pub fn try_par_map_workers<T: Send>(
     n: u64,
     workers: usize,
     f: impl Fn(u64) -> T + Sync,
 ) -> Result<Vec<T>, EngineError> {
-    let workers = workers.clamp(1, n.max(1) as usize);
-    let next = std::sync::atomic::AtomicU64::new(0);
-    let abort = std::sync::atomic::AtomicBool::new(false);
-    let slots: Vec<std::sync::Mutex<Option<T>>> =
-        (0..n).map(|_| std::sync::Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        let f = &f;
-        let next = &next;
-        let abort = &abort;
-        let slots = &slots;
-        for _ in 0..workers {
-            scope.spawn(move || loop {
-                if abort.load(std::sync::atomic::Ordering::Relaxed) {
+    run_pool(n as usize, workers, || (), |(), _, i| Ok(f(i as u64))).map(|pooled| pooled.results)
+}
+
+/// Rounds of the per-worker reserved prefix: worker `w` of `W` alone owns
+/// indices `{w, w + W, ...}` for this many rounds before the pool falls
+/// back to the shared counter. A cache hit is cheaper than a thread spawn,
+/// so a bare counter let the first worker up drain a whole warm campaign;
+/// the prefix is small enough that an unlucky assignment of expensive jobs
+/// cannot meaningfully unbalance a cold one.
+pub(crate) const RESERVED_ROUNDS: usize = 8;
+
+/// What a drained pool hands back.
+pub(crate) struct Pooled<T> {
+    /// One result per index, in index order.
+    pub results: Vec<T>,
+    /// Jobs completed per worker.
+    pub worker_jobs: Vec<usize>,
+    /// Seconds each worker spent in its claim loop (it never waits there).
+    pub worker_busy_s: Vec<f64>,
+}
+
+/// What one worker completed: `indices[k]` produced `results[k]`, both
+/// ascending because a worker's claims are; `failure` is the first (hence
+/// lowest) job of its own that returned an error.
+struct Part<T> {
+    indices: Vec<usize>,
+    results: Vec<T>,
+    failure: Option<(usize, EngineError)>,
+    busy_s: f64,
+}
+
+/// The crate's one worker pool: runs `job(state, worker, i)` for every `i`
+/// in `0..n` on `workers` scoped threads (clamped to `1..=n`), each with
+/// its own `state()`, and returns the results in index order — the same
+/// for every worker count.
+///
+/// Each worker takes its reserved prefix ([`RESERVED_ROUNDS`]), then pulls
+/// from a shared counter, and pushes what it completes onto vectors of its
+/// own; nothing is shared per job but that counter. One worker's vector is
+/// the result as it stands; several are merged by index.
+///
+/// # Errors
+///
+/// The failed job with the lowest index, if any job failed: workers keep
+/// executing indices at or below the lowest failure seen so far and skip
+/// the rest, so every index below the final floor was executed and the
+/// answer is the same on every interleaving (aborting outright could leave
+/// a lower failing index unexecuted on another worker). Otherwise
+/// [`EngineError::WorkerLost`] when an index has no result: a job panicked
+/// (caught in its worker, which stops, as do the others).
+pub(crate) fn run_pool<S, T: Send>(
+    n: usize,
+    workers: usize,
+    state: impl Fn() -> S + Sync,
+    job: impl Fn(&mut S, usize, usize) -> Result<T, EngineError> + Sync,
+) -> Result<Pooled<T>, EngineError> {
+    let workers = workers.clamp(1, n.max(1));
+    let reserved_rounds = (n / workers).min(RESERVED_ROUNDS);
+    let next = AtomicUsize::new(reserved_rounds * workers);
+    let abort = AtomicBool::new(false);
+    let fail_floor = AtomicUsize::new(usize::MAX);
+    let (state, job, next, abort, fail_floor) = (&state, &job, &next, &abort, &fail_floor);
+
+    let work = move |worker: usize| {
+        let mut state = state();
+        // An even share; a worker that outruns the others grows it.
+        let share = n.div_ceil(workers);
+        let mut part = Part {
+            indices: Vec::with_capacity(share),
+            results: Vec::with_capacity(share),
+            failure: None,
+            busy_s: 0.0,
+        };
+        let started = Instant::now();
+        let mut round = 0;
+        while !abort.load(Ordering::Relaxed) {
+            let i = if round < reserved_rounds {
+                worker + round * workers
+            } else {
+                next.fetch_add(1, Ordering::Relaxed)
+            };
+            round += 1;
+            if i >= n {
+                break;
+            }
+            if i > fail_floor.load(Ordering::Relaxed) {
+                // A lower index already failed: this result could never
+                // surface, so do not compute it.
+                continue;
+            }
+            match catch_unwind(AssertUnwindSafe(|| job(&mut state, worker, i))) {
+                Ok(Ok(result)) => {
+                    part.indices.push(i);
+                    part.results.push(result);
+                }
+                Ok(Err(e)) => {
+                    fail_floor.fetch_min(i, Ordering::Relaxed);
+                    part.failure.get_or_insert((i, e));
+                }
+                // This worker is dead: its index stays without a result
+                // and the others stop pulling work.
+                Err(_panic) => {
+                    abort.store(true, Ordering::Relaxed);
                     break;
                 }
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(i))) {
-                    Ok(value) => {
-                        *slots[i as usize].lock().expect("slot lock") = Some(value);
-                    }
-                    Err(_payload) => {
-                        // This worker is dead: leave its slot unfilled
-                        // (the collection loop reports WorkerLost) and
-                        // stop the others from pulling more work.
-                        abort.store(true, std::sync::atomic::Ordering::Relaxed);
-                        break;
-                    }
-                }
-            });
+            }
         }
+        part.busy_s = started.elapsed().as_secs_f64();
+        part
+    };
+    let mut parts: Vec<Part<T>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|worker| scope.spawn(move || work(worker)))
+            .collect();
+        // A worker that died outside a job has no part; its indices show
+        // up as the gap below.
+        handles.into_iter().filter_map(|h| h.join().ok()).collect()
     });
-    let mut results: Vec<T> = Vec::with_capacity(n as usize);
-    for slot in slots {
-        match slot.into_inner().expect("slot lock") {
-            Some(v) => results.push(v),
-            None => return Err(EngineError::WorkerLost),
-        }
+
+    if let Some((_, e)) = parts
+        .iter_mut()
+        .filter_map(|p| p.failure.take())
+        .min_by_key(|(i, _)| *i)
+    {
+        return Err(e);
     }
-    Ok(results)
+    let worker_jobs = parts.iter().map(|p| p.indices.len()).collect();
+    let worker_busy_s = parts.iter().map(|p| p.busy_s).collect();
+    let results = if let [only] = &mut parts[..] {
+        std::mem::take(&mut only.results)
+    } else {
+        let mut heads: Vec<_> = parts
+            .into_iter()
+            .map(|p| p.indices.into_iter().zip(p.results).peekable())
+            .collect();
+        let mut merged = Vec::with_capacity(n);
+        // Index `i` is at the head of the worker that claimed it, or lost.
+        merged.extend((0..n).map_while(|i| {
+            let head = heads.iter_mut().find_map(|h| h.next_if(|(j, _)| *j == i));
+            head.map(|(_, result)| result)
+        }));
+        merged
+    };
+    if results.len() != n {
+        return Err(EngineError::WorkerLost);
+    }
+    Ok(Pooled {
+        results,
+        worker_jobs,
+        worker_busy_s,
+    })
 }
 
 #[cfg(test)]

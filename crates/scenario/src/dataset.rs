@@ -226,7 +226,7 @@ mod tests {
             assert_eq!(config.provider, TABLE1[i].provider);
             let out = run_scenario(config);
             assert!(out.summary().throughput_sps > 0.0);
-            assert_eq!(out.summary().scenario, "high-speed");
+            assert_eq!(&*out.summary().scenario, "high-speed");
         }
     }
 
@@ -239,7 +239,7 @@ mod tests {
         let plans = plan_stationary_baseline(&cfg, 3);
         assert_eq!(plans.len(), 3);
         for config in &plans {
-            assert_eq!(run_scenario(config).summary().scenario, "stationary");
+            assert_eq!(&*run_scenario(config).summary().scenario, "stationary");
         }
     }
 

@@ -30,7 +30,7 @@
 //!     duration: SimDuration::from_secs(10),
 //!     ..Default::default()
 //! });
-//! assert_eq!(out.summary().provider, "China Unicom");
+//! assert_eq!(&*out.summary().provider, "China Unicom");
 //! ```
 
 #![forbid(unsafe_code)]

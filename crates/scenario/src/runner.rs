@@ -366,8 +366,8 @@ impl ScenarioConfig {
                 b: self.b,
                 ..Default::default()
             },
-            provider: self.provider.name().to_owned(),
-            scenario: self.motion.label().to_owned(),
+            provider: self.provider.name().into(),
+            scenario: self.motion.label().into(),
             mss_bytes: 1460,
             deadline: SimTime::ZERO + self.duration + SimDuration::from_secs(30),
             storm: StormPlan::default(),
@@ -535,7 +535,7 @@ mod tests {
         };
         let out = run_scenario(&cfg);
         let s = out.summary();
-        assert_eq!(s.scenario, SCENARIO_STATIONARY);
+        assert_eq!(&*s.scenario, SCENARIO_STATIONARY);
         assert!(s.p_d < 0.01, "p_d {}", s.p_d);
         assert!(s.throughput_sps > 100.0, "tp {}", s.throughput_sps);
         assert!(out.outcome.channel.is_none());
@@ -819,7 +819,7 @@ mod tests {
         assert_eq!(conn.sender.w_m, 24);
         assert_eq!(conn.receiver.b, 1);
         assert_eq!(conn.flow, 9);
-        assert_eq!(conn.provider, "China Mobile");
+        assert_eq!(&*conn.provider, "China Mobile");
         let out = run_scenario(&ScenarioConfig {
             duration: SimDuration::from_secs(10),
             ..cfg

@@ -38,6 +38,7 @@ use hsm_trace::capture::{arena_records, trace_from_arena};
 use hsm_trace::record::{FlowMeta, FlowTrace};
 use hsm_trace::summary::{analyze_records, FlowAnalysis};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Declarative loss-model description (buildable, serializable).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -161,10 +162,10 @@ pub struct ConnectionConfig {
     pub sender: SenderConfig,
     /// Receiver tunables.
     pub receiver: ReceiverConfig,
-    /// Provider label recorded in the trace meta.
-    pub provider: String,
-    /// Scenario label recorded in the trace meta.
-    pub scenario: String,
+    /// Provider label recorded in the trace meta (shared with it).
+    pub provider: Arc<str>,
+    /// Scenario label recorded in the trace meta (shared with it).
+    pub scenario: Arc<str>,
     /// MSS recorded in the trace meta.
     pub mss_bytes: u32,
     /// Hard wall-clock (simulated) limit for the run.
@@ -195,8 +196,8 @@ impl Default for ConnectionConfig {
             flow: 0,
             sender: SenderConfig::default(),
             receiver: ReceiverConfig::default(),
-            provider: String::from("synthetic"),
-            scenario: String::from("unlabelled"),
+            provider: "synthetic".into(),
+            scenario: "unlabelled".into(),
             mss_bytes: 1460,
             deadline: SimTime::from_secs(3_600),
             storm: StormPlan::default(),
@@ -636,7 +637,7 @@ mod tests {
         let out = run_connection(21, &PathSpec::default(), Some(&mob), &cfg);
         let stats = out.channel.expect("channel stats");
         assert!(stats.handoffs >= 3, "handoffs {}", stats.handoffs);
-        assert_eq!(out.trace.meta.scenario, "high-speed");
+        assert_eq!(&*out.trace.meta.scenario, "high-speed");
     }
 
     #[test]

@@ -296,7 +296,7 @@ mod tests {
         let (eng, events) = mixed_fate_run();
         for flow in [5u32, 9] {
             let meta = FlowMeta {
-                provider: format!("p{flow}"),
+                provider: format!("p{flow}").into(),
                 ..Default::default()
             };
             let from_arena = trace_from_arena(eng.arena(), flow, meta.clone());
@@ -459,13 +459,13 @@ mod tests {
             ),
         ];
         let traces = traces_from_events(&events, |f| FlowMeta {
-            provider: format!("p{f}"),
+            provider: format!("p{f}").into(),
             ..Default::default()
         });
         assert_eq!(traces.len(), 2);
         assert_eq!(traces[0].flow, 0);
         assert_eq!(traces[1].flow, 7);
-        assert_eq!(traces[1].meta.provider, "p7");
+        assert_eq!(&*traces[1].meta.provider, "p7");
         assert!(single_flow_trace(&events, 7, FlowMeta::default()).is_some());
         assert!(single_flow_trace(&events, 9, FlowMeta::default()).is_none());
     }

@@ -7,6 +7,7 @@
 
 use hsm_simnet::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// One packet transmission, as seen from both endpoints.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -46,10 +47,12 @@ impl PacketRecord {
 /// TCP layer fills these in when producing the trace.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FlowMeta {
-    /// Human label of the ISP profile ("China Mobile", …).
-    pub provider: String,
-    /// Scenario label ("high-speed", "stationary", …).
-    pub scenario: String,
+    /// Human label of the ISP profile ("China Mobile", …). Shared, not
+    /// owned: every summary and cache hit of the flow clones the `Arc`
+    /// (a counter bump) instead of allocating a `String`.
+    pub provider: Arc<str>,
+    /// Scenario label ("high-speed", "stationary", …), shared likewise.
+    pub scenario: Arc<str>,
     /// Receiver-advertised window limitation, segments (`W_m`).
     pub w_m: u32,
     /// Delayed-ACK factor (`b`): data segments acknowledged per ACK.
@@ -61,8 +64,8 @@ pub struct FlowMeta {
 impl Default for FlowMeta {
     fn default() -> Self {
         FlowMeta {
-            provider: String::from("unknown"),
-            scenario: String::from("unknown"),
+            provider: "unknown".into(),
+            scenario: "unknown".into(),
             w_m: 64,
             b: 1,
             mss_bytes: 1460,

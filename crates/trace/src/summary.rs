@@ -20,16 +20,19 @@ use crate::analysis::timeout::{TimeoutAnalysis, TimeoutConfig, TimeoutSweep};
 use crate::record::{FlowMeta, FlowTrace, PacketRecord};
 use hsm_simnet::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Everything the models need to know about one measured flow.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FlowSummary {
     /// Flow id within the dataset.
     pub flow: u32,
-    /// Provider label copied from the trace meta.
-    pub provider: String,
-    /// Scenario label copied from the trace meta.
-    pub scenario: String,
+    /// Provider label shared with the trace meta: cloning a summary (a
+    /// memory-cache hit does) bumps the `Arc`'s counter and allocates
+    /// nothing. Serialized as the plain string.
+    pub provider: Arc<str>,
+    /// Scenario label shared with the trace meta, likewise.
+    pub scenario: Arc<str>,
     /// Estimated base RTT, seconds.
     pub rtt_s: f64,
     /// Lifetime data loss rate `p_d` (every transmission counted).
@@ -325,7 +328,7 @@ mod tests {
     fn summary_extracts_all_parameters() {
         let a = analyze_flow(&sample_trace(), &TimeoutConfig::default());
         let s = &a.summary;
-        assert_eq!(s.provider, "China Mobile");
+        assert_eq!(&*s.provider, "China Mobile");
         assert_eq!(s.w_m, 32);
         assert_eq!(s.b, 2);
         // 5 data transmissions, 1 lost.

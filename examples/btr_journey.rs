@@ -28,8 +28,8 @@ fn main() {
             stop_after: Some(duration.saturating_since(SimTime::ZERO)),
             ..Default::default()
         },
-        provider: provider.name().to_owned(),
-        scenario: "btr-journey".to_owned(),
+        provider: provider.name().into(),
+        scenario: "btr-journey".into(),
         deadline: duration,
         ..Default::default()
     };

@@ -91,7 +91,7 @@ fn every_provider_runs_the_full_pipeline() {
             duration: SimDuration::from_secs(20),
             ..Default::default()
         });
-        assert_eq!(out.summary().provider, provider.name());
+        assert_eq!(&*out.summary().provider, provider.name());
         assert!(
             out.summary().throughput_sps > 0.0,
             "{provider:?} produced no throughput"

@@ -347,8 +347,8 @@ mod codec_properties {
                     (w_m, b),
                 )| FlowSummary {
                     flow,
-                    provider,
-                    scenario,
+                    provider: provider.into(),
+                    scenario: scenario.into(),
                     rtt_s,
                     p_d,
                     data_sent,

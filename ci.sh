@@ -16,10 +16,13 @@ stage_build_test() {
     cargo fmt --all -- --check
     # Deleted on purpose, and each is easy to add back by habit: the
     # campaign option that retained a trace per flow (a second flow body
-    # that skipped the cache), and the second micro-benchmark set with its
-    # vendored stub — benchmark/ is the one benchmark.
-    if grep -rniE 'keep_outcomes|criterion|\[\[bench\]\]' crates src Cargo.toml; then
-        echo "a trace-retaining campaign option or a criterion bench target is back" >&2
+    # that skipped the cache), the second micro-benchmark set with its
+    # vendored stub — benchmark/ is the one benchmark — and the batched
+    # model-evaluation twins with the chaos check that compared them to
+    # the per-flow path (one evaluation body, one mean D).
+    if grep -rniE 'keep_outcomes|criterion|\[\[bench\]\]|eval_batch|full_batch|batch_parity' \
+        crates src Cargo.toml; then
+        echo "a trace-retaining campaign option, a criterion bench target or a batched model twin is back" >&2
         exit 1
     fi
     # --workspace so the release `repro` binary the later steps run is built
@@ -106,7 +109,7 @@ stage_build_test() {
         done
     done
     cargo clippy --workspace --all-targets -- -D warnings
-    cargo doc --no-deps --workspace
+    RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
     # benchmark/ is a workspace of its own that pins the crates' public
     # signatures; nothing above compiles it. Build it, run its unit tests,
     # and make five short driver-form runs. Those runs are also the speed-

@@ -277,9 +277,6 @@ fn chaos_cmd(args: Vec<String>) -> ExitCode {
                 report.aggregate.mean_d_padhye
             );
         }
-        if !report.aggregate.batch_parity {
-            eprintln!("batched model re-evaluation diverged from the scalar per-case predictions");
-        }
         if let Err(e) = std::fs::write("chaos-failure.json", &json) {
             eprintln!("failed to write chaos-failure.json: {e}");
         }

@@ -9,10 +9,9 @@
 //! throughput against both predictions. The per-controller rows are
 //! written as `CC_STUDY.json` and summarized in DESIGN.md §12.
 //!
-//! Model evaluation runs through the batched path: each controller's
-//! summaries are fitted into one parameter slice and both models sweep
-//! it in a single pass each (`EnhancedModel::eval_batch`,
-//! `padhye::full_batch` via [`evaluate_labeled`]).
+//! Each controller's summaries are evaluated flow by flow and averaged by
+//! [`AccuracyReport::of`](hsm_core::eval::AccuracyReport::of), both via
+//! [`evaluate_labeled`].
 
 use crate::context::Scale;
 use hsm_core::estimate::EstimateConfig;

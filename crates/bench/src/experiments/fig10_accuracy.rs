@@ -4,7 +4,7 @@
 use crate::context::Ctx;
 use crate::report::ExperimentResult;
 use hsm_core::estimate::{EstimateConfig, PdSource, QSource};
-use hsm_core::eval::{evaluate_dataset, FlowEval};
+use hsm_core::eval::{evaluate_dataset, AccuracyReport, FlowEval};
 use hsm_trace::export::{fnum, fpct, Table};
 use hsm_trace::summary::FlowSummary;
 
@@ -20,11 +20,13 @@ fn provider_means(evals: &[FlowEval]) -> Table {
         ps
     };
     for p in providers {
-        let of_p: Vec<&FlowEval> = evals.iter().filter(|e| e.provider == p).collect();
-        let n = of_p.len() as f64;
-        let de = of_p.iter().map(|e| e.d_enhanced).sum::<f64>() / n;
-        let dp = of_p.iter().map(|e| e.d_padhye).sum::<f64>() / n;
-        t.push_row(vec![p, of_p.len().to_string(), fpct(de), fpct(dp)]);
+        let r = AccuracyReport::of(evals.iter().filter(|e| e.provider == p));
+        t.push_row(vec![
+            p,
+            r.flows.to_string(),
+            fpct(r.mean_d_enhanced),
+            fpct(r.mean_d_padhye),
+        ]);
     }
     t
 }

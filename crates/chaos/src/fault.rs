@@ -121,7 +121,6 @@ fn drill_cache_corruption(dir: &Path) -> Result<String, String> {
         FlowCache::new(CacheConfig {
             memory_entries: 0,
             disk_dir: Some(dir.clone()),
-            shards: 0,
         })
     };
     let cold = campaign
@@ -168,7 +167,6 @@ fn drill_cache_forgery(dir: &Path) -> Result<String, String> {
     let cache = FlowCache::new(CacheConfig {
         memory_entries: 0,
         disk_dir: Some(dir),
-        shards: 0,
     });
     let Some(served) = cache.lookup(CacheKey::of(victim)) else {
         return Err("forged entry unexpectedly rejected by the integrity check".to_owned());

@@ -52,7 +52,6 @@ pub use oracle::{check_case, compare_summaries, CaseOutcome, OracleConfig};
 pub use report::{AggregateOracle, ChaosReport, DrillResult, Violation};
 pub use rng::ChaosRng;
 
-use hsm_core::enhanced::EnhancedModel;
 use hsm_runtime::parallel::par_map_workers;
 use hsm_scenario::runner::ScenarioConfig;
 use std::path::PathBuf;
@@ -180,57 +179,26 @@ pub fn run_chaos(opts: &ChaosOptions) -> ChaosReport {
 
 /// Judges the aggregate accuracy oracle over the operating-region sample:
 /// mean enhanced deviation within the calibrated envelope and strictly
-/// below the Padhye baseline's mean.
-///
-/// The means are computed from predictions *re-evaluated through the
-/// batched model APIs* over the whole region in one pass each — and the
-/// batch outputs are held bit-identical to the scalar per-case
-/// predictions ([`AggregateOracle::batch_parity`]), so the aggregate
-/// judgement doubles as a batch-vs-scalar differential.
+/// below the Padhye baseline's mean, both means being
+/// [`AccuracyReport::of`](hsm_core::eval::AccuracyReport::of) the region.
 fn judge_aggregate(region: &[hsm_core::eval::FlowEval], oracle: &OracleConfig) -> AggregateOracle {
-    use hsm_core::eval::deviation;
-    use hsm_core::padhye;
-    use hsm_core::params::ModelParams;
-
     let n = region.len();
     if n < oracle.min_region_flows {
         return AggregateOracle {
             region_flows: n,
             envelope: oracle.mean_envelope,
             skipped: true,
-            batch_parity: true,
             ..Default::default()
         };
     }
-    let params: Vec<ModelParams> = region.iter().map(|e| e.params).collect();
-    let enhanced = EnhancedModel::as_published().eval_batch(&params);
-    let padhye_sps = padhye::full_batch(&params);
-    let batch_parity =
-        region
-            .iter()
-            .zip(enhanced.iter().zip(&padhye_sps))
-            .all(|(e, (&en, &pa))| {
-                en.to_bits() == e.enhanced_sps.to_bits() && pa.to_bits() == e.padhye_sps.to_bits()
-            });
-    let mean_d_enhanced = region
-        .iter()
-        .zip(&enhanced)
-        .map(|(e, &en)| deviation(en, e.measured_sps))
-        .sum::<f64>()
-        / n as f64;
-    let mean_d_padhye = region
-        .iter()
-        .zip(&padhye_sps)
-        .map(|(e, &pa)| deviation(pa, e.measured_sps))
-        .sum::<f64>()
-        / n as f64;
+    let report = hsm_core::eval::AccuracyReport::of(region);
     AggregateOracle {
         region_flows: n,
-        mean_d_enhanced,
-        mean_d_padhye,
+        mean_d_enhanced: report.mean_d_enhanced,
+        mean_d_padhye: report.mean_d_padhye,
         envelope: oracle.mean_envelope,
-        within_envelope: mean_d_enhanced <= oracle.mean_envelope && mean_d_enhanced < mean_d_padhye,
-        batch_parity,
+        within_envelope: report.mean_d_enhanced <= oracle.mean_envelope
+            && report.mean_d_enhanced < report.mean_d_padhye,
         skipped: false,
     }
 }
@@ -247,12 +215,13 @@ pub fn reproduce_case(seed: u64, case: u64) -> (ScenarioConfig, CaseOutcome) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hsm_core::eval::FlowEval;
+    use hsm_core::enhanced::EnhancedModel;
+    use hsm_core::eval::{AccuracyReport, FlowEval};
     use hsm_core::params::ModelParams;
 
-    /// A region sample whose predictions genuinely come from the scalar
-    /// model path (so batch parity holds) and whose measured throughput
-    /// is placed to hit the requested enhanced-model deviation.
+    /// A region sample whose predictions genuinely come from the model
+    /// and whose measured throughput is placed to hit the requested
+    /// enhanced-model deviation.
     fn region_eval(d_enhanced_target: f64) -> FlowEval {
         let params = ModelParams::high_speed_example();
         let enhanced_sps = EnhancedModel::as_published().throughput(&params).unwrap();
@@ -278,12 +247,10 @@ mod tests {
         let few = vec![region_eval(0.1); oracle.min_region_flows - 1];
         let skipped = judge_aggregate(&few, &oracle);
         assert!(skipped.skipped);
-        assert!(skipped.batch_parity, "a skip is not a parity failure");
         let enough = vec![region_eval(0.1); oracle.min_region_flows];
         let agg = judge_aggregate(&enough, &oracle);
         assert!(!agg.skipped);
         assert!(agg.within_envelope);
-        assert!(agg.batch_parity);
         assert!((agg.mean_d_enhanced - 0.1).abs() < 1e-9);
         // Padhye overshoots the same measurement by more (it ignores the
         // recovery losses), so the ordering holds.
@@ -302,18 +269,23 @@ mod tests {
         inverted.d_padhye = hsm_core::eval::deviation(inverted.padhye_sps, inverted.measured_sps);
         let agg = judge_aggregate(&vec![inverted; oracle.min_region_flows], &oracle);
         assert!(!agg.skipped);
-        assert!(agg.batch_parity);
         assert!(!agg.within_envelope, "enhanced worse than padhye must fail");
     }
 
     #[test]
-    fn aggregate_judgement_detects_batch_scalar_divergence() {
+    fn aggregate_means_are_the_accuracy_report_of_the_region() {
         let oracle = OracleConfig::default();
-        // Forge a per-case prediction the batch re-evaluation cannot
-        // reproduce: parity must trip.
-        let mut forged = region_eval(0.1);
-        forged.enhanced_sps *= 1.5;
-        let agg = judge_aggregate(&vec![forged; oracle.min_region_flows], &oracle);
-        assert!(!agg.batch_parity, "forged scalar prediction must be caught");
+        let region: Vec<FlowEval> = (0..oracle.min_region_flows)
+            .map(|i| region_eval(0.02 * i as f64))
+            .collect();
+        let agg = judge_aggregate(&region, &oracle);
+        let report = AccuracyReport::of(&region);
+        assert!(!agg.skipped);
+        assert_eq!(agg.region_flows, region.len());
+        assert_eq!(
+            agg.mean_d_enhanced.to_bits(),
+            report.mean_d_enhanced.to_bits()
+        );
+        assert_eq!(agg.mean_d_padhye.to_bits(), report.mean_d_padhye.to_bits());
     }
 }

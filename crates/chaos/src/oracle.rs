@@ -209,7 +209,6 @@ fn warm_cache_round_trip(
         Some(d) => CacheConfig {
             memory_entries: 0,
             disk_dir: Some(d.to_path_buf()),
-            shards: 0,
         },
         None => CacheConfig::memory_only(),
     };

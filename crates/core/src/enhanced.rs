@@ -210,46 +210,6 @@ impl EnhancedModel {
         params: &ModelParams,
     ) -> Result<EnhancedBreakdown, ValidateParamsError> {
         params.validate()?;
-        Ok(self.breakdown_value(params))
-    }
-
-    /// Evaluates Eq. (21) over a parameter slice — the dataset-evaluation
-    /// hot path. One plain loop over contiguous arrays with no early
-    /// exit; an out-of-domain item yields `f64::NAN` instead of failing
-    /// the batch, making the call infallible.
-    ///
-    /// Bit-identical per item to the scalar [`EnhancedModel::throughput`]:
-    /// both run the same arithmetic core.
-    pub fn eval_batch(&self, params: &[ModelParams]) -> Vec<f64> {
-        let mut out = vec![f64::NAN; params.len()];
-        self.eval_batch_into(params, &mut out);
-        out
-    }
-
-    /// [`EnhancedModel::eval_batch`] into a caller-owned buffer,
-    /// allocation-free for callers that reuse scratch across batches.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `params` and `out` disagree in length.
-    pub fn eval_batch_into(&self, params: &[ModelParams], out: &mut [f64]) {
-        assert_eq!(
-            params.len(),
-            out.len(),
-            "batch output length must match parameter count"
-        );
-        for (p, slot) in params.iter().zip(out.iter_mut()) {
-            *slot = if p.validate().is_ok() {
-                self.breakdown_value(p).throughput_sps
-            } else {
-                f64::NAN
-            };
-        }
-    }
-
-    /// The arithmetic core of [`EnhancedModel::breakdown`], assuming
-    /// `params` already validated.
-    fn breakdown_value(&self, params: &ModelParams) -> EnhancedBreakdown {
         let (p_a, b, rtt, w_m) = (params.p_a_burst, params.b, params.rtt_s, params.w_m);
         let xp = x_p(params.p_d, b);
         let ex_unlimited = e_x(p_a, xp);
@@ -291,7 +251,7 @@ impl EnhancedModel {
         let numerator = ey.max(0.0) + q * to.e_y_to;
         let denominator = rtt * ex + q * to.e_a_to;
         let throughput_sps = (numerator / denominator).max(0.0);
-        EnhancedBreakdown {
+        Ok(EnhancedBreakdown {
             variant: self.variant,
             x_p: xp,
             e_x: ex,
@@ -301,7 +261,7 @@ impl EnhancedModel {
             to,
             window_limited,
             throughput_sps,
-        }
+        })
     }
 }
 
@@ -487,50 +447,5 @@ mod tests {
         let bad = ModelParams::high_speed_example().with_q(1.5);
         assert!(throughput(&bad).is_err());
         assert!(EnhancedModel::rederived().breakdown(&bad).is_err());
-    }
-
-    #[test]
-    fn eval_batch_matches_scalar_bit_for_bit_in_both_variants() {
-        let base = ModelParams::high_speed_example();
-        let mut grid = Vec::new();
-        for &p_d in &[0.0005, 0.0075, 0.05] {
-            for &p_a in &[0.0, 0.02, 0.2] {
-                for &w_m in &[8.0, 64.0, 10_000.0] {
-                    grid.push(base.with_p_d(p_d).with_p_a_burst(p_a).with_w_m(w_m));
-                }
-            }
-        }
-        for model in [EnhancedModel::as_published(), EnhancedModel::rederived()] {
-            let batch = model.eval_batch(&grid);
-            assert_eq!(batch.len(), grid.len());
-            for (p, &tp) in grid.iter().zip(&batch) {
-                assert_eq!(
-                    tp.to_bits(),
-                    model.throughput(p).unwrap().to_bits(),
-                    "{:?} batch diverged from scalar at {p:?}",
-                    model.variant()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn eval_batch_marks_invalid_items_nan_without_failing() {
-        let model = EnhancedModel::as_published();
-        let good = ModelParams::high_speed_example();
-        let bad = good.with_q(1.5);
-        let batch = model.eval_batch(&[good, bad, good]);
-        assert!(batch[0].is_finite());
-        assert!(batch[1].is_nan(), "invalid item must yield NaN");
-        assert_eq!(batch[0].to_bits(), batch[2].to_bits());
-        assert!(model.eval_batch(&[]).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "batch output length")]
-    fn eval_batch_into_rejects_length_mismatch() {
-        let mut out = [0.0; 3];
-        EnhancedModel::as_published()
-            .eval_batch_into(&[ModelParams::high_speed_example(); 2], &mut out);
     }
 }

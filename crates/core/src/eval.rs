@@ -41,6 +41,13 @@ pub struct FlowEval {
     pub params: ModelParams,
 }
 
+impl FlowEval {
+    /// Whether both deviations are finite: the flows a mean `D` counts.
+    fn is_finite(&self) -> bool {
+        self.d_enhanced.is_finite() && self.d_padhye.is_finite()
+    }
+}
+
 /// Aggregate accuracy report (the Fig. 10 headline numbers).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct AccuracyReport {
@@ -53,6 +60,26 @@ pub struct AccuracyReport {
 }
 
 impl AccuracyReport {
+    /// The mean `D` of both models over the evaluations whose two
+    /// deviations are finite — the one definition every headline mean
+    /// uses. `Default` (zero flows) when none is.
+    pub fn of<'a>(evals: impl IntoIterator<Item = &'a FlowEval>) -> AccuracyReport {
+        let (mut flows, mut sum_enhanced, mut sum_padhye) = (0, 0.0, 0.0);
+        for e in evals.into_iter().filter(|e| e.is_finite()) {
+            flows += 1;
+            sum_enhanced += e.d_enhanced;
+            sum_padhye += e.d_padhye;
+        }
+        if flows == 0 {
+            return AccuracyReport::default();
+        }
+        AccuracyReport {
+            flows,
+            mean_d_enhanced: sum_enhanced / flows as f64,
+            mean_d_padhye: sum_padhye / flows as f64,
+        }
+    }
+
     /// Accuracy improvement in percentage points (paper: 16.3).
     pub fn improvement_pp(&self) -> f64 {
         (self.mean_d_padhye - self.mean_d_enhanced) * 100.0
@@ -83,59 +110,18 @@ pub fn evaluate_flow(summary: &FlowSummary, cfg: &EstimateConfig) -> Option<Flow
     })
 }
 
-/// Evaluates a whole dataset and aggregates the accuracy report.
-///
-/// Runs the batched model path: parameters are fitted for every
-/// measurable flow up front, then both models evaluate the whole
-/// parameter slice in one pass each ([`EnhancedModel::eval_batch`] /
-/// [`padhye::full_batch`]). Bit-identical to mapping [`evaluate_flow`],
-/// which remains the per-flow entry point.
+/// Evaluates a whole dataset ([`evaluate_flow`] per flow, unmeasurable
+/// and out-of-domain flows dropped) and aggregates the accuracy report
+/// ([`AccuracyReport::of`]).
 pub fn evaluate_dataset(
     summaries: &[FlowSummary],
     cfg: &EstimateConfig,
 ) -> (Vec<FlowEval>, AccuracyReport) {
-    let usable: Vec<&FlowSummary> = summaries
+    let evals: Vec<FlowEval> = summaries
         .iter()
-        .filter(|s| s.throughput_sps > 0.0)
+        .filter_map(|s| evaluate_flow(s, cfg))
         .collect();
-    let params: Vec<ModelParams> = usable.iter().map(|s| estimate_params(s, cfg)).collect();
-    let enhanced = EnhancedModel::as_published().eval_batch(&params);
-    let padhye_sps = padhye::full_batch(&params);
-    let mut evals = Vec::with_capacity(usable.len());
-    for (i, s) in usable.iter().enumerate() {
-        // Out-of-domain fits are the only case the scalar path drops
-        // (`evaluate_flow`'s `.ok()?`); the batch marks them NaN, but the
-        // skip keys off validation so a model legitimately producing NaN
-        // for in-domain parameters would still be reported, exactly as
-        // the per-flow path does.
-        if params[i].validate().is_err() {
-            continue;
-        }
-        evals.push(FlowEval {
-            flow: s.flow,
-            provider: s.provider.to_string(),
-            measured_sps: s.throughput_sps,
-            enhanced_sps: enhanced[i],
-            padhye_sps: padhye_sps[i],
-            d_enhanced: deviation(enhanced[i], s.throughput_sps),
-            d_padhye: deviation(padhye_sps[i], s.throughput_sps),
-            params: params[i],
-        });
-    }
-    let finite: Vec<&FlowEval> = evals
-        .iter()
-        .filter(|e| e.d_enhanced.is_finite() && e.d_padhye.is_finite())
-        .collect();
-    let n = finite.len();
-    let report = if n == 0 {
-        AccuracyReport::default()
-    } else {
-        AccuracyReport {
-            flows: n,
-            mean_d_enhanced: finite.iter().map(|e| e.d_enhanced).sum::<f64>() / n as f64,
-            mean_d_padhye: finite.iter().map(|e| e.d_padhye).sum::<f64>() / n as f64,
-        }
-    };
+    let report = AccuracyReport::of(&evals);
     (evals, report)
 }
 
@@ -167,8 +153,7 @@ pub struct LabeledAccuracy {
 /// Evaluates one labeled slice of flows (see [`LabeledAccuracy`]).
 ///
 /// Measured means (`P_a`, `q̂`, throughput) average over every summary;
-/// model-side means average over the flows both models could evaluate,
-/// mirroring [`evaluate_dataset`]'s finite filter.
+/// model-side means average over the flows [`AccuracyReport::of`] counts.
 pub fn evaluate_labeled(
     label: impl Into<String>,
     summaries: &[FlowSummary],
@@ -183,10 +168,7 @@ pub fn evaluate_labeled(
             xs.iter().sum::<f64>() / xs.len() as f64
         }
     };
-    let finite: Vec<&FlowEval> = evals
-        .iter()
-        .filter(|e| e.d_enhanced.is_finite() && e.d_padhye.is_finite())
-        .collect();
+    let finite: Vec<&FlowEval> = evals.iter().filter(|e| e.is_finite()).collect();
     LabeledAccuracy {
         label: label.into(),
         mean_p_a: mean(&mut summaries.iter().map(|s| s.p_a)),
@@ -268,10 +250,17 @@ mod tests {
         assert!(report.mean_d_enhanced < report.mean_d_padhye);
         assert!(report.improvement_pp() > 0.0);
         assert!(evals[0].d_enhanced < 1e-9);
+        let of = AccuracyReport::of(&evals);
+        assert_eq!(report.flows, of.flows);
+        assert_eq!(
+            report.mean_d_enhanced.to_bits(),
+            of.mean_d_enhanced.to_bits()
+        );
+        assert_eq!(report.mean_d_padhye.to_bits(), of.mean_d_padhye.to_bits());
     }
 
     #[test]
-    fn dataset_batch_path_matches_per_flow_path_bit_for_bit() {
+    fn dataset_evaluation_is_evaluate_flow_per_flow() {
         let cfg = EstimateConfig::default();
         let flows: Vec<FlowSummary> = (0..8)
             .map(|i| summary(i, 40.0 + 35.0 * f64::from(i)))
@@ -292,6 +281,23 @@ mod tests {
             assert_eq!(b.params, s.params);
         }
         assert_eq!(batch_report.flows, 8);
+    }
+
+    #[test]
+    fn accuracy_report_skips_non_finite_deviations() {
+        let cfg = EstimateConfig::default();
+        let a = evaluate_flow(&summary(0, 100.0), &cfg).unwrap();
+        let b = evaluate_flow(&summary(1, 180.0), &cfg).unwrap();
+        let mut no_enhanced = a.clone();
+        no_enhanced.d_enhanced = f64::INFINITY;
+        let mut no_padhye = b.clone();
+        no_padhye.d_padhye = f64::NAN;
+        let mixed = [a.clone(), no_enhanced, b.clone(), no_padhye];
+        let report = AccuracyReport::of(&mixed);
+        assert_eq!(report, AccuracyReport::of(&[a, b]));
+        assert_eq!(report.flows, 2);
+        assert_eq!(AccuracyReport::of(&mixed[1..2]), AccuracyReport::default());
+        assert_eq!(AccuracyReport::of(&[]), AccuracyReport::default());
     }
 
     #[test]

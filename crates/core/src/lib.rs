@@ -55,8 +55,8 @@ pub mod prelude {
     pub use crate::eval::{deviation, evaluate_dataset, evaluate_flow, AccuracyReport, FlowEval};
     pub use crate::fit::{fit_global, score as fit_score, FitConfig, FitResult};
     pub use crate::padhye::{
-        expected_window, f_backoff, full as padhye_full, full_batch as padhye_full_batch,
-        full_batch_into as padhye_full_batch_into, q_p, q_p_exact, simple as padhye_simple, x_p,
+        expected_window, f_backoff, full as padhye_full, q_p, q_p_exact, simple as padhye_simple,
+        x_p,
     };
     pub use crate::params::{ModelParams, ValidateParamsError};
     pub use crate::recovery::{

@@ -93,11 +93,6 @@ pub fn simple(params: &ModelParams) -> Result<f64, crate::params::ValidateParams
 /// Returns the parameter-validation error if `params` is out of domain.
 pub fn full(params: &ModelParams) -> Result<f64, crate::params::ValidateParamsError> {
     params.validate()?;
-    Ok(full_value(params))
-}
-
-/// The arithmetic core of [`full`], assuming `params` already validated.
-fn full_value(params: &ModelParams) -> f64 {
     let (p, b, rtt, t, w_m) = (
         params.p_d,
         params.b,
@@ -107,49 +102,14 @@ fn full_value(params: &ModelParams) -> f64 {
     );
     let ew = expected_window(p, b);
     let fp = f_backoff(p);
-    if ew < w_m {
+    Ok(if ew < w_m {
         let q = q_p(ew);
         ((1.0 - p) / p + ew + q / (1.0 - p)) / (rtt * (b / 2.0 * ew + 1.0) + q * t * fp / (1.0 - p))
     } else {
         let q = q_p(w_m);
         ((1.0 - p) / p + w_m + q / (1.0 - p))
             / (rtt * (b / 8.0 * w_m + (1.0 - p) / (p * w_m) + 2.0) + q * t * fp / (1.0 - p))
-    }
-}
-
-/// Batched [`full`] over a parameter slice — the dataset-evaluation hot
-/// path. One plain loop over contiguous arrays with no early exit, so the
-/// optimizer keeps the arithmetic in registers across items; an
-/// out-of-domain parameter set yields `f64::NAN` for that item instead of
-/// failing the whole batch, making the call infallible.
-///
-/// Bit-identical per item to the scalar [`full`]: both run the same
-/// arithmetic core.
-pub fn full_batch(params: &[ModelParams]) -> Vec<f64> {
-    let mut out = vec![f64::NAN; params.len()];
-    full_batch_into(params, &mut out);
-    out
-}
-
-/// [`full_batch`] into a caller-owned buffer, allocation-free for callers
-/// that reuse scratch across batches.
-///
-/// # Panics
-///
-/// Panics when `params` and `out` disagree in length.
-pub fn full_batch_into(params: &[ModelParams], out: &mut [f64]) {
-    assert_eq!(
-        params.len(),
-        out.len(),
-        "batch output length must match parameter count"
-    );
-    for (p, slot) in params.iter().zip(out.iter_mut()) {
-        *slot = if p.validate().is_ok() {
-            full_value(p)
-        } else {
-            f64::NAN
-        };
-    }
+    })
 }
 
 #[cfg(test)]
@@ -276,43 +236,5 @@ mod tests {
         let bad = ModelParams::stationary_example().with_p_d(0.0);
         assert!(simple(&bad).is_err());
         assert!(full(&bad).is_err());
-    }
-
-    #[test]
-    fn full_batch_matches_scalar_bit_for_bit() {
-        let base = ModelParams::high_speed_example();
-        let mut grid = Vec::new();
-        for &p_d in &[0.0005, 0.002, 0.0075, 0.02, 0.08] {
-            for &w_m in &[8.0, 64.0, 10_000.0] {
-                grid.push(base.with_p_d(p_d).with_w_m(w_m));
-            }
-        }
-        let batch = full_batch(&grid);
-        assert_eq!(batch.len(), grid.len());
-        for (p, &tp) in grid.iter().zip(&batch) {
-            assert_eq!(
-                tp.to_bits(),
-                full(p).unwrap().to_bits(),
-                "batch diverged from scalar at {p:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn full_batch_marks_invalid_items_nan_without_failing() {
-        let good = ModelParams::stationary_example();
-        let bad = good.with_p_d(0.0);
-        let batch = full_batch(&[good, bad, good]);
-        assert!(batch[0].is_finite());
-        assert!(batch[1].is_nan(), "invalid item must yield NaN");
-        assert_eq!(batch[0].to_bits(), batch[2].to_bits());
-        assert!(full_batch(&[]).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "batch output length")]
-    fn full_batch_into_rejects_length_mismatch() {
-        let mut out = [0.0; 1];
-        full_batch_into(&[ModelParams::stationary_example(); 2], &mut out);
     }
 }

@@ -4,9 +4,9 @@
 //! version, so its [`FlowSummary`] can be cached under a content hash of
 //! exactly those inputs. The cache has two tiers:
 //!
-//! * an in-memory LRU tier bounded by entry count and split into
-//!   independently locked shards so campaign workers do not serialize on
-//!   a single mutex, and
+//! * an in-memory tier bounded by entry count, evicting in insertion
+//!   order, and split into independently locked shards so campaign
+//!   workers do not serialize on a single mutex, and
 //! * an optional on-disk tier (one file per flow) that survives the
 //!   process and powers warm `repro` reruns. Entries are published
 //!   atomically (staged in a temp file, then renamed into place), so one
@@ -92,20 +92,18 @@ fn entry_path(dir: &Path, key: CacheKey) -> PathBuf {
 /// Cache sizing and placement.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CacheConfig {
-    /// Maximum entries held by the in-memory LRU tier (`0` disables the
-    /// memory tier entirely). The bound is enforced per shard, so the
-    /// resident total can exceed it by at most `shards - 1` entries.
+    /// Maximum entries held by the in-memory tier (`0` disables the
+    /// memory tier entirely). The bound is enforced per shard, as
+    /// `memory_entries / 8` rounded up, so each of the 8 shards evicts
+    /// its oldest insert once over its share.
     pub memory_entries: usize,
     /// Directory of the on-disk tier (`None` disables it).
     pub disk_dir: Option<PathBuf>,
-    /// Number of independently locked memory-tier shards. Rounded up to
-    /// a power of two; `0` picks a default sized for worker-count
-    /// parallelism. Use `1` for a single globally ordered LRU.
-    pub shards: usize,
 }
 
-/// Shard count used when [`CacheConfig::shards`] is `0`.
-const DEFAULT_SHARDS: usize = 8;
+/// Independently locked memory-tier shards; a power of two, because a
+/// key picks its shard by masking.
+const SHARDS: usize = 8;
 
 impl CacheConfig {
     /// A memory-only cache big enough for the full 255-flow dataset plus
@@ -114,7 +112,6 @@ impl CacheConfig {
         CacheConfig {
             memory_entries: 4096,
             disk_dir: None,
-            shards: 0,
         }
     }
 
@@ -123,14 +120,6 @@ impl CacheConfig {
         CacheConfig {
             memory_entries: 4096,
             disk_dir: Some(dir.into()),
-            shards: 0,
-        }
-    }
-
-    fn shard_count(&self) -> usize {
-        match self.shards {
-            0 => DEFAULT_SHARDS,
-            n => n.next_power_of_two(),
         }
     }
 }
@@ -147,7 +136,7 @@ pub struct CacheStats {
     /// Disk entries rejected by the integrity check (see
     /// [`crate::codec::decode_entry`]) or echoing another key.
     pub corrupt_entries: u64,
-    /// Entries evicted from the memory tier by the LRU policy.
+    /// Entries evicted from the memory tier, oldest insert first.
     pub evictions: u64,
 }
 
@@ -164,13 +153,6 @@ impl CacheStats {
         self.corrupt_entries += other.corrupt_entries;
         self.evictions += other.evictions;
     }
-}
-
-/// A resident entry: the payload plus the stamp of its most recent
-/// touch, which identifies the one live pair in the recency queue.
-struct Slot {
-    summary: FlowSummary,
-    stamp: u64,
 }
 
 /// Hashes a shard-map key with one multiply. A [`CacheKey`] is already an
@@ -195,37 +177,20 @@ impl Hasher for KeyHasher {
 
 #[derive(Default)]
 struct Shard {
-    map: HashMap<u64, Slot, BuildHasherDefault<KeyHasher>>,
-    /// Recency queue, least-recent first, of `(key, stamp)` pairs. A
-    /// touch pushes a fresh pair instead of repositioning the old one —
-    /// O(1) instead of an O(len) scan — leaving a stale pair behind that
-    /// eviction and compaction skip by comparing stamps.
-    order: VecDeque<(u64, u64)>,
-    /// Monotonic touch counter; stamps are never reused within a shard.
-    clock: u64,
+    map: HashMap<u64, FlowSummary, BuildHasherDefault<KeyHasher>>,
+    /// The resident keys in insertion order, oldest first: the eviction
+    /// order. A hit never touches it.
+    order: VecDeque<u64>,
     stats: CacheStats,
-}
-
-impl Shard {
-    /// Sweeps stale pairs once they dominate the queue, keeping every
-    /// touch O(1) amortized and the queue O(live entries).
-    fn compact(&mut self) {
-        if self.order.len() > 4 * self.map.len().max(8) {
-            self.order
-                .retain(|&(k, s)| self.map.get(&k).is_some_and(|slot| slot.stamp == s));
-        }
-    }
 }
 
 /// The two-tier memoization cache shared by campaign workers.
 ///
-/// The memory tier is split into power-of-two many shards, each behind
-/// its own mutex; a lookup or insert locks only the shard its key hashes
-/// to, so workers touching different keys proceed in parallel.
+/// The memory tier is split into 8 shards, each behind its own mutex; a
+/// lookup or insert locks only the shard its key hashes to, so workers
+/// touching different keys proceed in parallel.
 pub struct FlowCache {
-    shards: Vec<Mutex<Shard>>,
-    /// `shards.len() - 1`; shard index is `mixed_key & mask`.
-    mask: usize,
+    shards: [Mutex<Shard>; SHARDS],
     /// Per-shard entry bound derived from `config.memory_entries`.
     per_shard: usize,
     /// The writer's one-time disk-tier set-up — create the directory,
@@ -256,16 +221,9 @@ impl FlowCache {
     /// created, and stale staging files swept, by the first
     /// [`insert`](FlowCache::insert).
     pub fn new(config: CacheConfig) -> FlowCache {
-        let shard_count = config.shard_count();
-        let per_shard = if config.memory_entries == 0 {
-            0
-        } else {
-            config.memory_entries.div_ceil(shard_count)
-        };
         FlowCache {
-            shards: (0..shard_count).map(|_| Mutex::default()).collect(),
-            mask: shard_count - 1,
-            per_shard,
+            shards: Default::default(),
+            per_shard: config.memory_entries.div_ceil(SHARDS),
             publish_setup: Once::new(),
             config,
         }
@@ -274,11 +232,6 @@ impl FlowCache {
     /// The configuration this cache was built with.
     pub fn config(&self) -> &CacheConfig {
         &self.config
-    }
-
-    /// Number of memory-tier shards actually allocated.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// A snapshot of the behaviour counters, aggregated across shards.
@@ -308,7 +261,7 @@ impl FlowCache {
         // the low bits last, so the high half carries most of the
         // avalanche for short inputs.
         let mixed = key.0 ^ (key.0 >> 32);
-        &self.shards[(mixed as usize) & self.mask]
+        &self.shards[(mixed as usize) & (SHARDS - 1)]
     }
 
     /// Looks a flow up, consulting the memory tier then the disk tier.
@@ -322,14 +275,9 @@ impl FlowCache {
         {
             let mut guard = lock.lock().expect("cache lock");
             let shard = &mut *guard;
-            if let Some(slot) = shard.map.get_mut(&key.0) {
-                shard.clock += 1;
-                slot.stamp = shard.clock;
-                shard.order.push_back((key.0, slot.stamp));
+            if let Some(summary) = shard.map.get(&key.0) {
                 shard.stats.memory_hits += 1;
-                let summary = slot.summary.clone();
-                shard.compact();
-                return Some(summary);
+                return Some(summary.clone());
             }
         }
         // The file is read, checked and decoded with the shard unlocked:
@@ -362,7 +310,7 @@ impl FlowCache {
     /// The first insert into a disk tier creates its directory and sweeps
     /// stale `.*.tmp` staging files left behind by writers that were
     /// killed between staging and renaming (only files older than
-    /// [`STALE_TEMP_AGE`], so live concurrent writers are unaffected).
+    /// `STALE_TEMP_AGE`, so live concurrent writers are unaffected).
     ///
     /// # Errors
     ///
@@ -392,30 +340,16 @@ impl FlowCache {
         }
         use std::collections::hash_map::Entry;
         match shard.map.entry(key.0) {
-            Entry::Occupied(mut occupied) => {
-                // Refresh the payload without touching recency — a
-                // re-insert never reorders the LRU queue.
-                occupied.get_mut().summary.clone_from(summary);
-            }
+            // A re-insert refreshes the payload and keeps its place in line.
+            Entry::Occupied(mut occupied) => occupied.get_mut().clone_from(summary),
             Entry::Vacant(vacant) => {
-                shard.clock += 1;
-                vacant.insert(Slot {
-                    summary: summary.clone(),
-                    stamp: shard.clock,
-                });
-                shard.order.push_back((key.0, shard.clock));
-                while shard.map.len() > per_shard {
-                    let Some((k, s)) = shard.order.pop_front() else {
-                        break;
-                    };
-                    // Skip stale pairs: the key was re-touched since (a
-                    // newer pair exists further back) or already evicted.
-                    if shard.map.get(&k).is_some_and(|slot| slot.stamp == s) {
-                        shard.map.remove(&k);
-                        shard.stats.evictions += 1;
-                    }
+                vacant.insert(summary.clone());
+                shard.order.push_back(key.0);
+                if shard.order.len() > per_shard {
+                    let oldest = shard.order.pop_front().expect("a full shard has a front");
+                    shard.map.remove(&oldest);
+                    shard.stats.evictions += 1;
                 }
-                shard.compact();
             }
         }
     }
@@ -453,16 +387,6 @@ impl FlowCache {
             _ => DiskLookup::Corrupt,
         }
     }
-
-    /// Total live + stale pairs across every shard's recency queue —
-    /// test hook for the compaction bound.
-    #[cfg(test)]
-    fn recency_pairs(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("cache lock").order.len())
-            .sum()
-    }
 }
 
 /// Stack buffer a disk hit reads its entry into: five times the ≈ 190-byte
@@ -476,7 +400,7 @@ enum DiskLookup {
 }
 
 /// Best-effort removal of orphaned `.*.tmp` staging files in `dir`. Only
-/// files older than [`STALE_TEMP_AGE`] are removed; anything unreadable
+/// files older than `STALE_TEMP_AGE` are removed; anything unreadable
 /// is skipped (another process may be sweeping concurrently).
 fn sweep_stale_temp_files(dir: &Path) {
     let Ok(entries) = std::fs::read_dir(dir) else {
@@ -666,7 +590,6 @@ mod tests {
         FlowCache::new(CacheConfig {
             memory_entries: 0,
             disk_dir: Some(dir.to_path_buf()),
-            shards: 0,
         })
     }
 
@@ -787,44 +710,47 @@ mod tests {
         assert_eq!(key, 0x4a53_8f66_c3f6_4352, "got {key:#018x}");
     }
 
-    #[test]
-    fn memory_tier_hits_and_evicts_lru() {
-        // One shard pins the historical globally ordered LRU semantics.
+    /// Keys 1, 9 and 17 share a shard (`key & 7 == 1`), and 16 entries
+    /// give each of the 8 shards room for two.
+    fn two_per_shard() -> (FlowCache, [CacheKey; 3]) {
         let cache = FlowCache::new(CacheConfig {
-            memory_entries: 2,
+            memory_entries: 16,
             disk_dir: None,
-            shards: 1,
         });
-        let (k1, k2, k3) = (CacheKey(1), CacheKey(2), CacheKey(3));
+        (cache, [CacheKey(1), CacheKey(9), CacheKey(17)])
+    }
+
+    #[test]
+    fn memory_tier_evicts_the_oldest_insert() {
+        let (cache, [k1, k9, k17]) = two_per_shard();
         cache.insert(k1, &summary(1)).unwrap();
-        cache.insert(k2, &summary(2)).unwrap();
-        assert_eq!(cache.lookup(k1).unwrap().flow, 1); // k1 now most-recent
-        cache.insert(k3, &summary(3)).unwrap(); // evicts k2, the LRU entry
-        assert!(cache.lookup(k2).is_none());
-        assert_eq!(cache.lookup(k1).unwrap().flow, 1);
-        assert_eq!(cache.lookup(k3).unwrap().flow, 3);
+        cache.insert(k9, &summary(9)).unwrap();
+        assert_eq!(cache.lookup(k1).unwrap().flow, 1); // a hit reorders nothing
+        cache.insert(k17, &summary(17)).unwrap(); // evicts k1, the oldest insert
+        assert!(cache.lookup(k1).is_none());
+        assert_eq!(cache.lookup(k9).unwrap().flow, 9);
+        assert_eq!(cache.lookup(k17).unwrap().flow, 17);
         let stats = cache.stats();
         assert_eq!(stats.evictions, 1);
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.memory_hits, 3);
+        assert_eq!(cache.len(), 2);
     }
 
     #[test]
-    fn reinsert_refreshes_payload_without_touching_recency() {
-        let cache = FlowCache::new(CacheConfig {
-            memory_entries: 2,
-            disk_dir: None,
-            shards: 1,
-        });
-        let (k1, k2, k3) = (CacheKey(1), CacheKey(2), CacheKey(3));
+    fn reinsert_refreshes_payload_in_place() {
+        let (cache, [k1, k9, k17]) = two_per_shard();
         cache.insert(k1, &summary(1)).unwrap();
-        cache.insert(k2, &summary(2)).unwrap();
-        // Re-inserting k1 updates its payload but k1 stays the LRU entry.
+        cache.insert(k9, &summary(9)).unwrap();
+        // Re-inserting k1 updates its payload; k1 stays the oldest insert.
         cache.insert(k1, &summary(100)).unwrap();
-        cache.insert(k3, &summary(3)).unwrap(); // evicts k1, not k2
+        assert_eq!(cache.lookup(k1).unwrap().flow, 100);
+        assert_eq!(cache.len(), 2);
+        cache.insert(k17, &summary(17)).unwrap(); // evicts k1, not k9
         assert!(cache.lookup(k1).is_none());
-        assert_eq!(cache.lookup(k2).unwrap().flow, 2);
-        assert_eq!(cache.lookup(k3).unwrap().flow, 3);
+        assert_eq!(cache.lookup(k9).unwrap().flow, 9);
+        assert_eq!(cache.lookup(k17).unwrap().flow, 17);
+        assert_eq!(cache.stats().evictions, 1);
     }
 
     #[test]
@@ -832,9 +758,7 @@ mod tests {
         let cache = FlowCache::new(CacheConfig {
             memory_entries: 256,
             disk_dir: None,
-            shards: 4,
         });
-        assert_eq!(cache.shard_count(), 4);
         for i in 0..64u64 {
             cache
                 .insert(CacheKey(i * 0x9e37_79b9), &summary(i as u32))
@@ -852,45 +776,6 @@ mod tests {
         assert_eq!(stats.memory_hits, 64);
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.evictions, 0);
-    }
-
-    #[test]
-    fn shard_counts_round_to_powers_of_two() {
-        for (requested, expect) in [(0usize, DEFAULT_SHARDS), (1, 1), (2, 2), (3, 4), (5, 8)] {
-            let cache = FlowCache::new(CacheConfig {
-                memory_entries: 16,
-                disk_dir: None,
-                shards: requested,
-            });
-            assert_eq!(cache.shard_count(), expect, "requested {requested}");
-        }
-    }
-
-    #[test]
-    fn recency_queue_stays_bounded_under_repeated_hits() {
-        let cache = FlowCache::new(CacheConfig {
-            memory_entries: 8,
-            disk_dir: None,
-            shards: 1,
-        });
-        for i in 0..8u64 {
-            cache.insert(CacheKey(i), &summary(i as u32)).unwrap();
-        }
-        // Hammer one hot key: every touch appends a recency pair, so
-        // without compaction the queue would reach ~10k entries.
-        for _ in 0..10_000 {
-            assert!(cache.lookup(CacheKey(3)).is_some());
-        }
-        assert!(
-            cache.recency_pairs() <= 4 * 8 + 1,
-            "compaction must bound the queue, got {}",
-            cache.recency_pairs()
-        );
-        // The hot key must survive the next eviction wave.
-        for i in 100..107u64 {
-            cache.insert(CacheKey(i), &summary(i as u32)).unwrap();
-        }
-        assert!(cache.lookup(CacheKey(3)).is_some());
     }
 
     #[test]
@@ -1133,7 +1018,6 @@ mod tests {
         let cache = FlowCache::new(CacheConfig {
             memory_entries: 0,
             disk_dir: None,
-            shards: 0,
         });
         cache.insert(CacheKey(5), &summary(5)).unwrap();
         assert!(cache.is_empty());

@@ -24,9 +24,10 @@
 //! Floats round-trip bit-exactly, with no float formatting at all — which
 //! is what makes a cache hit ≡ a fresh simulation.
 //!
-//! Decoding is zero-copy in the `s2n-codec` style: a [`Reader`] cursor
+//! Decoding is zero-copy in the `s2n-codec` style: a `Reader` cursor
 //! hands out sub-slices of the input buffer, and the only allocations on
-//! a hit are the two owned `String` labels of the returned summary. Any
+//! a hit are the summary's two labels, one `Arc<str>` each, made by
+//! `str_slice()?.into()`. Any
 //! structural defect — short buffer, bad magic, unknown version, length
 //! mismatch, CRC mismatch, invalid UTF-8, trailing bytes — decodes to
 //! `None`, which the cache reports as a corrupt entry. So does an entry

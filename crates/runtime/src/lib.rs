@@ -15,7 +15,8 @@
 //! * [`cache`] — [`FlowCache`]: content-addressed memoization of completed
 //!   flows (key = the config's canonical identity encoding + engine
 //!   version, streamed into the hash with no per-lookup allocation) with
-//!   a sharded in-memory LRU tier and an integrity-checked on-disk tier in
+//!   a sharded in-memory tier (evicting in insertion order) and an
+//!   integrity-checked on-disk tier in
 //!   the binary format of [`codec`], so repeated experiments stop
 //!   re-simulating identical flows and workers stop serializing on one
 //!   lock;

@@ -322,7 +322,7 @@ mod tests {
     /// The acceptance-criteria core: merged results must be bit-identical
     /// (exact serde-JSON bytes) for any shard count.
     #[test]
-    fn merged_result_is_bit_identical_for_any_shard_count() {
+    fn merged_result_is_bit_identical_for_any_number_of_shards() {
         let cfgs = configs(7);
         let reference = serde_json::to_string(&run_partition(&cfgs, 1)).unwrap();
         for shards in [2usize, 3, 4] {

@@ -131,7 +131,7 @@ impl SimRng {
 
     /// `normal_clamped(0.0, sd, 0.0)` — the per-packet link jitter — bit
     /// for bit and draw for draw, but half the time without its `ln`,
-    /// `sqrt` and `cos` (see [`rectified`]).
+    /// `sqrt` and `cos` (see the private `rectified`).
     pub fn rectified_normal(&mut self, sd: f64) -> f64 {
         let u1 = self.unit_open_low();
         let u2 = self.unit();

@@ -146,7 +146,6 @@ impl ColdDiskTier {
         let disk = CacheConfig {
             memory_entries: 0,
             disk_dir: Some(dir.clone()),
-            shards: 0,
         };
         let cold = campaign.run_with_cache(&FlowCache::new(disk.clone()))?;
         let mut entries: Vec<_> = std::fs::read_dir(&dir)

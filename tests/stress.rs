@@ -80,7 +80,6 @@ fn stress_streams_identical_across_workers_and_cache_states() -> Result<(), hsm:
         let disk = FlowCache::new(CacheConfig {
             memory_entries: 0,
             disk_dir: Some(disk_dir.clone()),
-            shards: 0,
         });
         let from_disk = campaign.run_with_cache(&disk)?;
         assert_eq!(
@@ -110,7 +109,6 @@ fn stress_streams_identical_across_workers_and_cache_states() -> Result<(), hsm:
     let poisoned = FlowCache::new(CacheConfig {
         memory_entries: 0,
         disk_dir: Some(disk_dir.clone()),
-        shards: 0,
     });
     let after_corruption = campaign_for(2)?.run_with_cache(&poisoned)?;
     assert_eq!(

@@ -19,10 +19,12 @@ stage_build_test() {
     # that skipped the cache), the second micro-benchmark set with its
     # vendored stub — benchmark/ is the one benchmark — and the batched
     # model-evaluation twins with the chaos check that compared them to
-    # the per-flow path (one evaluation body, one mean D).
-    if grep -rniE 'keep_outcomes|criterion|\[\[bench\]\]|eval_batch|full_batch|batch_parity' \
+    # the per-flow path (one evaluation body, one mean D), and the second
+    # Eq. (21) algebra with its wrapper and Padhye's exact Q̂, which the
+    # Monte-Carlo in tests/model_form.rs rejected (one enhanced model).
+    if grep -rniE 'keep_outcomes|criterion|\[\[bench\]\]|eval_batch|full_batch|batch_parity|EnhancedModel|Variant::(AsPublished|Rederived)|q_p_exact' \
         crates src Cargo.toml; then
-        echo "a trace-retaining campaign option, a criterion bench target or a batched model twin is back" >&2
+        echo "a trace-retaining campaign option, a criterion bench target, a batched model twin or a second enhanced-model algebra is back" >&2
         exit 1
     fi
     # --workspace so the release `repro` binary the later steps run is built

@@ -215,7 +215,6 @@ pub fn reproduce_case(seed: u64, case: u64) -> (ScenarioConfig, CaseOutcome) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hsm_core::enhanced::EnhancedModel;
     use hsm_core::eval::{AccuracyReport, FlowEval};
     use hsm_core::params::ModelParams;
 
@@ -224,7 +223,7 @@ mod tests {
     /// enhanced-model deviation.
     fn region_eval(d_enhanced_target: f64) -> FlowEval {
         let params = ModelParams::high_speed_example();
-        let enhanced_sps = EnhancedModel::as_published().throughput(&params).unwrap();
+        let enhanced_sps = hsm_core::enhanced::throughput(&params).unwrap();
         let padhye_sps = hsm_core::padhye::full(&params).unwrap();
         // measured = enhanced / (1 + D) puts the enhanced prediction
         // exactly D above the measurement.

@@ -20,7 +20,7 @@
 //! legitimately sit between the two predictions.
 
 use crate::report::Violation;
-use hsm_core::enhanced::{round_distribution, EnhancedModel};
+use hsm_core::enhanced::{self, round_distribution};
 use hsm_core::estimate::EstimateConfig;
 use hsm_core::eval::{evaluate_flow, FlowEval};
 use hsm_runtime::cache::{CacheConfig, CacheKey, FlowCache};
@@ -291,7 +291,7 @@ fn check_model_invariants(
     oracle: &OracleConfig,
     out: &mut Vec<Violation>,
 ) {
-    let breakdown = match EnhancedModel::as_published().breakdown(&eval.params) {
+    let breakdown = match enhanced::breakdown(&eval.params) {
         Ok(b) => b,
         Err(e) => {
             out.push(violation(

@@ -11,7 +11,7 @@
 //! phases, shrinking `E[W]`, which raises `P_a`); [`solve_p_a`] runs the
 //! fixed point.
 
-use crate::enhanced::{e_x, EnhancedModel};
+use crate::enhanced::{e_w, e_x};
 use crate::padhye::x_p;
 use crate::params::ModelParams;
 
@@ -73,13 +73,8 @@ fn initial_window(params: &ModelParams) -> f64 {
 }
 
 fn window_given_pa(params: &ModelParams, pa: f64) -> f64 {
-    let xp = x_p(params.p_d, params.b);
-    let ex = e_x(pa, xp);
-    // Use the rederived (consistent) window form for the fixed point; the
-    // published-vs-rederived distinction only matters for the throughput
-    // constant terms.
-    let _ = EnhancedModel::rederived();
-    ((2.0 / params.b) * ex - 2.0).clamp(1.0, params.w_m)
+    let ex = e_x(pa, x_p(params.p_d, params.b));
+    e_w(ex, params.b).min(params.w_m)
 }
 
 #[cfg(test)]

@@ -13,39 +13,23 @@
 //!   lasts `E[A^TO] = T·f(p)/(1−p)` with
 //!   `p = 1 − (1−q)(1−P_a)` (retransmission *or* its ACK lost).
 //!
-//! ## As-published vs rederived
+//! ## One algebra for Eq. (4)
 //!
-//! The paper's printed formulas contain two small internal
-//! inconsistencies, reproduced faithfully by [`throughput`] /
-//! [`EnhancedModel::as_published`]:
-//!
-//! 1. Eq. (4) first line states `E[W] = (b/2)·E[X] − 2`, while its own
-//!    derivation from Eq. (3) (`W_i = W_{i−1}/2 + X/b − 1` in equilibrium)
-//!    gives `E[W] = (2/b)·E[X] − 2`, which is also what Eq. (4)'s second
-//!    line expands to. Eqs. (7) and (15) are built from the *first* form.
-//!    For `b = 2` (the common delayed-ACK setting, and the paper's
-//!    evaluation setting) the two coincide exactly.
-//! 2. Expanding `E[Y]/ (RTT·E[X])` gives constant terms `+1/E[X]` where
-//!    Eq. (7) prints `−1/E[X]` (and Eq. (15) prints `−1`); an `O(1/E[X])`
-//!    difference.
-//!
-//! [`EnhancedModel::rederived`] applies the consistent algebra. Both
-//! variants converge to the same values as `E[X]` grows; the evaluation
-//! harness defaults to as-published for fidelity.
+//! The printed Eq. (4) first line states `E[W] = (b/2)·E[X] − 2`, and
+//! Eqs. (7)/(15) are built from it with a `−1` constant term. Its own
+//! derivation from Eq. (3) (`W_i = W_{i−1}/2 + X/b − 1` in equilibrium)
+//! gives `E[W] = (2/b)·E[X] − 2` ([`e_w`]) and
+//! `E[Y] = E[W]/2·(3E[X]/2 − 1)` (Eq. 6, a `+1` constant), which is what
+//! this module evaluates. The two `E[W]` forms coincide at `b = 2`. A
+//! round-level Monte-Carlo of the renewal process Eq. (21) assumes
+//! (`tests/model_form.rs`) keeps this form within `[0.5, 2]` of the
+//! process at every point of its grid, while the printed form predicts as
+//! little as 1.2 % of the simulated throughput at `b = 1` and up to 5.7×
+//! at `b = 3`.
 
 use crate::padhye::{f_backoff, q_p, x_p};
 use crate::params::{ModelParams, ValidateParamsError};
 use serde::{Deserialize, Serialize};
-
-/// Which algebra variant to use (see module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum Variant {
-    /// The paper's formulas verbatim.
-    #[default]
-    AsPublished,
-    /// The internally consistent rederivation.
-    Rederived,
-}
 
 /// Expected number of rounds in a CA phase (Eq. 2):
 /// `E[X] = (1 − (1−P_a)^(X_P+1)) / P_a`, with the `P_a → 0` limit
@@ -58,6 +42,12 @@ pub fn e_x(p_a: f64, x_p_rounds: f64) -> f64 {
 /// (Eq. 18): `E[V] = (1 − (1−P_a)^(V_P)) / P_a`, limit `V_P`.
 pub fn e_v(p_a: f64, v_p_rounds: f64) -> f64 {
     truncated_geometric_mean(p_a, v_p_rounds)
+}
+
+/// Expected window at the end of a CA phase (Eq. 4, from Eq. 3's
+/// equilibrium): `E[W] = (2/b)·E[X] − 2`, floored at one segment.
+pub fn e_w(e_x: f64, b: f64) -> f64 {
+    ((2.0 / b) * e_x - 2.0).max(1.0)
 }
 
 /// `E[min(G, n)]` for `G ~ Geometric(p)` over `{1, 2, …}`:
@@ -142,8 +132,6 @@ pub fn round_distribution(p_a: f64, x_p_rounds: f64) -> Vec<RoundProbability> {
 /// (C-INTERMEDIATE).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EnhancedBreakdown {
-    /// Variant used.
-    pub variant: Variant,
     /// `X_P` (Eq. 1).
     pub x_p: f64,
     /// `E[X]` (Eq. 2, or Eq. 20 in the window-limited branch).
@@ -162,116 +150,55 @@ pub struct EnhancedBreakdown {
     pub throughput_sps: f64,
 }
 
-/// The enhanced model with a chosen variant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct EnhancedModel {
-    variant: Variant,
+/// Evaluates Eq. (21) and returns every intermediate quantity.
+///
+/// # Errors
+///
+/// Returns the parameter-validation error if `params` is out of domain.
+pub fn breakdown(params: &ModelParams) -> Result<EnhancedBreakdown, ValidateParamsError> {
+    params.validate()?;
+    let (p_a, b, rtt, w_m) = (params.p_a_burst, params.b, params.rtt_s, params.w_m);
+    let xp = x_p(params.p_d, b);
+    let ex_unlimited = e_x(p_a, xp);
+    let ew = e_w(ex_unlimited, b);
+    let to = timeout_sequence_terms(params);
+    let q = q_enhanced(q_p(ew), p_a, xp);
+
+    let window_limited = ew >= w_m;
+    let (ex, ey) = if !window_limited {
+        // E[Y] = E[W]/2 · (3E[X]/2 − 1)  (Eq. 6).
+        (ex_unlimited, ew / 2.0 * (3.0 * ex_unlimited / 2.0 - 1.0))
+    } else {
+        // Window-limited branch (Section IV-D).
+        let e_u = b * w_m / 2.0; // Eq. (16)
+        let v_p = ((1.0 - params.p_d) / (params.p_d * w_m) + 1.0 - 3.0 * b * w_m / 8.0).max(1.0); // Eq. (17)
+        let ev = e_v(p_a, v_p); // Eq. (18)
+        let ey = 3.0 * b * w_m * w_m / 8.0 + w_m * (ev - 0.5); // Eq. (19)
+        (e_u + ev, ey) // Eq. (20)
+    };
+
+    let numerator = ey.max(0.0) + q * to.e_y_to;
+    let denominator = rtt * ex + q * to.e_a_to;
+    let throughput_sps = (numerator / denominator).max(0.0);
+    Ok(EnhancedBreakdown {
+        x_p: xp,
+        e_x: ex,
+        e_w: ew,
+        e_y: ey,
+        q_timeout: q,
+        to,
+        window_limited,
+        throughput_sps,
+    })
 }
 
-impl EnhancedModel {
-    /// The paper's formulas verbatim (default).
-    pub fn as_published() -> EnhancedModel {
-        EnhancedModel {
-            variant: Variant::AsPublished,
-        }
-    }
-
-    /// The internally consistent rederivation (see module docs).
-    pub fn rederived() -> EnhancedModel {
-        EnhancedModel {
-            variant: Variant::Rederived,
-        }
-    }
-
-    /// The variant in use.
-    pub fn variant(&self) -> Variant {
-        self.variant
-    }
-
-    /// Evaluates Eq. (21), returning just the throughput in segments per
-    /// second.
-    ///
-    /// # Errors
-    ///
-    /// Returns the parameter-validation error if `params` is out of
-    /// domain.
-    pub fn throughput(&self, params: &ModelParams) -> Result<f64, ValidateParamsError> {
-        Ok(self.breakdown(params)?.throughput_sps)
-    }
-
-    /// Evaluates the model and returns every intermediate quantity.
-    ///
-    /// # Errors
-    ///
-    /// Returns the parameter-validation error if `params` is out of
-    /// domain.
-    pub fn breakdown(
-        &self,
-        params: &ModelParams,
-    ) -> Result<EnhancedBreakdown, ValidateParamsError> {
-        params.validate()?;
-        let (p_a, b, rtt, w_m) = (params.p_a_burst, params.b, params.rtt_s, params.w_m);
-        let xp = x_p(params.p_d, b);
-        let ex_unlimited = e_x(p_a, xp);
-        let ew = match self.variant {
-            // Eq. (4) first line, which Eqs. (7)/(15) are built from.
-            Variant::AsPublished => (b / 2.0) * ex_unlimited - 2.0,
-            // Consistent with Eq. (3): W = 2X/b − 2.
-            Variant::Rederived => (2.0 / b) * ex_unlimited - 2.0,
-        };
-        let ew = ew.max(1.0);
-        let to = timeout_sequence_terms(params);
-        let q = q_enhanced(q_p(ew), p_a, xp);
-
-        let window_limited = ew >= w_m;
-        let (ex, ey) = if !window_limited {
-            let ey = match self.variant {
-                // Numerator of Eq. (15) without the timeout term:
-                // 3b/8·E²[X] − (6+b)/4·E[X] − 1.
-                Variant::AsPublished => {
-                    3.0 * b / 8.0 * ex_unlimited * ex_unlimited
-                        - (6.0 + b) / 4.0 * ex_unlimited
-                        - 1.0
-                }
-                // E[Y] = E[W]/2 · (3E[X]/2 − 1)  (Eq. 6).
-                Variant::Rederived => ew / 2.0 * (3.0 * ex_unlimited / 2.0 - 1.0),
-            };
-            (ex_unlimited, ey)
-        } else {
-            // Window-limited branch (Section IV-D).
-            let e_u = b * w_m / 2.0; // Eq. (16)
-            let v_p =
-                ((1.0 - params.p_d) / (params.p_d * w_m) + 1.0 - 3.0 * b * w_m / 8.0).max(1.0); // Eq. (17)
-            let ev = e_v(p_a, v_p); // Eq. (18)
-            let ey = 3.0 * b * w_m * w_m / 8.0 + w_m * (ev - 0.5); // Eq. (19)
-            let ex = e_u + ev; // Eq. (20)
-            (ex, ey)
-        };
-
-        let numerator = ey.max(0.0) + q * to.e_y_to;
-        let denominator = rtt * ex + q * to.e_a_to;
-        let throughput_sps = (numerator / denominator).max(0.0);
-        Ok(EnhancedBreakdown {
-            variant: self.variant,
-            x_p: xp,
-            e_x: ex,
-            e_w: ew,
-            e_y: ey,
-            q_timeout: q,
-            to,
-            window_limited,
-            throughput_sps,
-        })
-    }
-}
-
-/// Convenience: Eq. (21) with the as-published variant.
+/// Eq. (21): the steady-state throughput in segments per second.
 ///
 /// # Errors
 ///
 /// Returns the parameter-validation error if `params` is out of domain.
 pub fn throughput(params: &ModelParams) -> Result<f64, ValidateParamsError> {
-    EnhancedModel::as_published().throughput(params)
+    Ok(breakdown(params)?.throughput_sps)
 }
 
 #[cfg(test)]
@@ -352,22 +279,6 @@ mod tests {
     }
 
     #[test]
-    fn variants_coincide_for_b2_up_to_constant() {
-        // With b = 2 the E[W] forms coincide; the remaining difference is
-        // the ±1 constant, so throughputs should be within a percent for
-        // realistic E[X].
-        let params = ModelParams::high_speed_example()
-            .with_b(2.0)
-            .with_w_m(10_000.0);
-        let a = EnhancedModel::as_published().throughput(&params).unwrap();
-        let r = EnhancedModel::rederived().throughput(&params).unwrap();
-        assert!(
-            (a - r).abs() / r < 0.05,
-            "as-published {a} vs rederived {r}"
-        );
-    }
-
-    #[test]
     fn reduces_toward_padhye_when_features_vanish() {
         // P_a = 0, q = p_d: the enhanced model should be in the same
         // ballpark as full Padhye (they still differ in the E[Y]
@@ -376,7 +287,7 @@ mod tests {
             .with_p_a_burst(0.0)
             .with_q(0.002)
             .with_w_m(10_000.0);
-        let ours = EnhancedModel::rederived().throughput(&params).unwrap();
+        let ours = throughput(&params).unwrap();
         let padhye = crate::padhye::full(&params).unwrap();
         let ratio = ours / padhye;
         assert!((0.5..2.0).contains(&ratio), "ratio {ratio}");
@@ -385,8 +296,7 @@ mod tests {
     #[test]
     fn monotone_in_each_impairment() {
         let base = ModelParams::high_speed_example().with_w_m(10_000.0);
-        let model = EnhancedModel::as_published();
-        let tp = |p: &ModelParams| model.throughput(p).unwrap();
+        let tp = |p: &ModelParams| throughput(p).unwrap();
         // More data loss -> less throughput.
         assert!(tp(&base.with_p_d(0.002)) > tp(&base.with_p_d(0.02)));
         // More ACK burst loss -> less throughput.
@@ -399,9 +309,8 @@ mod tests {
     fn window_limited_branch() {
         let roomy = ModelParams::stationary_example().with_w_m(10_000.0);
         let capped = roomy.with_w_m(8.0);
-        let model = EnhancedModel::as_published();
-        let bd_roomy = model.breakdown(&roomy).unwrap();
-        let bd_capped = model.breakdown(&capped).unwrap();
+        let bd_roomy = breakdown(&roomy).unwrap();
+        let bd_capped = breakdown(&capped).unwrap();
         assert!(!bd_roomy.window_limited);
         assert!(bd_capped.window_limited);
         assert!(bd_capped.throughput_sps < bd_roomy.throughput_sps);
@@ -413,7 +322,7 @@ mod tests {
     #[test]
     fn breakdown_is_internally_consistent() {
         let params = ModelParams::high_speed_example();
-        let bd = EnhancedModel::as_published().breakdown(&params).unwrap();
+        let bd = breakdown(&params).unwrap();
         assert!(bd.x_p > 0.0);
         assert!(bd.e_x > 0.0);
         assert!(bd.q_timeout >= q_p(bd.e_w) - 1e-12, "Q >= Q_P always");
@@ -426,14 +335,13 @@ mod tests {
     fn spurious_timeouts_hurt_more_when_recovery_is_lossy() {
         // The interaction the paper highlights: P_a matters more when q is
         // large (each spurious timeout costs a long recovery).
-        let model = EnhancedModel::as_published();
         let cheap_recovery = ModelParams::high_speed_example()
             .with_q(0.05)
             .with_w_m(10_000.0);
         let costly_recovery = cheap_recovery.with_q(0.5);
         let drop = |base: &ModelParams| {
-            let low = model.throughput(&base.with_p_a_burst(0.0)).unwrap();
-            let high = model.throughput(&base.with_p_a_burst(0.1)).unwrap();
+            let low = throughput(&base.with_p_a_burst(0.0)).unwrap();
+            let high = throughput(&base.with_p_a_burst(0.1)).unwrap();
             (low - high) / low
         };
         assert!(
@@ -446,6 +354,6 @@ mod tests {
     fn invalid_params_rejected() {
         let bad = ModelParams::high_speed_example().with_q(1.5);
         assert!(throughput(&bad).is_err());
-        assert!(EnhancedModel::rederived().breakdown(&bad).is_err());
+        assert!(breakdown(&bad).is_err());
     }
 }

@@ -1,7 +1,7 @@
 //! Model evaluation: the deviation metric `D` (Eq. 22) and the Fig. 10
 //! comparison between the enhanced model and the Padhye baseline.
 
-use crate::enhanced::EnhancedModel;
+use crate::enhanced;
 use crate::estimate::{estimate_params, EstimateConfig};
 use crate::padhye;
 use crate::params::ModelParams;
@@ -94,7 +94,7 @@ pub fn evaluate_flow(summary: &FlowSummary, cfg: &EstimateConfig) -> Option<Flow
         return None;
     }
     let params = estimate_params(summary, cfg);
-    let enhanced_sps = EnhancedModel::as_published().throughput(&params).ok()?;
+    let enhanced_sps = enhanced::throughput(&params).ok()?;
     // The Padhye baseline sees the world through its own assumptions: no
     // ACK loss, retransmissions lost like ordinary data.
     let padhye_sps = padhye::full(&params).ok()?;

@@ -8,7 +8,7 @@
 //! ablation ("how much does per-flow measurement of `q` buy over one
 //! global constant?").
 
-use crate::enhanced::EnhancedModel;
+use crate::enhanced;
 use crate::estimate::{estimate_params, EstimateConfig, QSource};
 use crate::eval::deviation;
 use hsm_trace::summary::FlowSummary;
@@ -53,7 +53,6 @@ pub struct FitResult {
 /// Mean deviation of the enhanced model over `summaries` with a global
 /// `q` and a `P_a` scale.
 pub fn score(summaries: &[FlowSummary], q: f64, p_a_scale: f64) -> Option<(f64, usize)> {
-    let model = EnhancedModel::as_published();
     let cfg = EstimateConfig {
         q_source: QSource::Fixed(q),
         ..Default::default()
@@ -66,7 +65,7 @@ pub fn score(summaries: &[FlowSummary], q: f64, p_a_scale: f64) -> Option<(f64, 
         }
         let mut params = estimate_params(s, &cfg);
         params.p_a_burst = (params.p_a_burst * p_a_scale).min(0.999);
-        let Ok(tp) = model.throughput(&params) else {
+        let Ok(tp) = enhanced::throughput(&params) else {
             continue;
         };
         let d = deviation(tp, s.throughput_sps);
@@ -116,7 +115,6 @@ mod tests {
     /// Builds a synthetic dataset whose measured throughput IS the
     /// enhanced model's output at a known q — the fit must recover it.
     fn synthetic_dataset(true_q: f64, n: usize) -> Vec<FlowSummary> {
-        let model = EnhancedModel::as_published();
         (0..n)
             .map(|i| {
                 let p_d = 0.004 + 0.001 * i as f64;
@@ -130,7 +128,7 @@ mod tests {
                     b: 2.0,
                     w_m: 64.0,
                 };
-                let tp = model.throughput(&params).unwrap();
+                let tp = enhanced::throughput(&params).unwrap();
                 FlowSummary {
                     flow: i as u32,
                     provider: "synthetic".into(),

@@ -6,9 +6,10 @@
 //!
 //! * [`params`] — validated model inputs (Table II + `P_a`, `q`);
 //! * [`padhye`] — the Padhye baseline (simple and full forms);
-//! * [`enhanced`] — the enhanced model, Eqs. (1)–(21), in *as-published*
-//!   and *rederived* variants (see that module's docs for the two
-//!   documented slips in the printed algebra);
+//! * [`enhanced`] — the enhanced model, Eqs. (1)–(21), with Eq. (4)'s
+//!   `E[W]` in the form its own derivation gives (see that module's docs
+//!   for the slip in the printed algebra and the Monte-Carlo that settles
+//!   it);
 //! * [`ack_burst`] — `P_a = p_a^(w/b)` and the `P_a ↔ E[W]` fixed point;
 //! * [`estimate`] — fitting parameters from measured
 //!   [`FlowSummary`](hsm_trace::summary::FlowSummary)s;
@@ -23,7 +24,7 @@
 //! use hsm_core::prelude::*;
 //!
 //! let params = ModelParams::high_speed_example();
-//! let enhanced = EnhancedModel::as_published().throughput(&params)?;
+//! let enhanced = enhanced_throughput(&params)?;
 //! let padhye = padhye_full(&params)?;
 //! // Padhye ignores lossy recoveries and spurious timeouts, so it
 //! // overestimates throughput at 300 km/h.
@@ -48,15 +49,15 @@ pub mod sensitivity;
 pub mod prelude {
     pub use crate::ack_burst::{p_a_from_ack_loss, solve_p_a, PaSolution};
     pub use crate::enhanced::{
-        e_v, e_x, q_enhanced, round_distribution, throughput as enhanced_throughput,
-        timeout_sequence_terms, EnhancedBreakdown, EnhancedModel, RoundProbability, Variant,
+        breakdown as enhanced_breakdown, e_v, e_w, e_x, q_enhanced, round_distribution,
+        throughput as enhanced_throughput, timeout_sequence_terms, EnhancedBreakdown,
+        RoundProbability,
     };
     pub use crate::estimate::{estimate_params, EstimateConfig, PdSource, QSource};
     pub use crate::eval::{deviation, evaluate_dataset, evaluate_flow, AccuracyReport, FlowEval};
     pub use crate::fit::{fit_global, score as fit_score, FitConfig, FitResult};
     pub use crate::padhye::{
-        expected_window, f_backoff, full as padhye_full, q_p, q_p_exact, simple as padhye_simple,
-        x_p,
+        expected_window, f_backoff, full as padhye_full, q_p, simple as padhye_simple, x_p,
     };
     pub use crate::params::{ModelParams, ValidateParamsError};
     pub use crate::recovery::{

@@ -41,31 +41,6 @@ pub fn q_p(w: f64) -> f64 {
     (3.0 / w.max(1.0)).min(1.0)
 }
 
-/// Padhye's *exact* timeout probability (ToN 2000, Eq. 23):
-///
-/// `Q̂(p, w) = min(1, (1−(1−p)³)(1+(1−p)³(1−(1−p)^(w−3))) / (1−(1−p)^w))`
-///
-/// — the probability that, given a loss in a window of `w`, fewer than
-/// three duplicate ACKs come back, forcing a timeout. [`q_p`] is its
-/// small-`p` limit.
-pub fn q_p_exact(p: f64, w: f64) -> f64 {
-    let w = w.max(1.0);
-    if w <= 3.0 {
-        return 1.0;
-    }
-    if p <= 0.0 {
-        // lim p->0 equals the 3/w approximation.
-        return q_p(w);
-    }
-    let s = 1.0 - p;
-    let denom = 1.0 - s.powf(w);
-    if denom <= 0.0 {
-        return 1.0;
-    }
-    let num = (1.0 - s.powi(3)) * (1.0 + s.powi(3) * (1.0 - s.powf(w - 3.0)));
-    (num / denom).min(1.0)
-}
-
 /// The square-root approximation with the timeout correction:
 /// `B ≈ min(W_m/RTT, 1 / (RTT·sqrt(2bp/3) + T·min(1, 3·sqrt(3bp/8))·p·(1+32p²)))`.
 ///
@@ -150,41 +125,6 @@ mod tests {
         assert_eq!(q_p(2.0), 1.0);
         assert_eq!(q_p(6.0), 0.5);
         assert_eq!(q_p(0.0), 1.0, "degenerate window clamps to 1");
-    }
-
-    #[test]
-    fn q_p_exact_limits() {
-        // Small windows always time out.
-        assert_eq!(q_p_exact(0.01, 3.0), 1.0);
-        assert_eq!(q_p_exact(0.01, 1.0), 1.0);
-        // p -> 0 converges to the 3/w approximation.
-        for w in [8.0, 16.0, 40.0] {
-            let exact = q_p_exact(1e-9, w);
-            assert!(
-                (exact - q_p(w)).abs() < 1e-3,
-                "w={w}: {exact} vs {}",
-                q_p(w)
-            );
-        }
-        // p -> 1: everything is a timeout.
-        assert!((q_p_exact(0.999999, 20.0) - 1.0).abs() < 1e-3);
-        // Bounded and monotone in p for a fixed window.
-        let mut prev = 0.0;
-        for i in 1..50 {
-            let p = i as f64 * 0.02;
-            let q = q_p_exact(p, 20.0);
-            assert!((0.0..=1.0).contains(&q));
-            assert!(q >= prev - 1e-12, "not monotone at p={p}");
-            prev = q;
-        }
-    }
-
-    #[test]
-    fn q_p_exact_exceeds_approximation_at_moderate_loss() {
-        // At HSR-like loss the exact form predicts more timeouts than the
-        // 3/w shortcut — part of why the shortcut underestimates timeout
-        // costs.
-        assert!(q_p_exact(0.05, 20.0) > q_p(20.0));
     }
 
     #[test]

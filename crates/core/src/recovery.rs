@@ -35,7 +35,7 @@
 //! improvement* — `gain_pct ≥ 0` always, with equality when the channel
 //! gives the strategy nothing to fix (`P_a = 0`).
 
-use crate::enhanced::{timeout_sequence_terms, EnhancedModel, TimeoutSequenceTerms};
+use crate::enhanced::{breakdown, timeout_sequence_terms, TimeoutSequenceTerms};
 use crate::padhye::{f_backoff, q_p};
 use crate::params::{ModelParams, ValidateParamsError};
 use serde::{Deserialize, Serialize};
@@ -124,7 +124,7 @@ pub fn adjusted_terms(label: &str, params: &ModelParams, spurious: f64) -> Timeo
 ///
 /// Returns the parameter-validation error if `params` is out of domain.
 pub fn predict(params: &ModelParams) -> Result<Vec<RecoveryPrediction>, ValidateParamsError> {
-    let bd = EnhancedModel::as_published().breakdown(params)?;
+    let bd = breakdown(params)?;
     let spurious = spurious_share(bd.q_timeout, q_p(bd.e_w));
     // Eq. (21) reassembled around the adjusted recovery terms; with the
     // unadjusted terms this reproduces `bd.throughput_sps` exactly.
@@ -177,7 +177,7 @@ mod tests {
     fn none_reproduces_the_enhanced_model_exactly() {
         let p = params();
         let rows = predict(&p).unwrap();
-        let direct = EnhancedModel::as_published().throughput(&p).unwrap();
+        let direct = crate::enhanced::throughput(&p).unwrap();
         assert_eq!(
             rows[0].throughput_sps.to_bits(),
             direct.to_bits(),

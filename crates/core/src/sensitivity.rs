@@ -10,7 +10,7 @@
 //!   `q·q₂` and shortening timeout sequences dramatically.
 
 use crate::ack_burst::p_a_from_ack_loss;
-use crate::enhanced::EnhancedModel;
+use crate::enhanced::throughput;
 use crate::params::ModelParams;
 use serde::{Deserialize, Serialize};
 
@@ -28,11 +28,10 @@ fn sweep(
     xs: &[f64],
     set: impl Fn(&ModelParams, f64) -> ModelParams,
 ) -> Vec<SweepPoint> {
-    let model = EnhancedModel::as_published();
     xs.iter()
         .filter_map(|&x| {
             let p = set(base, x);
-            model.throughput(&p).ok().map(|tp| SweepPoint {
+            throughput(&p).ok().map(|tp| SweepPoint {
                 x,
                 throughput_sps: tp,
             })
@@ -78,24 +77,18 @@ pub struct DelayedAckPoint {
 ///
 /// `window` is the typical congestion window (e.g. the measured mean);
 /// `p_ack` the per-ACK loss rate.
-///
-/// This analysis varies `b` away from 2, which is exactly where the
-/// published Eq. (4)/(7) slip (`b/2` vs `2/b` in `E[W]`) inverts the
-/// `b`-dependence — so it uses the [`EnhancedModel::rederived`] variant
-/// (the variants coincide at the paper's own evaluation setting `b = 2`).
 pub fn delayed_ack_analysis(
     base: &ModelParams,
     window: f64,
     p_ack: f64,
     bs: &[f64],
 ) -> Vec<DelayedAckPoint> {
-    let model = EnhancedModel::rederived();
     bs.iter()
         .filter_map(|&b| {
             let acks_per_round = (window / b).max(1.0);
             let p_a = p_a_from_ack_loss(p_ack, acks_per_round);
             let params = base.with_b(b).with_p_a_burst(p_a);
-            model.throughput(&params).ok().map(|tp| DelayedAckPoint {
+            throughput(&params).ok().map(|tp| DelayedAckPoint {
                 b,
                 acks_per_round,
                 p_a_burst: p_a,
@@ -140,10 +133,9 @@ pub fn redundant_retransmit_benefit(
     base: &ModelParams,
     q_backup: f64,
 ) -> Result<RedundantRetransmitBenefit, crate::params::ValidateParamsError> {
-    let model = EnhancedModel::as_published();
-    let single = model.throughput(base)?;
+    let single = throughput(base)?;
     let q_eff = (base.q * q_backup.clamp(0.0, 1.0)).min(0.999);
-    let redundant = model.throughput(&base.with_q(q_eff))?;
+    let redundant = throughput(&base.with_q(q_eff))?;
     Ok(RedundantRetransmitBenefit {
         single_path_sps: single,
         redundant_sps: redundant,

@@ -6,11 +6,11 @@
 //! `hsm-core`. The derivation chain is spelled out next to each fixture.
 //!
 //! These tests exist to catch silent drift: any future "refactor" of
-//! `padhye::full`, `EnhancedModel`, `timeout_sequence_terms` or the
+//! `padhye::full`, `enhanced::breakdown`, `timeout_sequence_terms` or the
 //! Table III `round_distribution` that changes a result — even in the
 //! 12th digit — fails loudly here and must justify itself.
 
-use hsm_core::enhanced::{round_distribution, timeout_sequence_terms, EnhancedModel};
+use hsm_core::enhanced::{breakdown, round_distribution, timeout_sequence_terms};
 use hsm_core::padhye;
 use hsm_core::params::ModelParams;
 
@@ -146,26 +146,21 @@ fn table_iii_round_distribution_pinned() {
     assert_pinned(total, 1.0, "Table III total mass");
 }
 
-/// The enhanced model, both variants, on one fully hand-derived point:
-/// `RTT = 0.1`, `T = 0.5`, `p_d = 0.02`, `P_a = 0.1`, `q = 0.3`, `b = 2`,
-/// `W_m = 50`.
+/// The enhanced model on one fully hand-derived point at the paper's
+/// evaluation setting: `RTT = 0.1`, `T = 0.5`, `p_d = 0.02`, `P_a = 0.1`,
+/// `q = 0.3`, `b = 2`, `W_m = 50`.
 ///
-/// Chain (as-published):
 /// * `X_P = 2/3 + sqrt(4·0.98/0.06 + 4/9) = 8.77701670706429` (Eq. 1)
 /// * `E[X] = (1 − 0.9^(X_P+1))/0.1 = 6.43032851288098` (Eq. 2)
-/// * `E[W] = (b/2)·E[X] − 2 = 4.43032851288098` (Eq. 4, first line)
+/// * `E[W] = (2/b)·E[X] − 2 = 4.43032851288098` (Eq. 4)
 /// * `p = 1 − 0.7·0.9 = 0.37`, `E[A^TO] = 0.5·f(0.37)/0.63
 ///   = 1.73761782245079` (Eqs. 13–14)
 /// * `Q = 1 − (1 − 3/E[W])·0.9^(X_P) = 0.871948223984853` (Eq. 10)
-/// * `E[Y] = (3b/8)·E²[X] − ((6+b)/4)·E[X] − 1 = 17.1511865619156`
+/// * `E[Y] = E[W]/2·(3E[X]/2 − 1) = 19.1511865619156` (Eq. 6)
 /// * `TP = (E[Y] + Q·E[Y^TO]) / (RTT·E[X] + Q·E[A^TO])
-///   = 8.17655538842908` (Eq. 15)
-///
-/// The rederived variant only swaps the `E[Y]` bookkeeping
-/// (`E[W]/2·(3E[X]/2 − 1) = 19.1511865619156`), giving
-/// `TP = 9.10327691098666`.
+///   = 9.10327691098666` (Eq. 21)
 #[test]
-fn enhanced_model_both_variants_pinned() {
+fn enhanced_model_pinned_at_b2() {
     let params = ModelParams {
         rtt_s: 0.1,
         t_rto_s: 0.5,
@@ -175,27 +170,57 @@ fn enhanced_model_both_variants_pinned() {
         b: 2.0,
         w_m: 50.0,
     };
-    let published = EnhancedModel::as_published().breakdown(&params).unwrap();
-    assert_pinned(published.x_p, 8.777_016_707_064_29, "X_P");
-    assert_pinned(published.e_x, 6.430_328_512_880_98, "E[X]");
-    assert_pinned(published.e_w, 4.430_328_512_880_98, "E[W]");
-    assert_pinned(published.q_timeout, 0.871_948_223_984_853, "Q");
-    assert_pinned(published.e_y, 17.151_186_561_915_6, "E[Y] (as published)");
-    assert_pinned(published.to.e_a_to, 1.737_617_822_450_79, "E[A^TO]");
-    assert!(!published.window_limited);
-    assert_pinned(
-        published.throughput_sps,
-        8.176_555_388_429_08,
-        "TP (as published)",
-    );
+    let bd = breakdown(&params).unwrap();
+    assert_pinned(bd.x_p, 8.777_016_707_064_29, "X_P");
+    assert_pinned(bd.e_x, 6.430_328_512_880_98, "E[X]");
+    assert_pinned(bd.e_w, 4.430_328_512_880_98, "E[W]");
+    assert_pinned(bd.q_timeout, 0.871_948_223_984_853, "Q");
+    assert_pinned(bd.e_y, 19.151_186_561_915_6, "E[Y]");
+    assert_pinned(bd.to.e_a_to, 1.737_617_822_450_79, "E[A^TO]");
+    assert!(!bd.window_limited);
+    assert_pinned(bd.throughput_sps, 9.103_276_910_986_66, "TP");
+}
 
-    let rederived = EnhancedModel::rederived().breakdown(&params).unwrap();
-    assert_pinned(rederived.e_y, 19.151_186_561_915_6, "E[Y] (rederived)");
-    assert_pinned(
-        rederived.throughput_sps,
-        9.103_276_910_986_66,
-        "TP (rederived)",
-    );
-    // Same E[W] for b = 2 — the two printed forms of Eq. (4) coincide.
-    assert_pinned(rederived.e_w, 4.430_328_512_880_98, "E[W] (rederived)");
+/// The same model at `b = 3`, where Eq. (4)'s printed first line
+/// (`(b/2)·E[X] − 2 = 14.75`) and its derivation (`(2/b)·E[X] − 2`) part:
+/// `RTT = 0.1`, `T = 0.5`, `p_d = 0.01`, `P_a = 0.05`, `q = 0.3`, `b = 3`,
+/// `W_m = 50`.
+///
+/// * `c = (2+b)/6 = 5/6`; `X_P = c + sqrt(6·0.99/0.03 + c²)
+///   = 5/6 + sqrt(198 + 25/36) = 14.9292350229892` (Eq. 1)
+/// * `E[X] = (1 − 0.95^(X_P+1))/0.05 = (1 − 0.441727129595263)/0.05
+///   = 11.1654574080947` (Eq. 2)
+/// * `E[W] = (2/3)·E[X] − 2 = 5.44363827206316` (Eq. 4)
+/// * `Q = 1 − (1 − 3/E[W])·0.95^(X_P) = 1 − (1 − 3/E[W])·0.464975925889751
+///   = 0.791273242029441` (Eq. 10)
+/// * `E[Y] = E[W]/2·(3E[X]/2 − 1) = 42.8637143178152` (Eq. 6)
+/// * `p = 1 − 0.7·0.95 = 0.335`, `E[R] = 1/0.665`,
+///   `E[Y^TO] = 0.7^(E[R]) = 0.584877240449725`; `f(0.335)` by Horner
+///   `= 1.9233225514345`, `E[A^TO] = 0.5·f/0.665 = 1.4461071815297`
+/// * `TP = (42.8637… + Q·0.584877…) / (0.1·11.16545… + Q·1.446107…)
+///   = 43.3265120280551 / 2.26081165866054 = 19.164140392714` (Eq. 21)
+///
+/// The printed algebra would give `TP = 56.49` here: the slip this pin
+/// guards against, invisible at `b = 2`.
+#[test]
+fn enhanced_model_pinned_at_b3() {
+    let params = ModelParams {
+        rtt_s: 0.1,
+        t_rto_s: 0.5,
+        p_d: 0.01,
+        p_a_burst: 0.05,
+        q: 0.3,
+        b: 3.0,
+        w_m: 50.0,
+    };
+    let bd = breakdown(&params).unwrap();
+    assert_pinned(bd.x_p, 14.929_235_022_989_2, "X_P");
+    assert_pinned(bd.e_x, 11.165_457_408_094_7, "E[X]");
+    assert_pinned(bd.e_w, 5.443_638_272_063_16, "E[W]");
+    assert_pinned(bd.q_timeout, 0.791_273_242_029_441, "Q");
+    assert_pinned(bd.e_y, 42.863_714_317_815_2, "E[Y]");
+    assert_pinned(bd.to.e_y_to, 0.584_877_240_449_725, "E[Y^TO]");
+    assert_pinned(bd.to.e_a_to, 1.446_107_181_529_7, "E[A^TO]");
+    assert!(!bd.window_limited);
+    assert_pinned(bd.throughput_sps, 19.164_140_392_714, "TP");
 }

@@ -20,9 +20,7 @@ fn main() {
     println!("base parameters (high-speed example): {base:#?}");
 
     // Every intermediate quantity of one evaluation (Eq. 1 .. Eq. 21).
-    let bd = EnhancedModel::as_published()
-        .breakdown(&base)
-        .expect("example parameters are valid");
+    let bd = enhanced_breakdown(&base).expect("example parameters are valid");
     println!("\n— model breakdown —");
     println!("  X_P (Eq. 1)            {:.2} rounds", bd.x_p);
     println!("  E[X] (Eq. 2)           {:.2} rounds", bd.e_x);

@@ -42,9 +42,7 @@ fn main() -> Result<(), hsm::Error> {
 
     // 2. Fit the model parameters from the trace and evaluate both models.
     let params = estimate_params(s, &EstimateConfig::default());
-    let enhanced = EnhancedModel::as_published()
-        .throughput(&params)
-        .expect("fitted parameters are valid");
+    let enhanced = enhanced_throughput(&params).expect("fitted parameters are valid");
     let padhye = padhye_full(&params).expect("fitted parameters are valid");
 
     println!("\n— model predictions —");

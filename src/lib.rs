@@ -79,7 +79,6 @@ pub use error::Error;
 pub mod prelude {
     pub use crate::Error;
     pub use hsm_chaos::{run_chaos, ChaosOptions, ChaosReport};
-    pub use hsm_core::enhanced::EnhancedModel;
     pub use hsm_core::params::ModelParams;
     pub use hsm_runtime::cache::{CacheConfig, FlowCache};
     pub use hsm_runtime::engine::{Campaign, CampaignBuilder, CampaignOutput, CampaignReport};

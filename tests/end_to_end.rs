@@ -36,7 +36,7 @@ fn pipeline_produces_consistent_quantities() {
         .expect("estimated parameters must validate");
 
     // Both models evaluate to finite positive throughputs.
-    let enhanced = EnhancedModel::as_published().throughput(&params).unwrap();
+    let enhanced = enhanced_throughput(&params).unwrap();
     let padhye = padhye_full(&params).unwrap();
     assert!(enhanced.is_finite() && enhanced > 0.0);
     assert!(padhye.is_finite() && padhye > 0.0);

@@ -28,7 +28,7 @@ fn arb_params() -> impl Strategy<Value = ModelParams> {
 proptest! {
     #[test]
     fn enhanced_model_total_on_valid_domain(params in arb_params()) {
-        let bd = EnhancedModel::as_published().breakdown(&params).unwrap();
+        let bd = enhanced_breakdown(&params).unwrap();
         prop_assert!(bd.throughput_sps.is_finite());
         prop_assert!(bd.throughput_sps >= 0.0);
         prop_assert!(bd.e_x > 0.0);
@@ -40,32 +40,35 @@ proptest! {
 
     #[test]
     fn rederived_variant_also_total(params in arb_params()) {
-        let tp = EnhancedModel::rederived().throughput(&params).unwrap();
+        // The throughput entry point of the rederived `(2/b)E[X] − 2`
+        // algebra is total and agrees bit-for-bit with its breakdown.
+        let tp = enhanced_throughput(&params).unwrap();
         prop_assert!(tp.is_finite() && tp >= 0.0);
+        let bd = enhanced_breakdown(&params).unwrap();
+        prop_assert_eq!(tp.to_bits(), bd.throughput_sps.to_bits());
     }
 
     #[test]
     fn enhanced_never_exceeds_padhye_at_paper_b(params in arb_params()) {
-        // Padhye ignores P_a and q; the enhanced model only adds
-        // impairments on top of the same CA-phase core. The as-published
-        // variant's E[W] slip inverts the b-dependence away from b = 2
-        // (see hsm-core::enhanced docs), so this property is stated at the
-        // paper's own evaluation setting b = 2. Both models are round-based
-        // approximations, so the comparison is confined to the regime they
-        // were built for: loss events rare per round, non-degenerate
+        // The paper's own evaluation setting b = 2, where the printed
+        // and rederived E[W] coincide. Both models are round-based
+        // approximations, so the comparison is confined to the regime
+        // they were built for: loss events rare per round, non-degenerate
         // windows.
         let params = params.with_b(2.0).with_p_d(params.p_d.min(0.08)).with_w_m(params.w_m.max(8.0));
-        let enhanced = EnhancedModel::as_published().throughput(&params).unwrap();
+        let enhanced = enhanced_throughput(&params).unwrap();
         let padhye = padhye_full(&params).unwrap();
         prop_assert!(enhanced <= padhye * 1.05, "enhanced {enhanced} padhye {padhye}");
     }
 
     #[test]
     fn rederived_enhanced_never_exceeds_padhye(params in arb_params()) {
-        // …while the rederived variant satisfies it for every b (same
-        // modelling-regime restriction as above).
+        // Padhye ignores P_a and q; the enhanced model only adds
+        // impairments on top of the same CA-phase core, so the rederived
+        // algebra stays below Padhye at every b (same modelling-regime
+        // restriction as above).
         let params = params.with_p_d(params.p_d.min(0.08)).with_w_m(params.w_m.max(8.0));
-        let enhanced = EnhancedModel::rederived().throughput(&params).unwrap();
+        let enhanced = enhanced_throughput(&params).unwrap();
         let padhye = padhye_full(&params).unwrap();
         prop_assert!(enhanced <= padhye * 1.05, "enhanced {enhanced} padhye {padhye}");
     }
@@ -441,10 +444,10 @@ mod regression_replays {
 
     /// Shrunk counterexample `a440b70a`: `b = 4` with lossless recovery
     /// (`q = 0`, `P_a = 0`). Two historical failure modes meet here: the
-    /// as-published `E[W] = (b/2)E[X] − 2` slip inverts the b-dependence
-    /// away from `b = 2` (why `enhanced_never_exceeds_padhye_at_paper_b`
-    /// pins `b = 2`), and an unfloored `q < p_d` priced timeout recovery
-    /// cheaper than Padhye's.
+    /// printed `E[W] = (b/2)E[X] − 2` slip inverted the b-dependence away
+    /// from `b = 2` (`hsm-core` now evaluates only `(2/b)E[X] − 2`), and
+    /// an unfloored `q < p_d` priced timeout recovery cheaper than
+    /// Padhye's.
     const REGRESSION_B4: ModelParams = ModelParams {
         rtt_s: 0.2901429431962392,
         t_rto_s: 0.2,
@@ -470,13 +473,11 @@ mod regression_replays {
     };
 
     fn assert_total_and_bounded(params: &ModelParams) {
-        for model in [EnhancedModel::as_published(), EnhancedModel::rederived()] {
-            let bd = model.breakdown(params).unwrap();
-            assert!(bd.throughput_sps.is_finite() && bd.throughput_sps >= 0.0);
-            assert!(bd.e_x > 0.0);
-            assert!((0.0..=1.0).contains(&bd.q_timeout));
-            assert!(bd.throughput_sps <= params.w_m / params.rtt_s * 2.0);
-        }
+        let bd = enhanced_breakdown(params).unwrap();
+        assert!(bd.throughput_sps.is_finite() && bd.throughput_sps >= 0.0);
+        assert!(bd.e_x > 0.0);
+        assert!((0.0..=1.0).contains(&bd.q_timeout));
+        assert!(bd.throughput_sps <= params.w_m / params.rtt_s * 2.0);
     }
 
     #[test]
@@ -490,19 +491,13 @@ mod regression_replays {
         // keeps this case below Padhye today; replay it exactly as the
         // property would evaluate it.
         let params = REGRESSION_B4
-            .with_b(2.0)
             .with_p_d(REGRESSION_B4.p_d.min(0.08))
             .with_w_m(REGRESSION_B4.w_m.max(8.0));
-        let enhanced = EnhancedModel::as_published().throughput(&params).unwrap();
+        let enhanced = enhanced_throughput(&params).unwrap();
         let padhye = padhye_full(&params).unwrap();
         assert!(
             enhanced <= padhye * 1.05,
             "enhanced {enhanced} padhye {padhye}"
-        );
-        let rederived = EnhancedModel::rederived().throughput(&params).unwrap();
-        assert!(
-            rederived <= padhye * 1.05,
-            "rederived {rederived} padhye {padhye}"
         );
     }
 
@@ -516,7 +511,7 @@ mod regression_replays {
         let params = REGRESSION_TINY_WINDOW
             .with_p_d(REGRESSION_TINY_WINDOW.p_d.min(0.08))
             .with_w_m(REGRESSION_TINY_WINDOW.w_m.max(8.0));
-        let enhanced = EnhancedModel::rederived().throughput(&params).unwrap();
+        let enhanced = enhanced_throughput(&params).unwrap();
         let padhye = padhye_full(&params).unwrap();
         assert!(
             enhanced <= padhye * 1.05,

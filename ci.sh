@@ -127,8 +127,9 @@ stage_build_test() {
     # timed passes is a disk hit, so its digest holds only if each entry
     # decodes to the bytes a fresh simulation encodes. `stress-warm-mem`
     # replays the same inputs (hence the same digest and events) from the
-    # memory tier: the run whose every timed flow is the worker pool's
-    # collect-and-merge and nothing else.
+    # memory tier: the run whose every timed flow is a lookup under the key
+    # the campaign computed at build, collected by the worker pool on the
+    # calling thread (worker 0; one worker spawns nothing), and nothing else.
     cargo build --release --offline --manifest-path benchmark/Cargo.toml
     cargo test --release --offline --manifest-path benchmark/Cargo.toml
     benchmark_pin table1-cold 1 461fc511504f307e 19262156

@@ -11,6 +11,7 @@
 
 use crate::context::Ctx;
 use crate::report::ExperimentResult;
+use hsm_runtime::parallel::par_map;
 use hsm_scenario::provider::Provider;
 use hsm_scenario::runner::{run_scenario, ScenarioConfig};
 use hsm_tcp::cc::Algorithm;
@@ -48,7 +49,7 @@ pub fn run_cc(ctx: &Ctx) -> ExperimentResult {
             ("NewReno", Algorithm::Reno, true),
             ("Veno", Algorithm::veno(), false),
         ] {
-            let results = crate::parallel::par_map(reps, |rep| {
+            let results = par_map(reps, |rep| {
                 let sc = base_scenario(duration, provider, 7_000 + rep);
                 let mut conn = sc.connection();
                 conn.sender.algorithm = algo;
@@ -97,7 +98,7 @@ pub fn run_delack(ctx: &Ctx) -> ExperimentResult {
         ),
     ];
     for (name, b, adaptive) in policies {
-        let results = crate::parallel::par_map(reps, |rep| {
+        let results = par_map(reps, |rep| {
             let sc = base_scenario(duration, Provider::ChinaMobile, 7_500 + rep);
             let mut conn = sc.connection();
             conn.receiver.b = b;
@@ -136,7 +137,7 @@ pub fn run_undo(ctx: &Ctx) -> ExperimentResult {
     );
     for provider in Provider::ALL {
         for undo in [false, true] {
-            let results = crate::parallel::par_map(reps, |rep| {
+            let results = par_map(reps, |rep| {
                 let sc = base_scenario(duration, provider, 8_000 + rep);
                 let mut conn = sc.connection();
                 conn.sender.spurious_rto_undo = undo;
@@ -175,7 +176,7 @@ pub fn run_mptcp_variants(ctx: &Ctx) -> ExperimentResult {
         ],
     );
     for provider in Provider::ALL {
-        let results = crate::parallel::par_map(reps, |rep| {
+        let results = par_map(reps, |rep| {
             let sc = base_scenario(duration, provider, 8_500 + rep);
             let single = run_scenario(&sc).summary().throughput_sps;
             let path = sc.path();

@@ -14,6 +14,7 @@
 
 use crate::context::Ctx;
 use crate::report::ExperimentResult;
+use hsm_runtime::parallel::par_map;
 use hsm_scenario::calibrate::PAPER;
 use hsm_scenario::provider::Provider;
 use hsm_scenario::runner::{run_scenario, ScenarioConfig};
@@ -49,7 +50,7 @@ pub fn run(ctx: &Ctx) -> ExperimentResult {
     for (i, provider) in Provider::ALL.iter().enumerate() {
         // Paired rides: the same seed drives the single-flow and the
         // MPTCP run of each repetition, reducing ride-to-ride variance.
-        let pairs = crate::parallel::par_map(reps, |rep| {
+        let pairs = par_map(reps, |rep| {
             let sc = scenario(*provider, 300 + rep, duration);
             let single = run_scenario(&sc).summary().throughput_sps;
             let path = sc.path();

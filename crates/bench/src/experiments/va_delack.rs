@@ -6,6 +6,7 @@ use crate::context::Ctx;
 use crate::report::ExperimentResult;
 use hsm_core::params::ModelParams;
 use hsm_core::sensitivity::delayed_ack_analysis;
+use hsm_runtime::parallel::par_map;
 use hsm_scenario::runner::{run_scenario, ScenarioConfig};
 use hsm_trace::export::{fnum, fpct, Table};
 
@@ -41,7 +42,7 @@ pub fn run(ctx: &Ctx) -> ExperimentResult {
         ],
     );
     for b in [1u32, 2, 4] {
-        let results = crate::parallel::par_map(reps, |rep| {
+        let results = par_map(reps, |rep| {
             let out = run_scenario(&ScenarioConfig {
                 seed: 4_000 + rep,
                 b,

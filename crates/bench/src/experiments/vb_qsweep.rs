@@ -5,6 +5,7 @@ use crate::context::Ctx;
 use crate::report::ExperimentResult;
 use hsm_core::params::ModelParams;
 use hsm_core::sensitivity::{redundant_retransmit_benefit, sweep_q};
+use hsm_runtime::parallel::par_map;
 use hsm_scenario::runner::ScenarioConfig;
 use hsm_tcp::connection::{run_connection, PathSpec};
 use hsm_tcp::mptcp::run_with_backup_path;
@@ -47,7 +48,7 @@ pub fn run(ctx: &Ctx) -> ExperimentResult {
     // over a clean second path.
     let reps = ctx.scale.repetitions();
     let duration = ctx.scale.flow_duration();
-    let results = crate::parallel::par_map(reps, |rep| {
+    let results = par_map(reps, |rep| {
         let sc = ScenarioConfig {
             seed: 5_000 + rep,
             duration,

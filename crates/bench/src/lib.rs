@@ -29,10 +29,6 @@ pub mod recovery_study;
 pub mod registry;
 pub mod report;
 
-/// Parallel repetition helpers, promoted to `hsm-runtime`; re-exported
-/// here so `hsm_bench::parallel::par_map` call sites keep working.
-pub use hsm_runtime::parallel;
-
 pub use cli::Opts;
 pub use context::{Ctx, Scale};
 pub use registry::{find, run_all, Experiment, EXPERIMENTS};

@@ -1,13 +1,14 @@
 //! The sharded, memoizing campaign engine.
 //!
 //! A [`Campaign`] is an ordered set of [`ScenarioConfig`]s executed across
-//! the crate's one self-scheduling worker pool (`parallel::run_pool`):
-//! each worker first executes a small round-robin *reserved prefix* of
-//! flow indices it alone owns — so a warm replay, whose cache hits are
-//! cheaper than a thread spawn, still spreads over every worker instead
-//! of reading `worker_flows = [n, 0, 0, ...]` — then pulls remaining
-//! indices from a shared atomic counter (idle workers automatically take
-//! over the expensive, uneven simulated remainder).
+//! the crate's one self-scheduling worker pool (`parallel::run_pool`,
+//! whose worker 0 is the calling thread): each worker first executes a
+//! small round-robin *reserved prefix* of flow indices it alone owns — so
+//! a warm replay, whose cache hits are cheaper than a thread spawn, still
+//! spreads over every worker instead of reading `worker_flows = [n, 0, 0,
+//! ...]` — then pulls remaining indices from a shared atomic counter
+//! (idle workers automatically take over the expensive, uneven simulated
+//! remainder).
 //!
 //! Workers stream each flow through `try_analyze_scenario_with`: the
 //! measurement pipeline reads the flow's packets from the engine's arena,
@@ -25,8 +26,10 @@
 //! onto a vector of its own, ascending by flow index because its claims
 //! are: one worker's vector is the campaign's output as it stands,
 //! several are merged by index. Nothing is shared per flow but the claim
-//! counter — no slot, no channel, no clock read (a warm flow costs its
-//! cache lookup and one 304-byte move). Completed flows are memoized in a
+//! counter — no slot, no channel, no clock read — and no flow is hashed
+//! per run: [`CampaignBuilder::build`] keys every config once, beside its
+//! validation. A warm flow costs its cache lookup and one 304-byte move;
+//! a one-worker pass spawns no thread. Completed flows are memoized in a
 //! sharded [`FlowCache`]; the output is in index order, so the summary
 //! stream is **bit-identical** for any worker count and any cache state
 //! (cold, warm memory, warm disk). Wall-clock and utilization telemetry
@@ -95,8 +98,10 @@ pub struct CampaignReport {
     pub worker_flows: Vec<usize>,
     /// Seconds each worker spent in its claim loop, first claim to last
     /// (it never waits inside it). Read once per worker, not summed per
-    /// flow: what is missing from the wall-clock is spawn skew and the
-    /// idle tail after a worker's last flow.
+    /// flow: what is missing from the wall-clock is the time before a
+    /// worker's first claim (worker 0, the calling thread, starts at once;
+    /// a spawned worker after its spawn) and the idle tail after its last
+    /// flow.
     pub worker_busy_s: Vec<f64>,
     /// Event-queue telemetry aggregated over all simulated flows.
     ///
@@ -131,8 +136,9 @@ impl PartialEq for CampaignReport {
 impl CampaignReport {
     /// Mean fraction of the campaign wall-clock each worker spent in its
     /// claim loop (1.0 = every worker started with the campaign and ended
-    /// with it; the shortfall is spawn, skew between workers, and the
-    /// merge and report after the pool drains).
+    /// with it; the shortfall is the spawn of workers `1..W` — worker 0
+    /// is the calling thread and spawns nothing — skew between workers,
+    /// and the merge and report after the pool drains).
     pub fn worker_utilization(&self) -> f64 {
         if self.wall_clock_s <= 0.0 || self.worker_busy_s.is_empty() {
             return 0.0;
@@ -255,7 +261,9 @@ impl CampaignBuilder {
         self
     }
 
-    /// Validates every configuration and the worker count.
+    /// Validates every configuration and the worker count, and keys every
+    /// configuration once: the configs never change after `build`, so no
+    /// run hashes them again.
     ///
     /// # Errors
     ///
@@ -266,10 +274,12 @@ impl CampaignBuilder {
         if self.workers == Some(0) {
             return Err(EngineError::ZeroWorkers);
         }
+        let mut keys = Vec::with_capacity(self.configs.len());
         for (index, config) in self.configs.iter().enumerate() {
             config
                 .validate()
                 .map_err(|source| EngineError::InvalidConfig { index, source })?;
+            keys.push(CacheKey::of(config));
         }
         let workers = self.workers.unwrap_or_else(|| {
             std::thread::available_parallelism()
@@ -278,6 +288,7 @@ impl CampaignBuilder {
         });
         Ok(Campaign {
             configs: self.configs,
+            keys,
             workers,
             cache: self.cache.unwrap_or_else(CacheConfig::memory_only),
             #[cfg(any(test, feature = "chaos"))]
@@ -290,6 +301,8 @@ impl CampaignBuilder {
 #[derive(Debug, Clone)]
 pub struct Campaign {
     configs: Vec<ScenarioConfig>,
+    /// `CacheKey::of(&configs[i])`, computed once by `build`.
+    keys: Vec<CacheKey>,
     workers: usize,
     cache: CacheConfig,
     #[cfg(any(test, feature = "chaos"))]
@@ -389,7 +402,7 @@ impl Campaign {
                 ),
             });
         }
-        let key = CacheKey::of(config);
+        let key = self.keys[i];
         if let Some(summary) = cache.lookup(key) {
             return Ok(FlowRun {
                 config: config.clone(),

@@ -77,9 +77,13 @@ struct Part<T> {
 }
 
 /// The crate's one worker pool: runs `job(state, worker, i)` for every `i`
-/// in `0..n` on `workers` scoped threads (clamped to `1..=n`), each with
-/// its own `state()`, and returns the results in index order — the same
-/// for every worker count.
+/// in `0..n` on `workers` workers (clamped to `1..=n`), each with its own
+/// `state()`, and returns the results in index order — the same for every
+/// worker count.
+///
+/// The calling thread is worker 0 and workers `1..W` are scoped threads,
+/// so a one-worker pool spawns nothing: a sub-millisecond warm replay
+/// would otherwise pay a thread spawn and join on every pass.
 ///
 /// Each worker takes its reserved prefix ([`RESERVED_ROUNDS`]), then pulls
 /// from a shared counter, and pushes what it completes onto vectors of its
@@ -94,7 +98,8 @@ struct Part<T> {
 /// answer is the same on every interleaving (aborting outright could leave
 /// a lower failing index unexecuted on another worker). Otherwise
 /// [`EngineError::WorkerLost`] when an index has no result: a job panicked
-/// (caught in its worker, which stops, as do the others).
+/// (caught in its worker, which stops, as do the others), or a worker's
+/// `state()` did (that worker has no part; the caller's included).
 pub(crate) fn run_pool<S, T: Send>(
     n: usize,
     workers: usize,
@@ -156,12 +161,15 @@ pub(crate) fn run_pool<S, T: Send>(
         part
     };
     let mut parts: Vec<Part<T>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
+        let handles: Vec<_> = (1..workers)
             .map(|worker| scope.spawn(move || work(worker)))
             .collect();
         // A worker that died outside a job has no part; its indices show
-        // up as the gap below.
-        handles.into_iter().filter_map(|h| h.join().ok()).collect()
+        // up as the gap below. The caller's own death is caught like a
+        // spawned worker's, never unwound into it.
+        let caller = catch_unwind(AssertUnwindSafe(|| work(0))).ok();
+        let spawned = handles.into_iter().filter_map(|h| h.join().ok());
+        caller.into_iter().chain(spawned).collect()
     });
 
     if let Some((_, e)) = parts
@@ -246,6 +254,56 @@ mod tests {
             })
             .unwrap_err();
             assert_eq!(err, EngineError::WorkerLost, "round {round}");
+        }
+    }
+
+    /// The calling thread is worker 0: a one-worker map runs every index
+    /// on it, and with 4 workers index 0 — worker 0's reserved index —
+    /// runs there too.
+    #[test]
+    fn the_caller_is_worker_zero() {
+        let caller = std::thread::current().id();
+        let alone = par_map_workers(16, 1, |_| std::thread::current().id());
+        assert_eq!(alone, vec![caller; 16]);
+        let pooled = par_map_workers(16, 4, |_| std::thread::current().id());
+        assert_eq!(pooled[0], caller);
+    }
+
+    /// A job panicking on the caller (index 0 is worker 0's) is
+    /// `WorkerLost` for every worker count, never an unwind into it.
+    #[test]
+    fn a_panic_on_the_caller_is_worker_lost() {
+        for workers in [1, 2, 4] {
+            for round in 0..20 {
+                let err = try_par_map_workers(16, workers, |i| {
+                    if i == 0 {
+                        panic!("chaos: the calling worker dies");
+                    }
+                    i
+                })
+                .unwrap_err();
+                assert_eq!(
+                    err,
+                    EngineError::WorkerLost,
+                    "{workers} workers, round {round}"
+                );
+            }
+        }
+    }
+
+    /// Worker 0's `state()` panicking leaves the caller without a part:
+    /// its reserved indices are the gap, whatever the others complete.
+    #[test]
+    fn a_panic_in_the_callers_state_is_worker_lost() {
+        let caller = std::thread::current().id();
+        for workers in [1, 2, 4] {
+            let state = || {
+                if std::thread::current().id() == caller {
+                    panic!("chaos: worker 0 cannot build its state");
+                }
+            };
+            let err = run_pool(16, workers, state, |(), _, i| Ok(i)).err();
+            assert_eq!(err, Some(EngineError::WorkerLost), "{workers} workers");
         }
     }
 

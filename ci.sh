@@ -27,9 +27,21 @@ stage_build_test() {
         echo "a trace-retaining campaign option, a criterion bench target, a batched model twin or a second enhanced-model algebra is back" >&2
         exit 1
     fi
+    # Also deleted: the scenario run twins (one `runner::run` with a
+    # `Keep` argument replaced them), the scratch accessor they folded
+    # traces through, and two loss models nothing used.
+    if grep -rnE 'try_run_scenario|try_run_storm_scenario_with|try_analyze_scenario_with|ConnectionScratch::trace|TraceDriven|loss_ext::Scripted' \
+        crates src tests examples Cargo.toml; then
+        echo "a deleted scenario run twin, ConnectionScratch::trace or a dead loss model is back" >&2
+        exit 1
+    fi
     # --workspace so the release `repro` binary the later steps run is built
     # (the bare root build only covers the facade crate).
     cargo build --release --workspace
+    # benchmark/ compiles against the crates' public signatures and is its
+    # own workspace: build it here, so an API change that breaks it fails
+    # the gate at once instead of after the suite.
+    cargo build --release --offline --manifest-path benchmark/Cargo.toml
     cargo test -q --workspace
     # Queue-vs-model differential: the event queue (indexed timer heap +
     # scanned FIFO lanes) must pop the exact `(time, seq)` stream an
@@ -113,7 +125,7 @@ stage_build_test() {
     cargo clippy --workspace --all-targets -- -D warnings
     RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
     # benchmark/ is a workspace of its own that pins the crates' public
-    # signatures; nothing above compiles it. Build it, run its unit tests,
+    # signatures; it was built right after the workspace. Run its unit tests,
     # and make five short driver-form runs. Those runs are also the speed-
     # only-change gate: a pinned seed of a workload must simulate exactly the
     # pinned events into exactly the pinned summary bytes (a PR that means
@@ -130,7 +142,6 @@ stage_build_test() {
     # memory tier: the run whose every timed flow is a lookup under the key
     # the campaign computed at build, collected by the worker pool on the
     # calling thread (worker 0; one worker spawns nothing), and nothing else.
-    cargo build --release --offline --manifest-path benchmark/Cargo.toml
     cargo test --release --offline --manifest-path benchmark/Cargo.toml
     benchmark_pin table1-cold 1 461fc511504f307e 19262156
     benchmark_pin table1-cold 77 404247be8dce77f3 18461285

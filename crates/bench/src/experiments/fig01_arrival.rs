@@ -17,7 +17,7 @@ pub fn run(ctx: &Ctx) -> ExperimentResult {
         ..Default::default()
     };
     let out = run_scenario(&cfg);
-    let points = delay_scatter(&out.outcome.trace);
+    let points = delay_scatter(out.trace.as_ref().expect("run_scenario keeps the trace"));
 
     let mut scatter = Table::new(
         "Fig. 1 — packet send time vs one-way delay (lost = -1)",
@@ -36,7 +36,7 @@ pub fn run(ctx: &Ctx) -> ExperimentResult {
     }
 
     let mut marks = Table::new("Timeout events (numbered as in Fig. 1)", &["#", "at_s"]);
-    for (i, t) in out.outcome.sender.timeouts.iter().enumerate() {
+    for (i, t) in out.sender.timeouts.iter().enumerate() {
         marks.push_row(vec![(i + 1).to_string(), fnum(t.as_secs_f64())]);
     }
 
@@ -77,7 +77,7 @@ pub fn run(ctx: &Ctx) -> ExperimentResult {
     ))
     .note(format!(
         "paper flow shows 10 timeout sequences; this flow has {} timeouts in {} sequences",
-        out.outcome.sender.timeouts.len(),
+        out.sender.timeouts.len(),
         out.analysis.timeouts.sequences.len(),
     ))
 }

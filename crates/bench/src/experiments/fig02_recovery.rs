@@ -16,7 +16,7 @@ pub fn run(ctx: &Ctx) -> ExperimentResult {
         ..Default::default()
     };
     let out = run_scenario(&cfg);
-    let trace = &out.outcome.trace;
+    let trace = out.trace.as_ref().expect("run_scenario keeps the trace");
     let Some(seq) = out
         .analysis
         .timeouts

@@ -43,7 +43,7 @@ pub fn run_fig7(ctx: &Ctx) -> ExperimentResult {
         duration: ctx.scale.flow_duration(),
         ..Default::default()
     });
-    let log = &out.outcome.sender.metrics_cwnd();
+    let log = &out.sender.metrics_cwnd();
     let spurious = out
         .analysis
         .timeouts
@@ -90,7 +90,7 @@ pub fn run_fig8(ctx: &Ctx) -> ExperimentResult {
     ExperimentResult::new("fig8", "CA/timeout cycle structure (Fig. 8)")
         .with_table(window_table(
             "cwnd over time",
-            out.outcome.sender.metrics_cwnd(),
+            out.sender.metrics_cwnd(),
             60,
         ))
         .with_table(cycles)
@@ -106,7 +106,7 @@ pub fn run_fig9(ctx: &Ctx) -> ExperimentResult {
         duration: ctx.scale.flow_duration(),
         ..Default::default()
     });
-    let log = out.outcome.sender.metrics_cwnd();
+    let log = out.sender.metrics_cwnd();
     let capped = log.iter().filter(|s| s.window == 8).count();
     ExperimentResult::new("fig9", "Window evolution under W_m limitation (Fig. 9)")
         .with_table(window_table("Fig. 9 — cwnd with W_m = 8", log, 60))

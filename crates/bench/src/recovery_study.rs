@@ -24,7 +24,7 @@ use hsm_core::recovery::{predict, STRATEGY_LABELS};
 use hsm_runtime::cache::{CacheConfig, FlowCache};
 use hsm_runtime::engine::Campaign;
 use hsm_scenario::provider::Provider;
-use hsm_scenario::runner::{try_analyze_scenario_with, Motion, ScenarioConfig, Scratch};
+use hsm_scenario::runner::{run, Keep, Motion, ScenarioConfig, Scratch};
 use hsm_simnet::chaos::{StormEpisode, StormKind, StormPlan};
 use hsm_simnet::time::{SimDuration, SimTime};
 use hsm_tcp::recovery::Recovery;
@@ -247,8 +247,8 @@ pub fn run_recovery_study(
                     recovery,
                     ..ScenarioConfig::default()
                 };
-                let out = try_analyze_scenario_with(&mut scratch, &config, &plan)
-                    .map_err(|e| e.to_string())?;
+                let out =
+                    run(&mut scratch, &config, &plan, Keep::Summary).map_err(|e| e.to_string())?;
                 timeouts += out.sender.timeouts.len() as u64;
                 undone += out.sender.spurious_rto_undone;
                 probes += out.sender.frto_probes;

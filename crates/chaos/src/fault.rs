@@ -10,6 +10,7 @@ use crate::report::DrillResult;
 use hsm_runtime::cache::{chaos_corrupt_disk_entry, chaos_forge_disk_entry, CacheKey};
 use hsm_runtime::{CacheConfig, Campaign, ChaosInjection, EngineError, FlowCache};
 use hsm_scenario::prelude::*;
+use hsm_scenario::runner;
 use hsm_simnet::agent::{Agent, NullAgent};
 use hsm_simnet::chaos::{StormEpisode, StormInjector, StormKind, StormPlan};
 use hsm_simnet::engine::{Ctx, Engine};
@@ -17,13 +18,12 @@ use hsm_simnet::link::{LinkId, LinkSpec};
 use hsm_simnet::packet::{FlowId, Packet, SeqNo};
 use hsm_simnet::time::{SimDuration, SimTime};
 use hsm_tcp::connection::{
-    try_run_connection_with, ConnectionConfig, ConnectionScratch, LossSpec, PathSpec,
+    try_analyze_connection_with, ConnectionConfig, ConnectionScratch, LossSpec, PathSpec,
 };
 use hsm_tcp::receiver::{Receiver, ReceiverConfig};
 use hsm_tcp::recovery::Recovery;
 use hsm_tcp::reno::{RenoSender, SenderConfig};
 use hsm_trace::analysis::timeout::TimeoutConfig;
-use hsm_trace::summary::analyze_flow;
 use std::path::Path;
 
 fn result(name: &str, outcome: Result<String, String>) -> DrillResult {
@@ -158,10 +158,11 @@ fn drill_cache_forgery(dir: &Path) -> Result<String, String> {
     let configs = drill_configs();
     let victim = &configs[0];
     let donor = &configs[1];
-    let donor_summary = try_run_scenario(donor)
+    let calm = StormPlan::default();
+    let donor_summary = runner::run(&mut Scratch::new(), donor, &calm, Keep::Summary)
         .map_err(|e| format!("donor run failed: {e}"))?
-        .summary()
-        .clone();
+        .analysis
+        .summary;
     chaos_forge_disk_entry(&dir, CacheKey::of(victim), &donor_summary)
         .map_err(|e| format!("forgery helper failed: {e}"))?;
     let cache = FlowCache::new(CacheConfig {
@@ -176,10 +177,10 @@ fn drill_cache_forgery(dir: &Path) -> Result<String, String> {
             "integrity check flagged the forgery — it should be invisible to it".to_owned(),
         );
     }
-    let fresh = try_run_scenario(victim)
+    let fresh = runner::run(&mut Scratch::new(), victim, &calm, Keep::Summary)
         .map_err(|e| format!("victim run failed: {e}"))?
-        .summary()
-        .clone();
+        .analysis
+        .summary;
     match compare_summaries(&fresh, &served) {
         Some(_) => Ok(
             "forgery passed the integrity hash but the differential oracle flagged it".to_owned(),
@@ -286,10 +287,17 @@ fn drill_ack_burst_loss() -> Result<String, String> {
             up_loss,
             ..Default::default()
         };
-        let out = try_run_connection_with(&mut scratch, 5, &path, None, &connection)
-            .map_err(|e| format!("connection run failed: {e}"))?;
-        let analysis = analyze_flow(&out.trace, &TimeoutConfig::default());
-        Ok::<_, String>(analysis.summary)
+        let out = try_analyze_connection_with(
+            &mut scratch,
+            5,
+            &path,
+            None,
+            &connection,
+            &TimeoutConfig::default(),
+            Keep::Summary,
+        )
+        .map_err(|e| format!("connection run failed: {e}"))?;
+        Ok::<_, String>(out.analysis.summary)
     };
     let episodes = LossSpec::PeriodicOutage {
         period_s: 1.0,
@@ -420,16 +428,18 @@ fn drill_scratch_poison() -> Result<String, String> {
         .seed(77)
         .build()
         .expect("valid");
-    let fresh = try_run_scenario(&config).map_err(|e| format!("fresh run failed: {e}"))?;
+    let calm = StormPlan::default();
+    let fresh = runner::run(&mut Scratch::new(), &config, &calm, Keep::Trace)
+        .map_err(|e| format!("fresh run failed: {e}"))?;
     let mut scratch = Scratch::new();
     for round in 0..2 {
         scratch.poison();
-        let reused = try_run_scenario_with(&mut scratch, &config)
+        let reused = runner::run(&mut scratch, &config, &calm, Keep::Trace)
             .map_err(|e| format!("poisoned run failed: {e}"))?;
         if let Some(diff) = compare_summaries(fresh.summary(), reused.summary()) {
             return Err(format!("round {round}: poisoned scratch diverged: {diff}"));
         }
-        if reused.outcome.trace != fresh.outcome.trace {
+        if reused.trace != fresh.trace {
             return Err(format!("round {round}: traces diverged"));
         }
     }

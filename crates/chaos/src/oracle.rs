@@ -24,7 +24,8 @@ use hsm_core::enhanced::{self, round_distribution};
 use hsm_core::estimate::EstimateConfig;
 use hsm_core::eval::{evaluate_flow, FlowEval};
 use hsm_runtime::cache::{CacheConfig, CacheKey, FlowCache};
-use hsm_scenario::runner::{try_run_scenario, try_run_scenario_with, ScenarioConfig, Scratch};
+use hsm_scenario::runner::{run, Keep, ScenarioConfig, Scratch};
+use hsm_simnet::chaos::StormPlan;
 use hsm_trace::summary::FlowSummary;
 use std::path::{Path, PathBuf};
 
@@ -118,7 +119,8 @@ pub fn check_case(case: u64, config: &ScenarioConfig, oracle: &OracleConfig) -> 
     let mut violations = Vec::new();
 
     // --- Layer 1: the three-way differential. -------------------------
-    let fresh = match try_run_scenario(config) {
+    let calm = StormPlan::default();
+    let fresh = match run(&mut Scratch::new(), config, &calm, Keep::Trace) {
         Ok(out) => out,
         Err(e) => {
             violations.push(violation(
@@ -138,7 +140,7 @@ pub fn check_case(case: u64, config: &ScenarioConfig, oracle: &OracleConfig) -> 
 
     let mut scratch = Scratch::new();
     scratch.poison();
-    match try_run_scenario_with(&mut scratch, config) {
+    match run(&mut scratch, config, &calm, Keep::Trace) {
         Ok(reused) => {
             if let Some(diff) = compare_summaries(summary, reused.summary()) {
                 violations.push(violation(
@@ -147,7 +149,7 @@ pub fn check_case(case: u64, config: &ScenarioConfig, oracle: &OracleConfig) -> 
                     "determinism-scratch",
                     format!("poisoned-scratch run diverged from fresh run: {diff}"),
                 ));
-            } else if reused.outcome.trace != fresh.outcome.trace {
+            } else if reused.trace != fresh.trace {
                 violations.push(violation(
                     case,
                     config,
@@ -387,7 +389,7 @@ fn check_model_invariants(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hsm_scenario::runner::Motion;
+    use hsm_scenario::runner::{run_scenario, Motion};
     use hsm_simnet::time::SimDuration;
 
     fn quick_config() -> ScenarioConfig {
@@ -410,7 +412,7 @@ mod tests {
     #[test]
     fn forged_summary_is_caught_by_the_differential() {
         let cfg = quick_config();
-        let fresh = try_run_scenario(&cfg).expect("runs");
+        let fresh = run_scenario(&cfg);
         let mut forged = fresh.summary().clone();
         forged.throughput_sps *= 1.5;
         let diff = compare_summaries(fresh.summary(), &forged);
@@ -423,7 +425,7 @@ mod tests {
         // Feed the summary checker a deliberately corrupted summary: the
         // oracle must flag it (detection proof for the invariant layer).
         let cfg = quick_config();
-        let fresh = try_run_scenario(&cfg).expect("runs");
+        let fresh = run_scenario(&cfg);
         let mut bad = fresh.summary().clone();
         bad.p_d = 1.5;
         bad.spurious_timeouts = bad.timeouts + 1;
@@ -443,7 +445,7 @@ mod tests {
     #[test]
     fn warm_cache_round_trip_detects_divergence() {
         let cfg = quick_config();
-        let fresh = try_run_scenario(&cfg).expect("runs");
+        let fresh = run_scenario(&cfg);
         assert_eq!(
             warm_cache_round_trip(&cfg, fresh.summary(), None),
             Ok(None),

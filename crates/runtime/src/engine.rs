@@ -10,16 +10,16 @@
 //! (idle workers automatically take over the expensive, uneven simulated
 //! remainder).
 //!
-//! Workers stream each flow through `try_analyze_scenario_with`: the
-//! measurement pipeline reads the flow's packets from the engine's arena,
-//! no `FlowTrace` is ever built, and only the compact [`FlowSummary`]
+//! Workers stream each flow through `runner::run` under `Keep::Summary`:
+//! the measurement pipeline reads the flow's packets from the engine's
+//! arena, no `FlowTrace` is ever built, and only the compact [`FlowSummary`]
 //! survives — so campaigns of tens of thousands of flows run in
 //! near-constant memory. That is the only flow body: every campaign,
 //! [`run_dataset`]'s included, is lookup → analyse → insert (`repro table1
 //! --full`, 255 flows × 120 s, peaks at ≈ 17 MiB in ≈ 1.0 s; retaining
 //! the 255 traces took 628 MiB and ≈ 2.1 s). A caller that wants a flow's
 //! packet records re-simulates that one flow with
-//! `hsm_scenario::runner::try_run_scenario_with`.
+//! `hsm_scenario::runner::run` under `Keep::Trace`.
 //!
 //! Each worker owns a [`Scratch`] (the simulation engine and its packet
 //! arena) reused across every flow it handles, and pushes each result
@@ -39,7 +39,7 @@ use crate::cache::{CacheConfig, CacheKey, FlowCache, ENGINE_VERSION};
 use crate::error::EngineError;
 use crate::parallel::run_pool;
 use hsm_scenario::dataset::{plan_dataset, plan_stationary_baseline, DatasetConfig, DatasetFlow};
-use hsm_scenario::runner::{try_analyze_scenario_with, ScenarioConfig, ScenarioOutcome, Scratch};
+use hsm_scenario::runner::{run, Keep, ScenarioConfig, ScenarioOutcome, Scratch};
 use hsm_simnet::chaos::StormPlan;
 use hsm_simnet::event::QueueStats;
 use hsm_trace::summary::FlowSummary;
@@ -418,18 +418,18 @@ impl Campaign {
         let t0 = Instant::now();
         // The flow is analysed where the engine recorded it and no trace
         // is built — this is what bounds campaign memory.
-        let run = try_analyze_scenario_with(scratch, config, &StormPlan::default())
+        let out = run(scratch, config, &StormPlan::default(), Keep::Summary)
             .map_err(|source| EngineError::FlowFailed { index: i, source })?;
         let sim_wall_s = t0.elapsed().as_secs_f64();
-        let summary = run.analysis.summary;
+        let summary = out.analysis.summary;
         cache.insert(key, &summary)?;
         Ok(FlowRun {
             config: config.clone(),
             summary,
             cache_hit: false,
             sim_wall_s,
-            events: run.events_processed,
-            queue: run.queue,
+            events: out.events_processed,
+            queue: out.queue,
             worker,
             outcome: None,
         })
@@ -717,11 +717,10 @@ mod tests {
         let (flows, report) = run_dataset(&cfg).unwrap();
         assert_eq!(flows.len(), plan.len());
         assert_eq!(report.cache_misses, plan.len());
+        let calm = StormPlan::default();
         for (flow, (campaign, config)) in flows.iter().zip(&plan) {
             assert_eq!(flow.campaign, *campaign);
-            let alone =
-                try_analyze_scenario_with(&mut Scratch::new(), config, &StormPlan::default())
-                    .unwrap();
+            let alone = run(&mut Scratch::new(), config, &calm, Keep::Summary).unwrap();
             assert_eq!(
                 crate::codec::encode_entry(0, &flow.summary),
                 crate::codec::encode_entry(0, &alone.analysis.summary),

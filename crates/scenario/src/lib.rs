@@ -23,14 +23,20 @@
 //!
 //! ```
 //! use hsm_scenario::prelude::*;
+//! use hsm_scenario::runner::run;
+//! use hsm_simnet::chaos::StormPlan;
 //! use hsm_simnet::time::SimDuration;
 //!
-//! let out = run_scenario(&ScenarioConfig {
+//! let config = ScenarioConfig {
 //!     provider: Provider::ChinaUnicom,
 //!     duration: SimDuration::from_secs(10),
 //!     ..Default::default()
-//! });
+//! };
+//! let out = run(&mut Scratch::new(), &config, &StormPlan::default(), Keep::Summary)?;
 //! assert_eq!(&*out.summary().provider, "China Unicom");
+//! assert!(out.trace.is_none());
+//! assert_eq!(run_scenario(&config).summary(), out.summary());
+//! # Ok::<(), ScenarioError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -56,9 +62,8 @@ pub mod prelude {
     };
     pub use crate::provider::Provider;
     pub use crate::runner::{
-        run_scenario, try_analyze_scenario_with, try_run_scenario, try_run_scenario_with,
-        try_run_storm_scenario_with, Motion, ScenarioConfig, ScenarioConfigBuilder, ScenarioError,
-        ScenarioOutcome, Scratch, SCENARIO_HIGH_SPEED, SCENARIO_STATIONARY,
+        run_scenario, Keep, Motion, ScenarioConfig, ScenarioConfigBuilder, ScenarioError, Scratch,
+        SCENARIO_HIGH_SPEED, SCENARIO_STATIONARY,
     };
     pub use crate::spec::{
         expansion_digest, load_spec, CampaignSpec, GridKind, ScenarioBase, ScenarioGrid, SpecError,

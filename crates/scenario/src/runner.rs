@@ -1,10 +1,10 @@
 //! One-call scenario runner: provider + motion + seed → simulated flow →
 //! analysis and model-ready summary, with the trace when the caller wants
-//! it. [`try_analyze_scenario_with`] is the one body — validate, derive,
-//! simulate, analyse the capture where the engine left it — and what
-//! campaigns run; the trace-returning functions are that body plus one
-//! fold of the same capture into a
-//! [`FlowTrace`](hsm_trace::record::FlowTrace).
+//! it. [`run`] is the one body — validate, derive, simulate, analyse the
+//! capture where the engine left it, and fold it into a
+//! [`FlowTrace`](hsm_trace::record::FlowTrace) under [`Keep::Trace`] — and
+//! what campaigns run under [`Keep::Summary`]; [`run_scenario`] is its
+//! panicking shorthand.
 
 use crate::fnv::Fnv1a;
 use crate::provider::Provider;
@@ -15,13 +15,13 @@ use hsm_simnet::time::{SimDuration, SimTime};
 use hsm_tcp::cc::Algorithm;
 use hsm_tcp::connection::{
     try_analyze_connection_with, AnalyzedConnection, ConnectionConfig, ConnectionOutcome,
-    ConnectionScratch, MobilityScenario, PathSpec,
+    MobilityScenario, PathSpec,
 };
 use hsm_tcp::receiver::ReceiverConfig;
 use hsm_tcp::recovery::Recovery;
 use hsm_tcp::reno::SenderConfig;
 use hsm_trace::analysis::timeout::TimeoutConfig;
-use hsm_trace::summary::{FlowAnalysis, FlowSummary};
+use hsm_trace::summary::FlowAnalysis;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -375,7 +375,8 @@ impl ScenarioConfig {
     }
 }
 
-/// Everything produced by one scenario run.
+/// Everything produced by one scenario run, as the pinned benchmark
+/// signatures assemble it; it waits for ROADMAP item 5(b) to go.
 #[derive(Debug, Clone)]
 pub struct ScenarioOutcome {
     /// The configuration that produced it.
@@ -386,139 +387,68 @@ pub struct ScenarioOutcome {
     pub analysis: FlowAnalysis,
 }
 
-impl ScenarioOutcome {
-    /// The model-ready flow summary.
-    pub fn summary(&self) -> &FlowSummary {
-        &self.analysis.summary
-    }
-}
+/// Reusable working memory for scenario runs: the simulation engine (event
+/// queue, link buffers, packet arena), so a worker running many flows back
+/// to back through [`run`] pays the big allocations once instead of per
+/// flow. It carries no run state between flows: runs through a reused or
+/// poisoned scratch are bit-identical to fresh ones.
+pub use hsm_tcp::connection::ConnectionScratch as Scratch;
 
-/// Runs one scenario end to end: [`try_run_scenario`] for tests and
-/// examples that have no use for the error.
+/// What [`run`] hands back besides the analysis.
+pub use hsm_tcp::connection::Keep;
+
+/// Runs one scenario end to end: [`run`] on a fresh [`Scratch`] with the
+/// empty storm, keeping the trace — for tests, examples and figures that
+/// have no use for the error.
 ///
 /// # Panics
 ///
 /// Panics with the [`ScenarioError`]'s message when the configuration is
 /// invalid (zero window, zero delayed-ACK factor, zero duration) or the
 /// engine reports corruption.
-pub fn run_scenario(config: &ScenarioConfig) -> ScenarioOutcome {
-    match try_run_scenario(config) {
-        Ok(outcome) => outcome,
+pub fn run_scenario(config: &ScenarioConfig) -> AnalyzedConnection {
+    let calm = StormPlan::default();
+    match run(&mut Scratch::new(), config, &calm, Keep::Trace) {
+        Ok(out) => out,
         Err(e) => panic!("{e}"),
     }
 }
 
-/// Runs one scenario end to end on a fresh [`Scratch`]: validates the
-/// configuration first and surfaces engine corruption as an error instead
-/// of a panic.
+/// The one scenario body: validate, derive path / mobility / connection
+/// from `config`, simulate, analyze — the analysis reading the flow's
+/// packets from the engine's arena, which [`Keep::Trace`] then folds into
+/// the flow's trace. `storm` is a chaos-storm schedule replayed on the
+/// uplink — the §V recovery-study rig: the scenario's provider path and
+/// motion stay as configured while the storm superimposes deterministic
+/// ACK-delay or ACK-burst episodes, and the full analysis pipeline still
+/// runs, so storm flows yield the same model-ready summary campaign flows
+/// do. The empty plan adds nothing to the world.
 ///
 /// # Errors
 ///
 /// Returns [`ScenarioError`] when the configuration fails
 /// [`ScenarioConfig::validate`], or [`ScenarioError::Engine`] when the
 /// simulation engine reports internal bookkeeping corruption.
-pub fn try_run_scenario(config: &ScenarioConfig) -> Result<ScenarioOutcome, ScenarioError> {
-    try_run_scenario_with(&mut Scratch::new(), config)
-}
-
-/// Reusable working memory for scenario runs.
-///
-/// Holds the simulation engine (event queue, link buffers, packet arena)
-/// so a worker running many flows back to back ([`try_run_scenario_with`])
-/// pays the big allocations once instead of per flow. A `Scratch` carries
-/// no run state between flows: runs through a reused scratch are
-/// bit-identical to fresh ones.
-#[derive(Debug, Default)]
-pub struct Scratch {
-    conn: ConnectionScratch,
-}
-
-impl Scratch {
-    /// Creates an empty scratch.
-    pub fn new() -> Scratch {
-        Scratch::default()
-    }
-
-    /// Deliberately dirties the scratch's engine with a half-run junk
-    /// simulation (the `hsm-chaos` scratch-poisoning fault). A poisoned scratch
-    /// handed to [`try_run_scenario_with`] must still produce results
-    /// bit-identical to a fresh run — the per-run reset clears everything.
-    pub fn poison(&mut self) {
-        self.conn.poison();
-    }
-}
-
-/// [`try_run_scenario`] through a caller-held [`Scratch`]:
-/// [`try_run_storm_scenario_with`] under the empty plan.
-///
-/// # Errors
-///
-/// Same contract as [`try_run_scenario`].
-pub fn try_run_scenario_with(
+pub fn run(
     scratch: &mut Scratch,
     config: &ScenarioConfig,
-) -> Result<ScenarioOutcome, ScenarioError> {
-    try_run_storm_scenario_with(scratch, config, &StormPlan::default())
-}
-
-/// The one scenario body: validate, derive path / mobility / connection
-/// from `config`, simulate, analyze — the analysis reading the flow's
-/// packets from the engine's arena, so no trace is built. `plan` is a
-/// chaos-storm schedule replayed on the uplink — the §V recovery-study rig:
-/// the scenario's provider path and motion stay as configured while the
-/// storm superimposes deterministic ACK-delay or ACK-burst episodes, and
-/// the full analysis pipeline still runs, so storm flows yield the same
-/// model-ready [`FlowSummary`] campaign flows do. The empty plan adds
-/// nothing to the world.
-///
-/// # Errors
-///
-/// Same contract as [`try_run_scenario`].
-pub fn try_analyze_scenario_with(
-    scratch: &mut Scratch,
-    config: &ScenarioConfig,
-    plan: &StormPlan,
+    storm: &StormPlan,
+    keep: Keep,
 ) -> Result<AnalyzedConnection, ScenarioError> {
     config.validate()?;
     let conn = ConnectionConfig {
-        storm: plan.clone(),
+        storm: storm.clone(),
         ..config.connection()
     };
     Ok(try_analyze_connection_with(
-        &mut scratch.conn,
+        scratch,
         config.seed,
         &config.path(),
         config.mobility().as_ref(),
         &conn,
         &TimeoutConfig::default(),
+        keep,
     )?)
-}
-
-/// [`try_analyze_scenario_with`], plus the flow's trace: one fold of the
-/// capture the analysis has just read, still intact in the scratch.
-///
-/// # Errors
-///
-/// Same contract as [`try_run_scenario`].
-pub fn try_run_storm_scenario_with(
-    scratch: &mut Scratch,
-    config: &ScenarioConfig,
-    plan: &StormPlan,
-) -> Result<ScenarioOutcome, ScenarioError> {
-    let run = try_analyze_scenario_with(scratch, config, plan)?;
-    Ok(ScenarioOutcome {
-        config: config.clone(),
-        outcome: ConnectionOutcome {
-            trace: scratch.conn.trace(&config.connection()),
-            sender: run.sender,
-            receiver: run.receiver,
-            channel: run.channel,
-            finished_at: run.finished_at,
-            events_processed: run.events_processed,
-            queue: run.queue,
-        },
-        analysis: run.analysis,
-    })
 }
 
 #[cfg(test)]
@@ -538,7 +468,7 @@ mod tests {
         assert_eq!(&*s.scenario, SCENARIO_STATIONARY);
         assert!(s.p_d < 0.01, "p_d {}", s.p_d);
         assert!(s.throughput_sps > 100.0, "tp {}", s.throughput_sps);
-        assert!(out.outcome.channel.is_none());
+        assert!(out.channel.is_none());
     }
 
     #[test]
@@ -554,7 +484,7 @@ mod tests {
             seed: 5,
             ..Default::default()
         });
-        assert!(hs.outcome.channel.expect("mobility attached").handoffs >= 1);
+        assert!(hs.channel.expect("mobility attached").handoffs >= 1);
         assert!(
             hs.summary().throughput_sps < st.summary().throughput_sps,
             "high-speed {} vs stationary {}",
@@ -601,13 +531,14 @@ mod tests {
     }
 
     #[test]
-    fn try_run_scenario_rejects_invalid_and_matches_run() {
+    fn run_rejects_invalid_and_matches_run_scenario() {
+        let calm = StormPlan::default();
         let bad = ScenarioConfig {
             w_m: 0,
             ..Default::default()
         };
         assert_eq!(
-            try_run_scenario(&bad).unwrap_err(),
+            run(&mut Scratch::new(), &bad, &calm, Keep::Summary).unwrap_err(),
             ScenarioError::ZeroWindow
         );
         let good = ScenarioConfig::builder()
@@ -615,9 +546,10 @@ mod tests {
             .duration(SimDuration::from_secs(5))
             .build()
             .unwrap();
-        let a = try_run_scenario(&good).expect("valid config runs");
+        let a = run(&mut Scratch::new(), &good, &calm, Keep::Summary).expect("valid config runs");
         let b = run_scenario(&good);
         assert_eq!(a.summary(), b.summary());
+        assert!(a.trace.is_none() && b.trace.is_some());
     }
 
     #[test]
@@ -673,18 +605,21 @@ mod tests {
             },
         ];
         for cfg in &configs {
-            let reused = try_run_scenario_with(&mut scratch, cfg).expect("valid config");
+            let reused =
+                run(&mut scratch, cfg, &StormPlan::default(), Keep::Trace).expect("valid config");
             let fresh = run_scenario(cfg);
             assert_eq!(reused.summary(), fresh.summary(), "seed {}", cfg.seed);
-            assert_eq!(reused.outcome.trace, fresh.outcome.trace);
+            assert_eq!(reused.trace, fresh.trace);
         }
         assert_eq!(
-            try_run_scenario_with(
+            run(
                 &mut scratch,
                 &ScenarioConfig {
                     w_m: 0,
                     ..Default::default()
-                }
+                },
+                &StormPlan::default(),
+                Keep::Trace
             )
             .unwrap_err(),
             ScenarioError::ZeroWindow
@@ -713,8 +648,8 @@ mod tests {
                 .collect(),
         };
         let mut scratch = Scratch::new();
-        let stormy = try_run_storm_scenario_with(&mut scratch, &config, &plan).expect("storm run");
-        let calm = try_run_scenario(&config).expect("calm run");
+        let stormy = run(&mut scratch, &config, &plan, Keep::Summary).expect("storm run");
+        let calm = run_scenario(&config);
         assert!(
             stormy.summary().timeouts > calm.summary().timeouts,
             "storm must raise timeouts: {} vs {}",
@@ -725,10 +660,10 @@ mod tests {
         assert!(stormy.summary().throughput_sps < calm.summary().throughput_sps);
 
         // Empty plan = identity; reused scratch = fresh run.
-        let empty = try_run_storm_scenario_with(&mut scratch, &config, &StormPlan::default())
+        let empty = run(&mut scratch, &config, &StormPlan::default(), Keep::Summary)
             .expect("empty-plan run");
         assert_eq!(empty.summary(), calm.summary());
-        let reused = try_run_storm_scenario_with(&mut scratch, &config, &plan).expect("reused");
+        let reused = run(&mut scratch, &config, &plan, Keep::Summary).expect("reused");
         assert_eq!(reused.summary(), stormy.summary());
     }
 
@@ -824,7 +759,8 @@ mod tests {
             duration: SimDuration::from_secs(10),
             ..cfg
         });
-        assert_eq!(out.outcome.trace.meta.w_m, 24);
-        assert_eq!(out.outcome.trace.flow, 9);
+        let trace = out.trace.expect("run_scenario keeps the trace");
+        assert_eq!(trace.meta.w_m, 24);
+        assert_eq!(trace.flow, 9);
     }
 }

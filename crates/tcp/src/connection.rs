@@ -9,10 +9,11 @@
 //!
 //! It is also the one place a TCP world is assembled and harvested. One
 //! private `simulate` resets, wires and runs the single-flow world;
-//! [`try_run_connection_with`] folds its capture into a trace (and
-//! [`run_connection`] is its panicking shorthand), while
-//! [`try_analyze_connection_with`] — what campaigns run — analyses the
-//! capture where the engine left it and builds no trace. The MPTCP rigs of
+//! [`try_analyze_connection_with`] — what every scenario runs — analyses
+//! the capture where the engine left it and, under [`Keep::Trace`], also
+//! folds it into a [`FlowTrace`]. [`try_run_connection_with`] returns the
+//! trace without the analysis (and [`run_connection`] is its panicking
+//! shorthand). The MPTCP rigs of
 //! [`crate::mptcp`] are the same `pub(crate)` pieces — `add_sender`,
 //! `add_receiver`, `add_path`, `add_impairments`, `ConnectionConfig::meta`,
 //! `harvest` — called in a different order. Registration order is
@@ -36,7 +37,7 @@ use hsm_simnet::time::{SimDuration, SimTime};
 use hsm_trace::analysis::timeout::TimeoutConfig;
 use hsm_trace::capture::{arena_records, trace_from_arena};
 use hsm_trace::record::{FlowMeta, FlowTrace};
-use hsm_trace::summary::{analyze_records, FlowAnalysis};
+use hsm_trace::summary::{analyze_records, FlowAnalysis, FlowSummary};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -227,12 +228,14 @@ pub struct ConnectionOutcome {
 }
 
 /// Results of a connection run whose capture was analysed where the engine
-/// left it: [`ConnectionOutcome`] with the [`FlowAnalysis`] of the flow in
-/// place of its trace.
+/// left it: [`ConnectionOutcome`] plus the [`FlowAnalysis`] of the flow,
+/// its trace only when the caller asked for it.
 #[derive(Debug, Clone)]
 pub struct AnalyzedConnection {
     /// Full measurement analysis of the flow's capture.
     pub analysis: FlowAnalysis,
+    /// The dual-endpoint packet trace, under [`Keep::Trace`] only.
+    pub trace: Option<FlowTrace>,
     /// Sender-internal ground truth.
     pub sender: SenderMetrics,
     /// Receiver-internal ground truth.
@@ -247,6 +250,23 @@ pub struct AnalyzedConnection {
     pub queue: QueueStats,
 }
 
+impl AnalyzedConnection {
+    /// The model-ready flow summary.
+    pub fn summary(&self) -> &FlowSummary {
+        &self.analysis.summary
+    }
+}
+
+/// What an analysed run hands back besides its analysis.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Keep {
+    /// The analysis and endpoint metrics only: what campaigns keep.
+    Summary,
+    /// Also the flow's [`FlowTrace`], folded from the capture the analysis
+    /// just read.
+    Trace,
+}
+
 /// Reusable per-worker state for running many flows through one engine.
 ///
 /// Every buffer that a connection run grows — the simulator's event-queue
@@ -259,8 +279,7 @@ pub struct AnalyzedConnection {
 /// The run registers no recorder: the engine's packet arena records every
 /// sent packet and its delivery time as it goes, and stays as the run left
 /// it until the next run resets it — the analysis reads it in place
-/// ([`arena_records`]) and [`ConnectionScratch::trace`] folds it into a
-/// trace.
+/// ([`arena_records`]) and, under [`Keep::Trace`], folds it into a trace.
 #[derive(Debug)]
 pub struct ConnectionScratch {
     engine: Engine,
@@ -279,12 +298,6 @@ impl ConnectionScratch {
     /// Creates an empty scratch.
     pub fn new() -> ConnectionScratch {
         ConnectionScratch::default()
-    }
-
-    /// The capture of `cfg.flow` in the last run through this scratch, as a
-    /// trace: what [`try_run_connection_with`] would have returned for it.
-    pub fn trace(&self, cfg: &ConnectionConfig) -> FlowTrace {
-        trace_from_arena(self.engine.arena(), cfg.flow, cfg.meta())
     }
 
     /// Deliberately dirties every component of the scratch — stale agents
@@ -503,6 +516,9 @@ fn simulate(
 /// Builds, runs and harvests a single TCP flow through a caller-held
 /// [`ConnectionScratch`], returning its capture as a [`FlowTrace`].
 ///
+/// Its only callers outside this crate's tests are the pinned benchmark
+/// signatures; it waits for ROADMAP item 5(b) to go.
+///
 /// The run ends when the sender finishes (`stop_after`/`max_segments`),
 /// the event queue drains, or `cfg.deadline` passes — whichever comes
 /// first.
@@ -523,11 +539,12 @@ pub fn try_run_connection_with(
     Ok(harvest(&mut scratch.engine, cfg, ends, channel))
 }
 
-/// The same run as [`try_run_connection_with`], analysed instead of
-/// copied: the measurement pipeline reads the flow's packets straight from
-/// the engine's arena and no [`FlowTrace`] is built — the
-/// allocation-recycling path campaign workers use to run thousands of
-/// flows per engine. The analysis equals
+/// The same run as [`try_run_connection_with`], analysed in place: the
+/// measurement pipeline reads the flow's packets straight from the
+/// engine's arena — the allocation-recycling path campaign workers use to
+/// run thousands of flows per engine. Under [`Keep::Trace`] the same
+/// capture is then folded into the [`FlowTrace`] the trace-returning run
+/// returns; under [`Keep::Summary`] no trace is built. The analysis equals
 /// `analyze_flow(&outcome.trace, timeouts)` of the trace-returning run.
 ///
 /// # Errors
@@ -540,15 +557,18 @@ pub fn try_analyze_connection_with(
     mobility: Option<&MobilityScenario>,
     cfg: &ConnectionConfig,
     timeouts: &TimeoutConfig,
+    keep: Keep,
 ) -> Result<AnalyzedConnection, SimError> {
     let (ends, channel) = simulate(scratch, seed, path, mobility, cfg)?;
     let eng = &mut scratch.engine;
     let arena = eng.arena();
     let records = arena_records(arena, cfg.flow);
     let analysis = analyze_records(cfg.flow, &cfg.meta(), arena.len(), records, timeouts);
+    let trace = (keep == Keep::Trace).then(|| trace_from_arena(arena, cfg.flow, cfg.meta()));
     let e = endpoints(eng, ends, channel);
     Ok(AnalyzedConnection {
         analysis,
+        trace,
         sender: e.sender,
         receiver: e.receiver,
         channel: e.channel,

@@ -59,7 +59,7 @@ pub mod prelude {
     pub use crate::cc::{Algorithm, Bbr, Compound, CongestionControl, Cubic};
     pub use crate::connection::{
         run_connection, try_analyze_connection_with, try_run_connection_with, AnalyzedConnection,
-        ConnectionConfig, ConnectionOutcome, ConnectionScratch, LossSpec, MobilityScenario,
+        ConnectionConfig, ConnectionOutcome, ConnectionScratch, Keep, LossSpec, MobilityScenario,
         PathSpec,
     };
     pub use crate::cwnd::{Cwnd, Phase};

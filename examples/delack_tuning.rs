@@ -8,6 +8,8 @@
 
 use hsm::model::prelude::*;
 use hsm::prelude::*;
+use hsm::scenario::runner::run;
+use hsm::simnet::chaos::StormPlan;
 use hsm::simnet::time::SimDuration;
 
 fn main() -> Result<(), hsm::Error> {
@@ -16,6 +18,7 @@ fn main() -> Result<(), hsm::Error> {
         "{:>3}  {:>11}  {:>9}  {:>9}  {:>10}  {:>13}",
         "b", "TP (seg/s)", "timeouts", "spurious", "ACK loss", "mean P_a obs"
     );
+    let mut scratch = Scratch::new();
     for b in [1u32, 2, 4] {
         let (mut tp, mut to, mut sp, mut pa, mut burst) = (0.0, 0u32, 0u32, 0.0, 0.0);
         let reps = 4;
@@ -26,7 +29,7 @@ fn main() -> Result<(), hsm::Error> {
                 .seed(777 + seed)
                 .duration(SimDuration::from_secs(45))
                 .build()?;
-            let out = try_run_scenario(&config)?;
+            let out = run(&mut scratch, &config, &StormPlan::default(), Keep::Summary)?;
             let s = out.summary();
             tp += s.throughput_sps;
             to += s.timeouts;

@@ -8,6 +8,8 @@
 
 use hsm::model::prelude::*;
 use hsm::prelude::*;
+use hsm::scenario::runner::run;
+use hsm::simnet::chaos::StormPlan;
 use hsm::simnet::time::SimDuration;
 
 fn main() -> Result<(), hsm::Error> {
@@ -18,8 +20,10 @@ fn main() -> Result<(), hsm::Error> {
         .seed(42)
         .duration(SimDuration::from_secs(40))
         .build()?;
-    let outcome = try_run_scenario(&config)?;
-    let s = outcome.summary();
+    // No storm on top of the provider's channel; keep the summary only.
+    let calm = StormPlan::default();
+    let out = run(&mut Scratch::new(), &config, &calm, Keep::Summary)?;
+    let s = out.summary();
 
     println!("— measured on the (synthetic) train —");
     println!("  provider            {}", s.provider);
@@ -33,7 +37,7 @@ fn main() -> Result<(), hsm::Error> {
     println!("  recovery loss q̂     {:.1}%", s.q_hat * 100.0);
     println!("  mean recovery       {:.2} s", s.mean_recovery_s);
     println!("  throughput          {:.1} segments/s", s.throughput_sps);
-    if let Some(ch) = outcome.outcome.channel {
+    if let Some(ch) = out.channel {
         println!(
             "  handoffs            {} ({} failed)",
             ch.handoffs, ch.failed_handoffs

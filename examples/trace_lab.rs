@@ -7,7 +7,9 @@
 //! ```
 
 use hsm::model::prelude::*;
-use hsm::prelude::{load_spec, try_run_scenario_with, Scratch};
+use hsm::prelude::{load_spec, Keep, Scratch};
+use hsm::scenario::runner::run;
+use hsm::simnet::chaos::StormPlan;
 use hsm::simnet::time::SimDuration;
 use hsm::trace::prelude::*;
 use std::path::Path;
@@ -27,8 +29,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut scratch = Scratch::new();
     let mut traces: Vec<FlowTrace> = Vec::with_capacity(configs.len());
     for config in &configs {
-        let run = try_run_scenario_with(&mut scratch, config).map_err(hsm::Error::from)?;
-        traces.push(run.outcome.trace);
+        let out = run(&mut scratch, config, &StormPlan::default(), Keep::Trace)
+            .map_err(hsm::Error::from)?;
+        traces.extend(out.trace);
     }
 
     // 2. Persist to JSON-lines and reload — the archive round trip.

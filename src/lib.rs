@@ -27,11 +27,13 @@
 //! # Quickstart
 //!
 //! Configs are built with validating builders; single flows run through
-//! [`scenario::runner::run_scenario`], anything bigger through a
+//! [`scenario::runner::run`], anything bigger through a
 //! [`runtime::engine::Campaign`]:
 //!
 //! ```
 //! use hsm::prelude::*;
+//! use hsm::scenario::runner::run;
+//! use hsm_simnet::chaos::StormPlan;
 //! use hsm_simnet::time::SimDuration;
 //!
 //! # fn main() -> Result<(), hsm::Error> {
@@ -43,8 +45,8 @@
 //!     .build()?;
 //!
 //! // One flow, one summary.
-//! let outcome = try_run_scenario(&config)?;
-//! assert!(outcome.summary().rtt_s > 0.0);
+//! let out = run(&mut Scratch::new(), &config, &StormPlan::default(), Keep::Summary)?;
+//! assert!(out.summary().rtt_s > 0.0);
 //!
 //! // The same flow as a (memoized, sharded) campaign of one.
 //! let campaign = Campaign::builder().config(config).workers(2).build()?;
@@ -89,8 +91,7 @@ pub mod prelude {
     };
     pub use hsm_scenario::provider::Provider;
     pub use hsm_scenario::runner::{
-        run_scenario, try_analyze_scenario_with, try_run_scenario, try_run_scenario_with, Motion,
-        ScenarioConfig, ScenarioConfigBuilder, ScenarioError, ScenarioOutcome, Scratch,
+        run_scenario, Keep, Motion, ScenarioConfig, ScenarioConfigBuilder, ScenarioError, Scratch,
     };
     pub use hsm_scenario::spec::{
         expansion_digest, load_spec, CampaignSpec, GridKind, ScenarioBase, ScenarioGrid, SpecError,

@@ -3,15 +3,17 @@
 //! provider and campaign mix, and longer ones across motion, controller
 //! and recovery strategy — the one sweep must return exactly what the
 //! stand-alone functions compose to, and the trace it reads must already
-//! be in the order a sort would give it. And a campaign flow, analysed
-//! straight from the engine's packet arena with no trace built, must get
-//! exactly the analysis the trace-returning run gets.
+//! be in the order a sort would give it. And a flow analysed straight from
+//! the engine's packet arena must get exactly the analysis — and, when it
+//! keeps one, exactly the trace — the trace-returning connection run gets.
 
 use hsm::runtime::codec::encode_entry;
 use hsm::scenario::prelude::*;
+use hsm::scenario::runner::run;
 use hsm::simnet::chaos::StormPlan;
 use hsm::simnet::time::SimDuration;
 use hsm::tcp::cc::Algorithm;
+use hsm::tcp::connection::try_run_connection_with;
 use hsm::tcp::recovery::Recovery;
 use hsm::trace::analysis::rounds::ack_burst_stats_excluding;
 use hsm::trace::prelude::*;
@@ -87,8 +89,9 @@ fn one_sweep_equals_the_stand_alone_analyses_on_simulated_flows() {
     let mut scratch = Scratch::new();
     let (mut timeouts_seen, mut quiet_flows) = (0, 0);
     for config in stress_configs().into_iter().chain(builder_configs()) {
-        let out = try_run_scenario_with(&mut scratch, &config).expect("flow runs");
-        let (trace, analysis) = (&out.outcome.trace, &out.analysis);
+        let out = run(&mut scratch, &config, &StormPlan::default(), Keep::Trace);
+        let out = out.expect("flow runs");
+        let (trace, analysis) = (out.trace.as_ref().expect("kept"), &out.analysis);
         let what = format!("{config:?}");
 
         let mut sorted = trace.clone();
@@ -152,37 +155,45 @@ fn arena_fed_analysis_equals_the_trace_returning_run_on_any_scratch() {
     let calm = StormPlan::default();
     let (mut traced, mut reused) = (Scratch::new(), Scratch::new());
     for config in stress_configs().into_iter().chain(builder_configs()) {
-        // The reference reads the stored trace; the run that returned it
-        // analysed the arena, like the runs below.
-        let want = try_run_scenario_with(&mut traced, &config).expect("flow runs");
-        let from_trace = analyze_flow(&want.outcome.trace, &TimeoutConfig::default());
-        assert_eq!(want.analysis.summary, from_trace.summary, "{config:?}");
-        let mut poisoned = Scratch::new();
-        poisoned.poison();
-        let scratches = [
-            ("fresh", &mut Scratch::new()),
-            ("reused", &mut reused),
-            ("poisoned", &mut poisoned),
-        ];
-        for (state, scratch) in scratches {
-            let what = format!("{state} scratch, {config:?}");
-            let got = try_analyze_scenario_with(scratch, &config, &calm).expect("flow runs");
-            let (a, b) = (&got.analysis, &from_trace);
-            assert_eq!(
-                encode_entry(0, &a.summary),
-                encode_entry(0, &b.summary),
-                "{what}"
-            );
-            assert_eq!(a.losses, b.losses, "{what}");
-            assert_eq!(a.timeouts, b.timeouts, "{what}");
-            assert_eq!(a.ack_bursts, b.ack_bursts, "{what}");
-            assert_eq!(a.throughput, b.throughput, "{what}");
-            assert_eq!(
-                got.events_processed, want.outcome.events_processed,
-                "{what}"
-            );
-            assert_eq!(got.queue, want.outcome.queue, "{what}");
-            assert_eq!(got.sender, want.outcome.sender, "{what}");
+        // The reference is the connection run that returns the trace
+        // itself; its analysis reads that stored trace.
+        let (path, mobility) = (config.path(), config.mobility());
+        let want = try_run_connection_with(
+            &mut traced,
+            config.seed,
+            &path,
+            mobility.as_ref(),
+            &config.connection(),
+        )
+        .expect("flow runs");
+        let from_trace = analyze_flow(&want.trace, &TimeoutConfig::default());
+        for keep in [Keep::Summary, Keep::Trace] {
+            let mut poisoned = Scratch::new();
+            poisoned.poison();
+            let scratches = [
+                ("fresh", &mut Scratch::new()),
+                ("reused", &mut reused),
+                ("poisoned", &mut poisoned),
+            ];
+            for (state, scratch) in scratches {
+                let what = format!("{state} scratch, {keep:?}, {config:?}");
+                let got = run(scratch, &config, &calm, keep).expect("flow runs");
+                let (a, b) = (&got.analysis, &from_trace);
+                assert_eq!(
+                    encode_entry(0, &a.summary),
+                    encode_entry(0, &b.summary),
+                    "{what}"
+                );
+                assert_eq!(a.losses, b.losses, "{what}");
+                assert_eq!(a.timeouts, b.timeouts, "{what}");
+                assert_eq!(a.ack_bursts, b.ack_bursts, "{what}");
+                assert_eq!(a.throughput, b.throughput, "{what}");
+                assert_eq!(got.events_processed, want.events_processed, "{what}");
+                assert_eq!(got.queue, want.queue, "{what}");
+                assert_eq!(got.sender, want.sender, "{what}");
+                let expected = (keep == Keep::Trace).then_some(&want.trace);
+                assert_eq!(got.trace.as_ref(), expected, "{what}");
+            }
         }
     }
 }

@@ -10,6 +10,7 @@
 
 use hsm::runtime::run_dataset;
 use hsm::scenario::prelude::*;
+use hsm::scenario::runner::run;
 use hsm::simnet::chaos::StormPlan;
 use hsm::simnet::time::SimDuration;
 
@@ -35,8 +36,13 @@ fn a_dataset_leaves_no_more_resident_than_its_workers_flows() {
 
     // One flow of the dataset alone, the way a campaign worker runs it.
     let (_, first) = &plan[0];
-    try_analyze_scenario_with(&mut Scratch::new(), first, &StormPlan::default())
-        .expect("flow runs");
+    run(
+        &mut Scratch::new(),
+        first,
+        &StormPlan::default(),
+        Keep::Summary,
+    )
+    .expect("flow runs");
     let one_flow = high_water_mark();
 
     let (flows, report) = run_dataset(&cfg).expect("dataset runs");

@@ -13,8 +13,8 @@ fn one_flow(seed: u64) -> FlowTrace {
         duration: SimDuration::from_secs(25),
         ..Default::default()
     })
-    .outcome
     .trace
+    .expect("run_scenario keeps the trace")
 }
 
 #[test]

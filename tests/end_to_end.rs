@@ -4,8 +4,9 @@
 use hsm::model::prelude::*;
 use hsm::scenario::prelude::*;
 use hsm::simnet::time::SimDuration;
+use hsm::tcp::connection::AnalyzedConnection;
 
-fn run(motion: Motion, seed: u64) -> ScenarioOutcome {
+fn run(motion: Motion, seed: u64) -> AnalyzedConnection {
     run_scenario(&ScenarioConfig {
         provider: Provider::ChinaMobile,
         motion,
@@ -61,14 +62,14 @@ fn high_speed_is_strictly_harsher_than_stationary() {
     );
     assert!(h.timeouts >= s.timeouts);
     assert!(h.p_a >= s.p_a);
-    assert!(hs.outcome.channel.is_some());
-    assert!(st.outcome.channel.is_none());
+    assert!(hs.channel.is_some());
+    assert!(st.channel.is_none());
 }
 
 #[test]
 fn internal_ground_truth_matches_trace_inference() {
     let out = run(Motion::HighSpeed, 31);
-    let truth = out.outcome.sender.timeouts.len() as i64;
+    let truth = out.sender.timeouts.len() as i64;
     let inferred = i64::from(out.summary().timeouts);
     // The silence-threshold heuristic may miss or add a couple of events,
     // but must track the ground truth closely.
@@ -78,7 +79,7 @@ fn internal_ground_truth_matches_trace_inference() {
     );
     // Spurious timeouts imply duplicate payloads at the receiver.
     if out.summary().spurious_timeouts > 0 {
-        assert!(out.outcome.receiver.duplicate_payloads > 0);
+        assert!(out.receiver.duplicate_payloads > 0);
     }
 }
 

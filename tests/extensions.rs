@@ -166,7 +166,11 @@ fn dataset_persistence_round_trips_through_disk() {
     // its plan one flow at a time.
     let traces: Vec<FlowTrace> = plan_dataset(&cfg)
         .iter()
-        .map(|(_, config)| run_scenario(config).outcome.trace)
+        .map(|(_, config)| {
+            run_scenario(config)
+                .trace
+                .expect("run_scenario keeps the trace")
+        })
         .collect();
     let path = std::env::temp_dir().join("hsm_ext_roundtrip.jsonl");
     save_traces(&path, &traces).expect("save");
@@ -185,7 +189,7 @@ fn dataset_persistence_round_trips_through_disk() {
 #[test]
 fn timeline_dead_time_tracks_timeouts() {
     let out = run_scenario(&hsr_scenario(95));
-    let trace = &out.outcome.trace;
+    let trace = out.trace.as_ref().expect("run_scenario keeps the trace");
     let dead = stall_time_fraction(trace, SimDuration::from_secs(1));
     let stalls = detect_stalls(trace, SimDuration::from_secs(1));
     if out.summary().timeout_sequences > 0 {

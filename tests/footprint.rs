@@ -9,6 +9,7 @@
 #![cfg(target_os = "linux")]
 
 use hsm::scenario::prelude::*;
+use hsm::scenario::runner::run;
 use hsm::simnet::chaos::StormPlan;
 use hsm::simnet::time::SimDuration;
 use hsm::trace::record::PacketRecord;
@@ -29,17 +30,18 @@ fn summary_run_never_holds_the_trace_copy() {
         .seed(1)
         .build()
         .expect("valid config");
-    let mut scratch = Scratch::new();
+    let (mut scratch, calm) = (Scratch::new(), StormPlan::default());
 
-    let summary_run = try_analyze_scenario_with(&mut scratch, &config, &StormPlan::default());
-    let summary = summary_run.expect("flow runs").analysis.summary;
+    let summary_run = run(&mut scratch, &config, &calm, Keep::Summary).expect("flow runs");
+    assert!(summary_run.trace.is_none());
+    let summary = summary_run.analysis.summary;
     let after_summary = high_water_mark();
 
-    let traced = try_run_scenario_with(&mut scratch, &config).expect("flow runs");
+    let traced = run(&mut scratch, &config, &calm, Keep::Trace).expect("flow runs");
     let after_trace = high_water_mark();
 
     assert_eq!(traced.analysis.summary, summary);
-    let records = traced.outcome.trace.records.len();
+    let records = traced.trace.expect("kept").records.len();
     assert!(records > 20_000, "only {records} records: nothing to weigh");
     // Half the copy: the allocator may hand the trace the pages the
     // analysis columns have just given back.

@@ -414,16 +414,19 @@ mod codec_properties {
     #[test]
     fn chaos_fuzzer_summaries_round_trip_through_the_codec() {
         use hsm::chaos::{config_for_case, FuzzRanges};
-        use hsm::scenario::runner::try_run_scenario;
+        use hsm::scenario::runner::{run, Keep, Scratch};
+        use hsm::simnet::chaos::StormPlan;
 
         let ranges = FuzzRanges {
             duration_s: (2, 3),
             region_duration_s: (2, 3),
             ..FuzzRanges::default()
         };
+        let mut scratch = Scratch::new();
         for case in 0..32 {
             let config = config_for_case(&ranges, 0xC0DEC, case);
-            let out = try_run_scenario(&config).expect("fuzzed config runs");
+            let out = run(&mut scratch, &config, &StormPlan::default(), Keep::Summary);
+            let out = out.expect("fuzzed config runs");
             let summary = out.summary();
             let key = hsm::runtime::cache::CacheKey::of(&config);
             let bytes = encode_entry(key.0, summary);

@@ -11,7 +11,7 @@
 // relative drift is detectable; the extra digits are the point.
 #![allow(clippy::excessive_precision)]
 
-use hsm::scenario::runner::{try_run_storm_scenario_with, Motion, ScenarioConfig, Scratch};
+use hsm::scenario::runner::{self, Keep, Motion, ScenarioConfig, Scratch};
 use hsm::simnet::chaos::{StormEpisode, StormKind, StormPlan};
 use hsm::simnet::time::{SimDuration, SimTime};
 use hsm::tcp::cc::Algorithm;
@@ -114,32 +114,37 @@ fn storm_config(recovery: Recovery) -> ScenarioConfig {
 fn every_countermeasure_leaves_its_signature_under_the_storm() {
     let plan = flap_storm(SimDuration::from_secs(12));
     let run = |recovery| {
-        try_run_storm_scenario_with(&mut Scratch::new(), &storm_config(recovery), &plan)
-            .expect("storm scenario runs")
+        runner::run(
+            &mut Scratch::new(),
+            &storm_config(recovery),
+            &plan,
+            Keep::Summary,
+        )
+        .expect("storm scenario runs")
     };
 
     let none = run(Recovery::None);
     assert!(
-        !none.outcome.sender.timeouts.is_empty(),
+        !none.sender.timeouts.is_empty(),
         "the storm never drove the baseline into a timeout"
     );
-    assert_eq!(none.outcome.sender.spurious_rto_undone, 0);
-    assert_eq!(none.outcome.sender.frto_probes, 0);
-    assert_eq!(none.outcome.sender.backoff_skipped, 0);
+    assert_eq!(none.sender.spurious_rto_undone, 0);
+    assert_eq!(none.sender.frto_probes, 0);
+    assert_eq!(none.sender.backoff_skipped, 0);
 
     let redundant = run(Recovery::RedundantRto);
     assert!(
-        redundant.outcome.sender.retransmissions > none.outcome.sender.retransmissions,
+        redundant.sender.retransmissions > none.sender.retransmissions,
         "redundant retransmit-on-RTO sent no extra retransmissions"
     );
 
     let frto = run(Recovery::Frto);
     assert!(
-        frto.outcome.sender.frto_probes > 0,
+        frto.sender.frto_probes > 0,
         "F-RTO never probed under a pure delay storm"
     );
     assert!(
-        frto.outcome.sender.spurious_rto_undone > 0,
+        frto.sender.spurious_rto_undone > 0,
         "F-RTO never undid a spurious timeout"
     );
     assert!(
@@ -151,7 +156,7 @@ fn every_countermeasure_leaves_its_signature_under_the_storm() {
 
     let ack_robust = run(Recovery::AckRobust);
     assert!(
-        ack_robust.outcome.sender.backoff_skipped > 0,
+        ack_robust.sender.backoff_skipped > 0,
         "the ACK-loss-robust strategy never withheld a backoff"
     );
 }

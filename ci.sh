@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 gate (see ROADMAP.md): formatting, release build, full test
-# suite, one full-scale figure, chaos/cc-study/recovery-study/spec
-# smokes, strict lints, docs, and benchmark/'s build + tests +
-# pinned-digest runs.
+# suite, one full-scale figure, the full-scale accuracy ledger, the
+# chaos/recovery-study/spec smokes, strict lints, docs, and benchmark/'s
+# build + tests + pinned-digest runs.
 #
 #   ./ci.sh              the gate (`./ci.sh build-test` is the same thing,
 #                        the name the CI workflow calls it by)
@@ -35,6 +35,13 @@ stage_build_test() {
         echo "a deleted scenario run twin, ConnectionScratch::trace or a dead loss model is back" >&2
         exit 1
     fi
+    # Also deleted: the writers of their own `D` that the accuracy ledger
+    # (`repro accuracy` -> ACCURACY.json) replaced.
+    if grep -rnE 'LabeledAccuracy|evaluate_labeled|CcStudyReport|run_cc_study|cc-study|CC_STUDY' \
+        crates src tests examples; then
+        echo "a deleted per-slice accuracy writer (cc-study, LabeledAccuracy) is back" >&2
+        exit 1
+    fi
     # --workspace so the release `repro` binary the later steps run is built
     # (the bare root build only covers the facade crate).
     cargo build --release --workspace
@@ -50,9 +57,9 @@ stage_build_test() {
     # invocation keeps the contract visible in the CI log (and keeps running
     # it even if the workspace test set is ever filtered).
     cargo test -q --test queue_differential
-    # The study smokes below write their reports into the working
-    # directory: run them from a scratch directory so the 2-flow smoke
-    # output never overwrites the full reports committed at the repo root.
+    # The studies below write their reports into the working directory:
+    # run them from a scratch directory so their output never overwrites
+    # the reports committed at the repo root.
     local repro="$PWD/target/release/repro" smoke=target/ci-smoke
     rm -rf "$smoke"
     mkdir -p "$smoke"
@@ -72,30 +79,34 @@ stage_build_test() {
     diff <(sed "$host_fields" "$smoke/CHAOS_report.json") \
          <(sed "$host_fields" tests/fixtures/CHAOS_seed42_200.json) \
         || { echo "chaos smoke: CHAOS_report.json diverged from the pinned seed-42 report" >&2; exit 1; }
-    # Congestion-control study smoke: every zoo member must campaign cleanly
-    # and produce a non-empty model-deviation row in CC_STUDY.json.
-    (cd "$smoke" && "$repro" cc-study --smoke)
-    for cc in Reno Veno Cubic Bbr Compound; do
-        grep -q "\"label\":\"$cc\"" "$smoke/CC_STUDY.json" \
-            || { echo "cc-study: no deviation row for $cc" >&2; exit 1; }
-    done
+    # The accuracy ledger at full scale (≈ 13 s): every slice's D and every
+    # paper number. Its JSON must be the committed ACCURACY.json byte for
+    # byte, and its stdout the block EXPERIMENTS.md quotes.
+    (cd "$smoke" && "$repro" accuracy --full > accuracy.md)
+    cmp "$smoke/ACCURACY.json" ACCURACY.json \
+        || { echo "ACCURACY.json is stale: regenerate it with \`repro accuracy --full\` at the repo root" >&2; exit 1; }
+    diff "$smoke/accuracy.md" \
+         <(sed -n '/^<!-- accuracy:begin -->$/,/^<!-- accuracy:end -->$/{//!p}' EXPERIMENTS.md) \
+        || { echo "EXPERIMENTS.md's accuracy block is not \`repro accuracy --full\`'s stdout" >&2; exit 1; }
     # Loss-recovery study smoke: every countermeasure must produce a
-    # campaign row, a chaos-storm row, and a measured-vs-modeled fit per
-    # provider (the command exits non-zero when any slice is empty or the
-    # storm never drove the baseline into timeouts).
+    # chaos-storm row and a measured-vs-modeled fit per provider (the
+    # command exits non-zero when any slice is empty or the storm never
+    # drove the baseline into timeouts).
     (cd "$smoke" && "$repro" recovery-study --smoke)
     for r in None RedundantRto Frto AckRobust; do
         grep -q "\"label\":\"$r\"" "$smoke/RECOVERY_report.json" \
             || { echo "recovery-study: no row for $r" >&2; exit 1; }
     done
-    # The committed full-scale report (`repro recovery-study --full` at the
-    # repo root) must carry the engine version the tree is at: a bump of
-    # ENGINE_VERSION without regenerating it leaves stale numbers behind
-    # the README's headline.
-    local engine_version
+    # The committed full-scale reports (`repro recovery-study --full` and
+    # `repro accuracy --full` at the repo root) must carry the engine
+    # version the tree is at: a bump of ENGINE_VERSION without regenerating
+    # them leaves stale numbers behind the docs that quote them.
+    local engine_version report
     engine_version=$(sed -n 's/^pub const ENGINE_VERSION: &str = "\(.*\)";$/\1/p' crates/runtime/src/cache.rs)
-    grep -q "^{\"engine_version\":\"$engine_version\",\"scale\":\"Full\"," RECOVERY_report.json \
-        || { echo "RECOVERY_report.json is stale: not a Full-scale $engine_version report" >&2; exit 1; }
+    for report in RECOVERY_report.json ACCURACY.json; do
+        grep -q "^{\"engine_version\":\"$engine_version\",\"scale\":\"Full\"," "$report" \
+            || { echo "$report is stale: not a Full-scale $engine_version report" >&2; exit 1; }
+    done
     # Spec-driven campaign smoke: the committed smoke spec, run as one
     # process and as two OS-process shards, must merge to byte-identical
     # reports (the shard/merge path is a results-identity, not a results

@@ -8,15 +8,15 @@
 //! repro all --full                  # full 255-flow scale (minutes)
 //! repro fig3 --csv out/             # export each table as CSV too
 //! repro run --spec FILE --shards 4  # sharded declarative campaign
-//! repro cc-study [--spec FILE]      # congestion-control model study
+//! repro accuracy --full             # the accuracy ledger, ACCURACY.json
 //! repro chaos [--spec FILE]         # fault-injection harness
 //! ```
 //!
 //! Every subcommand shares one parsed-options type (`hsm_bench::cli`);
-//! `--spec FILE` loads a declarative `CampaignSpec` everywhere it makes
-//! sense: `run` executes it (optionally across OS processes), `cc-study`
-//! sweeps the zoo over it, `chaos` round-trip checks it before the
-//! harness runs. Performance is measured by `benchmark/`, not here.
+//! `--spec FILE` loads a declarative `CampaignSpec` where it makes sense:
+//! `run` executes it (optionally across OS processes), `chaos` round-trip
+//! checks it before the harness runs. Performance is measured by
+//! `benchmark/`, not here.
 
 use hsm_bench::cli::{self, Opts};
 use hsm_bench::{Ctx, EXPERIMENTS};
@@ -284,71 +284,43 @@ fn chaos_cmd(args: Vec<String>) -> ExitCode {
     }
 }
 
-/// `repro cc-study [--smoke | --full] [--workers W] [--spec FILE]`: runs
-/// a campaign once per congestion-control zoo member — the Table-I grid
-/// by default, a spec expansion with `--spec` — and evaluates the
-/// enhanced/Padhye models against each. Writes `CC_STUDY.json`; exits
-/// non-zero when any controller's slice comes back empty.
-fn cc_study_cmd(args: Vec<String>) -> ExitCode {
-    let opts = match cli::parse(
-        "cc-study",
-        args,
-        &["--smoke", "--full", "--workers", "--spec"],
-    ) {
+/// `repro accuracy [--smoke | --full] [--workers W]`: the accuracy
+/// ledger. Writes `ACCURACY.json` and prints its §III, Fig. 10 and
+/// Fig. 12 tables as markdown on stdout — the block EXPERIMENTS.md
+/// quotes, so status goes to stderr.
+fn accuracy_cmd(args: Vec<String>) -> ExitCode {
+    let opts = match cli::parse("accuracy", args, &["--smoke", "--full", "--workers"]) {
         Ok(o) => o,
         Err(e) => return fail(e),
     };
-    let report = match &opts.spec {
-        Some(path) => load_spec(path).map_err(|e| e.to_string()).and_then(|spec| {
-            let configs = spec.expand().map_err(|e| e.to_string())?;
-            hsm_bench::cc_study::run_cc_study_over(
-                &configs,
-                &format!("spec:{}", spec.name),
-                opts.workers,
-            )
-        }),
-        None => hsm_bench::cc_study::run_cc_study(opts.scale, opts.workers),
+    let ledger = match hsm_bench::accuracy::run_accuracy(opts.scale, opts.workers) {
+        Ok(l) => l,
+        Err(e) => return fail(format!("accuracy failed: {e}")),
     };
-    let report = match report {
-        Ok(r) => r,
-        Err(e) => return fail(format!("cc-study failed: {e}")),
-    };
-    let json = match serde_json::to_string(&report) {
+    let json = match serde_json::to_string(&ledger) {
         Ok(j) => j,
-        Err(e) => return fail(format!("failed to serialize cc-study report: {e}")),
+        Err(e) => return fail(format!("failed to serialize the accuracy ledger: {e}")),
     };
-    if let Err(e) = std::fs::write("CC_STUDY.json", &json) {
-        return fail(format!("failed to write CC_STUDY.json: {e}"));
+    if let Err(e) = std::fs::write("ACCURACY.json", &json) {
+        return fail(format!("failed to write ACCURACY.json: {e}"));
     }
-    println!(
-        "cc-study: {} controllers x {} flows at {} scale",
-        report.rows.len(),
-        report.flows_per_cc,
-        report.scale
-    );
-    for row in &report.rows {
-        println!("{}", hsm_bench::cc_study::render_row(row));
-    }
-    println!("wrote CC_STUDY.json");
-    if report.complete() {
-        ExitCode::SUCCESS
-    } else {
-        fail("cc-study incomplete: a controller produced no evaluable flows")
-    }
+    print!("{}", ledger.to_markdown());
+    eprintln!("wrote ACCURACY.json");
+    ExitCode::SUCCESS
 }
 
-/// `repro recovery-study [--smoke | --full] [--workers W]`: measures the
-/// §V loss-recovery countermeasures per provider — a high-speed campaign
-/// slice plus a chaos-storm (delayed-but-not-lost ACK flap) slice per
-/// variant — and fits the model's predicted gains against the measured
-/// ones. Writes `RECOVERY_report.json`; exits non-zero when any slice
-/// comes back empty or the storm never drove the baseline into timeouts.
+/// `repro recovery-study [--smoke | --full]`: measures the §V
+/// loss-recovery countermeasures per provider — a chaos-storm
+/// (delayed-but-not-lost ACK flap) slice per variant — and fits the
+/// model's predicted gains against the measured ones. Writes
+/// `RECOVERY_report.json`; exits non-zero when any slice comes back
+/// empty or the storm never drove the baseline into timeouts.
 fn recovery_study_cmd(args: Vec<String>) -> ExitCode {
-    let opts = match cli::parse("recovery-study", args, &["--smoke", "--full", "--workers"]) {
+    let opts = match cli::parse("recovery-study", args, &["--smoke", "--full"]) {
         Ok(o) => o,
         Err(e) => return fail(e),
     };
-    let report = match hsm_bench::recovery_study::run_recovery_study(opts.scale, opts.workers) {
+    let report = match hsm_bench::recovery_study::run_recovery_study(opts.scale) {
         Ok(r) => r,
         Err(e) => return fail(format!("recovery-study failed: {e}")),
     };
@@ -360,10 +332,9 @@ fn recovery_study_cmd(args: Vec<String>) -> ExitCode {
         return fail(format!("failed to write RECOVERY_report.json: {e}"));
     }
     println!(
-        "recovery-study: {} providers x {} variants ({} campaign + {} storm flows each) at {} scale",
+        "recovery-study: {} providers x {} variants ({} storm flows each) at {} scale",
         report.providers.len(),
         report.providers.first().map_or(0, |p| p.storm.len()),
-        report.campaign_flows_per_slice,
         report.storm_flows_per_slice,
         report.scale
     );
@@ -400,8 +371,8 @@ fn usage() {
     println!("       repro run --spec FILE [--shards N | --shard K/N] [--workers W]");
     println!("                 [--out DIR] [--cache-dir DIR]");
     println!("       repro chaos [--seed N] [--cases M] [--workers W] [--spec FILE]");
-    println!("       repro cc-study [--smoke | --full] [--workers W] [--spec FILE]");
-    println!("       repro recovery-study [--smoke | --full] [--workers W]\n");
+    println!("       repro accuracy [--smoke | --full] [--workers W]");
+    println!("       repro recovery-study [--smoke | --full]\n");
     println!("experiments:");
     for e in EXPERIMENTS {
         println!("  {:10} {}", e.id, e.about);
@@ -413,9 +384,9 @@ fn usage() {
     println!("`repro chaos` runs the seeded fault-injection harness and");
     println!("writes CHAOS_report.json (plus chaos-failure.json and a");
     println!("non-zero exit on any oracle violation).");
-    println!("`repro cc-study` sweeps the congestion-control zoo through");
-    println!("the campaign engine, evaluates the enhanced/Padhye models");
-    println!("against each controller, and writes CC_STUDY.json.");
+    println!("`repro accuracy` evaluates both models on every provider x");
+    println!("congestion control x recovery slice, pairs every paper number");
+    println!("with ours, writes ACCURACY.json and prints the tables.");
     println!("`repro recovery-study` measures the loss-recovery zoo per");
     println!("provider under a delayed-ACK chaos storm, fits the model's");
     println!("predicted gains, and writes RECOVERY_report.json.");
@@ -469,7 +440,7 @@ fn main() -> ExitCode {
     match args.first().map(String::as_str) {
         Some("run") => run_cmd(rest(&args)),
         Some("chaos") => chaos_cmd(rest(&args)),
-        Some("cc-study") => cc_study_cmd(rest(&args)),
+        Some("accuracy") => accuracy_cmd(rest(&args)),
         Some("recovery-study") => recovery_study_cmd(rest(&args)),
         _ => experiments_cmd(args),
     }

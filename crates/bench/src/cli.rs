@@ -1,6 +1,6 @@
 //! Shared option parsing for the `repro` subcommands.
 //!
-//! `run`, `cc-study`, `chaos` and the experiment runner each used to
+//! `run`, `accuracy`, `chaos` and the experiment runner each used to
 //! hand-roll their own flag loop with diverging error messages. This
 //! module collapses them into one parsed-options type ([`Opts`]) and one
 //! driver ([`parse`]): a subcommand declares which flags it accepts, and
@@ -202,7 +202,7 @@ mod tests {
         let ok = parse("repro", strings(&["fig10", "--smoke"]), &["--smoke", "ID"]).unwrap();
         assert_eq!(ok.ids, vec!["fig10"]);
         assert_eq!(ok.scale, Scale::Smoke);
-        let err = parse("cc-study", strings(&["fig10"]), &["--smoke"]).unwrap_err();
+        let err = parse("accuracy", strings(&["fig10"]), &["--smoke"]).unwrap_err();
         assert!(err.contains("fig10"), "{err}");
     }
 

@@ -12,7 +12,7 @@
 //! over many rides before taking the ratio (single-flow HSR throughput is
 //! heavy-tailed, so a mean of ratios would explode).
 
-use crate::context::Ctx;
+use crate::context::{Ctx, Scale};
 use crate::report::ExperimentResult;
 use hsm_runtime::parallel::par_map;
 use hsm_scenario::calibrate::PAPER;
@@ -31,12 +31,42 @@ fn scenario(provider: Provider, seed: u64, duration: SimDuration) -> ScenarioCon
     }
 }
 
-/// Regenerates Fig. 12.
-pub fn run(ctx: &Ctx) -> ExperimentResult {
+/// Fig. 12's rides at `scale`, one point per provider in `Provider::ALL`
+/// order — what `repro fig12` prints and the accuracy ledger records:
+/// the ride-mean TCP and shared-radio MPTCP throughputs (segments/s) and
+/// the gain `mptcp / tcp − 1` (0 when TCP measured nothing).
+pub fn gains(scale: Scale) -> Vec<(f64, f64, f64)> {
     // Single-flow HSR throughput is heavy-tailed: use three times the
     // usual repetition budget (rides run in parallel across cores).
-    let reps = ctx.scale.repetitions() * 3;
-    let duration = ctx.scale.flow_duration();
+    let reps = scale.repetitions() * 3;
+    let duration = scale.flow_duration();
+    let mut points = Vec::new();
+    for provider in Provider::ALL {
+        // Paired rides: the same seed drives the single-flow and the
+        // MPTCP run of each repetition, reducing ride-to-ride variance.
+        let pairs = par_map(reps, |rep| {
+            let sc = scenario(provider, 300 + rep, duration);
+            let single = run_scenario(&sc).summary().throughput_sps;
+            let path = sc.path();
+            let mptcp =
+                run_mptcp_shared_radio(sc.seed, &path, sc.mobility().as_ref(), &sc.connection())
+                    .aggregate_throughput_sps();
+            (single, mptcp)
+        });
+        let tcp_sps = pairs.iter().map(|p| p.0).sum::<f64>() / reps as f64;
+        let mptcp_sps = pairs.iter().map(|p| p.1).sum::<f64>() / reps as f64;
+        let gain = if tcp_sps > 0.0 {
+            mptcp_sps / tcp_sps - 1.0
+        } else {
+            0.0
+        };
+        points.push((tcp_sps, mptcp_sps, gain));
+    }
+    points
+}
+
+/// Regenerates Fig. 12.
+pub fn run(ctx: &Ctx) -> ExperimentResult {
     let mut t = Table::new(
         "Fig. 12 — MPTCP vs TCP throughput per provider",
         &[
@@ -47,29 +77,11 @@ pub fn run(ctx: &Ctx) -> ExperimentResult {
             "paper gain",
         ],
     );
-    for (i, provider) in Provider::ALL.iter().enumerate() {
-        // Paired rides: the same seed drives the single-flow and the
-        // MPTCP run of each repetition, reducing ride-to-ride variance.
-        let pairs = par_map(reps, |rep| {
-            let sc = scenario(*provider, 300 + rep, duration);
-            let single = run_scenario(&sc).summary().throughput_sps;
-            let path = sc.path();
-            let mptcp =
-                run_mptcp_shared_radio(sc.seed, &path, sc.mobility().as_ref(), &sc.connection())
-                    .aggregate_throughput_sps();
-            (single, mptcp)
-        });
-        let s_mean = pairs.iter().map(|p| p.0).sum::<f64>() / reps as f64;
-        let m_mean = pairs.iter().map(|p| p.1).sum::<f64>() / reps as f64;
-        let gain = if s_mean > 0.0 {
-            m_mean / s_mean - 1.0
-        } else {
-            0.0
-        };
+    for (i, (tcp_sps, mptcp_sps, gain)) in gains(ctx.scale).into_iter().enumerate() {
         t.push_row(vec![
-            provider.name().to_owned(),
-            fnum(s_mean),
-            fnum(m_mean),
+            Provider::ALL[i].name().to_owned(),
+            fnum(tcp_sps),
+            fnum(mptcp_sps),
             fpct(gain),
             fpct(PAPER.mptcp_gains[i]),
         ]);

@@ -8,7 +8,10 @@
 //! * [`experiments`] — one module per regenerated artifact;
 //! * [`context`] — scale presets (smoke / standard / full) and cached
 //!   dataset generation;
-//! * [`report`] — printable/CSV-exportable results.
+//! * [`report`] — printable/CSV-exportable results;
+//! * [`accuracy`] — `repro accuracy`, the ledger of every `D` and every
+//!   paper-vs-ours number;
+//! * [`recovery_study`] — `repro recovery-study`, §V under a delay storm.
 //!
 //! Run the `repro` binary to print paper-vs-measured for any experiment:
 //!
@@ -21,7 +24,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cc_study;
+pub mod accuracy;
 pub mod cli;
 pub mod context;
 pub mod experiments;
@@ -31,5 +34,5 @@ pub mod report;
 
 pub use cli::Opts;
 pub use context::{Ctx, Scale};
-pub use registry::{find, run_all, Experiment, EXPERIMENTS};
+pub use registry::{find, Experiment, EXPERIMENTS};
 pub use report::ExperimentResult;

@@ -1,28 +1,23 @@
 //! `repro recovery-study` — measure the §V loss-recovery countermeasures
 //! and check the model's predicted gains against simulation.
 //!
-//! Per provider the study runs two slices for every [`Recovery`] variant:
+//! Per provider the study runs a **storm** slice for every [`Recovery`]
+//! variant: stationary flows under a periodic delay-flap storm
+//! (delayed-but-not-lost bursts, the timeout-dominated regime of
+//! Fig. 12). Each variant's throughput gain over `None` is the measured
+//! analogue of the paper's MPTCP 42 %/96 %/283 % template. (The model's
+//! `D` per provider × recovery strategy on high-speed flows is a row of
+//! the accuracy ledger, [`crate::accuracy`].)
 //!
-//! * a **campaign** slice — high-speed Table-I-style flows through the
-//!   campaign engine (shared cache, so the `recovery` cache-key axis is
-//!   exercised end to end), evaluated with [`evaluate_labeled`] exactly
-//!   like the cc-study;
-//! * a **storm** slice — stationary flows under a periodic delay-flap
-//!   storm (delayed-but-not-lost bursts, the timeout-dominated regime of
-//!   Fig. 12). Each variant's throughput gain over `None` is the
-//!   measured analogue of the paper's MPTCP 42 %/96 %/283 % template.
-//!
-//! The storm slice is then fitted: [`estimate_params`] on the baseline
+//! The storm slices are then fitted: [`estimate_params`] on the baseline
 //! (`None`) flows feeds [`hsm_core::recovery::predict`], and the
 //! measured-vs-modeled gain per variant lands in [`VariantFit`]. The
 //! whole report is written as `RECOVERY_report.json`.
 
+use crate::accuracy::mean_by;
 use crate::context::Scale;
 use hsm_core::estimate::{estimate_params, EstimateConfig};
-use hsm_core::eval::{evaluate_labeled, LabeledAccuracy};
 use hsm_core::recovery::{predict, STRATEGY_LABELS};
-use hsm_runtime::cache::{CacheConfig, FlowCache};
-use hsm_runtime::engine::Campaign;
 use hsm_scenario::provider::Provider;
 use hsm_scenario::runner::{run, Keep, Motion, ScenarioConfig, Scratch};
 use hsm_simnet::chaos::{StormEpisode, StormKind, StormPlan};
@@ -31,8 +26,7 @@ use hsm_tcp::recovery::Recovery;
 use hsm_trace::summary::FlowSummary;
 use serde::Serialize;
 
-/// Seed bases keep the two slices on disjoint deterministic streams.
-const CAMPAIGN_SEED_BASE: u64 = 0x52_1000;
+/// Seed base of the storm flows.
 const STORM_SEED_BASE: u64 = 0x57_0a00;
 
 /// One measured storm slice: a recovery variant under the delay-flap
@@ -47,7 +41,8 @@ pub struct StormSlice {
     pub mean_throughput_sps: f64,
     /// Mean measured ACK-loss rate `P_a`.
     pub mean_p_a: f64,
-    /// Mean measured spurious-timeout ratio `q̂`.
+    /// Mean measured retransmission loss rate inside timeout recovery,
+    /// `q̂`.
     pub mean_q_hat: f64,
     /// Total retransmission timeouts across the slice (sender ground
     /// truth — the storm must make this non-zero for `None`).
@@ -78,13 +73,11 @@ pub struct VariantFit {
     pub predicted_p_fail: f64,
 }
 
-/// Both slices plus the model fit for one provider.
+/// The storm slices plus the model fit for one provider.
 #[derive(Debug, Clone, Serialize)]
 pub struct ProviderStudy {
     /// Provider display name.
     pub provider: String,
-    /// High-speed campaign-engine rows, one per recovery variant.
-    pub campaign: Vec<LabeledAccuracy>,
     /// Storm-scenario rows, one per recovery variant (`None` first).
     pub storm: Vec<StormSlice>,
     /// Measured-vs-modeled gains, one per variant.
@@ -94,12 +87,10 @@ pub struct ProviderStudy {
 /// The full study report (`RECOVERY_report.json`).
 #[derive(Debug, Clone, Serialize)]
 pub struct RecoveryStudyReport {
-    /// Engine version that ran the campaigns.
+    /// Engine version that ran the storm flows.
     pub engine_version: String,
     /// Scale preset the study ran at.
     pub scale: String,
-    /// Flows per (provider × recovery) campaign slice.
-    pub campaign_flows_per_slice: usize,
     /// Flows per (provider × recovery) storm slice.
     pub storm_flows_per_slice: usize,
     /// Per-provider studies, in `Provider::ALL` order.
@@ -112,9 +103,7 @@ impl RecoveryStudyReport {
     pub fn complete(&self) -> bool {
         self.providers.len() == Provider::ALL.len()
             && self.providers.iter().all(|p| {
-                p.campaign.len() == Recovery::ALL.len()
-                    && p.campaign.iter().all(|r| r.report.flows > 0)
-                    && p.storm.len() == Recovery::ALL.len()
+                p.storm.len() == Recovery::ALL.len()
                     && p.storm.iter().all(|s| s.flows > 0)
                     && p.storm[0].timeouts > 0
                     && p.fits.len() == Recovery::ALL.len()
@@ -130,21 +119,6 @@ impl RecoveryStudyReport {
             .flat_map(|p| p.storm.iter().skip(1))
             .map(|s| s.gain_pct)
             .fold(f64::NEG_INFINITY, f64::max)
-    }
-}
-
-/// Per-scale knobs: (campaign seeds, campaign flow duration, storm
-/// seeds, storm flow duration).
-fn knobs(scale: Scale) -> (u64, SimDuration, u64, SimDuration) {
-    match scale {
-        Scale::Smoke => (2, SimDuration::from_secs(20), 2, SimDuration::from_secs(12)),
-        Scale::Standard => (4, SimDuration::from_secs(60), 4, SimDuration::from_secs(30)),
-        Scale::Full => (
-            8,
-            SimDuration::from_secs(120),
-            6,
-            SimDuration::from_secs(60),
-        ),
     }
 }
 
@@ -176,61 +150,23 @@ pub fn storm_plan(duration: SimDuration) -> StormPlan {
     StormPlan { episodes }
 }
 
-fn mean_of(xs: impl Iterator<Item = f64>) -> f64 {
-    let xs: Vec<f64> = xs.collect();
-    if xs.is_empty() {
-        0.0
-    } else {
-        xs.iter().sum::<f64>() / xs.len() as f64
-    }
-}
-
 /// Runs the study at a scale preset across all providers and variants.
 ///
 /// # Errors
 ///
-/// Returns a displayable message when a campaign fails to build or run.
-pub fn run_recovery_study(
-    scale: Scale,
-    workers: Option<usize>,
-) -> Result<RecoveryStudyReport, String> {
-    let (camp_seeds, camp_duration, storm_seeds, storm_duration) = knobs(scale);
-    // One cache across every (provider × recovery) campaign: keys embed
-    // the recovery axis, so variants can never collide and reruns of the
-    // same slice stay warm.
-    let cache = FlowCache::new(CacheConfig::memory_only());
+/// Returns a displayable message when a storm flow fails to run.
+pub fn run_recovery_study(scale: Scale) -> Result<RecoveryStudyReport, String> {
+    let (storm_seeds, storm_duration) = match scale {
+        Scale::Smoke => (2, SimDuration::from_secs(12)),
+        Scale::Standard => (4, SimDuration::from_secs(30)),
+        Scale::Full => (6, SimDuration::from_secs(60)),
+    };
     let estimate = EstimateConfig::default();
     let plan = storm_plan(storm_duration);
     let mut scratch = Scratch::new();
 
-    let mut campaign_flows = 0;
     let mut providers = Vec::new();
     for provider in Provider::ALL {
-        // Campaign slice: high-speed flows through the engine.
-        let mut campaign_rows = Vec::new();
-        for recovery in Recovery::ALL {
-            let configs = (0..camp_seeds).map(|i| ScenarioConfig {
-                provider,
-                motion: Motion::HighSpeed,
-                seed: CAMPAIGN_SEED_BASE + i,
-                duration: camp_duration,
-                flow: i as u32,
-                recovery,
-                ..ScenarioConfig::default()
-            });
-            let mut builder = Campaign::builder()
-                .configs(configs)
-                .cache(CacheConfig::memory_only());
-            if let Some(w) = workers {
-                builder = builder.workers(w);
-            }
-            let campaign = builder.build().map_err(|e| e.to_string())?;
-            let output = campaign.run_with_cache(&cache).map_err(|e| e.to_string())?;
-            let summaries: Vec<_> = output.summaries().cloned().collect();
-            campaign_flows = summaries.len();
-            campaign_rows.push(evaluate_labeled(recovery.label(), &summaries, &estimate));
-        }
-
         // Storm slice: stationary flows under the delay-flap storm.
         let mut storm_rows = Vec::new();
         let mut baseline_summaries: Vec<FlowSummary> = Vec::new();
@@ -258,9 +194,9 @@ pub fn run_recovery_study(
             storm_rows.push(StormSlice {
                 label: recovery.label().to_owned(),
                 flows: summaries.len(),
-                mean_throughput_sps: mean_of(summaries.iter().map(|s| s.throughput_sps)),
-                mean_p_a: mean_of(summaries.iter().map(|s| s.p_a)),
-                mean_q_hat: mean_of(summaries.iter().map(|s| s.q_hat)),
+                mean_throughput_sps: mean_by(&summaries, |s| s.throughput_sps),
+                mean_p_a: mean_by(&summaries, |s| s.p_a),
+                mean_q_hat: mean_by(&summaries, |s| s.q_hat),
                 timeouts,
                 spurious_undone: undone,
                 frto_probes: probes,
@@ -281,55 +217,39 @@ pub fn run_recovery_study(
         }
 
         // Fit: baseline flows → ModelParams → predicted gains.
-        let labels = STRATEGY_LABELS;
-        let mut pred_gain = [0.0f64; 4];
-        let mut pred_fail = [0.0f64; 4];
-        let mut fitted = 0u32;
-        for summary in &baseline_summaries {
-            let mut params = estimate_params(summary, &estimate);
-            // The delay storm's spurious timeouts are ACK-burst failures
-            // the loss-based estimator cannot see (nothing is dropped):
-            // a burst held past the RTO fails for timer purposes exactly
-            // like a lost one. Fold the measured spurious-timeout rate
-            // in as an effective per-round burst-failure floor on `P_a`.
-            let rounds = (summary.duration_s / params.rtt_s.max(1e-6)).max(1.0);
-            let p_a_storm = (f64::from(summary.spurious_timeouts) / rounds).clamp(0.0, 0.5);
-            params.p_a_burst = params.p_a_burst.max(p_a_storm);
-            if let Ok(predictions) = predict(&params) {
-                for (k, p) in predictions.iter().enumerate() {
-                    pred_gain[k] += p.gain_pct;
-                    pred_fail[k] += p.p_fail;
-                }
-                fitted += 1;
-            }
-        }
-        let fits = labels
+        let predictions: Vec<_> = baseline_summaries
+            .iter()
+            .filter_map(|summary| {
+                let mut params = estimate_params(summary, &estimate);
+                // The delay storm's spurious timeouts are ACK-burst failures
+                // the loss-based estimator cannot see (nothing is dropped):
+                // a burst held past the RTO fails for timer purposes exactly
+                // like a lost one. Fold the measured spurious-timeout rate
+                // in as an effective per-round burst-failure floor on `P_a`.
+                let rounds = (summary.duration_s / params.rtt_s.max(1e-6)).max(1.0);
+                let p_a_storm = (f64::from(summary.spurious_timeouts) / rounds).clamp(0.0, 0.5);
+                params.p_a_burst = params.p_a_burst.max(p_a_storm);
+                predict(&params).ok()
+            })
+            .collect();
+        let fits = STRATEGY_LABELS
             .iter()
             .enumerate()
             .map(|(k, label)| {
-                let predicted = if fitted > 0 {
-                    pred_gain[k] / f64::from(fitted)
-                } else {
-                    0.0
-                };
+                let predicted = mean_by(&predictions, |p| p[k].gain_pct);
                 let measured = storm_rows[k].gain_pct;
                 VariantFit {
                     label: (*label).to_owned(),
                     measured_gain_pct: measured,
                     predicted_gain_pct: predicted,
                     abs_error_pp: (measured - predicted).abs(),
-                    predicted_p_fail: if fitted > 0 {
-                        pred_fail[k] / f64::from(fitted)
-                    } else {
-                        0.0
-                    },
+                    predicted_p_fail: mean_by(&predictions, |p| p[k].p_fail),
                 }
             })
             .collect();
 
         providers.push(ProviderStudy {
             provider: provider.name().to_owned(),
-            campaign: campaign_rows,
             storm: storm_rows,
             fits,
         });
@@ -338,7 +258,6 @@ pub fn run_recovery_study(
     Ok(RecoveryStudyReport {
         engine_version: hsm_runtime::cache::ENGINE_VERSION.to_owned(),
         scale: format!("{scale:?}"),
-        campaign_flows_per_slice: campaign_flows,
         storm_flows_per_slice: storm_seeds as usize,
         providers,
     })
@@ -395,7 +314,7 @@ mod tests {
 
     #[test]
     fn smoke_study_covers_every_provider_and_variant() {
-        let report = run_recovery_study(Scale::Smoke, Some(2)).expect("study runs");
+        let report = run_recovery_study(Scale::Smoke).expect("study runs");
         assert!(report.complete(), "incomplete study: {report:?}");
         assert_eq!(report.providers.len(), Provider::ALL.len());
         for study in &report.providers {

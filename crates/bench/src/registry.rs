@@ -128,11 +128,6 @@ pub fn find(id: &str) -> Option<&'static Experiment> {
     EXPERIMENTS.iter().find(|e| e.id == id)
 }
 
-/// Runs every experiment in order.
-pub fn run_all(ctx: &Ctx) -> Vec<ExperimentResult> {
-    EXPERIMENTS.iter().map(|e| (e.run)(ctx)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

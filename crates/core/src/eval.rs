@@ -42,8 +42,9 @@ pub struct FlowEval {
 }
 
 impl FlowEval {
-    /// Whether both deviations are finite: the flows a mean `D` counts.
-    fn is_finite(&self) -> bool {
+    /// Whether both deviations are finite: the flows a `D` statistic
+    /// counts.
+    pub fn is_finite(&self) -> bool {
         self.d_enhanced.is_finite() && self.d_padhye.is_finite()
     }
 }
@@ -57,19 +58,26 @@ pub struct AccuracyReport {
     pub mean_d_enhanced: f64,
     /// Mean `D` of the Padhye model (paper: 21.96 %).
     pub mean_d_padhye: f64,
+    /// Median `D` of the enhanced model (the paper reports none).
+    pub median_d_enhanced: f64,
+    /// Median `D` of the Padhye model.
+    pub median_d_padhye: f64,
 }
 
 impl AccuracyReport {
-    /// The mean `D` of both models over the evaluations whose two
-    /// deviations are finite — the one definition every headline mean
+    /// The mean and median `D` of both models over the evaluations whose
+    /// two deviations are finite — the one definition every headline `D`
     /// uses. `Default` (zero flows) when none is.
     pub fn of<'a>(evals: impl IntoIterator<Item = &'a FlowEval>) -> AccuracyReport {
-        let (mut flows, mut sum_enhanced, mut sum_padhye) = (0, 0.0, 0.0);
+        let (mut enhanced, mut padhye) = (Vec::new(), Vec::new());
+        let (mut sum_enhanced, mut sum_padhye) = (0.0, 0.0);
         for e in evals.into_iter().filter(|e| e.is_finite()) {
-            flows += 1;
             sum_enhanced += e.d_enhanced;
             sum_padhye += e.d_padhye;
+            enhanced.push(e.d_enhanced);
+            padhye.push(e.d_padhye);
         }
+        let flows = enhanced.len();
         if flows == 0 {
             return AccuracyReport::default();
         }
@@ -77,12 +85,26 @@ impl AccuracyReport {
             flows,
             mean_d_enhanced: sum_enhanced / flows as f64,
             mean_d_padhye: sum_padhye / flows as f64,
+            median_d_enhanced: median(&mut enhanced),
+            median_d_padhye: median(&mut padhye),
         }
     }
 
     /// Accuracy improvement in percentage points (paper: 16.3).
     pub fn improvement_pp(&self) -> f64 {
         (self.mean_d_padhye - self.mean_d_enhanced) * 100.0
+    }
+}
+
+/// The middle value of a non-empty sample of finite values (the mean of
+/// the two middle values for an even count).
+fn median(xs: &mut [f64]) -> f64 {
+    xs.sort_unstable_by(f64::total_cmp);
+    let mid = xs.len() / 2;
+    if xs.len() % 2 == 1 {
+        xs[mid]
+    } else {
+        (xs[mid - 1] + xs[mid]) / 2.0
     }
 }
 
@@ -123,61 +145,6 @@ pub fn evaluate_dataset(
         .collect();
     let report = AccuracyReport::of(&evals);
     (evals, report)
-}
-
-/// Aggregated model fit for one labeled slice of flows — one row of the
-/// congestion-control study, where the label is the controller name.
-///
-/// Carries the measured means the study compares across controllers
-/// (`P_a`, `q̂`, throughput) next to the model-side means and the
-/// [`AccuracyReport`], so a consumer can see at a glance both how a
-/// controller behaved and how well the paper's models fit it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LabeledAccuracy {
-    /// Slice label (the congestion-control name in the cc-study).
-    pub label: String,
-    /// Mean measured ACK-loss rate `P_a` across the slice.
-    pub mean_p_a: f64,
-    /// Mean measured spurious-timeout ratio `q̂` across the slice.
-    pub mean_q_hat: f64,
-    /// Mean measured throughput, segments/s.
-    pub mean_measured_sps: f64,
-    /// Mean enhanced-model prediction, segments/s.
-    pub mean_enhanced_sps: f64,
-    /// Mean Padhye prediction, segments/s.
-    pub mean_padhye_sps: f64,
-    /// The aggregate deviation report for the slice.
-    pub report: AccuracyReport,
-}
-
-/// Evaluates one labeled slice of flows (see [`LabeledAccuracy`]).
-///
-/// Measured means (`P_a`, `q̂`, throughput) average over every summary;
-/// model-side means average over the flows [`AccuracyReport::of`] counts.
-pub fn evaluate_labeled(
-    label: impl Into<String>,
-    summaries: &[FlowSummary],
-    cfg: &EstimateConfig,
-) -> LabeledAccuracy {
-    let (evals, report) = evaluate_dataset(summaries, cfg);
-    let mean = |xs: &mut dyn Iterator<Item = f64>| {
-        let xs: Vec<f64> = xs.collect();
-        if xs.is_empty() {
-            0.0
-        } else {
-            xs.iter().sum::<f64>() / xs.len() as f64
-        }
-    };
-    let finite: Vec<&FlowEval> = evals.iter().filter(|e| e.is_finite()).collect();
-    LabeledAccuracy {
-        label: label.into(),
-        mean_p_a: mean(&mut summaries.iter().map(|s| s.p_a)),
-        mean_q_hat: mean(&mut summaries.iter().map(|s| s.q_hat)),
-        mean_measured_sps: mean(&mut summaries.iter().map(|s| s.throughput_sps)),
-        mean_enhanced_sps: mean(&mut finite.iter().map(|e| e.enhanced_sps)),
-        mean_padhye_sps: mean(&mut finite.iter().map(|e| e.padhye_sps)),
-        report,
-    }
 }
 
 #[cfg(test)]
@@ -300,35 +267,46 @@ mod tests {
         assert_eq!(AccuracyReport::of(&[]), AccuracyReport::default());
     }
 
+    /// A real evaluation with its two deviations replaced.
+    fn with_d(d_enhanced: f64, d_padhye: f64) -> FlowEval {
+        let mut e = evaluate_flow(&summary(0, 100.0), &EstimateConfig::default()).unwrap();
+        e.d_enhanced = d_enhanced;
+        e.d_padhye = d_padhye;
+        e
+    }
+
+    #[test]
+    fn accuracy_report_medians() {
+        // Odd count: the middle value, whatever the input order.
+        let odd = [with_d(2.0, 0.25), with_d(0.25, 1.5), with_d(0.5, 0.5)];
+        let r = AccuracyReport::of(&odd);
+        assert_eq!((r.median_d_enhanced, r.median_d_padhye), (0.5, 0.5));
+        // Even count: the mean of the two middle values.
+        let even = [
+            with_d(1.0, 0.5),
+            with_d(0.25, 4.0),
+            with_d(2.0, 0.25),
+            with_d(0.5, 1.5),
+        ];
+        let r = AccuracyReport::of(&even);
+        assert_eq!((r.median_d_enhanced, r.median_d_padhye), (0.75, 1.0));
+        assert_eq!(r.mean_d_enhanced, 0.9375);
+        // A flow with either deviation non-finite leaves both medians.
+        let mixed = [
+            odd[0].clone(),
+            with_d(f64::INFINITY, 0.0),
+            odd[1].clone(),
+            with_d(0.0, f64::NAN),
+            odd[2].clone(),
+        ];
+        assert_eq!(AccuracyReport::of(&mixed), AccuracyReport::of(&odd));
+    }
+
     #[test]
     fn empty_dataset_report() {
         let (evals, report) = evaluate_dataset(&[], &EstimateConfig::default());
         assert!(evals.is_empty());
         assert_eq!(report.flows, 0);
         assert_eq!(report.improvement_pp(), 0.0);
-    }
-
-    #[test]
-    fn labeled_slice_carries_measured_and_model_means() {
-        let flows = vec![summary(0, 100.0), summary(1, 200.0)];
-        let row = evaluate_labeled("Cubic", &flows, &EstimateConfig::default());
-        assert_eq!(row.label, "Cubic");
-        assert!((row.mean_measured_sps - 150.0).abs() < 1e-9);
-        assert!((row.mean_p_a - 0.0066).abs() < 1e-12);
-        assert!((row.mean_q_hat - 0.27).abs() < 1e-12);
-        assert!(row.mean_enhanced_sps > 0.0);
-        assert!(row.mean_padhye_sps > 0.0);
-        assert_eq!(row.report.flows, 2);
-        let json = serde_json::to_string(&row).expect("row serializes");
-        let back: LabeledAccuracy = serde_json::from_str(&json).expect("round-trips");
-        assert_eq!(back, row);
-    }
-
-    #[test]
-    fn labeled_slice_of_nothing_is_all_zeroes() {
-        let row = evaluate_labeled("Bbr", &[], &EstimateConfig::default());
-        assert_eq!(row.report.flows, 0);
-        assert_eq!(row.mean_measured_sps, 0.0);
-        assert_eq!(row.mean_enhanced_sps, 0.0);
     }
 }

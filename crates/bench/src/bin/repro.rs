@@ -12,6 +12,9 @@
 //! repro chaos [--spec FILE]         # fault-injection harness
 //! ```
 //!
+//! `ACCURACY.json` is the one science artifact: every `D`, every paper
+//! number beside ours and the §V countermeasures under a delay-flap storm.
+//!
 //! Every subcommand shares one parsed-options type (`hsm_bench::cli`);
 //! `--spec FILE` loads a declarative `CampaignSpec` where it makes sense:
 //! `run` executes it (optionally across OS processes), `chaos` round-trip
@@ -285,9 +288,9 @@ fn chaos_cmd(args: Vec<String>) -> ExitCode {
 }
 
 /// `repro accuracy [--smoke | --full] [--workers W]`: the accuracy
-/// ledger. Writes `ACCURACY.json` and prints its §III, Fig. 10 and
-/// Fig. 12 tables as markdown on stdout — the block EXPERIMENTS.md
-/// quotes, so status goes to stderr.
+/// ledger. Writes `ACCURACY.json` and prints its tables as markdown on
+/// stdout — the block EXPERIMENTS.md quotes, so status goes to stderr.
+/// Fails when the §V storm study comes back incomplete.
 fn accuracy_cmd(args: Vec<String>) -> ExitCode {
     let opts = match cli::parse("accuracy", args, &["--smoke", "--full", "--workers"]) {
         Ok(o) => o,
@@ -309,58 +312,6 @@ fn accuracy_cmd(args: Vec<String>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `repro recovery-study [--smoke | --full]`: measures the §V
-/// loss-recovery countermeasures per provider — a chaos-storm
-/// (delayed-but-not-lost ACK flap) slice per variant — and fits the
-/// model's predicted gains against the measured ones. Writes
-/// `RECOVERY_report.json`; exits non-zero when any slice comes back
-/// empty or the storm never drove the baseline into timeouts.
-fn recovery_study_cmd(args: Vec<String>) -> ExitCode {
-    let opts = match cli::parse("recovery-study", args, &["--smoke", "--full"]) {
-        Ok(o) => o,
-        Err(e) => return fail(e),
-    };
-    let report = match hsm_bench::recovery_study::run_recovery_study(opts.scale) {
-        Ok(r) => r,
-        Err(e) => return fail(format!("recovery-study failed: {e}")),
-    };
-    let json = match serde_json::to_string(&report) {
-        Ok(j) => j,
-        Err(e) => return fail(format!("failed to serialize recovery-study report: {e}")),
-    };
-    if let Err(e) = std::fs::write("RECOVERY_report.json", &json) {
-        return fail(format!("failed to write RECOVERY_report.json: {e}"));
-    }
-    println!(
-        "recovery-study: {} providers x {} variants ({} storm flows each) at {} scale",
-        report.providers.len(),
-        report.providers.first().map_or(0, |p| p.storm.len()),
-        report.storm_flows_per_slice,
-        report.scale
-    );
-    for study in &report.providers {
-        for row in &study.storm {
-            println!(
-                "{}",
-                hsm_bench::recovery_study::render_storm_row(&study.provider, row)
-            );
-        }
-        for fit in &study.fits {
-            println!(
-                "{}",
-                hsm_bench::recovery_study::render_fit_row(&study.provider, fit)
-            );
-        }
-    }
-    println!("best storm gain: {:+.1} %", report.best_storm_gain_pct());
-    println!("wrote RECOVERY_report.json");
-    if report.complete() {
-        ExitCode::SUCCESS
-    } else {
-        fail("recovery-study incomplete: an empty slice or a storm that never bit")
-    }
-}
-
 fn fail(msg: impl std::fmt::Display) -> ExitCode {
     eprintln!("{msg}");
     ExitCode::FAILURE
@@ -371,8 +322,7 @@ fn usage() {
     println!("       repro run --spec FILE [--shards N | --shard K/N] [--workers W]");
     println!("                 [--out DIR] [--cache-dir DIR]");
     println!("       repro chaos [--seed N] [--cases M] [--workers W] [--spec FILE]");
-    println!("       repro accuracy [--smoke | --full] [--workers W]");
-    println!("       repro recovery-study [--smoke | --full]\n");
+    println!("       repro accuracy [--smoke | --full] [--workers W]\n");
     println!("experiments:");
     for e in EXPERIMENTS {
         println!("  {:10} {}", e.id, e.about);
@@ -386,10 +336,9 @@ fn usage() {
     println!("non-zero exit on any oracle violation).");
     println!("`repro accuracy` evaluates both models on every provider x");
     println!("congestion control x recovery slice, pairs every paper number");
-    println!("with ours, writes ACCURACY.json and prints the tables.");
-    println!("`repro recovery-study` measures the loss-recovery zoo per");
-    println!("provider under a delayed-ACK chaos storm, fits the model's");
-    println!("predicted gains, and writes RECOVERY_report.json.");
+    println!("with ours, measures and models the loss-recovery zoo under a");
+    println!("delayed-ACK chaos storm, writes ACCURACY.json and prints the");
+    println!("tables.");
 }
 
 /// The default (experiment-runner) command: `repro [<id>...] [flags]`.
@@ -441,7 +390,6 @@ fn main() -> ExitCode {
         Some("run") => run_cmd(rest(&args)),
         Some("chaos") => chaos_cmd(rest(&args)),
         Some("accuracy") => accuracy_cmd(rest(&args)),
-        Some("recovery-study") => recovery_study_cmd(rest(&args)),
         _ => experiments_cmd(args),
     }
 }

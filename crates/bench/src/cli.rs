@@ -65,11 +65,17 @@ pub fn parse(
         let flag = arg.as_str();
         match flag {
             "--smoke" | "--full" if allow(flag) => {
-                opts.scale = if flag == "--smoke" {
+                let scale = if flag == "--smoke" {
                     Scale::Smoke
                 } else {
                     Scale::Full
                 };
+                if ![Scale::Standard, scale].contains(&opts.scale) {
+                    return Err(format!(
+                        "`{cmd}` options `--smoke` and `--full` exclude each other"
+                    ));
+                }
+                opts.scale = scale;
             }
             "--workers" | "--seed" | "--cases" | "--spec" | "--shards" | "--shard" | "--out"
             | "--cache-dir" | "--csv"
@@ -204,6 +210,18 @@ mod tests {
         assert_eq!(ok.scale, Scale::Smoke);
         let err = parse("accuracy", strings(&["fig10"]), &["--smoke"]).unwrap_err();
         assert!(err.contains("fig10"), "{err}");
+    }
+
+    #[test]
+    fn smoke_and_full_exclude_each_other() {
+        let allowed: &[&str] = &["--smoke", "--full"];
+        for args in [["--smoke", "--full"], ["--full", "--smoke"]] {
+            let err = parse("accuracy", strings(&args), allowed).unwrap_err();
+            assert!(err.contains("`accuracy`"), "{err}");
+            assert!(err.contains("--smoke") && err.contains("--full"), "{err}");
+        }
+        let twice = parse("accuracy", strings(&["--full", "--full"]), allowed).unwrap();
+        assert_eq!(twice.scale, Scale::Full);
     }
 
     #[test]

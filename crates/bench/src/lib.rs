@@ -9,9 +9,9 @@
 //! * [`context`] — scale presets (smoke / standard / full) and cached
 //!   dataset generation;
 //! * [`report`] — printable/CSV-exportable results;
-//! * [`accuracy`] — `repro accuracy`, the ledger of every `D` and every
-//!   paper-vs-ours number;
-//! * [`recovery_study`] — `repro recovery-study`, §V under a delay storm.
+//! * [`accuracy`] — `repro accuracy`, the one science artifact: the
+//!   ledger of every `D`, every paper-vs-ours number and the §V
+//!   countermeasures under a delay-flap storm.
 //!
 //! Run the `repro` binary to print paper-vs-measured for any experiment:
 //!
@@ -28,7 +28,6 @@ pub mod accuracy;
 pub mod cli;
 pub mod context;
 pub mod experiments;
-pub mod recovery_study;
 pub mod registry;
 pub mod report;
 

@@ -418,11 +418,11 @@ pub fn run_scenario(config: &ScenarioConfig) -> AnalyzedConnection {
 /// from `config`, simulate, analyze — the analysis reading the flow's
 /// packets from the engine's arena, which [`Keep::Trace`] then folds into
 /// the flow's trace. `storm` is a chaos-storm schedule replayed on the
-/// uplink — the §V recovery-study rig: the scenario's provider path and
-/// motion stay as configured while the storm superimposes deterministic
-/// ACK-delay or ACK-burst episodes, and the full analysis pipeline still
-/// runs, so storm flows yield the same model-ready summary campaign flows
-/// do. The empty plan adds nothing to the world.
+/// uplink — the accuracy ledger's §V storm rig: the scenario's provider
+/// path and motion stay as configured while the storm superimposes
+/// deterministic ACK-delay or ACK-burst episodes, and the full analysis
+/// pipeline still runs, so storm flows yield the same model-ready
+/// summary campaign flows do. The empty plan adds nothing to the world.
 ///
 /// # Errors
 ///

@@ -41,7 +41,8 @@ pub struct StormEpisode {
     pub kind: StormKind,
 }
 
-/// A seed-derived schedule of non-overlapping storm episodes.
+/// A schedule of non-overlapping storm episodes (seed-derived, or the
+/// fixed §V flap storm).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct StormPlan {
     /// The episodes, in start-time order.
@@ -85,6 +86,35 @@ impl StormPlan {
             });
             // Calm gap before the next episode.
             cursor_us = cursor_us + len_us + 100_000 + splitmix64(&mut state) % 800_000;
+        }
+        StormPlan { episodes }
+    }
+
+    /// The §V delay-flap storm over a flow of length `horizon`: 500 ms
+    /// delay flaps every 2.5 s from t = 600 ms. The last flap starts more
+    /// than one period before `horizon`, so every episode's fallout lands
+    /// inside the flow.
+    ///
+    /// Each flap holds ACKs back for longer than the first-rung RTO
+    /// (~200–350 ms on the provider paths) without losing them — the
+    /// delayed-but-not-lost regime where a plain sender times out
+    /// spuriously. The flap deliberately ends *before* the second backoff
+    /// rung would expire: a repeat RTO is RFC 5682's "the retransmission
+    /// was lost too" case and rightly cancels F-RTO, so a longer flap would
+    /// never let that countermeasure act (at 900 ms every flap climbs the
+    /// ladder and F-RTO never probes).
+    pub fn periodic_flaps(horizon: SimDuration) -> StormPlan {
+        let flap = SimDuration::from_millis(500);
+        let period = SimDuration::from_millis(2500);
+        let mut episodes = Vec::new();
+        let mut at = SimTime::ZERO + SimDuration::from_millis(600);
+        while at + period < SimTime::ZERO + horizon {
+            episodes.push(StormEpisode {
+                at,
+                duration: flap,
+                kind: StormKind::Flap(flap),
+            });
+            at += period;
         }
         StormPlan { episodes }
     }
@@ -270,6 +300,20 @@ mod tests {
             StormPlan::from_seed(1, SimDuration::from_secs(3)),
             StormPlan::from_seed(2, SimDuration::from_secs(3))
         );
+    }
+
+    #[test]
+    fn periodic_flaps_fit_inside_the_flow_and_are_periodic() {
+        let plan = StormPlan::periodic_flaps(SimDuration::from_secs(12));
+        assert!(plan.episodes.len() >= 4, "{:?}", plan.episodes.len());
+        let end = SimTime::ZERO + SimDuration::from_secs(12);
+        for ep in &plan.episodes {
+            assert!(ep.at + ep.duration < end);
+            assert_eq!(ep.kind, StormKind::Flap(SimDuration::from_millis(500)));
+        }
+        for pair in plan.episodes.windows(2) {
+            assert_eq!(pair[1].at, pair[0].at + SimDuration::from_millis(2500));
+        }
     }
 
     /// The conservation invariant keeps watching during a storm: corrupt

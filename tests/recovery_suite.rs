@@ -5,14 +5,15 @@
 //! pinned throughputs: an explicit `Recovery::None` sender must be
 //! byte-identical to a sender that predates the strategy layer. The
 //! per-variant storm goldens pin each countermeasure's dynamics under a
-//! delayed-but-not-lost ACK flap storm. To regenerate after an
+//! delayed-but-not-lost ACK flap storm (`StormPlan::periodic_flaps`, the
+//! storm the accuracy ledger's §V table runs). To regenerate after an
 //! intentional behavior change, print the values with `{:.17e}`.
 // The goldens deliberately carry 18 significant digits so a 1e-12
 // relative drift is detectable; the extra digits are the point.
 #![allow(clippy::excessive_precision)]
 
 use hsm::scenario::runner::{self, Keep, Motion, ScenarioConfig, Scratch};
-use hsm::simnet::chaos::{StormEpisode, StormKind, StormPlan};
+use hsm::simnet::chaos::StormPlan;
 use hsm::simnet::time::{SimDuration, SimTime};
 use hsm::tcp::cc::Algorithm;
 use hsm::tcp::connection::{run_connection, ConnectionConfig, LossSpec, PathSpec};
@@ -79,25 +80,6 @@ fn explicit_none_matches_the_pre_recovery_goldens() {
     }
 }
 
-/// The recovery-study's ACK-flap storm, inlined: 500 ms delay flaps
-/// every 2.5 s from t = 600 ms (past the first RTO, short of the second
-/// backoff rung).
-fn flap_storm(duration: SimDuration) -> StormPlan {
-    let flap = SimDuration::from_millis(500);
-    let period = SimDuration::from_millis(2500);
-    let mut episodes = Vec::new();
-    let mut at = SimTime::ZERO + SimDuration::from_millis(600);
-    while at + period < SimTime::ZERO + duration {
-        episodes.push(StormEpisode {
-            at,
-            duration: flap,
-            kind: StormKind::Flap(flap),
-        });
-        at += period;
-    }
-    StormPlan { episodes }
-}
-
 fn storm_config(recovery: Recovery) -> ScenarioConfig {
     ScenarioConfig::builder()
         .motion(Motion::Stationary)
@@ -112,7 +94,7 @@ fn storm_config(recovery: Recovery) -> ScenarioConfig {
 /// the flap storm — and in its own characteristic way.
 #[test]
 fn every_countermeasure_leaves_its_signature_under_the_storm() {
-    let plan = flap_storm(SimDuration::from_secs(12));
+    let plan = StormPlan::periodic_flaps(SimDuration::from_secs(12));
     let run = |recovery| {
         runner::run(
             &mut Scratch::new(),

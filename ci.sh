@@ -59,6 +59,11 @@ stage_build_test() {
     # invocation keeps the contract visible in the CI log (and keeps running
     # it even if the workspace test set is ever filtered).
     cargo test -q --test queue_differential
+    # Arena-vs-model differential, for the same reason: the chunked packet
+    # arena (32-byte rows, wide values escaped to a side table, chunks kept
+    # across a clear) must give back exactly what a `Vec` of packets and
+    # arrivals holds, over randomized push/deliver/clear interleavings.
+    cargo test -q --test arena_differential
     # The studies below write their reports into the working directory:
     # run them from a scratch directory so their output never overwrites
     # the reports committed at the repo root.

@@ -1,10 +1,22 @@
 //! Arena-backed packet storage: one row per packet, written once.
 //!
-//! The engine stamps every sent packet into a [`PacketArena`]: one 48-byte
+//! The engine stamps every sent packet into a [`PacketArena`]: one 32-byte
 //! row per packet, indexed by [`PacketId`]. Ids are minted sequentially,
 //! so a packet's id **is** its arena index — nothing is ever freed within
-//! a run, and [`PacketArena::clear`] recycles the rows (capacity kept)
-//! when the engine resets.
+//! a run, and [`PacketArena::clear`] recycles the rows when the engine
+//! resets.
+//!
+//! Rows live in fixed chunks of 1,024, each allocated the first time a
+//! packet lands in it and kept across [`PacketArena::clear`], so a
+//! recycled arena allocates nothing and a growing one never reallocates,
+//! copies or leaves a freed block behind (a doubling `Vec` does all three
+//! on its way to twice the rows it holds).
+//!
+//! A row is sized for the packets a run sends: a 16-bit size, an 8-bit
+//! tag and a 32-bit flight time in microseconds (≈ 71.6 min). A packet
+//! with a wider value — any [`Packet`] the public API can build — is kept
+//! exactly: its size, tag and arrival escape to a cold side table keyed
+//! by id, and a flag in the row's kind says to look there.
 //!
 //! Everything downstream of the stamp then moves a 16-byte handle instead
 //! of the full packet: link queues and in-flight slots hold
@@ -21,37 +33,51 @@
 
 use crate::packet::{FlowId, Packet, PacketId, PacketKind, SeqNo};
 use crate::time::SimTime;
+use std::collections::BTreeMap;
 
-/// Row tag: a first-transmission data segment.
+/// Rows per chunk: a power of two, so a row's place in its chunk is the
+/// low bits of its id.
+const CHUNK: usize = 1024;
+
+/// Row kind: a first-transmission data segment.
 const KIND_DATA: u8 = 0;
-/// Row tag: a retransmitted data segment.
+/// Row kind: a retransmitted data segment.
 const KIND_DATA_RETX: u8 = 1;
-/// Row tag: a cumulative ACK.
+/// Row kind: a cumulative ACK.
 const KIND_ACK: u8 = 2;
+/// Flag on a row's kind: the side table holds its size, tag and arrival.
+const ESCAPED: u8 = 0x80;
 
-/// `arrived_at` of a packet that was dropped or is still in flight.
-const NOT_ARRIVED: SimTime = SimTime::MAX;
+/// `arrival` of a packet that was dropped or is still in flight.
+const NOT_ARRIVED: u32 = u32::MAX;
 
 /// Everything the engine knows about one packet, widest fields first so
-/// the row packs into 48 bytes (six rows per four cache lines).
+/// the row packs into 32 bytes (two rows per cache line).
 #[derive(Debug, Clone, Copy)]
 struct Row {
     /// `seq` for data segments, `cum` for ACKs.
     word: u64,
     sent_at: SimTime,
-    /// [`NOT_ARRIVED`] until the packet is handed to its destination.
-    arrived_at: SimTime,
-    tag: u64,
     flow: u32,
-    size: u32,
     /// `acked_count` for ACKs, 0 for data segments.
     count: u32,
+    /// Microseconds from `sent_at` to delivery; [`NOT_ARRIVED`] until the
+    /// packet is handed to its destination.
+    arrival: u32,
+    size: u16,
+    /// One of the `KIND_*` values, with [`ESCAPED`] set when the row's
+    /// size, tag and arrival did not fit it.
     kind: u8,
+    tag: u8,
 }
 
+const _: () = assert!(std::mem::size_of::<Row>() == 32);
+
 impl Row {
-    fn packet(&self, id: PacketId) -> Packet {
-        let kind = match self.kind {
+    /// The packet the row holds, with the size and tag given.
+    #[inline]
+    fn packet(&self, id: u64, size_bytes: u32, tag: u64) -> Packet {
+        let kind = match self.kind & !ESCAPED {
             KIND_ACK => PacketKind::Ack {
                 cum: SeqNo(self.word),
                 acked_count: self.count,
@@ -62,18 +88,34 @@ impl Row {
             },
         };
         Packet {
-            id,
+            id: PacketId(id),
             flow: FlowId(self.flow),
             kind,
-            size_bytes: self.size,
+            size_bytes,
             sent_at: self.sent_at,
-            tag: self.tag,
+            tag,
         }
     }
 
-    fn arrived_at(&self) -> Option<SimTime> {
-        (self.arrived_at != NOT_ARRIVED).then_some(self.arrived_at)
-    }
+    /// What a chunk's rows hold before their first packet.
+    const EMPTY: Row = Row {
+        word: 0,
+        sent_at: SimTime::ZERO,
+        flow: 0,
+        count: 0,
+        arrival: NOT_ARRIVED,
+        size: 0,
+        kind: KIND_DATA,
+        tag: 0,
+    };
+}
+
+/// The fields of an escaped row at full width.
+#[derive(Debug, Clone, Copy)]
+struct Wide {
+    size: u32,
+    tag: u64,
+    arrived_at: Option<SimTime>,
 }
 
 /// Store of every packet stamped by an engine run.
@@ -81,7 +123,12 @@ impl Row {
 /// Indexed by [`PacketId`]; see the module docs for the layout rationale.
 #[derive(Debug, Default)]
 pub struct PacketArena {
-    rows: Vec<Row>,
+    /// Full chunks, then the one being filled; any after it are kept from
+    /// before the last clear.
+    chunks: Vec<Box<[Row; CHUNK]>>,
+    len: usize,
+    /// The full-width fields of every escaped row, by id.
+    escaped: BTreeMap<u64, Wide>,
 }
 
 impl PacketArena {
@@ -92,27 +139,29 @@ impl PacketArena {
 
     /// Number of packets stamped so far (equals the next packet id).
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.len
     }
 
     /// True before the first packet is stamped.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.len == 0
     }
 
     /// Forgets every packet — delivery stamps included — while keeping the
-    /// allocation, so a recycled engine stamps its first packet without
-    /// touching the allocator.
+    /// chunks, so a recycled engine stamps its packets without touching
+    /// the allocator.
     pub fn clear(&mut self) {
-        self.rows.clear();
+        self.len = 0;
+        self.escaped.clear();
     }
 
     /// Stores `packet`'s fields in the next arena row, not yet delivered,
     /// and returns the id (== row index) it must travel under. The caller
     /// stamps `sent_at` on the packet before pushing; `packet.id` is not
     /// read.
+    #[inline]
     pub fn push(&mut self, packet: &Packet) -> PacketId {
-        let id = PacketId(self.rows.len() as u64);
+        let i = self.len;
         let (kind, word, count) = match packet.kind {
             PacketKind::Data { seq, retransmit } => (
                 if retransmit {
@@ -125,17 +174,34 @@ impl PacketArena {
             ),
             PacketKind::Ack { cum, acked_count } => (KIND_ACK, cum.0, acked_count),
         };
-        self.rows.push(Row {
+        let mut row = Row {
             word,
             sent_at: packet.sent_at,
-            arrived_at: NOT_ARRIVED,
-            tag: packet.tag,
             flow: packet.flow.0,
-            size: packet.size_bytes,
             count,
+            arrival: NOT_ARRIVED,
+            size: 0,
             kind,
-        });
-        id
+            tag: 0,
+        };
+        match (u16::try_from(packet.size_bytes), u8::try_from(packet.tag)) {
+            (Ok(size), Ok(tag)) => (row.size, row.tag) = (size, tag),
+            _ => {
+                row.kind |= ESCAPED;
+                let wide = Wide {
+                    size: packet.size_bytes,
+                    tag: packet.tag,
+                    arrived_at: None,
+                };
+                self.escaped.insert(i as u64, wide);
+            }
+        }
+        if i / CHUNK == self.chunks.len() {
+            self.grow();
+        }
+        self.chunks[i / CHUNK][i % CHUNK] = row;
+        self.len += 1;
+        PacketId(i as u64)
     }
 
     /// Materializes the full [`Packet`] stored under `id`.
@@ -143,8 +209,10 @@ impl PacketArena {
     /// # Panics
     ///
     /// Panics if `id` was not minted by this arena since the last clear.
+    #[inline]
     pub fn get(&self, id: PacketId) -> Packet {
-        self.rows[id.0 as usize].packet(id)
+        let i = self.index(id);
+        self.packet(id.0, &self.chunks[i / CHUNK][i % CHUNK])
     }
 
     /// Records that packet `id` reached its destination at `at` and
@@ -153,24 +221,136 @@ impl PacketArena {
     /// # Panics
     ///
     /// Panics if `id` was not minted by this arena since the last clear.
+    #[inline]
     pub fn deliver(&mut self, id: PacketId, at: SimTime) -> Packet {
-        debug_assert!(at != NOT_ARRIVED, "delivery at the not-arrived sentinel");
-        let row = &mut self.rows[id.0 as usize];
-        row.arrived_at = at;
-        row.packet(id)
+        let i = self.index(id);
+        let row = &mut self.chunks[i / CHUNK][i % CHUNK];
+        let flight = at.as_micros().checked_sub(row.sent_at.as_micros());
+        match flight.and_then(|us| u32::try_from(us).ok()) {
+            Some(us) if us != NOT_ARRIVED && row.kind & ESCAPED == 0 => row.arrival = us,
+            _ => escape_arrival(&mut self.escaped, id.0, row, at),
+        }
+        let row = *row;
+        self.packet(id.0, &row)
     }
 
     /// Every packet in id (== send) order with its delivery time — `None`
     /// while it is queued or in flight, and forever if it was dropped —
     /// for bulk readers such as the trace capture.
     pub fn iter(&self) -> impl Iterator<Item = (Packet, Option<SimTime>)> + '_ {
-        self.rows
-            .iter()
-            .enumerate()
-            .map(|(id, row)| (row.packet(PacketId(id as u64)), row.arrived_at()))
+        Iter {
+            arena: self,
+            rows: [].iter(),
+            id: 0,
+        }
+    }
+
+    /// The row index of `id`, checked against the rows stamped since the
+    /// last clear (the chunks hold stale rows past them).
+    fn index(&self, id: PacketId) -> usize {
+        assert!(
+            id.0 < self.len as u64,
+            "packet {} was not minted since the arena's last clear",
+            id.0
+        );
+        id.0 as usize
+    }
+
+    #[cold]
+    fn grow(&mut self) {
+        self.chunks.push(Box::new([Row::EMPTY; CHUNK]));
+    }
+
+    /// The packet `row` holds; an escaped row's size and tag are read from
+    /// the side table.
+    #[inline]
+    fn packet(&self, id: u64, row: &Row) -> Packet {
+        let (size_bytes, tag) = if row.kind & ESCAPED == 0 {
+            (u32::from(row.size), u64::from(row.tag))
+        } else {
+            let wide = self.wide(id);
+            (wide.size, wide.tag)
+        };
+        row.packet(id, size_bytes, tag)
+    }
+
+    /// The packet `row` holds and its delivery time; an escaped row's size,
+    /// tag and arrival are read from the side table.
+    #[inline]
+    fn read(&self, id: u64, row: &Row) -> (Packet, Option<SimTime>) {
+        if row.kind & ESCAPED != 0 {
+            return self.read_escaped(id, row);
+        }
+        // A stored flight never overflows: it is `at - sent_at` of an `at`.
+        let arrived_at = (row.arrival != NOT_ARRIVED)
+            .then(|| SimTime::from_micros(row.sent_at.as_micros() + u64::from(row.arrival)));
+        let packet = row.packet(id, u32::from(row.size), u64::from(row.tag));
+        (packet, arrived_at)
+    }
+
+    /// `read` of an escaped row, one call out of line: the `iter` loop the
+    /// trace sweep inlines stays as small as the narrow path.
+    #[cold]
+    fn read_escaped(&self, id: u64, row: &Row) -> (Packet, Option<SimTime>) {
+        let wide = self.wide(id);
+        (row.packet(id, wide.size, wide.tag), wide.arrived_at)
+    }
+
+    #[cold]
+    fn wide(&self, id: u64) -> &Wide {
+        &self.escaped[&id]
     }
 }
 
+/// [`PacketArena::iter`]: a slice walk over one chunk's stamped rows at a
+/// time.
+struct Iter<'a> {
+    arena: &'a PacketArena,
+    /// The current chunk's rows not yet yielded.
+    rows: std::slice::Iter<'a, Row>,
+    /// The id of the next row.
+    id: usize,
+}
+
+impl Iterator for Iter<'_> {
+    type Item = (Packet, Option<SimTime>);
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        let row = match self.rows.next() {
+            Some(row) => row,
+            None => self.next_chunk()?,
+        };
+        let id = self.id as u64;
+        self.id += 1;
+        Some(self.arena.read(id, row))
+    }
+}
+
+impl<'a> Iter<'a> {
+    /// Moves on to the chunk that starts at row `id`, and takes its first
+    /// row; `None` past the last stamped one.
+    #[cold]
+    fn next_chunk(&mut self) -> Option<&'a Row> {
+        let rows = self.arena.len.checked_sub(self.id).filter(|&n| n > 0)?;
+        self.rows = self.arena.chunks[self.id / CHUNK][..rows.min(CHUNK)].iter();
+        self.rows.next()
+    }
+}
+
+/// Stamps a delivery the row cannot hold — a flight of `u32::MAX` µs or
+/// more, a delivery before the send, or any delivery of an escaped row —
+/// into the side table, escaping the row first if it was not.
+#[cold]
+fn escape_arrival(escaped: &mut BTreeMap<u64, Wide>, id: u64, row: &mut Row, at: SimTime) {
+    let narrow = Wide {
+        size: u32::from(row.size),
+        tag: u64::from(row.tag),
+        arrived_at: None,
+    };
+    escaped.entry(id).or_insert(narrow).arrived_at = Some(at);
+    row.kind |= ESCAPED;
+}
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,7 +370,6 @@ mod tests {
         }
         assert_eq!(arena.len(), 10);
         assert!(!arena.is_empty());
-        assert_eq!(std::mem::size_of::<Row>(), 48);
     }
 
     #[test]
@@ -234,5 +413,21 @@ mod tests {
         assert_eq!(arena.push(&p), PacketId(0));
         assert_eq!(arena.get(PacketId(0)), p);
         assert_eq!(arena.iter().next(), Some((p, None)), "stale delivery stamp");
+    }
+
+    #[test]
+    fn a_recycled_arena_refills_the_chunks_it_kept() {
+        let mut arena = PacketArena::new();
+        let rows = 3 * CHUNK as u64 + 7;
+        for pass in 0..2u64 {
+            for i in 0..rows {
+                let p = stamped(Packet::data(FlowId(1), SeqNo(i + pass), false), i, i);
+                assert_eq!(arena.push(&p), PacketId(i));
+            }
+            assert_eq!(arena.chunks.len(), 4, "pass {pass} grew the arena");
+            let seqs = arena.iter().map(|(p, _)| p.data_seq().unwrap().0);
+            assert!(seqs.eq(pass..rows + pass));
+            arena.clear();
+        }
     }
 }

@@ -12,7 +12,7 @@
 //! The per-event loop is engineered to avoid allocation entirely and to
 //! walk dense memory:
 //!
-//! * a packet is one 48-byte row of the [`PacketArena`], written when it
+//! * a packet is one 32-byte row of the [`PacketArena`], written when it
 //!   is sent — ids are arena indices, links queue 16-byte [`QueuedPacket`]
 //!   handles, `Deliver` events carry a bare id, and the full [`Packet`] is
 //!   materialized from its row only at the edges (the recorder and

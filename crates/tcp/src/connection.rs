@@ -737,6 +737,36 @@ mod tests {
         }
     }
 
+    #[test]
+    fn a_short_flow_after_a_long_one_reads_none_of_its_rows() {
+        let cfg = |secs| ConnectionConfig {
+            sender: SenderConfig {
+                stop_after: Some(SimDuration::from_secs(secs)),
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let path = PathSpec {
+            down_loss: LossSpec::Bernoulli(0.01),
+            ..Default::default()
+        };
+        let mut scratch = ConnectionScratch::new();
+        let long = try_run_connection_with(&mut scratch, 4, &path, None, &cfg(30))
+            .expect("long run")
+            .trace;
+        let short = try_run_connection_with(&mut scratch, 5, &path, None, &cfg(1))
+            .expect("short run")
+            .trace;
+        // The long run filled several arena chunks the short one reuses:
+        // every row past the short run's own is a stale one of the long.
+        let rows = scratch.engine.arena().len();
+        assert!(long.records.len() > 3 * 1024 && long.records.len() > 4 * rows);
+        assert_eq!(scratch.engine.arena().iter().count(), rows);
+        assert_eq!(short.records.len(), rows);
+        assert!(short.records.iter().all(|r| r.id < rows as u64));
+        assert_eq!(short, run_connection(5, &path, None, &cfg(1)).trace);
+    }
+
     /// Only a run that keeps a trace keeps the sender's window log; every
     /// other sender metric is the same either way.
     #[test]

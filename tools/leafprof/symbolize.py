@@ -7,13 +7,17 @@ Reads the `.rips` file and the `.maps` file written beside it, maps every
 sampled address to the object it fell in and that object's symbol (by `nm`,
 nearest symbol at or below the address), and prints samples, share and
 symbol, most-sampled first. Objects without a static symbol table (a
-stripped libc) fall back to `nm -D`: the nearest *exported* symbol, which
-can name the wrong function — check hot addresses with `objdump -d`.
+stripped libc) fall back to `nm -D`, whose exported symbols leave most of
+the code unnamed. An address past the end of the nearest symbol below it
+(by `nm -S`) is not that symbol's: it prints as `object+0xOFF (past
+SYMBOL)`, every sample of that unnamed stretch pooled under the lowest
+sampled address OFF — where to start `objdump -d`.
 """
 
 import argparse
 import bisect
 import collections
+import os
 import struct
 import subprocess
 import sys
@@ -54,18 +58,25 @@ def load_segments(path):
 
 
 def load_symbols(path):
-    """Sorted (address, name) of the object's functions, by `nm`."""
+    """Sorted (address, size, name) of the object's functions, by `nm -S`;
+    size 0 where `nm` gives none."""
     for dynamic in ([], ["-D"]):
         out = subprocess.run(
-            ["nm", "-n", "-C", "--defined-only", *dynamic, path],
+            ["nm", "-n", "-S", "-C", "--defined-only", *dynamic, path],
             capture_output=True,
             text=True,
         ).stdout
         symbols = []
         for line in out.splitlines():
-            parts = line.split(None, 2)
-            if len(parts) == 3 and parts[1] in "tTwWiI":
-                symbols.append((int(parts[0], 16), parts[2]))
+            parts = line.split(None, 3)
+            if len(parts) >= 3 and len(parts[1]) == 1:  # no size column
+                addr, size, kind, name = parts[0], "0", parts[1], line.split(None, 2)[2]
+            elif len(parts) == 4:
+                addr, size, kind, name = parts
+            else:
+                continue
+            if len(kind) == 1 and kind in "tTwWiI":
+                symbols.append((int(addr, 16), int(size, 16), name))
         if symbols:
             return symbols
     return []
@@ -83,17 +94,28 @@ class Objects:
                 segments, symbols = load_segments(path), load_symbols(path)
             except OSError:
                 segments, symbols = [], []
-            self.cache[path] = (segments, [a for a, _ in symbols], [s for _, s in symbols])
+            self.cache[path] = (
+                segments,
+                [a for a, _, _ in symbols],
+                [size for _, size, _ in symbols],
+                [name for _, _, name in symbols],
+            )
         return self.cache[path]
 
     def name(self, path, file_offset):
-        segments, addrs, names = self.get(path)
+        """The symbol `file_offset` falls in; past the end of the nearest
+        symbol below it, `(object, vaddr, that symbol)` instead."""
+        segments, addrs, sizes, names = self.get(path)
         vaddr = next(
             (v + file_offset - o for o, v, n in segments if o <= file_offset < o + n),
             file_offset,
         )
         k = bisect.bisect_right(addrs, vaddr) - 1
-        return names[k] if k >= 0 else f"{path}+{file_offset:#x}"
+        if k < 0:
+            return f"{path}+{file_offset:#x}"
+        if 0 < sizes[k] <= vaddr - addrs[k]:
+            return (os.path.basename(path), vaddr, names[k])
+        return names[k]
 
 
 def main():
@@ -106,6 +128,7 @@ def main():
     starts = [m[0] for m in maps]
     objects = Objects()
     counts = collections.Counter()
+    lowest = {}  # (object, symbol) of an unnamed stretch -> lowest vaddr
     total = 0
     with open(args.rips) as f:
         for line in f:
@@ -116,12 +139,20 @@ def main():
                 counts["[unmapped or anonymous]"] += 1
                 continue
             start, _end, offset, path = maps[k]
-            counts[objects.name(path, rip - start + offset)] += 1
+            where = objects.name(path, rip - start + offset)
+            if isinstance(where, tuple):
+                obj, vaddr, symbol = where
+                where = (obj, symbol)
+                lowest[where] = min(lowest.get(where, vaddr), vaddr)
+            counts[where] += 1
     if total == 0:
         sys.exit("no samples")
     print(f"{total} samples")
-    for name, n in counts.most_common(args.top):
-        print(f"{n:8d} {100.0 * n / total:6.2f} %  {name}")
+    for where, n in counts.most_common(args.top):
+        if isinstance(where, tuple):
+            obj, symbol = where
+            where = f"{obj}+{lowest[where]:#x} (past {symbol})"
+        print(f"{n:8d} {100.0 * n / total:6.2f} %  {where}")
 
 
 if __name__ == "__main__":

@@ -44,6 +44,13 @@ stage_build_test() {
         echo "a deleted per-slice accuracy writer (cc-study, LabeledAccuracy) or recovery-study is back" >&2
         exit 1
     fi
+    # Also deleted: the chaos crate's mean-`D` envelope and its floor. The
+    # ledger's ACCURACY.json cmp below is the one science gate.
+    if grep -rnE 'AggregateOracle|judge_aggregate|CaseOutcome|mean_envelope|min_region_flows|min_region_throughput_sps' \
+        crates src tests examples; then
+        echo "the deleted chaos accuracy envelope (AggregateOracle, judge_aggregate) is back" >&2
+        exit 1
+    fi
     # --workspace so the release `repro` binary the later steps run is built
     # (the bare root build only covers the facade crate).
     cargo build --release --workspace

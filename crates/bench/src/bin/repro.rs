@@ -246,17 +246,13 @@ fn chaos_cmd(args: Vec<String>) -> ExitCode {
         return fail(format!("failed to write CHAOS_report.json: {e}"));
     }
     println!(
-        "chaos: seed {} cases {} workers {} -> {} violations, {}/{} drills passed, \
-         region {} flows (mean D enhanced {:.4} vs padhye {:.4}), {:.1}s",
+        "chaos: seed {} cases {} workers {} -> {} violations, {}/{} drills passed, {:.1}s",
         report.seed,
         report.cases,
         report.workers,
         report.violations.len(),
         report.drills.iter().filter(|d| d.passed).count(),
         report.drills.len(),
-        report.aggregate.region_flows,
-        report.aggregate.mean_d_enhanced,
-        report.aggregate.mean_d_padhye,
         report.wall_s,
     );
     if report.ok() {
@@ -271,14 +267,6 @@ fn chaos_cmd(args: Vec<String>) -> ExitCode {
         }
         for d in report.drills.iter().filter(|d| !d.passed) {
             eprintln!("drill failed [{}]: {}", d.name, d.detail);
-        }
-        if !report.aggregate.skipped && !report.aggregate.within_envelope {
-            eprintln!(
-                "aggregate oracle failed: mean D enhanced {:.4} (envelope {:.4}) vs padhye {:.4}",
-                report.aggregate.mean_d_enhanced,
-                report.aggregate.envelope,
-                report.aggregate.mean_d_padhye
-            );
         }
         if let Err(e) = std::fs::write("chaos-failure.json", &json) {
             eprintln!("failed to write chaos-failure.json: {e}");

@@ -15,7 +15,7 @@ use hsm_tcp::prelude::*;
 use hsm_trace::export::Table;
 
 /// Outcome of one scripted case.
-struct CaseOutcome {
+struct ScriptedRun {
     timeouts: usize,
     duplicate_payloads: u64,
     data_lost: bool,
@@ -23,7 +23,7 @@ struct CaseOutcome {
 }
 
 /// Runs a lossless flow whose *uplink* suffers one scripted total outage.
-fn run_case(w_m: u32, outage_ms: (u64, u64), segments: u64) -> CaseOutcome {
+fn run_case(w_m: u32, outage_ms: (u64, u64), segments: u64) -> ScriptedRun {
     let mut eng = Engine::new(5);
     let placeholder = LinkId::from_raw(u32::MAX);
     let scfg = SenderConfig {
@@ -71,7 +71,7 @@ fn run_case(w_m: u32, outage_ms: (u64, u64), segments: u64) -> CaseOutcome {
         .events()
         .iter()
         .any(|e| matches!(e.kind, PacketEventKind::Dropped(_)) && e.packet.kind.is_data());
-    CaseOutcome {
+    ScriptedRun {
         timeouts,
         duplicate_payloads,
         data_lost,

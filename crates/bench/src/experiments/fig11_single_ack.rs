@@ -8,7 +8,7 @@ use hsm_simnet::prelude::*;
 use hsm_tcp::prelude::*;
 use hsm_trace::export::Table;
 
-struct CaseOutcome {
+struct ScriptedRun {
     timeouts: usize,
     duplicate_payloads: u64,
     delivered: u64,
@@ -16,7 +16,7 @@ struct CaseOutcome {
 
 /// Runs a lossless flow with a scripted uplink outage of probability `p`
 /// over a round's worth of ACKs.
-fn run_case(up_loss_during_window: f64) -> CaseOutcome {
+fn run_case(up_loss_during_window: f64) -> ScriptedRun {
     let mut eng = Engine::new(9);
     let placeholder = LinkId::from_raw(u32::MAX);
     let scfg = SenderConfig {
@@ -56,7 +56,7 @@ fn run_case(up_loss_during_window: f64) -> CaseOutcome {
         .timeouts
         .len();
     let rx_agent = eng.agent_mut::<Receiver>(rx).expect("receiver");
-    CaseOutcome {
+    ScriptedRun {
         timeouts,
         duplicate_payloads: rx_agent.metrics.duplicate_payloads,
         delivered: rx_agent.next_expected().as_u64(),

@@ -74,9 +74,9 @@ impl Default for FuzzRanges {
 /// [`ScenarioConfig::validate`]), always the same for the same pair.
 ///
 /// Roughly 40 % of cases are pinned inside the paper's operating region
-/// (high-speed, `b = 2`, long flows, `w_m ≥ 32`) so the aggregate
-/// model-accuracy oracle always has a populated sample; the rest roam the
-/// full ranges.
+/// (high-speed, `b = 2`, long flows, `w_m ≥ 32`): they are the fuzzer's
+/// only 60–120 s flows, so the per-case checks see the long rides the
+/// paper measured; the rest roam the full ranges.
 pub fn config_for_case(ranges: &FuzzRanges, master: u64, case: u64) -> ScenarioConfig {
     let mut rng = ChaosRng::for_case(master, case);
     let in_region = rng.chance(2, 5);
@@ -98,9 +98,8 @@ pub fn config_for_case(ranges: &FuzzRanges, master: u64, case: u64) -> ScenarioC
             b: 2,
             flow: rng.range_u64(0, u64::from(ranges.max_flow)) as u32,
             // Operating-region cases always run Reno with no recovery
-            // countermeasure: the aggregate accuracy envelope is
-            // calibrated against it, and the paper's models assume plain
-            // AIMD timeout dynamics.
+            // countermeasure: the paper's measurement campaigns and its
+            // models assume plain AIMD timeout dynamics.
             cc: Algorithm::Reno,
             recovery: Recovery::None,
         }
@@ -225,22 +224,6 @@ fn sweep_for(rng: &mut ChaosRng, table1: bool) -> Vec<SweepAxis> {
     axes
 }
 
-/// Whether `config` sits in the paper's operating region (the sample the
-/// aggregate accuracy envelope is asserted over): a high-speed flow long
-/// enough for the models' steady-state assumptions, with the measurement
-/// campaigns' window sizes and delayed ACKs. Calibration (see DESIGN.md
-/// §11) shows the enhanced model beats the Padhye baseline *on average*
-/// on exactly this slice; shorter or tiny-window flows are still fuzzed
-/// and invariant-checked, just not held to the accuracy envelope.
-pub fn in_operating_region(config: &ScenarioConfig) -> bool {
-    config.motion == Motion::HighSpeed
-        && config.b == 2
-        && config.w_m >= 32
-        && config.duration >= SimDuration::from_secs(60)
-        && config.cc == Algorithm::Reno
-        && config.recovery == Recovery::None
-}
-
 /// One shrinking pass: every candidate reduction of `config`, roughly
 /// ordered from biggest simplification to smallest.
 fn shrink_candidates(config: &ScenarioConfig) -> Vec<ScenarioConfig> {
@@ -338,6 +321,17 @@ fn pick<'a, T>(rng: &mut ChaosRng, xs: &'a [T]) -> &'a T {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Whether `config` is an operating-region case: the shape only the
+    /// region branch of [`config_for_case`] draws.
+    fn in_operating_region(config: &ScenarioConfig) -> bool {
+        config.motion == Motion::HighSpeed
+            && config.b == 2
+            && config.w_m >= 32
+            && config.duration >= SimDuration::from_secs(60)
+            && config.cc == Algorithm::Reno
+            && config.recovery == Recovery::None
+    }
 
     #[test]
     fn fuzzed_configs_are_valid_and_reproducible() {

@@ -1,6 +1,5 @@
 //! The JSON-serializable outcome of a chaos run: per-case oracle
-//! violations (with their shrunk reproductions), fault-drill results and
-//! the aggregate model-accuracy figures.
+//! violations (with their shrunk reproductions) and fault-drill results.
 
 use hsm_scenario::runner::ScenarioConfig;
 use serde::{Deserialize, Serialize};
@@ -35,25 +34,6 @@ pub struct DrillResult {
     pub detail: String,
 }
 
-/// Aggregate model-accuracy oracle over the operating-region sample.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
-pub struct AggregateOracle {
-    /// Flows that landed in the operating region and evaluated.
-    pub region_flows: usize,
-    /// Mean deviation `D` of the enhanced model over the sample.
-    pub mean_d_enhanced: f64,
-    /// Mean deviation `D` of the Padhye baseline over the sample.
-    pub mean_d_padhye: f64,
-    /// The envelope the enhanced mean was held to.
-    pub envelope: f64,
-    /// `true` when the sample was big enough to judge and both aggregate
-    /// assertions held (enhanced mean within the envelope and strictly
-    /// below Padhye's mean).
-    pub within_envelope: bool,
-    /// `true` when the sample was too small to judge (skipped, not failed).
-    pub skipped: bool,
-}
-
 /// Everything one `repro chaos` run produces.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ChaosReport {
@@ -67,20 +47,15 @@ pub struct ChaosReport {
     pub violations: Vec<Violation>,
     /// Fault-drill outcomes.
     pub drills: Vec<DrillResult>,
-    /// Aggregate accuracy oracle.
-    pub aggregate: AggregateOracle,
     /// Wall-clock of the whole run, seconds.
     pub wall_s: f64,
 }
 
 impl ChaosReport {
-    /// `true` when the run found nothing: no case violations, every drill
-    /// passed, and the aggregate envelope held (or was skipped for lack of
-    /// sample).
+    /// `true` when the run found nothing: no case violations and every
+    /// drill passed.
     pub fn ok(&self) -> bool {
-        self.violations.is_empty()
-            && self.drills.iter().all(|d| d.passed)
-            && (self.aggregate.skipped || self.aggregate.within_envelope)
+        self.violations.is_empty() && self.drills.iter().all(|d| d.passed)
     }
 }
 
@@ -106,14 +81,6 @@ mod tests {
                 passed: true,
                 detail: "WorkerLost surfaced".into(),
             }],
-            aggregate: AggregateOracle {
-                region_flows: 10,
-                mean_d_enhanced: 0.1,
-                mean_d_padhye: 0.3,
-                envelope: 0.4,
-                within_envelope: true,
-                skipped: false,
-            },
             wall_s: 1.5,
         };
         assert!(!report.ok(), "a violation must fail the report");
@@ -123,17 +90,13 @@ mod tests {
     }
 
     #[test]
-    fn ok_requires_clean_drills_and_envelope() {
+    fn ok_requires_clean_drills() {
         let mut report = ChaosReport {
             seed: 0,
             cases: 0,
             workers: 1,
             violations: vec![],
             drills: vec![],
-            aggregate: AggregateOracle {
-                skipped: true,
-                ..Default::default()
-            },
             wall_s: 0.0,
         };
         assert!(report.ok());
@@ -142,10 +105,6 @@ mod tests {
             passed: false,
             detail: "served corrupt entry".into(),
         });
-        assert!(!report.ok());
-        report.drills.clear();
-        report.aggregate.skipped = false;
-        report.aggregate.within_envelope = false;
         assert!(!report.ok());
     }
 }

@@ -51,6 +51,15 @@ stage_build_test() {
         echo "the deleted chaos accuracy envelope (AggregateOracle, judge_aggregate) is back" >&2
         exit 1
     fi
+    # Also deleted: the last writers of their own paper-vs-ours numbers —
+    # the global `q` fit with its fixed-`q` source, the improvement-in-pp
+    # figure and the `headline` experiment — and a knob nothing turned.
+    # The ledger's ablation rows replace the fit.
+    if grep -rnE 'fit_global|FitConfig|fit_score|QSource::Fixed|prefer_measured_burst|improvement_pp|experiments::headline' \
+        crates src tests examples; then
+        echo "a deleted paper-vs-ours writer (core::fit, improvement_pp, repro headline) or prefer_measured_burst is back" >&2
+        exit 1
+    fi
     # --workspace so the release `repro` binary the later steps run is built
     # (the bare root build only covers the facade crate).
     cargo build --release --workspace

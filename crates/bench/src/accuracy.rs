@@ -1,7 +1,8 @@
 //! `repro accuracy` — the accuracy ledger, `ACCURACY.json`: every `D` the
 //! repo reports, per provider × motion × cc × recovery slice of one
-//! campaign, every [`PAPER`] number next to ours, and the §V
-//! countermeasures measured against the model under a delay-flap storm.
+//! campaign, every [`PAPER`] number next to ours, the §V countermeasures
+//! measured against the model under a delay-flap storm, and Fig. 10's
+//! estimator ablation.
 //! Flows under the ledger's floor of 1 segment/s stay in every statistic
 //! and are counted apart, so the median, the intervals and that count show
 //! when a tail drives a mean.
@@ -15,7 +16,7 @@
 
 use crate::context::Scale;
 use crate::experiments::fig12_mptcp::gains;
-use hsm_core::estimate::{estimate_params, EstimateConfig};
+use hsm_core::estimate::{estimate_params, EstimateConfig, PdSource, QSource};
 use hsm_core::eval::{evaluate_dataset, AccuracyReport, FlowEval};
 use hsm_core::recovery::{predict, STRATEGY_LABELS};
 use hsm_runtime::engine::Campaign;
@@ -28,7 +29,7 @@ use hsm_simnet::rng::SimRng;
 use hsm_simnet::time::SimDuration;
 use hsm_tcp::cc::Algorithm;
 use hsm_tcp::recovery::Recovery;
-use hsm_trace::export::fnum;
+use hsm_trace::export::{fnum, fpct};
 use hsm_trace::stats::mean;
 use hsm_trace::summary::FlowSummary;
 use serde::Serialize;
@@ -44,6 +45,20 @@ const STORM_SEED_BASE: u64 = 0x57_0a00;
 /// is unbounded as the measurement nears zero, so each row counts the
 /// flows under it.
 const FLOOR_SPS: f64 = 1.0;
+
+/// The ablation's `p_d` definitions, each with its label.
+const PD_SOURCES: [(&str, PdSource); 3] = [
+    ("lifetime", PdSource::Lifetime),
+    ("loss-events", PdSource::LossEvents),
+    ("loss-indications", PdSource::LossIndications),
+];
+/// The ablation's `q` sources, each with its label.
+const Q_SOURCES: [(&str, QSource); 4] = [
+    ("measured", QSource::MeasuredOrDefault),
+    ("recommended-default", QSource::RecommendedDefault),
+    ("sequence-length", QSource::SequenceLength),
+    ("recovery-duration", QSource::RecoveryDuration),
+];
 
 /// A slice's flow filter: motion, congestion control, recovery strategy.
 type Slice = (Motion, Algorithm, Recovery);
@@ -163,6 +178,16 @@ struct StormStudy {
     providers: Vec<ProviderStudy>,
 }
 
+/// One estimator choice of Fig. 10's ablation, evaluated.
+#[derive(Debug, Clone, Serialize)]
+struct AblationRow {
+    /// `PD_SOURCES` label.
+    p_d: &'static str,
+    /// `Q_SOURCES` label.
+    q: &'static str,
+    report: AccuracyReport,
+}
+
 /// The ledger `repro accuracy` writes as `ACCURACY.json`.
 #[derive(Debug, Clone, Serialize)]
 pub struct AccuracyLedger {
@@ -173,6 +198,9 @@ pub struct AccuracyLedger {
     /// §III (7 rows), Fig. 10 (enhanced, Padhye), Fig. 12 (per provider).
     paper: Vec<PaperRow>,
     recovery: StormStudy,
+    /// Every `PD_SOURCES` × `Q_SOURCES` estimator on the all-provider
+    /// high-speed Reno flows, `p_d` outermost.
+    ablation: Vec<AblationRow>,
 }
 
 /// Runs the ledger's campaign, Fig. 12's rides and the storm flows at a
@@ -224,7 +252,8 @@ pub fn run_accuracy(scale: Scale, workers: Option<usize>) -> Result<AccuracyLedg
             rows.push(row(name, slice, &flows(slice, provider)));
         }
     }
-    let reno = |motion| aggregate(&flows((motion, Algorithm::Reno, Recovery::None), None));
+    let reno_flows = |motion| flows((motion, Algorithm::Reno, Recovery::None), None);
+    let reno = |motion| aggregate(&reno_flows(motion));
     let iii = calibration_report(&reno(Motion::HighSpeed), Some(&reno(Motion::Stationary)));
     let mut paper: Vec<_> = iii
         .into_iter()
@@ -250,7 +279,25 @@ pub fn run_accuracy(scale: Scale, workers: Option<usize>) -> Result<AccuracyLedg
         rows,
         paper: paper.collect(),
         recovery: storm_study(scale)?,
+        ablation: ablation(&reno_flows(Motion::HighSpeed)),
     })
+}
+
+/// Evaluates `flows` under every `PD_SOURCES` × `Q_SOURCES` estimator.
+fn ablation(flows: &[DatasetFlow]) -> Vec<AblationRow> {
+    let summaries: Vec<_> = flows.iter().map(|f| f.summary.clone()).collect();
+    let mut rows = Vec::new();
+    for (p_d, pd_source) in PD_SOURCES {
+        for (q, q_source) in Q_SOURCES {
+            let cfg = EstimateConfig {
+                q_source,
+                pd_source,
+            };
+            let report = evaluate_dataset(&summaries, &cfg).1;
+            rows.push(AblationRow { p_d, q, report });
+        }
+    }
+    rows
 }
 
 /// Runs every provider × recovery strategy under the delay-flap storm and
@@ -470,6 +517,27 @@ fn slice_table<'a>(rows: impl Iterator<Item = &'a Row>) -> String {
     out
 }
 
+/// A markdown table of the ablation rows, `D` in percent.
+fn ablation_table(rows: &[AblationRow]) -> String {
+    let mut out = String::from(
+        "| p_d | q | flows | mean D enhanced | mean D Padhye | median D enhanced \
+         | median D Padhye |\n|---|---|---|---|---|---|---|\n",
+    );
+    for r in rows {
+        let d = &r.report;
+        let [me, mp, de, dp] = [
+            d.mean_d_enhanced,
+            d.mean_d_padhye,
+            d.median_d_enhanced,
+            d.median_d_padhye,
+        ]
+        .map(fpct);
+        let (p_d, q, n) = (r.p_d, r.q, d.flows);
+        out += &format!("| {p_d} | {q} | {n} | {me} | {mp} | {de} | {dp} |\n");
+    }
+    out
+}
+
 /// A markdown table of the storm study, one row per provider × strategy.
 fn storm_table(study: &StormStudy) -> String {
     let mut out = String::from(
@@ -503,10 +571,10 @@ fn storm_table(study: &StormStudy) -> String {
 }
 
 impl AccuracyLedger {
-    /// The §III, Fig. 10, Fig. 12 and §V-storm tables and every slice's
-    /// `D` as markdown: what `repro accuracy` prints and EXPERIMENTS.md
-    /// quotes. `D` is in percent with its 95 % bootstrap interval;
-    /// throughputs are segments/s.
+    /// The §III, Fig. 10, Fig. 10 ablation, Fig. 12 and §V-storm tables
+    /// and every slice's `D` as markdown: what `repro accuracy` prints and
+    /// EXPERIMENTS.md quotes. `D` is in percent, with its 95 % bootstrap
+    /// interval outside the ablation; throughputs are segments/s.
     pub fn to_markdown(&self) -> String {
         let fig10 = &self.rows[..1 + Provider::ALL.len()];
         let all = self.rows.iter().filter(|r| r.provider == "all");
@@ -515,6 +583,7 @@ impl AccuracyLedger {
              ### Fig. 10 — model accuracy on the high-speed Reno flows\n\n{}\n{}\n\
              `D` in percent with its 95 % bootstrap interval; `below floor` counts flows \
              measuring under 1 segment/s, which every statistic keeps.\n\n\
+             ### Fig. 10 ablation — estimator choices on the same flows\n\n{}\n\
              ### Fig. 12 — MPTCP gain over TCP\n\n{}\n\
              ### Every slice, all providers\n\n{}\n\
              ### §V countermeasures under the delay-flap storm\n\n{}\n\
@@ -526,6 +595,7 @@ impl AccuracyLedger {
             paper_table(&self.paper[..7]),
             paper_table(&self.paper[7..9]),
             slice_table(fig10.iter()),
+            ablation_table(&self.ablation),
             paper_table(&self.paper[9..]),
             slice_table(all),
             storm_table(&self.recovery),
@@ -632,7 +702,8 @@ mod tests {
         let storm_title = "### §V countermeasures under the delay-flap storm";
         for title in [
             "### §III",
-            "### Fig. 10",
+            "### Fig. 10 —",
+            "### Fig. 10 ablation",
             "### Fig. 12",
             "### Every slice",
             storm_title,
@@ -684,5 +755,38 @@ mod tests {
         let best = study.providers.iter().flat_map(|p| &p.storm[1..]);
         let best = best.map(|s| s.gain_pct).fold(f64::NEG_INFINITY, f64::max);
         assert!(best > 1.0, "no cure helped: best gain {best:.2} %");
+
+        // Fig. 10's ablation: all 3 × 4 estimators, `p_d` outermost, each
+        // finite over the flows, and the paper's parameterization (the
+        // first) is the ledger's first slice row.
+        let sources: Vec<_> = ledger.ablation.iter().map(|r| (r.p_d, r.q)).collect();
+        let want: Vec<_> = PD_SOURCES
+            .iter()
+            .flat_map(|&(p_d, _)| Q_SOURCES.iter().map(move |&(q, _)| (p_d, q)))
+            .collect();
+        assert_eq!((sources.len(), sources), (12, want));
+        let stats = |d: &AccuracyReport| {
+            [
+                d.mean_d_enhanced,
+                d.median_d_enhanced,
+                d.mean_d_padhye,
+                d.median_d_padhye,
+            ]
+        };
+        for r in &ledger.ablation {
+            let finite = stats(&r.report).iter().all(|x| x.is_finite());
+            assert!(r.report.flows > 0 && finite, "{r:?}");
+        }
+        let first = &ledger.rows[0];
+        let estimates = [
+            first.mean_d_enhanced,
+            first.median_d_enhanced,
+            first.mean_d_padhye,
+            first.median_d_padhye,
+        ];
+        assert_eq!(
+            stats(&ledger.ablation[0].report),
+            estimates.map(|e| e.value)
+        );
     }
 }

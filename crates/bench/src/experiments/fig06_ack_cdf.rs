@@ -2,15 +2,13 @@
 
 use crate::context::Ctx;
 use crate::report::ExperimentResult;
-use hsm_trace::export::{fnum, fpct, Table};
+use hsm_trace::export::{fnum, Table};
 use hsm_trace::stats::Cdf;
 
 /// Regenerates Fig. 6 from the two datasets.
 pub fn run(ctx: &Ctx) -> ExperimentResult {
-    let hs: Vec<f64> = ctx.high_speed().iter().map(|f| f.summary.p_a).collect();
-    let st: Vec<f64> = ctx.stationary().iter().map(|f| f.summary.p_a).collect();
-    let cdf_hs = Cdf::from_samples(hs.iter().copied());
-    let cdf_st = Cdf::from_samples(st.iter().copied());
+    let cdf_hs = Cdf::from_samples(ctx.high_speed().iter().map(|f| f.summary.p_a));
+    let cdf_st = Cdf::from_samples(ctx.stationary().iter().map(|f| f.summary.p_a));
 
     let mut t = Table::new(
         "Fig. 6 — CDF of ACK loss rate",
@@ -20,15 +18,8 @@ pub fn run(ctx: &Ctx) -> ExperimentResult {
         let x = i as f64 * 0.001; // 0 .. 4%
         t.push_row(vec![fnum(x), fnum(cdf_hs.at(x)), fnum(cdf_st.at(x))]);
     }
-    let mean_hs = cdf_hs.mean().unwrap_or(0.0);
-    let mean_st = cdf_st.mean().unwrap_or(0.0);
     ExperimentResult::new("fig6", "CDF of ACK loss rates (Fig. 6)")
         .with_table(t)
-        .note(format!(
-            "mean ACK loss — high-speed: paper 0.661%, ours {}; stationary: paper 0.0718%, ours {}",
-            fpct(mean_hs),
-            fpct(mean_st)
-        ))
         .note("shape target: roughly an order of magnitude between the scenarios")
 }
 

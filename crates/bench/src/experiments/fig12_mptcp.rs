@@ -15,12 +15,11 @@
 use crate::context::{Ctx, Scale};
 use crate::report::ExperimentResult;
 use hsm_runtime::parallel::par_map;
-use hsm_scenario::calibrate::PAPER;
 use hsm_scenario::provider::Provider;
 use hsm_scenario::runner::{run_scenario, ScenarioConfig};
 use hsm_simnet::time::SimDuration;
 use hsm_tcp::mptcp::run_mptcp_shared_radio;
-use hsm_trace::export::{fnum, fpct, Table};
+use hsm_trace::export::{fnum, Table};
 
 fn scenario(provider: Provider, seed: u64, duration: SimDuration) -> ScenarioConfig {
     ScenarioConfig {
@@ -32,9 +31,10 @@ fn scenario(provider: Provider, seed: u64, duration: SimDuration) -> ScenarioCon
 }
 
 /// Fig. 12's rides at `scale`, one point per provider in `Provider::ALL`
-/// order — what `repro fig12` prints and the accuracy ledger records:
-/// the ride-mean TCP and shared-radio MPTCP throughputs (segments/s) and
-/// the gain `mptcp / tcp − 1` (0 when TCP measured nothing).
+/// order: the ride-mean TCP and shared-radio MPTCP throughputs
+/// (segments/s), which `repro fig12` prints, and the gain
+/// `mptcp / tcp − 1` (0 when TCP measured nothing), which the accuracy
+/// ledger compares with the paper's.
 pub fn gains(scale: Scale) -> Vec<(f64, f64, f64)> {
     // Single-flow HSR throughput is heavy-tailed: use three times the
     // usual repetition budget (rides run in parallel across cores).
@@ -69,26 +69,18 @@ pub fn gains(scale: Scale) -> Vec<(f64, f64, f64)> {
 pub fn run(ctx: &Ctx) -> ExperimentResult {
     let mut t = Table::new(
         "Fig. 12 — MPTCP vs TCP throughput per provider",
-        &[
-            "Provider",
-            "TCP (seg/s)",
-            "MPTCP (seg/s)",
-            "gain",
-            "paper gain",
-        ],
+        &["Provider", "TCP (seg/s)", "MPTCP (seg/s)"],
     );
-    for (i, (tcp_sps, mptcp_sps, gain)) in gains(ctx.scale).into_iter().enumerate() {
+    for (provider, (tcp_sps, mptcp_sps, _)) in Provider::ALL.iter().zip(gains(ctx.scale)) {
         t.push_row(vec![
-            Provider::ALL[i].name().to_owned(),
+            provider.name().to_owned(),
             fnum(tcp_sps),
             fnum(mptcp_sps),
-            fpct(gain),
-            fpct(PAPER.mptcp_gains[i]),
         ]);
     }
     ExperimentResult::new("fig12", "MPTCP vs TCP throughput (Fig. 12)")
         .with_table(t)
-        .note("paper gains: +42.15% / +95.64% / +283.33%; shape target: all positive and increasing from China Mobile to China Telecom")
+        .note("shape target: MPTCP above TCP on every provider, by a margin growing from China Mobile to China Telecom; `repro accuracy` compares the gains with the paper")
         .note("subflows share the handset radio, so the gain measures recovered dead-time; see ext_mptcp for the disjoint-carrier wiring where every provider's expected gain is pinned near +100%")
 }
 
@@ -102,9 +94,9 @@ mod tests {
         let r = run(&Ctx::new(Scale::Smoke));
         let rows = &r.tables[0].rows;
         assert_eq!(rows.len(), 3);
-        let gain = |row: &Vec<String>| row[3].trim_end_matches('%').parse::<f64>().unwrap();
+        let sps = |cell: &str| cell.parse::<f64>().unwrap();
         for row in rows {
-            assert!(gain(row) > 0.0, "MPTCP must gain: {row:?}");
+            assert!(sps(&row[2]) > sps(&row[1]), "MPTCP must gain: {row:?}");
         }
     }
 }

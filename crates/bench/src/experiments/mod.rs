@@ -11,7 +11,6 @@ pub mod fig06_ack_cdf;
 pub mod fig10_accuracy;
 pub mod fig11_single_ack;
 pub mod fig12_mptcp;
-pub mod headline;
 pub mod table1;
 pub mod table3;
 pub mod va_delack;

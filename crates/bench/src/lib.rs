@@ -3,8 +3,8 @@
 //! Regenerates **every table and figure** of the paper from the synthetic
 //! substrate:
 //!
-//! * [`registry`] — id → experiment mapping (`table1`, `headline`,
-//!   `fig1`–`fig12`, `table3`, `va_delack`, `vb_qsweep`);
+//! * [`registry`] — id → experiment mapping (`table1`, `fig1`–`fig12`,
+//!   `table3`, `va_delack`, `vb_qsweep`, the `ext_*` extensions);
 //! * [`experiments`] — one module per regenerated artifact;
 //! * [`context`] — scale presets (smoke / standard / full) and cached
 //!   dataset generation;
@@ -13,7 +13,8 @@
 //!   ledger of every `D`, every paper-vs-ours number and the §V
 //!   countermeasures under a delay-flap storm.
 //!
-//! Run the `repro` binary to print paper-vs-measured for any experiment:
+//! Run the `repro` binary to print any experiment's series and shape
+//! targets (`repro accuracy` prints the paper-vs-ours comparison):
 //!
 //! ```text
 //! repro fig10            # one experiment at standard scale

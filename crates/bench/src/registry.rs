@@ -22,11 +22,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
         run: ex::table1::run,
     },
     Experiment {
-        id: "headline",
-        about: "§III headline statistics (calibration)",
-        run: ex::headline::run,
-    },
-    Experiment {
         id: "fig1",
         about: "Fig. 1 — one-way delay scatter",
         run: ex::fig01_arrival::run,

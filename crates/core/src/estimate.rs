@@ -27,8 +27,6 @@ pub enum QSource {
     /// Always use the paper's recommended default
     /// ([`ModelParams::DEFAULT_Q`]).
     RecommendedDefault,
-    /// A fixed value.
-    Fixed(f64),
     /// Invert `q` from the measured ladder length: the model says the
     /// number of timeouts per sequence is geometric with mean
     /// `E[R] = 1/(1−p)` and `p = 1−(1−q)(1−P_a)`, so
@@ -100,9 +98,6 @@ pub struct EstimateConfig {
     pub q_source: QSource,
     /// Where `p_d` comes from.
     pub pd_source: PdSource,
-    /// Prefer the measured per-round ACK-burst rate over the analytic
-    /// `p_a^(w/b)` derivation when rounds were observed.
-    pub prefer_measured_burst: bool,
 }
 
 impl Default for EstimateConfig {
@@ -113,7 +108,6 @@ impl Default for EstimateConfig {
         EstimateConfig {
             q_source: QSource::MeasuredOrDefault,
             pd_source: PdSource::Lifetime,
-            prefer_measured_burst: true,
         }
     }
 }
@@ -153,13 +147,12 @@ pub fn estimate_params(summary: &FlowSummary, cfg: &EstimateConfig) -> ModelPara
         w_m: f64::from(summary.w_m.max(1)),
     };
     // P_a first: the q inversions need it.
-    params.p_a_burst = if cfg.prefer_measured_burst && summary.p_a_burst > 0.0 {
+    params.p_a_burst = if summary.p_a_burst > 0.0 {
         summary.p_a_burst.min(0.999)
     } else {
         solve_p_a(&params, summary.p_a).p_a_burst
     };
     params.q = match cfg.q_source {
-        QSource::Fixed(v) => v,
         QSource::RecommendedDefault => ModelParams::DEFAULT_Q,
         QSource::MeasuredOrDefault => {
             if summary.timeout_sequences > 0 && summary.timeouts > 0 {
@@ -329,17 +322,8 @@ mod tests {
 
     #[test]
     fn q_sources() {
-        let s = summary();
-        let fixed = estimate_params(
-            &s,
-            &EstimateConfig {
-                q_source: QSource::Fixed(0.4),
-                ..Default::default()
-            },
-        );
-        assert_eq!(fixed.q, 0.4);
         let rec = estimate_params(
-            &s,
+            &summary(),
             &EstimateConfig {
                 q_source: QSource::RecommendedDefault,
                 ..Default::default()

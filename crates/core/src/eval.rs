@@ -89,11 +89,6 @@ impl AccuracyReport {
             median_d_padhye: median(&mut padhye),
         }
     }
-
-    /// Accuracy improvement in percentage points (paper: 16.3).
-    pub fn improvement_pp(&self) -> f64 {
-        (self.mean_d_padhye - self.mean_d_enhanced) * 100.0
-    }
 }
 
 /// The middle value of a non-empty sample of finite values (the mean of
@@ -215,7 +210,6 @@ mod tests {
         assert_eq!(evals.len(), 2);
         assert_eq!(report.flows, 2);
         assert!(report.mean_d_enhanced < report.mean_d_padhye);
-        assert!(report.improvement_pp() > 0.0);
         assert!(evals[0].d_enhanced < 1e-9);
         let of = AccuracyReport::of(&evals);
         assert_eq!(report.flows, of.flows);
@@ -307,6 +301,5 @@ mod tests {
         let (evals, report) = evaluate_dataset(&[], &EstimateConfig::default());
         assert!(evals.is_empty());
         assert_eq!(report.flows, 0);
-        assert_eq!(report.improvement_pp(), 0.0);
     }
 }

@@ -39,7 +39,6 @@ pub mod ack_burst;
 pub mod enhanced;
 pub mod estimate;
 pub mod eval;
-pub mod fit;
 pub mod padhye;
 pub mod params;
 pub mod recovery;
@@ -55,7 +54,6 @@ pub mod prelude {
     };
     pub use crate::estimate::{estimate_params, EstimateConfig, PdSource, QSource};
     pub use crate::eval::{deviation, evaluate_dataset, evaluate_flow, AccuracyReport, FlowEval};
-    pub use crate::fit::{fit_global, score as fit_score, FitConfig, FitResult};
     pub use crate::padhye::{
         expected_window, f_backoff, full as padhye_full, q_p, simple as padhye_simple, x_p,
     };

@@ -68,8 +68,9 @@ pub struct FlowRun {
     /// Index of the worker that handled the flow.
     pub worker: usize,
     /// Always `None`: campaigns retain no trace. The field outlives its
-    /// use only because `benchmark/src/layers.rs` builds a `FlowRun`
-    /// literal naming it (ROADMAP item 5 drops both sides).
+    /// use only because the benchmark's traced flow
+    /// (`benchmark/src/layers.rs::traced_flow`) builds a `FlowRun` literal
+    /// naming it; both go once that flow runs the campaign body.
     pub outcome: Option<Box<ScenarioOutcome>>,
 }
 

@@ -375,8 +375,9 @@ impl ScenarioConfig {
     }
 }
 
-/// Everything produced by one scenario run, as the pinned benchmark
-/// signatures assemble it; it waits for ROADMAP item 5(b) to go.
+/// Everything produced by one scenario run, as the benchmark's traced
+/// flow (`benchmark/src/layers.rs::traced_flow`) assembles it; it goes
+/// once that flow runs the campaign body instead.
 #[derive(Debug, Clone)]
 pub struct ScenarioOutcome {
     /// The configuration that produced it.

@@ -523,8 +523,9 @@ fn simulate(
 /// Builds, runs and harvests a single TCP flow through a caller-held
 /// [`ConnectionScratch`], returning its capture as a [`FlowTrace`].
 ///
-/// Its only callers outside this crate's tests are the pinned benchmark
-/// signatures; it waits for ROADMAP item 5(b) to go.
+/// Its only caller outside this crate's tests is the benchmark's traced
+/// flow (`benchmark/src/layers.rs::traced_flow`); it goes once that flow
+/// runs the campaign body instead.
 ///
 /// The run ends when the sender finishes (`stop_after`/`max_segments`),
 /// the event queue drains, or `cfg.deadline` passes — whichever comes

@@ -6,7 +6,6 @@
 //! cargo run --release --example trace_lab
 //! ```
 
-use hsm::model::prelude::*;
 use hsm::prelude::{load_spec, Keep, Scratch};
 use hsm::scenario::runner::run;
 use hsm::simnet::chaos::StormPlan;
@@ -47,7 +46,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. Offline analysis of the reloaded archive.
     println!("flow  provider        TP(seg/s)  stalls>1s  dead-time  q̂      spurious");
-    let mut summaries = Vec::new();
     for trace in &reloaded {
         let a = analyze_flow(trace, &TimeoutConfig::default());
         let stalls = detect_stalls(trace, SimDuration::from_secs(1));
@@ -62,23 +60,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             a.summary.q_hat,
             a.summary.spurious_fraction() * 100.0,
         );
-        summaries.push(a.summary);
     }
 
-    // 4. Auto-calibrate a global q against the archive (the paper's
-    //    "0.25–0.4 recommended" band, made procedural).
-    if let Some(fit) = fit_global(&summaries, &FitConfig::default()) {
-        println!(
-            "\nglobal fit over {} flows: q = {:.3} (P_a scale {:.1}) with mean D = {:.1}%",
-            fit.flows,
-            fit.q,
-            fit.p_a_scale,
-            fit.mean_d * 100.0
-        );
-        println!("paper's recommended band for q: 0.25 – 0.40");
-    }
-
-    // 5. Windowed throughput of the roughest flow.
+    // 4. Windowed throughput of the roughest flow.
     if let Some(worst) = reloaded.iter().min_by(|a, b| {
         let ta = analyze_flow(a, &TimeoutConfig::default())
             .summary

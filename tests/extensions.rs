@@ -1,9 +1,7 @@
 //! Integration tests for the extension features: Veno, adaptive delayed
-//! ACKs, spurious-RTO undo, shared-radio MPTCP, trace persistence,
-//! timeline analysis and global model fitting.
+//! ACKs, spurious-RTO undo, shared-radio MPTCP, trace persistence and
+//! timeline analysis.
 
-use hsm::model::prelude::*;
-use hsm::runtime::run_dataset;
 use hsm::scenario::prelude::*;
 use hsm::simnet::time::SimDuration;
 use hsm::tcp::prelude::*;
@@ -204,22 +202,4 @@ fn timeline_dead_time_tracks_timeouts() {
     let timeline_total: u64 = bins.iter().map(|b| b.delivered).sum();
     let direct = throughput(trace);
     assert_eq!(timeline_total, direct.segments_delivered);
-}
-
-#[test]
-fn global_fit_runs_on_simulated_data() {
-    let cfg = DatasetConfig {
-        scale: 0.03,
-        flow_duration: SimDuration::from_secs(40),
-        ..Default::default()
-    };
-    let (flows, _) = run_dataset(&cfg).expect("dataset runs");
-    let summaries: Vec<FlowSummary> = flows.into_iter().map(|f| f.summary).collect();
-    let fit = fit_global(&summaries, &FitConfig::default()).expect("fit succeeds");
-    assert!(fit.flows >= 4);
-    assert!((0.05..=0.6).contains(&fit.q));
-    assert!(fit.mean_d.is_finite());
-    // The fitted global q must score no worse than an arbitrary extreme.
-    let (d_extreme, _) = fit_score(&summaries, 0.9, 1.0).unwrap_or((f64::INFINITY, 0));
-    assert!(fit.mean_d <= d_extreme + 1e-9);
 }

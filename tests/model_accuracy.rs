@@ -54,7 +54,6 @@ fn estimator_ablation_is_well_behaved() {
             let cfg = EstimateConfig {
                 pd_source: pd,
                 q_source: q,
-                ..Default::default()
             };
             let (evals, report) = evaluate_dataset(&summaries, &cfg);
             assert!(!evals.is_empty());

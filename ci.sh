@@ -60,6 +60,14 @@ stage_build_test() {
         echo "a deleted paper-vs-ours writer (core::fit, improvement_pp, repro headline) or prefer_measured_burst is back" >&2
         exit 1
     fi
+    # Also deleted: the after-the-run reader of a flow's arena rows. A
+    # single-flow run drains its landed rows into the analysis fold as it
+    # goes (`Engine::drain_settled` -> `capture::flow_records`), so
+    # nothing reads a whole run's rows back.
+    if grep -rnE 'arena_records' crates src tests examples; then
+        echo "the deleted after-the-run arena reader (arena_records) is back" >&2
+        exit 1
+    fi
     # --workspace so the release `repro` binary the later steps run is built
     # (the bare root build only covers the facade crate).
     cargo build --release --workspace
@@ -77,8 +85,9 @@ stage_build_test() {
     cargo test -q --test queue_differential
     # Arena-vs-model differential, for the same reason: the chunked packet
     # arena (32-byte rows, wide values escaped to a side table, chunks kept
-    # across a clear) must give back exactly what a `Vec` of packets and
-    # arrivals holds, over randomized push/deliver/clear interleavings.
+    # across a clear and recycled by a drain) must give back exactly what a
+    # `Vec` of packets and arrivals holds, over randomized
+    # push/deliver/drop/drain/clear interleavings.
     cargo test -q --test arena_differential
     # The studies below write their reports into the working directory:
     # run them from a scratch directory so their output never overwrites
@@ -86,7 +95,7 @@ stage_build_test() {
     local repro="$PWD/target/release/repro" smoke=target/ci-smoke
     rm -rf "$smoke"
     mkdir -p "$smoke"
-    # One full-scale figure: the 255-flow Table-I dataset (≈ 1 s, ≈ 17 MiB
+    # One full-scale figure: the 255-flow Table-I dataset (≈ 1.3 s, ≈ 10 MiB
     # now that a dataset is its summaries) through the ordinary campaign
     # body, the path every dataset figure takes.
     (cd "$smoke" && "$repro" table1 --full)

@@ -488,11 +488,12 @@ pub(crate) fn publish_atomic(dir: &Path, path: &Path, bytes: &[u8]) -> Result<()
     match std::fs::rename(&tmp, path) {
         Ok(()) => Ok(()),
         Err(e) => {
-            // Clean the staging file up; if the destination exists another
-            // writer already published the (identical) entry, so the
-            // failed rename is a lost race, not an error.
+            // Clean the staging file up; if the destination is a file
+            // another writer already published the (identical) entry, so
+            // the failed rename is a lost race, not an error. Anything
+            // else there (a directory) would make every lookup miss.
             let _ = std::fs::remove_file(&tmp);
-            if path.exists() {
+            if path.is_file() {
                 Ok(())
             } else {
                 Err(CacheError::Io {
@@ -934,6 +935,23 @@ mod tests {
         assert!(cache.lookup(key).is_none());
         let stats = cache.stats();
         assert_eq!((stats.misses, stats.corrupt_entries), (1, 0));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A directory in an entry's place cannot be replaced: publishing the
+    /// entry is an I/O error, not a rename race lost to another writer,
+    /// and nothing is written.
+    #[test]
+    fn publishing_over_a_directory_in_an_entrys_place_fails() {
+        let dir = scratch_dir("dir_publish");
+        let key = CacheKey(3);
+        std::fs::create_dir_all(entry_path(&dir, key)).unwrap();
+        let cache = disk_only(&dir);
+        let err = cache.insert(key, &summary(3)).unwrap_err();
+        assert!(matches!(err, CacheError::Io { .. }), "{err:?}");
+        assert!(cache.lookup(key).is_none());
+        let left = std::fs::read_dir(&dir).unwrap().count();
+        assert_eq!(left, 1, "a staging file was left behind");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -11,19 +11,20 @@
 //! remainder).
 //!
 //! Workers stream each flow through `runner::run` under `Keep::Summary`:
-//! the measurement pipeline reads the flow's packets from the engine's
-//! arena, no `FlowTrace` is ever built, and only the compact [`FlowSummary`]
-//! survives — so campaigns of tens of thousands of flows run in
-//! near-constant memory. That is the only flow body: every campaign,
-//! [`run_dataset`]'s included, is lookup → analyse → insert (`repro table1
-//! --full`, 255 flows × 120 s, peaks at ≈ 17 MiB in ≈ 1.0 s; retaining
-//! the 255 traces took 628 MiB and ≈ 2.1 s). A caller that wants a flow's
-//! packet records re-simulates that one flow with
-//! `hsm_scenario::runner::run` under `Keep::Trace`.
+//! the measurement pipeline takes the flow's packets from the engine's
+//! arena as they land, whose rows are then reused, no `FlowTrace` is ever
+//! built, and only the compact [`FlowSummary`] survives — so campaigns of
+//! tens of thousands of flows run in near-constant memory. That is the
+//! only flow body: every campaign, [`run_dataset`]'s included, is lookup
+//! → analyse → insert (`repro table1 --full`, 255 flows × 120 s, peaks at
+//! ≈ 10.4 MiB in ≈ 1.3 s; retaining the 255 traces takes ≈ 620 MiB). A
+//! caller that wants a flow's packet records re-simulates that one flow
+//! with `hsm_scenario::runner::run` under `Keep::Trace`.
 //!
-//! Each worker owns a [`Scratch`] (the simulation engine and its packet
-//! arena) reused across every flow it handles, and writes each flow's
-//! [`FlowRun`] straight into a result vector of its own, ascending by
+//! Each worker owns a [`Scratch`] (the simulation engine, its packet arena
+//! and the analysis fold's columns) reused across every flow it handles,
+//! and writes each flow's [`FlowRun`] straight into a result vector of its
+//! own, ascending by
 //! flow index because its claims are: one worker's vector is the
 //! campaign's output as it stands, several are merged by index. Nothing
 //! is shared per flow but the claim counter — no channel, no clock read —

@@ -389,10 +389,11 @@ pub struct ScenarioOutcome {
 }
 
 /// Reusable working memory for scenario runs: the simulation engine (event
-/// queue, link buffers, packet arena), so a worker running many flows back
-/// to back through [`run`] pays the big allocations once instead of per
-/// flow. It carries no run state between flows: runs through a reused or
-/// poisoned scratch are bit-identical to fresh ones.
+/// queue, link buffers, packet arena) and the analysis fold's columns, so
+/// a worker running many flows back to back through [`run`] pays the big
+/// allocations once instead of per flow. It carries no run state between
+/// flows: runs through a reused or poisoned scratch are bit-identical to
+/// fresh ones.
 pub use hsm_tcp::connection::ConnectionScratch as Scratch;
 
 /// What [`run`] hands back besides the analysis.
@@ -416,14 +417,15 @@ pub fn run_scenario(config: &ScenarioConfig) -> AnalyzedConnection {
 }
 
 /// The one scenario body: validate, derive path / mobility / connection
-/// from `config`, simulate, analyze — the analysis reading the flow's
-/// packets from the engine's arena, which [`Keep::Trace`] then folds into
-/// the flow's trace. `storm` is a chaos-storm schedule replayed on the
-/// uplink — the accuracy ledger's §V storm rig: the scenario's provider
-/// path and motion stay as configured while the storm superimposes
-/// deterministic ACK-delay or ACK-burst episodes, and the full analysis
-/// pipeline still runs, so storm flows yield the same model-ready
-/// summary campaign flows do. The empty plan adds nothing to the world.
+/// from `config`, simulate, analyze — the analysis taking the flow's
+/// packets from the engine's arena as they land, and [`Keep::Trace`] the
+/// flow's trace from the same records. `storm` is a chaos-storm schedule
+/// replayed on the uplink — the accuracy ledger's §V storm rig: the
+/// scenario's provider path and motion stay as configured while the storm
+/// superimposes deterministic ACK-delay or ACK-burst episodes, and the
+/// full analysis pipeline still runs, so storm flows yield the same
+/// model-ready summary campaign flows do. The empty plan adds nothing to
+/// the world.
 ///
 /// # Errors
 ///

@@ -2,9 +2,8 @@
 //!
 //! The engine stamps every sent packet into a [`PacketArena`]: one 32-byte
 //! row per packet, indexed by [`PacketId`]. Ids are minted sequentially,
-//! so a packet's id **is** its arena index — nothing is ever freed within
-//! a run, and [`PacketArena::clear`] recycles the rows when the engine
-//! resets.
+//! so a packet's id **is** its row index, and [`PacketArena::clear`]
+//! recycles every row when the engine resets.
 //!
 //! Rows live in fixed chunks of 1,024, each allocated the first time a
 //! packet lands in it and kept across [`PacketArena::clear`], so a
@@ -28,8 +27,17 @@
 //! A row is also the packet's whole capture record: the send-side facts
 //! are stored by [`PacketArena::push`] and the delivery time by
 //! [`PacketArena::deliver`], in the row the engine reads anyway to hand the
-//! packet to its agent. The trace layer folds a flow's trace from
-//! [`PacketArena::iter`] in one pass, with no recorder registered.
+//! packet to its agent.
+//!
+//! A row *settles* when its packet lands: [`PacketArena::deliver`] settles
+//! it, and so does [`PacketArena::drop_packet`], which the engine calls
+//! where the channel or a full queue destroys a packet. Nothing changes a
+//! settled row again, so [`PacketArena::drain_settled`] hands the settled
+//! prefix of the rows, in id order, to a reader while the run goes on, and
+//! puts every chunk it has emptied back behind the one being filled: a
+//! drained arena holds the rows still in flight, not the whole run. An
+//! arena nobody drains keeps every row until the next clear, and
+//! [`PacketArena::iter`] reads the rows not drained.
 
 use crate::packet::{FlowId, Packet, PacketId, PacketKind, SeqNo};
 use crate::time::SimTime;
@@ -45,11 +53,17 @@ const KIND_DATA: u8 = 0;
 const KIND_DATA_RETX: u8 = 1;
 /// Row kind: a cumulative ACK.
 const KIND_ACK: u8 = 2;
+/// The bits of a row's kind that hold one of the `KIND_*` values.
+const KIND_BITS: u8 = 0x03;
 /// Flag on a row's kind: the side table holds its size, tag and arrival.
 const ESCAPED: u8 = 0x80;
+/// Flag on a row's kind: the packet was dropped, so the row is settled.
+const DROPPED: u8 = 0x40;
 
 /// `arrival` of a packet that was dropped or is still in flight.
 const NOT_ARRIVED: u32 = u32::MAX;
+/// `arrival` of a delivered escaped row: its time is in the side table.
+const ARRIVED_ESCAPED: u32 = 0;
 
 /// Everything the engine knows about one packet, widest fields first so
 /// the row packs into 32 bytes (two rows per cache line).
@@ -66,7 +80,8 @@ struct Row {
     arrival: u32,
     size: u16,
     /// One of the `KIND_*` values, with [`ESCAPED`] set when the row's
-    /// size, tag and arrival did not fit it.
+    /// size, tag and arrival did not fit it and [`DROPPED`] once the
+    /// packet was.
     kind: u8,
     tag: u8,
 }
@@ -77,7 +92,7 @@ impl Row {
     /// The packet the row holds, with the size and tag given.
     #[inline]
     fn packet(&self, id: u64, size_bytes: u32, tag: u64) -> Packet {
-        let kind = match self.kind & !ESCAPED {
+        let kind = match self.kind & KIND_BITS {
             KIND_ACK => PacketKind::Ack {
                 cum: SeqNo(self.word),
                 acked_count: self.count,
@@ -95,6 +110,12 @@ impl Row {
             sent_at: self.sent_at,
             tag,
         }
+    }
+
+    /// True once the packet was delivered or dropped.
+    #[inline]
+    fn settled(&self) -> bool {
+        self.arrival != NOT_ARRIVED || self.kind & DROPPED != 0
     }
 
     /// What a chunk's rows hold before their first packet.
@@ -118,16 +139,22 @@ struct Wide {
     arrived_at: Option<SimTime>,
 }
 
-/// Store of every packet stamped by an engine run.
+/// Store of every packet stamped by an engine run and not yet drained.
 ///
 /// Indexed by [`PacketId`]; see the module docs for the layout rationale.
 #[derive(Debug, Default)]
 pub struct PacketArena {
-    /// Full chunks, then the one being filled; any after it are kept from
-    /// before the last clear.
+    /// The chunk that holds row `base * CHUNK`, the chunks after it in row
+    /// order, then the one being filled; any after that are spares, kept
+    /// from before the last clear or emptied by a drain.
     chunks: Vec<Box<[Row; CHUNK]>>,
+    /// The chunk number of `chunks[0]`: row `id` lives in
+    /// `chunks[id / CHUNK - base]`.
+    base: usize,
     len: usize,
-    /// The full-width fields of every escaped row, by id.
+    /// Rows below this id were handed to a drain.
+    drained: usize,
+    /// The full-width fields of every escaped row not yet recycled, by id.
     escaped: BTreeMap<u64, Wide>,
 }
 
@@ -147,11 +174,20 @@ impl PacketArena {
         self.len == 0
     }
 
+    /// Rows the arena holds without allocating: its chunks, spares
+    /// included, times the 1,024 rows of a chunk — a bound on the rows it
+    /// has held at once since it was created.
+    pub fn capacity(&self) -> usize {
+        self.chunks.len() * CHUNK
+    }
+
     /// Forgets every packet — delivery stamps included — while keeping the
     /// chunks, so a recycled engine stamps its packets without touching
     /// the allocator.
     pub fn clear(&mut self) {
         self.len = 0;
+        self.base = 0;
+        self.drained = 0;
         self.escaped.clear();
     }
 
@@ -196,10 +232,11 @@ impl PacketArena {
                 self.escaped.insert(i as u64, wide);
             }
         }
-        if i / CHUNK == self.chunks.len() {
+        let chunk = i / CHUNK - self.base;
+        if chunk == self.chunks.len() {
             self.grow();
         }
-        self.chunks[i / CHUNK][i % CHUNK] = row;
+        self.chunks[chunk][i % CHUNK] = row;
         self.len += 1;
         PacketId(i as u64)
     }
@@ -208,23 +245,26 @@ impl PacketArena {
     ///
     /// # Panics
     ///
-    /// Panics if `id` was not minted by this arena since the last clear.
+    /// Panics if `id` was not minted by this arena since the last clear,
+    /// or was drained.
     #[inline]
     pub fn get(&self, id: PacketId) -> Packet {
-        let i = self.index(id);
-        self.packet(id.0, &self.chunks[i / CHUNK][i % CHUNK])
+        let (chunk, row) = self.index(id);
+        self.packet(id.0, &self.chunks[chunk][row])
     }
 
     /// Records that packet `id` reached its destination at `at` and
-    /// materializes it for the hand-over — one row access for both.
+    /// materializes it for the hand-over — one row access for both. The
+    /// row is settled.
     ///
     /// # Panics
     ///
-    /// Panics if `id` was not minted by this arena since the last clear.
+    /// Panics if `id` was not minted by this arena since the last clear,
+    /// or was drained.
     #[inline]
     pub fn deliver(&mut self, id: PacketId, at: SimTime) -> Packet {
-        let i = self.index(id);
-        let row = &mut self.chunks[i / CHUNK][i % CHUNK];
+        let (chunk, row) = self.index(id);
+        let row = &mut self.chunks[chunk][row];
         let flight = at.as_micros().checked_sub(row.sent_at.as_micros());
         match flight.and_then(|us| u32::try_from(us).ok()) {
             Some(us) if us != NOT_ARRIVED && row.kind & ESCAPED == 0 => row.arrival = us,
@@ -234,26 +274,98 @@ impl PacketArena {
         self.packet(id.0, &row)
     }
 
-    /// Every packet in id (== send) order with its delivery time — `None`
-    /// while it is queued or in flight, and forever if it was dropped —
-    /// for bulk readers such as the trace capture.
-    pub fn iter(&self) -> impl Iterator<Item = (Packet, Option<SimTime>)> + '_ {
-        Iter {
-            arena: self,
-            rows: [].iter(),
-            id: 0,
+    /// Records that packet `id` was dropped — by the channel or a full
+    /// queue — which settles its row; it reads as never delivered.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` was not minted by this arena since the last clear,
+    /// or was drained.
+    #[inline]
+    pub fn drop_packet(&mut self, id: PacketId) {
+        let (chunk, row) = self.index(id);
+        self.chunks[chunk][row].kind |= DROPPED;
+    }
+
+    /// Hands `f` the settled rows not yet drained that precede the first
+    /// unsettled one — in id (== send) order, each as its packet and
+    /// delivery time (`None` for a dropped packet) — then recycles each
+    /// chunk all of whose rows are drained, with its side-table entries.
+    /// `f` gets the rows as one iterator, so its loop over them is its
+    /// own; rows it leaves unread are drained all the same.
+    ///
+    /// The drained ids are gone: [`PacketArena::get`] and
+    /// [`PacketArena::deliver`] panic on them, [`PacketArena::iter`] skips
+    /// them, and only [`PacketArena::clear`] mints them again.
+    pub fn drain_settled(&mut self, f: impl FnOnce(Rows<'_>)) {
+        let end = self.settled_end();
+        f(self.rows(end));
+        self.drained = end;
+        let spent = end / CHUNK - self.base;
+        if spent > 0 {
+            self.recycle(spent);
         }
     }
 
-    /// The row index of `id`, checked against the rows stamped since the
-    /// last clear (the chunks hold stale rows past them).
-    fn index(&self, id: PacketId) -> usize {
+    /// Every packet not drained, in id (== send) order, with its delivery
+    /// time — `None` while it is queued or in flight, and forever if it
+    /// was dropped — for bulk readers such as the trace capture.
+    pub fn iter(&self) -> Rows<'_> {
+        self.rows(self.len)
+    }
+
+    /// The rows from the first not drained up to `end`.
+    fn rows(&self, end: usize) -> Rows<'_> {
+        Rows {
+            arena: self,
+            rows: [].iter(),
+            id: self.drained,
+            end,
+        }
+    }
+
+    /// The id of the first unsettled row not drained, or `len`.
+    fn settled_end(&self) -> usize {
+        let mut id = self.drained;
+        while id < self.len {
+            let first = id - id % CHUNK;
+            let chunk = &self.chunks[first / CHUNK - self.base];
+            let rows = &chunk[id % CHUNK..(self.len - first).min(CHUNK)];
+            match rows.iter().position(|row| !row.settled()) {
+                Some(unsettled) => return id + unsettled,
+                None => id += rows.len(),
+            }
+        }
+        id
+    }
+
+    /// The chunk (an index into `chunks`) and row within it of `id`,
+    /// checked against the rows stamped since the last clear and not
+    /// drained (the chunks hold stale rows on both sides).
+    #[inline]
+    fn index(&self, id: PacketId) -> (usize, usize) {
         assert!(
-            id.0 < self.len as u64,
-            "packet {} was not minted since the arena's last clear",
+            id.0 < self.len as u64 && id.0 >= self.drained as u64,
+            "packet {} was drained or not minted since the arena's last clear",
             id.0
         );
-        id.0 as usize
+        let i = id.0 as usize;
+        (i / CHUNK - self.base, i % CHUNK)
+    }
+
+    /// Moves the first `spent` chunks, every row of which is drained,
+    /// behind the spares, and forgets their escaped rows.
+    #[cold]
+    fn recycle(&mut self, spent: usize) {
+        self.chunks.rotate_left(spent);
+        self.base += spent;
+        let kept = (self.base * CHUNK) as u64;
+        while let Some(entry) = self.escaped.first_entry() {
+            if *entry.key() >= kept {
+                break;
+            }
+            entry.remove();
+        }
     }
 
     #[cold]
@@ -302,17 +414,22 @@ impl PacketArena {
     }
 }
 
-/// [`PacketArena::iter`]: a slice walk over one chunk's stamped rows at a
-/// time.
-struct Iter<'a> {
+/// Rows of a [`PacketArena`] in id (== send) order, each as its packet
+/// and delivery time: what [`PacketArena::iter`] and
+/// [`PacketArena::drain_settled`] hand out. A slice walk over one chunk's
+/// rows at a time.
+#[derive(Debug)]
+pub struct Rows<'a> {
     arena: &'a PacketArena,
     /// The current chunk's rows not yet yielded.
     rows: std::slice::Iter<'a, Row>,
     /// The id of the next row.
     id: usize,
+    /// The id past the last row to yield.
+    end: usize,
 }
 
-impl Iterator for Iter<'_> {
+impl Iterator for Rows<'_> {
     type Item = (Packet, Option<SimTime>);
 
     #[inline]
@@ -327,13 +444,17 @@ impl Iterator for Iter<'_> {
     }
 }
 
-impl<'a> Iter<'a> {
-    /// Moves on to the chunk that starts at row `id`, and takes its first
-    /// row; `None` past the last stamped one.
+impl<'a> Rows<'a> {
+    /// Moves on to the chunk that holds row `id`, and takes that row;
+    /// `None` at `end`.
     #[cold]
     fn next_chunk(&mut self) -> Option<&'a Row> {
-        let rows = self.arena.len.checked_sub(self.id).filter(|&n| n > 0)?;
-        self.rows = self.arena.chunks[self.id / CHUNK][..rows.min(CHUNK)].iter();
+        if self.id >= self.end {
+            return None;
+        }
+        let first = self.id - self.id % CHUNK;
+        let chunk = &self.arena.chunks[first / CHUNK - self.arena.base];
+        self.rows = chunk[self.id % CHUNK..(self.end - first).min(CHUNK)].iter();
         self.rows.next()
     }
 }
@@ -350,6 +471,7 @@ fn escape_arrival(escaped: &mut BTreeMap<u64, Wide>, id: u64, row: &mut Row, at:
     };
     escaped.entry(id).or_insert(narrow).arrived_at = Some(at);
     row.kind |= ESCAPED;
+    row.arrival = ARRIVED_ESCAPED;
 }
 #[cfg(test)]
 mod tests {
@@ -413,6 +535,47 @@ mod tests {
         assert_eq!(arena.push(&p), PacketId(0));
         assert_eq!(arena.get(PacketId(0)), p);
         assert_eq!(arena.iter().next(), Some((p, None)), "stale delivery stamp");
+    }
+
+    #[test]
+    fn a_drain_hands_over_the_settled_prefix_and_recycles_its_chunks() {
+        let mut arena = PacketArena::new();
+        let rows = 3 * CHUNK as u64 + 7;
+        for i in 0..rows {
+            let p = stamped(Packet::data(FlowId(1), SeqNo(i), false), i, i);
+            arena.push(&p.with_tag(if i % 100 == 0 { 1 << 20 } else { 0 }));
+        }
+        let stop = 2 * CHUNK as u64 + 5;
+        for i in (0..stop).chain([stop + 1]) {
+            if i.is_multiple_of(3) {
+                arena.drop_packet(PacketId(i));
+            } else {
+                arena.deliver(PacketId(i), SimTime::from_millis(i + 30));
+            }
+        }
+        let mut drained = Vec::new();
+        arena.drain_settled(|rows| {
+            drained.extend(rows.map(|(p, at)| (p.data_seq().unwrap().0, at)));
+        });
+        assert_eq!(drained.len() as u64, stop, "stopped short of row {stop}");
+        for (i, &(seq, at)) in drained.iter().enumerate() {
+            let i = i as u64;
+            assert_eq!(seq, i);
+            assert_eq!(
+                at,
+                (!i.is_multiple_of(3)).then(|| SimTime::from_millis(i + 30))
+            );
+        }
+        // The two emptied chunks are spares now, their escaped rows gone.
+        assert_eq!((arena.base, arena.capacity()), (2, 4 * CHUNK));
+        assert!(arena.escaped.keys().all(|&id| id >= 2 * CHUNK as u64));
+        assert_eq!(arena.iter().next().map(|(p, _)| p.id), Some(PacketId(stop)));
+        for i in rows..rows + 2 * CHUNK as u64 {
+            arena.push(&stamped(Packet::ack(FlowId(1), SeqNo(i), 1), i, i));
+        }
+        assert_eq!(arena.capacity(), 4 * CHUNK, "the spares were not reused");
+        assert_eq!(arena.get(PacketId(rows)).ack_cum(), Some(SeqNo(rows)));
+        arena.drain_settled(|mut rows| assert!(rows.next().is_none(), "row {stop} drained"));
     }
 
     #[test]

@@ -17,8 +17,10 @@
 //!   handles, `Deliver` events carry a bare id, and the full [`Packet`] is
 //!   materialized from its row only at the edges (the recorder and
 //!   [`Agent::on_packet`]). The `Deliver` arm stamps the arrival time into
-//!   the row it is reading, so the arena is the run's capture and a
-//!   single-path trace needs no recorder;
+//!   the row it is reading and the two drop sites mark theirs, so the
+//!   arena is the run's capture, a single-path trace needs no recorder,
+//!   and a caller that runs in slices drains the landed packets' rows
+//!   between them ([`Engine::drain_settled`]);
 //! * link labels are interned as `Arc<str>` at registration, so recorded
 //!   events share one allocation per link;
 //! * the recorder is one `Option<VecRecorder>` slot: empty, the engine
@@ -63,7 +65,7 @@
 //! ```
 
 use crate::agent::{Agent, AgentId};
-use crate::arena::PacketArena;
+use crate::arena::{PacketArena, Rows};
 use crate::error::SimError;
 use crate::event::{Event, EventId, EventKind, EventQueue, QueueStats};
 use crate::link::{Accept, Link, LinkId, LinkSpec, QueuedPacket};
@@ -203,6 +205,7 @@ impl Core {
             Accept::StartTx => self.start_tx(link_id, handle),
             Accept::Queued => {}
             Accept::DroppedOverflow(dropped) => {
+                self.arena.drop_packet(dropped.id);
                 if let Some(rec) = &self.recorder {
                     rec.record(
                         PacketEventKind::Dropped(DropCause::QueueOverflow),
@@ -247,6 +250,7 @@ impl Core {
         };
         if lost {
             self.links[idx].channel_drops += 1;
+            self.arena.drop_packet(done.id);
             if let Some(rec) = &self.recorder {
                 rec.record(
                     PacketEventKind::Dropped(DropCause::Channel),
@@ -397,10 +401,24 @@ impl Engine {
     }
 
     /// Read-only view of the packet arena: every packet stamped this run
-    /// with its delivery time, one row per [`PacketId`] — the capture the
-    /// trace layer folds without any recorder.
+    /// and not drained, with its delivery time, one row per [`PacketId`] —
+    /// the capture the trace layer folds without any recorder.
     pub fn arena(&self) -> &PacketArena {
         &self.core.arena
+    }
+
+    /// Hands the arena's settled rows — packets delivered or dropped — to
+    /// `f` in id order, up to the first packet still queued or in flight,
+    /// and lets the arena reuse their chunks: a caller that runs the
+    /// engine in slices of time and drains between them holds the rows in
+    /// flight, not the whole run. See [`PacketArena::drain_settled`].
+    pub fn drain_settled(&mut self, f: impl FnOnce(Rows<'_>)) {
+        self.core.arena.drain_settled(f);
+    }
+
+    /// True when no event is pending: running on would process nothing.
+    pub fn is_idle(&self) -> bool {
+        self.core.queue.is_empty()
     }
 
     /// Immutable view of a link.

@@ -8,23 +8,27 @@
 //! both ends.
 //!
 //! It is also the one place a TCP world is assembled and harvested. One
-//! private `simulate` resets, wires and runs the single-flow world;
-//! [`try_analyze_connection_with`] — what every scenario runs — analyses
-//! the capture where the engine left it and, under [`Keep::Trace`], also
-//! folds it into a [`FlowTrace`] and keeps the sender's window log.
-//! [`try_run_connection_with`] returns the
-//! trace without the analysis (and [`run_connection`] is its panicking
-//! shorthand). The MPTCP rigs of
+//! private `simulate` resets, wires and runs the single-flow world in
+//! slices of simulated time, and after each slice drains the packet rows
+//! that have landed — delivered or dropped — into a record reader; at the
+//! end the rows still in flight follow. So a flow holds the arena rows of
+//! its packets in flight, not of its whole run.
+//! [`try_analyze_connection_with`] — what every scenario runs — reads them
+//! into the analysis fold and, under [`Keep::Trace`], also into a
+//! [`FlowTrace`], and keeps the sender's window log.
+//! [`try_run_connection_with`] reads them into the trace alone (and
+//! [`run_connection`] is its panicking shorthand). The MPTCP rigs of
 //! [`crate::mptcp`] are the same `pub(crate)` pieces — `add_sender`,
 //! `add_receiver`, `add_path`, `add_impairments`, `ConnectionConfig::meta`,
-//! `harvest` — called in a different order. Registration order is
-//! behaviour: every agent and link draws its random stream from its
-//! registration index.
+//! `harvest` — called in a different order, on an arena nobody drains.
+//! Registration order is behaviour: every agent and link draws its random
+//! stream from its registration index.
 
 use crate::metrics::{ReceiverMetrics, SenderMetrics};
 use crate::receiver::{Receiver, ReceiverConfig};
 use crate::reno::{RenoSender, SenderConfig};
 use hsm_simnet::agent::AgentId;
+use hsm_simnet::arena::Rows;
 use hsm_simnet::cellular::{CellLayout, ChannelProcess, ChannelStats, HandoffParams};
 use hsm_simnet::chaos::{StormInjector, StormPlan};
 use hsm_simnet::error::SimError;
@@ -36,9 +40,9 @@ use hsm_simnet::packet::FlowId;
 use hsm_simnet::prelude::Engine;
 use hsm_simnet::time::{SimDuration, SimTime};
 use hsm_trace::analysis::timeout::TimeoutConfig;
-use hsm_trace::capture::{arena_records, trace_from_arena};
+use hsm_trace::capture::flow_records;
 use hsm_trace::record::{FlowMeta, FlowTrace};
-use hsm_trace::summary::{analyze_records, FlowAnalysis, FlowSummary};
+use hsm_trace::summary::{FlowAnalysis, FlowFold, FlowSummary, FoldColumns};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -265,27 +269,30 @@ pub enum Keep {
     /// sender's window log is not kept either: [`SenderMetrics::cwnd_log`]
     /// comes back empty, and every other sender metric is the same.
     Summary,
-    /// Also the flow's [`FlowTrace`], folded from the capture the analysis
-    /// just read, and the sender's full window log.
+    /// Also the flow's [`FlowTrace`], made of the records the analysis
+    /// reads, and the sender's full window log.
     Trace,
 }
 
 /// Reusable per-worker state for running many flows through one engine.
 ///
 /// Every buffer that a connection run grows — the simulator's event-queue
-/// slab, link queue buffers, the packet arena — lives in the engine held
-/// here and is recycled between runs, so a worker that holds one
-/// `ConnectionScratch` across a campaign stops allocating once it has seen
-/// its largest flow. Results are bit-identical to fresh-engine runs
-/// (`Engine::reset` re-derives every random stream from the new seed).
+/// slab, link queue buffers, the packet arena's chunks in the engine held
+/// here, and the analysis fold's columns — is recycled between runs, so a
+/// worker that holds one `ConnectionScratch` across a campaign stops
+/// allocating once it has seen its largest flow. Results are bit-identical
+/// to fresh-engine runs (`Engine::reset` re-derives every random stream
+/// from the new seed, and a fold empties its columns when it starts).
 ///
 /// The run registers no recorder: the engine's packet arena records every
-/// sent packet and its delivery time as it goes, and stays as the run left
-/// it until the next run resets it — the analysis reads it in place
-/// ([`arena_records`]) and, under [`Keep::Trace`], folds it into a trace.
+/// sent packet and its delivery time as it goes, and the run drains the
+/// landed packets' rows into the analysis ([`flow_records`] into a
+/// [`FlowFold`]) and, under [`Keep::Trace`], into a trace, reusing their
+/// chunks as it goes.
 #[derive(Debug)]
 pub struct ConnectionScratch {
     engine: Engine,
+    columns: FoldColumns,
 }
 
 impl Default for ConnectionScratch {
@@ -293,6 +300,7 @@ impl Default for ConnectionScratch {
         ConnectionScratch {
             // The seed is irrelevant: every run resets with its own seed.
             engine: Engine::new(0),
+            columns: FoldColumns::default(),
         }
     }
 }
@@ -306,8 +314,9 @@ impl ConnectionScratch {
     /// Deliberately dirties every component of the scratch — stale agents
     /// and links registered on the engine and a *partially executed* junk
     /// simulation: advanced clock, pending events, consumed random
-    /// streams, and an arena of junk packets of which some are delivered
-    /// (their rows carry arrival stamps) and the rest queued or in flight.
+    /// streams, an arena of junk packets of which some are delivered
+    /// (their rows carry arrival stamps) and the rest queued or in flight,
+    /// and analysis columns holding a half-folded junk flow.
     ///
     /// This is the `hsm-chaos` scratch-poisoning fault: a subsequent
     /// run through the poisoned scratch must
@@ -328,6 +337,8 @@ impl ConnectionScratch {
         // are queued or propagating, the clock stops mid-simulation: the
         // most adversarial state to hand the next reset.
         let _ = eng.try_run_until(SimTime::from_millis(16));
+        let mut fold = FlowFold::new(&TimeoutConfig::default(), &mut self.columns);
+        fold.extend(flow_records(u32::MAX, eng.arena().iter()));
     }
 }
 
@@ -454,16 +465,13 @@ fn endpoints(
     }
 }
 
-/// Harvests a finished single-flow world. The arena is the capture: every
-/// packet of the flow crossed exactly one link, so nothing was recorded
-/// twice and no recorder ran.
+/// Harvests a finished single-flow world whose capture is `trace`.
 pub(crate) fn harvest(
     eng: &mut Engine,
-    cfg: &ConnectionConfig,
+    trace: FlowTrace,
     ends: (AgentId, AgentId),
     channel: Option<AgentId>,
 ) -> ConnectionOutcome {
-    let trace = trace_from_arena(eng.arena(), cfg.flow, cfg.meta());
     let e = endpoints(eng, ends, channel);
     ConnectionOutcome {
         trace,
@@ -494,20 +502,29 @@ pub fn run_connection(
     }
 }
 
-/// Resets the scratch's engine to `seed`, wires the single-flow world and
-/// runs it to its end; the sender keeps its window log only when `keep`
-/// is [`Keep::Trace`]. Returns the endpoints' agent ids and the channel
-/// process's, for the harvest.
+/// Simulated time a single-flow run advances between two drains of its
+/// packet arena. A drain leaves the rows still in flight, so a flow holds
+/// about a slice's worth of rows however long it runs; a slice holds
+/// hundreds of events, so the drains cost nothing measurable.
+const SLICE: SimDuration = SimDuration::from_millis(250);
+
+/// Resets `eng` to `seed`, wires the single-flow world and runs it to its
+/// end; the sender keeps its window log only when `keep` is
+/// [`Keep::Trace`]. The run goes in [`SLICE`]s: after each, `read` is
+/// handed the rows of the packets that have landed since (a
+/// [`Engine::drain_settled`]), and at the end those of every packet left
+/// — so it sees every packet once, in send order. Returns the endpoints'
+/// agent ids and the channel process's, for the harvest.
 fn simulate(
-    scratch: &mut ConnectionScratch,
+    eng: &mut Engine,
     seed: u64,
     path: &PathSpec,
     mobility: Option<&MobilityScenario>,
     cfg: &ConnectionConfig,
     keep: Keep,
+    mut read: impl FnMut(Rows<'_>),
 ) -> Result<((AgentId, AgentId), Option<AgentId>), SimError> {
-    scratch.engine.reset(seed);
-    let eng = &mut scratch.engine;
+    eng.reset(seed);
     let tx = add_sender(eng, cfg.flow, cfg);
     let rx = add_receiver(eng, cfg.flow, cfg);
     let (down, up) = add_path(eng, path, rx, tx, "");
@@ -516,12 +533,24 @@ fn simulate(
     sender.log_window = keep == Keep::Trace;
     receiver_mut(eng, rx).uplink = up;
     let channel = add_impairments(eng, mobility, &cfg.storm, down, up);
-    eng.try_run_until(cfg.deadline)?;
+    // Slicing moves no event: the engine pops by time alone and its clock
+    // moves only to the events it fires.
+    let mut until = SimTime::ZERO;
+    loop {
+        until = (until + SLICE).min(cfg.deadline);
+        eng.try_run_until(until)?;
+        if until == cfg.deadline || eng.stopped() || eng.is_idle() {
+            break;
+        }
+        eng.drain_settled(&mut read);
+    }
+    read(eng.arena().iter());
     Ok(((tx, rx), channel))
 }
 
 /// Builds, runs and harvests a single TCP flow through a caller-held
-/// [`ConnectionScratch`], returning its capture as a [`FlowTrace`].
+/// [`ConnectionScratch`], returning its capture as a [`FlowTrace`]: the
+/// drained rows go into the trace alone.
 ///
 /// Its only caller outside this crate's tests is the benchmark's traced
 /// flow (`benchmark/src/layers.rs::traced_flow`); it goes once that flow
@@ -543,18 +572,22 @@ pub fn try_run_connection_with(
     mobility: Option<&MobilityScenario>,
     cfg: &ConnectionConfig,
 ) -> Result<ConnectionOutcome, SimError> {
-    let (ends, channel) = simulate(scratch, seed, path, mobility, cfg, Keep::Trace)?;
-    Ok(harvest(&mut scratch.engine, cfg, ends, channel))
+    let mut trace = FlowTrace::new(cfg.flow, cfg.meta());
+    let read = |rows: Rows<'_>| trace.records.extend(flow_records(cfg.flow, rows));
+    let eng = &mut scratch.engine;
+    let (ends, channel) = simulate(eng, seed, path, mobility, cfg, Keep::Trace, read)?;
+    Ok(harvest(eng, trace, ends, channel))
 }
 
-/// The same run as [`try_run_connection_with`], analysed in place: the
-/// measurement pipeline reads the flow's packets straight from the
-/// engine's arena — the allocation-recycling path campaign workers use to
-/// run thousands of flows per engine. Under [`Keep::Trace`] the same
-/// capture is then folded into the [`FlowTrace`] the trace-returning run
-/// returns; under [`Keep::Summary`] no trace is built and the sender keeps
-/// no window log. The analysis equals `analyze_flow(&outcome.trace,
-/// timeouts)` of the trace-returning run.
+/// The same run as [`try_run_connection_with`], analysed as it goes: the
+/// measurement pipeline ([`FlowFold`], in the scratch's columns) takes the
+/// flow's packets straight from the engine's arena as they land — the
+/// allocation-recycling path campaign workers use to run thousands of
+/// flows per engine. Under [`Keep::Trace`] the same records also make the
+/// [`FlowTrace`] the trace-returning run returns; under [`Keep::Summary`]
+/// no trace is built and the sender keeps no window log. The analysis
+/// equals `analyze_flow(&outcome.trace, timeouts)` of the trace-returning
+/// run.
 ///
 /// # Errors
 ///
@@ -568,12 +601,21 @@ pub fn try_analyze_connection_with(
     timeouts: &TimeoutConfig,
     keep: Keep,
 ) -> Result<AnalyzedConnection, SimError> {
-    let (ends, channel) = simulate(scratch, seed, path, mobility, cfg, keep)?;
-    let eng = &mut scratch.engine;
-    let arena = eng.arena();
-    let records = arena_records(arena, cfg.flow);
-    let analysis = analyze_records(cfg.flow, &cfg.meta(), arena.len(), records, timeouts);
-    let trace = (keep == Keep::Trace).then(|| trace_from_arena(arena, cfg.flow, cfg.meta()));
+    let ConnectionScratch {
+        engine: eng,
+        columns,
+    } = scratch;
+    let mut fold = FlowFold::new(timeouts, columns);
+    let mut trace = (keep == Keep::Trace).then(|| FlowTrace::new(cfg.flow, cfg.meta()));
+    let read = |rows: Rows<'_>| {
+        fold.extend(flow_records(cfg.flow, rows).inspect(|&record| {
+            if let Some(trace) = &mut trace {
+                trace.records.push(record);
+            }
+        }));
+    };
+    let (ends, channel) = simulate(eng, seed, path, mobility, cfg, keep, read)?;
+    let analysis = fold.finish(cfg.flow, &cfg.meta());
     let e = endpoints(eng, ends, channel);
     Ok(AnalyzedConnection {
         analysis,
@@ -720,7 +762,7 @@ mod tests {
                 try_run_connection_with(&mut scratch, 5, &PathSpec::default(), None, &cfg)
                     .expect("clean run");
             }
-            // The dirt is real: stamped rows under the ids the dead run
+            // The dirt is real: stamped rows in the chunks the dead run
             // reuses (and, after the poison, unstamped ones in flight).
             let stamped: Vec<bool> = scratch
                 .engine
@@ -728,8 +770,11 @@ mod tests {
                 .iter()
                 .map(|(_, at)| at.is_some())
                 .collect();
-            assert!(stamped[0] && stamped[1], "no delivered packet left behind");
-            assert!(!poisoned || !stamped[stamped.len() - 1]);
+            assert!(
+                stamped.iter().any(|&s| s),
+                "no delivered packet left behind"
+            );
+            assert!(!poisoned || (stamped[0] && !stamped[stamped.len() - 1]));
 
             let out = try_run_connection_with(&mut scratch, 5, &dead_path, None, &cfg)
                 .expect("dead-path run");
@@ -755,14 +800,16 @@ mod tests {
         let long = try_run_connection_with(&mut scratch, 4, &path, None, &cfg(30))
             .expect("long run")
             .trace;
+        let chunks = scratch.engine.arena().capacity();
         let short = try_run_connection_with(&mut scratch, 5, &path, None, &cfg(1))
             .expect("short run")
             .trace;
-        // The long run filled several arena chunks the short one reuses:
-        // every row past the short run's own is a stale one of the long.
+        // The long run cycled its rows through arena chunks the short one
+        // reuses: every row the short run did not write is a stale one of
+        // the long.
         let rows = scratch.engine.arena().len();
         assert!(long.records.len() > 3 * 1024 && long.records.len() > 4 * rows);
-        assert_eq!(scratch.engine.arena().iter().count(), rows);
+        assert_eq!(scratch.engine.arena().capacity(), chunks);
         assert_eq!(short.records.len(), rows);
         assert!(short.records.iter().all(|r| r.id < rows as u64));
         assert_eq!(short, run_connection(5, &path, None, &cfg(1)).trace);
@@ -807,6 +854,63 @@ mod tests {
             ..traced.sender
         };
         assert_eq!(summary, unlogged);
+    }
+
+    /// A 600-s flow on the train holds its packets in flight, not its
+    /// run: the arena never holds more than [`MAX_ROWS_HELD`] rows at once
+    /// (its capacity bounds every count it held), and it ends no larger
+    /// than a 60-s flow left it.
+    #[test]
+    fn a_flow_holds_its_rows_in_flight_however_long_it_runs() {
+        /// Four 1,024-row chunks; both flows need two (158,664 rows in
+        /// the 600-s one).
+        const MAX_ROWS_HELD: usize = 4 * 1024;
+        let mob = MobilityScenario {
+            trajectory: Trajectory::new(60.0, 300.0, 2.0),
+            layout: CellLayout::rail_corridor(1_000.0, 0.02),
+            handoff: HandoffParams::lte_rail(),
+        };
+        let path = PathSpec {
+            down_loss: LossSpec::Bernoulli(0.002),
+            ..Default::default()
+        };
+        let mut scratch = ConnectionScratch::new();
+        let mut run = |secs| {
+            let cfg = ConnectionConfig {
+                sender: SenderConfig {
+                    stop_after: Some(SimDuration::from_secs(secs)),
+                    ..Default::default()
+                },
+                scenario: "high-speed".into(),
+                ..Default::default()
+            };
+            let timeouts = TimeoutConfig::default();
+            let keep = Keep::Summary;
+            let out = try_analyze_connection_with(
+                &mut scratch,
+                8,
+                &path,
+                Some(&mob),
+                &cfg,
+                &timeouts,
+                keep,
+            )
+            .expect("flow runs");
+            let arena = scratch.engine.arena();
+            (arena.len(), arena.capacity(), out.summary().timeouts)
+        };
+        let (_, after_minute, _) = run(60);
+        let (rows, after_ten, timeouts) = run(600);
+        assert!(timeouts > 0, "the train never cut the flow off");
+        assert!(
+            rows > 20 * MAX_ROWS_HELD,
+            "only {rows} rows: nothing to bound"
+        );
+        assert!(after_ten <= MAX_ROWS_HELD, "held {after_ten} rows at once");
+        assert!(
+            after_ten <= after_minute,
+            "{after_ten} rows vs {after_minute}"
+        );
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! * [`connection`] — one-call wiring of a full measurement rig
 //!   (sender ↔ cellular path ↔ receiver, optional 300 km/h mobility,
 //!   optional chaos storm), its capture handed back as a trace or analysed
-//!   in place, and the shared pieces every rig is built from;
+//!   as its packets land, and the shared pieces every rig is built from;
 //! * [`mptcp`] — the same pieces wired as duplex-mode aggregation,
 //!   backup-mode redundant retransmission and a shared radio (paper §V-B);
 //! * [`metrics`] — endpoint-internal ground truth (cwnd logs, timeout

@@ -164,7 +164,8 @@ pub fn run_with_backup_path(
     // losses.
     let channel = add_impairments(&mut eng, mobility, &cfg.storm, down, up);
     eng.run_until(cfg.deadline);
-    harvest(&mut eng, cfg, (tx, rx), channel)
+    let trace = trace_from_arena(eng.arena(), cfg.flow, cfg.meta());
+    harvest(&mut eng, trace, (tx, rx), channel)
 }
 
 /// Runs two subflows through **one shared radio** (the single-handset

@@ -34,11 +34,11 @@ pub fn delay_scatter(trace: &FlowTrace) -> Vec<DelayPoint> {
         .collect()
 }
 
-/// Median of a (possibly unsorted) list of durations.
+/// Median of a (possibly unsorted) list of durations, reordering it.
 ///
 /// Selection, not a full sort — same element a sort would put at
 /// `len / 2`, in O(n).
-fn median(mut xs: Vec<SimDuration>) -> Option<SimDuration> {
+fn median(xs: &mut [SimDuration]) -> Option<SimDuration> {
     if xs.is_empty() {
         return None;
     }
@@ -48,21 +48,19 @@ fn median(mut xs: Vec<SimDuration>) -> Option<SimDuration> {
 }
 
 /// The RTT fold, one record at a time: every delivered packet's one-way
-/// latency, kept per direction for the two medians.
+/// latency, kept per direction for the two medians. Its columns keep
+/// their capacity across [`RttSweep::reset`].
+#[derive(Debug, Default)]
 pub(crate) struct RttSweep {
     data: Vec<SimDuration>,
     acks: Vec<SimDuration>,
 }
 
 impl RttSweep {
-    /// A fold sized for a trace of `records` records: a delayed-ACK
-    /// receiver answers two segments with one ACK, so up to two thirds of
-    /// them are data; an ACK per segment makes half of them ACKs.
-    pub(crate) fn new(records: usize) -> RttSweep {
-        RttSweep {
-            data: Vec::with_capacity(records - records / 3),
-            acks: Vec::with_capacity(records / 2),
-        }
+    /// Empties the fold for the next flow.
+    pub(crate) fn reset(&mut self) {
+        self.data.clear();
+        self.acks.clear();
     }
 
     /// Folds in one transmission; lost packets have no latency.
@@ -79,8 +77,8 @@ impl RttSweep {
 
     /// (Median data one-way delay) + (median ACK one-way delay), or
     /// `None` if either direction delivered nothing.
-    pub(crate) fn finish(self) -> Option<SimDuration> {
-        Some(median(self.data)? + median(self.acks)?)
+    pub(crate) fn finish(&mut self) -> Option<SimDuration> {
+        Some(median(&mut self.data)? + median(&mut self.acks)?)
     }
 }
 
@@ -88,7 +86,7 @@ impl RttSweep {
 /// ACK one-way delay). Returns `None` if either direction has no delivered
 /// packets.
 pub fn estimate_rtt(trace: &FlowTrace) -> Option<SimDuration> {
-    let mut sweep = RttSweep::new(trace.records.len());
+    let mut sweep = RttSweep::default();
     for rec in &trace.records {
         sweep.record(rec);
     }

@@ -8,3 +8,11 @@ pub mod rounds;
 pub mod throughput;
 pub mod timeline;
 pub mod timeout;
+
+/// How far the dense slab of a per-sequence-number fold may reach once it
+/// has seen `records` records: sequence numbers count segments from zero,
+/// so every seq of a real flow falls below it, and one far outside
+/// (an arbitrary trace's) spills to a hash map instead of allocating.
+pub(crate) fn dense_reach(records: usize) -> usize {
+    records.saturating_mul(4).saturating_add(1024)
+}

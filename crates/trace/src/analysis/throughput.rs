@@ -5,6 +5,7 @@
 //! time"), so the primary measure here is delivered segments per second;
 //! byte-based figures are derived from the MSS.
 
+use super::dense_reach;
 use crate::record::{FlowTrace, PacketRecord};
 use hsm_simnet::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -53,12 +54,16 @@ fn safe_rate(num: f64, dur: f64) -> f64 {
 /// The throughput fold, one record at a time: delivered segments, a
 /// delivered-once bit per sequence number, and the flow's time span
 /// (first send to last event — [`FlowTrace::duration`] without its two
-/// scans).
+/// scans). Its columns keep their capacity across
+/// [`ThroughputSweep::reset`].
+#[derive(Debug, Default)]
 pub(crate) struct ThroughputSweep {
+    /// Records folded in so far.
+    records: usize,
     /// Sequence numbers count segments from zero, so the dedup set is a
-    /// bitset for any seq that stays within a few multiples of the trace
-    /// length; a hash set only catches pathological outliers.
-    dense_limit: u64,
+    /// bitset, grown as the seqs reach it, for any seq within
+    /// [`dense_reach`]; a hash set catches the rest. A seq lives in
+    /// exactly one of the two.
     bits: Vec<u64>,
     dense_unique: u64,
     sparse: HashSet<u64>,
@@ -67,22 +72,20 @@ pub(crate) struct ThroughputSweep {
 }
 
 impl ThroughputSweep {
-    /// A fold sized for a trace of `records` records.
-    pub(crate) fn new(records: usize) -> ThroughputSweep {
-        let dense_limit = (records as u64) * 4 + 1024;
-        ThroughputSweep {
-            dense_limit,
-            bits: vec![0u64; (dense_limit as usize).div_ceil(64)],
-            dense_unique: 0,
-            sparse: HashSet::new(),
-            delivered: 0,
-            span: None,
-        }
+    /// Empties the fold for the next flow.
+    pub(crate) fn reset(&mut self) {
+        self.records = 0;
+        self.bits.clear();
+        self.dense_unique = 0;
+        self.sparse.clear();
+        self.delivered = 0;
+        self.span = None;
     }
 
     /// Folds in one transmission (data or ACK — both bound the span).
     #[inline]
     pub(crate) fn record(&mut self, rec: &PacketRecord) {
+        self.records += 1;
         let last_event = rec.arrived_at.unwrap_or(rec.sent_at);
         self.span = Some(match self.span {
             Some((start, end)) => (start.min(rec.sent_at), end.max(last_event)),
@@ -92,15 +95,40 @@ impl ThroughputSweep {
             return;
         }
         self.delivered += 1;
-        if rec.seq < self.dense_limit {
-            let (word, bit) = ((rec.seq / 64) as usize, rec.seq % 64);
-            if self.bits[word] & (1 << bit) == 0 {
-                self.bits[word] |= 1 << bit;
-                self.dense_unique += 1;
-            }
+        let word = usize::try_from(rec.seq / 64).unwrap_or(usize::MAX);
+        if word < self.bits.len() || self.reach(word) {
+            self.mark(word, rec.seq % 64);
         } else {
             self.sparse.insert(rec.seq);
         }
+    }
+
+    /// Sets bit `bit` of word `word`, counting it the first time.
+    #[inline]
+    fn mark(&mut self, word: usize, bit: u64) {
+        if self.bits[word] & (1 << bit) == 0 {
+            self.bits[word] |= 1 << bit;
+            self.dense_unique += 1;
+        }
+    }
+
+    /// Grows the bitset to hold word `word`, moving in any spilled seq it
+    /// now covers, if that word is within [`dense_reach`] of the records
+    /// so far; false, and nothing grown, if it is not.
+    #[cold]
+    fn reach(&mut self, word: usize) -> bool {
+        let words = dense_reach(self.records).div_ceil(64);
+        if word >= words {
+            return false;
+        }
+        let len = (word + 1).max(2 * self.bits.len()).min(words);
+        self.bits.resize(len, 0);
+        let dense_seqs = len as u64 * 64;
+        let spilled: Vec<u64> = self.sparse.extract_if(|&s| s < dense_seqs).collect();
+        for seq in spilled {
+            self.mark((seq / 64) as usize, seq % 64);
+        }
+        true
     }
 
     /// Last event (send or arrival) folded in so far — the trace's
@@ -110,7 +138,7 @@ impl ThroughputSweep {
     }
 
     /// The measures of a flow whose segments carry `mss_bytes` of payload.
-    pub(crate) fn finish(self, mss_bytes: u32) -> Throughput {
+    pub(crate) fn finish(&self, mss_bytes: u32) -> Throughput {
         let duration = match self.span {
             Some((start, end)) => end.saturating_since(start),
             None => SimDuration::ZERO,
@@ -126,7 +154,7 @@ impl ThroughputSweep {
 
 /// Measures throughput for a flow.
 pub fn throughput(trace: &FlowTrace) -> Throughput {
-    let mut sweep = ThroughputSweep::new(trace.records.len());
+    let mut sweep = ThroughputSweep::default();
     for rec in &trace.records {
         sweep.record(rec);
     }

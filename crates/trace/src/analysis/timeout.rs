@@ -19,6 +19,7 @@
 //! * **`q̂`** — the loss rate of retransmissions inside timeout sequences,
 //!   the paper's `q` (measured at 27.26 % vs a lifetime 0.75 %).
 
+use super::dense_reach;
 use crate::record::{FlowTrace, PacketRecord};
 use hsm_simnet::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -223,12 +224,15 @@ const NEVER_SENT: u8 = 0;
 const LAST_COPY_LOST: u8 = 1;
 const LAST_COPY_ARRIVED: u8 = 2;
 
-/// The timeout fold, one data record at a time (in send order).
+/// The timeout fold, one data record at a time (in send order). Its
+/// columns keep their capacity across [`TimeoutSweep::reset`].
+#[derive(Debug, Default)]
 pub(crate) struct TimeoutSweep {
     silence_threshold: SimDuration,
     /// Fate of the latest transmission per seq, updated as we sweep.
-    /// Sequence numbers count from zero, so this is a dense byte slab with
-    /// a hash-map spillway for any pathological out-of-range seq.
+    /// Sequence numbers count from zero, so this is a dense byte slab,
+    /// grown as the seqs reach it, with a hash-map spillway for any seq
+    /// beyond [`dense_reach`]; a seq lives in exactly one of the two.
     last_copy_dense: Vec<u8>,
     last_copy_sparse: HashMap<u64, u8>,
     sequences: Vec<TimeoutSequence>,
@@ -239,27 +243,33 @@ pub(crate) struct TimeoutSweep {
 }
 
 impl TimeoutSweep {
-    /// A fold sized for a trace of `records` records.
-    pub(crate) fn new(records: usize, cfg: &TimeoutConfig) -> TimeoutSweep {
-        TimeoutSweep {
-            silence_threshold: cfg.silence_threshold,
-            last_copy_dense: vec![NEVER_SENT; records * 4 + 1024],
-            last_copy_sparse: HashMap::new(),
-            sequences: Vec::new(),
-            current: None,
-            prev_send: None,
-            last_data_send: None,
-            fast_retransmissions: 0,
-        }
+    /// An empty fold.
+    pub(crate) fn new(cfg: &TimeoutConfig) -> TimeoutSweep {
+        let mut sweep = TimeoutSweep::default();
+        sweep.reset(cfg);
+        sweep
+    }
+
+    /// Empties the fold for the next flow, detected under `cfg`.
+    pub(crate) fn reset(&mut self, cfg: &TimeoutConfig) {
+        self.silence_threshold = cfg.silence_threshold;
+        self.last_copy_dense.clear();
+        self.last_copy_sparse.clear();
+        self.sequences.clear();
+        self.current = None;
+        self.prev_send = None;
+        self.last_data_send = None;
+        self.fast_retransmissions = 0;
     }
 
     /// Folds in the data record at `trace.records[idx]`.
     #[inline]
     pub(crate) fn data(&mut self, idx: usize, rec: &PacketRecord) {
-        let dense = usize::try_from(rec.seq)
-            .ok()
-            .and_then(|seq| self.last_copy_dense.get_mut(seq));
-        let last_copy = match dense {
+        let seq = usize::try_from(rec.seq).unwrap_or(usize::MAX);
+        if seq >= self.last_copy_dense.len() {
+            self.reach(idx + 1, seq);
+        }
+        let last_copy = match self.last_copy_dense.get_mut(seq) {
             Some(dense) => dense,
             None => self.last_copy_sparse.entry(rec.seq).or_insert(NEVER_SENT),
         };
@@ -308,11 +318,32 @@ impl TimeoutSweep {
         self.prev_send = Some(rec.sent_at);
     }
 
+    /// Grows the dense slab to hold `seq`, moving in any spilled seq it
+    /// now covers, if `seq` is within [`dense_reach`] of the `records`
+    /// so far; else leaves it to the spillway.
+    #[cold]
+    fn reach(&mut self, records: usize, seq: usize) {
+        let reach = dense_reach(records);
+        if seq >= reach {
+            return;
+        }
+        let len = (seq + 1).max(2 * self.last_copy_dense.len()).min(reach);
+        let dense = &mut self.last_copy_dense;
+        dense.resize(len, NEVER_SENT);
+        self.last_copy_sparse.retain(|&s, &mut fate| {
+            let Some(slot) = usize::try_from(s).ok().and_then(|s| dense.get_mut(s)) else {
+                return true;
+            };
+            *slot = fate;
+            false
+        });
+    }
+
     /// The analysis, and the number of retransmissions that were not
     /// timeouts. `trace_end` is asked for the trace's last event only when
     /// the flow ended during a recovery phase.
     pub(crate) fn finish(
-        mut self,
+        &mut self,
         trace_end: impl FnOnce() -> Option<SimTime>,
     ) -> (TimeoutAnalysis, u32) {
         if let Some(mut seq) = self.current.take() {
@@ -320,7 +351,7 @@ impl TimeoutSweep {
             self.sequences.push(seq);
         }
         let analysis = TimeoutAnalysis {
-            sequences: self.sequences,
+            sequences: std::mem::take(&mut self.sequences),
         };
         (analysis, self.fast_retransmissions)
     }
@@ -328,7 +359,7 @@ impl TimeoutSweep {
 
 /// Runs the timeout analysis over a flow trace.
 pub fn analyze_timeouts(trace: &FlowTrace, cfg: &TimeoutConfig) -> TimeoutAnalysis {
-    let mut sweep = TimeoutSweep::new(trace.records.len(), cfg);
+    let mut sweep = TimeoutSweep::new(cfg);
     // Sweep data records in send order (the trace is kept send-sorted).
     for (idx, rec) in trace.records.iter().enumerate() {
         if !rec.is_ack {

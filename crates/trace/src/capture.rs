@@ -1,15 +1,17 @@
 //! Reading a simulator run as packet records.
 //!
-//! [`arena_records`] is the capture: it reads the engine's [`PacketArena`]
-//! — every packet's send-side facts and delivery time, one row each — as
-//! the [`PacketRecord`]s of one flow, in send order, without storing them.
-//! A campaign flow is analysed straight from it
-//! ([`analyze_records`](crate::summary::analyze_records)) and never holds a
-//! copy of its capture; [`trace_from_arena`] collects it into a
-//! [`FlowTrace`] for the callers that return one. It needs no recorder and
-//! is what single-hop runs use. The event folds ([`traces_from_events`]
-//! and friends) match each packet's `Sent` event with its terminal
-//! `Delivered`/`Dropped` event from a
+//! The engine's [`PacketArena`] is the capture: every packet's send-side
+//! facts and delivery time, one row each. [`flow_records`] reads rows as
+//! the [`PacketRecord`]s of one flow, in send order, without storing them:
+//! a single-flow run reads the rows that have landed
+//! ([`Engine::drain_settled`](hsm_simnet::engine::Engine::drain_settled))
+//! while it runs and the rest ([`PacketArena::iter`]) at its end, and the
+//! analysis ([`FlowFold`](crate::summary::FlowFold)) takes each record as
+//! it comes, so a campaign flow never holds a copy of its capture, nor its
+//! landed rows. [`trace_from_arena`] collects the rows of a finished run
+//! nobody drained into a [`FlowTrace`]. Neither needs a recorder. The
+//! event folds ([`traces_from_events`] and friends) match each packet's
+//! `Sent` event with its terminal `Delivered`/`Dropped` event from a
 //! [`VecRecorder`](hsm_simnet::observer::VecRecorder) stream — the
 //! equivalent of endpoint packet captures, needed for multi-hop wirings,
 //! and the reference the arena fold is tested against.
@@ -126,30 +128,29 @@ pub fn traces_from_events_filtered(
     flows
 }
 
-/// The records of `flow`, read straight from the engine's packet arena.
+/// The records of `flow` among `rows` — a packet arena's, from
+/// [`PacketArena::iter`] or [`PacketArena::drain_settled`] — in the order
+/// the rows come, without storing them.
 ///
 /// A row holds every fact a [`PacketRecord`] needs — the engine wrote the
 /// send side when the packet was stamped and the delivery time when it was
-/// handed over. Rows are in send order by construction: the engine mints
+/// handed over. Rows come in send order by construction: the engine mints
 /// ids as packets are sent, under a clock that never runs backwards, so
 /// the rows of `flow` are already sorted by `(sent_at, id)` — the order
-/// the event fold sorts its records into — and one pass over them is the
-/// whole fold; nothing is sorted or stored here. A row without a delivery
-/// time was dropped (by the channel or a full queue) or still in flight
-/// when the run stopped — all read as `arrived_at: None`, exactly as
-/// [`traces_from_events`] treats them.
-///
-/// The arena of a finished run stays readable until the engine's next
-/// reset, so the iterator can be taken more than once.
-pub fn arena_records(arena: &PacketArena, flow: u32) -> impl Iterator<Item = PacketRecord> + '_ {
-    arena
-        .iter()
-        .filter(move |(packet, _)| packet.flow.0 == flow)
+/// the event fold sorts its records into — and nothing is sorted or stored
+/// here. A row without a delivery time was dropped (by the channel or a
+/// full queue) or, read after the run stopped, still in flight — all read
+/// as `arrived_at: None`, exactly as [`traces_from_events`] treats them.
+pub fn flow_records(
+    flow: u32,
+    rows: impl Iterator<Item = (Packet, Option<SimTime>)>,
+) -> impl Iterator<Item = PacketRecord> {
+    rows.filter(move |(packet, _)| packet.flow.0 == flow)
         .map(|(packet, arrived_at)| record_of(&packet, packet.sent_at, arrived_at))
 }
 
-/// Builds a single-flow trace from the engine's packet arena: the
-/// [`arena_records`] of `flow`, collected.
+/// Builds a single-flow trace from the rows of a finished run's packet
+/// arena that nobody drained: the [`flow_records`] of `flow`, collected.
 ///
 /// Produces bit-identical traces to running [`single_flow_trace`] over a
 /// full [`VecRecorder`](hsm_simnet::observer::VecRecorder) stream of the
@@ -162,9 +163,9 @@ pub fn trace_from_arena(arena: &PacketArena, flow: u32, meta: FlowMeta) -> FlowT
     let mut trace = FlowTrace::new(flow, meta);
     // The flow's own count, not the arena's: the duplex and backup-path
     // rigs keep two flows in one arena.
-    let records = arena_records(arena, flow).count();
+    let records = flow_records(flow, arena.iter()).count();
     trace.records.reserve_exact(records);
-    trace.records.extend(arena_records(arena, flow));
+    trace.records.extend(flow_records(flow, arena.iter()));
     debug_assert!(
         trace.records.is_sorted_by_key(|r| (r.sent_at, r.id)),
         "arena rows of flow {flow} are not in send order",
@@ -260,9 +261,10 @@ mod tests {
     /// A two-flow run whose packets meet every fate — delivered, destroyed
     /// by the channel, refused by a full queue, still queued or in flight
     /// when the run stops — captured twice by the same engine: in its
-    /// arena (arrivals stamped by the `Deliver` arm) and as the full
-    /// `VecRecorder` event stream.
-    fn mixed_fate_run() -> (Engine, Vec<PacketEvent>) {
+    /// arena (arrivals stamped by the `Deliver` arm, drops marked at the
+    /// two drop sites) and as the full `VecRecorder` event stream.
+    /// `between` is handed the engine after each of its five runs.
+    fn mixed_fate_run(mut between: impl FnMut(&mut Engine)) -> (Engine, Vec<PacketEvent>) {
         let mut eng = Engine::new(1);
         let sink = eng.add_agent(Box::new(NullAgent::new()));
         let link = eng.add_link(
@@ -277,6 +279,7 @@ mod tests {
         eng.add_recorder(rec.clone());
         for round in 0..4u64 {
             eng.run_until(SimTime::from_millis(45 * round));
+            between(&mut eng);
             for i in 0..7 {
                 let seq = SeqNo(round * 7 + i);
                 eng.inject(link, Packet::data(FlowId(5), seq, i == 6));
@@ -288,12 +291,13 @@ mod tests {
         // Stop with the last burst half drained: packets in the queue, on
         // the wire and propagating.
         eng.run_until(SimTime::from_millis(45 * 3 + 27));
+        between(&mut eng);
         (eng, rec.take_events())
     }
 
     #[test]
     fn arena_fold_matches_event_fold_bit_for_bit() {
-        let (eng, events) = mixed_fate_run();
+        let (eng, events) = mixed_fate_run(|_| {});
         for flow in [5u32, 9] {
             let meta = FlowMeta {
                 provider: format!("p{flow}").into(),
@@ -308,10 +312,43 @@ mod tests {
         assert!(single_flow_trace(&events, 77, FlowMeta::default()).is_none());
     }
 
+    /// The same world, its settled rows drained after every run and the
+    /// rest read when it stops: the records equal the event fold's bit for
+    /// bit, and both drop sites settle their rows — the last drain stops
+    /// only at a packet still on its way.
+    #[test]
+    fn rows_drained_as_they_land_match_the_event_fold_bit_for_bit() {
+        let mut rows = Vec::new();
+        let (eng, events) = mixed_fate_run(|eng| eng.drain_settled(|landed| rows.extend(landed)));
+        let landed = |id: u64| {
+            let terminal = events.iter().filter(|e| e.kind != PacketEventKind::Sent);
+            terminal.map(|e| e.packet.id.0).any(|landed| landed == id)
+        };
+        let (first_left, _) = eng.arena().iter().next().expect("packets in flight");
+        assert!(!landed(first_left.id.0), "a landed row was left behind");
+        for cause in [DropCause::Channel, DropCause::QueueOverflow] {
+            let dropped = events
+                .iter()
+                .filter(|e| e.kind == PacketEventKind::Dropped(cause));
+            let drained = |e: &PacketEvent| rows.iter().any(|(p, _)| p.id == e.packet.id);
+            assert!(
+                dropped.clone().any(drained),
+                "no {cause:?} drop was drained"
+            );
+        }
+        rows.extend(eng.arena().iter());
+        assert_eq!(rows.len(), eng.arena().len());
+        for flow in [5u32, 9] {
+            let records: Vec<PacketRecord> = flow_records(flow, rows.iter().cloned()).collect();
+            let from_events = single_flow_trace(&events, flow, FlowMeta::default());
+            assert_eq!(Some(records), from_events.map(|t| t.records), "flow {flow}");
+        }
+    }
+
     #[test]
     fn interleaved_flows_read_from_one_arena_as_their_own_captures() {
         use crate::analysis::timeout::TimeoutConfig;
-        use crate::summary::{analyze_flow, analyze_records};
+        use crate::summary::{analyze_flow, FlowFold, FoldColumns};
 
         // Two whole flows — data, retransmissions and ACKs each — taking
         // turns on one link that never idles (the clock moves with its
@@ -360,9 +397,7 @@ mod tests {
         };
         for flow in [1u32, 2] {
             let meta = FlowMeta::default();
-            let records: Vec<PacketRecord> = arena_records(eng.arena(), flow).collect();
             let trace = trace_from_arena(eng.arena(), flow, meta.clone());
-            assert_eq!(records, trace.records, "flow {flow}");
             assert_eq!(
                 Some(&trace),
                 single_flow_trace(&events, flow, meta).as_ref()
@@ -373,8 +408,10 @@ mod tests {
 
             // A record's index is its place in its flow, not its arena row.
             let stored = analyze_flow(&trace, &cfg);
-            let rows = arena_records(eng.arena(), flow);
-            let read = analyze_records(flow, &trace.meta, eng.arena().len(), rows, &cfg);
+            let mut columns = FoldColumns::default();
+            let mut fold = FlowFold::new(&cfg, &mut columns);
+            fold.extend(flow_records(flow, eng.arena().iter()));
+            let read = fold.finish(flow, &trace.meta);
             assert_eq!(read.summary, stored.summary, "flow {flow}");
             assert_eq!(read.losses, stored.losses, "flow {flow}");
             assert_eq!(read.timeouts, stored.timeouts, "flow {flow}");
@@ -391,7 +428,7 @@ mod tests {
 
     #[test]
     fn undelivered_packets_of_every_kind_fold_to_lost() {
-        let (eng, events) = mixed_fate_run();
+        let (eng, events) = mixed_fate_run(|_| {});
         let ids = |kind: PacketEventKind| -> Vec<u64> {
             let of_kind = events.iter().filter(|e| e.kind == kind);
             of_kind.map(|e| e.packet.id.0).collect()

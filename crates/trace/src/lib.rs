@@ -3,8 +3,8 @@
 //! This crate plays the role of the paper's measurement toolchain
 //! (wireshark captures + offline analysis): it defines the dual-endpoint
 //! [`record::FlowTrace`] format, reads a simulator run as packet records —
-//! in place from the engine's packet arena, or folded into a trace
-//! ([`capture`]) — and implements every §III analysis:
+//! from the engine's packet arena as its packets land, or folded into a
+//! trace ([`capture`]) — and implements every §III analysis:
 //!
 //! * lifetime data/ACK loss rates ([`analysis::loss`]),
 //! * one-way delay scatter and RTT estimation ([`analysis::latency`],
@@ -15,9 +15,10 @@
 //!   in-recovery retransmission loss rate `q̂` ([`analysis::timeout`],
 //!   Figs. 2–3),
 //! * throughput/goodput ([`analysis::throughput`]),
-//! * a one-stop per-flow summary feeding the models
-//!   ([`summary::analyze_records`] over any record source,
-//!   [`summary::analyze_flow`] over a stored trace),
+//! * a one-stop per-flow summary feeding the models: one push fold
+//!   ([`summary::FlowFold`]) that a running flow feeds record by record,
+//!   and [`summary::analyze_records`] / [`summary::analyze_flow`], the same
+//!   fold over any record iterator or a stored trace,
 //! * CDFs / correlation statistics ([`stats`]) and CSV export
 //!   ([`export`]).
 //!
@@ -55,7 +56,7 @@ pub mod prelude {
         analyze_timeouts, TimeoutAnalysis, TimeoutConfig, TimeoutEvent, TimeoutSequence,
     };
     pub use crate::capture::{
-        arena_records, single_flow_trace, traces_from_events, traces_from_events_filtered,
+        flow_records, single_flow_trace, traces_from_events, traces_from_events_filtered,
     };
     pub use crate::export::{fnum, fpct, Table};
     pub use crate::record::{FlowMeta, FlowTrace, PacketRecord};
@@ -63,5 +64,7 @@ pub mod prelude {
         linear_fit, mean, mean_ci95, pearson, spearman, std_dev, Cdf, Histogram, LinearFit, MeanCi,
     };
     pub use crate::store::{load_traces, save_traces, ReadDatasetError};
-    pub use crate::summary::{analyze_flow, analyze_records, FlowAnalysis, FlowSummary};
+    pub use crate::summary::{
+        analyze_flow, analyze_records, FlowAnalysis, FlowFold, FlowSummary, FoldColumns,
+    };
 }

@@ -1,14 +1,15 @@
 //! Per-flow measurement summary — every quantity the throughput models
-//! need, extracted from a flow's packet records by one call.
-//! [`analyze_records`] reads each record once, from any source that yields
-//! them in send order: one sweep advances every `analysis` module's
-//! per-record step together (loss counts, the timeout state machine,
-//! latencies for the RTT medians, deliveries and the flow's time span) and
-//! keeps `sent_at` and `lost` of each ACK; one pass over that list then
-//! forms the ACK rounds, whose gap is half the RTT the sweep has just
-//! measured. A campaign flow feeds it the engine's packet arena
-//! ([`arena_records`](crate::capture::arena_records)) and never stores its
-//! capture; [`analyze_flow`] feeds it a stored [`FlowTrace`]. The
+//! need, extracted from a flow's packet records by one fold.
+//! [`FlowFold`] takes each record once, in send order, as it becomes
+//! final: one sweep advances every `analysis` module's per-record step
+//! together (loss counts, the timeout state machine, latencies for the RTT
+//! medians, deliveries and the flow's time span) and keeps `sent_at` and
+//! `lost` of each ACK; its finish then forms the ACK rounds, whose gap is
+//! half the RTT the sweep has measured. A campaign flow pushes the records
+//! the engine's packet arena drains while the flow runs
+//! ([`flow_records`](crate::capture::flow_records)) and never stores its
+//! capture; [`analyze_records`] runs the same fold over any record
+//! iterator and [`analyze_flow`] over a stored [`FlowTrace`]. The
 //! stand-alone functions of the `analysis` modules fold a trace through
 //! the same steps, one analysis at a time.
 
@@ -142,115 +143,188 @@ pub struct FlowAnalysis {
 /// over its stored records.
 pub fn analyze_flow(trace: &FlowTrace, cfg: &TimeoutConfig) -> FlowAnalysis {
     let records = trace.records.iter().copied();
-    analyze_records(trace.flow, &trace.meta, trace.records.len(), records, cfg)
+    analyze_records(trace.flow, &trace.meta, records, cfg)
 }
 
 /// Runs the full measurement pipeline over the records of flow `flow`,
-/// read once, in send order, from wherever they are kept.
-///
-/// `len_hint` sizes the sweep's working columns — the number of records
-/// when the source knows it, an upper bound otherwise (it moves no
-/// result). A record's index — what
+/// read once, in send order, from wherever they are kept: a [`FlowFold`]
+/// over fresh columns, fed the iterator. A record's index — what
 /// [`TimeoutEvent::retx_idx`](crate::analysis::timeout::TimeoutEvent::retx_idx)
 /// names — is its position in `records`.
 pub fn analyze_records(
     flow: u32,
     meta: &FlowMeta,
-    len_hint: usize,
     records: impl Iterator<Item = PacketRecord>,
     cfg: &TimeoutConfig,
 ) -> FlowAnalysis {
-    let mut losses = LossRates::default();
-    let mut timeouts = TimeoutSweep::new(len_hint, cfg);
-    let mut rtt = RttSweep::new(len_hint);
-    let mut tp = ThroughputSweep::new(len_hint);
+    let mut columns = FoldColumns::default();
+    let mut fold = FlowFold::new(cfg, &mut columns);
+    fold.extend(records);
+    fold.finish(flow, meta)
+}
+
+/// The working columns of a [`FlowFold`]: every per-record fact the
+/// analysis keeps until the flow's last record. A fold empties them when
+/// it starts and leaves their capacity behind, so a caller that holds one
+/// `FoldColumns` across many flows stops allocating once it has folded
+/// its longest.
+#[derive(Debug, Default)]
+pub struct FoldColumns {
+    timeouts: TimeoutSweep,
+    rtt: RttSweep,
+    tp: ThroughputSweep,
     // Rounds wait for the RTT (their gap), which waits for the last
     // record: keep the two facts a round needs of each ACK, a column each
     // (9 bytes an ACK; a receiver sends at most one ACK per segment).
-    let mut ack_sent_at: Vec<SimTime> = Vec::with_capacity(len_hint / 2);
-    let mut ack_lost: Vec<bool> = Vec::with_capacity(len_hint / 2);
-    for (idx, rec) in records.enumerate() {
-        losses.record(&rec);
-        rtt.record(&rec);
-        tp.record(&rec);
-        if rec.is_ack {
-            ack_sent_at.push(rec.sent_at);
-            ack_lost.push(rec.lost());
-        } else {
-            timeouts.data(idx, &rec);
+    ack_sent_at: Vec<SimTime>,
+    ack_lost: Vec<bool>,
+}
+
+/// The measurement pipeline as a push fold: [`FlowFold::push`] takes a
+/// flow's records one at a time, in send order, as they become final —
+/// straight from the engine's packet arena while the flow still runs —
+/// or `extend` a batch of them, and [`FlowFold::finish`] turns them into
+/// the [`FlowAnalysis`].
+///
+/// One sweep advances every `analysis` module's per-record step together
+/// (loss counts, the timeout state machine, latencies for the RTT
+/// medians, deliveries and the flow's time span) and keeps `sent_at` and
+/// `lost` of each ACK; the finish then forms the ACK rounds, whose gap is
+/// half the RTT the sweep has measured.
+#[derive(Debug)]
+pub struct FlowFold<'a> {
+    columns: &'a mut FoldColumns,
+    losses: LossRates,
+    /// Records pushed so far: the next one's index.
+    records: usize,
+}
+
+impl<'a> FlowFold<'a> {
+    /// An empty fold for a flow whose timeouts are detected under `cfg`,
+    /// working in `columns` (emptied here, their capacity kept).
+    pub fn new(cfg: &TimeoutConfig, columns: &'a mut FoldColumns) -> FlowFold<'a> {
+        columns.timeouts.reset(cfg);
+        columns.rtt.reset();
+        columns.tp.reset();
+        columns.ack_sent_at.clear();
+        columns.ack_lost.clear();
+        FlowFold {
+            columns,
+            losses: LossRates::default(),
+            records: 0,
         }
     }
-    // A retransmission is an RTO's or a fast one: the second count is the
-    // loss indications that were not timeouts.
-    let (timeouts, fast_rtx) = timeouts.finish(|| tp.end());
-    let tp = tp.finish(meta.mss_bytes);
-    let rtt = rtt.finish().unwrap_or(SimDuration::from_millis(60));
 
-    // Round gap: half an RTT separates one round's ACK burst from the next.
-    let gap = SimDuration::from_secs_f64(rtt.as_secs_f64() * 0.5);
-    // P_a is a congestion-avoidance quantity: exclude rounds that start in
-    // a recovery phase. The phases are sorted and disjoint — a sequence's
-    // `ca_end` is a new-data send no earlier than the one that closed the
-    // sequence before it at `recovery_end`.
-    let mut recovery = WindowWalk::new(
-        timeouts
-            .sequences
-            .iter()
-            .map(|s| (s.ca_end, s.recovery_end)),
-    );
-    let mut bursts = BurstSweep::new(gap, |round_start| recovery.contains(round_start));
-    for (&sent_at, &lost) in ack_sent_at.iter().zip(&ack_lost) {
-        bursts.ack(sent_at, lost);
+    /// Folds in the flow's next record.
+    pub fn push(&mut self, rec: PacketRecord) {
+        self.extend(std::iter::once(rec));
     }
-    let ack_bursts = bursts.finish();
 
-    let summary = FlowSummary {
-        flow,
-        provider: meta.provider.clone(),
-        scenario: meta.scenario.clone(),
-        rtt_s: rtt.as_secs_f64(),
-        p_d: losses.data_loss_rate(),
-        data_sent: losses.data_sent,
-        p_a: losses.ack_loss_rate(),
-        p_a_burst: ack_bursts.burst_loss_rate(),
-        acks_per_round: ack_bursts.mean_acks_per_round,
-        q_hat: timeouts.q_hat(),
-        timeouts: timeouts.total_timeouts(),
-        spurious_timeouts: timeouts.spurious_timeouts(),
-        timeout_sequences: timeouts.sequences.len() as u32,
-        mean_recovery_s: timeouts
-            .mean_recovery()
-            .map(|d| d.as_secs_f64())
-            .unwrap_or(0.0),
-        // Median, not mean: first-RTO samples are heavy-tailed (a single
-        // post-RTT-spike timer can be 10× the rest) and `T` must be the
-        // typical timer at ladder start.
-        t_rto_s: timeouts
-            .median_first_rto()
-            .map(|d| d.as_secs_f64())
-            .unwrap_or(0.0),
-        loss_indications: timeouts.sequences.len() as u32 + fast_rtx,
-        fast_retransmissions: fast_rtx,
-        w_m: meta.w_m,
-        b: meta.b,
-        throughput_sps: tp.segments_per_sec(),
-        goodput_sps: tp.goodput_segments_per_sec(),
-        duration_s: tp.duration_s,
-    };
-    // A spurious timeout is a *kind* of timeout; the classifier can never
-    // find more of them than timeouts total.
-    debug_assert!(
-        summary.spurious_timeouts <= summary.timeouts,
-        "metrics invariant violated: {} spurious timeouts > {} timeouts",
-        summary.spurious_timeouts,
-        summary.timeouts,
-    );
-    FlowAnalysis {
-        summary,
-        losses,
-        timeouts,
-        ack_bursts,
-        throughput: tp,
+    /// The analysis of flow `flow`, recorded under `meta`, from every
+    /// record pushed.
+    pub fn finish(self, flow: u32, meta: &FlowMeta) -> FlowAnalysis {
+        let FlowFold {
+            columns, losses, ..
+        } = self;
+        // A retransmission is an RTO's or a fast one: the second count is the
+        // loss indications that were not timeouts.
+        let tp = &columns.tp;
+        let (timeouts, fast_rtx) = columns.timeouts.finish(|| tp.end());
+        let tp = tp.finish(meta.mss_bytes);
+        let rtt = columns.rtt.finish().unwrap_or(SimDuration::from_millis(60));
+
+        // Round gap: half an RTT separates one round's ACK burst from the next.
+        let gap = SimDuration::from_secs_f64(rtt.as_secs_f64() * 0.5);
+        // P_a is a congestion-avoidance quantity: exclude rounds that start in
+        // a recovery phase. The phases are sorted and disjoint — a sequence's
+        // `ca_end` is a new-data send no earlier than the one that closed the
+        // sequence before it at `recovery_end`.
+        let mut recovery = WindowWalk::new(
+            timeouts
+                .sequences
+                .iter()
+                .map(|s| (s.ca_end, s.recovery_end)),
+        );
+        let mut bursts = BurstSweep::new(gap, |round_start| recovery.contains(round_start));
+        for (&sent_at, &lost) in columns.ack_sent_at.iter().zip(&columns.ack_lost) {
+            bursts.ack(sent_at, lost);
+        }
+        let ack_bursts = bursts.finish();
+
+        let summary = FlowSummary {
+            flow,
+            provider: meta.provider.clone(),
+            scenario: meta.scenario.clone(),
+            rtt_s: rtt.as_secs_f64(),
+            p_d: losses.data_loss_rate(),
+            data_sent: losses.data_sent,
+            p_a: losses.ack_loss_rate(),
+            p_a_burst: ack_bursts.burst_loss_rate(),
+            acks_per_round: ack_bursts.mean_acks_per_round,
+            q_hat: timeouts.q_hat(),
+            timeouts: timeouts.total_timeouts(),
+            spurious_timeouts: timeouts.spurious_timeouts(),
+            timeout_sequences: timeouts.sequences.len() as u32,
+            mean_recovery_s: timeouts
+                .mean_recovery()
+                .map(|d| d.as_secs_f64())
+                .unwrap_or(0.0),
+            // Median, not mean: first-RTO samples are heavy-tailed (a single
+            // post-RTT-spike timer can be 10× the rest) and `T` must be the
+            // typical timer at ladder start.
+            t_rto_s: timeouts
+                .median_first_rto()
+                .map(|d| d.as_secs_f64())
+                .unwrap_or(0.0),
+            loss_indications: timeouts.sequences.len() as u32 + fast_rtx,
+            fast_retransmissions: fast_rtx,
+            w_m: meta.w_m,
+            b: meta.b,
+            throughput_sps: tp.segments_per_sec(),
+            goodput_sps: tp.goodput_segments_per_sec(),
+            duration_s: tp.duration_s,
+        };
+        // A spurious timeout is a *kind* of timeout; the classifier can never
+        // find more of them than timeouts total.
+        debug_assert!(
+            summary.spurious_timeouts <= summary.timeouts,
+            "metrics invariant violated: {} spurious timeouts > {} timeouts",
+            summary.spurious_timeouts,
+            summary.timeouts,
+        );
+        FlowAnalysis {
+            summary,
+            losses,
+            timeouts,
+            ack_bursts,
+            throughput: tp,
+        }
+    }
+}
+
+/// Folds in the flow's next records, in order: the sweep's loop, which
+/// inlines every per-record step, so a batch costs no call per record.
+impl Extend<PacketRecord> for FlowFold<'_> {
+    fn extend<I: IntoIterator<Item = PacketRecord>>(&mut self, records: I) {
+        let FlowFold {
+            columns,
+            losses,
+            records: next,
+        } = self;
+        // `for_each`, not `for`: an adapter chain (filter, map) then folds
+        // inside one loop instead of returning each record through `next`.
+        records.into_iter().for_each(|rec| {
+            losses.record(&rec);
+            columns.rtt.record(&rec);
+            columns.tp.record(&rec);
+            if rec.is_ack {
+                columns.ack_sent_at.push(rec.sent_at);
+                columns.ack_lost.push(rec.lost());
+            } else {
+                columns.timeouts.data(*next, &rec);
+            }
+            *next += 1;
+        });
     }
 }
 
@@ -555,6 +629,50 @@ mod tests {
             .collect();
         assert_eq!(verdicts, [true, false]);
         assert_eq!(a.throughput.unique_segments_delivered, 2);
+    }
+
+    #[test]
+    fn a_seq_spilled_before_the_dense_slab_reached_it_keeps_one_fate() {
+        // Seq 3000 comes first, past the slab's reach of one record, and
+        // spills; 601 new segments later the slab grows over it. Its RTO
+        // retransmission must still see the first copy arrived, and its
+        // delivery must not count a second unique segment.
+        let mut records = vec![data(3000, 0, true, false)];
+        records.extend((0..=600).map(|seq| data(seq, 1 + seq, true, false)));
+        records.push(data(3000, 2000, true, true));
+        let a = assert_sweep_matches_parts(&trace_of(records));
+        assert_eq!(a.timeouts.total_timeouts(), 1);
+        assert_eq!(a.timeouts.spurious_timeouts(), 1);
+        assert_eq!(a.throughput.segments_delivered, 603);
+        assert_eq!(a.throughput.unique_segments_delivered, 602);
+    }
+
+    /// Columns kept from one flow to the next carry none of its facts: a
+    /// flow that opens with an RTO retransmission of a seq the last flow
+    /// delivered sees no copy of it, and counts its own delivery. Pushed
+    /// one record at a time, the fold equals `analyze_flow`'s batch.
+    #[test]
+    fn a_fold_on_kept_columns_forgets_the_last_flow() {
+        let cfg = TimeoutConfig::default();
+        let mut columns = FoldColumns::default();
+        let first = trace_of((0..4).map(|seq| data(seq, seq, true, false)).collect());
+        let second = trace_of(vec![
+            data(9, 0, true, false),
+            data(2, 900, true, true),
+            data(10, 950, true, false),
+        ]);
+        for trace in [&first, &second] {
+            let mut fold = FlowFold::new(&cfg, &mut columns);
+            trace.records.iter().for_each(|&rec| fold.push(rec));
+            let kept = fold.finish(trace.flow, &trace.meta);
+            let fresh = analyze_flow(trace, &cfg);
+            assert_eq!(kept.summary, fresh.summary);
+            assert_eq!(kept.timeouts, fresh.timeouts);
+            assert_eq!(kept.throughput, fresh.throughput);
+        }
+        let second = analyze_flow(&second, &cfg);
+        assert_eq!(second.timeouts.spurious_timeouts(), 0);
+        assert_eq!(second.throughput.unique_segments_delivered, 3);
     }
 
     #[test]

@@ -4,13 +4,20 @@
 //! chunks that outlive a clear, and escapes any value too wide for the row
 //! (a size of 2^16 bytes or more, a tag of 2^8 or more, a flight of
 //! `u32::MAX` µs or more, a delivery before the send) to a side table.
+//! It also hands its settled rows — delivered or marked dropped — to a
+//! drain, in id order up to the first unsettled one, and recycles every
+//! chunk the drain empties behind the one being filled.
 //! The model is the contract with none of that: a `Vec` of
-//! `(Packet, Option<SimTime>)` in id order, where a push appends, a
-//! delivery overwrites the arrival and a clear empties it. So: feed
-//! randomized push / delivery / clear interleavings over several flows to
-//! both, with values that take every escape and row counts that cross
-//! several chunk boundaries, and assert they agree on `len`, `get` and
-//! `iter` after every step. Any divergence is an arena bug by definition.
+//! `(Packet, Option<SimTime>)` in id order with a settled flag each and a
+//! drained prefix, where a push appends, a delivery overwrites the arrival
+//! and settles, a drop settles, a drain hands over the settled rows past
+//! the prefix and extends it, and a clear empties it. So: feed randomized
+//! push / delivery / drop / drain / clear interleavings over several flows
+//! to both, with values that take every escape and row counts that cross
+//! several chunk boundaries, and assert they agree on what each drain
+//! hands over and on `len`, `get` and `iter` after every step, and that
+//! `get` and `deliver` of a drained id panic. Any divergence is an arena
+//! bug by definition.
 
 use hsm_simnet::arena::PacketArena;
 use hsm_simnet::packet::{FlowId, Packet, PacketId, SeqNo};
@@ -34,6 +41,14 @@ enum Op {
     Deliver { k: usize, flight: u64, early: bool },
     /// Deliver the `k`-th packet at `SimTime::MAX`.
     DeliverAtMax { k: usize },
+    /// Mark the `k`-th packet dropped.
+    Drop { k: usize },
+    /// Settle the `n` oldest packets not drained, in id order, `flight`
+    /// µs after their sends: every third one is dropped instead — the bulk
+    /// that lets a drain empty whole chunks.
+    Land { n: usize, flight: u64 },
+    /// Drain the settled prefix.
+    Drain,
     /// Forget everything; ids restart at 0.
     Clear,
 }
@@ -111,6 +126,10 @@ fn arb_op() -> impl Strategy<Value = Op> {
             early: e == 0
         }),
         (0usize..1 << 16).prop_map(|k| Op::DeliverAtMax { k }),
+        (0usize..1 << 16).prop_map(|k| Op::Drop { k }),
+        (1usize..2_000, arb_flight()).prop_map(|(n, flight)| Op::Land { n, flight }),
+        Just(Op::Drain),
+        Just(Op::Drain),
         Just(Op::Clear),
     ]
 }
@@ -120,6 +139,10 @@ fn arb_op() -> impl Strategy<Value = Op> {
 struct Pair {
     arena: PacketArena,
     model: Vec<(Packet, Option<SimTime>)>,
+    /// Whether each of the model's packets was delivered or dropped.
+    settled: Vec<bool>,
+    /// The model's rows below this id were drained.
+    drained: usize,
     /// The most rows the arena has held, so ids of rows a clear left
     /// behind in its chunks can be probed.
     high_water: usize,
@@ -133,18 +156,40 @@ impl Pair {
         assert_eq!(self.arena.push(&packet), id, "id is not the row index");
         packet.id = id;
         self.model.push((packet, None));
+        self.settled.push(false);
         self.high_water = self.high_water.max(self.model.len());
     }
 
+    /// The id of the `k`-th (mod their count) packet not drained.
+    fn undrained(&self, k: usize) -> Option<usize> {
+        let left = self.model.len() - self.drained;
+        (left > 0).then(|| self.drained + k % left)
+    }
+
     fn deliver(&mut self, k: usize, at: impl Fn(SimTime) -> SimTime) {
-        if self.model.is_empty() {
-            return;
-        }
-        let i = k % self.model.len();
+        let Some(i) = self.undrained(k) else { return };
         let (packet, arrived_at) = &mut self.model[i];
         let at = at(packet.sent_at);
         *arrived_at = Some(at);
+        self.settled[i] = true;
         assert_eq!(self.arena.deliver(packet.id, at), *packet, "deliver");
+    }
+
+    fn drop_packet(&mut self, k: usize) {
+        let Some(i) = self.undrained(k) else { return };
+        self.settled[i] = true;
+        self.arena.drop_packet(PacketId(i as u64));
+    }
+
+    /// Drains both; they must hand over the same rows.
+    fn drain(&mut self) {
+        let mut got = Vec::new();
+        self.arena.drain_settled(|rows| got.extend(rows));
+        let start = self.drained;
+        while self.drained < self.model.len() && self.settled[self.drained] {
+            self.drained += 1;
+        }
+        assert_eq!(got, self.model[start..self.drained], "drained rows");
     }
 
     fn apply(&mut self, op: Op) {
@@ -166,26 +211,45 @@ impl Pair {
                 })
             }),
             Op::DeliverAtMax { k } => self.deliver(k, |_| SimTime::MAX),
+            Op::Drop { k } => self.drop_packet(k),
+            Op::Land { n, flight } => {
+                for i in 0..n.min(self.model.len() - self.drained) {
+                    if i % 3 == 2 {
+                        self.drop_packet(i);
+                    } else {
+                        self.deliver(i, |sent| {
+                            SimTime::from_micros(sent.as_micros().saturating_add(flight))
+                        });
+                    }
+                }
+            }
+            Op::Drain => self.drain(),
             Op::Clear => {
                 self.arena.clear();
                 self.model.clear();
+                self.settled.clear();
+                self.drained = 0;
             }
         }
         self.check();
         self.stale_ids_panic();
+        self.drained_ids_panic();
     }
 
-    /// `len`, `iter` and `get` agree with the model: `get` at the rows
-    /// around every chunk boundary and at the last row.
+    /// `len`, `iter` and `get` agree with the model: `iter` over the rows
+    /// not drained, `get` at those around every chunk boundary, at the
+    /// first and at the last.
     fn check(&self) {
         assert_eq!(self.arena.len(), self.model.len(), "len");
         assert_eq!(self.arena.is_empty(), self.model.is_empty());
-        assert!(self.arena.iter().eq(self.model.iter().cloned()), "iter");
+        let left = self.model[self.drained..].iter().cloned();
+        assert!(self.arena.iter().eq(left), "iter");
         let probes = (CHUNK..=self.model.len())
             .step_by(CHUNK)
             .flat_map(|edge| [edge - 1, edge])
+            .chain([self.drained])
             .chain(self.model.len().checked_sub(1));
-        for i in probes.filter(|&i| i < self.model.len()) {
+        for i in probes.filter(|&i| (self.drained..self.model.len()).contains(&i)) {
             let id = PacketId(i as u64);
             assert_eq!(self.arena.get(id), self.model[i].0, "get row {i}");
         }
@@ -207,6 +271,21 @@ impl Pair {
             assert!(catch_unwind(AssertUnwindSafe(|| arena.deliver(stale, at))).is_err());
         }
         assert_eq!(self.arena.len(), len, "a refused delivery moved the arena");
+    }
+
+    /// Drained ids — the first, the last, and those around every chunk
+    /// boundary between — are gone: reading or delivering one must panic,
+    /// whether its chunk was recycled or still holds its row.
+    fn drained_ids_panic(&mut self) {
+        let drained = self.drained;
+        let edges = (CHUNK..=drained).step_by(CHUNK).flat_map(|e| [e - 1, e]);
+        let probes = [0, drained.saturating_sub(1)].into_iter().chain(edges);
+        for id in probes.filter(|&id| id < drained) {
+            let (arena, id) = (&mut self.arena, PacketId(id as u64));
+            assert!(catch_unwind(AssertUnwindSafe(|| arena.get(id))).is_err());
+            let at = SimTime::from_micros(1);
+            assert!(catch_unwind(AssertUnwindSafe(|| arena.deliver(id, at))).is_err());
+        }
     }
 }
 

@@ -1,9 +1,10 @@
-//! A summary run's packets cost their 32-byte arena rows and the analysis
-//! columns, nothing more. Measured from outside the allocator, as the rise
-//! of the process's resident high-water mark over one 120-s high-speed
-//! flow: the rows are written once into fixed chunks, never copied into a
-//! larger block, so the rise per packet stays below what 48-byte rows in
-//! a doubling `Vec` cost.
+//! A summary run's packets cost the analysis columns, nothing more: their
+//! 32-byte arena rows are drained into the analysis as the packets land
+//! and their chunks reused, so the rows held at once are those in flight.
+//! Measured from outside the allocator, as the rise of the process's
+//! resident high-water mark over one 120-s high-speed flow: the rise per
+//! packet stays below what the rows alone would cost if the flow kept
+//! them all.
 //!
 //! One test, so nothing else runs in this process while it measures.
 
@@ -22,10 +23,10 @@ fn high_water_mark() -> usize {
     kib.and_then(|k| k.parse::<usize>().ok()).expect("VmHWM") * 1024
 }
 
-/// Resident bytes a summary run may add per packet: a 32-byte row plus
-/// the analysis sweep's columns measure 47–55 (48-byte rows measured
-/// 65–69).
-const BYTES_PER_PACKET: usize = 60;
+/// Resident bytes a summary run may add per packet: the analysis fold's
+/// columns alone measure 25–28 (every 32-byte row kept to the end of the
+/// run, on top of them, measured 47–55; 48-byte rows 65–69).
+const BYTES_PER_PACKET: usize = 32;
 
 #[test]
 fn a_summary_run_holds_its_packets_in_32_byte_rows() {

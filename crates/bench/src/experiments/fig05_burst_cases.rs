@@ -33,7 +33,6 @@ fn run_case(w_m: u32, outage_ms: (u64, u64), segments: u64) -> ScriptedRun {
     };
     let rcfg = ReceiverConfig {
         b: 1,
-        delack_timeout: SimDuration::from_millis(100),
         adaptive: None,
     };
     let tx = eng.add_agent(Box::new(RenoSender::new(FlowId(0), placeholder, scfg)));

@@ -26,7 +26,6 @@ fn run_case(up_loss_during_window: f64) -> ScriptedRun {
     };
     let rcfg = ReceiverConfig {
         b: 1,
-        delack_timeout: SimDuration::from_millis(100),
         adaptive: None,
     };
     let tx = eng.add_agent(Box::new(RenoSender::new(FlowId(0), placeholder, scfg)));

@@ -65,8 +65,8 @@ pub use engine::{
 };
 pub use error::{CacheError, EngineError};
 pub use shard::{
-    merge_shards, read_shard_report, run_shard, shard_file_name, shard_indices, shard_len,
-    write_shard_report, CampaignResult, ShardReport,
+    merge_shards, read_shard_report, run_shard, shard_file_name, write_shard_report,
+    CampaignResult, ShardReport,
 };
 
 /// Convenient glob-import surface: `use hsm_runtime::prelude::*;`.
@@ -77,9 +77,9 @@ pub mod prelude {
         CampaignReport, FlowRun,
     };
     pub use crate::error::{CacheError, EngineError};
-    pub use crate::parallel::{par_map, par_map_workers, try_par_map_workers};
+    pub use crate::parallel::{par_map, par_map_workers};
     pub use crate::shard::{
-        merge_shards, read_shard_report, run_shard, shard_file_name, shard_indices, shard_len,
-        write_shard_report, CampaignResult, ShardReport,
+        merge_shards, read_shard_report, run_shard, shard_file_name, write_shard_report,
+        CampaignResult, ShardReport,
     };
 }

@@ -1,10 +1,10 @@
-//! Parallel repetition helpers (promoted from `hsm-bench`).
+//! The crate's one worker pool, and the index-ordered parallel map on it.
 //!
-//! Repetition-based experiments (Fig. 12, the extension ablations) average
-//! over many independent simulated rides; this fans the rides out over CPU
-//! cores, preserving determinism (each ride is a pure function of its
-//! index and results are re-assembled in index order — so the numbers are
-//! bit-identical for any worker count).
+//! [`Campaign`](crate::engine::Campaign) runs its flows on the pool;
+//! repetition-based experiments (Fig. 12, the extension ablations) average
+//! over many independent simulated rides with [`par_map`]. Either way each
+//! job is a pure function of its index and results are re-assembled in
+//! index order, so the numbers are bit-identical for any worker count.
 
 use crate::error::EngineError;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -24,32 +24,19 @@ pub fn par_map<T: Send>(n: u64, f: impl Fn(u64) -> T + Sync) -> Vec<T> {
 ///
 /// # Panics
 ///
-/// Panics in the *calling* thread when a worker is lost (see
-/// [`try_par_map_workers`] for the fallible twin, which reports the loss
-/// as an error instead).
+/// Panics in the *calling* thread when a worker is lost: a panic inside
+/// `f` is caught in its worker, the remaining workers stop instead of
+/// draining the index space, and the loss ([`EngineError::WorkerLost`]) is
+/// raised here as one panic.
 pub fn par_map_workers<T: Send>(n: u64, workers: usize, f: impl Fn(u64) -> T + Sync) -> Vec<T> {
-    try_par_map_workers(n, workers, f).unwrap_or_else(|e| panic!("parallel map failed: {e}"))
-}
-
-/// Fallible [`par_map_workers`]: a worker that panics inside `f` counts as
-/// lost — the panic is caught in the worker, the remaining workers abort
-/// instead of draining the index space, and the panic is never re-raised
-/// in the calling thread.
-///
-/// # Errors
-///
-/// Returns [`EngineError::WorkerLost`] when an index ends up without a
-/// result — a worker panicked or disappeared without producing it.
-pub fn try_par_map_workers<T: Send>(
-    n: u64,
-    workers: usize,
-    f: impl Fn(u64) -> T + Sync,
-) -> Result<Vec<T>, EngineError> {
     let job = |(): &mut (), _, i: usize, slot: Slot<'_, T>| {
         slot.fill(f(i as u64));
         Ok(())
     };
-    run_pool(n as usize, workers, || (), job).map(|pooled| pooled.results)
+    match run_pool(n as usize, workers, || (), job) {
+        Ok(pooled) => pooled.results,
+        Err(e) => panic!("parallel map failed: {e}"),
+    }
 }
 
 /// Where a job of [`run_pool`] writes its result: a one-shot handle over
@@ -246,10 +233,31 @@ mod tests {
         }
     }
 
+    /// The pool under [`par_map_workers`], with its error returned instead
+    /// of raised.
+    fn map(
+        n: usize,
+        workers: usize,
+        f: impl Fn(usize) -> usize + Sync,
+    ) -> Result<Vec<usize>, EngineError> {
+        let job = |(): &mut (), _, i, slot: Slot<'_, usize>| {
+            slot.fill(f(i));
+            Ok(())
+        };
+        run_pool(n, workers, || (), job).map(|pooled| pooled.results)
+    }
+
     #[test]
-    fn fallible_twin_succeeds_on_the_happy_path() {
-        let out = try_par_map_workers(10, 3, |i| i + 1).expect("no worker loss");
-        assert_eq!(out, (1..=10).collect::<Vec<_>>());
+    fn a_lost_worker_panics_in_the_caller() {
+        let lost = std::panic::catch_unwind(|| {
+            par_map_workers(8, 2, |i| {
+                if i == 5 {
+                    panic!("chaos: worker death");
+                }
+                i
+            })
+        });
+        assert!(lost.is_err());
     }
 
     /// A panic on the *last* slot: every other slot is already filled, so
@@ -257,7 +265,7 @@ mod tests {
     /// structured error rather than a propagated panic.
     #[test]
     fn panic_on_the_last_slot_surfaces_as_worker_lost() {
-        let err = try_par_map_workers(8, 3, |i| {
+        let err = map(8, 3, |i| {
             if i == 7 {
                 panic!("chaos: worker death on the last slot");
             }
@@ -273,7 +281,7 @@ mod tests {
     #[test]
     fn two_workers_panicking_concurrently_is_deterministically_lost() {
         for round in 0..20 {
-            let err = try_par_map_workers(16, 4, |i| {
+            let err = map(16, 4, |i| {
                 if i == 2 || i == 11 {
                     panic!("chaos: concurrent worker death");
                 }
@@ -302,7 +310,7 @@ mod tests {
     fn a_panic_on_the_caller_is_worker_lost() {
         for workers in [1, 2, 4] {
             for round in 0..20 {
-                let err = try_par_map_workers(16, workers, |i| {
+                let err = map(16, workers, |i| {
                     if i == 0 {
                         panic!("chaos: the calling worker dies");
                     }
@@ -386,8 +394,7 @@ mod tests {
     fn concurrent_worker_errors_resolve_lowest_index_first() {
         for round in 0..20 {
             let out: Vec<Result<u64, u64>> =
-                try_par_map_workers(16, 4, |i| if i == 3 || i == 12 { Err(i) } else { Ok(i) })
-                    .expect("errors are values, no worker is lost");
+                par_map_workers(16, 4, |i| if i == 3 || i == 12 { Err(i) } else { Ok(i) });
             let first_err = out.iter().find_map(|r| r.as_ref().err());
             assert_eq!(first_err, Some(&3), "round {round}");
         }

@@ -73,16 +73,15 @@ pub struct CampaignResult {
 }
 
 /// Campaign indices owned by shard `shard` of `shards`: the round-robin
-/// slice `{shard, shard + shards, ...}` below `total`.
-pub fn shard_indices(total: usize, shard: usize, shards: usize) -> impl Iterator<Item = usize> {
-    (shard..total).step_by(shards.max(1))
+/// slice `{shard, shard + shards, ...}` below `total`. Defined for
+/// `shard < shards` only, which both callers check first.
+fn shard_indices(total: usize, shard: usize, shards: usize) -> impl Iterator<Item = usize> {
+    (shard..total).step_by(shards)
 }
 
-/// Number of flows shard `shard` of `shards` owns out of `total`.
-pub fn shard_len(total: usize, shard: usize, shards: usize) -> usize {
-    if shards == 0 {
-        return 0;
-    }
+/// Number of flows shard `shard` of `shards` owns out of `total`: the
+/// length of [`shard_indices`], under the same precondition.
+fn shard_len(total: usize, shard: usize, shards: usize) -> usize {
     total / shards + usize::from(shard < total % shards)
 }
 
@@ -100,9 +99,9 @@ fn merge_err(detail: impl Into<String>) -> EngineError {
 /// Executes shard `shard` of `shards` over the expanded campaign
 /// `configs`, sharing `cache` with any concurrently running shards.
 ///
-/// The slice is the round-robin partition of [`shard_indices`]; an empty
-/// slice (more shards than flows) is valid and produces an empty summary
-/// stream.
+/// The slice is the round-robin one, `{shard, shard + shards, ...}`; an
+/// empty slice (more shards than flows) is valid and produces an empty
+/// summary stream.
 ///
 /// # Errors
 ///

@@ -9,9 +9,6 @@ pub const ROUTE_KM: f64 = 120.0;
 /// Steady cruise speed, km/h (the paper's "high-speed mobility scenario").
 pub const CRUISE_KMH: f64 = 300.0;
 
-/// Nominal one-way trip duration in minutes (including dwell margins).
-pub const TRIP_MINUTES: f64 = 33.0;
-
 /// Intermediate stations along the line (name, position in km from
 /// Beijing South). Used by journey-style examples.
 pub const STATIONS: [(&str, f64); 5] = [
@@ -25,12 +22,6 @@ pub const STATIONS: [(&str, f64); 5] = [
 /// The full-route BTR trajectory.
 pub fn trajectory() -> Trajectory {
     Trajectory::beijing_tianjin()
-}
-
-/// A partial trip covering the first `km` kilometres (useful for shorter
-/// simulations that still cruise at 300 km/h).
-pub fn partial_trip(km: f64) -> Trajectory {
-    Trajectory::new(km.clamp(1.0, ROUTE_KM), CRUISE_KMH, 0.5)
 }
 
 #[cfg(test)]
@@ -53,11 +44,5 @@ mod tests {
             assert!(pair[0].1 < pair[1].1);
         }
         assert_eq!(STATIONS.last().unwrap().1, ROUTE_KM);
-    }
-
-    #[test]
-    fn partial_trip_clamps() {
-        assert!((partial_trip(500.0).route_m() - ROUTE_KM * 1000.0).abs() < 1.0);
-        assert!((partial_trip(0.1).route_m() - 1000.0).abs() < 1.0);
     }
 }

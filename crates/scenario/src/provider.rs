@@ -45,14 +45,6 @@ impl Provider {
         }
     }
 
-    /// Radio technology of the campaign.
-    pub fn technology(&self) -> &'static str {
-        match self {
-            Provider::ChinaMobile => "LTE",
-            Provider::ChinaUnicom | Provider::ChinaTelecom => "3G",
-        }
-    }
-
     /// Path characteristics while *moving at 300 km/h*.
     pub fn high_speed_path(&self) -> PathSpec {
         match self {
@@ -200,10 +192,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn names_and_tech() {
+    fn names() {
         assert_eq!(Provider::ChinaMobile.name(), "China Mobile");
-        assert_eq!(Provider::ChinaMobile.technology(), "LTE");
-        assert_eq!(Provider::ChinaTelecom.technology(), "3G");
         assert_eq!(format!("{}", Provider::ChinaUnicom), "China Unicom");
     }
 

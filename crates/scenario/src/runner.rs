@@ -368,7 +368,6 @@ impl ScenarioConfig {
             },
             provider: self.provider.name().into(),
             scenario: self.motion.label().into(),
-            mss_bytes: 1460,
             deadline: SimTime::ZERO + self.duration + SimDuration::from_secs(30),
             storm: StormPlan::default(),
         }

@@ -68,38 +68,9 @@ impl Agent for NullAgent {
     }
 }
 
-/// An agent that forwards every packet onto another link — the building
-/// block of multi-hop paths (server → internet → core → radio → phone).
-#[derive(Debug)]
-pub struct RelayAgent {
-    /// The next hop. Set by wiring code (a placeholder is fine until the
-    /// simulation starts).
-    pub out: crate::link::LinkId,
-    /// Packets forwarded.
-    pub forwarded: u64,
-}
-
-impl RelayAgent {
-    /// Creates a relay forwarding onto `out`.
-    pub fn new(out: crate::link::LinkId) -> Self {
-        RelayAgent { out, forwarded: 0 }
-    }
-}
-
-impl Agent for RelayAgent {
-    fn on_packet(&mut self, ctx: &mut Ctx<'_>, packet: Packet) {
-        self.forwarded += 1;
-        ctx.send(self.out, packet);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::link::LinkSpec;
-    use crate::packet::{FlowId, SeqNo};
-    use crate::prelude::Engine;
-    use crate::time::{SimDuration, SimTime};
 
     #[test]
     fn agent_id_round_trips() {
@@ -107,30 +78,5 @@ mod tests {
         assert_eq!(id.as_usize(), 7);
         assert_eq!(id, AgentId::from_raw(7));
         assert!(AgentId::from_raw(1) < AgentId::from_raw(2));
-    }
-
-    #[test]
-    fn relay_builds_a_two_hop_path() {
-        // source --hop1--> relay --hop2--> sink: delivery time is the sum
-        // of both hops' delays (plus transmission times).
-        let mut eng = Engine::new(1);
-        let sink = eng.add_agent(Box::new(NullAgent::new()));
-        let hop2 = eng.add_link(
-            LinkSpec::new(sink, "hop2")
-                .bandwidth_bps(12_000_000)
-                .prop_delay(SimDuration::from_millis(20)),
-        );
-        let relay = eng.add_agent(Box::new(RelayAgent::new(hop2)));
-        let hop1 = eng.add_link(
-            LinkSpec::new(relay, "hop1")
-                .bandwidth_bps(12_000_000)
-                .prop_delay(SimDuration::from_millis(10)),
-        );
-        eng.inject(hop1, Packet::data(FlowId(0), SeqNo(0), false));
-        eng.run_until_idle();
-        // 1 ms tx + 10 ms + 1 ms tx + 20 ms = 32 ms.
-        assert_eq!(eng.now(), SimTime::from_millis(32));
-        assert_eq!(eng.agent_mut::<RelayAgent>(relay).unwrap().forwarded, 1);
-        assert_eq!(eng.agent_mut::<NullAgent>(sink).unwrap().received, 1);
     }
 }

@@ -87,11 +87,6 @@ impl<'a> Ctx<'a> {
         self.core.now
     }
 
-    /// The id of the agent being called.
-    pub fn agent_id(&self) -> AgentId {
-        self.id
-    }
-
     /// Sends `packet` onto `link`. The engine stamps the packet id and send
     /// time. Returns the stamped id.
     pub fn send(&mut self, link: LinkId, packet: Packet) -> PacketId {

@@ -61,7 +61,7 @@ pub mod time;
 
 /// Convenient glob-import surface: `use hsm_simnet::prelude::*;`.
 pub mod prelude {
-    pub use crate::agent::{Agent, AgentId, NullAgent, RelayAgent};
+    pub use crate::agent::{Agent, AgentId, NullAgent};
     pub use crate::arena::PacketArena;
     pub use crate::cellular::{CellLayout, ChannelProcess, CoverageHole, HandoffParams};
     pub use crate::chaos::{StormEpisode, StormInjector, StormKind, StormPlan};

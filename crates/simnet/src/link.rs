@@ -254,19 +254,9 @@ impl Link {
 
     /// Completes the in-flight transmission, returning the transmitted
     /// packet handle and, if the queue is non-empty, the next handle which
-    /// immediately becomes in-flight.
-    ///
-    /// # Panics
-    ///
-    /// Panics if nothing was in flight (engine bookkeeping bug). The
-    /// engine itself uses the non-panicking [`Link::try_complete_tx`] so a
-    /// corrupt transmit state fails the run as a structured error.
-    pub fn complete_tx(&mut self) -> (QueuedPacket, Option<QueuedPacket>) {
-        self.try_complete_tx().expect("complete_tx with idle link")
-    }
-
-    /// Non-panicking twin of [`Link::complete_tx`]: returns `None` when no
-    /// packet was in flight.
+    /// immediately becomes in-flight; `None` when nothing was in flight (an
+    /// engine bookkeeping bug, which the engine fails the run on as a
+    /// structured error).
     pub fn try_complete_tx(&mut self) -> Option<(QueuedPacket, Option<QueuedPacket>)> {
         let done = self.in_flight.take()?;
         if let Some(next) = self.queue.pop_front() {
@@ -411,21 +401,14 @@ mod tests {
         let mut l = link(2);
         l.offer(pkt(0));
         l.offer(pkt(1));
-        let (done, next) = l.complete_tx();
+        let (done, next) = l.try_complete_tx().unwrap();
         assert_eq!(done.id, PacketId(0));
         assert_eq!(next.unwrap().id, PacketId(1));
         assert!(l.is_busy());
-        let (done, next) = l.complete_tx();
+        let (done, next) = l.try_complete_tx().unwrap();
         assert_eq!(done.id, PacketId(1));
         assert!(next.is_none());
         assert!(!l.is_busy());
-    }
-
-    #[test]
-    #[should_panic]
-    fn complete_tx_on_idle_link_panics() {
-        let mut l = link(1);
-        let _ = l.complete_tx();
     }
 
     #[test]

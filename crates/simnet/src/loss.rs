@@ -110,11 +110,6 @@ impl GilbertElliott {
         }
     }
 
-    /// True while the channel is in the bad (bursty) state.
-    pub fn in_bad_state(&self) -> bool {
-        self.in_bad
-    }
-
     /// Stationary probability of being in the bad state.
     pub fn bad_state_fraction(&self) -> f64 {
         if self.g2b + self.b2g == 0.0 {
@@ -222,11 +217,6 @@ impl ChannelLoss {
         self.overlay = outage;
     }
 
-    /// Replaces the base loss model.
-    pub fn set_base(&mut self, base: Box<dyn LossModel>) {
-        self.base = base;
-    }
-
     /// The currently installed overlay, if any.
     pub fn outage(&self) -> Option<Outage> {
         self.overlay
@@ -266,15 +256,6 @@ impl ChannelLoss {
             self.lost += 1;
         }
         lost
-    }
-
-    /// Empirical loss rate observed so far.
-    pub fn observed_rate(&self) -> f64 {
-        if self.offered == 0 {
-            0.0
-        } else {
-            self.lost as f64 / self.offered as f64
-        }
     }
 
     /// Steady-state rate of the base model, if known.
@@ -379,7 +360,6 @@ mod tests {
         assert!(!ch.is_lost(SimTime::from_millis(2500), &mut r));
         assert_eq!(ch.offered, 3);
         assert_eq!(ch.lost, 1);
-        assert!((ch.observed_rate() - 1.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -395,9 +375,8 @@ mod tests {
     }
 
     #[test]
-    fn observed_rate_empty_channel() {
+    fn lossless_channel_has_no_extra_loss() {
         let ch = ChannelLoss::lossless();
-        assert_eq!(ch.observed_rate(), 0.0);
         assert_eq!(ch.extra(), 0.0);
     }
 

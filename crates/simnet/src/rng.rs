@@ -74,21 +74,6 @@ impl SimRng {
         }
     }
 
-    /// Uniform draw in `[lo, hi)`; returns `lo` when the range is empty.
-    pub fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
-        if hi <= lo {
-            lo
-        } else {
-            let x = lo + (hi - lo) * self.unit();
-            // `unit() < 1` but the scaling can round up to `hi`.
-            if x >= hi {
-                lo
-            } else {
-                x
-            }
-        }
-    }
-
     /// Uniform integer draw in `[lo, hi)`; returns `lo` when empty.
     pub fn range_u64(&mut self, lo: u64, hi: u64) -> u64 {
         if hi <= lo {
@@ -136,11 +121,6 @@ impl SimRng {
         let u1 = self.unit_open_low();
         let u2 = self.unit();
         rectified(sd, u1, u2)
-    }
-
-    /// Derives an independent child stream.
-    pub fn fork(&mut self) -> SimRng {
-        SimRng::seed_from_u64(self.next_u64())
     }
 }
 
@@ -309,18 +289,8 @@ mod tests {
     }
 
     #[test]
-    fn fork_produces_distinct_stream() {
-        let mut a = SimRng::seed_from_u64(11);
-        let mut b = a.fork();
-        let xs: Vec<u64> = (0..8).map(|_| (a.unit() * 1e9) as u64).collect();
-        let ys: Vec<u64> = (0..8).map(|_| (b.unit() * 1e9) as u64).collect();
-        assert_ne!(xs, ys);
-    }
-
-    #[test]
     fn range_edges() {
         let mut r = SimRng::seed_from_u64(3);
-        assert_eq!(r.range_f64(2.0, 2.0), 2.0);
         assert_eq!(r.range_u64(5, 5), 5);
         let v = r.range_u64(1, 10);
         assert!((1..10).contains(&v));

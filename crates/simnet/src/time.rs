@@ -98,11 +98,6 @@ impl SimTime {
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked addition of a duration; `None` on overflow.
-    pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
-        self.0.checked_add(d.0).map(SimTime)
-    }
 }
 
 impl SimDuration {
@@ -157,22 +152,6 @@ impl SimDuration {
     /// True for the zero-length span.
     pub const fn is_zero(self) -> bool {
         self.0 == 0
-    }
-
-    /// Saturating doubling, used by exponential RTO backoff.
-    pub fn saturating_double(self) -> SimDuration {
-        SimDuration(self.0.saturating_mul(2))
-    }
-
-    /// Multiplies by a non-negative float, rounding to the nearest
-    /// microsecond.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `f` is negative or not finite.
-    pub fn mul_f64(self, f: f64) -> SimDuration {
-        assert!(f.is_finite() && f >= 0.0, "invalid duration factor: {f}");
-        SimDuration((self.0 as f64 * f).round() as u64)
     }
 
     /// The smaller of two spans.
@@ -318,19 +297,6 @@ mod tests {
         let late = SimTime::from_secs(2);
         assert_eq!(late.saturating_since(early), SimDuration::from_secs(1));
         assert_eq!(early.saturating_since(late), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn doubling_saturates() {
-        let huge = SimDuration::from_micros(u64::MAX - 1);
-        assert_eq!(huge.saturating_double(), SimDuration::MAX);
-    }
-
-    #[test]
-    fn mul_f64_rounds() {
-        let d = SimDuration::from_micros(3);
-        assert_eq!(d.mul_f64(1.5).as_micros(), 5); // 4.5 rounds to 5 (round half up)
-        assert_eq!(d.mul_f64(0.0), SimDuration::ZERO);
     }
 
     #[test]

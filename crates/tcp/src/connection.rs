@@ -172,8 +172,6 @@ pub struct ConnectionConfig {
     pub provider: Arc<str>,
     /// Scenario label recorded in the trace meta (shared with it).
     pub scenario: Arc<str>,
-    /// MSS recorded in the trace meta.
-    pub mss_bytes: u32,
     /// Hard wall-clock (simulated) limit for the run.
     pub deadline: SimTime,
     /// A deterministic chaos-storm schedule replayed against the uplink —
@@ -191,7 +189,6 @@ impl ConnectionConfig {
             scenario: self.scenario.clone(),
             w_m: self.sender.w_m,
             b: self.receiver.b,
-            mss_bytes: self.mss_bytes,
         }
     }
 }
@@ -204,7 +201,6 @@ impl Default for ConnectionConfig {
             receiver: ReceiverConfig::default(),
             provider: "synthetic".into(),
             scenario: "unlabelled".into(),
-            mss_bytes: 1460,
             deadline: SimTime::from_secs(3_600),
             storm: StormPlan::default(),
         }

@@ -49,8 +49,10 @@ pub struct SenderMetrics {
     pub acks_received: u64,
     /// Duplicate ACKs received.
     pub dup_acks_received: u64,
-    /// Timeouts detected as spurious and undone (the legacy
-    /// `spurious_rto_undo` flag or the F-RTO recovery strategy).
+    /// Timeouts detected as spurious and undone, by either of the two
+    /// distinct detectors: the cumulative-jump check of
+    /// [`SenderConfig::spurious_rto_undo`](crate::reno::SenderConfig::spurious_rto_undo),
+    /// which also catches ACK-burst loss, or the F-RTO recovery strategy.
     pub spurious_rto_undone: u64,
     /// New-data probe segments sent by the F-RTO state machine
     /// (RFC 5682 step 2b; at most two per timeout).

@@ -59,25 +59,23 @@ pub struct ReceiverConfig {
     /// Delayed-ACK factor `b`: ACK every `b` in-order segments (1 disables
     /// delaying). Ignored when `adaptive` is set.
     pub b: u32,
-    /// Deadline after which a pending delayed ACK is sent anyway.
-    pub delack_timeout: SimDuration,
     /// Optional TCP-DCA-style adaptive delayed window.
     pub adaptive: Option<AdaptiveDelAck>,
 }
 
 impl Default for ReceiverConfig {
     fn default() -> Self {
-        // The paper's traces show delayed ACKs in use; b = 2 with the
-        // usual 100 ms deadline hold.
+        // The paper's traces show delayed ACKs in use; b = 2 holds.
         ReceiverConfig {
             b: 2,
-            delack_timeout: SimDuration::from_millis(100),
             adaptive: None,
         }
     }
 }
 
 const TAG_DELACK: u64 = 100;
+/// Deadline after which a pending delayed ACK is sent anyway.
+const DELACK_TIMEOUT: SimDuration = SimDuration::from_millis(100);
 
 /// The receiver agent. Wire its `uplink` to the sender after both agents
 /// are registered (see `connection`).
@@ -223,7 +221,7 @@ impl Agent for Receiver {
                 let count = self.pending_acks;
                 self.send_ack_inner(ctx, count, retransmit);
             } else if self.delack_timer.is_none() {
-                self.delack_timer = Some(ctx.schedule_in(self.cfg.delack_timeout, TAG_DELACK));
+                self.delack_timer = Some(ctx.schedule_in(DELACK_TIMEOUT, TAG_DELACK));
             }
         } else {
             // Out of order: buffer and emit an immediate duplicate ACK.
@@ -319,7 +317,6 @@ mod tests {
     fn out_of_order_triggers_immediate_dup_acks() {
         let mut h = harness(ReceiverConfig {
             b: 2,
-            delack_timeout: SimDuration::from_millis(100),
             adaptive: None,
         });
         // seq 0 arrives, then 2, 3, 4 (1 missing): expect dup ACKs cum=1.
@@ -339,7 +336,6 @@ mod tests {
     fn hole_fill_acks_cumulatively() {
         let mut h = harness(ReceiverConfig {
             b: 2,
-            delack_timeout: SimDuration::from_millis(100),
             adaptive: None,
         });
         for seq in [0u64, 2, 3] {
@@ -363,7 +359,6 @@ mod tests {
     fn duplicate_payload_is_counted_and_acked() {
         let mut h = harness(ReceiverConfig {
             b: 1,
-            delack_timeout: SimDuration::from_millis(100),
             adaptive: None,
         });
         h.eng
@@ -383,7 +378,6 @@ mod tests {
     fn b_equals_one_acks_every_segment() {
         let mut h = harness(ReceiverConfig {
             b: 1,
-            delack_timeout: SimDuration::from_millis(100),
             adaptive: None,
         });
         for seq in 0..5 {
@@ -546,7 +540,7 @@ mod tests {
                 b_max: 4,
                 grow_after,
             });
-            let cfg = ReceiverConfig { b, adaptive, ..Default::default() };
+            let cfg = ReceiverConfig { b, adaptive };
             let mut h = harness(cfg);
             if backup == 1 {
                 let sink = AgentId::from_raw(0);

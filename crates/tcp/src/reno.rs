@@ -33,12 +33,6 @@ use hsm_simnet::time::{SimDuration, SimTime};
 pub struct SenderConfig {
     /// Receiver-advertised window limitation `W_m`, segments.
     pub w_m: u32,
-    /// Initial RTO before any RTT sample.
-    pub initial_rto: SimDuration,
-    /// Lower RTO bound.
-    pub min_rto: SimDuration,
-    /// Upper RTO bound.
-    pub max_rto: SimDuration,
     /// Enable NewReno partial-ACK handling.
     pub newreno: bool,
     /// Congestion-control algorithm (any member of the [`crate::cc`] zoo).
@@ -70,9 +64,6 @@ impl Default for SenderConfig {
     fn default() -> Self {
         SenderConfig {
             w_m: 64,
-            initial_rto: SimDuration::from_secs(1),
-            min_rto: SimDuration::from_millis(200),
-            max_rto: SimDuration::from_secs(60),
             newreno: false,
             algorithm: Algorithm::Reno,
             spurious_rto_undo: false,
@@ -146,7 +137,7 @@ impl RenoSender {
             backup_link: None,
             halt_engine_on_stop: true,
             cwnd: cfg.algorithm.build(cfg.w_m),
-            rtt: RttEstimator::new(cfg.initial_rto, cfg.min_rto, cfg.max_rto),
+            rtt: RttEstimator::default(),
             backoff: Backoff::new(),
             cfg,
             snd_nxt: 0,
@@ -673,7 +664,6 @@ mod tests {
             },
             ReceiverConfig {
                 b: 1,
-                delack_timeout: SimDuration::from_millis(100),
                 adaptive: None,
             },
             0.0,
@@ -697,7 +687,6 @@ mod tests {
             },
             ReceiverConfig {
                 b: 1,
-                delack_timeout: SimDuration::from_millis(100),
                 adaptive: None,
             },
             0.0,
@@ -1246,7 +1235,6 @@ mod tests {
             },
             ReceiverConfig {
                 b: 1,
-                delack_timeout: SimDuration::from_millis(100),
                 adaptive: None,
             },
             0.0,

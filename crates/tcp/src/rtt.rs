@@ -2,58 +2,36 @@
 //!
 //! Implements the standard smoothed-RTT estimator of RFC 6298:
 //! `SRTT = 7/8·SRTT + 1/8·R'`, `RTTVAR = 3/4·RTTVAR + 1/4·|SRTT − R'|`,
-//! `RTO = SRTT + 4·RTTVAR`, clamped to `[min_rto, max_rto]`. Karn's rule
-//! (never sample a retransmitted segment) is enforced by the sender, which
-//! only feeds unambiguous samples.
+//! `RTO = SRTT + 4·RTTVAR`, clamped to `[200 ms, 60 s]`, with an initial
+//! RTO of 1 s. Karn's rule (never sample a retransmitted segment) is
+//! enforced by the sender, which only feeds unambiguous samples.
 
 use hsm_simnet::time::SimDuration;
 use serde::{Deserialize, Serialize};
 
-/// Jacobson RTT estimator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// Base RTO before any RTT sample, seconds (RFC 6298 §2.1).
+const INITIAL_RTO_S: f64 = 1.0;
+/// Lower bound of the base RTO, seconds: Linux's 200 ms rather than the
+/// RFC's conservative 1 s.
+const MIN_RTO_S: f64 = 0.2;
+/// Upper bound of the *base* RTO, seconds. It clamps the estimator's
+/// `SRTT + 4·RTTVAR`, not the backed-off timer: [`Backoff`] multiplies the
+/// clamped base by up to 64, so a 1-s base backs off to 64 s (the paper's
+/// `64·T` cap), past this bound.
+const MAX_BASE_RTO_S: f64 = 60.0;
+/// The largest backoff multiplier: the timer doubles up to `64·T`.
+const MAX_FACTOR: u64 = 64;
+
+/// Jacobson RTT estimator. A fresh one (`default()`) has a base RTO of
+/// 1 s until its first sample.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
 pub struct RttEstimator {
     srtt: Option<f64>,
     rttvar: f64,
-    min_rto: f64,
-    max_rto: f64,
-    initial_rto: f64,
     samples: u64,
 }
 
 impl RttEstimator {
-    /// Creates an estimator.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bounds are inverted or non-positive.
-    pub fn new(initial_rto: SimDuration, min_rto: SimDuration, max_rto: SimDuration) -> Self {
-        let (init, min, max) = (
-            initial_rto.as_secs_f64(),
-            min_rto.as_secs_f64(),
-            max_rto.as_secs_f64(),
-        );
-        assert!(min > 0.0 && max >= min, "invalid RTO bounds");
-        assert!(init > 0.0, "invalid initial RTO");
-        RttEstimator {
-            srtt: None,
-            rttvar: 0.0,
-            min_rto: min,
-            max_rto: max,
-            initial_rto: init,
-            samples: 0,
-        }
-    }
-
-    /// RFC 6298 defaults: initial RTO 1 s, bounds [200 ms, 60 s] (Linux's
-    /// 200 ms lower bound rather than the RFC's conservative 1 s).
-    pub fn standard() -> Self {
-        RttEstimator::new(
-            SimDuration::from_secs(1),
-            SimDuration::from_millis(200),
-            SimDuration::from_secs(60),
-        )
-    }
-
     /// Feeds one RTT sample (from a never-retransmitted segment).
     ///
     /// Audited against RFC 6298 §2.2–§2.3: the first measurement `R`
@@ -90,10 +68,10 @@ impl RttEstimator {
     /// The current base retransmission timeout (before backoff).
     pub fn rto(&self) -> SimDuration {
         let raw = match self.srtt {
-            None => self.initial_rto,
+            None => INITIAL_RTO_S,
             Some(srtt) => srtt + 4.0 * self.rttvar,
         };
-        SimDuration::from_secs_f64(raw.clamp(self.min_rto, self.max_rto))
+        SimDuration::from_secs_f64(raw.clamp(MIN_RTO_S, MAX_BASE_RTO_S))
     }
 }
 
@@ -111,9 +89,6 @@ pub struct Backoff {
 }
 
 impl Backoff {
-    /// Maximum backoff multiplier (`64·T`).
-    pub const MAX_FACTOR: u64 = 64;
-
     /// Fresh, un-backed-off state.
     pub fn new() -> Backoff {
         Backoff::default()
@@ -121,7 +96,7 @@ impl Backoff {
 
     /// The current multiplier (1, 2, 4, …, 64).
     pub fn factor(&self) -> u64 {
-        1u64 << self.count.min(6)
+        1u64 << self.count.min(MAX_FACTOR.ilog2())
     }
 
     /// Applies the backoff to a base RTO.
@@ -156,7 +131,7 @@ mod tests {
     /// spurious timeouts on the very first jitter of a flow.
     #[test]
     fn first_sample_initializes() {
-        let mut e = RttEstimator::standard();
+        let mut e = RttEstimator::default();
         assert_eq!(e.srtt(), None);
         assert_eq!(e.rto(), SimDuration::from_secs(1));
         e.sample(SimDuration::from_millis(100));
@@ -166,7 +141,7 @@ mod tests {
         assert_eq!(e.samples(), 1);
         // The 3R shape must hold across magnitudes (within the clamp).
         for r_ms in [80u64, 250, 1000, 5000] {
-            let mut e = RttEstimator::standard();
+            let mut e = RttEstimator::default();
             e.sample(SimDuration::from_millis(r_ms));
             assert_eq!(
                 e.rto(),
@@ -181,7 +156,7 @@ mod tests {
     /// rttvar = 0.75·50 + 0.25·|112.5 − 200| = 59.375 ms instead.
     #[test]
     fn second_sample_updates_rttvar_before_srtt() {
-        let mut e = RttEstimator::standard();
+        let mut e = RttEstimator::default();
         e.sample(SimDuration::from_millis(100));
         e.sample(SimDuration::from_millis(200));
         // rttvar = 0.75·50 + 0.25·|100 − 200| = 62.5 ms
@@ -194,7 +169,7 @@ mod tests {
 
     #[test]
     fn smoothing_converges_to_stable_rtt() {
-        let mut e = RttEstimator::standard();
+        let mut e = RttEstimator::default();
         for _ in 0..200 {
             e.sample(SimDuration::from_millis(80));
         }
@@ -206,17 +181,17 @@ mod tests {
 
     #[test]
     fn rto_clamped_to_bounds() {
-        let mut e = RttEstimator::standard();
+        let mut e = RttEstimator::default();
         e.sample(SimDuration::from_secs(100));
         assert_eq!(e.rto(), SimDuration::from_secs(60));
-        let mut fast = RttEstimator::standard();
+        let mut fast = RttEstimator::default();
         fast.sample(SimDuration::from_micros(10));
         assert_eq!(fast.rto(), SimDuration::from_millis(200));
     }
 
     #[test]
     fn variance_reacts_to_jitter() {
-        let mut e = RttEstimator::standard();
+        let mut e = RttEstimator::default();
         e.sample(SimDuration::from_millis(50));
         e.sample(SimDuration::from_millis(250));
         // srtt = 0.875*50 + 0.125*250 = 75 ms; rttvar = 0.75*25 + 0.25*200 = 68.75 ms.
@@ -244,13 +219,32 @@ mod tests {
         assert_eq!(b.consecutive_timeouts(), 0);
     }
 
+    /// The 60-s bound clamps the *base* RTO only: a 1-s base doubles to
+    /// 64 s at the sixth consecutive timeout and stays there, past the
+    /// bound — the paper's `64·T` cap.
     #[test]
-    #[should_panic]
-    fn invalid_bounds_rejected() {
-        let _ = RttEstimator::new(
-            SimDuration::from_secs(1),
-            SimDuration::from_secs(2),
-            SimDuration::from_secs(1),
-        );
+    fn backed_off_timer_passes_the_base_bound_at_64x() {
+        let e = RttEstimator::default();
+        let mut b = Backoff::new();
+        let mut timers = Vec::new();
+        for _ in 0..9 {
+            timers.push(b.apply(e.rto()).as_micros() / 1_000_000);
+            b.on_timeout();
+        }
+        assert_eq!(timers, vec![1, 2, 4, 8, 16, 32, 64, 64, 64]);
+        assert!(b.apply(e.rto()).as_secs_f64() > MAX_BASE_RTO_S);
+    }
+
+    /// The constants are the `f64` seconds the simulator's durations
+    /// convert to, bit for bit.
+    #[test]
+    fn bounds_are_the_durations_seconds_exactly() {
+        for (secs, d) in [
+            (INITIAL_RTO_S, SimDuration::from_secs(1)),
+            (MIN_RTO_S, SimDuration::from_millis(200)),
+            (MAX_BASE_RTO_S, SimDuration::from_secs(60)),
+        ] {
+            assert_eq!(secs.to_bits(), d.as_secs_f64().to_bits());
+        }
     }
 }

@@ -93,58 +93,6 @@ pub fn estimate_rtt(trace: &FlowTrace) -> Option<SimDuration> {
     sweep.finish()
 }
 
-/// One window of the delay timeline.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DelayBin {
-    /// Window start, seconds since flow start.
-    pub from_s: f64,
-    /// Median one-way data delay in the window, seconds (`None` when no
-    /// data arrived — a stall).
-    pub median_delay_s: Option<f64>,
-    /// Delivered data packets in the window.
-    pub samples: usize,
-}
-
-/// Median one-way data delay per window — RTT-inflation over time (delay
-/// spikes around handoffs are clearly visible).
-pub fn delay_timeline(trace: &FlowTrace, window: SimDuration) -> Vec<DelayBin> {
-    if window.is_zero() {
-        return Vec::new();
-    }
-    let Some(start) = trace.start() else {
-        return Vec::new();
-    };
-    let Some(end) = trace.end() else {
-        return Vec::new();
-    };
-    let n_bins = (end.saturating_since(start).as_micros() / window.as_micros() + 1) as usize;
-    let mut per_bin: Vec<Vec<f64>> = vec![Vec::new(); n_bins];
-    for rec in trace.data() {
-        if let Some(lat) = rec.latency() {
-            let idx = ((rec.sent_at.saturating_since(start).as_micros() / window.as_micros())
-                as usize)
-                .min(n_bins - 1);
-            per_bin[idx].push(lat.as_secs_f64());
-        }
-    }
-    per_bin
-        .into_iter()
-        .enumerate()
-        .map(|(i, mut xs)| {
-            xs.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-            DelayBin {
-                from_s: window.as_secs_f64() * i as f64,
-                median_delay_s: if xs.is_empty() {
-                    None
-                } else {
-                    Some(xs[xs.len() / 2])
-                },
-                samples: xs.len(),
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,33 +142,6 @@ mod tests {
         let rtt = estimate_rtt(&t).unwrap();
         // median data = 31 ms, median ack = 27 ms.
         assert_eq!(rtt, SimDuration::from_millis(58));
-    }
-
-    #[test]
-    fn delay_timeline_bins_and_marks_stalls() {
-        let mut t = FlowTrace::new(0, FlowMeta::default());
-        // Window 0: delays 30, 32; window 1: nothing (stall); window 2: 80.
-        t.records = vec![
-            rec(100, Some(30), false),
-            rec(200, Some(32), false),
-            rec(2_100, Some(80), false),
-        ];
-        let bins = delay_timeline(&t, SimDuration::from_secs(1));
-        assert_eq!(bins.len(), 3);
-        assert_eq!(bins[0].samples, 2);
-        assert!((bins[0].median_delay_s.unwrap() - 0.032).abs() < 1e-9);
-        assert_eq!(bins[1].median_delay_s, None, "stall window");
-        assert!((bins[2].median_delay_s.unwrap() - 0.080).abs() < 1e-9);
-        assert!((bins[2].from_s - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn delay_timeline_empty_inputs() {
-        let t = FlowTrace::new(0, FlowMeta::default());
-        assert!(delay_timeline(&t, SimDuration::from_secs(1)).is_empty());
-        let mut t2 = FlowTrace::new(0, FlowMeta::default());
-        t2.records = vec![rec(0, Some(30), false)];
-        assert!(delay_timeline(&t2, SimDuration::ZERO).is_empty());
     }
 
     #[test]

@@ -2,8 +2,7 @@
 //!
 //! The models predict throughput as *packets received per unit time*
 //! (Section IV: "the number of packets received by the receiver per unit
-//! time"), so the primary measure here is delivered segments per second;
-//! byte-based figures are derived from the MSS.
+//! time"), so the measures here are delivered segments per second.
 
 use super::dense_reach;
 use crate::record::{FlowTrace, PacketRecord};
@@ -21,8 +20,6 @@ pub struct Throughput {
     pub unique_segments_delivered: u64,
     /// Flow duration in seconds.
     pub duration_s: f64,
-    /// Payload bytes per segment.
-    pub mss_bytes: u32,
 }
 
 impl Throughput {
@@ -35,11 +32,6 @@ impl Throughput {
     /// spurious retransmissions don't count).
     pub fn goodput_segments_per_sec(&self) -> f64 {
         safe_rate(self.unique_segments_delivered as f64, self.duration_s)
-    }
-
-    /// Goodput in bits per second.
-    pub fn goodput_bps(&self) -> f64 {
-        self.goodput_segments_per_sec() * f64::from(self.mss_bytes) * 8.0
     }
 }
 
@@ -137,8 +129,8 @@ impl ThroughputSweep {
         self.span.map(|(_, end)| end)
     }
 
-    /// The measures of a flow whose segments carry `mss_bytes` of payload.
-    pub(crate) fn finish(&self, mss_bytes: u32) -> Throughput {
+    /// The measures of the flow folded so far.
+    pub(crate) fn finish(&self) -> Throughput {
         let duration = match self.span {
             Some((start, end)) => end.saturating_since(start),
             None => SimDuration::ZERO,
@@ -147,7 +139,6 @@ impl ThroughputSweep {
             segments_delivered: self.delivered,
             unique_segments_delivered: self.dense_unique + self.sparse.len() as u64,
             duration_s: duration.as_secs_f64(),
-            mss_bytes,
         }
     }
 }
@@ -158,7 +149,7 @@ pub fn throughput(trace: &FlowTrace) -> Throughput {
     for rec in &trace.records {
         sweep.record(rec);
     }
-    sweep.finish(trace.meta.mss_bytes)
+    sweep.finish()
 }
 
 #[cfg(test)]
@@ -201,7 +192,6 @@ mod tests {
         assert!((tp.duration_s - 0.5).abs() < 1e-9);
         assert!((tp.segments_per_sec() - 6.0).abs() < 1e-9);
         assert!((tp.goodput_segments_per_sec() - 4.0).abs() < 1e-9);
-        assert!((tp.goodput_bps() - 4.0 * 1460.0 * 8.0).abs() < 1e-6);
     }
 
     #[test]
@@ -209,6 +199,6 @@ mod tests {
         let t = FlowTrace::new(0, FlowMeta::default());
         let tp = throughput(&t);
         assert_eq!(tp.segments_per_sec(), 0.0);
-        assert_eq!(tp.goodput_bps(), 0.0);
+        assert_eq!(tp.goodput_segments_per_sec(), 0.0);
     }
 }

@@ -171,21 +171,6 @@ impl TimeoutAnalysis {
         ))
     }
 
-    /// Mean first-RTO estimate across sequences — the model's `T`.
-    pub fn mean_first_rto(&self) -> Option<SimDuration> {
-        if self.sequences.is_empty() {
-            return None;
-        }
-        let total_us: u64 = self
-            .sequences
-            .iter()
-            .map(|s| s.first_rto().as_micros())
-            .sum();
-        Some(SimDuration::from_micros(
-            total_us / self.sequences.len() as u64,
-        ))
-    }
-
     /// Median first-RTO estimate across sequences — the robust choice for
     /// the model's `T`. First-RTO samples are heavy-tailed: one sequence
     /// that fires after a long RTT spike inflated the timer (the paper's
@@ -208,14 +193,6 @@ impl TimeoutAnalysis {
             (us[n / 2 - 1] + us[n / 2]) / 2
         };
         Some(SimDuration::from_micros(median))
-    }
-
-    /// Recovery durations in seconds (for the Fig. 3-style CDFs).
-    pub fn recovery_durations_s(&self) -> Vec<f64> {
-        self.sequences
-            .iter()
-            .map(|s| s.recovery_duration().as_secs_f64())
-            .collect()
     }
 }
 
@@ -421,7 +398,7 @@ mod tests {
         assert_eq!(s.recovery_duration(), SimDuration::from_millis(980));
         // First RTO estimate: 300 - 20 = 280 ms.
         assert_eq!(s.first_rto(), SimDuration::from_millis(280));
-        assert_eq!(a.mean_first_rto(), Some(SimDuration::from_millis(280)));
+        assert_eq!(a.median_first_rto(), Some(SimDuration::from_millis(280)));
         // 1st timeout: original (lost) => not spurious.
         assert!(!s.events[0].spurious);
         // 2nd timeout: previous retransmission lost => not spurious.
@@ -495,7 +472,6 @@ mod tests {
         assert_eq!(a.sequences.len(), 2);
         let mean = a.mean_recovery().unwrap();
         assert_eq!(mean, SimDuration::from_millis(390));
-        assert_eq!(a.recovery_durations_s().len(), 2);
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! it comes, so a campaign flow never holds a copy of its capture, nor its
 //! landed rows. [`trace_from_arena`] collects the rows of a finished run
 //! nobody drained into a [`FlowTrace`]. Neither needs a recorder. The
-//! event folds ([`traces_from_events`] and friends) match each packet's
+//! event folds ([`traces_from_events_filtered`] and
+//! [`single_flow_trace`]) match each packet's
 //! `Sent` event with its terminal `Delivered`/`Dropped` event from a
 //! [`VecRecorder`](hsm_simnet::observer::VecRecorder) stream — the
 //! equivalent of endpoint packet captures, needed for multi-hop wirings,
@@ -41,21 +42,13 @@ fn record_of(packet: &Packet, sent_at: SimTime, arrived_at: Option<SimTime>) -> 
     }
 }
 
-/// Folds a raw event stream into one trace per flow.
+/// Folds a raw event stream into one trace per flow, ignoring
+/// transmissions on links whose label starts with `ignore_prefix`.
 ///
 /// `meta_for` supplies the [`FlowMeta`] for each flow id encountered.
 /// Packets with a `Sent` event but no terminal event by the end of the
 /// stream (still in flight when the simulation stopped) are treated as
 /// lost, which matches how a finite capture is analyzed.
-pub fn traces_from_events(
-    events: &[PacketEvent],
-    meta_for: impl FnMut(u32) -> FlowMeta,
-) -> Vec<FlowTrace> {
-    traces_from_events_filtered(events, meta_for, None)
-}
-
-/// Like [`traces_from_events`], but ignores transmissions on links whose
-/// label starts with `ignore_prefix`.
 ///
 /// Multi-hop wirings (e.g. the shared-radio MPTCP demux) use auxiliary
 /// zero-delay links labelled `internal.*`; their per-hop copies must not
@@ -140,7 +133,7 @@ pub fn traces_from_events_filtered(
 /// the event fold sorts its records into — and nothing is sorted or stored
 /// here. A row without a delivery time was dropped (by the channel or a
 /// full queue) or, read after the run stopped, still in flight — all read
-/// as `arrived_at: None`, exactly as [`traces_from_events`] treats them.
+/// as `arrived_at: None`, exactly as [`traces_from_events_filtered`] treats them.
 pub fn flow_records(
     flow: u32,
     rows: impl Iterator<Item = (Packet, Option<SimTime>)>,
@@ -220,7 +213,7 @@ mod tests {
                 Packet::data(FlowId(0), SeqNo(1), true),
             ),
         ];
-        let traces = traces_from_events(&events, |_| FlowMeta::default());
+        let traces = traces_from_events_filtered(&events, |_| FlowMeta::default(), None);
         assert_eq!(traces.len(), 1);
         let t = &traces[0];
         assert_eq!(t.records.len(), 3);
@@ -254,7 +247,7 @@ mod tests {
             "internal hop must not duplicate records"
         );
         // Without the filter the internal copy shows up.
-        let unfiltered = traces_from_events(&events, |_| FlowMeta::default());
+        let unfiltered = traces_from_events_filtered(&events, |_| FlowMeta::default(), None);
         assert_eq!(unfiltered[0].records.len(), 2);
     }
 
@@ -495,10 +488,14 @@ mod tests {
                 Packet::data(FlowId(7), SeqNo(0), false),
             ),
         ];
-        let traces = traces_from_events(&events, |f| FlowMeta {
-            provider: format!("p{f}").into(),
-            ..Default::default()
-        });
+        let traces = traces_from_events_filtered(
+            &events,
+            |f| FlowMeta {
+                provider: format!("p{f}").into(),
+                ..Default::default()
+            },
+            None,
+        );
         assert_eq!(traces.len(), 2);
         assert_eq!(traces[0].flow, 0);
         assert_eq!(traces[1].flow, 7);

@@ -43,9 +43,7 @@ pub mod summary;
 
 /// Convenient glob-import surface: `use hsm_trace::prelude::*;`.
 pub mod prelude {
-    pub use crate::analysis::latency::{
-        delay_scatter, delay_timeline, estimate_rtt, DelayBin, DelayPoint,
-    };
+    pub use crate::analysis::latency::{delay_scatter, estimate_rtt, DelayPoint};
     pub use crate::analysis::loss::{loss_rates, LossRates};
     pub use crate::analysis::rounds::{ack_burst_stats, ack_rounds, AckBurstStats, AckRound};
     pub use crate::analysis::throughput::{throughput, Throughput};
@@ -55,14 +53,10 @@ pub mod prelude {
     pub use crate::analysis::timeout::{
         analyze_timeouts, TimeoutAnalysis, TimeoutConfig, TimeoutEvent, TimeoutSequence,
     };
-    pub use crate::capture::{
-        flow_records, single_flow_trace, traces_from_events, traces_from_events_filtered,
-    };
+    pub use crate::capture::{flow_records, single_flow_trace, traces_from_events_filtered};
     pub use crate::export::{fnum, fpct, Table};
     pub use crate::record::{FlowMeta, FlowTrace, PacketRecord};
-    pub use crate::stats::{
-        linear_fit, mean, mean_ci95, pearson, spearman, std_dev, Cdf, Histogram, LinearFit, MeanCi,
-    };
+    pub use crate::stats::{linear_fit, mean, pearson, Cdf, LinearFit};
     pub use crate::store::{load_traces, save_traces, ReadDatasetError};
     pub use crate::summary::{
         analyze_flow, analyze_records, FlowAnalysis, FlowFold, FlowSummary, FoldColumns,

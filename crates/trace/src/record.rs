@@ -57,8 +57,6 @@ pub struct FlowMeta {
     pub w_m: u32,
     /// Delayed-ACK factor (`b`): data segments acknowledged per ACK.
     pub b: u32,
-    /// Maximum segment size, bytes of payload per data packet.
-    pub mss_bytes: u32,
 }
 
 impl Default for FlowMeta {
@@ -68,7 +66,6 @@ impl Default for FlowMeta {
             scenario: "unknown".into(),
             w_m: 64,
             b: 1,
-            mss_bytes: 1460,
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Small statistics toolkit used by the measurement analyses: empirical
 //! CDFs (Figs. 3 and 6), Pearson correlation and linear fits (Fig. 4),
-//! and basic summaries.
+//! and the mean.
 
 use serde::{Deserialize, Serialize};
 
@@ -36,50 +36,6 @@ impl Cdf {
         let idx = self.sorted.partition_point(|&v| v <= x);
         idx as f64 / self.sorted.len() as f64
     }
-
-    /// The `p`-quantile (`p` in `[0, 1]`), `None` on an empty CDF.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `[0, 1]`.
-    pub fn quantile(&self, p: f64) -> Option<f64> {
-        assert!((0.0..=1.0).contains(&p), "quantile out of range: {p}");
-        if self.sorted.is_empty() {
-            return None;
-        }
-        let idx =
-            ((p * (self.sorted.len() - 1) as f64).round() as usize).min(self.sorted.len() - 1);
-        Some(self.sorted[idx])
-    }
-
-    /// Sample mean, `None` on an empty CDF.
-    pub fn mean(&self) -> Option<f64> {
-        if self.sorted.is_empty() {
-            None
-        } else {
-            Some(self.sorted.iter().sum::<f64>() / self.sorted.len() as f64)
-        }
-    }
-
-    /// Evenly spaced `(x, P(X<=x))` points for plotting/export.
-    pub fn points(&self, n: usize) -> Vec<(f64, f64)> {
-        if self.sorted.is_empty() || n == 0 {
-            return Vec::new();
-        }
-        let len = self.sorted.len();
-        (0..n)
-            .map(|i| {
-                let idx = (i * (len - 1)) / n.max(1).saturating_sub(1).max(1);
-                let idx = idx.min(len - 1);
-                (self.sorted[idx], (idx + 1) as f64 / len as f64)
-            })
-            .collect()
-    }
-
-    /// The underlying sorted samples.
-    pub fn samples(&self) -> &[f64] {
-        &self.sorted
-    }
 }
 
 /// Mean of a slice; `None` when empty or any value is non-finite.
@@ -89,13 +45,6 @@ pub fn mean(xs: &[f64]) -> Option<f64> {
     } else {
         Some(xs.iter().sum::<f64>() / xs.len() as f64)
     }
-}
-
-/// Population standard deviation; `None` when `mean` is.
-pub fn std_dev(xs: &[f64]) -> Option<f64> {
-    let m = mean(xs)?;
-    let var = xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64;
-    Some(var.sqrt())
 }
 
 /// Pearson correlation coefficient between paired samples.
@@ -129,131 +78,6 @@ pub struct LinearFit {
     pub slope: f64,
     /// Intercept of the fitted line.
     pub intercept: f64,
-}
-
-/// Spearman rank correlation: Pearson correlation of the rank vectors,
-/// robust to monotone nonlinearity (useful for Fig. 4's "positive but not
-/// strong" relationship).
-///
-/// Returns `None` under the same conditions as [`pearson`].
-pub fn spearman(xs: &[f64], ys: &[f64]) -> Option<f64> {
-    if xs.len() != ys.len() || xs.len() < 2 {
-        return None;
-    }
-    pearson(&ranks(xs), &ranks(ys))
-}
-
-/// Mid-ranks of a sample (ties get the average of their positions).
-fn ranks(xs: &[f64]) -> Vec<f64> {
-    let mut order: Vec<usize> = (0..xs.len()).collect();
-    order.sort_by(|&a, &b| {
-        xs[a]
-            .partial_cmp(&xs[b])
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    let mut out = vec![0.0; xs.len()];
-    let mut i = 0;
-    while i < order.len() {
-        let mut j = i;
-        while j + 1 < order.len() && xs[order[j + 1]] == xs[order[i]] {
-            j += 1;
-        }
-        let mid = (i + j) as f64 / 2.0 + 1.0;
-        for &idx in &order[i..=j] {
-            out[idx] = mid;
-        }
-        i = j + 1;
-    }
-    out
-}
-
-/// A mean with a symmetric confidence half-width.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct MeanCi {
-    /// Sample mean.
-    pub mean: f64,
-    /// Half-width of the interval (`mean ± half_width`).
-    pub half_width: f64,
-}
-
-/// Normal-approximation 95% confidence interval for the mean
-/// (`1.96·s/√n`). Returns `None` for fewer than two samples or non-finite
-/// data.
-pub fn mean_ci95(xs: &[f64]) -> Option<MeanCi> {
-    if xs.len() < 2 {
-        return None;
-    }
-    let m = mean(xs)?;
-    let sd = std_dev(xs)?;
-    // Sample (not population) deviation for the interval.
-    let n = xs.len() as f64;
-    let s = sd * (n / (n - 1.0)).sqrt();
-    Some(MeanCi {
-        mean: m,
-        half_width: 1.96 * s / n.sqrt(),
-    })
-}
-
-/// A fixed-width histogram over `[lo, hi)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    counts: Vec<u64>,
-    /// Samples below `lo` or at/above `hi`.
-    pub out_of_range: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `bins` equal-width bins over `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins` is zero or the range is empty/not finite.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Histogram {
-        assert!(bins > 0, "need at least one bin");
-        assert!(lo.is_finite() && hi.is_finite() && hi > lo, "invalid range");
-        Histogram {
-            lo,
-            hi,
-            counts: vec![0; bins],
-            out_of_range: 0,
-        }
-    }
-
-    /// Adds one sample.
-    pub fn add(&mut self, x: f64) {
-        if !x.is_finite() || x < self.lo || x >= self.hi {
-            self.out_of_range += 1;
-            return;
-        }
-        let width = (self.hi - self.lo) / self.counts.len() as f64;
-        let idx = (((x - self.lo) / width) as usize).min(self.counts.len() - 1);
-        self.counts[idx] += 1;
-    }
-
-    /// Per-bin `(bin_start, count)` pairs.
-    pub fn bins(&self) -> Vec<(f64, u64)> {
-        let width = (self.hi - self.lo) / self.counts.len() as f64;
-        self.counts
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| (self.lo + width * i as f64, c))
-            .collect()
-    }
-
-    /// Total in-range samples.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-}
-
-impl Extend<f64> for Histogram {
-    fn extend<T: IntoIterator<Item = f64>>(&mut self, iter: T) {
-        for x in iter {
-            self.add(x);
-        }
-    }
 }
 
 /// Fits a least-squares line through the paired samples.
@@ -293,9 +117,6 @@ mod tests {
         assert_eq!(c.at(1.0), 0.25);
         assert_eq!(c.at(2.5), 0.5);
         assert_eq!(c.at(10.0), 1.0);
-        assert_eq!(c.mean(), Some(2.5));
-        assert_eq!(c.quantile(0.0), Some(1.0));
-        assert_eq!(c.quantile(1.0), Some(4.0));
     }
 
     #[test]
@@ -309,21 +130,6 @@ mod tests {
         let c = Cdf::from_samples(std::iter::empty());
         assert!(c.is_empty());
         assert_eq!(c.at(1.0), 0.0);
-        assert_eq!(c.quantile(0.5), None);
-        assert_eq!(c.mean(), None);
-        assert!(c.points(5).is_empty());
-    }
-
-    #[test]
-    fn cdf_points_monotone() {
-        let c = Cdf::from_samples((0..100).map(f64::from));
-        let pts = c.points(10);
-        assert!(!pts.is_empty());
-        for w in pts.windows(2) {
-            assert!(w[1].0 >= w[0].0);
-            assert!(w[1].1 >= w[0].1);
-        }
-        assert!(pts.last().unwrap().1 <= 1.0 + 1e-12);
     }
 
     #[test]
@@ -352,57 +158,9 @@ mod tests {
     }
 
     #[test]
-    fn spearman_detects_monotone_nonlinear_relation() {
-        let xs: Vec<f64> = (1..40).map(f64::from).collect();
-        let ys: Vec<f64> = xs.iter().map(|x| x.powi(3)).collect(); // nonlinear, monotone
-        assert!((spearman(&xs, &ys).unwrap() - 1.0).abs() < 1e-12);
-        let neg: Vec<f64> = xs.iter().map(|x| -x.exp()).collect();
-        assert!((spearman(&xs, &neg).unwrap() + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn spearman_handles_ties() {
-        let xs = [1.0, 1.0, 2.0, 3.0];
-        let ys = [5.0, 5.0, 6.0, 7.0];
-        let r = spearman(&xs, &ys).unwrap();
-        assert!((r - 1.0).abs() < 1e-12, "r = {r}");
-    }
-
-    #[test]
-    fn mean_ci95_shrinks_with_samples() {
-        let few: Vec<f64> = (0..10).map(|i| f64::from(i % 5)).collect();
-        let many: Vec<f64> = (0..1000).map(|i| f64::from(i % 5)).collect();
-        let ci_few = mean_ci95(&few).unwrap();
-        let ci_many = mean_ci95(&many).unwrap();
-        assert!((ci_few.mean - 2.0).abs() < 0.5);
-        assert!(ci_many.half_width < ci_few.half_width);
-        assert_eq!(mean_ci95(&[1.0]), None);
-    }
-
-    #[test]
-    fn histogram_bins_and_overflow() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        h.extend([0.5, 1.5, 2.5, 2.6, 9.9, 10.0, -1.0, f64::NAN]);
-        assert_eq!(h.total(), 5);
-        assert_eq!(h.out_of_range, 3);
-        let bins = h.bins();
-        assert_eq!(bins.len(), 5);
-        assert_eq!(bins[0], (0.0, 2)); // 0.5, 1.5
-        assert_eq!(bins[1].1, 2); // 2.5, 2.6
-        assert_eq!(bins[4].1, 1); // 9.9
-    }
-
-    #[test]
-    #[should_panic]
-    fn histogram_rejects_empty_range() {
-        let _ = Histogram::new(1.0, 1.0, 4);
-    }
-
-    #[test]
     fn summary_stats() {
         assert_eq!(mean(&[1.0, 2.0, 3.0]), Some(2.0));
         assert_eq!(mean(&[]), None);
         assert_eq!(mean(&[f64::NAN]), None);
-        assert!((std_dev(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]).unwrap() - 2.0).abs() < 1e-12);
     }
 }

@@ -87,17 +87,6 @@ impl FlowSummary {
         }
     }
 
-    /// Empirical probability that a loss indication is a timeout (the
-    /// model's `Q`), measured as timeout sequences over all loss
-    /// indications.
-    pub fn q_indication_fraction(&self) -> f64 {
-        if self.loss_indications == 0 {
-            0.0
-        } else {
-            f64::from(self.timeout_sequences) / f64::from(self.loss_indications)
-        }
-    }
-
     /// Loss-*event* rate: loss events the sender reacted to (every timeout
     /// plus every fast retransmission) per data packet sent. This is the
     /// `p` of the canonical Padhye trace methodology — under the bursty
@@ -230,7 +219,7 @@ impl<'a> FlowFold<'a> {
         // loss indications that were not timeouts.
         let tp = &columns.tp;
         let (timeouts, fast_rtx) = columns.timeouts.finish(|| tp.end());
-        let tp = tp.finish(meta.mss_bytes);
+        let tp = tp.finish();
         let rtt = columns.rtt.finish().unwrap_or(SimDuration::from_millis(60));
 
         // Round gap: half an RTT separates one round's ACK burst from the next.
@@ -381,7 +370,6 @@ mod tests {
                 scenario: "high-speed".into(),
                 w_m: 32,
                 b: 2,
-                mss_bytes: 1460,
             },
         );
         t.records = vec![
@@ -415,7 +403,6 @@ mod tests {
         assert!(s.rtt_s > 0.0);
         assert!(s.throughput_sps > 0.0);
         assert!(s.goodput_sps <= s.throughput_sps);
-        assert_eq!(s.q_indication_fraction(), 1.0);
     }
 
     #[test]
@@ -432,7 +419,6 @@ mod tests {
         let a = analyze_flow(&t, &TimeoutConfig::default());
         assert_eq!(a.summary.timeout_sequences, 1);
         assert_eq!(a.summary.loss_indications, 2);
-        assert!((a.summary.q_indication_fraction() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -441,7 +427,6 @@ mod tests {
         t.records = vec![data(0, 0, true, false), ack(1, 31, true)];
         let a = analyze_flow(&t, &TimeoutConfig::default());
         assert_eq!(a.summary.spurious_fraction(), 0.0);
-        assert_eq!(a.summary.q_indication_fraction(), 0.0);
     }
 
     // ---- The sweep against the multi-pass composition it replaced ----

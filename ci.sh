@@ -72,8 +72,8 @@ stage_build_test() {
     # and initial RTO, the delayed-ACK deadline: constants in `tcp::rtt`
     # and `tcp::receiver`), the MSS label that set no packet's size (the
     # segment size is `Packet::DATA_BYTES`), and public items nothing
-    # read.
-    if grep -rnE '(initial_rto|min_rto|max_rto): |mss_bytes|delack_timeout|goodput_bps|delay_timeline|DelayBin|mean_ci95|MeanCi|spearman|Histogram|std_dev|mean_first_rto|recovery_durations_s|q_indication_fraction|traces_from_events\(|try_par_map_workers|events_per_sec|RelayAgent|range_f64|saturating_double|in_bad_state|observed_rate|partial_trip|TRIP_MINUTES' \
+    # read, or only their own file's tests.
+    if grep -rnE '(initial_rto|min_rto|max_rto): |mss_bytes|delack_timeout|goodput_bps|delay_timeline|DelayBin|mean_ci95|MeanCi|spearman|Histogram|std_dev|mean_first_rto|recovery_durations_s|q_indication_fraction|traces_from_events\(|try_par_map_workers|events_per_sec|RelayAgent|range_f64|saturating_double|in_bad_state|observed_rate|partial_trip|TRIP_MINUTES|as_millis_f64|within_factor|\.(start_m|peak_ms|current_b)\(' \
         crates src tests examples; then
         echo "a deleted one-value setting (RTO bounds, delack_timeout, mss_bytes) or an unread public item is back" >&2
         exit 1

@@ -71,13 +71,6 @@ impl CalibrationRow {
             self.measured / self.paper
         }
     }
-
-    /// True when the measured value is within a multiplicative band of the
-    /// paper's: `paper/band ≤ measured ≤ paper·band`.
-    pub fn within_factor(&self, band: f64) -> bool {
-        let r = self.ratio();
-        r.is_finite() && r >= 1.0 / band && r <= band
-    }
 }
 
 /// Aggregate statistics of a generated high-speed dataset.
@@ -204,6 +197,12 @@ mod tests {
         assert!((PAPER.padhye_mean_d - PAPER.enhanced_mean_d - 0.163).abs() < 0.001);
     }
 
+    /// True when `paper/band ≤ measured ≤ paper·band`.
+    fn in_band(row: &CalibrationRow, band: f64) -> bool {
+        let r = row.ratio();
+        r.is_finite() && r >= 1.0 / band && r <= band
+    }
+
     #[test]
     fn row_ratio_and_band() {
         let row = CalibrationRow {
@@ -212,14 +211,15 @@ mod tests {
             measured: 3.0,
         };
         assert!((row.ratio() - 1.5).abs() < 1e-12);
-        assert!(row.within_factor(2.0));
-        assert!(!row.within_factor(1.2));
+        assert!(in_band(&row, 2.0));
+        assert!(!in_band(&row, 1.2));
         let zero = CalibrationRow {
             metric: "z".into(),
             paper: 0.0,
             measured: 1.0,
         };
-        assert!(!zero.within_factor(10.0));
+        assert_eq!(zero.ratio(), f64::INFINITY);
+        assert!(!in_band(&zero, 10.0));
     }
 
     #[test]
@@ -239,14 +239,14 @@ mod tests {
         let report = calibration_report(&agg, None);
         let p_d_row = &report[0];
         assert!(
-            p_d_row.within_factor(4.0),
+            in_band(p_d_row, 4.0),
             "p_d {} vs paper {}",
             p_d_row.measured,
             p_d_row.paper
         );
         let q_row = &report[2];
         assert!(
-            q_row.within_factor(4.0),
+            in_band(q_row, 4.0),
             "q {} vs paper {}",
             q_row.measured,
             q_row.paper

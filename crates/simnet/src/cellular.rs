@@ -72,13 +72,13 @@ impl CellLayout {
     }
 
     /// Index of the serving cell at `pos_m`.
-    pub fn cell_index(&self, pos_m: f64) -> i64 {
+    fn cell_index(&self, pos_m: f64) -> i64 {
         ((pos_m + self.offset_m) / self.spacing_m).floor() as i64
     }
 
     /// Distance from `pos_m` to the centre of its serving cell, normalized
     /// to `[0, 1]` where 1 is the cell edge.
-    pub fn edge_proximity(&self, pos_m: f64) -> f64 {
+    fn edge_proximity(&self, pos_m: f64) -> f64 {
         let rel = (pos_m + self.offset_m) / self.spacing_m;
         let frac = rel - rel.floor();
         // frac = 0 at one boundary, 1 at the next; centre is at 0.5.
@@ -86,7 +86,7 @@ impl CellLayout {
     }
 
     /// Extra independent loss at `pos_m` (edge effect + coverage holes).
-    pub fn extra_loss_at(&self, pos_m: f64) -> f64 {
+    fn extra_loss_at(&self, pos_m: f64) -> f64 {
         let edge = self.edge_extra_loss * self.edge_proximity(pos_m).powi(2);
         let hole: f64 = self
             .holes

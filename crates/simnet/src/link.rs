@@ -230,7 +230,7 @@ impl Link {
     }
 
     /// Total latency (propagation + current extra delay) excluding jitter.
-    pub fn current_delay(&self) -> SimDuration {
+    fn current_delay(&self) -> SimDuration {
         self.prop_delay + self.extra_delay
     }
 

@@ -111,7 +111,7 @@ impl GilbertElliott {
     }
 
     /// Stationary probability of being in the bad state.
-    pub fn bad_state_fraction(&self) -> f64 {
+    fn bad_state_fraction(&self) -> f64 {
         if self.g2b + self.b2g == 0.0 {
             0.0
         } else {

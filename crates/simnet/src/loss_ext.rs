@@ -44,13 +44,13 @@ impl PeriodicOutage {
     }
 
     /// True when `now` falls inside an outage window.
-    pub fn in_outage(&self, now: SimTime) -> bool {
+    fn in_outage(&self, now: SimTime) -> bool {
         let t = (now + self.offset).as_micros() % self.period.as_micros();
         t < self.outage.as_micros()
     }
 
     /// Long-run fraction of time spent in outage.
-    pub fn duty_cycle(&self) -> f64 {
+    fn duty_cycle(&self) -> f64 {
         self.outage.as_secs_f64() / self.period.as_secs_f64()
     }
 }

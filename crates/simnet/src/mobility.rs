@@ -107,11 +107,6 @@ impl Trajectory {
         self
     }
 
-    /// The ride's starting position on the line, metres.
-    pub fn start_m(&self) -> f64 {
-        self.start_m
-    }
-
     /// The Beijing–Tianjin Intercity Railway profile used throughout the
     /// paper: 120 km at a steady 300 km/h (≈ 33-minute one-way trip with
     /// 0.5 m/s² acceleration).
@@ -135,11 +130,6 @@ impl Trajectory {
     /// Route length in metres.
     pub fn route_m(&self) -> f64 {
         self.route_m
-    }
-
-    /// Peak speed in m/s (cruise speed, or less on short routes).
-    pub fn peak_ms(&self) -> f64 {
-        self.peak_ms
     }
 
     /// Position along the line at `t`, metres (including any start
@@ -203,7 +193,7 @@ mod tests {
         // stretch it. The paper quotes 33 min including station dwell; we
         // only require the same order.
         assert!((20.0..36.0).contains(&mins), "trip {mins} min");
-        assert!((t.peak_ms() - kmh_to_ms(300.0)).abs() < 1e-9);
+        assert!((t.peak_ms - kmh_to_ms(300.0)).abs() < 1e-9);
     }
 
     #[test]
@@ -237,7 +227,7 @@ mod tests {
     fn short_route_triangular() {
         // 1 km at 300 km/h with 0.5 m/s^2 never reaches cruise speed.
         let t = Trajectory::new(1.0, 300.0, 0.5);
-        assert!(t.peak_ms() < kmh_to_ms(300.0));
+        assert!(t.peak_ms < kmh_to_ms(300.0));
         assert!((t.position_m(t.duration()) - 1000.0).abs() < 1.0);
     }
 

@@ -102,7 +102,7 @@ impl SimRng {
     }
 
     /// Standard-normal draw via Box–Muller.
-    pub fn standard_normal(&mut self) -> f64 {
+    fn standard_normal(&mut self) -> f64 {
         let u1 = self.unit_open_low();
         let u2 = self.unit();
         box_muller(u1, u2)

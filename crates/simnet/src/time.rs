@@ -88,11 +88,6 @@ impl SimTime {
         self.0 as f64 / 1e6
     }
 
-    /// This instant expressed in fractional milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e3
-    }
-
     /// The span from `earlier` to `self`, saturating to zero if `earlier`
     /// is actually later.
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
@@ -142,11 +137,6 @@ impl SimDuration {
     /// This span expressed in fractional seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e6
-    }
-
-    /// This span expressed in fractional milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e3
     }
 
     /// True for the zero-length span.
@@ -252,7 +242,7 @@ impl fmt::Display for SimDuration {
         if self.0 >= 1_000_000 {
             write!(f, "{:.3}s", self.as_secs_f64())
         } else if self.0 >= 1_000 {
-            write!(f, "{:.3}ms", self.as_millis_f64())
+            write!(f, "{:.3}ms", self.0 as f64 / 1e3)
         } else {
             write!(f, "{}us", self.0)
         }

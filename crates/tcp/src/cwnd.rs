@@ -64,7 +64,7 @@ impl Cwnd {
 
     /// Veno's router-backlog estimate `N`, when enough RTT information is
     /// available.
-    pub fn backlog_estimate(&self) -> Option<f64> {
+    fn backlog_estimate(&self) -> Option<f64> {
         if self.base_rtt_s.is_finite() && self.last_rtt_s.is_finite() && self.last_rtt_s > 0.0 {
             Some(self.cwnd * (self.last_rtt_s - self.base_rtt_s) / self.last_rtt_s)
         } else {

@@ -99,6 +99,8 @@ pub struct Receiver {
     ooo: BTreeSet<u64>,
     pending_acks: u32,
     delack_timer: Option<EventId>,
+    /// The delayed-ACK window in force: `b`, unless the adaptive policy
+    /// moves it.
     current_b: u32,
     healthy_streak: u32,
     /// Ground-truth counters.
@@ -136,12 +138,6 @@ impl Receiver {
     /// Next expected in-order sequence number.
     pub fn next_expected(&self) -> SeqNo {
         self.next_expected
-    }
-
-    /// The delayed-ACK window currently in force (constant `b` unless the
-    /// adaptive policy is active).
-    pub fn current_b(&self) -> u32 {
-        self.current_b
     }
 
     fn on_disorder(&mut self) {
@@ -406,8 +402,7 @@ mod tests {
         h.eng.run_until_idle();
         let rx = h.eng.agent_mut::<Receiver>(h.rx).unwrap();
         assert_eq!(
-            rx.current_b(),
-            4,
+            rx.current_b, 4,
             "40 clean segments at grow_after=8 saturate b_max"
         );
         assert_eq!(rx.next_expected(), SeqNo(40));
@@ -429,13 +424,13 @@ mod tests {
                 .inject(h.downlink, Packet::data(FlowId(0), SeqNo(seq), false));
         }
         h.eng.run_until(SimTime::from_secs(2));
-        assert!(h.eng.agent_mut::<Receiver>(h.rx).unwrap().current_b() > 1);
+        assert!(h.eng.agent_mut::<Receiver>(h.rx).unwrap().current_b > 1);
         // A gap (seq 17 before 16... inject 18 to create disorder).
         h.eng
             .inject(h.downlink, Packet::data(FlowId(0), SeqNo(18), false));
         h.eng.run_until_idle();
         let rx = h.eng.agent_mut::<Receiver>(h.rx).unwrap();
-        assert_eq!(rx.current_b(), 1, "disorder resets the delayed window");
+        assert_eq!(rx.current_b, 1, "disorder resets the delayed window");
     }
 
     #[test]
@@ -443,7 +438,7 @@ mod tests {
         let h = harness(ReceiverConfig::default());
         let mut h = h;
         let rx = h.eng.agent_mut::<Receiver>(h.rx).unwrap();
-        assert_eq!(rx.current_b(), 2);
+        assert_eq!(rx.current_b, 2);
     }
 
     /// Reference receiver with the two sets its predecessor kept: `seen`
@@ -583,7 +578,7 @@ mod tests {
             proptest::prop_assert_eq!(acks_sent(&h.rec), model.acks);
             let rx = h.eng.agent_mut::<Receiver>(h.rx).unwrap();
             proptest::prop_assert_eq!(rx.metrics, model.metrics);
-            proptest::prop_assert_eq!(rx.current_b(), model.b);
+            proptest::prop_assert_eq!(rx.current_b, model.b);
         }
     }
 }

@@ -1,5 +1,6 @@
 //! One-way latency series and RTT estimation (the basis of Fig. 1).
 
+use crate::column::Column;
 use crate::record::{FlowTrace, PacketRecord};
 use hsm_simnet::time::SimDuration;
 
@@ -34,26 +35,15 @@ pub fn delay_scatter(trace: &FlowTrace) -> Vec<DelayPoint> {
         .collect()
 }
 
-/// Median of a (possibly unsorted) list of durations, reordering it.
-///
-/// Selection, not a full sort — same element a sort would put at
-/// `len / 2`, in O(n).
-fn median(xs: &mut [SimDuration]) -> Option<SimDuration> {
-    if xs.is_empty() {
-        return None;
-    }
-    let mid = xs.len() / 2;
-    let (_, m, _) = xs.select_nth_unstable(mid);
-    Some(*m)
-}
-
 /// The RTT fold, one record at a time: every delivered packet's one-way
-/// latency, kept per direction for the two medians. Its columns keep
-/// their capacity across [`RttSweep::reset`].
+/// latency, kept per direction for the two medians, in whole
+/// microseconds — four bytes a packet, unless a latency reaches 2³² µs
+/// (71 minutes) and widens its direction's column to eight. Its columns
+/// keep their capacity across [`RttSweep::reset`].
 #[derive(Debug, Default)]
 pub(crate) struct RttSweep {
-    data: Vec<SimDuration>,
-    acks: Vec<SimDuration>,
+    data: Column,
+    acks: Column,
 }
 
 impl RttSweep {
@@ -68,9 +58,9 @@ impl RttSweep {
     pub(crate) fn record(&mut self, rec: &PacketRecord) {
         if let Some(latency) = rec.latency() {
             if rec.is_ack {
-                self.acks.push(latency);
+                self.acks.push(latency.as_micros());
             } else {
-                self.data.push(latency);
+                self.data.push(latency.as_micros());
             }
         }
     }
@@ -78,7 +68,14 @@ impl RttSweep {
     /// (Median data one-way delay) + (median ACK one-way delay), or
     /// `None` if either direction delivered nothing.
     pub(crate) fn finish(&mut self) -> Option<SimDuration> {
-        Some(median(&mut self.data)? + median(&mut self.acks)?)
+        let (data, acks) = (self.data.median()?, self.acks.median()?);
+        Some(SimDuration::from_micros(data) + SimDuration::from_micros(acks))
+    }
+
+    /// Bytes the two columns' latencies take.
+    #[cfg(test)]
+    pub(crate) fn held_bytes(&self) -> usize {
+        self.data.held_bytes() + self.acks.held_bytes()
     }
 }
 

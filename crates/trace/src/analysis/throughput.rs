@@ -104,6 +104,12 @@ impl ThroughputSweep {
         }
     }
 
+    /// Bytes the per-seq columns take.
+    #[cfg(test)]
+    pub(crate) fn held_bytes(&self) -> usize {
+        (self.bits.len() + self.sparse.len()) * 8
+    }
+
     /// Grows the bitset to hold word `word`, moving in any spilled seq it
     /// now covers, if that word is within [`dense_reach`] of the records
     /// so far; false, and nothing grown, if it is not.

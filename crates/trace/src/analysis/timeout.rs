@@ -295,6 +295,14 @@ impl TimeoutSweep {
         self.prev_send = Some(rec.sent_at);
     }
 
+    /// Bytes the per-seq columns and the closed sequences take.
+    #[cfg(test)]
+    pub(crate) fn held_bytes(&self) -> usize {
+        let sparse = self.last_copy_sparse.len() * std::mem::size_of::<(u64, u8)>();
+        let sequences = self.sequences.len() * std::mem::size_of::<TimeoutSequence>();
+        self.last_copy_dense.len() + sparse + sequences
+    }
+
     /// Grows the dense slab to hold `seq`, moving in any spilled seq it
     /// now covers, if `seq` is within [`dense_reach`] of the `records`
     /// so far; else leaves it to the spillway.

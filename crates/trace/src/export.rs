@@ -92,7 +92,7 @@ impl Table {
 
     /// Renders RFC-4180-ish CSV (quotes cells containing commas, quotes or
     /// newlines).
-    pub fn to_csv(&self) -> String {
+    fn to_csv(&self) -> String {
         fn esc(cell: &str) -> String {
             if cell.contains([',', '"', '\n']) {
                 format!("\"{}\"", cell.replace('"', "\"\""))

@@ -35,6 +35,7 @@
 
 pub mod analysis;
 pub mod capture;
+mod column;
 pub mod export;
 pub mod record;
 pub mod stats;

@@ -4,9 +4,9 @@
 //! final: one sweep advances every `analysis` module's per-record step
 //! together (loss counts, the timeout state machine, latencies for the RTT
 //! medians, deliveries and the flow's time span) and keeps `sent_at` and
-//! `lost` of each ACK; its finish then forms the ACK rounds, whose gap is
-//! half the RTT the sweep has measured. A campaign flow pushes the records
-//! the engine's packet arena drains while the flow runs
+//! `lost` of each ACK, four bytes for both; its finish then forms the ACK
+//! rounds, whose gap is half the RTT the sweep has measured. A campaign
+//! flow pushes the records the engine's packet arena drains while it runs
 //! ([`flow_records`](crate::capture::flow_records)) and never stores its
 //! capture; [`analyze_records`] runs the same fold over any record
 //! iterator and [`analyze_flow`] over a stored [`FlowTrace`]. The
@@ -18,6 +18,7 @@ use crate::analysis::loss::LossRates;
 use crate::analysis::rounds::{AckBurstStats, BurstSweep, WindowWalk};
 use crate::analysis::throughput::{Throughput, ThroughputSweep};
 use crate::analysis::timeout::{TimeoutAnalysis, TimeoutConfig, TimeoutSweep};
+use crate::column::Column;
 use crate::record::{FlowMeta, FlowTrace, PacketRecord};
 use hsm_simnet::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -153,20 +154,74 @@ pub fn analyze_records(
 }
 
 /// The working columns of a [`FlowFold`]: every per-record fact the
-/// analysis keeps until the flow's last record. A fold empties them when
-/// it starts and leaves their capacity behind, so a caller that holds one
-/// `FoldColumns` across many flows stops allocating once it has folded
-/// its longest.
+/// analysis keeps until the flow's last record — 4 bytes a delivered
+/// packet's latency, 4 an ACK's send time and fate, and a byte and a bit
+/// a sequence number for the timeout and throughput sweeps. A fold
+/// empties them when it starts and leaves their capacity behind, so a
+/// caller that holds one `FoldColumns` across many flows stops allocating
+/// once it has folded its longest.
 #[derive(Debug, Default)]
 pub struct FoldColumns {
     timeouts: TimeoutSweep,
     rtt: RttSweep,
     tp: ThroughputSweep,
     // Rounds wait for the RTT (their gap), which waits for the last
-    // record: keep the two facts a round needs of each ACK, a column each
-    // (9 bytes an ACK; a receiver sends at most one ACK per segment).
-    ack_sent_at: Vec<SimTime>,
-    ack_lost: Vec<bool>,
+    // record: keep the two facts a round needs of each ACK (4 bytes an
+    // ACK; a receiver sends at most one ACK per segment).
+    acks: AckColumn,
+}
+
+impl FoldColumns {
+    /// Bytes the columns' values take.
+    #[cfg(test)]
+    fn held_bytes(&self) -> usize {
+        let (timeouts, tp) = (self.timeouts.held_bytes(), self.tp.held_bytes());
+        timeouts + self.rtt.held_bytes() + tp + self.acks.packed.held_bytes()
+    }
+}
+
+/// Each ACK's send time and fate, one packed value an ACK: the
+/// microseconds since the previous ACK's send, shifted left one bit, with
+/// the loss flag in bit 0. Send times only grow, so the value fits four
+/// bytes unless ACKs fall silent for 2³¹ µs (36 minutes), which widens the
+/// column to eight. The shift drops a gap's bit 63, so gaps are kept
+/// modulo 2⁶³: every send time below 2⁶³ µs reads back exactly, even one
+/// earlier than the ACK before it.
+#[derive(Debug, Default)]
+struct AckColumn {
+    packed: Column,
+    /// The last ACK's send time, microseconds.
+    last_sent: u64,
+}
+
+impl AckColumn {
+    const TIME_MASK: u64 = u64::MAX >> 1;
+
+    fn clear(&mut self) {
+        self.packed.clear();
+        self.last_sent = 0;
+    }
+
+    #[inline]
+    fn push(&mut self, sent_at: SimTime, lost: bool) {
+        let sent = sent_at.as_micros();
+        assert!(
+            sent <= Self::TIME_MASK,
+            "an ACK sent at {sent} µs, past the fold's 2⁶³ µs"
+        );
+        self.packed
+            .push(sent.wrapping_sub(self.last_sent) << 1 | u64::from(lost));
+        self.last_sent = sent;
+    }
+
+    /// Every ACK's `(sent_at, lost)`, in push order.
+    fn iter(&self) -> impl Iterator<Item = (SimTime, bool)> + '_ {
+        let mut sent = 0;
+        self.packed.iter().map(move |packed| {
+            sent = (sent + (packed >> 1)) & Self::TIME_MASK;
+            (SimTime::from_micros(sent), packed & 1 == 1)
+        })
+    }
 }
 
 /// The measurement pipeline as a push fold: [`FlowFold::push`] takes a
@@ -195,8 +250,7 @@ impl<'a> FlowFold<'a> {
         columns.timeouts.reset(cfg);
         columns.rtt.reset();
         columns.tp.reset();
-        columns.ack_sent_at.clear();
-        columns.ack_lost.clear();
+        columns.acks.clear();
         FlowFold {
             columns,
             losses: LossRates::default(),
@@ -205,6 +259,11 @@ impl<'a> FlowFold<'a> {
     }
 
     /// Folds in the flow's next record.
+    ///
+    /// # Panics
+    ///
+    /// On an ACK sent at or after 2⁶³ µs, which the ACK column cannot
+    /// hold.
     pub fn push(&mut self, rec: PacketRecord) {
         self.extend(std::iter::once(rec));
     }
@@ -235,7 +294,7 @@ impl<'a> FlowFold<'a> {
                 .map(|s| (s.ca_end, s.recovery_end)),
         );
         let mut bursts = BurstSweep::new(gap, |round_start| recovery.contains(round_start));
-        for (&sent_at, &lost) in columns.ack_sent_at.iter().zip(&columns.ack_lost) {
+        for (sent_at, lost) in columns.acks.iter() {
             bursts.ack(sent_at, lost);
         }
         let ack_bursts = bursts.finish();
@@ -307,8 +366,7 @@ impl Extend<PacketRecord> for FlowFold<'_> {
             columns.rtt.record(&rec);
             columns.tp.record(&rec);
             if rec.is_ack {
-                columns.ack_sent_at.push(rec.sent_at);
-                columns.ack_lost.push(rec.lost());
+                columns.acks.push(rec.sent_at, rec.lost());
             } else {
                 columns.timeouts.data(*next, &rec);
             }
@@ -486,12 +544,31 @@ mod tests {
             .is_some_and(|r| r.arrived_at.is_some())
     }
 
+    /// The RTT from full-width latencies: each direction's delivered
+    /// latencies as `SimDuration`s, sorted, and the one at `len / 2`.
+    fn wide_rtt(trace: &FlowTrace) -> Option<SimDuration> {
+        let median = |acks: bool| {
+            let mut xs: Vec<SimDuration> = trace
+                .records
+                .iter()
+                .filter(|r| r.is_ack == acks)
+                .filter_map(|r| r.latency())
+                .collect();
+            xs.sort_unstable();
+            xs.get(xs.len() / 2).copied()
+        };
+        Some(median(false)? + median(true)?)
+    }
+
     /// `analyze_flow` as it was before the sweep: the stand-alone analyses
-    /// one after another, each scanning the records for itself.
+    /// one after another, each scanning the records for itself, and the
+    /// RTT from full-width latencies.
     fn analyze_flow_by_parts(trace: &FlowTrace, cfg: &TimeoutConfig) -> FlowAnalysis {
         let losses = loss_rates(trace);
         let timeouts = analyze_timeouts(trace, cfg);
-        let rtt = estimate_rtt(trace).unwrap_or(SimDuration::from_millis(60));
+        let rtt = wide_rtt(trace);
+        assert_eq!(estimate_rtt(trace), rtt);
+        let rtt = rtt.unwrap_or(SimDuration::from_millis(60));
         let gap = SimDuration::from_secs_f64(rtt.as_secs_f64() * 0.5);
         let recovery_windows: Vec<_> = timeouts
             .sequences
@@ -767,7 +844,138 @@ mod tests {
         t
     }
 
+    /// Latencies and ACK send gaps, µs, on both sides of what four bytes
+    /// hold: a latency column widens at 2³² µs, the ACK column at a 2³¹ µs
+    /// gap. Zero makes ties.
+    const EDGES_US: [u64; 9] = [
+        0,
+        1,
+        30_000,
+        (1 << 31) - 1,
+        1 << 31,
+        (1 << 31) + 1,
+        (1 << 32) - 1,
+        1 << 32,
+        (1 << 32) + 1,
+    ];
+
+    /// A trace from `(kind, gap, latency, fate)` steps: kind 1 an ACK,
+    /// else data; each gap and latency an index into [`EDGES_US`] or else
+    /// that many µs; fate 0 a loss. `shape` 1
+    /// loses every ACK, 2 every data packet, 3 sends the ACKs in reverse
+    /// order (send times that fall); other values leave the script alone.
+    fn edge_trace(shape: u8, script: &[(u8, u64, u64, u8)]) -> FlowTrace {
+        let us = |pick: u64| EDGES_US.get(pick as usize).copied().unwrap_or(pick);
+        let mut t = FlowTrace::new(7, FlowMeta::default());
+        let mut now = 0;
+        for (id, &(kind, gap, latency, fate)) in script.iter().enumerate() {
+            now += us(gap);
+            let is_ack = kind == 1;
+            let lost = fate == 0 || (shape == 1 && is_ack) || (shape == 2 && !is_ack);
+            let sent_at = SimTime::from_micros(now);
+            t.records.push(PacketRecord {
+                id: id as u64,
+                seq: id as u64,
+                is_ack,
+                retransmit: false,
+                acked_count: u32::from(is_ack),
+                size_bytes: if is_ack { 40 } else { 1500 },
+                sent_at,
+                arrived_at: (!lost).then_some(sent_at + SimDuration::from_micros(us(latency))),
+            });
+        }
+        if shape == 3 {
+            let acks: Vec<usize> = (0..t.records.len())
+                .filter(|&i| t.records[i].is_ack)
+                .collect();
+            for k in 0..acks.len() / 2 {
+                t.records.swap(acks[k], acks[acks.len() - 1 - k]);
+            }
+        }
+        t
+    }
+
+    /// A flow of 400,000 segments, every second one acknowledged — a
+    /// 600-s flow's worth of records — keeps at most 8 bytes a record in
+    /// its fold columns (and a constant) at every point of the flow: 4 a
+    /// delivered packet's latency, 4 an ACK's send time and fate, and the
+    /// per-seq tables, which grow in steps, so the check runs all along
+    /// the flow, not at one length. (Each `Vec` may reserve up to twice
+    /// what it holds; a page never written is not resident.)
+    #[test]
+    fn a_600_s_flow_keeps_at_most_8_bytes_a_record_in_its_columns() {
+        const SEGMENTS: u64 = 400_000;
+        const CONSTANT: usize = 64 << 10;
+        let mut columns = FoldColumns::default();
+        let mut fold = FlowFold::new(&TimeoutConfig::default(), &mut columns);
+        for seq in 0..SEGMENTS {
+            let sent_at = SimTime::from_micros(seq * 1_500);
+            let arrived =
+                |lost: bool, us: u64| (!lost).then_some(sent_at + SimDuration::from_micros(us));
+            fold.push(PacketRecord {
+                id: 2 * seq,
+                seq,
+                is_ack: false,
+                retransmit: false,
+                acked_count: 0,
+                size_bytes: 1500,
+                sent_at,
+                arrived_at: arrived(seq % 50 == 7, 40_000 + seq * 7_919 % 20_000),
+            });
+            if seq % 2 == 1 {
+                fold.push(PacketRecord {
+                    id: 2 * seq + 1,
+                    seq: seq + 1,
+                    is_ack: true,
+                    retransmit: false,
+                    acked_count: 2,
+                    size_bytes: 40,
+                    sent_at: sent_at + SimDuration::from_micros(500),
+                    arrived_at: arrived(seq % 100 == 31, 30_000 + seq * 104_729 % 9_000),
+                });
+            }
+            let records = fold.records;
+            if records % 1024 < 2 {
+                let bytes = fold.columns.held_bytes();
+                assert!(
+                    bytes <= 8 * records + CONSTANT,
+                    "{records} records keep {bytes} bytes in the fold columns"
+                );
+            }
+        }
+        assert!(fold.records as u64 >= SEGMENTS * 3 / 2);
+        let a = fold.finish(0, &FlowMeta::default());
+        assert_eq!(a.throughput.segments_delivered, SEGMENTS - SEGMENTS / 50);
+    }
+
+    #[test]
+    #[should_panic(expected = "past the fold's 2⁶³ µs")]
+    fn an_ack_sent_past_2_pow_63_us_is_refused() {
+        let mut columns = FoldColumns::default();
+        let mut fold = FlowFold::new(&TimeoutConfig::default(), &mut columns);
+        fold.push(PacketRecord {
+            sent_at: SimTime::from_micros(1 << 63),
+            ..ack(1, 0, false)
+        });
+    }
+
     proptest::proptest! {
+        /// Random streams with latencies and ACK gaps past what four bytes
+        /// hold, zero latencies, ties, all-lost directions and falling ACK
+        /// send times: the fold's narrow columns widen where they must and
+        /// give the analysis that full-width latencies and the
+        /// stand-alone rounds over the trace give.
+        #[test]
+        fn narrow_columns_give_the_full_width_analysis(
+            shape in 0u8..6,
+            script in proptest::collection::vec(
+                (0u8..2, 0u64..40, 0u64..40, 0u8..5),
+                0..64,
+            ),
+        ) {
+            assert_sweep_matches_parts(&edge_trace(shape, &script));
+        }
+
         /// Over random scripts — ACK-only, data-only and deaf flows among
         /// them, ladders that chain or run into the trace's end, far-off
         /// seqs, rounds on window edges — the one sweep returns what the

@@ -24,9 +24,11 @@ fn high_water_mark() -> usize {
 }
 
 /// Resident bytes a summary run may add per packet: the analysis fold's
-/// columns alone measure 25–28 (every 32-byte row kept to the end of the
-/// run, on top of them, measured 47–55; 48-byte rows 65–69).
-const BYTES_PER_PACKET: usize = 32;
+/// columns alone measure 18–21 (25–28 when each latency and ACK send time
+/// took 8 bytes and each ACK's loss flag one more; every 32-byte row kept
+/// to the end of the run, on top of those, measured 47–55; 48-byte rows
+/// 65–69).
+const BYTES_PER_PACKET: usize = 24;
 
 #[test]
 fn a_summary_run_holds_its_packets_in_32_byte_rows() {

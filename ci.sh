@@ -78,6 +78,20 @@ stage_build_test() {
         echo "a deleted one-value setting (RTO bounds, delack_timeout, mss_bytes) or an unread public item is back" >&2
         exit 1
     fi
+    # Also deleted: the controllers' settable parameters and their spec
+    # form (each controller runs at its published constants,
+    # `Algorithm::constants`), and two analyses that no result read: the
+    # throughput/stall timeline and Padhye's square-root approximation.
+    if grep -rnE 'Algorithm::(veno|cubic|compound)\(|\{ *Veno *= *\{ *beta|analysis::timeline|throughput_timeline|TimelineBin|detect_stalls|stall_time_fraction|\bStall\b|padhye_simple|padhye::simple' \
+        crates src tests examples; then
+        echo "a deleted controller parameter, the timeline analysis or padhye::simple is back" >&2
+        exit 1
+    fi
+    # DESIGN.md's budget, which ROADMAP sets: at most 1,000 lines.
+    if [ "$(wc -l < DESIGN.md)" -gt 1000 ]; then
+        echo "DESIGN.md has $(wc -l < DESIGN.md) lines, over its 1,000-line budget" >&2
+        exit 1
+    fi
     # --workspace so the release `repro` binary the later steps run is built
     # (the bare root build only covers the facade crate).
     cargo build --release --workspace

@@ -47,7 +47,7 @@ pub fn run_cc(ctx: &Ctx) -> ExperimentResult {
         for (name, algo, newreno) in [
             ("Reno", Algorithm::Reno, false),
             ("NewReno", Algorithm::Reno, true),
-            ("Veno", Algorithm::veno(), false),
+            ("Veno", Algorithm::Veno, false),
         ] {
             let results = par_map(reps, |rep| {
                 let sc = base_scenario(duration, provider, 7_000 + rep);

@@ -54,13 +54,10 @@ pub mod prelude {
     };
     pub use crate::estimate::{estimate_params, EstimateConfig, PdSource, QSource};
     pub use crate::eval::{deviation, evaluate_dataset, evaluate_flow, AccuracyReport, FlowEval};
-    pub use crate::padhye::{
-        expected_window, f_backoff, full as padhye_full, q_p, simple as padhye_simple, x_p,
-    };
+    pub use crate::padhye::{expected_window, f_backoff, full as padhye_full, q_p, x_p};
     pub use crate::params::{ModelParams, ValidateParamsError};
     pub use crate::recovery::{
-        adjusted_terms as recovery_adjusted_terms, predict as predict_recovery_gains,
-        spurious_share, RecoveryPrediction, STRATEGY_LABELS as RECOVERY_LABELS,
+        predict as predict_recovery_gains, RecoveryPrediction, STRATEGY_LABELS as RECOVERY_LABELS,
     };
     pub use crate::sensitivity::{
         delayed_ack_analysis, redundant_retransmit_benefit, sweep_p_a, sweep_p_d, sweep_q,

@@ -1,12 +1,8 @@
 //! The Padhye TCP-Reno throughput model (ToN 2000) — the baseline the
 //! paper enhances and evaluates against in Fig. 10.
 //!
-//! Implemented in two flavours:
-//!
-//! * [`simple`] — the famous square-root approximation with the timeout
-//!   term,
-//! * [`full`] — the full model with the timeout probability `Q̂`, the
-//!   backoff series `f(p)` and the window-limitation branch.
+//! [`full`] is the full model with the timeout probability `Q̂`, the
+//! backoff series `f(p)` and the window-limitation branch.
 //!
 //! Throughputs are in **segments per second**. The model assumes ACKs are
 //! never lost and retransmissions are lost at the lifetime rate `p` — the
@@ -39,20 +35,6 @@ pub fn expected_window(p: f64, b: f64) -> f64 {
 /// Padhye model adopt).
 pub fn q_p(w: f64) -> f64 {
     (3.0 / w.max(1.0)).min(1.0)
-}
-
-/// The square-root approximation with the timeout correction:
-/// `B ≈ min(W_m/RTT, 1 / (RTT·sqrt(2bp/3) + T·min(1, 3·sqrt(3bp/8))·p·(1+32p²)))`.
-///
-/// # Errors
-///
-/// Returns the parameter-validation error if `params` is out of domain.
-pub fn simple(params: &ModelParams) -> Result<f64, crate::params::ValidateParamsError> {
-    params.validate()?;
-    let (p, b, rtt, t) = (params.p_d, params.b, params.rtt_s, params.t_rto_s);
-    let denom = rtt * (2.0 * b * p / 3.0).sqrt()
-        + t * (3.0 * (3.0 * b * p / 8.0).sqrt()).min(1.0) * p * (1.0 + 32.0 * p * p);
-    Ok((params.w_m / rtt).min(1.0 / denom))
 }
 
 /// The full Padhye model with window limitation.
@@ -128,34 +110,11 @@ mod tests {
     }
 
     #[test]
-    fn simple_monotone_in_loss() {
-        let base = ModelParams::stationary_example();
-        let lo = simple(&base.with_p_d(0.001)).unwrap();
-        let hi = simple(&base.with_p_d(0.05)).unwrap();
-        assert!(lo > hi, "more loss, less throughput ({lo} vs {hi})");
-    }
-
-    #[test]
-    fn simple_respects_window_cap() {
-        // Tiny loss: the W_m/RTT cap binds.
-        let p = ModelParams::stationary_example()
-            .with_p_d(1e-7)
-            .with_w_m(10.0);
-        let tp = simple(&p).unwrap();
-        assert!((tp - 10.0 / p.rtt_s).abs() < 1e-9);
-    }
-
-    #[test]
-    fn full_monotone_in_loss_and_close_to_simple_mid_range() {
+    fn full_monotone_in_loss() {
         let base = ModelParams::stationary_example().with_w_m(1000.0);
         let tp1 = full(&base.with_p_d(0.002)).unwrap();
         let tp2 = full(&base.with_p_d(0.02)).unwrap();
         assert!(tp1 > tp2);
-        // In the moderate-loss regime the simple and full forms agree
-        // within a factor of ~1.5 (they famously diverge at extremes).
-        let s = simple(&base.with_p_d(0.02)).unwrap();
-        let ratio = tp2 / s;
-        assert!((0.5..2.0).contains(&ratio), "full/simple ratio {ratio}");
     }
 
     #[test]
@@ -174,7 +133,6 @@ mod tests {
     #[test]
     fn invalid_params_propagate() {
         let bad = ModelParams::stationary_example().with_p_d(0.0);
-        assert!(simple(&bad).is_err());
         assert!(full(&bad).is_err());
     }
 }

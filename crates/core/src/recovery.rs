@@ -65,7 +65,7 @@ pub struct RecoveryPrediction {
 /// The spurious share of timeout indications: the fraction of `Q`
 /// (Eq. 10) that exists only because of ACK-burst loss,
 /// `s = (Q − Q_P)/Q`. With `P_a = 0`, `Q = Q_P` and `s = 0`.
-pub fn spurious_share(q_timeout: f64, q_padhye: f64) -> f64 {
+fn spurious_share(q_timeout: f64, q_padhye: f64) -> f64 {
     if q_timeout <= 0.0 {
         0.0
     } else {
@@ -76,7 +76,7 @@ pub fn spurious_share(q_timeout: f64, q_padhye: f64) -> f64 {
 /// The timeout-sequence terms after one strategy's adjustment (see the
 /// module docs for the per-strategy algebra). `spurious` is the share
 /// from [`spurious_share`]; unknown labels return the unadjusted terms.
-pub fn adjusted_terms(label: &str, params: &ModelParams, spurious: f64) -> TimeoutSequenceTerms {
+fn adjusted_terms(label: &str, params: &ModelParams, spurious: f64) -> TimeoutSequenceTerms {
     let base = timeout_sequence_terms(params);
     let q = params.q.max(params.p_d);
     match label {

@@ -605,30 +605,6 @@ mod tests {
         })
     }
 
-    /// The congestion-control variants the key grid sweeps: the zoo's
-    /// defaults, non-default parameters for each parameterised
-    /// controller, and one seed-dependent parameter.
-    fn cc_grid(seed: u64) -> [Algorithm; 9] {
-        [
-            Algorithm::Reno,
-            Algorithm::Bbr,
-            Algorithm::veno(),
-            Algorithm::cubic(),
-            Algorithm::compound(),
-            Algorithm::Veno { beta: 2.5 },
-            Algorithm::Cubic { c: 0.1, beta: 0.7 },
-            Algorithm::Compound {
-                alpha: 0.1,
-                beta: 0.5,
-                k: 0.75,
-                gamma: 30.0,
-            },
-            Algorithm::Veno {
-                beta: 1.0 + (seed % 7) as f64 / 10.0,
-            },
-        ]
-    }
-
     /// One row of the identity table: the default config with one edit.
     fn variant(
         name: &'static str,
@@ -640,17 +616,15 @@ mod tests {
     }
 
     /// Flow identity, pinned three ways. (1) Starting from the default
-    /// config, changing any single field — or a single parameter of a
-    /// parameterised controller — moves both the cache key and the spec
-    /// digest, and no two rows collide. (2) Across a 108 × 9 × 4 grid
-    /// with extreme seeds and durations every key is distinct. (3) The
-    /// default config's key is frozen, so an accidental change to the
-    /// canonical encoding (field order, tags, widths) or the version
-    /// fails here instead of silently orphaning disk tiers.
+    /// config, changing any single field moves both the cache key and the
+    /// spec digest, and no two rows collide. (2) Across a 108 × 5 × 4
+    /// grid with extreme seeds and durations every key is distinct.
+    /// (3) The default config's key under each zoo member is frozen, so an
+    /// accidental change to the canonical encoding (field order, tags,
+    /// widths, a controller's constants) or the version fails here
+    /// instead of silently orphaning disk tiers.
     #[test]
     fn flow_identity_covers_every_field_and_is_frozen() {
-        // Each differs from its controller's defaults in one parameter.
-        let [.., veno_beta, cubic_c, compound_alpha, _] = cc_grid(0);
         let table = [
             variant("default", |_| {}),
             variant("ChinaUnicom", |c| c.provider = Provider::ChinaUnicom),
@@ -661,13 +635,10 @@ mod tests {
             variant("w_m", |c| c.w_m = 47),
             variant("b", |c| c.b = 3),
             variant("flow", |c| c.flow = 1),
-            variant("Veno", |c| c.cc = Algorithm::veno()),
-            variant("Cubic", |c| c.cc = Algorithm::cubic()),
+            variant("Veno", |c| c.cc = Algorithm::Veno),
+            variant("Cubic", |c| c.cc = Algorithm::Cubic),
             variant("Bbr", |c| c.cc = Algorithm::Bbr),
-            variant("Compound", |c| c.cc = Algorithm::compound()),
-            variant("Veno.beta", |c| c.cc = veno_beta),
-            variant("Cubic.c", |c| c.cc = cubic_c),
-            variant("Compound.alpha", |c| c.cc = compound_alpha),
+            variant("Compound", |c| c.cc = Algorithm::Compound),
             variant("RedundantRto", |c| c.recovery = Recovery::RedundantRto),
             variant("Frto", |c| c.recovery = Recovery::Frto),
             variant("AckRobust", |c| c.recovery = Recovery::AckRobust),
@@ -693,7 +664,7 @@ mod tests {
                         SimDuration::from_secs(120),
                         SimDuration::from_micros(u64::MAX),
                     ] {
-                        for cc in cc_grid(seed) {
+                        for cc in Algorithm::zoo() {
                             for recovery in Recovery::ALL {
                                 let config = ScenarioConfig {
                                     provider,
@@ -716,10 +687,23 @@ mod tests {
                 }
             }
         }
-        assert_eq!(keys.len(), 108 * 9 * 4);
+        assert_eq!(keys.len(), 108 * 5 * 4);
 
-        let key = CacheKey::of(&ScenarioConfig::default()).0;
-        assert_eq!(key, 0x4a53_8f66_c3f6_4352, "got {key:#018x}");
+        let frozen = [
+            (Algorithm::Reno, 0x4a53_8f66_c3f6_4352),
+            (Algorithm::Veno, 0xb8c5_eb9b_3c7d_9011),
+            (Algorithm::Cubic, 0x69b7_e4ed_35d3_4a56),
+            (Algorithm::Bbr, 0x9a00_2ef3_db3b_7a37),
+            (Algorithm::Compound, 0x53f5_559b_fbcf_6e05),
+        ];
+        for (cc, expected) in frozen {
+            let key = CacheKey::of(&ScenarioConfig {
+                cc,
+                ..Default::default()
+            })
+            .0;
+            assert_eq!(key, expected, "{}: got {key:#018x}", cc.label());
+        }
     }
 
     /// Keys 1, 9 and 17 share a shard (`key & 7 == 1`), and 16 entries

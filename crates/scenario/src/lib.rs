@@ -63,7 +63,6 @@ pub mod prelude {
     pub use crate::provider::Provider;
     pub use crate::runner::{
         run_scenario, Keep, Motion, ScenarioConfig, ScenarioConfigBuilder, ScenarioError, Scratch,
-        SCENARIO_HIGH_SPEED, SCENARIO_STATIONARY,
     };
     pub use crate::spec::{
         expansion_digest, load_spec, CampaignSpec, GridKind, ScenarioBase, ScenarioGrid, SpecError,

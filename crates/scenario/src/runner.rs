@@ -26,9 +26,9 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Scenario label used in traces for 300 km/h runs.
-pub const SCENARIO_HIGH_SPEED: &str = "high-speed";
+const SCENARIO_HIGH_SPEED: &str = "high-speed";
 /// Scenario label used in traces for stationary runs.
-pub const SCENARIO_STATIONARY: &str = "stationary";
+const SCENARIO_STATIONARY: &str = "stationary";
 
 /// Whether the phone is on the train or on a desk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -93,9 +93,9 @@ impl From<SimError> for ScenarioError {
 
 /// Full description of one measured flow.
 ///
-/// The blessed way to construct one is [`ScenarioConfig::builder`], which
-/// validates the parameters; the fields remain `pub` for one release to
-/// keep struct-literal call sites compiling.
+/// [`ScenarioConfig::builder`] validates the parameters as it builds;
+/// the fields are `pub`, and [`run`] checks a struct literal with
+/// [`ScenarioConfig::validate`] before it simulates.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScenarioConfig {
     /// Which ISP carries the flow.
@@ -249,11 +249,11 @@ impl ScenarioConfig {
     /// the campaign cache key and the spec expansion digest both hash.
     ///
     /// Every field is always present, in declaration order: one tag byte
-    /// per enum variant, fixed-width little-endian integers, `f64` as its
-    /// IEEE-754 bits (controller parameters follow their controller's
-    /// tag, in declaration order). The tag fixes the length of what
-    /// follows it, so the encoding is prefix-free and a sequence of
-    /// configs needs no separator. Nothing is allocated.
+    /// per enum variant, fixed-width little-endian integers, and after a
+    /// controller's tag its published constants ([`Algorithm::constants`])
+    /// as IEEE-754 bits. The tag fixes the length of what follows it, so
+    /// the encoding is prefix-free and a sequence of configs needs no
+    /// separator. Nothing is allocated.
     ///
     /// The struct is destructured and every enum matched exhaustively, so
     /// a new field or variant fails to compile until it is keyed. Tags
@@ -285,30 +285,15 @@ impl ScenarioConfig {
         h.u32(w_m);
         h.u32(b);
         h.u32(flow);
-        match cc {
-            Algorithm::Reno => h.u8(0),
-            Algorithm::Veno { beta } => {
-                h.u8(1);
-                h.f64(beta);
-            }
-            Algorithm::Cubic { c, beta } => {
-                h.u8(2);
-                h.f64(c);
-                h.f64(beta);
-            }
-            Algorithm::Bbr => h.u8(3),
-            Algorithm::Compound {
-                alpha,
-                beta,
-                k,
-                gamma,
-            } => {
-                h.u8(4);
-                h.f64(alpha);
-                h.f64(beta);
-                h.f64(k);
-                h.f64(gamma);
-            }
+        h.u8(match cc {
+            Algorithm::Reno => 0,
+            Algorithm::Veno => 1,
+            Algorithm::Cubic => 2,
+            Algorithm::Bbr => 3,
+            Algorithm::Compound => 4,
+        });
+        for &constant in cc.constants() {
+            h.f64(constant);
         }
         h.u8(match recovery {
             Recovery::None => 0,
@@ -697,7 +682,7 @@ mod tests {
             w_m: 48,
             b: 2,
             flow: 7,
-            cc: Algorithm::Cubic { c: 0.4, beta: -0.0 },
+            cc: Algorithm::Cubic,
             recovery: Recovery::AckRobust,
         };
         let mut expected = vec![2u8, 1];
@@ -705,8 +690,12 @@ mod tests {
         expected.extend_from_slice(&9u64.to_le_bytes());
         expected.extend_from_slice(&[48, 0, 0, 0, 2, 0, 0, 0, 7, 0, 0, 0]);
         expected.push(2);
-        expected.extend_from_slice(&0.4f64.to_bits().to_le_bytes());
-        expected.extend_from_slice(&[0, 0, 0, 0, 0, 0, 0, 0x80]);
+        // CUBIC's `C` and `β`; their values are pinned by the frozen
+        // per-controller keys in `hsm-runtime`'s cache tests.
+        assert_eq!(Algorithm::Cubic.constants().len(), 2);
+        for constant in Algorithm::Cubic.constants() {
+            expected.extend_from_slice(&constant.to_bits().to_le_bytes());
+        }
         expected.push(3);
         let mut h = Fnv1a::default();
         cfg.hash_into(&mut h);
@@ -734,10 +723,10 @@ mod tests {
     #[test]
     fn cc_choice_reaches_the_sender_config() {
         let cfg = ScenarioConfig {
-            cc: Algorithm::cubic(),
+            cc: Algorithm::Cubic,
             ..Default::default()
         };
-        assert_eq!(cfg.connection().sender.algorithm, Algorithm::cubic());
+        assert_eq!(cfg.connection().sender.algorithm, Algorithm::Cubic);
         assert_eq!(
             ScenarioConfig::default().connection().sender.algorithm,
             Algorithm::Reno

@@ -885,21 +885,13 @@ fn motion_from_value(path: &str, v: &Value) -> Result<Motion, SpecError> {
     })
 }
 
-/// Accepts either a zoo label (`"Cubic"` = RFC-default parameters) or
-/// the externally tagged parameter form
-/// (`{ Cubic = { c = 0.4, beta = 0.7 } }`).
 fn algorithm_from_value(path: &str, v: &Value) -> Result<Algorithm, SpecError> {
-    if let Value::Str(label) = v {
-        if let Some(cc) = Algorithm::zoo().into_iter().find(|cc| cc.label() == label) {
-            return Ok(cc);
-        }
-    }
-    Algorithm::from_value(v).map_err(|e| {
+    Algorithm::from_value(v).map_err(|_| {
         SpecError::new(
             path,
             format!(
-                "expected a zoo label (Reno, Veno, Cubic, Bbr, Compound) or a \
-                 parameterized form like {{ Veno = {{ beta = 3.0 }} }}: {e}"
+                "expected one of \"Reno\", \"Veno\", \"Cubic\", \"Bbr\", \"Compound\", got {}",
+                render_short(v)
             ),
         )
     })
@@ -985,7 +977,7 @@ fn base_to_value(base: &ScenarioBase, relative_to: Option<&ScenarioBase>) -> Val
     );
     push(
         "cc",
-        algorithm_to_value(base.cc),
+        serde::Serialize::to_value(&base.cc),
         same(&|o| o.cc == base.cc),
     );
     push(
@@ -1009,16 +1001,6 @@ fn base_to_value(base: &ScenarioBase, relative_to: Option<&ScenarioBase>) -> Val
         same(&|o| o.scale == base.scale),
     );
     Value::Obj(pairs)
-}
-
-/// Zoo-default algorithms render as their bare label, everything else in
-/// the externally tagged parameter form.
-fn algorithm_to_value(cc: Algorithm) -> Value {
-    if Algorithm::zoo().contains(&cc) {
-        Value::Str(cc.label().to_owned())
-    } else {
-        serde::Serialize::to_value(&cc)
-    }
 }
 
 fn scenario_to_value(sc: &ScenarioGrid, defaults: &ScenarioBase) -> Value {
@@ -1051,7 +1033,7 @@ fn canonical_sweep(sweep: &[SweepAxis]) -> Vec<(usize, (String, Value))> {
                 SweepAxis::DurationSecs(v) => v.iter().map(|d| Value::UInt(*d)).collect(),
                 SweepAxis::Window(v) => v.iter().map(|w| Value::UInt(u64::from(*w))).collect(),
                 SweepAxis::DelayedAck(v) => v.iter().map(|b| Value::UInt(u64::from(*b))).collect(),
-                SweepAxis::Cc(v) => v.iter().map(|cc| algorithm_to_value(*cc)).collect(),
+                SweepAxis::Cc(v) => v.iter().map(serde::Serialize::to_value).collect(),
                 SweepAxis::Recovery(v) => v.iter().map(serde::Serialize::to_value).collect(),
             };
             (
@@ -1097,8 +1079,8 @@ mod tests {
                     },
                     sweep: vec![SweepAxis::Cc(vec![
                         Algorithm::Reno,
-                        Algorithm::cubic(),
-                        Algorithm::Veno { beta: 2.5 },
+                        Algorithm::Cubic,
+                        Algorithm::Veno,
                     ])],
                 },
             ],
@@ -1123,8 +1105,8 @@ mod tests {
         // Scenario 2 restarts its own seed range.
         assert_eq!(configs[12].seed, 500);
         assert_eq!(configs[12].cc, Algorithm::Reno);
-        assert_eq!(configs[13].cc, Algorithm::cubic());
-        assert_eq!(configs[14].cc, Algorithm::Veno { beta: 2.5 });
+        assert_eq!(configs[13].cc, Algorithm::Cubic);
+        assert_eq!(configs[14].cc, Algorithm::Veno);
         // Expansion is deterministic.
         assert_eq!(configs, demo_spec().expand().unwrap());
     }
@@ -1170,6 +1152,40 @@ mod tests {
         assert_eq!(err.key, "scenario");
     }
 
+    /// A controller runs at its published constants only: a parameter
+    /// table in place of a label is an error at its key, not a default.
+    #[test]
+    fn a_parameter_form_is_rejected_not_defaulted() {
+        let err = CampaignSpec::from_toml(
+            r#"
+name = "x"
+
+[[scenario]]
+name = "a"
+
+[scenario.sweep]
+cc = ["Reno", "Veno", { Compound = { alpha = 0.25, beta = 0.3, k = 0.5, gamma = 15.0 } }]
+"#,
+        )
+        .unwrap_err();
+        assert_eq!(err.key, "scenario[0].sweep.cc[2]");
+        assert!(err.message.contains("\"Compound\""), "{err}");
+
+        let err = CampaignSpec::from_toml(
+            r#"
+name = "x"
+
+[defaults]
+cc = { Cubic = { c = 0.1, beta = 0.5 } }
+
+[[scenario]]
+name = "a"
+"#,
+        )
+        .unwrap_err();
+        assert_eq!(err.key, "defaults.cc");
+    }
+
     #[test]
     fn recovery_axis_sweeps_innermost_and_round_trips() {
         let text = r#"
@@ -1191,7 +1207,7 @@ recovery = ["None", "Frto", "AckRobust"]
         assert_eq!(configs[1].recovery, Recovery::Frto);
         assert_eq!(configs[2].recovery, Recovery::AckRobust);
         assert_eq!(configs[0].cc, Algorithm::Reno);
-        assert_eq!(configs[3].cc, Algorithm::cubic());
+        assert_eq!(configs[3].cc, Algorithm::Cubic);
         // Round trip preserves the axis and a base-level override.
         let mut spec2 = spec.clone();
         spec2.scenarios[0].base.recovery = Recovery::RedundantRto;

@@ -18,6 +18,15 @@ use crate::cwnd::{send_window, Phase};
 
 use super::CongestionControl;
 
+/// Delay-window growth gain `α` (Tan et al.).
+pub(super) const ALPHA: f64 = 0.125;
+/// Multiplicative decrease factor `β`.
+pub(super) const BETA: f64 = 0.5;
+/// Delay-window growth exponent `k`.
+pub(super) const K: f64 = 0.75;
+/// Backlog threshold `γ`, packets.
+pub(super) const GAMMA: f64 = 30.0;
+
 /// The Compound TCP controller.
 #[derive(Debug, Clone, Copy)]
 pub struct Compound {
@@ -28,25 +37,18 @@ pub struct Compound {
     ssthresh: f64,
     phase: Phase,
     w_m: f64,
-    /// Delay-window growth gain `α`.
-    alpha: f64,
-    /// Multiplicative decrease factor `β`.
-    beta: f64,
-    /// Delay-window growth exponent `k`.
-    k: f64,
-    /// Backlog threshold `γ`, packets.
-    gamma: f64,
     base_rtt_s: f64,
     last_rtt_s: f64,
 }
 
 impl Compound {
-    /// Creates a Compound controller with initial window 1.
+    /// Creates a Compound controller with initial window 1, at the
+    /// published constants `α = 1/8`, `β = 1/2`, `k = 3/4`, `γ = 30`.
     ///
     /// # Panics
     ///
     /// Panics if `w_m` is zero.
-    pub fn new(w_m: u32, alpha: f64, beta: f64, k: f64, gamma: f64) -> Compound {
+    pub fn new(w_m: u32) -> Compound {
         assert!(w_m > 0, "advertised window must be positive");
         Compound {
             cwnd: 1.0,
@@ -54,10 +56,6 @@ impl Compound {
             ssthresh: f64::from(w_m),
             phase: Phase::SlowStart,
             w_m: f64::from(w_m),
-            alpha,
-            beta,
-            k,
-            gamma,
             base_rtt_s: f64::INFINITY,
             last_rtt_s: f64::INFINITY,
         }
@@ -113,11 +111,11 @@ impl CongestionControl for Compound {
                 // grow α·win^k while the queue is empty, drain by the
                 // backlog estimate once it builds.
                 match self.diff() {
-                    Some(d) if d >= self.gamma => {
+                    Some(d) if d >= GAMMA => {
                         self.dwnd = (self.dwnd - d / w).max(0.0);
                     }
                     _ => {
-                        self.dwnd += (self.alpha * w.powf(self.k) - 1.0).max(0.0) / w;
+                        self.dwnd += (ALPHA * w.powf(K) - 1.0).max(0.0) / w;
                     }
                 }
             }
@@ -132,8 +130,8 @@ impl CongestionControl for Compound {
         // The combined window takes the standard β cut; the delay window
         // is halved outright (Tan et al. §III-C with β = 1/2 gives
         // dwnd' = win·(1−β) − cwnd/2 = dwnd/2).
-        self.ssthresh = (flight as f64 * (1.0 - self.beta)).max(2.0);
-        self.dwnd *= 1.0 - self.beta;
+        self.ssthresh = (flight as f64 * (1.0 - BETA)).max(2.0);
+        self.dwnd *= 1.0 - BETA;
         self.cwnd = (self.ssthresh - self.dwnd).max(1.0) + 3.0;
         self.phase = Phase::FastRecovery;
     }
@@ -223,13 +221,9 @@ impl CongestionControl for Compound {
 mod tests {
     use super::*;
 
-    fn compound(w_m: u32) -> Compound {
-        Compound::new(w_m, 0.125, 0.5, 0.75, 30.0)
-    }
-
     #[test]
     fn slow_start_matches_reno() {
-        let mut c = compound(64);
+        let mut c = Compound::new(64);
         assert_eq!(c.window(), 1);
         c.on_new_ack(1);
         c.on_new_ack(1);
@@ -240,7 +234,7 @@ mod tests {
 
     #[test]
     fn empty_queue_opens_the_delay_window() {
-        let mut c = compound(256);
+        let mut c = Compound::new(256);
         c.on_timeout(64); // ssthresh 32, restart
         c.observe_rtt(0.05);
         c.observe_rtt(0.05); // RTT at base: queue empty
@@ -257,7 +251,7 @@ mod tests {
 
     #[test]
     fn queue_buildup_drains_the_delay_window() {
-        let mut c = compound(256);
+        let mut c = Compound::new(256);
         c.on_timeout(64);
         c.observe_rtt(0.05);
         for _ in 0..200 {
@@ -281,7 +275,7 @@ mod tests {
 
     #[test]
     fn loss_halves_the_combined_window() {
-        let mut c = compound(256);
+        let mut c = Compound::new(256);
         c.on_timeout(64);
         c.observe_rtt(0.05);
         for _ in 0..200 {
@@ -301,7 +295,7 @@ mod tests {
 
     #[test]
     fn timeout_clears_both_components() {
-        let mut c = compound(64);
+        let mut c = Compound::new(64);
         c.observe_rtt(0.05);
         for _ in 0..100 {
             c.on_new_ack(1);
@@ -315,7 +309,7 @@ mod tests {
     #[test]
     fn deterministic_event_stream() {
         let run = || {
-            let mut c = compound(48);
+            let mut c = Compound::new(48);
             c.observe_rtt(0.06);
             for i in 0..500u64 {
                 c.on_new_ack(1);

@@ -18,10 +18,12 @@ use crate::cwnd::{send_window, Phase};
 
 use super::CongestionControl;
 
+/// Cubic scaling constant `C` (RFC 8312).
+pub(super) const C: f64 = 0.4;
+/// Multiplicative decrease factor `β` (RFC 8312).
+pub(super) const BETA: f64 = 0.7;
 /// RFC 8312 TCP-friendly region constant `3·(1−β)/(1+β)`.
-fn friendly_gain(beta: f64) -> f64 {
-    3.0 * (1.0 - beta) / (1.0 + beta)
-}
+const FRIENDLY_GAIN: f64 = 3.0 * (1.0 - BETA) / (1.0 + BETA);
 
 /// The CUBIC controller.
 #[derive(Debug, Clone, Copy)]
@@ -30,10 +32,6 @@ pub struct Cubic {
     ssthresh: f64,
     phase: Phase,
     w_m: f64,
-    /// Cubic scaling constant `C`.
-    c: f64,
-    /// Multiplicative decrease factor `β`.
-    beta: f64,
     /// Window at the last reduction (after fast convergence).
     w_max: f64,
     /// Time for the cubic to regrow to `w_max`: `∛(W_max·(1−β)/C)`.
@@ -47,20 +45,19 @@ pub struct Cubic {
 }
 
 impl Cubic {
-    /// Creates a CUBIC controller with initial window 1.
+    /// Creates a CUBIC controller with initial window 1, at the RFC 8312
+    /// constants `C = 0.4`, `β = 0.7`.
     ///
     /// # Panics
     ///
     /// Panics if `w_m` is zero.
-    pub fn new(w_m: u32, c: f64, beta: f64) -> Cubic {
+    pub fn new(w_m: u32) -> Cubic {
         assert!(w_m > 0, "advertised window must be positive");
         Cubic {
             cwnd: 1.0,
             ssthresh: f64::from(w_m),
             phase: Phase::SlowStart,
             w_m: f64::from(w_m),
-            c,
-            beta,
             w_max: 0.0,
             k: 0.0,
             t_s: 0.0,
@@ -74,13 +71,13 @@ impl Cubic {
         if self.w_max < self.cwnd {
             self.w_max = self.cwnd;
         }
-        self.k = ((self.w_max - self.cwnd).max(0.0) / self.c).cbrt();
+        self.k = ((self.w_max - self.cwnd).max(0.0) / C).cbrt();
         self.t_s = 0.0;
         self.w_est = self.cwnd;
     }
 
     fn w_cubic(&self, t: f64) -> f64 {
-        self.c * (t - self.k).powi(3) + self.w_max
+        C * (t - self.k).powi(3) + self.w_max
     }
 
     fn clamp(&mut self) {
@@ -115,7 +112,7 @@ impl CongestionControl for Cubic {
                     // One RTT of virtual time per acknowledged window.
                     self.t_s += a * rtt / self.cwnd.max(1.0);
                     // Reno-equivalent AIMD estimate for the friendly region.
-                    self.w_est += friendly_gain(self.beta) * a / self.cwnd.max(1.0);
+                    self.w_est += FRIENDLY_GAIN * a / self.cwnd.max(1.0);
                     let target = self.w_cubic(self.t_s + rtt);
                     if self.w_cubic(self.t_s) < self.w_est {
                         // TCP-friendly region: track the Reno estimate.
@@ -139,11 +136,11 @@ impl CongestionControl for Cubic {
         // than last time, release extra bandwidth for newcomers.
         let w = self.cwnd;
         self.w_max = if w < self.w_max {
-            w * (2.0 - self.beta) / 2.0
+            w * (2.0 - BETA) / 2.0
         } else {
             w
         };
-        self.ssthresh = (w * self.beta).max(2.0);
+        self.ssthresh = (w * BETA).max(2.0);
         self.cwnd = self.ssthresh + 3.0;
         self.phase = Phase::FastRecovery;
     }
@@ -171,11 +168,11 @@ impl CongestionControl for Cubic {
     fn on_timeout(&mut self, _flight: u64) {
         let w = self.cwnd;
         self.w_max = if w < self.w_max {
-            w * (2.0 - self.beta) / 2.0
+            w * (2.0 - BETA) / 2.0
         } else {
             w
         };
-        self.ssthresh = (w * self.beta).max(2.0);
+        self.ssthresh = (w * BETA).max(2.0);
         self.cwnd = 1.0;
         self.phase = Phase::SlowStart;
     }
@@ -241,7 +238,7 @@ mod tests {
     use super::*;
 
     fn grown(w_m: u32) -> Cubic {
-        let mut c = Cubic::new(w_m, 0.4, 0.7);
+        let mut c = Cubic::new(w_m);
         c.observe_rtt(0.05);
         for _ in 0..40 {
             c.on_new_ack(1);
@@ -251,7 +248,7 @@ mod tests {
 
     #[test]
     fn slow_start_matches_reno() {
-        let mut c = Cubic::new(64, 0.4, 0.7);
+        let mut c = Cubic::new(64);
         assert_eq!(c.window(), 1);
         c.on_new_ack(1);
         c.on_new_ack(1);
@@ -273,7 +270,7 @@ mod tests {
     fn growth_plateaus_near_w_max_then_probes() {
         // Big pipe so the cubic term dominates the TCP-friendly floor:
         // slow-start to ~300, lose, and watch the epoch's growth curve.
-        let mut c = Cubic::new(300, 0.4, 0.7);
+        let mut c = Cubic::new(300);
         c.observe_rtt(0.05);
         while c.phase() == Phase::SlowStart {
             c.on_new_ack(1);
@@ -340,7 +337,7 @@ mod tests {
     #[test]
     fn deterministic_event_stream() {
         let run = || {
-            let mut c = Cubic::new(48, 0.4, 0.7);
+            let mut c = Cubic::new(48);
             c.observe_rtt(0.08);
             for i in 0..500u64 {
                 c.on_new_ack(1 + i % 2);

@@ -100,83 +100,46 @@ pub trait CongestionControl: fmt::Debug + Send {
 
 /// Which congestion-control algorithm shapes the window.
 ///
-/// This is pure *configuration* — a serializable label with parameters
-/// that flows through `SenderConfig`, scenario configs and campaign cache
-/// keys; [`Algorithm::build`] turns it into a live [`CongestionControl`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+/// This is pure *configuration* — a serializable label that flows
+/// through `SenderConfig`, scenario configs and campaign cache keys;
+/// [`Algorithm::build`] turns it into a live [`CongestionControl`]. Each
+/// controller runs at its published constants ([`Algorithm::constants`]),
+/// so a label names exactly one controller.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum Algorithm {
     /// Classic Reno (the paper's modelling target).
     #[default]
     Reno,
     /// TCP Veno (Fu et al., cited by the paper): estimates the router
-    /// backlog `N = cwnd·(RTT − baseRTT)/RTT`; a loss with `N < beta` is
-    /// deemed *random* (wireless) and the window is only reduced by 1/5,
-    /// and congestion-avoidance growth slows to every other ACK once the
-    /// backlog builds up.
-    Veno {
-        /// Backlog threshold distinguishing random from congestive loss
-        /// (Veno's default is 3 packets).
-        beta: f64,
-    },
-    /// CUBIC (RFC 8312): window growth is a cubic function of the time
-    /// since the last reduction, with fast convergence and a
-    /// TCP-friendly region.
-    Cubic {
-        /// Cubic scaling constant `C` (RFC 8312 default 0.4).
-        c: f64,
-        /// Multiplicative decrease factor `β` (RFC 8312 default 0.7).
-        beta: f64,
-    },
+    /// backlog `N = cwnd·(RTT − baseRTT)/RTT`; a loss with `N < β = 3`
+    /// packets is deemed *random* (wireless) and the window is only
+    /// reduced by 1/5, and congestion-avoidance growth slows to every
+    /// other ACK once the backlog builds up.
+    Veno,
+    /// CUBIC (RFC 8312, `C = 0.4`, `β = 0.7`): window growth is a cubic
+    /// function of the time since the last reduction, with fast
+    /// convergence and a TCP-friendly region.
+    Cubic,
     /// A BBR-style model-based sender: windowed max-bandwidth and
     /// min-RTT estimates set the window to a gain-cycled BDP through a
     /// simple STARTUP/PROBE_BW state machine.
     Bbr,
-    /// Compound TCP (Tan et al.): a scalable delay window `dwnd` grows
-    /// alongside the loss-based `cwnd` while queueing delay stays below
-    /// `gamma`, and drains when queues build.
-    Compound {
-        /// Delay-window growth gain `α` (default 1/8).
-        alpha: f64,
-        /// Multiplicative decrease factor `β` (default 1/2).
-        beta: f64,
-        /// Delay-window growth exponent `k` (default 3/4).
-        k: f64,
-        /// Queue backlog threshold `γ`, packets (default 30).
-        gamma: f64,
-    },
+    /// Compound TCP (Tan et al., `α = 1/8`, `β = 1/2`, `k = 3/4`,
+    /// `γ = 30`): a scalable delay window `dwnd` grows alongside the
+    /// loss-based `cwnd` while queueing delay stays below `γ` packets,
+    /// and drains when queues build.
+    Compound,
 }
 
 impl Algorithm {
-    /// Veno with its standard `beta = 3`.
-    pub fn veno() -> Algorithm {
-        Algorithm::Veno { beta: 3.0 }
-    }
-
-    /// CUBIC with the RFC 8312 constants (`C = 0.4`, `β = 0.7`).
-    pub fn cubic() -> Algorithm {
-        Algorithm::Cubic { c: 0.4, beta: 0.7 }
-    }
-
-    /// Compound with the published defaults
-    /// (`α = 1/8`, `β = 1/2`, `k = 3/4`, `γ = 30`).
-    pub fn compound() -> Algorithm {
-        Algorithm::Compound {
-            alpha: 0.125,
-            beta: 0.5,
-            k: 0.75,
-            gamma: 30.0,
-        }
-    }
-
-    /// Every member of the congestion-control zoo at its defaults, in
-    /// study order.
+    /// Every member of the congestion-control zoo, in study order.
     pub fn zoo() -> [Algorithm; 5] {
         [
             Algorithm::Reno,
-            Algorithm::veno(),
-            Algorithm::cubic(),
+            Algorithm::Veno,
+            Algorithm::Cubic,
             Algorithm::Bbr,
-            Algorithm::compound(),
+            Algorithm::Compound,
         ]
     }
 
@@ -184,10 +147,27 @@ impl Algorithm {
     pub fn label(&self) -> &'static str {
         match self {
             Algorithm::Reno => "Reno",
-            Algorithm::Veno { .. } => "Veno",
-            Algorithm::Cubic { .. } => "Cubic",
+            Algorithm::Veno => "Veno",
+            Algorithm::Cubic => "Cubic",
             Algorithm::Bbr => "Bbr",
-            Algorithm::Compound { .. } => "Compound",
+            Algorithm::Compound => "Compound",
+        }
+    }
+
+    /// The published constants the controller runs at, in the order the
+    /// flow identity hashes them: Veno's `β`; CUBIC's `C`, `β`;
+    /// Compound's `α`, `β`, `k`, `γ`. Reno and BBR have none.
+    pub fn constants(&self) -> &'static [f64] {
+        match self {
+            Algorithm::Reno | Algorithm::Bbr => &[],
+            Algorithm::Veno => &[crate::cwnd::VENO_BETA],
+            Algorithm::Cubic => &[cubic::C, cubic::BETA],
+            Algorithm::Compound => &[
+                compound::ALPHA,
+                compound::BETA,
+                compound::K,
+                compound::GAMMA,
+            ],
         }
     }
 
@@ -198,15 +178,10 @@ impl Algorithm {
     /// Panics if `w_m` is zero.
     pub fn build(&self, w_m: u32) -> Box<dyn CongestionControl> {
         match *self {
-            Algorithm::Reno | Algorithm::Veno { .. } => Box::new(Cwnd::with_algorithm(w_m, *self)),
-            Algorithm::Cubic { c, beta } => Box::new(Cubic::new(w_m, c, beta)),
+            Algorithm::Reno | Algorithm::Veno => Box::new(Cwnd::with_algorithm(w_m, *self)),
+            Algorithm::Cubic => Box::new(Cubic::new(w_m)),
             Algorithm::Bbr => Box::new(Bbr::new(w_m)),
-            Algorithm::Compound {
-                alpha,
-                beta,
-                k,
-                gamma,
-            } => Box::new(Compound::new(w_m, alpha, beta, k, gamma)),
+            Algorithm::Compound => Box::new(Compound::new(w_m)),
         }
     }
 }
@@ -226,21 +201,11 @@ mod tests {
     }
 
     #[test]
-    fn zoo_members_serialize_with_external_tags() {
-        let json = |a: &Algorithm| serde_json::to_string(a).unwrap();
-        assert_eq!(json(&Algorithm::Reno), "\"Reno\"");
-        assert_eq!(json(&Algorithm::Bbr), "\"Bbr\"");
-        assert_eq!(json(&Algorithm::veno()), "{\"Veno\":{\"beta\":3.0}}");
-        assert_eq!(
-            json(&Algorithm::cubic()),
-            "{\"Cubic\":{\"c\":0.4,\"beta\":0.7}}"
-        );
-        assert_eq!(
-            json(&Algorithm::compound()),
-            "{\"Compound\":{\"alpha\":0.125,\"beta\":0.5,\"k\":0.75,\"gamma\":30.0}}"
-        );
+    fn zoo_members_serialize_as_their_labels() {
         for algo in Algorithm::zoo() {
-            let back: Algorithm = serde_json::from_str(&json(&algo)).unwrap();
+            let json = serde_json::to_string(&algo).unwrap();
+            assert_eq!(json, format!("\"{}\"", algo.label()));
+            let back: Algorithm = serde_json::from_str(&json).unwrap();
             assert_eq!(back, algo, "round trip");
         }
     }

@@ -8,6 +8,10 @@
 use crate::cc::{Algorithm, CongestionControl};
 use serde::{Deserialize, Serialize};
 
+/// Veno's backlog threshold `β`, packets: a loss with a smaller backlog
+/// estimate is deemed random (Fu & Liew's default).
+pub(crate) const VENO_BETA: f64 = 3.0;
+
 /// Which congestion phase the sender is in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Phase {
@@ -74,7 +78,7 @@ impl Cwnd {
 
     fn random_loss_suspected(&self) -> bool {
         match self.algo {
-            Algorithm::Veno { beta } => self.backlog_estimate().is_some_and(|n| n < beta),
+            Algorithm::Veno => self.backlog_estimate().is_some_and(|n| n < VENO_BETA),
             // Reno — and any non-classic variant handed to this struct by
             // mistake — treats every loss as congestive.
             _ => false,
@@ -114,8 +118,7 @@ impl CongestionControl for Cwnd {
                 // ACKs (fewer ACKs per round) growth slows to 1 per b
                 // rounds, matching the model's Eq. (3). Veno halves the
                 // growth once the backlog estimate exceeds beta.
-                let congested =
-                    matches!(self.algo, Algorithm::Veno { .. }) && !self.random_loss_suspected();
+                let congested = self.algo == Algorithm::Veno && !self.random_loss_suspected();
                 let step = if congested { 0.5 } else { 1.0 };
                 self.cwnd += step / self.cwnd.max(1.0);
             }
@@ -422,7 +425,7 @@ mod tests {
 
     #[test]
     fn veno_backlog_estimate() {
-        let mut c = Cwnd::with_algorithm(64, Algorithm::veno());
+        let mut c = Cwnd::with_algorithm(64, Algorithm::Veno);
         assert_eq!(c.backlog_estimate(), None, "no RTT info yet");
         for _ in 0..20 {
             c.on_new_ack(1);
@@ -436,7 +439,7 @@ mod tests {
 
     #[test]
     fn veno_takes_smaller_cut_on_random_loss() {
-        let mut veno = Cwnd::with_algorithm(64, Algorithm::veno());
+        let mut veno = Cwnd::with_algorithm(64, Algorithm::Veno);
         let mut reno = Cwnd::new(64);
         for c in [&mut veno, &mut reno] {
             for _ in 0..20 {
@@ -454,7 +457,7 @@ mod tests {
 
     #[test]
     fn veno_halves_like_reno_when_congested() {
-        let mut veno = Cwnd::with_algorithm(64, Algorithm::veno());
+        let mut veno = Cwnd::with_algorithm(64, Algorithm::Veno);
         for _ in 0..20 {
             veno.on_new_ack(1);
         }
@@ -468,7 +471,7 @@ mod tests {
 
     #[test]
     fn veno_slows_ca_growth_under_backlog() {
-        let mut c = Cwnd::with_algorithm(64, Algorithm::veno());
+        let mut c = Cwnd::with_algorithm(64, Algorithm::Veno);
         c.on_timeout(20); // ssthresh 10
         for _ in 0..9 {
             c.on_new_ack(1);

@@ -14,7 +14,7 @@
 //!   lone-segment retransmission during timeout recovery, optional NewReno
 //!   partial-ACK handling, optional redundant backup-path retransmission);
 //!   NewReno and Veno are [`reno::SenderConfig`] settings
-//!   (`newreno: true`, `algorithm: Algorithm::veno()`), not types;
+//!   (`newreno: true`, `algorithm: Algorithm::Veno`), not types;
 //! * [`recovery`] — the §V loss-recovery countermeasure zoo (redundant
 //!   retransmit-on-RTO, RFC 5682 F-RTO spurious-timeout undo, and an
 //!   ACK-loss-robust backoff), pluggable like the [`cc`] zoo;

@@ -1297,7 +1297,7 @@ mod tests {
                 .map(|seed| throughput(algorithm, seed))
                 .sum::<f64>()
         };
-        let (veno, reno) = (sum(Algorithm::veno()), sum(Algorithm::Reno));
+        let (veno, reno) = (sum(Algorithm::Veno), sum(Algorithm::Reno));
         assert!(
             veno > reno * 1.05,
             "Veno {veno} should clearly beat Reno {reno} under random loss"

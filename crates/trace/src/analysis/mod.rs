@@ -6,7 +6,6 @@ pub mod latency;
 pub mod loss;
 pub mod rounds;
 pub mod throughput;
-pub mod timeline;
 pub mod timeout;
 
 /// How far the dense slab of a per-sequence-number fold may reach once it

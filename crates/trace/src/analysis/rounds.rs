@@ -115,7 +115,9 @@ pub fn ack_rounds(trace: &FlowTrace, gap: SimDuration) -> Vec<AckRound> {
 /// Summary of ACK-burst behaviour over a flow.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
 pub struct AckBurstStats {
-    /// Number of rounds observed (including single-ACK rounds).
+    /// Rounds counted (single-ACK rounds included): every round that does
+    /// not start inside an excluded recovery window — every round when
+    /// nothing is excluded ([`ack_burst_stats`]).
     pub rounds: usize,
     /// Rounds with at least two ACKs — the sample `P_a` is estimated
     /// from. A one-ACK round cannot distinguish *burst* loss from plain
@@ -126,7 +128,9 @@ pub struct AckBurstStats {
     pub measurable_rounds: usize,
     /// Measurable rounds in which every ACK was lost.
     pub burst_lost_rounds: usize,
-    /// Mean number of ACKs per round (over all rounds).
+    /// Mean number of ACKs per counted round (the [`rounds`](Self::rounds)
+    /// above, recovery windows excluded). A flow's summary reports it as
+    /// `FlowSummary::acks_per_round`, the `n` of the model's `P_a = p_a^n`.
     pub mean_acks_per_round: f64,
 }
 

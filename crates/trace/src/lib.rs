@@ -48,9 +48,6 @@ pub mod prelude {
     pub use crate::analysis::loss::{loss_rates, LossRates};
     pub use crate::analysis::rounds::{ack_burst_stats, ack_rounds, AckBurstStats, AckRound};
     pub use crate::analysis::throughput::{throughput, Throughput};
-    pub use crate::analysis::timeline::{
-        detect_stalls, stall_time_fraction, throughput_timeline, Stall, TimelineBin,
-    };
     pub use crate::analysis::timeout::{
         analyze_timeouts, TimeoutAnalysis, TimeoutConfig, TimeoutEvent, TimeoutSequence,
     };

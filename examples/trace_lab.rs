@@ -9,7 +9,6 @@
 use hsm::prelude::{load_spec, Keep, Scratch};
 use hsm::scenario::runner::run;
 use hsm::simnet::chaos::StormPlan;
-use hsm::simnet::time::SimDuration;
 use hsm::trace::prelude::*;
 use std::path::Path;
 
@@ -45,47 +44,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 3. Offline analysis of the reloaded archive.
-    println!("flow  provider        TP(seg/s)  stalls>1s  dead-time  q̂      spurious");
+    println!("flow  provider        TP(seg/s)  q̂      spurious");
     for trace in &reloaded {
         let a = analyze_flow(trace, &TimeoutConfig::default());
-        let stalls = detect_stalls(trace, SimDuration::from_secs(1));
-        let dead = stall_time_fraction(trace, SimDuration::from_secs(1));
         println!(
-            "{:4}  {:14}  {:8.1}  {:9}  {:8.1}%  {:5.2}  {:7.1}%",
+            "{:4}  {:14}  {:8.1}  {:5.2}  {:7.1}%",
             a.summary.flow,
             a.summary.provider,
             a.summary.throughput_sps,
-            stalls.len(),
-            dead * 100.0,
             a.summary.q_hat,
             a.summary.spurious_fraction() * 100.0,
         );
     }
 
-    // 4. Windowed throughput of the roughest flow.
-    if let Some(worst) = reloaded.iter().min_by(|a, b| {
-        let ta = analyze_flow(a, &TimeoutConfig::default())
-            .summary
-            .throughput_sps;
-        let tb = analyze_flow(b, &TimeoutConfig::default())
-            .summary
-            .throughput_sps;
-        ta.partial_cmp(&tb).expect("finite")
-    }) {
-        println!(
-            "\nper-5s throughput of the roughest flow (#{}):",
-            worst.flow
-        );
-        for bin in throughput_timeline(worst, SimDuration::from_secs(5)) {
-            let bar_len = (bin.throughput_sps() / 20.0) as usize;
-            println!(
-                "  {:5.0}s  {:7.1} seg/s  {}",
-                bin.from.as_secs_f64(),
-                bin.throughput_sps(),
-                "#".repeat(bar_len.min(60))
-            );
-        }
-    }
     let _ = std::fs::remove_file(&path);
     Ok(())
 }

@@ -47,7 +47,7 @@ fn builder_configs() -> Vec<ScenarioConfig> {
         b().motion(Motion::HighSpeed).duration(secs(60)).seed(5),
         b().motion(Motion::HighSpeed)
             .provider(Provider::ChinaUnicom)
-            .cc(Algorithm::cubic())
+            .cc(Algorithm::Cubic)
             .duration(secs(40))
             .seed(6),
         b().motion(Motion::HighSpeed)
@@ -56,7 +56,7 @@ fn builder_configs() -> Vec<ScenarioConfig> {
             .duration(secs(40))
             .seed(7),
         b().motion(Motion::HighSpeed)
-            .cc(Algorithm::compound())
+            .cc(Algorithm::Compound)
             .recovery(Recovery::AckRobust)
             .duration(secs(30))
             .seed(8),
@@ -66,7 +66,7 @@ fn builder_configs() -> Vec<ScenarioConfig> {
             .duration(secs(30))
             .seed(9),
         b().motion(Motion::HighSpeed)
-            .cc(Algorithm::veno())
+            .cc(Algorithm::Veno)
             .w_m(16)
             .duration(secs(30))
             .seed(10),

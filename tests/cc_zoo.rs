@@ -54,15 +54,10 @@ fn golden_throughput_fixtures_on_the_random_loss_path() {
     for (name, algo, newreno, expected) in [
         ("Reno", Algorithm::Reno, false, 218.601808929968911),
         ("NewReno", Algorithm::Reno, true, 212.262688002175338),
-        ("Veno", Algorithm::veno(), false, 353.050732580270051),
-        ("Cubic", Algorithm::cubic(), false, 336.001411205927070),
+        ("Veno", Algorithm::Veno, false, 353.050732580270051),
+        ("Cubic", Algorithm::Cubic, false, 336.001411205927070),
         ("Bbr", Algorithm::Bbr, false, 695.082723749670322),
-        (
-            "Compound",
-            Algorithm::compound(),
-            false,
-            223.388330698634434,
-        ),
+        ("Compound", Algorithm::Compound, false, 223.388330698634434),
     ] {
         let tp = random_loss_throughput(algo, newreno, 60);
         let rel = ((tp - expected) / expected).abs();
@@ -168,7 +163,7 @@ fn zoo_members_differ_end_to_end() {
         .summary()
         .throughput_sps;
     let mut distinct = 0;
-    for cc in [Algorithm::cubic(), Algorithm::Bbr, Algorithm::compound()] {
+    for cc in [Algorithm::Cubic, Algorithm::Bbr, Algorithm::Compound] {
         let tp = hsm::scenario::runner::run_scenario(&zoo_configs(cc)[0])
             .summary()
             .throughput_sps;

@@ -1,6 +1,5 @@
 //! Integration tests for the extension features: Veno, adaptive delayed
-//! ACKs, spurious-RTO undo, shared-radio MPTCP, trace persistence and
-//! timeline analysis.
+//! ACKs, spurious-RTO undo, shared-radio MPTCP and trace persistence.
 
 use hsm::scenario::prelude::*;
 use hsm::simnet::time::SimDuration;
@@ -30,7 +29,7 @@ fn run_with(
 fn veno_runs_the_full_hsr_pipeline() {
     let sc = hsr_scenario(91);
     let (_, reno) = run_with(&sc, |_| {});
-    let (_, veno) = run_with(&sc, |c| c.sender.algorithm = Algorithm::veno());
+    let (_, veno) = run_with(&sc, |c| c.sender.algorithm = Algorithm::Veno);
     assert!(veno.throughput_sps > 0.0);
     // Same channel, same seed: both complete; Veno should be in the same
     // ballpark or better (its cuts are never deeper than Reno's).
@@ -182,24 +181,4 @@ fn dataset_persistence_round_trips_through_disk() {
         assert_eq!(a, b);
     }
     let _ = std::fs::remove_file(&path);
-}
-
-#[test]
-fn timeline_dead_time_tracks_timeouts() {
-    let out = run_scenario(&hsr_scenario(95));
-    let trace = out.trace.as_ref().expect("run_scenario keeps the trace");
-    let dead = stall_time_fraction(trace, SimDuration::from_secs(1));
-    let stalls = detect_stalls(trace, SimDuration::from_secs(1));
-    if out.summary().timeout_sequences > 0 {
-        assert!(
-            !stalls.is_empty(),
-            "timeout sequences must appear as stalls"
-        );
-        assert!(dead > 0.0);
-    }
-    // The timeline's total deliveries match the throughput analysis.
-    let bins = throughput_timeline(trace, SimDuration::from_secs(5));
-    let timeline_total: u64 = bins.iter().map(|b| b.delivered).sum();
-    let direct = throughput(trace);
-    assert_eq!(timeline_total, direct.segments_delivered);
 }

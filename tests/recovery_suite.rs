@@ -60,15 +60,10 @@ fn explicit_none_matches_the_pre_recovery_goldens() {
     for (name, algo, newreno, expected) in [
         ("Reno", Algorithm::Reno, false, 218.601808929968911),
         ("NewReno", Algorithm::Reno, true, 212.262688002175338),
-        ("Veno", Algorithm::veno(), false, 353.050732580270051),
-        ("Cubic", Algorithm::cubic(), false, 336.001411205927070),
+        ("Veno", Algorithm::Veno, false, 353.050732580270051),
+        ("Cubic", Algorithm::Cubic, false, 336.001411205927070),
         ("Bbr", Algorithm::Bbr, false, 695.082723749670322),
-        (
-            "Compound",
-            Algorithm::compound(),
-            false,
-            223.388330698634434,
-        ),
+        ("Compound", Algorithm::Compound, false, 223.388330698634434),
     ] {
         let tp = random_loss_throughput(algo, newreno, Recovery::None, 60);
         let rel = ((tp - expected) / expected).abs();

@@ -87,6 +87,15 @@ stage_build_test() {
         echo "a deleted controller parameter, the timeline analysis or padhye::simple is back" >&2
         exit 1
     fi
+    # Also deleted: the §V strategy-object layer (the sender matches on the
+    # closed `Recovery` label), the second spurious-timeout snapshot (one
+    # undo slot serves both detectors) and the adaptive delayed-ACK
+    # policy's one-value settings (private constants in `tcp::receiver`).
+    if grep -rnE 'LossRecovery|TimeoutPlan|NoRecovery|Recovery::build|RtoUndo|frto_cwnd|AdaptiveDelAck' \
+        crates src tests examples; then
+        echo "a deleted recovery strategy object (LossRecovery, TimeoutPlan), a second undo snapshot or AdaptiveDelAck is back" >&2
+        exit 1
+    fi
     # DESIGN.md's budget, which ROADMAP sets: at most 1,000 lines.
     if [ "$(wc -l < DESIGN.md)" -gt 1000 ]; then
         echo "DESIGN.md has $(wc -l < DESIGN.md) lines, over its 1,000-line budget" >&2

@@ -17,7 +17,6 @@ use hsm_scenario::runner::{run_scenario, ScenarioConfig};
 use hsm_tcp::cc::Algorithm;
 use hsm_tcp::connection::run_connection;
 use hsm_tcp::mptcp::{run_mptcp_duplex, run_mptcp_shared_radio};
-use hsm_tcp::receiver::AdaptiveDelAck;
 use hsm_trace::analysis::timeout::TimeoutConfig;
 use hsm_trace::export::{fnum, fpct, Table};
 use hsm_trace::summary::analyze_flow;
@@ -87,15 +86,11 @@ pub fn run_delack(ctx: &Ctx) -> ExperimentResult {
             "mean spurious fraction",
         ],
     );
-    let policies: [(&str, u32, Option<AdaptiveDelAck>); 4] = [
-        ("fixed b=1", 1, None),
-        ("fixed b=2", 2, None),
-        ("fixed b=4", 4, None),
-        (
-            "adaptive (TCP-DCA style)",
-            1,
-            Some(AdaptiveDelAck::default()),
-        ),
+    let policies = [
+        ("fixed b=1", 1, false),
+        ("fixed b=2", 2, false),
+        ("fixed b=4", 4, false),
+        ("adaptive (TCP-DCA style)", 1, true),
     ];
     for (name, b, adaptive) in policies {
         let results = par_map(reps, |rep| {

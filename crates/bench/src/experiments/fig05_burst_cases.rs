@@ -33,7 +33,7 @@ fn run_case(w_m: u32, outage_ms: (u64, u64), segments: u64) -> ScriptedRun {
     };
     let rcfg = ReceiverConfig {
         b: 1,
-        adaptive: None,
+        adaptive: false,
     };
     let tx = eng.add_agent(Box::new(RenoSender::new(FlowId(0), placeholder, scfg)));
     let rx = eng.add_agent(Box::new(Receiver::new(FlowId(0), placeholder, rcfg)));

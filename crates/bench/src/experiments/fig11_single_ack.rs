@@ -26,7 +26,7 @@ fn run_case(up_loss_during_window: f64) -> ScriptedRun {
     };
     let rcfg = ReceiverConfig {
         b: 1,
-        adaptive: None,
+        adaptive: false,
     };
     let tx = eng.add_agent(Box::new(RenoSender::new(FlowId(0), placeholder, scfg)));
     let rx = eng.add_agent(Box::new(Receiver::new(FlowId(0), placeholder, rcfg)));

@@ -247,10 +247,6 @@ impl CongestionControl for Bbr {
         self.cwnd >= self.w_m
     }
 
-    fn name(&self) -> &'static str {
-        "Bbr"
-    }
-
     fn clone_box(&self) -> Box<dyn CongestionControl> {
         Box::new(*self)
     }

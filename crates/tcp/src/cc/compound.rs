@@ -182,10 +182,6 @@ impl CongestionControl for Compound {
         self.win() >= self.w_m
     }
 
-    fn name(&self) -> &'static str {
-        "Compound"
-    }
-
     fn clone_box(&self) -> Box<dyn CongestionControl> {
         Box::new(*self)
     }

@@ -197,10 +197,6 @@ impl CongestionControl for Cubic {
         self.cwnd >= self.w_m
     }
 
-    fn name(&self) -> &'static str {
-        "Cubic"
-    }
-
     fn clone_box(&self) -> Box<dyn CongestionControl> {
         Box::new(*self)
     }

@@ -81,11 +81,8 @@ pub trait CongestionControl: fmt::Debug + Send {
     /// True when the advertised window is the binding constraint.
     fn window_limited(&self) -> bool;
 
-    /// Stable display name ("Reno", "Cubic", …).
-    fn name(&self) -> &'static str;
-
-    /// Clones the controller state (used by the F-RTO spurious-RTO undo,
-    /// which snapshots the pre-collapse window).
+    /// Clones the controller state (used by the sender's spurious-timeout
+    /// undo, which snapshots the pre-collapse window).
     fn clone_box(&self) -> Box<dyn CongestionControl>;
 
     /// Checks the controller's structural invariants (window ≥ 1 segment,
@@ -194,8 +191,7 @@ mod tests {
     fn build_dispatches_every_variant() {
         for algo in Algorithm::zoo() {
             let cc = algo.build(48);
-            assert_eq!(cc.name(), algo.label());
-            assert_eq!(cc.window(), 1, "{}: initial window", cc.name());
+            assert_eq!(cc.window(), 1, "{}: initial window", algo.label());
             assert_eq!(cc.phase(), Phase::SlowStart);
         }
     }
@@ -219,7 +215,7 @@ mod tests {
             }
             cc.observe_rtt(0.05);
             let snap = cc.clone_box();
-            assert_eq!(snap.cwnd(), cc.cwnd(), "{}", cc.name());
+            assert_eq!(snap.cwnd(), cc.cwnd(), "{}", algo.label());
             assert_eq!(snap.window(), cc.window());
             assert_eq!(snap.phase(), cc.phase());
         }
@@ -235,16 +231,16 @@ mod tests {
             }
             cc.observe_rtt(0.05);
             cc.enter_fast_recovery(20);
-            assert_eq!(cc.phase(), Phase::FastRecovery, "{}", cc.name());
+            assert_eq!(cc.phase(), Phase::FastRecovery, "{}", algo.label());
             cc.on_dup_ack_in_recovery();
             cc.on_partial_ack(3);
-            assert_eq!(cc.phase(), Phase::FastRecovery, "{}", cc.name());
+            assert_eq!(cc.phase(), Phase::FastRecovery, "{}", algo.label());
             cc.assert_invariants();
             cc.exit_fast_recovery();
-            assert_ne!(cc.phase(), Phase::FastRecovery, "{}", cc.name());
+            assert_ne!(cc.phase(), Phase::FastRecovery, "{}", algo.label());
             cc.on_timeout(16);
-            assert_eq!(cc.phase(), Phase::SlowStart, "{}", cc.name());
-            assert_eq!(cc.window(), 1, "{}: timeout collapses to 1", cc.name());
+            assert_eq!(cc.phase(), Phase::SlowStart, "{}", algo.label());
+            assert_eq!(cc.window(), 1, "{}: timeout collapses to 1", algo.label());
             cc.assert_invariants();
         }
     }
@@ -266,7 +262,7 @@ mod tests {
             assert!(
                 cc.window() <= before,
                 "{}: {} -> {} grew through a loss",
-                cc.name(),
+                algo.label(),
                 before,
                 cc.window()
             );
@@ -274,7 +270,7 @@ mod tests {
                 assert!(
                     cc.window() < before || before == 1,
                     "{}: {} -> {} after loss",
-                    cc.name(),
+                    algo.label(),
                     before,
                     cc.window()
                 );

@@ -188,10 +188,6 @@ impl CongestionControl for Cwnd {
         self.cwnd >= self.w_m
     }
 
-    fn name(&self) -> &'static str {
-        self.algo.label()
-    }
-
     fn clone_box(&self) -> Box<dyn CongestionControl> {
         Box::new(*self)
     }

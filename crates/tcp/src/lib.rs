@@ -15,11 +15,13 @@
 //!   partial-ACK handling, optional redundant backup-path retransmission);
 //!   NewReno and Veno are [`reno::SenderConfig`] settings
 //!   (`newreno: true`, `algorithm: Algorithm::Veno`), not types;
-//! * [`recovery`] — the §V loss-recovery countermeasure zoo (redundant
-//!   retransmit-on-RTO, RFC 5682 F-RTO spurious-timeout undo, and an
-//!   ACK-loss-robust backoff), pluggable like the [`cc`] zoo;
-//! * [`receiver`] — cumulative + delayed ACKs (`b`), reordering buffer,
-//!   duplicate-payload accounting (spurious-timeout ground truth);
+//! * [`recovery`] — the [`recovery::Recovery`] label naming the §V
+//!   loss-recovery countermeasures (redundant retransmit-on-RTO, RFC 5682
+//!   F-RTO spurious-timeout undo, and an ACK-loss-robust backoff), which
+//!   the sender matches on;
+//! * [`receiver`] — cumulative + delayed ACKs (`b`, or the adaptive
+//!   TCP-DCA-style window), reordering buffer, duplicate-payload
+//!   accounting (spurious-timeout ground truth);
 //! * [`connection`] — one-call wiring of a full measurement rig
 //!   (sender ↔ cellular path ↔ receiver, optional 300 km/h mobility,
 //!   optional chaos storm), its capture handed back as a trace or analysed
@@ -68,8 +70,8 @@ pub mod prelude {
     pub use crate::mptcp::{
         run_mptcp_duplex, run_mptcp_shared_radio, run_with_backup_path, MptcpOutcome,
     };
-    pub use crate::receiver::{AdaptiveDelAck, Receiver, ReceiverConfig};
-    pub use crate::recovery::{AckDisposition, LossRecovery, Recovery, TimeoutPlan};
+    pub use crate::receiver::{Receiver, ReceiverConfig};
+    pub use crate::recovery::Recovery;
     pub use crate::reno::{RenoSender, SenderConfig};
     pub use crate::rtt::{Backoff, RttEstimator};
 }

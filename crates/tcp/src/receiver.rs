@@ -23,44 +23,20 @@ use hsm_simnet::prelude::Agent;
 use hsm_simnet::time::SimDuration;
 use std::collections::BTreeSet;
 
-/// TCP-DCA-style adaptive delayed-ACK policy (Chen et al., cited in §V-A;
-/// the paper leaves its high-speed evaluation as future work — the
-/// `ext_delack` experiment provides it).
-///
-/// The delayed window grows while the stream is healthy and collapses to
-/// `b_min` on any disorder signal (out-of-order or duplicate payloads —
-/// the receiver-visible footprints of loss and spurious timeouts).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdaptiveDelAck {
-    /// Smallest delayed window (used right after any disturbance).
-    pub b_min: u32,
-    /// Largest delayed window the policy will reach.
-    pub b_max: u32,
-    /// Consecutive undisturbed in-order segments required per increment.
-    pub grow_after: u32,
-}
-
-impl Default for AdaptiveDelAck {
-    /// Conservative defaults: the §V-A analysis shows that large delayed
-    /// windows amplify ACK-burst loss, so the default never grows past
-    /// the standard `b = 2`.
-    fn default() -> Self {
-        AdaptiveDelAck {
-            b_min: 1,
-            b_max: 2,
-            grow_after: 64,
-        }
-    }
-}
-
 /// Receiver configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReceiverConfig {
     /// Delayed-ACK factor `b`: ACK every `b` in-order segments (1 disables
     /// delaying). Ignored when `adaptive` is set.
     pub b: u32,
-    /// Optional TCP-DCA-style adaptive delayed window.
-    pub adaptive: Option<AdaptiveDelAck>,
+    /// TCP-DCA-style adaptive delayed window (Chen et al., cited in §V-A;
+    /// the paper leaves its high-speed evaluation as future work — the
+    /// `ext_delack` experiment provides it). The window starts at 1, grows
+    /// by one per 64 undisturbed in-order segments up to 2, and collapses
+    /// back to 1 on any disorder signal (out-of-order or duplicate
+    /// payloads — the receiver-visible footprints of loss and spurious
+    /// timeouts).
+    pub adaptive: bool,
 }
 
 impl Default for ReceiverConfig {
@@ -68,10 +44,19 @@ impl Default for ReceiverConfig {
         // The paper's traces show delayed ACKs in use; b = 2 holds.
         ReceiverConfig {
             b: 2,
-            adaptive: None,
+            adaptive: false,
         }
     }
 }
+
+/// The adaptive window's floor, in force right after any disturbance.
+const ADAPTIVE_B_MIN: u32 = 1;
+/// The adaptive window's ceiling: the §V-A analysis shows that large
+/// delayed windows amplify ACK-burst loss, so it never grows past the
+/// standard `b = 2`.
+const ADAPTIVE_B_MAX: u32 = 2;
+/// Consecutive undisturbed in-order segments per adaptive increment.
+const ADAPTIVE_GROW_AFTER: u32 = 64;
 
 const TAG_DELACK: u64 = 100;
 /// Deadline after which a pending delayed ACK is sent anyway.
@@ -112,14 +97,7 @@ impl Receiver {
     /// up by wiring code before the simulation starts.
     pub fn new(flow: FlowId, uplink: LinkId, cfg: ReceiverConfig) -> Receiver {
         assert!(cfg.b >= 1, "delayed-ACK factor must be at least 1");
-        if let Some(a) = cfg.adaptive {
-            assert!(
-                a.b_min >= 1 && a.b_max >= a.b_min,
-                "invalid adaptive delack bounds"
-            );
-            assert!(a.grow_after >= 1, "grow_after must be positive");
-        }
-        let current_b = cfg.adaptive.map(|a| a.b_min).unwrap_or(cfg.b);
+        let current_b = if cfg.adaptive { ADAPTIVE_B_MIN } else { cfg.b };
         Receiver {
             flow,
             uplink,
@@ -141,17 +119,17 @@ impl Receiver {
     }
 
     fn on_disorder(&mut self) {
-        if let Some(a) = self.cfg.adaptive {
-            self.current_b = a.b_min;
+        if self.cfg.adaptive {
+            self.current_b = ADAPTIVE_B_MIN;
             self.healthy_streak = 0;
         }
     }
 
     fn on_healthy(&mut self, segments: u32) {
-        if let Some(a) = self.cfg.adaptive {
+        if self.cfg.adaptive {
             self.healthy_streak += segments;
-            while self.healthy_streak >= a.grow_after && self.current_b < a.b_max {
-                self.healthy_streak -= a.grow_after;
+            while self.healthy_streak >= ADAPTIVE_GROW_AFTER && self.current_b < ADAPTIVE_B_MAX {
+                self.healthy_streak -= ADAPTIVE_GROW_AFTER;
                 self.current_b += 1;
             }
         }
@@ -313,7 +291,7 @@ mod tests {
     fn out_of_order_triggers_immediate_dup_acks() {
         let mut h = harness(ReceiverConfig {
             b: 2,
-            adaptive: None,
+            adaptive: false,
         });
         // seq 0 arrives, then 2, 3, 4 (1 missing): expect dup ACKs cum=1.
         for seq in [0u64, 2, 3, 4] {
@@ -332,7 +310,7 @@ mod tests {
     fn hole_fill_acks_cumulatively() {
         let mut h = harness(ReceiverConfig {
             b: 2,
-            adaptive: None,
+            adaptive: false,
         });
         for seq in [0u64, 2, 3] {
             h.eng
@@ -355,7 +333,7 @@ mod tests {
     fn duplicate_payload_is_counted_and_acked() {
         let mut h = harness(ReceiverConfig {
             b: 1,
-            adaptive: None,
+            adaptive: false,
         });
         h.eng
             .inject(h.downlink, Packet::data(FlowId(0), SeqNo(0), false));
@@ -374,7 +352,7 @@ mod tests {
     fn b_equals_one_acks_every_segment() {
         let mut h = harness(ReceiverConfig {
             b: 1,
-            adaptive: None,
+            adaptive: false,
         });
         for seq in 0..5 {
             h.eng
@@ -384,53 +362,43 @@ mod tests {
         assert_eq!(acks_sent(&h.rec).len(), 5);
     }
 
-    #[test]
-    fn adaptive_delack_grows_on_healthy_stream() {
-        let cfg = ReceiverConfig {
-            adaptive: Some(AdaptiveDelAck {
-                b_min: 1,
-                b_max: 4,
-                grow_after: 8,
-            }),
-            ..Default::default()
-        };
-        let mut h = harness(cfg);
-        for seq in 0..40 {
+    /// Injects in-order segments `seqs` into an adaptive receiver and
+    /// returns its delayed window once they have landed.
+    fn adaptive_b_after(h: &mut Harness, seqs: std::ops::Range<u64>) -> u32 {
+        for seq in seqs {
             h.eng
                 .inject(h.downlink, Packet::data(FlowId(0), SeqNo(seq), false));
         }
         h.eng.run_until_idle();
+        h.eng.agent_mut::<Receiver>(h.rx).unwrap().current_b
+    }
+
+    #[test]
+    fn adaptive_delack_grows_on_healthy_stream() {
+        let mut h = harness(ReceiverConfig {
+            adaptive: true,
+            ..Default::default()
+        });
+        assert_eq!(adaptive_b_after(&mut h, 0..63), 1, "63 clean segments");
+        assert_eq!(adaptive_b_after(&mut h, 63..64), 2, "the 64th grows it");
+        assert_eq!(adaptive_b_after(&mut h, 64..128), 2, "b = 2 is the ceiling");
         let rx = h.eng.agent_mut::<Receiver>(h.rx).unwrap();
-        assert_eq!(
-            rx.current_b, 4,
-            "40 clean segments at grow_after=8 saturate b_max"
-        );
-        assert_eq!(rx.next_expected(), SeqNo(40));
+        assert_eq!(rx.next_expected(), SeqNo(128));
     }
 
     #[test]
     fn adaptive_delack_collapses_on_disorder() {
-        let cfg = ReceiverConfig {
-            adaptive: Some(AdaptiveDelAck {
-                b_min: 1,
-                b_max: 4,
-                grow_after: 4,
-            }),
+        let mut h = harness(ReceiverConfig {
+            adaptive: true,
             ..Default::default()
-        };
-        let mut h = harness(cfg);
-        for seq in 0..16 {
-            h.eng
-                .inject(h.downlink, Packet::data(FlowId(0), SeqNo(seq), false));
-        }
-        h.eng.run_until(SimTime::from_secs(2));
-        assert!(h.eng.agent_mut::<Receiver>(h.rx).unwrap().current_b > 1);
-        // A gap (seq 17 before 16... inject 18 to create disorder).
-        h.eng
-            .inject(h.downlink, Packet::data(FlowId(0), SeqNo(18), false));
-        h.eng.run_until_idle();
-        let rx = h.eng.agent_mut::<Receiver>(h.rx).unwrap();
-        assert_eq!(rx.current_b, 1, "disorder resets the delayed window");
+        });
+        assert_eq!(adaptive_b_after(&mut h, 0..64), 2);
+        // Seq 65 before 64: disorder.
+        assert_eq!(
+            adaptive_b_after(&mut h, 65..66),
+            1,
+            "disorder resets the window"
+        );
     }
 
     #[test]
@@ -469,8 +437,8 @@ mod tests {
         }
 
         fn disorder_ack(&mut self, cfg: &ReceiverConfig, mirrored: bool) {
-            if let Some(a) = cfg.adaptive {
-                (self.b, self.streak) = (a.b_min, 0);
+            if cfg.adaptive {
+                (self.b, self.streak) = (ADAPTIVE_B_MIN, 0);
             }
             self.ack(0, mirrored);
         }
@@ -496,10 +464,10 @@ mod tests {
             let advanced = (self.next - s) as u32;
             self.metrics.next_expected = self.next;
             self.pending += advanced;
-            if let Some(a) = cfg.adaptive {
+            if cfg.adaptive {
                 self.streak += advanced;
-                while self.streak >= a.grow_after && self.b < a.b_max {
-                    self.streak -= a.grow_after;
+                while self.streak >= ADAPTIVE_GROW_AFTER && self.b < ADAPTIVE_B_MAX {
+                    self.streak -= ADAPTIVE_GROW_AFTER;
                     self.b += 1;
                 }
             }
@@ -525,17 +493,11 @@ mod tests {
         #[test]
         fn one_set_receiver_matches_the_two_set_model(
             b in proptest::prop_oneof![proptest::Just(1u32), proptest::Just(2), proptest::Just(4)],
-            grow_after in 0u32..7,
+            adaptive in 0u32..2,
             backup in 0u32..2,
             script in proptest::collection::vec((0u32..9, 0u64..4096, 0u32..2, 0u32..5), 1..250),
         ) {
-            // grow_after 0..2 stands for "fixed b"; the rest is TCP-DCA.
-            let adaptive = (grow_after >= 2).then_some(AdaptiveDelAck {
-                b_min: 1,
-                b_max: 4,
-                grow_after,
-            });
-            let cfg = ReceiverConfig { b, adaptive };
+            let cfg = ReceiverConfig { b, adaptive: adaptive == 1 };
             let mut h = harness(cfg);
             if backup == 1 {
                 let sink = AgentId::from_raw(0);
@@ -543,7 +505,7 @@ mod tests {
                 h.eng.agent_mut::<Receiver>(h.rx).unwrap().backup_uplink = Some(link);
             }
             let mut model = TwoSetModel {
-                b: adaptive.map_or(b, |a| a.b_min),
+                b: if cfg.adaptive { ADAPTIVE_B_MIN } else { b },
                 ..Default::default()
             };
             for (shape, x, retransmit, pause) in script {

@@ -3,8 +3,8 @@
 //! The paper's §V diagnoses *why* TCP collapses at high speed — spurious
 //! RTOs from delayed (not lost) ACK bursts, and long timeout sequences
 //! inflating the recovery-phase loss term `q` — and sketches remedies it
-//! never implements. This module makes those remedies first-class sender
-//! strategies, analogous to the [`crate::cc`] congestion-control zoo:
+//! never implements. [`Recovery`] is the closed set of those remedies; the
+//! sender ([`crate::reno::RenoSender`]) matches on it at every timeout:
 //!
 //! * [`Recovery::RedundantRto`] — on a timeout, retransmit the oldest
 //!   unacknowledged segment *plus its successor*. Two segments give the
@@ -20,23 +20,23 @@
 //!   the loss genuine and resumes conventional go-back-N.
 //! * [`Recovery::AckRobust`] — an ACK-loss-robust RTO: when the recent
 //!   ACK inter-arrival history shows a burst-delay signature (one
-//!   outsized silence amid an otherwise steady ACK clock) the first
-//!   timeout of a ladder does *not* double the backoff — the sender
-//!   demands a second, corroborating silent RTO before backing off.
+//!   outsized silence that ended in an ACK arrival, amid an otherwise
+//!   steady ACK clock) the first timeout of a ladder does *not* double the
+//!   backoff — the sender demands a second, corroborating silent RTO
+//!   before backing off.
 //!
-//! [`Recovery::None`] is the identity strategy: every hook returns the
-//! decision the pre-recovery sender hard-coded, so flows with the default
-//! configuration are bit-identical to flows from before this module
-//! existed (pinned by goldens, the seed-42 chaos fixture, and the cache
-//! digest tests).
+//! [`Recovery::None`] is plain RFC 6298 recovery, the paper's measured
+//! baseline. The two stateful remedies keep their state machines here as
+//! crate-private types the sender owns.
 
 use hsm_simnet::time::SimTime;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Loss-recovery strategy selector, threaded through `SenderConfig`,
-/// `ScenarioConfig`, `DatasetConfig` and campaign specs exactly like the
-/// congestion-control `Algorithm`.
+/// The §V loss-recovery countermeasure a sender runs: a closed label the
+/// sender matches on, threaded through `SenderConfig`, `ScenarioConfig`,
+/// `DatasetConfig` and campaign specs like the congestion-control
+/// `Algorithm`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum Recovery {
     /// Plain RFC 6298 recovery — the paper's measured baseline.
@@ -70,16 +70,6 @@ impl Recovery {
             Recovery::AckRobust => "AckRobust",
         }
     }
-
-    /// Builds the strategy object the sender drives.
-    pub fn build(self) -> Box<dyn LossRecovery> {
-        match self {
-            Recovery::None => Box::new(NoRecovery),
-            Recovery::RedundantRto => Box::new(RedundantRto),
-            Recovery::Frto => Box::new(Frto::new()),
-            Recovery::AckRobust => Box::new(AckRobust::new()),
-        }
-    }
 }
 
 impl fmt::Display for Recovery {
@@ -88,25 +78,11 @@ impl fmt::Display for Recovery {
     }
 }
 
-/// What the sender should do about the RTO that just fired.
-///
-/// `NoRecovery` returns the all-`false` plan, which reproduces the
-/// pre-recovery sender exactly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TimeoutPlan {
-    /// Also retransmit `snd_una + 1` (when such a segment is outstanding).
-    pub retransmit_successor: bool,
-    /// Do not advance the exponential-backoff counter for this timeout.
-    pub skip_backoff: bool,
-    /// Snapshot the congestion controller and arm the F-RTO probe state
-    /// machine; a later [`AckDisposition::SpuriousUndo`] restores it.
-    pub arm_frto: bool,
-}
-
-/// How the sender should treat an arriving cumulative ACK.
+/// How the sender should treat an arriving ACK while F-RTO may be
+/// probing ([`Frto::classify`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AckDisposition {
-    /// Process conventionally (the only disposition `NoRecovery` emits).
+pub(crate) enum AckDisposition {
+    /// Process conventionally (the only answer of an idle machine).
     Conventional,
     /// RFC 5682 step 2b: the first ACK after the RTO retransmission
     /// advances without covering the recovery point — transmit up to two
@@ -118,81 +94,6 @@ pub enum AckDisposition {
     /// RFC 5682 step 3a: a duplicate ACK during the probe — the loss is
     /// genuine; resume conventional go-back-N from the cumulative point.
     GenuineLoss,
-}
-
-/// A loss-recovery strategy, driven by the sender at ACK arrivals and
-/// retransmission timeouts (the [`crate::cc::CongestionControl`] analogue
-/// for the recovery phase).
-pub trait LossRecovery: fmt::Debug + Send {
-    /// The strategy's stable name (matches [`Recovery::label`]).
-    fn name(&self) -> &'static str;
-
-    /// Observes every ACK arrival (duplicate or advancing) before the
-    /// sender processes it; strategies mine this stream for inter-arrival
-    /// signatures.
-    fn observe_ack(&mut self, _now: SimTime) {}
-
-    /// An RTO fired. `first` is true on the first rung of a backoff
-    /// ladder (no unrecovered timeout precedes it); `una`/`high_water`
-    /// delimit the outstanding window.
-    fn plan_timeout(&mut self, now: SimTime, first: bool, una: u64, high_water: u64)
-        -> TimeoutPlan;
-
-    /// Classifies an arriving ACK (`advancing` = cumulatively new).
-    /// Only meaningful while an F-RTO probe is pending; the default and
-    /// every non-F-RTO strategy answer [`AckDisposition::Conventional`].
-    fn classify_ack(&mut self, _cum: u64, _advancing: bool) -> AckDisposition {
-        AckDisposition::Conventional
-    }
-
-    /// Clones the strategy with its current state.
-    fn clone_box(&self) -> Box<dyn LossRecovery>;
-}
-
-impl Clone for Box<dyn LossRecovery> {
-    fn clone(&self) -> Self {
-        self.clone_box()
-    }
-}
-
-/// The identity strategy: plain RFC 6298 recovery.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoRecovery;
-
-impl LossRecovery for NoRecovery {
-    fn name(&self) -> &'static str {
-        "None"
-    }
-
-    fn plan_timeout(&mut self, _: SimTime, _: bool, _: u64, _: u64) -> TimeoutPlan {
-        TimeoutPlan::default()
-    }
-
-    fn clone_box(&self) -> Box<dyn LossRecovery> {
-        Box::new(*self)
-    }
-}
-
-/// Redundant retransmit-on-RTO (stateless).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RedundantRto;
-
-impl LossRecovery for RedundantRto {
-    fn name(&self) -> &'static str {
-        "RedundantRto"
-    }
-
-    fn plan_timeout(&mut self, _: SimTime, _: bool, una: u64, high_water: u64) -> TimeoutPlan {
-        TimeoutPlan {
-            // Only when a successor segment is actually outstanding.
-            retransmit_successor: high_water > una + 1,
-            ..TimeoutPlan::default()
-        }
-    }
-
-    fn clone_box(&self) -> Box<dyn LossRecovery> {
-        Box::new(*self)
-    }
 }
 
 /// F-RTO probe progress (RFC 5682 §2.2, basic algorithm).
@@ -211,50 +112,38 @@ enum FrtoState {
 }
 
 /// The RFC 5682 F-RTO state machine.
-#[derive(Debug, Clone)]
-pub struct Frto {
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Frto {
     state: FrtoState,
 }
 
 impl Frto {
-    /// A fresh (idle) state machine.
-    pub fn new() -> Frto {
-        Frto {
-            state: FrtoState::Idle,
-        }
-    }
-}
+    /// An idle state machine.
+    pub(crate) const IDLE: Frto = Frto {
+        state: FrtoState::Idle,
+    };
 
-impl Default for Frto {
-    fn default() -> Self {
-        Frto::new()
-    }
-}
-
-impl LossRecovery for Frto {
-    fn name(&self) -> &'static str {
-        "Frto"
-    }
-
-    fn plan_timeout(&mut self, _: SimTime, first: bool, una: u64, high_water: u64) -> TimeoutPlan {
+    /// An RTO fired: whether F-RTO arms its probe. `first` is true on the
+    /// first rung of a backoff ladder; `una`/`high_water` delimit the
+    /// outstanding window.
+    pub(crate) fn arm(&mut self, first: bool, una: u64, high_water: u64) -> bool {
         // F-RTO only engages on the first rung of a ladder, and only when
         // data beyond the retransmitted segment is outstanding (otherwise
         // the first ACK could never disambiguate). A repeat RTO while a
         // probe is pending is the RFC's "the retransmission is lost too"
         // case: genuine loss, fall back to conventional recovery.
-        if first && high_water > una + 1 {
-            self.state = FrtoState::RetransmitSent { point: high_water };
-            TimeoutPlan {
-                arm_frto: true,
-                ..TimeoutPlan::default()
-            }
+        let armed = first && high_water > una + 1;
+        self.state = if armed {
+            FrtoState::RetransmitSent { point: high_water }
         } else {
-            self.state = FrtoState::Idle;
-            TimeoutPlan::default()
-        }
+            FrtoState::Idle
+        };
+        armed
     }
 
-    fn classify_ack(&mut self, cum: u64, advancing: bool) -> AckDisposition {
+    /// Classifies an arriving ACK (`advancing` = cumulatively new); an
+    /// idle machine answers [`AckDisposition::Conventional`].
+    pub(crate) fn classify(&mut self, cum: u64, advancing: bool) -> AckDisposition {
         match self.state {
             FrtoState::Idle => AckDisposition::Conventional,
             FrtoState::RetransmitSent { point } => {
@@ -285,10 +174,6 @@ impl LossRecovery for Frto {
             }
         }
     }
-
-    fn clone_box(&self) -> Box<dyn LossRecovery> {
-        Box::new(self.clone())
-    }
 }
 
 /// How much larger than the typical inter-arrival an ACK gap must be to
@@ -303,7 +188,7 @@ const MIN_SPIKE_S: f64 = 0.2;
 /// delays ACK bursts", seconds.
 const SPIKE_MEMORY_S: f64 = 10.0;
 
-/// The ACK-loss-robust RTO strategy.
+/// The ACK-loss-robust RTO state.
 ///
 /// The burst-delay signature: an outsized silence in the ACK stream that
 /// *ended in an arrival* is direct evidence the channel delays ACK bursts
@@ -312,8 +197,8 @@ const SPIKE_MEMORY_S: f64 = 10.0;
 /// first RTO of a ladder re-arms at the same value instead of doubling,
 /// demanding one corroborating silent RTO before the exponential ladder
 /// starts.
-#[derive(Debug, Clone)]
-pub struct AckRobust {
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct AckRobust {
     /// Arrival time of the most recent ACK.
     last_ack: Option<SimTime>,
     /// EMA of the ACK inter-arrival gap, seconds (the "ACK clock").
@@ -328,29 +213,17 @@ pub struct AckRobust {
 }
 
 impl AckRobust {
-    /// A fresh strategy with an empty arrival history.
-    pub fn new() -> AckRobust {
-        AckRobust {
-            last_ack: None,
-            typical_gap: 0.0,
-            last_spike: None,
-            withheld: false,
-        }
-    }
-}
+    /// An empty arrival history.
+    pub(crate) const NEW: AckRobust = AckRobust {
+        last_ack: None,
+        typical_gap: 0.0,
+        last_spike: None,
+        withheld: false,
+    };
 
-impl Default for AckRobust {
-    fn default() -> Self {
-        AckRobust::new()
-    }
-}
-
-impl LossRecovery for AckRobust {
-    fn name(&self) -> &'static str {
-        "AckRobust"
-    }
-
-    fn observe_ack(&mut self, now: SimTime) {
+    /// Observes every ACK arrival (duplicate or advancing), mining the
+    /// stream for the burst-delay signature.
+    pub(crate) fn observe_ack(&mut self, now: SimTime) {
         if let Some(prev) = self.last_ack {
             let gap = now.saturating_since(prev).as_secs_f64();
             if self.typical_gap > 0.0
@@ -369,7 +242,9 @@ impl LossRecovery for AckRobust {
         self.withheld = false;
     }
 
-    fn plan_timeout(&mut self, now: SimTime, first: bool, _: u64, _: u64) -> TimeoutPlan {
+    /// An RTO fired at `now` (`first`: on a ladder's first rung): whether
+    /// it withholds its backoff.
+    pub(crate) fn skip_backoff(&mut self, now: SimTime, first: bool) -> bool {
         // Only the first rung may withhold backoff, only while a witnessed
         // delay spike is fresh, and only once per silence: a second RTO
         // with still no ACKs is the corroborating silence — back off then.
@@ -380,14 +255,7 @@ impl LossRecovery for AckRobust {
         if skip {
             self.withheld = true;
         }
-        TimeoutPlan {
-            skip_backoff: skip,
-            ..TimeoutPlan::default()
-        }
-    }
-
-    fn clone_box(&self) -> Box<dyn LossRecovery> {
-        Box::new(self.clone())
+        skip
     }
 }
 
@@ -420,135 +288,104 @@ mod tests {
         let labels: Vec<&str> = Recovery::ALL.iter().map(|r| r.label()).collect();
         assert_eq!(labels, ["None", "RedundantRto", "Frto", "AckRobust"]);
         for r in Recovery::ALL {
-            assert_eq!(r.build().name(), r.label());
             assert_eq!(format!("{r}"), r.label());
         }
     }
 
     #[test]
-    fn no_recovery_is_the_identity_plan() {
-        let mut n = NoRecovery;
-        let plan = n.plan_timeout(t(0), true, 0, 100);
-        assert_eq!(plan, TimeoutPlan::default());
-        assert!(!plan.retransmit_successor && !plan.skip_backoff && !plan.arm_frto);
-        assert_eq!(n.classify_ack(5, true), AckDisposition::Conventional);
-        assert_eq!(n.classify_ack(5, false), AckDisposition::Conventional);
-    }
-
-    #[test]
-    fn redundant_rto_needs_an_outstanding_successor() {
-        let mut r = RedundantRto;
-        assert!(r.plan_timeout(t(0), true, 10, 20).retransmit_successor);
-        // Only the lone segment `una` is outstanding: nothing to pair.
-        assert!(!r.plan_timeout(t(0), true, 10, 11).retransmit_successor);
-        assert!(r.plan_timeout(t(0), false, 10, 20).retransmit_successor);
-    }
-
-    #[test]
     fn frto_spurious_path_follows_rfc_5682() {
-        let mut f = Frto::new();
+        let mut f = Frto::IDLE;
         // Step 1: first RTO of a ladder with outstanding data arms.
-        let plan = f.plan_timeout(t(0), true, 10, 30);
-        assert!(plan.arm_frto);
+        assert!(f.arm(true, 10, 30));
         // Step 2b: first ACK advances below the recovery point.
-        assert_eq!(f.classify_ack(12, true), AckDisposition::SendNewData);
+        assert_eq!(f.classify(12, true), AckDisposition::SendNewData);
         // Step 3b: the probe round advances too — spurious.
-        assert_eq!(f.classify_ack(20, true), AckDisposition::SpuriousUndo);
+        assert_eq!(f.classify(20, true), AckDisposition::SpuriousUndo);
         // Machine is idle again.
-        assert_eq!(f.classify_ack(25, true), AckDisposition::Conventional);
+        assert_eq!(f.classify(25, true), AckDisposition::Conventional);
     }
 
     #[test]
     fn frto_genuine_paths_follow_rfc_5682() {
         // 3a: duplicate ACK during the probe round → genuine.
-        let mut f = Frto::new();
-        assert!(f.plan_timeout(t(0), true, 10, 30).arm_frto);
-        assert_eq!(f.classify_ack(12, true), AckDisposition::SendNewData);
-        assert_eq!(f.classify_ack(12, false), AckDisposition::GenuineLoss);
+        let mut f = Frto::IDLE;
+        assert!(f.arm(true, 10, 30));
+        assert_eq!(f.classify(12, true), AckDisposition::SendNewData);
+        assert_eq!(f.classify(12, false), AckDisposition::GenuineLoss);
 
         // 2a: duplicate ACK before any advance → plain conventional.
-        let mut f = Frto::new();
-        assert!(f.plan_timeout(t(0), true, 10, 30).arm_frto);
-        assert_eq!(f.classify_ack(10, false), AckDisposition::Conventional);
-        assert_eq!(f.classify_ack(12, true), AckDisposition::Conventional);
+        let mut f = Frto::IDLE;
+        assert!(f.arm(true, 10, 30));
+        assert_eq!(f.classify(10, false), AckDisposition::Conventional);
+        assert_eq!(f.classify(12, true), AckDisposition::Conventional);
 
         // First ACK covers the recovery point → cannot disambiguate.
-        let mut f = Frto::new();
-        assert!(f.plan_timeout(t(0), true, 10, 30).arm_frto);
-        assert_eq!(f.classify_ack(30, true), AckDisposition::Conventional);
+        let mut f = Frto::IDLE;
+        assert!(f.arm(true, 10, 30));
+        assert_eq!(f.classify(30, true), AckDisposition::Conventional);
     }
 
     #[test]
     fn frto_repeat_rto_is_the_retransmission_lost_path() {
-        let mut f = Frto::new();
-        assert!(f.plan_timeout(t(0), true, 10, 30).arm_frto);
+        let mut f = Frto::IDLE;
+        assert!(f.arm(true, 10, 30));
         // The retransmission is lost too: a second (backed-off) RTO fires
         // before any ACK. F-RTO must disengage entirely.
-        let plan = f.plan_timeout(t(2), false, 10, 30);
-        assert!(!plan.arm_frto);
-        assert_eq!(f.classify_ack(12, true), AckDisposition::Conventional);
+        assert!(!f.arm(false, 10, 30));
+        assert_eq!(f.classify(12, true), AckDisposition::Conventional);
     }
 
     #[test]
     fn frto_does_not_arm_without_outstanding_successors() {
-        let mut f = Frto::new();
-        assert!(!f.plan_timeout(t(0), true, 10, 11).arm_frto);
-        assert_eq!(f.classify_ack(11, true), AckDisposition::Conventional);
+        let mut f = Frto::IDLE;
+        assert!(!f.arm(true, 10, 11));
+        assert_eq!(f.classify(11, true), AckDisposition::Conventional);
     }
 
     #[test]
     fn ack_robust_skips_backoff_only_on_burst_delay_signature() {
         // Steady ACK clock, then an RTO: uniform silence — genuine.
-        let mut a = AckRobust::new();
+        let mut a = AckRobust::NEW;
         for i in 0..6 {
             a.observe_ack(t(100 + 20 * i));
         }
-        assert!(!a.plan_timeout(t(1_000), true, 0, 10).skip_backoff);
+        assert!(!a.skip_backoff(t(1_000), true));
 
         // Steady clock with one outsized gap (the delayed burst arriving
         // late): skip the first backoff, demand corroboration.
-        let mut a = AckRobust::new();
+        let mut a = AckRobust::NEW;
         for ms in [100, 120, 140, 160, 600, 620] {
             a.observe_ack(t(ms));
         }
-        assert!(a.plan_timeout(t(1_200), true, 0, 10).skip_backoff);
+        assert!(a.skip_backoff(t(1_200), true));
         // The corroborating (second) silent RTO must back off normally —
         // even though the withheld backoff left the ladder counter (and
         // hence `first`) unchanged.
-        assert!(!a.plan_timeout(t(2_400), true, 0, 10).skip_backoff);
+        assert!(!a.skip_backoff(t(2_400), true));
         // An ACK arrival re-arms the single-skip budget.
         a.observe_ack(t(3_000));
-        assert!(a.plan_timeout(t(4_000), true, 0, 10).skip_backoff);
+        assert!(a.skip_backoff(t(4_000), true));
     }
 
     #[test]
     fn ack_robust_spikes_expire_and_the_first_gap_never_counts() {
         // The very first gap calibrates the ACK clock; it cannot witness
         // a spike on its own.
-        let mut a = AckRobust::new();
+        let mut a = AckRobust::NEW;
         a.observe_ack(t(0));
         a.observe_ack(t(500));
-        assert!(!a.plan_timeout(t(1_000), true, 0, 10).skip_backoff);
+        assert!(!a.skip_backoff(t(1_000), true));
 
         // A witnessed spike vouches now but has expired 10 s later.
-        let mut a = AckRobust::new();
+        let mut a = AckRobust::NEW;
         for ms in [0, 20, 40, 60, 80, 500] {
             a.observe_ack(t(ms));
         }
-        let mut late = a.clone();
-        assert!(a.plan_timeout(t(700), true, 0, 10).skip_backoff);
+        let mut late = a;
+        assert!(a.skip_backoff(t(700), true));
         assert!(
-            !late.plan_timeout(t(12_000), true, 0, 10).skip_backoff,
+            !late.skip_backoff(t(12_000), true),
             "spike memory must expire"
         );
-    }
-
-    #[test]
-    fn strategies_clone_with_state() {
-        let mut f = Frto::new();
-        assert!(f.plan_timeout(t(0), true, 10, 30).arm_frto);
-        let mut c = f.clone_box();
-        // The clone carries the armed state.
-        assert_eq!(c.classify_ack(12, true), AckDisposition::SendNewData);
     }
 }

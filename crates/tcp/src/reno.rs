@@ -7,19 +7,28 @@
 //! the lost segment (Fig. 2) — which is exactly why a lossy recovery phase
 //! (`q`) is so expensive.
 //!
-//! Two extensions live behind configuration flags:
+//! Three extensions are [`SenderConfig`] settings:
 //!
 //! * `newreno` — NewReno partial-ACK handling (stay in fast recovery until
 //!   the `recover` point is acknowledged);
-//! * `backup_link` — MPTCP-backup-style *redundant retransmission*: after
-//!   a timeout the lost segment is retransmitted on the primary **and** a
-//!   backup path, reducing the effective retransmission loss rate from `q`
-//!   to roughly `q·q_backup` (paper §V-B).
+//! * `recovery` — one of the §V countermeasures of [`Recovery`], which
+//!   [`RenoSender`] matches on at every timeout;
+//! * `spurious_rto_undo` — cumulative-jump spurious-timeout detection.
+//!
+//! Both spurious-timeout detectors (this flag and [`Recovery::Frto`]) save
+//! the pre-collapse controller in one undo slot, and a spurious verdict of
+//! either restores it the same way.
+//!
+//! One extension is wiring rather than a setting: `backup_link`, set by
+//! the MPTCP rigs, makes MPTCP-backup-style *redundant retransmission* —
+//! after a timeout the lost segment is retransmitted on the primary
+//! **and** a backup path, reducing the effective retransmission loss rate
+//! from `q` to roughly `q·q_backup` (paper §V-B).
 
 use crate::cc::{Algorithm, CongestionControl};
 use crate::cwnd::Phase;
 use crate::metrics::SenderMetrics;
-use crate::recovery::{AckDisposition, LossRecovery, Recovery};
+use crate::recovery::{AckDisposition, AckRobust, Frto, Recovery};
 use crate::rtt::{Backoff, RttEstimator};
 use hsm_simnet::engine::Ctx;
 use hsm_simnet::event::EventId;
@@ -46,13 +55,13 @@ pub struct SenderConfig {
     /// treats conventionally; `tests/extensions.rs` pins that difference.
     /// It also fires on a genuine single-segment loss whose successors
     /// were buffered at the receiver, so it is an extension (the
-    /// `ext_undo` experiment), not a default. Stands down on a timeout
-    /// for which [`Recovery::Frto`] arms its own probe, so that no timeout
-    /// is undone twice.
+    /// `ext_undo` experiment), not a default. It arms only on the first rung
+    /// of a backoff ladder, and stands down on a ladder whose first rung
+    /// [`Recovery::Frto`] took for its own probe, so that no timeout is
+    /// undone twice.
     pub spurious_rto_undo: bool,
-    /// Loss-recovery countermeasure (any member of the [`crate::recovery`]
-    /// zoo). [`Recovery::None`] reproduces the plain RFC 6298 recovery the
-    /// paper measures.
+    /// Loss-recovery countermeasure (§V). [`Recovery::None`] is the plain
+    /// RFC 6298 recovery the paper measures.
     pub recovery: Recovery,
     /// Stop sending new data after this long (the flow keeps draining).
     pub stop_after: Option<SimDuration>,
@@ -77,11 +86,26 @@ impl Default for SenderConfig {
 const TAG_STOP: u64 = 1;
 const TAG_RTO_BASE: u64 = 1_000;
 
-/// Saved state for [`SenderConfig::spurious_rto_undo`].
+/// Which spurious-timeout detector took an [`Undo`] snapshot, and so which
+/// verdict may restore it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum UndoRule {
+    /// [`SenderConfig::spurious_rto_undo`]: the first advancing ACK decides,
+    /// spurious when it covers more than the segment retransmitted from
+    /// `armed_snd_una`.
+    Jump {
+        /// `snd_una` at the timeout.
+        armed_snd_una: u64,
+    },
+    /// [`Recovery::Frto`]: its RFC 5682 step-3b verdict decides.
+    Frto,
+}
+
+/// The controller as it stood before a timeout collapsed it.
 #[derive(Debug)]
-struct RtoUndo {
+struct Undo {
     cwnd: Box<dyn CongestionControl>,
-    armed_snd_una: u64,
+    rule: UndoRule,
 }
 
 /// The Reno sender agent with an infinite backlog of data.
@@ -112,12 +136,12 @@ pub struct RenoSender {
     rto_timer: Option<EventId>,
     rto_gen: u64,
     timing: Option<(u64, SimTime)>,
-    undo: Option<RtoUndo>,
-    /// The pluggable loss-recovery countermeasure (§V).
-    recovery: Box<dyn LossRecovery>,
-    /// Congestion controller snapshot taken when the F-RTO strategy arms;
-    /// restored on a spurious verdict, discarded on a genuine one.
-    frto_cwnd: Option<Box<dyn CongestionControl>>,
+    /// The one spurious-timeout undo snapshot, whichever detector armed it.
+    undo: Option<Undo>,
+    /// [`Recovery::Frto`]'s probe state (idle under any other recovery).
+    frto: Frto,
+    /// [`Recovery::AckRobust`]'s ACK inter-arrival history.
+    ack_robust: AckRobust,
     stopped: bool,
     /// Whether window changes are appended to `metrics.cwnd_log`. On for
     /// every sender but those of a [`Keep::Summary`](crate::connection::Keep)
@@ -149,8 +173,8 @@ impl RenoSender {
             rto_gen: 0,
             timing: None,
             undo: None,
-            recovery: cfg.recovery.build(),
-            frto_cwnd: None,
+            frto: Frto::IDLE,
+            ack_robust: AckRobust::NEW,
             stopped: false,
             log_window: true,
             metrics: SenderMetrics::default(),
@@ -336,64 +360,63 @@ impl RenoSender {
         self.metrics.assert_invariants();
     }
 
+    /// Consumes the undo snapshot. A spurious verdict restores the
+    /// pre-collapse controller and skips go-back-N: the old in-flight data
+    /// was not lost.
+    fn settle_undo(&mut self, spurious: bool) {
+        if let Some(undo) = self.undo.take() {
+            if spurious {
+                self.cwnd = undo.cwnd;
+                self.snd_nxt = self.high_water.max(self.snd_una);
+                self.metrics.spurious_rto_undone += 1;
+            }
+        }
+    }
+
     fn on_ack(&mut self, ctx: &mut Ctx<'_>, cum: u64) {
         self.metrics.acks_received += 1;
-        self.recovery.observe_ack(ctx.now());
+        if self.cfg.recovery == Recovery::AckRobust {
+            self.ack_robust.observe_ack(ctx.now());
+        }
         if cum > self.snd_una {
-            let disposition = self.recovery.classify_ack(cum, true);
+            let disposition = self.frto.classify(cum, true);
             let acked = cum - self.snd_una;
             self.snd_una = cum;
             // The receiver may have buffered out-of-order data: never
             // retransmit below the cumulative point.
             self.snd_nxt = self.snd_nxt.max(self.snd_una);
             self.backoff.reset();
-            // F-RTO-style undo, evaluated on the first new ACK after an
-            // RTO: if it covers more than the one retransmitted segment,
-            // the original in-flight data must have arrived — the timeout
-            // was spurious.
-            if let Some(undo) = self.undo.take() {
-                if cum > undo.armed_snd_una + 1 {
-                    self.cwnd = undo.cwnd;
-                    // The old in-flight data was not lost: skip go-back-N.
-                    self.snd_nxt = self.high_water.max(self.snd_una);
-                    self.metrics.spurious_rto_undone += 1;
+            match self.undo.as_ref().map(|u| u.rule) {
+                // The jump rule decides on the first new ACK after the
+                // RTO: if it covers more than the one retransmitted
+                // segment, the original in-flight data must have arrived.
+                Some(UndoRule::Jump { armed_snd_una }) => self.settle_undo(cum > armed_snd_una + 1),
+                // F-RTO decides on its probe round (RFC 5682 step 3b:
+                // spurious when that ACK advances too); any other
+                // resolution makes the saved window moot.
+                Some(UndoRule::Frto) if disposition != AckDisposition::SendNewData => {
+                    self.settle_undo(disposition == AckDisposition::SpuriousUndo)
                 }
+                _ => {}
             }
-            match disposition {
-                AckDisposition::SendNewData => {
-                    // RFC 5682 step 2b: defer the recovery decision —
-                    // skip go-back-N for now (the old window may still be
-                    // in flight) and probe with up to two new segments.
-                    // Window updates wait for the verdict.
-                    self.snd_nxt = self.high_water.max(self.snd_una);
-                    self.dup_acks = 0;
-                    let sent = self.send_probe_segments(ctx, 2);
-                    self.metrics.frto_probes += sent;
-                    if self.flight() == 0 {
-                        self.disarm_rto(ctx);
-                    } else {
-                        self.arm_rto(ctx);
-                    }
-                    self.log(ctx.now());
-                    #[cfg(any(debug_assertions, test))]
-                    self.assert_invariants();
-                    return;
+            if disposition == AckDisposition::SendNewData {
+                // RFC 5682 step 2b: defer the recovery decision — skip
+                // go-back-N for now (the old window may still be in
+                // flight) and probe with up to two new segments. Window
+                // updates wait for the verdict.
+                self.snd_nxt = self.high_water.max(self.snd_una);
+                self.dup_acks = 0;
+                let sent = self.send_probe_segments(ctx, 2);
+                self.metrics.frto_probes += sent;
+                if self.flight() == 0 {
+                    self.disarm_rto(ctx);
+                } else {
+                    self.arm_rto(ctx);
                 }
-                AckDisposition::SpuriousUndo => {
-                    // RFC 5682 step 3b: the probe round advanced too — the
-                    // timeout was spurious. Restore the pre-collapse
-                    // window and keep sending new data.
-                    if let Some(saved) = self.frto_cwnd.take() {
-                        self.cwnd = saved;
-                        self.snd_nxt = self.high_water.max(self.snd_una);
-                        self.metrics.spurious_rto_undone += 1;
-                    }
-                }
-                AckDisposition::Conventional | AckDisposition::GenuineLoss => {
-                    // Any pending probe resolved conventionally: the saved
-                    // window no longer applies.
-                    self.frto_cwnd = None;
-                }
+                self.log(ctx.now());
+                #[cfg(any(debug_assertions, test))]
+                self.assert_invariants();
+                return;
             }
             if let Some((seq, t0)) = self.timing {
                 if cum > seq {
@@ -426,14 +449,19 @@ impl RenoSender {
             self.log(ctx.now());
             self.send_available(ctx);
         } else if cum == self.snd_una && self.flight() > 0 {
-            let disposition = self.recovery.classify_ack(cum, false);
+            let disposition = self.frto.classify(cum, false);
             self.dup_acks += 1;
             self.metrics.dup_acks_received += 1;
+            // A dup ACK settles F-RTO as genuine: straight after the RTO
+            // retransmission it reverts F-RTO (RFC 5682 step 2a), during the
+            // probe round it declares the loss (step 3a). The jump rule
+            // waits for an advancing ACK.
+            if self.undo.as_ref().is_some_and(|u| u.rule == UndoRule::Frto) {
+                self.settle_undo(false);
+            }
             if disposition == AckDisposition::GenuineLoss {
-                // RFC 5682 step 3a: a duplicate ACK during the probe round
-                // — the loss was genuine. Discard the saved window and
-                // resume conventional go-back-N from the cumulative point.
-                self.frto_cwnd = None;
+                // Step 3a: resume conventional go-back-N from the
+                // cumulative point.
                 self.dup_acks = 0;
                 self.snd_nxt = self.snd_una;
                 self.send_available(ctx);
@@ -441,11 +469,6 @@ impl RenoSender {
                 #[cfg(any(debug_assertions, test))]
                 self.assert_invariants();
                 return;
-            }
-            if disposition == AckDisposition::Conventional {
-                // A dup ACK straight after the RTO retransmission reverts
-                // F-RTO (RFC 5682 step 2a); drop any saved window.
-                self.frto_cwnd = None;
             }
             match self.cwnd.phase() {
                 Phase::FastRecovery => {
@@ -484,34 +507,43 @@ impl RenoSender {
         self.metrics.timeouts.push(ctx.now());
         self.metrics.rto_at_timeout.push(expired.as_secs_f64());
         let first = self.backoff.consecutive_timeouts() == 0;
-        let plan = self
-            .recovery
-            .plan_timeout(ctx.now(), first, self.snd_una, self.high_water);
-        if plan.arm_frto {
-            // Snapshot the pre-collapse controller; a spurious verdict
-            // restores it. A ladder keeps the first rung's snapshot.
-            if self.frto_cwnd.is_none() {
-                self.frto_cwnd = Some(self.cwnd.clone_box());
-            }
-        } else {
-            // Either no F-RTO strategy, or the RFC's "the retransmission
-            // is lost too" repeat-RTO path: the loss is genuine.
-            self.frto_cwnd = None;
+        let (una, high_water) = (self.snd_una, self.high_water);
+        let (mut frto_armed, mut skip_backoff, mut successor) = (false, false, false);
+        match self.cfg.recovery {
+            Recovery::None => {}
+            // Redundant retransmit-on-RTO: only when a successor segment is
+            // actually outstanding.
+            Recovery::RedundantRto => successor = high_water > una + 1,
+            Recovery::Frto => frto_armed = self.frto.arm(first, una, high_water),
+            Recovery::AckRobust => skip_backoff = self.ack_robust.skip_backoff(ctx.now(), first),
         }
-        // Arm the undo only at the *first* rung of a ladder, so the saved
-        // window is the pre-collapse one; it is consumed (fired or
-        // discarded) by the first new ACK either way. The F-RTO strategy
-        // supersedes it (double-restoring would count one timeout as two
-        // spurious undos).
-        if self.cfg.spurious_rto_undo && !plan.arm_frto && self.undo.is_none() {
-            self.undo = Some(RtoUndo {
+        // The undo slot keeps the controller as it stood before a ladder's
+        // first collapse. F-RTO snapshots when it arms and keeps its
+        // snapshot when it re-arms; a rung on which it does not is the
+        // RFC's "the retransmission is lost too" path — the loss is
+        // genuine. The jump rule arms only on a first rung the slot leaves
+        // free, so never on a ladder F-RTO took (restoring twice would
+        // count one timeout as two undos), and its snapshot lasts until
+        // the first advancing ACK.
+        if frto_armed {
+            if self.undo.is_none() {
+                self.undo = Some(Undo {
+                    cwnd: self.cwnd.clone_box(),
+                    rule: UndoRule::Frto,
+                });
+            }
+        } else if self.undo.as_ref().is_some_and(|u| u.rule == UndoRule::Frto) {
+            self.undo = None;
+        }
+        if self.cfg.spurious_rto_undo && first && self.undo.is_none() {
+            self.undo = Some(Undo {
                 cwnd: self.cwnd.clone_box(),
-                armed_snd_una: self.snd_una,
+                rule: UndoRule::Jump { armed_snd_una: una },
             });
         }
         let flight = self.flight();
         self.cwnd.on_timeout(flight);
-        if plan.skip_backoff {
+        if skip_backoff {
             // ACK-robust RTO: the inter-arrival history says burst delay,
             // not loss — re-arm at the same value and demand corroborating
             // silence before the exponential ladder starts.
@@ -528,7 +560,7 @@ impl RenoSender {
         // other in-flight data is presumed lost: go-back-N from here.
         self.retransmit(ctx, seq, true);
         self.snd_nxt = seq + 1;
-        if plan.retransmit_successor && seq + 1 < self.high_water {
+        if successor {
             // Redundant retransmit-on-RTO: the successor rides along,
             // giving the receiver two chances to produce an advancing ACK.
             self.retransmit(ctx, seq + 1, true);
@@ -664,7 +696,7 @@ mod tests {
             },
             ReceiverConfig {
                 b: 1,
-                adaptive: None,
+                adaptive: false,
             },
             0.0,
             0.0,
@@ -687,7 +719,7 @@ mod tests {
             },
             ReceiverConfig {
                 b: 1,
-                adaptive: None,
+                adaptive: false,
             },
             0.0,
             0.0,
@@ -1002,6 +1034,46 @@ mod tests {
     }
 
     #[test]
+    fn the_jump_rule_arms_only_on_a_ladders_first_rung() {
+        // A pure ACK blackout that spans two rungs: every segment and both
+        // retransmissions arrive, only their ACKs die, so the first ACK
+        // through jumps past the recovery point.
+        let run = |recovery| {
+            let mut w = world(
+                24,
+                SenderConfig {
+                    max_segments: Some(1_000),
+                    spurious_rto_undo: true,
+                    recovery,
+                    ..Default::default()
+                },
+                ReceiverConfig::default(),
+                0.0,
+                0.0,
+            );
+            w.eng.link_mut(w.up).loss.set_outage(Some(Outage::new(
+                SimTime::from_millis(400),
+                SimTime::from_millis(1_600),
+                1.0,
+            )));
+            w.eng.run_until_idle();
+            let tx = w.eng.agent_mut::<RenoSender>(w.tx).unwrap();
+            (tx.metrics.timeout_count(), tx.metrics.spurious_rto_undone)
+        };
+        // Alone, the jump rule arms at rung 1 and undoes the ladder.
+        let (timeouts, undone) = run(Recovery::None);
+        assert!(timeouts >= 2, "the blackout must span two rungs");
+        assert_eq!(undone, 1);
+        // With F-RTO, F-RTO takes rung 1 and stands down at rung 2 (the
+        // retransmission is lost too). Rung 2 is no first rung: its
+        // snapshot would be the controller rung 1 already collapsed, so
+        // the jump rule stays unarmed and nothing is undone.
+        let (timeouts, undone) = run(Recovery::Frto);
+        assert!(timeouts >= 2, "the blackout must span two rungs");
+        assert_eq!(undone, 0);
+    }
+
+    #[test]
     fn frto_leaves_genuine_loss_ladders_untouched() {
         use crate::recovery::Recovery;
         // Same genuine whole-window loss as
@@ -1235,7 +1307,7 @@ mod tests {
             },
             ReceiverConfig {
                 b: 1,
-                adaptive: None,
+                adaptive: false,
             },
             0.0,
             0.0,

@@ -47,9 +47,7 @@ fn adaptive_delack_stays_safe_on_the_train() {
     // fixed b = 2 receiver on the same ride.
     let sc = hsr_scenario(92);
     let (_, fixed) = run_with(&sc, |_| {});
-    let (_, adaptive) = run_with(&sc, |c| {
-        c.receiver.adaptive = Some(AdaptiveDelAck::default())
-    });
+    let (_, adaptive) = run_with(&sc, |c| c.receiver.adaptive = true);
     assert!(adaptive.throughput_sps > 0.0);
     assert!(
         adaptive.throughput_sps > fixed.throughput_sps * 0.6,

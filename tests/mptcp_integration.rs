@@ -6,6 +6,8 @@ use hsm::simnet::time::SimDuration;
 use hsm::tcp::prelude::*;
 use hsm::trace::prelude::*;
 
+mod common;
+
 fn scenario(provider: Provider, seed: u64) -> ScenarioConfig {
     ScenarioConfig {
         provider,
@@ -127,9 +129,8 @@ fn pin<'a>(
     events: u64,
     senders: impl IntoIterator<Item = &'a SenderMetrics>,
 ) -> RigPin {
-    let json = serde_json::to_string(&traces).expect("traces serialize");
     (
-        hsm::scenario::fnv::fnv1a(json.as_bytes()),
+        common::trace_hash(traces),
         events,
         senders
             .into_iter()

@@ -12,16 +12,21 @@
 // relative drift is detectable; the extra digits are the point.
 #![allow(clippy::excessive_precision)]
 
+use hsm::scenario::provider::Provider;
 use hsm::scenario::runner::{self, Keep, Motion, ScenarioConfig, Scratch};
 use hsm::simnet::chaos::StormPlan;
 use hsm::simnet::time::{SimDuration, SimTime};
 use hsm::tcp::cc::Algorithm;
-use hsm::tcp::connection::{run_connection, ConnectionConfig, LossSpec, PathSpec};
+use hsm::tcp::connection::{
+    run_connection, ConnectionConfig, ConnectionOutcome, LossSpec, PathSpec,
+};
 use hsm::tcp::recovery::Recovery;
 use hsm::tcp::reno::SenderConfig;
 use hsm_runtime::cache::{CacheConfig, FlowCache};
 use hsm_runtime::engine::Campaign;
 use hsm_trace::summary::analyze_flow;
+
+mod common;
 
 /// Runs one flow on the cc-zoo's pure-random-loss path with an explicit
 /// recovery strategy and returns its measured throughput (segments/s).
@@ -252,4 +257,82 @@ fn recovery_variants_stay_distinct_through_the_campaign_cache() {
         );
     }
     assert_eq!(run(Recovery::Frto), 1, "identical rerun missed the cache");
+}
+
+/// A flow's §V ledger: its trace hash, the events it took, the sender's
+/// `timeouts`, `spurious_rto_undone`, `frto_probes`, `backoff_skipped`,
+/// `segments_sent` and `retransmissions`, and the receiver's `acks_sent`
+/// and `duplicate_payloads`.
+fn section_v_pin(out: &ConnectionOutcome) -> (u64, u64, [u64; 8]) {
+    let (s, r) = (&out.sender, &out.receiver);
+    (
+        common::trace_hash(std::slice::from_ref(&out.trace)),
+        out.events_processed,
+        [
+            s.timeouts.len() as u64,
+            s.spurious_rto_undone,
+            s.frto_probes,
+            s.backoff_skipped,
+            s.segments_sent,
+            s.retransmissions,
+            r.acks_sent,
+            r.duplicate_payloads,
+        ],
+    )
+}
+
+/// The two §V paths no benchmark pin reaches, pinned bit for bit: the
+/// cumulative-jump undo under periodic pure-ACK blackouts (the path of
+/// `tests/extensions.rs`' undo test), and the adaptive delayed-ACK
+/// receiver on a 300 km/h China Mobile ride (`ext_delack`'s policy). The
+/// constants were recorded while recovery was still a strategy object and
+/// the adaptive policy a settable struct.
+#[test]
+fn section_v_paths_are_bit_pinned() {
+    let blackouts = PathSpec {
+        up_loss: LossSpec::PeriodicOutage {
+            period_s: 6.0,
+            outage_s: 0.8,
+            offset_s: 3.0,
+            loss: 1.0,
+        },
+        jitter_sd: SimDuration::ZERO,
+        ..Default::default()
+    };
+    let cfg = ConnectionConfig {
+        sender: SenderConfig {
+            spurious_rto_undo: true,
+            stop_after: Some(SimDuration::from_secs(40)),
+            ..Default::default()
+        },
+        deadline: SimTime::from_secs(60),
+        ..Default::default()
+    };
+    let undo = run_connection(930, &blackouts, None, &cfg);
+    assert_eq!(
+        section_v_pin(&undo),
+        (
+            0x184f_180a_428f_2307,
+            105_780,
+            [20, 6, 0, 0, 35_325, 20, 17_673, 20]
+        )
+    );
+
+    let ride = ScenarioConfig {
+        provider: Provider::ChinaMobile,
+        seed: 92,
+        duration: SimDuration::from_secs(40),
+        ..Default::default()
+    };
+    let mut conn = ride.connection();
+    conn.receiver.adaptive = true;
+    let delack = run_connection(ride.seed, &ride.path(), ride.mobility().as_ref(), &conn);
+    assert_eq!(
+        section_v_pin(&delack),
+        (
+            0x0a33_90a9_ac9b_38fb,
+            24_449,
+            [7, 0, 0, 0, 7_911, 12, 4_133, 6]
+        )
+    );
 }

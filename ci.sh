@@ -96,6 +96,15 @@ stage_build_test() {
         echo "a deleted recovery strategy object (LossRecovery, TimeoutPlan), a second undo snapshot or AdaptiveDelAck is back" >&2
         exit 1
     fi
+    # Also deleted: the controller trait object (every sender runs the one
+    # `Cwnd` machine, each controller a `Law` arm of it), its boxed clone,
+    # the constructor that built it, the test hook that corrupted a window
+    # from outside, and a one-method wrapper around `cwnd_log`.
+    if grep -rnE 'CongestionControl|clone_box|Algorithm::build|inject_invariant_violation|MetricsCwnd|metrics_cwnd' \
+        crates src tests examples; then
+        echo "a deleted controller trait object (CongestionControl, clone_box, Algorithm::build), inject_invariant_violation or MetricsCwnd is back" >&2
+        exit 1
+    fi
     # DESIGN.md's budget, which ROADMAP sets: at most 1,000 lines.
     if [ "$(wc -l < DESIGN.md)" -gt 1000 ]; then
         echo "DESIGN.md has $(wc -l < DESIGN.md) lines, over its 1,000-line budget" >&2

@@ -43,7 +43,7 @@ pub fn run_fig7(ctx: &Ctx) -> ExperimentResult {
         duration: ctx.scale.flow_duration(),
         ..Default::default()
     });
-    let log = &out.sender.metrics_cwnd();
+    let log = &out.sender.cwnd_log;
     let spurious = out
         .analysis
         .timeouts
@@ -88,11 +88,7 @@ pub fn run_fig8(ctx: &Ctx) -> ExperimentResult {
         ]);
     }
     ExperimentResult::new("fig8", "CA/timeout cycle structure (Fig. 8)")
-        .with_table(window_table(
-            "cwnd over time",
-            out.sender.metrics_cwnd(),
-            60,
-        ))
+        .with_table(window_table("cwnd over time", &out.sender.cwnd_log, 60))
         .with_table(cycles)
         .note("the model's Eq. (8) averages throughput over exactly these cycles")
 }
@@ -106,7 +102,7 @@ pub fn run_fig9(ctx: &Ctx) -> ExperimentResult {
         duration: ctx.scale.flow_duration(),
         ..Default::default()
     });
-    let log = out.sender.metrics_cwnd();
+    let log = &out.sender.cwnd_log;
     let capped = log.iter().filter(|s| s.window == 8).count();
     ExperimentResult::new("fig9", "Window evolution under W_m limitation (Fig. 9)")
         .with_table(window_table("Fig. 9 — cwnd with W_m = 8", log, 60))
@@ -115,17 +111,6 @@ pub fn run_fig9(ctx: &Ctx) -> ExperimentResult {
             capped,
             log.len()
         ))
-}
-
-/// Convenience accessor so the tables read naturally.
-trait MetricsCwnd {
-    fn metrics_cwnd(&self) -> &[CwndSample];
-}
-
-impl MetricsCwnd for hsm_tcp::metrics::SenderMetrics {
-    fn metrics_cwnd(&self) -> &[CwndSample] {
-        &self.cwnd_log
-    }
 }
 
 #[cfg(test)]

@@ -13,10 +13,10 @@
 //!
 //! Per-RTT update rules are amortized per ACK (divide by the current
 //! window), keeping the controller a pure function of its event stream.
+//! The loss-based component is the machine's own window
+//! ([`crate::cwnd::Cwnd`]); this law holds the delay component.
 
-use crate::cwnd::{send_window, Phase};
-
-use super::CongestionControl;
+use crate::cwnd::Backlog;
 
 /// Delay-window growth gain `α` (Tan et al.).
 pub(super) const ALPHA: f64 = 0.125;
@@ -27,217 +27,111 @@ pub(super) const K: f64 = 0.75;
 /// Backlog threshold `γ`, packets.
 pub(super) const GAMMA: f64 = 30.0;
 
-/// The Compound TCP controller.
+/// Compound's law: the delay window and the RTTs that steer it.
 #[derive(Debug, Clone, Copy)]
-pub struct Compound {
-    /// Loss-based (Reno) component.
-    cwnd: f64,
-    /// Delay-based component.
-    dwnd: f64,
-    ssthresh: f64,
-    phase: Phase,
-    w_m: f64,
-    base_rtt_s: f64,
-    last_rtt_s: f64,
+pub(crate) struct DelayWindow {
+    /// Delay-based component, segments.
+    pub(crate) dwnd: f64,
+    backlog: Backlog,
 }
 
-impl Compound {
-    /// Creates a Compound controller with initial window 1, at the
-    /// published constants `α = 1/8`, `β = 1/2`, `k = 3/4`, `γ = 30`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `w_m` is zero.
-    pub fn new(w_m: u32) -> Compound {
-        assert!(w_m > 0, "advertised window must be positive");
-        Compound {
-            cwnd: 1.0,
-            dwnd: 0.0,
-            ssthresh: f64::from(w_m),
-            phase: Phase::SlowStart,
-            w_m: f64::from(w_m),
-            base_rtt_s: f64::INFINITY,
-            last_rtt_s: f64::INFINITY,
-        }
+impl DelayWindow {
+    pub(crate) const NEW: DelayWindow = DelayWindow {
+        dwnd: 0.0,
+        backlog: Backlog::NEW,
+    };
+
+    pub(crate) fn observe_rtt(&mut self, rtt_s: f64) {
+        self.backlog.observe(rtt_s);
     }
 
-    /// The combined window `cwnd + dwnd`, fractional segments.
-    fn win(&self) -> f64 {
-        self.cwnd + self.dwnd
-    }
-
-    /// Vegas-style backlog estimate `diff`, when RTT data is available.
-    fn diff(&self) -> Option<f64> {
-        if self.base_rtt_s.is_finite() && self.last_rtt_s.is_finite() && self.last_rtt_s > 0.0 {
-            Some(self.win() * (self.last_rtt_s - self.base_rtt_s) / self.last_rtt_s)
-        } else {
-            None
-        }
-    }
-
-    /// Keeps the combined window under its `2·W_m` ceiling, draining the
-    /// delay component first.
-    fn clamp(&mut self) {
-        let ceiling = self.w_m.max(1.0) * 2.0;
-        if self.win() > ceiling {
-            self.dwnd = (ceiling - self.cwnd).max(0.0);
-            self.cwnd = self.cwnd.min(ceiling);
-        }
-    }
-}
-
-impl CongestionControl for Compound {
-    fn observe_rtt(&mut self, rtt_s: f64) {
-        if rtt_s > 0.0 && rtt_s.is_finite() {
-            self.base_rtt_s = self.base_rtt_s.min(rtt_s);
-            self.last_rtt_s = rtt_s;
-        }
-    }
-
-    fn on_new_ack(&mut self, acked: u64) {
-        match self.phase {
-            Phase::SlowStart => {
-                self.cwnd += acked as f64;
-                if self.win() >= self.ssthresh {
-                    self.phase = Phase::CongestionAvoidance;
-                }
+    /// One ACK in congestion avoidance; `cwnd` is the loss-based component.
+    pub(crate) fn grow(&mut self, cwnd: &mut f64) {
+        let w = (*cwnd + self.dwnd).max(1.0);
+        // Loss-based component: standard Reno additive increase over the
+        // *combined* window.
+        *cwnd += 1.0 / w;
+        // Delay-based component, per-RTT rules amortized per ACK: grow
+        // α·win^k while the queue is empty, drain by the backlog estimate
+        // once it builds.
+        match self.backlog.estimate(*cwnd + self.dwnd) {
+            Some(d) if d >= GAMMA => {
+                self.dwnd = (self.dwnd - d / w).max(0.0);
             }
-            Phase::CongestionAvoidance => {
-                let w = self.win().max(1.0);
-                // Loss-based component: standard Reno additive increase
-                // over the *combined* window.
-                self.cwnd += 1.0 / w;
-                // Delay-based component, per-RTT rules amortized per ACK:
-                // grow α·win^k while the queue is empty, drain by the
-                // backlog estimate once it builds.
-                match self.diff() {
-                    Some(d) if d >= GAMMA => {
-                        self.dwnd = (self.dwnd - d / w).max(0.0);
-                    }
-                    _ => {
-                        self.dwnd += (ALPHA * w.powf(K) - 1.0).max(0.0) / w;
-                    }
-                }
-            }
-            Phase::FastRecovery => {
-                // Callers exit fast recovery explicitly.
+            _ => {
+                self.dwnd += (ALPHA * w.powf(K) - 1.0).max(0.0) / w;
             }
         }
-        self.clamp();
     }
 
-    fn enter_fast_recovery(&mut self, flight: u64) {
-        // The combined window takes the standard β cut; the delay window
-        // is halved outright (Tan et al. §III-C with β = 1/2 gives
-        // dwnd' = win·(1−β) − cwnd/2 = dwnd/2).
-        self.ssthresh = (flight as f64 * (1.0 - BETA)).max(2.0);
+    /// Keeps the combined window under `ceiling` by draining the delay
+    /// component first; the machine then caps `cwnd` itself.
+    pub(crate) fn clamp(&mut self, cwnd: f64, ceiling: f64) {
+        if cwnd + self.dwnd > ceiling {
+            self.dwnd = (ceiling - cwnd).max(0.0);
+        }
+    }
+
+    /// The loss cut: the combined window takes the standard β cut and the
+    /// delay window is halved outright (Tan et al. §III-C with β = 1/2
+    /// gives dwnd' = win·(1−β) − cwnd/2 = dwnd/2). Returns the new
+    /// `ssthresh` and the loss-based window before fast-retransmit
+    /// inflation.
+    pub(crate) fn cut(&mut self, flight: u64) -> (f64, f64) {
+        let ssthresh = (flight as f64 * (1.0 - BETA)).max(2.0);
         self.dwnd *= 1.0 - BETA;
-        self.cwnd = (self.ssthresh - self.dwnd).max(1.0) + 3.0;
-        self.phase = Phase::FastRecovery;
+        (ssthresh, self.exit_window(ssthresh))
     }
 
-    fn on_dup_ack_in_recovery(&mut self) {
-        if self.phase == Phase::FastRecovery {
-            self.cwnd += 1.0;
-        }
-    }
-
-    fn exit_fast_recovery(&mut self) {
-        if self.phase == Phase::FastRecovery {
-            self.cwnd = (self.ssthresh - self.dwnd).max(1.0);
-            self.phase = Phase::CongestionAvoidance;
-        }
-    }
-
-    fn on_partial_ack(&mut self, acked: u64) {
-        if self.phase == Phase::FastRecovery {
-            self.cwnd = (self.cwnd - acked as f64 + 1.0).max(1.0);
-        }
-    }
-
-    fn on_timeout(&mut self, flight: u64) {
-        self.ssthresh = (flight as f64 / 2.0).max(2.0);
-        self.cwnd = 1.0;
-        self.dwnd = 0.0;
-        self.phase = Phase::SlowStart;
-    }
-
-    fn window(&self) -> u64 {
-        send_window(self.win(), self.w_m)
-    }
-
-    fn cwnd(&self) -> f64 {
-        self.win()
-    }
-
-    fn ssthresh(&self) -> f64 {
-        self.ssthresh
-    }
-
-    fn phase(&self) -> Phase {
-        self.phase
-    }
-
-    fn window_limited(&self) -> bool {
-        self.win() >= self.w_m
-    }
-
-    fn clone_box(&self) -> Box<dyn CongestionControl> {
-        Box::new(*self)
+    /// The loss-based window that makes the combined window `ssthresh`.
+    pub(crate) fn exit_window(&self, ssthresh: f64) -> f64 {
+        (ssthresh - self.dwnd).max(1.0)
     }
 
     #[cfg(any(debug_assertions, test))]
-    fn assert_invariants(&self) {
-        assert!(
-            self.cwnd.is_finite() && self.cwnd >= 1.0,
-            "compound cwnd invariant violated: cwnd = {}",
-            self.cwnd,
-        );
+    pub(crate) fn assert_invariants(&self) {
         assert!(
             self.dwnd.is_finite() && self.dwnd >= 0.0,
             "compound dwnd invariant violated: dwnd = {}",
             self.dwnd,
-        );
-        assert!(
-            self.ssthresh.is_finite() && self.ssthresh >= 1.0,
-            "compound ssthresh invariant violated: ssthresh = {}",
-            self.ssthresh,
-        );
-        let ceiling = self.w_m.max(1.0) * 3.0 + 4.0;
-        assert!(
-            self.win() <= ceiling,
-            "compound window {} escaped its {} ceiling",
-            self.win(),
-            ceiling
         );
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::cc::Algorithm;
+    use crate::cwnd::{Cwnd, Phase};
+
+    fn compound(w_m: u32) -> Cwnd {
+        Cwnd::new(w_m, Algorithm::Compound)
+    }
 
     #[test]
     fn slow_start_matches_reno() {
-        let mut c = Compound::new(64);
+        let mut c = compound(64);
         assert_eq!(c.window(), 1);
         c.on_new_ack(1);
         c.on_new_ack(1);
         c.on_new_ack(1);
         assert_eq!(c.window(), 4);
-        assert_eq!(c.dwnd, 0.0, "no delay window during slow start");
+        assert_eq!(c.compound().dwnd, 0.0, "no delay window during slow start");
     }
 
     #[test]
     fn empty_queue_opens_the_delay_window() {
-        let mut c = Compound::new(256);
+        let mut c = compound(256);
         c.on_timeout(64); // ssthresh 32, restart
         c.observe_rtt(0.05);
         c.observe_rtt(0.05); // RTT at base: queue empty
         for _ in 0..200 {
             c.on_new_ack(1);
         }
-        assert!(c.dwnd > 1.0, "dwnd {} must open while diff < gamma", c.dwnd);
+        assert!(
+            c.compound().dwnd > 1.0,
+            "dwnd {} must open while diff < gamma",
+            c.compound().dwnd
+        );
         assert!(
             c.cwnd() > 32.0 + 200.0 / 64.0,
             "combined growth {} must outpace pure Reno",
@@ -247,13 +141,13 @@ mod tests {
 
     #[test]
     fn queue_buildup_drains_the_delay_window() {
-        let mut c = Compound::new(256);
+        let mut c = compound(256);
         c.on_timeout(64);
         c.observe_rtt(0.05);
         for _ in 0..200 {
             c.on_new_ack(1);
         }
-        let opened = c.dwnd;
+        let opened = c.compound().dwnd;
         assert!(opened > 1.0);
         // Heavy queueing: diff = win·(0.25−0.05)/0.25 = 0.8·win ≫ γ only
         // once the window is large; scale RTT so it clearly exceeds γ.
@@ -262,16 +156,16 @@ mod tests {
             c.on_new_ack(1);
         }
         assert!(
-            c.dwnd < opened,
+            c.compound().dwnd < opened,
             "dwnd must drain under backlog: {} -> {}",
             opened,
-            c.dwnd
+            c.compound().dwnd
         );
     }
 
     #[test]
     fn loss_halves_the_combined_window() {
-        let mut c = Compound::new(256);
+        let mut c = compound(256);
         c.on_timeout(64);
         c.observe_rtt(0.05);
         for _ in 0..200 {
@@ -291,33 +185,14 @@ mod tests {
 
     #[test]
     fn timeout_clears_both_components() {
-        let mut c = Compound::new(64);
+        let mut c = compound(64);
         c.observe_rtt(0.05);
         for _ in 0..100 {
             c.on_new_ack(1);
         }
         c.on_timeout(20);
         assert_eq!(c.window(), 1);
-        assert_eq!(c.dwnd, 0.0);
+        assert_eq!(c.compound().dwnd, 0.0);
         assert_eq!(c.phase(), Phase::SlowStart);
-    }
-
-    #[test]
-    fn deterministic_event_stream() {
-        let run = || {
-            let mut c = Compound::new(48);
-            c.observe_rtt(0.06);
-            for i in 0..500u64 {
-                c.on_new_ack(1);
-                if i % 89 == 0 {
-                    c.observe_rtt(0.06 + (i % 3) as f64 * 0.01);
-                    c.enter_fast_recovery(c.window());
-                    c.on_partial_ack(2);
-                    c.exit_fast_recovery();
-                }
-            }
-            c.cwnd()
-        };
-        assert_eq!(run().to_bits(), run().to_bits());
     }
 }

@@ -1,107 +1,38 @@
-//! Pluggable congestion control.
+//! The congestion-control zoo.
 //!
-//! The sender drives its window through the [`CongestionControl`] trait,
-//! so the loss-based Reno family (with the Veno variant — [`Cwnd`], whose
-//! trait impl in [`crate::cwnd`] is its whole method surface), [`Cubic`]
-//! (RFC 8312), the model-based [`Bbr`] sender and the hybrid loss/delay
-//! [`Compound`] controller are interchangeable: every
-//! [`crate::reno::RenoSender`] feature — NewReno partial ACKs, spurious-RTO
-//! undo, redundant backup-path retransmission — composes with every
-//! controller.
+//! Every sender runs one window machine, [`crate::cwnd::Cwnd`]: the Reno
+//! cycle of slow start, congestion avoidance, fast recovery and timeout,
+//! written once. A controller is a law on that cycle — its congestion-
+//! avoidance step, its loss cut, its recovery-exit window, its timeout
+//! reset and what it reads from RTT samples — chosen by the [`Algorithm`]
+//! label: the loss-based Reno family (with the Veno variant, whose law
+//! lives in [`crate::cwnd`]), CUBIC (RFC 8312), the model-based BBR
+//! sender and the hybrid loss/delay Compound controller, one file each
+//! here. Every [`crate::reno::RenoSender`] feature — NewReno partial ACKs,
+//! spurious-RTO undo, redundant backup-path retransmission — composes with
+//! every controller.
 //!
-//! The trait deliberately mirrors the event vocabulary of the Reno state
-//! machine (new ACK, third duplicate ACK, duplicate ACK during recovery,
-//! partial ACK, timeout) rather than a rate/pacing abstraction: the
-//! paper's measurement methodology is defined in terms of those events,
-//! and every controller — even BBR, which internally reasons about rates
-//! — must keep the [`Phase`] machine honest so the sender's recovery
+//! The machine speaks the event vocabulary of the Reno state machine (new
+//! ACK, third duplicate ACK, duplicate ACK during recovery, partial ACK,
+//! timeout) rather than a rate/pacing abstraction: the paper's measurement
+//! methodology is defined in terms of those events, and every controller —
+//! even BBR, which internally reasons about rates — keeps the
+//! [`crate::cwnd::Phase`] machine honest so the sender's recovery
 //! bookkeeping (and the analyzer downstream) keeps working unchanged.
-
-use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::cwnd::{Cwnd, Phase};
-
-mod bbr;
-mod compound;
-mod cubic;
-
-pub use bbr::Bbr;
-pub use compound::Compound;
-pub use cubic::Cubic;
-
-/// A congestion controller driven by the sender's ACK/loss/timeout events.
-///
-/// Implementations own the full window state machine: they must keep
-/// [`CongestionControl::phase`] consistent with the calls they receive
-/// (`enter_fast_recovery` ⇒ [`Phase::FastRecovery`] until
-/// `exit_fast_recovery`, `on_timeout` ⇒ [`Phase::SlowStart`]), because the
-/// sender branches on the phase to decide between recovery bookkeeping and
-/// normal window growth.
-pub trait CongestionControl: fmt::Debug + Send {
-    /// Feeds a clean (Karn-filtered) RTT observation, seconds.
-    fn observe_rtt(&mut self, rtt_s: f64);
-
-    /// An ACK advanced the cumulative point by `acked` segments outside
-    /// fast recovery.
-    fn on_new_ack(&mut self, acked: u64);
-
-    /// Third duplicate ACK: cut the window and enter fast recovery.
-    /// `flight` is the outstanding data in segments.
-    fn enter_fast_recovery(&mut self, flight: u64);
-
-    /// A further duplicate ACK while in fast recovery (window inflation).
-    fn on_dup_ack_in_recovery(&mut self);
-
-    /// An ACK for new data ended fast recovery (window deflation).
-    fn exit_fast_recovery(&mut self);
-
-    /// NewReno partial ACK: deflate but stay in fast recovery.
-    fn on_partial_ack(&mut self, acked: u64);
-
-    /// Retransmission timeout. `flight` is outstanding data in segments.
-    fn on_timeout(&mut self, flight: u64);
-
-    /// The effective send window in whole segments:
-    /// `max(1, floor(min(cwnd, W_m)))`.
-    fn window(&self) -> u64;
-
-    /// The raw (fractional, uncapped) congestion window in segments —
-    /// for controllers with several components, their sum.
-    fn cwnd(&self) -> f64;
-
-    /// The current slow-start threshold (or the controller's nearest
-    /// equivalent — every implementation must keep it finite and ≥ 1).
-    fn ssthresh(&self) -> f64;
-
-    /// The congestion phase, as defined by the Reno event vocabulary.
-    fn phase(&self) -> Phase;
-
-    /// True when the advertised window is the binding constraint.
-    fn window_limited(&self) -> bool;
-
-    /// Clones the controller state (used by the sender's spurious-timeout
-    /// undo, which snapshots the pre-collapse window).
-    fn clone_box(&self) -> Box<dyn CongestionControl>;
-
-    /// Checks the controller's structural invariants (window ≥ 1 segment,
-    /// bounded by its ceiling, all state finite).
-    ///
-    /// # Panics
-    ///
-    /// Panics when an invariant is violated.
-    #[cfg(any(debug_assertions, test))]
-    fn assert_invariants(&self);
-}
+pub(crate) mod bbr;
+pub(crate) mod compound;
+pub(crate) mod cubic;
 
 /// Which congestion-control algorithm shapes the window.
 ///
 /// This is pure *configuration* — a serializable label that flows
 /// through `SenderConfig`, scenario configs and campaign cache keys;
-/// [`Algorithm::build`] turns it into a live [`CongestionControl`]. Each
-/// controller runs at its published constants ([`Algorithm::constants`]),
-/// so a label names exactly one controller.
+/// [`Cwnd::new`](crate::cwnd::Cwnd::new) turns it into a live window
+/// machine. Each controller runs at its published constants
+/// ([`Algorithm::constants`]), so a label names exactly one controller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum Algorithm {
     /// Classic Reno (the paper's modelling target).
@@ -167,30 +98,17 @@ impl Algorithm {
             ],
         }
     }
-
-    /// Instantiates the live controller for this configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `w_m` is zero.
-    pub fn build(&self, w_m: u32) -> Box<dyn CongestionControl> {
-        match *self {
-            Algorithm::Reno | Algorithm::Veno => Box::new(Cwnd::with_algorithm(w_m, *self)),
-            Algorithm::Cubic => Box::new(Cubic::new(w_m)),
-            Algorithm::Bbr => Box::new(Bbr::new(w_m)),
-            Algorithm::Compound => Box::new(Compound::new(w_m)),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cwnd::{Cwnd, Phase};
 
     #[test]
-    fn build_dispatches_every_variant() {
+    fn every_law_starts_at_one_segment_in_slow_start() {
         for algo in Algorithm::zoo() {
-            let cc = algo.build(48);
+            let cc = Cwnd::new(48, algo);
             assert_eq!(cc.window(), 1, "{}: initial window", algo.label());
             assert_eq!(cc.phase(), Phase::SlowStart);
         }
@@ -207,24 +125,9 @@ mod tests {
     }
 
     #[test]
-    fn clone_box_preserves_state() {
-        for algo in Algorithm::zoo() {
-            let mut cc = algo.build(32);
-            for _ in 0..10 {
-                cc.on_new_ack(1);
-            }
-            cc.observe_rtt(0.05);
-            let snap = cc.clone_box();
-            assert_eq!(snap.cwnd(), cc.cwnd(), "{}", algo.label());
-            assert_eq!(snap.window(), cc.window());
-            assert_eq!(snap.phase(), cc.phase());
-        }
-    }
-
-    #[test]
     fn every_controller_honors_the_phase_contract() {
         for algo in Algorithm::zoo() {
-            let mut cc = algo.build(48);
+            let mut cc = Cwnd::new(48, algo);
             for _ in 0..30 {
                 cc.on_new_ack(1);
                 cc.assert_invariants();
@@ -245,10 +148,111 @@ mod tests {
         }
     }
 
+    /// FNV-1a-64 of every `(cwnd, ssthresh, phase, window)` a controller
+    /// passes through on one scripted event tape, in the sender's call
+    /// protocol (no `on_new_ack` during fast recovery; a loss or timeout
+    /// sees the current window as its flight).
+    fn trajectory_hash(algo: Algorithm) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut record = |c: &Cwnd| {
+            let phase = c.phase() as u8;
+            let words = [c.cwnd().to_bits(), c.ssthresh().to_bits(), c.window()];
+            let bytes = words.iter().flat_map(|w| w.to_le_bytes()).chain([phase]);
+            for b in bytes {
+                hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        // One round: an RTT sample, then the window acknowledged in
+        // delayed-ACK pairs.
+        let round = |c: &mut Cwnd, record: &mut dyn FnMut(&Cwnd), rtt_s: f64| {
+            c.observe_rtt(rtt_s);
+            record(c);
+            let mut left = c.window();
+            while left > 0 {
+                let acked = left.min(2);
+                c.on_new_ack(acked);
+                record(c);
+                left -= acked;
+            }
+        };
+        let loss = |c: &mut Cwnd, record: &mut dyn FnMut(&Cwnd), dups: u32| {
+            let flight = c.window();
+            c.enter_fast_recovery(flight);
+            record(c);
+            for _ in 0..dups {
+                c.on_dup_ack_in_recovery();
+                record(c);
+            }
+            c.on_partial_ack(3);
+            record(c);
+            c.on_dup_ack_in_recovery();
+            record(c);
+            c.exit_fast_recovery();
+            record(c);
+        };
+        let mut c = Cwnd::new(96, algo);
+        record(&c);
+        // Empty queue: slow start, then Veno's random-loss branch,
+        // Compound's open delay window and BBR's STARTUP → PROBE_BW switch
+        // and gain cycle.
+        for _ in 0..20 {
+            round(&mut c, &mut record, 0.050);
+        }
+        // Queue builds: Veno's congested branch, Compound's γ-drain.
+        for _ in 0..8 {
+            round(&mut c, &mut record, 0.200);
+        }
+        loss(&mut c, &mut record, 5);
+        for _ in 0..6 {
+            round(&mut c, &mut record, 0.050);
+        }
+        loss(&mut c, &mut record, 4);
+        for _ in 0..4 {
+            round(&mut c, &mut record, 0.060);
+        }
+        // A timeout whose snapshot is restored, as a spurious verdict does.
+        let snapshot = c;
+        let flight = c.window();
+        c.on_timeout(flight);
+        record(&c);
+        for _ in 0..3 {
+            round(&mut c, &mut record, 0.050);
+        }
+        c = snapshot;
+        record(&c);
+        for _ in 0..3 {
+            round(&mut c, &mut record, 0.070);
+        }
+        // A genuine timeout and the slow start after it.
+        let flight = c.window();
+        c.on_timeout(flight);
+        record(&c);
+        for _ in 0..8 {
+            round(&mut c, &mut record, 0.050);
+        }
+        loss(&mut c, &mut record, 2);
+        hash
+    }
+
+    /// Every controller's whole window trajectory on one tape, bit for bit.
+    #[test]
+    fn every_controller_trajectory_is_bit_pinned() {
+        assert_eq!(
+            Algorithm::zoo().map(trajectory_hash),
+            [
+                0x3083_b08f_8a99_cd6f, // Reno
+                0x0f56_2ead_202c_ab71, // Veno
+                0x8aa4_7bff_ff64_b17a, // Cubic
+                0x47ac_bac7_5f9a_4c04, // Bbr
+                0x5618_b02e_8645_6b85, // Compound
+            ]
+        );
+    }
+
     #[test]
     fn loss_cuts_reduce_the_window() {
         for algo in Algorithm::zoo() {
-            let mut cc = algo.build(64);
+            let mut cc = Cwnd::new(64, algo);
             for _ in 0..40 {
                 cc.on_new_ack(1);
             }

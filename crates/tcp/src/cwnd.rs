@@ -1,11 +1,20 @@
-//! Congestion-window state machine (TCP Reno, RFC 5681).
+//! The congestion-window machine (TCP Reno, RFC 5681) that every
+//! controller of the [`crate::cc`] zoo runs on.
 //!
-//! Tracks the congestion window in fractional segments through slow start,
+//! [`Cwnd`] tracks the window in fractional segments through slow start,
 //! congestion avoidance and fast recovery, capped by the receiver's
 //! advertised window `W_m` — the same window limitation the model's
-//! Section IV-D branch covers.
+//! Section IV-D branch covers. The Reno cycle is written once: byte-counting
+//! slow start and its exit at `ssthresh`, `+1` per duplicate ACK in fast
+//! recovery, NewReno partial-ACK deflation, and the collapse to one segment
+//! on a timeout. A controller is a *law* on top of that cycle, as in the
+//! paper's Eq. (21): what it makes of an RTT sample, its congestion-
+//! avoidance step, its loss cut, the window it leaves fast recovery with
+//! and what a timeout resets. Compound's delay window and BBR's per-ACK
+//! round accounting are the two laws that reach further, and their arms
+//! say where.
 
-use crate::cc::{Algorithm, CongestionControl};
+use crate::cc::{bbr, compound, cubic, Algorithm};
 use serde::{Deserialize, Serialize};
 
 /// Veno's backlog threshold `β`, packets: a loss with a smaller backlog
@@ -23,181 +32,272 @@ pub enum Phase {
     FastRecovery,
 }
 
-/// The Reno-family congestion controller: Reno, or Veno when built with
-/// [`Algorithm::Veno`]. It speaks [`CongestionControl`] natively and is
-/// the reference implementation the other controllers are held to.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// The congestion window of one sender, running the controller its
+/// [`Algorithm`] names. It is `Copy`: the sender's spurious-timeout undo
+/// keeps a whole machine, law state included, by value.
+#[derive(Debug, Clone, Copy)]
 pub struct Cwnd {
+    /// The Reno window; Compound's loss-based component.
     cwnd: f64,
     ssthresh: f64,
     phase: Phase,
     w_m: f64,
-    algo: Algorithm,
+    law: Law,
+}
+
+/// Each controller's own state: the only part of a window machine that
+/// differs between the zoo's members.
+#[derive(Debug, Clone, Copy)]
+enum Law {
+    Reno,
+    Veno(Backlog),
+    Cubic(cubic::Epoch),
+    Bbr(bbr::Model),
+    Compound(compound::DelayWindow),
+}
+
+/// The minimum and the latest RTT, seconds, and the Vegas-style backlog
+/// estimate Veno and Compound make from them.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Backlog {
     base_rtt_s: f64,
     last_rtt_s: f64,
 }
 
-impl Cwnd {
-    /// Creates a Reno controller with initial window 1 and the given
-    /// advertised window limitation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `w_m` is zero.
-    pub fn new(w_m: u32) -> Cwnd {
-        Cwnd::with_algorithm(w_m, Algorithm::Reno)
+impl Backlog {
+    pub(crate) const NEW: Backlog = Backlog {
+        base_rtt_s: f64::INFINITY,
+        last_rtt_s: f64::INFINITY,
+    };
+
+    pub(crate) fn observe(&mut self, rtt_s: f64) {
+        self.base_rtt_s = self.base_rtt_s.min(rtt_s);
+        self.last_rtt_s = rtt_s;
     }
 
-    /// Creates a controller running the given algorithm.
+    /// The packets a window `win` keeps queued, `win·(RTT − baseRTT)/RTT`,
+    /// once an RTT has been seen.
+    pub(crate) fn estimate(&self, win: f64) -> Option<f64> {
+        self.last_rtt_s
+            .is_finite()
+            .then(|| win * (self.last_rtt_s - self.base_rtt_s) / self.last_rtt_s)
+    }
+
+    /// Veno's verdict: a loss with the backlog below `β` is random.
+    fn random_loss(&self, cwnd: f64) -> bool {
+        self.estimate(cwnd).is_some_and(|n| n < VENO_BETA)
+    }
+}
+
+impl Law {
+    /// Feeds a positive, finite RTT sample.
+    fn observe_rtt(&mut self, rtt_s: f64, cwnd: f64) {
+        match self {
+            Law::Reno => {}
+            Law::Veno(backlog) => backlog.observe(rtt_s),
+            Law::Cubic(epoch) => epoch.observe_rtt(rtt_s),
+            Law::Bbr(model) => model.observe_rtt(rtt_s, cwnd),
+            Law::Compound(delay) => delay.observe_rtt(rtt_s),
+        }
+    }
+
+    /// One ACK's congestion-avoidance step.
+    fn grow(&mut self, cwnd: &mut f64, acked: u64) {
+        match self {
+            // 1/cwnd per ACK: +1 MSS per window per RTT; with delayed ACKs
+            // (fewer ACKs per round) growth slows to 1 per b rounds,
+            // matching the model's Eq. (3).
+            Law::Reno => *cwnd += 1.0 / cwnd.max(1.0),
+            // Veno halves the growth unless its backlog estimate is below β.
+            Law::Veno(backlog) => {
+                let step = if backlog.random_loss(*cwnd) { 1.0 } else { 0.5 };
+                *cwnd += step / cwnd.max(1.0);
+            }
+            Law::Cubic(epoch) => epoch.grow(cwnd, acked),
+            Law::Bbr(model) => model.grow(cwnd, acked),
+            Law::Compound(delay) => delay.grow(cwnd),
+        }
+    }
+
+    /// The loss cut on a third duplicate ACK: the new `ssthresh` and the
+    /// window before fast retransmit inflates it.
+    fn cut(&mut self, cwnd: f64, flight: u64) -> (f64, f64) {
+        let ssthresh = match self {
+            Law::Reno => (flight as f64 * 0.5).max(2.0),
+            // Veno, when its backlog estimate indicates a *random*
+            // (wireless) loss, only takes a 1/5 cut.
+            Law::Veno(backlog) => {
+                let factor = if backlog.random_loss(cwnd) { 0.8 } else { 0.5 };
+                (flight as f64 * factor).max(2.0)
+            }
+            Law::Cubic(epoch) => epoch.cut(cwnd),
+            Law::Bbr(_) => bbr::cut(flight),
+            Law::Compound(delay) => return delay.cut(flight),
+        };
+        (ssthresh, ssthresh)
+    }
+
+    /// The window fast recovery ends with, and the phase it resumes.
+    fn recovery_exit(&mut self, ssthresh: f64, ceiling: f64) -> (f64, Phase) {
+        match self {
+            Law::Cubic(epoch) => epoch.start(ssthresh),
+            Law::Bbr(model) => return model.recovery_exit(ssthresh, ceiling),
+            Law::Compound(delay) => {
+                return (delay.exit_window(ssthresh), Phase::CongestionAvoidance)
+            }
+            Law::Reno | Law::Veno(_) => {}
+        }
+        (ssthresh, Phase::CongestionAvoidance)
+    }
+
+    /// What a timeout resets; returns the new `ssthresh`.
+    fn timeout(&mut self, cwnd: f64, flight: u64) -> f64 {
+        match self {
+            Law::Cubic(epoch) => return epoch.cut(cwnd),
+            Law::Bbr(model) => model.restart(),
+            Law::Compound(delay) => delay.dwnd = 0.0,
+            Law::Reno | Law::Veno(_) => {}
+        }
+        (flight as f64 / 2.0).max(2.0)
+    }
+}
+
+impl Cwnd {
+    /// Creates the window machine for `algorithm` with initial window 1
+    /// and the given advertised window limitation.
     ///
     /// # Panics
     ///
     /// Panics if `w_m` is zero.
-    pub fn with_algorithm(w_m: u32, algo: Algorithm) -> Cwnd {
+    pub fn new(w_m: u32, algorithm: Algorithm) -> Cwnd {
         assert!(w_m > 0, "advertised window must be positive");
+        let law = match algorithm {
+            Algorithm::Reno => Law::Reno,
+            Algorithm::Veno => Law::Veno(Backlog::NEW),
+            Algorithm::Cubic => Law::Cubic(cubic::Epoch::NEW),
+            Algorithm::Bbr => Law::Bbr(bbr::Model::NEW),
+            Algorithm::Compound => Law::Compound(compound::DelayWindow::NEW),
+        };
         Cwnd {
             cwnd: 1.0,
             ssthresh: f64::from(w_m),
             phase: Phase::SlowStart,
             w_m: f64::from(w_m),
-            algo,
-            base_rtt_s: f64::INFINITY,
-            last_rtt_s: f64::INFINITY,
+            law,
         }
     }
 
-    /// Veno's router-backlog estimate `N`, when enough RTT information is
-    /// available.
-    fn backlog_estimate(&self) -> Option<f64> {
-        if self.base_rtt_s.is_finite() && self.last_rtt_s.is_finite() && self.last_rtt_s > 0.0 {
-            Some(self.cwnd * (self.last_rtt_s - self.base_rtt_s) / self.last_rtt_s)
-        } else {
-            None
-        }
-    }
-
-    fn random_loss_suspected(&self) -> bool {
-        match self.algo {
-            Algorithm::Veno => self.backlog_estimate().is_some_and(|n| n < VENO_BETA),
-            // Reno — and any non-classic variant handed to this struct by
-            // mistake — treats every loss as congestive.
-            _ => false,
-        }
-    }
-
-    /// Corrupts the window so tests can prove the invariant check fires.
-    /// Test-only by design.
-    #[cfg(any(debug_assertions, test))]
-    #[doc(hidden)]
-    pub fn inject_invariant_violation(&mut self) {
-        self.cwnd = 0.0;
-    }
-}
-
-impl CongestionControl for Cwnd {
-    /// Veno's backlog estimator needs the minimum and the most recent
-    /// RTT; Reno never reads them.
-    fn observe_rtt(&mut self, rtt_s: f64) {
+    /// Feeds a clean (Karn-filtered) RTT observation, seconds; a sample
+    /// that is not positive and finite is ignored.
+    pub fn observe_rtt(&mut self, rtt_s: f64) {
         if rtt_s > 0.0 && rtt_s.is_finite() {
-            self.base_rtt_s = self.base_rtt_s.min(rtt_s);
-            self.last_rtt_s = rtt_s;
+            self.law.observe_rtt(rtt_s, self.cwnd);
         }
     }
 
-    fn on_new_ack(&mut self, acked: u64) {
-        match self.phase {
-            Phase::SlowStart => {
-                // One MSS per ACKed segment (byte-counting slow start).
-                self.cwnd += acked as f64;
-                if self.cwnd >= self.ssthresh {
-                    self.phase = Phase::CongestionAvoidance;
+    /// An ACK advanced the cumulative point by `acked` segments. The
+    /// sender ends fast recovery explicitly, so in fast recovery this does
+    /// nothing.
+    pub fn on_new_ack(&mut self, acked: u64) {
+        if self.phase == Phase::FastRecovery {
+            return;
+        }
+        if let Law::Bbr(model) = &mut self.law {
+            if model.count_acks(acked, self.cwnd) {
+                self.phase = Phase::CongestionAvoidance;
+            }
+        }
+        if self.phase == Phase::SlowStart {
+            // One MSS per ACKed segment (byte-counting slow start). BBR's
+            // STARTUP ends on its bandwidth plateau instead of at ssthresh.
+            self.cwnd += acked as f64;
+            if !matches!(self.law, Law::Bbr(_)) && self.win() >= self.ssthresh {
+                self.phase = Phase::CongestionAvoidance;
+                if let Law::Cubic(epoch) = &mut self.law {
+                    epoch.start(self.cwnd);
                 }
             }
-            Phase::CongestionAvoidance => {
-                // 1/cwnd per ACK: +1 MSS per window per RTT; with delayed
-                // ACKs (fewer ACKs per round) growth slows to 1 per b
-                // rounds, matching the model's Eq. (3). Veno halves the
-                // growth once the backlog estimate exceeds beta.
-                let congested = self.algo == Algorithm::Veno && !self.random_loss_suspected();
-                let step = if congested { 0.5 } else { 1.0 };
-                self.cwnd += step / self.cwnd.max(1.0);
-            }
-            Phase::FastRecovery => {
-                // Callers exit fast recovery explicitly.
-            }
+        } else {
+            self.law.grow(&mut self.cwnd, acked);
         }
-        self.cwnd = self.cwnd.min(self.w_m.max(1.0) * 2.0); // keep bounded
+        // Keep the window in [1, 2·W_m], draining Compound's delay window
+        // first.
+        let ceiling = 2.0 * self.w_m;
+        if let Law::Compound(delay) = &mut self.law {
+            delay.clamp(self.cwnd, ceiling);
+        }
+        self.cwnd = self.cwnd.min(ceiling).max(1.0);
     }
 
-    /// Reno halves the window; Veno, when its backlog estimate indicates a
-    /// *random* (wireless) loss, only takes a 1/5 cut.
-    fn enter_fast_recovery(&mut self, flight: u64) {
-        let factor = if self.random_loss_suspected() {
-            0.8
-        } else {
-            0.5
-        };
-        self.ssthresh = (flight as f64 * factor).max(2.0);
-        self.cwnd = self.ssthresh + 3.0;
+    /// Third duplicate ACK: cut the window and enter fast recovery.
+    /// `flight` is the outstanding data in segments.
+    pub fn enter_fast_recovery(&mut self, flight: u64) {
+        let (ssthresh, cut) = self.law.cut(self.cwnd, flight);
+        self.ssthresh = ssthresh;
+        self.cwnd = cut + 3.0;
         self.phase = Phase::FastRecovery;
     }
 
-    fn on_dup_ack_in_recovery(&mut self) {
+    /// A further duplicate ACK while in fast recovery (window inflation).
+    pub fn on_dup_ack_in_recovery(&mut self) {
         if self.phase == Phase::FastRecovery {
             self.cwnd += 1.0;
         }
     }
 
-    fn exit_fast_recovery(&mut self) {
+    /// An ACK for new data ended fast recovery (window deflation).
+    pub fn exit_fast_recovery(&mut self) {
         if self.phase == Phase::FastRecovery {
-            self.cwnd = self.ssthresh;
-            self.phase = Phase::CongestionAvoidance;
+            (self.cwnd, self.phase) = self.law.recovery_exit(self.ssthresh, 2.0 * self.w_m);
         }
     }
 
-    fn on_partial_ack(&mut self, acked: u64) {
+    /// NewReno partial ACK: deflate but stay in fast recovery.
+    pub fn on_partial_ack(&mut self, acked: u64) {
         if self.phase == Phase::FastRecovery {
             self.cwnd = (self.cwnd - acked as f64 + 1.0).max(1.0);
         }
     }
 
-    /// Collapses to one segment and restarts slow start.
-    fn on_timeout(&mut self, flight: u64) {
-        self.ssthresh = (flight as f64 / 2.0).max(2.0);
+    /// Retransmission timeout: collapses to one segment and restarts slow
+    /// start. `flight` is the outstanding data in segments.
+    pub fn on_timeout(&mut self, flight: u64) {
+        self.ssthresh = self.law.timeout(self.cwnd, flight);
         self.cwnd = 1.0;
         self.phase = Phase::SlowStart;
     }
 
-    fn window(&self) -> u64 {
-        send_window(self.cwnd, self.w_m)
+    /// The whole window in fractional segments: `cwnd`, plus Compound's
+    /// delay window.
+    fn win(&self) -> f64 {
+        match self.law {
+            Law::Compound(delay) => self.cwnd + delay.dwnd,
+            _ => self.cwnd,
+        }
     }
 
-    fn cwnd(&self) -> f64 {
-        self.cwnd
+    /// The effective send window in whole segments:
+    /// `max(1, floor(min(cwnd, W_m)))`.
+    pub fn window(&self) -> u64 {
+        send_window(self.win(), self.w_m)
     }
 
-    fn ssthresh(&self) -> f64 {
-        self.ssthresh
+    /// The raw (fractional, uncapped) congestion window in segments —
+    /// for Compound, the sum of its two components.
+    pub fn cwnd(&self) -> f64 {
+        self.win()
     }
 
-    fn phase(&self) -> Phase {
+    /// The congestion phase.
+    pub fn phase(&self) -> Phase {
         self.phase
     }
 
-    fn window_limited(&self) -> bool {
-        self.cwnd >= self.w_m
-    }
-
-    fn clone_box(&self) -> Box<dyn CongestionControl> {
-        Box::new(*self)
-    }
-
     /// The window never collapses below one segment, never escapes its
-    /// `2·W_m` ceiling, and both `cwnd` and `ssthresh` stay finite and
-    /// positive. The sender re-checks after every state transition in
-    /// debug/test builds.
+    /// ceiling, and its state stays finite and positive. The sender
+    /// re-checks after every state transition in debug/test builds.
     #[cfg(any(debug_assertions, test))]
-    fn assert_invariants(&self) {
+    pub(crate) fn assert_invariants(&self) {
         assert!(
             self.cwnd.is_finite() && self.cwnd >= 1.0,
             "cwnd invariant violated: cwnd = {} (must be finite and >= 1)",
@@ -213,11 +313,11 @@ impl CongestionControl for Cwnd {
         // ACK — at most one window's worth, twice over when a backup path
         // mirrors ACKs — on top of ssthresh + 3. Anything above that is a
         // runaway window.
-        let ceiling = self.w_m.max(1.0) * 3.0 + 4.0;
+        let ceiling = 3.0 * self.w_m + 4.0;
         assert!(
-            self.cwnd <= ceiling,
+            self.win() <= ceiling,
             "cwnd {} escaped its {} ceiling",
-            self.cwnd,
+            self.win(),
             ceiling
         );
         let w = self.window();
@@ -227,21 +327,71 @@ impl CongestionControl for Cwnd {
             w,
             self.w_m,
         );
+        match &self.law {
+            Law::Cubic(epoch) => epoch.assert_invariants(),
+            Law::Bbr(model) => model.assert_invariants(),
+            Law::Compound(delay) => delay.assert_invariants(),
+            Law::Reno | Law::Veno(_) => {}
+        }
     }
 }
 
-/// Every controller's effective send window in whole segments:
+/// The effective send window in whole segments:
 /// `max(1, floor(min(cwnd, w_m)))`, for any `f64` whatever. The saturating
 /// `as` cast truncates — which is `floor` from 1 upwards — and sends NaN
 /// and everything below 1 to 0, which the `max` lifts to 1 as it lifted
 /// their floors; no libm call per ACK.
-pub(crate) fn send_window(cwnd: f64, w_m: f64) -> u64 {
+fn send_window(cwnd: f64, w_m: f64) -> u64 {
     (cwnd.min(w_m) as u64).max(1)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// What the zoo's unit tests read of a machine beyond its public
+    /// getters.
+    impl Cwnd {
+        pub(crate) fn ssthresh(&self) -> f64 {
+            self.ssthresh
+        }
+
+        pub(crate) fn cubic(&self) -> &cubic::Epoch {
+            match &self.law {
+                Law::Cubic(epoch) => epoch,
+                law => panic!("not CUBIC: {law:?}"),
+            }
+        }
+
+        pub(crate) fn bbr(&self) -> &bbr::Model {
+            match &self.law {
+                Law::Bbr(model) => model,
+                law => panic!("not BBR: {law:?}"),
+            }
+        }
+
+        pub(crate) fn compound(&self) -> &compound::DelayWindow {
+            match &self.law {
+                Law::Compound(delay) => delay,
+                law => panic!("not Compound: {law:?}"),
+            }
+        }
+    }
+
+    fn reno(w_m: u32) -> Cwnd {
+        Cwnd::new(w_m, Algorithm::Reno)
+    }
+
+    fn veno(w_m: u32) -> Cwnd {
+        Cwnd::new(w_m, Algorithm::Veno)
+    }
+
+    fn backlog(c: &Cwnd) -> Option<f64> {
+        match c.law {
+            Law::Veno(backlog) => backlog.estimate(c.cwnd),
+            _ => None,
+        }
+    }
 
     /// The expression `send_window` replaced, kept as its oracle.
     fn floored_window(cwnd: f64, w_m: f64) -> u64 {
@@ -306,7 +456,7 @@ mod tests {
 
     #[test]
     fn slow_start_doubles_per_round() {
-        let mut c = Cwnd::new(64);
+        let mut c = reno(64);
         assert_eq!(c.phase(), Phase::SlowStart);
         assert_eq!(c.window(), 1);
         // One round: every segment ACKed individually.
@@ -319,7 +469,7 @@ mod tests {
 
     #[test]
     fn transitions_to_ca_at_ssthresh() {
-        let mut c = Cwnd::new(64);
+        let mut c = reno(64);
         c.on_timeout(32); // ssthresh = 16, cwnd = 1, slow start
         assert_eq!(c.ssthresh(), 16.0);
         for _ in 0..15 {
@@ -336,7 +486,7 @@ mod tests {
 
     #[test]
     fn ca_grows_one_window_per_rtt() {
-        let mut c = Cwnd::new(1000);
+        let mut c = reno(1000);
         c.on_timeout(20); // ssthresh = 10
         for _ in 0..9 {
             c.on_new_ack(1);
@@ -358,17 +508,17 @@ mod tests {
 
     #[test]
     fn window_capped_by_advertised() {
-        let mut c = Cwnd::new(8);
+        let mut c = reno(8);
         for _ in 0..100 {
             c.on_new_ack(1);
         }
         assert_eq!(c.window(), 8);
-        assert!(c.window_limited());
+        assert!(c.cwnd >= c.w_m, "W_m is the binding limit");
     }
 
     #[test]
     fn fast_recovery_cycle() {
-        let mut c = Cwnd::new(64);
+        let mut c = reno(64);
         for _ in 0..20 {
             c.on_new_ack(1);
         }
@@ -388,7 +538,7 @@ mod tests {
 
     #[test]
     fn timeout_resets_to_one() {
-        let mut c = Cwnd::new(64);
+        let mut c = reno(64);
         for _ in 0..30 {
             c.on_new_ack(1);
         }
@@ -400,7 +550,7 @@ mod tests {
 
     #[test]
     fn minimum_flight_floor_for_ssthresh() {
-        let mut c = Cwnd::new(64);
+        let mut c = reno(64);
         c.on_timeout(1);
         assert_eq!(c.ssthresh(), 2.0);
         c.enter_fast_recovery(1);
@@ -409,7 +559,7 @@ mod tests {
 
     #[test]
     fn partial_ack_deflates_but_stays_in_recovery() {
-        let mut c = Cwnd::new(64);
+        let mut c = reno(64);
         c.enter_fast_recovery(20);
         let before = c.cwnd();
         c.on_partial_ack(4);
@@ -421,22 +571,22 @@ mod tests {
 
     #[test]
     fn veno_backlog_estimate() {
-        let mut c = Cwnd::with_algorithm(64, Algorithm::Veno);
-        assert_eq!(c.backlog_estimate(), None, "no RTT info yet");
+        let mut c = veno(64);
+        assert_eq!(backlog(&c), None, "no RTT info yet");
         for _ in 0..20 {
             c.on_new_ack(1);
         }
         c.observe_rtt(0.050); // base
         c.observe_rtt(0.075); // queueing building up
-        let n = c.backlog_estimate().unwrap();
+        let n = backlog(&c).unwrap();
         // N = cwnd * (0.075-0.050)/0.075 = cwnd/3.
         assert!((n - c.cwnd() / 3.0).abs() < 1e-9);
     }
 
     #[test]
     fn veno_takes_smaller_cut_on_random_loss() {
-        let mut veno = Cwnd::with_algorithm(64, Algorithm::Veno);
-        let mut reno = Cwnd::new(64);
+        let mut veno = veno(64);
+        let mut reno = reno(64);
         for c in [&mut veno, &mut reno] {
             for _ in 0..20 {
                 c.on_new_ack(1);
@@ -453,21 +603,21 @@ mod tests {
 
     #[test]
     fn veno_halves_like_reno_when_congested() {
-        let mut veno = Cwnd::with_algorithm(64, Algorithm::Veno);
+        let mut veno = veno(64);
         for _ in 0..20 {
             veno.on_new_ack(1);
         }
         // Large queueing delay: backlog exceeds beta.
         veno.observe_rtt(0.050);
         veno.observe_rtt(0.200);
-        assert!(veno.backlog_estimate().unwrap() > 3.0);
+        assert!(backlog(&veno).unwrap() > 3.0);
         veno.enter_fast_recovery(20);
         assert_eq!(veno.ssthresh(), 10.0);
     }
 
     #[test]
     fn veno_slows_ca_growth_under_backlog() {
-        let mut c = Cwnd::with_algorithm(64, Algorithm::Veno);
+        let mut c = veno(64);
         c.on_timeout(20); // ssthresh 10
         for _ in 0..9 {
             c.on_new_ack(1);
@@ -482,7 +632,7 @@ mod tests {
 
     #[test]
     fn reno_ignores_rtt_observations() {
-        let mut c = Cwnd::new(64);
+        let mut c = reno(64);
         c.observe_rtt(0.050);
         c.observe_rtt(0.500);
         c.enter_fast_recovery(20);
@@ -491,7 +641,7 @@ mod tests {
 
     #[test]
     fn invariants_hold_through_a_full_lifecycle() {
-        let mut c = Cwnd::new(16);
+        let mut c = reno(16);
         c.assert_invariants();
         for _ in 0..40 {
             c.on_new_ack(1);
@@ -514,16 +664,16 @@ mod tests {
     #[test]
     #[should_panic(expected = "cwnd invariant violated")]
     fn invariant_check_fires_on_injected_violation() {
-        let mut c = Cwnd::new(16);
-        c.inject_invariant_violation();
+        let mut c = reno(16);
+        c.cwnd = 0.0;
         c.assert_invariants();
     }
 
     #[test]
     fn window_never_zero() {
-        let c = Cwnd::new(5);
+        let c = reno(5);
         assert!(c.window() >= 1);
-        let mut c2 = Cwnd::new(5);
+        let mut c2 = reno(5);
         c2.on_timeout(10);
         assert_eq!(c2.window(), 1);
     }

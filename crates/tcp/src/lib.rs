@@ -5,11 +5,12 @@
 //!
 //! * [`rtt`] — Jacobson/Karn RTT estimation and the exponential-backoff
 //!   retransmission timer capped at 64·T;
-//! * [`cwnd`] — the Reno congestion state machine (slow start, congestion
-//!   avoidance, fast recovery) with the `W_m` advertised-window cap, and
-//!   its Veno variant;
-//! * [`cc`] — the [`cc::CongestionControl`] trait the sender drives, the
-//!   [`cc::Algorithm`] configuration label and the rest of the zoo;
+//! * [`cwnd`] — [`cwnd::Cwnd`], the one congestion-window machine (slow
+//!   start, congestion avoidance, fast recovery, timeout) with the `W_m`
+//!   advertised-window cap, which every controller runs on;
+//! * [`cc`] — the [`cc::Algorithm`] label and the zoo's growth and cut
+//!   laws (Veno's beside Reno's in [`cwnd`], CUBIC, BBR and Compound
+//!   here);
 //! * [`reno`] — the one sender agent (fast retransmit on triple dup-ACKs,
 //!   lone-segment retransmission during timeout recovery, optional NewReno
 //!   partial-ACK handling, optional redundant backup-path retransmission);
@@ -58,7 +59,7 @@ pub mod rtt;
 
 /// Convenient glob-import surface: `use hsm_tcp::prelude::*;`.
 pub mod prelude {
-    pub use crate::cc::{Algorithm, Bbr, Compound, CongestionControl, Cubic};
+    pub use crate::cc::Algorithm;
     pub use crate::connection::{
         run_connection, try_analyze_connection_with, try_run_connection_with, AnalyzedConnection,
         ConnectionConfig, ConnectionOutcome, ConnectionScratch, Keep, LossSpec, MobilityScenario,

@@ -25,8 +25,8 @@
 //! **and** a backup path, reducing the effective retransmission loss rate
 //! from `q` to roughly `q·q_backup` (paper §V-B).
 
-use crate::cc::{Algorithm, CongestionControl};
-use crate::cwnd::Phase;
+use crate::cc::Algorithm;
+use crate::cwnd::{Cwnd, Phase};
 use crate::metrics::SenderMetrics;
 use crate::recovery::{AckDisposition, AckRobust, Frto, Recovery};
 use crate::rtt::{Backoff, RttEstimator};
@@ -101,10 +101,10 @@ enum UndoRule {
     Frto,
 }
 
-/// The controller as it stood before a timeout collapsed it.
+/// The window machine as it stood before a timeout collapsed it.
 #[derive(Debug)]
 struct Undo {
-    cwnd: Box<dyn CongestionControl>,
+    cwnd: Cwnd,
     rule: UndoRule,
 }
 
@@ -121,7 +121,7 @@ pub struct RenoSender {
     /// not truncate its siblings.
     pub halt_engine_on_stop: bool,
     cfg: SenderConfig,
-    cwnd: Box<dyn CongestionControl>,
+    cwnd: Cwnd,
     rtt: RttEstimator,
     backoff: Backoff,
     /// Next sequence number to (re)transmit. After a timeout this is reset
@@ -160,7 +160,7 @@ impl RenoSender {
             data_link,
             backup_link: None,
             halt_engine_on_stop: true,
-            cwnd: cfg.algorithm.build(cfg.w_m),
+            cwnd: Cwnd::new(cfg.w_m, cfg.algorithm),
             rtt: RttEstimator::default(),
             backoff: Backoff::new(),
             cfg,
@@ -192,9 +192,9 @@ impl RenoSender {
         self.snd_una
     }
 
-    /// The congestion controller (for inspection).
-    pub fn cwnd(&self) -> &dyn CongestionControl {
-        self.cwnd.as_ref()
+    /// The congestion window machine (for inspection).
+    pub fn cwnd(&self) -> &Cwnd {
+        &self.cwnd
     }
 
     /// The RTT estimator (for inspection).
@@ -528,7 +528,7 @@ impl RenoSender {
         if frto_armed {
             if self.undo.is_none() {
                 self.undo = Some(Undo {
-                    cwnd: self.cwnd.clone_box(),
+                    cwnd: self.cwnd,
                     rule: UndoRule::Frto,
                 });
             }
@@ -537,7 +537,7 @@ impl RenoSender {
         }
         if self.cfg.spurious_rto_undo && first && self.undo.is_none() {
             self.undo = Some(Undo {
-                cwnd: self.cwnd.clone_box(),
+                cwnd: self.cwnd,
                 rule: UndoRule::Jump { armed_snd_una: una },
             });
         }

@@ -3,8 +3,9 @@
 //!
 //! The golden fixtures pin each controller's measured throughput on the
 //! Veno test's pure-random-loss path to 1e-12 relative. The Reno-family
-//! values predate the `CongestionControl` trait refactor — they prove
-//! the trait dispatch is byte-identical to the old enum dispatch. To
+//! values predate the zoo; all of them have held across every rework of
+//! how a controller is dispatched (an enum, then a trait object per
+//! controller, now one window machine with a law per controller). To
 //! regenerate after an intentional behavior change, print the values
 //! with `{:.17e}` from `random_loss_throughput` and paste them here.
 // The goldens deliberately carry 18 significant digits so a 1e-12

@@ -283,10 +283,12 @@ fn section_v_pin(out: &ConnectionOutcome) -> (u64, u64, [u64; 8]) {
 
 /// The two §V paths no benchmark pin reaches, pinned bit for bit: the
 /// cumulative-jump undo under periodic pure-ACK blackouts (the path of
-/// `tests/extensions.rs`' undo test), and the adaptive delayed-ACK
-/// receiver on a 300 km/h China Mobile ride (`ext_delack`'s policy). The
-/// constants were recorded while recovery was still a strategy object and
-/// the adaptive policy a settable struct.
+/// `tests/extensions.rs`' undo test), under Reno and under CUBIC, and the
+/// adaptive delayed-ACK receiver on a 300 km/h China Mobile ride
+/// (`ext_delack`'s policy). The Reno and delayed-ACK constants were
+/// recorded while recovery was still a strategy object and the adaptive
+/// policy a settable struct, the CUBIC ones while each controller was
+/// still its own trait object.
 #[test]
 fn section_v_paths_are_bit_pinned() {
     let blackouts = PathSpec {
@@ -315,6 +317,32 @@ fn section_v_paths_are_bit_pinned() {
             0x184f_180a_428f_2307,
             105_780,
             [20, 6, 0, 0, 35_325, 20, 17_673, 20]
+        )
+    );
+
+    // The jump rule under CUBIC, with a little data loss and room to
+    // grow so that fast recoveries keep an epoch live: a restore must
+    // carry that epoch (`w_max`, `K`, the epoch clock, the Reno
+    // estimate), not only the window.
+    let lossy = PathSpec {
+        down_loss: LossSpec::Bernoulli(0.001),
+        ..blackouts
+    };
+    let cubic = ConnectionConfig {
+        sender: SenderConfig {
+            w_m: 256,
+            algorithm: Algorithm::Cubic,
+            ..cfg.sender
+        },
+        ..cfg
+    };
+    let cubic_undo = run_connection(930, &lossy, None, &cubic);
+    assert_eq!(
+        section_v_pin(&cubic_undo),
+        (
+            0x5b05_369c_f9e5_dd3f,
+            67_071,
+            [21, 7, 0, 0, 22_090, 41, 11_508, 20]
         )
     );
 

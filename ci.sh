@@ -105,6 +105,15 @@ stage_build_test() {
         echo "a deleted controller trait object (CongestionControl, clone_box, Algorithm::build), inject_invariant_violation or MetricsCwnd is back" >&2
         exit 1
     fi
+    # Also deleted: the second description of a link's loss (tcp's
+    # `LossSpec` and its bridge to simnet), the loss-model trait object, the
+    # module that held the periodic outage apart, and the steady-state chain
+    # only tests read. One closed `LossModel` enum is all of them.
+    if grep -rnE 'LossSpec|loss_ext|dyn LossModel|LossModel for|steady_state_rate|base_steady_state' \
+        crates src tests examples; then
+        echo "a deleted loss description (LossSpec, loss_ext), the LossModel trait object or its steady-state chain is back" >&2
+        exit 1
+    fi
     # DESIGN.md's budget, which ROADMAP sets: at most 1,000 lines.
     if [ "$(wc -l < DESIGN.md)" -gt 1000 ]; then
         echo "DESIGN.md has $(wc -l < DESIGN.md) lines, over its 1,000-line budget" >&2

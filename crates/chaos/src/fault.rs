@@ -15,10 +15,11 @@ use hsm_simnet::agent::{Agent, NullAgent};
 use hsm_simnet::chaos::{StormEpisode, StormInjector, StormKind, StormPlan};
 use hsm_simnet::engine::{Ctx, Engine};
 use hsm_simnet::link::{LinkId, LinkSpec};
+use hsm_simnet::loss::LossModel;
 use hsm_simnet::packet::{FlowId, Packet, SeqNo};
 use hsm_simnet::time::{SimDuration, SimTime};
 use hsm_tcp::connection::{
-    try_analyze_connection_with, ConnectionConfig, ConnectionScratch, LossSpec, PathSpec,
+    try_analyze_connection_with, ConnectionConfig, ConnectionScratch, PathSpec,
 };
 use hsm_tcp::receiver::{Receiver, ReceiverConfig};
 use hsm_tcp::recovery::Recovery;
@@ -282,7 +283,7 @@ fn drill_ack_burst_loss() -> Result<String, String> {
         ..Default::default()
     };
     let mut scratch = ConnectionScratch::new();
-    let mut run = |up_loss: LossSpec| {
+    let mut run = |up_loss: LossModel| {
         let path = PathSpec {
             up_loss,
             ..Default::default()
@@ -299,10 +300,10 @@ fn drill_ack_burst_loss() -> Result<String, String> {
         .map_err(|e| format!("connection run failed: {e}"))?;
         Ok::<_, String>(out.analysis.summary)
     };
-    let episodes = LossSpec::PeriodicOutage {
-        period_s: 1.0,
-        outage_s: 0.25,
-        offset_s: 0.3,
+    let episodes = LossModel::PeriodicOutage {
+        period: SimDuration::from_secs_f64(1.0),
+        outage: SimDuration::from_secs_f64(0.25),
+        offset: SimDuration::from_secs_f64(0.3),
         loss: 0.95,
     };
     let stormy = run(episodes)?;
@@ -310,7 +311,7 @@ fn drill_ack_burst_loss() -> Result<String, String> {
     if let Some(diff) = compare_summaries(&stormy, &again) {
         return Err(format!("ACK-burst run not deterministic: {diff}"));
     }
-    let clean = run(LossSpec::Lossless)?;
+    let clean = run(LossModel::Bernoulli(0.0))?;
     if stormy.p_a <= clean.p_a {
         return Err(format!(
             "ACK-burst episodes did not raise ACK loss: stormy {} vs clean {}",

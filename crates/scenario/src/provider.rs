@@ -12,10 +12,16 @@
 //! [`calibrate`](crate::calibrate)).
 
 use hsm_simnet::cellular::{CellLayout, CoverageHole, HandoffParams};
+use hsm_simnet::loss::{GilbertElliott, LossModel};
 use hsm_simnet::time::SimDuration;
-use hsm_tcp::connection::{LossSpec, PathSpec};
+use hsm_tcp::connection::PathSpec;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+
+/// A Gilbert–Elliott base loss.
+fn gilbert_elliott(p_good: f64, p_bad: f64, g2b: f64, b2g: f64) -> LossModel {
+    LossModel::GilbertElliott(GilbertElliott::new(p_good, p_bad, g2b, b2g))
+}
 
 /// The three ISPs of the dataset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -55,18 +61,8 @@ impl Provider {
                 up_delay: SimDuration::from_millis(26),
                 jitter_sd: SimDuration::from_millis(3),
                 queue_capacity: 128,
-                down_loss: LossSpec::GilbertElliott {
-                    p_good: 0.00015,
-                    p_bad: 0.25,
-                    g2b: 0.00015,
-                    b2g: 0.05,
-                },
-                up_loss: LossSpec::GilbertElliott {
-                    p_good: 0.0001,
-                    p_bad: 0.92,
-                    g2b: 0.0004,
-                    b2g: 0.08,
-                },
+                down_loss: gilbert_elliott(0.00015, 0.25, 0.00015, 0.05),
+                up_loss: gilbert_elliott(0.0001, 0.92, 0.0004, 0.08),
             },
             Provider::ChinaUnicom => PathSpec {
                 down_bandwidth_bps: 9_000_000,
@@ -75,18 +71,8 @@ impl Provider {
                 up_delay: SimDuration::from_millis(36),
                 jitter_sd: SimDuration::from_millis(5),
                 queue_capacity: 96,
-                down_loss: LossSpec::GilbertElliott {
-                    p_good: 0.0002,
-                    p_bad: 0.3,
-                    g2b: 0.0002,
-                    b2g: 0.045,
-                },
-                up_loss: LossSpec::GilbertElliott {
-                    p_good: 0.00012,
-                    p_bad: 0.93,
-                    g2b: 0.0005,
-                    b2g: 0.07,
-                },
+                down_loss: gilbert_elliott(0.0002, 0.3, 0.0002, 0.045),
+                up_loss: gilbert_elliott(0.00012, 0.93, 0.0005, 0.07),
             },
             Provider::ChinaTelecom => PathSpec {
                 down_bandwidth_bps: 6_000_000,
@@ -95,18 +81,8 @@ impl Provider {
                 up_delay: SimDuration::from_millis(42),
                 jitter_sd: SimDuration::from_millis(6),
                 queue_capacity: 96,
-                down_loss: LossSpec::GilbertElliott {
-                    p_good: 0.0003,
-                    p_bad: 0.35,
-                    g2b: 0.0003,
-                    b2g: 0.04,
-                },
-                up_loss: LossSpec::GilbertElliott {
-                    p_good: 0.00015,
-                    p_bad: 0.94,
-                    g2b: 0.0005,
-                    b2g: 0.065,
-                },
+                down_loss: gilbert_elliott(0.0003, 0.35, 0.0003, 0.04),
+                up_loss: gilbert_elliott(0.00015, 0.94, 0.0005, 0.065),
             },
         }
     }
@@ -115,8 +91,8 @@ impl Provider {
     /// channel: no fades from Doppler/handoffs).
     pub fn stationary_path(&self) -> PathSpec {
         let mut path = self.high_speed_path();
-        path.down_loss = LossSpec::Bernoulli(0.0008);
-        path.up_loss = LossSpec::Bernoulli(0.0004);
+        path.down_loss = LossModel::Bernoulli(0.0008);
+        path.up_loss = LossModel::Bernoulli(0.0004);
         path.jitter_sd = SimDuration::from_millis(1);
         path
     }

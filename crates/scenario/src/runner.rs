@@ -60,6 +60,11 @@ pub enum ScenarioError {
     ZeroDelayedAck,
     /// The flow duration was zero — nothing would be transmitted.
     ZeroDuration,
+    /// A storm was asked for on a moving flow. The storm injector and the
+    /// mobility channel process both set the uplink's extra delay and
+    /// extra loss, and an episode's end would restore a value a handoff
+    /// has since overwritten (or undo one a handoff has since set).
+    StormOnMobility,
     /// The simulation engine detected internal bookkeeping corruption and
     /// aborted the run (see [`SimError`]).
     Engine(SimError),
@@ -71,6 +76,12 @@ impl fmt::Display for ScenarioError {
             ScenarioError::ZeroWindow => write!(f, "advertised window w_m must be >= 1 segment"),
             ScenarioError::ZeroDelayedAck => write!(f, "delayed-ACK factor b must be >= 1"),
             ScenarioError::ZeroDuration => write!(f, "flow duration must be non-zero"),
+            ScenarioError::StormOnMobility => {
+                write!(
+                    f,
+                    "a storm runs only on a stationary flow, not under mobility"
+                )
+            }
             ScenarioError::Engine(e) => write!(f, "simulation engine failed: {e}"),
         }
     }
@@ -414,8 +425,10 @@ pub fn run_scenario(config: &ScenarioConfig) -> AnalyzedConnection {
 /// # Errors
 ///
 /// Returns [`ScenarioError`] when the configuration fails
-/// [`ScenarioConfig::validate`], or [`ScenarioError::Engine`] when the
-/// simulation engine reports internal bookkeeping corruption.
+/// [`ScenarioConfig::validate`], [`ScenarioError::StormOnMobility`] when
+/// `storm` has episodes and the flow is moving, or
+/// [`ScenarioError::Engine`] when the simulation engine reports internal
+/// bookkeeping corruption.
 pub fn run(
     scratch: &mut Scratch,
     config: &ScenarioConfig,
@@ -423,6 +436,10 @@ pub fn run(
     keep: Keep,
 ) -> Result<AnalyzedConnection, ScenarioError> {
     config.validate()?;
+    let mobility = config.mobility();
+    if mobility.is_some() && !storm.episodes.is_empty() {
+        return Err(ScenarioError::StormOnMobility);
+    }
     let conn = ConnectionConfig {
         storm: storm.clone(),
         ..config.connection()
@@ -431,7 +448,7 @@ pub fn run(
         scratch,
         config.seed,
         &config.path(),
-        config.mobility().as_ref(),
+        mobility.as_ref(),
         &conn,
         &TimeoutConfig::default(),
         keep,
@@ -652,6 +669,31 @@ mod tests {
         assert_eq!(empty.summary(), calm.summary());
         let reused = run(&mut scratch, &config, &plan, Keep::Summary).expect("reused");
         assert_eq!(reused.summary(), stormy.summary());
+    }
+
+    /// The storm injector and the mobility channel process both write the
+    /// uplink's extra delay and loss, so `run` refuses the pair rather than
+    /// let one clobber the other; a stationary storm and a calm ride run.
+    #[test]
+    fn a_storm_on_a_moving_flow_is_refused() {
+        let horizon = SimDuration::from_secs(12);
+        let flaps = StormPlan::periodic_flaps(horizon);
+        let moving = ScenarioConfig {
+            motion: Motion::HighSpeed,
+            duration: horizon,
+            seed: 8,
+            ..Default::default()
+        };
+        let mut scratch = Scratch::new();
+        let refused = run(&mut scratch, &moving, &flaps, Keep::Summary);
+        assert_eq!(refused.err(), Some(ScenarioError::StormOnMobility));
+        assert!(run(&mut scratch, &moving, &StormPlan::default(), Keep::Summary).is_ok());
+        let still = ScenarioConfig {
+            motion: Motion::Stationary,
+            ..moving
+        };
+        let stormy = run(&mut scratch, &still, &flaps, Keep::Summary).expect("stationary storm");
+        assert!(!stormy.sender.timeouts.is_empty());
     }
 
     #[test]

@@ -18,6 +18,7 @@ use crate::agent::Agent;
 use crate::engine::Ctx;
 use crate::link::LinkId;
 use crate::packet::Packet;
+use crate::rng::splitmix64;
 use crate::time::{SimDuration, SimTime};
 
 /// What one storm episode does to the link while it is active.
@@ -47,16 +48,6 @@ pub struct StormEpisode {
 pub struct StormPlan {
     /// The episodes, in start-time order.
     pub episodes: Vec<StormEpisode>,
-}
-
-/// SplitMix64 step — the same tiny generator the chaos harness seeds its
-/// fuzzing from; kept local so `hsm-simnet` stays dependency-free.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 impl StormPlan {

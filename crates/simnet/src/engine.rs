@@ -565,7 +565,7 @@ impl std::fmt::Debug for Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::loss::{Bernoulli, ChannelLoss};
+    use crate::loss::LossModel;
     use crate::packet::{FlowId, SeqNo};
 
     /// Sends `count` packets spaced by a timer, records delivery times.
@@ -606,7 +606,7 @@ mod tests {
             LinkSpec::new(sink, "wire")
                 .bandwidth_bps(12_000_000)
                 .prop_delay(SimDuration::from_millis(10))
-                .loss(ChannelLoss::new(Box::new(Bernoulli::new(loss_p)))),
+                .loss(LossModel::Bernoulli(loss_p)),
         );
         let pinger = eng.add_agent(Box::new(Pinger {
             link,
@@ -668,7 +668,7 @@ mod tests {
                 LinkSpec::new(sink, "wire")
                     .bandwidth_bps(12_000_000)
                     .prop_delay(SimDuration::from_millis(10))
-                    .loss(ChannelLoss::new(Box::new(Bernoulli::new(0.2)))),
+                    .loss(LossModel::Bernoulli(0.2)),
             );
             eng.add_agent(Box::new(Pinger {
                 link,
@@ -901,9 +901,7 @@ mod tests {
                 LinkSpec::new(sink, label).bandwidth_bps(1500 * 8 * 1_000_000 / tx_us)
             };
             let wire = eng.add_link(link("wire", 1000).prop_delay(SimDuration::from_millis(1)));
-            let lossy = eng.add_link(
-                link("lossy", lossy_tx_us).loss(ChannelLoss::new(Box::new(Bernoulli::new(1.0)))),
-            );
+            let lossy = eng.add_link(link("lossy", lossy_tx_us).loss(LossModel::Bernoulli(1.0)));
             let mark = eng.add_link(link("mark", 1000));
             let [on_start, on_tag_zero] = script(wire, lossy);
             eng.add_agent(Box::new(Scripted {

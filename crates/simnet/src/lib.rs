@@ -9,8 +9,8 @@
 //!
 //! * a deterministic [`engine::Engine`] (seeded, reproducible runs),
 //! * [`link::Link`]s with bandwidth, delay, jitter and drop-tail queues,
-//! * [`loss`] models including bursty Gilbert–Elliott channels and
-//!   time-bounded outages,
+//! * one closed [`loss::LossModel`] per link (independent, bursty
+//!   Gilbert–Elliott or periodic-outage loss) under time-bounded outages,
 //! * a 300 km/h train [`mobility::Trajectory`] and a handoff-driven
 //!   [`cellular::ChannelProcess`] that impose the outages and loss spikes
 //!   the paper observes,
@@ -52,7 +52,6 @@ pub mod error;
 pub mod event;
 pub mod link;
 pub mod loss;
-pub mod loss_ext;
 pub mod mobility;
 pub mod observer;
 pub mod packet;
@@ -69,8 +68,7 @@ pub mod prelude {
     pub use crate::error::SimError;
     pub use crate::event::{EventId, QueueStats};
     pub use crate::link::{LinkId, LinkSpec, QueuedPacket};
-    pub use crate::loss::{Bernoulli, ChannelLoss, GilbertElliott, LossModel, Outage};
-    pub use crate::loss_ext::PeriodicOutage;
+    pub use crate::loss::{ChannelLoss, GilbertElliott, LossModel, Outage};
     pub use crate::mobility::Trajectory;
     pub use crate::observer::{DropCause, PacketEvent, PacketEventKind, VecRecorder};
     pub use crate::packet::{FlowId, Packet, PacketId, PacketKind, SeqNo};

@@ -10,7 +10,7 @@
 //! directly testable form.
 
 use crate::agent::AgentId;
-use crate::loss::ChannelLoss;
+use crate::loss::{ChannelLoss, LossModel};
 use crate::packet::PacketId;
 use crate::time::{SimDuration, SimTime};
 use std::collections::VecDeque;
@@ -48,8 +48,8 @@ pub struct LinkSpec {
     /// Drop-tail queue capacity in packets (not counting the one in
     /// transmission).
     pub queue_capacity: usize,
-    /// Channel loss behaviour.
-    pub loss: ChannelLoss,
+    /// The channel's base loss model.
+    pub loss: LossModel,
     /// Human-readable label used in traces ("downlink", "uplink", …).
     pub label: String,
 }
@@ -64,7 +64,7 @@ impl LinkSpec {
             prop_delay: SimDuration::from_millis(15),
             jitter_sd: SimDuration::ZERO,
             queue_capacity: 100,
-            loss: ChannelLoss::lossless(),
+            loss: LossModel::Bernoulli(0.0),
             label: label.into(),
         }
     }
@@ -94,8 +94,8 @@ impl LinkSpec {
         self
     }
 
-    /// Sets the loss behaviour (builder style).
-    pub fn loss(mut self, loss: ChannelLoss) -> Self {
+    /// Sets the base loss model (builder style).
+    pub fn loss(mut self, loss: LossModel) -> Self {
         self.loss = loss;
         self
     }
@@ -197,7 +197,7 @@ impl Link {
             jitter_sd_s: spec.jitter_sd.as_secs_f64(),
             last_tx: (0, clock_out(spec.bandwidth_bps, 0)),
             extra_delay: SimDuration::ZERO,
-            loss: spec.loss,
+            loss: ChannelLoss::new(spec.loss),
             label: spec.label.into(),
             queue_capacity: spec.queue_capacity,
             queue,

@@ -9,65 +9,77 @@
 //!   all ACKs of a round lost — which triggers spurious timeouts, and the
 //!   very high retransmission loss rate `q` inside timeout recovery.
 //!
-//! [`LossModel`] is the extension point; [`Bernoulli`] models independent
-//! loss, [`GilbertElliott`] models two-state bursty loss, and every link
-//! additionally supports a time-bounded [`Outage`] overlay that the
-//! cellular handoff process drives.
+//! [`LossModel`] is a link's base loss, one closed `Copy` enum: independent
+//! loss, two-state [`GilbertElliott`] bursts, or strictly periodic outages.
+//! A [`ChannelLoss`] owns one by value and adds a time-bounded [`Outage`]
+//! overlay (what the cellular handoff process drives) and an extra
+//! independent loss (spatial fading, storm burst windows).
 
 use crate::rng::SimRng;
-use crate::time::SimTime;
-use std::fmt::Debug;
+use crate::time::{SimDuration, SimTime};
 
-/// Decides, per packet, whether the channel destroys it.
-pub trait LossModel: Debug + Send {
-    /// Returns `true` if a packet entering the channel at `now` is lost.
-    fn is_lost(&mut self, now: SimTime, rng: &mut SimRng) -> bool;
-
-    /// Long-run average loss probability, if the model can state one
-    /// (used for reporting and calibration checks).
-    fn steady_state_rate(&self) -> Option<f64> {
-        None
-    }
-}
-
-/// Independent (Bernoulli) loss with fixed probability.
+/// A link's base loss: the value a path spec names and the state its
+/// channel owns.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Bernoulli {
-    p: f64,
+pub enum LossModel {
+    /// Independent loss with this per-packet probability; `Bernoulli(0.0)`
+    /// is a lossless channel and never draws.
+    Bernoulli(f64),
+    /// Two-state bursty loss.
+    GilbertElliott(GilbertElliott),
+    /// A strictly periodic outage (scripted ACK blackouts, evenly spaced
+    /// cell crossings): every `period`, phase-shifted by `offset`, packets
+    /// are lost with probability `loss` for `outage`.
+    PeriodicOutage {
+        /// Window period.
+        period: SimDuration,
+        /// Outage length within each period.
+        outage: SimDuration,
+        /// Phase offset.
+        offset: SimDuration,
+        /// Loss probability during the outage.
+        loss: f64,
+    },
 }
 
-impl Bernoulli {
-    /// Creates an independent-loss model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is not within `[0, 1]`.
-    pub fn new(p: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&p),
-            "loss probability out of range: {p}"
-        );
-        Bernoulli { p }
+impl LossModel {
+    /// Returns `true` if a packet entering the channel at `now` is lost.
+    pub fn is_lost(&mut self, now: SimTime, rng: &mut SimRng) -> bool {
+        match self {
+            LossModel::Bernoulli(p) => rng.chance(*p),
+            LossModel::GilbertElliott(ge) => ge.is_lost(now, rng),
+            LossModel::PeriodicOutage {
+                period,
+                outage,
+                offset,
+                loss,
+            } => {
+                (now + *offset).as_micros() % period.as_micros() < outage.as_micros()
+                    && rng.chance(*loss)
+            }
+        }
     }
 
-    /// A loss-free channel.
-    pub fn lossless() -> Self {
-        Bernoulli { p: 0.0 }
-    }
-
-    /// The per-packet loss probability.
-    pub fn probability(&self) -> f64 {
-        self.p
-    }
-}
-
-impl LossModel for Bernoulli {
-    fn is_lost(&mut self, _now: SimTime, rng: &mut SimRng) -> bool {
-        rng.chance(self.p)
-    }
-
-    fn steady_state_rate(&self) -> Option<f64> {
-        Some(self.p)
+    /// Long-run average loss probability. A periodic outage's is
+    /// time-averaged; its packet-averaged rate depends on the arrivals.
+    pub fn steady_state(&self) -> f64 {
+        match *self {
+            LossModel::Bernoulli(p) => p,
+            LossModel::GilbertElliott(ge) => {
+                let pi_bad = if ge.g2b + ge.b2g == 0.0 {
+                    0.0
+                } else {
+                    ge.g2b / (ge.g2b + ge.b2g)
+                };
+                pi_bad * ge.p_bad + (1.0 - pi_bad) * ge.p_good
+            }
+            LossModel::PeriodicOutage {
+                period,
+                outage,
+                loss,
+                ..
+            } => outage.as_secs_f64() / period.as_secs_f64() * loss,
+        }
     }
 }
 
@@ -110,18 +122,8 @@ impl GilbertElliott {
         }
     }
 
-    /// Stationary probability of being in the bad state.
-    fn bad_state_fraction(&self) -> f64 {
-        if self.g2b + self.b2g == 0.0 {
-            0.0
-        } else {
-            self.g2b / (self.g2b + self.b2g)
-        }
-    }
-}
-
-impl LossModel for GilbertElliott {
-    fn is_lost(&mut self, _now: SimTime, rng: &mut SimRng) -> bool {
+    /// Returns `true` if a packet entering the channel is lost.
+    pub fn is_lost(&mut self, _now: SimTime, rng: &mut SimRng) -> bool {
         // Transition first, then draw loss from the (new) state; this makes
         // a g2b transition immediately lossy, which is what a fade onset
         // looks like.
@@ -134,11 +136,6 @@ impl LossModel for GilbertElliott {
         }
         let p = if self.in_bad { self.p_bad } else { self.p_good };
         rng.chance(p)
-    }
-
-    fn steady_state_rate(&self) -> Option<f64> {
-        let pi_bad = self.bad_state_fraction();
-        Some(pi_bad * self.p_bad + (1.0 - pi_bad) * self.p_good)
     }
 }
 
@@ -179,14 +176,15 @@ impl Outage {
     }
 }
 
-/// Per-link loss state: a base model plus an optional outage overlay.
+/// Per-link loss state: a base model plus an optional outage overlay and
+/// an extra independent loss.
 ///
 /// A packet is lost if the overlay (when active) says so, *or* the base
-/// model says so — the overlay models an additional impairment, not a
-/// replacement.
+/// model says so, *or* the extra loss does — each models an additional
+/// impairment, not a replacement.
 #[derive(Debug)]
 pub struct ChannelLoss {
-    base: Box<dyn LossModel>,
+    base: LossModel,
     overlay: Option<Outage>,
     extra: f64,
     /// Packets offered to this channel.
@@ -197,7 +195,32 @@ pub struct ChannelLoss {
 
 impl ChannelLoss {
     /// Wraps a base loss model.
-    pub fn new(base: Box<dyn LossModel>) -> Self {
+    ///
+    /// # Panics
+    ///
+    /// Panics if a probability of `base` is outside `[0, 1]`, or a
+    /// periodic outage's period is zero or shorter than its outage.
+    pub(crate) fn new(base: LossModel) -> Self {
+        match base {
+            LossModel::Bernoulli(p) => {
+                assert!(
+                    (0.0..=1.0).contains(&p),
+                    "loss probability out of range: {p}"
+                )
+            }
+            // `GilbertElliott::new` checked its probabilities.
+            LossModel::GilbertElliott(_) => {}
+            LossModel::PeriodicOutage {
+                period,
+                outage,
+                loss,
+                ..
+            } => {
+                assert!(!period.is_zero(), "period must be positive");
+                assert!(outage <= period, "outage longer than period");
+                assert!((0.0..=1.0).contains(&loss), "loss out of range: {loss}");
+            }
+        }
         ChannelLoss {
             base,
             overlay: None,
@@ -205,11 +228,6 @@ impl ChannelLoss {
             offered: 0,
             lost: 0,
         }
-    }
-
-    /// A loss-free channel.
-    pub fn lossless() -> Self {
-        ChannelLoss::new(Box::new(Bernoulli::lossless()))
     }
 
     /// Installs (or replaces) the outage overlay.
@@ -257,11 +275,6 @@ impl ChannelLoss {
         }
         lost
     }
-
-    /// Steady-state rate of the base model, if known.
-    pub fn base_steady_state(&self) -> Option<f64> {
-        self.base.steady_state_rate()
-    }
 }
 
 #[cfg(test)]
@@ -272,22 +285,35 @@ mod tests {
         SimRng::seed_from_u64(0xfeed)
     }
 
+    fn ge(p_good: f64, p_bad: f64, g2b: f64, b2g: f64) -> LossModel {
+        LossModel::GilbertElliott(GilbertElliott::new(p_good, p_bad, g2b, b2g))
+    }
+
+    fn periodic(offset_s: u64) -> LossModel {
+        LossModel::PeriodicOutage {
+            period: SimDuration::from_secs(10),
+            outage: SimDuration::from_secs(1),
+            offset: SimDuration::from_secs(offset_s),
+            loss: 1.0,
+        }
+    }
+
     #[test]
     fn bernoulli_extremes() {
         let mut r = rng();
-        let mut never = Bernoulli::new(0.0);
-        let mut always = Bernoulli::new(1.0);
+        let mut never = LossModel::Bernoulli(0.0);
+        let mut always = LossModel::Bernoulli(1.0);
         for _ in 0..100 {
             assert!(!never.is_lost(SimTime::ZERO, &mut r));
             assert!(always.is_lost(SimTime::ZERO, &mut r));
         }
-        assert_eq!(never.steady_state_rate(), Some(0.0));
+        assert_eq!(never.steady_state(), 0.0);
     }
 
     #[test]
     fn bernoulli_long_run_rate() {
         let mut r = rng();
-        let mut m = Bernoulli::new(0.0075);
+        let mut m = LossModel::Bernoulli(0.0075);
         let n = 400_000;
         let lost = (0..n).filter(|_| m.is_lost(SimTime::ZERO, &mut r)).count();
         let rate = lost as f64 / n as f64;
@@ -297,14 +323,14 @@ mod tests {
     #[test]
     #[should_panic]
     fn bernoulli_rejects_invalid() {
-        let _ = Bernoulli::new(1.5);
+        let _ = ChannelLoss::new(LossModel::Bernoulli(1.5));
     }
 
     #[test]
     fn gilbert_elliott_steady_state_matches_simulation() {
         let mut r = rng();
-        let mut m = GilbertElliott::new(0.001, 0.5, 0.01, 0.2);
-        let expect = m.steady_state_rate().unwrap();
+        let mut m = ge(0.001, 0.5, 0.01, 0.2);
+        let expect = m.steady_state();
         let n = 600_000;
         let lost = (0..n).filter(|_| m.is_lost(SimTime::ZERO, &mut r)).count();
         let rate = lost as f64 / n as f64;
@@ -316,10 +342,10 @@ mod tests {
         // With a very lossy bad state, consecutive losses should appear far
         // more often than under independent loss at the same average rate.
         let mut r = rng();
-        let mut ge = GilbertElliott::new(0.0, 0.9, 0.02, 0.2);
-        let avg = ge.steady_state_rate().unwrap();
+        let mut m = ge(0.0, 0.9, 0.02, 0.2);
+        let avg = m.steady_state();
         let n = 200_000;
-        let outcomes: Vec<bool> = (0..n).map(|_| ge.is_lost(SimTime::ZERO, &mut r)).collect();
+        let outcomes: Vec<bool> = (0..n).map(|_| m.is_lost(SimTime::ZERO, &mut r)).collect();
         let pairs = outcomes.windows(2).filter(|w| w[0] && w[1]).count() as f64;
         let losses = outcomes.iter().filter(|&&l| l).count() as f64;
         let p_loss_given_loss = pairs / losses;
@@ -331,10 +357,39 @@ mod tests {
 
     #[test]
     fn bad_state_fraction() {
-        let m = GilbertElliott::new(0.0, 1.0, 0.1, 0.3);
-        assert!((m.bad_state_fraction() - 0.25).abs() < 1e-12);
-        let frozen = GilbertElliott::new(0.0, 1.0, 0.0, 0.0);
-        assert_eq!(frozen.bad_state_fraction(), 0.0);
+        // With a lossless good state and a fully lossy bad one, the
+        // steady-state rate is the stationary bad-state fraction.
+        assert!((ge(0.0, 1.0, 0.1, 0.3).steady_state() - 0.25).abs() < 1e-12);
+        assert_eq!(ge(0.0, 1.0, 0.0, 0.0).steady_state(), 0.0);
+    }
+
+    #[test]
+    fn periodic_outage_windows() {
+        let mut p = periodic(0);
+        let mut r = rng();
+        assert!(p.is_lost(SimTime::from_millis(500), &mut r));
+        assert!(!p.is_lost(SimTime::from_secs(5), &mut r));
+        assert!(p.is_lost(SimTime::from_millis(10_500), &mut r));
+        assert!((p.steady_state() - 0.1).abs() < 1e-12);
+    }
+
+    #[test]
+    fn periodic_outage_offset_shifts_phase() {
+        let mut p = periodic(5);
+        let mut r = rng();
+        assert!(p.is_lost(SimTime::from_secs(5), &mut r));
+        assert!(!p.is_lost(SimTime::from_millis(500), &mut r));
+    }
+
+    #[test]
+    #[should_panic]
+    fn periodic_outage_validates() {
+        let _ = ChannelLoss::new(LossModel::PeriodicOutage {
+            period: SimDuration::from_secs(1),
+            outage: SimDuration::from_secs(2),
+            offset: SimDuration::ZERO,
+            loss: 1.0,
+        });
     }
 
     #[test]
@@ -349,7 +404,7 @@ mod tests {
     #[test]
     fn channel_overlay_dominates_during_window() {
         let mut r = rng();
-        let mut ch = ChannelLoss::lossless();
+        let mut ch = ChannelLoss::new(LossModel::Bernoulli(0.0));
         ch.set_outage(Some(Outage::new(
             SimTime::from_secs(1),
             SimTime::from_secs(2),
@@ -365,7 +420,7 @@ mod tests {
     #[test]
     fn channel_base_still_applies_outside_overlay() {
         let mut r = rng();
-        let mut ch = ChannelLoss::new(Box::new(Bernoulli::new(1.0)));
+        let mut ch = ChannelLoss::new(LossModel::Bernoulli(1.0));
         ch.set_outage(Some(Outage::new(
             SimTime::from_secs(5),
             SimTime::from_secs(6),
@@ -376,14 +431,14 @@ mod tests {
 
     #[test]
     fn lossless_channel_has_no_extra_loss() {
-        let ch = ChannelLoss::lossless();
+        let ch = ChannelLoss::new(LossModel::Bernoulli(0.0));
         assert_eq!(ch.extra(), 0.0);
     }
 
     #[test]
     fn extra_loss_applies_everywhere() {
         let mut r = rng();
-        let mut ch = ChannelLoss::lossless();
+        let mut ch = ChannelLoss::new(LossModel::Bernoulli(0.0));
         ch.set_extra(1.0);
         assert!(ch.is_lost(SimTime::ZERO, &mut r));
         ch.set_extra(0.0);
@@ -393,7 +448,55 @@ mod tests {
     #[test]
     #[should_panic]
     fn extra_loss_validated() {
-        let mut ch = ChannelLoss::lossless();
+        let mut ch = ChannelLoss::new(LossModel::Bernoulli(0.0));
         ch.set_extra(2.0);
+    }
+
+    /// FNV-1a-64 of 100k `is_lost` outcomes on a 137-µs schedule
+    /// (≈ 13.7 s, so a 2-s periodic outage window is crossed many times).
+    fn outcome_digest(mut draw: impl FnMut(SimTime, &mut SimRng) -> bool) -> u64 {
+        let mut r = SimRng::seed_from_u64(0x0d15_ea5e);
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for i in 0..100_000u64 {
+            h ^= u64::from(draw(SimTime::from_micros(i * 137), &mut r));
+            h = h.wrapping_mul(0x1000_0000_01b3);
+        }
+        h
+    }
+
+    /// Every arm's draw order, pinned at the values the boxed-trait models
+    /// gave: a reordered draw anywhere changes a digest.
+    #[test]
+    fn every_arm_draw_sequence_is_bit_pinned() {
+        let mut bernoulli = LossModel::Bernoulli(0.01);
+        let mut gilbert = ge(0.001, 0.3, 0.01, 0.2);
+        let mut periodic = LossModel::PeriodicOutage {
+            period: SimDuration::from_secs_f64(2.0),
+            outage: SimDuration::from_secs_f64(0.5),
+            offset: SimDuration::from_secs_f64(0.7),
+            loss: 0.8,
+        };
+        let mut ch = ChannelLoss::new(ge(0.001, 0.3, 0.01, 0.2));
+        ch.set_outage(Some(Outage::new(
+            SimTime::from_secs(3),
+            SimTime::from_secs(9),
+            0.5,
+        )));
+        ch.set_extra(0.02);
+        let got = [
+            outcome_digest(|t, r| bernoulli.is_lost(t, r)),
+            outcome_digest(|t, r| gilbert.is_lost(t, r)),
+            outcome_digest(|t, r| periodic.is_lost(t, r)),
+            outcome_digest(|t, r| ch.is_lost(t, r)),
+        ];
+        assert_eq!(
+            got,
+            [
+                0xcc6d_992c_da03_a4c0,
+                0xf825_e697_aeb4_40a0,
+                0x93bb_3625_c21f_0ca6,
+                0xa294_d1f6_e3ec_0c7a,
+            ]
+        );
     }
 }

@@ -20,7 +20,9 @@ pub struct SimRng {
     state: [u64; 4],
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
+/// SplitMix64 step: seeds every [`SimRng`] and derives each seeded storm
+/// plan.
+pub(crate) fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

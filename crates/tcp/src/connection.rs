@@ -34,7 +34,7 @@ use hsm_simnet::chaos::{StormInjector, StormPlan};
 use hsm_simnet::error::SimError;
 use hsm_simnet::event::QueueStats;
 use hsm_simnet::link::{LinkId, LinkSpec};
-use hsm_simnet::loss::{Bernoulli, ChannelLoss, GilbertElliott};
+use hsm_simnet::loss::LossModel;
 use hsm_simnet::mobility::Trajectory;
 use hsm_simnet::packet::FlowId;
 use hsm_simnet::prelude::Engine;
@@ -43,75 +43,10 @@ use hsm_trace::analysis::timeout::TimeoutConfig;
 use hsm_trace::capture::flow_records;
 use hsm_trace::record::{FlowMeta, FlowTrace};
 use hsm_trace::summary::{FlowAnalysis, FlowFold, FlowSummary, FoldColumns};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-/// Declarative loss-model description (buildable, serializable).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum LossSpec {
-    /// No channel loss.
-    Lossless,
-    /// Independent loss with the given probability.
-    Bernoulli(f64),
-    /// Two-state bursty loss.
-    GilbertElliott {
-        /// Loss probability in the good state.
-        p_good: f64,
-        /// Loss probability in the bad state.
-        p_bad: f64,
-        /// Good→bad transition probability per packet.
-        g2b: f64,
-        /// Bad→good transition probability per packet.
-        b2g: f64,
-    },
-    /// Strictly periodic outage windows (scripted impairments for
-    /// behavioural studies).
-    PeriodicOutage {
-        /// Window period, seconds.
-        period_s: f64,
-        /// Outage length within each period, seconds.
-        outage_s: f64,
-        /// Phase offset, seconds.
-        offset_s: f64,
-        /// Loss probability during the outage.
-        loss: f64,
-    },
-}
-
-impl LossSpec {
-    /// Instantiates the channel-loss state.
-    pub fn build(&self) -> ChannelLoss {
-        match *self {
-            LossSpec::Lossless => ChannelLoss::lossless(),
-            LossSpec::Bernoulli(p) => ChannelLoss::new(Box::new(Bernoulli::new(p))),
-            LossSpec::GilbertElliott {
-                p_good,
-                p_bad,
-                g2b,
-                b2g,
-            } => ChannelLoss::new(Box::new(GilbertElliott::new(p_good, p_bad, g2b, b2g))),
-            LossSpec::PeriodicOutage {
-                period_s,
-                outage_s,
-                offset_s,
-                loss,
-            } => ChannelLoss::new(Box::new(hsm_simnet::loss_ext::PeriodicOutage::new(
-                SimDuration::from_secs_f64(period_s),
-                SimDuration::from_secs_f64(outage_s),
-                SimDuration::from_secs_f64(offset_s),
-                loss,
-            ))),
-        }
-    }
-
-    /// Long-run average loss rate of the spec.
-    pub fn steady_state(&self) -> f64 {
-        self.build().base_steady_state().unwrap_or(0.0)
-    }
-}
-
 /// Description of the two-directional server↔phone path.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PathSpec {
     /// Downlink (server→phone) bandwidth, bits/s.
     pub down_bandwidth_bps: u64,
@@ -126,9 +61,9 @@ pub struct PathSpec {
     /// Queue capacity in packets on both directions.
     pub queue_capacity: usize,
     /// Downlink channel loss (affects data packets).
-    pub down_loss: LossSpec,
+    pub down_loss: LossModel,
     /// Uplink channel loss (affects ACKs).
-    pub up_loss: LossSpec,
+    pub up_loss: LossModel,
 }
 
 impl Default for PathSpec {
@@ -141,8 +76,8 @@ impl Default for PathSpec {
             up_delay: SimDuration::from_millis(27),
             jitter_sd: SimDuration::from_millis(2),
             queue_capacity: 128,
-            down_loss: LossSpec::Lossless,
-            up_loss: LossSpec::Lossless,
+            down_loss: LossModel::Bernoulli(0.0),
+            up_loss: LossModel::Bernoulli(0.0),
         }
     }
 }
@@ -362,14 +297,14 @@ pub(crate) fn add_path(
     up_to: AgentId,
     suffix: &str,
 ) -> (LinkId, LinkId) {
-    let mut link = |to, direction: &str, bandwidth_bps, delay, loss: &LossSpec| {
+    let mut link = |to, direction: &str, bandwidth_bps, delay, loss: LossModel| {
         eng.add_link(
             LinkSpec::new(to, format!("{direction}{suffix}"))
                 .bandwidth_bps(bandwidth_bps)
                 .prop_delay(delay)
                 .jitter_sd(path.jitter_sd)
                 .queue_capacity(path.queue_capacity)
-                .loss(loss.build()),
+                .loss(loss),
         )
     };
     let down = link(
@@ -377,14 +312,14 @@ pub(crate) fn add_path(
         "downlink",
         path.down_bandwidth_bps,
         path.down_delay,
-        &path.down_loss,
+        path.down_loss,
     );
     let up = link(
         up_to,
         "uplink",
         path.up_bandwidth_bps,
         path.up_delay,
-        &path.up_loss,
+        path.up_loss,
     );
     (down, up)
 }
@@ -628,6 +563,7 @@ pub fn try_analyze_connection_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hsm_simnet::loss::GilbertElliott;
     use hsm_trace::prelude::*;
 
     #[test]
@@ -664,13 +600,8 @@ mod tests {
             ..Default::default()
         };
         let path = PathSpec {
-            down_loss: LossSpec::GilbertElliott {
-                p_good: 0.002,
-                p_bad: 0.7,
-                g2b: 0.003,
-                b2g: 0.08,
-            },
-            up_loss: LossSpec::Bernoulli(0.004),
+            down_loss: LossModel::GilbertElliott(GilbertElliott::new(0.002, 0.7, 0.003, 0.08)),
+            up_loss: LossModel::Bernoulli(0.004),
             ..Default::default()
         };
         let out = run_connection(7, &path, None, &cfg);
@@ -717,8 +648,8 @@ mod tests {
             ..Default::default()
         };
         let path = PathSpec {
-            down_loss: LossSpec::Bernoulli(0.01),
-            up_loss: LossSpec::Bernoulli(0.004),
+            down_loss: LossModel::Bernoulli(0.01),
+            up_loss: LossModel::Bernoulli(0.004),
             ..Default::default()
         };
         let mut scratch = ConnectionScratch::new();
@@ -740,7 +671,7 @@ mod tests {
         // any `arrived_at` in the trace is a stamp a previous tenant of
         // the arena row left behind.
         let dead_path = PathSpec {
-            down_loss: LossSpec::Bernoulli(1.0),
+            down_loss: LossModel::Bernoulli(1.0),
             ..Default::default()
         };
         let cfg = ConnectionConfig {
@@ -789,7 +720,7 @@ mod tests {
             ..Default::default()
         };
         let path = PathSpec {
-            down_loss: LossSpec::Bernoulli(0.01),
+            down_loss: LossModel::Bernoulli(0.01),
             ..Default::default()
         };
         let mut scratch = ConnectionScratch::new();
@@ -823,7 +754,7 @@ mod tests {
             ..Default::default()
         };
         let path = PathSpec {
-            down_loss: LossSpec::Bernoulli(0.01),
+            down_loss: LossModel::Bernoulli(0.01),
             ..Default::default()
         };
         let traced = run_connection(4, &path, None, &cfg);
@@ -867,7 +798,7 @@ mod tests {
             handoff: HandoffParams::lte_rail(),
         };
         let path = PathSpec {
-            down_loss: LossSpec::Bernoulli(0.002),
+            down_loss: LossModel::Bernoulli(0.002),
             ..Default::default()
         };
         let mut scratch = ConnectionScratch::new();
@@ -961,18 +892,5 @@ mod tests {
             stormy.sender.timeouts.len(),
             calm.sender.timeouts.len()
         );
-    }
-
-    #[test]
-    fn loss_spec_steady_state() {
-        assert_eq!(LossSpec::Lossless.steady_state(), 0.0);
-        assert!((LossSpec::Bernoulli(0.25).steady_state() - 0.25).abs() < 1e-12);
-        let ge = LossSpec::GilbertElliott {
-            p_good: 0.0,
-            p_bad: 1.0,
-            g2b: 0.1,
-            b2g: 0.3,
-        };
-        assert!((ge.steady_state() - 0.25).abs() < 1e-12);
     }
 }

@@ -62,8 +62,7 @@ pub mod prelude {
     pub use crate::cc::Algorithm;
     pub use crate::connection::{
         run_connection, try_analyze_connection_with, try_run_connection_with, AnalyzedConnection,
-        ConnectionConfig, ConnectionOutcome, ConnectionScratch, Keep, LossSpec, MobilityScenario,
-        PathSpec,
+        ConnectionConfig, ConnectionOutcome, ConnectionScratch, Keep, MobilityScenario, PathSpec,
     };
     pub use crate::cwnd::{Cwnd, Phase};
     pub use crate::demux::Demux;
@@ -75,4 +74,5 @@ pub mod prelude {
     pub use crate::recovery::Recovery;
     pub use crate::reno::{RenoSender, SenderConfig};
     pub use crate::rtt::{Backoff, RttEstimator};
+    pub use hsm_simnet::loss::{GilbertElliott, LossModel};
 }

@@ -224,24 +224,15 @@ pub fn run_mptcp_shared_radio(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::connection::{run_connection, LossSpec};
+    use crate::connection::run_connection;
     use crate::reno::SenderConfig;
+    use hsm_simnet::loss::{GilbertElliott, LossModel};
     use hsm_simnet::time::SimTime;
 
     fn lossy_path() -> PathSpec {
         PathSpec {
-            down_loss: LossSpec::GilbertElliott {
-                p_good: 0.003,
-                p_bad: 0.8,
-                g2b: 0.004,
-                b2g: 0.05,
-            },
-            up_loss: LossSpec::GilbertElliott {
-                p_good: 0.003,
-                p_bad: 0.8,
-                g2b: 0.004,
-                b2g: 0.05,
-            },
+            down_loss: LossModel::GilbertElliott(GilbertElliott::new(0.003, 0.8, 0.004, 0.05)),
+            up_loss: LossModel::GilbertElliott(GilbertElliott::new(0.003, 0.8, 0.004, 0.05)),
             ..Default::default()
         }
     }

@@ -607,7 +607,7 @@ impl Agent for RenoSender {
 mod tests {
     use super::*;
     use crate::receiver::{Receiver, ReceiverConfig};
-    use hsm_simnet::loss::{Bernoulli, ChannelLoss, Outage};
+    use hsm_simnet::loss::{LossModel, Outage};
     use hsm_simnet::observer::VecRecorder;
     use hsm_simnet::prelude::*;
 
@@ -642,13 +642,13 @@ mod tests {
             LinkSpec::new(rx, "downlink")
                 .bandwidth_bps(50_000_000)
                 .prop_delay(SimDuration::from_millis(25))
-                .loss(ChannelLoss::new(Box::new(Bernoulli::new(down_loss)))),
+                .loss(LossModel::Bernoulli(down_loss)),
         );
         let up = eng.add_link(
             LinkSpec::new(tx, "uplink")
                 .bandwidth_bps(50_000_000)
                 .prop_delay(SimDuration::from_millis(25))
-                .loss(ChannelLoss::new(Box::new(Bernoulli::new(up_loss)))),
+                .loss(LossModel::Bernoulli(up_loss)),
         );
         eng.agent_mut::<RenoSender>(tx).unwrap().data_link = down;
         eng.agent_mut::<Receiver>(rx).unwrap().uplink = up;
@@ -1342,11 +1342,11 @@ mod tests {
 
     #[test]
     fn veno_beats_reno_under_pure_random_loss() {
-        use crate::connection::{run_connection, ConnectionConfig, LossSpec, PathSpec};
+        use crate::connection::{run_connection, ConnectionConfig, PathSpec};
 
         // Pure random loss, no queueing congestion: Veno's sweet spot.
         let path = PathSpec {
-            down_loss: LossSpec::Bernoulli(0.005),
+            down_loss: LossModel::Bernoulli(0.005),
             ..Default::default()
         };
         let throughput = |algorithm, seed| {

@@ -178,7 +178,7 @@ pub fn single_flow_trace(events: &[PacketEvent], flow: u32, meta: FlowMeta) -> O
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hsm_simnet::loss::{Bernoulli, ChannelLoss};
+    use hsm_simnet::loss::LossModel;
     use hsm_simnet::observer::DropCause;
     use hsm_simnet::prelude::*;
 
@@ -266,7 +266,7 @@ mod tests {
                 .prop_delay(SimDuration::from_millis(20))
                 .jitter_sd(SimDuration::from_millis(2))
                 .queue_capacity(4)
-                .loss(ChannelLoss::new(Box::new(Bernoulli::new(0.3)))),
+                .loss(LossModel::Bernoulli(0.3)),
         );
         let rec = VecRecorder::new();
         eng.add_recorder(rec.clone());
@@ -354,7 +354,7 @@ mod tests {
                 .bandwidth_bps(1_200_000) // 10 ms per data packet
                 .prop_delay(SimDuration::from_millis(20))
                 .queue_capacity(8)
-                .loss(ChannelLoss::new(Box::new(Bernoulli::new(0.2)))),
+                .loss(LossModel::Bernoulli(0.2)),
         );
         let rec = VecRecorder::new();
         eng.add_recorder(rec.clone());

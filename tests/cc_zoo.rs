@@ -13,9 +13,10 @@
 #![allow(clippy::excessive_precision)]
 
 use hsm::scenario::runner::{Motion, ScenarioConfig};
+use hsm::simnet::loss::LossModel;
 use hsm::simnet::time::{SimDuration, SimTime};
 use hsm::tcp::cc::Algorithm;
-use hsm::tcp::connection::{run_connection, ConnectionConfig, LossSpec, PathSpec};
+use hsm::tcp::connection::{run_connection, ConnectionConfig, PathSpec};
 use hsm::tcp::reno::SenderConfig;
 use hsm_runtime::cache::{CacheConfig, FlowCache};
 use hsm_runtime::engine::Campaign;
@@ -35,7 +36,7 @@ fn random_loss_throughput(algorithm: Algorithm, newreno: bool, seed: u64) -> f64
         ..Default::default()
     };
     let path = PathSpec {
-        down_loss: LossSpec::Bernoulli(0.005),
+        down_loss: LossModel::Bernoulli(0.005),
         ..Default::default()
     };
     let out = run_connection(seed, &path, None, &cfg);

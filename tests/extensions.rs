@@ -63,10 +63,10 @@ fn spurious_rto_undo_is_a_net_positive_under_ack_outages() {
     // every timeout is spurious and data keeps flowing, so the Eifel
     // timing heuristic can catch them.
     let path = PathSpec {
-        up_loss: LossSpec::PeriodicOutage {
-            period_s: 6.0,
-            outage_s: 0.8,
-            offset_s: 3.0,
+        up_loss: LossModel::PeriodicOutage {
+            period: SimDuration::from_secs_f64(6.0),
+            outage: SimDuration::from_secs_f64(0.8),
+            offset: SimDuration::from_secs_f64(3.0),
             loss: 1.0,
         },
         jitter_sd: SimDuration::ZERO,

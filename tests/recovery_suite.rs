@@ -15,11 +15,10 @@
 use hsm::scenario::provider::Provider;
 use hsm::scenario::runner::{self, Keep, Motion, ScenarioConfig, Scratch};
 use hsm::simnet::chaos::StormPlan;
+use hsm::simnet::loss::LossModel;
 use hsm::simnet::time::{SimDuration, SimTime};
 use hsm::tcp::cc::Algorithm;
-use hsm::tcp::connection::{
-    run_connection, ConnectionConfig, ConnectionOutcome, LossSpec, PathSpec,
-};
+use hsm::tcp::connection::{run_connection, ConnectionConfig, ConnectionOutcome, PathSpec};
 use hsm::tcp::recovery::Recovery;
 use hsm::tcp::reno::SenderConfig;
 use hsm_runtime::cache::{CacheConfig, FlowCache};
@@ -48,7 +47,7 @@ fn random_loss_throughput(
         ..Default::default()
     };
     let path = PathSpec {
-        down_loss: LossSpec::Bernoulli(0.005),
+        down_loss: LossModel::Bernoulli(0.005),
         ..Default::default()
     };
     let out = run_connection(seed, &path, None, &cfg);
@@ -292,10 +291,10 @@ fn section_v_pin(out: &ConnectionOutcome) -> (u64, u64, [u64; 8]) {
 #[test]
 fn section_v_paths_are_bit_pinned() {
     let blackouts = PathSpec {
-        up_loss: LossSpec::PeriodicOutage {
-            period_s: 6.0,
-            outage_s: 0.8,
-            offset_s: 3.0,
+        up_loss: LossModel::PeriodicOutage {
+            period: SimDuration::from_secs_f64(6.0),
+            outage: SimDuration::from_secs_f64(0.8),
+            offset: SimDuration::from_secs_f64(3.0),
             loss: 1.0,
         },
         jitter_sd: SimDuration::ZERO,
@@ -325,7 +324,7 @@ fn section_v_paths_are_bit_pinned() {
     // carry that epoch (`w_max`, `K`, the epoch clock, the Reno
     // estimate), not only the window.
     let lossy = PathSpec {
-        down_loss: LossSpec::Bernoulli(0.001),
+        down_loss: LossModel::Bernoulli(0.001),
         ..blackouts
     };
     let cubic = ConnectionConfig {

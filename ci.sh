@@ -114,6 +114,15 @@ stage_build_test() {
         echo "a deleted loss description (LossSpec, loss_ext), the LossModel trait object or its steady-state chain is back" >&2
         exit 1
     fi
+    # Also deleted: the reference-counted flow labels (a `Label` is a
+    # `&'static str`, so a summary is plain data and a warm hit touches no
+    # counter) and the channel's own offered/lost counters, which
+    # `Link::channel_drops` already keeps.
+    if grep -rnE '(provider|scenario): Arc<str>|loss\.(offered|lost)' \
+        crates src tests examples; then
+        echo "a reference-counted flow label (Arc<str>) or ChannelLoss::{offered, lost} is back" >&2
+        exit 1
+    fi
     # DESIGN.md's budget, which ROADMAP sets: at most 1,000 lines.
     if [ "$(wc -l < DESIGN.md)" -gt 1000 ]; then
         echo "DESIGN.md has $(wc -l < DESIGN.md) lines, over its 1,000-line budget" >&2

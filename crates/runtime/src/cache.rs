@@ -75,19 +75,40 @@ impl CacheKey {
     }
 }
 
-/// The disk-tier path of `key`'s entry, `dir/flow-{key:016x}.hsmf` — the
-/// one place that names an entry. One allocation, sized up front.
-fn entry_path(dir: &Path, key: CacheKey) -> PathBuf {
+/// Calls `f` with the disk-tier path of `key`'s entry,
+/// `dir/flow-{key:016x}.hsmf` — the one place that names an entry. The
+/// path is written into a stack buffer, so a disk lookup allocates none
+/// (std opens a path shorter than its own 384-byte stack buffer without
+/// allocating either); a directory that is not UTF-8, or too long for the
+/// buffer, gets a `PathBuf`.
+fn with_entry_path<R>(dir: &Path, key: CacheKey, f: impl FnOnce(&Path) -> R) -> R {
     let mut name = *b"flow-0000000000000000.hsmf";
     for (i, digit) in name[5..21].iter_mut().enumerate() {
         *digit = b"0123456789abcdef"[(key.0 >> (60 - 4 * i)) as usize & 0xF];
     }
     let name = std::str::from_utf8(&name).expect("ASCII file name");
-    let mut path = PathBuf::with_capacity(dir.as_os_str().len() + 1 + name.len());
-    path.push(dir);
-    path.push(name);
-    path
+    if let Some(text) = dir.to_str().filter(|_| cfg!(unix)) {
+        // `PathBuf::push`'s rule: a separator unless the directory is
+        // empty or already ends in one.
+        let sep = !text.is_empty() && !text.ends_with('/');
+        let len = text.len() + usize::from(sep) + name.len();
+        if len <= ENTRY_PATH_LEN {
+            let mut buf = [0u8; ENTRY_PATH_LEN];
+            buf[..text.len()].copy_from_slice(text.as_bytes());
+            if sep {
+                buf[text.len()] = b'/';
+            }
+            buf[len - name.len()..len].copy_from_slice(name.as_bytes());
+            return f(Path::new(
+                std::str::from_utf8(&buf[..len]).expect("built from two strs"),
+            ));
+        }
+    }
+    f(&dir.join(name))
 }
+
+/// Longest entry path [`with_entry_path`] builds on the stack, in bytes.
+const ENTRY_PATH_LEN: usize = 256;
 
 /// Cache sizing and placement.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -352,7 +373,7 @@ impl FlowCache {
         use std::collections::hash_map::Entry;
         match shard.map.entry(key.0) {
             // A re-insert refreshes the payload and keeps its place in line.
-            Entry::Occupied(mut occupied) => occupied.get_mut().clone_from(summary),
+            Entry::Occupied(mut occupied) => *occupied.get_mut() = summary.clone(),
             Entry::Vacant(vacant) => {
                 vacant.insert(summary.clone());
                 shard.order.push_back(key.0);
@@ -369,7 +390,7 @@ impl FlowCache {
         let Some(dir) = &self.config.disk_dir else {
             return DiskLookup::Absent;
         };
-        let Ok(mut file) = std::fs::File::open(entry_path(dir, key)) else {
+        let Ok(mut file) = with_entry_path(dir, key, |path| std::fs::File::open(path)) else {
             return DiskLookup::Absent;
         };
         // Read to end of file, not to the length the header announces:
@@ -457,7 +478,7 @@ static TEMP_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::ne
 /// retries once.
 fn write_disk_entry(dir: &Path, key: CacheKey, summary: &FlowSummary) -> Result<(), CacheError> {
     let bytes = codec::encode_entry(key.0, summary);
-    let path = entry_path(dir, key);
+    let path = with_entry_path(dir, key, Path::to_path_buf);
     match publish_atomic(dir, &path, &bytes) {
         Err(_) if !dir.is_dir() => {
             std::fs::create_dir_all(dir).map_err(|e| CacheError::Io {
@@ -517,7 +538,7 @@ pub(crate) fn publish_atomic(dir: &Path, path: &Path, bytes: &[u8]) -> Result<()
 /// Returns [`CacheError::Io`] when the entry cannot be rewritten.
 #[cfg(any(test, feature = "chaos"))]
 pub fn chaos_corrupt_disk_entry(dir: &Path, key: CacheKey) -> Result<bool, CacheError> {
-    let path = entry_path(dir, key);
+    let path = with_entry_path(dir, key, Path::to_path_buf);
     let Ok(mut bytes) = std::fs::read(&path) else {
         return Ok(false);
     };
@@ -595,6 +616,11 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("hsm_cache_{test}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// `key`'s entry path under `dir`, owned.
+    fn entry_path(dir: &Path, key: CacheKey) -> PathBuf {
+        with_entry_path(dir, key, Path::to_path_buf)
     }
 
     /// A disk-only cache over `dir` (no memory tier).
@@ -800,12 +826,17 @@ mod tests {
 
     #[test]
     fn entry_path_is_the_published_file_name() {
-        let dir = Path::new("/tier");
-        for key in [0, 7, 0xabcd, 0x4a53_8f66_c3f6_4352, u64::MAX] {
-            assert_eq!(
-                entry_path(dir, CacheKey(key)),
-                dir.join(format!("flow-{key:016x}.hsmf"))
-            );
+        // The stack-built path is `Path::join`'s, separator rule included;
+        // a directory too long for the stack buffer takes the `PathBuf`.
+        let long = format!("/{}", "d".repeat(ENTRY_PATH_LEN));
+        for dir in ["/tier", "/tier/", "tier", "", &long] {
+            let dir = Path::new(dir);
+            for key in [0, 7, 0xabcd, 0x4a53_8f66_c3f6_4352, u64::MAX] {
+                assert_eq!(
+                    entry_path(dir, CacheKey(key)),
+                    dir.join(format!("flow-{key:016x}.hsmf"))
+                );
+            }
         }
     }
 

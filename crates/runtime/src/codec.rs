@@ -25,14 +25,14 @@
 //! is what makes a cache hit ≡ a fresh simulation.
 //!
 //! Decoding is zero-copy in the `s2n-codec` style: a `Reader` cursor
-//! hands out sub-slices of the input buffer, and the only allocations on
-//! a hit are the summary's two labels, one `Arc<str>` each, made by
-//! `str_slice()?.into()`. Any
-//! structural defect — short buffer, bad magic, unknown version, length
-//! mismatch, CRC mismatch, invalid UTF-8, trailing bytes — decodes to
-//! `None`, which the cache reports as a corrupt entry. So does an entry
-//! stamped with another engine version: a tier written before an
-//! [`ENGINE_VERSION`] bump is never read as current.
+//! hands out sub-slices of the input buffer, and the summary's two labels
+//! go through `Label::intern`, which leaks each distinct label once: a
+//! hit on labels the process has met allocates nothing. Any structural
+//! defect — short buffer, bad magic, unknown version, length mismatch,
+//! CRC mismatch, invalid UTF-8, trailing bytes — decodes to `None`, which
+//! the cache reports as a corrupt entry. So does an entry stamped with
+//! another engine version: a tier written before an [`ENGINE_VERSION`]
+//! bump is never read as current.
 //!
 //! [`decode_entry`] judges the buffer it is given, whole: the body length
 //! in the header must equal what follows it exactly. A reader therefore
@@ -40,6 +40,7 @@
 //! length would hide trailing bytes from the one check that rejects them.
 
 use crate::cache::ENGINE_VERSION;
+use hsm_trace::record::Label;
 use hsm_trace::summary::FlowSummary;
 
 /// File magic of a binary disk-tier entry.
@@ -280,8 +281,8 @@ pub fn decode_entry(bytes: &[u8]) -> Option<(u64, FlowSummary)> {
 fn take_summary(r: &mut Reader<'_>) -> Option<FlowSummary> {
     Some(FlowSummary {
         flow: r.u32()?,
-        provider: r.str_slice()?.into(),
-        scenario: r.str_slice()?.into(),
+        provider: Label::intern(r.str_slice()?),
+        scenario: Label::intern(r.str_slice()?),
         rtt_s: r.f64()?,
         p_d: r.f64()?,
         data_sent: r.u64()?,

@@ -30,14 +30,16 @@
 //! is shared per flow but the claim counter — no channel, no clock read —
 //! and no flow is hashed per run: [`CampaignBuilder::build`] keys every
 //! config once, beside its validation. A warm flow costs its cache lookup,
-//! one 160-byte summary clone into the run it builds and one move of that
-//! run into the worker's vector (the release build's one `memcpy` call on
-//! the hit); a one-worker pass spawns no thread. Completed flows are
-//! memoized in a
-//! sharded [`FlowCache`]; the output is in index order, so the summary
-//! stream is **bit-identical** for any worker count and any cache state
-//! (cold, warm memory, warm disk). Wall-clock and utilization telemetry
-//! lives only in the [`CampaignReport`], never in the result stream.
+//! one 160-byte summary clone into the run it builds — a plain copy, for
+//! its labels are `&'static str`s (`hsm_trace::record::Label`) and no
+//! reference count moves — and one move of that run into the worker's
+//! vector (the release build's one `memcpy` call on the hit); a disk hit
+//! adds a file read with no allocation, and a one-worker pass spawns no
+//! thread. Completed flows are memoized in a sharded [`FlowCache`]; the
+//! output is in index order, so the summary stream is **bit-identical**
+//! for any worker count and any cache state (cold, warm memory, warm
+//! disk). Wall-clock and utilization telemetry lives only in the
+//! [`CampaignReport`], never in the result stream.
 
 use crate::cache::{CacheConfig, CacheKey, FlowCache, ENGINE_VERSION};
 use crate::error::EngineError;

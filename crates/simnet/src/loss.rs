@@ -187,10 +187,6 @@ pub struct ChannelLoss {
     base: LossModel,
     overlay: Option<Outage>,
     extra: f64,
-    /// Packets offered to this channel.
-    pub offered: u64,
-    /// Packets destroyed by this channel.
-    pub lost: u64,
 }
 
 impl ChannelLoss {
@@ -225,8 +221,6 @@ impl ChannelLoss {
             base,
             overlay: None,
             extra: 0.0,
-            offered: 0,
-            lost: 0,
         }
     }
 
@@ -259,7 +253,6 @@ impl ChannelLoss {
 
     /// Decides the fate of a packet entering the channel at `now`.
     pub fn is_lost(&mut self, now: SimTime, rng: &mut SimRng) -> bool {
-        self.offered += 1;
         let by_overlay = match self.overlay {
             Some(o) if o.active_at(now) => rng.chance(o.probability),
             _ => false,
@@ -269,11 +262,7 @@ impl ChannelLoss {
         // overlay activity.
         let by_base = self.base.is_lost(now, rng);
         let by_extra = self.extra > 0.0 && rng.chance(self.extra);
-        let lost = by_overlay || by_base || by_extra;
-        if lost {
-            self.lost += 1;
-        }
-        lost
+        by_overlay || by_base || by_extra
     }
 }
 
@@ -413,8 +402,6 @@ mod tests {
         assert!(!ch.is_lost(SimTime::from_millis(500), &mut r));
         assert!(ch.is_lost(SimTime::from_millis(1500), &mut r));
         assert!(!ch.is_lost(SimTime::from_millis(2500), &mut r));
-        assert_eq!(ch.offered, 3);
-        assert_eq!(ch.lost, 1);
     }
 
     #[test]

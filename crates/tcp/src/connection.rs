@@ -41,9 +41,8 @@ use hsm_simnet::prelude::Engine;
 use hsm_simnet::time::{SimDuration, SimTime};
 use hsm_trace::analysis::timeout::TimeoutConfig;
 use hsm_trace::capture::flow_records;
-use hsm_trace::record::{FlowMeta, FlowTrace};
+use hsm_trace::record::{FlowMeta, FlowTrace, Label};
 use hsm_trace::summary::{FlowAnalysis, FlowFold, FlowSummary, FoldColumns};
-use std::sync::Arc;
 
 /// Description of the two-directional server↔phone path.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -103,10 +102,10 @@ pub struct ConnectionConfig {
     pub sender: SenderConfig,
     /// Receiver tunables.
     pub receiver: ReceiverConfig,
-    /// Provider label recorded in the trace meta (shared with it).
-    pub provider: Arc<str>,
-    /// Scenario label recorded in the trace meta (shared with it).
-    pub scenario: Arc<str>,
+    /// Provider label recorded in the trace meta.
+    pub provider: Label,
+    /// Scenario label recorded in the trace meta.
+    pub scenario: Label,
     /// Hard wall-clock (simulated) limit for the run.
     pub deadline: SimTime,
     /// A deterministic chaos-storm schedule replayed against the uplink —
@@ -120,8 +119,8 @@ impl ConnectionConfig {
     /// The trace meta this configuration's flows are recorded under.
     pub(crate) fn meta(&self) -> FlowMeta {
         FlowMeta {
-            provider: self.provider.clone(),
-            scenario: self.scenario.clone(),
+            provider: self.provider,
+            scenario: self.scenario,
             w_m: self.sender.w_m,
             b: self.receiver.b,
         }

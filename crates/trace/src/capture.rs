@@ -170,7 +170,7 @@ pub fn trace_from_arena(arena: &PacketArena, flow: u32, meta: FlowMeta) -> FlowT
 ///
 /// Returns `None` if the event stream contains no packets for `flow`.
 pub fn single_flow_trace(events: &[PacketEvent], flow: u32, meta: FlowMeta) -> Option<FlowTrace> {
-    traces_from_events_filtered(events, |_| meta.clone(), None)
+    traces_from_events_filtered(events, |_| meta, None)
         .into_iter()
         .find(|t| t.flow == flow)
 }
@@ -296,7 +296,7 @@ mod tests {
                 provider: format!("p{flow}").into(),
                 ..Default::default()
             };
-            let from_arena = trace_from_arena(eng.arena(), flow, meta.clone());
+            let from_arena = trace_from_arena(eng.arena(), flow, meta);
             let from_events = single_flow_trace(&events, flow, meta);
             assert_eq!(Some(from_arena), from_events, "flow {flow}");
         }
@@ -390,7 +390,7 @@ mod tests {
         };
         for flow in [1u32, 2] {
             let meta = FlowMeta::default();
-            let trace = trace_from_arena(eng.arena(), flow, meta.clone());
+            let trace = trace_from_arena(eng.arena(), flow, meta);
             assert_eq!(
                 Some(&trace),
                 single_flow_trace(&events, flow, meta).as_ref()

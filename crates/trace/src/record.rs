@@ -6,8 +6,11 @@
 //! when (or whether) it arrived.
 
 use hsm_simnet::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use serde::{DeError, Deserialize, Serialize, Value};
+use std::collections::BTreeSet;
+use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::sync::{Mutex, PoisonError};
 
 /// One packet transmission, as seen from both endpoints.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -43,16 +46,122 @@ impl PacketRecord {
     }
 }
 
+/// A flow's provider or scenario label: a `&'static str`, so it is `Copy`
+/// and a summary holding two of them is plain data — cloning one (a
+/// memory-cache hit does) is a copy, and dropping one touches nothing.
+///
+/// A label from a literal (`Provider::name`, `Motion::label`) is free:
+/// `From<&'static str>` wraps the pointer. A label made at run time — a
+/// decoded disk entry, a deserialized report, a `String` — goes through
+/// [`Label::intern`], which leaks each *distinct* string once into one
+/// process-wide set. The set is bounded by the number of distinct labels
+/// the process meets (the paper's Table I has five: three carriers, two
+/// scenarios), and interning a string already in it allocates nothing.
+///
+/// Equality, order, hashing, `Debug`, `Display` and serde are `str`'s: two
+/// labels compare by content, never by pointer, so a literal and an
+/// interned copy of one string are the same label.
+#[derive(Clone, Copy)]
+pub struct Label(&'static str);
+
+impl Label {
+    /// The label of a string made at run time: the one interned copy of
+    /// `s`, leaked the first time the process meets it.
+    pub fn intern(s: &str) -> Label {
+        static INTERNED: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
+        // The one update is an insert of a string already leaked, so a
+        // panic elsewhere while the lock was held left the set valid.
+        let mut set = INTERNED.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(&seen) = set.get(s) {
+            return Label(seen);
+        }
+        let leaked: &'static str = Box::leak(Box::from(s));
+        set.insert(leaked);
+        Label(leaked)
+    }
+}
+
+impl From<&'static str> for Label {
+    fn from(s: &'static str) -> Label {
+        Label(s)
+    }
+}
+
+impl From<String> for Label {
+    fn from(s: String) -> Label {
+        Label::intern(&s)
+    }
+}
+
+impl std::ops::Deref for Label {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        self.0
+    }
+}
+
+impl PartialEq for Label {
+    fn eq(&self, other: &Label) -> bool {
+        self.0 == other.0
+    }
+}
+
+impl Eq for Label {}
+
+impl PartialOrd for Label {
+    fn partial_cmp(&self, other: &Label) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Label {
+    fn cmp(&self, other: &Label) -> std::cmp::Ordering {
+        self.0.cmp(other.0)
+    }
+}
+
+impl Hash for Label {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.hash(state);
+    }
+}
+
+impl fmt::Debug for Label {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.0, f)
+    }
+}
+
+impl fmt::Display for Label {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(self.0, f)
+    }
+}
+
+impl Serialize for Label {
+    fn to_value(&self) -> Value {
+        self.0.to_value()
+    }
+}
+
+impl Deserialize for Label {
+    fn from_value(v: &Value) -> Result<Label, DeError> {
+        match v {
+            Value::Str(s) => Ok(Label::intern(s)),
+            other => Err(DeError::expected("string", other)),
+        }
+    }
+}
+
 /// Static facts about a flow that a pure packet capture cannot know; the
 /// TCP layer fills these in when producing the trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FlowMeta {
-    /// Human label of the ISP profile ("China Mobile", …). Shared, not
-    /// owned: every summary and cache hit of the flow clones the `Arc`
-    /// (a counter bump) instead of allocating a `String`.
-    pub provider: Arc<str>,
-    /// Scenario label ("high-speed", "stationary", …), shared likewise.
-    pub scenario: Arc<str>,
+    /// Human label of the ISP profile ("China Mobile", …).
+    pub provider: Label,
+    /// Scenario label ("high-speed", "stationary", …).
+    pub scenario: Label,
     /// Receiver-advertised window limitation, segments (`W_m`).
     pub w_m: u32,
     /// Delayed-ACK factor (`b`): data segments acknowledged per ACK.
@@ -216,5 +325,73 @@ mod tests {
         t.records.push(rec(0, false, 0, Some(30)));
         let back = FlowTrace::from_json(&t.to_json().unwrap()).unwrap();
         assert_eq!(t, back);
+    }
+
+    fn hash_of<T: Hash + ?Sized>(x: &T) -> u64 {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        x.hash(&mut h);
+        h.finish()
+    }
+
+    #[test]
+    fn static_and_interned_labels_are_their_strings() {
+        let literal = Label::from("China Mobile");
+        let interned = Label::intern(&String::from("China Mobile"));
+        assert!(!std::ptr::eq(&*literal, &*interned));
+        assert_eq!(literal, interned);
+        assert_eq!(hash_of(&literal), hash_of(&interned));
+        assert_eq!(hash_of(&literal), hash_of("China Mobile"));
+        assert_ne!(literal, Label::from("China Unicom"));
+        let mut labels = [
+            Label::from("stationary"),
+            Label::intern("China Unicom"),
+            Label::from("China Mobile"),
+            Label::from(String::from("high-speed")),
+            Label::intern("China Mobile"),
+        ];
+        labels.sort();
+        let texts = labels.map(|label| label.to_string());
+        let mut strings = texts.clone();
+        strings.sort();
+        assert_eq!(texts, strings);
+        assert_eq!(texts[..2], ["China Mobile"; 2]);
+    }
+
+    #[test]
+    fn interning_a_string_twice_returns_one_copy() {
+        let first = Label::intern(&format!("p{}", 17));
+        let again = Label::intern("p17");
+        let owned = Label::from(String::from("p17"));
+        assert!(std::ptr::eq(&*first, &*again));
+        assert!(std::ptr::eq(&*first, &*owned));
+    }
+
+    /// The strings were printed by the same statements when the labels
+    /// were `Arc<str>`s.
+    #[test]
+    fn a_label_formats_and_serializes_as_its_string() {
+        let meta = FlowMeta {
+            provider: "tab\there \"q\" é".into(),
+            scenario: Label::intern("s"),
+            w_m: 1,
+            b: 2,
+        };
+        assert_eq!(
+            format!("{meta:?}"),
+            r#"FlowMeta { provider: "tab\there \"q\" é", scenario: "s", w_m: 1, b: 2 }"#
+        );
+        assert_eq!(
+            format!(
+                "{:>14}|{:<4}|{:.3}",
+                meta.scenario, meta.scenario, meta.provider
+            ),
+            "             s|s   |tab"
+        );
+        let json = serde_json::to_string(&meta).unwrap();
+        assert_eq!(
+            json,
+            r#"{"provider":"tab\there \"q\" é","scenario":"s","w_m":1,"b":2}"#
+        );
+        assert_eq!(serde_json::from_str::<FlowMeta>(&json).unwrap(), meta);
     }
 }

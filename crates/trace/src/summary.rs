@@ -19,22 +19,22 @@ use crate::analysis::rounds::{AckBurstStats, BurstSweep, WindowWalk};
 use crate::analysis::throughput::{Throughput, ThroughputSweep};
 use crate::analysis::timeout::{TimeoutAnalysis, TimeoutConfig, TimeoutSweep};
 use crate::column::Column;
-use crate::record::{FlowMeta, FlowTrace, PacketRecord};
+use crate::record::{FlowMeta, FlowTrace, Label, PacketRecord};
 use hsm_simnet::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// Everything the models need to know about one measured flow.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FlowSummary {
     /// Flow id within the dataset.
     pub flow: u32,
-    /// Provider label shared with the trace meta: cloning a summary (a
-    /// memory-cache hit does) bumps the `Arc`'s counter and allocates
-    /// nothing. Serialized as the plain string.
-    pub provider: Arc<str>,
-    /// Scenario label shared with the trace meta, likewise.
-    pub scenario: Arc<str>,
+    /// Provider label, copied from the trace meta. A [`Label`] is a
+    /// `&'static str`, so the summary is plain data: cloning it (a
+    /// memory-cache hit does) is a copy and dropping it touches no
+    /// counter. Serialized as the plain string.
+    pub provider: Label,
+    /// Scenario label, copied from the trace meta likewise.
+    pub scenario: Label,
     /// Estimated base RTT, seconds.
     pub rtt_s: f64,
     /// Lifetime data loss rate `p_d` (every transmission counted).
@@ -77,6 +77,10 @@ pub struct FlowSummary {
     /// Flow duration, seconds.
     pub duration_s: f64,
 }
+
+// A summary is plain data: an `Arc` or `String` label would make every
+// cache hit's clone and every dropped pass touch a counter or the heap.
+const _: () = assert!(!std::mem::needs_drop::<FlowSummary>());
 
 impl FlowSummary {
     /// Fraction of timeouts that were spurious.
@@ -301,8 +305,8 @@ impl<'a> FlowFold<'a> {
 
         let summary = FlowSummary {
             flow,
-            provider: meta.provider.clone(),
-            scenario: meta.scenario.clone(),
+            provider: meta.provider,
+            scenario: meta.scenario,
             rtt_s: rtt.as_secs_f64(),
             p_d: losses.data_loss_rate(),
             data_sent: losses.data_sent,
@@ -584,8 +588,8 @@ mod tests {
         let fast_rtx = fast_retransmissions(trace, &timeouts);
         let summary = FlowSummary {
             flow: trace.flow,
-            provider: trace.meta.provider.clone(),
-            scenario: trace.meta.scenario.clone(),
+            provider: trace.meta.provider,
+            scenario: trace.meta.scenario,
             rtt_s: rtt.as_secs_f64(),
             p_d: losses.data_loss_rate(),
             data_sent: losses.data_sent,
@@ -946,6 +950,60 @@ mod tests {
         assert!(fold.records as u64 >= SEGMENTS * 3 / 2);
         let a = fold.finish(0, &FlowMeta::default());
         assert_eq!(a.throughput.segments_delivered, SEGMENTS - SEGMENTS / 50);
+    }
+
+    /// The strings were printed by the same statements when the labels
+    /// were `Arc<str>`s: JSON reports and `repro` output keep their bytes.
+    #[test]
+    fn a_summary_prints_and_serializes_its_labels_as_strings() {
+        let s = FlowSummary {
+            flow: 7,
+            provider: "China Mobile".into(),
+            scenario: Label::intern("high-speed"),
+            rtt_s: 0.0625,
+            p_d: 0.01,
+            data_sent: 12345,
+            p_a: 0.002,
+            p_a_burst: 0.25,
+            acks_per_round: 8.5,
+            q_hat: 0.5,
+            timeouts: 3,
+            spurious_timeouts: 1,
+            timeout_sequences: 2,
+            mean_recovery_s: 1.5,
+            t_rto_s: 0.75,
+            loss_indications: 9,
+            fast_retransmissions: 7,
+            w_m: 64,
+            b: 2,
+            throughput_sps: 100.0,
+            goodput_sps: 98.5,
+            duration_s: 120.0,
+        };
+        assert_eq!(
+            format!("{s:?}"),
+            "FlowSummary { flow: 7, provider: \"China Mobile\", scenario: \"high-speed\", \
+             rtt_s: 0.0625, p_d: 0.01, data_sent: 12345, p_a: 0.002, p_a_burst: 0.25, \
+             acks_per_round: 8.5, q_hat: 0.5, timeouts: 3, spurious_timeouts: 1, \
+             timeout_sequences: 2, mean_recovery_s: 1.5, t_rto_s: 0.75, loss_indications: 9, \
+             fast_retransmissions: 7, w_m: 64, b: 2, throughput_sps: 100.0, \
+             goodput_sps: 98.5, duration_s: 120.0 }"
+        );
+        assert_eq!(
+            format!("{} / {}", s.provider, s.scenario),
+            "China Mobile / high-speed"
+        );
+        let json = serde_json::to_string(&s).unwrap();
+        assert_eq!(
+            json,
+            "{\"flow\":7,\"provider\":\"China Mobile\",\"scenario\":\"high-speed\",\
+             \"rtt_s\":0.0625,\"p_d\":0.01,\"data_sent\":12345,\"p_a\":0.002,\
+             \"p_a_burst\":0.25,\"acks_per_round\":8.5,\"q_hat\":0.5,\"timeouts\":3,\
+             \"spurious_timeouts\":1,\"timeout_sequences\":2,\"mean_recovery_s\":1.5,\
+             \"t_rto_s\":0.75,\"loss_indications\":9,\"fast_retransmissions\":7,\"w_m\":64,\
+             \"b\":2,\"throughput_sps\":100.0,\"goodput_sps\":98.5,\"duration_s\":120.0}"
+        );
+        assert_eq!(serde_json::from_str::<FlowSummary>(&json).unwrap(), s);
     }
 
     #[test]

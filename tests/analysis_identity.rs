@@ -116,8 +116,8 @@ fn one_sweep_equals_the_stand_alone_analyses_on_simulated_flows() {
         assert_eq!(analysis.throughput, tp, "{what}");
         let expected = FlowSummary {
             flow: trace.flow,
-            provider: trace.meta.provider.clone(),
-            scenario: trace.meta.scenario.clone(),
+            provider: trace.meta.provider,
+            scenario: trace.meta.scenario,
             rtt_s: rtt.as_secs_f64(),
             p_d: losses.data_loss_rate(),
             data_sent: losses.data_sent,

@@ -1,11 +1,15 @@
-//! A warm flow allocates nothing: a memory-cache hit clones a summary whose
-//! labels are shared (`Arc<str>`), and the worker moves it into a vector
-//! sized once per pass. Counted at the allocator, over a whole
-//! `run_with_cache`, so a `String` label or a per-flow box cannot come
-//! back unnoticed (two `String`s per hit was two calls to `malloc` per
-//! flow). A one-worker replay spawns no thread either (the calling thread
-//! is worker 0), so the count is exact: 7 allocations per 256-flow pass,
-//! where spawning and joining a worker thread made it 13.
+//! A warm flow allocates nothing. A memory-cache hit copies a summary
+//! whose labels are `&'static str`s (`hsm_trace::record::Label`), and the
+//! worker moves it into a vector sized once per pass. A disk hit opens a
+//! path built on the stack, reads into a stack buffer and decodes labels
+//! the process has interned already. Counted at the allocator, over a
+//! whole `run_with_cache`, so a `String` label, a per-flow path or box
+//! cannot come back unnoticed (two `String`s per hit was two calls to
+//! `malloc` per flow; a `PathBuf` and two `Arc<str>`s per disk hit were
+//! three). A one-worker replay spawns no thread either (the calling
+//! thread is worker 0), so the count is exact: 7 allocations per 256-flow
+//! pass from either tier, where spawning and joining a worker thread made
+//! it 13.
 //!
 //! One test, so nothing else allocates in this process while it counts.
 
@@ -69,15 +73,15 @@ fn a_warm_replay_allocates_per_pass_not_per_flow() {
 
     // A hit writes nothing into the cache, so the first warm replay costs
     // what every later one does: no structure grows on the way to steady.
-    let counted_replay = || {
+    let counted_replay = |cache: &FlowCache| {
         let before = ALLOCATIONS.load(Ordering::Relaxed);
-        let warm = campaign.run_with_cache(&cache).expect("warm replay");
+        let warm = campaign.run_with_cache(cache).expect("warm replay");
         let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
-        assert_eq!(warm.report.cache_hits, FLOWS, "every flow a memory hit");
-        allocations
+        assert_eq!(warm.report.cache_hits, FLOWS, "every flow a hit");
+        (allocations, warm.report.disk_hits)
     };
-    let first = counted_replay();
-    let second = counted_replay();
+    let (first, _) = counted_replay(&cache);
+    let (second, _) = counted_replay(&cache);
 
     assert!(
         first <= second,
@@ -86,5 +90,29 @@ fn a_warm_replay_allocates_per_pass_not_per_flow() {
     assert_eq!(
         second, PER_REPLAY,
         "allocations replaying {FLOWS} warm flows: a new one per pass, or per flow",
+    );
+
+    // The disk tier: a pass publishes every flow, then a cache with no
+    // memory tier (nothing to promote into) serves each replay from the
+    // files. The first replay interns the two labels it decodes; after
+    // that a disk hit allocates nothing, so the pass costs what a memory
+    // replay does.
+    let dir = std::env::temp_dir().join(format!("hsm_warm_allocs_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let published = campaign
+        .run_with_cache(&FlowCache::new(CacheConfig::with_disk(&dir)))
+        .expect("publishing pass");
+    assert_eq!(published.report.cache_misses, FLOWS);
+    let disk = FlowCache::new(CacheConfig {
+        memory_entries: 0,
+        disk_dir: Some(dir.clone()),
+    });
+    let _ = counted_replay(&disk);
+    let (disk_replay, disk_hits) = counted_replay(&disk);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(disk_hits, FLOWS as u64, "every flow a disk hit");
+    assert_eq!(
+        disk_replay, PER_REPLAY,
+        "allocations replaying {FLOWS} flows from disk: a path, a label or a buffer per flow",
     );
 }

@@ -9,7 +9,6 @@
 
 use crate::context::Ctx;
 use crate::report::ExperimentResult;
-use hsm_simnet::loss::Outage;
 use hsm_simnet::prelude::*;
 use hsm_tcp::prelude::*;
 use hsm_trace::export::Table;
@@ -49,11 +48,12 @@ fn run_case(w_m: u32, outage_ms: (u64, u64), segments: u64) -> ScriptedRun {
     );
     eng.agent_mut::<RenoSender>(tx).expect("sender").data_link = down;
     eng.agent_mut::<Receiver>(rx).expect("receiver").uplink = up;
-    eng.link_mut(up).loss.set_outage(Some(Outage::new(
+    eng.impose(
+        up,
         SimTime::from_millis(outage_ms.0),
         SimTime::from_millis(outage_ms.1),
-        1.0,
-    )));
+        Impairment::outage(1.0),
+    );
     let rec = VecRecorder::new();
     eng.add_recorder(rec.clone());
     eng.run_until(SimTime::from_secs(60));

@@ -29,7 +29,7 @@ pub fn run(ctx: &Ctx) -> ExperimentResult {
     for e in &evals {
         per_flow.push_row(vec![
             e.flow.to_string(),
-            e.provider.clone(),
+            e.provider.to_string(),
             fnum(e.measured_sps),
             fnum(e.enhanced_sps),
             fnum(e.padhye_sps),

@@ -3,7 +3,6 @@
 
 use crate::context::Ctx;
 use crate::report::ExperimentResult;
-use hsm_simnet::loss::Outage;
 use hsm_simnet::prelude::*;
 use hsm_tcp::prelude::*;
 use hsm_trace::export::Table;
@@ -42,11 +41,12 @@ fn run_case(up_loss_during_window: f64) -> ScriptedRun {
     );
     eng.agent_mut::<RenoSender>(tx).expect("sender").data_link = down;
     eng.agent_mut::<Receiver>(rx).expect("receiver").uplink = up;
-    eng.link_mut(up).loss.set_outage(Some(Outage::new(
+    eng.impose(
+        up,
         SimTime::from_millis(1_000),
         SimTime::from_millis(2_500),
-        up_loss_during_window,
-    )));
+        Impairment::outage(up_loss_during_window),
+    );
     eng.run_until(SimTime::from_secs(60));
     let timeouts = eng
         .agent_mut::<RenoSender>(tx)

@@ -12,7 +12,7 @@ use hsm_runtime::{CacheConfig, Campaign, ChaosInjection, EngineError, FlowCache}
 use hsm_scenario::prelude::*;
 use hsm_scenario::runner;
 use hsm_simnet::agent::{Agent, NullAgent};
-use hsm_simnet::chaos::{StormEpisode, StormInjector, StormKind, StormPlan};
+use hsm_simnet::chaos::{StormEpisode, StormKind, StormPlan};
 use hsm_simnet::engine::{Ctx, Engine};
 use hsm_simnet::link::{LinkId, LinkSpec};
 use hsm_simnet::loss::LossModel;
@@ -232,8 +232,7 @@ fn drill_link_storm() -> Result<String, String> {
             sent: 0,
             budget: 2000,
         }));
-        let plan = StormPlan::from_seed(seed, SimDuration::from_secs(2));
-        eng.add_agent(Box::new(StormInjector::new(wire, plan)));
+        StormPlan::from_seed(seed, SimDuration::from_secs(2)).impose(&mut eng, wire);
         eng.run_until(SimTime::ZERO + SimDuration::from_secs(4));
         let link = eng.link(wire);
         (
@@ -372,7 +371,7 @@ fn drill_ack_delay_frto_undo() -> Result<String, String> {
                 })
                 .collect(),
         };
-        eng.add_agent(Box::new(StormInjector::new(up, plan)));
+        plan.impose(&mut eng, up);
         eng.run_until(SimTime::ZERO + SimDuration::from_secs(30));
         let delivered = eng
             .agent_mut::<Receiver>(rx)

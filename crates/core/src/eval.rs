@@ -5,6 +5,7 @@ use crate::enhanced;
 use crate::estimate::{estimate_params, EstimateConfig};
 use crate::padhye;
 use crate::params::ModelParams;
+use hsm_trace::record::Label;
 use hsm_trace::summary::FlowSummary;
 use serde::{Deserialize, Serialize};
 
@@ -26,7 +27,7 @@ pub struct FlowEval {
     /// Flow id.
     pub flow: u32,
     /// Provider label.
-    pub provider: String,
+    pub provider: Label,
     /// Measured throughput, segments/s.
     pub measured_sps: f64,
     /// Enhanced-model prediction, segments/s.
@@ -117,7 +118,7 @@ pub fn evaluate_flow(summary: &FlowSummary, cfg: &EstimateConfig) -> Option<Flow
     let padhye_sps = padhye::full(&params).ok()?;
     Some(FlowEval {
         flow: summary.flow,
-        provider: summary.provider.to_string(),
+        provider: summary.provider,
         measured_sps: summary.throughput_sps,
         enhanced_sps,
         padhye_sps,

@@ -60,11 +60,6 @@ pub enum ScenarioError {
     ZeroDelayedAck,
     /// The flow duration was zero — nothing would be transmitted.
     ZeroDuration,
-    /// A storm was asked for on a moving flow. The storm injector and the
-    /// mobility channel process both set the uplink's extra delay and
-    /// extra loss, and an episode's end would restore a value a handoff
-    /// has since overwritten (or undo one a handoff has since set).
-    StormOnMobility,
     /// The simulation engine detected internal bookkeeping corruption and
     /// aborted the run (see [`SimError`]).
     Engine(SimError),
@@ -76,12 +71,6 @@ impl fmt::Display for ScenarioError {
             ScenarioError::ZeroWindow => write!(f, "advertised window w_m must be >= 1 segment"),
             ScenarioError::ZeroDelayedAck => write!(f, "delayed-ACK factor b must be >= 1"),
             ScenarioError::ZeroDuration => write!(f, "flow duration must be non-zero"),
-            ScenarioError::StormOnMobility => {
-                write!(
-                    f,
-                    "a storm runs only on a stationary flow, not under mobility"
-                )
-            }
             ScenarioError::Engine(e) => write!(f, "simulation engine failed: {e}"),
         }
     }
@@ -415,20 +404,18 @@ pub fn run_scenario(config: &ScenarioConfig) -> AnalyzedConnection {
 /// from `config`, simulate, analyze — the analysis taking the flow's
 /// packets from the engine's arena as they land, and [`Keep::Trace`] the
 /// flow's trace from the same records. `storm` is a chaos-storm schedule
-/// replayed on the uplink — the accuracy ledger's §V storm rig: the
-/// scenario's provider path and motion stay as configured while the storm
-/// superimposes deterministic ACK-delay or ACK-burst episodes, and the
-/// full analysis pipeline still runs, so storm flows yield the same
-/// model-ready summary campaign flows do. The empty plan adds nothing to
-/// the world.
+/// written onto the uplink's timeline — the accuracy ledger's §V storm rig:
+/// the scenario's provider path and motion stay as configured while the
+/// storm superimposes deterministic ACK-delay or ACK-burst episodes (on a
+/// moving flow, on top of the ride's handoffs), and the full analysis
+/// pipeline still runs, so storm flows yield the same model-ready summary
+/// campaign flows do. The empty plan adds nothing to the world.
 ///
 /// # Errors
 ///
 /// Returns [`ScenarioError`] when the configuration fails
-/// [`ScenarioConfig::validate`], [`ScenarioError::StormOnMobility`] when
-/// `storm` has episodes and the flow is moving, or
-/// [`ScenarioError::Engine`] when the simulation engine reports internal
-/// bookkeeping corruption.
+/// [`ScenarioConfig::validate`], or [`ScenarioError::Engine`] when the
+/// simulation engine reports internal bookkeeping corruption.
 pub fn run(
     scratch: &mut Scratch,
     config: &ScenarioConfig,
@@ -437,9 +424,6 @@ pub fn run(
 ) -> Result<AnalyzedConnection, ScenarioError> {
     config.validate()?;
     let mobility = config.mobility();
-    if mobility.is_some() && !storm.episodes.is_empty() {
-        return Err(ScenarioError::StormOnMobility);
-    }
     let conn = ConnectionConfig {
         storm: storm.clone(),
         ..config.connection()
@@ -671,12 +655,12 @@ mod tests {
         assert_eq!(reused.summary(), stormy.summary());
     }
 
-    /// The storm injector and the mobility channel process both write the
-    /// uplink's extra delay and loss, so `run` refuses the pair rather than
-    /// let one clobber the other; a stationary storm and a calm ride run.
+    /// A storm on a moving flow adds its episodes to the ride's handoffs:
+    /// it runs, replays bit for bit, and bites; and a storm-free moving
+    /// flow keeps the summary the ticking channel process gave it.
     #[test]
-    fn a_storm_on_a_moving_flow_is_refused() {
-        let horizon = SimDuration::from_secs(12);
+    fn a_storm_on_a_moving_flow_runs_on_top_of_the_handoffs() {
+        let horizon = SimDuration::from_secs(40);
         let flaps = StormPlan::periodic_flaps(horizon);
         let moving = ScenarioConfig {
             motion: Motion::HighSpeed,
@@ -685,15 +669,24 @@ mod tests {
             ..Default::default()
         };
         let mut scratch = Scratch::new();
-        let refused = run(&mut scratch, &moving, &flaps, Keep::Summary);
-        assert_eq!(refused.err(), Some(ScenarioError::StormOnMobility));
-        assert!(run(&mut scratch, &moving, &StormPlan::default(), Keep::Summary).is_ok());
-        let still = ScenarioConfig {
-            motion: Motion::Stationary,
-            ..moving
-        };
-        let stormy = run(&mut scratch, &still, &flaps, Keep::Summary).expect("stationary storm");
-        assert!(!stormy.sender.timeouts.is_empty());
+        let stormy = run(&mut scratch, &moving, &flaps, Keep::Trace).expect("moving storm");
+        let replay = run(&mut scratch, &moving, &flaps, Keep::Trace).expect("replay");
+        assert_eq!(stormy.summary(), replay.summary());
+        assert_eq!(stormy.trace, replay.trace);
+        let calm =
+            run(&mut scratch, &moving, &StormPlan::default(), Keep::Summary).expect("calm ride");
+        assert!(
+            stormy.sender.timeouts.len() > calm.sender.timeouts.len(),
+            "storm {} vs calm {} timeouts",
+            stormy.sender.timeouts.len(),
+            calm.sender.timeouts.len()
+        );
+        // The calm ride (one handoff, five timeouts) summarizes to the
+        // bytes it had when a channel process agent ticked along it.
+        assert_eq!(calm.channel.expect("a ride").handoffs, 1);
+        assert_eq!(stormy.channel, calm.channel);
+        let json = serde_json::to_string(calm.summary()).expect("serialize");
+        assert_eq!(crate::fnv::fnv1a(json.as_bytes()), 0x17ae_c257_dc12_6f17);
     }
 
     #[test]

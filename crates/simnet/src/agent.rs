@@ -1,7 +1,7 @@
 //! Agents: the active entities of a simulation.
 //!
 //! An [`Agent`] is anything that reacts to packets and timers — TCP
-//! senders, receivers, channel processes. Agents are registered with the
+//! senders, receivers, demultiplexers. Agents are registered with the
 //! [`Engine`](crate::engine::Engine) and interact with the world only
 //! through the [`Ctx`] handed to their callbacks, which
 //! keeps ownership simple and the simulation deterministic.

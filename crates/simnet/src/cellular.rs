@@ -1,4 +1,4 @@
-//! Cellular layout and the handoff-driven channel process.
+//! Cellular layout and the handoff schedule of a ride.
 //!
 //! At 300 km/h a train crosses a cell roughly every 25–60 s. Each crossing
 //! triggers a handoff, which at the transport layer manifests as a short
@@ -6,18 +6,20 @@
 //! latency spike. The paper attributes the long timeout-recovery phases and
 //! the ACK-burst losses precisely to these windows.
 //!
-//! [`ChannelProcess`] is an [`Agent`] that ticks along a [`Trajectory`],
-//! detects cell-boundary crossings in a [`CellLayout`], and drives the
-//! downlink/uplink [`ChannelLoss`](crate::loss::ChannelLoss) state (outage overlays, extra delay,
-//! cell-edge extra loss, coverage holes).
+//! A [`MobilityScenario`] — a [`Trajectory`], a [`CellLayout`] and a
+//! handoff footprint — is a path's channel over a whole ride, known before
+//! the flow starts. [`MobilityScenario::impose`] samples it every 100 ms of
+//! the ride, draws each handoff's outage when the train enters a new cell,
+//! and writes the result onto the path's two link
+//! [`Timeline`](crate::timeline::Timeline)s: the outage overlay and its
+//! extra delay, and the cell-edge and coverage-hole extra loss.
 
-use crate::agent::Agent;
-use crate::engine::Ctx;
+use crate::engine::Engine;
 use crate::link::LinkId;
-use crate::loss::Outage;
 use crate::mobility::Trajectory;
-use crate::packet::Packet;
+use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
+use crate::timeline::Impairment;
 use serde::{Deserialize, Serialize};
 
 /// A stretch of the route with degraded coverage (e.g. the paper notes
@@ -134,7 +136,7 @@ impl HandoffParams {
     }
 }
 
-/// Counters exported by the channel process after a run.
+/// The handoffs of a ride's schedule.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ChannelStats {
     /// Handoffs performed.
@@ -143,124 +145,111 @@ pub struct ChannelStats {
     pub failed_handoffs: u64,
 }
 
-/// The agent driving link impairments along the journey.
-#[derive(Debug)]
-pub struct ChannelProcess {
-    downlink: LinkId,
-    uplink: LinkId,
-    trajectory: Trajectory,
-    layout: CellLayout,
-    handoff: HandoffParams,
-    tick: SimDuration,
-    serving_cell: Option<i64>,
-    outage_until: SimTime,
-    /// Statistics for reporting.
-    pub stats: ChannelStats,
+/// The mobility side of a scenario: train trajectory, cell layout and
+/// handoff footprint — a path's channel over the whole ride, written onto
+/// its links before the flow starts by [`MobilityScenario::impose`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct MobilityScenario {
+    /// Train trajectory along the line.
+    pub trajectory: Trajectory,
+    /// Base-station layout (and coverage holes).
+    pub layout: CellLayout,
+    /// Transport-layer handoff footprint.
+    pub handoff: HandoffParams,
 }
 
-const TAG_TICK: u64 = 1;
-const TAG_OUTAGE_END: u64 = 2;
+/// How often the channel is sampled along the ride.
+const TICK: SimDuration = SimDuration::from_millis(100);
 
-impl ChannelProcess {
-    /// Creates the process; register it with the engine like any agent.
-    pub fn new(
-        downlink: LinkId,
-        uplink: LinkId,
-        trajectory: Trajectory,
-        layout: CellLayout,
-        handoff: HandoffParams,
-    ) -> ChannelProcess {
-        ChannelProcess {
-            downlink,
-            uplink,
-            trajectory,
-            layout,
-            handoff,
-            tick: SimDuration::from_millis(100),
-            serving_cell: None,
-            outage_until: SimTime::ZERO,
-            stats: ChannelStats::default(),
-        }
-    }
-
-    fn begin_handoff(&mut self, ctx: &mut Ctx<'_>) {
-        let now = ctx.now();
-        let mean = self.handoff.outage_mean.as_secs_f64();
-        let sd = self.handoff.outage_sd.as_secs_f64();
-        let mut dur = ctx.rng().normal_clamped(mean, sd, 0.05);
-        let failed = ctx.rng().chance(self.handoff.failure_prob);
-        if failed {
-            dur *= self.handoff.failure_factor;
-            self.stats.failed_handoffs += 1;
-        }
-        self.stats.handoffs += 1;
-        let until = now + SimDuration::from_secs_f64(dur);
-        self.outage_until = until;
-        let (dl, ul, delay) = (
-            self.handoff.down_loss,
-            self.handoff.up_loss,
-            self.handoff.extra_delay,
-        );
-        {
-            let link = ctx.link_mut(self.downlink);
-            link.loss.set_outage(Some(Outage::new(now, until, dl)));
-            link.extra_delay = delay;
-        }
-        {
-            let link = ctx.link_mut(self.uplink);
-            link.loss.set_outage(Some(Outage::new(now, until, ul)));
-            link.extra_delay = delay;
-        }
-        ctx.schedule_at(until, TAG_OUTAGE_END);
-    }
-
-    fn end_outage(&mut self, ctx: &mut Ctx<'_>) {
-        // Another handoff may have started meanwhile; only clear if this
-        // is the newest outage.
-        if ctx.now() >= self.outage_until {
-            for link_id in [self.downlink, self.uplink] {
-                let link = ctx.link_mut(link_id);
-                link.loss.set_outage(None);
-                link.extra_delay = SimDuration::ZERO;
-            }
-        }
-    }
-
-    fn on_tick(&mut self, ctx: &mut Ctx<'_>) {
-        let pos = self.trajectory.position_m(ctx.now());
-        let cell = self.layout.cell_index(pos);
-        match self.serving_cell {
-            None => self.serving_cell = Some(cell),
-            Some(prev) if prev != cell => {
-                self.serving_cell = Some(cell);
-                self.begin_handoff(ctx);
-            }
-            _ => {}
-        }
-        let extra = self.layout.extra_loss_at(pos);
-        ctx.link_mut(self.downlink).loss.set_extra(extra);
-        ctx.link_mut(self.uplink).loss.set_extra(extra);
-        if !self.trajectory.arrived(ctx.now()) {
-            ctx.schedule_in(self.tick, TAG_TICK);
-        }
-    }
+/// The channel at one sample of the ride, which holds until the next one.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Tick {
+    at: SimTime,
+    /// Extra loss at the train's position (cell edge and coverage holes).
+    extra: f64,
+    /// When the train has just entered a new cell, the handoff's outage as
+    /// drawn and whether the handoff failed.
+    handoff: Option<(SimDuration, bool)>,
 }
 
-impl Agent for ChannelProcess {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.schedule_in(SimDuration::ZERO, TAG_TICK);
+impl MobilityScenario {
+    /// The ride sampled every [`TICK`] from zero, until the train has
+    /// arrived or the next sample would be at or after `end`. A handoff
+    /// draws from `rng` its outage (`normal_clamped`), then whether it
+    /// failed (`chance`).
+    fn ticks<'a>(&'a self, rng: &'a mut SimRng, end: SimTime) -> impl Iterator<Item = Tick> + 'a {
+        let mut serving = None;
+        let mut next = Some(SimTime::ZERO);
+        std::iter::from_fn(move || {
+            let at = next.filter(|&at| at < end)?;
+            let pos = self.trajectory.position_m(at);
+            let cell = self.layout.cell_index(pos);
+            let moved = serving.replace(cell).is_some_and(|prev| prev != cell);
+            let handoff = moved.then(|| {
+                let h = &self.handoff;
+                let (mean, sd) = (h.outage_mean.as_secs_f64(), h.outage_sd.as_secs_f64());
+                let mut secs = rng.normal_clamped(mean, sd, 0.05);
+                let failed = rng.chance(h.failure_prob);
+                if failed {
+                    secs *= h.failure_factor;
+                }
+                (SimDuration::from_secs_f64(secs), failed)
+            });
+            next = (!self.trajectory.arrived(at)).then(|| at + TICK);
+            let extra = self.layout.extra_loss_at(pos);
+            Some(Tick { at, extra, handoff })
+        })
     }
 
-    fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _packet: Packet) {
-        // The channel process receives no packets.
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
-        match tag {
-            TAG_TICK => self.on_tick(ctx),
-            TAG_OUTAGE_END => self.end_outage(ctx),
-            other => unreachable!("unknown channel-process timer tag {other}"),
+    /// Writes the ride's schedule onto a path's `[down, up]` links of `eng`
+    /// and counts its handoffs. Each sample's extra loss holds on both links
+    /// until the next sample (the last one's for ever). Each outage loses
+    /// packets with `down_loss`/`up_loss` and adds `extra_delay` until it
+    /// ends or the next handoff starts. The handoffs draw from `rng`;
+    /// sampling stops at `end`, the first instant nothing reads the schedule.
+    pub fn impose(
+        &self,
+        eng: &mut Engine,
+        [down, up]: [LinkId; 2],
+        rng: &mut SimRng,
+        end: SimTime,
+    ) -> ChannelStats {
+        let h = self.handoff;
+        let outage = |eng: &mut Engine, (from, until)| {
+            for (link, overlay) in [(down, h.down_loss), (up, h.up_loss)] {
+                let delay = h.extra_delay;
+                let impairment = Impairment {
+                    overlay,
+                    delay,
+                    ..Impairment::NONE
+                };
+                eng.impose(link, from, until, impairment);
+            }
+        };
+        let mut stats = ChannelStats::default();
+        let mut window: Option<(SimTime, SimTime)> = None;
+        let mut ticks = self.ticks(rng, end).peekable();
+        while let Some(Tick { at, extra, handoff }) = ticks.next() {
+            let until = ticks.peek().map_or(SimTime::MAX, |next| next.at);
+            let fading = Impairment {
+                extra,
+                ..Impairment::NONE
+            };
+            for link in [down, up] {
+                eng.impose(link, at, until, fading);
+            }
+            if let Some((length, failed)) = handoff {
+                stats.handoffs += 1;
+                stats.failed_handoffs += u64::from(failed);
+                if let Some((from, until)) = window.replace((at, at + length)) {
+                    outage(eng, (from, until.min(at)));
+                }
+            }
         }
+        if let Some(last) = window {
+            outage(eng, last);
+        }
+        stats
     }
 }
 
@@ -268,8 +257,9 @@ impl Agent for ChannelProcess {
 mod tests {
     use super::*;
     use crate::agent::NullAgent;
-    use crate::engine::Engine;
     use crate::link::LinkSpec;
+    use crate::rng::RngFactory;
+    use crate::timeline::tests::segments;
 
     #[test]
     fn cell_index_advances_with_position() {
@@ -306,69 +296,167 @@ mod tests {
         assert!(!layout.holes[0].contains(200.0));
     }
 
+    /// The 10-km test route: cells every kilometre, the LTE rail footprint.
+    fn ten_km_ride() -> MobilityScenario {
+        MobilityScenario {
+            trajectory: Trajectory::new(10.0, 300.0, 0.5),
+            layout: CellLayout::rail_corridor(1_000.0, 0.05),
+            handoff: HandoffParams::lte_rail(),
+        }
+    }
+
+    /// The draws come from the stream the channel process agent had when it
+    /// was registered as agent 1 (after a sink) of an engine seeded `seed`.
+    fn agent_one(seed: u64) -> SimRng {
+        RngFactory::new(seed).stream("agent.1")
+    }
+
+    /// Each handoff's onset (ms), outage (µs) and failed flag on the 10-km
+    /// route for seeds 5 and 9, as the ticking channel process agent drew
+    /// them: the schedule replays it draw for draw.
     #[test]
-    fn process_performs_handoffs_along_the_route() {
+    fn handoffs_replay_the_channel_process_exactly() {
+        /// A handoff's onset (ms), outage (µs) and failed flag.
+        type Drawn = (u64, u64, bool);
+        let pinned: [(u64, [Drawn; 10]); 2] = [
+            (
+                5,
+                [
+                    (44_800, 295_326, false),
+                    (77_500, 393_183, false),
+                    (100_000, 387_641, false),
+                    (118_400, 2_463_628, true),
+                    (134_200, 167_355, false),
+                    (148_700, 562_242, false),
+                    (164_600, 312_268, false),
+                    (182_900, 414_971, false),
+                    (205_400, 456_159, false),
+                    (238_200, 1_472_801, true),
+                ],
+            ),
+            (
+                9,
+                [
+                    (44_800, 1_903_583, true),
+                    (77_500, 660_648, false),
+                    (100_000, 536_129, false),
+                    (118_400, 596_142, false),
+                    (134_200, 222_198, false),
+                    (148_700, 392_151, false),
+                    (164_600, 261_034, false),
+                    (182_900, 1_416_345, true),
+                    (205_400, 312_365, false),
+                    (238_200, 301_370, false),
+                ],
+            ),
+        ];
+        let ride = ten_km_ride();
+        for (seed, want) in pinned {
+            let mut rng = agent_one(seed);
+            let got: Vec<Drawn> = ride
+                .ticks(&mut rng, SimTime::MAX)
+                .filter_map(|t| {
+                    let (outage, failed) = t.handoff?;
+                    Some((t.at.as_micros() / 1_000, outage.as_micros(), failed))
+                })
+                .collect();
+            assert_eq!(got, want, "seed {seed}");
+        }
+    }
+
+    /// The timelines the schedule writes: the extra loss of the sample
+    /// before, each outage on both links with its own loss and the extra
+    /// delay, cut short by the next handoff, and nothing left after the
+    /// last outage but the fading at the end of the line.
+    #[test]
+    fn the_schedule_lands_on_both_links() {
         let mut eng = Engine::new(5);
         let sink = eng.add_agent(Box::new(NullAgent::new()));
         let down = eng.add_link(LinkSpec::new(sink, "down"));
         let up = eng.add_link(LinkSpec::new(sink, "up"));
-        // 10 km route, cells every 1 km -> ~10 boundary crossings.
-        let traj = Trajectory::new(10.0, 300.0, 0.5);
-        let layout = CellLayout::rail_corridor(1_000.0, 0.05);
-        let proc_id = eng.add_agent(Box::new(ChannelProcess::new(
-            down,
-            up,
-            traj,
-            layout,
-            HandoffParams::lte_rail(),
-        )));
-        eng.run_until_idle();
-        let stats = eng.agent_mut::<ChannelProcess>(proc_id).unwrap().stats;
-        assert!(
-            (8..=12).contains(&stats.handoffs),
-            "expected ~10 handoffs, got {}",
-            stats.handoffs
+        let mut ride = ten_km_ride();
+        ride.handoff.up_loss = 0.95;
+        let stats = ride.impose(&mut eng, [down, up], &mut agent_one(5), SimTime::MAX);
+        assert_eq!(
+            stats,
+            ChannelStats {
+                handoffs: 10,
+                failed_handoffs: 2
+            }
+        );
+        let ms = SimTime::from_millis;
+        let down_timeline = &eng.link(down).timeline;
+        let up_timeline = &eng.link(up).timeline;
+        let outage_windows = |t: &crate::timeline::Timeline, loss: f64| {
+            let mut windows: Vec<(SimTime, SimTime)> = Vec::new();
+            for (from, until, held) in segments(t) {
+                assert!(held.overlay == 0.0 || held.overlay == loss);
+                assert_eq!(held.delay.is_zero(), held.overlay == 0.0);
+                if held.overlay == 0.0 {
+                    continue;
+                }
+                match windows.last_mut() {
+                    Some(last) if last.1 == from => last.1 = until,
+                    _ => windows.push((from, until)),
+                }
+            }
+            windows
+        };
+        let down_windows = outage_windows(down_timeline, 0.9);
+        assert_eq!(down_windows, outage_windows(up_timeline, 0.95));
+        assert_eq!(down_windows.len(), 10);
+        assert_eq!(
+            down_windows[3],
+            (
+                ms(118_400),
+                ms(118_400) + SimDuration::from_micros(2_463_628)
+            )
+        );
+        // The last sample, at arrival, holds its extra loss for ever.
+        let (_, until, last) = segments(down_timeline).last().unwrap();
+        assert_eq!(until, SimTime::MAX);
+        assert_eq!(last.overlay, 0.0);
+        let end = ride.trajectory.duration();
+        let ticks = ride.ticks(&mut agent_one(5), SimTime::MAX).count() as u64;
+        assert_eq!(ticks, end.as_micros().div_ceil(100_000) + 1);
+        assert_eq!(
+            last.extra,
+            ride.layout
+                .extra_loss_at(ride.trajectory.position_m(ms(100 * (ticks - 1))))
         );
     }
 
+    /// A schedule cut at `end` samples no further; the handoffs before it
+    /// are the same draws.
     #[test]
-    fn outage_clears_after_window() {
-        let mut eng = Engine::new(9);
-        let sink = eng.add_agent(Box::new(NullAgent::new()));
-        let down = eng.add_link(LinkSpec::new(sink, "down"));
-        let up = eng.add_link(LinkSpec::new(sink, "up"));
-        let traj = Trajectory::new(3.0, 300.0, 0.5);
-        let layout = CellLayout::rail_corridor(1_000.0, 0.0);
-        let mut params = HandoffParams::lte_rail();
-        params.failure_prob = 0.0;
-        eng.add_agent(Box::new(ChannelProcess::new(
-            down, up, traj, layout, params,
-        )));
-        eng.run_until_idle();
-        // After the trip everything must be back to normal.
-        assert!(
-            eng.link(down).loss.outage().is_none()
-                || !eng.link(down).loss.outage().unwrap().active_at(eng.now())
-        );
-        assert_eq!(eng.link(down).extra_delay, SimDuration::ZERO);
-        assert_eq!(eng.link(up).extra_delay, SimDuration::ZERO);
+    fn sampling_stops_at_the_end_of_the_run() {
+        let ride = ten_km_ride();
+        let end = SimTime::from_millis(118_400);
+        let cut: Vec<Tick> = ride.ticks(&mut agent_one(9), end).collect();
+        assert_eq!(cut.len(), 1_184);
+        let full: Vec<Tick> = ride.ticks(&mut agent_one(9), SimTime::MAX).collect();
+        assert_eq!(cut[..], full[..1_184]);
     }
 
     #[test]
     fn stationary_trajectory_never_hands_off() {
+        let ride = MobilityScenario {
+            trajectory: Trajectory::stationary(),
+            layout: CellLayout::rail_corridor(2_000.0, 0.0),
+            handoff: HandoffParams::lte_rail(),
+        };
         let mut eng = Engine::new(1);
         let sink = eng.add_agent(Box::new(NullAgent::new()));
         let down = eng.add_link(LinkSpec::new(sink, "down"));
         let up = eng.add_link(LinkSpec::new(sink, "up"));
-        let proc_id = eng.add_agent(Box::new(ChannelProcess::new(
-            down,
-            up,
-            Trajectory::stationary(),
-            CellLayout::rail_corridor(2_000.0, 0.0),
-            HandoffParams::lte_rail(),
-        )));
-        eng.run_until(SimTime::from_secs(100));
-        let stats = eng.agent_mut::<ChannelProcess>(proc_id).unwrap().stats;
-        assert_eq!(stats.handoffs, 0);
+        let stats = ride.impose(
+            &mut eng,
+            [down, up],
+            &mut agent_one(1),
+            SimTime::from_secs(100),
+        );
+        assert_eq!(stats, ChannelStats::default());
+        assert_eq!(ride.ticks(&mut agent_one(1), SimTime::MAX).count(), 1);
+        assert_eq!(segments(&eng.link(down).timeline).count(), 0);
     }
 }

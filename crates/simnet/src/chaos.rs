@@ -5,29 +5,29 @@
 //! one link: delay *flaps* (sudden extra propagation delay, as when a
 //! handoff stalls the radio link) and *burst-loss* windows (a high
 //! superimposed loss probability, as when the train crosses a coverage
-//! hole). The [`StormInjector`] agent replays the plan with ordinary
-//! engine timers and mutates the target [`Link`](crate::link::Link)
-//! through [`Ctx::link_mut`], so a storm is part of the simulation itself:
-//! fully deterministic, replayable from the seed, and covered by the
-//! engine's packet-conservation invariant like any other traffic.
+//! hole). [`StormPlan::impose`] writes each episode onto the target link's
+//! [`Timeline`](crate::timeline::Timeline) as one window before the run
+//! starts, so a storm is part of the simulation itself: fully
+//! deterministic, replayable from the seed, and covered by the engine's
+//! packet-conservation invariant like any other traffic.
 //!
-//! Episodes restore the link's previous impairment when they end, so a
-//! plan leaves the link exactly as it found it.
+//! An episode adds to whatever else the timeline holds over its window — a
+//! flap's delay to a handoff's, a burst's loss to the cell-edge fading — and
+//! is gone when its window ends.
 
-use crate::agent::Agent;
-use crate::engine::Ctx;
+use crate::engine::Engine;
 use crate::link::LinkId;
-use crate::packet::Packet;
 use crate::rng::splitmix64;
 use crate::time::{SimDuration, SimTime};
+use crate::timeline::Impairment;
 
 /// What one storm episode does to the link while it is active.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StormKind {
-    /// A delay flap: `extra_delay` jumps by this much for the episode.
+    /// A delay flap: the link's delay jumps by this much for the episode.
     Flap(SimDuration),
     /// A burst-loss window: this probability is superimposed on the
-    /// link's loss model (`ChannelLoss::set_extra`) for the episode.
+    /// link's loss model, as extra loss, for the episode.
     BurstLoss(f64),
 }
 
@@ -109,86 +109,27 @@ impl StormPlan {
         }
         StormPlan { episodes }
     }
-}
 
-/// Timer tags: episode `i` starts at `2 * i` and ends at `2 * i + 1`.
-fn start_tag(i: usize) -> u64 {
-    2 * i as u64
-}
-fn end_tag(i: usize) -> u64 {
-    2 * i as u64 + 1
-}
-
-/// An agent that replays a [`StormPlan`] against one link.
-///
-/// Register it on the engine alongside the traffic agents; it schedules
-/// one timer per episode boundary and applies/restores the impairment in
-/// the timer callbacks. Restoration is exact: the pre-episode
-/// `extra_delay` / superimposed-loss values are saved when the episode
-/// starts and written back when it ends.
-#[derive(Debug)]
-pub struct StormInjector {
-    /// The link under storm.
-    pub link: LinkId,
-    /// The schedule to replay.
-    pub plan: StormPlan,
-    /// Episodes applied so far (telemetry for tests).
-    pub applied: u64,
-    /// Saved `extra_delay` to restore after a flap.
-    saved_delay: SimDuration,
-    /// Saved superimposed loss to restore after a burst window.
-    saved_extra_loss: f64,
-}
-
-impl StormInjector {
-    /// Creates an injector replaying `plan` against `link`.
-    pub fn new(link: LinkId, plan: StormPlan) -> StormInjector {
-        StormInjector {
-            link,
-            plan,
-            applied: 0,
-            saved_delay: SimDuration::ZERO,
-            saved_extra_loss: 0.0,
-        }
-    }
-}
-
-impl Agent for StormInjector {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        for (i, ep) in self.plan.episodes.iter().enumerate() {
-            ctx.schedule_at(ep.at, start_tag(i));
-            ctx.schedule_at(ep.at + ep.duration, end_tag(i));
-        }
-    }
-
-    fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _packet: Packet) {
-        // The injector is not an endpoint; traffic never addresses it.
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
-        let i = (tag / 2) as usize;
-        let Some(ep) = self.plan.episodes.get(i).copied() else {
-            return;
-        };
-        let starting = tag.is_multiple_of(2);
-        let link = ctx.link_mut(self.link);
-        match (ep.kind, starting) {
-            (StormKind::Flap(spike), true) => {
-                self.saved_delay = link.extra_delay;
-                link.extra_delay = self.saved_delay + spike;
-                self.applied += 1;
-            }
-            (StormKind::Flap(_), false) => {
-                link.extra_delay = self.saved_delay;
-            }
-            (StormKind::BurstLoss(p), true) => {
-                self.saved_extra_loss = link.loss.extra();
-                link.loss.set_extra(p);
-                self.applied += 1;
-            }
-            (StormKind::BurstLoss(_), false) => {
-                link.loss.set_extra(self.saved_extra_loss);
-            }
+    /// Writes the plan onto `link` of `eng`: each episode is a window
+    /// `[at, at + duration)` of the link's timeline.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `eng` has started running, or a burst's loss is outside
+    /// `[0, 1]`.
+    pub fn impose(&self, eng: &mut Engine, link: LinkId) {
+        for ep in &self.episodes {
+            let impairment = match ep.kind {
+                StormKind::Flap(spike) => Impairment {
+                    delay: spike,
+                    ..Impairment::NONE
+                },
+                StormKind::BurstLoss(p) => Impairment {
+                    extra: p,
+                    ..Impairment::NONE
+                },
+            };
+            eng.impose(link, ep.at, ep.at + ep.duration, impairment);
         }
     }
 }
@@ -196,10 +137,10 @@ impl Agent for StormInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agent::NullAgent;
-    use crate::engine::Engine;
+    use crate::agent::{Agent, NullAgent};
+    use crate::engine::Ctx;
     use crate::link::LinkSpec;
-    use crate::packet::{FlowId, SeqNo};
+    use crate::packet::{FlowId, Packet, SeqNo};
 
     /// Fixed-rate sender: one packet per millisecond onto one link.
     #[derive(Debug)]
@@ -239,19 +180,16 @@ mod tests {
         }));
         let plan = StormPlan::from_seed(seed, SimDuration::from_secs(3));
         assert!(!plan.episodes.is_empty(), "seed {seed} produced no storm");
-        let injector = eng.add_agent(Box::new(StormInjector::new(wire, plan)));
+        plan.impose(&mut eng, wire);
         eng.run_until(SimTime::ZERO + SimDuration::from_secs(5));
-        let applied = eng
-            .agent_mut::<StormInjector>(injector)
-            .expect("injector")
-            .applied;
+        let applied = plan.episodes.len() as u64;
         let sent = eng.agent_mut::<Pinger>(pinger).expect("pinger").sent;
         let link = eng.link(wire);
         (applied, sent, link.delivered, link.channel_drops)
     }
 
     #[test]
-    fn storms_apply_and_restore_deterministically() {
+    fn storms_bite_and_replay_deterministically() {
         let a = storm_run(11);
         let b = storm_run(11);
         assert_eq!(a, b, "identical seeds must replay identical storms");
@@ -320,9 +258,8 @@ mod tests {
             sent: 0,
             budget: 100,
         }));
-        let plan = StormPlan::from_seed(7, SimDuration::from_secs(1));
-        eng.add_agent(Box::new(StormInjector::new(wire, plan)));
-        eng.link_mut(wire).inject_conservation_violation();
+        StormPlan::from_seed(7, SimDuration::from_secs(1)).impose(&mut eng, wire);
+        crate::engine::tests::inject_conservation_violation(&mut eng, wire);
         eng.run_until(SimTime::ZERO + SimDuration::from_secs(2));
     }
 }

@@ -3,9 +3,11 @@
 //! [`Engine`] owns the clock, the future event list, all [`Link`]s, all
 //! [`Agent`]s and the optional packet recorder. Agents interact with the world through
 //! the [`Ctx`] passed to their callbacks: sending packets onto links,
-//! scheduling/cancelling timers, drawing random numbers and adjusting link
-//! impairments (the channel process uses the latter to impose handoff
-//! outages).
+//! scheduling/cancelling timers and drawing random numbers. What a link's
+//! channel does over the run — handoff outages, fading, storm windows — is
+//! its [`Timeline`](crate::timeline::Timeline), written with
+//! [`Engine::impose`] before the run starts; nothing writes a link while it
+//! runs.
 //!
 //! # Hot path
 //!
@@ -68,11 +70,12 @@ use crate::agent::{Agent, AgentId};
 use crate::arena::{PacketArena, Rows};
 use crate::error::SimError;
 use crate::event::{Event, EventId, EventKind, EventQueue, QueueStats};
-use crate::link::{Accept, Link, LinkId, LinkSpec, QueuedPacket};
+use crate::link::{Accept, Buffers, Link, LinkId, LinkSpec, QueuedPacket};
 use crate::observer::{DropCause, PacketEventKind, VecRecorder};
 use crate::packet::{Packet, PacketId};
 use crate::rng::{RngFactory, SimRng};
 use crate::time::{SimDuration, SimTime};
+use crate::timeline::Impairment;
 use std::any::Any;
 
 /// Everything an agent may touch from inside a callback.
@@ -146,17 +149,6 @@ impl<'a> Ctx<'a> {
         &mut self.core.agent_rngs[self.id.as_usize()]
     }
 
-    /// Immutable view of a link (to read labels, delay, loss counters).
-    pub fn link(&self, id: LinkId) -> &Link {
-        &self.core.links[id.as_usize()]
-    }
-
-    /// Mutable view of a link — the channel process uses this to install
-    /// outages, change base loss and extra delay.
-    pub fn link_mut(&mut self, id: LinkId) -> &mut Link {
-        &mut self.core.links[id.as_usize()]
-    }
-
     /// Requests the engine stop after the current event.
     pub fn stop(&mut self) {
         self.core.stop_requested = true;
@@ -176,10 +168,10 @@ struct Core {
     arena: PacketArena,
     stop_requested: bool,
     events_processed: u64,
-    /// Queue buffers of links retired by [`Engine::reset`], handed back to
-    /// links registered after the reset so a recycled engine wires itself
-    /// without reallocating.
-    spare_queues: Vec<std::collections::VecDeque<QueuedPacket>>,
+    /// Queue and timeline buffers of links retired by [`Engine::reset`],
+    /// handed back to links registered after the reset so a recycled
+    /// engine wires itself without reallocating.
+    spare_buffers: Vec<Buffers>,
 }
 
 impl Core {
@@ -239,11 +231,7 @@ impl Core {
             self.start_tx(link_id, next);
         }
         // Decide the fate of the completed packet.
-        let lost = {
-            let rng = &mut self.link_rngs[idx];
-            self.links[idx].loss.is_lost(self.now, rng)
-        };
-        if lost {
+        let Some(latency) = self.links[idx].fate(self.now, &mut self.link_rngs[idx]) else {
             self.links[idx].channel_drops += 1;
             self.arena.drop_packet(done.id);
             if let Some(rec) = &self.recorder {
@@ -256,10 +244,6 @@ impl Core {
                 );
             }
             return Ok(());
-        }
-        let latency = {
-            let rng = &mut self.link_rngs[idx];
-            self.links[idx].sample_latency(self.now, rng)
         };
         // FIFO: jitter must not let packets overtake each other — which
         // also makes this link's deliveries a non-decreasing sequence, so
@@ -306,7 +290,7 @@ impl Engine {
                 arena: PacketArena::new(),
                 stop_requested: false,
                 events_processed: 0,
-                spare_queues: Vec::new(),
+                spare_buffers: Vec::new(),
             },
             agents: Vec::new(),
             started: false,
@@ -316,7 +300,7 @@ impl Engine {
     /// Returns the engine to its just-constructed state under a new master
     /// seed while keeping every recyclable allocation: the event queue's
     /// slab, heap and lane capacity, the packet arena's rows, link queue
-    /// buffers, and the agent/link/RNG vectors' capacity.
+    /// and timeline buffers, and the agent/link/RNG vectors' capacity.
     ///
     /// All agents, links and the recorder are dropped (re-register them), and
     /// every random stream re-derives from `master_seed` — a reset engine
@@ -326,8 +310,8 @@ impl Engine {
         self.core.now = SimTime::ZERO;
         self.core.queue.reset();
         self.core
-            .spare_queues
-            .extend(self.core.links.drain(..).map(Link::into_queue_buffer));
+            .spare_buffers
+            .extend(self.core.links.drain(..).map(Link::into_buffers));
         self.core.recorder = None;
         self.core.agent_rngs.clear();
         self.core.link_rngs.clear();
@@ -358,11 +342,28 @@ impl Engine {
         self.core
             .link_rngs
             .push(self.core.rng_factory.stream(&label));
-        let queue = self.core.spare_queues.pop().unwrap_or_default();
+        let buffers = self.core.spare_buffers.pop().unwrap_or_default();
         self.core
             .links
-            .push(Link::from_spec_with_queue(spec, queue));
+            .push(Link::from_spec_with_buffers(spec, buffers));
         id
+    }
+
+    /// Adds `impairment` to `link`'s
+    /// [`Timeline`](crate::timeline::Timeline) over `[from, until)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics once the run has started — a timeline is the link's schedule
+    /// for the whole run — or if a loss probability is outside `[0, 1]`.
+    pub fn impose(&mut self, link: LinkId, from: SimTime, until: SimTime, impairment: Impairment) {
+        assert!(
+            !self.started,
+            "a link's timeline is written before the run starts"
+        );
+        self.core.links[link.as_usize()]
+            .timeline
+            .impose(from, until, impairment);
     }
 
     /// Registers the world's packet recorder; its clone-shared storage
@@ -419,11 +420,6 @@ impl Engine {
     /// Immutable view of a link.
     pub fn link(&self, id: LinkId) -> &Link {
         &self.core.links[id.as_usize()]
-    }
-
-    /// Mutable view of a link.
-    pub fn link_mut(&mut self, id: LinkId) -> &mut Link {
-        &mut self.core.links[id.as_usize()]
     }
 
     /// Concrete-typed mutable access to an agent (after or between runs).
@@ -563,8 +559,14 @@ impl std::fmt::Debug for Engine {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Corrupts `link`'s conservation ledger, so tests can prove the
+    /// invariant actually fires.
+    pub(crate) fn inject_conservation_violation(eng: &mut Engine, link: LinkId) {
+        eng.core.links[link.as_usize()].offered += 1;
+    }
     use crate::loss::LossModel;
     use crate::packet::{FlowId, SeqNo};
 
@@ -1014,8 +1016,7 @@ mod tests {
     fn conservation_check_fires_on_injected_violation() {
         let (mut eng, _sink, _rec) = build(1, 0.0, 5);
         eng.run_until_idle();
-        eng.link_mut(LinkId::from_raw(0))
-            .inject_conservation_violation();
+        inject_conservation_violation(&mut eng, LinkId::from_raw(0));
         // Any subsequent run re-checks the ledger and must refuse it.
         eng.run_until_idle();
     }
@@ -1037,7 +1038,7 @@ mod tests {
             fn on_timer(&mut self, ctx: &mut Ctx<'_>, _tag: u64) {
                 // The packet is propagating: a Deliver event is scheduled.
                 // Zeroing the counter makes its arrival underflow.
-                let link = ctx.link_mut(self.link);
+                let link = &mut ctx.core.links[self.link.as_usize()];
                 link.deliver_pending = 0;
                 link.offered -= 1; // keep the conservation ledger quiet
             }

@@ -10,10 +10,10 @@
 //! * a deterministic [`engine::Engine`] (seeded, reproducible runs),
 //! * [`link::Link`]s with bandwidth, delay, jitter and drop-tail queues,
 //! * one closed [`loss::LossModel`] per link (independent, bursty
-//!   Gilbert–Elliott or periodic-outage loss) under time-bounded outages,
-//! * a 300 km/h train [`mobility::Trajectory`] and a handoff-driven
-//!   [`cellular::ChannelProcess`] that impose the outages and loss spikes
-//!   the paper observes,
+//!   Gilbert–Elliott or periodic-outage loss) under a [`timeline::Timeline`],
+//! * a 300 km/h train [`mobility::Trajectory`] and the handoff schedule of
+//!   a [`cellular::MobilityScenario`]: the outages and loss spikes the
+//!   paper observes,
 //! * an [`observer`] recorder that watches every hop like a `tcpdump`.
 //!
 //! TCP itself lives in the `hsm-tcp` crate; analyses in `hsm-trace`.
@@ -57,21 +57,23 @@ pub mod observer;
 pub mod packet;
 pub mod rng;
 pub mod time;
+pub mod timeline;
 
 /// Convenient glob-import surface: `use hsm_simnet::prelude::*;`.
 pub mod prelude {
     pub use crate::agent::{Agent, AgentId, NullAgent};
     pub use crate::arena::PacketArena;
-    pub use crate::cellular::{CellLayout, ChannelProcess, CoverageHole, HandoffParams};
-    pub use crate::chaos::{StormEpisode, StormInjector, StormKind, StormPlan};
+    pub use crate::cellular::{CellLayout, CoverageHole, HandoffParams, MobilityScenario};
+    pub use crate::chaos::{StormEpisode, StormKind, StormPlan};
     pub use crate::engine::{Ctx, Engine};
     pub use crate::error::SimError;
     pub use crate::event::{EventId, QueueStats};
     pub use crate::link::{LinkId, LinkSpec, QueuedPacket};
-    pub use crate::loss::{ChannelLoss, GilbertElliott, LossModel, Outage};
+    pub use crate::loss::{GilbertElliott, LossModel};
     pub use crate::mobility::Trajectory;
     pub use crate::observer::{DropCause, PacketEvent, PacketEventKind, VecRecorder};
     pub use crate::packet::{FlowId, Packet, PacketId, PacketKind, SeqNo};
     pub use crate::rng::{RngFactory, SimRng};
     pub use crate::time::{SimDuration, SimTime};
+    pub use crate::timeline::Impairment;
 }

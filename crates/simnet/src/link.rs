@@ -1,18 +1,22 @@
 //! Point-to-point links.
 //!
 //! A [`Link`] models one direction of a network hop: a transmission rate,
-//! a propagation delay (plus optional jitter and a dynamically adjustable
-//! extra delay for handoff latency spikes), a drop-tail queue, and a
-//! [`ChannelLoss`] deciding which packets the channel destroys.
+//! a propagation delay (plus optional jitter), a drop-tail queue, a base
+//! [`LossModel`], and a [`Timeline`] of what its channel adds over the run
+//! (handoff outages and latency spikes, fading, storm windows). Together
+//! they decide which packets the channel destroys and how late the others
+//! arrive.
 //!
 //! Links are owned and driven by the engine; this module contains the
 //! per-link state machine (idle / transmitting, queueing decisions) in a
 //! directly testable form.
 
 use crate::agent::AgentId;
-use crate::loss::{ChannelLoss, LossModel};
+use crate::loss::LossModel;
 use crate::packet::PacketId;
+use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
+use crate::timeline::Timeline;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -150,11 +154,11 @@ pub struct Link {
     /// link carries one flow's data segments or its ACKs, so consecutive
     /// sizes are nearly always equal.
     last_tx: (u32, SimDuration),
-    /// Extra delay currently imposed (e.g. during a handoff), added to
-    /// `prop_delay`.
-    pub extra_delay: SimDuration,
-    /// Channel loss behaviour.
-    pub loss: ChannelLoss,
+    /// The channel's base loss model.
+    loss: LossModel,
+    /// What the channel adds to the base loss and to `prop_delay` over the
+    /// run, written before it starts.
+    pub(crate) timeline: Timeline,
     /// Trace label, interned once at registration: every per-event use
     /// (a recorded [`PacketEvent`](crate::observer::PacketEvent))
     /// shares this allocation instead of cloning a `String`.
@@ -180,15 +184,24 @@ pub struct Link {
 
 impl Link {
     /// Instantiates runtime state from a spec.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the spec's loss model is invalid (see `LossModel::check`).
     pub fn from_spec(spec: LinkSpec) -> Link {
-        Link::from_spec_with_queue(spec, VecDeque::new())
+        Link::from_spec_with_buffers(spec, Buffers::default())
     }
 
-    /// Like [`Link::from_spec`], but reusing a previously allocated queue
-    /// buffer (the engine's reset path feeds retired links' queues back in
-    /// so a recycled engine wires its links without reallocating).
-    pub(crate) fn from_spec_with_queue(spec: LinkSpec, mut queue: VecDeque<QueuedPacket>) -> Link {
+    /// Like [`Link::from_spec`], but reusing previously allocated buffers
+    /// (the engine's reset path feeds retired links' queues and timelines
+    /// back in so a recycled engine wires its links without reallocating).
+    pub(crate) fn from_spec_with_buffers(
+        spec: LinkSpec,
+        (mut queue, mut timeline): Buffers,
+    ) -> Link {
+        spec.loss.check();
         queue.clear();
+        timeline.clear();
         Link {
             to: spec.to,
             bandwidth_bps: spec.bandwidth_bps,
@@ -196,8 +209,8 @@ impl Link {
             jitter_sd: spec.jitter_sd,
             jitter_sd_s: spec.jitter_sd.as_secs_f64(),
             last_tx: (0, clock_out(spec.bandwidth_bps, 0)),
-            extra_delay: SimDuration::ZERO,
-            loss: ChannelLoss::new(spec.loss),
+            loss: spec.loss,
+            timeline,
             label: spec.label.into(),
             queue_capacity: spec.queue_capacity,
             queue,
@@ -227,11 +240,6 @@ impl Link {
             self.last_tx = (bytes, clock_out(self.bandwidth_bps, bytes));
         }
         self.last_tx.1
-    }
-
-    /// Total latency (propagation + current extra delay) excluding jitter.
-    fn current_delay(&self) -> SimDuration {
-        self.prop_delay + self.extra_delay
     }
 
     /// Offers a packet handle. If `StartTx` is returned the engine must
@@ -265,11 +273,10 @@ impl Link {
         Some((done, self.in_flight))
     }
 
-    /// Consumes the link and hands back its queue buffer (cleared) for
-    /// reuse by the next link registered on a recycled engine.
-    pub(crate) fn into_queue_buffer(mut self) -> VecDeque<QueuedPacket> {
-        self.queue.clear();
-        self.queue
+    /// Consumes the link and hands back its buffers for reuse by the next
+    /// link registered on a recycled engine.
+    pub(crate) fn into_buffers(self) -> Buffers {
+        (self.queue, self.timeline)
     }
 
     /// True while a packet is being clocked onto the wire.
@@ -309,26 +316,30 @@ impl Link {
         );
     }
 
-    /// Corrupts the conservation ledger so tests can prove the invariant
-    /// actually fires. Test-only by design.
-    #[cfg(any(debug_assertions, test))]
-    #[doc(hidden)]
-    pub fn inject_conservation_violation(&mut self) {
-        self.offered += 1;
-    }
-
-    /// Samples the delivery latency for one packet leaving the link at
-    /// `_now`: propagation + extra delay + non-negative jitter draw.
-    pub fn sample_latency(&self, _now: SimTime, rng: &mut crate::rng::SimRng) -> SimDuration {
-        let base = self.current_delay();
-        if self.jitter_sd.is_zero() {
-            base
-        } else {
-            let jitter_s = rng.rectified_normal(self.jitter_sd_s);
-            base + SimDuration::from_secs_f64(jitter_s)
+    /// The fate of the packet whose transmission ends at `now`: `None` if
+    /// the timeline's overlay loss, the base model *or* the timeline's extra
+    /// loss destroys it — all three drawn, so a Gilbert–Elliott chain
+    /// advances at the same packet cadence in an outage and out of it —
+    /// else its latency: propagation, the timeline's delay and jitter.
+    pub(crate) fn fate(&mut self, now: SimTime, rng: &mut SimRng) -> Option<SimDuration> {
+        let held = self.timeline.at(now);
+        let by_overlay = rng.chance(held.overlay);
+        let by_base = self.loss.is_lost(now, rng);
+        let by_extra = rng.chance(held.extra);
+        if by_overlay || by_base || by_extra {
+            return None;
         }
+        let delay = self.prop_delay + held.delay;
+        Some(if self.jitter_sd.is_zero() {
+            delay
+        } else {
+            delay + SimDuration::from_secs_f64(rng.rectified_normal(self.jitter_sd_s))
+        })
     }
 }
+
+/// A link's queue and timeline, kept across an engine reset.
+pub(crate) type Buffers = (VecDeque<QueuedPacket>, Timeline);
 
 /// Time to clock `bytes` onto a `bandwidth_bps` wire, rounded up to the
 /// next microsecond so tiny packets still take time.
@@ -341,7 +352,7 @@ fn clock_out(bandwidth_bps: u64, bytes: u32) -> SimDuration {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rng::SimRng;
+    use crate::timeline::Impairment;
 
     fn spec(cap: usize) -> LinkSpec {
         LinkSpec::new(AgentId::from_raw(1), "test")
@@ -420,30 +431,65 @@ mod tests {
     }
 
     #[test]
-    fn latency_includes_extra_delay() {
+    fn latency_includes_the_timeline_delay() {
         let mut l = link(1);
+        let spike = Impairment {
+            delay: SimDuration::from_millis(5),
+            ..Impairment::NONE
+        };
+        l.timeline
+            .impose(SimTime::from_millis(1), SimTime::from_millis(2), spike);
         let mut rng = SimRng::seed_from_u64(1);
-        assert_eq!(
-            l.sample_latency(SimTime::ZERO, &mut rng),
-            SimDuration::from_millis(10)
-        );
-        l.extra_delay = SimDuration::from_millis(5);
-        assert_eq!(
-            l.sample_latency(SimTime::ZERO, &mut rng),
-            SimDuration::from_millis(15)
-        );
+        let latencies: Vec<u64> = [0, 1, 2]
+            .map(|t| l.fate(SimTime::from_millis(t), &mut rng).unwrap())
+            .map(|d| d.as_micros() / 1_000)
+            .to_vec();
+        assert_eq!(latencies, [10, 15, 10]);
     }
 
     #[test]
     fn jitter_is_nonnegative_and_varies() {
-        let l = Link::from_spec(spec(1).jitter_sd(SimDuration::from_millis(2)));
+        let mut l = Link::from_spec(spec(1).jitter_sd(SimDuration::from_millis(2)));
         assert_eq!(l.jitter_sd(), SimDuration::from_millis(2));
         let mut rng = SimRng::seed_from_u64(2);
-        let base = l.current_delay();
         let samples: Vec<SimDuration> = (0..64)
-            .map(|_| l.sample_latency(SimTime::ZERO, &mut rng))
+            .map(|_| l.fate(SimTime::ZERO, &mut rng).unwrap())
             .collect();
-        assert!(samples.iter().all(|&s| s >= base));
+        assert!(samples.iter().all(|&s| s >= l.prop_delay));
         assert!(samples.windows(2).any(|w| w[0] != w[1]));
+    }
+
+    /// The overlay loses everything inside its window and nothing outside
+    /// it, where the base model and the extra loss still apply.
+    #[test]
+    fn overlay_base_and_extra_losses_each_destroy_packets() {
+        let mut rng = SimRng::seed_from_u64(0xfeed);
+        let secs = SimTime::from_secs;
+        let mut outage = link(1);
+        outage
+            .timeline
+            .impose(secs(1), secs(2), Impairment::outage(1.0));
+        let fates = [0, 1, 2].map(|t| outage.fate(secs(t), &mut rng).is_none());
+        assert_eq!(fates, [false, true, false]);
+
+        let mut dead = Link::from_spec(spec(1).loss(LossModel::Bernoulli(1.0)));
+        dead.timeline
+            .impose(secs(5), secs(6), Impairment::outage(0.0));
+        assert!(dead.fate(SimTime::ZERO, &mut rng).is_none());
+
+        let mut faded = link(1);
+        let fade = Impairment {
+            extra: 1.0,
+            ..Impairment::NONE
+        };
+        faded.timeline.impose(SimTime::ZERO, secs(9), fade);
+        assert!(faded.fate(SimTime::ZERO, &mut rng).is_none());
+        assert!(faded.fate(secs(9), &mut rng).is_some());
+    }
+
+    #[test]
+    #[should_panic(expected = "loss probability out of range")]
+    fn a_link_refuses_an_invalid_loss_model() {
+        let _ = Link::from_spec(spec(1).loss(LossModel::Bernoulli(1.5)));
     }
 }

@@ -11,9 +11,9 @@
 //!
 //! [`LossModel`] is a link's base loss, one closed `Copy` enum: independent
 //! loss, two-state [`GilbertElliott`] bursts, or strictly periodic outages.
-//! A [`ChannelLoss`] owns one by value and adds a time-bounded [`Outage`]
-//! overlay (what the cellular handoff process drives) and an extra
-//! independent loss (spatial fading, storm burst windows).
+//! What changes over a run — handoff outages, spatial fading, storm burst
+//! windows — is the link's [`Timeline`](crate::timeline::Timeline), whose
+//! overlay loss is drawn before the base model and whose extra loss after.
 
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
@@ -81,6 +81,36 @@ impl LossModel {
             } => outage.as_secs_f64() / period.as_secs_f64() * loss,
         }
     }
+
+    /// Checks the model's parameters; a link checks its model when it is
+    /// built.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a probability is outside `[0, 1]`, or a periodic outage's
+    /// period is zero or shorter than its outage.
+    pub(crate) fn check(&self) {
+        match *self {
+            LossModel::Bernoulli(p) => {
+                assert!(
+                    (0.0..=1.0).contains(&p),
+                    "loss probability out of range: {p}"
+                )
+            }
+            // `GilbertElliott::new` checked its probabilities.
+            LossModel::GilbertElliott(_) => {}
+            LossModel::PeriodicOutage {
+                period,
+                outage,
+                loss,
+                ..
+            } => {
+                assert!(!period.is_zero(), "period must be positive");
+                assert!(outage <= period, "outage longer than period");
+                assert!((0.0..=1.0).contains(&loss), "loss out of range: {loss}");
+            }
+        }
+    }
 }
 
 /// Two-state Gilbert–Elliott burst-loss model.
@@ -139,136 +169,12 @@ impl GilbertElliott {
     }
 }
 
-/// A time-bounded overlay that raises loss to `probability` during
-/// `[from, until)` — how handoff outages are imposed on a link.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Outage {
-    /// Start of the outage window.
-    pub from: SimTime,
-    /// End of the outage window (exclusive).
-    pub until: SimTime,
-    /// Loss probability while the window is active.
-    pub probability: f64,
-}
-
-impl Outage {
-    /// Creates an outage window.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `probability` is outside `[0, 1]` or the window is empty.
-    pub fn new(from: SimTime, until: SimTime, probability: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&probability),
-            "outage probability out of range"
-        );
-        assert!(until > from, "empty outage window");
-        Outage {
-            from,
-            until,
-            probability,
-        }
-    }
-
-    /// True if `now` falls inside the window.
-    pub fn active_at(&self, now: SimTime) -> bool {
-        now >= self.from && now < self.until
-    }
-}
-
-/// Per-link loss state: a base model plus an optional outage overlay and
-/// an extra independent loss.
-///
-/// A packet is lost if the overlay (when active) says so, *or* the base
-/// model says so, *or* the extra loss does — each models an additional
-/// impairment, not a replacement.
-#[derive(Debug)]
-pub struct ChannelLoss {
-    base: LossModel,
-    overlay: Option<Outage>,
-    extra: f64,
-}
-
-impl ChannelLoss {
-    /// Wraps a base loss model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a probability of `base` is outside `[0, 1]`, or a
-    /// periodic outage's period is zero or shorter than its outage.
-    pub(crate) fn new(base: LossModel) -> Self {
-        match base {
-            LossModel::Bernoulli(p) => {
-                assert!(
-                    (0.0..=1.0).contains(&p),
-                    "loss probability out of range: {p}"
-                )
-            }
-            // `GilbertElliott::new` checked its probabilities.
-            LossModel::GilbertElliott(_) => {}
-            LossModel::PeriodicOutage {
-                period,
-                outage,
-                loss,
-                ..
-            } => {
-                assert!(!period.is_zero(), "period must be positive");
-                assert!(outage <= period, "outage longer than period");
-                assert!((0.0..=1.0).contains(&loss), "loss out of range: {loss}");
-            }
-        }
-        ChannelLoss {
-            base,
-            overlay: None,
-            extra: 0.0,
-        }
-    }
-
-    /// Installs (or replaces) the outage overlay.
-    pub fn set_outage(&mut self, outage: Option<Outage>) {
-        self.overlay = outage;
-    }
-
-    /// The currently installed overlay, if any.
-    pub fn outage(&self) -> Option<Outage> {
-        self.overlay
-    }
-
-    /// Sets an additional independent loss probability applied on top of
-    /// the base model — the channel process uses this for slowly varying
-    /// spatial effects (cell-edge fading, coverage holes).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `[0, 1]`.
-    pub fn set_extra(&mut self, p: f64) {
-        assert!((0.0..=1.0).contains(&p), "extra loss out of range: {p}");
-        self.extra = p;
-    }
-
-    /// The current additional independent loss probability.
-    pub fn extra(&self) -> f64 {
-        self.extra
-    }
-
-    /// Decides the fate of a packet entering the channel at `now`.
-    pub fn is_lost(&mut self, now: SimTime, rng: &mut SimRng) -> bool {
-        let by_overlay = match self.overlay {
-            Some(o) if o.active_at(now) => rng.chance(o.probability),
-            _ => false,
-        };
-        // Always consult the base model so its internal state (e.g. GE
-        // transitions) advances at the same packet cadence regardless of
-        // overlay activity.
-        let by_base = self.base.is_lost(now, rng);
-        let by_extra = self.extra > 0.0 && rng.chance(self.extra);
-        by_overlay || by_base || by_extra
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::agent::AgentId;
+    use crate::link::{Link, LinkSpec};
+    use crate::timeline::Impairment;
 
     fn rng() -> SimRng {
         SimRng::seed_from_u64(0xfeed)
@@ -312,7 +218,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn bernoulli_rejects_invalid() {
-        let _ = ChannelLoss::new(LossModel::Bernoulli(1.5));
+        LossModel::Bernoulli(1.5).check();
     }
 
     #[test]
@@ -373,70 +279,13 @@ mod tests {
     #[test]
     #[should_panic]
     fn periodic_outage_validates() {
-        let _ = ChannelLoss::new(LossModel::PeriodicOutage {
+        LossModel::PeriodicOutage {
             period: SimDuration::from_secs(1),
             outage: SimDuration::from_secs(2),
             offset: SimDuration::ZERO,
             loss: 1.0,
-        });
-    }
-
-    #[test]
-    fn outage_window_membership() {
-        let o = Outage::new(SimTime::from_secs(1), SimTime::from_secs(2), 1.0);
-        assert!(!o.active_at(SimTime::from_millis(999)));
-        assert!(o.active_at(SimTime::from_secs(1)));
-        assert!(o.active_at(SimTime::from_millis(1999)));
-        assert!(!o.active_at(SimTime::from_secs(2)));
-    }
-
-    #[test]
-    fn channel_overlay_dominates_during_window() {
-        let mut r = rng();
-        let mut ch = ChannelLoss::new(LossModel::Bernoulli(0.0));
-        ch.set_outage(Some(Outage::new(
-            SimTime::from_secs(1),
-            SimTime::from_secs(2),
-            1.0,
-        )));
-        assert!(!ch.is_lost(SimTime::from_millis(500), &mut r));
-        assert!(ch.is_lost(SimTime::from_millis(1500), &mut r));
-        assert!(!ch.is_lost(SimTime::from_millis(2500), &mut r));
-    }
-
-    #[test]
-    fn channel_base_still_applies_outside_overlay() {
-        let mut r = rng();
-        let mut ch = ChannelLoss::new(LossModel::Bernoulli(1.0));
-        ch.set_outage(Some(Outage::new(
-            SimTime::from_secs(5),
-            SimTime::from_secs(6),
-            0.0,
-        )));
-        assert!(ch.is_lost(SimTime::ZERO, &mut r));
-    }
-
-    #[test]
-    fn lossless_channel_has_no_extra_loss() {
-        let ch = ChannelLoss::new(LossModel::Bernoulli(0.0));
-        assert_eq!(ch.extra(), 0.0);
-    }
-
-    #[test]
-    fn extra_loss_applies_everywhere() {
-        let mut r = rng();
-        let mut ch = ChannelLoss::new(LossModel::Bernoulli(0.0));
-        ch.set_extra(1.0);
-        assert!(ch.is_lost(SimTime::ZERO, &mut r));
-        ch.set_extra(0.0);
-        assert!(!ch.is_lost(SimTime::from_secs(9), &mut r));
-    }
-
-    #[test]
-    #[should_panic]
-    fn extra_loss_validated() {
-        let mut ch = ChannelLoss::new(LossModel::Bernoulli(0.0));
-        ch.set_extra(2.0);
+        }
+        .check();
     }
 
     /// FNV-1a-64 of 100k `is_lost` outcomes on a 137-µs schedule
@@ -452,7 +301,9 @@ mod tests {
     }
 
     /// Every arm's draw order, pinned at the values the boxed-trait models
-    /// gave: a reordered draw anywhere changes a digest.
+    /// gave, and a link's overlay/base/extra order at the value the
+    /// overlay-and-extra channel state gave: a reordered draw anywhere
+    /// changes a digest.
     #[test]
     fn every_arm_draw_sequence_is_bit_pinned() {
         let mut bernoulli = LossModel::Bernoulli(0.01);
@@ -463,18 +314,24 @@ mod tests {
             offset: SimDuration::from_secs_f64(0.7),
             loss: 0.8,
         };
-        let mut ch = ChannelLoss::new(ge(0.001, 0.3, 0.01, 0.2));
-        ch.set_outage(Some(Outage::new(
-            SimTime::from_secs(3),
-            SimTime::from_secs(9),
-            0.5,
-        )));
-        ch.set_extra(0.02);
+        // A link under an outage and an extra loss over this base model:
+        // what the overlay/extra channel gave, without jitter.
+        let mut link = Link::from_spec(
+            LinkSpec::new(AgentId::from_raw(0), "pinned").loss(ge(0.001, 0.3, 0.01, 0.2)),
+        );
+        let outage = Impairment::outage(0.5);
+        link.timeline
+            .impose(SimTime::from_secs(3), SimTime::from_secs(9), outage);
+        let extra = Impairment {
+            extra: 0.02,
+            ..Impairment::NONE
+        };
+        link.timeline.impose(SimTime::ZERO, SimTime::MAX, extra);
         let got = [
             outcome_digest(|t, r| bernoulli.is_lost(t, r)),
             outcome_digest(|t, r| gilbert.is_lost(t, r)),
             outcome_digest(|t, r| periodic.is_lost(t, r)),
-            outcome_digest(|t, r| ch.is_lost(t, r)),
+            outcome_digest(|t, r| link.fate(t, r).is_none()),
         ];
         assert_eq!(
             got,

@@ -1,7 +1,7 @@
 //! Connection wiring: build an engine, a sender/receiver pair, the
-//! two-directional cellular path, an optional mobility channel process —
-//! run it — and hand back the dual-endpoint capture, as a [`FlowTrace`] or
-//! already analysed, plus internal metrics.
+//! two-directional cellular path and its impairment schedule (a ride's
+//! handoffs, a storm) — run it — and hand back the dual-endpoint capture,
+//! as a [`FlowTrace`] or already analysed, plus internal metrics.
 //!
 //! This module is the equivalent of the paper's measurement rig: a phone
 //! on the train talking to a dedicated server, with wireshark running on
@@ -22,22 +22,24 @@
 //! `add_receiver`, `add_path`, `add_impairments`, `ConnectionConfig::meta`,
 //! `harvest` — called in a different order, on an arena nobody drains.
 //! Registration order is behaviour: every agent and link draws its random
-//! stream from its registration index.
+//! stream from its registration index, and a ride's handoffs draw from the
+//! stream of the index its channel process agent was once registered
+//! under.
 
 use crate::metrics::{ReceiverMetrics, SenderMetrics};
 use crate::receiver::{Receiver, ReceiverConfig};
 use crate::reno::{RenoSender, SenderConfig};
 use hsm_simnet::agent::AgentId;
 use hsm_simnet::arena::Rows;
-use hsm_simnet::cellular::{CellLayout, ChannelProcess, ChannelStats, HandoffParams};
-use hsm_simnet::chaos::{StormInjector, StormPlan};
+use hsm_simnet::cellular::ChannelStats;
+use hsm_simnet::chaos::StormPlan;
 use hsm_simnet::error::SimError;
 use hsm_simnet::event::QueueStats;
 use hsm_simnet::link::{LinkId, LinkSpec};
 use hsm_simnet::loss::LossModel;
-use hsm_simnet::mobility::Trajectory;
 use hsm_simnet::packet::FlowId;
 use hsm_simnet::prelude::Engine;
+use hsm_simnet::rng::RngFactory;
 use hsm_simnet::time::{SimDuration, SimTime};
 use hsm_trace::analysis::timeout::TimeoutConfig;
 use hsm_trace::capture::flow_records;
@@ -81,17 +83,7 @@ impl Default for PathSpec {
     }
 }
 
-/// The mobility side of a scenario: train trajectory, cell layout and
-/// handoff footprint, driven by a [`ChannelProcess`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct MobilityScenario {
-    /// Train trajectory along the line.
-    pub trajectory: Trajectory,
-    /// Base-station layout (and coverage holes).
-    pub layout: CellLayout,
-    /// Transport-layer handoff footprint.
-    pub handoff: HandoffParams,
-}
+pub use hsm_simnet::cellular::MobilityScenario;
 
 /// Everything needed to run one flow.
 #[derive(Debug, Clone, PartialEq)]
@@ -108,10 +100,11 @@ pub struct ConnectionConfig {
     pub scenario: Label,
     /// Hard wall-clock (simulated) limit for the run.
     pub deadline: SimTime,
-    /// A deterministic chaos-storm schedule replayed against the uplink —
-    /// the §V ACK-delay / ACK-burst impairment under study, with the full
-    /// trace/analysis pipeline attached. Empty (the default) adds no
-    /// injector agent: the world is bit-identical to a storm-free one.
+    /// A deterministic chaos-storm schedule written onto the uplink's
+    /// timeline — the §V ACK-delay / ACK-burst impairment under study, with
+    /// the full trace/analysis pipeline attached. On a moving flow its
+    /// episodes add to the ride's handoffs. Empty (the default) writes
+    /// nothing: the world is bit-identical to a storm-free one.
     pub storm: StormPlan,
 }
 
@@ -323,30 +316,32 @@ pub(crate) fn add_path(
     (down, up)
 }
 
-/// Attaches what impairs the path `(down, up)` beyond its own loss models:
-/// the mobility channel process, when the phone is on the train (its agent
-/// id is returned for [`channel_stats`]), and then the storm injector on
-/// the uplink, when `storm` has episodes.
+/// Writes what impairs the path `[down, up]` beyond its own loss models
+/// onto its timelines, before the run: the ride's handoffs, when the phone
+/// is on the train (their counts are returned), then `cfg.storm` on the
+/// uplink. The handoffs draw from the stream of agent `channel` of a world
+/// seeded `seed`, where a channel process agent was once registered.
+/// `halts` says whether the sender's stop ends the run.
 pub(crate) fn add_impairments(
     eng: &mut Engine,
+    (seed, channel): (u64, usize),
     mobility: Option<&MobilityScenario>,
-    storm: &StormPlan,
-    down: LinkId,
-    up: LinkId,
-) -> Option<AgentId> {
-    let channel = mobility.map(|m| {
-        eng.add_agent(Box::new(ChannelProcess::new(
-            down,
-            up,
-            m.trajectory,
-            m.layout.clone(),
-            m.handoff,
-        )))
-    });
-    if !storm.episodes.is_empty() {
-        eng.add_agent(Box::new(StormInjector::new(up, storm.clone())));
+    cfg: &ConnectionConfig,
+    [down, up]: [LinkId; 2],
+    halts: bool,
+) -> Option<ChannelStats> {
+    // The first instant the run cannot reach: just past its deadline, or the
+    // stop, which fires before any transmission that ends at that instant.
+    let mut end = cfg.deadline + SimDuration::from_micros(1);
+    if let (Some(after), true) = (cfg.sender.stop_after, halts) {
+        end = end.min(SimTime::ZERO + after);
     }
-    channel
+    let stats = mobility.map(|m| {
+        let mut rng = RngFactory::new(seed).stream(&format!("agent.{channel}"));
+        m.impose(eng, [down, up], &mut rng, end)
+    });
+    cfg.storm.impose(eng, up);
+    stats
 }
 
 /// The sender registered as `tx`.
@@ -365,11 +360,6 @@ pub(crate) fn sender_metrics(eng: &mut Engine, tx: AgentId) -> SenderMetrics {
     std::mem::take(&mut sender_mut(eng, tx).metrics)
 }
 
-/// The handoff statistics of the channel process registered as `id`.
-pub(crate) fn channel_stats(eng: &mut Engine, id: AgentId) -> ChannelStats {
-    eng.agent_mut::<ChannelProcess>(id).expect("channel").stats
-}
-
 /// Everything a finished single-flow world reports besides its capture.
 struct Endpoints {
     sender: SenderMetrics,
@@ -383,12 +373,12 @@ struct Endpoints {
 fn endpoints(
     eng: &mut Engine,
     (tx, rx): (AgentId, AgentId),
-    channel: Option<AgentId>,
+    channel: Option<ChannelStats>,
 ) -> Endpoints {
     Endpoints {
         sender: sender_metrics(eng, tx),
         receiver: receiver_mut(eng, rx).metrics,
-        channel: channel.map(|id| channel_stats(eng, id)),
+        channel,
         finished_at: eng.now(),
         events_processed: eng.events_processed(),
         queue: eng.queue_stats(),
@@ -400,7 +390,7 @@ pub(crate) fn harvest(
     eng: &mut Engine,
     trace: FlowTrace,
     ends: (AgentId, AgentId),
-    channel: Option<AgentId>,
+    channel: Option<ChannelStats>,
 ) -> ConnectionOutcome {
     let e = endpoints(eng, ends, channel);
     ConnectionOutcome {
@@ -444,7 +434,7 @@ const SLICE: SimDuration = SimDuration::from_millis(250);
 /// handed the rows of the packets that have landed since (a
 /// [`Engine::drain_settled`]), and at the end those of every packet left
 /// — so it sees every packet once, in send order. Returns the endpoints'
-/// agent ids and the channel process's, for the harvest.
+/// agent ids and the ride's handoff counts, for the harvest.
 fn simulate(
     eng: &mut Engine,
     seed: u64,
@@ -453,7 +443,7 @@ fn simulate(
     cfg: &ConnectionConfig,
     keep: Keep,
     mut read: impl FnMut(Rows<'_>),
-) -> Result<((AgentId, AgentId), Option<AgentId>), SimError> {
+) -> Result<((AgentId, AgentId), Option<ChannelStats>), SimError> {
     eng.reset(seed);
     let tx = add_sender(eng, cfg.flow, cfg);
     let rx = add_receiver(eng, cfg.flow, cfg);
@@ -462,7 +452,9 @@ fn simulate(
     sender.data_link = down;
     sender.log_window = keep == Keep::Trace;
     receiver_mut(eng, rx).uplink = up;
-    let channel = add_impairments(eng, mobility, &cfg.storm, down, up);
+    // Handoffs draw from agent 2's stream, where a channel process agent
+    // (after the sender and receiver) drew them when the digests were pinned.
+    let channel = add_impairments(eng, (seed, 2), mobility, cfg, [down, up], true);
     // Slicing moves no event: the engine pops by time alone and its clock
     // moves only to the events it fires.
     let mut until = SimTime::ZERO;
@@ -562,7 +554,9 @@ pub fn try_analyze_connection_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hsm_simnet::cellular::{CellLayout, HandoffParams};
     use hsm_simnet::loss::GilbertElliott;
+    use hsm_simnet::mobility::Trajectory;
     use hsm_trace::prelude::*;
 
     #[test]
@@ -881,8 +875,8 @@ mod tests {
 
         // The delay flap must actually bite: timeouts appear that the
         // storm-free run does not have. The default plan is the empty one,
-        // which adds no injector agent — the world every pinned digest of
-        // a storm-free flow was computed in.
+        // which writes nothing onto the uplink — the world every pinned
+        // digest of a storm-free flow was computed in.
         assert!(cfg.storm.episodes.is_empty());
         let calm = run(&cfg).expect("calm run");
         assert!(

@@ -7,8 +7,8 @@
 //!   throughput by running *two independent TCP flows over disjoint paths
 //!   and summing their throughput* ("the total throughput getting by these
 //!   two flows can also be regarded as MPTCP throughput", §V-B). We do the
-//!   same: two sender/receiver pairs in one engine, independent channel
-//!   processes, aggregate throughput reported.
+//!   same: two sender/receiver pairs in one engine, independent handoff
+//!   schedules, aggregate throughput reported.
 //!
 //! * **Backup mode** ([`run_with_backup_path`]) — redundant timeout
 //!   retransmission over a second path, which reduces the retransmission
@@ -22,8 +22,8 @@
 //!   captured with a [`VecRecorder`] instead of the packet arena.
 
 use crate::connection::{
-    add_impairments, add_path, add_receiver, add_sender, channel_stats, harvest, receiver_mut,
-    sender_metrics, sender_mut, ConnectionConfig, ConnectionOutcome, MobilityScenario, PathSpec,
+    add_impairments, add_path, add_receiver, add_sender, harvest, receiver_mut, sender_metrics,
+    sender_mut, ConnectionConfig, ConnectionOutcome, MobilityScenario, PathSpec,
 };
 use crate::demux::Demux;
 use crate::metrics::{ReceiverMetrics, SenderMetrics};
@@ -76,7 +76,7 @@ impl MptcpOutcome {
         eng: &mut Engine,
         subflows: Vec<FlowTrace>,
         endpoints: &[(AgentId, AgentId)],
-        channels: &[AgentId],
+        channels: impl IntoIterator<Item = ChannelStats>,
     ) -> MptcpOutcome {
         MptcpOutcome {
             subflows,
@@ -88,7 +88,7 @@ impl MptcpOutcome {
                 .iter()
                 .map(|&(_, rx)| receiver_mut(eng, rx).metrics)
                 .collect(),
-            channels: channels.iter().map(|&c| channel_stats(eng, c)).collect(),
+            channels: channels.into_iter().collect(),
             events_processed: eng.events_processed(),
         }
     }
@@ -98,7 +98,7 @@ impl MptcpOutcome {
 /// aggregate (duplex-mode MPTCP, evaluated as the paper does in Fig. 12).
 ///
 /// Each subflow uses `cfg` with flow ids `cfg.flow` and `cfg.flow + 1`.
-/// When `mobility` is provided, each path gets its *own* channel process
+/// When `mobility` is provided, each path gets its *own* handoff schedule
 /// (independent handoff randomness — disjoint carriers).
 pub fn run_mptcp_duplex(
     seed: u64,
@@ -109,6 +109,11 @@ pub fn run_mptcp_duplex(
     let mut eng = Engine::new(seed);
     let mut endpoints = Vec::new();
     let mut channels = Vec::new();
+    // Path `i`'s handoffs draw from agent `i * stride + 2`'s stream, where a
+    // channel process agent drew them when the digests were pinned: each
+    // path registered its endpoints, that agent and, with a storm, an
+    // injector.
+    let stride = 3 + usize::from(!cfg.storm.episodes.is_empty());
     for (i, path) in paths.into_iter().enumerate() {
         let flow = cfg.flow + i as u32;
         let (tx, rx) = (
@@ -121,7 +126,9 @@ pub fn run_mptcp_duplex(
         // One sender stopping must not truncate its sibling subflow.
         sender.halt_engine_on_stop = false;
         receiver_mut(&mut eng, rx).uplink = up;
-        channels.extend(add_impairments(&mut eng, mobility, &cfg.storm, down, up));
+        let channel = (seed, i * stride + 2);
+        let stats = add_impairments(&mut eng, channel, mobility, cfg, [down, up], false);
+        channels.extend(stats);
         endpoints.push((tx, rx));
     }
     eng.run_until(cfg.deadline);
@@ -131,7 +138,7 @@ pub fn run_mptcp_duplex(
     let subflows = (0..endpoints.len() as u32)
         .map(|i| trace_from_arena(eng.arena(), cfg.flow + i, cfg.meta()))
         .collect();
-    MptcpOutcome::harvest(&mut eng, subflows, &endpoints, &channels)
+    MptcpOutcome::harvest(&mut eng, subflows, &endpoints, channels)
 }
 
 /// Runs a single flow whose timeout retransmissions are duplicated over a
@@ -162,7 +169,9 @@ pub fn run_with_backup_path(
     // Mobility (and any storm) impairs only the primary path; the backup is
     // assumed to be a different carrier, modelled by its own PathSpec
     // losses.
-    let channel = add_impairments(&mut eng, mobility, &cfg.storm, down, up);
+    // Handoffs draw from agent 2's stream, where a channel process agent
+    // (after the sender and receiver) drew them when the digests were pinned.
+    let channel = add_impairments(&mut eng, (seed, 2), mobility, cfg, [down, up], true);
     eng.run_until(cfg.deadline);
     let trace = trace_from_arena(eng.arena(), cfg.flow, cfg.meta());
     harvest(&mut eng, trace, (tx, rx), channel)
@@ -210,7 +219,9 @@ pub fn run_mptcp_shared_radio(
         sender.halt_engine_on_stop = false;
         receiver_mut(&mut eng, rx).uplink = up;
     }
-    let channel = add_impairments(&mut eng, mobility, &cfg.storm, down, up);
+    // Handoffs draw from agent 6's stream, where a channel process agent
+    // (after the endpoints and demuxes) drew them when the digests were pinned.
+    let channel = add_impairments(&mut eng, (seed, 6), mobility, cfg, [down, up], false);
     let recorder = VecRecorder::new();
     eng.add_recorder(recorder.clone());
     eng.run_until(cfg.deadline);
@@ -218,7 +229,7 @@ pub fn run_mptcp_shared_radio(
     let subflows =
         traces_from_events_filtered(&recorder.take_events(), |_| cfg.meta(), Some("internal"));
     let endpoints: Vec<_> = txs.into_iter().zip(rxs).collect();
-    MptcpOutcome::harvest(&mut eng, subflows, &endpoints, channel.as_slice())
+    MptcpOutcome::harvest(&mut eng, subflows, &endpoints, channel)
 }
 
 #[cfg(test)]

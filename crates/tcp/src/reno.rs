@@ -607,7 +607,7 @@ impl Agent for RenoSender {
 mod tests {
     use super::*;
     use crate::receiver::{Receiver, ReceiverConfig};
-    use hsm_simnet::loss::{LossModel, Outage};
+    use hsm_simnet::loss::LossModel;
     use hsm_simnet::observer::VecRecorder;
     use hsm_simnet::prelude::*;
 
@@ -725,11 +725,12 @@ mod tests {
             0.0,
         );
         // Kill exactly one data packet mid-flow with a surgical outage.
-        w.eng.link_mut(w.down).loss.set_outage(Some(Outage::new(
+        w.eng.impose(
+            w.down,
             SimTime::from_millis(300),
             SimTime::from_millis(302),
-            1.0,
-        )));
+            Impairment::outage(1.0),
+        );
         w.eng.run_until_idle();
         let tx = w.eng.agent_mut::<RenoSender>(w.tx).unwrap();
         assert!(tx.metrics.retransmissions >= 1);
@@ -755,11 +756,12 @@ mod tests {
             0.0,
         );
         // A long outage swallows a whole window: only RTO can recover.
-        w.eng.link_mut(w.down).loss.set_outage(Some(Outage::new(
+        w.eng.impose(
+            w.down,
             SimTime::from_millis(280),
             SimTime::from_millis(1200),
-            1.0,
-        )));
+            Impairment::outage(1.0),
+        );
         w.eng.run_until_idle();
         let tx = w.eng.agent_mut::<RenoSender>(w.tx).unwrap();
         assert!(
@@ -785,11 +787,12 @@ mod tests {
             0.0,
         );
         // Outage long enough for several backoff rungs.
-        w.eng.link_mut(w.down).loss.set_outage(Some(Outage::new(
+        w.eng.impose(
+            w.down,
             SimTime::from_millis(260),
             SimTime::from_millis(4_000),
-            1.0,
-        )));
+            Impairment::outage(1.0),
+        );
         w.eng.run_until_idle();
         let tx = w.eng.agent_mut::<RenoSender>(w.tx).unwrap();
         let rtos = &tx.metrics.rto_at_timeout;
@@ -814,11 +817,12 @@ mod tests {
             0.0,
             0.0,
         );
-        w.eng.link_mut(w.up).loss.set_outage(Some(Outage::new(
+        w.eng.impose(
+            w.up,
             SimTime::from_millis(250),
             SimTime::from_millis(900),
-            1.0,
-        )));
+            Impairment::outage(1.0),
+        );
         w.eng.run_until_idle();
         let tx = w.eng.agent_mut::<RenoSender>(w.tx).unwrap();
         assert!(
@@ -908,11 +912,12 @@ mod tests {
                 0.0,
                 0.0,
             );
-            w.eng.link_mut(w.up).loss.set_outage(Some(Outage::new(
+            w.eng.impose(
+                w.up,
                 SimTime::from_millis(400),
                 SimTime::from_millis(1_100),
-                1.0,
-            )));
+                Impairment::outage(1.0),
+            );
             w.eng.run_until_idle();
             let tx = w.eng.agent_mut::<RenoSender>(w.tx).unwrap();
             (
@@ -955,11 +960,12 @@ mod tests {
             0.0,
             0.0,
         );
-        w.eng.link_mut(w.down).loss.set_outage(Some(Outage::new(
+        w.eng.impose(
+            w.down,
             SimTime::from_millis(280),
             SimTime::from_millis(1_500),
-            1.0,
-        )));
+            Impairment::outage(1.0),
+        );
         w.eng.run_until_idle();
         let tx = w.eng.agent_mut::<RenoSender>(w.tx).unwrap();
         assert!(tx.metrics.timeout_count() >= 1);
@@ -997,10 +1003,7 @@ mod tests {
             0.0,
             0.0,
         );
-        let up = w.up;
-        let plan = flap_storm(&[(400, 800, 800), (2_500, 800, 800)]);
-        w.eng
-            .add_agent(Box::new(hsm_simnet::chaos::StormInjector::new(up, plan)));
+        flap_storm(&[(400, 800, 800), (2_500, 800, 800)]).impose(&mut w.eng, w.up);
         w
     }
 
@@ -1051,11 +1054,12 @@ mod tests {
                 0.0,
                 0.0,
             );
-            w.eng.link_mut(w.up).loss.set_outage(Some(Outage::new(
+            w.eng.impose(
+                w.up,
                 SimTime::from_millis(400),
                 SimTime::from_millis(1_600),
-                1.0,
-            )));
+                Impairment::outage(1.0),
+            );
             w.eng.run_until_idle();
             let tx = w.eng.agent_mut::<RenoSender>(w.tx).unwrap();
             (tx.metrics.timeout_count(), tx.metrics.spurious_rto_undone)
@@ -1091,11 +1095,12 @@ mod tests {
             0.0,
             0.0,
         );
-        w.eng.link_mut(w.down).loss.set_outage(Some(Outage::new(
+        w.eng.impose(
+            w.down,
             SimTime::from_millis(260),
             SimTime::from_millis(4_000),
-            1.0,
-        )));
+            Impairment::outage(1.0),
+        );
         w.eng.run_until_idle();
         let tx = w.eng.agent_mut::<RenoSender>(w.tx).unwrap();
         assert_eq!(tx.metrics.spurious_rto_undone, 0);
@@ -1137,11 +1142,12 @@ mod tests {
                 0.0,
                 0.0,
             );
-            w.eng.link_mut(w.down).loss.set_outage(Some(Outage::new(
+            w.eng.impose(
+                w.down,
                 SimTime::from_millis(280),
                 SimTime::from_millis(1_200),
-                1.0,
-            )));
+                Impairment::outage(1.0),
+            );
             w.eng.run_until_idle();
             let tx = w.eng.agent_mut::<RenoSender>(w.tx).unwrap();
             let timeouts = tx.metrics.timeout_count();
@@ -1191,11 +1197,12 @@ mod tests {
             0.0,
             0.0,
         );
-        w.eng.link_mut(w.down).loss.set_outage(Some(Outage::new(
+        w.eng.impose(
+            w.down,
             SimTime::from_millis(260),
             SimTime::from_millis(4_000),
-            1.0,
-        )));
+            Impairment::outage(1.0),
+        );
         w.eng.run_until_idle();
         let tx = w.eng.agent_mut::<RenoSender>(w.tx).unwrap();
         assert_eq!(tx.metrics.backoff_skipped, 0);
@@ -1223,11 +1230,12 @@ mod tests {
                 0.0,
                 0.0,
             );
-            w.eng.link_mut(w.up).loss.set_outage(Some(Outage::new(
+            w.eng.impose(
+                w.up,
                 SimTime::from_millis(20),
                 SimTime::from_millis(1_500),
-                1.0,
-            )));
+                Impairment::outage(1.0),
+            );
             w.eng.run_until_idle();
             let tx = w.eng.agent_mut::<RenoSender>(w.tx).unwrap();
             assert!(tx.metrics.timeout_count() >= 1, "{recovery:?}");
@@ -1315,11 +1323,12 @@ mod tests {
         if multi_loss {
             // A short surgical outage: several segments of one window die
             // -> partial-ACK territory.
-            w.eng.link_mut(w.down).loss.set_outage(Some(Outage::new(
+            w.eng.impose(
+                w.down,
                 SimTime::from_millis(400),
                 SimTime::from_millis(406),
-                1.0,
-            )));
+                Impairment::outage(1.0),
+            );
         }
         w.eng.run_until_idle();
         let tx = w.eng.agent_mut::<RenoSender>(w.tx).unwrap();

@@ -2,7 +2,6 @@
 //! no data loss → duplicate payload at the receiver → classified spurious
 //! by the trace analyzer.
 
-use hsm::simnet::loss::Outage;
 use hsm::simnet::prelude::*;
 use hsm::tcp::prelude::*;
 use hsm::trace::prelude::*;
@@ -33,11 +32,12 @@ fn run_with_uplink_blackout(window_ms: (u64, u64)) -> (FlowTrace, SenderMetrics,
     );
     eng.agent_mut::<RenoSender>(tx).unwrap().data_link = down;
     eng.agent_mut::<Receiver>(rx).unwrap().uplink = up;
-    eng.link_mut(up).loss.set_outage(Some(Outage::new(
+    eng.impose(
+        up,
         SimTime::from_millis(window_ms.0),
         SimTime::from_millis(window_ms.1),
-        1.0,
-    )));
+        Impairment::outage(1.0),
+    );
     let rec = VecRecorder::new();
     eng.add_recorder(rec.clone());
     eng.run_until(SimTime::from_secs(120));

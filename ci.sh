@@ -133,6 +133,13 @@ stage_build_test() {
         echo "a deleted link writer (ChannelProcess, StormInjector, link_mut, ChannelLoss setters) or StormOnMobility is back" >&2
         exit 1
     fi
+    # Also deleted: the TOML writer and the checks that only round-tripped
+    # it (spec files are written by hand and only ever parsed).
+    if grep -rnE 'to_toml|toml::(render|to_string|from_str)|spec_for_case|spec-roundtrip' \
+        crates src tests examples vendor; then
+        echo "the deleted TOML writer (to_toml, toml::render), the spec fuzzer or the spec-roundtrip drill is back" >&2
+        exit 1
+    fi
     # DESIGN.md's budget, which ROADMAP sets: at most 1,000 lines.
     if [ "$(wc -l < DESIGN.md)" -gt 1000 ]; then
         echo "DESIGN.md has $(wc -l < DESIGN.md) lines, over its 1,000-line budget" >&2

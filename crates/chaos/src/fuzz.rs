@@ -12,7 +12,6 @@
 use crate::rng::ChaosRng;
 use hsm_scenario::provider::Provider;
 use hsm_scenario::runner::{Motion, ScenarioConfig};
-use hsm_scenario::spec::{CampaignSpec, GridKind, ScenarioBase, ScenarioGrid, SweepAxis};
 use hsm_simnet::time::SimDuration;
 use hsm_tcp::cc::Algorithm;
 use hsm_tcp::recovery::Recovery;
@@ -22,11 +21,6 @@ use hsm_tcp::recovery::Recovery;
 /// every pre-existing field draw for `(master, case)` bit-identical to
 /// the pre-zoo fuzzer, so pinned chaos reports stay comparable.
 const CC_SALT: u64 = 0xcc5a_0070_0b8d_641d;
-
-/// Salt for the declarative-spec fuzzer's rng stream. A separate stream
-/// (like [`CC_SALT`]) means adding spec fuzzing changes no draw of the
-/// pre-existing config fuzzer for any `(master, case)` pair.
-const SPEC_SALT: u64 = 0x5bec_a271_e04f_93b7;
 
 /// Salt for the loss-recovery draw's rng stream. Same trick as
 /// [`CC_SALT`]: a separate stream keyed on `master ^ RECOVERY_SALT`
@@ -137,91 +131,6 @@ fn cc_for_case(master: u64, case: u64) -> Algorithm {
 fn recovery_for_case(master: u64, case: u64) -> Recovery {
     let mut rng = ChaosRng::for_case(master ^ RECOVERY_SALT, case);
     *pick(&mut rng, &Recovery::ALL)
-}
-
-/// Derives a randomized-but-valid declarative [`CampaignSpec`] for case
-/// `case` of master seed `master`: 1–3 scenario grids over random bases
-/// and random sweep-axis subsets, with roughly one grid in five routed
-/// through the Table I planner (`kind = "table1"`, which pins `seeds = 1`
-/// and never sweeps providers). Always passes
-/// [`CampaignSpec::validate`]; always identical for the same pair.
-pub fn spec_for_case(master: u64, case: u64) -> CampaignSpec {
-    let mut rng = ChaosRng::for_case(master ^ SPEC_SALT, case);
-    let mut spec = CampaignSpec::named(format!("fuzz-{case}"));
-    spec.defaults = base_for(&mut rng);
-    let grids = rng.range_u64(1, 3);
-    for g in 0..grids {
-        let mut grid = ScenarioGrid::named(format!("grid-{g}"));
-        grid.base = base_for(&mut rng);
-        let table1 = rng.chance(1, 5);
-        if table1 {
-            grid.kind = GridKind::Table1;
-            grid.base.seeds = 1;
-            grid.base.scale = *pick(&mut rng, &[0.25, 0.5]);
-        }
-        grid.sweep = sweep_for(&mut rng, table1);
-        spec.scenarios.push(grid);
-    }
-    spec
-}
-
-/// A random spec-fuzzer base. Scale factors and float-free integer ranges
-/// are chosen so every drawn value survives a TOML write/parse round trip
-/// exactly.
-fn base_for(rng: &mut ChaosRng) -> ScenarioBase {
-    ScenarioBase {
-        provider: *pick(rng, &Provider::ALL),
-        motion: if rng.chance(1, 2) {
-            Motion::HighSpeed
-        } else {
-            Motion::Stationary
-        },
-        duration_s: rng.range_u64(2, 20),
-        w_m: rng.range_u64(4, 64) as u32,
-        b: rng.range_u64(1, 3) as u32,
-        cc: *pick(rng, &Algorithm::zoo()),
-        // Pinned: a drawn recovery would shift every subsequent draw of
-        // this stream and invalidate the pinned spec-fuzzer reports.
-        recovery: Recovery::None,
-        seed_start: rng.range_u64(1, 1_000_000),
-        seeds: rng.range_u64(1, 3) as u32,
-        scale: 1.0,
-    }
-}
-
-/// A random subset of sweep axes, each with a small valid value list.
-fn sweep_for(rng: &mut ChaosRng, table1: bool) -> Vec<SweepAxis> {
-    let mut axes = Vec::new();
-    if !table1 && rng.chance(1, 3) {
-        axes.push(SweepAxis::Provider(Provider::ALL.to_vec()));
-    }
-    if rng.chance(1, 3) {
-        axes.push(SweepAxis::Motion(vec![
-            Motion::HighSpeed,
-            Motion::Stationary,
-        ]));
-    }
-    if rng.chance(1, 3) {
-        let n = rng.range_u64(1, 3);
-        axes.push(SweepAxis::DurationSecs(
-            (0..n).map(|_| rng.range_u64(2, 20)).collect(),
-        ));
-    }
-    if rng.chance(1, 3) {
-        let n = rng.range_u64(1, 3);
-        axes.push(SweepAxis::Window(
-            (0..n).map(|_| rng.range_u64(4, 64) as u32).collect(),
-        ));
-    }
-    if rng.chance(1, 3) {
-        axes.push(SweepAxis::DelayedAck(vec![1, 2, 3]));
-    }
-    if rng.chance(1, 3) {
-        let zoo = Algorithm::zoo();
-        let n = rng.range_u64(2, 4);
-        axes.push(SweepAxis::Cc((0..n).map(|_| *pick(rng, &zoo)).collect()));
-    }
-    axes
 }
 
 /// One shrinking pass: every candidate reduction of `config`, roughly
@@ -403,14 +312,6 @@ mod tests {
             let cfg = config_for_case(&ranges, 42, case);
             let again = config_for_case(&ranges, 42, case);
             assert_eq!(cfg, again);
-            // The spec fuzzer still pins recovery entirely.
-            for sc in &spec_for_case(42, case).scenarios {
-                assert_eq!(sc.base.recovery, Recovery::None, "case {case}");
-                assert!(
-                    !sc.sweep.iter().any(|a| matches!(a, SweepAxis::Recovery(_))),
-                    "case {case} swept recovery"
-                );
-            }
         }
     }
 
@@ -449,34 +350,6 @@ mod tests {
         let min = shrink(&start, |c| c.w_m >= 16, 500);
         assert_eq!(min.w_m, 16);
         assert_eq!(min.b, 1);
-    }
-
-    #[test]
-    fn fuzzed_specs_are_valid_reproducible_and_cover_both_kinds() {
-        let mut kinds = std::collections::BTreeSet::new();
-        for case in 0..120 {
-            let a = spec_for_case(42, case);
-            let b = spec_for_case(42, case);
-            assert_eq!(a, b, "case {case} not reproducible");
-            a.validate()
-                .unwrap_or_else(|e| panic!("case {case} invalid: {e}"));
-            for sc in &a.scenarios {
-                kinds.insert(format!("{:?}", sc.kind));
-            }
-        }
-        assert!(kinds.contains("Grid"), "no grid scenarios in 120 cases");
-        assert!(kinds.contains("Table1"), "no table1 scenarios in 120 cases");
-    }
-
-    #[test]
-    fn spec_fuzzing_does_not_perturb_the_config_fuzzer() {
-        // The spec stream is salted separately, so drawing a spec between
-        // two config draws must not change the configs.
-        let ranges = FuzzRanges::default();
-        let before = config_for_case(&ranges, 42, 17);
-        let _ = spec_for_case(42, 17);
-        let after = config_for_case(&ranges, 42, 17);
-        assert_eq!(before, after);
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub mod report;
 pub mod rng;
 
 pub use fault::run_drills;
-pub use fuzz::{config_for_case, shrink, spec_for_case, FuzzRanges};
+pub use fuzz::{config_for_case, shrink, FuzzRanges};
 pub use oracle::{check_case, compare_summaries, OracleConfig, TABLE_TOL};
 pub use report::{ChaosReport, DrillResult, Violation};
 pub use rng::ChaosRng;

@@ -33,7 +33,7 @@ use crate::runner::{Motion, ScenarioConfig};
 use hsm_simnet::time::SimDuration;
 use hsm_tcp::cc::Algorithm;
 use hsm_tcp::recovery::Recovery;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Value};
 use std::fmt;
 use std::path::Path;
 
@@ -202,20 +202,8 @@ pub struct ScenarioGrid {
     pub sweep: Vec<SweepAxis>,
 }
 
-impl ScenarioGrid {
-    /// A scenario with the given name and everything else defaulted.
-    pub fn named(name: impl Into<String>) -> ScenarioGrid {
-        ScenarioGrid {
-            name: name.into(),
-            kind: GridKind::default(),
-            base: ScenarioBase::default(),
-            sweep: Vec::new(),
-        }
-    }
-}
-
-/// A declarative campaign: defaults plus named scenario grids, loadable
-/// from and serializable to TOML.
+/// A declarative campaign: defaults plus named scenario grids, loaded
+/// from TOML.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignSpec {
     /// Campaign name (labels reports and shard files).
@@ -241,15 +229,6 @@ pub fn load_spec(path: &Path) -> Result<CampaignSpec, SpecError> {
 }
 
 impl CampaignSpec {
-    /// A spec with the given name, default base and no scenarios.
-    pub fn named(name: impl Into<String>) -> CampaignSpec {
-        CampaignSpec {
-            name: name.into(),
-            defaults: ScenarioBase::default(),
-            scenarios: Vec::new(),
-        }
-    }
-
     /// Parses and validates a spec from TOML text.
     ///
     /// # Errors
@@ -261,12 +240,6 @@ impl CampaignSpec {
         let spec = Self::from_spec_value(&value)?;
         spec.validate()?;
         Ok(spec)
-    }
-
-    /// Renders the spec as TOML. The output round-trips exactly:
-    /// [`CampaignSpec::from_toml`] on it yields an equal spec.
-    pub fn to_toml(&self) -> String {
-        toml::render(&self.to_spec_value()).expect("spec values always render")
     }
 
     /// Validates the spec without expanding it.
@@ -443,22 +416,6 @@ impl CampaignSpec {
             defaults,
             scenarios,
         })
-    }
-
-    fn to_spec_value(&self) -> Value {
-        Value::Obj(vec![
-            ("name".to_owned(), Value::Str(self.name.clone())),
-            ("defaults".to_owned(), base_to_value(&self.defaults, None)),
-            (
-                "scenario".to_owned(),
-                Value::Arr(
-                    self.scenarios
-                        .iter()
-                        .map(|sc| scenario_to_value(sc, &self.defaults))
-                        .collect(),
-                ),
-            ),
-        ])
     }
 }
 
@@ -939,111 +896,6 @@ fn render_short(v: &Value) -> String {
     }
 }
 
-/// Renders a base as key/value pairs. With `relative_to` set, only the
-/// keys that differ from it are emitted (per-scenario overrides);
-/// without it every key is written out (the `[defaults]` table).
-fn base_to_value(base: &ScenarioBase, relative_to: Option<&ScenarioBase>) -> Value {
-    let mut pairs: Vec<(String, Value)> = Vec::new();
-    let mut push = |key: &str, value: Value, same_as_default: bool| {
-        if relative_to.is_none() || !same_as_default {
-            pairs.push((key.to_owned(), value));
-        }
-    };
-    let same = |f: &dyn Fn(&ScenarioBase) -> bool| relative_to.is_some_and(f);
-    push(
-        "provider",
-        base.provider.to_value(),
-        same(&|o| o.provider == base.provider),
-    );
-    push(
-        "motion",
-        base.motion.to_value(),
-        same(&|o| o.motion == base.motion),
-    );
-    push(
-        "duration_s",
-        Value::UInt(base.duration_s),
-        same(&|o| o.duration_s == base.duration_s),
-    );
-    push(
-        "w_m",
-        Value::UInt(u64::from(base.w_m)),
-        same(&|o| o.w_m == base.w_m),
-    );
-    push(
-        "b",
-        Value::UInt(u64::from(base.b)),
-        same(&|o| o.b == base.b),
-    );
-    push(
-        "cc",
-        serde::Serialize::to_value(&base.cc),
-        same(&|o| o.cc == base.cc),
-    );
-    push(
-        "recovery",
-        serde::Serialize::to_value(&base.recovery),
-        same(&|o| o.recovery == base.recovery),
-    );
-    push(
-        "seed_start",
-        Value::UInt(base.seed_start),
-        same(&|o| o.seed_start == base.seed_start),
-    );
-    push(
-        "seeds",
-        Value::UInt(u64::from(base.seeds)),
-        same(&|o| o.seeds == base.seeds),
-    );
-    push(
-        "scale",
-        Value::Float(base.scale),
-        same(&|o| o.scale == base.scale),
-    );
-    Value::Obj(pairs)
-}
-
-fn scenario_to_value(sc: &ScenarioGrid, defaults: &ScenarioBase) -> Value {
-    let mut pairs = vec![("name".to_owned(), Value::Str(sc.name.clone()))];
-    if sc.kind == GridKind::Table1 {
-        pairs.push(("kind".to_owned(), Value::Str("table1".to_owned())));
-    }
-    let Value::Obj(overrides) = base_to_value(&sc.base, Some(defaults)) else {
-        unreachable!("base_to_value returns a table");
-    };
-    pairs.extend(overrides);
-    if !sc.sweep.is_empty() {
-        let mut sweep = self::canonical_sweep(&sc.sweep);
-        sweep.sort_by_key(|(rank, _)| *rank);
-        pairs.push((
-            "sweep".to_owned(),
-            Value::Obj(sweep.into_iter().map(|(_, kv)| kv).collect()),
-        ));
-    }
-    Value::Obj(pairs)
-}
-
-fn canonical_sweep(sweep: &[SweepAxis]) -> Vec<(usize, (String, Value))> {
-    sweep
-        .iter()
-        .map(|axis| {
-            let values = match axis {
-                SweepAxis::Provider(v) => v.iter().map(|p| p.to_value()).collect(),
-                SweepAxis::Motion(v) => v.iter().map(|m| m.to_value()).collect(),
-                SweepAxis::DurationSecs(v) => v.iter().map(|d| Value::UInt(*d)).collect(),
-                SweepAxis::Window(v) => v.iter().map(|w| Value::UInt(u64::from(*w))).collect(),
-                SweepAxis::DelayedAck(v) => v.iter().map(|b| Value::UInt(u64::from(*b))).collect(),
-                SweepAxis::Cc(v) => v.iter().map(serde::Serialize::to_value).collect(),
-                SweepAxis::Recovery(v) => v.iter().map(serde::Serialize::to_value).collect(),
-            };
-            (
-                axis.canonical_rank(),
-                (axis.key().to_owned(), Value::Arr(values)),
-            )
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1112,17 +964,6 @@ mod tests {
     }
 
     #[test]
-    fn toml_round_trip_is_exact() {
-        let spec = demo_spec();
-        let text = spec.to_toml();
-        let back = CampaignSpec::from_toml(&text).expect("own output parses");
-        assert_eq!(back, spec, "round trip changed the spec:\n{text}");
-        assert_eq!(back.expand().unwrap(), spec.expand().unwrap());
-        // Render is stable under a second round trip.
-        assert_eq!(back.to_toml(), text);
-    }
-
-    #[test]
     fn errors_name_the_offending_key() {
         let mut spec = demo_spec();
         spec.scenarios[0].sweep[1] = SweepAxis::DelayedAck(vec![1, 0]);
@@ -1187,7 +1028,7 @@ name = "a"
     }
 
     #[test]
-    fn recovery_axis_sweeps_innermost_and_round_trips() {
+    fn recovery_axis_sweeps_innermost_and_rejects_unknown_labels() {
         let text = r#"
 name = "cures"
 
@@ -1208,12 +1049,6 @@ recovery = ["None", "Frto", "AckRobust"]
         assert_eq!(configs[2].recovery, Recovery::AckRobust);
         assert_eq!(configs[0].cc, Algorithm::Reno);
         assert_eq!(configs[3].cc, Algorithm::Cubic);
-        // Round trip preserves the axis and a base-level override.
-        let mut spec2 = spec.clone();
-        spec2.scenarios[0].base.recovery = Recovery::RedundantRto;
-        let back = CampaignSpec::from_toml(&spec2.to_toml()).expect("round trips");
-        assert_eq!(back, spec2);
-        assert_eq!(back.expand().unwrap(), spec2.expand().unwrap());
 
         let err = CampaignSpec::from_toml(
             "name = \"x\"\n[[scenario]]\nname = \"a\"\n[scenario.sweep]\nrecovery = [\"Fixit\"]\n",
@@ -1260,11 +1095,16 @@ b = [1, 2]
 
     #[test]
     fn table1_rejects_provider_axis_and_multi_seeds() {
-        let mut spec = CampaignSpec::named("x");
-        let mut sc = ScenarioGrid::named("t");
-        sc.kind = GridKind::Table1;
-        sc.sweep = vec![SweepAxis::Provider(vec![Provider::ChinaMobile])];
-        spec.scenarios.push(sc);
+        let mut spec = CampaignSpec {
+            name: "x".to_owned(),
+            defaults: ScenarioBase::default(),
+            scenarios: vec![ScenarioGrid {
+                name: "t".to_owned(),
+                kind: GridKind::Table1,
+                base: ScenarioBase::default(),
+                sweep: vec![SweepAxis::Provider(vec![Provider::ChinaMobile])],
+            }],
+        };
         assert_eq!(
             spec.validate().unwrap_err().key,
             "scenario[0].sweep.provider"
@@ -1278,11 +1118,6 @@ b = [1, 2]
     fn digest_pins_the_expansion() {
         let spec = demo_spec();
         let d1 = spec.digest().expect("digests");
-        let d2 = CampaignSpec::from_toml(&spec.to_toml())
-            .unwrap()
-            .digest()
-            .unwrap();
-        assert_eq!(d1, d2, "digest survives the TOML round trip");
         let mut tweaked = spec.clone();
         tweaked.scenarios[0].base.seed_start = 2;
         assert_ne!(tweaked.digest().unwrap(), d1);

@@ -67,7 +67,6 @@ fn every_fault_drill_detects_its_fault() {
         "ack-burst-loss",
         "ack-delay-frto-undo",
         "scratch-poison",
-        "spec-roundtrip",
     ];
     assert_eq!(drills.len(), expected.len());
     for name in expected {

@@ -50,7 +50,7 @@ use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::io::Read;
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, Once};
+use std::sync::{Mutex, MutexGuard, Once};
 
 /// Version tag mixed into every cache key.
 ///
@@ -196,6 +196,15 @@ impl Hasher for KeyHasher {
     }
 }
 
+/// The shard `key` lives in.
+fn shard_index(key: CacheKey) -> usize {
+    // Fold the high half in before masking: FNV mixes new bytes into the
+    // low bits last, so the high half carries most of the avalanche for
+    // short inputs.
+    let mixed = key.0 ^ (key.0 >> 32);
+    (mixed as usize) & (SHARDS - 1)
+}
+
 #[derive(Default)]
 struct Shard {
     map: HashMap<u64, FlowSummary, BuildHasherDefault<KeyHasher>>,
@@ -209,7 +218,8 @@ struct Shard {
 ///
 /// The memory tier is split into 8 shards, each behind its own mutex; a
 /// lookup or insert locks only the shard its key hashes to, so workers
-/// touching different keys proceed in parallel.
+/// touching different keys proceed in parallel. A campaign's memory sweep
+/// locks all 8 once, before its workers start.
 pub struct FlowCache {
     shards: [Mutex<Shard>; SHARDS],
     /// Per-shard entry bound derived from `config.memory_entries`.
@@ -278,11 +288,7 @@ impl FlowCache {
     }
 
     fn shard_for(&self, key: CacheKey) -> &Mutex<Shard> {
-        // Fold the high half in before masking: FNV mixes new bytes into
-        // the low bits last, so the high half carries most of the
-        // avalanche for short inputs.
-        let mixed = key.0 ^ (key.0 >> 32);
-        &self.shards[(mixed as usize) & (SHARDS - 1)]
+        &self.shards[shard_index(key)]
     }
 
     /// Looks a flow up, consulting the memory tier then the disk tier.
@@ -306,6 +312,40 @@ impl FlowCache {
         let summary = shard.map.get(&key.0)?;
         shard.stats.memory_hits += 1;
         Some(summary.clone())
+    }
+
+    /// Serves `keys` from the memory tier if it holds every one: calls
+    /// `hit(i, summary)` for each `keys[i]`, in index order, counts each in
+    /// `memory_hits` as a lookup's hit would, and returns `true`. At the
+    /// first key it lacks it returns `false` and counts nothing, so the
+    /// caller's own lookups count every flow as they would without the
+    /// sweep; `hit` may already have been called for the keys before it.
+    ///
+    /// The 8 shards are locked once each, in shard order, and held for the
+    /// whole sweep: two sweeps take them in the same order, and every other
+    /// operation holds one at a time, so none can deadlock. `hit` must not
+    /// touch the cache. The guards and the per-shard hit counts live in
+    /// fixed arrays, so the sweep allocates nothing.
+    pub(crate) fn sweep_memory(
+        &self,
+        keys: &[CacheKey],
+        mut hit: impl FnMut(usize, &FlowSummary),
+    ) -> bool {
+        let mut guards: [MutexGuard<'_, Shard>; SHARDS] =
+            std::array::from_fn(|s| self.shards[s].lock().expect("cache lock"));
+        let mut hits = [0u64; SHARDS];
+        for (i, &key) in keys.iter().enumerate() {
+            let s = shard_index(key);
+            let Some(summary) = guards[s].map.get(&key.0) else {
+                return false;
+            };
+            hits[s] += 1;
+            hit(i, summary);
+        }
+        for (shard, hits) in guards.iter_mut().zip(hits) {
+            shard.stats.memory_hits += hits;
+        }
+        true
     }
 
     /// [`lookup`](FlowCache::lookup) after a memory miss: the disk tier,
@@ -798,6 +838,38 @@ mod tests {
         assert_eq!(stats.memory_hits, 64);
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.evictions, 0);
+    }
+
+    /// The sweep serves a key set only when every key is resident: then
+    /// it reports each in index order and counts each as a lookup's hit
+    /// would; with one key missing it counts nothing.
+    #[test]
+    fn a_memory_sweep_serves_only_a_wholly_resident_key_set() {
+        let cache = FlowCache::new(CacheConfig::memory_only());
+        let keys: Vec<CacheKey> = (0..64u64).map(|i| CacheKey(i * 0x9e37_79b9)).collect();
+        assert!(
+            !cache.sweep_memory(&keys, |_, _| {}),
+            "an empty tier serves nothing"
+        );
+        for (i, &key) in keys.iter().enumerate().skip(1) {
+            cache.insert(key, &summary(i as u32)).unwrap();
+        }
+        assert!(!cache.sweep_memory(&keys, |_, _| {}), "key 0 is missing");
+        assert!(!cache.sweep_memory(&[keys[5], CacheKey(7)], |_, _| {}));
+        assert_eq!(
+            cache.stats().memory_hits,
+            0,
+            "a failed sweep counts nothing"
+        );
+
+        cache.insert(keys[0], &summary(0)).unwrap();
+        let mut seen = Vec::new();
+        assert!(cache.sweep_memory(&keys, |i, s| seen.push((i, s.flow))));
+        let expected: Vec<(usize, u32)> = (0..64).map(|i| (i, i as u32)).collect();
+        assert_eq!(seen, expected);
+        let stats = cache.stats();
+        assert_eq!(stats.memory_hits, 64);
+        assert_eq!(stats.misses, 0);
     }
 
     #[test]

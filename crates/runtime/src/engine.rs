@@ -1,14 +1,16 @@
 //! The sharded, memoizing campaign engine.
 //!
-//! A [`Campaign`] is an ordered set of [`ScenarioConfig`]s executed across
-//! the crate's one self-scheduling worker pool (`parallel::run_pool`,
-//! whose worker 0 is the calling thread): each worker first executes a
-//! small round-robin *reserved prefix* of flow indices it alone owns — so
-//! a warm replay, whose cache hits are cheaper than a thread spawn, still
-//! spreads over every worker instead of reading `worker_flows = [n, 0, 0,
-//! ...]` — then pulls remaining indices from a shared atomic counter
-//! (idle workers automatically take over the expensive, uneven simulated
-//! remainder).
+//! A [`Campaign`] is an ordered set of [`ScenarioConfig`]s. A pass whose
+//! every flow the cache's memory tier holds is served on the calling
+//! thread, in one sweep under one lock of each shard; any other pass runs
+//! on the crate's one self-scheduling worker pool (`parallel::run_pool`,
+//! whose worker 0 is the calling thread). There each worker first executes
+//! a small round-robin *reserved prefix* of the indices it alone owns — so
+//! a replay from the disk tier, whose hits are cheaper than a thread
+//! spawn, still spreads over every worker instead of reading
+//! `worker_flows = [n, 0, 0, ...]` — then pulls remaining indices from a
+//! shared atomic counter (idle workers automatically take over the
+//! expensive, uneven simulated remainder).
 //!
 //! Workers stream each flow through `runner::run` under `Keep::Summary`:
 //! the measurement pipeline takes the flow's packets from the engine's
@@ -24,22 +26,28 @@
 //! Each worker owns a [`Scratch`] (the simulation engine, its packet arena
 //! and the analysis fold's columns) reused across every flow it handles,
 //! and writes each flow's [`FlowRun`] straight into a result vector of its
-//! own, ascending by
-//! flow index because its claims are: one worker's vector is the
-//! campaign's output as it stands, several are merged by index. Nothing
-//! is shared per flow but the claim counter — no channel, no clock read —
-//! and no flow is hashed per run: [`CampaignBuilder::build`] keys every
-//! config once, beside its validation. A warm flow costs its cache lookup,
-//! one 160-byte summary clone into the run it builds — a plain copy, for
-//! its labels are `&'static str`s (`hsm_trace::record::Label`) and no
-//! reference count moves — and one move of that run into the worker's
-//! vector (the release build's one `memcpy` call on the hit); a disk hit
-//! adds a file read with no allocation, and a one-worker pass spawns no
-//! thread. Completed flows are memoized in a sharded [`FlowCache`]; the
-//! output is in index order, so the summary stream is **bit-identical**
-//! for any worker count and any cache state (cold, warm memory, warm
-//! disk). Wall-clock and utilization telemetry lives only in the
-//! [`CampaignReport`], never in the result stream.
+//! own, ascending by flow index because its claims are: one worker's
+//! vector is the pool's output as it stands, several are merged by index.
+//! Nothing is shared per flow but the claim counter — no channel, no clock
+//! read — and no flow is hashed per run: [`CampaignBuilder::build`] keys
+//! every config once, beside its validation.
+//!
+//! A warm flow is not work. In a pass the memory tier holds whole, a hit
+//! costs one probe of a shard the sweep already holds and one 160-byte
+//! summary clone straight into its run, in a vector reserved at the first
+//! hit — a plain copy, for its labels are `&'static str`s
+//! (`hsm_trace::record::Label`) and no reference count moves. No lock is
+//! taken per flow and no pool starts: no `Scratch`, no claim counter, no
+//! unwind frame. At the sweep's first miss it stops and counts nothing,
+//! and the pool runs every index exactly as it would without the sweep:
+//! each worker's memory probe serves that pass's hits, and a config that
+//! repeats within one pass from its first occurrence. A disk hit runs on
+//! the pool and adds a file read with no allocation; a one-worker pool
+//! spawns no thread. Completed flows are memoized in a sharded
+//! [`FlowCache`]; the output is in index order, so the summary stream is
+//! **bit-identical** for any worker count and any cache state (cold, warm
+//! memory, warm disk, partly warm). Wall-clock and utilization telemetry
+//! lives only in the [`CampaignReport`], never in the result stream.
 
 use crate::cache::{CacheConfig, CacheKey, FlowCache, ENGINE_VERSION};
 use crate::error::EngineError;
@@ -101,14 +109,16 @@ pub struct CampaignReport {
     pub wall_clock_s: f64,
     /// Summed per-flow simulation wall-clock, seconds.
     pub sim_wall_s: f64,
-    /// Flows handled per worker.
+    /// Flows handled per worker; it sums to `flows`. A pass served wholly
+    /// by the memory sweep starts no pool: its hits count on worker 0, the
+    /// calling thread, so it reads `[flows, 0, ...]`.
     pub worker_flows: Vec<usize>,
     /// Seconds each worker spent in its claim loop, first claim to last
-    /// (it never waits inside it). Read once per worker, not summed per
-    /// flow: what is missing from the wall-clock is the time before a
-    /// worker's first claim (worker 0, the calling thread, starts at once;
-    /// a spawned worker after its spawn) and the idle tail after its last
-    /// flow.
+    /// (it never waits inside it); in a pass served wholly by the memory
+    /// sweep, worker 0's is the sweep's. Read once per worker, not summed per flow: what is missing from the
+    /// wall-clock is the time before a worker's first claim (worker 0, the
+    /// calling thread, starts at once; a spawned worker after its spawn)
+    /// and the idle tail after its last flow.
     pub worker_busy_s: Vec<f64>,
     /// Event-queue telemetry aggregated over all simulated flows.
     ///
@@ -177,7 +187,8 @@ impl CampaignOutput {
 /// Only compiled under `cfg(test)` or the `chaos` feature; production
 /// builds without the feature carry none of these hooks. Every fault is
 /// keyed on the flow *index*, so a plan is exactly reproducible for any
-/// worker count.
+/// worker count. A plan acts only on flows that reach the pool: a pass the
+/// memory sweep serves whole claims no flow, so no fault fires in it.
 #[cfg(any(test, feature = "chaos"))]
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ChaosInjection {
@@ -342,19 +353,46 @@ impl Campaign {
     pub fn run_with_cache(&self, cache: &FlowCache) -> Result<CampaignOutput, EngineError> {
         let started = Instant::now();
         let stats_before = cache.stats();
-        let job = |scratch: &mut Scratch, worker, i, slot: Slot<'_, FlowRun>| {
-            #[cfg(any(test, feature = "chaos"))]
-            self.chaos.before_flow(i, scratch);
-            self.execute_one(i, worker, cache, scratch, slot)
+        let n = self.configs.len();
+
+        // A pass the memory tier holds whole is served in one locked sweep
+        // on the calling thread and starts no pool. Any miss and the sweep
+        // counts nothing: the pool runs every flow, and `execute_one`'s own
+        // probe serves the hits, exactly as without the sweep. The run
+        // vector is reserved at the first hit, so a cold pass allocates
+        // nothing for it.
+        let sweep_started = Instant::now();
+        let mut swept: Vec<FlowRun> = Vec::new();
+        let all_resident = cache.sweep_memory(&self.keys, |i, summary| {
+            if i == 0 {
+                swept.reserve_exact(n);
+            }
+            swept.push(served(&self.configs[i], summary.clone(), 0));
+        });
+        let (runs, worker_flows, worker_busy_s) = if all_resident {
+            // Hits are worker 0's: the sweep ran on the calling thread.
+            let width = self.workers.clamp(1, n.max(1));
+            let mut worker_flows = vec![0; width];
+            let mut worker_busy_s = vec![0.0; width];
+            worker_flows[0] = n;
+            worker_busy_s[0] = sweep_started.elapsed().as_secs_f64();
+            (swept, worker_flows, worker_busy_s)
+        } else {
+            drop(swept);
+            let job = |scratch: &mut Scratch, worker, i, slot: Slot<'_, FlowRun>| {
+                #[cfg(any(test, feature = "chaos"))]
+                self.chaos.before_flow(i, scratch);
+                self.execute_one(i, worker, cache, scratch, slot)
+            };
+            let pooled = run_pool(n, self.workers, Scratch::new, job)?;
+            (pooled.results, pooled.worker_jobs, pooled.worker_busy_s)
         };
-        let pooled = run_pool(self.configs.len(), self.workers, Scratch::new, job)?;
-        let runs = pooled.results;
 
         let stats_after = cache.stats();
         let mut report = CampaignReport {
             engine_version: ENGINE_VERSION.to_owned(),
             flows: runs.len(),
-            workers: pooled.worker_jobs.len(),
+            workers: worker_flows.len(),
             cache_hits: 0,
             cache_misses: 0,
             disk_hits: stats_after.disk_hits - stats_before.disk_hits,
@@ -363,14 +401,19 @@ impl Campaign {
             queue: QueueStats::default(),
             wall_clock_s: 0.0,
             sim_wall_s: 0.0,
-            worker_flows: pooled.worker_jobs,
-            worker_busy_s: pooled.worker_busy_s,
+            worker_flows,
+            worker_busy_s,
         };
-        for run in &runs {
-            report.cache_hits += usize::from(run.cache_hit);
-            report.events_processed += run.events;
-            report.queue.merge(&run.queue);
-            report.sim_wall_s += run.sim_wall_s;
+        if all_resident {
+            // Every run is a hit: no events, queue or simulation time.
+            report.cache_hits = n;
+        } else {
+            for run in &runs {
+                report.cache_hits += usize::from(run.cache_hit);
+                report.events_processed += run.events;
+                report.queue.merge(&run.queue);
+                report.sim_wall_s += run.sim_wall_s;
+            }
         }
         report.cache_misses = runs.len() - report.cache_hits;
         report.wall_clock_s = started.elapsed().as_secs_f64();
@@ -405,22 +448,12 @@ impl Campaign {
         // `cache.lookup`, its two tiers taken apart: a memory hit's clone
         // then goes straight into the run, not through the `Option` both
         // tiers would return into (one 160-byte copy a flow fewer).
-        let served = |summary| FlowRun {
-            config: config.clone(),
-            summary,
-            cache_hit: true,
-            sim_wall_s: 0.0,
-            events: 0,
-            queue: QueueStats::default(),
-            worker,
-            outcome: None,
-        };
         if let Some(summary) = cache.memory_hit(key) {
-            slot.fill(served(summary));
+            slot.fill(served(config, summary, worker));
             return Ok(());
         }
         if let Some(summary) = cache.promote_from_disk(key) {
-            slot.fill(served(summary));
+            slot.fill(served(config, summary, worker));
             return Ok(());
         }
         let t0 = Instant::now();
@@ -442,6 +475,21 @@ impl Campaign {
             outcome: None,
         });
         Ok(())
+    }
+}
+
+/// The run of a flow served from the cache.
+#[inline]
+fn served(config: &ScenarioConfig, summary: FlowSummary, worker: usize) -> FlowRun {
+    FlowRun {
+        config: config.clone(),
+        summary,
+        cache_hit: true,
+        sim_wall_s: 0.0,
+        events: 0,
+        queue: QueueStats::default(),
+        worker,
+        outcome: None,
     }
 }
 
@@ -673,13 +721,65 @@ mod tests {
         }
     }
 
-    /// Warm multi-worker replays must spread flows across the whole
-    /// pool. Before the reserved prefix, a cache hit returned faster
-    /// than the pool finished spawning, so the first worker drained all
-    /// 2k+ flows of a warm campaign and `worker_flows` read `[n, 0, 0,
-    /// 0]` — the skew this test pins the fix for.
+    /// A summary's bytes: equal bytes are equal bits, NaNs included.
+    fn bytes(out: &CampaignOutput) -> Vec<Vec<u8>> {
+        out.summaries()
+            .map(|s| crate::codec::encode_entry(0, s))
+            .collect()
+    }
+
+    fn unique_dir(tag: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("hsm_engine_{tag}_{}", std::process::id()))
+    }
+
+    /// Disk hits still run on the pool, and each is cheaper than a thread
+    /// spawn. Before the reserved prefix, the first worker up drained all
+    /// 2k+ flows of a warm campaign and `worker_flows` read `[n, 0, 0, 0]`
+    /// — the skew this test pins the fix for, on a replay served from
+    /// disk alone.
     #[test]
-    fn warm_replay_distributes_flows_across_all_workers() {
+    fn disk_warm_replay_distributes_flows_across_all_workers() {
+        let configs: Vec<ScenarioConfig> = (0..32).map(short).collect();
+        let dir = unique_dir("disk_spread");
+        let _ = std::fs::remove_dir_all(&dir);
+        let campaign = |workers| {
+            Campaign::builder()
+                .configs(configs.clone())
+                .workers(workers)
+                .build()
+                .unwrap()
+        };
+        let cold = campaign(4)
+            .run_with_cache(&FlowCache::new(CacheConfig::with_disk(&dir)))
+            .unwrap();
+        for workers in [2usize, 4] {
+            let disk_only = FlowCache::new(CacheConfig {
+                memory_entries: 0,
+                disk_dir: Some(dir.clone()),
+            });
+            let warm = campaign(workers).run_with_cache(&disk_only).unwrap();
+            assert_eq!(warm.report.disk_hits, 32, "replay must come from disk");
+            assert_eq!(warm.report.worker_flows.len(), workers);
+            for (w, &f) in warm.report.worker_flows.iter().enumerate() {
+                assert!(
+                    f >= RESERVED_ROUNDS,
+                    "worker {w} handled {f} disk hits ({workers} workers): {:?}",
+                    warm.report.worker_flows
+                );
+            }
+            assert_eq!(
+                bytes(&warm),
+                bytes(&cold),
+                "warm stream must stay bit-identical"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Memory hits never reach the pool: the calling thread serves them
+    /// all in its sweep, so they are worker 0's at every worker count.
+    #[test]
+    fn memory_warm_replay_is_served_on_worker_zero() {
         let configs: Vec<ScenarioConfig> = (0..32).map(short).collect();
         let cache = FlowCache::new(CacheConfig::memory_only());
         let cold = Campaign::builder()
@@ -689,7 +789,7 @@ mod tests {
             .unwrap()
             .run_with_cache(&cache)
             .unwrap();
-        for workers in [2usize, 4] {
+        for workers in [1usize, 2, 4] {
             let warm = Campaign::builder()
                 .configs(configs.clone())
                 .workers(workers)
@@ -698,18 +798,94 @@ mod tests {
                 .run_with_cache(&cache)
                 .unwrap();
             assert_eq!(warm.report.cache_hits, 32, "replay must stay warm");
-            assert_eq!(warm.report.worker_flows.len(), workers);
-            for (w, &f) in warm.report.worker_flows.iter().enumerate() {
-                assert!(
-                    f >= RESERVED_ROUNDS,
-                    "worker {w} handled {f} warm flows ({workers} workers): {:?}",
-                    warm.report.worker_flows
+            let mut expected = vec![0; workers];
+            expected[0] = 32;
+            assert_eq!(warm.report.worker_flows, expected, "{workers} workers");
+            assert_eq!(warm.report.workers, workers);
+            assert!(warm.runs.iter().all(|run| run.worker == 0));
+            assert_eq!(
+                bytes(&warm),
+                bytes(&cold),
+                "warm stream must stay bit-identical"
+            );
+        }
+    }
+
+    /// A partly warm pass: the sweep serves nothing and the pool runs every
+    /// flow, its own probe serving the warmed ones, into the cold stream
+    /// at any worker count, counted as without the sweep.
+    #[test]
+    fn a_partly_warm_pass_runs_every_flow_on_the_pool() {
+        const FLOWS: usize = 24;
+        let configs: Vec<ScenarioConfig> = (0..FLOWS as u64).map(short).collect();
+        let cold = Campaign::builder()
+            .configs(configs.clone())
+            .workers(1)
+            .build()
+            .unwrap()
+            .run()
+            .unwrap();
+        let warmed = |i: usize| i.is_multiple_of(3);
+        for workers in [1usize, 2, 4] {
+            let cache = FlowCache::new(CacheConfig::memory_only());
+            Campaign::builder()
+                .configs(
+                    (0..FLOWS)
+                        .filter(|&i| warmed(i))
+                        .map(|i| configs[i].clone()),
+                )
+                .build()
+                .unwrap()
+                .run_with_cache(&cache)
+                .unwrap();
+            let campaign = Campaign::builder()
+                .configs(configs.clone())
+                .workers(workers)
+                .build()
+                .unwrap();
+            let before = cache.stats();
+            let out = campaign.run_with_cache(&cache).unwrap();
+            let after = cache.stats();
+            assert_eq!(after.memory_hits - before.memory_hits, FLOWS as u64 / 3);
+            assert_eq!(after.misses - before.misses, FLOWS as u64 * 2 / 3);
+            assert_eq!(bytes(&out), bytes(&cold), "{workers} workers");
+            for (i, run) in out.runs.iter().enumerate() {
+                assert_eq!(run.cache_hit, warmed(i), "flow {i}, {workers} workers");
+                assert_eq!(
+                    run.config,
+                    campaign.configs()[i],
+                    "flow {i}, {workers} workers"
                 );
             }
-            for (a, b) in cold.summaries().zip(warm.summaries()) {
-                assert_eq!(a, b, "warm stream must stay bit-identical");
-            }
+            let r = &out.report;
+            assert_eq!(r.cache_hits, FLOWS / 3);
+            assert_eq!(r.worker_flows.len(), workers);
+            assert_eq!(r.worker_flows.iter().sum::<usize>(), FLOWS);
+            assert!(
+                r.worker_flows.iter().all(|&f| f > 0),
+                "{:?}",
+                r.worker_flows
+            );
         }
+    }
+
+    /// The sweep runs before the pool, so it cannot serve a config that
+    /// repeats within a cold pass; the pool's own probe does, from the
+    /// run of its first occurrence.
+    #[test]
+    fn a_repeated_config_is_served_from_its_first_occurrence() {
+        let out = Campaign::builder()
+            .configs([short(1), short(2), short(1)])
+            .workers(1)
+            .build()
+            .unwrap()
+            .run()
+            .unwrap();
+        let hits: Vec<bool> = out.runs.iter().map(|run| run.cache_hit).collect();
+        assert_eq!(hits, [false, false, true]);
+        assert_eq!(out.report.cache_hits, 1);
+        assert_eq!(out.runs[2].summary, out.runs[0].summary);
+        assert_eq!(out.report.worker_flows, [3]);
     }
 
     /// Flow `i` of a dataset is plan entry `i`: its campaign tag, and the

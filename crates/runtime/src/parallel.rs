@@ -56,10 +56,12 @@ impl<T> Slot<'_, T> {
 
 /// Rounds of the per-worker reserved prefix: worker `w` of `W` alone owns
 /// indices `{w, w + W, ...}` for this many rounds before the pool falls
-/// back to the shared counter. A cache hit is cheaper than a thread spawn,
-/// so a bare counter let the first worker up drain a whole warm campaign;
-/// the prefix is small enough that an unlucky assignment of expensive jobs
-/// cannot meaningfully unbalance a cold one.
+/// back to the shared counter. A disk-cache hit (a file read and a decode)
+/// is cheaper than a thread spawn, so a bare counter let the first worker
+/// up drain a whole campaign served from disk; the prefix is small enough
+/// that an unlucky assignment of expensive jobs cannot meaningfully
+/// unbalance a cold one. (Memory hits never reach the pool: the campaign
+/// serves them before it starts.)
 pub(crate) const RESERVED_ROUNDS: usize = 8;
 
 /// What a drained pool hands back.

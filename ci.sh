@@ -140,6 +140,17 @@ stage_build_test() {
         echo "the deleted TOML writer (to_toml, toml::render), the spec fuzzer or the spec-roundtrip drill is back" >&2
         exit 1
     fi
+    # Also deleted: trace persistence (a trace is a function of its config:
+    # re-simulate the flow with `runner::run(.., Keep::Trace)`), with its
+    # error type, FlowTrace's JSON methods and the example that used them,
+    # and the absolute-time timer that no agent scheduled.
+    if grep -rnE 'save_traces|load_traces|ReadDatasetError|FlowTrace::(to|from)_json|\btrace_lab\b|\bschedule_at\b' \
+        crates src tests examples \
+        || grep -nE 'fn (to|from)_json\b' crates/trace/src/record.rs \
+        || grep -nE '\bmod store\b' crates/trace/src/lib.rs; then
+        echo "deleted trace persistence (hsm-trace::store, save_traces, load_traces, FlowTrace::{to,from}_json, trace_lab) or Ctx::schedule_at is back" >&2
+        exit 1
+    fi
     # DESIGN.md's budget, which ROADMAP sets: at most 1,000 lines.
     if [ "$(wc -l < DESIGN.md)" -gt 1000 ]; then
         echo "DESIGN.md has $(wc -l < DESIGN.md) lines, over its 1,000-line budget" >&2

@@ -96,21 +96,24 @@ fn run_campaign(opts: &Opts) -> Result<(), String> {
 
     let shards = opts.shards.unwrap_or(1);
     std::fs::create_dir_all(&out).map_err(|e| format!("cannot create {}: {e}", out.display()))?;
-    if shards == 1 {
+    let reports: Vec<ShardReport> = if shards == 1 {
         // Single-process run through the exact same shard/merge path the
         // multi-process mode uses, so merged.json is trivially comparable.
+        // The report is merged as held, not read back: this process's
+        // cache lookups may have filled the label set, which would then
+        // refuse a label the report names (`Label::MAX_INTERNED`).
         let cache = FlowCache::new(CacheConfig::with_disk(&cache_dir));
         let report = run_shard(&spec.name, digest, &configs, 0, 1, opts.workers, &cache)
             .map_err(|e| e.to_string())?;
         write_shard_report(&out, &report).map_err(|e| e.to_string())?;
+        vec![report]
     } else {
         spawn_shards(spec_path, shards, opts, &out, &cache_dir)?;
-    }
-
-    let reports: Vec<ShardReport> = (0..shards)
-        .map(|k| read_shard_report(&out.join(shard_file_name(k, shards))))
-        .collect::<Result<_, _>>()
-        .map_err(|e| e.to_string())?;
+        (0..shards)
+            .map(|k| read_shard_report(&out.join(shard_file_name(k, shards))))
+            .collect::<Result<_, _>>()
+            .map_err(|e| e.to_string())?
+    };
     let merged = merge_shards(&reports).map_err(|e| e.to_string())?;
     let json = serde_json::to_string(&merged).map_err(|e| e.to_string())?;
     let merged_path = out.join("merged.json");

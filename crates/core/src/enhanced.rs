@@ -29,7 +29,6 @@
 
 use crate::padhye::{f_backoff, q_p, x_p};
 use crate::params::{ModelParams, ValidateParamsError};
-use serde::{Deserialize, Serialize};
 
 /// Expected number of rounds in a CA phase (Eq. 2):
 /// `E[X] = (1 − (1−P_a)^(X_P+1)) / P_a`, with the `P_a → 0` limit
@@ -67,7 +66,7 @@ pub fn q_enhanced(q_padhye: f64, p_a: f64, x_p_rounds: f64) -> f64 {
 }
 
 /// Per-timeout-sequence quantities (Section IV-C).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimeoutSequenceTerms {
     /// `p = 1 − (1−q)(1−P_a)`: probability one recovery attempt fails.
     pub p_fail: f64,
@@ -100,7 +99,7 @@ pub fn timeout_sequence_terms(params: &ModelParams) -> TimeoutSequenceTerms {
 
 /// One row of Table III: the distribution of the number of rounds `X` in a
 /// CA phase.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoundProbability {
     /// Number of rounds `X = k`.
     pub rounds: u32,
@@ -130,7 +129,7 @@ pub fn round_distribution(p_a: f64, x_p_rounds: f64) -> Vec<RoundProbability> {
 /// Every intermediate quantity of one model evaluation — exposed so the
 /// experiment harness can print the full derivation chain
 /// (C-INTERMEDIATE).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnhancedBreakdown {
     /// `X_P` (Eq. 1).
     pub x_p: f64,

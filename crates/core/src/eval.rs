@@ -7,7 +7,7 @@ use crate::padhye;
 use crate::params::ModelParams;
 use hsm_trace::record::Label;
 use hsm_trace::summary::FlowSummary;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The absolute deviation rate `D = |TP_model − TP_trace| / TP_trace`
 /// (Eq. 22), as a ratio (0.05 = 5 %).
@@ -22,7 +22,7 @@ pub fn deviation(tp_model: f64, tp_trace: f64) -> f64 {
 }
 
 /// Per-flow model comparison (one point of Fig. 10).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlowEval {
     /// Flow id.
     pub flow: u32,
@@ -51,7 +51,7 @@ impl FlowEval {
 }
 
 /// Aggregate accuracy report (the Fig. 10 headline numbers).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize)]
 pub struct AccuracyReport {
     /// Flows evaluated.
     pub flows: usize,

@@ -1,6 +1,5 @@
 //! Validated model parameters (Table II of the paper).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Error returned when a parameter is out of its valid domain.
@@ -25,7 +24,7 @@ impl std::error::Error for ValidateParamsError {}
 
 /// The inputs of both throughput models (paper Table II plus the two new
 /// parameters `P_a` and `q` of Section IV-A).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModelParams {
     /// Average round-trip time, seconds (`RTT`).
     pub rtt_s: f64,

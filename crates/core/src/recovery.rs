@@ -38,7 +38,6 @@
 use crate::enhanced::{breakdown, timeout_sequence_terms, TimeoutSequenceTerms};
 use crate::padhye::{f_backoff, q_p};
 use crate::params::{ModelParams, ValidateParamsError};
-use serde::{Deserialize, Serialize};
 
 /// The recovery-strategy labels, in `hsm-tcp`'s canonical study order.
 /// `hsm-core` cannot depend on `hsm-tcp`, so the contract is by label:
@@ -46,7 +45,7 @@ use serde::{Deserialize, Serialize};
 pub const STRATEGY_LABELS: [&str; 4] = ["None", "RedundantRto", "Frto", "AckRobust"];
 
 /// One strategy's predicted effect on the enhanced model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryPrediction {
     /// Strategy label (matches `Recovery::label()` in `hsm-tcp`).
     pub label: String,
@@ -267,14 +266,6 @@ mod tests {
         let base = timeout_sequence_terms(&p);
         assert_eq!(adjusted_terms("Quic", &p, 0.5), base);
         assert_eq!(adjusted_terms("None", &p, 0.5), base);
-    }
-
-    #[test]
-    fn predictions_serialize_round_trip() {
-        let rows = predict(&params()).unwrap();
-        let json = serde_json::to_string(&rows).expect("serializes");
-        let back: Vec<RecoveryPrediction> = serde_json::from_str(&json).expect("parses");
-        assert_eq!(back, rows);
     }
 
     #[test]

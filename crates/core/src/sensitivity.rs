@@ -12,10 +12,9 @@
 use crate::ack_burst::p_a_from_ack_loss;
 use crate::enhanced::throughput;
 use crate::params::ModelParams;
-use serde::{Deserialize, Serialize};
 
 /// A `(x, throughput)` sample of a sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SweepPoint {
     /// The swept value.
     pub x: f64,
@@ -60,7 +59,7 @@ pub fn sweep_w_m(base: &ModelParams, values: &[f64]) -> Vec<SweepPoint> {
 }
 
 /// One row of the §V-A delayed-ACK analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DelayedAckPoint {
     /// Delayed-ACK factor `b`.
     pub b: f64,
@@ -102,7 +101,7 @@ pub fn delayed_ack_analysis(
 ///
 /// With backup-path retransmission, a recovery attempt fails only if it
 /// fails on *both* paths: `q_eff = q · q_backup`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RedundantRetransmitBenefit {
     /// Throughput with single-path recovery, segments/s.
     pub single_path_sps: f64,

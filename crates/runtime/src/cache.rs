@@ -45,7 +45,6 @@ pub use hsm_scenario::fnv::fnv1a;
 use hsm_scenario::fnv::Fnv1a;
 use hsm_scenario::runner::ScenarioConfig;
 use hsm_trace::summary::FlowSummary;
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::io::Read;
@@ -146,7 +145,7 @@ impl CacheConfig {
 }
 
 /// Counters describing how the cache behaved.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Lookups served from the memory tier.
     pub memory_hits: u64,
@@ -623,6 +622,7 @@ mod tests {
     use hsm_simnet::time::SimDuration;
     use hsm_tcp::cc::Algorithm;
     use hsm_tcp::recovery::Recovery;
+    use hsm_trace::record::Label;
 
     fn summary(flow: u32) -> FlowSummary {
         FlowSummary {
@@ -1000,7 +1000,7 @@ mod tests {
             // A label this long takes a two-byte length prefix.
             let label = entry_len - (small - "China Mobile".len()) - 1;
             let big = FlowSummary {
-                provider: "x".repeat(label).into(),
+                provider: Label::intern(&"x".repeat(label)).unwrap(),
                 ..summary(key as u32)
             };
             let key = CacheKey(key as u64);

@@ -29,7 +29,8 @@
 //! go through `Label::intern`, which leaks each distinct label once: a
 //! hit on labels the process has met allocates nothing. Any structural
 //! defect — short buffer, bad magic, unknown version, length mismatch,
-//! CRC mismatch, invalid UTF-8, trailing bytes — decodes to `None`, which
+//! CRC mismatch, invalid UTF-8, trailing bytes — or a new label once the
+//! process holds `Label::MAX_INTERNED` decodes to `None`, which
 //! the cache reports as a corrupt entry. So does an entry stamped with
 //! another engine version: a tier written before an [`ENGINE_VERSION`]
 //! bump is never read as current.
@@ -245,8 +246,9 @@ fn put_summary(out: &mut Vec<u8>, s: &FlowSummary) {
 
 /// Decodes and integrity-checks one binary entry, returning the echoed
 /// cache key and the summary. `None` means the entry is corrupt, a
-/// different format version, or was written by a different engine
-/// version — in every case the caller treats it as a miss.
+/// different format version, written by a different engine version, or
+/// carries a new label the process-wide label set refuses
+/// ([`Label::intern`]) — in every case the caller treats it as a miss.
 pub fn decode_entry(bytes: &[u8]) -> Option<(u64, FlowSummary)> {
     let mut r = Reader { buf: bytes };
     if r.take(MAGIC.len())? != MAGIC {
@@ -281,8 +283,8 @@ pub fn decode_entry(bytes: &[u8]) -> Option<(u64, FlowSummary)> {
 fn take_summary(r: &mut Reader<'_>) -> Option<FlowSummary> {
     Some(FlowSummary {
         flow: r.u32()?,
-        provider: Label::intern(r.str_slice()?),
-        scenario: Label::intern(r.str_slice()?),
+        provider: Label::intern(r.str_slice()?)?,
+        scenario: Label::intern(r.str_slice()?)?,
         rtt_s: r.f64()?,
         p_d: r.f64()?,
         data_sent: r.u64()?,

@@ -58,7 +58,7 @@ pub struct ShardReport {
 /// Contains only fields that are a pure function of the spec: its
 /// serde-JSON bytes are identical for any shard count, worker count and
 /// cache state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CampaignResult {
     /// Name of the spec the campaign was expanded from.
     pub spec_name: String,

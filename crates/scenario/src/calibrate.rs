@@ -9,10 +9,9 @@
 
 use crate::dataset::DatasetFlow;
 use hsm_trace::stats::mean;
-use serde::{Deserialize, Serialize};
 
 /// The paper's measured headline numbers (§I and §III).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PaperTargets {
     /// Mean timeout-recovery duration at 300 km/h, seconds.
     pub recovery_high_speed_s: f64,
@@ -52,7 +51,7 @@ pub const PAPER: PaperTargets = PaperTargets {
 };
 
 /// One paper-vs-measured comparison row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CalibrationRow {
     /// What is being compared.
     pub metric: String,
@@ -74,7 +73,7 @@ impl CalibrationRow {
 }
 
 /// Aggregate statistics of a generated high-speed dataset.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DatasetAggregates {
     /// Mean lifetime data loss rate.
     pub mean_p_d: f64,

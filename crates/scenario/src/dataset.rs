@@ -17,11 +17,10 @@ use hsm_simnet::time::SimDuration;
 use hsm_tcp::cc::Algorithm;
 use hsm_tcp::recovery::Recovery;
 use hsm_trace::summary::FlowSummary;
-use serde::{Deserialize, Serialize};
 
 /// One row of Table I — a real-world measurement campaign of the paper.
 /// (Declarative sweep campaigns are `crate::spec::CampaignSpec`.)
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MeasurementCampaign {
     /// Measurement campaign date.
     pub date: &'static str,

@@ -20,11 +20,10 @@ use crate::mobility::Trajectory;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use crate::timeline::Impairment;
-use serde::{Deserialize, Serialize};
 
 /// A stretch of the route with degraded coverage (e.g. the paper notes
 /// China Telecom's 3G barely covers the Beijing–Tianjin corridor).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoverageHole {
     /// Start of the hole along the route, metres.
     pub from_m: f64,
@@ -42,7 +41,7 @@ impl CoverageHole {
 }
 
 /// Base stations every `spacing_m` along the line.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CellLayout {
     /// Distance between adjacent cell boundaries, metres.
     pub spacing_m: f64,
@@ -101,7 +100,7 @@ impl CellLayout {
 }
 
 /// Transport-layer footprint of one handoff.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HandoffParams {
     /// Mean outage duration.
     pub outage_mean: SimDuration,
@@ -137,7 +136,7 @@ impl HandoffParams {
 }
 
 /// The handoffs of a ride's schedule.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChannelStats {
     /// Handoffs performed.
     pub handoffs: u64,

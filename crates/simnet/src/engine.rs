@@ -107,20 +107,6 @@ impl<'a> Ctx<'a> {
         })
     }
 
-    /// Schedules a timer for this agent at an absolute instant.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is in the past.
-    pub fn schedule_at(&mut self, at: SimTime, tag: u64) -> EventId {
-        assert!(at >= self.core.now, "scheduling into the past");
-        self.core.queue.schedule(Event {
-            at,
-            dst: self.id,
-            kind: EventKind::Timer { tag },
-        })
-    }
-
     /// Moves the pending timer `id` to `after` from now under a new `tag`
     /// — exactly [`Ctx::cancel_timer`] followed by [`Ctx::schedule_in`]
     /// (same firing order, same returned id, same queue statistics), but

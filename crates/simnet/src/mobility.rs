@@ -6,7 +6,6 @@
 //! routes that never reach cruise speed fall back to a triangular profile.
 
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Converts km/h to m/s.
 pub fn kmh_to_ms(kmh: f64) -> f64 {
@@ -19,14 +18,13 @@ pub fn ms_to_kmh(ms: f64) -> f64 {
 }
 
 /// A 1-D train trajectory: accelerate, cruise, brake (or stand still).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Trajectory {
     route_m: f64,
     cruise_ms: f64,
     accel_ms2: f64,
     /// Position on the line where this ride starts (captures taken
     /// mid-journey start mid-route).
-    #[serde(default)]
     start_m: f64,
     // Derived, cached at construction:
     t_accel: f64,

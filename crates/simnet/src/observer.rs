@@ -20,13 +20,12 @@
 use crate::link::LinkId;
 use crate::packet::Packet;
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
 
 /// Why a packet died.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DropCause {
     /// The channel's loss model destroyed it (wireless loss / outage).
     Channel,
@@ -35,7 +34,7 @@ pub enum DropCause {
 }
 
 /// What happened to a packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PacketEventKind {
     /// Entered a link (started transmission or was queued).
     Sent,
@@ -46,7 +45,7 @@ pub enum PacketEventKind {
 }
 
 /// A recorded packet event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PacketEvent {
     /// When it happened.
     pub time: SimTime,

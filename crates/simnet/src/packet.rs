@@ -5,23 +5,18 @@
 //! exactly the unit the Padhye-family models reason in.
 
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Globally unique packet identity (unique per engine run, across flows).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PacketId(pub u64);
 
 /// Flow identity; one TCP connection (or MPTCP subflow) per flow id.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct FlowId(pub u32);
 
 /// Segment sequence number, in MSS units.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct SeqNo(pub u64);
 
 impl SeqNo {
@@ -46,7 +41,7 @@ impl fmt::Display for SeqNo {
 }
 
 /// The transport-level meaning of a packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PacketKind {
     /// A data segment carrying one MSS of payload.
     Data {
@@ -79,7 +74,7 @@ impl PacketKind {
 }
 
 /// A packet in flight.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Packet {
     /// Unique id (assigned by the engine when sent).
     pub id: PacketId,
@@ -179,13 +174,5 @@ mod tests {
     fn tag_builder() {
         let p = Packet::data(FlowId(0), SeqNo(0), false).with_tag(3);
         assert_eq!(p.tag, 3);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let p = Packet::data(FlowId(2), SeqNo(9), true);
-        let json = serde_json::to_string(&p).unwrap();
-        let back: Packet = serde_json::from_str(&json).unwrap();
-        assert_eq!(p, back);
     }
 }

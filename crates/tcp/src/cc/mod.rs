@@ -33,7 +33,7 @@ pub(crate) mod cubic;
 /// [`Cwnd::new`](crate::cwnd::Cwnd::new) turns it into a live window
 /// machine. Each controller runs at its published constants
 /// ([`Algorithm::constants`]), so a label names exactly one controller.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum Algorithm {
     /// Classic Reno (the paper's modelling target).
     #[default]

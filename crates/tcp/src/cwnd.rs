@@ -15,14 +15,13 @@
 //! say where.
 
 use crate::cc::{bbr, compound, cubic, Algorithm};
-use serde::{Deserialize, Serialize};
 
 /// Veno's backlog threshold `β`, packets: a loss with a smaller backlog
 /// estimate is deemed random (Fu & Liew's default).
 pub(crate) const VENO_BETA: f64 = 3.0;
 
 /// Which congestion phase the sender is in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// Exponential growth below `ssthresh`.
     SlowStart,

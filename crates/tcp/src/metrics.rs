@@ -9,10 +9,9 @@
 
 use crate::cwnd::Phase;
 use hsm_simnet::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// One point of the congestion-window evolution (Figs. 7–9).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CwndSample {
     /// When the sample was taken.
     pub at: SimTime,
@@ -25,7 +24,7 @@ pub struct CwndSample {
 }
 
 /// Sender-side ground truth.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SenderMetrics {
     /// Window samples, one per change. Empty for a run under
     /// [`Keep::Summary`](crate::connection::Keep::Summary), whose sender
@@ -128,7 +127,7 @@ impl SenderMetrics {
 }
 
 /// Receiver-side ground truth.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ReceiverMetrics {
     /// Data segments received (including duplicates).
     pub segments_received: u64,

@@ -7,7 +7,6 @@
 //! enforced by the sender, which only feeds unambiguous samples.
 
 use hsm_simnet::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Base RTO before any RTT sample, seconds (RFC 6298 §2.1).
 const INITIAL_RTO_S: f64 = 1.0;
@@ -24,7 +23,7 @@ const MAX_FACTOR: u64 = 64;
 
 /// Jacobson RTT estimator. A fresh one (`default()`) has a base RTO of
 /// 1 s until its first sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RttEstimator {
     srtt: Option<f64>,
     rttvar: f64,
@@ -80,7 +79,7 @@ impl RttEstimator {
 /// After each consecutive timeout the timer doubles; the paper notes the
 /// doubling continues until the timer reaches `64·T` (RFC 6298's cap
 /// behaviour), after which it stays there.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Backoff {
     /// Consecutive timeouts since the last reset. Tracked separately from
     /// the factor cap: the multiplier saturates at 64× but ladder lengths

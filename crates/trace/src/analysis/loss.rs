@@ -1,10 +1,9 @@
 //! Lifetime loss rates (the paper's `p_d` and `p_a`).
 
 use crate::record::{FlowTrace, PacketRecord};
-use serde::{Deserialize, Serialize};
 
 /// Data- and ACK-loss rates over a flow's lifetime.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct LossRates {
     /// Data packets sent (including retransmissions).
     pub data_sent: u64,

@@ -8,10 +8,9 @@
 
 use crate::record::FlowTrace;
 use hsm_simnet::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// A group of ACKs belonging to one transmission round.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AckRound {
     /// Send time of the first ACK of the round.
     pub start: SimTime,
@@ -113,7 +112,7 @@ pub fn ack_rounds(trace: &FlowTrace, gap: SimDuration) -> Vec<AckRound> {
 }
 
 /// Summary of ACK-burst behaviour over a flow.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct AckBurstStats {
     /// Rounds counted (single-ACK rounds included): every round that does
     /// not start inside an excluded recovery window — every round when

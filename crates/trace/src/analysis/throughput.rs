@@ -7,11 +7,10 @@
 use super::dense_reach;
 use crate::record::{FlowTrace, PacketRecord};
 use hsm_simnet::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// Throughput measures of one flow.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Throughput {
     /// Data segments delivered (counting duplicates from spurious
     /// retransmissions).

@@ -22,11 +22,10 @@
 use super::dense_reach;
 use crate::record::{FlowTrace, PacketRecord};
 use hsm_simnet::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Tunables for timeout detection.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimeoutConfig {
     /// Minimum send-silence before a retransmission is attributed to an
     /// RTO. Should sit between the RTT and the minimum RTO.
@@ -42,7 +41,7 @@ impl Default for TimeoutConfig {
 }
 
 /// One classified timeout event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimeoutEvent {
     /// Index into `trace.records` of the retransmission this timeout
     /// produced.
@@ -54,7 +53,7 @@ pub struct TimeoutEvent {
 
 /// A run of consecutive timeouts (the backoff ladder) plus its recovery
 /// phase boundaries.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimeoutSequence {
     /// The timeouts of this sequence, in order.
     pub events: Vec<TimeoutEvent>,
@@ -112,7 +111,7 @@ impl TimeoutSequence {
 }
 
 /// Full timeout analysis of one flow.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TimeoutAnalysis {
     /// All timeout sequences, in time order.
     pub sequences: Vec<TimeoutSequence>,

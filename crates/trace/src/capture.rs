@@ -178,6 +178,7 @@ pub fn single_flow_trace(events: &[PacketEvent], flow: u32, meta: FlowMeta) -> O
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::Label;
     use hsm_simnet::loss::LossModel;
     use hsm_simnet::observer::DropCause;
     use hsm_simnet::prelude::*;
@@ -293,7 +294,7 @@ mod tests {
         let (eng, events) = mixed_fate_run(|_| {});
         for flow in [5u32, 9] {
             let meta = FlowMeta {
-                provider: format!("p{flow}").into(),
+                provider: Label::intern(&format!("p{flow}")).unwrap(),
                 ..Default::default()
             };
             let from_arena = trace_from_arena(eng.arena(), flow, meta);
@@ -491,7 +492,7 @@ mod tests {
         let traces = traces_from_events_filtered(
             &events,
             |f| FlowMeta {
-                provider: format!("p{f}").into(),
+                provider: Label::intern(&format!("p{f}")).unwrap(),
                 ..Default::default()
             },
             None,

@@ -4,13 +4,12 @@
 //! [`Table`], which knows how to pretty-print for the terminal and to emit
 //! CSV for external plotting.
 
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 
 /// A simple rectangular table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Table {
     /// Table title (figure/table id and caption).
     pub title: String,

@@ -18,7 +18,7 @@
 //! * a one-stop per-flow summary feeding the models: one push fold
 //!   ([`summary::FlowFold`]) that a running flow feeds record by record,
 //!   and [`summary::analyze_records`] / [`summary::analyze_flow`], the same
-//!   fold over any record iterator or a stored trace,
+//!   fold over any record iterator or a whole [`record::FlowTrace`],
 //! * CDFs / correlation statistics ([`stats`]) and CSV export
 //!   ([`export`]).
 //!
@@ -39,7 +39,6 @@ mod column;
 pub mod export;
 pub mod record;
 pub mod stats;
-pub mod store;
 pub mod summary;
 
 /// Convenient glob-import surface: `use hsm_trace::prelude::*;`.
@@ -55,7 +54,6 @@ pub mod prelude {
     pub use crate::export::{fnum, fpct, Table};
     pub use crate::record::{FlowMeta, FlowTrace, PacketRecord};
     pub use crate::stats::{linear_fit, mean, pearson, Cdf, LinearFit};
-    pub use crate::store::{load_traces, save_traces, ReadDatasetError};
     pub use crate::summary::{
         analyze_flow, analyze_records, FlowAnalysis, FlowFold, FlowSummary, FoldColumns,
     };

@@ -13,7 +13,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::{Mutex, PoisonError};
 
 /// One packet transmission, as seen from both endpoints.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct PacketRecord {
     /// Engine-global packet id.
     pub id: u64,
@@ -51,12 +51,19 @@ impl PacketRecord {
 /// memory-cache hit does) is a copy, and dropping one touches nothing.
 ///
 /// A label from a literal (`Provider::name`, `Motion::label`) is free:
-/// `From<&'static str>` wraps the pointer. A label made at run time — a
-/// decoded disk entry, a deserialized report, a `String` — goes through
-/// [`Label::intern`], which leaks each *distinct* string once into one
-/// process-wide set. The set is bounded by the number of distinct labels
-/// the process meets (the paper's Table I has five: three carriers, two
-/// scenarios), and interning a string already in it allocates nothing.
+/// `From<&'static str>` wraps the pointer. A label made from any other
+/// string — one read from outside (a decoded disk entry, a deserialized
+/// shard report) or built at run time — goes through [`Label::intern`],
+/// one process-wide set that leaks each *distinct* string once, so
+/// interning a string already in it allocates nothing. The set refuses a
+/// new string once it holds [`Label::MAX_INTERNED`], so a forged cache
+/// tier cannot grow it without bound. The paper's Table I needs five:
+/// three carriers, two scenarios.
+///
+/// The bound counts interned strings only, and a literal label is never
+/// interned: once outside input has filled the set, a report naming even
+/// a literal such as `"China Mobile"` fails to parse, unless the set met
+/// that string before it filled.
 ///
 /// Equality, order, hashing, `Debug`, `Display` and serde are `str`'s: two
 /// labels compare by content, never by pointer, so a literal and an
@@ -65,31 +72,32 @@ impl PacketRecord {
 pub struct Label(&'static str);
 
 impl Label {
-    /// The label of a string made at run time: the one interned copy of
-    /// `s`, leaked the first time the process meets it.
-    pub fn intern(s: &str) -> Label {
+    /// The most distinct strings [`Label::intern`] lets the process leak.
+    pub const MAX_INTERNED: usize = 1_024;
+
+    /// The one interned copy of `s`, leaked the first time the process
+    /// meets it, or `None` if `s` is new and the set already holds
+    /// [`Label::MAX_INTERNED`] strings.
+    pub fn intern(s: &str) -> Option<Label> {
         static INTERNED: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
         // The one update is an insert of a string already leaked, so a
         // panic elsewhere while the lock was held left the set valid.
         let mut set = INTERNED.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(&seen) = set.get(s) {
-            return Label(seen);
+            return Some(Label(seen));
+        }
+        if set.len() >= Label::MAX_INTERNED {
+            return None;
         }
         let leaked: &'static str = Box::leak(Box::from(s));
         set.insert(leaked);
-        Label(leaked)
+        Some(Label(leaked))
     }
 }
 
 impl From<&'static str> for Label {
     fn from(s: &'static str) -> Label {
         Label(s)
-    }
-}
-
-impl From<String> for Label {
-    fn from(s: String) -> Label {
-        Label::intern(&s)
     }
 }
 
@@ -148,7 +156,12 @@ impl Serialize for Label {
 impl Deserialize for Label {
     fn from_value(v: &Value) -> Result<Label, DeError> {
         match v {
-            Value::Str(s) => Ok(Label::intern(s)),
+            Value::Str(s) => Label::intern(s).ok_or_else(|| {
+                DeError::custom(format!(
+                    "label {s:?} is new and the process already holds {} labels",
+                    Label::MAX_INTERNED
+                ))
+            }),
             other => Err(DeError::expected("string", other)),
         }
     }
@@ -156,7 +169,7 @@ impl Deserialize for Label {
 
 /// Static facts about a flow that a pure packet capture cannot know; the
 /// TCP layer fills these in when producing the trace.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct FlowMeta {
     /// Human label of the ISP profile ("China Mobile", …).
     pub provider: Label,
@@ -180,7 +193,7 @@ impl Default for FlowMeta {
 }
 
 /// The full two-endpoint trace of one TCP flow.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FlowTrace {
     /// Flow id within the dataset.
     pub flow: u32,
@@ -235,25 +248,6 @@ impl FlowTrace {
     /// but synthetic traces built by tests may not.
     pub fn sort_by_send_time(&mut self) {
         self.records.sort_by_key(|r| (r.sent_at, r.id));
-    }
-
-    /// Serializes to JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if serialization fails (it cannot for this type,
-    /// but the signature is honest).
-    pub fn to_json(&self) -> Result<String, serde_json::Error> {
-        serde_json::to_string(self)
-    }
-
-    /// Deserializes from JSON produced by [`FlowTrace::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `s` is not a valid serialized trace.
-    pub fn from_json(s: &str) -> Result<FlowTrace, serde_json::Error> {
-        serde_json::from_str(s)
     }
 }
 
@@ -313,20 +307,6 @@ mod tests {
         assert_eq!(t.records[0].seq, 1);
     }
 
-    #[test]
-    fn json_round_trip() {
-        let mut t = FlowTrace::new(
-            3,
-            FlowMeta {
-                provider: "China Mobile".into(),
-                ..Default::default()
-            },
-        );
-        t.records.push(rec(0, false, 0, Some(30)));
-        let back = FlowTrace::from_json(&t.to_json().unwrap()).unwrap();
-        assert_eq!(t, back);
-    }
-
     fn hash_of<T: Hash + ?Sized>(x: &T) -> u64 {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         x.hash(&mut h);
@@ -336,7 +316,7 @@ mod tests {
     #[test]
     fn static_and_interned_labels_are_their_strings() {
         let literal = Label::from("China Mobile");
-        let interned = Label::intern(&String::from("China Mobile"));
+        let interned = Label::intern(&String::from("China Mobile")).unwrap();
         assert!(!std::ptr::eq(&*literal, &*interned));
         assert_eq!(literal, interned);
         assert_eq!(hash_of(&literal), hash_of(&interned));
@@ -344,10 +324,10 @@ mod tests {
         assert_ne!(literal, Label::from("China Unicom"));
         let mut labels = [
             Label::from("stationary"),
-            Label::intern("China Unicom"),
+            Label::intern("China Unicom").unwrap(),
             Label::from("China Mobile"),
-            Label::from(String::from("high-speed")),
-            Label::intern("China Mobile"),
+            Label::intern(&String::from("high-speed")).unwrap(),
+            Label::intern("China Mobile").unwrap(),
         ];
         labels.sort();
         let texts = labels.map(|label| label.to_string());
@@ -359,9 +339,9 @@ mod tests {
 
     #[test]
     fn interning_a_string_twice_returns_one_copy() {
-        let first = Label::intern(&format!("p{}", 17));
-        let again = Label::intern("p17");
-        let owned = Label::from(String::from("p17"));
+        let first = Label::intern(&format!("p{}", 17)).unwrap();
+        let again = Label::intern("p17").unwrap();
+        let owned = Label::intern(&String::from("p17")).unwrap();
         assert!(std::ptr::eq(&*first, &*again));
         assert!(std::ptr::eq(&*first, &*owned));
     }
@@ -372,7 +352,7 @@ mod tests {
     fn a_label_formats_and_serializes_as_its_string() {
         let meta = FlowMeta {
             provider: "tab\there \"q\" é".into(),
-            scenario: Label::intern("s"),
+            scenario: Label::intern("s").unwrap(),
             w_m: 1,
             b: 2,
         };
@@ -392,6 +372,10 @@ mod tests {
             json,
             r#"{"provider":"tab\there \"q\" é","scenario":"s","w_m":1,"b":2}"#
         );
-        assert_eq!(serde_json::from_str::<FlowMeta>(&json).unwrap(), meta);
+        let provider = serde_json::to_string(&meta.provider).unwrap();
+        assert_eq!(
+            serde_json::from_str::<Label>(&provider).unwrap(),
+            meta.provider
+        );
     }
 }

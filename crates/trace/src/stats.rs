@@ -2,10 +2,8 @@
 //! CDFs (Figs. 3 and 6), Pearson correlation and linear fits (Fig. 4),
 //! and the mean.
 
-use serde::{Deserialize, Serialize};
-
 /// An empirical cumulative distribution function over `f64` samples.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cdf {
     sorted: Vec<f64>,
 }
@@ -72,7 +70,7 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> Option<f64> {
 }
 
 /// Least-squares line `y = slope * x + intercept`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinearFit {
     /// Slope of the fitted line.
     pub slope: f64,

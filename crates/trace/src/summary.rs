@@ -959,7 +959,7 @@ mod tests {
         let s = FlowSummary {
             flow: 7,
             provider: "China Mobile".into(),
-            scenario: Label::intern("high-speed"),
+            scenario: Label::intern("high-speed").unwrap(),
             rtt_s: 0.0625,
             p_d: 0.01,
             data_sent: 12345,

@@ -82,17 +82,6 @@ fn flow_summaries_bit_identical_across_worker_counts() {
 }
 
 #[test]
-fn trace_json_round_trip_preserves_analysis() {
-    let trace = one_flow(55);
-    let json = trace.to_json().expect("serialize");
-    let back = FlowTrace::from_json(&json).expect("deserialize");
-    assert_eq!(trace, back);
-    let a1 = analyze_flow(&trace, &TimeoutConfig::default());
-    let a2 = analyze_flow(&back, &TimeoutConfig::default());
-    assert_eq!(a1.summary, a2.summary);
-}
-
-#[test]
 fn analysis_is_a_pure_function_of_the_trace() {
     let trace = one_flow(77);
     let a1 = analyze_flow(&trace, &TimeoutConfig::default());

@@ -1,5 +1,5 @@
 //! Integration tests for the extension features: Veno, adaptive delayed
-//! ACKs, spurious-RTO undo, shared-radio MPTCP and trace persistence.
+//! ACKs, spurious-RTO undo and shared-radio MPTCP.
 
 use hsm::scenario::prelude::*;
 use hsm::simnet::time::SimDuration;
@@ -148,35 +148,4 @@ fn shared_radio_mptcp_fills_dead_time_without_doubling_capacity() {
         shared_sum > single_sum,
         "shared-radio MPTCP must recover dead time: {shared_sum} vs {single_sum}"
     );
-}
-
-#[test]
-fn dataset_persistence_round_trips_through_disk() {
-    let cfg = DatasetConfig {
-        scale: 0.02,
-        flow_duration: SimDuration::from_secs(10),
-        ..Default::default()
-    };
-    // A dataset is its summaries; the traces to persist come from running
-    // its plan one flow at a time.
-    let traces: Vec<FlowTrace> = plan_dataset(&cfg)
-        .iter()
-        .map(|(_, config)| {
-            run_scenario(config)
-                .trace
-                .expect("run_scenario keeps the trace")
-        })
-        .collect();
-    let path = std::env::temp_dir().join("hsm_ext_roundtrip.jsonl");
-    save_traces(&path, &traces).expect("save");
-    let reloaded = load_traces(&path).expect("load");
-    assert_eq!(reloaded.len(), traces.len());
-    for (orig, back) in traces.iter().zip(&reloaded) {
-        assert_eq!(orig, back);
-        // Reloaded traces analyze identically.
-        let a = analyze_flow(orig, &TimeoutConfig::default()).summary;
-        let b = analyze_flow(back, &TimeoutConfig::default()).summary;
-        assert_eq!(a, b);
-    }
-    let _ = std::fs::remove_file(&path);
 }

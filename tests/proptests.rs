@@ -253,6 +253,7 @@ mod scenario_config_properties {
 mod codec_properties {
     use super::*;
     use hsm::runtime::codec::{decode_entry, encode_entry};
+    use hsm::trace::record::Label;
     use hsm::trace::summary::FlowSummary;
 
     /// Asserts two summaries are the same down to the bit pattern of
@@ -350,8 +351,8 @@ mod codec_properties {
                     (w_m, b),
                 )| FlowSummary {
                     flow,
-                    provider: provider.into(),
-                    scenario: scenario.into(),
+                    provider: Label::intern(&provider).unwrap(),
+                    scenario: Label::intern(&scenario).unwrap(),
                     rtt_s,
                     p_d,
                     data_sent,

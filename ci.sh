@@ -151,6 +151,14 @@ stage_build_test() {
         echo "deleted trace persistence (hsm-trace::store, save_traces, load_traces, FlowTrace::{to,from}_json, trace_lab) or Ctx::schedule_at is back" >&2
         exit 1
     fi
+    # Also deleted: the packet recorder, its engine slot and the event folds
+    # that read it. The packet arena is the one packet log.
+    if grep -rnE '\bVecRecorder\b|\badd_recorder\b|\bPacketEvent\b|\bPacketEventKind\b|\bDropCause\b|\btraces_from_events_filtered\b|\bsingle_flow_trace\b|\b(hsm_)?simnet::observer\b' \
+        crates src tests examples benchmark/src \
+        || grep -nE '\bmod observer\b' crates/simnet/src/lib.rs; then
+        echo "the deleted packet recorder (simnet::observer, VecRecorder, add_recorder, PacketEvent, PacketEventKind, DropCause) or its folds (traces_from_events_filtered, single_flow_trace) are back" >&2
+        exit 1
+    fi
     # DESIGN.md's budget, which ROADMAP sets: at most 1,000 lines.
     if [ "$(wc -l < DESIGN.md)" -gt 1000 ]; then
         echo "DESIGN.md has $(wc -l < DESIGN.md) lines, over its 1,000-line budget" >&2

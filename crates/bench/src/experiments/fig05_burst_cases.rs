@@ -54,8 +54,6 @@ fn run_case(w_m: u32, outage_ms: (u64, u64), segments: u64) -> ScriptedRun {
         SimTime::from_millis(outage_ms.1),
         Impairment::outage(1.0),
     );
-    let rec = VecRecorder::new();
-    eng.add_recorder(rec.clone());
     eng.run_until(SimTime::from_secs(60));
     let timeouts = eng
         .agent_mut::<RenoSender>(tx)
@@ -66,10 +64,11 @@ fn run_case(w_m: u32, outage_ms: (u64, u64), segments: u64) -> ScriptedRun {
     let rx_agent = eng.agent_mut::<Receiver>(rx).expect("receiver");
     let duplicate_payloads = rx_agent.metrics.duplicate_payloads;
     let delivered = rx_agent.next_expected().as_u64();
-    let data_lost = rec
-        .events()
+    // A data row with no arrival: dropped, or still on its way at the end.
+    let data_lost = eng
+        .arena()
         .iter()
-        .any(|e| matches!(e.kind, PacketEventKind::Dropped(_)) && e.packet.kind.is_data());
+        .any(|(p, arrived)| p.kind.is_data() && arrived.is_none());
     ScriptedRun {
         timeouts,
         duplicate_payloads,

@@ -21,8 +21,7 @@
 //! of the full packet: link queues and in-flight slots hold
 //! [`QueuedPacket`](crate::link::QueuedPacket)s, and `Deliver` events carry
 //! a bare [`PacketId`]. The full [`Packet`] is materialized from its row
-//! only at the edges (the packet recorder and
-//! [`Agent::on_packet`](crate::agent::Agent::on_packet)).
+//! only to hand it to [`Agent::on_packet`](crate::agent::Agent::on_packet).
 //!
 //! A row is also the packet's whole capture record: the send-side facts
 //! are stored by [`PacketArena::push`] and the delivery time by

@@ -14,7 +14,8 @@
 //! * a 300 km/h train [`mobility::Trajectory`] and the handoff schedule of
 //!   a [`cellular::MobilityScenario`]: the outages and loss spikes the
 //!   paper observes,
-//! * an [`observer`] recorder that watches every hop like a `tcpdump`.
+//! * an [`arena::PacketArena`] holding one row per packet, send to
+//!   arrival: the run's capture, like a `tcpdump` at both endpoints.
 //!
 //! TCP itself lives in the `hsm-tcp` crate; analyses in `hsm-trace`.
 //!
@@ -53,7 +54,6 @@ pub mod event;
 pub mod link;
 pub mod loss;
 pub mod mobility;
-pub mod observer;
 pub mod packet;
 pub mod rng;
 pub mod time;
@@ -71,7 +71,6 @@ pub mod prelude {
     pub use crate::link::{LinkId, LinkSpec, QueuedPacket};
     pub use crate::loss::{GilbertElliott, LossModel};
     pub use crate::mobility::Trajectory;
-    pub use crate::observer::{DropCause, PacketEvent, PacketEventKind, VecRecorder};
     pub use crate::packet::{FlowId, Packet, PacketId, PacketKind, SeqNo};
     pub use crate::rng::{RngFactory, SimRng};
     pub use crate::time::{SimDuration, SimTime};

@@ -18,7 +18,6 @@ use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use crate::timeline::Timeline;
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 /// Identity of a link within an engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -54,7 +53,8 @@ pub struct LinkSpec {
     pub queue_capacity: usize,
     /// The channel's base loss model.
     pub loss: LossModel,
-    /// Human-readable label used in traces ("downlink", "uplink", …).
+    /// Human-readable label ("downlink", "uplink", …) that the link's
+    /// conservation check names when it fails.
     pub label: String,
 }
 
@@ -124,8 +124,8 @@ pub struct QueuedPacket {
 ///
 /// Accepted packets are stored inside the link (in-flight slot or queue)
 /// as compact [`QueuedPacket`] handles; a rejected one is handed back
-/// inside [`Accept::DroppedOverflow`] so the caller can still report it
-/// to the recorder.
+/// inside [`Accept::DroppedOverflow`] so the caller can settle its arena
+/// row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Accept {
     /// Link was idle; transmission starts now.
@@ -159,10 +159,8 @@ pub struct Link {
     /// What the channel adds to the base loss and to `prop_delay` over the
     /// run, written before it starts.
     pub(crate) timeline: Timeline,
-    /// Trace label, interned once at registration: every per-event use
-    /// (a recorded [`PacketEvent`](crate::observer::PacketEvent))
-    /// shares this allocation instead of cloning a `String`.
-    pub label: Arc<str>,
+    /// The spec's label, named by the conservation check when it fails.
+    pub label: String,
     queue_capacity: usize,
     queue: VecDeque<QueuedPacket>,
     in_flight: Option<QueuedPacket>,
@@ -211,7 +209,7 @@ impl Link {
             last_tx: (0, clock_out(spec.bandwidth_bps, 0)),
             loss: spec.loss,
             timeline,
-            label: spec.label.into(),
+            label: spec.label,
             queue_capacity: spec.queue_capacity,
             queue,
             in_flight: None,

@@ -86,7 +86,9 @@ pub struct Packet {
     pub size_bytes: u32,
     /// Time the packet entered its first link (stamped by the engine).
     pub sent_at: SimTime,
-    /// Free-form sender bookkeeping (e.g. MPTCP subflow index).
+    /// 0, except on the copies the shared-radio MPTCP rig's demux forwards
+    /// (`hsm_tcp::demux::FORWARDED`), which that rig's capture skips: the
+    /// tag has one value and one reader.
     pub tag: u64,
 }
 
@@ -120,7 +122,7 @@ impl Packet {
         }
     }
 
-    /// Sets the sender bookkeeping tag (builder style).
+    /// Sets the tag (builder style).
     pub fn with_tag(mut self, tag: u64) -> Packet {
         self.tag = tag;
         self

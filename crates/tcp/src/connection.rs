@@ -207,11 +207,10 @@ pub enum Keep {
 /// to fresh-engine runs (`Engine::reset` re-derives every random stream
 /// from the new seed, and a fold empties its columns when it starts).
 ///
-/// The run registers no recorder: the engine's packet arena records every
-/// sent packet and its delivery time as it goes, and the run drains the
-/// landed packets' rows into the analysis ([`flow_records`] into a
-/// [`FlowFold`]) and, under [`Keep::Trace`], into a trace, reusing their
-/// chunks as it goes.
+/// The engine's packet arena records every sent packet and its delivery
+/// time as it goes, and the run drains the landed packets' rows into the
+/// analysis ([`flow_records`] into a [`FlowFold`]) and, under
+/// [`Keep::Trace`], into a trace, reusing their chunks as it goes.
 #[derive(Debug)]
 pub struct ConnectionScratch {
     engine: Engine,

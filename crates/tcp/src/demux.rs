@@ -3,15 +3,19 @@
 //! The paper's measurements run multiple TCP flows through *one* phone —
 //! one radio, one bottleneck. To model that, several connections share a
 //! single radio link whose exit point is a [`Demux`] agent forwarding each
-//! packet to its flow's endpoint over a zero-delay `internal.*` link.
-//! Trace capture ignores those auxiliary hops
-//! (see [`traces_from_events_filtered`](hsm_trace::capture::traces_from_events_filtered)).
+//! packet to its flow's endpoint over a zero-delay `internal.*` link. Each
+//! forwarded copy is a new arena row tagged [`FORWARDED`], so a trace
+//! reads the radio's rows by skipping those.
 
 use hsm_simnet::engine::Ctx;
 use hsm_simnet::link::LinkId;
 use hsm_simnet::packet::Packet;
 use hsm_simnet::prelude::Agent;
 use std::collections::HashMap;
+
+/// The [`Packet::tag`] of a copy a [`Demux`] forwards — the tag's one
+/// value, and the shared-radio rig's capture its one reader.
+pub const FORWARDED: u64 = 1;
 
 /// Forwards packets to per-flow internal links by flow id.
 #[derive(Debug, Default)]
@@ -37,7 +41,7 @@ impl Agent for Demux {
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, packet: Packet) {
         match self.routes.get(&packet.flow.0) {
             Some(&link) => {
-                ctx.send(link, packet);
+                ctx.send(link, packet.with_tag(FORWARDED));
             }
             None => self.unrouted += 1,
         }
@@ -72,5 +76,8 @@ mod tests {
         assert_eq!(eng.agent_mut::<NullAgent>(sink_a).unwrap().received, 2);
         assert_eq!(eng.agent_mut::<NullAgent>(sink_b).unwrap().received, 1);
         assert_eq!(eng.agent_mut::<Demux>(demux_id).unwrap().unrouted, 1);
+        // The four injected rows, then the three forwarded copies.
+        let tags: Vec<u64> = eng.arena().iter().map(|(p, _)| p.tag).collect();
+        assert_eq!(tags, [0, 0, 0, 0, FORWARDED, FORWARDED, FORWARDED]);
     }
 }

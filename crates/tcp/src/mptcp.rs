@@ -18,22 +18,21 @@
 //!   down the same path.
 //!
 //! * **Shared radio** ([`run_mptcp_shared_radio`]) — both subflows through
-//!   one handset's radio, the one multi-hop world here and so the one
-//!   captured with a [`VecRecorder`] instead of the packet arena.
+//!   one handset's radio, the one multi-hop world here: its capture is the
+//!   packet arena without the copies the [`Demux`] agents forward.
 
 use crate::connection::{
     add_impairments, add_path, add_receiver, add_sender, harvest, receiver_mut, sender_metrics,
     sender_mut, ConnectionConfig, ConnectionOutcome, MobilityScenario, PathSpec,
 };
-use crate::demux::Demux;
+use crate::demux::{Demux, FORWARDED};
 use crate::metrics::{ReceiverMetrics, SenderMetrics};
 use hsm_simnet::agent::AgentId;
 use hsm_simnet::cellular::ChannelStats;
 use hsm_simnet::link::LinkSpec;
-use hsm_simnet::observer::VecRecorder;
 use hsm_simnet::prelude::Engine;
 use hsm_simnet::time::SimDuration;
-use hsm_trace::capture::{trace_from_arena, traces_from_events_filtered};
+use hsm_trace::capture::{flow_records, trace_from_arena};
 use hsm_trace::record::FlowTrace;
 
 /// Outcome of a duplex-mode MPTCP run: one trace per subflow.
@@ -181,7 +180,8 @@ pub fn run_with_backup_path(
 /// reality of the paper's measurements): both senders transmit over the
 /// same downlink and both receivers acknowledge over the same uplink, with
 /// [`Demux`] agents fanning packets out to their flow's endpoint over
-/// zero-delay `internal.*` links (excluded from the captured traces).
+/// zero-delay `internal.*` links. The traces read the radio's rows: the
+/// copies a demux forwards carry [`FORWARDED`] and are skipped.
 ///
 /// Against a disjoint-path duplex run, this isolates how much of the
 /// MPTCP gain comes from *extra capacity* versus from *filling the dead
@@ -222,12 +222,17 @@ pub fn run_mptcp_shared_radio(
     // Handoffs draw from agent 6's stream, where a channel process agent
     // (after the endpoints and demuxes) drew them when the digests were pinned.
     let channel = add_impairments(&mut eng, (seed, 6), mobility, cfg, [down, up], false);
-    let recorder = VecRecorder::new();
-    eng.add_recorder(recorder.clone());
     eng.run_until(cfg.deadline);
 
-    let subflows =
-        traces_from_events_filtered(&recorder.take_events(), |_| cfg.meta(), Some("internal"));
+    let subflows = flows
+        .iter()
+        .map(|&f| {
+            let radio = eng.arena().iter().filter(|(p, _)| p.tag != FORWARDED);
+            let mut trace = FlowTrace::new(f, cfg.meta());
+            trace.records.extend(flow_records(f, radio));
+            trace
+        })
+        .collect();
     let endpoints: Vec<_> = txs.into_iter().zip(rxs).collect();
     MptcpOutcome::harvest(&mut eng, subflows, &endpoints, channel)
 }

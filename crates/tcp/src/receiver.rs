@@ -145,7 +145,7 @@ impl Receiver {
         let ack = Packet::ack(self.flow, self.next_expected, acked_count);
         if mirror {
             if let Some(backup) = self.backup_uplink {
-                ctx.send(backup, ack.clone().with_tag(1));
+                ctx.send(backup, ack.clone());
                 self.metrics.acks_sent += 1;
             }
         }
@@ -218,16 +218,14 @@ impl Agent for Receiver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hsm_simnet::observer::{PacketEventKind, VecRecorder};
     use hsm_simnet::prelude::*;
 
-    /// Drives a receiver by injecting data packets on a link towards it and
-    /// recording the ACKs it sends on its uplink.
+    /// Drives a receiver by injecting data packets on a link towards it;
+    /// the ACKs it sends on its uplink are the arena's ACK rows.
     struct Harness {
         eng: Engine,
         rx: AgentId,
         downlink: LinkId,
-        rec: VecRecorder,
     }
 
     fn harness(cfg: ReceiverConfig) -> Harness {
@@ -238,25 +236,16 @@ mod tests {
         let rx = eng.add_agent(Box::new(Receiver::new(FlowId(0), uplink, cfg)));
         let downlink =
             eng.add_link(LinkSpec::new(rx, "downlink").prop_delay(SimDuration::from_millis(5)));
-        let rec = VecRecorder::new();
-        eng.add_recorder(rec.clone());
-        Harness {
-            eng,
-            rx,
-            downlink,
-            rec,
-        }
+        Harness { eng, rx, downlink }
     }
 
-    fn acks_sent(rec: &VecRecorder) -> Vec<(u64, u32)> {
-        rec.events()
-            .iter()
-            .filter(|e| e.kind == PacketEventKind::Sent && e.packet.kind.is_ack())
-            .map(|e| match e.packet.kind {
-                PacketKind::Ack { cum, acked_count } => (cum.as_u64(), acked_count),
-                _ => unreachable!(),
-            })
-            .collect()
+    fn acks_sent(eng: &Engine) -> Vec<(u64, u32)> {
+        let rows = eng.arena().iter();
+        rows.filter_map(|(p, _)| match p.kind {
+            PacketKind::Ack { cum, acked_count } => Some((cum.as_u64(), acked_count)),
+            PacketKind::Data { .. } => None,
+        })
+        .collect()
     }
 
     #[test]
@@ -267,7 +256,7 @@ mod tests {
                 .inject(h.downlink, Packet::data(FlowId(0), SeqNo(seq), false));
         }
         h.eng.run_until_idle();
-        let acks = acks_sent(&h.rec);
+        let acks = acks_sent(&h.eng);
         // b = 2: two ACKs, each covering two segments.
         assert_eq!(acks, vec![(2, 2), (4, 2)]);
         let rx = h.eng.agent_mut::<Receiver>(h.rx).unwrap();
@@ -281,7 +270,7 @@ mod tests {
         h.eng
             .inject(h.downlink, Packet::data(FlowId(0), SeqNo(0), false));
         h.eng.run_until_idle();
-        let acks = acks_sent(&h.rec);
+        let acks = acks_sent(&h.eng);
         assert_eq!(acks, vec![(1, 1)], "flushed by the 100 ms delack timer");
         // The flush happened at delivery (+5ms) + 100 ms.
         assert!(h.eng.now() >= SimTime::from_millis(105));
@@ -299,7 +288,7 @@ mod tests {
                 .inject(h.downlink, Packet::data(FlowId(0), SeqNo(seq), false));
         }
         h.eng.run_until_idle();
-        let acks = acks_sent(&h.rec);
+        let acks = acks_sent(&h.eng);
         // First ACK may be delayed; the three OOO arrivals each force an
         // immediate ACK with cum = 1.
         let dups: Vec<_> = acks.iter().filter(|(cum, _)| *cum == 1).collect();
@@ -321,7 +310,7 @@ mod tests {
         h.eng
             .inject(h.downlink, Packet::data(FlowId(0), SeqNo(1), false));
         h.eng.run_until_idle();
-        let acks = acks_sent(&h.rec);
+        let acks = acks_sent(&h.eng);
         assert_eq!(
             acks.last().unwrap().0,
             4,
@@ -343,7 +332,7 @@ mod tests {
         h.eng.run_until_idle();
         let rx = h.eng.agent_mut::<Receiver>(h.rx).unwrap();
         assert_eq!(rx.metrics.duplicate_payloads, 1);
-        let acks = acks_sent(&h.rec);
+        let acks = acks_sent(&h.eng);
         assert_eq!(acks.len(), 2);
         assert_eq!(acks[1].0, 1, "duplicate re-ACKed at the cumulative point");
     }
@@ -359,7 +348,7 @@ mod tests {
                 .inject(h.downlink, Packet::data(FlowId(0), SeqNo(seq), false));
         }
         h.eng.run_until_idle();
-        assert_eq!(acks_sent(&h.rec).len(), 5);
+        assert_eq!(acks_sent(&h.eng).len(), 5);
     }
 
     /// Injects in-order segments `seqs` into an adaptive receiver and
@@ -537,7 +526,7 @@ mod tests {
             }
             h.eng.run_until_idle();
             model.delack_deadline_passes();
-            proptest::prop_assert_eq!(acks_sent(&h.rec), model.acks);
+            proptest::prop_assert_eq!(acks_sent(&h.eng), model.acks);
             let rx = h.eng.agent_mut::<Receiver>(h.rx).unwrap();
             proptest::prop_assert_eq!(rx.metrics, model.metrics);
             proptest::prop_assert_eq!(rx.current_b, model.b);

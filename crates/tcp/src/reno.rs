@@ -264,10 +264,7 @@ impl RenoSender {
                 // path too, not just the RTO-triggered segment (§V-B).
                 if seq < self.recover {
                     if let Some(backup) = self.backup_link {
-                        ctx.send(
-                            backup,
-                            Packet::data(self.flow, SeqNo(seq), true).with_tag(1),
-                        );
+                        ctx.send(backup, Packet::data(self.flow, SeqNo(seq), true));
                         self.metrics.segments_sent += 1;
                     }
                 }
@@ -318,10 +315,7 @@ impl RenoSender {
         self.metrics.retransmissions += 1;
         if redundant {
             if let Some(backup) = self.backup_link {
-                ctx.send(
-                    backup,
-                    Packet::data(self.flow, SeqNo(seq), true).with_tag(1),
-                );
+                ctx.send(backup, Packet::data(self.flow, SeqNo(seq), true));
                 self.metrics.segments_sent += 1;
             }
         }
@@ -608,7 +602,6 @@ mod tests {
     use super::*;
     use crate::receiver::{Receiver, ReceiverConfig};
     use hsm_simnet::loss::LossModel;
-    use hsm_simnet::observer::VecRecorder;
     use hsm_simnet::prelude::*;
 
     struct World {
@@ -617,7 +610,6 @@ mod tests {
         rx: AgentId,
         down: LinkId,
         up: LinkId,
-        rec: VecRecorder,
     }
 
     fn world(
@@ -652,15 +644,12 @@ mod tests {
         );
         eng.agent_mut::<RenoSender>(tx).unwrap().data_link = down;
         eng.agent_mut::<Receiver>(rx).unwrap().uplink = up;
-        let rec = VecRecorder::new();
-        eng.add_recorder(rec.clone());
         World {
             eng,
             tx,
             rx,
             down,
             up,
-            rec,
         }
     }
 
@@ -1293,12 +1282,9 @@ mod tests {
                 0.005,
             );
             w.eng.run_until_idle();
+            let rows: Vec<_> = w.eng.arena().iter().collect();
             let tx = w.eng.agent_mut::<RenoSender>(w.tx).unwrap();
-            (
-                tx.metrics.segments_sent,
-                tx.metrics.timeouts.clone(),
-                w.rec.len(),
-            )
+            (tx.metrics.segments_sent, tx.metrics.timeouts.clone(), rows)
         };
         assert_eq!(run(42), run(42));
     }

@@ -50,7 +50,7 @@ pub mod prelude {
     pub use crate::analysis::timeout::{
         analyze_timeouts, TimeoutAnalysis, TimeoutConfig, TimeoutEvent, TimeoutSequence,
     };
-    pub use crate::capture::{flow_records, single_flow_trace, traces_from_events_filtered};
+    pub use crate::capture::flow_records;
     pub use crate::export::{fnum, fpct, Table};
     pub use crate::record::{FlowMeta, FlowTrace, PacketRecord};
     pub use crate::stats::{linear_fit, mean, pearson, Cdf, LinearFit};

@@ -4,6 +4,7 @@
 
 use hsm::simnet::prelude::*;
 use hsm::tcp::prelude::*;
+use hsm::trace::capture::trace_from_arena;
 use hsm::trace::prelude::*;
 
 /// Builds a lossless flow whose uplink suffers one scripted blackout.
@@ -38,10 +39,8 @@ fn run_with_uplink_blackout(window_ms: (u64, u64)) -> (FlowTrace, SenderMetrics,
         SimTime::from_millis(window_ms.1),
         Impairment::outage(1.0),
     );
-    let rec = VecRecorder::new();
-    eng.add_recorder(rec.clone());
     eng.run_until(SimTime::from_secs(120));
-    let trace = single_flow_trace(&rec.events(), 0, FlowMeta::default()).expect("trace");
+    let trace = trace_from_arena(eng.arena(), 0, FlowMeta::default());
     let sender = eng.agent_mut::<RenoSender>(tx).unwrap().metrics.clone();
     let receiver = eng.agent_mut::<Receiver>(rx).unwrap().metrics;
     (trace, sender, receiver)

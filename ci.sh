@@ -255,7 +255,7 @@ stage_build_test() {
     PYTHONPYCACHEPREFIX="$smoke/pycache" python3 -m py_compile tools/leafprof/symbolize.py
     # benchmark/ is a workspace of its own that pins the crates' public
     # signatures; it was built right after the workspace. Run its unit tests,
-    # and make five short driver-form runs. Those runs are also the speed-
+    # and make six short driver-form runs. Those runs are also the speed-
     # only-change gate: a pinned seed of a workload must simulate exactly the
     # pinned events into exactly the pinned summary bytes (a PR that means
     # to change the simulation updates the values, as with the chaos
@@ -285,19 +285,23 @@ stage_build_test() {
     benchmark_pin zoo-grid-cold 1 5291cb75ee6417f4 17437401
     benchmark_pin stress-warm-disk 1 fe55ff7c588a6c89 4693006
     benchmark_pin stress-warm-mem 1 fe55ff7c588a6c89 4693006
+    # The same replay traced: its passes go through the benchmark's own
+    # per-layer flow body, which builds each `FlowRun` itself, and must
+    # still simulate the untraced run's exact bytes and events.
+    benchmark_pin stress-warm-mem 1 fe55ff7c588a6c89 4693006 1
 }
 
-# One 1-s untraced run of benchmark workload $1 at seed $2: it must report
-# itself correct and print sim_digest $3 and events $4.
+# One 1-s run of benchmark workload $1 at seed $2, untraced unless $5 is
+# 1: it must report itself correct and print sim_digest $3 and events $4.
 benchmark_pin() {
-    local workload="$1" seed="$2" digest="$3" events="$4"
-    local log="target/ci-smoke/benchmark-$workload-seed$seed.log"
-    benchmark/run.sh --workload "$workload" --seed "$seed" --seconds 1 --trace 0 | tee "$log"
+    local workload="$1" seed="$2" digest="$3" events="$4" trace="${5:-0}"
+    local log="target/ci-smoke/benchmark-$workload-seed$seed-trace$trace.log"
+    benchmark/run.sh --workload "$workload" --seed "$seed" --seconds 1 --trace "$trace" | tee "$log"
     tail -n 1 "$log" | grep -q '"correct":true' \
-        || { echo "benchmark smoke: $workload seed $seed result line lacks \"correct\":true" >&2; exit 1; }
+        || { echo "benchmark smoke: $workload seed $seed trace $trace result line lacks \"correct\":true" >&2; exit 1; }
     grep -Eq "sim_digest += +$digest\$" "$log" \
         && grep -Eq "events += +$events\$" "$log" \
-        || { echo "benchmark smoke: $workload seed $seed no longer simulates sim_digest $digest / events $events" >&2; exit 1; }
+        || { echo "benchmark smoke: $workload seed $seed trace $trace no longer simulates sim_digest $digest / events $events" >&2; exit 1; }
 }
 
 run_timed() {

@@ -36,7 +36,9 @@
 //! costs one probe of a shard the sweep already holds and one 160-byte
 //! summary clone straight into its run, in a vector reserved at the first
 //! hit — a plain copy, for its labels are `&'static str`s
-//! (`hsm_trace::record::Label`) and no reference count moves. No lock is
+//! (`hsm_trace::record::Label`) and no reference count moves. A served
+//! [`FlowRun`] is four aligned cache lines with no drop glue, so the
+//! output drops as one free, never a walk over its runs. No lock is
 //! taken per flow and no pool starts: no `Scratch`, no claim counter, no
 //! unwind frame. At the sweep's first miss it stops and counts nothing,
 //! and the pool runs every index exactly as it would without the sweep:
@@ -53,15 +55,21 @@ use crate::cache::{CacheConfig, CacheKey, FlowCache, ENGINE_VERSION};
 use crate::error::EngineError;
 use crate::parallel::{run_pool, Slot};
 use hsm_scenario::dataset::{plan_dataset, plan_stationary_baseline, DatasetConfig, DatasetFlow};
-use hsm_scenario::runner::{run, Keep, ScenarioConfig, ScenarioOutcome, Scratch};
+use hsm_scenario::runner::{run, Keep, ScenarioConfig, Scratch};
 use hsm_simnet::chaos::StormPlan;
 use hsm_simnet::event::QueueStats;
 use hsm_trace::summary::FlowSummary;
 use serde::{Deserialize, Serialize};
+use std::convert::Infallible;
 use std::time::Instant;
 
 /// One executed (or cache-served) flow of a campaign.
+///
+/// Plain data aligned to a cache line: its `outcome` is statically `None`,
+/// so a run has no drop glue, and a pass's output vector holds each run in
+/// exactly four 64-byte lines.
 #[derive(Debug, Clone)]
+#[repr(align(64))]
 pub struct FlowRun {
     /// The configuration that produced it.
     pub config: ScenarioConfig,
@@ -78,12 +86,20 @@ pub struct FlowRun {
     pub queue: QueueStats,
     /// Index of the worker that handled the flow.
     pub worker: usize,
-    /// Always `None`: campaigns retain no trace. The field outlives its
-    /// use only because the benchmark's traced flow
+    /// Statically `None` (`Infallible` has no value), so it takes no
+    /// space and drops nothing: campaigns retain no trace. The field
+    /// outlives its use only because the benchmark's traced flow
     /// (`benchmark/src/layers.rs::traced_flow`) builds a `FlowRun` literal
-    /// naming it; both go once that flow runs the campaign body.
-    pub outcome: Option<Box<ScenarioOutcome>>,
+    /// naming it; both go with ROADMAP item 6(a), once that flow runs the
+    /// campaign body.
+    pub outcome: Option<Infallible>,
 }
+
+// The layout `FlowRun`'s doc promises: an owning field (a `Box`, a
+// `String`) would make dropping a pass's output walk every run again.
+const _: () = assert!(!std::mem::needs_drop::<FlowRun>());
+const _: () = assert!(std::mem::size_of::<FlowRun>() == 256);
+const _: () = assert!(std::mem::align_of::<FlowRun>() == 64);
 
 /// Structured per-campaign telemetry — what `benchmark/` and the shard
 /// reports read.
@@ -710,7 +726,6 @@ mod tests {
         assert_eq!(cold.report.cache_misses, 2);
         assert!(cold.report.events_processed > 0);
         assert_eq!(cold.runs.len(), 2);
-        assert!(cold.runs[0].outcome.is_none(), "traces dropped by default");
 
         let warm = campaign.run_with_cache(&cache).unwrap();
         assert_eq!(warm.report.cache_hits, 2, "warm rerun must not re-simulate");

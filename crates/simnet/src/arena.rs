@@ -240,18 +240,6 @@ impl PacketArena {
         PacketId(i as u64)
     }
 
-    /// Materializes the full [`Packet`] stored under `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` was not minted by this arena since the last clear,
-    /// or was drained.
-    #[inline]
-    pub fn get(&self, id: PacketId) -> Packet {
-        let (chunk, row) = self.index(id);
-        self.packet(id.0, &self.chunks[chunk][row])
-    }
-
     /// Records that packet `id` reached its destination at `at` and
     /// materializes it for the hand-over — one row access for both. The
     /// row is settled.
@@ -293,9 +281,9 @@ impl PacketArena {
     /// `f` gets the rows as one iterator, so its loop over them is its
     /// own; rows it leaves unread are drained all the same.
     ///
-    /// The drained ids are gone: [`PacketArena::get`] and
-    /// [`PacketArena::deliver`] panic on them, [`PacketArena::iter`] skips
-    /// them, and only [`PacketArena::clear`] mints them again.
+    /// The drained ids are gone: [`PacketArena::deliver`] and
+    /// [`PacketArena::drop_packet`] panic on them, [`PacketArena::iter`]
+    /// skips them, and only [`PacketArena::clear`] mints them again.
     pub fn drain_settled(&mut self, f: impl FnOnce(Rows<'_>)) {
         let end = self.settled_end();
         f(self.rows(end));
@@ -500,8 +488,8 @@ mod tests {
         let a = stamped(Packet::ack(FlowId(2), SeqNo(7), 2), 1, 6);
         arena.push(&d);
         arena.push(&a);
-        assert_eq!(arena.get(PacketId(0)), d);
-        assert_eq!(arena.get(PacketId(1)), a);
+        let packets: Vec<_> = arena.iter().map(|(p, _)| p).collect();
+        assert_eq!(packets, vec![d, a]);
     }
 
     #[test]
@@ -514,13 +502,12 @@ mod tests {
         assert!(arena.iter().all(|(_, arrived_at)| arrived_at.is_none()));
         let at = SimTime::from_millis(30);
         assert_eq!(arena.deliver(PacketId(0), at), d);
+        let rows: Vec<_> = arena.iter().collect();
         assert_eq!(
-            arena.get(PacketId(0)),
-            d,
+            rows,
+            vec![(d, Some(at)), (a, None)],
             "the stamp leaves the packet alone"
         );
-        let rows: Vec<_> = arena.iter().collect();
-        assert_eq!(rows, vec![(d, Some(at)), (a, None)]);
     }
 
     #[test]
@@ -532,8 +519,8 @@ mod tests {
         assert!(arena.is_empty());
         let p = stamped(Packet::ack(FlowId(5), SeqNo(3), 1), 0, 1);
         assert_eq!(arena.push(&p), PacketId(0));
-        assert_eq!(arena.get(PacketId(0)), p);
-        assert_eq!(arena.iter().next(), Some((p, None)), "stale delivery stamp");
+        let rows: Vec<_> = arena.iter().collect();
+        assert_eq!(rows, vec![(p, None)], "stale row or delivery stamp");
     }
 
     #[test]
@@ -573,7 +560,8 @@ mod tests {
             arena.push(&stamped(Packet::ack(FlowId(1), SeqNo(i), 1), i, i));
         }
         assert_eq!(arena.capacity(), 4 * CHUNK, "the spares were not reused");
-        assert_eq!(arena.get(PacketId(rows)).ack_cum(), Some(SeqNo(rows)));
+        let refilled = arena.iter().find(|(p, _)| p.id == PacketId(rows));
+        assert_eq!(refilled.and_then(|(p, _)| p.ack_cum()), Some(SeqNo(rows)));
         arena.drain_settled(|mut rows| assert!(rows.next().is_none(), "row {stop} drained"));
     }
 

@@ -15,8 +15,8 @@
 //! push / delivery / drop / drain / clear interleavings over several flows
 //! to both, with values that take every escape and row counts that cross
 //! several chunk boundaries, and assert they agree on what each drain
-//! hands over and on `len`, `get` and `iter` after every step, and that
-//! `get` and `deliver` of a drained id panic. Any divergence is an arena
+//! hands over and on `len` and `iter` after every step, and that
+//! `deliver` of a stale or drained id panics. Any divergence is an arena
 //! bug by definition.
 
 use hsm_simnet::arena::PacketArena;
@@ -236,28 +236,18 @@ impl Pair {
         self.drained_ids_panic();
     }
 
-    /// `len`, `iter` and `get` agree with the model: `iter` over the rows
-    /// not drained, `get` at those around every chunk boundary, at the
-    /// first and at the last.
+    /// `len` and `iter` agree with the model: `iter` over the rows not
+    /// drained, every one of them, chunk boundaries included.
     fn check(&self) {
         assert_eq!(self.arena.len(), self.model.len(), "len");
         assert_eq!(self.arena.is_empty(), self.model.is_empty());
         let left = self.model[self.drained..].iter().cloned();
         assert!(self.arena.iter().eq(left), "iter");
-        let probes = (CHUNK..=self.model.len())
-            .step_by(CHUNK)
-            .flat_map(|edge| [edge - 1, edge])
-            .chain([self.drained])
-            .chain(self.model.len().checked_sub(1));
-        for i in probes.filter(|&i| (self.drained..self.model.len()).contains(&i)) {
-            let id = PacketId(i as u64);
-            assert_eq!(self.arena.get(id), self.model[i].0, "get row {i}");
-        }
     }
 
     /// Ids the arena minted before a clear, at and past its new `len`,
-    /// name rows its chunks still hold: reading or delivering one must
-    /// panic, not hand back the stale packet.
+    /// name rows its chunks still hold: delivering one must panic, not
+    /// hand back the stale packet.
     fn stale_ids_panic(&mut self) {
         let len = self.model.len();
         let stale_ids = len..self.high_water;
@@ -266,7 +256,6 @@ impl Pair {
                 continue;
             }
             let (arena, stale) = (&mut self.arena, PacketId(stale as u64));
-            assert!(catch_unwind(AssertUnwindSafe(|| arena.get(stale))).is_err());
             let at = SimTime::from_micros(1);
             assert!(catch_unwind(AssertUnwindSafe(|| arena.deliver(stale, at))).is_err());
         }
@@ -274,15 +263,14 @@ impl Pair {
     }
 
     /// Drained ids — the first, the last, and those around every chunk
-    /// boundary between — are gone: reading or delivering one must panic,
-    /// whether its chunk was recycled or still holds its row.
+    /// boundary between — are gone: delivering one must panic, whether
+    /// its chunk was recycled or still holds its row.
     fn drained_ids_panic(&mut self) {
         let drained = self.drained;
         let edges = (CHUNK..=drained).step_by(CHUNK).flat_map(|e| [e - 1, e]);
         let probes = [0, drained.saturating_sub(1)].into_iter().chain(edges);
         for id in probes.filter(|&id| id < drained) {
             let (arena, id) = (&mut self.arena, PacketId(id as u64));
-            assert!(catch_unwind(AssertUnwindSafe(|| arena.get(id))).is_err());
             let at = SimTime::from_micros(1);
             assert!(catch_unwind(AssertUnwindSafe(|| arena.deliver(id, at))).is_err());
         }

@@ -159,6 +159,21 @@ stage_build_test() {
         echo "the deleted packet recorder (simnet::observer, VecRecorder, add_recorder, PacketEvent, PacketEventKind, DropCause) or its folds (traces_from_events_filtered, single_flow_trace) are back" >&2
         exit 1
     fi
+    # Also deleted: the other statements of a flow's fields — the config
+    # builder, the spec's resolved axes and grid point with their
+    # seven-deep loop — and the spec's copies of the flow checks. A spec
+    # base is a `ScenarioConfig`, checked by `ScenarioConfig::validate`, so
+    # each check's message is written once.
+    if grep -rnE '\bScenarioConfigBuilder\b|ScenarioConfig::builder|\bResolvedAxes\b|\bfor_each_point\b|\bvalidate_base\b|\bvalidate_axis\b' \
+        crates src tests examples; then
+        echo "a deleted statement of a flow's fields (ScenarioConfigBuilder, ResolvedAxes, for_each_point) or a spec copy of its checks (validate_base, validate_axis) is back" >&2
+        exit 1
+    fi
+    checks="$(grep -rhoF 'advertised window w_m must be >= 1 segment' crates/*/src | wc -l)"
+    if [ "$checks" -ne 1 ]; then
+        echo "the zero-window message is written $checks times in crates/*/src, not once: a second copy of ScenarioConfig::validate is back" >&2
+        exit 1
+    fi
     # DESIGN.md's budget, which ROADMAP sets: at most 1,000 lines.
     if [ "$(wc -l < DESIGN.md)" -gt 1000 ]; then
         echo "DESIGN.md has $(wc -l < DESIGN.md) lines, over its 1,000-line budget" >&2

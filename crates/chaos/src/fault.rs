@@ -45,14 +45,12 @@ fn result(name: &str, outcome: Result<String, String>) -> DrillResult {
 /// Small, fast campaign: 6 stationary flows, 2 s each.
 fn drill_configs() -> Vec<ScenarioConfig> {
     (0..6u64)
-        .map(|i| {
-            ScenarioConfig::builder()
-                .motion(Motion::Stationary)
-                .duration(SimDuration::from_secs(2))
-                .seed(100 + i)
-                .flow(i as u32)
-                .build()
-                .expect("drill config is valid")
+        .map(|i| ScenarioConfig {
+            motion: Motion::Stationary,
+            duration: SimDuration::from_secs(2),
+            seed: 100 + i,
+            flow: i as u32,
+            ..Default::default()
         })
         .collect()
 }
@@ -421,12 +419,12 @@ fn drill_ack_delay_frto_undo() -> Result<String, String> {
 /// results bit-identical to a fresh run — on the *hard* case, a mobile
 /// flow with handoffs.
 fn drill_scratch_poison() -> Result<String, String> {
-    let config = ScenarioConfig::builder()
-        .motion(Motion::HighSpeed)
-        .duration(SimDuration::from_secs(5))
-        .seed(77)
-        .build()
-        .expect("valid");
+    let config = ScenarioConfig {
+        motion: Motion::HighSpeed,
+        duration: SimDuration::from_secs(5),
+        seed: 77,
+        ..Default::default()
+    };
     let calm = StormPlan::default();
     let fresh = runner::run(&mut Scratch::new(), &config, &calm, Keep::Trace)
         .map_err(|e| format!("fresh run failed: {e}"))?;

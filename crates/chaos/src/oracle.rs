@@ -348,12 +348,12 @@ mod tests {
     use hsm_simnet::time::SimDuration;
 
     fn quick_config() -> ScenarioConfig {
-        ScenarioConfig::builder()
-            .motion(Motion::Stationary)
-            .duration(SimDuration::from_secs(5))
-            .seed(3)
-            .build()
-            .expect("valid")
+        ScenarioConfig {
+            motion: Motion::Stationary,
+            duration: SimDuration::from_secs(5),
+            seed: 3,
+            ..Default::default()
+        }
     }
 
     #[test]

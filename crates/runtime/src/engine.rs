@@ -560,13 +560,13 @@ mod tests {
     use hsm_simnet::time::SimDuration;
 
     fn short(seed: u64) -> ScenarioConfig {
-        ScenarioConfig::builder()
-            .motion(Motion::Stationary)
-            .seed(seed)
-            .duration(SimDuration::from_secs(5))
-            .flow(seed as u32)
-            .build()
-            .expect("valid")
+        ScenarioConfig {
+            motion: Motion::Stationary,
+            seed,
+            duration: SimDuration::from_secs(5),
+            flow: seed as u32,
+            ..Default::default()
+        }
     }
 
     #[test]

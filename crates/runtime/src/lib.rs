@@ -33,10 +33,11 @@
 //! use hsm_scenario::prelude::*;
 //! use hsm_simnet::time::SimDuration;
 //!
-//! let cfg = ScenarioConfig::builder()
-//!     .motion(Motion::Stationary)
-//!     .duration(SimDuration::from_secs(5))
-//!     .build()?;
+//! let cfg = ScenarioConfig {
+//!     motion: Motion::Stationary,
+//!     duration: SimDuration::from_secs(5),
+//!     ..Default::default()
+//! };
 //! let campaign = Campaign::builder().config(cfg).workers(2).build()?;
 //! let cache = FlowCache::new(CacheConfig::memory_only());
 //! let cold = campaign.run_with_cache(&cache)?;

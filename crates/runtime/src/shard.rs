@@ -280,14 +280,12 @@ mod tests {
 
     fn configs(n: u32) -> Vec<ScenarioConfig> {
         (0..n)
-            .map(|i| {
-                ScenarioConfig::builder()
-                    .motion(Motion::Stationary)
-                    .seed(u64::from(i) + 1)
-                    .duration(SimDuration::from_secs(2))
-                    .flow(i)
-                    .build()
-                    .expect("valid")
+            .map(|i| ScenarioConfig {
+                motion: Motion::Stationary,
+                seed: u64::from(i) + 1,
+                duration: SimDuration::from_secs(2),
+                flow: i,
+                ..Default::default()
             })
             .collect()
     }

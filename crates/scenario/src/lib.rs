@@ -61,9 +61,7 @@ pub mod prelude {
         MeasurementCampaign, TABLE1,
     };
     pub use crate::provider::Provider;
-    pub use crate::runner::{
-        run_scenario, Keep, Motion, ScenarioConfig, ScenarioConfigBuilder, ScenarioError, Scratch,
-    };
+    pub use crate::runner::{run_scenario, Keep, Motion, ScenarioConfig, ScenarioError, Scratch};
     pub use crate::spec::{
         expansion_digest, load_spec, CampaignSpec, GridKind, ScenarioBase, ScenarioGrid, SpecError,
         SweepAxis,

@@ -93,9 +93,23 @@ impl From<SimError> for ScenarioError {
 
 /// Full description of one measured flow.
 ///
-/// [`ScenarioConfig::builder`] validates the parameters as it builds;
-/// the fields are `pub`, and [`run`] checks a struct literal with
-/// [`ScenarioConfig::validate`] before it simulates.
+/// Write one as a struct literal over [`Default`]; [`run`] checks it with
+/// [`ScenarioConfig::validate`] before it simulates, and a campaign spec
+/// checks each config it would expand to the same way.
+///
+/// ```
+/// use hsm_scenario::prelude::*;
+///
+/// let cfg = ScenarioConfig {
+///     provider: Provider::ChinaUnicom,
+///     motion: Motion::Stationary,
+///     seed: 3,
+///     ..Default::default()
+/// };
+/// assert!(cfg.validate().is_ok());
+/// let closed = ScenarioConfig { w_m: 0, ..cfg };
+/// assert_eq!(closed.validate(), Err(ScenarioError::ZeroWindow));
+/// ```
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ScenarioConfig {
     /// Which ISP carries the flow.
@@ -134,98 +148,7 @@ impl Default for ScenarioConfig {
     }
 }
 
-/// Validated step-by-step construction of a [`ScenarioConfig`].
-///
-/// ```
-/// use hsm_scenario::prelude::*;
-///
-/// let cfg = ScenarioConfig::builder()
-///     .provider(Provider::ChinaUnicom)
-///     .motion(Motion::Stationary)
-///     .seed(3)
-///     .build()
-///     .expect("valid configuration");
-/// assert_eq!(cfg.seed, 3);
-/// assert!(ScenarioConfig::builder().w_m(0).build().is_err());
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct ScenarioConfigBuilder {
-    inner: ScenarioConfig,
-}
-
-impl ScenarioConfigBuilder {
-    /// Sets the ISP carrying the flow.
-    pub fn provider(mut self, provider: Provider) -> Self {
-        self.inner.provider = provider;
-        self
-    }
-
-    /// Sets whether the phone rides the train or sits on a desk.
-    pub fn motion(mut self, motion: Motion) -> Self {
-        self.inner.motion = motion;
-        self
-    }
-
-    /// Sets the master seed (one flow ↔ one seed).
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.inner.seed = seed;
-        self
-    }
-
-    /// Sets how long the sender keeps transmitting.
-    pub fn duration(mut self, duration: SimDuration) -> Self {
-        self.inner.duration = duration;
-        self
-    }
-
-    /// Sets the receiver-advertised window in segments.
-    pub fn w_m(mut self, w_m: u32) -> Self {
-        self.inner.w_m = w_m;
-        self
-    }
-
-    /// Sets the delayed-ACK factor.
-    pub fn b(mut self, b: u32) -> Self {
-        self.inner.b = b;
-        self
-    }
-
-    /// Sets the flow id recorded in packets/traces.
-    pub fn flow(mut self, flow: u32) -> Self {
-        self.inner.flow = flow;
-        self
-    }
-
-    /// Sets the congestion-control algorithm the sender runs.
-    pub fn cc(mut self, cc: Algorithm) -> Self {
-        self.inner.cc = cc;
-        self
-    }
-
-    /// Sets the loss-recovery countermeasure the sender runs.
-    pub fn recovery(mut self, recovery: Recovery) -> Self {
-        self.inner.recovery = recovery;
-        self
-    }
-
-    /// Validates the accumulated configuration and returns it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ScenarioError`] when `w_m == 0`, `b == 0` or the duration
-    /// is zero.
-    pub fn build(self) -> Result<ScenarioConfig, ScenarioError> {
-        self.inner.validate()?;
-        Ok(self.inner)
-    }
-}
-
 impl ScenarioConfig {
-    /// Starts a validated builder, pre-loaded with [`Default`] values.
-    pub fn builder() -> ScenarioConfigBuilder {
-        ScenarioConfigBuilder::default()
-    }
-
     /// Checks the configuration against the runner's preconditions.
     ///
     /// # Errors
@@ -486,36 +409,34 @@ mod tests {
     }
 
     #[test]
-    fn builder_validates_and_builds() {
-        let cfg = ScenarioConfig::builder()
-            .provider(Provider::ChinaUnicom)
-            .motion(Motion::Stationary)
-            .seed(3)
-            .duration(SimDuration::from_secs(9))
-            .w_m(24)
-            .b(1)
-            .flow(7)
-            .build()
-            .expect("valid");
-        assert_eq!(cfg.provider, Provider::ChinaUnicom);
-        assert_eq!(cfg.seed, 3);
-        assert_eq!(cfg.w_m, 24);
-        assert_eq!(cfg.flow, 7);
-
-        assert_eq!(
-            ScenarioConfig::builder().w_m(0).build(),
-            Err(ScenarioError::ZeroWindow)
-        );
-        assert_eq!(
-            ScenarioConfig::builder().b(0).build(),
-            Err(ScenarioError::ZeroDelayedAck)
-        );
-        assert_eq!(
-            ScenarioConfig::builder()
-                .duration(SimDuration::ZERO)
-                .build(),
-            Err(ScenarioError::ZeroDuration)
-        );
+    fn validate_names_each_degenerate_field() {
+        assert_eq!(ScenarioConfig::default().validate(), Ok(()));
+        let cases = [
+            (
+                ScenarioConfig {
+                    w_m: 0,
+                    ..Default::default()
+                },
+                ScenarioError::ZeroWindow,
+            ),
+            (
+                ScenarioConfig {
+                    b: 0,
+                    ..Default::default()
+                },
+                ScenarioError::ZeroDelayedAck,
+            ),
+            (
+                ScenarioConfig {
+                    duration: SimDuration::ZERO,
+                    ..Default::default()
+                },
+                ScenarioError::ZeroDuration,
+            ),
+        ];
+        for (cfg, err) in cases {
+            assert_eq!(cfg.validate(), Err(err));
+        }
     }
 
     #[test]
@@ -529,11 +450,11 @@ mod tests {
             run(&mut Scratch::new(), &bad, &calm, Keep::Summary).unwrap_err(),
             ScenarioError::ZeroWindow
         );
-        let good = ScenarioConfig::builder()
-            .motion(Motion::Stationary)
-            .duration(SimDuration::from_secs(5))
-            .build()
-            .unwrap();
+        let good = ScenarioConfig {
+            motion: Motion::Stationary,
+            duration: SimDuration::from_secs(5),
+            ..Default::default()
+        };
         let a = run(&mut Scratch::new(), &good, &calm, Keep::Summary).expect("valid config runs");
         let b = run_scenario(&good);
         assert_eq!(a.summary(), b.summary());
@@ -619,12 +540,12 @@ mod tests {
         use hsm_simnet::chaos::{StormEpisode, StormKind};
         use hsm_simnet::time::SimTime;
 
-        let config = ScenarioConfig::builder()
-            .motion(Motion::Stationary)
-            .duration(SimDuration::from_secs(12))
-            .seed(8)
-            .build()
-            .expect("valid");
+        let config = ScenarioConfig {
+            motion: Motion::Stationary,
+            duration: SimDuration::from_secs(12),
+            seed: 8,
+            ..Default::default()
+        };
         // Periodic long ACK-delay flaps: timeouts without extra loss.
         let plan = StormPlan {
             episodes: (0..4)
@@ -730,11 +651,6 @@ mod tests {
             ScenarioConfig::default().connection().sender.recovery,
             Recovery::None
         );
-        let built = ScenarioConfig::builder()
-            .recovery(Recovery::AckRobust)
-            .build()
-            .expect("valid");
-        assert_eq!(built.recovery, Recovery::AckRobust);
     }
 
     #[test]

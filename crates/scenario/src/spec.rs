@@ -29,7 +29,7 @@
 use crate::dataset::{plan_dataset, DatasetConfig};
 use crate::fnv::Fnv1a;
 use crate::provider::Provider;
-use crate::runner::{Motion, ScenarioConfig};
+use crate::runner::{Motion, ScenarioConfig, ScenarioError};
 use hsm_simnet::time::SimDuration;
 use hsm_tcp::cc::Algorithm;
 use hsm_tcp::recovery::Recovery;
@@ -64,26 +64,15 @@ impl fmt::Display for SpecError {
 
 impl std::error::Error for SpecError {}
 
-/// Base parameters of a scenario grid: one value per axis, plus the seed
-/// range and the Table I scale factor.
+/// Base parameters of a scenario grid: the flow every grid point starts
+/// from, plus the seed count and the Table I scale factor.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioBase {
-    /// ISP carrying the flows (grid scenarios only; Table I pins its own).
-    pub provider: Provider,
-    /// Moving or stationary.
-    pub motion: Motion,
-    /// Sender duration per flow, whole seconds.
-    pub duration_s: u64,
-    /// Receiver-advertised window, segments.
-    pub w_m: u32,
-    /// Delayed-ACK factor.
-    pub b: u32,
-    /// Congestion-control algorithm.
-    pub cc: Algorithm,
-    /// Loss-recovery countermeasure (§V).
-    pub recovery: Recovery,
-    /// Seed of the scenario's first flow; flow `i` uses `seed_start + i`.
-    pub seed_start: u64,
+    /// The flow's fields. `seed` is the scenario's first seed (TOML
+    /// `seed_start`; flow `i` uses `seed + i`) and `duration` is TOML
+    /// `duration_s`; `flow` is unread, since expansion numbers the flows,
+    /// and Table I scenarios pin their own `provider`.
+    pub config: ScenarioConfig,
     /// Repetitions per grid point (each gets the next seed).
     pub seeds: u32,
     /// Table I scale factor (fraction of each campaign's flows;
@@ -94,14 +83,7 @@ pub struct ScenarioBase {
 impl Default for ScenarioBase {
     fn default() -> Self {
         ScenarioBase {
-            provider: Provider::ChinaMobile,
-            motion: Motion::HighSpeed,
-            duration_s: 120,
-            w_m: 48,
-            b: 2,
-            cc: Algorithm::Reno,
-            recovery: Recovery::None,
-            seed_start: 1,
+            config: ScenarioConfig::default(),
             seeds: 1,
             scale: 1.0,
         }
@@ -135,15 +117,7 @@ pub enum SweepAxis {
 impl SweepAxis {
     /// The TOML key this axis is spelled as.
     pub fn key(&self) -> &'static str {
-        match self {
-            SweepAxis::Provider(_) => "provider",
-            SweepAxis::Motion(_) => "motion",
-            SweepAxis::DurationSecs(_) => "duration_s",
-            SweepAxis::Window(_) => "w_m",
-            SweepAxis::DelayedAck(_) => "b",
-            SweepAxis::Cc(_) => "cc",
-            SweepAxis::Recovery(_) => "recovery",
-        }
+        AXES[self.canonical_rank()].0
     }
 
     /// Number of grid values on this axis.
@@ -175,6 +149,19 @@ impl SweepAxis {
             SweepAxis::Recovery(_) => 6,
         }
     }
+
+    /// Sets this axis's grid value `j` on `config`.
+    fn apply(&self, j: usize, config: &mut ScenarioConfig) {
+        match self {
+            SweepAxis::Provider(v) => config.provider = v[j],
+            SweepAxis::Motion(v) => config.motion = v[j],
+            SweepAxis::DurationSecs(v) => config.duration = SimDuration::from_secs(v[j]),
+            SweepAxis::Window(v) => config.w_m = v[j],
+            SweepAxis::DelayedAck(v) => config.b = v[j],
+            SweepAxis::Cc(v) => config.cc = v[j],
+            SweepAxis::Recovery(v) => config.recovery = v[j],
+        }
+    }
 }
 
 /// How a scenario's grid points turn into configs.
@@ -198,7 +185,8 @@ pub struct ScenarioGrid {
     pub kind: GridKind,
     /// Base parameters (spec defaults merged with per-scenario overrides).
     pub base: ScenarioBase,
-    /// Swept axes, kept in canonical order; at most one per axis kind.
+    /// Swept axes, at most one per axis kind; expansion visits them in
+    /// canonical order whatever their order here.
     pub sweep: Vec<SweepAxis>,
 }
 
@@ -242,7 +230,9 @@ impl CampaignSpec {
         Ok(spec)
     }
 
-    /// Validates the spec without expanding it.
+    /// Validates the spec without expanding it: every base's flow, and
+    /// the base with each swept value applied, through
+    /// [`ScenarioConfig::validate`], plus the checks only a spec has.
     ///
     /// # Errors
     ///
@@ -257,7 +247,7 @@ impl CampaignSpec {
                 "spec declares no scenarios — nothing to expand",
             ));
         }
-        validate_base("defaults", &self.defaults)?;
+        check_base("defaults", &self.defaults)?;
         for (i, sc) in self.scenarios.iter().enumerate() {
             let at = |field: &str| format!("scenario[{i}].{field}");
             if sc.name.is_empty() {
@@ -272,24 +262,29 @@ impl CampaignSpec {
                     format!("duplicate scenario name `{}`", sc.name),
                 ));
             }
-            validate_base(&format!("scenario[{i}]"), &sc.base)?;
+            check_base(&format!("scenario[{i}]"), &sc.base)?;
             let mut seen: Vec<&'static str> = Vec::new();
             for axis in &sc.sweep {
                 let key = axis.key();
+                let path = || at(&format!("sweep.{key}"));
                 if seen.contains(&key) {
-                    return Err(SpecError::new(
-                        at(&format!("sweep.{key}")),
-                        "axis listed more than once",
-                    ));
+                    return Err(SpecError::new(path(), "axis listed more than once"));
                 }
                 seen.push(key);
                 if axis.is_empty() {
-                    return Err(SpecError::new(
-                        at(&format!("sweep.{key}")),
-                        "axis has no grid values",
-                    ));
+                    return Err(SpecError::new(path(), "axis has no grid values"));
                 }
-                validate_axis(&at(&format!("sweep.{key}")), axis)?;
+                for j in 0..axis.len() {
+                    let at_j = || format!("{}[{j}]", path());
+                    if let SweepAxis::DurationSecs(secs) = axis {
+                        check_secs(secs[j], at_j)?;
+                    }
+                    let mut config = sc.base.config.clone();
+                    axis.apply(j, &mut config);
+                    config
+                        .validate()
+                        .map_err(|e| SpecError::new(at_j(), e.to_string()))?;
+                }
             }
             if sc.kind == GridKind::Table1 {
                 if sc.base.seeds != 1 {
@@ -322,33 +317,35 @@ impl CampaignSpec {
         let mut out = Vec::new();
         let mut flow = 0u32;
         for sc in &self.scenarios {
-            let axes = resolved_axes(&sc.base, &sc.sweep);
-            match sc.kind {
-                GridKind::Grid => {
-                    let mut seed_offset = 0u64;
-                    for_each_point(&axes, &mut |point| {
+            // One odometer over the swept axes in canonical order: digit
+            // `k` picks axis `k`'s value, and the last digit turns fastest.
+            let mut axes: Vec<&SweepAxis> = sc.sweep.iter().collect();
+            axes.sort_by_key(|axis| axis.canonical_rank());
+            let mut digits = vec![0; axes.len()];
+            let mut point = sc.base.config.clone();
+            // The first digit that changed: axes before it keep their value.
+            let mut turned = 0;
+            let mut seed_offset = 0u64;
+            loop {
+                for (axis, &j) in axes[turned..].iter().zip(&digits[turned..]) {
+                    axis.apply(j, &mut point);
+                }
+                match sc.kind {
+                    GridKind::Grid => {
                         for _ in 0..sc.base.seeds {
                             out.push(ScenarioConfig {
-                                provider: point.provider,
-                                motion: point.motion,
-                                seed: sc.base.seed_start.wrapping_add(seed_offset),
-                                duration: SimDuration::from_secs(point.duration_s),
-                                w_m: point.w_m,
-                                b: point.b,
+                                seed: point.seed.wrapping_add(seed_offset),
                                 flow,
-                                cc: point.cc,
-                                recovery: point.recovery,
+                                ..point
                             });
                             seed_offset += 1;
                             flow = flow.wrapping_add(1);
                         }
-                    });
-                }
-                GridKind::Table1 => {
-                    for_each_point(&axes, &mut |point| {
+                    }
+                    GridKind::Table1 => {
                         let cfg = DatasetConfig {
-                            seed: sc.base.seed_start,
-                            flow_duration: SimDuration::from_secs(point.duration_s),
+                            seed: point.seed,
+                            flow_duration: point.duration,
                             scale: sc.base.scale,
                             w_m: point.w_m,
                             b: point.b,
@@ -357,8 +354,17 @@ impl CampaignSpec {
                             recovery: point.recovery,
                         };
                         out.extend(plan_dataset(&cfg).into_iter().map(|(_, c)| c));
-                    });
+                    }
                 }
+                let Some(k) = (0..axes.len())
+                    .rev()
+                    .find(|&k| digits[k] + 1 < axes[k].len())
+                else {
+                    break;
+                };
+                digits[k] += 1;
+                digits[k + 1..].fill(0);
+                turned = k;
             }
         }
         Ok(out)
@@ -391,7 +397,7 @@ impl CampaignSpec {
                 let obj = v
                     .as_obj()
                     .ok_or_else(|| SpecError::new("defaults", expected("a table", v)))?;
-                reject_unknown_keys("defaults.", obj, BASE_KEYS)?;
+                reject_unknown_keys("defaults.", obj, &keys(&[], &BASE_ONLY_KEYS))?;
                 base_from_obj("defaults", obj, &ScenarioBase::default())?
             }
             None => ScenarioBase::default(),
@@ -432,106 +438,24 @@ pub fn expansion_digest(configs: &[ScenarioConfig]) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// Expansion internals
-// ---------------------------------------------------------------------------
-
-/// One fully resolved grid point.
-struct Point {
-    provider: Provider,
-    motion: Motion,
-    duration_s: u64,
-    w_m: u32,
-    b: u32,
-    cc: Algorithm,
-    recovery: Recovery,
-}
-
-/// The seven axes with swept values where present, base values elsewhere.
-struct ResolvedAxes {
-    providers: Vec<Provider>,
-    motions: Vec<Motion>,
-    durations: Vec<u64>,
-    windows: Vec<u32>,
-    delacks: Vec<u32>,
-    ccs: Vec<Algorithm>,
-    recoveries: Vec<Recovery>,
-}
-
-fn resolved_axes(base: &ScenarioBase, sweep: &[SweepAxis]) -> ResolvedAxes {
-    let mut axes = ResolvedAxes {
-        providers: vec![base.provider],
-        motions: vec![base.motion],
-        durations: vec![base.duration_s],
-        windows: vec![base.w_m],
-        delacks: vec![base.b],
-        ccs: vec![base.cc],
-        recoveries: vec![base.recovery],
-    };
-    for axis in sweep {
-        match axis {
-            SweepAxis::Provider(v) => axes.providers = v.clone(),
-            SweepAxis::Motion(v) => axes.motions = v.clone(),
-            SweepAxis::DurationSecs(v) => axes.durations = v.clone(),
-            SweepAxis::Window(v) => axes.windows = v.clone(),
-            SweepAxis::DelayedAck(v) => axes.delacks = v.clone(),
-            SweepAxis::Cc(v) => axes.ccs = v.clone(),
-            SweepAxis::Recovery(v) => axes.recoveries = v.clone(),
-        }
-    }
-    axes
-}
-
-/// Visits every grid point in canonical order (provider outermost,
-/// recovery innermost).
-fn for_each_point(axes: &ResolvedAxes, f: &mut impl FnMut(Point)) {
-    for &provider in &axes.providers {
-        for &motion in &axes.motions {
-            for &duration_s in &axes.durations {
-                for &w_m in &axes.windows {
-                    for &b in &axes.delacks {
-                        for &cc in &axes.ccs {
-                            for &recovery in &axes.recoveries {
-                                f(Point {
-                                    provider,
-                                    motion,
-                                    duration_s,
-                                    w_m,
-                                    b,
-                                    cc,
-                                    recovery,
-                                });
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Validation internals
 // ---------------------------------------------------------------------------
 
-fn validate_base(path: &str, base: &ScenarioBase) -> Result<(), SpecError> {
-    if base.w_m == 0 {
-        return Err(SpecError::new(
-            format!("{path}.w_m"),
-            "advertised window w_m must be >= 1 segment",
-        ));
-    }
-    if base.b == 0 {
-        return Err(SpecError::new(
-            format!("{path}.b"),
-            "delayed-ACK factor b must be >= 1",
-        ));
-    }
-    if base.duration_s == 0 {
-        return Err(SpecError::new(
-            format!("{path}.duration_s"),
-            "flow duration must be non-zero",
-        ));
-    }
+/// The longest `duration_s` the simulator's microsecond clock holds.
+const MAX_DURATION_S: u64 = u64::MAX / 1_000_000;
+
+/// Checks a base: its flow through [`ScenarioConfig::validate`], then the
+/// seed count and scale only a spec has.
+fn check_base(path: &str, base: &ScenarioBase) -> Result<(), SpecError> {
+    base.config.validate().map_err(|e| {
+        let key = match e {
+            ScenarioError::ZeroWindow => "w_m",
+            ScenarioError::ZeroDelayedAck => "b",
+            ScenarioError::ZeroDuration => "duration_s",
+            ScenarioError::Engine(_) => unreachable!("validation runs no engine"),
+        };
+        SpecError::new(format!("{path}.{key}"), e.to_string())
+    })?;
     if base.seeds == 0 {
         return Err(SpecError::new(
             format!("{path}.seeds"),
@@ -547,88 +471,81 @@ fn validate_base(path: &str, base: &ScenarioBase) -> Result<(), SpecError> {
     Ok(())
 }
 
-fn validate_axis(path: &str, axis: &SweepAxis) -> Result<(), SpecError> {
-    match axis {
-        SweepAxis::Window(values) => {
-            for (j, v) in values.iter().enumerate() {
-                if *v == 0 {
-                    return Err(SpecError::new(
-                        format!("{path}[{j}]"),
-                        "advertised window w_m must be >= 1 segment",
-                    ));
-                }
-            }
-        }
-        SweepAxis::DelayedAck(values) => {
-            for (j, v) in values.iter().enumerate() {
-                if *v == 0 {
-                    return Err(SpecError::new(
-                        format!("{path}[{j}]"),
-                        "delayed-ACK factor b must be >= 1",
-                    ));
-                }
-            }
-        }
-        SweepAxis::DurationSecs(values) => {
-            for (j, v) in values.iter().enumerate() {
-                if *v == 0 {
-                    return Err(SpecError::new(
-                        format!("{path}[{j}]"),
-                        "flow duration must be non-zero",
-                    ));
-                }
-            }
-        }
-        SweepAxis::Provider(_)
-        | SweepAxis::Motion(_)
-        | SweepAxis::Cc(_)
-        | SweepAxis::Recovery(_) => {}
+/// `secs` when it fits the simulator's clock as a whole-second duration;
+/// else an error at `path()`.
+fn check_secs(secs: u64, path: impl FnOnce() -> String) -> Result<u64, SpecError> {
+    if secs > MAX_DURATION_S {
+        return Err(SpecError::new(
+            path(),
+            format!("duration_s must be at most {MAX_DURATION_S} s, got {secs}"),
+        ));
     }
-    Ok(())
+    Ok(secs)
 }
 
 // ---------------------------------------------------------------------------
 // Value conversion internals
 // ---------------------------------------------------------------------------
 
-const BASE_KEYS: &[&str] = &[
-    "provider",
-    "motion",
-    "duration_s",
-    "w_m",
-    "b",
-    "cc",
-    "recovery",
-    "seed_start",
-    "seeds",
-    "scale",
+/// Reads the values of one sweepable key, naming item `j` `at(j)`.
+type AxisParser = fn(&[Value], &dyn Fn(usize) -> String) -> Result<SweepAxis, SpecError>;
+
+/// The sweepable keys in canonical order, each with the one parser that
+/// reads it: a base value as a one-item axis, a `[scenario.sweep]` array
+/// item by item.
+const AXES: [(&str, AxisParser); 7] = [
+    ("provider", |items, at| {
+        each(items, at, provider_from_value).map(SweepAxis::Provider)
+    }),
+    ("motion", |items, at| {
+        each(items, at, motion_from_value).map(SweepAxis::Motion)
+    }),
+    ("duration_s", |items, at| {
+        each(items, at, |path, v| {
+            check_secs(u64_from_value(path, v)?, || path.to_owned())
+        })
+        .map(SweepAxis::DurationSecs)
+    }),
+    ("w_m", |items, at| {
+        each(items, at, u32_from_value).map(SweepAxis::Window)
+    }),
+    ("b", |items, at| {
+        each(items, at, u32_from_value).map(SweepAxis::DelayedAck)
+    }),
+    ("cc", |items, at| {
+        each(items, at, algorithm_from_value).map(SweepAxis::Cc)
+    }),
+    ("recovery", |items, at| {
+        each(items, at, recovery_from_value).map(SweepAxis::Recovery)
+    }),
 ];
 
-const SCENARIO_KEYS: &[&str] = &[
-    "name",
-    "kind",
-    "sweep",
-    "provider",
-    "motion",
-    "duration_s",
-    "w_m",
-    "b",
-    "cc",
-    "recovery",
-    "seed_start",
-    "seeds",
-    "scale",
-];
+/// The keys a `[defaults]` or scenario table takes besides the sweepable
+/// ones.
+const BASE_ONLY_KEYS: [&str; 3] = ["seed_start", "seeds", "scale"];
 
-const SWEEP_KEYS: &[&str] = &[
-    "provider",
-    "motion",
-    "duration_s",
-    "w_m",
-    "b",
-    "cc",
-    "recovery",
-];
+/// `before`, the sweepable keys in canonical order, then `after`.
+fn keys(before: &[&'static str], after: &[&'static str]) -> Vec<&'static str> {
+    let sweepable = AXES.iter().map(|&(key, _)| key);
+    before
+        .iter()
+        .copied()
+        .chain(sweepable)
+        .chain(after.iter().copied())
+        .collect()
+}
+
+fn each<T>(
+    items: &[Value],
+    at: &dyn Fn(usize) -> String,
+    f: fn(&str, &Value) -> Result<T, SpecError>,
+) -> Result<Vec<T>, SpecError> {
+    items
+        .iter()
+        .enumerate()
+        .map(|(j, v)| f(&at(j), v))
+        .collect()
+}
 
 fn expected(what: &str, got: &Value) -> String {
     format!("expected {what}, got {}", got.kind())
@@ -659,7 +576,11 @@ fn scenario_from_value(
     let obj = value
         .as_obj()
         .ok_or_else(|| SpecError::new(&path, expected("a table", value)))?;
-    reject_unknown_keys(&format!("{path}."), obj, SCENARIO_KEYS)?;
+    reject_unknown_keys(
+        &format!("{path}."),
+        obj,
+        &keys(&["name", "kind", "sweep"], &BASE_ONLY_KEYS),
+    )?;
     let name = match serde::get_field(obj, "name") {
         Some(Value::Str(s)) => s.clone(),
         Some(v) => {
@@ -687,22 +608,26 @@ fn scenario_from_value(
         }
     };
     let base = base_from_obj(&path, obj, defaults)?;
-    let sweep = match serde::get_field(obj, "sweep") {
-        None => Vec::new(),
-        Some(v) => {
-            let sweep_path = format!("{path}.sweep");
-            let sweep_obj = v
-                .as_obj()
-                .ok_or_else(|| SpecError::new(&sweep_path, expected("a table", v)))?;
-            reject_unknown_keys(&format!("{sweep_path}."), sweep_obj, SWEEP_KEYS)?;
-            let mut axes = Vec::new();
-            for (key, axis_value) in sweep_obj {
-                axes.push(axis_from_value(&sweep_path, key, axis_value)?);
+    let mut sweep = Vec::new();
+    if let Some(v) = serde::get_field(obj, "sweep") {
+        let sweep_path = format!("{path}.sweep");
+        let sweep_obj = v
+            .as_obj()
+            .ok_or_else(|| SpecError::new(&sweep_path, expected("a table", v)))?;
+        reject_unknown_keys(&format!("{sweep_path}."), sweep_obj, &keys(&[], &[]))?;
+        for (key, parse) in AXES {
+            if let Some(v) = serde::get_field(sweep_obj, key) {
+                let path = format!("{sweep_path}.{key}");
+                let Value::Arr(items) = v else {
+                    return Err(SpecError::new(
+                        &path,
+                        expected("an array of grid values", v),
+                    ));
+                };
+                sweep.push(parse(items, &|j| format!("{path}[{j}]"))?);
             }
-            axes.sort_by_key(SweepAxis::canonical_rank);
-            axes
         }
-    };
+    }
     Ok(ScenarioGrid {
         name,
         kind,
@@ -719,29 +644,13 @@ fn base_from_obj(
 ) -> Result<ScenarioBase, SpecError> {
     let mut base = start.clone();
     let at = |field: &str| format!("{path}.{field}");
-    if let Some(v) = serde::get_field(obj, "provider") {
-        base.provider = provider_from_value(&at("provider"), v)?;
-    }
-    if let Some(v) = serde::get_field(obj, "motion") {
-        base.motion = motion_from_value(&at("motion"), v)?;
-    }
-    if let Some(v) = serde::get_field(obj, "duration_s") {
-        base.duration_s = u64_from_value(&at("duration_s"), v)?;
-    }
-    if let Some(v) = serde::get_field(obj, "w_m") {
-        base.w_m = u32_from_value(&at("w_m"), v)?;
-    }
-    if let Some(v) = serde::get_field(obj, "b") {
-        base.b = u32_from_value(&at("b"), v)?;
-    }
-    if let Some(v) = serde::get_field(obj, "cc") {
-        base.cc = algorithm_from_value(&at("cc"), v)?;
-    }
-    if let Some(v) = serde::get_field(obj, "recovery") {
-        base.recovery = recovery_from_value(&at("recovery"), v)?;
+    for (key, parse) in AXES {
+        if let Some(v) = serde::get_field(obj, key) {
+            parse(std::slice::from_ref(v), &|_| at(key))?.apply(0, &mut base.config);
+        }
     }
     if let Some(v) = serde::get_field(obj, "seed_start") {
-        base.seed_start = u64_from_value(&at("seed_start"), v)?;
+        base.config.seed = u64_from_value(&at("seed_start"), v)?;
     }
     if let Some(v) = serde::get_field(obj, "seeds") {
         base.seeds = u32_from_value(&at("seeds"), v)?;
@@ -750,72 +659,6 @@ fn base_from_obj(
         base.scale = f64_from_value(&at("scale"), v)?;
     }
     Ok(base)
-}
-
-fn axis_from_value(sweep_path: &str, key: &str, value: &Value) -> Result<SweepAxis, SpecError> {
-    let path = format!("{sweep_path}.{key}");
-    let Value::Arr(items) = value else {
-        return Err(SpecError::new(
-            &path,
-            expected("an array of grid values", value),
-        ));
-    };
-    match key {
-        "provider" => Ok(SweepAxis::Provider(axis_values(
-            &path,
-            items,
-            provider_from_value,
-        )?)),
-        "motion" => Ok(SweepAxis::Motion(axis_values(
-            &path,
-            items,
-            motion_from_value,
-        )?)),
-        "duration_s" => Ok(SweepAxis::DurationSecs(axis_values(
-            &path,
-            items,
-            u64_from_value,
-        )?)),
-        "w_m" => Ok(SweepAxis::Window(axis_values(
-            &path,
-            items,
-            u32_from_value,
-        )?)),
-        "b" => Ok(SweepAxis::DelayedAck(axis_values(
-            &path,
-            items,
-            u32_from_value,
-        )?)),
-        "cc" => Ok(SweepAxis::Cc(axis_values(
-            &path,
-            items,
-            algorithm_from_value,
-        )?)),
-        "recovery" => Ok(SweepAxis::Recovery(axis_values(
-            &path,
-            items,
-            recovery_from_value,
-        )?)),
-        other => Err(SpecError::new(
-            format!("{sweep_path}.{other}"),
-            format!(
-                "unknown sweep axis (expected one of: {})",
-                SWEEP_KEYS.join(", ")
-            ),
-        )),
-    }
-}
-
-fn axis_values<T>(
-    path: &str,
-    items: &[Value],
-    f: impl Fn(&str, &Value) -> Result<T, SpecError>,
-) -> Result<Vec<T>, SpecError> {
-    items
-        .iter()
-        .enumerate()
-        .map(|(j, v)| f(&format!("{path}[{j}]"), v))
-        .collect()
 }
 
 fn provider_from_value(path: &str, v: &Value) -> Result<Provider, SpecError> {
@@ -900,22 +743,28 @@ fn render_short(v: &Value) -> String {
 mod tests {
     use super::*;
 
+    /// A base of 60-s flows starting at `seed`.
+    fn minute_base(seed: u64, seeds: u32) -> ScenarioBase {
+        ScenarioBase {
+            config: ScenarioConfig {
+                duration: SimDuration::from_secs(60),
+                seed,
+                ..Default::default()
+            },
+            seeds,
+            ..Default::default()
+        }
+    }
+
     fn demo_spec() -> CampaignSpec {
         CampaignSpec {
             name: "demo".to_owned(),
-            defaults: ScenarioBase {
-                duration_s: 60,
-                ..Default::default()
-            },
+            defaults: minute_base(1, 1),
             scenarios: vec![
                 ScenarioGrid {
                     name: "delack".to_owned(),
                     kind: GridKind::Grid,
-                    base: ScenarioBase {
-                        duration_s: 60,
-                        seeds: 2,
-                        ..Default::default()
-                    },
+                    base: minute_base(1, 2),
                     sweep: vec![
                         SweepAxis::Motion(vec![Motion::HighSpeed, Motion::Stationary]),
                         SweepAxis::DelayedAck(vec![1, 2, 3]),
@@ -924,11 +773,7 @@ mod tests {
                 ScenarioGrid {
                     name: "cc".to_owned(),
                     kind: GridKind::Grid,
-                    base: ScenarioBase {
-                        duration_s: 60,
-                        seed_start: 500,
-                        ..Default::default()
-                    },
+                    base: minute_base(500, 1),
                     sweep: vec![SweepAxis::Cc(vec![
                         Algorithm::Reno,
                         Algorithm::Cubic,
@@ -971,11 +816,11 @@ mod tests {
         assert_eq!(err.key, "scenario[0].sweep.b[1]");
 
         let mut spec = demo_spec();
-        spec.defaults.w_m = 0;
+        spec.defaults.config.w_m = 0;
         assert_eq!(spec.validate().unwrap_err().key, "defaults.w_m");
 
         let mut spec = demo_spec();
-        spec.scenarios[1].base.duration_s = 0;
+        spec.scenarios[1].base.config.duration = SimDuration::ZERO;
         assert_eq!(spec.validate().unwrap_err().key, "scenario[1].duration_s");
 
         let err = CampaignSpec::from_toml("name = \"x\"\n[[scenario]]\nname = \"a\"\nbogus = 1\n")
@@ -1119,8 +964,37 @@ b = [1, 2]
         let spec = demo_spec();
         let d1 = spec.digest().expect("digests");
         let mut tweaked = spec.clone();
-        tweaked.scenarios[0].base.seed_start = 2;
+        tweaked.scenarios[0].base.config.seed = 2;
         assert_ne!(tweaked.digest().unwrap(), d1);
+    }
+
+    /// A `duration_s` the microsecond clock cannot hold is refused at its
+    /// key, in the defaults and on an axis alike, not wrapped into a short
+    /// flow: 2^58 + 60 s would otherwise run as 60 s.
+    #[test]
+    fn a_duration_past_the_clock_is_rejected_at_its_key() {
+        let wraps = (1u64 << 58) + 60;
+        let err = CampaignSpec::from_toml(&format!(
+            "name = \"x\"\n[defaults]\nduration_s = {wraps}\n[[scenario]]\nname = \"a\"\n"
+        ))
+        .unwrap_err();
+        assert_eq!(err.key, "defaults.duration_s");
+        assert!(err.message.contains("at most 18446744073709 s"), "{err}");
+
+        let err = CampaignSpec::from_toml(&format!(
+            "name = \"x\"\n[[scenario]]\nname = \"a\"\n[scenario.sweep]\n\
+             duration_s = [60, {}, {wraps}]\n",
+            MAX_DURATION_S
+        ))
+        .unwrap_err();
+        assert_eq!(err.key, "scenario[0].sweep.duration_s[2]");
+
+        let mut spec = demo_spec();
+        spec.scenarios[1].sweep = vec![SweepAxis::DurationSecs(vec![wraps])];
+        assert_eq!(
+            spec.expand().unwrap_err().key,
+            "scenario[1].sweep.duration_s[0]"
+        );
     }
 
     #[test]

@@ -23,12 +23,13 @@ fn main() -> Result<(), hsm::Error> {
         let (mut tp, mut to, mut sp, mut pa, mut burst) = (0.0, 0u32, 0u32, 0.0, 0.0);
         let reps = 4;
         for seed in 0..reps {
-            let config = ScenarioConfig::builder()
-                .provider(Provider::ChinaMobile)
-                .b(b)
-                .seed(777 + seed)
-                .duration(SimDuration::from_secs(45))
-                .build()?;
+            let config = ScenarioConfig {
+                provider: Provider::ChinaMobile,
+                b,
+                seed: 777 + seed,
+                duration: SimDuration::from_secs(45),
+                ..Default::default()
+            };
             let out = run(&mut scratch, &config, &StormPlan::default(), Keep::Summary)?;
             let s = out.summary();
             tp += s.throughput_sps;

@@ -13,11 +13,12 @@ use hsm::trace::prelude::*;
 
 fn main() -> Result<(), hsm::Error> {
     let provider = Provider::ChinaTelecom; // the paper's biggest MPTCP win
-    let sc = ScenarioConfig::builder()
-        .provider(provider)
-        .duration(SimDuration::from_secs(60))
-        .seed(99)
-        .build()?;
+    let sc = ScenarioConfig {
+        provider,
+        duration: SimDuration::from_secs(60),
+        seed: 99,
+        ..Default::default()
+    };
     let path = sc.path();
     let mobility = sc.mobility();
     let conn = sc.connection();

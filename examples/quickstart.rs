@@ -14,12 +14,13 @@ use hsm::simnet::time::SimDuration;
 
 fn main() -> Result<(), hsm::Error> {
     // 1. One flow on the Beijing–Tianjin line, China Mobile LTE, 40 s.
-    let config = ScenarioConfig::builder()
-        .provider(Provider::ChinaMobile)
-        .motion(Motion::HighSpeed)
-        .seed(42)
-        .duration(SimDuration::from_secs(40))
-        .build()?;
+    let config = ScenarioConfig {
+        provider: Provider::ChinaMobile,
+        motion: Motion::HighSpeed,
+        seed: 42,
+        duration: SimDuration::from_secs(40),
+        ..Default::default()
+    };
     // No storm on top of the provider's channel; keep the summary only.
     let calm = StormPlan::default();
     let out = run(&mut Scratch::new(), &config, &calm, Keep::Summary)?;

@@ -26,9 +26,10 @@
 //!
 //! # Quickstart
 //!
-//! Configs are built with validating builders; single flows run through
-//! [`scenario::runner::run`], anything bigger through a
-//! [`runtime::engine::Campaign`]:
+//! A config is a struct literal over its defaults, checked by
+//! [`ScenarioConfig::validate`](scenario::runner::ScenarioConfig::validate);
+//! single flows run through [`scenario::runner::run`], anything bigger
+//! through a [`runtime::engine::Campaign`]:
 //!
 //! ```
 //! use hsm::prelude::*;
@@ -37,12 +38,14 @@
 //! use hsm_simnet::time::SimDuration;
 //!
 //! # fn main() -> Result<(), hsm::Error> {
-//! let config = ScenarioConfig::builder()
-//!     .provider(Provider::ChinaMobile)
-//!     .motion(Motion::HighSpeed)
-//!     .seed(7)
-//!     .duration(SimDuration::from_secs(30))
-//!     .build()?;
+//! let config = ScenarioConfig {
+//!     provider: Provider::ChinaMobile,
+//!     motion: Motion::HighSpeed,
+//!     seed: 7,
+//!     duration: SimDuration::from_secs(30),
+//!     ..Default::default()
+//! };
+//! config.validate()?;
 //!
 //! // One flow, one summary.
 //! let out = run(&mut Scratch::new(), &config, &StormPlan::default(), Keep::Summary)?;
@@ -91,7 +94,7 @@ pub mod prelude {
     };
     pub use hsm_scenario::provider::Provider;
     pub use hsm_scenario::runner::{
-        run_scenario, Keep, Motion, ScenarioConfig, ScenarioConfigBuilder, ScenarioError, Scratch,
+        run_scenario, Keep, Motion, ScenarioConfig, ScenarioError, Scratch,
     };
     pub use hsm_scenario::spec::{
         expansion_digest, load_spec, CampaignSpec, GridKind, ScenarioBase, ScenarioGrid, SpecError,

@@ -34,46 +34,47 @@ fn stress_configs() -> Vec<ScenarioConfig> {
 
 /// Longer flows the stress plan has none of: stationary beside
 /// high-speed, every provider, non-Reno controllers, recovery strategies.
-fn builder_configs() -> Vec<ScenarioConfig> {
-    let secs = SimDuration::from_secs;
-    let b = ScenarioConfig::builder;
-    [
-        b().motion(Motion::Stationary).duration(secs(30)).seed(3),
-        b().motion(Motion::Stationary)
-            .provider(Provider::ChinaTelecom)
-            .cc(Algorithm::Bbr)
-            .duration(secs(20))
-            .seed(4),
-        b().motion(Motion::HighSpeed).duration(secs(60)).seed(5),
-        b().motion(Motion::HighSpeed)
-            .provider(Provider::ChinaUnicom)
-            .cc(Algorithm::Cubic)
-            .duration(secs(40))
-            .seed(6),
-        b().motion(Motion::HighSpeed)
-            .provider(Provider::ChinaTelecom)
-            .recovery(Recovery::Frto)
-            .duration(secs(40))
-            .seed(7),
-        b().motion(Motion::HighSpeed)
-            .cc(Algorithm::Compound)
-            .recovery(Recovery::AckRobust)
-            .duration(secs(30))
-            .seed(8),
-        b().motion(Motion::HighSpeed)
-            .recovery(Recovery::RedundantRto)
-            .b(1)
-            .duration(secs(30))
-            .seed(9),
-        b().motion(Motion::HighSpeed)
-            .cc(Algorithm::Veno)
-            .w_m(16)
-            .duration(secs(30))
-            .seed(10),
+fn long_configs() -> Vec<ScenarioConfig> {
+    let flow = |motion, duration_s, seed| ScenarioConfig {
+        motion,
+        duration: SimDuration::from_secs(duration_s),
+        seed,
+        ..Default::default()
+    };
+    vec![
+        flow(Motion::Stationary, 30, 3),
+        ScenarioConfig {
+            provider: Provider::ChinaTelecom,
+            cc: Algorithm::Bbr,
+            ..flow(Motion::Stationary, 20, 4)
+        },
+        flow(Motion::HighSpeed, 60, 5),
+        ScenarioConfig {
+            provider: Provider::ChinaUnicom,
+            cc: Algorithm::Cubic,
+            ..flow(Motion::HighSpeed, 40, 6)
+        },
+        ScenarioConfig {
+            provider: Provider::ChinaTelecom,
+            recovery: Recovery::Frto,
+            ..flow(Motion::HighSpeed, 40, 7)
+        },
+        ScenarioConfig {
+            cc: Algorithm::Compound,
+            recovery: Recovery::AckRobust,
+            ..flow(Motion::HighSpeed, 30, 8)
+        },
+        ScenarioConfig {
+            recovery: Recovery::RedundantRto,
+            b: 1,
+            ..flow(Motion::HighSpeed, 30, 9)
+        },
+        ScenarioConfig {
+            cc: Algorithm::Veno,
+            w_m: 16,
+            ..flow(Motion::HighSpeed, 30, 10)
+        },
     ]
-    .into_iter()
-    .map(|builder| builder.build().expect("valid config"))
-    .collect()
 }
 
 /// The loss indications that were not timeouts, as a set difference.
@@ -89,7 +90,7 @@ fn fast_retransmissions(trace: &FlowTrace, timeouts: &TimeoutAnalysis) -> u32 {
 fn one_sweep_equals_the_stand_alone_analyses_on_simulated_flows() {
     let mut scratch = Scratch::new();
     let (mut timeouts_seen, mut quiet_flows) = (0, 0);
-    for config in stress_configs().into_iter().chain(builder_configs()) {
+    for config in stress_configs().into_iter().chain(long_configs()) {
         let out = run(&mut scratch, &config, &StormPlan::default(), Keep::Trace);
         let out = out.expect("flow runs");
         let (trace, analysis) = (out.trace.as_ref().expect("kept"), &out.analysis);
@@ -155,7 +156,7 @@ fn one_sweep_equals_the_stand_alone_analyses_on_simulated_flows() {
 fn arena_fed_analysis_equals_the_trace_returning_run_on_any_scratch() {
     let calm = StormPlan::default();
     let (mut traced, mut reused) = (Scratch::new(), Scratch::new());
-    for config in stress_configs().into_iter().chain(builder_configs()) {
+    for config in stress_configs().into_iter().chain(long_configs()) {
         // The reference is the connection run that returns the trace
         // itself; its analysis reads that stored trace.
         let (path, mobility) = (config.path(), config.mobility());

@@ -32,12 +32,12 @@ const BYTES_PER_PACKET: usize = 24;
 
 #[test]
 fn a_summary_run_holds_its_packets_in_32_byte_rows() {
-    let config = ScenarioConfig::builder()
-        .motion(Motion::HighSpeed)
-        .duration(SimDuration::from_secs(120))
-        .seed(1)
-        .build()
-        .expect("valid config");
+    let config = ScenarioConfig {
+        motion: Motion::HighSpeed,
+        duration: SimDuration::from_secs(120),
+        seed: 1,
+        ..Default::default()
+    };
     let (mut scratch, calm) = (Scratch::new(), StormPlan::default());
 
     let before = high_water_mark();

@@ -16,15 +16,13 @@ fn campaign_configs() -> Vec<ScenarioConfig> {
         (Provider::ChinaMobile, Motion::Stationary),
     ] {
         for seed in [11u64, 12] {
-            configs.push(
-                ScenarioConfig::builder()
-                    .provider(provider)
-                    .motion(motion)
-                    .seed(seed)
-                    .duration(SimDuration::from_secs(10))
-                    .build()
-                    .expect("valid config"),
-            );
+            configs.push(ScenarioConfig {
+                provider,
+                motion,
+                seed,
+                duration: SimDuration::from_secs(10),
+                ..Default::default()
+            });
         }
     }
     configs
@@ -236,8 +234,14 @@ fn entries_from_older_engine_versions_miss_and_are_resimulated() -> Result<(), h
 
 #[test]
 fn builder_failures_surface_through_the_unified_error() {
-    let zero_window = ScenarioConfig::builder().w_m(0).build();
-    let err: hsm::Error = zero_window.expect_err("w_m = 0 must be rejected").into();
+    let zero_window = ScenarioConfig {
+        w_m: 0,
+        ..Default::default()
+    };
+    let err: hsm::Error = zero_window
+        .validate()
+        .expect_err("w_m = 0 must be rejected")
+        .into();
     assert!(matches!(
         err,
         hsm::Error::Scenario(ScenarioError::ZeroWindow)

@@ -73,15 +73,13 @@ fn golden_throughput_fixtures_on_the_random_loss_path() {
 
 fn zoo_configs(cc: Algorithm) -> Vec<ScenarioConfig> {
     (0..6u32)
-        .map(|i| {
-            ScenarioConfig::builder()
-                .motion(Motion::Stationary)
-                .seed(900 + u64::from(i))
-                .duration(SimDuration::from_secs(5))
-                .flow(i)
-                .cc(cc)
-                .build()
-                .expect("valid zoo config")
+        .map(|i| ScenarioConfig {
+            motion: Motion::Stationary,
+            seed: 900 + u64::from(i),
+            duration: SimDuration::from_secs(5),
+            flow: i,
+            cc,
+            ..Default::default()
         })
         .collect()
 }

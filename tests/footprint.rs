@@ -24,12 +24,12 @@ fn high_water_mark() -> usize {
 
 #[test]
 fn summary_run_never_holds_the_trace_copy() {
-    let config = ScenarioConfig::builder()
-        .motion(Motion::HighSpeed)
-        .duration(SimDuration::from_secs(120))
-        .seed(1)
-        .build()
-        .expect("valid config");
+    let config = ScenarioConfig {
+        motion: Motion::HighSpeed,
+        duration: SimDuration::from_secs(120),
+        seed: 1,
+        ..Default::default()
+    };
     let (mut scratch, calm) = (Scratch::new(), StormPlan::default());
 
     let summary_run = run(&mut scratch, &config, &calm, Keep::Summary).expect("flow runs");

@@ -180,8 +180,8 @@ proptest! {
     }
 }
 
-/// Configuration-layer property: the builder accepts exactly the valid
-/// field combinations.
+/// Configuration-layer property: `ScenarioConfig::validate` accepts
+/// exactly the valid field combinations.
 mod scenario_config_properties {
     use super::*;
     use hsm::prelude::Provider;
@@ -202,12 +202,11 @@ mod scenario_config_properties {
 
     proptest! {
         /// Sweeps every field — including the invalid zeros — and checks
-        /// the builder's verdict against the documented validation order:
+        /// `validate`'s verdict against the documented validation order:
         /// window first, then delayed ACK, then duration. A config is
-        /// accepted iff no field is invalid, and the accepted value
-        /// echoes every input unchanged.
+        /// accepted iff no field is invalid.
         #[test]
-        fn builder_accepts_exactly_the_valid_combinations(
+        fn validate_accepts_exactly_the_valid_combinations(
             provider in arb_provider(),
             motion in arb_motion(),
             seed in 0u64..u64::MAX,
@@ -216,32 +215,27 @@ mod scenario_config_properties {
             b in 0u32..6,
             flow in 0u32..2000,
         ) {
-            let built = ScenarioConfig::builder()
-                .provider(provider)
-                .motion(motion)
-                .seed(seed)
-                .duration(SimDuration::from_micros(duration_us))
-                .w_m(w_m)
-                .b(b)
-                .flow(flow)
-                .build();
-            if w_m == 0 {
-                prop_assert_eq!(built, Err(ScenarioError::ZeroWindow));
-            } else if b == 0 {
-                prop_assert_eq!(built, Err(ScenarioError::ZeroDelayedAck));
-            } else if duration_us == 0 {
-                prop_assert_eq!(built, Err(ScenarioError::ZeroDuration));
-            } else {
-                let cfg = built.expect("all fields valid");
-                prop_assert!(cfg.validate().is_ok());
-                prop_assert_eq!(cfg.provider, provider);
-                prop_assert_eq!(cfg.motion, motion);
-                prop_assert_eq!(cfg.seed, seed);
-                prop_assert_eq!(cfg.duration, SimDuration::from_micros(duration_us));
-                prop_assert_eq!(cfg.w_m, w_m);
-                prop_assert_eq!(cfg.b, b);
-                prop_assert_eq!(cfg.flow, flow);
+            let verdict = ScenarioConfig {
+                provider,
+                motion,
+                seed,
+                duration: SimDuration::from_micros(duration_us),
+                w_m,
+                b,
+                flow,
+                ..Default::default()
             }
+            .validate();
+            let expected = if w_m == 0 {
+                Err(ScenarioError::ZeroWindow)
+            } else if b == 0 {
+                Err(ScenarioError::ZeroDelayedAck)
+            } else if duration_us == 0 {
+                Err(ScenarioError::ZeroDuration)
+            } else {
+                Ok(())
+            };
+            prop_assert_eq!(verdict, expected);
         }
     }
 }

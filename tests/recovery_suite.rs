@@ -80,13 +80,13 @@ fn explicit_none_matches_the_pre_recovery_goldens() {
 }
 
 fn storm_config(recovery: Recovery) -> ScenarioConfig {
-    ScenarioConfig::builder()
-        .motion(Motion::Stationary)
-        .seed(77)
-        .duration(SimDuration::from_secs(12))
-        .recovery(recovery)
-        .build()
-        .expect("valid storm config")
+    ScenarioConfig {
+        motion: Motion::Stationary,
+        seed: 77,
+        duration: SimDuration::from_secs(12),
+        recovery,
+        ..Default::default()
+    }
 }
 
 /// Each countermeasure must actually change the sender's dynamics under
@@ -148,17 +148,15 @@ fn suite_configs() -> Vec<ScenarioConfig> {
     for cc in Algorithm::zoo() {
         for recovery in Recovery::ALL {
             for seed in 0..2u64 {
-                configs.push(
-                    ScenarioConfig::builder()
-                        .motion(Motion::Stationary)
-                        .seed(1_700 + seed)
-                        .duration(SimDuration::from_secs(4))
-                        .flow(flow)
-                        .cc(cc)
-                        .recovery(recovery)
-                        .build()
-                        .expect("valid suite config"),
-                );
+                configs.push(ScenarioConfig {
+                    motion: Motion::Stationary,
+                    seed: 1_700 + seed,
+                    duration: SimDuration::from_secs(4),
+                    flow,
+                    cc,
+                    recovery,
+                    ..Default::default()
+                });
                 flow += 1;
             }
         }
@@ -226,13 +224,13 @@ fn the_recovery_grid_is_deterministic_across_workers_and_cache_tiers() {
 fn recovery_variants_stay_distinct_through_the_campaign_cache() {
     let cache = FlowCache::new(CacheConfig::memory_only());
     let run = |recovery| {
-        let configs = vec![ScenarioConfig::builder()
-            .motion(Motion::Stationary)
-            .seed(2_400)
-            .duration(SimDuration::from_secs(5))
-            .recovery(recovery)
-            .build()
-            .expect("valid config")];
+        let configs = vec![ScenarioConfig {
+            motion: Motion::Stationary,
+            seed: 2_400,
+            duration: SimDuration::from_secs(5),
+            recovery,
+            ..Default::default()
+        }];
         let campaign = Campaign::builder()
             .configs(configs)
             .build()

@@ -60,14 +60,12 @@ fn a_warm_replay_allocates_per_pass_not_per_flow() {
     const FLOWS: usize = 256;
     const PER_MEMORY_REPLAY: usize = 4;
     const PER_DISK_REPLAY: usize = 7;
-    let config = |flow: u32| {
-        ScenarioConfig::builder()
-            .motion(Motion::Stationary)
-            .seed(u64::from(flow) + 1)
-            .flow(flow)
-            .duration(SimDuration::from_secs(2))
-            .build()
-            .expect("valid config")
+    let config = |flow: u32| ScenarioConfig {
+        motion: Motion::Stationary,
+        seed: u64::from(flow) + 1,
+        flow,
+        duration: SimDuration::from_secs(2),
+        ..Default::default()
     };
     let campaign = Campaign::builder()
         .configs((0..FLOWS as u32).map(config))

@@ -169,6 +169,14 @@ stage_build_test() {
         echo "a deleted statement of a flow's fields (ScenarioConfigBuilder, ResolvedAxes, for_each_point) or a spec copy of its checks (validate_base, validate_axis) is back" >&2
         exit 1
     fi
+    # Also deleted: the indexed 4-ary timer heap and its sifts. It never
+    # held more than three timers, so a timer is a slot carrying its own
+    # key and a pop scans the slot keys as it scans the lane heads.
+    if grep -rnE '\bsift_up\b|\bsift_down\b|\bARITY\b|\bremove_at\b|\bfn settle\b|\.settle\(' \
+        crates/simnet/src; then
+        echo "the deleted indexed timer heap (ARITY, sift_up, sift_down, remove_at, settle) is back in hsm-simnet" >&2
+        exit 1
+    fi
     checks="$(grep -rhoF 'advertised window w_m must be >= 1 segment' crates/*/src | wc -l)"
     if [ "$checks" -ne 1 ]; then
         echo "the zero-window message is written $checks times in crates/*/src, not once: a second copy of ScenarioConfig::validate is back" >&2
@@ -187,7 +195,7 @@ stage_build_test() {
     # the gate at once instead of after the suite.
     cargo build --release --offline --manifest-path benchmark/Cargo.toml
     cargo test -q --workspace
-    # Queue-vs-model differential: the event queue (indexed timer heap +
+    # Queue-vs-model differential: the event queue (keyed timer slots +
     # scanned FIFO lanes) must pop the exact `(time, seq)` stream an
     # ordered-map model pops, over randomized schedule/lane/cancel/pop
     # interleavings. Runs inside the workspace suite too, but an explicit

@@ -22,12 +22,13 @@
 //!   the two drop sites mark theirs, so the arena is the run's only
 //!   capture, and a caller that runs in slices drains the landed packets'
 //!   rows between them ([`Engine::drain_settled`]);
-//! * the [`EventQueue`]'s indexed 4-ary heap holds only the agents'
-//!   timers: a cancel removes its entry on the spot and a re-armed timer
-//!   ([`Ctx::reschedule_in`]) keeps its slot and heap entry. Link events
-//!   never enter it — link *i*'s `Deliver` events wait in FIFO lane `2i`,
-//!   its one pending `LinkReady` in lane `2i + 1`, and a pop compares the
-//!   heap root with the few lane heads (see the `event` module docs);
+//! * the [`EventQueue`]'s timer slots hold only the agents' timers, each
+//!   slot keyed by its timer: a cancel frees its slot on the spot and a
+//!   re-armed timer ([`Ctx::reschedule_in`]) rewrites its own. Link events
+//!   never take a slot — link *i*'s `Deliver` events wait in FIFO lane
+//!   `2i`, its one pending `LinkReady` in lane `2i + 1`, and a pop scans
+//!   the few slot keys and lane heads for the least (see the `event`
+//!   module docs);
 //! * dispatch is one deadline-bounded pop per event — the engine's only
 //!   queue read — so an event stays in the queue, cancellable, until the
 //!   moment it fires.
@@ -103,7 +104,7 @@ impl<'a> Ctx<'a> {
     /// Moves the pending timer `id` to `after` from now under a new `tag`
     /// — exactly [`Ctx::cancel_timer`] followed by [`Ctx::schedule_in`]
     /// (same firing order, same returned id, same queue statistics), but
-    /// the timer keeps its queue slot and heap entry. A timer that already
+    /// the timer's queue slot is rewritten in place. A timer that already
     /// fired or was cancelled is simply scheduled afresh.
     pub fn reschedule_in(&mut self, id: EventId, after: SimDuration, tag: u64) -> EventId {
         let at = self.core.now + after;
@@ -201,7 +202,7 @@ impl Core {
         };
         // FIFO: jitter must not let packets overtake each other — which
         // also makes this link's deliveries a non-decreasing sequence, so
-        // they queue in the link's delivery lane instead of the heap.
+        // they queue in the link's delivery lane instead of a timer slot.
         let at = (self.now + latency).max(self.links[idx].last_delivery);
         self.links[idx].last_delivery = at;
         self.links[idx].deliver_pending += 1;
@@ -252,7 +253,7 @@ impl Engine {
 
     /// Returns the engine to its just-constructed state under a new master
     /// seed while keeping every recyclable allocation: the event queue's
-    /// slab, heap and lane capacity, the packet arena's rows, link queue
+    /// slab and lane capacity, the packet arena's rows, link queue
     /// and timeline buffers, and the agent/link/RNG vectors' capacity.
     ///
     /// All agents and links are dropped (re-register them), and
@@ -778,7 +779,7 @@ pub(crate) mod tests {
     #[test]
     fn same_instant_tx_complete_delivery_and_timer_fire_in_schedule_order() {
         // One instant (2 ms) holds an event from each of the queue's three
-        // sources — a delivery lane, a tx-complete lane and the timer heap:
+        // sources — a delivery lane, a tx-complete lane and a timer slot:
         // the delivery is the sink's log, the tx-complete the channel drop
         // of a link that loses everything, the timer the marker row of the
         // packet its callback sends. A witness — the sink on the delivery

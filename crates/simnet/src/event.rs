@@ -2,19 +2,26 @@
 //!
 //! A flow keeps about thirty events pending (measured mean depth 27, peak
 //! 67 over the 255-flow Table I campaign), nine in ten of them link events
-//! that are never cancelled, so the queue is two structures:
+//! that are never cancelled, and at most three timers (the sender's RTO
+//! and stop, the receiver's delayed ACK), so the queue is two scanned
+//! arrays:
 //!
-//! * an **indexed 4-ary min-heap** of `(key, slot)` entries over a payload
-//!   slab, for the cancellable timers. Each slab slot records its entry's
-//!   heap position, so [`EventQueue::cancel`] removes the entry outright
-//!   with one short sift and the heap never holds a dead entry — one
-//!   schedule in four is a retransmission timer the next ACK cancels;
+//! * a **slab of timer slots**, for the cancellable events. A pending slot
+//!   carries its own `(time, sequence)` key and a free one reads the
+//!   empty key, so [`EventQueue::schedule`], [`EventQueue::cancel`] and
+//!   [`EventQueue::reschedule`] are each one slot write — one schedule in
+//!   four is a timer, half of those a retransmission timer re-armed by an
+//!   ACK. Freed slots are reused last-in first-out, so the slab is as long
+//!   as the most timers ever pending at once;
 //! * **FIFO lanes** ([`EventQueue::schedule_in_lane`]) for sources that
 //!   schedule in non-decreasing time — each link's `Deliver` events and
 //!   its pending `LinkReady`. A lane is a ring buffer plus a head key in a
-//!   small array, outside the heap: a pop takes the smaller of the heap
-//!   root and the least head key, found by a scan — O(lanes), sized
-//!   against a flow's 4 lanes and the largest world's 12 (DESIGN.md §15).
+//!   small array.
+//!
+//! A pop takes the least key by one scan over the lane heads and one over
+//! the slot keys — O(lanes + slots), sized against a flow's 4 lanes and 3
+//! timers and the largest world's 12 lanes (DESIGN.md §15). A world that
+//! kept thousands of timers pending would pay for each on every pop.
 //!
 //! # Ordering contract
 //!
@@ -28,10 +35,10 @@
 //!
 //! Lanes keep the contract without trusting the caller: a lane is sorted
 //! by `(time, sequence)` because sequences only grow and an event *below*
-//! the lane's tail time is not appended but takes the plain heap path. A
-//! sorted lane's head is its minimum, so the global minimum is the heap
-//! root or one of the head keys. `tests/queue_differential.rs` checks
-//! randomized interleavings against an ordered-map model.
+//! the lane's tail time is not appended but takes a timer slot. A sorted
+//! lane's head is its minimum, so the global minimum is a slot key or one
+//! of the head keys. `tests/queue_differential.rs` checks randomized
+//! interleavings against an ordered-map model.
 
 use crate::agent::AgentId;
 use crate::time::SimTime;
@@ -125,7 +132,7 @@ impl QueueStats {
     }
 
     /// Fraction of schedules cancelled before firing — the RTO churn that
-    /// makes removal on cancel (no tombstones) worth an indexed heap.
+    /// makes a cancel in place (no tombstones) worth a slot per timer.
     pub fn cancel_ratio(&self) -> f64 {
         self.cancels as f64 / self.schedules.max(1) as f64
     }
@@ -139,38 +146,27 @@ impl QueueStats {
     }
 }
 
-/// Heap arity: four children per node halves the height of a binary heap
-/// and keeps a node's children in one or two cache lines.
-const ARITY: usize = 4;
-
 /// The ordering key: `(firing time, insertion sequence)`.
 type Key = (SimTime, u64);
-/// Head key of an empty lane: sorts after every real key.
+/// Key of an empty lane and of a free slot: sorts after every real key.
 const EMPTY: Key = (SimTime::MAX, u64::MAX);
 /// The id popped with a lane event: no slab slot, so never pending.
 const LANE_EVENT: EventId = EventId(u64::MAX);
 
-/// Heap entry: the ordering key plus the slab slot holding the payload.
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    key: Key,
-    slot: u32,
-}
-
-/// One slab slot: the event payload, the generation that validates ids
-/// pointing at it, and the heap position of its entry while it is live.
-#[derive(Debug, Default)]
+/// One slab slot: the pending timer's key ([`EMPTY`] while the slot is
+/// free), its payload and the generation that validates ids pointing at it.
+#[derive(Debug)]
 struct Slot {
+    key: Key,
     gen: u32,
-    pos: u32,
     event: Option<Event>,
 }
 
 /// The future event list.
 #[derive(Debug, Default)]
 pub struct EventQueue {
-    /// 4-ary min-heap on `(at, seq)`: one entry per live slab event.
-    heap: Vec<Entry>,
+    /// Timer slots, scanned by key on every pop; `free` lists the free
+    /// ones, the last freed on top.
     slab: Vec<Slot>,
     free: Vec<u32>,
     /// Per-lane `(seq, event)` queues, each sorted by `(at, seq)`.
@@ -185,6 +181,18 @@ pub struct EventQueue {
     /// schedule below it: time running backwards corrupts every statistic.
     #[cfg(any(debug_assertions, test))]
     last_popped: SimTime,
+}
+
+/// The position and value of the first least key, or `(0, EMPTY)` when
+/// there is none: a pop's one way of choosing, over the lane heads and
+/// over the slot keys alike. A plain compare: forcing a conditional move
+/// (`select_unpredictable`) chains every key on the one before and made a
+/// flow 8–10 % slower.
+fn least(keys: impl Iterator<Item = Key>) -> (usize, Key) {
+    keys.enumerate().fold(
+        (0, EMPTY),
+        |best, (i, key)| if key < best.1 { (i, key) } else { best },
+    )
 }
 
 impl EventQueue {
@@ -213,22 +221,26 @@ impl EventQueue {
     pub fn schedule(&mut self, event: Event) -> EventId {
         let key = (event.at, self.admit(event.at));
         let slot = self.free.pop().unwrap_or_else(|| {
-            self.slab.push(Slot::default());
+            self.slab.push(Slot {
+                key: EMPTY,
+                gen: 0,
+                event: None,
+            });
             (self.slab.len() - 1) as u32
         });
-        self.slab[slot as usize].event = Some(event);
-        self.heap.push(Entry { key, slot });
-        self.sift_up(self.heap.len() - 1, Entry { key, slot });
-        EventId::new(slot, self.slab[slot as usize].gen)
+        let s = &mut self.slab[slot as usize];
+        (s.key, s.event) = (key, Some(event));
+        EventId::new(slot, s.gen)
     }
 
     /// Schedules `event` behind the earlier events of `lane`, for sources
     /// whose firing times never decrease (the engine gives each link a lane
     /// for its `Deliver` events and one for its `LinkReady`). It fires
     /// exactly where `schedule` would have put it — an event earlier than
-    /// the lane's tail simply takes that path — but is a ring-buffer append.
-    /// Every pop reads a head key per lane in use, so lanes are for a few busy
-    /// sources. Lane events cannot be cancelled, so no handle is returned.
+    /// the lane's tail simply takes a timer slot — but is a ring-buffer
+    /// append. Every pop reads a head key per lane in use, so lanes are for
+    /// a few busy sources. Lane events cannot be cancelled, so no handle is
+    /// returned.
     pub fn schedule_in_lane(&mut self, lane: usize, event: Event) {
         if lane >= self.heads.len() {
             self.heads.resize(lane + 1, EMPTY);
@@ -251,7 +263,6 @@ impl EventQueue {
     /// indistinguishable from a fresh queue: the insertion sequence restarts
     /// at zero, previously issued [`EventId`]s are dead, no lane is in use.
     pub fn reset(&mut self) {
-        self.heap.clear();
         self.slab.clear();
         self.free.clear();
         self.lanes.iter_mut().for_each(VecDeque::clear);
@@ -265,16 +276,14 @@ impl EventQueue {
         }
     }
 
-    /// Cancels a scheduled event, removing its heap entry. Returns `false`
-    /// if it already fired or was already cancelled.
+    /// Cancels a scheduled event, freeing its slot. Returns `false` if it
+    /// already fired or was already cancelled.
     pub fn cancel(&mut self, id: EventId) -> bool {
         if !self.is_pending(id) {
             return false;
         }
-        let pos = self.slab[id.slot()].pos as usize;
         self.retire(id.slot() as u32);
         self.stats.cancels += 1;
-        self.remove_at(pos);
         true
     }
 
@@ -283,9 +292,9 @@ impl EventQueue {
     /// [`EventQueue::schedule`] — `event` takes the next global sequence
     /// number, the counters move as for one cancel and one schedule, and
     /// the handle is the one `schedule` would have issued, because a
-    /// cancel frees the slot `schedule` takes next — but the slab slot and
-    /// the heap entry stay where they are and the entry sifts once, from
-    /// its current position. A dead `id` makes this a plain `schedule`.
+    /// cancel frees the slot `schedule` takes next — but the slot is
+    /// rewritten where it is, without passing through the free list. A dead
+    /// `id` makes this a plain `schedule`.
     pub fn reschedule(&mut self, id: EventId, event: Event) -> EventId {
         if !self.is_pending(id) {
             return self.schedule(event);
@@ -296,13 +305,10 @@ impl EventQueue {
         self.live -= 1;
         self.stats.cancels += 1;
         let key = (event.at, self.admit(event.at));
-        let slot = &mut self.slab[id.slot()];
-        slot.gen = slot.gen.wrapping_add(1);
-        slot.event = Some(event);
-        let (gen, pos) = (slot.gen, slot.pos as usize);
-        let slot = id.slot() as u32;
-        self.settle(pos, Entry { key, slot });
-        EventId::new(slot, gen)
+        let s = &mut self.slab[id.slot()];
+        s.gen = s.gen.wrapping_add(1);
+        (s.key, s.event) = (key, Some(event));
+        EventId::new(id.slot() as u32, s.gen)
     }
 
     /// True if `id` was scheduled and has neither fired nor been cancelled.
@@ -323,10 +329,10 @@ impl EventQueue {
     /// stored and reloaded at another width, a stall per event (DESIGN §15).
     #[inline]
     pub fn pop_before(&mut self, deadline: SimTime) -> Option<(EventId, Event)> {
-        let heads = self.heads.iter().copied().enumerate();
-        let (lane, head) = heads.min_by_key(|&(_, key)| key).unwrap_or((0, EMPTY));
-        let root = self.heap.first().copied().filter(|root| root.key < head);
-        let at = root.map_or(head.0, |root| root.key.0);
+        let (lane, head) = least(self.heads.iter().copied());
+        let (slot, timer) = least(self.slab.iter().map(|s| s.key));
+        // Keys are unique (sequences are), so at most one side is least.
+        let at = timer.min(head).0;
         if at > deadline || self.live == 0 {
             return None;
         }
@@ -335,9 +341,8 @@ impl EventQueue {
             assert!(at >= self.last_popped, "queue popped out of order");
             self.last_popped = at;
         }
-        if let Some(root) = root {
-            self.remove_at(0);
-            return Some(self.retire(root.slot));
+        if timer < head {
+            return Some(self.retire(slot as u32));
         }
         let queued = &mut self.lanes[lane];
         let (_, event) = queued.pop_front().expect("a head key is its lane's front");
@@ -370,63 +375,10 @@ impl EventQueue {
             EventId::new(slot, s.gen),
             s.event.take().expect("retiring a live slot"),
         );
-        s.gen = s.gen.wrapping_add(1);
+        (s.key, s.gen) = (EMPTY, s.gen.wrapping_add(1));
         self.free.push(slot);
         self.live -= 1;
         fired
-    }
-
-    /// Writes `entry` at `pos` and records the position in its slab slot.
-    fn place(&mut self, pos: usize, entry: Entry) {
-        self.heap[pos] = entry;
-        self.slab[entry.slot as usize].pos = pos as u32;
-    }
-
-    /// Removes the entry at `pos` by moving the last entry into the hole.
-    fn remove_at(&mut self, pos: usize) {
-        let last = self.heap.pop().expect("removing from an empty heap");
-        if pos == self.heap.len() {
-            return;
-        }
-        self.settle(pos, last);
-    }
-
-    /// Settles `entry` from the hole at `pos`, in whichever direction its
-    /// key has to travel.
-    fn settle(&mut self, pos: usize, entry: Entry) {
-        if pos > 0 && entry.key < self.heap[(pos - 1) / ARITY].key {
-            self.sift_up(pos, entry);
-        } else {
-            self.sift_down(pos, entry);
-        }
-    }
-
-    /// Settles `entry` at or above the hole at `pos`.
-    fn sift_up(&mut self, mut pos: usize, entry: Entry) {
-        while pos > 0 {
-            let parent = (pos - 1) / ARITY;
-            if entry.key >= self.heap[parent].key {
-                break;
-            }
-            self.place(pos, self.heap[parent]);
-            pos = parent;
-        }
-        self.place(pos, entry);
-    }
-
-    /// Settles `entry` at or below the hole at `pos`.
-    fn sift_down(&mut self, mut pos: usize, entry: Entry) {
-        loop {
-            let children = ARITY * pos + 1..(ARITY * pos + 1 + ARITY).min(self.heap.len());
-            match children.min_by_key(|&c| self.heap[c].key) {
-                Some(best) if self.heap[best].key < entry.key => {
-                    self.place(pos, self.heap[best]);
-                    pos = best;
-                }
-                _ => break,
-            }
-        }
-        self.place(pos, entry);
     }
 }
 
@@ -465,16 +417,17 @@ mod tests {
 
     /// The structural invariants the module docs promise.
     fn assert_invariants(q: &EventQueue) {
-        // The heap holds slab events only, each where its slot says.
-        for (pos, e) in q.heap.iter().enumerate() {
-            assert!(pos == 0 || q.heap[(pos - 1) / ARITY].key < e.key);
-            let slot = &q.slab[e.slot as usize];
-            assert_eq!(slot.pos as usize, pos, "stale slab position");
-            assert_eq!(slot.event.expect("dead entry in the heap").at, e.key.0);
+        // A live slot's key is its event's; a free slot's sorts last, so
+        // the pop scan never picks it, and it is on the free list.
+        for (i, slot) in q.slab.iter().enumerate() {
+            match slot.event {
+                Some(e) => assert_eq!(slot.key.0, e.at, "slot {i}: stale key"),
+                None => assert_eq!(slot.key, EMPTY, "slot {i}: free but keyed"),
+            }
         }
         let live_slots = q.slab.iter().filter(|s| s.event.is_some()).count();
         let in_lanes: usize = q.lanes.iter().map(VecDeque::len).sum();
-        assert_eq!(q.heap.len(), live_slots);
+        assert_eq!(q.free.len(), q.slab.len() - live_slots);
         assert_eq!(q.len(), live_slots + in_lanes);
         // Every lane is sorted and its head key is its front's; a lane
         // without a head slot (not used since the reset) is empty.
@@ -515,20 +468,18 @@ mod tests {
     }
 
     #[test]
-    fn cancel_at_the_root_a_leaf_the_last_entry_and_a_dead_id() {
+    fn cancel_the_first_a_middle_and_the_last_id_and_a_dead_id() {
         let mut q = EventQueue::new();
         let ids: Vec<EventId> = (0..20).map(|i| q.schedule(ev(10 + i, i))).collect();
-        let at = |q: &EventQueue, pos: usize| ids[q.heap[pos].slot as usize];
-        let (root, tail) = (at(&q, 0), at(&q, 19));
-        assert!(q.is_pending(tail) && q.cancel(tail), "last: no sift needed");
-        assert!(!q.is_pending(tail) && !q.cancel(tail), "double cancel");
+        let (first, middle, last) = (ids[0], ids[9], ids[19]);
+        assert!(q.is_pending(last) && q.cancel(last), "last");
+        assert!(!q.is_pending(last) && !q.cancel(last), "double cancel");
         assert_invariants(&q);
-        assert!(q.cancel(root), "root: the last entry sifts down");
+        assert!(q.cancel(first), "first: the event the next pop would take");
         assert_invariants(&q);
-        let leaf = at(&q, q.heap.len() - 2);
-        assert!(q.cancel(leaf), "leaf: the last entry may have to sift up");
+        assert!(q.cancel(middle), "middle");
         assert_invariants(&q);
-        assert_eq!((q.len(), q.heap.len()), (17, 17), "no tombstones");
+        assert_eq!((q.len(), q.free.len()), (17, 3), "cancelled slots are free");
         let stats = q.stats();
         assert_eq!((stats.schedules, stats.cancels), (20, 3));
         assert_eq!((stats.mean_depth(), stats.cancel_ratio()), (10.5, 0.15));
@@ -536,8 +487,10 @@ mod tests {
         twice.merge(&stats);
         assert_eq!((twice.depth_sum, twice.max_depth), (420, 20));
         let (fired, _) = q.pop().unwrap();
+        assert_eq!(fired, ids[1], "the least key left");
         assert!(!q.is_pending(fired) && !q.cancel(fired), "fired");
         let reused = q.schedule(ev(50, 50)); // takes the fired event's slot
+        assert_eq!(reused.slot(), fired.slot(), "the last freed slot first");
         assert!(!q.cancel(fired) && q.is_pending(reused), "stale id");
     }
 
@@ -552,16 +505,16 @@ mod tests {
     }
 
     #[test]
-    fn lane_costs_the_heap_nothing_and_falls_back_when_time_decreases() {
+    fn lane_takes_no_slot_and_falls_back_when_time_decreases() {
         let mut q = EventQueue::new();
         for tag in 0..10 {
             q.schedule_in_lane(3, ev(100 + 10 * tag, tag));
         }
-        assert_eq!((q.len(), q.heap.len(), q.slab.len()), (10, 0, 0));
+        assert_eq!((q.len(), q.slab.len()), (10, 0));
         assert_eq!(q.lanes_scanned(), 4, "lanes 0..=3 have a head slot");
         assert_eq!(q.heads[3], (SimTime::from_micros(100), 0));
-        q.schedule_in_lane(3, ev(125, 10)); // below the tail: plain insert
-        assert_eq!((q.len(), q.heap.len(), q.lanes[3].len()), (11, 1, 10));
+        q.schedule_in_lane(3, ev(125, 10)); // below the tail: a timer slot
+        assert_eq!((q.len(), q.slab.len(), q.lanes[3].len()), (11, 1, 10));
         q.schedule(ev(110, 11)); // same instant as a queued lane entry
         assert_invariants(&q);
         assert!(q.pop_before(SimTime::from_micros(99)).is_none());
@@ -585,7 +538,41 @@ mod tests {
         assert!(q.pop().is_none() && q.pop_before(SimTime::MAX).is_none());
         q.schedule_in_lane(3, ev(500, 14)); // an emptied lane starts over
         q.schedule(ev(u64::MAX, 15)); // `SimTime::MAX` still sorts before EMPTY
-        assert_eq!((q.heap.len(), drain(&mut q)), (1, vec![14, 15]));
+        let live_slots = q.slab.len() - q.free.len();
+        assert_eq!((live_slots, drain(&mut q)), (1, vec![14, 15]));
+    }
+
+    #[test]
+    fn re_armed_and_fired_timers_keep_the_slab_at_two_slots() {
+        // A pop scans every slot, so the slab must stay as short as the
+        // timers pending at once: a sender's RTO re-armed on every ACK,
+        // beside a receiver's delayed ACK that is scheduled and fires.
+        let mut q = EventQueue::new();
+        let mut rto = q.schedule(ev(1_000, 0));
+        for ack in 1..=10_000 {
+            let now = 10 * ack;
+            q.schedule_in_lane(0, ev(now + 7, 2));
+            let delack = q.schedule(ev(now + 5, 1));
+            rto = q.reschedule(rto, ev(now + 1_000, 0));
+            let (fired, e) = q.pop().unwrap();
+            assert_eq!((fired, tag_of(&e)), (delack, 1), "ack {ack}");
+            assert_eq!(tag_of(&q.pop().unwrap().1), 2);
+        }
+        assert!(
+            q.is_pending(rto) && q.slab.len() <= 2,
+            "{} slots",
+            q.slab.len()
+        );
+        assert_invariants(&q);
+        let stats = q.stats();
+        assert_eq!((stats.schedules, stats.cancels), (30_001, 10_000));
+        // A reset forgets the slots: nothing stale is scanned.
+        q.reset();
+        assert!(q.slab.is_empty() && q.free.is_empty() && q.pop().is_none());
+        assert!(!q.is_pending(rto));
+        let fresh = q.schedule(ev(3, 3));
+        assert_eq!((q.slab.len(), fresh), (1, EventId::new(0, 0)));
+        assert_eq!(q.pop().map(|(id, e)| (id, tag_of(&e))), Some((fresh, 3)));
     }
 
     #[test]
@@ -666,7 +653,7 @@ mod tests {
                 .collect()
         };
         let fresh_run = drive(&mut EventQueue::new());
-        // Dirty one: fired, cancelled, live leftovers in heap and lane.
+        // Dirty one: fired, cancelled, live leftovers in slots and lanes.
         let mut recycled = EventQueue::new();
         let dead = recycled.schedule(ev(7, 9));
         recycled.schedule(ev(1, 8));

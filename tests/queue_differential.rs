@@ -2,10 +2,10 @@
 //!
 //! The queue's `(firing time, insertion sequence)` total FIFO order is a
 //! contract every bit-identical-replay suite in the workspace leans on.
-//! The queue keeps it with an indexed heap (positions patched on every
-//! sift, entries removed on cancel) and per-source FIFO lanes that never
-//! enter the heap — a pop takes the least of the heap root and the lane
-//! heads; the model keeps it with a `BTreeMap` keyed by `(time, seq)`,
+//! The queue keeps it with timer slots that carry their own keys (freed
+//! on cancel, rewritten in place on reschedule) and per-source FIFO lanes
+//! that take no slot — a pop scans the slot keys and the lane heads for
+//! the least; the model keeps it with a `BTreeMap` keyed by `(time, seq)`,
 //! whose ordering is one derived `Ord`. So: feed randomized schedule /
 //! lane-schedule / single-slot-lane / cancel / reschedule / bounded-pop
 //! interleavings to both and assert they agree on
